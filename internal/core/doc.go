@@ -7,6 +7,10 @@
 // (§III-B), settles usage with the vendor (§III-C), and retrains the
 // global model federatedly before re-deriving every variant (§III-D).
 //
+// Every query path — Deployment.Infer, Deployment.InferBatch and
+// OffloadSession.Infer — is one locked pipeline (serveLocked) over one
+// internal/exec executor; the paths differ only in the execute step.
+//
 // Fleet-wide operations — DeployMany, SyncTelemetry, SettleAll — fan out
 // over the platform's internal/engine worker pool (Config.Workers), and
 // Deployment.InferBatch serves whole query bursts through one batched

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"tinymlops/internal/dataset"
@@ -278,12 +277,13 @@ func TestQModelReinstantiatedAcrossUpdateAndRollback(t *testing.T) {
 	check("post-rollback", v1Variant.ID)
 }
 
-// TestOffloadIntegerDeployments pins the quantized split: an integer-
-// native deployment offloads through the QAB1 boundary codec (int8 codes
-// plus one dynamic scale per example), the cloud resumes the same integer
-// kernels at a dense-stage cut, and offloaded answers stay bit-identical
-// to the device executing alone. ErrOffloadInteger is retired — it never
-// fires.
+// TestOffloadIntegerDeployments pins how the platform keys the quantized
+// split: an integer-native deployment offloads under the version's "#q"
+// cloud entry and really splits at the dense-stage cut, while the same
+// variant on hardware without the bit width splits in float under the
+// version's own key — the two entries coexist. (Bit-exactness of the
+// quantized split is the int8/int4 offload cell of the conformance
+// matrix and, below it, the executor conformance table.)
 func TestOffloadIntegerDeployments(t *testing.T) {
 	p, ds, _ := integerFixture(t, 24)
 	dep, err := p.Deploy("npu-00", "intline", DeployConfig{
@@ -305,7 +305,7 @@ func TestOffloadIntegerDeployments(t *testing.T) {
 		Replan: offload.ReplanConfig{Disabled: true},
 	})
 	if err != nil {
-		t.Fatalf("integer offload: %v, want success (refusal retired)", err)
+		t.Fatalf("integer offload: %v", err)
 	}
 	es := ds.X.Size() / ds.Len()
 	for q := 0; q < 8; q++ {
@@ -316,12 +316,6 @@ func TestOffloadIntegerDeployments(t *testing.T) {
 		}
 		if out.Split.Mode != offload.ModeSplit || out.Split.Cut != 2 {
 			t.Fatalf("query %d: mode %v cut %d", q, out.Split.Mode, out.Split.Cut)
-		}
-		want := dep.ReferenceLogits(x)
-		for i, v := range out.Split.Logits {
-			if math.Float32bits(v) != math.Float32bits(want[i]) {
-				t.Fatalf("query %d: quantized split logit %d differs from on-device integer forward", q, i)
-			}
 		}
 	}
 	ver, _, _ := dep.StateSnapshot()

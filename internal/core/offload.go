@@ -8,9 +8,11 @@ import (
 
 	"tinymlops/internal/enclave"
 	"tinymlops/internal/engine"
+	"tinymlops/internal/exec"
 	"tinymlops/internal/market"
 	"tinymlops/internal/offload"
 	"tinymlops/internal/quant"
+	"tinymlops/internal/tensor"
 )
 
 // ErrOffloadStale is returned by OffloadSession.Infer after the underlying
@@ -18,14 +20,6 @@ import (
 // the session's plan and the cloud's registered suffix no longer describe
 // the device's model. Re-create the session against the new version.
 var ErrOffloadStale = errors.New("core: offload session is stale (deployment was updated)")
-
-// ErrOffloadInteger was returned by Platform.Offload for integer-kernel
-// deployments before the quantized boundary codec existed. Integer-native
-// deployments now split: the boundary crosses as int8 codes plus a dynamic
-// per-example scale, and the cloud resumes the same integer kernels — so
-// this sentinel is retired and no longer returned. It remains exported so
-// callers' errors.Is checks keep compiling (they simply never match).
-var ErrOffloadInteger = errors.New("core: integer-kernel deployment cannot offload (boundary activations are float-codec only)")
 
 // OffloadConfig controls Platform.Offload.
 type OffloadConfig struct {
@@ -115,72 +109,80 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	scfg := offload.SessionConfig{
 		Tenant: deviceID,
 		Device: dep.device,
+		Model:  model,
+		Bits:   version.Scheme.Bits(),
 		Cloud:  cfg.Cloud,
 		Retry:  cfg.Retry,
 		Replan: replan,
 		Plan:   cfg.Plan,
 	}
+	// register binds the session to the cloud entry under key, building the
+	// cloud-side executor only if the tier lacks it: fleet-wide session
+	// setup registers each artifact once, not per device.
+	register := func(key string, build func() (exec.Executor, error)) error {
+		scfg.VersionID = key
+		if cfg.Cloud.Registered(key) {
+			return nil
+		}
+		ex, err := build()
+		if err != nil {
+			return fmt.Errorf("core: offload: %w", err)
+		}
+		return cfg.Cloud.Register(key, ex)
+	}
 
+	var err error
 	switch {
 	case compiled != nil:
-		// Obfuscated deployment: the module is sealed to the enclave and
-		// executes whole in the protected world when the plan offloads.
-		sess, err := p.enclaveSession(cfg)
-		if err != nil {
-			return nil, err
+		// Obfuscated deployment: the module is sealed to the enclave and runs
+		// whole in the protected world when the plan offloads. It declares no
+		// input geometry; the float artifact it was lowered from does.
+		parent, perr := p.Registry.Load(version.ParentID)
+		if perr != nil {
+			return nil, fmt.Errorf("core: offload: %w", perr)
 		}
-		if !cfg.Cloud.Registered(version.ID) {
+		feats, macs := exec.Width(parent.InputShape), version.Metrics.MACs
+		scfg.Model, scfg.Module, scfg.ModuleMACs, scfg.InFeatures, scfg.Bits = nil, compiled, macs, feats, 32
+		err = register(version.ID, func() (exec.Executor, error) {
 			blob, err := p.Registry.Bytes(version.ID)
 			if err != nil {
-				return nil, fmt.Errorf("core: offload: %w", err)
-			}
-			if err := p.provisionSealed(sess, version.ID, blob, true); err != nil {
 				return nil, err
 			}
-			if err := cfg.Cloud.RegisterModule(version.ID, sess, version.ID, version.Metrics.MACs); err != nil {
+			sess, err := p.hostSealed(cfg, version.ID, blob, true)
+			if err != nil {
 				return nil, err
 			}
-		}
-		// The module does not declare input geometry; the float artifact it
-		// was lowered from does.
-		parent, err := p.Registry.Load(version.ParentID)
-		if err != nil {
-			return nil, fmt.Errorf("core: offload: %w", err)
-		}
-		feats := 1
-		for _, d := range parent.InputShape {
-			feats *= d
-		}
-		scfg.VersionID = version.ID
-		scfg.Module = compiled
-		scfg.ModuleMACs = version.Metrics.MACs
-		scfg.InFeatures = feats
-		scfg.Bits = 32
+			mod, err := sess.Module(version.ID)
+			if err != nil {
+				return nil, err
+			}
+			return exec.Hosted(exec.Module(mod, mod.Caps, feats, macs), sess.Enclave().Slowdown), nil
+		})
 
 	case watermarked:
 		// The per-device marked copy is sealed to the enclave under a
 		// per-device key: its suffix executes only inside the protected
-		// world, so the split no longer breaks watermark protection.
-		sess, err := p.enclaveSession(cfg)
-		if err != nil {
-			return nil, err
-		}
+		// world, so the split does not break watermark protection.
 		key := version.ID + "@" + deviceID
-		if !cfg.Cloud.Registered(key) {
+		err = register(key, func() (exec.Executor, error) {
 			blob, err := model.MarshalBinary()
 			if err != nil {
-				return nil, fmt.Errorf("core: offload: %w", err)
-			}
-			if err := p.provisionSealed(sess, key, blob, false); err != nil {
 				return nil, err
 			}
-			if err := cfg.Cloud.RegisterProtected(key, sess, key, version.Scheme.Bits()); err != nil {
+			sess, err := p.hostSealed(cfg, key, blob, false)
+			if err != nil {
 				return nil, err
 			}
-		}
-		scfg.VersionID = key
-		scfg.Model = model
-		scfg.Bits = version.Scheme.Bits()
+			inside, err := sess.Network(key)
+			if err != nil {
+				return nil, err
+			}
+			ex, err := exec.Float(inside, version.Scheme.Bits())
+			if err != nil {
+				return nil, err
+			}
+			return exec.Hosted(ex, sess.Enclave().Slowdown), nil
+		})
 
 	case execScheme != quant.Float32:
 		// Integer-native deployment: the cloud lowers the registry artifact
@@ -188,38 +190,29 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 		// The "#q" key keeps the quant entry distinct from any float entry
 		// of the same version (devices without native support still split
 		// in float).
-		key := version.ID + "#q"
-		if !cfg.Cloud.Registered(key) {
+		scfg.Scheme, scfg.Bits = execScheme, execScheme.Bits()
+		err = register(version.ID+"#q", func() (exec.Executor, error) {
 			cloudModel, err := p.Registry.Load(version.ID)
 			if err != nil {
-				return nil, fmt.Errorf("core: offload: %w", err)
-			}
-			if err := cfg.Cloud.RegisterQuant(key, cloudModel, execScheme); err != nil {
 				return nil, err
 			}
-		}
-		scfg.VersionID = key
-		scfg.Model = model
-		scfg.Scheme = execScheme
-		scfg.Bits = execScheme.Bits()
+			return exec.Quant(cloudModel, execScheme)
+		})
 
 	default:
 		// The cloud serves the registry's own artifact — for an
 		// unwatermarked deployment that is bit-identical to the device's
-		// decrypted copy. Fleet-wide session setup registers each version
-		// once, not per device, so skip the load when the tier has it.
-		if !cfg.Cloud.Registered(version.ID) {
+		// decrypted copy.
+		err = register(version.ID, func() (exec.Executor, error) {
 			cloudModel, err := p.Registry.Load(version.ID)
 			if err != nil {
-				return nil, fmt.Errorf("core: offload: %w", err)
-			}
-			if err := cfg.Cloud.Register(version.ID, cloudModel, version.Scheme.Bits()); err != nil {
 				return nil, err
 			}
-		}
-		scfg.VersionID = version.ID
-		scfg.Model = model
-		scfg.Bits = version.Scheme.Bits()
+			return exec.Float(cloudModel, version.Scheme.Bits())
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// A session's first Infer would otherwise block forever on a tier
@@ -233,58 +226,52 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	return &OffloadSession{dep: dep, sess: sess, versionID: version.ID}, nil
 }
 
-// enclaveSession returns the session hosting protected suffix execution:
-// the caller-supplied one, or the platform's shared cloud enclave session,
-// provisioned on first use from the vendor key.
-func (p *Platform) enclaveSession(cfg OffloadConfig) (*enclave.Session, error) {
-	if cfg.Enclave != nil {
-		return cfg.Enclave, nil
-	}
+// hostSealed seals an artifact into the enclave session hosting protected
+// execution — the caller's, or the platform's shared cloud enclave,
+// provisioned on first use from the vendor key — under artID and verifies
+// the attestation chain before anything serves from it: the loaded
+// measurement must equal the artifact digest, and the session's report
+// over it must verify against the vendor root. Sealing advances the
+// enclave's monotonic counter, so it serializes under encMu.
+func (p *Platform) hostSealed(cfg OffloadConfig, artID string, blob []byte, module bool) (*enclave.Session, error) {
+	sess := cfg.Enclave
 	p.encMu.Lock()
-	defer p.encMu.Unlock()
-	if p.encSess == nil {
+	if sess == nil && p.encSess == nil {
 		enc, err := enclave.New("cloud-enclave", p.vendorKey, 1.2)
 		if err != nil {
-			return nil, fmt.Errorf("core: provision cloud enclave: %w", err)
+			p.encMu.Unlock()
+			return nil, fmt.Errorf("provision cloud enclave: %w", err)
 		}
 		p.encSess = enclave.NewSession(enc)
 	}
-	return p.encSess, nil
-}
-
-// provisionSealed seals an artifact into the enclave session under artID
-// and verifies the attestation chain before anything serves from it: the
-// loaded measurement must equal the artifact digest, and the session's
-// report over it must verify against the vendor root. Sealing advances the
-// enclave's monotonic counter, so it serializes under encMu.
-func (p *Platform) provisionSealed(sess *enclave.Session, artID string, blob []byte, module bool) error {
-	p.encMu.Lock()
+	if sess == nil {
+		sess = p.encSess
+	}
 	sealed, err := sess.Enclave().Seal(blob)
 	p.encMu.Unlock()
 	if err != nil {
-		return fmt.Errorf("core: seal %s: %w", artID, err)
+		return nil, fmt.Errorf("seal %s: %w", artID, err)
 	}
-	var meas [32]byte
+	load := sess.LoadSealedNetwork
 	if module {
-		meas, err = sess.LoadSealedModule(artID, sealed)
-	} else {
-		meas, err = sess.LoadSealedNetwork(artID, sealed)
+		load = sess.LoadSealedModule
 	}
+	meas, err := load(artID, sealed)
 	if err != nil {
-		return fmt.Errorf("core: load sealed %s: %w", artID, err)
+		return nil, fmt.Errorf("load sealed %s: %w", artID, err)
 	}
 	want := sha256.Sum256(blob)
 	if meas != want {
-		return fmt.Errorf("core: enclave measurement mismatch for %s", artID)
+		return nil, fmt.Errorf("enclave measurement mismatch for %s", artID)
 	}
 	rep, err := sess.Attest(artID, want[:16])
 	if err != nil {
-		return fmt.Errorf("core: attest %s: %w", artID, err)
+		return nil, fmt.Errorf("attest %s: %w", artID, err)
 	}
 	if !enclave.VerifyReport(p.vendorKey, rep) || rep.Measurement != want {
-		return fmt.Errorf("core: attestation for %s failed verification", artID)
+		return nil, fmt.Errorf("attestation for %s failed verification", artID)
 	}
-	return nil
+	return sess, nil
 }
 
 // Plan returns the split currently in force.
@@ -293,16 +280,13 @@ func (s *OffloadSession) Plan() market.SplitPlan { return s.sess.Plan() }
 // Stats returns the session's split-execution counters.
 func (s *OffloadSession) Stats() offload.Stats { return s.sess.Stats() }
 
-// Deployment returns the deployment this session serves.
-func (s *OffloadSession) Deployment() *Deployment { return s.dep }
-
-// Infer runs one metered, monitored query through the split runtime. The
-// pipeline is Deployment.Infer's, step for step — metering gate first (an
-// exhausted voucher denies before any compute), portable preprocessing,
-// drift observation, then the split forward pass instead of the local
-// one, then postprocessing and telemetry accounting. The label and logits
-// are bit-identical to what Deployment.Infer would produce, whichever
-// mode the query executed in.
+// Infer runs one metered, monitored query through the split runtime: the
+// deployment's own serving pipeline with the split forward pass as its
+// execute step, so offloading never escapes pay-per-query (§III-C) and an
+// exhausted voucher denies before any compute. Device compute, radio and
+// cloud service charge inside the session; the recorded energy is what the
+// device spent (prefix + radio, or the full pass under a local plan). Label
+// and logits are bit-identical to Deployment.Infer's in every mode.
 func (s *OffloadSession) Infer(x []float32) (OffloadOutcome, error) {
 	d := s.dep
 	d.mu.Lock()
@@ -311,34 +295,16 @@ func (s *OffloadSession) Infer(x []float32) (OffloadOutcome, error) {
 		return OffloadOutcome{}, fmt.Errorf("%w: %s is now on %s, session bound to %s",
 			ErrOffloadStale, d.DeviceID, d.Version.ID, s.versionID)
 	}
-	// Metering gate (§III-C: offloading never escapes pay-per-query),
-	// preprocessing, drift observation — the deployment's shared front
-	// half.
-	features, err := d.admitLocked(x)
-	if err != nil {
-		return OffloadOutcome{}, err
-	}
-
-	// Split execution under the live plan (replacing the local-only
-	// forward). Device compute, radio and cloud service charge inside.
-	res, err := s.sess.Exec(features)
-	if err != nil {
-		d.winFailed++
-		return OffloadOutcome{}, fmt.Errorf("core: offload: %w", err)
-	}
-
-	// Postprocessing on the returned logits, then telemetry accounting —
-	// energy is what the device actually spent (prefix + radio, or the
-	// full pass when the plan stayed local).
-	label, err := d.postLabelLocked(append([]float32(nil), res.Logits...), res.Label)
-	if err != nil {
-		return OffloadOutcome{}, err
-	}
-	d.recordServedLocked(features, res.Latency, res.DeviceEnergyJ*1e3)
-
-	drift := d.Monitor != nil && d.Monitor.Drifted()
-	return OffloadOutcome{
-		InferenceResult: InferenceResult{Label: label, Latency: res.Latency, DriftAlarm: drift},
-		Split:           res,
-	}, nil
+	var split offload.Result
+	rows, out := [1][]float32{x}, [1]BatchOutcome{}
+	d.serveLocked(rows[:], out[:], func(in *tensor.Tensor, adm []admitted) ([]float32, error) {
+		res, err := s.sess.Exec(in.Data)
+		if err != nil {
+			return nil, fmt.Errorf("core: offload: %w", err)
+		}
+		split = res
+		adm[0].lat, adm[0].energyMJ = res.Latency, res.DeviceEnergyJ*1e3
+		return res.Logits, nil
+	})
+	return OffloadOutcome{InferenceResult: out[0].Result, Split: split}, out[0].Err
 }

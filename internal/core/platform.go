@@ -162,30 +162,21 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (*Deploy
 	// Encrypt the artifact, transfer and flash it, decrypt on device.
 	// Compiled (procvm) versions ship the canonical module encoding; the
 	// obfuscated bytecode is the protection, so watermarks never apply.
-	var model *nn.Network
-	var compiled *procvm.Module
-	if version.Kind == registry.KindProcVM {
-		if cfg.Watermark != "" {
-			return nil, fmt.Errorf("core: compiled module versions cannot carry a watermark")
-		}
-		compiled, _, err = p.shipCompiled(dev, version)
-		if err != nil {
+	if version.Kind == registry.KindProcVM && cfg.Watermark != "" {
+		return nil, fmt.Errorf("core: compiled module versions cannot carry a watermark")
+	}
+	model, compiled, err := p.shipFull(nil, dev, version, new(UpdateReport))
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Watermark != "" {
+		// The mark identifies the customer (capacity scales to the carrier
+		// layer so tiny models still embed reliably); the registry tag is
+		// keyed per device so every customer's mark stays on record and
+		// parallel deploys stay deterministic (a single shared key would be
+		// last-writer-wins in scheduling order).
+		if err := p.embedWatermark(model, version.ID, deviceID, cfg.Watermark); err != nil {
 			return nil, err
-		}
-	} else {
-		model, _, err = p.shipFull(dev, version)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Watermark != "" {
-			// The mark identifies the customer (capacity scales to the carrier
-			// layer so tiny models still embed reliably); the registry tag is
-			// keyed per device so every customer's mark stays on record and
-			// parallel deploys stay deterministic (a single shared key would be
-			// last-writer-wins in scheduling order).
-			if err := p.embedWatermark(model, version.ID, deviceID, cfg.Watermark); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -198,9 +189,9 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (*Deploy
 		return nil, err
 	}
 
-	run := newRunnable(dev, version, model)
-	if compiled != nil {
-		run = newVMRunnable(compiled, procvm.CapSensor)
+	run, err := newExecutor(dev, version, model, compiled)
+	if err != nil {
+		return nil, err
 	}
 	d := &Deployment{
 		DeviceID:  deviceID,
@@ -350,7 +341,9 @@ func (p *Platform) SyncTelemetry() (records, bytes int, err error) {
 	}
 	flushes, err := engine.Map(p.eng, len(deps), func(i int) (flushed, error) {
 		d := deps[i]
-		d.rollWindow()
+		d.mu.Lock()
+		d.rollWindowLocked()
+		d.mu.Unlock()
 		recs, n, ferr := d.Buffer.FlushIfWiFi(d.device)
 		if ferr != nil {
 			return flushed{}, ferr

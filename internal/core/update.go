@@ -125,14 +125,8 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 		// so a gate judging this device sees post-update traffic only,
 		// never a stale alarm from before the rollout.
 		d.rollWindowLocked()
-		if opts.Calibration != nil {
-			mon, merr := buildMonitor(opts.Calibration)
-			if merr != nil {
-				return nil, merr
-			}
-			d.Monitor = mon
-		} else if d.Monitor != nil {
-			d.Monitor.Reset()
+		if err := d.recalibrateLocked(opts.Calibration); err != nil {
+			return nil, err
 		}
 		// The device holds these exact bytes, so it can seed them.
 		if opts.Swarm != nil && d.watermark == "" {
@@ -141,79 +135,29 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 		return rep, nil
 	}
 
-	// Compiled (procvm) targets take their own ship path: bytecode has no
-	// weight topology to diff, so delta never applies, and watermarks never
-	// apply (the obfuscation is the protection) — a watermarked cohort
-	// cannot cross into the compiled kind without losing its mark.
-	if chosen.Kind == registry.KindProcVM {
-		if d.watermark != "" {
-			return nil, fmt.Errorf("core: watermarked deployment %s cannot update to compiled module %s", d.DeviceID, chosen.ID)
-		}
-		var compiled *procvm.Module
-		if opts.Swarm != nil {
-			data, ts, serr := opts.Swarm.Transfer(d.device, "full:"+chosen.ID, 0)
-			if serr != nil {
-				return nil, fmt.Errorf("core: swarm ship to %s: %w", d.DeviceID, serr)
-			}
-			compiled, err = procvm.DecodeModule(data)
-			if err != nil {
-				return nil, err
-			}
-			rep.ShipBytes = ts.TotalBytes
-			rep.FlashBytes = ts.TotalBytes
-			rep.TransferTime = ts.Duration
-			rep.PeerBytes = ts.FromPeers
-			rep.RegistryBytes = ts.FromRegistry
-		} else {
-			var dur time.Duration
-			compiled, dur, err = p.shipCompiled(d.device, chosen)
-			if err != nil {
-				return nil, err
-			}
-			rep.ShipBytes = int64(chosen.Metrics.SizeBytes)
-			rep.FlashBytes = int64(chosen.Metrics.SizeBytes)
-			rep.TransferTime = dur
-		}
-		if err := d.swapLocked(chosen, nil, compiled, opts.Calibration); err != nil {
-			return nil, err
-		}
-		if opts.Swarm != nil {
-			opts.Swarm.AddSeeder("full:"+chosen.ID, d.DeviceID)
-		}
-		return rep, nil
+	// A compiled (procvm) target is bytecode: it has no weight topology to
+	// diff, so delta never applies, and no float weights to mark (the
+	// obfuscation is the protection) — a watermarked cohort cannot cross
+	// into the compiled kind without losing its mark.
+	toCompiled := chosen.Kind == registry.KindProcVM
+	if toCompiled && d.watermark != "" {
+		return nil, fmt.Errorf("core: watermarked deployment %s cannot update to compiled module %s", d.DeviceID, chosen.ID)
 	}
-
 	var model *nn.Network
+	var compiled *procvm.Module
 	// Delta transfer requires the on-device weights to be bit-identical to
 	// the registry's stored artifact; a per-customer watermark perturbs
 	// them, so watermarked deployments always ship full images. A compiled
 	// image holds no float weights at all, so a compiled→network update is
 	// always a full ship too.
-	if !opts.ForceFull && d.watermark == "" && d.model != nil {
-		if opts.Swarm != nil {
-			model, err = d.trySwarmDeltaLocked(opts.Swarm, chosen, rep)
-		} else {
-			model, err = d.tryDeltaLocked(chosen, rep)
-		}
-		if err != nil {
+	if !opts.ForceFull && !toCompiled && d.watermark == "" && d.model != nil {
+		if model, err = d.tryDeltaLocked(opts.Swarm, chosen, rep); err != nil {
 			return nil, err
 		}
 	}
 	if model == nil {
-		if opts.Swarm != nil {
-			model, err = p.swarmShipFull(opts.Swarm, d.device, chosen, rep)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var dur time.Duration
-			model, dur, err = p.shipFull(d.device, chosen)
-			if err != nil {
-				return nil, err
-			}
-			rep.ShipBytes = int64(chosen.Metrics.SizeBytes)
-			rep.FlashBytes = int64(chosen.Metrics.SizeBytes)
-			rep.TransferTime = dur
+		if model, compiled, err = p.shipFull(opts.Swarm, d.device, chosen, rep); err != nil {
+			return nil, err
 		}
 		if d.watermark != "" {
 			if err := p.embedWatermark(model, chosen.ID, d.DeviceID, d.watermark); err != nil {
@@ -221,7 +165,7 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 			}
 		}
 	}
-	if err := d.swapLocked(chosen, model, nil, opts.Calibration); err != nil {
+	if err := d.swapLocked(chosen, model, compiled, opts.Calibration); err != nil {
 		return nil, err
 	}
 	// The swap succeeded: the device now holds the canonical artifact (and,
@@ -243,7 +187,7 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 // share a topology, or the delta would not beat the packed image — a full
 // retrain degrades to a dense delta whose index overhead can exceed what
 // it patches. Caller holds d.mu.
-func (d *Deployment) tryDeltaLocked(chosen *registry.ModelVersion, rep *UpdateReport) (*nn.Network, error) {
+func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersion, rep *UpdateReport) (*nn.Network, error) {
 	p := d.platform
 	delta, err := p.Registry.Delta(d.Version.ID, chosen.ID)
 	if err != nil {
@@ -263,20 +207,12 @@ func (d *Deployment) tryDeltaLocked(chosen *registry.ModelVersion, rep *UpdateRe
 	if cost.ShipBytes >= chosen.Metrics.SizeBytes {
 		return nil, nil // dense delta, not worth shipping
 	}
-	em, err := ipprot.EncryptModel(p.vendorKey, chosen.ID, delta)
-	if err != nil {
-		return nil, err
-	}
 	// The token names the exact patch (source and target bytes): a crash
 	// mid-flash leaves a recoverable staging slot, and a retried update
 	// that selects the same transition resumes it instead of starting
 	// over. A different transition discards the stale slot.
 	token := "delta:" + d.Version.ID + ">" + chosen.ID
-	dur, err := d.device.InstallResumable(token, int64(cost.ShipBytes), int64(cost.FlashBytes))
-	if err != nil {
-		return nil, fmt.Errorf("core: ship delta to %s: %w", d.DeviceID, err)
-	}
-	plain, err := ipprot.DecryptModel(p.vendorKey, em)
+	plain, err := p.transfer(sw, d.device, chosen, token, delta, int64(cost.ShipBytes), int64(cost.FlashBytes), rep)
 	if err != nil {
 		return nil, err
 	}
@@ -285,74 +221,58 @@ func (d *Deployment) tryDeltaLocked(chosen *registry.ModelVersion, rep *UpdateRe
 		return nil, fmt.Errorf("core: apply delta on %s: %w", d.DeviceID, err)
 	}
 	rep.UsedDelta = true
-	rep.ShipBytes = int64(cost.ShipBytes)
-	rep.FlashBytes = int64(cost.FlashBytes)
-	rep.TransferTime = dur
 	rep.ChangedParams, rep.TotalParams = cost.ChangedParams, cost.TotalParams
 	return model, nil
 }
 
-// trySwarmDeltaLocked is tryDeltaLocked's peer-to-peer counterpart: the
-// same delta-worthwhile decision, but the encoded delta ships as
-// hash-verified chunks from the wave's seeders (devices that already took
-// this exact transition hold its bytes) instead of an encrypted
-// registry-direct stream. The swarm moves canonical plaintext bytes — the
-// chunk hashes content-address the real artifact — so no envelope
-// encryption applies here. Caller holds d.mu.
-func (d *Deployment) trySwarmDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersion, rep *UpdateReport) (*nn.Network, error) {
-	p := d.platform
-	delta, err := p.Registry.Delta(d.Version.ID, chosen.ID)
-	if err != nil {
-		if errors.Is(err, registry.ErrArtifactMissing) {
-			rep.DeltaFallback = fmt.Errorf("%w: %w", ErrDeltaBaseMissing, err)
+// transfer moves one artifact — a full image or a delta, named by its
+// content-addressed install token — onto the device and returns the bytes
+// as the device holds them, filling rep's transfer accounting. A swarm
+// delivers hash-verified chunks from the wave's seeders, the registry being
+// seeder of last resort; it moves canonical plaintext (the chunk hashes
+// content-address the real artifact), so no envelope encryption applies.
+// Without one, payload streams registry-direct under envelope encryption
+// (§V). Either way an install that crashed mid-flash resumes from its
+// staging slot on retry. ship and flash are the radio and flash-rewrite
+// sizes (a delta flashes less than it downloads); a swarm measures its own
+// radio bytes, and flashes what it delivered when flash is 0.
+func (p *Platform) transfer(sw *swarm.Swarm, dev *device.Device, v *registry.ModelVersion, token string, payload []byte, ship, flash int64, rep *UpdateReport) ([]byte, error) {
+	if sw != nil {
+		data, ts, err := sw.Transfer(dev, token, flash)
+		if err != nil {
+			return nil, fmt.Errorf("core: swarm ship %s to %s: %w", token, dev.ID, err)
 		}
-		return nil, nil // full (swarm) transfer
+		if flash == 0 {
+			flash = ts.TotalBytes
+		}
+		rep.ShipBytes, rep.FlashBytes, rep.TransferTime = ts.TotalBytes, flash, ts.Duration
+		rep.PeerBytes, rep.RegistryBytes = ts.FromPeers, ts.FromRegistry
+		return data, nil
 	}
-	cost, err := nn.CostOfDelta(delta, chosen.Scheme.Bits())
+	em, err := ipprot.EncryptModel(p.vendorKey, v.ID, payload)
 	if err != nil {
 		return nil, err
 	}
-	if cost.ShipBytes >= chosen.Metrics.SizeBytes {
-		return nil, nil // dense delta, not worth shipping
-	}
-	key := "delta:" + d.Version.ID + ">" + chosen.ID
-	data, ts, err := sw.Transfer(d.device, key, int64(cost.FlashBytes))
+	dur, err := dev.InstallResumable(token, ship, flash)
 	if err != nil {
-		return nil, fmt.Errorf("core: swarm delta to %s: %w", d.DeviceID, err)
+		return nil, fmt.Errorf("core: ship %s to %s: %w", token, dev.ID, err)
 	}
-	model, err := nn.ApplyDelta(d.model, data)
-	if err != nil {
-		return nil, fmt.Errorf("core: apply delta on %s: %w", d.DeviceID, err)
-	}
-	rep.UsedDelta = true
-	rep.ShipBytes = ts.TotalBytes
-	rep.FlashBytes = int64(cost.FlashBytes)
-	rep.TransferTime = ts.Duration
-	rep.PeerBytes = ts.FromPeers
-	rep.RegistryBytes = ts.FromRegistry
-	rep.ChangedParams, rep.TotalParams = cost.ChangedParams, cost.TotalParams
-	return model, nil
+	rep.ShipBytes, rep.FlashBytes, rep.TransferTime = ship, flash, dur
+	return ipprot.DecryptModel(p.vendorKey, em)
 }
 
-// swarmShipFull ships a full artifact over the swarm: hash-verified chunks
-// from the wave's seeders with the registry as seeder of last resort,
-// reusing the same staging-slot discipline as shipFull so an interrupted
-// transfer resumes from the exact byte on retry.
-func (p *Platform) swarmShipFull(sw *swarm.Swarm, dev *device.Device, v *registry.ModelVersion, rep *UpdateReport) (*nn.Network, error) {
-	data, ts, err := sw.Transfer(dev, "full:"+v.ID, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: swarm ship to %s: %w", dev.ID, err)
+// decodeImage parses a shipped artifact into the installable image of its
+// kind: a network, or — for compiled versions, whose artifact is the
+// module's canonical PVM1 encoding — a procvm module. Both decoders are
+// strict, so a corrupted transfer fails here rather than at first
+// inference.
+func decodeImage(v *registry.ModelVersion, plain []byte) (*nn.Network, *procvm.Module, error) {
+	if v.Kind == registry.KindProcVM {
+		mod, err := procvm.DecodeModule(plain)
+		return nil, mod, err
 	}
-	model, err := nn.UnmarshalNetwork(data)
-	if err != nil {
-		return nil, err
-	}
-	rep.ShipBytes = ts.TotalBytes
-	rep.FlashBytes = ts.TotalBytes
-	rep.TransferTime = ts.Duration
-	rep.PeerBytes = ts.FromPeers
-	rep.RegistryBytes = ts.FromRegistry
-	return model, nil
+	model, err := nn.UnmarshalNetwork(plain)
+	return model, nil, err
 }
 
 // Rollback reverts the deployment to the image it ran before the last
@@ -368,18 +288,12 @@ func (d *Deployment) Rollback() (*UpdateReport, error) {
 	}
 	rep := &UpdateReport{DeviceID: d.DeviceID, From: d.Version, To: d.prev.version}
 	d.rollWindowLocked()
-	d.Version, d.model, d.compiled, d.Monitor = d.prev.version, d.prev.model, d.prev.compiled, d.prev.monitor
+	// The image comes back with the executor it ran on: an integer variant
+	// returns to the integer kernels, a compiled image to the VM.
+	d.Version, d.model, d.compiled, d.Monitor, d.run = d.prev.version, d.prev.model, d.prev.compiled, d.prev.monitor, d.prev.run
 	d.prev = nil
 	if d.Monitor != nil {
 		d.Monitor.Reset()
-	}
-	// Re-derive the executable from the restored image: an integer variant
-	// goes back onto the integer kernels with fresh scratch, a compiled
-	// image back onto the VM.
-	if d.compiled != nil {
-		d.run = newVMRunnable(d.compiled, procvm.CapSensor)
-	} else {
-		d.run = newRunnable(d.device, d.Version, d.model)
 	}
 	if d.retained != nil {
 		if err := d.refreshAttestorLocked(); err != nil {
@@ -394,97 +308,67 @@ func (d *Deployment) Rollback() (*UpdateReport, error) {
 // the old one for rollback. Exactly one of m and mod is non-nil, matching
 // the version's kind. Caller holds d.mu.
 func (d *Deployment) swapLocked(v *registry.ModelVersion, m *nn.Network, mod *procvm.Module, calib *dataset.Dataset) error {
-	d.rollWindowLocked()
-	d.prev = &image{version: d.Version, model: d.model, compiled: d.compiled, monitor: d.Monitor}
-	d.Version = v
-	d.model = m
-	d.compiled = mod
 	// The registry artifact stays the source of truth: deltas patched the
-	// float model, and the executable (QModel included) is re-instantiated
+	// float model, and the executor (QModel included) is re-instantiated
 	// from the result.
-	if mod != nil {
-		d.run = newVMRunnable(mod, procvm.CapSensor)
-	} else {
-		d.run = newRunnable(d.device, v, m)
+	run, err := newExecutor(d.device, v, m, mod)
+	if err != nil {
+		return err
 	}
+	d.rollWindowLocked()
+	d.prev = &image{version: d.Version, model: d.model, compiled: d.compiled, monitor: d.Monitor, run: d.run}
+	d.Version, d.model, d.compiled, d.run = v, m, mod, run
 	if d.retained != nil {
 		if err := d.refreshAttestorLocked(); err != nil {
 			return err
 		}
 	}
-	if calib != nil {
-		mon, err := buildMonitor(calib)
-		if err != nil {
-			return err
-		}
-		d.Monitor = mon
-	} else if d.Monitor != nil {
-		// Same calibration, new version: clear the latch and statistics so
-		// post-update health reflects the new model only. The rollback
-		// image shares this monitor; Rollback resets it again.
-		d.Monitor.Reset()
+	if err := d.recalibrateLocked(calib); err != nil {
+		return err
 	}
 	d.featStats = nil
 	return nil
 }
 
-// shipFull encrypts a full artifact, transfers and flashes it on the
-// device, and decrypts it back into a runnable network — the §V transfer
-// path shared by Deploy and Update.
-func (p *Platform) shipFull(dev *device.Device, v *registry.ModelVersion) (*nn.Network, time.Duration, error) {
-	artifact, err := p.Registry.Bytes(v.ID)
-	if err != nil {
-		return nil, 0, err
+// recalibrateLocked points the drift monitor at a new version's traffic:
+// calibrated afresh from calib, or reset, so post-update health reflects
+// the new model only (a rollback image shares the monitor; Rollback resets
+// it again). Caller holds d.mu.
+func (d *Deployment) recalibrateLocked(calib *dataset.Dataset) error {
+	if calib == nil {
+		if d.Monitor != nil {
+			d.Monitor.Reset()
+		}
+		return nil
 	}
-	em, err := ipprot.EncryptModel(p.vendorKey, v.ID, artifact)
+	mon, err := buildMonitor(calib)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	// Content-addressed install token: an install of the same image that
-	// crashed mid-flash resumes from its half-written slot on retry,
-	// whether the caller was Deploy or Update.
-	dur, err := dev.InstallResumable("full:"+v.ID, int64(v.Metrics.SizeBytes), int64(v.Metrics.SizeBytes))
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: ship to %s: %w", dev.ID, err)
-	}
-	plain, err := ipprot.DecryptModel(p.vendorKey, em)
-	if err != nil {
-		return nil, 0, err
-	}
-	model, err := nn.UnmarshalNetwork(plain)
-	if err != nil {
-		return nil, 0, err
-	}
-	return model, dur, nil
+	d.Monitor = mon
+	return nil
 }
 
-// shipCompiled is shipFull's counterpart for compiled procvm artifacts: the
-// registry blob is the module's canonical PVM1 encoding, and the decode on
-// the far side is strict, so a corrupted transfer fails here rather than at
-// first inference. Delta transfer never applies — bytecode has no weight
-// topology to diff — so every compiled ship is a full image.
-func (p *Platform) shipCompiled(dev *device.Device, v *registry.ModelVersion) (*procvm.Module, time.Duration, error) {
-	blob, err := p.Registry.Bytes(v.ID)
-	if err != nil {
-		return nil, 0, err
+// shipFull transfers a version's full artifact, of either kind, onto the
+// device and decodes it into an installable image — the path shared by
+// Deploy and Update. A direct ship reads the registry blob and moves the
+// variant's packed size; a swarm sources and sizes the bytes itself, so
+// the blob need not even exist any more.
+func (p *Platform) shipFull(sw *swarm.Swarm, dev *device.Device, v *registry.ModelVersion, rep *UpdateReport) (*nn.Network, *procvm.Module, error) {
+	var artifact []byte
+	var size int64
+	if sw == nil {
+		var err error
+		if artifact, err = p.Registry.Bytes(v.ID); err != nil {
+			return nil, nil, err
+		}
+		size = int64(v.Metrics.SizeBytes)
 	}
-	em, err := ipprot.EncryptModel(p.vendorKey, v.ID, blob)
+	plain, err := p.transfer(sw, dev, v, "full:"+v.ID, artifact, size, size, rep)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	dur, err := dev.InstallResumable("full:"+v.ID, int64(v.Metrics.SizeBytes), int64(v.Metrics.SizeBytes))
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: ship to %s: %w", dev.ID, err)
-	}
-	plain, err := ipprot.DecryptModel(p.vendorKey, em)
-	if err != nil {
-		return nil, 0, err
-	}
-	mod, err := procvm.DecodeModule(plain)
-	if err != nil {
-		return nil, 0, err
-	}
-	return mod, dur, nil
+	return decodeImage(v, plain)
 }
 
 // embedWatermark stamps the customer identity into a deployed copy and

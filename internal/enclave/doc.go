@@ -15,8 +15,8 @@
 // networks or compiled procvm modules — unseal only inside the session,
 // which records the plaintext SHA-256 as the attestable measurement,
 // rejects tampered blobs, kind confusion and non-canonical encodings,
-// and executes module queries under the module's own pinned gas limit.
-// The offload cloud tier serves protected suffixes through exactly this
-// interface, so a vendor can prove to a customer what model their
-// queries actually ran against.
+// and hands the loaded artifact to an exec.Hosted executor that charges
+// the protected world's slowdown. The offload cloud tier serves protected
+// suffixes through exactly this interface, so a vendor can prove to a
+// customer what model their queries actually ran against.
 package enclave

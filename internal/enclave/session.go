@@ -11,14 +11,15 @@ import (
 )
 
 // Session is a cloud-tier protected-execution context: it loads sealed
-// model artifacts into the enclave, attests what it loaded, and executes
-// offload suffixes (for watermarked networks) and compiled procvm modules
-// (for obfuscated deployments) inside the protected world. Plaintext model
-// bytes exist only behind the Session after Unseal — the simulation's
-// stand-in for enclave-resident memory. A Session is safe for concurrent
-// use by any number of goroutines: loads and lookups serialize on one
-// mutex, and execution uses only read-shared state (nn.ForwardBatch and
-// procvm.Runtime.Run perform no model writes).
+// model artifacts into the enclave, attests what it loaded, and holds the
+// networks (watermarked copies) and compiled procvm modules (obfuscated
+// deployments) that offload suffixes execute from inside the protected
+// world — an exec.Hosted executor over Network or Module, charged the
+// enclave's Slowdown. Plaintext model bytes exist only behind the Session
+// after Unseal — the simulation's stand-in for enclave-resident memory. A
+// Session is safe for concurrent use by any number of goroutines: loads
+// and lookups serialize on one mutex, and the artifacts it hands out are
+// read-shared (executors perform no model writes).
 type Session struct {
 	enc *Enclave
 
@@ -45,9 +46,6 @@ func NewSession(e *Enclave) *Session {
 
 // Enclave returns the backing enclave (for report verification metadata).
 func (s *Session) Enclave() *Enclave { return s.enc }
-
-// Slowdown is the protected world's latency factor.
-func (s *Session) Slowdown() float64 { return s.enc.Slowdown }
 
 // LoadSealedNetwork unseals a network artifact into the session under id
 // and returns its measurement (the SHA-256 of the plaintext bytes).
@@ -128,7 +126,9 @@ func (s *Session) Network(id string) (*nn.Network, error) {
 	return art.net, nil
 }
 
-// Module returns a loaded compiled module.
+// Module exposes a loaded compiled module for protected execution, under
+// the same contract as Network. Gas metering applies inside the protected
+// world exactly as outside it.
 func (s *Session) Module(id string) (*procvm.Module, error) {
 	s.mu.RLock()
 	art, ok := s.arts[id]
@@ -140,20 +140,4 @@ func (s *Session) Module(id string) (*procvm.Module, error) {
 		return nil, fmt.Errorf("%w: %s holds a network, not a module", ErrUnknownArtifact, id)
 	}
 	return art.mod, nil
-}
-
-// RunModule executes a loaded module inside the enclave on one input
-// vector. Gas metering applies exactly as outside the protected world: a
-// module that exhausts its pinned limit mid-suffix fails with
-// procvm.ErrOutOfGas and no partial output.
-func (s *Session) RunModule(id string, input []float32) (procvm.Result, error) {
-	mod, err := s.Module(id)
-	if err != nil {
-		return procvm.Result{}, err
-	}
-	rt := procvm.NewRuntime(mod.Caps)
-	if mod.GasLimit > rt.MaxGas {
-		rt.MaxGas = mod.GasLimit
-	}
-	return rt.Run(mod, input)
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"tinymlops/internal/compat"
+	"tinymlops/internal/engine"
+	"tinymlops/internal/exec"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/procvm"
 	"tinymlops/internal/tensor"
@@ -28,6 +30,21 @@ func testSessionFixture(t *testing.T) (*Session, *procvm.Module, *nn.Network, []
 		t.Fatal(err)
 	}
 	return NewSession(enc), mod, net, root
+}
+
+// runHosted executes a loaded module the way the cloud tier does: on the
+// enclave-hosted executor over the session's artifact.
+func runHosted(sess *Session, id string, input []float32) ([]float32, error) {
+	mod, err := sess.Module(id)
+	if err != nil {
+		return nil, err
+	}
+	ex := exec.Hosted(exec.Module(mod, mod.Caps, len(input), 0), sess.Enclave().Slowdown)
+	out, err := ex.Run(tensor.FromSlice(input, 1, len(input)), 0, 1, engine.NewArena())
+	if err != nil {
+		return nil, err
+	}
+	return out.Data, nil
 }
 
 // TestSessionErrorPaths is the trusted-loading failure table: every way a
@@ -116,11 +133,11 @@ func TestSessionErrorPaths(t *testing.T) {
 			return err
 		}, ErrUnknownArtifact},
 		{"unknown artifact run", func() error {
-			_, err := sess.RunModule("missing", make([]float32, 4))
+			_, err := runHosted(sess, "missing", make([]float32, 4))
 			return err
 		}, ErrUnknownArtifact},
 		{"network artifact run as module", func() error {
-			_, err := sess.RunModule("net", make([]float32, 4))
+			_, err := runHosted(sess, "net", make([]float32, 4))
 			return err
 		}, ErrUnknownArtifact},
 		{"network artifact fetched as module", func() error {
@@ -194,11 +211,11 @@ func TestRunModuleGasExhaustionMidSuffix(t *testing.T) {
 	if _, err := sess.LoadSealedModule("starved", sealed); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.RunModule("starved", make([]float32, 4))
+	out, err := runHosted(sess, "starved", make([]float32, 4))
 	if !errors.Is(err, procvm.ErrOutOfGas) {
 		t.Fatalf("error %v, want %v", err, procvm.ErrOutOfGas)
 	}
-	if res.Output.IsVec && len(res.Output.Vec) > 0 {
+	if len(out) > 0 {
 		t.Fatal("gas exhaustion leaked a partial output")
 	}
 	// The healthy module still runs in the same session.
@@ -209,7 +226,7 @@ func TestRunModuleGasExhaustionMidSuffix(t *testing.T) {
 	if _, err := sess.LoadSealedModule("healthy", healthy); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.RunModule("healthy", make([]float32, 4)); err != nil {
+	if _, err := runHosted(sess, "healthy", make([]float32, 4)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -229,10 +246,11 @@ func TestSessionShared64Goroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := []float32{0.25, -1.5, 3, 0.125}
-	ref, err := sess.RunModule("shared", input)
+	ref, err := runHosted(sess, "shared", input)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref = append([]float32(nil), ref...)
 
 	const goroutines = 64
 	var wg sync.WaitGroup
@@ -243,20 +261,16 @@ func TestSessionShared64Goroutines(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("own-%d", g%8)
 			for q := 0; q < 10; q++ {
-				res, err := sess.RunModule("shared", input)
+				res, err := runHosted(sess, "shared", input)
 				if err != nil {
 					errCh <- err
 					return
 				}
-				for i, v := range res.Output.Vec {
-					if math.Float32bits(v) != math.Float32bits(ref.Output.Vec[i]) {
+				for i, v := range res {
+					if math.Float32bits(v) != math.Float32bits(ref[i]) {
 						errCh <- fmt.Errorf("goroutine %d: output %d diverged", g, i)
 						return
 					}
-				}
-				if res.GasUsed != ref.GasUsed {
-					errCh <- fmt.Errorf("goroutine %d: gas %d != %d", g, res.GasUsed, ref.GasUsed)
-					return
 				}
 				rep, err := sess.Attest("shared", []byte{byte(g), byte(q)})
 				if err != nil {
@@ -294,8 +308,8 @@ func TestSessionShared64Goroutines(t *testing.T) {
 // session reports its enclave's slowdown for cloud-tier cost accounting.
 func TestSessionNetworkAndSlowdown(t *testing.T) {
 	sess, mod, net, _ := testSessionFixture(t)
-	if sess.Slowdown() != 2 {
-		t.Fatalf("slowdown %v, want the enclave's 2", sess.Slowdown())
+	if sess.Enclave().Slowdown != 2 {
+		t.Fatalf("slowdown %v, want the enclave's 2", sess.Enclave().Slowdown)
 	}
 	blob, err := net.MarshalBinary()
 	if err != nil {

@@ -1,4 +1,4 @@
-package offload
+package exec
 
 import (
 	"bytes"
@@ -27,7 +27,7 @@ import (
 var qabMagic = [4]byte{'Q', 'A', 'B', '1'}
 
 // isQAB reports whether a payload carries the quantized boundary magic —
-// how Submit tells the two wire formats apart before touching a decoder.
+// how a decoder tells the two wire formats apart before parsing.
 func isQAB(payload []byte) bool {
 	return len(payload) >= 4 && bytes.Equal(payload[:4], qabMagic[:])
 }
@@ -35,10 +35,10 @@ func isQAB(payload []byte) bool {
 // encodeQAB appends the QAB1 encoding of (codes, scales) to buf.
 func encodeQAB(buf *bytes.Buffer, codes []int8, scales []float32, rows, cols int) error {
 	if rows <= 0 || cols <= 0 {
-		return fmt.Errorf("offload: qab encode: dimensions %dx%d", rows, cols)
+		return fmt.Errorf("exec: qab encode: dimensions %dx%d", rows, cols)
 	}
 	if len(codes) != rows*cols || len(scales) != rows {
-		return fmt.Errorf("offload: qab encode: %d codes and %d scales for %dx%d", len(codes), len(scales), rows, cols)
+		return fmt.Errorf("exec: qab encode: %d codes and %d scales for %dx%d", len(codes), len(scales), rows, cols)
 	}
 	buf.Write(qabMagic[:])
 	var u [4]byte
@@ -59,22 +59,22 @@ func encodeQAB(buf *bytes.Buffer, codes []int8, scales []float32, rows, cols int
 // decodeQAB parses a QAB1 payload, rejecting truncation and trailing bytes.
 func decodeQAB(payload []byte) (codes []int8, scales []float32, rows, cols int, err error) {
 	if !isQAB(payload) {
-		return nil, nil, 0, 0, fmt.Errorf("offload: qab decode: bad magic")
+		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: bad magic")
 	}
 	rest := payload[4:]
 	if len(rest) < 8 {
-		return nil, nil, 0, 0, fmt.Errorf("offload: qab decode: truncated header")
+		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: truncated header")
 	}
 	r := binary.LittleEndian.Uint32(rest[0:4])
 	c := binary.LittleEndian.Uint32(rest[4:8])
 	rest = rest[8:]
 	if r == 0 || c == 0 || r > 1<<20 || c > 1<<24 {
-		return nil, nil, 0, 0, fmt.Errorf("offload: qab decode: implausible dimensions %dx%d", r, c)
+		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: implausible dimensions %dx%d", r, c)
 	}
 	rows, cols = int(r), int(c)
 	want := 4*rows + rows*cols
 	if len(rest) != want {
-		return nil, nil, 0, 0, fmt.Errorf("offload: qab decode: %d payload bytes, want %d for %dx%d", len(rest), want, rows, cols)
+		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: %d payload bytes, want %d for %dx%d", len(rest), want, rows, cols)
 	}
 	scales = make([]float32, rows)
 	for i := range scales {

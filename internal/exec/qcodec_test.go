@@ -1,4 +1,4 @@
-package offload
+package exec
 
 import (
 	"bytes"

@@ -53,9 +53,7 @@ func BenchmarkOffloadMonolithic(b *testing.B) {
 	rng := tensor.NewRNG(2)
 	model := benchModel(rng)
 	cloud := NewCloud(CloudConfig{})
-	if err := cloud.Register("bench", model, 32); err != nil {
-		b.Fatal(err)
-	}
+	registerFloat(b, cloud, "bench", model, 1)
 	cloud.Start()
 	defer cloud.Close()
 	s := benchSession(b, len(model.Layers()), cloud, model, "mono")
@@ -76,9 +74,7 @@ func BenchmarkOffloadSplit(b *testing.B) {
 	rng := tensor.NewRNG(2)
 	model := benchModel(rng)
 	cloud := NewCloud(CloudConfig{})
-	if err := cloud.Register("bench", model, 32); err != nil {
-		b.Fatal(err)
-	}
+	registerFloat(b, cloud, "bench", model, 1)
 	cloud.Start()
 	defer cloud.Close()
 	s := benchSession(b, 2, cloud, model, "split")
@@ -105,9 +101,7 @@ func BenchmarkOffloadBatchedCloud(b *testing.B) {
 	rng := tensor.NewRNG(2)
 	model := benchModel(rng)
 	cloud := NewCloud(CloudConfig{MaxBatch: 32, QueueCap: 1024, Dispatchers: 2})
-	if err := cloud.Register("bench", model, 32); err != nil {
-		b.Fatal(err)
-	}
+	registerFloat(b, cloud, "bench", model, 1)
 	cloud.Start()
 	defer cloud.Close()
 	const sessions = 16
@@ -141,7 +135,7 @@ func BenchmarkOffloadBatchedCloud(b *testing.B) {
 }
 
 // BenchmarkOffloadEnclaveSuffix mirrors BenchmarkOffloadSplit with one
-// change: the suffix model is registered through RegisterProtected, so
+// change: the suffix model is registered on an enclave-hosted executor, so
 // every cloud-side resume executes the enclave-resident copy and pays the
 // protected world's overhead. The delta against OffloadSplit is the price
 // of trusted offload.
@@ -165,9 +159,11 @@ func BenchmarkOffloadEnclaveSuffix(b *testing.B) {
 		b.Fatal(err)
 	}
 	cloud := NewCloud(CloudConfig{})
-	if err := cloud.RegisterProtected("bench", esess, "bench-art", 32); err != nil {
+	inside, err := esess.Network("bench-art")
+	if err != nil {
 		b.Fatal(err)
 	}
+	registerFloat(b, cloud, "bench", inside, esess.Enclave().Slowdown)
 	cloud.Start()
 	defer cloud.Close()
 	s := benchSession(b, 2, cloud, model, "enclave")

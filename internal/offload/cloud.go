@@ -8,9 +8,8 @@ import (
 	"time"
 
 	"tinymlops/internal/device"
-	"tinymlops/internal/enclave"
-	"tinymlops/internal/nn"
-	"tinymlops/internal/quant"
+	"tinymlops/internal/engine"
+	"tinymlops/internal/exec"
 	"tinymlops/internal/tensor"
 )
 
@@ -34,7 +33,7 @@ type CloudConfig struct {
 	// (default: the wall-powered edge-gateway profile).
 	Caps device.Capabilities
 	// MaxBatch bounds how many queued suffix requests one dispatch
-	// coalesces into a single ForwardBatch call (default 16). Coalescing is
+	// coalesces into a single executor call (default 16). Coalescing is
 	// opportunistic: a dispatcher drains whatever is queued up to this
 	// limit, it never waits for a batch to fill.
 	MaxBatch int
@@ -42,8 +41,8 @@ type CloudConfig struct {
 	// Submit sheds with ErrShed beyond it (default 256).
 	QueueCap int
 	// Dispatchers is the number of serving goroutines (default 2). Each
-	// drains and executes one batch at a time; ForwardBatch performs no
-	// model writes, so dispatchers share registered models safely.
+	// drains and executes one batch at a time on its own arena; executors
+	// perform no model writes, so dispatchers share them safely.
 	Dispatchers int
 	// TraceBatch, when set, observes every dispatched batch (model
 	// version, cut, tenants in service order) — a test and CLI hook, called
@@ -75,15 +74,12 @@ type CloudStats struct {
 	MaxBatchSize int
 }
 
-// request is one admitted suffix query waiting for service. Float-boundary
-// requests carry the activation tensor; quantized-boundary requests carry
-// the example's int8 codes and dynamic scale instead.
+// request is one admitted suffix query waiting for service: the boundary
+// its executor decoded at admission.
 type request struct {
-	tenant string
-	act    *tensor.Tensor
-	codes  []int8
-	scale  float32
-	reply  chan result
+	tenant   string
+	boundary exec.Boundary
+	reply    chan result
 }
 
 // result is what a dispatcher delivers back to a waiting Submit.
@@ -94,30 +90,20 @@ type result struct {
 
 // classKey identifies a batchable request class: only requests for the
 // same model version at the same cut share activation shapes and suffix
-// weights, so only they can ride one ForwardBatch.
+// weights, so only they can ride one batch.
 type classKey struct {
 	version string
 	cut     int
 }
 
-// class is the per-(version, cut) queue state: per-tenant FIFOs plus the
-// round-robin cursor that makes draining fair — a tenant flooding the
-// queue gets at most one slot per turn while other tenants have work.
+// class is the per-(version, cut) queue state: the executor resuming at
+// the cut, per-tenant FIFOs and the round-robin cursor that makes draining
+// fair — a tenant flooding the queue gets at most one slot per turn while
+// other tenants have work.
 type class struct {
-	key      classKey
-	suffix   *nn.Network
-	sufMACs  int64
-	bits     int
-	actShape []int // expected per-example activation shape (nil: VM validates)
-	// Integer-native classes resume the registered QModel from boundary
-	// codes at the class cut; width is the per-example code count.
-	qm    *quant.QModel
-	width int
-	// Protected classes execute inside an enclave session; slow is the
-	// protected world's latency factor (1 outside it).
-	sess  *enclave.Session
-	artID string
-	slow  float64
+	key     classKey
+	ex      exec.Executor
+	sufMACs int64
 
 	tenants map[string][]*request
 	order   []string // tenants with pending work, in arrival order
@@ -125,34 +111,20 @@ type class struct {
 	pending int
 }
 
-// modelEntry is one registered artifact the tier can serve suffixes of:
-// a plain float network, an integer-native QModel resumed from quantized
-// boundary codes, or a protected artifact (network or compiled module)
-// executing inside an enclave session.
-type modelEntry struct {
-	net   *nn.Network
-	bits  int
-	costs []nn.LayerCost
-	qm    *quant.QModel
-	sess  *enclave.Session
-	artID string
-	mod   bool // protected compiled-module entry (single-unit cost model)
-	slow  float64
-}
-
 // CloudTier is the cloud half of the offload plane: a bounded, batched
 // admission queue in front of suffix execution. Devices Submit boundary
 // activations; dispatcher goroutines coalesce concurrent requests of the
-// same (model, cut) class into single ForwardBatch calls with per-tenant
-// fair scheduling. Because ForwardBatch is bit-identical to per-sample
-// Forward, the answer a device gets does not depend on which batch its
-// request rode in — batching changes throughput, never results.
+// same (model, cut) class into single executor Resume calls with
+// per-tenant fair scheduling. Because batched execution is bit-identical
+// to per-sample execution, the answer a device gets does not depend on
+// which batch its request rode in — batching changes throughput, never
+// results.
 type CloudTier struct {
 	cfg CloudConfig
 
 	mu         sync.Mutex
 	cond       *sync.Cond
-	models     map[string]*modelEntry
+	models     map[string]exec.Executor
 	classes    map[classKey]*class
 	classOrder []classKey
 	nextClass  int
@@ -185,7 +157,7 @@ func NewCloud(cfg CloudConfig) *CloudTier {
 	}
 	c := &CloudTier{
 		cfg:     cfg,
-		models:  make(map[string]*modelEntry),
+		models:  make(map[string]exec.Executor),
 		classes: make(map[classKey]*class),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -195,105 +167,24 @@ func NewCloud(cfg CloudConfig) *CloudTier {
 // Caps returns the modeled cloud hardware profile.
 func (c *CloudTier) Caps() device.Capabilities { return c.cfg.Caps }
 
-// Register makes a model version servable. The network is shared, not
-// copied — the caller must not mutate it while the tier serves. Repeated
-// registration of the same version is a no-op.
-func (c *CloudTier) Register(versionID string, net *nn.Network, bits int) error {
-	if versionID == "" || net == nil {
-		return fmt.Errorf("offload: register needs a version ID and a model")
+// Register makes a model version servable from its executor: a float
+// network, an integer-native model resumed from quantized boundary codes,
+// or either of them or a compiled module hosted in an enclave. The
+// executor is shared, not copied. It must declare its input shape — the
+// tier validates every boundary before it queues. Repeated registration
+// of the same version is a no-op.
+func (c *CloudTier) Register(versionID string, ex exec.Executor) error {
+	if versionID == "" || ex == nil {
+		return fmt.Errorf("offload: register needs a version ID and an executor")
 	}
-	if bits <= 0 {
-		bits = 32
-	}
-	costs, err := net.Summary()
-	if err != nil {
-		return fmt.Errorf("offload: register %s: %w", versionID, err)
-	}
-	if len(costs) == 0 {
-		return fmt.Errorf("offload: register %s: model has no layers", versionID)
+	if ex.InputShape() == nil || len(ex.Costs()) != ex.Steps() {
+		return fmt.Errorf("offload: register %s: executor declares no input shape or cost list", versionID)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.models[versionID]; ok {
-		return nil
+	if _, ok := c.models[versionID]; !ok {
+		c.models[versionID] = ex
 	}
-	c.models[versionID] = &modelEntry{net: net, bits: bits, costs: costs, slow: 1}
-	return nil
-}
-
-// RegisterQuant makes an integer-native model version servable from
-// quantized boundary payloads: the tier lowers the float artifact onto the
-// same integer kernels the device runs, so a suffix resumed from the
-// device's boundary codes is bit-identical to the device finishing locally.
-// Quant entries accept only QAB1 payloads, at dense-stage cuts.
-func (c *CloudTier) RegisterQuant(versionID string, net *nn.Network, scheme quant.Scheme) error {
-	if versionID == "" || net == nil {
-		return fmt.Errorf("offload: register needs a version ID and a model")
-	}
-	qm, err := quant.NewQModel(net, scheme)
-	if err != nil {
-		return fmt.Errorf("offload: register quant %s: %w", versionID, err)
-	}
-	costs, err := net.Summary()
-	if err != nil {
-		return fmt.Errorf("offload: register quant %s: %w", versionID, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.models[versionID]; ok {
-		return nil
-	}
-	c.models[versionID] = &modelEntry{bits: scheme.Bits(), costs: costs, qm: qm, slow: 1}
-	return nil
-}
-
-// RegisterProtected makes an enclave-resident network servable: the suffix
-// executes inside the session's protected world (the watermarked per-device
-// copy never exists in cloud plaintext outside the enclave) and every query
-// is charged the enclave's slowdown factor. artID names the artifact
-// previously loaded into the session with LoadSealedNetwork.
-func (c *CloudTier) RegisterProtected(versionID string, sess *enclave.Session, artID string, bits int) error {
-	if versionID == "" || sess == nil {
-		return fmt.Errorf("offload: register needs a version ID and an enclave session")
-	}
-	net, err := sess.Network(artID)
-	if err != nil {
-		return fmt.Errorf("offload: register protected %s: %w", versionID, err)
-	}
-	if bits <= 0 {
-		bits = 32
-	}
-	costs, err := net.Summary()
-	if err != nil {
-		return fmt.Errorf("offload: register protected %s: %w", versionID, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.models[versionID]; ok {
-		return nil
-	}
-	c.models[versionID] = &modelEntry{net: net, bits: bits, costs: costs, sess: sess, artID: artID, slow: sess.Slowdown()}
-	return nil
-}
-
-// RegisterModule makes an enclave-resident compiled module servable. A
-// module has no layer graph to split, so its cost model is a single unit:
-// cut 0 ships the raw input and the whole module executes in the enclave.
-// macs is the module's per-query work for latency accounting.
-func (c *CloudTier) RegisterModule(versionID string, sess *enclave.Session, artID string, macs int64) error {
-	if versionID == "" || sess == nil {
-		return fmt.Errorf("offload: register needs a version ID and an enclave session")
-	}
-	if _, err := sess.Module(artID); err != nil {
-		return fmt.Errorf("offload: register module %s: %w", versionID, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.models[versionID]; ok {
-		return nil
-	}
-	costs := []nn.LayerCost{{Kind: "module", Info: nn.LayerInfo{MACs: macs}}}
-	c.models[versionID] = &modelEntry{bits: 32, costs: costs, sess: sess, artID: artID, mod: true, slow: sess.Slowdown()}
 	return nil
 }
 
@@ -363,32 +254,22 @@ func (c *CloudTier) Stats() CloudStats {
 	return c.stats
 }
 
-// Submit hands the cloud one boundary activation (tensor codec bytes) for
-// layers [cut, n) of the registered model version and blocks until the
-// suffix result returns or admission fails. tenant scopes fair
+// Submit hands the cloud one boundary activation (encoded by the device's
+// executor) for steps [cut, n) of the registered model version and blocks
+// until the suffix result returns or admission fails. tenant scopes fair
 // scheduling — use a stable per-device identity.
 func (c *CloudTier) Submit(tenant, versionID string, cut int, activation []byte) (Response, error) {
-	// The payload's magic decides the boundary codec: QAB1 carries int8
-	// activation codes plus a dynamic scale (integer-native splits), the
-	// tensor codec carries float32 activations (everything else).
-	var act *tensor.Tensor
-	var codes []int8
-	var scale float32
-	var width int
-	if isQAB(activation) {
-		cs, scales, rows, cols, err := decodeQAB(activation)
-		if err != nil {
-			return Response{}, err
-		}
-		if rows != 1 {
-			return Response{}, fmt.Errorf("offload: quantized boundary carries %d rows, want 1", rows)
-		}
-		codes, scale, width = cs, scales[0], cols
-	} else {
-		act = new(tensor.Tensor)
-		if _, err := act.ReadFrom(bytes.NewReader(activation)); err != nil {
-			return Response{}, fmt.Errorf("offload: decode activation: %w", err)
-		}
+	c.mu.Lock()
+	ex, ok := c.models[versionID]
+	c.mu.Unlock()
+	if !ok {
+		return Response{}, fmt.Errorf("%w: %s", ErrUnknownModel, versionID)
+	}
+	// The registered executor owns the wire format: it decodes the payload
+	// and checks it and the cut against its geometry, outside the tier lock.
+	b, err := ex.DecodeBoundary(activation, cut)
+	if err != nil {
+		return Response{}, fmt.Errorf("offload: %s@%d: %w", versionID, cut, err)
 	}
 
 	c.mu.Lock()
@@ -396,55 +277,22 @@ func (c *CloudTier) Submit(tenant, versionID string, cut int, activation []byte)
 		c.mu.Unlock()
 		return Response{}, ErrClosed
 	}
-	m, ok := c.models[versionID]
-	if !ok {
-		c.mu.Unlock()
-		return Response{}, fmt.Errorf("%w: %s", ErrUnknownModel, versionID)
-	}
-	if cut < 0 || cut >= len(m.costs) {
-		c.mu.Unlock()
-		return Response{}, fmt.Errorf("offload: cut %d out of range [0,%d) for %s", cut, len(m.costs), versionID)
-	}
-	if (codes != nil) != (m.qm != nil) {
-		c.mu.Unlock()
-		if codes != nil {
-			return Response{}, fmt.Errorf("offload: %s does not accept quantized boundary payloads", versionID)
-		}
-		return Response{}, fmt.Errorf("offload: %s is integer-native and requires quantized boundary payloads", versionID)
-	}
-	key := classKey{version: versionID, cut: cut}
-	cl, ok := c.classes[key]
-	if !ok {
-		var err error
-		if cl, err = c.newClassLocked(key, m); err != nil {
-			c.mu.Unlock()
-			return Response{}, err
-		}
-	}
-	switch {
-	case cl.qm != nil:
-		if width != cl.width {
-			c.mu.Unlock()
-			return Response{}, fmt.Errorf("offload: boundary width %d, want %d at cut %d", width, cl.width, cut)
-		}
-	case cl.actShape == nil:
-		// Compiled-module class: the VM validates the vector's geometry.
-		if act.Dim(0) != 1 {
-			c.mu.Unlock()
-			return Response{}, fmt.Errorf("offload: activation batch %d, want 1", act.Dim(0))
-		}
-	default:
-		if act.Dim(0) != 1 || !shapeEq(act.Shape()[1:], cl.actShape) {
-			c.mu.Unlock()
-			return Response{}, fmt.Errorf("offload: activation shape %v, want [1 %v] at cut %d", act.Shape(), cl.actShape, cut)
-		}
-	}
 	if c.queued >= c.cfg.QueueCap {
 		c.stats.Shed++
 		c.mu.Unlock()
 		return Response{}, fmt.Errorf("%w (%d queued)", ErrShed, c.cfg.QueueCap)
 	}
-	req := &request{tenant: tenant, act: act, codes: codes, scale: scale, reply: make(chan result, 1)}
+	key := classKey{version: versionID, cut: cut}
+	cl, ok := c.classes[key]
+	if !ok {
+		cl = &class{key: key, ex: ex, tenants: make(map[string][]*request)}
+		for _, lc := range ex.Costs()[cut:] {
+			cl.sufMACs += lc.Info.MACs
+		}
+		c.classes[key] = cl
+		c.classOrder = append(c.classOrder, key)
+	}
+	req := &request{tenant: tenant, boundary: b, reply: make(chan result, 1)}
 	if _, ok := cl.tenants[tenant]; !ok {
 		cl.order = append(cl.order, tenant)
 	}
@@ -462,57 +310,11 @@ func (c *CloudTier) Submit(tenant, versionID string, cut int, activation []byte)
 	return r.resp, r.err
 }
 
-// newClassLocked builds the (version, cut) serving class: the shared
-// suffix view (or quant/enclave resume state) and its cost figures. Caller
-// holds c.mu.
-func (c *CloudTier) newClassLocked(key classKey, m *modelEntry) (*class, error) {
-	var macs int64
-	for _, lc := range m.costs[key.cut:] {
-		macs += lc.Info.MACs
-	}
-	cl := &class{
-		key: key, sufMACs: macs, bits: m.bits,
-		sess: m.sess, artID: m.artID, slow: m.slow,
-		tenants: make(map[string][]*request),
-	}
-	if cl.slow <= 0 {
-		cl.slow = 1
-	}
-	switch {
-	case m.qm != nil:
-		if !m.qm.CanCutAt(key.cut) {
-			return nil, fmt.Errorf("offload: cut %d is not a quantized boundary for %s", key.cut, key.version)
-		}
-		w, err := m.qm.BoundaryWidth(key.cut)
-		if err != nil {
-			return nil, fmt.Errorf("offload: %s@%d: %w", key.version, key.cut, err)
-		}
-		cl.qm, cl.width = m.qm, w
-	case m.mod:
-		// Whole-module class (cut 0 enforced by the single-unit cost
-		// model); activation geometry is the VM's to validate.
-	default:
-		suffix, err := m.net.Subnet(key.cut, len(m.costs))
-		if err != nil {
-			return nil, fmt.Errorf("offload: suffix for %s@%d: %w", key.version, key.cut, err)
-		}
-		shape, err := m.net.PrefixShape(key.cut)
-		if err != nil {
-			return nil, err
-		}
-		cl.suffix, cl.actShape = suffix, shape
-	}
-	c.classes[key] = cl
-	c.classOrder = append(c.classOrder, key)
-	return cl, nil
-}
-
 // dispatch is one serving goroutine: wait for work, drain a fair batch,
-// execute it, repeat until closed and drained.
+// execute it on the goroutine's own arena, repeat until closed and drained.
 func (c *CloudTier) dispatch() {
 	defer c.wg.Done()
-	scratch := make(map[classKey]*nn.Scratch)
-	qscratch := make(map[classKey]*quant.QScratch)
+	ar := engine.NewArena()
 	for {
 		c.mu.Lock()
 		for c.queued == 0 && !c.closed {
@@ -524,24 +326,9 @@ func (c *CloudTier) dispatch() {
 		}
 		cl, reqs := c.drainLocked()
 		c.mu.Unlock()
-		if len(reqs) == 0 {
-			continue
+		if len(reqs) > 0 {
+			c.execBatch(cl, reqs, ar)
 		}
-		var s *nn.Scratch
-		var qs *quant.QScratch
-		switch {
-		case cl.qm != nil:
-			if qs = qscratch[cl.key]; qs == nil {
-				qs = quant.NewQScratch()
-				qscratch[cl.key] = qs
-			}
-		case cl.suffix != nil:
-			if s = scratch[cl.key]; s == nil {
-				s = nn.NewScratch()
-				scratch[cl.key] = s
-			}
-		}
-		c.execBatch(cl, reqs, s, qs)
 	}
 }
 
@@ -590,10 +377,9 @@ func (c *CloudTier) drainLocked() (*class, []*request) {
 }
 
 // execBatch runs one coalesced suffix batch and replies to every request.
-// The execution engine follows the class kind: float suffix (plain or
-// enclave-resident network), integer-kernel resume from boundary codes, or
-// per-row compiled-module execution inside the enclave session.
-func (c *CloudTier) execBatch(cl *class, reqs []*request, s *nn.Scratch, qs *quant.QScratch) {
+// An executor error (a module out of gas, say) fails the whole batch: each
+// device then finishes its own query locally.
+func (c *CloudTier) execBatch(cl *class, reqs []*request, ar *engine.Arena) {
 	if c.cfg.TraceBatch != nil {
 		tenants := make([]string, len(reqs))
 		for i, r := range reqs {
@@ -602,101 +388,36 @@ func (c *CloudTier) execBatch(cl *class, reqs []*request, s *nn.Scratch, qs *qua
 		c.cfg.TraceBatch(cl.key.version, cl.key.cut, tenants)
 	}
 	rows := len(reqs)
-	var out *tensor.Tensor
-	// errs is allocated only on the failure paths so the float hot path
-	// stays allocation-free per batch.
-	var errs []error
-	fail := func(i int, err error) {
-		if errs == nil {
-			errs = make([]error, rows)
-		}
-		errs[i] = err
+	bs := make([]exec.Boundary, rows)
+	for i, r := range reqs {
+		bs[i] = r.boundary
 	}
-	switch {
-	case cl.qm != nil:
-		codes := make([]int8, rows*cl.width)
-		scales := make([]float32, rows)
-		for i, r := range reqs {
-			copy(codes[i*cl.width:(i+1)*cl.width], r.codes)
-			scales[i] = r.scale
-		}
-		o, err := cl.qm.ForwardFromCodes(codes, scales, rows, cl.key.cut, qs)
-		if err != nil {
-			for i := 0; i < rows; i++ {
-				fail(i, fmt.Errorf("offload: quant suffix: %w", err))
-			}
-		} else {
-			out = o
-		}
-	case cl.sess != nil && cl.suffix == nil:
-		// Compiled module: one in-enclave run per request. Gas exhaustion
-		// or a geometry mismatch fails that request alone — its device
-		// falls back to local execution; batch-mates are unaffected.
-		for i, r := range reqs {
-			res, err := cl.sess.RunModule(cl.artID, r.act.Data)
-			if err != nil {
-				fail(i, fmt.Errorf("offload: enclave module: %w", err))
-				continue
-			}
-			if !res.Output.IsVec {
-				fail(i, fmt.Errorf("offload: enclave module produced a scalar, want a vector"))
-				continue
-			}
-			if out == nil {
-				out = tensor.New(rows, len(res.Output.Vec))
-			}
-			copy(out.Data[i*out.Dim(1):(i+1)*out.Dim(1)], res.Output.Vec)
-		}
-	default:
-		rowLen := 1
-		for _, d := range cl.actShape {
-			rowLen *= d
-		}
-		batch := tensor.New(append([]int{rows}, cl.actShape...)...)
-		for i, r := range reqs {
-			copy(batch.Data[i*rowLen:(i+1)*rowLen], r.act.Data)
-		}
-		out = cl.suffix.ForwardBatch(batch, s)
-	}
-	var outShape []int
-	outLen := 0
-	if out != nil {
-		outShape = out.Shape()[1:]
-		outLen = out.Size() / rows
-	}
-	served := 0
-	for i := range reqs {
-		if (errs == nil || errs[i] == nil) && out != nil {
-			served++
-		}
-	}
+	out, err := cl.ex.Resume(bs, cl.key.cut, ar)
 	// Protected execution pays the enclave's slowdown on cloud compute.
-	perQuery := time.Duration(float64(c.cfg.Caps.InferenceLatency(cl.sufMACs, cl.bits)) * cl.slow)
+	perQuery := time.Duration(float64(c.cfg.Caps.InferenceLatency(cl.sufMACs, cl.ex.Bits())) * cl.ex.Slowdown())
 	// Stats commit BEFORE any reply is delivered: a caller unblocked by
 	// its reply must observe its own request in Stats() — the chaos
 	// scenario's CloudServed == Split invariant depends on it.
 	c.mu.Lock()
 	c.stats.Batches++
-	c.stats.Served += int64(served)
+	if err == nil {
+		c.stats.Served += int64(rows)
+	}
 	if rows > c.stats.MaxBatchSize {
 		c.stats.MaxBatchSize = rows
 	}
 	c.mu.Unlock()
+	if err != nil {
+		for _, r := range reqs {
+			r.reply <- result{err: fmt.Errorf("offload: suffix: %w", err)}
+		}
+		return
+	}
+	// One header walks the output rows; each reply owns its encoded bytes.
+	outLen := out.Size() / rows
+	row := tensor.FromSlice(out.Data[:outLen], append([]int{1}, out.Shape()[1:]...)...)
 	for i, r := range reqs {
-		var e error
-		if errs != nil {
-			e = errs[i]
-		}
-		if e != nil || out == nil {
-			if e == nil {
-				e = fmt.Errorf("offload: suffix produced no output")
-			}
-			r.reply <- result{err: e}
-			continue
-		}
-		row := tensor.FromSlice(
-			append([]float32(nil), out.Data[i*outLen:(i+1)*outLen]...),
-			append([]int{1}, outShape...)...)
+		row.Data = out.Data[i*outLen : (i+1)*outLen]
 		var buf bytes.Buffer
 		if _, err := row.WriteTo(&buf); err != nil {
 			r.reply <- result{err: fmt.Errorf("offload: encode result: %w", err)}
@@ -704,16 +425,4 @@ func (c *CloudTier) execBatch(cl *class, reqs []*request, s *nn.Scratch, qs *qua
 		}
 		r.reply <- result{resp: Response{Payload: buf.Bytes(), Latency: perQuery, BatchSize: rows}}
 	}
-}
-
-func shapeEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -7,13 +7,13 @@
 // package is a serving runtime, not a calculator. A Session owns one
 // device's split: it charges prefix compute and radio to the device cost
 // model and every query to the prepaid meter (offloading never escapes
-// pay-per-query), serializes the boundary activation through the tensor
-// codec, and — because the split shares the monolithic model's exact
-// floating-point operations — answers bit-identically to a full on-device
+// pay-per-query), serializes the boundary activation through its
+// executor's codec, and — because the split performs the monolithic
+// model's exact operations — answers bit-identically to a full on-device
 // forward pass no matter where the cut lands or whether the network
 // failed it back to the edge. A CloudTier is the vendor-side half: a
 // bounded admission queue that coalesces concurrent suffix requests of
-// the same (version, cut) class into single ForwardBatch calls, drains
+// the same (version, cut) class into single executor calls, drains
 // tenants round-robin so no device starves, and sheds under overload —
 // shed queries retry on the engine's deterministic backoff and finish
 // locally if the cloud stays saturated.
@@ -24,14 +24,13 @@
 // improvement — two-stage hysteresis, so the fault plane's weather
 // migrates the cut without making it flap.
 //
-// Three protected registration paths extend the tier beyond plaintext
-// float suffixes. RegisterQuant serves integer-native splits: the device
-// ships its boundary as int8 codes plus a per-example scale (the strict
-// QAB1 wire codec) and the cloud resumes on the same integer kernels, so
-// the split stays bit-identical to the device's own quantized forward.
-// RegisterProtected serves watermarked per-device copies from an enclave
-// session — the protected plaintext never exists cloud-side outside the
-// enclave, and every query is charged the enclave's measured slowdown.
-// RegisterModule hosts compiled procvm modules, whose only split is
-// all-local versus whole-module execution inside the enclave (cut 0).
+// Neither half knows a variant kind. Both run an exec.Executor — the
+// session's built once from its SessionConfig, the tier's handed to
+// Register — and the executor owns kernels, cut legality and wire format:
+// float networks ship tensor-codec activations; integer-native models
+// ship int8 codes plus a per-example scale (the strict QAB1 codec) and
+// resume on the same integer kernels; an exec.Hosted executor serves a
+// watermarked per-device copy or a compiled procvm module (all-local
+// versus whole-module, cut 0) from inside an enclave, charging every
+// query the protected world's slowdown.
 package offload

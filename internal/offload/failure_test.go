@@ -123,9 +123,7 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 		nn.NewDense(24, 12, rng), nn.NewSigmoid(),
 		nn.NewDense(12, 3, rng))
 	cloud := NewCloud(CloudConfig{QueueCap: 4 * nDevices, MaxBatch: 8, Dispatchers: 2})
-	if err := cloud.Register("v1", model, 32); err != nil {
-		t.Fatal(err)
-	}
+	registerFloat(t, cloud, "v1", model, 1)
 	cloud.Start()
 	defer cloud.Close()
 	issuer, err := metering.NewIssuer([]byte("fleet-failure-key-0123456789abcdef"))

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tinymlops/internal/device"
+	"tinymlops/internal/exec"
 	"tinymlops/internal/market"
 	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
@@ -37,9 +38,7 @@ func newFixture(t *testing.T, profile string, cloudCfg CloudConfig, quota uint64
 		nn.NewDense(32, 16, rng), nn.NewTanh(),
 		nn.NewDense(16, 4, rng))
 	cloud := NewCloud(cloudCfg)
-	if err := cloud.Register("v1", model, 32); err != nil {
-		t.Fatal(err)
-	}
+	registerFloat(t, cloud, "v1", model, 1)
 	issuer, err := metering.NewIssuer([]byte("offload-test-key-0123456789abcdef"))
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +48,22 @@ func newFixture(t *testing.T, profile string, cloudCfg CloudConfig, quota uint64
 		t.Fatal(err)
 	}
 	return &fixture{dev: dev, model: model, cloud: cloud, meter: metering.NewMeter(v)}
+}
+
+// registerFloat registers model with the cloud under id on the float
+// executor, enclave-hosted when slowdown exceeds 1.
+func registerFloat(tb testing.TB, cloud *CloudTier, id string, model *nn.Network, slowdown float64) {
+	tb.Helper()
+	ex, err := exec.Float(model, 32)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if slowdown > 1 {
+		ex = exec.Hosted(ex, slowdown)
+	}
+	if err := cloud.Register(id, ex); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 func (f *fixture) session(t *testing.T, cut int) *Session {
@@ -188,9 +203,7 @@ func TestCloudFairScheduling(t *testing.T) {
 	})
 	rng := tensor.NewRNG(3)
 	model := nn.NewNetwork([]int{4}, nn.NewDense(4, 8, rng), nn.NewReLU(), nn.NewDense(8, 2, rng))
-	if err := cloud.Register("v1", model, 32); err != nil {
-		t.Fatal(err)
-	}
+	registerFloat(t, cloud, "v1", model, 1)
 	act := encodeAct(t, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4))
 
 	var wg sync.WaitGroup
@@ -241,9 +254,7 @@ func TestCloudBoundedQueueSheds(t *testing.T) {
 	cloud := NewCloud(CloudConfig{MaxBatch: 2, QueueCap: 2, Dispatchers: 1})
 	rng := tensor.NewRNG(5)
 	model := nn.NewNetwork([]int{4}, nn.NewDense(4, 2, rng))
-	if err := cloud.Register("v1", model, 32); err != nil {
-		t.Fatal(err)
-	}
+	registerFloat(t, cloud, "v1", model, 1)
 	act := encodeAct(t, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4))
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -272,9 +283,7 @@ func TestCloudSubmitValidation(t *testing.T) {
 	cloud := NewCloud(CloudConfig{})
 	rng := tensor.NewRNG(5)
 	model := nn.NewNetwork([]int{4}, nn.NewDense(4, 2, rng))
-	if err := cloud.Register("v1", model, 32); err != nil {
-		t.Fatal(err)
-	}
+	registerFloat(t, cloud, "v1", model, 1)
 	good := encodeAct(t, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4))
 	if _, err := cloud.Submit("t", "nope", 0, good); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("unknown model: %v", err)

@@ -7,86 +7,128 @@ import (
 	"tinymlops/internal/compat"
 	"tinymlops/internal/device"
 	"tinymlops/internal/enclave"
+	"tinymlops/internal/exec"
 	"tinymlops/internal/market"
-	"tinymlops/internal/nn"
 	"tinymlops/internal/procvm"
 	"tinymlops/internal/quant"
 	"tinymlops/internal/tensor"
 )
 
-// unmeteredSession builds an Exec-path session (no meter, upstream gate
-// assumed) over the fixture's cloud and device.
-func unmeteredSession(t *testing.T, cfg SessionConfig) *Session {
+// kindCase is one non-plain variant kind driven through a session: the
+// cloud entry's key and executor, the kind fields of the device session's
+// configuration, the cut its plan pins, and the monolithic reference. The
+// executor-level half of the property (prefix → codec → resume ≡ whole
+// pass, at every legal cut) is pinned once for every kind by the exec
+// package's conformance table; what stays here is the session and tier
+// around it.
+type kindCase struct {
+	key  string
+	ex   exec.Executor
+	cfg  SessionConfig
+	cut  int
+	want []float32
+}
+
+// checkEveryMode registers the case's cloud executor and drives one input
+// through the session's three modes — split at the pinned cut, fallback
+// when the uplink is gone, all-local under a cut-n plan — demanding the
+// reference bits from each. It returns the split-mode result. The caller
+// has started the fixture's cloud.
+func (f *fixture) checkEveryMode(t *testing.T, c kindCase, x []float32) Result {
 	t.Helper()
-	s, err := NewSession(cfg)
+	if err := f.cloud.Register(c.key, c.ex); err != nil {
+		t.Fatal(err)
+	}
+	if !f.cloud.Registered(c.key) || f.cloud.Registered("missing") {
+		t.Fatal("registration state wrong")
+	}
+
+	open := func(cut int) *Session {
+		cfg := c.cfg
+		cfg.VersionID, cfg.Device, cfg.Cloud = c.key, f.dev, f.cloud
+		cfg.Plan, cfg.Replan = &market.SplitPlan{Cut: cut}, ReplanConfig{Disabled: true}
+		s, err := NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	run := func(s *Session, want Mode) Result {
+		res, err := s.Exec(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Mode != want {
+			t.Fatalf("mode %v, want %v", res.Mode, want)
+		}
+		if !vecBitsEqual(res.Logits, c.want) {
+			t.Fatalf("%v answer %v != reference %v", want, res.Logits, c.want)
+		}
+		return res
+	}
+
+	s := open(c.cut)
+	split := run(s, ModeSplit)
+	if split.Cut != c.cut {
+		t.Fatalf("split executed at cut %d, want %d", split.Cut, c.cut)
+	}
+	// Offline: the session finishes on its own executor from the boundary
+	// it already computed and must produce the identical bits.
+	f.dev.SetNet(device.Offline)
+	run(s, ModeFallback)
+	f.dev.SetNet(device.WiFi)
+	if got := run(open(c.ex.Steps()), ModeLocal).Mode.String(); got != "local" {
+		t.Fatalf("mode string %q", got)
+	}
+	return split
+}
+
+// TestQuantSplitSessionBitExact runs an int8 session through a quant cloud
+// entry: the device quantizes its boundary into QAB1 codes, the cloud
+// resumes on its own integer kernels, and every mode's answer must be
+// bit-identical to the device's full integer forward. The planned cut 1
+// is not a dense boundary; the session snaps it down to 0.
+func TestQuantSplitSessionBitExact(t *testing.T) {
+	f := newFixture(t, "phone", CloudConfig{}, 100)
+	f.cloud.Start()
+	defer f.cloud.Close()
+	ex, err := exec.Quant(f.model, quant.Int8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
-}
-
-// TestQuantSplitSessionBitExact runs an int8 session through the quant
-// registration path: the device quantizes its boundary into QAB1 codes,
-// the cloud resumes on its own QModel, and the split answer must be
-// bit-identical to the device's full integer forward. The local fallback
-// (offline cut) must agree too.
-func TestQuantSplitSessionBitExact(t *testing.T) {
-	f := newFixture(t, "phone", CloudConfig{}, 100)
-	if err := f.cloud.RegisterQuant("v1#q", f.model, quant.Int8); err != nil {
-		t.Fatal(err)
-	}
-	if !f.cloud.Registered("v1#q") {
-		t.Fatal("quant entry not registered")
-	}
-	if f.cloud.Registered("missing") {
-		t.Fatal("phantom registration")
-	}
-	f.cloud.Start()
-	defer f.cloud.Close()
-
 	qm, err := quant.NewQModel(f.model, quant.Int8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := f.input(3)
 	want := qm.ForwardBatch(tensor.FromSlice(append([]float32(nil), x...), 1, len(x)), quant.NewQScratch())
+	c := kindCase{key: "v1#q", ex: ex, cfg: SessionConfig{Model: f.model, Scheme: quant.Int8}, cut: 2, want: want.Data}
+	f.checkEveryMode(t, c, x)
 
-	plan := market.SplitPlan{Cut: 1} // snaps to a dense-stage boundary
-	s := unmeteredSession(t, SessionConfig{
-		VersionID: "v1#q", Device: f.dev, Model: f.model, Scheme: quant.Int8,
-		Cloud: f.cloud, Plan: &plan, Replan: ReplanConfig{Disabled: true},
+	snapped, err := NewSession(SessionConfig{
+		VersionID: "v1#q", Device: f.dev, Model: f.model, Scheme: quant.Int8, Cloud: f.cloud,
+		Plan: &market.SplitPlan{Cut: 1}, Replan: ReplanConfig{Disabled: true},
 	})
-	res, err := s.Exec(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != ModeSplit {
-		t.Fatalf("mode %v, want split", res.Mode)
-	}
-	if !logitsEqual(res.Logits, want) {
-		t.Fatalf("quant split %v != integer forward %v", res.Logits, want.Data)
-	}
-	// Offline: the session falls back to the integer kernels locally and
-	// must produce the identical bits.
-	f.dev.SetNet(device.Offline)
-	res, err = s.Exec(x)
+	res, err := snapped.Exec(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode == ModeSplit {
-		t.Fatal("offline query claimed a split")
+	if res.Mode != ModeSplit || res.Cut != 0 || !vecBitsEqual(res.Logits, want.Data) {
+		t.Fatalf("planned cut 1 ran %v at cut %d (want a split at the dense boundary 0), logits %v", res.Mode, res.Cut, res.Logits)
 	}
-	if !logitsEqual(res.Logits, want) {
-		t.Fatalf("quant fallback %v != integer forward %v", res.Logits, want.Data)
-	}
-	f.dev.SetNet(device.WiFi)
 }
 
 // TestProtectedSessionBitExact serves the suffix from an enclave-resident
-// copy via RegisterProtected and demands the split answer match the
-// device's own forward bit-for-bit — protection must not perturb results.
+// copy on a hosted executor and demands every mode's answer match the
+// device's own forward bit-for-bit — protection must not perturb results,
+// only charge the protected world's slowdown.
 func TestProtectedSessionBitExact(t *testing.T) {
 	f := newFixture(t, "phone", CloudConfig{}, 100)
+	f.cloud.Start()
+	defer f.cloud.Close()
 	enc, err := enclave.New("prot-enclave", []byte("prot-test-root-key-0123456789abc"), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -103,44 +145,38 @@ func TestProtectedSessionBitExact(t *testing.T) {
 	if _, err := esess.LoadSealedNetwork("copy", sealed); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.cloud.RegisterProtected("v1@dev", esess, "copy", 32); err != nil {
-		t.Fatal(err)
-	}
-	// Registering an artifact the session does not hold must fail.
-	if err := f.cloud.RegisterProtected("v1@other", esess, "missing", 32); err == nil {
-		t.Fatal("registered a protected entry with no artifact")
-	}
-	if err := f.cloud.RegisterProtected("", nil, "copy", 32); err == nil {
-		t.Fatal("registered without a session")
-	}
-	f.cloud.Start()
-	defer f.cloud.Close()
-
-	x := f.input(5)
-	want := f.expect(x)
-	plan := market.SplitPlan{Cut: 2}
-	s := unmeteredSession(t, SessionConfig{
-		VersionID: "v1@dev", Device: f.dev, Model: f.model,
-		Cloud: f.cloud, Plan: &plan, Replan: ReplanConfig{Disabled: true},
-	})
-	res, err := s.Exec(x)
+	inside, err := esess.Network("copy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != ModeSplit {
-		t.Fatalf("mode %v, want split", res.Mode)
+	ex, err := exec.Float(inside, 32)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !logitsEqual(res.Logits, want) {
-		t.Fatalf("protected split %v != forward %v", res.Logits, want.Data)
+	if err := f.cloud.Register("", exec.Hosted(ex, esess.Enclave().Slowdown)); err == nil {
+		t.Fatal("registered without a version ID")
+	}
+	if err := f.cloud.Register("v1@other", nil); err == nil {
+		t.Fatal("registered without an executor")
+	}
+
+	x := f.input(5)
+	want := f.expect(x).Data
+	plain := f.checkEveryMode(t, kindCase{key: "v1@plain", ex: ex, cfg: SessionConfig{Model: f.model}, cut: 2, want: want}, x)
+	hosted := f.checkEveryMode(t, kindCase{key: "v1@dev", ex: exec.Hosted(ex, esess.Enclave().Slowdown), cfg: SessionConfig{Model: f.model}, cut: 2, want: want}, x)
+	if hosted.Latency <= plain.Latency {
+		t.Fatalf("hosted split latency %v not above the plain split's %v: the enclave slowdown was not charged", hosted.Latency, plain.Latency)
 	}
 }
 
 // TestModuleSessionSplitAndLocal drives a compiled-module session through
-// both of its modes: cut 0 ships the raw input for whole-module enclave
-// execution, the all-local cut runs the module on the session's own
-// gas-raised runtime — and both must agree bit-for-bit with a direct run.
+// its modes: cut 0 ships the raw input for whole-module enclave execution,
+// the fallback and the all-local cut run the module on the session's own
+// gas-raised runtime — and all must agree bit-for-bit with a direct run.
 func TestModuleSessionSplitAndLocal(t *testing.T) {
 	f := newFixture(t, "phone", CloudConfig{}, 100)
+	f.cloud.Start()
+	defer f.cloud.Close()
 	mod, err := compat.CompileProcVM(f.model, compat.CompileOptions{Name: "mod"})
 	if err != nil {
 		t.Fatal(err)
@@ -157,18 +193,19 @@ func TestModuleSessionSplitAndLocal(t *testing.T) {
 	if _, err := esess.LoadSealedModule("mod", sealed); err != nil {
 		t.Fatal(err)
 	}
-	var macs int64
-	for _, c := range mustSummary(t, f.model) {
-		macs += c.Info.MACs
-	}
-	if err := f.cloud.RegisterModule("vm", esess, "mod", macs); err != nil {
+	inside, err := esess.Module("mod")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.cloud.RegisterModule("vm2", esess, "nope", macs); err == nil {
-		t.Fatal("registered a module entry with no artifact")
+	macs, err := f.model.TotalMACs()
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.cloud.Start()
-	defer f.cloud.Close()
+	// The tier validates boundaries before they queue, so an executor that
+	// declares no input width cannot register.
+	if err := f.cloud.Register("vm2", exec.Module(inside, inside.Caps, 0, macs)); err == nil {
+		t.Fatal("registered a module executor with no declared input width")
+	}
 
 	x := f.input(7)
 	rt := procvm.NewRuntime(mod.Caps)
@@ -179,50 +216,11 @@ func TestModuleSessionSplitAndLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cloudPlan := market.SplitPlan{Cut: 0}
-	s := unmeteredSession(t, SessionConfig{
-		VersionID: "vm", Device: f.dev, Module: mod, ModuleMACs: macs, InFeatures: 8,
-		Cloud: f.cloud, Plan: &cloudPlan, Replan: ReplanConfig{Disabled: true},
-	})
-	res, err := s.Exec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeSplit || res.Cut != 0 {
-		t.Fatalf("mode %v cut %d, want whole-module split at cut 0", res.Mode, res.Cut)
-	}
-	if !vecBitsEqual(res.Logits, ref.Output.Vec) {
-		t.Fatalf("enclave module %v != direct run %v", res.Logits, ref.Output.Vec)
-	}
-
-	localPlan := market.SplitPlan{Cut: 1}
-	l := unmeteredSession(t, SessionConfig{
-		VersionID: "vm", Device: f.dev, Module: mod, ModuleMACs: macs, InFeatures: 8,
-		Cloud: f.cloud, Plan: &localPlan, Replan: ReplanConfig{Disabled: true},
-	})
-	res, err = l.Exec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeLocal {
-		t.Fatalf("mode %v, want local", res.Mode)
-	}
-	if !vecBitsEqual(res.Logits, ref.Output.Vec) {
-		t.Fatalf("local module %v != direct run %v", res.Logits, ref.Output.Vec)
-	}
-	if got := res.Mode.String(); got != "local" {
-		t.Fatalf("mode string %q", got)
-	}
-}
-
-func mustSummary(t *testing.T, net *nn.Network) []nn.LayerCost {
-	t.Helper()
-	costs, err := net.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return costs
+	f.checkEveryMode(t, kindCase{
+		key: "vm", ex: exec.Hosted(exec.Module(inside, inside.Caps, 8, macs), esess.Enclave().Slowdown),
+		cfg: SessionConfig{Module: mod, ModuleMACs: macs, InFeatures: 8},
+		cut: 0, want: ref.Output.Vec,
+	}, x)
 }
 
 func vecBitsEqual(got, want []float32) bool {

@@ -9,6 +9,7 @@ import (
 
 	"tinymlops/internal/device"
 	"tinymlops/internal/engine"
+	"tinymlops/internal/exec"
 	"tinymlops/internal/market"
 	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
@@ -103,18 +104,16 @@ type SessionConfig struct {
 	VersionID string
 	// Device is the edge node paying for prefix compute and radio.
 	Device *device.Device
-	// Model is the on-device network. It must be private to this session
-	// (prefix execution caches layer state, so two sessions cannot share
-	// one copy), and bit-exactness requires its weights be identical to
-	// the cloud's registered artifact — deployments satisfy both, since
-	// every device owns its decrypted copy of the registry bytes. Nil
-	// exactly when Module is set.
+	// Model is the on-device network. Bit-exactness requires its weights be
+	// identical to the cloud's registered artifact — deployments satisfy
+	// that, since every device owns its decrypted copy of the registry
+	// bytes. Nil exactly when Module is set.
 	Model *nn.Network
 	// Scheme, when an integer scheme, runs both halves of the split on the
-	// integer kernels: the session lowers Model onto a QModel, plans cuts
+	// integer kernels: the session lowers Model onto them, plans cuts
 	// snapped to dense-stage boundaries, and ships boundaries as int8
 	// codes plus a per-example scale (the QAB1 codec). The cloud entry
-	// must have been registered with RegisterQuant at the same scheme.
+	// must be an exec.Quant executor at the same scheme.
 	Scheme quant.Scheme
 	// Module, when non-nil, replaces Model with a compiled procvm
 	// artifact: the only split is all-local versus whole-module execution
@@ -142,33 +141,44 @@ type SessionConfig struct {
 	Plan *market.SplitPlan
 }
 
+// executor builds the on-device executor the configuration describes — the
+// one place offload looks at a variant kind.
+func (cfg *SessionConfig) executor() (exec.Executor, error) {
+	switch {
+	case (cfg.Model == nil) == (cfg.Module == nil):
+		return nil, fmt.Errorf("offload: session needs exactly one of a model and a compiled module")
+	case cfg.Module != nil:
+		if cfg.InFeatures <= 0 {
+			return nil, fmt.Errorf("offload: module session needs InFeatures")
+		}
+		return exec.Module(cfg.Module, cfg.Module.Caps, cfg.InFeatures, cfg.ModuleMACs), nil
+	case cfg.Scheme != quant.Float32:
+		return exec.Quant(cfg.Model, cfg.Scheme)
+	default:
+		return exec.Float(cfg.Model, cfg.Bits)
+	}
+}
+
 // Session executes split inference for one device: it plans (and re-plans)
 // the cut, runs the prefix on the device cost model, ships the boundary
-// activation through the tensor codec, and falls back to full on-device
-// execution whenever the network or the cloud fails the split. All methods
-// are safe for concurrent use; queries serialize per session.
+// activation through the executor's codec, and falls back to full
+// on-device execution whenever the network or the cloud fails the split.
+// All methods are safe for concurrent use; queries serialize per session.
 type Session struct {
-	cfg      SessionConfig
-	costs    []nn.LayerCost
+	cfg   SessionConfig
+	ex    exec.Executor
+	costs []nn.LayerCost
+	// in is the reusable [1, input shape...] header over each query's row
+	// of features values.
+	in       *tensor.Tensor
 	features int
-	inShape  []int
-	// Integer-native execution state (nil on float and module sessions):
-	// the QModel lowered from cfg.Model plus the prefix scratch and the
-	// boundary-quantization workspaces.
-	qm      *quant.QModel
-	qs      *quant.QScratch
-	qcodes  []int8
-	qscales []float32
-	// rt executes cfg.Module locally (local plans and fallbacks).
-	rt *procvm.Runtime
 
 	mu     sync.Mutex
 	replan *Replanner
 	tick   uint64
 	stats  Stats
-	// arena holds the session's boundary-codec scratch (the activation
-	// encode buffer): queries serialize under s.mu, so one worker arena
-	// per session keeps the codec allocation-free in the steady state.
+	// arena holds the executor scratch and boundary-encode buffer: queries
+	// serialize under s.mu, so one arena per session suffices.
 	arena *engine.Arena
 }
 
@@ -177,9 +187,6 @@ type Session struct {
 func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Device == nil || cfg.Cloud == nil {
 		return nil, fmt.Errorf("offload: session needs a device and a cloud tier")
-	}
-	if (cfg.Model == nil) == (cfg.Module == nil) {
-		return nil, fmt.Errorf("offload: session needs exactly one of a model and a compiled module")
 	}
 	if cfg.Tenant == "" {
 		cfg.Tenant = cfg.Device.ID
@@ -190,40 +197,18 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Retry.Attempts < 1 {
 		cfg.Retry.Attempts = 3
 	}
-	s := &Session{cfg: cfg, arena: engine.NewArena()}
-	if cfg.Module != nil {
-		if cfg.InFeatures <= 0 {
-			return nil, fmt.Errorf("offload: module session needs InFeatures")
-		}
-		s.costs = []nn.LayerCost{{Kind: "module", Info: nn.LayerInfo{MACs: cfg.ModuleMACs}}}
-		s.inShape = []int{cfg.InFeatures}
-		s.features = cfg.InFeatures
-		rt := procvm.NewRuntime(cfg.Module.Caps)
-		if cfg.Module.GasLimit > rt.MaxGas {
-			rt.MaxGas = cfg.Module.GasLimit
-		}
-		s.rt = rt
-	} else {
-		costs, err := cfg.Model.Summary()
-		if err != nil {
-			return nil, fmt.Errorf("offload: %w", err)
-		}
-		if len(costs) == 0 {
-			return nil, fmt.Errorf("offload: model has no layers")
-		}
-		s.costs, s.inShape = costs, cfg.Model.InputShape
-		s.features = 1
-		for _, d := range cfg.Model.InputShape {
-			s.features *= d
-		}
-		if cfg.Scheme != quant.Float32 {
-			qm, err := quant.NewQModel(cfg.Model, cfg.Scheme)
-			if err != nil {
-				return nil, fmt.Errorf("offload: %w", err)
-			}
-			s.qm, s.qs = qm, quant.NewQScratch()
-		}
+	ex, err := cfg.executor()
+	if err != nil {
+		return nil, err
 	}
+	if len(ex.Costs()) != ex.Steps() {
+		return nil, fmt.Errorf("offload: model does not shape-infer into a cost list")
+	}
+	s := &Session{
+		cfg: cfg, ex: ex, costs: ex.Costs(), arena: engine.NewArena(),
+		in: tensor.New(append([]int{1}, ex.InputShape()...)...),
+	}
+	s.features = s.in.Size()
 	rp, err := NewReplanner(cfg.Replan, cfg.Device.Caps, cfg.Cloud.Caps(), s.costs,
 		cfg.Bits, 4*int64(s.features), cfg.Plan, s.conditions())
 	if err != nil {
@@ -283,7 +268,8 @@ func (s *Session) Exec(x []float32) (Result, error) {
 	return s.exec(x)
 }
 
-// exec executes one query under the live plan. Caller holds s.mu.
+// exec executes one query under the live plan. Caller holds s.mu. The
+// row is read in place: no executor retains it past the call.
 func (s *Session) exec(x []float32) (Result, error) {
 	if len(x) != s.features {
 		return Result{}, fmt.Errorf("offload: input has %d features, model wants %d", len(x), s.features)
@@ -292,34 +278,17 @@ func (s *Session) exec(x []float32) (Result, error) {
 	if moved {
 		s.stats.Replans++
 	}
-	// The planner works on the float layer graph; an integer-native
-	// session snaps its cut onto the nearest dense-stage boundary the
-	// quantized codec can cross (falling back to all-local when none is).
-	cut := plan.Cut
-	if s.qm != nil {
-		cut = s.qm.SnapCut(cut)
-	}
+	// The planner works on the cost list; the executor snaps its cut onto
+	// the nearest boundary its codec can cross (all-local when none is).
+	cut := s.ex.SnapCut(plan.Cut)
 	res := Result{Cut: cut, Replanned: moved}
-	in := tensor.FromSlice(append([]float32(nil), x...), append([]int{1}, s.inShape...)...)
+	s.in.Data = x
 	n := len(s.costs)
 	dev := s.cfg.Device
 
 	// Full-edge plan: one on-device inference, no network at all.
 	if cut == n {
-		lat, err := dev.RunInference(s.macs(0, n), s.cfg.Bits)
-		if err != nil {
-			return Result{}, fmt.Errorf("offload: device: %w", err)
-		}
-		out, err := s.forwardPrefix(in, n)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Mode, res.Latency = ModeLocal, lat
-		res.DeviceEnergyJ = dev.Caps.InferenceEnergy(s.macs(0, n))
-		s.finish(&res, out)
-		s.stats.Queries++
-		s.stats.Local++
-		return res, nil
+		return s.finishLocal(res, s.in, 0, 0, ModeLocal)
 	}
 
 	// Split path: prefix on-device (cut 0 ships the raw input and runs
@@ -333,25 +302,23 @@ func (s *Session) exec(x []float32) (Result, error) {
 		}
 		res.DeviceEnergyJ += dev.Caps.InferenceEnergy(prefixMACs)
 	}
-	act, err := s.forwardPrefix(in, cut)
+	act, err := s.ex.Run(s.in, 0, cut, s.arena)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("offload: %w", err)
 	}
-	// The encode buffer comes from the session's arena: Cloud.Submit is
-	// synchronous and copies what it keeps, so the payload's lifetime ends
-	// at return and the buffer's storage is reused by the next query.
-	buf := s.arena.Buffer(0)
-	if err := s.encodeBoundary(act, buf); err != nil {
+	// The payload aliases the session's arena: Cloud.Submit is synchronous
+	// and copies what it keeps, so the next query reuses the storage.
+	payload, err := s.ex.EncodeBoundary(act, cut, s.arena)
+	if err != nil {
 		return Result{}, fmt.Errorf("offload: encode activation: %w", err)
 	}
-	payload := buf.Bytes()
 	res.ActivationBytes = int64(len(payload))
 
 	upDur, err := dev.Upload(int64(len(payload)))
 	if err != nil {
 		// Uplink drop mid-activation: the radio refused (offline, battery)
 		// before spending, so fall back to finishing on-device.
-		return s.fallback(res, act, cut, prefixLat)
+		return s.finishLocal(res, act, cut, prefixLat, ModeFallback)
 	}
 	res.DeviceEnergyJ += float64(len(payload)) * dev.Caps.EnergyPerTxByteJoule
 	s.stats.ActivationBytes += int64(len(payload))
@@ -370,14 +337,14 @@ func (s *Session) exec(x []float32) (Result, error) {
 	if err != nil {
 		// The cloud shed us past the retry budget (or is closed): the
 		// uplink bytes are spent, but the query must still answer.
-		return s.fallback(res, act, cut, prefixLat+upDur+rr.Backoff)
+		return s.finishLocal(res, act, cut, prefixLat+upDur+rr.Backoff, ModeFallback)
 	}
 
 	dnDur, err := dev.Download(int64(len(resp.Payload)))
 	if err != nil {
 		// The answer was computed but the downlink is gone; recompute the
 		// suffix locally rather than losing the query.
-		return s.fallback(res, act, cut, prefixLat+upDur+rr.Backoff+resp.Latency)
+		return s.finishLocal(res, act, cut, prefixLat+upDur+rr.Backoff+resp.Latency, ModeFallback)
 	}
 	var out tensor.Tensor
 	if _, err := out.ReadFrom(bytes.NewReader(resp.Payload)); err != nil {
@@ -387,105 +354,39 @@ func (s *Session) exec(x []float32) (Result, error) {
 	res.Latency = prefixLat + upDur + rr.Backoff + resp.Latency + dnDur
 	res.ResponseBytes = int64(len(resp.Payload))
 	res.CloudBatch = resp.BatchSize
-	s.finish(&res, &out)
+	// The decoded response is fresh storage the caller may keep.
+	res.Logits, res.Label = out.Data, out.ArgMax()
 	s.stats.Queries++
 	s.stats.Split++
 	return res, nil
 }
 
-// fallback finishes a failed split on-device: the suffix runs locally on
-// the already-computed boundary activation, preserving bit-exactness.
-func (s *Session) fallback(res Result, act *tensor.Tensor, cut int, spent time.Duration) (Result, error) {
-	dev := s.cfg.Device
-	sufMACs := s.macs(cut, len(s.costs))
-	lat, err := dev.RunInference(sufMACs, s.cfg.Bits)
+// finishLocal runs steps [cut, n) on the device from act — the whole pass
+// of an all-local plan (cut 0, ModeLocal), or the suffix of a failed split
+// on its already-computed boundary (ModeFallback), bit-exactly: an integer
+// executor resumes by quantizing the boundary as the wire codec did. spent
+// is the latency the query accrued before this point.
+func (s *Session) finishLocal(res Result, act *tensor.Tensor, cut int, spent time.Duration, mode Mode) (Result, error) {
+	dev, macs := s.cfg.Device, s.macs(cut, len(s.costs))
+	lat, err := dev.RunInference(macs, s.cfg.Bits)
 	if err != nil {
-		return Result{}, fmt.Errorf("offload: fallback: %w", err)
+		return Result{}, fmt.Errorf("offload: device: %w", err)
 	}
-	out, err := s.forwardSuffix(act, cut)
+	out, err := s.ex.Run(act, cut, len(s.costs), s.arena)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("offload: %w", err)
 	}
-	res.Mode = ModeFallback
-	res.Latency = spent + lat
-	res.DeviceEnergyJ += dev.Caps.InferenceEnergy(sufMACs)
-	s.finish(&res, out)
+	res.Mode, res.Latency = mode, spent+lat
+	res.DeviceEnergyJ += dev.Caps.InferenceEnergy(macs)
+	// The output aliases arena scratch; the caller keeps its own copy.
+	res.Logits, res.Label = append([]float32(nil), out.Data...), out.ArgMax()
 	s.stats.Queries++
-	s.stats.Fallbacks++
+	if mode == ModeLocal {
+		s.stats.Local++
+	} else {
+		s.stats.Fallbacks++
+	}
 	return res, nil
-}
-
-// forwardPrefix runs layers [0, cut) on the session's executor: the float
-// network, the integer kernels, or (for a module session, where the only
-// non-trivial cut is 0) the identity — cut == len(costs) is the full local
-// pass in every mode.
-func (s *Session) forwardPrefix(in *tensor.Tensor, cut int) (*tensor.Tensor, error) {
-	switch {
-	case s.cfg.Module != nil:
-		if cut == 0 {
-			return in, nil
-		}
-		return s.runModule(in)
-	case s.qm != nil:
-		return s.qm.ForwardRange(in, s.qs, 0, cut), nil
-	default:
-		return s.cfg.Model.ForwardPrefix(in, cut)
-	}
-}
-
-// forwardSuffix finishes execution locally from the boundary at cut — the
-// fallback half of forwardPrefix. An integer session resumes the integer
-// kernels at stage cut, which quantizes the boundary exactly as the wire
-// codec did, so fallback answers stay bit-identical to split answers.
-func (s *Session) forwardSuffix(act *tensor.Tensor, cut int) (*tensor.Tensor, error) {
-	switch {
-	case s.cfg.Module != nil:
-		return s.runModule(act)
-	case s.qm != nil:
-		return s.qm.ForwardRange(act, s.qs, cut, len(s.costs)), nil
-	default:
-		return s.cfg.Model.ForwardSuffix(act, cut)
-	}
-}
-
-// runModule executes the session's compiled module on one input row.
-func (s *Session) runModule(in *tensor.Tensor) (*tensor.Tensor, error) {
-	r, err := s.rt.Run(s.cfg.Module, in.Data)
-	if err != nil {
-		return nil, fmt.Errorf("offload: module: %w", err)
-	}
-	if !r.Output.IsVec {
-		return nil, fmt.Errorf("offload: module produced a scalar, want a vector")
-	}
-	return tensor.FromSlice(append([]float32(nil), r.Output.Vec...), 1, len(r.Output.Vec)), nil
-}
-
-// encodeBoundary serializes the boundary activation for the wire: float
-// sessions use the tensor codec; integer sessions quantize each example
-// with its own dynamic scale — producing the identical codes stage cut
-// would compute locally — and pack them as a QAB1 payload.
-func (s *Session) encodeBoundary(act *tensor.Tensor, buf *bytes.Buffer) error {
-	if s.qm == nil {
-		_, err := act.WriteTo(buf)
-		return err
-	}
-	rows := act.Dim(0)
-	cols := act.Size() / rows
-	if cap(s.qcodes) < rows*cols {
-		s.qcodes = make([]int8, rows*cols)
-	}
-	if cap(s.qscales) < rows {
-		s.qscales = make([]float32, rows)
-	}
-	codes, scales := s.qcodes[:rows*cols], s.qscales[:rows]
-	quant.QuantizeActivationsRows(act, codes, scales)
-	return encodeQAB(buf, codes, scales, rows, cols)
-}
-
-// finish fills the label and logits from the output row.
-func (s *Session) finish(res *Result, out *tensor.Tensor) {
-	res.Logits = append([]float32(nil), out.Data...)
-	res.Label = out.ArgMaxRows()[0]
 }
 
 // macs sums per-layer MACs over [lo,hi).

@@ -347,13 +347,6 @@ var ErrOffloadShed = offload.ErrShed
 // session; open a new session against the updated deployment.
 var ErrOffloadStale = core.ErrOffloadStale
 
-// ErrOffloadInteger is retired: integer-kernel deployments now split
-// through the quantized boundary codec (int8 codes plus a per-example
-// scale), so Platform.Offload never returns it. The sentinel stays
-// exported so existing errors.Is checks keep compiling; they simply never
-// match.
-var ErrOffloadInteger = core.ErrOffloadInteger
-
 // Portable protected execution: compat→procvm lowering, registry-first
 // compiled artifacts and enclave-hosted trusted offload.
 
