@@ -69,14 +69,19 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 		return nil, fmt.Errorf("compat: compile: lowering gate: %w", err)
 	}
 
+	// Summary is the one shape-inference pass: it rejects a layer list whose
+	// shapes do not chain and tells each instruction its input shape.
+	costs, err := lowered.Summary()
+	if err != nil {
+		return nil, fmt.Errorf("compat: compile: %w", err)
+	}
 	b := procvm.NewBuilder(opts.Name).RequireCaps(opts.Caps).Input()
-	shape := append([]int(nil), lowered.InputShape...)
+	shape := lowered.InputShape
 	for i, l := range lowered.Layers() {
-		var err error
-		shape, err = selectInstruction(b, l, shape)
-		if err != nil {
-			return nil, fmt.Errorf("compat: compile: layer %d (%s): %w", i, l.Kind(), err)
+		if err := selectInstruction(b, l, shape); err != nil {
+			return nil, fmt.Errorf("compat: compile: layer %d: %w", i, err)
 		}
+		shape = costs[i].Info.OutShape
 	}
 	m, err := b.Build()
 	if err != nil {
@@ -118,54 +123,28 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 	return m, nil
 }
 
-// selectInstruction emits the procvm form of one lowered layer and returns
-// the layer's output shape (sans batch).
-func selectInstruction(b *procvm.Builder, l nn.Layer, shape []int) ([]int, error) {
-	flat := 1
-	for _, d := range shape {
-		flat *= d
-	}
+// selectInstruction emits the procvm form of one lowered layer whose
+// per-example input shape (already checked by Summary) is in.
+func selectInstruction(b *procvm.Builder, l nn.Layer, in []int) error {
 	switch v := l.(type) {
 	case *nn.Dense:
-		if flat != v.In {
-			return nil, fmt.Errorf("input %v does not feed dense(%d→%d)", shape, v.In, v.Out)
-		}
 		b.MatVec(v.W.Value.Data, v.B.Value.Data)
-		return []int{v.Out}, nil
 	case *nn.ReLU:
 		b.ReLU()
-		return shape, nil
 	case *nn.Sigmoid:
 		b.Sigmoid()
-		return shape, nil
 	case *nn.Tanh:
 		b.Tanh()
-		return shape, nil
 	case *nn.Softmax:
 		b.Softmax()
-		return shape, nil
 	case *nn.Flatten:
 		// The VM's value stack is already flat; reshape is a no-op.
-		return []int{flat}, nil
 	case *nn.Conv2D:
-		if len(shape) != 3 || shape[0] != v.InC {
-			return nil, fmt.Errorf("input %v does not feed conv2d(%d→%d)", shape, v.InC, v.OutC)
-		}
-		h, w := shape[1], shape[2]
-		oh := (h+2*v.Pad-v.KH)/v.Stride + 1
-		ow := (w+2*v.Pad-v.KW)/v.Stride + 1
-		b.Conv2D(v.W.Value.Data, v.B.Value.Data, v.InC, h, w, v.OutC, v.KH, v.KW, v.Stride, v.Pad)
-		return []int{v.OutC, oh, ow}, nil
+		b.Conv2D(v.W.Value.Data, v.B.Value.Data, v.InC, in[1], in[2], v.OutC, v.KH, v.KW, v.Stride, v.Pad)
 	case *nn.MaxPool2D:
-		if len(shape) != 3 {
-			return nil, fmt.Errorf("input %v does not feed maxpool2d", shape)
-		}
-		c, h, w := shape[0], shape[1], shape[2]
-		oh := (h-v.K)/v.Stride + 1
-		ow := (w-v.K)/v.Stride + 1
-		b.MaxPool2D(c, h, w, v.K, v.Stride)
-		return []int{c, oh, ow}, nil
+		b.MaxPool2D(in[0], in[1], in[2], v.K, v.Stride)
 	default:
-		return nil, fmt.Errorf("no procvm lowering for %q", l.Kind())
+		return fmt.Errorf("no procvm lowering for %q", l.Kind())
 	}
+	return nil
 }

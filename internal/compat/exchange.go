@@ -62,7 +62,21 @@ func (td TensorDoc) tensor() (*tensor.Tensor, error) {
 	return tensor.FromSlice(append([]float32(nil), td.Data...), td.Shape...), nil
 }
 
-// Export converts a network to the exchange document.
+// attrMap names vals with the kind table's attribute names; a kind without
+// such attributes gets no map, so the field is omitted from the document.
+func attrMap[V, D any](names []string, vals []V, doc func(V) D) map[string]D {
+	if len(names) == 0 {
+		return nil
+	}
+	m := make(map[string]D, len(names))
+	for i, name := range names {
+		m[name] = doc(vals[i])
+	}
+	return m
+}
+
+// Export converts a network to the exchange document. What each op carries,
+// and under which attribute names, is read from nn's layer-kind table.
 func Export(net *nn.Network) (*GraphDoc, error) {
 	doc := &GraphDoc{
 		FormatVersion: ExchangeVersion,
@@ -70,31 +84,17 @@ func Export(net *nn.Network) (*GraphDoc, error) {
 		InputShape:    append([]int(nil), net.InputShape...),
 	}
 	for i, l := range net.Layers() {
-		node := Node{Op: l.Kind()}
-		switch v := l.(type) {
-		case *nn.Dense:
-			node.IntAttrs = map[string]int{"in": v.In, "out": v.Out}
-			node.Tensors = map[string]TensorDoc{"weight": tensorDoc(v.W.Value), "bias": tensorDoc(v.B.Value)}
-		case *nn.Conv2D:
-			node.IntAttrs = map[string]int{"in_c": v.InC, "out_c": v.OutC, "kh": v.KH, "kw": v.KW, "stride": v.Stride, "pad": v.Pad}
-			node.Tensors = map[string]TensorDoc{"weight": tensorDoc(v.W.Value), "bias": tensorDoc(v.B.Value)}
-		case *nn.MaxPool2D:
-			node.IntAttrs = map[string]int{"k": v.K, "stride": v.Stride}
-		case *nn.BatchNorm1D:
-			node.IntAttrs = map[string]int{"features": v.F}
-			node.FloatAttrs = map[string]float64{"eps": float64(v.Eps), "momentum": float64(v.Momentum)}
-			node.Tensors = map[string]TensorDoc{
-				"gamma": tensorDoc(v.Gamma.Value), "beta": tensorDoc(v.Beta.Value),
-				"mean": tensorDoc(v.RunMean), "var": tensorDoc(v.RunVar),
-			}
-		case *nn.Dropout:
-			node.FloatAttrs = map[string]float64{"p": float64(v.P)}
-		case *nn.Flatten, *nn.ReLU, *nn.Sigmoid, *nn.Tanh, *nn.Softmax:
-			// no attributes
-		default:
-			return nil, fmt.Errorf("compat: layer %d: op %q has no exchange mapping", i, l.Kind())
+		spec, err := nn.SpecOf(l)
+		if err != nil {
+			return nil, fmt.Errorf("compat: layer %d: op %q has no exchange mapping: %w", i, l.Kind(), err)
 		}
-		doc.Nodes = append(doc.Nodes, node)
+		ints, floats, tensors, _ := nn.AttrNames(spec.Kind)
+		doc.Nodes = append(doc.Nodes, Node{
+			Op:         spec.Kind,
+			IntAttrs:   attrMap(ints, spec.Ints, func(v int) int { return v }),
+			FloatAttrs: attrMap(floats, spec.Floats, func(v float32) float64 { return float64(v) }),
+			Tensors:    attrMap(tensors, spec.Tensors, tensorDoc),
+		})
 	}
 	return doc, nil
 }
@@ -122,86 +122,44 @@ func Import(doc *GraphDoc) (*nn.Network, error) {
 	return net, nil
 }
 
+// optionalFloats are the float attributes exchange v1 lets a producer
+// omit, with the value an absent one takes; any other absent attribute
+// reads as zero and is left to the layer constructor to reject.
+var optionalFloats = map[string]float32{"eps": 1e-5, "momentum": 0.1}
+
+// importNode gathers the attributes nn's layer-kind table lists for the op
+// and hands them to nn.NewLayer, the constructor behind the binary decoder
+// too: both reject a config that disagrees with a tensor's shape the same
+// way.
 func importNode(node Node) (nn.Layer, error) {
-	getT := func(name string) (*tensor.Tensor, error) {
-		td, ok := node.Tensors[name]
-		if !ok {
-			return nil, fmt.Errorf("missing tensor %q", name)
-		}
-		return td.tensor()
-	}
-	switch node.Op {
-	case "dense":
-		w, err := getT("weight")
-		if err != nil {
-			return nil, err
-		}
-		b, err := getT("bias")
-		if err != nil {
-			return nil, err
-		}
-		d := nn.NewDense(node.IntAttrs["in"], node.IntAttrs["out"], tensor.NewRNG(0))
-		if !tensor.SameShape(d.W.Value, w) || !tensor.SameShape(d.B.Value, b) {
-			return nil, fmt.Errorf("dense attrs %v disagree with tensor shapes %v/%v", node.IntAttrs, w.Shape(), b.Shape())
-		}
-		d.W.Value.CopyFrom(w)
-		d.B.Value.CopyFrom(b)
-		return d, nil
-	case "conv2d":
-		w, err := getT("weight")
-		if err != nil {
-			return nil, err
-		}
-		b, err := getT("bias")
-		if err != nil {
-			return nil, err
-		}
-		a := node.IntAttrs
-		c := nn.NewConv2D(a["in_c"], a["out_c"], a["kh"], a["kw"], a["stride"], a["pad"], tensor.NewRNG(0))
-		if !tensor.SameShape(c.W.Value, w) || !tensor.SameShape(c.B.Value, b) {
-			return nil, fmt.Errorf("conv2d attrs %v disagree with tensor shapes %v/%v", a, w.Shape(), b.Shape())
-		}
-		c.W.Value.CopyFrom(w)
-		c.B.Value.CopyFrom(b)
-		return c, nil
-	case "maxpool2d":
-		return nn.NewMaxPool2D(node.IntAttrs["k"], node.IntAttrs["stride"]), nil
-	case "batchnorm1d":
-		bn := nn.NewBatchNorm1D(node.IntAttrs["features"])
-		if v, ok := node.FloatAttrs["eps"]; ok {
-			bn.Eps = float32(v)
-		}
-		if v, ok := node.FloatAttrs["momentum"]; ok {
-			bn.Momentum = float32(v)
-		}
-		for name, dst := range map[string]*tensor.Tensor{
-			"gamma": bn.Gamma.Value, "beta": bn.Beta.Value, "mean": bn.RunMean, "var": bn.RunVar,
-		} {
-			src, err := getT(name)
-			if err != nil {
-				return nil, err
-			}
-			if !tensor.SameShape(dst, src) {
-				return nil, fmt.Errorf("batchnorm tensor %q shape %v, want %v", name, src.Shape(), dst.Shape())
-			}
-			dst.CopyFrom(src)
-		}
-		return bn, nil
-	case "dropout":
-		return nn.NewDropout(float32(node.FloatAttrs["p"]), tensor.NewRNG(0)), nil
-	case "flatten":
-		return nn.NewFlatten(), nil
-	case "relu":
-		return nn.NewReLU(), nil
-	case "sigmoid":
-		return nn.NewSigmoid(), nil
-	case "tanh":
-		return nn.NewTanh(), nil
-	case "softmax":
-		return nn.NewSoftmax(), nil
-	default:
+	ints, floats, tensors, ok := nn.AttrNames(node.Op)
+	if !ok {
 		return nil, fmt.Errorf("op %q is not supported by exchange format v%d", node.Op, ExchangeVersion)
 	}
+	spec := nn.LayerSpec{Kind: node.Op}
+	for _, name := range ints {
+		spec.Ints = append(spec.Ints, node.IntAttrs[name])
+	}
+	for _, name := range floats {
+		f := optionalFloats[name]
+		if v, ok := node.FloatAttrs[name]; ok {
+			f = float32(v)
+		}
+		spec.Floats = append(spec.Floats, f)
+	}
+	for _, name := range tensors {
+		td, ok := node.Tensors[name]
+		if !ok {
+			spec.Tensors = append(spec.Tensors, nil) // NewLayer names the missing tensor
+			continue
+		}
+		t, err := td.tensor()
+		if err != nil {
+			return nil, err
+		}
+		spec.Tensors = append(spec.Tensors, t)
+	}
+	return nn.NewLayer(spec)
 }
 
 // MarshalJSON / UnmarshalGraph are the on-the-wire forms.

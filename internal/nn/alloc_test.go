@@ -47,3 +47,23 @@ func TestForwardBatchZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestModelCodecAllocationPins bounds what one Clone costs: MarshalBinary
+// and UnmarshalNetwork of a 16-32-4 MLP may not allocate more than they did
+// at commit 963da02 (22 and 75, go1.24). The federated round clones the
+// global model once per client, and its allocs-per-client metric is gated
+// at 5 %.
+func TestModelCodecAllocationPins(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	net := NewNetwork([]int{16}, NewDense(16, 32, rng), NewReLU(), NewDense(32, 4, rng))
+	data, err := net.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { net.MarshalBinary() }); got > 22 { //nolint:errcheck
+		t.Errorf("MarshalBinary allocates %.0f allocs/op, pinned at <= 22", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { UnmarshalNetwork(data) }); got > 75 { //nolint:errcheck
+		t.Errorf("UnmarshalNetwork allocates %.0f allocs/op, pinned at <= 75", got)
+	}
+}

@@ -133,51 +133,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// workspaceFloats reports the im2col + matmul-output workspace size for a
-// per-example input shape (part of the ForwardBatch workspace contract).
-func (c *Conv2D) workspaceFloats(in []int) (int, error) {
-	if len(in) != 3 || in[0] != c.InC {
-		return 0, errShape("conv2d", []int{c.InC, -1, -1}, in)
-	}
-	oh, ow := c.outHW(in[1], in[2])
-	if oh <= 0 || ow <= 0 {
-		return 0, fmt.Errorf("nn: conv2d output empty for input %v", in)
-	}
-	return (c.InC*c.KH*c.KW + c.OutC) * oh * ow, nil
-}
-
-// inferIntoWS implements the ForwardBatch fast path: the same im2col +
-// matmul pipeline as Forward, but with one caller-owned cols/output
-// workspace (sized by workspaceFloats, Scratch-backed) reused across the
-// whole batch instead of a per-example backward cache.
-func (c *Conv2D) inferIntoWS(dst, x *tensor.Tensor, ws []float32) {
-	if x.Rank() != 4 || x.Dim(1) != c.InC {
-		panic(fmt.Sprintf("nn: conv2d(%d→%d) got input shape %v", c.InC, c.OutC, x.Shape()))
-	}
-	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	oh, ow := c.outHW(h, w)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: conv2d output would be empty for input %v", x.Shape()))
-	}
-	ex := h * w * c.InC
-	k := c.InC * c.KH * c.KW
-	cols := tensor.FromSlice(ws[:k*oh*ow], k, oh*ow)
-	y := tensor.FromSlice(ws[k*oh*ow:(k+c.OutC)*oh*ow], c.OutC, oh*ow)
-	for n := 0; n < b; n++ {
-		c.im2colInto(cols, x.Data[n*ex:(n+1)*ex], h, w, oh, ow)
-		tensor.MatMulInto(y, c.W.Value, cols) // [OutC, oh*ow]
-		seg := dst.Data[n*c.OutC*oh*ow : (n+1)*c.OutC*oh*ow]
-		copy(seg, y.Data)
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := c.B.Value.Data[oc]
-			row := seg[oc*oh*ow : (oc+1)*oh*ow]
-			for i := range row {
-				row[i] += bias
-			}
-		}
-	}
-}
-
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	b := grad.Dim(0)

@@ -1,11 +1,13 @@
 package nn
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"tinymlops/internal/tensor"
 )
@@ -28,46 +30,40 @@ const (
 
 // TopologySignature summarizes the network's architecture and all
 // non-tensor layer configuration (shapes, strides, epsilons) without the
-// weights. Two networks with equal signatures serialize to artifacts that
-// differ only in tensor data, which is exactly the precondition for a
-// weight delta to reproduce the target bit-exactly.
+// weights: per layer the kind and, in kind-table order, its config ints
+// and the bits of its config floats. Two networks with equal signatures
+// serialize to artifacts that differ only in tensor data, which is exactly
+// the precondition for a weight delta to reproduce the target bit-exactly.
 func (n *Network) TopologySignature() string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "in%v", n.InputShape)
+	b := fmt.Appendf(nil, "in%v", n.InputShape)
+	var s LayerSpec
 	for _, l := range n.layers {
-		switch v := l.(type) {
-		case *Dense:
-			fmt.Fprintf(&b, "|dense(%d,%d)", v.In, v.Out)
-		case *Conv2D:
-			fmt.Fprintf(&b, "|conv2d(%d,%d,%d,%d,%d,%d)", v.InC, v.OutC, v.KH, v.KW, v.Stride, v.Pad)
-		case *MaxPool2D:
-			fmt.Fprintf(&b, "|maxpool2d(%d,%d)", v.K, v.Stride)
-		case *BatchNorm1D:
-			// Eps and Momentum are serialized config, so they are topology
-			// for delta purposes: a delta cannot patch them.
-			fmt.Fprintf(&b, "|batchnorm1d(%d,%x,%x)", v.F, math.Float32bits(v.Eps), math.Float32bits(v.Momentum))
-		case *Dropout:
-			fmt.Fprintf(&b, "|dropout(%x)", math.Float32bits(v.P))
-		default:
-			fmt.Fprintf(&b, "|%s", l.Kind())
+		s.load(l) //nolint:errcheck // a layer outside the table signs as its bare kind
+		b = append(append(b, '|'), s.Kind...)
+		sep := byte('(')
+		for _, v := range s.Ints {
+			b = strconv.AppendInt(append(b, sep), int64(v), 10)
+			sep = ','
+		}
+		for _, v := range s.Floats {
+			b = strconv.AppendUint(append(b, sep), uint64(math.Float32bits(v)), 16)
+			sep = ','
+		}
+		if sep == ',' {
+			b = append(b, ')')
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // stateTensors returns every tensor the binary model format serializes, in
 // encode order: trainable parameters plus batch-norm running statistics.
 func (n *Network) stateTensors() []*tensor.Tensor {
+	var s LayerSpec
 	var out []*tensor.Tensor
 	for _, l := range n.layers {
-		switch v := l.(type) {
-		case *Dense:
-			out = append(out, v.W.Value, v.B.Value)
-		case *Conv2D:
-			out = append(out, v.W.Value, v.B.Value)
-		case *BatchNorm1D:
-			out = append(out, v.Gamma.Value, v.Beta.Value, v.RunMean, v.RunVar)
-		}
+		s.load(l) //nolint:errcheck // a layer outside the table has no state
+		out = append(out, s.Tensors...)
 	}
 	return out
 }
@@ -82,9 +78,8 @@ func EncodeDelta(oldNet, newNet *Network) ([]byte, error) {
 		return nil, fmt.Errorf("nn: delta topology mismatch: %q vs %q", sig, got)
 	}
 	oldTs, newTs := oldNet.stateTensors(), newNet.stateTensors()
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	w.WriteString(deltaMagic) //nolint:errcheck // bytes.Buffer writes cannot fail
+	w := new(bytes.Buffer)
+	w.WriteString(deltaMagic)
 	writeString(w, sig)
 	writeU32(w, uint32(len(oldTs)))
 	for ti := range oldTs {
@@ -101,23 +96,78 @@ func EncodeDelta(oldNet, newNet *Network) ([]byte, error) {
 		writeU32(w, uint32(len(ov)))
 		// Sparse costs 8 bytes per change, dense 4 per element.
 		if len(changed)*8 < len(ov)*4 {
-			w.WriteByte(deltaSparse) //nolint:errcheck
+			w.WriteByte(deltaSparse)
 			writeU32(w, uint32(len(changed)))
 			for _, i := range changed {
 				writeU32(w, uint32(i))
 				writeF32(w, nv[i])
 			}
 		} else {
-			w.WriteByte(deltaDense) //nolint:errcheck
+			w.WriteByte(deltaDense)
 			for _, v := range nv {
 				writeF32(w, v)
 			}
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return nil, err
+	return w.Bytes(), nil
+}
+
+// walkDelta is the one TMLD1 parser. It checks the magic, hands head the
+// topology signature and the tensor count, then hands visit each tensor's
+// element count, encoding and raw payload: 4 bytes per element when dense,
+// 8 bytes per (index, value) pair when sparse. Truncated streams and
+// unknown encodings are errors here; what the payload holds is the
+// visitor's to check.
+func walkDelta(delta []byte, head func(sig string, tensors int) error,
+	visit func(ti, total int, mode byte, payload []byte) error) error {
+	if !bytes.HasPrefix(delta, []byte(deltaMagic)) {
+		return errors.New("nn: not a TMLD1 delta stream")
 	}
-	return buf.Bytes(), nil
+	r := bytes.NewReader(delta[len(deltaMagic):])
+	// Topology signatures of deep networks exceed the 1 KiB kind-string bound.
+	sig, err := readString(r, 1<<20)
+	if err != nil {
+		return err
+	}
+	count, err := readU32(r)
+	if err != nil {
+		return err
+	}
+	if err := head(sig, int(count)); err != nil {
+		return err
+	}
+	for ti := 0; ti < int(count); ti++ {
+		total, err := readU32(r)
+		if err != nil {
+			return err
+		}
+		mode, err := r.ReadByte()
+		if err != nil {
+			return fmt.Errorf("nn: delta tensor %d mode: %w", ti, err)
+		}
+		var size int64
+		switch mode {
+		case deltaDense:
+			size = 4 * int64(total)
+		case deltaSparse:
+			nc, err := readU32(r)
+			if err != nil {
+				return err
+			}
+			size = 8 * int64(nc)
+		default:
+			return fmt.Errorf("nn: delta tensor %d unknown mode %d", ti, mode)
+		}
+		if size > int64(r.Len()) {
+			return fmt.Errorf("nn: delta tensor %d: %w", ti, io.ErrUnexpectedEOF)
+		}
+		off := len(delta) - r.Len()
+		r.Seek(size, io.SeekCurrent) //nolint:errcheck // in range: size <= r.Len()
+		if err := visit(ti, int(total), mode, delta[off:off+int(size)]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ApplyDelta returns a new network equal to oldNet with the delta applied.
@@ -125,77 +175,43 @@ func EncodeDelta(oldNet, newNet *Network) ([]byte, error) {
 // device cannot corrupt its model with a patch meant for another variant.
 // The input network is not modified.
 func ApplyDelta(oldNet *Network, delta []byte) (*Network, error) {
-	r := bufio.NewReader(bytes.NewReader(delta))
-	got := make([]byte, len(deltaMagic))
-	if _, err := io.ReadFull(r, got); err != nil {
-		return nil, fmt.Errorf("nn: delta header: %w", err)
-	}
-	if string(got) != deltaMagic {
-		return nil, fmt.Errorf("nn: not a TMLD1 delta stream")
-	}
-	sig, err := readDeltaString(r)
-	if err != nil {
-		return nil, err
-	}
-	if want := oldNet.TopologySignature(); sig != want {
-		return nil, fmt.Errorf("nn: delta targets topology %q, model is %q", sig, want)
-	}
-	count, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	out := oldNet.Clone()
-	ts := out.stateTensors()
-	if int(count) != len(ts) {
-		return nil, fmt.Errorf("nn: delta has %d tensors, model has %d", count, len(ts))
-	}
-	for ti := range ts {
+	var out *Network
+	var ts []*tensor.Tensor
+	err := walkDelta(delta, func(sig string, tensors int) error {
+		if want := oldNet.TopologySignature(); sig != want {
+			return fmt.Errorf("nn: delta targets topology %q, model is %q", sig, want)
+		}
+		out = oldNet.Clone()
+		ts = out.stateTensors()
+		if tensors != len(ts) {
+			return fmt.Errorf("nn: delta has %d tensors, model has %d", tensors, len(ts))
+		}
+		return nil
+	}, func(ti, total int, mode byte, payload []byte) error {
 		data := ts[ti].Data
-		total, err := readU32(r)
-		if err != nil {
-			return nil, err
+		if total != len(data) {
+			return fmt.Errorf("nn: delta tensor %d size %d, model has %d", ti, total, len(data))
 		}
-		if int(total) != len(data) {
-			return nil, fmt.Errorf("nn: delta tensor %d size %d, model has %d", ti, total, len(data))
-		}
-		mode, err := r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("nn: delta tensor %d mode: %w", ti, err)
-		}
-		switch mode {
-		case deltaDense:
+		if mode == deltaDense {
 			for i := range data {
-				v, err := readF32(r)
-				if err != nil {
-					return nil, err
-				}
-				data[i] = v
+				data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 			}
-		case deltaSparse:
-			nc, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			if int(nc) > len(data) {
-				return nil, fmt.Errorf("nn: delta tensor %d claims %d changes of %d elements", ti, nc, len(data))
-			}
-			for c := uint32(0); c < nc; c++ {
-				idx, err := readU32(r)
-				if err != nil {
-					return nil, err
-				}
-				if int(idx) >= len(data) {
-					return nil, fmt.Errorf("nn: delta tensor %d index %d out of range", ti, idx)
-				}
-				v, err := readF32(r)
-				if err != nil {
-					return nil, err
-				}
-				data[idx] = v
-			}
-		default:
-			return nil, fmt.Errorf("nn: delta tensor %d unknown mode %d", ti, mode)
+			return nil
 		}
+		if nc := len(payload) / 8; nc > len(data) {
+			return fmt.Errorf("nn: delta tensor %d claims %d changes of %d elements", ti, nc, len(data))
+		}
+		for ; len(payload) > 0; payload = payload[8:] {
+			idx := binary.LittleEndian.Uint32(payload)
+			if int(idx) >= len(data) {
+				return fmt.Errorf("nn: delta tensor %d index %d out of range", ti, idx)
+			}
+			data[idx] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4:]))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -223,73 +239,26 @@ func CostOfDelta(delta []byte, bits int) (DeltaCost, error) {
 	if bits <= 0 {
 		bits = 32
 	}
-	r := bufio.NewReader(bytes.NewReader(delta))
-	got := make([]byte, len(deltaMagic))
-	if _, err := io.ReadFull(r, got); err != nil {
-		return DeltaCost{}, fmt.Errorf("nn: delta header: %w", err)
-	}
-	if string(got) != deltaMagic {
-		return DeltaCost{}, fmt.Errorf("nn: not a TMLD1 delta stream")
-	}
-	if _, err := readDeltaString(r); err != nil {
-		return DeltaCost{}, err
-	}
-	count, err := readU32(r)
-	if err != nil {
-		return DeltaCost{}, err
-	}
 	packed := func(n int) int { return (n*bits + 7) / 8 }
 	// A small fixed allowance for the header and per-tensor metadata.
 	cost := DeltaCost{ShipBytes: 64}
-	for ti := uint32(0); ti < count; ti++ {
-		total, err := readU32(r)
-		if err != nil {
-			return DeltaCost{}, err
-		}
-		cost.TotalParams += int(total)
-		mode, err := r.ReadByte()
-		if err != nil {
-			return DeltaCost{}, fmt.Errorf("nn: delta tensor %d mode: %w", ti, err)
-		}
-		switch mode {
-		case deltaDense:
-			if _, err := io.CopyN(io.Discard, r, int64(total)*4); err != nil {
-				return DeltaCost{}, fmt.Errorf("nn: delta tensor %d: %w", ti, err)
+	err := walkDelta(delta, func(string, int) error { return nil },
+		func(_, total int, mode byte, payload []byte) error {
+			cost.TotalParams += total
+			if mode == deltaDense {
+				cost.ChangedParams += total
+				cost.ShipBytes += packed(total)
+				cost.FlashBytes += packed(total)
+				return nil
 			}
-			cost.ChangedParams += int(total)
-			cost.ShipBytes += packed(int(total))
-			cost.FlashBytes += packed(int(total))
-		case deltaSparse:
-			nc, err := readU32(r)
-			if err != nil {
-				return DeltaCost{}, err
-			}
-			if _, err := io.CopyN(io.Discard, r, int64(nc)*8); err != nil {
-				return DeltaCost{}, fmt.Errorf("nn: delta tensor %d: %w", ti, err)
-			}
-			cost.ChangedParams += int(nc)
-			cost.ShipBytes += 4*int(nc) + packed(int(nc))
-			cost.FlashBytes += packed(int(nc))
-		default:
-			return DeltaCost{}, fmt.Errorf("nn: delta tensor %d unknown mode %d", ti, mode)
-		}
+			nc := len(payload) / 8
+			cost.ChangedParams += nc
+			cost.ShipBytes += 4*nc + packed(nc)
+			cost.FlashBytes += packed(nc)
+			return nil
+		})
+	if err != nil {
+		return DeltaCost{}, err
 	}
 	return cost, nil
-}
-
-// readDeltaString reads a length-prefixed string without the 1 KiB bound of
-// readString: topology signatures of deep networks can exceed it.
-func readDeltaString(r *bufio.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("nn: implausible delta signature length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("nn: read delta signature: %w", err)
-	}
-	return string(b), nil
 }

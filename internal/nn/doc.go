@@ -13,8 +13,16 @@
 //
 // Two forward paths exist. Layer.Forward caches what Backward needs, so a
 // network is single-flight while training. Network.ForwardBatch is the
-// serving path: batched, allocation-free in the steady state (reusable
-// Scratch buffers), free of layer-state writes — so one model can serve
-// many simulated devices concurrently — and bit-identical to per-sample
-// Forward, which keeps the fast path out of the accuracy story entirely.
+// serving path: the layer list compiled once per (batch, input shape) into
+// a fused program, allocation-free in the steady state, free of
+// layer-state writes — so one model can serve many simulated devices
+// concurrently — and bit-identical to per-sample Forward, which keeps it
+// out of the accuracy story entirely. There is no third, uncompiled path:
+// a network the compiler rejects is a caller bug.
+//
+// What a layer kind is — config, state tensors, their wire order and
+// exchange names — is one row of the table in kinds.go. The binary model
+// format (MarshalBinary/UnmarshalNetwork, byte slices only), the weight
+// delta and internal/compat's exchange document all read it through
+// SpecOf and NewLayer; see ARCHITECTURE.md, "Adding a layer kind".
 package nn

@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"math"
+	"fmt"
 
 	"tinymlops/internal/tensor"
 )
@@ -12,27 +12,11 @@ import (
 // decisions are all resolved ahead of time, so running the program in the
 // steady state allocates nothing. Dense layers absorb a following
 // BatchNorm1D (frozen statistics) and elementwise activations into a
-// single fused kernel; Conv2D absorbs elementwise activations. Every
-// fused epilogue reproduces the exact arithmetic of the layer it absorbs
-// (same formula, same element order), so a compiled program's output is
-// bit-identical to the legacy layer-by-layer path and to Forward.
-
-// epKind identifies one fused epilogue operation.
-type epKind int
-
-const (
-	epReLU epKind = iota
-	epTanh
-	epSigmoid
-	epBatchNorm
-)
-
-// epilogue is one elementwise (or, for batch norm, columnwise) transform
-// applied in place to a fused step's output.
-type epilogue struct {
-	kind epKind
-	bn   *BatchNorm1D // epBatchNorm only
-}
+// single fused step; Conv2D absorbs elementwise activations. An absorbed
+// layer runs as its own InferInto kernel, in place over the step's output
+// — each of these kernels reads only the element (for batch norm, the
+// column) it writes — so a compiled program's output is bit-identical to
+// Forward by construction.
 
 // stepKind identifies the executable form of one compiled step.
 type stepKind int
@@ -45,12 +29,12 @@ const (
 )
 
 // bstep is one compiled step: its output buffer, any hoisted workspace
-// headers, and the epilogue ops fused into it.
+// headers, and the kernels of the layers fused into it.
 type bstep struct {
 	kind  stepKind
 	dst   *tensor.Tensor
-	eps   []epilogue
-	layer Layer // stepPlain
+	tail  []inferInto // absorbed layers, run in place over dst
+	plain inferInto   // stepPlain
 
 	dense *Dense
 
@@ -69,156 +53,82 @@ type program struct {
 	steps   []*bstep
 }
 
-// isElementwise maps an activation layer to its epilogue op.
-func isElementwise(l Layer) (epKind, bool) {
-	switch l.(type) {
-	case *ReLU:
-		return epReLU, true
-	case *Tanh:
-		return epTanh, true
-	case *Sigmoid:
-		return epSigmoid, true
+// absorbTail fuses into st the layers after layers[i] that can run in place
+// over its output — elementwise activations, a batch norm over width
+// features (width 0: none) — skips identity dropout, and returns the index
+// of the last layer it consumed.
+func absorbTail(st *bstep, layers []Layer, i, width int) int {
+	for ; i+1 < len(layers); i++ {
+		switch l := layers[i+1].(type) {
+		case *ReLU, *Tanh, *Sigmoid:
+			st.tail = append(st.tail, l.(inferInto))
+		case *BatchNorm1D:
+			if l.F != width {
+				return i
+			}
+			st.tail = append(st.tail, l)
+		case *Dropout:
+			// Inverted dropout is the identity at inference time.
+		default:
+			return i
+		}
 	}
-	return 0, false
+	return i
 }
 
-// compileBatch lowers the network for a batch of b examples shaped in. It
-// returns ok=false when any layer falls outside the compilable set — the
-// caller then uses the uncompiled layer-by-layer path.
-func (n *Network) compileBatch(b int, in []int) (*program, bool) {
+// compileBatch lowers the network for a batch of b examples shaped in.
+// Every layer's Describe checks its input shape on the way, so a program
+// that compiles cannot hit a shape panic inside a kernel.
+func (n *Network) compileBatch(b int, in []int) (*program, error) {
 	p := &program{batch: b, inShape: append([]int(nil), in...)}
 	cur := p.inShape
 	layers := n.layers
 	for i := 0; i < len(layers); i++ {
+		info, err := layers[i].Describe(cur)
+		if err != nil {
+			return nil, fmt.Errorf("layer %d (%s): %w", i, layers[i].Kind(), err)
+		}
 		switch l := layers[i].(type) {
 		case *Dropout:
 			// Inverted dropout is the identity at inference time.
 		case *Flatten:
-			per := 1
-			for _, d := range cur {
-				per *= d
-			}
-			p.steps = append(p.steps, &bstep{kind: stepFlatten, flatHdr: tensor.New(b, per)})
-			cur = []int{per}
+			p.steps = append(p.steps, &bstep{kind: stepFlatten, flatHdr: tensor.New(b, info.OutShape[0])})
 		case *Dense:
-			if len(cur) != 1 || cur[0] != l.In {
-				return nil, false
-			}
 			st := &bstep{kind: stepDense, dense: l, dst: tensor.New(b, l.Out)}
-			// Absorb the elementwise tail: batch norm over the dense output
-			// and activations fuse into the step's epilogue; identity
-			// dropout is skipped outright.
-			for i+1 < len(layers) {
-				if bn, ok := layers[i+1].(*BatchNorm1D); ok && bn.F == l.Out {
-					st.eps = append(st.eps, epilogue{kind: epBatchNorm, bn: bn})
-					i++
-					continue
-				}
-				if k, ok := isElementwise(layers[i+1]); ok {
-					st.eps = append(st.eps, epilogue{kind: k})
-					i++
-					continue
-				}
-				if _, ok := layers[i+1].(*Dropout); ok {
-					i++
-					continue
-				}
-				break
-			}
+			i = absorbTail(st, layers, i, l.Out)
 			p.steps = append(p.steps, st)
-			cur = []int{l.Out}
 		case *Conv2D:
-			if len(cur) != 3 || cur[0] != l.InC {
-				return nil, false
-			}
-			info, err := l.Describe(cur)
-			if err != nil {
-				return nil, false
-			}
-			oh, ow := l.outHW(cur[1], cur[2])
-			k := l.InC * l.KH * l.KW
+			oh, ow := info.OutShape[1], info.OutShape[2]
 			st := &bstep{
 				kind: stepConv, conv: l,
 				dst:  tensor.New(append([]int{b}, info.OutShape...)...),
-				cols: tensor.New(k, oh*ow),
+				cols: tensor.New(l.InC*l.KH*l.KW, oh*ow),
 				my:   tensor.New(l.OutC, oh*ow),
 				ch:   cur[1], cw: cur[2], coh: oh, cow: ow,
 			}
-			for i+1 < len(layers) {
-				if k, ok := isElementwise(layers[i+1]); ok {
-					st.eps = append(st.eps, epilogue{kind: k})
-					i++
-					continue
-				}
-				if _, ok := layers[i+1].(*Dropout); ok {
-					i++
-					continue
-				}
-				break
-			}
+			i = absorbTail(st, layers, i, 0)
 			p.steps = append(p.steps, st)
-			cur = info.OutShape
 		default:
-			if _, ok := l.(inferIntoWS); ok {
-				// A workspace layer we don't know how to hoist buffers for.
-				return nil, false
-			}
-			fast, ok := l.(inferInto)
+			kernel, ok := l.(inferInto)
 			if !ok {
-				return nil, false
-			}
-			info, err := l.Describe(cur)
-			if err != nil {
-				return nil, false
+				return nil, fmt.Errorf("layer %d (%s) has no batch kernel", i, l.Kind())
 			}
 			p.steps = append(p.steps, &bstep{
-				kind: stepPlain, layer: fast.(Layer),
+				kind: stepPlain, plain: kernel,
 				dst: tensor.New(append([]int{b}, info.OutShape...)...),
 			})
-			cur = info.OutShape
 		}
+		// Absorbed layers are elementwise, so the fused step's output shape
+		// is the shape Describe reported for the layer that opened it.
+		cur = info.OutShape
 	}
-	return p, true
+	return p, nil
 }
 
-// applyEpilogues runs a step's fused tail in place over out. Each op uses
-// exactly the arithmetic of the layer it replaces: the batch-norm pass is
-// BatchNorm1D.InferInto's column loop (inverse stddev recomputed from the
-// live running statistics on every call), the activations are the
-// elementwise formulas from their InferInto methods.
-func applyEpilogues(out *tensor.Tensor, eps []epilogue, rows int) {
-	for _, ep := range eps {
-		switch ep.kind {
-		case epReLU:
-			// Mirror ReLU.InferInto's branch exactly: v > 0 keeps v, anything
-			// else (including NaN) becomes 0 — `v <= 0` would let NaN through
-			// and fork the fused path from the layer-by-layer one.
-			for i, v := range out.Data {
-				if v > 0 {
-					out.Data[i] = v
-				} else {
-					out.Data[i] = 0
-				}
-			}
-		case epTanh:
-			for i, v := range out.Data {
-				out.Data[i] = float32(math.Tanh(float64(v)))
-			}
-		case epSigmoid:
-			for i, v := range out.Data {
-				out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-			}
-		case epBatchNorm:
-			bn := ep.bn
-			f := bn.F
-			for j := 0; j < f; j++ {
-				inv := 1 / float32(math.Sqrt(float64(bn.RunVar.Data[j]+bn.Eps)))
-				g, be, mu := bn.Gamma.Value.Data[j], bn.Beta.Value.Data[j], bn.RunMean.Data[j]
-				for i := 0; i < rows; i++ {
-					out.Data[i*f+j] = g*(out.Data[i*f+j]-mu)*inv + be
-				}
-			}
-		}
+// runTail runs the step's absorbed layers in place over its output.
+func (st *bstep) runTail() {
+	for _, k := range st.tail {
+		k.InferInto(st.dst, st.dst)
 	}
 }
 
@@ -235,7 +145,7 @@ func (p *program) run(x *tensor.Tensor) *tensor.Tensor {
 			d := st.dense
 			tensor.MatMulInto(st.dst, x, d.W.Value)
 			st.dst.AddRowVector(d.B.Value)
-			applyEpilogues(st.dst, st.eps, p.batch)
+			st.runTail()
 			x = st.dst
 		case stepConv:
 			c := st.conv
@@ -254,10 +164,10 @@ func (p *program) run(x *tensor.Tensor) *tensor.Tensor {
 					}
 				}
 			}
-			applyEpilogues(st.dst, st.eps, p.batch)
+			st.runTail()
 			x = st.dst
 		case stepPlain:
-			st.layer.(inferInto).InferInto(st.dst, x)
+			st.plain.InferInto(st.dst, x)
 			x = st.dst
 		}
 	}

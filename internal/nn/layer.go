@@ -66,18 +66,6 @@ func shapeProduct(s []int) int64 {
 	return p
 }
 
-func shapeEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func errShape(kind string, want, got []int) error {
 	return fmt.Errorf("nn: %s expects input shape %v, got %v", kind, want, got)
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -14,55 +13,59 @@ import (
 
 // netMagic identifies the network serialization format. The format is
 // stable little-endian binary: magic, input shape, layer count, then per
-// layer the kind string, kind-specific config and parameter tensors. It is
-// the artifact format the model registry stores and hashes.
+// layer the kind string followed by what the kind table (kinds.go) lists
+// for it — config ints, config floats, state tensors. It is the artifact
+// format the model registry stores and hashes.
 const netMagic = "TMLN1\n"
 
 // MarshalBinary serializes the network (architecture, weights and, for
 // batch norm, running statistics).
 func (n *Network) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := n.Encode(&buf); err != nil {
-		return nil, err
+	// One spec is reloaded per layer, twice over: first to size the buffer,
+	// then to fill it.
+	var s LayerSpec
+	size := len(netMagic) + 8 + 4*len(n.InputShape)
+	for i, l := range n.layers {
+		if err := s.load(l); err != nil {
+			return nil, fmt.Errorf("nn: encode layer %d: %w", i, err)
+		}
+		size += 4 + len(s.Kind) + 4*(len(s.Ints)+len(s.Floats))
+		for _, t := range s.Tensors {
+			size += 16 + 4*(t.Rank()+t.Size()) // an upper bound on the TMLT1 header
+		}
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	buf.WriteString(netMagic)
+	writeU32(buf, uint32(len(n.InputShape)))
+	for _, d := range n.InputShape {
+		writeU32(buf, uint32(d))
+	}
+	writeU32(buf, uint32(len(n.layers)))
+	for _, l := range n.layers {
+		s.load(l) //nolint:errcheck // loaded without error above
+		writeString(buf, s.Kind)
+		for _, v := range s.Ints {
+			writeU32(buf, uint32(v))
+		}
+		for _, v := range s.Floats {
+			writeF32(buf, v)
+		}
+		for _, t := range s.Tensors {
+			t.WriteTo(buf) //nolint:errcheck // bytes.Buffer writes cannot fail
+		}
 	}
 	return buf.Bytes(), nil
 }
 
-// Encode writes the network to w in the binary model format.
-func (n *Network) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(netMagic); err != nil {
-		return fmt.Errorf("nn: encode: %w", err)
-	}
-	writeU32(bw, uint32(len(n.InputShape)))
-	for _, d := range n.InputShape {
-		writeU32(bw, uint32(d))
-	}
-	writeU32(bw, uint32(len(n.layers)))
-	for i, l := range n.layers {
-		if err := encodeLayer(bw, l); err != nil {
-			return fmt.Errorf("nn: encode layer %d (%s): %w", i, l.Kind(), err)
-		}
-	}
-	return bw.Flush()
-}
-
-// UnmarshalNetwork parses a network serialized by MarshalBinary.
+// UnmarshalNetwork parses a network serialized by MarshalBinary. Every
+// layer is built by NewLayer, so an artifact whose declared config
+// disagrees with its tensors is rejected here, not in a serving kernel.
 func UnmarshalNetwork(data []byte) (*Network, error) {
-	return DecodeNetwork(bytes.NewReader(data))
-}
-
-// DecodeNetwork reads a network in the binary model format from r.
-func DecodeNetwork(r io.Reader) (*Network, error) {
-	br := bufio.NewReader(r)
-	got := make([]byte, len(netMagic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("nn: decode header: %w", err)
-	}
-	if string(got) != netMagic {
+	if !bytes.HasPrefix(data, []byte(netMagic)) {
 		return nil, errors.New("nn: not a TMLN1 model stream")
 	}
-	rank, err := readU32(br)
+	r := bytes.NewReader(data[len(netMagic):])
+	rank, err := readU32(r)
 	if err != nil {
 		return nil, err
 	}
@@ -71,22 +74,23 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 	}
 	inShape := make([]int, rank)
 	for i := range inShape {
-		d, err := readU32(br)
+		d, err := readU32(r)
 		if err != nil {
 			return nil, err
 		}
 		inShape[i] = int(d)
 	}
-	count, err := readU32(br)
+	count, err := readU32(r)
 	if err != nil {
 		return nil, err
 	}
 	if count > 4096 {
 		return nil, fmt.Errorf("nn: implausible layer count %d", count)
 	}
-	net := NewNetwork(inShape)
+	net := &Network{InputShape: inShape}
+	var s LayerSpec // reused: NewLayer keeps none of its slices
 	for i := uint32(0); i < count; i++ {
-		l, err := decodeLayer(br)
+		l, err := decodeLayer(r, &s)
 		if err != nil {
 			return nil, fmt.Errorf("nn: decode layer %d: %w", i, err)
 		}
@@ -95,155 +99,46 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 	return net, nil
 }
 
-func encodeLayer(w *bufio.Writer, l Layer) error {
-	writeString(w, l.Kind())
-	switch v := l.(type) {
-	case *Dense:
-		writeU32(w, uint32(v.In))
-		writeU32(w, uint32(v.Out))
-		return writeTensors(w, v.W.Value, v.B.Value)
-	case *Flatten, *ReLU, *Sigmoid, *Tanh, *Softmax:
-		return nil
-	case *Conv2D:
-		for _, d := range []int{v.InC, v.OutC, v.KH, v.KW, v.Stride, v.Pad} {
-			writeU32(w, uint32(d))
-		}
-		return writeTensors(w, v.W.Value, v.B.Value)
-	case *MaxPool2D:
-		writeU32(w, uint32(v.K))
-		writeU32(w, uint32(v.Stride))
-		return nil
-	case *BatchNorm1D:
-		writeU32(w, uint32(v.F))
-		writeF32(w, v.Eps)
-		writeF32(w, v.Momentum)
-		return writeTensors(w, v.Gamma.Value, v.Beta.Value, v.RunMean, v.RunVar)
-	case *Dropout:
-		writeF32(w, v.P)
-		return nil
-	default:
-		return fmt.Errorf("unknown layer type %T", l)
-	}
-}
-
-func decodeLayer(r *bufio.Reader) (Layer, error) {
-	kind, err := readString(r)
+// decodeLayer reads one layer: its kind, then as many ints, floats and
+// tensors as the kind table lists for it.
+func decodeLayer(r *bytes.Reader, s *LayerSpec) (Layer, error) {
+	kind, err := readString(r, 1024)
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case "dense":
-		in, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		out, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		d := &Dense{In: int(in), Out: int(out)}
-		ts, err := readTensors(r, 2)
-		if err != nil {
-			return nil, err
-		}
-		d.W, d.B = newParam("weight", ts[0]), newParam("bias", ts[1])
-		return d, nil
-	case "flatten":
-		return NewFlatten(), nil
-	case "relu":
-		return NewReLU(), nil
-	case "sigmoid":
-		return NewSigmoid(), nil
-	case "tanh":
-		return NewTanh(), nil
-	case "softmax":
-		return NewSoftmax(), nil
-	case "conv2d":
-		cfg := make([]int, 6)
-		for i := range cfg {
-			v, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			cfg[i] = int(v)
-		}
-		c := &Conv2D{InC: cfg[0], OutC: cfg[1], KH: cfg[2], KW: cfg[3], Stride: cfg[4], Pad: cfg[5]}
-		ts, err := readTensors(r, 2)
-		if err != nil {
-			return nil, err
-		}
-		c.W, c.B = newParam("weight", ts[0]), newParam("bias", ts[1])
-		return c, nil
-	case "maxpool2d":
-		k, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		s, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		return NewMaxPool2D(int(k), int(s)), nil
-	case "batchnorm1d":
-		f, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		eps, err := readF32(r)
-		if err != nil {
-			return nil, err
-		}
-		mom, err := readF32(r)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := readTensors(r, 4)
-		if err != nil {
-			return nil, err
-		}
-		bn := &BatchNorm1D{F: int(f), Eps: eps, Momentum: mom}
-		bn.Gamma, bn.Beta = newParam("gamma", ts[0]), newParam("beta", ts[1])
-		bn.RunMean, bn.RunVar = ts[2], ts[3]
-		return bn, nil
-	case "dropout":
-		p, err := readF32(r)
-		if err != nil {
-			return nil, err
-		}
-		// A deserialized dropout layer gets a fixed-seed RNG; inference is
-		// unaffected (dropout is identity at inference) and callers that
-		// resume training can replace it.
-		return NewDropout(p, tensor.NewRNG(0)), nil
-	default:
+	row, ok := kinds[kind]
+	if !ok {
 		return nil, fmt.Errorf("unknown layer kind %q", kind)
 	}
-}
-
-func writeTensors(w *bufio.Writer, ts ...*tensor.Tensor) error {
-	for _, t := range ts {
-		if _, err := t.WriteTo(w); err != nil {
-			return err
+	s.reset(row.kind)
+	for range row.ints {
+		v, err := readU32(r)
+		if err != nil {
+			return nil, err
 		}
+		s.Ints = append(s.Ints, int(v))
 	}
-	return nil
-}
-
-func readTensors(r *bufio.Reader, n int) ([]*tensor.Tensor, error) {
-	out := make([]*tensor.Tensor, n)
-	for i := range out {
-		var t tensor.Tensor
+	for range row.floats {
+		v, err := readU32(r)
+		if err != nil {
+			return nil, err
+		}
+		s.Floats = append(s.Floats, math.Float32frombits(v))
+	}
+	for range row.tensors {
+		t := new(tensor.Tensor)
 		if _, err := t.ReadFrom(r); err != nil {
 			return nil, err
 		}
-		out[i] = &t
+		s.Tensors = append(s.Tensors, t)
 	}
-	return out, nil
+	return NewLayer(*s)
 }
 
-func writeU32(w *bufio.Writer, v uint32) {
+func writeU32(w *bytes.Buffer, v uint32) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:]) //nolint:errcheck // bufio.Writer records the first error; Flush reports it.
+	w.Write(b[:])
 }
 
 func readU32(r io.Reader) (uint32, error) {
@@ -254,24 +149,20 @@ func readU32(r io.Reader) (uint32, error) {
 	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
-func writeF32(w *bufio.Writer, v float32) { writeU32(w, math.Float32bits(v)) }
+func writeF32(w *bytes.Buffer, v float32) { writeU32(w, math.Float32bits(v)) }
 
-func readF32(r io.Reader) (float32, error) {
-	v, err := readU32(r)
-	return math.Float32frombits(v), err
-}
-
-func writeString(w *bufio.Writer, s string) {
+func writeString(w *bytes.Buffer, s string) {
 	writeU32(w, uint32(len(s)))
-	w.WriteString(s) //nolint:errcheck // see writeU32
+	w.WriteString(s)
 }
 
-func readString(r io.Reader) (string, error) {
+// readString reads a length-prefixed string of at most limit bytes.
+func readString(r io.Reader, limit uint32) (string, error) {
 	n, err := readU32(r)
 	if err != nil {
 		return "", err
 	}
-	if n > 1024 {
+	if n > limit {
 		return "", fmt.Errorf("nn: implausible string length %d", n)
 	}
 	b := make([]byte, n)

@@ -284,8 +284,19 @@ func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
 		got.FeatureMeans[1] != -0.2 || got.DriftScore != 0.31 {
 		t.Fatalf("round trip = %+v", got)
 	}
-	if _, err := DecodeRecord(enc[:5]); err == nil {
-		t.Fatal("truncated record accepted")
+	// Strict: every proper prefix (including cuts in the middle of a
+	// field), one trailing byte, and an alarm byte of 2 all reject.
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeRecord(enc[:cut]); err == nil {
+			t.Fatalf("record truncated to %d of %d bytes accepted", cut, len(enc))
+		}
+	}
+	if _, err := DecodeRecord(append(enc[:len(enc):len(enc)], 0)); err == nil {
+		t.Fatal("record followed by a trailing byte accepted")
+	}
+	enc[len(enc)-1] = 2
+	if _, err := DecodeRecord(enc); err == nil {
+		t.Fatal("alarm byte 2 accepted")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
@@ -61,7 +62,9 @@ func (r *Record) Encode() []byte {
 	return buf.Bytes()
 }
 
-// DecodeRecord parses a record encoded by Encode.
+// DecodeRecord parses a record encoded by Encode. It accepts exactly what
+// Encode produces: a record cut short anywhere, followed by anything, or
+// with an alarm byte other than 0 or 1 is rejected.
 func DecodeRecord(data []byte) (*Record, error) {
 	r := bytes.NewReader(data)
 	out := &Record{}
@@ -105,6 +108,12 @@ func DecodeRecord(data []byte) (*Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("observe: truncated record: %w", err)
 	}
+	if b > 1 {
+		return nil, fmt.Errorf("observe: alarm byte %d is neither 0 nor 1", b)
+	}
+	if r.Len() > 0 {
+		return nil, fmt.Errorf("observe: %d bytes after the record", r.Len())
+	}
 	out.DriftAlarm = b == 1
 	return out, nil
 }
@@ -124,7 +133,9 @@ func writeStr(b *bytes.Buffer, s string) {
 
 func readU32(r *bytes.Reader) (uint32, error) {
 	var tmp [4]byte
-	if _, err := r.Read(tmp[:]); err != nil {
+	// ReadFull, not Read: a bytes.Reader hands back a short count with a nil
+	// error, which would decode a cut-off field as zero-padded garbage.
+	if _, err := io.ReadFull(r, tmp[:]); err != nil {
 		return 0, fmt.Errorf("observe: truncated record: %w", err)
 	}
 	return binary.LittleEndian.Uint32(tmp[:]), nil
@@ -144,7 +155,7 @@ func readStr(r *bytes.Reader) (string, error) {
 		return "", fmt.Errorf("observe: implausible string length %d", n)
 	}
 	buf := make([]byte, n)
-	if _, err := r.Read(buf); err != nil && n > 0 {
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return "", fmt.Errorf("observe: truncated string: %w", err)
 	}
 	return string(buf), nil

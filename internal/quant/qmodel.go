@@ -2,6 +2,7 @@ package quant
 
 import (
 	"fmt"
+	"slices"
 
 	"tinymlops/internal/nn"
 	"tinymlops/internal/tensor"
@@ -70,7 +71,7 @@ func (s *QScratch) buffer(idx int, shape []int) *tensor.Tensor {
 		n *= d
 	}
 	if b := s.bufs[idx]; b != nil && b.Size() == n {
-		if !shapeEq(b.Shape(), shape) {
+		if !slices.Equal(b.Shape(), shape) {
 			b = tensor.FromSlice(b.Data, shape...)
 			s.bufs[idx] = b
 		}
@@ -134,7 +135,7 @@ func (s *QScratch) stageOutShape(idx int, l nn.Layer, x *tensor.Tensor) ([]int, 
 		s.outShapes = append(s.outShapes, nil)
 	}
 	in := x.Shape()[1:]
-	if cached := s.inShapes[idx]; cached != nil && shapeEq(cached, in) {
+	if cached := s.inShapes[idx]; cached != nil && slices.Equal(cached, in) {
 		return s.outShapes[idx], nil
 	}
 	info, err := l.Describe(in)
@@ -156,18 +157,6 @@ func (s *QScratch) bufferOut(idx, b int, out []int) *tensor.Tensor {
 		return s.buffer4(idx, b, out[0], out[1], out[2])
 	}
 	return s.buffer(idx, append([]int{b}, out...))
-}
-
-func shapeEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // grow8 grows one of the scratch's int8 workspaces to at least n codes.

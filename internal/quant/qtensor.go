@@ -308,32 +308,27 @@ func QuantizationError(w *tensor.Tensor, scheme Scheme) (float64, error) {
 	return sum / float64(len(w.Data)), nil
 }
 
-// FakeQuantizeNetwork returns a deep copy of net whose dense and
-// convolutional weights are replaced by their quantize-dequantize
-// approximation under the scheme (biases stay float32, the standard
-// practice). The copy runs on the float engine, which makes it ideal for
-// accuracy evaluation of low-bit variants; use NewQModel for integer-kernel
-// execution.
+// FakeQuantizeNetwork returns a deep copy of net whose weight matrices —
+// every parameter nn's kind table names "weight", the same ones
+// NetworkSizeBytes counts at the scheme's width — are replaced by their
+// quantize-dequantize approximation under the scheme (biases stay float32,
+// the standard practice). The copy runs on the float engine, which makes
+// it ideal for accuracy evaluation of low-bit variants; use NewQModel for
+// integer-kernel execution.
 func FakeQuantizeNetwork(net *nn.Network, scheme Scheme) (*nn.Network, error) {
 	clone := net.Clone()
 	if scheme == Float32 {
 		return clone, nil
 	}
-	for _, l := range clone.Layers() {
-		switch v := l.(type) {
-		case *nn.Dense:
-			q, err := QuantizeMatrix(v.W.Value, scheme)
-			if err != nil {
-				return nil, err
-			}
-			v.W.Value.CopyFrom(q.Dequantize())
-		case *nn.Conv2D:
-			q, err := QuantizeMatrix(v.W.Value, scheme)
-			if err != nil {
-				return nil, err
-			}
-			v.W.Value.CopyFrom(q.Dequantize())
+	for _, p := range clone.Params() {
+		if p.Name != "weight" {
+			continue
 		}
+		q, err := QuantizeMatrix(p.Value, scheme)
+		if err != nil {
+			return nil, err
+		}
+		p.Value.CopyFrom(q.Dequantize())
 	}
 	return clone, nil
 }

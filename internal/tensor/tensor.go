@@ -283,7 +283,11 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
+// maxElements caps the element count ReadFrom accepts.
+const maxElements = 1 << 28
+
 // ReadFrom deserializes a tensor written by WriteTo, replacing t's contents.
+// Every dimension must be positive and their product at most maxElements.
 func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	var n int64
 	got := make([]byte, len(magic))
@@ -314,11 +318,20 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	shape := make([]int, k)
 	total := 1
 	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:]))
+		d := binary.LittleEndian.Uint32(dims[4*i:])
+		// Checked per dimension, before multiplying: a product of large
+		// dimensions would wrap around to a small count.
+		if d == 0 || uint64(d) > maxElements/uint64(total) {
+			return n, fmt.Errorf("tensor: implausible dimensions (dim %d is %d, %d elements before it)", i, d, total)
+		}
+		shape[i] = int(d)
 		total *= shape[i]
 	}
-	if total < 0 || total > 1<<28 {
-		return n, fmt.Errorf("tensor: implausible element count %d", total)
+	// A reader that knows how much it still holds (bytes.Reader,
+	// bytes.Buffer) lets a count the stream cannot back be refused before
+	// up to a gigabyte is allocated for it.
+	if l, ok := r.(interface{ Len() int }); ok && 4*total > l.Len() {
+		return n, fmt.Errorf("tensor: %d elements declared, %d bytes left: %w", total, l.Len(), io.ErrUnexpectedEOF)
 	}
 	buf := make([]byte, 4*total)
 	m, err = io.ReadFull(r, buf)
@@ -332,11 +345,4 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 		t.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
 	return n, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

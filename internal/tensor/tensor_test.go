@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -302,9 +303,28 @@ func TestSerializationRoundTrip(t *testing.T) {
 }
 
 func TestReadFromRejectsGarbage(t *testing.T) {
-	var y Tensor
-	if _, err := y.ReadFrom(bytes.NewReader([]byte("not a tensor stream"))); err == nil {
-		t.Fatal("ReadFrom accepted garbage")
+	// header builds a TMLT1 stream of the given dims with no data after it.
+	header := func(dims ...uint32) []byte {
+		b := binary.LittleEndian.AppendUint32([]byte(magic), uint32(len(dims)))
+		for _, d := range dims {
+			b = binary.LittleEndian.AppendUint32(b, d)
+		}
+		return b
+	}
+	cases := map[string][]byte{
+		"not a tensor stream": []byte("not a tensor stream"),
+		// 65536^4 = 2^64 wraps the element count to 0, which an empty
+		// payload then satisfies.
+		"dims whose product wraps to zero": header(65536, 65536, 65536, 65536),
+		"zero dimension":                   header(3, 0),
+		"one element over the cap":         header(1<<14, 1<<14+1),
+		"truncated data":                   header(2, 2),
+	}
+	for name, stream := range cases {
+		var y Tensor
+		if _, err := y.ReadFrom(bytes.NewReader(stream)); err == nil {
+			t.Errorf("ReadFrom accepted %s as shape %v", name, y.Shape())
+		}
 	}
 }
 
