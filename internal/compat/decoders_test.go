@@ -60,6 +60,29 @@ func TestDecodersRejectTheSameLayers(t *testing.T) {
 			t.Errorf("%s: Import = %v, want the constructor's %q", c.name, err, want)
 		}
 	}
+
+	// The declared input shape goes through one nn check as well: a
+	// dimension below one (0xffffffff is how TMLN1 spells -1) or more
+	// elements than a tensor can carry. Both decoders used to take it
+	// verbatim.
+	const want = "nn: implausible input shape"
+	for _, shape := range [][]int{{0}, {-1}, {4, 0}, {1 << 15, 1 << 15}} {
+		net := nn.NewNetwork(shape, nn.NewDense(4, 3, tensor.NewRNG(5)))
+		data, err := net.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%v: %v", shape, err)
+		}
+		if _, err := nn.UnmarshalNetwork(data); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("input %v: UnmarshalNetwork = %v, want %q", shape, err, want)
+		}
+		doc, err := Export(net)
+		if err != nil {
+			t.Fatalf("%v: %v", shape, err)
+		}
+		if _, err := Import(doc); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("input %v: Import = %v, want %q", shape, err, want)
+		}
+	}
 }
 
 // TestDecodersRejectAShortTensorList covers the count half of the same

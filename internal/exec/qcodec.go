@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"tinymlops/internal/wire"
 )
 
 // Quantized activation boundary codec ("QAB1"). An integer-kernel split
@@ -24,12 +26,12 @@ import (
 // Decoding is strict: a short buffer, trailing bytes, a zero dimension or
 // an implausible size all reject.
 
-var qabMagic = [4]byte{'Q', 'A', 'B', '1'}
+const qabMagic = "QAB1"
 
 // isQAB reports whether a payload carries the quantized boundary magic —
 // how a decoder tells the two wire formats apart before parsing.
 func isQAB(payload []byte) bool {
-	return len(payload) >= 4 && bytes.Equal(payload[:4], qabMagic[:])
+	return bytes.HasPrefix(payload, []byte(qabMagic))
 }
 
 // encodeQAB appends the QAB1 encoding of (codes, scales) to buf.
@@ -40,50 +42,37 @@ func encodeQAB(buf *bytes.Buffer, codes []int8, scales []float32, rows, cols int
 	if len(codes) != rows*cols || len(scales) != rows {
 		return fmt.Errorf("exec: qab encode: %d codes and %d scales for %dx%d", len(codes), len(scales), rows, cols)
 	}
-	buf.Write(qabMagic[:])
-	var u [4]byte
-	binary.LittleEndian.PutUint32(u[:], uint32(rows))
-	buf.Write(u[:])
-	binary.LittleEndian.PutUint32(u[:], uint32(cols))
-	buf.Write(u[:])
+	buf.Grow(len(qabMagic) + 8 + 4*rows + rows*cols)
+	b := append(buf.AvailableBuffer(), qabMagic...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(rows))
+	b = binary.LittleEndian.AppendUint32(b, uint32(cols))
 	for _, s := range scales {
-		binary.LittleEndian.PutUint32(u[:], math.Float32bits(s))
-		buf.Write(u[:])
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(s))
 	}
 	for _, c := range codes {
-		buf.WriteByte(byte(c))
+		b = append(b, byte(c))
 	}
+	buf.Write(b)
 	return nil
 }
 
 // decodeQAB parses a QAB1 payload, rejecting truncation and trailing bytes.
 func decodeQAB(payload []byte) (codes []int8, scales []float32, rows, cols int, err error) {
-	if !isQAB(payload) {
-		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: bad magic")
+	r := wire.NewReader(payload)
+	r.Magic(qabMagic)
+	rows = r.Count(1<<20, 4)    // a row is at least its scale
+	cols = r.Count(1<<24, rows) // and cols code bytes
+	scales = r.F32s(rows)
+	raw := r.Bytes(rows * cols)
+	if err := r.Done(); err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: %w", err)
 	}
-	rest := payload[4:]
-	if len(rest) < 8 {
-		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: truncated header")
+	if rows == 0 || cols == 0 {
+		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: implausible dimensions %dx%d", rows, cols)
 	}
-	r := binary.LittleEndian.Uint32(rest[0:4])
-	c := binary.LittleEndian.Uint32(rest[4:8])
-	rest = rest[8:]
-	if r == 0 || c == 0 || r > 1<<20 || c > 1<<24 {
-		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: implausible dimensions %dx%d", r, c)
-	}
-	rows, cols = int(r), int(c)
-	want := 4*rows + rows*cols
-	if len(rest) != want {
-		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: %d payload bytes, want %d for %dx%d", len(rest), want, rows, cols)
-	}
-	scales = make([]float32, rows)
-	for i := range scales {
-		scales[i] = math.Float32frombits(binary.LittleEndian.Uint32(rest[4*i:]))
-	}
-	rest = rest[4*rows:]
-	codes = make([]int8, rows*cols)
-	for i := range codes {
-		codes[i] = int8(rest[i])
+	codes = make([]int8, len(raw))
+	for i, b := range raw {
+		codes[i] = int8(b)
 	}
 	return codes, scales, rows, cols, nil
 }

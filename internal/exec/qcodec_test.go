@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
+
+	"tinymlops/internal/wire/wiretest"
 )
 
 // qabEncode is a test helper returning the encoded bytes.
-func qabEncode(t *testing.T, codes []int8, scales []float32, rows, cols int) []byte {
+func qabEncode(t testing.TB, codes []int8, scales []float32, rows, cols int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := encodeQAB(&buf, codes, scales, rows, cols); err != nil {
@@ -51,13 +54,14 @@ func TestQABRoundTrip(t *testing.T) {
 }
 
 // TestQABDecodeRejects is the strictness table: every malformed payload —
-// wrong magic, truncated header, zero or absurd dimensions, short or
-// trailing bytes — rejects instead of decoding garbage into the integer
-// resume path.
+// wrong magic, zero or absurd dimensions, and (through the shared helper)
+// every truncation and a trailing byte — rejects instead of decoding
+// garbage into the integer resume path.
 func TestQABDecodeRejects(t *testing.T) {
 	valid := qabEncode(t, []int8{1, 2, 3, 4}, []float32{1, 2}, 2, 2)
+	wiretest.Strict(t, valid, reencodeQAB)
 	header := func(rows, cols uint32, payload int) []byte {
-		b := append([]byte(nil), qabMagic[:]...)
+		b := []byte(qabMagic)
 		b = binary.LittleEndian.AppendUint32(b, rows)
 		b = binary.LittleEndian.AppendUint32(b, cols)
 		return append(b, make([]byte, payload)...)
@@ -66,25 +70,20 @@ func TestQABDecodeRejects(t *testing.T) {
 		name    string
 		payload []byte
 	}{
-		{"empty", nil},
 		{"bad magic", append([]byte("QAB2"), valid[4:]...)},
-		{"magic only", valid[:4]},
-		{"truncated header", valid[:10]},
-		{"zero rows", header(0, 2, 10)},
-		{"zero cols", header(2, 0, 10)},
-		{"absurd rows", header(1<<21, 1, 64)},
-		{"absurd cols", header(1, 1<<25, 64)},
-		{"short payload", valid[:len(valid)-1]},
-		{"trailing byte", append(append([]byte(nil), valid...), 0)},
+		{"zero rows", header(0, 2, 0)},
+		{"zero cols", header(2, 0, 8)},
 	}
 	for _, tc := range cases {
 		if _, _, _, _, err := decodeQAB(tc.payload); err == nil {
 			t.Errorf("%s: decoded without error", tc.name)
 		}
 	}
-	// The valid payload still decodes (the table's control row).
-	if _, _, _, _, err := decodeQAB(valid); err != nil {
-		t.Fatalf("control payload rejected: %v", err)
+	// A dimension over its cap rejects on the cap, whatever follows.
+	for name, payload := range map[string][]byte{"rows": header(1<<20+1, 1, 64), "cols": header(1, 1<<24+1, 64)} {
+		if _, _, _, _, err := decodeQAB(payload); err == nil || !strings.Contains(err.Error(), "over the limit") {
+			t.Errorf("absurd %s: %v", name, err)
+		}
 	}
 }
 

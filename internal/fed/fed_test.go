@@ -308,54 +308,47 @@ func TestNoEligibleClientsSkipsRound(t *testing.T) {
 func TestSecureAggregationMasksCancelExactly(t *testing.T) {
 	rng := tensor.NewRNG(16)
 	n, dim := 5, 200
-	updates := make([][]float32, n)
-	want := make([]float32, dim)
-	for i := range updates {
-		updates[i] = make([]float32, dim)
-		for k := range updates[i] {
-			updates[i][k] = rng.NormFloat32() * 0.01
-			want[k] += updates[i][k]
-		}
-	}
 	seeds := NewPairwiseSeeds(rng, n)
-	masked := make([][]float32, n)
-	for i := range updates {
-		m, err := MaskUpdate(updates[i], i, seeds, 10)
+	agg, err := NewAggregator("t", seeds, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int64, dim)
+	for i := 0; i < n; i++ {
+		update := make([]float32, dim)
+		for k := range update {
+			update[k] = rng.NormFloat32() * 0.01
+		}
+		q := quantizeFixed(update)
+		addInto(want, q)
+		m, err := MaskFixed(q, i, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		masked[i] = m
-		// Privacy: the masked update must be nothing like the raw one.
-		var dist float64
-		for k := range m {
-			d := float64(m[k] - updates[i][k])
-			dist += d * d
+		// Privacy: the masked upload must be nothing like the raw one. An
+		// update this small leaves the top 32 bits of every raw word all
+		// zeros or all ones; a uniform mask leaves almost none that way.
+		plain := 0
+		for _, w := range m {
+			if top := int32(w >> 32); top == 0 || top == -1 {
+				plain++
+			}
 		}
-		if math.Sqrt(dist/float64(dim)) < 1 {
-			t.Fatalf("client %d mask too weak", i)
+		if plain > dim/10 {
+			t.Fatalf("client %d: %d of %d masked words still look like small integers", i, plain, dim)
+		}
+		if err := agg.Submit(i, m, 1); err != nil {
+			t.Fatal(err)
 		}
 	}
-	got, err := SumUpdates(masked)
+	got, _, err := agg.Unmask()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := range want {
-		if math.Abs(float64(got[k]-want[k])) > 2e-3 {
+		if got[k] != want[k] {
 			t.Fatalf("masked sum differs at %d: %v vs %v", k, got[k], want[k])
 		}
-	}
-}
-
-func TestMaskUpdateValidation(t *testing.T) {
-	seeds := NewPairwiseSeeds(tensor.NewRNG(17), 3)
-	if _, err := MaskUpdate([]float32{1}, 5, seeds, 1); err == nil {
-		t.Fatal("accepted out-of-range index")
-	}
-	if _, err := SumUpdates(nil); err == nil {
-		t.Fatal("accepted empty sum")
-	}
-	if _, err := SumUpdates([][]float32{{1, 2}, {1}}); err == nil {
-		t.Fatal("accepted ragged updates")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"tinymlops/internal/wire"
 )
 
 // Fixed-point aggregation substrate. Federated averaging in float32 is not
@@ -92,38 +94,27 @@ func applyFixed(globalFlat []float32, total []int64, totalSamples int64) []float
 // cloud tier comes from.
 func encodePartial(samples int64, q []int64) []byte {
 	buf := make([]byte, 0, 2*binary.MaxVarintLen64+len(q)*3)
-	var tmp [binary.MaxVarintLen64]byte
-	buf = append(buf, tmp[:binary.PutVarint(tmp[:], samples)]...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(q)))]...)
+	buf = binary.AppendVarint(buf, samples)
+	buf = binary.AppendUvarint(buf, uint64(len(q)))
 	for _, v := range q {
-		buf = append(buf, tmp[:binary.PutVarint(tmp[:], v)]...)
+		buf = binary.AppendVarint(buf, v)
 	}
 	return buf
 }
 
-// decodePartial reverses encodePartial.
+// decodePartial reverses encodePartial. The partial is an edge
+// aggregator's uplink, not the cloud's own bytes: the declared dimension is
+// checked against the payload (a coordinate is at least one byte) before
+// anything is allocated for it.
 func decodePartial(payload []byte) (samples int64, q []int64, err error) {
-	samples, n := binary.Varint(payload)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("fed: partial header truncated")
-	}
-	payload = payload[n:]
-	dim, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("fed: partial dimension truncated")
-	}
-	payload = payload[n:]
-	q = make([]int64, dim)
+	r := wire.NewReader(payload)
+	samples = r.Varint()
+	q = make([]int64, r.UvarintCount(math.MaxInt32, 1))
 	for k := range q {
-		v, n := binary.Varint(payload)
-		if n <= 0 {
-			return 0, nil, fmt.Errorf("fed: partial coordinate %d truncated", k)
-		}
-		q[k] = v
-		payload = payload[n:]
+		q[k] = r.Varint()
 	}
-	if len(payload) != 0 {
-		return 0, nil, fmt.Errorf("fed: %d trailing bytes after partial", len(payload))
+	if err := r.Done(); err != nil {
+		return 0, nil, fmt.Errorf("fed: decode partial: %w", err)
 	}
 	return samples, q, nil
 }

@@ -18,10 +18,9 @@ func bytesToUpdate(data []byte) []float32 {
 	return u
 }
 
-// FuzzMaskUpdate throws hostile updates, indices and mask magnitudes at
-// both mask families. Invariants: invalid (idx, seeds, maskStd) combos
-// error instead of panicking; the float family preserves length; the
-// fixed family cancels bit-exactly through an Aggregator for every input.
+// FuzzMaskUpdate throws hostile updates and indices at the pairwise masks.
+// Invariants: an out-of-range index errors instead of panicking, and the
+// masks cancel bit-exactly through an Aggregator for every input.
 func FuzzMaskUpdate(f *testing.F) {
 	nan := math.Float32bits(float32(math.NaN()))
 	negZero := math.Float32bits(float32(math.Copysign(0, -1)))
@@ -30,34 +29,24 @@ func FuzzMaskUpdate(f *testing.F) {
 	binary.LittleEndian.PutUint32(seed4[4:], negZero)
 	binary.LittleEndian.PutUint32(seed4[8:], math.Float32bits(float32(math.Inf(-1))))
 	binary.LittleEndian.PutUint32(seed4[12:], math.Float32bits(1e30))
-	f.Add([]byte{}, 0, uint8(0), float32(1), uint64(1))        // empty update
-	f.Add(seed4, 0, uint8(3), float32(100), uint64(2))         // NaN/-0/Inf coords
-	f.Add(seed4, 7, uint8(3), float32(1), uint64(3))           // out-of-range idx
-	f.Add(seed4, 1, uint8(3), float32(math.NaN()), uint64(4))  // NaN maskStd
-	f.Add(seed4, 1, uint8(3), float32(math.Inf(1)), uint64(5)) // Inf maskStd
-	f.Add(seed4[:13], 2, uint8(3), float32(10), uint64(6))     // trailing bytes
-	f.Add(seed4, -1, uint8(2), float32(10), uint64(7))         // negative idx
-	f.Fuzz(func(t *testing.T, data []byte, idx int, nPeers uint8, maskStd float32, seed uint64) {
+	f.Add([]byte{}, 0, uint8(0), uint64(1))   // empty update
+	f.Add(seed4, 0, uint8(3), uint64(2))      // NaN/-0/Inf coords
+	f.Add(seed4, 7, uint8(3), uint64(3))      // out-of-range idx
+	f.Add(seed4, 1, uint8(7), uint64(4))      // the most peers
+	f.Add(seed4, 0, uint8(8), uint64(5))      // a lone client, no peer to mask with
+	f.Add(seed4[:13], 2, uint8(3), uint64(6)) // trailing bytes
+	f.Add(seed4, -1, uint8(2), uint64(7))     // negative idx
+	f.Fuzz(func(t *testing.T, data []byte, idx int, nPeers uint8, seed uint64) {
 		n := int(nPeers%8) + 1
 		seeds := NewPairwiseSeeds(tensor.NewRNG(seed), n)
 		update := bytesToUpdate(data)
 
-		masked, err := MaskUpdate(update, idx, seeds, maskStd)
-		validIdx := idx >= 0 && idx < n
-		stdOK := !math.IsNaN(float64(maskStd)) && !math.IsInf(float64(maskStd), 0)
-		if validIdx && stdOK {
-			if err != nil {
-				t.Fatalf("valid input rejected: %v", err)
-			}
-			if len(masked) != len(update) {
-				t.Fatalf("mask changed length %d -> %d", len(update), len(masked))
-			}
-		} else if err == nil {
-			t.Fatalf("invalid input accepted (idx=%d n=%d std=%v)", idx, n, maskStd)
+		if _, err := MaskFixed(quantizeFixed(update), idx, seeds); (err == nil) != (idx >= 0 && idx < n) {
+			t.Fatalf("idx=%d n=%d: err = %v", idx, n, err)
 		}
 
-		// Fixed family: quantize the same hostile floats, mask every
-		// participant, and require exact cancellation.
+		// Quantize the same hostile floats, mask every participant, and
+		// require exact cancellation.
 		if len(update) == 0 {
 			return
 		}

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"tinymlops/internal/engine"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/tensor"
+	"tinymlops/internal/wire/wiretest"
 )
 
 // hierFixture builds a federated problem with n clients sharded IID.
@@ -485,8 +487,13 @@ func TestMaskFixedCancelsExactly(t *testing.T) {
 			}
 		}
 	}
-	if _, err := MaskFixed(contribs[0], 9, seeds); err == nil {
-		t.Fatal("accepted out-of-range index")
+	for _, idx := range []int{-1, 9} {
+		if _, err := MaskFixed(contribs[0], idx, seeds); err == nil {
+			t.Fatalf("accepted out-of-range index %d", idx)
+		}
+	}
+	if _, err := MaskFixed([]int64{1}, 0, PairwiseSeeds{{0, 1, 2}, {1, 0}, {2, 0, 0}}); err == nil {
+		t.Fatal("accepted ragged seed matrix")
 	}
 }
 
@@ -638,8 +645,8 @@ func TestPartialWireRoundTrip(t *testing.T) {
 			q[k] = -int64(rng.Uint64() >> 20)
 		}
 	}
-	wire := encodePartial(12345, q)
-	samples, got, err := decodePartial(wire)
+	enc := encodePartial(12345, q)
+	samples, got, err := decodePartial(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,12 +659,17 @@ func TestPartialWireRoundTrip(t *testing.T) {
 		}
 	}
 	// A sparse partial must beat the dense 8B/coordinate encoding.
-	if len(wire) >= 8*len(q) {
-		t.Fatalf("varint partial %dB not below dense %dB", len(wire), 8*len(q))
+	if len(enc) >= 8*len(q) {
+		t.Fatalf("varint partial %dB not below dense %dB", len(enc), 8*len(q))
 	}
-	for _, bad := range [][]byte{nil, wire[:1], wire[:len(wire)-1], append(append([]byte{}, wire...), 0)} {
+	wiretest.Strict(t, enc, reencodePartial)
+	// A hostile uplink: a dimension its one coordinate byte cannot back.
+	// Decoding used to allocate for it first — 64 GiB, then a makeslice
+	// panic that took the cloud tier's round down.
+	for _, dim := range []uint64{1 << 33, 1 << 62} {
+		bad := append(binary.AppendUvarint(binary.AppendVarint(nil, 1), dim), 0)
 		if _, _, err := decodePartial(bad); err == nil {
-			t.Fatalf("decoded corrupt partial of %d bytes", len(bad))
+			t.Fatalf("decoded a %d-byte partial declaring %d coordinates", len(bad), dim)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package fed
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"tinymlops/internal/tensor"
@@ -15,12 +14,9 @@ import (
 // sum, so federated averaging still works — addressing §III-D's tension
 // between aggregating updates and not revealing any single user's update.
 //
-// Two mask families live here. The float family (MaskUpdate/SumUpdates)
-// is the demonstrative original: Gaussian masks over float32, which
-// cancel only to rounding error. The fixed-point family (MaskFixed plus
-// the Aggregator in hier.go) is what the hierarchical round path uses:
-// uniform uint64 mask words added with wrapping arithmetic, so the masks
-// cancel *exactly* — bit-identical to an unmasked integer sum — and a
+// The masks (MaskFixed plus the Aggregator in hier.go) are uniform uint64
+// words added with wrapping arithmetic to fixed-point contributions, so
+// they cancel *exactly* — bit-identical to an unmasked integer sum — and a
 // dropped client's stale masks can be reconciled precisely by
 // regenerating its pairwise streams from the surviving peers' seeds.
 
@@ -59,66 +55,12 @@ func (s PairwiseSeeds) validate(idx int) error {
 	return nil
 }
 
-// MaskUpdate returns client idx's update with all pairwise masks applied:
-// + mask(i,j) for j > i, − mask(i,j) for j < i. The mask magnitude scales
-// with maskStd (it should dwarf the update values for privacy). Float
-// masks cancel only to rounding error; use MaskFixed where the sum must
-// be exact.
-func MaskUpdate(update []float32, idx int, seeds PairwiseSeeds, maskStd float32) ([]float32, error) {
-	if err := seeds.validate(idx); err != nil {
-		return nil, err
-	}
-	if math.IsNaN(float64(maskStd)) || math.IsInf(float64(maskStd), 0) {
-		return nil, fmt.Errorf("fed: maskStd %v is not finite", maskStd)
-	}
-	out := make([]float32, len(update))
-	copy(out, update)
-	n := len(seeds)
-	for peer := 0; peer < n; peer++ {
-		if peer == idx {
-			continue
-		}
-		mrng := tensor.NewRNG(seeds[idx][peer])
-		sign := float32(1)
-		if peer < idx {
-			sign = -1
-		}
-		for k := range out {
-			out[k] += sign * mrng.NormFloat32() * maskStd
-		}
-	}
-	return out, nil
-}
-
-// SumUpdates adds a set of equal-length vectors; applied to masked updates
-// the pairwise masks cancel and the true sum emerges.
-func SumUpdates(updates [][]float32) ([]float32, error) {
-	if len(updates) == 0 {
-		return nil, fmt.Errorf("fed: no updates to sum")
-	}
-	n := len(updates[0])
-	if n == 0 {
-		return nil, fmt.Errorf("fed: zero-length updates")
-	}
-	out := make([]float32, n)
-	for _, u := range updates {
-		if len(u) != n {
-			return nil, fmt.Errorf("fed: update length %d != %d", len(u), n)
-		}
-		for k, v := range u {
-			out[k] += v
-		}
-	}
-	return out, nil
-}
-
 // MaskFixed lifts client idx's fixed-point contribution into the uint64
 // ring and applies all pairwise masks with wrapping arithmetic: + the
-// shared word stream for peers j > idx, − for peers j < idx (the same
-// sign convention as MaskUpdate). Because addition mod 2^64 is exactly
-// associative, a sum over any grouping of masked vectors minus the
-// reconciled masks of absent peers equals the unmasked integer sum bit
-// for bit.
+// shared word stream for peers j > idx, − for peers j < idx. Because
+// addition mod 2^64 is exactly associative, a sum over any grouping of
+// masked vectors minus the reconciled masks of absent peers equals the
+// unmasked integer sum bit for bit.
 func MaskFixed(contrib []int64, idx int, seeds PairwiseSeeds) ([]uint64, error) {
 	if err := seeds.validate(idx); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package fed
 
 import (
-	"math"
 	"testing"
 
 	"tinymlops/internal/dataset"
@@ -11,39 +10,6 @@ import (
 
 // Regression tests for latent gaps in the original stubs: inputs that used
 // to slip through validation (or panic) now fail loudly.
-
-func TestSumUpdatesRejectsZeroLengthVectors(t *testing.T) {
-	if _, err := SumUpdates([][]float32{{}, {}}); err == nil {
-		t.Fatal("summed zero-length vectors")
-	}
-	if _, err := SumUpdates([][]float32{}); err == nil {
-		t.Fatal("summed an empty batch")
-	}
-	got, err := SumUpdates([][]float32{{1, 2}, {3, 4}})
-	if err != nil || got[0] != 4 || got[1] != 6 {
-		t.Fatalf("plain sum broken: %v %v", got, err)
-	}
-}
-
-func TestMaskUpdateRejectsRaggedSeedsAndBadStd(t *testing.T) {
-	ragged := PairwiseSeeds{{0, 1, 2}, {1, 0}, {2, 0, 0}}
-	if _, err := MaskUpdate([]float32{1, 2}, 0, ragged, 1); err == nil {
-		t.Fatal("accepted ragged seed matrix")
-	}
-	seeds := NewPairwiseSeeds(tensor.NewRNG(91), 3)
-	if _, err := MaskUpdate([]float32{1}, 0, seeds, float32(math.NaN())); err == nil {
-		t.Fatal("accepted NaN maskStd")
-	}
-	if _, err := MaskUpdate([]float32{1}, 0, seeds, float32(math.Inf(1))); err == nil {
-		t.Fatal("accepted Inf maskStd")
-	}
-	if _, err := MaskUpdate([]float32{1}, -1, seeds, 1); err == nil {
-		t.Fatal("accepted negative index")
-	}
-	if _, err := MaskFixed([]int64{1}, 0, ragged); err == nil {
-		t.Fatal("MaskFixed accepted ragged seed matrix")
-	}
-}
 
 func TestPseudoLabelEmptyInput(t *testing.T) {
 	rng := tensor.NewRNG(93)

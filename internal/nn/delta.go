@@ -1,15 +1,13 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 
 	"tinymlops/internal/tensor"
+	"tinymlops/internal/wire"
 )
 
 // deltaMagic identifies the weight-delta wire format: a per-tensor patch
@@ -78,10 +76,11 @@ func EncodeDelta(oldNet, newNet *Network) ([]byte, error) {
 		return nil, fmt.Errorf("nn: delta topology mismatch: %q vs %q", sig, got)
 	}
 	oldTs, newTs := oldNet.stateTensors(), newNet.stateTensors()
-	w := new(bytes.Buffer)
-	w.WriteString(deltaMagic)
-	writeString(w, sig)
-	writeU32(w, uint32(len(oldTs)))
+	le := binary.LittleEndian
+	w := append([]byte(nil), deltaMagic...)
+	w = le.AppendUint32(w, uint32(len(sig)))
+	w = append(w, sig...)
+	w = le.AppendUint32(w, uint32(len(oldTs)))
 	for ti := range oldTs {
 		ov, nv := oldTs[ti].Data, newTs[ti].Data
 		if len(ov) != len(nv) {
@@ -93,79 +92,64 @@ func EncodeDelta(oldNet, newNet *Network) ([]byte, error) {
 				changed = append(changed, i)
 			}
 		}
-		writeU32(w, uint32(len(ov)))
+		w = le.AppendUint32(w, uint32(len(ov)))
 		// Sparse costs 8 bytes per change, dense 4 per element.
 		if len(changed)*8 < len(ov)*4 {
-			w.WriteByte(deltaSparse)
-			writeU32(w, uint32(len(changed)))
+			w = append(w, deltaSparse)
+			w = le.AppendUint32(w, uint32(len(changed)))
 			for _, i := range changed {
-				writeU32(w, uint32(i))
-				writeF32(w, nv[i])
+				w = le.AppendUint32(w, uint32(i))
+				w = le.AppendUint32(w, math.Float32bits(nv[i]))
 			}
 		} else {
-			w.WriteByte(deltaDense)
+			w = append(w, deltaDense)
 			for _, v := range nv {
-				writeF32(w, v)
+				w = le.AppendUint32(w, math.Float32bits(v))
 			}
 		}
 	}
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // walkDelta is the one TMLD1 parser. It checks the magic, hands head the
 // topology signature and the tensor count, then hands visit each tensor's
 // element count, encoding and raw payload: 4 bytes per element when dense,
-// 8 bytes per (index, value) pair when sparse. Truncated streams and
-// unknown encodings are errors here; what the payload holds is the
-// visitor's to check.
+// 8 bytes per (index, value) pair when sparse, and never more pairs than
+// elements. Truncated streams, trailing bytes and unknown encodings are
+// errors here; what the payload holds is the visitor's to check.
 func walkDelta(delta []byte, head func(sig string, tensors int) error,
 	visit func(ti, total int, mode byte, payload []byte) error) error {
-	if !bytes.HasPrefix(delta, []byte(deltaMagic)) {
-		return errors.New("nn: not a TMLD1 delta stream")
-	}
-	r := bytes.NewReader(delta[len(deltaMagic):])
+	r := wire.NewReader(delta)
+	r.Magic(deltaMagic)
 	// Topology signatures of deep networks exceed the 1 KiB kind-string bound.
-	sig, err := readString(r, 1<<20)
-	if err != nil {
+	sig := r.String(1 << 20)
+	count := int(r.U32())
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("nn: delta header: %w", err)
+	}
+	if err := head(sig, count); err != nil {
 		return err
 	}
-	count, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if err := head(sig, int(count)); err != nil {
-		return err
-	}
-	for ti := 0; ti < int(count); ti++ {
-		total, err := readU32(r)
-		if err != nil {
-			return err
-		}
-		mode, err := r.ReadByte()
-		if err != nil {
-			return fmt.Errorf("nn: delta tensor %d mode: %w", ti, err)
-		}
-		var size int64
+	for ti := 0; ti < count; ti++ {
+		total, mode := int(r.U32()), r.U8()
+		var payload []byte
 		switch mode {
 		case deltaDense:
-			size = 4 * int64(total)
+			payload = r.Bytes(4 * total)
 		case deltaSparse:
-			nc, err := readU32(r)
-			if err != nil {
-				return err
-			}
-			size = 8 * int64(nc)
+			payload = r.Bytes(8 * r.Count(total, 8))
 		default:
 			return fmt.Errorf("nn: delta tensor %d unknown mode %d", ti, mode)
 		}
-		if size > int64(r.Len()) {
-			return fmt.Errorf("nn: delta tensor %d: %w", ti, io.ErrUnexpectedEOF)
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("nn: delta tensor %d: %w", ti, err)
 		}
-		off := len(delta) - r.Len()
-		r.Seek(size, io.SeekCurrent) //nolint:errcheck // in range: size <= r.Len()
-		if err := visit(ti, int(total), mode, delta[off:off+int(size)]); err != nil {
+		if err := visit(ti, total, mode, payload); err != nil {
 			return err
 		}
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("nn: delta: %w", err)
 	}
 	return nil
 }
@@ -197,9 +181,6 @@ func ApplyDelta(oldNet *Network, delta []byte) (*Network, error) {
 				data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 			}
 			return nil
-		}
-		if nc := len(payload) / 8; nc > len(data) {
-			return fmt.Errorf("nn: delta tensor %d claims %d changes of %d elements", ti, nc, len(data))
 		}
 		for ; len(payload) > 0; payload = payload[8:] {
 			idx := binary.LittleEndian.Uint32(payload)

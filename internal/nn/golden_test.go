@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tinymlops/internal/tensor"
+	"tinymlops/internal/wire/wiretest"
 )
 
 // goldenNet builds one network that uses all ten layer kinds, with every
@@ -65,17 +66,13 @@ func TestGoldenTMLN1(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("MarshalBinary differs from testdata/golden.tmln (%d vs %d bytes)", len(got), len(want))
 	}
-	dec, err := UnmarshalNetwork(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := dec.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, want) {
-		t.Fatal("decoding golden.tmln and re-encoding does not reproduce it")
-	}
+	wiretest.Strict(t, want, func(data []byte) ([]byte, error) {
+		dec, err := UnmarshalNetwork(data)
+		if err != nil {
+			return nil, err
+		}
+		return dec.MarshalBinary()
+	})
 }
 
 func TestGoldenTMLD1(t *testing.T) {
@@ -102,6 +99,18 @@ func TestGoldenTMLD1(t *testing.T) {
 	if cost.ChangedParams != 3 || cost.TotalParams != base.ParamCount()+16 {
 		t.Fatalf("cost of golden.tmld: %+v", cost)
 	}
+	// Both TMLD1 consumers share walkDelta, and must reject alike.
+	wiretest.Strict(t, want, func(data []byte) ([]byte, error) {
+		_, costErr := CostOfDelta(data, 8)
+		applied, err := ApplyDelta(base, data)
+		if (err == nil) != (costErr == nil) {
+			t.Errorf("ApplyDelta = %v but CostOfDelta = %v", err, costErr)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return EncodeDelta(base, applied)
+	})
 }
 
 // FuzzUnmarshalNetwork feeds arbitrary bytes to the TMLN1 decoder: it

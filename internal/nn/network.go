@@ -124,6 +124,9 @@ type LayerCost struct {
 // per-layer costs. It is the bridge to the device cost model: MACs and
 // activation sizes feed latency/energy/memory estimates.
 func (n *Network) Summary() ([]LayerCost, error) {
+	if err := checkInputShape(n.InputShape); err != nil {
+		return nil, err
+	}
 	in := append([]int(nil), n.InputShape...)
 	out := make([]LayerCost, 0, len(n.layers))
 	for i, l := range n.layers {

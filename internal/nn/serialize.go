@@ -3,12 +3,11 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"tinymlops/internal/tensor"
+	"tinymlops/internal/wire"
 )
 
 // netMagic identifies the network serialization format. The format is
@@ -34,76 +33,93 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 			size += 16 + 4*(t.Rank()+t.Size()) // an upper bound on the TMLT1 header
 		}
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, size))
-	buf.WriteString(netMagic)
-	writeU32(buf, uint32(len(n.InputShape)))
+	w := bytes.NewBuffer(make([]byte, 0, size))
+	le := binary.LittleEndian
+	b := append(w.AvailableBuffer(), netMagic...)
+	b = le.AppendUint32(b, uint32(len(n.InputShape)))
 	for _, d := range n.InputShape {
-		writeU32(buf, uint32(d))
+		b = le.AppendUint32(b, uint32(d))
 	}
-	writeU32(buf, uint32(len(n.layers)))
+	w.Write(le.AppendUint32(b, uint32(len(n.layers))))
 	for _, l := range n.layers {
 		s.load(l) //nolint:errcheck // loaded without error above
-		writeString(buf, s.Kind)
+		b = le.AppendUint32(w.AvailableBuffer(), uint32(len(s.Kind)))
+		b = append(b, s.Kind...)
 		for _, v := range s.Ints {
-			writeU32(buf, uint32(v))
+			b = le.AppendUint32(b, uint32(v))
 		}
 		for _, v := range s.Floats {
-			writeF32(buf, v)
+			b = le.AppendUint32(b, math.Float32bits(v))
 		}
+		w.Write(b)
 		for _, t := range s.Tensors {
-			t.WriteTo(buf) //nolint:errcheck // bytes.Buffer writes cannot fail
+			t.WriteTo(w) //nolint:errcheck // bytes.Buffer writes cannot fail
 		}
 	}
-	return buf.Bytes(), nil
+	return w.Bytes(), nil
+}
+
+// maxInputElements caps the per-example input size a decoder accepts: the
+// element cap of the tensor codec, since no larger input could be carried.
+const maxInputElements = 1 << 28
+
+// checkInputShape rejects a declared input shape no query could have: a
+// dimension below one, or more elements than maxInputElements. Both model
+// decoders go through it — UnmarshalNetwork directly, compat.Import by
+// way of Summary.
+func checkInputShape(shape []int) error {
+	total := 1
+	for _, d := range shape {
+		// Checked per dimension, before multiplying: a product of large
+		// dimensions would wrap around to a small count.
+		if d < 1 || d > maxInputElements/total {
+			return fmt.Errorf("nn: implausible input shape %v", shape)
+		}
+		total *= d
+	}
+	return nil
 }
 
 // UnmarshalNetwork parses a network serialized by MarshalBinary. Every
 // layer is built by NewLayer, so an artifact whose declared config
 // disagrees with its tensors is rejected here, not in a serving kernel.
 func UnmarshalNetwork(data []byte) (*Network, error) {
-	if !bytes.HasPrefix(data, []byte(netMagic)) {
-		return nil, errors.New("nn: not a TMLN1 model stream")
-	}
-	r := bytes.NewReader(data[len(netMagic):])
-	rank, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if rank == 0 || rank > 8 {
-		return nil, fmt.Errorf("nn: implausible input rank %d", rank)
-	}
-	inShape := make([]int, rank)
+	r := wire.NewReader(data)
+	r.Magic(netMagic)
+	inShape := make([]int, r.Count(8, 4))
 	for i := range inShape {
-		d, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		inShape[i] = int(d)
+		inShape[i] = int(r.U32())
 	}
-	count, err := readU32(r)
-	if err != nil {
+	count := r.Count(4096, 4) // a layer is at least its kind's length prefix
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("nn: decode network header: %w", err)
+	}
+	if len(inShape) == 0 {
+		return nil, fmt.Errorf("nn: implausible input rank 0")
+	}
+	if err := checkInputShape(inShape); err != nil {
 		return nil, err
-	}
-	if count > 4096 {
-		return nil, fmt.Errorf("nn: implausible layer count %d", count)
 	}
 	net := &Network{InputShape: inShape}
 	var s LayerSpec // reused: NewLayer keeps none of its slices
-	for i := uint32(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		l, err := decodeLayer(r, &s)
 		if err != nil {
 			return nil, fmt.Errorf("nn: decode layer %d: %w", i, err)
 		}
 		net.Add(l)
 	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("nn: decode network: %w", err)
+	}
 	return net, nil
 }
 
 // decodeLayer reads one layer: its kind, then as many ints, floats and
 // tensors as the kind table lists for it.
-func decodeLayer(r *bytes.Reader, s *LayerSpec) (Layer, error) {
-	kind, err := readString(r, 1024)
-	if err != nil {
+func decodeLayer(r *wire.Reader, s *LayerSpec) (Layer, error) {
+	kind := r.String(1024)
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	row, ok := kinds[kind]
@@ -112,18 +128,10 @@ func decodeLayer(r *bytes.Reader, s *LayerSpec) (Layer, error) {
 	}
 	s.reset(row.kind)
 	for range row.ints {
-		v, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		s.Ints = append(s.Ints, int(v))
+		s.Ints = append(s.Ints, int(r.U32()))
 	}
 	for range row.floats {
-		v, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		s.Floats = append(s.Floats, math.Float32frombits(v))
+		s.Floats = append(s.Floats, r.F32())
 	}
 	for range row.tensors {
 		t := new(tensor.Tensor)
@@ -132,42 +140,8 @@ func decodeLayer(r *bytes.Reader, s *LayerSpec) (Layer, error) {
 		}
 		s.Tensors = append(s.Tensors, t)
 	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
 	return NewLayer(*s)
-}
-
-func writeU32(w *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("nn: read u32: %w", err)
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func writeF32(w *bytes.Buffer, v float32) { writeU32(w, math.Float32bits(v)) }
-
-func writeString(w *bytes.Buffer, s string) {
-	writeU32(w, uint32(len(s)))
-	w.WriteString(s)
-}
-
-// readString reads a length-prefixed string of at most limit bytes.
-func readString(r io.Reader, limit uint32) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > limit {
-		return "", fmt.Errorf("nn: implausible string length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("nn: read string: %w", err)
-	}
-	return string(b), nil
 }

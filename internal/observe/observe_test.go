@@ -269,12 +269,7 @@ func TestColumnsOf(t *testing.T) {
 }
 
 func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
-	r := Record{
-		DeviceID: "m4-wearable-01", Window: 7, Inferences: 120, Denied: 3,
-		MeanLatencyUS: 850.5, MaxLatencyUS: 2100, EnergyMJ: 12.5,
-		FeatureMeans: []float32{0.1, -0.2}, FeatureStds: []float32{1.0, 0.9},
-		DriftScore: 0.31, DriftAlarm: true,
-	}
+	r := goldenRecord()
 	enc := r.Encode()
 	got, err := DecodeRecord(enc)
 	if err != nil {
@@ -284,16 +279,9 @@ func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
 		got.FeatureMeans[1] != -0.2 || got.DriftScore != 0.31 {
 		t.Fatalf("round trip = %+v", got)
 	}
-	// Strict: every proper prefix (including cuts in the middle of a
-	// field), one trailing byte, and an alarm byte of 2 all reject.
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeRecord(enc[:cut]); err == nil {
-			t.Fatalf("record truncated to %d of %d bytes accepted", cut, len(enc))
-		}
-	}
-	if _, err := DecodeRecord(append(enc[:len(enc):len(enc)], 0)); err == nil {
-		t.Fatal("record followed by a trailing byte accepted")
-	}
+	// An alarm byte of 2 rejects. Every proper prefix and a trailing byte
+	// are TestGoldenRecord's: it runs the shared strictness helper over
+	// these same bytes.
 	enc[len(enc)-1] = 2
 	if _, err := DecodeRecord(enc); err == nil {
 		t.Fatal("alarm byte 2 accepted")

@@ -1,14 +1,13 @@
 package observe
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 
 	"tinymlops/internal/device"
+	"tinymlops/internal/wire"
 )
 
 // Record is one telemetry report: anonymized aggregates over a reporting
@@ -38,127 +37,52 @@ type Record struct {
 // Encode serializes the record to its compact wire form (the bytes the
 // uplink accounting in E4 measures).
 func (r *Record) Encode() []byte {
-	var buf bytes.Buffer
-	writeStr(&buf, r.DeviceID)
-	writeU32(&buf, r.Window)
-	writeU32(&buf, r.Inferences)
-	writeU32(&buf, r.Denied)
-	writeF32(&buf, r.MeanLatencyUS)
-	writeF32(&buf, r.MaxLatencyUS)
-	writeF32(&buf, r.EnergyMJ)
-	writeU32(&buf, uint32(len(r.FeatureMeans)))
+	le := binary.LittleEndian
+	// 37 bytes of fixed fields: two length prefixes, three counters, four
+	// floats and the alarm byte.
+	b := make([]byte, 0, 37+len(r.DeviceID)+4*(len(r.FeatureMeans)+len(r.FeatureStds)))
+	b = le.AppendUint32(b, uint32(len(r.DeviceID)))
+	b = append(b, r.DeviceID...)
+	b = le.AppendUint32(b, r.Window)
+	b = le.AppendUint32(b, r.Inferences)
+	b = le.AppendUint32(b, r.Denied)
+	b = le.AppendUint32(b, math.Float32bits(r.MeanLatencyUS))
+	b = le.AppendUint32(b, math.Float32bits(r.MaxLatencyUS))
+	b = le.AppendUint32(b, math.Float32bits(r.EnergyMJ))
+	b = le.AppendUint32(b, uint32(len(r.FeatureMeans)))
 	for _, v := range r.FeatureMeans {
-		writeF32(&buf, v)
+		b = le.AppendUint32(b, math.Float32bits(v))
 	}
 	for _, v := range r.FeatureStds {
-		writeF32(&buf, v)
+		b = le.AppendUint32(b, math.Float32bits(v))
 	}
-	writeF32(&buf, r.DriftScore)
+	b = le.AppendUint32(b, math.Float32bits(r.DriftScore))
 	if r.DriftAlarm {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
+		return append(b, 1)
 	}
-	return buf.Bytes()
+	return append(b, 0)
 }
 
 // DecodeRecord parses a record encoded by Encode. It accepts exactly what
 // Encode produces: a record cut short anywhere, followed by anything, or
 // with an alarm byte other than 0 or 1 is rejected.
 func DecodeRecord(data []byte) (*Record, error) {
-	r := bytes.NewReader(data)
-	out := &Record{}
-	var err error
-	if out.DeviceID, err = readStr(r); err != nil {
-		return nil, err
+	r := wire.NewReader(data)
+	out := &Record{DeviceID: r.String(256)}
+	out.Window, out.Inferences, out.Denied = r.U32(), r.U32(), r.U32()
+	out.MeanLatencyUS, out.MaxLatencyUS, out.EnergyMJ = r.F32(), r.F32(), r.F32()
+	nf := r.Count(1<<16, 8) // a feature is its mean and its std
+	out.FeatureMeans, out.FeatureStds = r.F32s(nf), r.F32s(nf)
+	out.DriftScore = r.F32()
+	alarm := r.U8()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("observe: decode record: %w", err)
 	}
-	for _, dst := range []*uint32{&out.Window, &out.Inferences, &out.Denied} {
-		if *dst, err = readU32(r); err != nil {
-			return nil, err
-		}
+	if alarm > 1 {
+		return nil, fmt.Errorf("observe: alarm byte %d is neither 0 nor 1", alarm)
 	}
-	for _, dst := range []*float32{&out.MeanLatencyUS, &out.MaxLatencyUS, &out.EnergyMJ} {
-		if *dst, err = readF32(r); err != nil {
-			return nil, err
-		}
-	}
-	nf, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if nf > 1<<16 {
-		return nil, fmt.Errorf("observe: implausible feature count %d", nf)
-	}
-	out.FeatureMeans = make([]float32, nf)
-	out.FeatureStds = make([]float32, nf)
-	for i := range out.FeatureMeans {
-		if out.FeatureMeans[i], err = readF32(r); err != nil {
-			return nil, err
-		}
-	}
-	for i := range out.FeatureStds {
-		if out.FeatureStds[i], err = readF32(r); err != nil {
-			return nil, err
-		}
-	}
-	if out.DriftScore, err = readF32(r); err != nil {
-		return nil, err
-	}
-	b, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("observe: truncated record: %w", err)
-	}
-	if b > 1 {
-		return nil, fmt.Errorf("observe: alarm byte %d is neither 0 nor 1", b)
-	}
-	if r.Len() > 0 {
-		return nil, fmt.Errorf("observe: %d bytes after the record", r.Len())
-	}
-	out.DriftAlarm = b == 1
+	out.DriftAlarm = alarm == 1
 	return out, nil
-}
-
-func writeU32(b *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.Write(tmp[:])
-}
-
-func writeF32(b *bytes.Buffer, v float32) { writeU32(b, math.Float32bits(v)) }
-
-func writeStr(b *bytes.Buffer, s string) {
-	writeU32(b, uint32(len(s)))
-	b.WriteString(s)
-}
-
-func readU32(r *bytes.Reader) (uint32, error) {
-	var tmp [4]byte
-	// ReadFull, not Read: a bytes.Reader hands back a short count with a nil
-	// error, which would decode a cut-off field as zero-padded garbage.
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, fmt.Errorf("observe: truncated record: %w", err)
-	}
-	return binary.LittleEndian.Uint32(tmp[:]), nil
-}
-
-func readF32(r *bytes.Reader) (float32, error) {
-	v, err := readU32(r)
-	return math.Float32frombits(v), err
-}
-
-func readStr(r *bytes.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 256 {
-		return "", fmt.Errorf("observe: implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("observe: truncated string: %w", err)
-	}
-	return string(buf), nil
 }
 
 // Buffer is the on-device store-and-forward queue: records accumulate

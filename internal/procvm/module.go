@@ -15,10 +15,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
+
+	"tinymlops/internal/wire"
 )
 
 // Capability is a bitmask of host resources a module may touch. The
@@ -80,155 +80,47 @@ const moduleMagic = "PVM1\n"
 
 // Encode serializes the module to its canonical binary form.
 func (m *Module) Encode() []byte {
-	var buf bytes.Buffer
-	buf.WriteString(moduleMagic)
-	putString(&buf, m.Name)
-	putU32(&buf, uint32(m.Caps))
-	putU64(&buf, m.GasLimit)
-	putU32(&buf, uint32(len(m.Scalars)))
-	for _, s := range m.Scalars {
-		putU32(&buf, math.Float32bits(s))
-	}
-	putU32(&buf, uint32(len(m.Vectors)))
-	for _, v := range m.Vectors {
-		putU32(&buf, uint32(len(v)))
+	le := binary.LittleEndian
+	appendF32s := func(b []byte, v []float32) []byte {
+		b = le.AppendUint32(b, uint32(len(v)))
 		for _, s := range v {
-			putU32(&buf, math.Float32bits(s))
+			b = le.AppendUint32(b, math.Float32bits(s))
 		}
+		return b
 	}
-	putU32(&buf, uint32(len(m.Code)))
-	buf.Write(m.Code)
-	return buf.Bytes()
+	b := append([]byte(nil), moduleMagic...)
+	b = le.AppendUint32(b, uint32(len(m.Name)))
+	b = append(b, m.Name...)
+	b = le.AppendUint32(b, uint32(m.Caps))
+	b = le.AppendUint64(b, m.GasLimit)
+	b = appendF32s(b, m.Scalars)
+	b = le.AppendUint32(b, uint32(len(m.Vectors)))
+	for _, v := range m.Vectors {
+		b = appendF32s(b, v)
+	}
+	b = le.AppendUint32(b, uint32(len(m.Code)))
+	return append(b, m.Code...)
 }
 
 // Digest returns the SHA-256 of the canonical encoding — the module's
 // content address.
 func (m *Module) Digest() [32]byte { return sha256.Sum256(m.Encode()) }
 
-// DecodeModule parses a module from its canonical binary form. Every
-// section is read with io.ReadFull and the input must be consumed exactly:
-// truncated, trailing or garbage bytes all reject.
+// DecodeModule parses a module from its canonical binary form. The input
+// must be consumed exactly: truncated, trailing or garbage bytes all reject.
 func DecodeModule(data []byte) (*Module, error) {
-	r := bytes.NewReader(data)
-	magic := make([]byte, len(moduleMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != moduleMagic {
-		return nil, errors.New("procvm: not a PVM1 module")
-	}
-	m := &Module{}
-	var err error
-	if m.Name, err = getString(r); err != nil {
-		return nil, err
-	}
-	caps, err := getU32(r)
-	if err != nil {
-		return nil, err
-	}
-	m.Caps = Capability(caps)
-	if m.GasLimit, err = getU64(r); err != nil {
-		return nil, err
-	}
-	ns, err := getU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if ns > 1<<16 {
-		return nil, fmt.Errorf("procvm: implausible scalar pool size %d", ns)
-	}
-	m.Scalars = make([]float32, ns)
-	for i := range m.Scalars {
-		b, err := getU32(r)
-		if err != nil {
-			return nil, err
-		}
-		m.Scalars[i] = math.Float32frombits(b)
-	}
-	nv, err := getU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if nv > 1<<12 {
-		return nil, fmt.Errorf("procvm: implausible vector pool size %d", nv)
-	}
-	m.Vectors = make([][]float32, nv)
+	r := wire.NewReader(data)
+	r.Magic(moduleMagic)
+	// Operands are evaluated left to right, so the literal reads in wire order.
+	m := &Module{Name: r.String(4096), Caps: Capability(r.U32()), GasLimit: r.U64()}
+	m.Scalars = r.F32s(r.Count(1<<16, 4))
+	m.Vectors = make([][]float32, r.Count(1<<12, 4)) // a vector is at least its length prefix
 	for i := range m.Vectors {
-		ln, err := getU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if ln > 1<<20 {
-			return nil, fmt.Errorf("procvm: implausible vector length %d", ln)
-		}
-		vec := make([]float32, ln)
-		for j := range vec {
-			b, err := getU32(r)
-			if err != nil {
-				return nil, err
-			}
-			vec[j] = math.Float32frombits(b)
-		}
-		m.Vectors[i] = vec
+		m.Vectors[i] = r.F32s(r.Count(1<<20, 4))
 	}
-	nc, err := getU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if nc > 1<<20 {
-		return nil, fmt.Errorf("procvm: implausible code size %d", nc)
-	}
-	m.Code = make([]byte, nc)
-	if _, err := io.ReadFull(r, m.Code); err != nil && nc > 0 {
-		return nil, fmt.Errorf("procvm: short code section: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("procvm: %d trailing bytes after module", r.Len())
+	m.Code = append([]byte{}, r.Bytes(r.Count(1<<20, 1))...)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("procvm: decode PVM1 module: %w", err)
 	}
 	return m, nil
-}
-
-func putU32(b *bytes.Buffer, v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.Write(tmp[:])
-}
-
-func putU64(b *bytes.Buffer, v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	b.Write(tmp[:])
-}
-
-func putString(b *bytes.Buffer, s string) {
-	putU32(b, uint32(len(s)))
-	b.WriteString(s)
-}
-
-func getU32(r *bytes.Reader) (uint32, error) {
-	var tmp [4]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, fmt.Errorf("procvm: truncated module: %w", err)
-	}
-	return binary.LittleEndian.Uint32(tmp[:]), nil
-}
-
-func getU64(r *bytes.Reader) (uint64, error) {
-	var tmp [8]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, fmt.Errorf("procvm: truncated module: %w", err)
-	}
-	return binary.LittleEndian.Uint64(tmp[:]), nil
-}
-
-func getString(r *bytes.Reader) (string, error) {
-	n, err := getU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 4096 {
-		return "", fmt.Errorf("procvm: implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil && n > 0 {
-		return "", fmt.Errorf("procvm: truncated string: %w", err)
-	}
-	return string(buf), nil
 }

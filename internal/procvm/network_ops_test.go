@@ -1,9 +1,13 @@
 package procvm
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"testing"
+
+	"tinymlops/internal/wire/wiretest"
 )
 
 // TestMatVecAgainstReference pins OpMatVec with a hand-computed dense
@@ -173,8 +177,8 @@ func TestSubDivAndStackHelpers(t *testing.T) {
 }
 
 // TestModuleDecodeRejectTable drives DecodeModule through the malformed
-// encodings the fuzz corpus seeds: truncation at every section boundary
-// and trailing garbage after a valid body.
+// encodings the fuzz corpus seeds — truncation at every offset and a
+// trailing byte after a valid body — and through every section's cap.
 func TestModuleDecodeRejectTable(t *testing.T) {
 	m, err := NewBuilder("codec").
 		RequireCaps(CapSensor).WithGasLimit(500).
@@ -190,12 +194,18 @@ func TestModuleDecodeRejectTable(t *testing.T) {
 	if dec.Digest() != m.Digest() || dec.GasLimit != 500 || dec.Caps != CapSensor {
 		t.Fatal("decode lost module metadata")
 	}
-	for cut := 0; cut < len(enc); cut += 3 {
-		if _, err := DecodeModule(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded", cut)
+	wiretest.Strict(t, enc, reencodeModule)
+
+	// A section that declares more than its cap rejects on the cap, before
+	// the bytes behind it are looked at. Offsets: magic, name, caps, gas,
+	// then the pools.
+	scalars := len(moduleMagic) + 4 + len(m.Name) + 4 + 8
+	vectors := scalars + 4 + 4*len(m.Scalars)
+	for name, at := range map[string]int{"name": len(moduleMagic), "scalar pool": scalars, "vector pool": vectors, "vector": vectors + 4} {
+		bad := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint32(bad[at:], 1<<20+1)
+		if _, err := DecodeModule(bad); err == nil || !strings.Contains(err.Error(), "over the limit") {
+			t.Errorf("%s of 1<<20+1 entries: %v", name, err)
 		}
-	}
-	if _, err := DecodeModule(append(append([]byte(nil), enc...), 0xAB)); err == nil {
-		t.Fatal("trailing byte decoded")
 	}
 }

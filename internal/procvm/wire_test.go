@@ -1,0 +1,58 @@
+package procvm
+
+import (
+	"bytes"
+	"os"
+	"testing"
+
+	"tinymlops/internal/wire/wiretest"
+)
+
+// goldenModule exercises every PVM1 section: name, capabilities, a 64-bit
+// gas limit, scalar and vector pools (one vector empty) and bytecode.
+// testdata/golden.pvm was recorded from it with the encoder of commit
+// 0d5e93c, before the codec moved onto internal/wire.
+func goldenModule(t testing.TB) *Module {
+	t.Helper()
+	m, err := NewBuilder("golden").
+		RequireCaps(CapSensor|CapStorage).WithGasLimit(1<<33+5).
+		Input().Normalize([]float32{1, 2}, []float32{3, 4}).PushScalar(2).Mul().
+		MatVec([]float32{1, 2, 3, 4}, []float32{0, -0.5}).Softmax().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Vectors = append(m.Vectors, []float32{})
+	return m
+}
+
+// reencodeModule is PVM1's decode-then-encode for the shared strictness
+// helpers.
+func reencodeModule(data []byte) ([]byte, error) {
+	m, err := DecodeModule(data)
+	if err != nil {
+		return nil, err
+	}
+	return m.Encode(), nil
+}
+
+func TestGoldenPVM1(t *testing.T) {
+	want, err := os.ReadFile("testdata/golden.pvm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenModule(t).Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("Encode differs from testdata/golden.pvm (%d vs %d bytes)", len(got), len(want))
+	}
+	wiretest.Strict(t, want, reencodeModule)
+}
+
+// FuzzDecodeModule feeds raw bytes to the PVM1 decoder: it never panics,
+// and whatever it accepts is the canonical encoding of what it decoded.
+func FuzzDecodeModule(f *testing.F) {
+	golden := goldenModule(f).Encode()
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Add([]byte(moduleMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) { wiretest.Canonical(t, data, reencodeModule) })
+}

@@ -1,11 +1,12 @@
 package swarm
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"tinymlops/internal/wire"
 )
 
 // DefaultChunkBytes is the chunk size used when a Config leaves it zero.
@@ -159,70 +160,39 @@ func (m *Manifest) validate() error {
 
 // UnmarshalManifest decodes and validates a canonical manifest encoding.
 // Truncated input, trailing bytes, out-of-range sizes, a wrong chunk count
-// and non-minimal varints are all rejected: if decoding succeeds,
-// re-encoding reproduces the input byte-for-byte.
+// and non-minimal varints are all rejected. Every field then has exactly
+// one encoding, so if decoding succeeds, re-encoding reproduces the input
+// byte-for-byte (FuzzChunkManifestRoundTrip holds it to that).
 func UnmarshalManifest(data []byte) (*Manifest, error) {
-	rest := data
-	if len(rest) < len(manifestMagic)+1 || string(rest[:len(manifestMagic)]) != manifestMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadManifest)
+	r := wire.NewReader(data)
+	r.Magic(manifestMagic)
+	version := r.U8()
+	m := &Manifest{Key: string(r.Bytes(r.UvarintCount(maxKeyBytes, 1)))}
+	total, chunk := r.Uvarint(), r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
 	}
-	rest = rest[len(manifestMagic):]
-	if rest[0] != manifestVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadManifest, rest[0])
+	if version != manifestVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadManifest, version)
 	}
-	rest = rest[1:]
-	keyLen, rest, err := readUvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	if keyLen == 0 || keyLen > maxKeyBytes || uint64(len(rest)) < keyLen {
-		return nil, fmt.Errorf("%w: key length %d", ErrBadManifest, keyLen)
-	}
-	m := &Manifest{Key: string(rest[:keyLen])}
-	rest = rest[keyLen:]
-	total, rest, err := readUvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	chunk, rest, err := readUvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	if total < 1 || total > 1<<62 || chunk < 1 || chunk > 1<<62 {
-		return nil, fmt.Errorf("%w: sizes %d/%d", ErrBadManifest, total, chunk)
+	if m.Key == "" || total < 1 || total > 1<<62 || chunk < 1 || chunk > 1<<62 {
+		return nil, fmt.Errorf("%w: key %q, sizes %d/%d", ErrBadManifest, m.Key, total, chunk)
 	}
 	m.TotalBytes, m.ChunkBytes = int64(total), int64(chunk)
 	n := m.NumChunks()
 	if n > maxChunks {
 		return nil, fmt.Errorf("%w: %d chunks exceed the %d cap", ErrBadManifest, n, maxChunks)
 	}
-	if len(rest) != 32+32*n {
-		return nil, fmt.Errorf("%w: %d hash bytes for %d chunks", ErrBadManifest, len(rest), n)
+	digest, hashes := r.Bytes(32), r.Bytes(32*n)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %d chunks: %v", ErrBadManifest, n, err)
 	}
-	copy(m.Digest[:], rest[:32])
-	rest = rest[32:]
+	copy(m.Digest[:], digest)
 	m.Hashes = make([][32]byte, n)
-	for i := 0; i < n; i++ {
-		copy(m.Hashes[i][:], rest[32*i:])
-	}
-	// Canonicality: the uvarint fields admit padded encodings the fast path
-	// above would accept; one re-encode comparison closes that hole.
-	enc, err := m.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(enc, data) {
-		return nil, fmt.Errorf("%w: non-canonical encoding", ErrBadManifest)
+	for i := range m.Hashes {
+		copy(m.Hashes[i][:], hashes[32*i:])
 	}
 	return m, nil
-}
-
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: truncated varint", ErrBadManifest)
-	}
-	return v, b[n:], nil
 }
 
 // Reassembler collects verified chunks of one manifest into the artifact.
