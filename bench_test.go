@@ -406,6 +406,24 @@ func BenchmarkProveMatMul(b *testing.B) {
 	b.ReportMetric(float64(proofBytes), "proof-bytes/op")
 }
 
+// BenchmarkProveMatMulPrepared is the settlement prover: the weight
+// encoding is prepared once per model version, so a proof pays only for
+// what depends on its own input row.
+func BenchmarkProveMatMulPrepared(b *testing.B) {
+	a, wq := settleOperands(tensor.NewRNG(50))
+	pw, err := verify.PrepareWeights(wq, settleK, settleN)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := verify.ProveMatMulPrepared(nil, a, 1, pw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkVerifyMatMul is the naive per-proof path: every verification
 // re-digests the full weight matrix into its transcript.
 func BenchmarkVerifyMatMul(b *testing.B) {

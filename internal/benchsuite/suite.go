@@ -126,6 +126,19 @@ func Serving() []Case {
 				}
 			}
 		}},
+		{Name: "ProveMatMulPrepared", Bench: func(b *testing.B) {
+			a, wq := settleOperands(tensor.NewRNG(50))
+			pw, err := verify.PrepareWeights(wq, settleK, settleN)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := verify.ProveMatMulPrepared(nil, a, 1, pw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{Name: "VerifyMatMul", Bench: func(b *testing.B) {
 			a, wq := settleOperands(tensor.NewRNG(51))
 			c, proof, _, err := verify.ProveMatMul(a, 1, settleK, wq, settleN)

@@ -7,7 +7,6 @@ import (
 	"tinymlops/internal/nn"
 	"tinymlops/internal/quant"
 	"tinymlops/internal/registry"
-	"tinymlops/internal/tensor"
 	"tinymlops/internal/verify"
 )
 
@@ -45,10 +44,47 @@ func provedLayer(net *nn.Network) ([]int32, int, int, error) {
 	return nil, 0, 0, fmt.Errorf("core: model has no dense layer to prove")
 }
 
-// refreshAttestorLocked re-derives the attestor's weight snapshot for
-// the live version from the registry artifact. Called at deploy and
-// after every update or rollback; caller holds d.mu (or owns d
-// exclusively).
+// provedWeights resolves the prepared encoding of a model version's
+// proved layer — padded field matrix plus transcript digest, 8 B per
+// padded weight — re-derived from the registry artifact the first time
+// the version is asked for and immutable afterwards. It is the one place
+// settlement loads and quantizes a model: provers (deploy, update,
+// rollback, charges served by a since-retired version) and the vendor's
+// batch verifier all resolve here, so the encoding is resident once per
+// version however many deployments serve it. A deployment keeps only the
+// pointer.
+func (p *Platform) provedWeights(modelID string) (*verify.PreparedWeights, error) {
+	// Held across the miss so concurrent deploys of one version prepare
+	// it once; a hit costs the verifier's map lookup.
+	p.classMu.Lock()
+	defer p.classMu.Unlock()
+	if pw, ok := p.verifier.Class(modelID); ok {
+		return pw, nil
+	}
+	if _, err := p.Registry.Get(modelID); err != nil {
+		return nil, fmt.Errorf("core: attestation names unknown model: %w", err)
+	}
+	art, err := p.Registry.Load(modelID)
+	if err != nil {
+		return nil, fmt.Errorf("core: load proved layer of %s: %w", modelID, err)
+	}
+	wq, k, n, err := provedLayer(art)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.verifier.Prepare(modelID, wq, k, n); err != nil {
+		return nil, err
+	}
+	if p.onPrepare != nil {
+		p.onPrepare(modelID)
+	}
+	pw, _ := p.verifier.Class(modelID)
+	return pw, nil
+}
+
+// refreshAttestorLocked points the attestor at the live version's
+// prepared weights. Called at deploy and after every update or rollback;
+// caller holds d.mu (or owns d exclusively).
 func (d *Deployment) refreshAttestorLocked() error {
 	// Compiled module versions prove against the float artifact they were
 	// lowered from: the bytecode executes the same dense layer, and every
@@ -58,15 +94,11 @@ func (d *Deployment) refreshAttestorLocked() error {
 	if d.Version.Kind == registry.KindProcVM {
 		proveID = d.Version.ParentID
 	}
-	art, err := d.platform.Registry.Load(proveID)
-	if err != nil {
-		return fmt.Errorf("core: load attestor artifact for %s: %w", proveID, err)
-	}
-	wq, k, n, err := provedLayer(art)
+	pw, err := d.platform.provedWeights(proveID)
 	if err != nil {
 		return err
 	}
-	d.attWq, d.attK, d.attN, d.attModelID = wq, k, n, proveID
+	d.att, d.attModelID = pw, proveID
 	if d.retained == nil {
 		d.retained = make(map[uint64]retainedCharge)
 	}
@@ -74,25 +106,28 @@ func (d *Deployment) refreshAttestorLocked() error {
 }
 
 // retainLocked stores the evidence for one charged query. Caller holds
-// d.mu. Settled sequences are swept opportunistically so the map stays
-// bounded by the unsettled window.
+// d.mu. Settled sequences are swept so the map stays bounded by the
+// unsettled window — but only when an acknowledgment has arrived since
+// the last sweep: past 1 024 unsettled charges a rescan per query finds
+// nothing to delete.
 func (d *Deployment) retainLocked(seq uint64, features []float32) {
 	if d.retained == nil {
 		return
 	}
 	if len(d.retained) >= 1024 {
-		settled := d.Meter.SettledSeq()
-		for s := range d.retained {
-			if s <= settled {
-				delete(d.retained, s)
+		if settled := d.Meter.SettledSeq(); settled > d.sweptSeq {
+			for s := range d.retained {
+				if s <= settled {
+					delete(d.retained, s)
+				}
 			}
+			d.sweptSeq = settled
 		}
 	}
 	rc := retainedCharge{modelID: d.attModelID}
-	if len(features) == d.attK && d.attK > 0 {
-		x := tensor.FromSlice(append([]float32(nil), features...), 1, len(features))
-		codes, _ := quant.QuantizeActivations(x)
-		rc.input = codes
+	if len(features) == d.att.K {
+		rc.input = make([]int8, len(features))
+		quant.QuantizeBlock(features, rc.input)
 	}
 	d.retained[seq] = rc
 }
@@ -106,8 +141,7 @@ func (d *Deployment) attest(seq uint64, entryHash [32]byte) (metering.Attestatio
 	if !ok {
 		rc = retainedCharge{modelID: d.attModelID}
 	}
-	wq, k, n := d.attWq, d.attK, d.attN
-	curModel := d.attModelID
+	pw, curModel := d.att, d.attModelID
 	voucherID := d.Meter.Voucher().ID
 	d.mu.Unlock()
 
@@ -118,25 +152,21 @@ func (d *Deployment) attest(seq uint64, entryHash [32]byte) (metering.Attestatio
 		// The charge was served by a version this deployment has since
 		// moved off (update or rollback mid-window): prove it against that
 		// version's artifact, which the registry still holds.
-		art, err := d.platform.Registry.Load(rc.modelID)
-		if err != nil {
+		var err error
+		if pw, err = d.platform.provedWeights(rc.modelID); err != nil {
 			return metering.Attestation{}, fmt.Errorf("core: attest against retired version %s: %w", rc.modelID, err)
-		}
-		wq, k, n, err = provedLayer(art)
-		if err != nil {
-			return metering.Attestation{}, err
 		}
 	}
 	input := rc.input
-	if len(input) != k {
-		input = make([]int8, k)
+	if len(input) != pw.K {
+		input = make([]int8, pw.K)
 	}
-	a := make([]int32, k)
+	a := make([]int32, pw.K)
 	for i, c := range input {
 		a[i] = int32(c)
 	}
 	ctx := metering.AttestationContext(voucherID, rc.modelID, seq, entryHash)
-	claimed, proof, _, err := verify.ProveMatMulCtx(ctx, a, 1, k, wq, n)
+	claimed, proof, _, err := verify.ProveMatMulPrepared(ctx, a, 1, pw)
 	if err != nil {
 		return metering.Attestation{}, fmt.Errorf("core: prove charge %d: %w", seq, err)
 	}
@@ -147,27 +177,6 @@ func (d *Deployment) attest(seq uint64, entryHash [32]byte) (metering.Attestatio
 	return metering.Attestation{ModelID: rc.modelID, Input: input, Claimed: claimed, Proof: blob}, nil
 }
 
-// ensureClass lazily prepares the verifier's weight class for a model
-// version, re-deriving the proved layer from the registry artifact.
-// Idempotent and safe concurrently (identical weights prepare equal).
-func (p *Platform) ensureClass(modelID string) error {
-	if p.verifier.Prepared(modelID) {
-		return nil
-	}
-	if _, err := p.Registry.Get(modelID); err != nil {
-		return fmt.Errorf("core: attestation names unknown model: %w", err)
-	}
-	art, err := p.Registry.Load(modelID)
-	if err != nil {
-		return err
-	}
-	wq, k, n, err := provedLayer(art)
-	if err != nil {
-		return err
-	}
-	return p.verifier.Prepare(modelID, wq, k, n)
-}
-
 // verifyAttestations is the metering.AttestationVerifier the platform
 // installs on its settler: one batch-amortized sum-check pass over a
 // report's proof sample.
@@ -175,7 +184,7 @@ func (p *Platform) verifyAttestations(v metering.Voucher, items []metering.Attes
 	errs := make([]error, len(items))
 	batch := make([]verify.BatchItem, len(items))
 	for i, it := range items {
-		if err := p.ensureClass(it.Att.ModelID); err != nil {
+		if _, err := p.provedWeights(it.Att.ModelID); err != nil {
 			errs[i] = err
 			continue
 		}

@@ -1,16 +1,22 @@
 package core
 
 import (
+	"math"
 	"net"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tinymlops/internal/dataset"
 	"tinymlops/internal/device"
 	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
+	"tinymlops/internal/quant"
 	"tinymlops/internal/registry"
 	"tinymlops/internal/tensor"
+	"tinymlops/internal/verify"
 )
 
 // verifiedFixture is fixture with verified billing armed at rate.
@@ -164,6 +170,8 @@ func TestVerifiedBillingRejectsInflatedUsage(t *testing.T) {
 // (the context binds the model identity, not just the weights).
 func TestVerifiedBillingAcrossUpdate(t *testing.T) {
 	p, ds, versions := verifiedFixture(t, 23, 1)
+	prepares := map[string]int{}
+	p.onPrepare = func(modelID string) { prepares[modelID]++ }
 	dep, err := p.Deploy("phone-00", "clf", DeployConfig{PrepaidQueries: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -209,17 +217,25 @@ func TestVerifiedBillingAcrossUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawV1, sawV2 := false, false
+	// Rate 1: every charge on both sides of the update carries a proof.
+	perVersion := map[string]int{}
 	for _, att := range rep.Attestations {
-		sawV1 = sawV1 || att.ModelID == v1
-		sawV2 = sawV2 || att.ModelID == dep.Version.ID
+		perVersion[att.ModelID]++
 	}
-	if !sawV1 || !sawV2 {
-		t.Fatalf("report should attest both versions (v1=%v v2=%v)", sawV1, sawV2)
+	if perVersion[v1] != 6 || perVersion[dep.Version.ID] != 5 {
+		t.Fatalf("report attests %v, want 6 charges under %s and 5 under %s", perVersion, v1, dep.Version.ID)
 	}
 	rcOK := p.Settler.SettleAttested(rep)
 	if !rcOK.OK {
 		t.Fatalf("cross-version report rejected: %s", rcOK.Reason)
+	}
+	if rcOK.ProofsChecked != 11 {
+		t.Fatalf("%d proofs verified, want all 11", rcOK.ProofsChecked)
+	}
+	// Six retired-version proofs and the vendor's verification of them
+	// share one encoding of v1; v2 likewise.
+	if prepares[v1] != 1 || prepares[dep.Version.ID] != 1 || len(prepares) != 2 {
+		t.Fatalf("proved layers prepared %v, want %s and %s exactly once each", prepares, v1, dep.Version.ID)
 	}
 	dep.Meter.Acknowledge(rcOK.AckSeq)
 
@@ -248,4 +264,137 @@ func TestVerifiedBillingAcrossUpdate(t *testing.T) {
 	if !strings.Contains(rc.Reason, "proof") {
 		t.Fatalf("relabeling rejected for the wrong reason: %s", rc.Reason)
 	}
+	if prepares[v1] != 1 || len(prepares) != 2 {
+		t.Fatalf("second window re-prepared a proved layer: %v", prepares)
+	}
+}
+
+// Parallel deploys and settlements of one version resolve its proved layer
+// concurrently: all of them must get the one shared encoding, prepared
+// once.
+func TestProvedWeightsSharedAcrossGoroutines(t *testing.T) {
+	p, _, versions := verifiedFixture(t, 26, 4)
+	var prepares atomic.Int64
+	p.onPrepare = func(string) { prepares.Add(1) }
+	const callers = 32
+	got := make([]*verify.PreparedWeights, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pw, err := p.provedWeights(versions[0].ID)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = pw
+		}(i)
+	}
+	wg.Wait()
+	for i, pw := range got {
+		if pw == nil || pw != got[0] {
+			t.Fatalf("caller %d got encoding %p, caller 0 got %p", i, pw, got[0])
+		}
+	}
+	if n := prepares.Load(); n != 1 {
+		t.Fatalf("proved layer prepared %d times, want 1", n)
+	}
+	if _, err := p.provedWeights("no-such-model"); err == nil {
+		t.Fatal("unknown model resolved to a proved layer")
+	}
+}
+
+// Evidence is quantized straight into the retained row. The codes must be
+// the ones the copy → tensor → quant.QuantizeActivations path retained
+// before, edge cases included, and a row of the wrong width retains none.
+func TestRetainedEvidenceCodes(t *testing.T) {
+	p, _, _ := verifiedFixture(t, 24, 1)
+	dep, err := p.Deploy("phone-00", "clf", DeployConfig{PrepaidQueries: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	rows := [][]float32{
+		{0.5, -1.25, 3, -0.001},
+		{nan, 1, -2, nan},
+		{inf, 1, -1, 0},
+		{-inf, inf, nan, 2},
+		{0, 0, 0, 0},
+		{nan, nan, nan, nan},
+		{1e-40, -1e-40, 0, 1e-45},
+		{math.MaxFloat32, -math.MaxFloat32, 1, -1},
+		{1, 2, 3},       // too narrow
+		{1, 2, 3, 4, 5}, // too wide
+		nil,             // charged, not served
+	}
+	dep.mu.Lock()
+	defer dep.mu.Unlock()
+	for i, row := range rows {
+		seq := uint64(i + 1)
+		dep.retainLocked(seq, row)
+		got := dep.retained[seq]
+		if got.modelID != dep.Version.ID {
+			t.Fatalf("row %d retained under %q, want %q", i, got.modelID, dep.Version.ID)
+		}
+		if len(row) != 4 {
+			if got.input != nil {
+				t.Fatalf("row %d (width %d) retained codes %v, want none", i, len(row), got.input)
+			}
+			continue
+		}
+		want, _ := quant.QuantizeActivations(tensor.FromSlice(append([]float32(nil), row...), 1, len(row)))
+		if !slices.Equal(got.input, want) {
+			t.Fatalf("row %d %v: retained codes %v, old path %v", i, row, got.input, want)
+		}
+	}
+}
+
+// Past 1 024 retained charges the evidence map is swept, but only when an
+// acknowledgment has arrived since the last sweep: an unsettled backlog
+// is kept whole (every charge in it may be sampled), a settled one is
+// dropped on the next query, and the next window still proves.
+func TestEvidenceSweepFollowsSettlement(t *testing.T) {
+	p, ds, _ := verifiedFixture(t, 25, 16)
+	dep, err := p.Deploy("phone-00", "clf", DeployConfig{PrepaidQueries: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float32, 4)
+	serve := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			for f := 0; f < 4; f++ {
+				x[f] = ds.X.At2(i%ds.Len(), f)
+			}
+			if _, err := dep.Infer(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	settle := func() {
+		t.Helper()
+		rep, err := dep.Meter.BuildAttestedReport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := p.Settler.SettleAttested(rep)
+		if !rc.OK || rc.ProofsChecked == 0 {
+			t.Fatalf("settlement receipt %+v", rc)
+		}
+		dep.Meter.Acknowledge(rc.AckSeq)
+	}
+	serve(1100)
+	if got := len(dep.retained); got != 1100 {
+		t.Fatalf("unsettled backlog retains %d charges, want all 1100", got)
+	}
+	settle()
+	serve(1)
+	if got := len(dep.retained); got != 1 {
+		t.Fatalf("after settlement %d charges retained, want the 1 unsettled", got)
+	}
+	serve(1100)
+	if got := len(dep.retained); got != 1101 {
+		t.Fatalf("second backlog retains %d charges, want 1101", got)
+	}
+	settle()
 }

@@ -16,6 +16,7 @@ import (
 	"tinymlops/internal/registry"
 	"tinymlops/internal/selector"
 	"tinymlops/internal/tensor"
+	"tinymlops/internal/verify"
 )
 
 // newExecutor builds the executor serving (device, version, image) — the
@@ -85,13 +86,14 @@ type Deployment struct {
 
 	mu sync.Mutex
 
-	// Verified-billing attestor state (billing.go): the proved layer
-	// snapshot from the registry artifact and per-charge retained
-	// evidence. retained is non-nil iff verified billing is on.
-	attWq      []int32
-	attK, attN int
+	// Verified-billing attestor state (billing.go): the live version's
+	// prepared proved layer (shared per version, see provedWeights), the
+	// per-charge retained evidence, and the settled sequence as of the
+	// last evidence sweep. retained is non-nil iff verified billing is on.
+	att        *verify.PreparedWeights
 	attModelID string
 	retained   map[uint64]retainedCharge
+	sweptSeq   uint64
 
 	// Reusable serving buffers (guarded by d.mu): the admitted-row feature
 	// slab, per-row bookkeeping and the input tensor header over the slab.

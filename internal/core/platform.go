@@ -62,6 +62,10 @@ type Platform struct {
 	// is nil when the feature is off.
 	verifier *verify.BatchVerifier
 	attRate  int
+	// classMu serializes provedWeights misses; onPrepare, set only by
+	// tests, observes each one.
+	classMu   sync.Mutex
+	onPrepare func(modelID string)
 
 	// encMu serializes protected-offload provisioning (sealing advances an
 	// enclave-internal monotonic counter); encSess is the lazily provisioned

@@ -477,7 +477,7 @@ func (m *QModel) SizeBytes() int {
 // nonzero magnitude (or an infinite one) falls back to scale 1.
 func QuantizeActivations(x *tensor.Tensor) ([]int8, float32) {
 	out := make([]int8, x.Size())
-	scale := quantizeBlock(x.Data, out)
+	scale := QuantizeBlock(x.Data, out)
 	return out, scale
 }
 
@@ -493,13 +493,15 @@ func QuantizeActivationsRows(x *tensor.Tensor, codes []int8, scales []float32) {
 	}
 	rl := x.Size() / rows
 	for r := 0; r < rows; r++ {
-		scales[r] = quantizeBlock(x.Data[r*rl:(r+1)*rl], codes[r*rl:(r+1)*rl])
+		scales[r] = QuantizeBlock(x.Data[r*rl:(r+1)*rl], codes[r*rl:(r+1)*rl])
 	}
 }
 
-// quantizeBlock quantizes one contiguous block with a single symmetric
-// scale, writing int8 codes and returning the scale.
-func quantizeBlock(data []float32, codes []int8) float32 {
+// QuantizeBlock quantizes one contiguous block with a single symmetric
+// scale, writing len(data) int8 codes and returning the scale — the
+// allocation-free core of QuantizeActivations, for callers that own the
+// destination.
+func QuantizeBlock(data []float32, codes []int8) float32 {
 	var absMax float32
 	for _, v := range data {
 		if v < 0 {

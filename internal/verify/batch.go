@@ -8,19 +8,22 @@ import (
 	"tinymlops/internal/engine"
 )
 
-// Amortized settlement verification. A vendor settling a window of
-// metered queries sees many proofs against few (model-version, shape)
+// Amortized settlement proving and verification. A settlement window of
+// metered queries holds many proofs against few (model-version, shape)
 // classes: every proof of a class shares the same weight matrix B. The
 // sound per-class sharing is (a) B's padded field encoding and transcript
-// digest — PrepareWeights, reused by VerifyMatMulPrepared — and (b) one
-// Freivalds projection per class per batch, derived from a batch
+// digest — PrepareWeights, reused by ProveMatMulPrepared on the device
+// and VerifyMatMulPrepared at the vendor — and, for the verifier only,
+// (b) one Freivalds projection per class per batch, derived from a batch
 // transcript that binds every claim in the window, used to pre-screen
 // each proof in O(m·k + m·n) before the full sum-check runs. The
-// sum-check's own point challenges are NOT shared: they must bind each
-// proof's claimed C (see VerifyMatMulPrepared).
+// sum-check's own point challenges r1, r2 are NOT shared on either side:
+// they must bind each proof's claimed C (see verifyLifted), so a prover
+// shares (a) and nothing else.
 
 // PreparedWeights is the reusable per-class encoding of a weight matrix:
-// the padded field matrix and its transcript digest.
+// the padded field matrix and its transcript digest. Immutable once
+// prepared, so provers and verifiers may share one value concurrently.
 type PreparedWeights struct {
 	// K, N are the logical (unpadded) dimensions.
 	K, N int
@@ -44,19 +47,36 @@ func PrepareWeights(b []int32, k, n int) (*PreparedWeights, error) {
 	return &PreparedWeights{K: k, N: n, kp: kp, np: np, bf: bf, db: digestElems(bf)}, nil
 }
 
-// projectCols returns B×r for a challenge vector r of length np — the
-// per-class half of a Freivalds round, computed once per batch.
-func (pw *PreparedWeights) projectCols(r []Elem) []Elem {
-	br := make([]Elem, pw.kp)
-	for i := 0; i < pw.kp; i++ {
-		var s Elem
-		row := pw.bf[i*pw.np : (i+1)*pw.np]
-		for j, v := range row {
-			s = Add(s, Mul(v, r[j]))
-		}
-		br[i] = s
+// mulCols returns B×w for a vector w of length np: one dot product per
+// row of B, read in place. With w the eq(r₂, ·) table it is the column
+// fold B̃(·, r₂) of the sum-check; with w a Freivalds challenge vector it
+// is the per-class half of a pre-screen round.
+func (pw *PreparedWeights) mulCols(w []Elem) []Elem {
+	out := make([]Elem, pw.kp)
+	for i := range out {
+		out[i] = dot(w, pw.bf[i*pw.np:], 1)
 	}
-	return br
+	return out
+}
+
+// foldCols returns B̃(·, c), the kp-vector foldCols(bf, kp, np, c) would
+// produce, without copying the matrix.
+func (pw *PreparedWeights) foldCols(c []Elem) []Elem { return pw.mulCols(eqTable(c)) }
+
+// matMul computes C = A×B over the field (the prover's native
+// computation) for the first m rows of the mp×kp matrix af, into a padded
+// mp×np result. Padding rows and columns of C are zero because those of
+// A and B are.
+func (pw *PreparedWeights) matMul(af []Elem, m, mp int) []Elem {
+	kp, np := pw.kp, pw.np
+	cf := make([]Elem, mp*np)
+	for i := 0; i < m; i++ {
+		arow := af[i*kp : (i+1)*kp]
+		for j := 0; j < pw.N; j++ {
+			cf[i*np+j] = dot(arow, pw.bf[j:], np)
+		}
+	}
+	return cf
 }
 
 // BatchItem is one proof in a settlement batch.
@@ -115,14 +135,6 @@ func (bv *BatchVerifier) Prepare(classID string, b []int32, k, n int) error {
 	bv.classes[classID] = pw
 	bv.mu.Unlock()
 	return nil
-}
-
-// Prepared reports whether a class is registered.
-func (bv *BatchVerifier) Prepared(classID string) bool {
-	bv.mu.Lock()
-	defer bv.mu.Unlock()
-	_, ok := bv.classes[classID]
-	return ok
 }
 
 // Class returns a registered class's prepared weights.
@@ -187,7 +199,7 @@ func (bv *BatchVerifier) VerifyBatch(items []BatchItem) ([]BatchResult, Stats, e
 	for _, name := range names {
 		pw := classes[name]
 		r := tr.challenges(pw.np)
-		proj[name] = projection{r: r, br: pw.projectCols(r)}
+		proj[name] = projection{r: r, br: pw.mulCols(r)}
 		agg.VerifierMuls += int64(pw.kp) * int64(pw.np)
 	}
 
@@ -206,13 +218,17 @@ func (bv *BatchVerifier) VerifyBatch(items []BatchItem) ([]BatchResult, Stats, e
 				i, len(it.A), len(it.C), it.ClassID, pw.K, pw.N, it.M)
 			return nil
 		}
+		// Lift once: the pre-screen and the sum-check read the same
+		// padded operands.
+		af, mp, _ := padMatrix(it.A, it.M, pw.K)
+		cf := padResult(it.C, it.M, pw.N, mp, pw.np)
 		pr := proj[it.ClassID]
-		if !freivaldsProjected(it.A, it.M, pw, it.C, pr.r, pr.br) {
+		if !freivaldsProjected(af, cf, it.M, pw, pr.r, pr.br) {
 			stats[i].VerifierMuls += int64(it.M) * int64(pw.K+pw.N)
 			results[i].OK = false
 			return nil
 		}
-		ok, st, err := VerifyMatMulPrepared(it.Ctx, it.A, it.M, pw, it.C, it.Proof)
+		ok, st, err := verifyLifted(it.Ctx, af, cf, mp, pw, it.Proof)
 		st.VerifierMuls += int64(it.M) * int64(pw.K+pw.N)
 		stats[i] = st
 		results[i] = BatchResult{OK: ok, Err: err}
@@ -229,22 +245,12 @@ func (bv *BatchVerifier) VerifyBatch(items []BatchItem) ([]BatchResult, Stats, e
 }
 
 // freivaldsProjected runs one pre-screen round for a claimed m-row
-// product against the class's shared projection: A×(B×r) must equal C×r
-// row by row. A mismatch proves A×B ≠ C; a match proves nothing and the
-// full sum-check still runs.
-func freivaldsProjected(a []int32, m int, pw *PreparedWeights, c []int64, r, br []Elem) bool {
+// product (lifted and padded) against the class's shared projection:
+// A×(B×r) must equal C×r row by row. A mismatch proves A×B ≠ C; a match
+// proves nothing and the full sum-check still runs.
+func freivaldsProjected(af, cf []Elem, m int, pw *PreparedWeights, r, br []Elem) bool {
 	for i := 0; i < m; i++ {
-		var abr Elem
-		arow := a[i*pw.K : (i+1)*pw.K]
-		for j, v := range arow {
-			abr = Add(abr, Mul(FromInt64(int64(v)), br[j]))
-		}
-		var cr Elem
-		crow := c[i*pw.N : (i+1)*pw.N]
-		for j, v := range crow {
-			cr = Add(cr, Mul(FromInt64(v), r[j]))
-		}
-		if abr != cr {
+		if dot(br, af[i*pw.kp:], 1) != dot(r, cf[i*pw.np:], 1) {
 			return false
 		}
 	}

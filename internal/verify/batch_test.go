@@ -22,6 +22,10 @@ func TestOperandValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pw, err := PrepareWeights(b, k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
@@ -44,6 +48,9 @@ func TestOperandValidation(t *testing.T) {
 		{"prepare zero k", func() error { _, err := PrepareWeights(b, 0, n); return err }},
 		{"prepare short b", func() error { _, err := PrepareWeights(b[:2], k, n); return err }},
 		{"prepared nil pw", func() error { _, _, err := VerifyMatMulPrepared(nil, a, m, nil, c, proof); return err }},
+		{"prove prepared nil pw", func() error { _, _, _, err := ProveMatMulPrepared(nil, a, m, nil); return err }},
+		{"prove prepared zero m", func() error { _, _, _, err := ProveMatMulPrepared(nil, a, 0, pw); return err }},
+		{"prove prepared short a", func() error { _, _, _, err := ProveMatMulPrepared(nil, a[:len(a)-1], m, pw); return err }},
 	}
 	for _, tc := range cases {
 		if err := tc.run(); err == nil {

@@ -76,6 +76,36 @@ func Mul(a, b Elem) Elem {
 	return reduce(sum)
 }
 
+// dotChunk is the longest run of products dot accumulates before it
+// reduces. A product of two elements is below 2¹²², so its high limb is
+// below 2⁵⁸; 32 of them plus 32 carries stay below 2⁶⁴, 64 do not.
+const dotChunk = 32
+
+// dot returns Σ a[i]·b[i·stride] mod p over len(a) terms — the one
+// inner-product kernel behind the field matrix product (stride = a row of
+// B, so a column is read in place), the column fold B̃(·, r) and both
+// Freivalds projections (stride 1). Products are summed in 128 bits and
+// reduced once per dotChunk terms, not once per term.
+func dot(a, b []Elem, stride int) Elem {
+	var acc Elem
+	off := 0
+	for len(a) > 0 {
+		n := min(len(a), dotChunk)
+		var hi, lo uint64
+		for _, x := range a[:n] {
+			h, l := bits.Mul64(uint64(x), uint64(b[off]))
+			off += stride
+			var carry uint64
+			lo, carry = bits.Add64(lo, l, 0)
+			hi, _ = bits.Add64(hi, h, carry)
+		}
+		// hi·2⁶⁴ + lo ≡ 8·hi + lo; hi is reduced first so 8·hi fits.
+		acc = Add(acc, Add(reduce(lo), reduce(uint64(reduce(hi))<<3)))
+		a = a[n:]
+	}
+	return acc
+}
+
 // Pow returns a^e mod p by square and multiply.
 func Pow(a Elem, e uint64) Elem {
 	result := Elem(1)

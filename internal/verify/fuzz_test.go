@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"testing"
 
 	"tinymlops/internal/tensor"
@@ -10,7 +11,8 @@ import (
 // and mutation selector: every honestly produced proof must verify, and
 // the three canonical tamperings — a mutated round polynomial, a flipped
 // claimed sum, a truncated proof — must all be rejected (false or error,
-// never a panic, never a pass).
+// never a panic, never a pass). Every case is also proven through
+// ProveMatMulPrepared, which must match the one-shot prover exactly.
 func FuzzProveVerifyMatMul(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(2), uint8(3), uint8(4))
 	f.Add(uint64(42), uint8(1), uint8(1), uint8(8), uint8(1))
@@ -31,6 +33,19 @@ func FuzzProveVerifyMatMul(f *testing.F) {
 		}
 		if ok, _, err := VerifyMatMulCtx(ctx, a, m, k, b, n, c, proof); err != nil || !ok {
 			t.Fatalf("honest proof rejected: %v %v", ok, err)
+		}
+		// The prepared entry must produce the same bytes and the same
+		// product from a shared encoding.
+		pw, err := PrepareWeights(b, k, n)
+		if err != nil {
+			t.Fatalf("prepare failed on valid weights: %v", err)
+		}
+		pc, pproof, _, err := ProveMatMulPrepared(ctx, a, m, pw)
+		if err != nil {
+			t.Fatalf("prepared prove failed on valid operands: %v", err)
+		}
+		if !slices.Equal(pc, c) || pproof.M != proof.M || pproof.K != proof.K || pproof.N != proof.N || !slices.Equal(pproof.Rounds, proof.Rounds) {
+			t.Fatalf("prepared prover diverged from the one-shot prover: %+v %v vs %+v %v", pproof, pc, proof, c)
 		}
 
 		switch mutate % 4 {

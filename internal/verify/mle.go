@@ -105,23 +105,21 @@ func evalMLE(a []Elem, m, k int, r, c []Elem) (Elem, error) {
 	return point[0], nil
 }
 
-// matMulField computes C = A×B over the field (the prover's native
-// computation). A is m×k, B is k×n, both row-major, power-of-two padded
-// by the caller.
-func matMulField(a, b []Elem, m, k, n int) []Elem {
-	out := make([]Elem, m*n)
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*n : (i+1)*n]
-		for p, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j, bv := range brow {
-				orow[j] = Add(orow[j], Mul(av, bv))
-			}
+// eqTable returns the 2^len(c) values eq(c, j) = Π_t (j_t·c_t +
+// (1−j_t)(1−c_t)), bit 0 of the challenge order being the most
+// significant bit of j — the order foldCols consumes challenges in. The
+// multilinear extension of a row at c is its dot product with this
+// table, which is how a whole matrix is folded without copying it.
+func eqTable(c []Elem) []Elem {
+	eq := make([]Elem, 1<<len(c))
+	eq[0] = 1
+	for t, ct := range c {
+		// Double the table in place, from the back so no entry is
+		// overwritten before it is read.
+		for i := 1<<t - 1; i >= 0; i-- {
+			hi := Mul(eq[i], ct)
+			eq[2*i], eq[2*i+1] = Sub(eq[i], hi), hi
 		}
 	}
-	return out
+	return eq
 }

@@ -4,45 +4,49 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 )
 
 // transcript implements the Fiat-Shamir heuristic: both parties absorb
 // the same public values and derive identical pseudo-random challenges,
-// turning the interactive sum-check into a stand-alone proof.
+// turning the interactive sum-check into a stand-alone proof. Every
+// absorb is state ← SHA-256(state ‖ data); the hasher and the staging
+// buffer live in the transcript so an absorb allocates nothing.
 type transcript struct {
+	h     hash.Hash
 	state [32]byte
+	buf   [24]byte
 }
 
 func newTranscript(label string) *transcript {
-	t := &transcript{}
+	t := &transcript{h: sha256.New()}
 	t.state = sha256.Sum256([]byte("tinymlops/verify/" + label))
 	return t
 }
 
 func (t *transcript) absorbBytes(data []byte) {
-	h := sha256.New()
-	h.Write(t.state[:])
-	h.Write(data)
-	copy(t.state[:], h.Sum(nil))
+	t.h.Reset()
+	t.h.Write(t.state[:])
+	t.h.Write(data)
+	t.h.Sum(t.state[:0])
 }
 
-func (t *transcript) absorbElems(es ...Elem) {
-	buf := make([]byte, 8*len(es))
-	for i, e := range es {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(e))
+func (t *transcript) absorbRound(g RoundPoly) {
+	for i, e := range g {
+		binary.LittleEndian.PutUint64(t.buf[8*i:], uint64(e))
 	}
-	t.absorbBytes(buf)
+	t.absorbBytes(t.buf[:24])
 }
 
 func (t *transcript) absorbInt(v int) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	t.absorbBytes(b[:])
+	binary.LittleEndian.PutUint64(t.buf[:8], uint64(v))
+	t.absorbBytes(t.buf[:8])
 }
 
 // challenge derives the next field element.
 func (t *transcript) challenge() Elem {
-	t.absorbBytes([]byte{0xC4})
+	t.buf[0] = 0xC4
+	t.absorbBytes(t.buf[:1])
 	return reduce(binary.LittleEndian.Uint64(t.state[:8]))
 }
 
@@ -59,13 +63,17 @@ func (t *transcript) challenges(n int) []Elem {
 // transcript to them).
 func digestElems(es []Elem) [32]byte {
 	h := sha256.New()
-	buf := make([]byte, 8)
-	for _, e := range es {
-		binary.LittleEndian.PutUint64(buf, uint64(e))
-		h.Write(buf)
+	var buf [512]byte
+	for len(es) > 0 {
+		n := min(len(es), len(buf)/8)
+		for i, e := range es[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], uint64(e))
+		}
+		h.Write(buf[:8*n])
+		es = es[n:]
 	}
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
@@ -126,11 +134,36 @@ func ProveMatMulCtx(ctx []byte, a []int32, m, k int, b []int32, n int) ([]int64,
 	if err := checkOperands(a, m, k, len(b), n); err != nil {
 		return nil, nil, Stats{}, err
 	}
+	pw, err := PrepareWeights(b, k, n)
+	if err != nil {
+		return nil, nil, Stats{}, err
+	}
+	c, proof, stats, err := ProveMatMulPrepared(ctx, a, m, pw)
+	// The one-shot path pays the weight-matrix digest a prepared prover
+	// amortizes across a settlement report.
+	stats.HashedElems += int64(pw.kp) * int64(pw.np)
+	return c, proof, stats, err
+}
+
+// ProveMatMulPrepared is ProveMatMulCtx against a pre-encoded weight
+// matrix: the padding and transcript digest of B — the same for every
+// charge a model version serves — are reused from pw instead of being
+// recomputed per proof. Everything that depends on this proof's own A
+// and C (their digests, the point challenges r1 and r2, the folds) is
+// still derived here, so the proof is byte-identical to ProveMatMulCtx's.
+func ProveMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights) ([]int64, *Proof, Stats, error) {
+	if pw == nil {
+		return nil, nil, Stats{}, fmt.Errorf("verify: nil prepared weights")
+	}
+	k, n := pw.K, pw.N
+	if m < 1 || len(a) != m*k {
+		return nil, nil, Stats{}, fmt.Errorf("verify: input size %d does not match dims %d×%d", len(a), m, k)
+	}
 	af, mp, kp := padMatrix(a, m, k)
-	bf, _, np := padMatrix(b, k, n)
-	cf := matMulField(af, bf, mp, kp, np)
+	np := pw.np
+	cf := pw.matMul(af, m, mp)
 	stats := Stats{ProverMuls: int64(mp) * int64(kp) * int64(np), DirectMuls: int64(mp) * int64(kp) * int64(np)}
-	stats.HashedElems = int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(mp)*int64(np)
+	stats.HashedElems = int64(mp)*int64(kp) + int64(mp)*int64(np)
 
 	tr := newTranscript("matmul")
 	if len(ctx) > 0 {
@@ -139,9 +172,9 @@ func ProveMatMulCtx(ctx []byte, a []int32, m, k int, b []int32, n int) ([]int64,
 	tr.absorbInt(mp)
 	tr.absorbInt(kp)
 	tr.absorbInt(np)
-	da, db, dc := digestElems(af), digestElems(bf), digestElems(cf)
+	da, dc := digestElems(af), digestElems(cf)
 	tr.absorbBytes(da[:])
-	tr.absorbBytes(db[:])
+	tr.absorbBytes(pw.db[:])
 	tr.absorbBytes(dc[:])
 
 	r1 := tr.challenges(log2(mp))
@@ -151,14 +184,11 @@ func ProveMatMulCtx(ctx []byte, a []int32, m, k int, b []int32, n int) ([]int64,
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	v, err := foldCols(bf, kp, np, r2) // B̃(·, r2), length kp
-	if err != nil {
-		return nil, nil, stats, err
-	}
+	v := pw.foldCols(r2) // B̃(·, r2), length kp
 	stats.ProverMuls += int64(mp)*int64(kp) + int64(kp)*int64(np)
 
-	proof := &Proof{M: mp, K: kp, N: np}
 	rounds := log2(kp)
+	proof := &Proof{M: mp, K: kp, N: np, Rounds: make([]RoundPoly, 0, rounds)}
 	for round := 0; round < rounds; round++ {
 		half := len(u) / 2
 		var g0, g1, g2 Elem
@@ -175,17 +205,16 @@ func ProveMatMulCtx(ctx []byte, a []int32, m, k int, b []int32, n int) ([]int64,
 		stats.ProverMuls += int64(3 * half)
 		rp := RoundPoly{g0, g1, g2}
 		proof.Rounds = append(proof.Rounds, rp)
-		tr.absorbElems(rp[0], rp[1], rp[2])
+		tr.absorbRound(rp)
 		rho := tr.challenge()
-		// Fold u and v with the challenge.
-		nu := make([]Elem, half)
-		nv := make([]Elem, half)
+		// Fold u and v with the challenge, in place: entry j reads only
+		// itself and entry j+half.
 		for j := 0; j < half; j++ {
-			nu[j] = Add(u[j], Mul(rho, Sub(u[j+half], u[j])))
-			nv[j] = Add(v[j], Mul(rho, Sub(v[j+half], v[j])))
+			u[j] = Add(u[j], Mul(rho, Sub(u[j+half], u[j])))
+			v[j] = Add(v[j], Mul(rho, Sub(v[j+half], v[j])))
 		}
 		stats.ProverMuls += int64(2 * half)
-		u, v = nu, nv
+		u, v = u[:half], v[:half]
 	}
 	stats.ProofBytes = proof.SizeBytes()
 
@@ -250,23 +279,33 @@ func VerifyMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights, c [
 	if len(c) != m*n {
 		return false, Stats{}, fmt.Errorf("verify: result size %d, want %d", len(c), m*n)
 	}
-	if proof == nil {
-		return false, Stats{}, fmt.Errorf("verify: nil proof")
-	}
-	af, mp, kp := padMatrix(a, m, k)
-	np := pw.np
-	if proof.M != mp || proof.K != kp || proof.N != np {
-		return false, Stats{}, fmt.Errorf("verify: proof dims %dx%dx%d do not match %dx%dx%d", proof.M, proof.K, proof.N, mp, kp, np)
-	}
-	if len(proof.Rounds) != log2(kp) {
-		return false, Stats{}, fmt.Errorf("verify: proof has %d rounds, want %d", len(proof.Rounds), log2(kp))
-	}
-	// Rebuild the padded C from the claimed result.
+	af, mp, _ := padMatrix(a, m, k)
+	return verifyLifted(ctx, af, padResult(c, m, n, mp, pw.np), mp, pw, proof)
+}
+
+// padResult embeds a claimed m×n product into the mp×np field matrix.
+func padResult(c []int64, m, n, mp, np int) []Elem {
 	cf := make([]Elem, mp*np)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			cf[i*np+j] = FromInt64(c[i*n+j])
 		}
+	}
+	return cf
+}
+
+// verifyLifted is the sum-check verifier over operands already lifted
+// and padded: af is mp×pw.kp, cf the claimed mp×pw.np product.
+func verifyLifted(ctx []byte, af, cf []Elem, mp int, pw *PreparedWeights, proof *Proof) (bool, Stats, error) {
+	if proof == nil {
+		return false, Stats{}, fmt.Errorf("verify: nil proof")
+	}
+	kp, np := pw.kp, pw.np
+	if proof.M != mp || proof.K != kp || proof.N != np {
+		return false, Stats{}, fmt.Errorf("verify: proof dims %dx%dx%d do not match %dx%dx%d", proof.M, proof.K, proof.N, mp, kp, np)
+	}
+	if len(proof.Rounds) != log2(kp) {
+		return false, Stats{}, fmt.Errorf("verify: proof has %d rounds, want %d", len(proof.Rounds), log2(kp))
 	}
 	stats := Stats{DirectMuls: int64(mp) * int64(kp) * int64(np), ProofBytes: proof.SizeBytes()}
 	stats.HashedElems = int64(mp)*int64(kp) + int64(mp)*int64(np)
@@ -299,12 +338,12 @@ func VerifyMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights, c [
 	}
 	stats.VerifierMuls += int64(mp)*int64(np) + int64(np)
 
-	var rho []Elem
+	rho := make([]Elem, 0, len(proof.Rounds))
 	for _, g := range proof.Rounds {
 		if Add(g[0], g[1]) != claim {
 			return false, stats, nil
 		}
-		tr.absorbElems(g[0], g[1], g[2])
+		tr.absorbRound(g)
 		ri := tr.challenge()
 		rho = append(rho, ri)
 		claim = evalQuadratic(g, ri)
@@ -316,11 +355,7 @@ func VerifyMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights, c [
 	if err != nil {
 		return false, stats, err
 	}
-	vb, err := foldCols(pw.bf, kp, np, r2)
-	if err != nil {
-		return false, stats, err
-	}
-	vbAt, err := foldCols(vb, 1, kp, rho)
+	vbAt, err := foldCols(pw.foldCols(r2), 1, kp, rho)
 	if err != nil {
 		return false, stats, err
 	}
@@ -345,38 +380,18 @@ func FreivaldsCheck(a []int32, m, k int, b []int32, n int, c []int64, rounds int
 	}
 	af, mp, kp := padMatrix(a, m, k)
 	bf, _, np := padMatrix(b, k, n)
-	cf := make([]Elem, mp*np)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			cf[i*np+j] = FromInt64(c[i*n+j])
-		}
-	}
+	cf := padResult(c, m, n, mp, np)
 	tr := newTranscript("freivalds")
 	tr.absorbInt(int(seed))
+	br := make([]Elem, kp)
 	for round := 0; round < rounds; round++ {
 		r := tr.challenges(np)
 		// br = B×r ; abr = A×br ; cr = C×r ; check abr == cr.
-		br := make([]Elem, kp)
-		for i := 0; i < kp; i++ {
-			var s Elem
-			row := bf[i*np : (i+1)*np]
-			for j, v := range row {
-				s = Add(s, Mul(v, r[j]))
-			}
-			br[i] = s
+		for i := range br {
+			br[i] = dot(r, bf[i*np:], 1)
 		}
 		for i := 0; i < mp; i++ {
-			var abr Elem
-			arow := af[i*kp : (i+1)*kp]
-			for j, v := range arow {
-				abr = Add(abr, Mul(v, br[j]))
-			}
-			var cr Elem
-			crow := cf[i*np : (i+1)*np]
-			for j, v := range crow {
-				cr = Add(cr, Mul(v, r[j]))
-			}
-			if abr != cr {
+			if dot(br, af[i*kp:], 1) != dot(r, cf[i*np:], 1) {
 				return false, nil
 			}
 		}
