@@ -134,9 +134,9 @@ func cmdOffload(args []string) error {
 				}
 				actBytes += out.Split.ActivationBytes
 				dep, _ := platform.Deployment(ids[i])
-				want := dep.Model().Predict(tinymlops.FromSlice(append([]float32(nil), x...), 1, es))
+				want := dep.ReferenceLogits(x)
 				for j, v := range out.Split.Logits {
-					if math.Float32bits(v) != math.Float32bits(want.Data[j]) {
+					if math.Float32bits(v) != math.Float32bits(want[j]) {
 						mismatches++
 						break
 					}

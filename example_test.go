@@ -92,7 +92,8 @@ func ExamplePlatform_Offload() {
 	if err != nil {
 		panic(err)
 	}
-	local := dep.Model().Predict(tinymlops.FromSlice(append([]float32(nil), x...), 1, 4))
+	logits := dep.ReferenceLogits(x)
+	local := tinymlops.FromSlice(logits, 1, len(logits))
 	fmt.Printf("mode=%s cut=%d\n", out.Split.Mode, out.Split.Cut)
 	fmt.Printf("label matches on-device forward: %v\n", out.Label == local.ArgMaxRows()[0])
 	fmt.Printf("meter used: %d\n", dep.Meter.Used())

@@ -19,46 +19,16 @@ import (
 	"tinymlops/internal/verify"
 )
 
-// newExecutor builds the executor serving (device, version, image) — the
-// one place core decides which kernels run a variant. A compiled image
-// runs on the VM under the device's capability grant. A variant with an
-// integer scheme the device supports natively runs the integer kernels
-// (§III-A: low precision buys nothing without them). Everything else —
-// float bases, devices without the bit width, models the integer runtime
-// cannot lower — runs the float engine over the artifact's
-// (fake-quantized) weights, charged at the variant's bit width so
-// unsupported widths pay the emulation penalty. The registry artifact
-// stays the source of truth: the executor is re-derived from the
-// installed image at deploy and after every update.
-func newExecutor(dev *device.Device, v *registry.ModelVersion, model *nn.Network, compiled *procvm.Module) (exec.Executor, error) {
-	if compiled != nil {
-		return exec.Module(compiled, procvm.CapSensor, 0, v.Metrics.MACs), nil
-	}
-	if v.Scheme != quant.Float32 && dev.Caps.SupportsBits(v.Scheme.Bits()) {
-		if ex, err := exec.Quant(model, v.Scheme); err == nil {
-			return ex, nil
-		}
-	}
-	return exec.Float(model, v.Scheme.Bits())
-}
-
-// image is one installed model generation: what a rollback restores.
-type image struct {
-	version  *registry.ModelVersion
-	model    *nn.Network
-	compiled *procvm.Module
-	monitor  *observe.Monitor
-	run      exec.Executor
-}
-
-// Deployment is one model running on one device: the decrypted model, the
-// executable serving it (the float engine, or the integer-kernel QModel
-// when the variant's scheme has native hardware support — see
-// ExecutionScheme), the metering gate, the drift monitor, the telemetry
-// buffer and the optional procvm pipeline stages. Deployments are
-// updatable: Update hot-swaps the model to a new registry version (keeping
-// meter and telemetry buffer) and Rollback reverts to the previous image,
-// A/B-slot style; both re-derive the executable from the swapped-in model.
+// Deployment is one model running on one device: the installed image (the
+// decoded model and the executable serving it — the float engine, or the
+// integer-kernel QModel when the variant's scheme has native hardware
+// support, see ExecutionScheme), the metering gate, the drift monitor, the
+// telemetry buffer and the optional procvm pipeline stages. What is the
+// device's own lives here; the image is the platform's one copy per
+// (version, executor kind), held by pointer, unless a watermark made it
+// this device's. Deployments are updatable: Update hot-swaps the image to a
+// new registry version (keeping meter and telemetry buffer) and Rollback
+// reverts to the previous one, A/B-slot style.
 type Deployment struct {
 	DeviceID string
 	Version  *registry.ModelVersion
@@ -69,11 +39,9 @@ type Deployment struct {
 
 	platform *Platform
 	device   *device.Device
-	// model is the decrypted network, nil for compiled (procvm) versions,
-	// whose artifact is the module in `compiled` instead.
-	model     *nn.Network
-	compiled  *procvm.Module
-	run       exec.Executor
+	// img is the live image: its model is nil for compiled (procvm)
+	// versions, whose artifact is the module in compiled instead.
+	img       *image
 	policy    selector.Policy
 	watermark string
 	pre       *procvm.Module
@@ -81,8 +49,10 @@ type Deployment struct {
 	runtime   *procvm.Runtime
 
 	// prev is the previous image (one-deep history, like an A/B flash
-	// slot): Rollback restores it without re-downloading anything.
-	prev *image
+	// slot) and prevMonitor the drift monitor calibrated for it: Rollback
+	// restores both without re-downloading anything.
+	prev        *image
+	prevMonitor *observe.Monitor
 
 	mu sync.Mutex
 
@@ -96,13 +66,15 @@ type Deployment struct {
 	sweptSeq   uint64
 
 	// Reusable serving buffers (guarded by d.mu): the admitted-row feature
-	// slab, per-row bookkeeping and the input tensor header over the slab.
-	// Together with the arena-borrowed executor scratch they make the
-	// steady-state serving path allocation-free apart from the per-call
-	// result slice InferBatch returns.
-	batchFeats []float32
-	batchAdm   []admitted
-	inHdr      *tensor.Tensor
+	// slab, per-row bookkeeping, the input tensor header over the slab and
+	// the logits copied out of the arena. Together with the arena-borrowed
+	// executor scratch they make the steady-state serving path
+	// allocation-free apart from the per-call result slice InferBatch
+	// returns.
+	batchFeats  []float32
+	batchAdm    []admitted
+	inHdr       *tensor.Tensor
+	batchLogits []float32
 
 	tick        uint64
 	window      uint32
@@ -170,7 +142,7 @@ type executeStep func(in *tensor.Tensor, adm []admitted) ([]float32, error)
 // before the shared compute, so DriftAlarm reflects the end of the burst.
 // Caller holds d.mu.
 func (d *Deployment) serveLocked(rows [][]float32, out []BatchOutcome, execute executeStep) {
-	width := exec.Width(d.run.InputShape())
+	width := exec.Width(d.img.run.InputShape())
 	adm := d.batchAdm[:0]
 	d.batchFeats = d.batchFeats[:0]
 	for qi, x := range rows {
@@ -297,7 +269,7 @@ func (d *Deployment) executeLocal(in *tensor.Tensor, adm []admitted) ([]float32,
 	energyMJ := d.device.Caps.InferenceEnergy(macs) * 1e3
 	paid := 0
 	for i := range adm {
-		lat, err := d.device.RunInference(macs, d.run.Bits())
+		lat, err := d.device.RunInference(macs, d.img.run.Bits())
 		if err != nil {
 			adm[i].err = fmt.Errorf("core: device: %w", err)
 			continue
@@ -310,11 +282,15 @@ func (d *Deployment) executeLocal(in *tensor.Tensor, adm []admitted) ([]float32,
 	}
 	ar := d.platform.arenas.Acquire()
 	defer d.platform.arenas.Release(ar)
-	logits, err := d.run.Run(in, 0, d.run.Steps(), ar)
+	logits, err := d.img.run.Run(in, 0, d.img.run.Steps(), ar)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return logits.Data, nil
+	// The result aliases the arena's slot for this executor, and the
+	// executor is the fleet's: the next deployment to borrow this arena
+	// overwrites it, so the logits leave before the arena goes back.
+	d.batchLogits = append(d.batchLogits[:0], logits.Data...)
+	return d.batchLogits, nil
 }
 
 // Infer runs one metered, monitored query through the deployed pipeline:
@@ -377,17 +353,26 @@ func (d *Deployment) rollWindowLocked() {
 }
 
 // Model exposes the deployed network for white-box operations (ownership
-// verification in disputes). The caller must not mutate it. Compiled
-// (procvm) deployments have no network; they return nil — see
+// verification in disputes). Unless the deployment is watermarked this is
+// the platform's one decoded copy of the version, which every device on it
+// and the cloud tier serve from concurrently: the caller must not mutate
+// it, and must not call Forward, Predict or any training entry point on it
+// either — those record per-layer inputs inside the network. Use
+// ReferenceLogits for the deployment's answer, or Clone for anything else.
+// Compiled (procvm) deployments have no network; they return nil — see
 // CompiledModule.
-func (d *Deployment) Model() *nn.Network { return d.model }
+func (d *Deployment) Model() *nn.Network {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.img.model
+}
 
 // CompiledModule returns the procvm module serving this deployment, nil
 // for network-backed deployments.
 func (d *Deployment) CompiledModule() *procvm.Module {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.compiled
+	return d.img.compiled
 }
 
 // ReferenceLogits runs the deployment's serving executable on one input
@@ -399,7 +384,7 @@ func (d *Deployment) ReferenceLogits(x []float32) []float32 {
 	defer d.mu.Unlock()
 	ar := d.platform.arenas.Acquire()
 	defer d.platform.arenas.Release(ar)
-	out, err := d.run.Run(tensor.FromSlice(x, 1, len(x)), 0, d.run.Steps(), ar)
+	out, err := d.img.run.Run(tensor.FromSlice(x, 1, len(x)), 0, d.img.run.Steps(), ar)
 	if err != nil {
 		return nil
 	}
@@ -414,7 +399,7 @@ func (d *Deployment) ReferenceLogits(x []float32) []float32 {
 func (d *Deployment) ExecutionScheme() quant.Scheme {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.run.Scheme()
+	return d.img.run.Scheme()
 }
 
 // Device returns the underlying simulated device.
@@ -426,13 +411,30 @@ func (d *Deployment) Device() *device.Device { return d.device }
 func (d *Deployment) Watermarked() bool { return d.watermark != "" }
 
 // StateSnapshot returns the live version, model and watermark flag under
-// the deployment lock — the auditor's consistent read. The returned model
-// must not be mutated; updates swap the pointer rather than editing in
-// place, so the snapshot stays coherent even if an update lands after.
+// the deployment lock — the auditor's consistent read. The model is shared
+// exactly as Model describes, so two unwatermarked deployments on one
+// (version, executor kind) return the same pointer; updates swap the
+// pointer rather than editing in place, so the snapshot stays coherent even
+// if an update lands after.
 func (d *Deployment) StateSnapshot() (*registry.ModelVersion, *nn.Network, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.Version, d.model, d.watermark != ""
+	return d.Version, d.img.model, d.watermark != ""
+}
+
+// disown gives the deployment's image references back when a fresh Deploy
+// has replaced it on its device. A caller still holding the handle keeps
+// serving, from private views of the same images: later releases and the
+// delta path treat them like any private copy.
+func (d *Deployment) disown() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, slot := range []**image{&d.img, &d.prev} {
+		if img := *slot; img != nil {
+			d.platform.images.release(img)
+			*slot = &image{version: img.version, model: img.model, compiled: img.compiled, run: img.run}
+		}
+	}
 }
 
 // CurrentWindow returns the index of the open telemetry window. Every

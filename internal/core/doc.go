@@ -11,6 +11,15 @@
 // OffloadSession.Infer — is one locked pipeline (serveLocked) over one
 // internal/exec executor; the paths differ only in the execute step.
 //
+// What a deployment runs is an image: the decoded artifact and the executor
+// lowered from it (image.go, the one file that builds executors). The
+// platform keeps one per (version, executor kind) in a single-flight,
+// reference-counted table; every unwatermarked deployment, its rollback
+// slot and the cloud side of Platform.Offload hold a pointer into it, so an
+// OTA wave decodes and lowers a version once however many devices move to
+// it. A watermarked deployment keeps a private image: the marked copy is
+// the device's own. Transfer, flash and energy are still charged per device.
+//
 // Fleet-wide operations — DeployMany, SyncTelemetry, SettleAll — fan out
 // over the platform's internal/engine worker pool (Config.Workers), and
 // Deployment.InferBatch serves whole query bursts through one batched

@@ -12,6 +12,7 @@ import (
 	"tinymlops/internal/market"
 	"tinymlops/internal/offload"
 	"tinymlops/internal/quant"
+	"tinymlops/internal/registry"
 	"tinymlops/internal/tensor"
 )
 
@@ -95,9 +96,12 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	if cfg.Cloud == nil {
 		return nil, fmt.Errorf("core: offload needs a cloud tier")
 	}
-	version, model, watermarked := dep.StateSnapshot()
-	compiled := dep.CompiledModule()
-	execScheme := dep.ExecutionScheme()
+	// One locked read of the live image: version, artifact and executor are
+	// coherent even if an update lands while the session is being set up.
+	dep.mu.Lock()
+	img, watermarked := dep.img, dep.watermark != ""
+	dep.mu.Unlock()
+	version, execScheme := img.version, img.run.Scheme()
 	if watermarked && execScheme != quant.Float32 {
 		return nil, fmt.Errorf("core: watermarked integer-native deployment on %s cannot offload (the enclave executes the float copy)", deviceID)
 	}
@@ -109,12 +113,17 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	scfg := offload.SessionConfig{
 		Tenant: deviceID,
 		Device: dep.device,
-		Model:  model,
-		Bits:   version.Scheme.Bits(),
+		Bits:   img.run.Bits(),
 		Cloud:  cfg.Cloud,
 		Retry:  cfg.Retry,
 		Replan: replan,
 		Plan:   cfg.Plan,
+	}
+	if img.compiled == nil {
+		// The device half of the split runs the executor the deployment
+		// already serves with; opening a session lowers nothing. (A compiled
+		// module's session builds its own: it needs the input width.)
+		scfg.Executor = img.run
 	}
 	// register binds the session to the cloud entry under key, building the
 	// cloud-side executor only if the tier lacks it: fleet-wide session
@@ -133,7 +142,7 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 
 	var err error
 	switch {
-	case compiled != nil:
+	case img.compiled != nil:
 		// Obfuscated deployment: the module is sealed to the enclave and runs
 		// whole in the protected world when the plan offloads. It declares no
 		// input geometry; the float artifact it was lowered from does.
@@ -141,22 +150,14 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 		if perr != nil {
 			return nil, fmt.Errorf("core: offload: %w", perr)
 		}
-		feats, macs := exec.Width(parent.InputShape), version.Metrics.MACs
-		scfg.Model, scfg.Module, scfg.ModuleMACs, scfg.InFeatures, scfg.Bits = nil, compiled, macs, feats, 32
+		feats := exec.Width(parent.InputShape)
+		scfg.Module, scfg.ModuleMACs, scfg.InFeatures = img.compiled, version.Metrics.MACs, feats
 		err = register(version.ID, func() (exec.Executor, error) {
 			blob, err := p.Registry.Bytes(version.ID)
 			if err != nil {
 				return nil, err
 			}
-			sess, err := p.hostSealed(cfg, version.ID, blob, true)
-			if err != nil {
-				return nil, err
-			}
-			mod, err := sess.Module(version.ID)
-			if err != nil {
-				return nil, err
-			}
-			return exec.Hosted(exec.Module(mod, mod.Caps, feats, macs), sess.Enclave().Slowdown), nil
+			return p.hostSealed(cfg, version.ID, blob, version, feats)
 		})
 
 	case watermarked:
@@ -165,51 +166,25 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 		// world, so the split does not break watermark protection.
 		key := version.ID + "@" + deviceID
 		err = register(key, func() (exec.Executor, error) {
-			blob, err := model.MarshalBinary()
+			blob, err := img.model.MarshalBinary()
 			if err != nil {
 				return nil, err
 			}
-			sess, err := p.hostSealed(cfg, key, blob, false)
-			if err != nil {
-				return nil, err
-			}
-			inside, err := sess.Network(key)
-			if err != nil {
-				return nil, err
-			}
-			ex, err := exec.Float(inside, version.Scheme.Bits())
-			if err != nil {
-				return nil, err
-			}
-			return exec.Hosted(ex, sess.Enclave().Slowdown), nil
-		})
-
-	case execScheme != quant.Float32:
-		// Integer-native deployment: the cloud lowers the registry artifact
-		// onto the same integer kernels; boundaries cross as int8 codes.
-		// The "#q" key keeps the quant entry distinct from any float entry
-		// of the same version (devices without native support still split
-		// in float).
-		scfg.Scheme, scfg.Bits = execScheme, execScheme.Bits()
-		err = register(version.ID+"#q", func() (exec.Executor, error) {
-			cloudModel, err := p.Registry.Load(version.ID)
-			if err != nil {
-				return nil, err
-			}
-			return exec.Quant(cloudModel, execScheme)
+			return p.hostSealed(cfg, key, blob, version, 0)
 		})
 
 	default:
-		// The cloud serves the registry's own artifact — for an
-		// unwatermarked deployment that is bit-identical to the device's
-		// decrypted copy.
-		err = register(version.ID, func() (exec.Executor, error) {
-			cloudModel, err := p.Registry.Load(version.ID)
-			if err != nil {
-				return nil, err
-			}
-			return exec.Float(cloudModel, version.Scheme.Bits())
-		})
+		// The cloud serves the fleet's own image of the version: the same
+		// decoded registry artifact and the same executor the device runs,
+		// by pointer. Integer-native deployments cross the cut as int8 codes;
+		// the "#q" key keeps their entry distinct from the float entry of
+		// the same version (devices without native support still split in
+		// float).
+		key := version.ID
+		if execScheme != quant.Float32 {
+			key += "#q"
+		}
+		err = register(key, func() (exec.Executor, error) { return img.run, nil })
 	}
 	if err != nil {
 		return nil, err
@@ -226,14 +201,15 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	return &OffloadSession{dep: dep, sess: sess, versionID: version.ID}, nil
 }
 
-// hostSealed seals an artifact into the enclave session hosting protected
-// execution — the caller's, or the platform's shared cloud enclave,
-// provisioned on first use from the vendor key — under artID and verifies
-// the attestation chain before anything serves from it: the loaded
+// hostSealed seals an artifact of version v into the enclave session hosting
+// protected execution — the caller's, or the platform's shared cloud
+// enclave, provisioned on first use from the vendor key — under artID and
+// verifies the attestation chain before anything serves from it: the loaded
 // measurement must equal the artifact digest, and the session's report
-// over it must verify against the vendor root. Sealing advances the
-// enclave's monotonic counter, so it serializes under encMu.
-func (p *Platform) hostSealed(cfg OffloadConfig, artID string, blob []byte, module bool) (*enclave.Session, error) {
+// over it must verify against the vendor root. It returns the executor over
+// the enclave's copy (features is a compiled module's input width). Sealing
+// advances the enclave's monotonic counter, so it serializes under encMu.
+func (p *Platform) hostSealed(cfg OffloadConfig, artID string, blob []byte, v *registry.ModelVersion, features int) (exec.Executor, error) {
 	sess := cfg.Enclave
 	p.encMu.Lock()
 	if sess == nil && p.encSess == nil {
@@ -253,7 +229,7 @@ func (p *Platform) hostSealed(cfg OffloadConfig, artID string, blob []byte, modu
 		return nil, fmt.Errorf("seal %s: %w", artID, err)
 	}
 	load := sess.LoadSealedNetwork
-	if module {
+	if v.Kind == registry.KindProcVM {
 		load = sess.LoadSealedModule
 	}
 	meas, err := load(artID, sealed)
@@ -271,7 +247,7 @@ func (p *Platform) hostSealed(cfg OffloadConfig, artID string, blob []byte, modu
 	if !enclave.VerifyReport(p.vendorKey, rep) || rep.Measurement != want {
 		return nil, fmt.Errorf("attestation for %s failed verification", artID)
 	}
-	return sess, nil
+	return hostedExecutor(sess, artID, v, features)
 }
 
 // Plan returns the split currently in force.

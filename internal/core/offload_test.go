@@ -79,7 +79,9 @@ func TestPlatformOffloadBitExactAndMetered(t *testing.T) {
 		if out.Split.Mode != offload.ModeSplit || out.Split.Cut != cut {
 			t.Fatalf("query %d: mode %v cut %d", q, out.Split.Mode, out.Split.Cut)
 		}
-		want := dep.Model().Predict(tensor.FromSlice(append([]float32(nil), x...), 1, es))
+		// The deployed network is the fleet's shared image: Predict records
+		// layer inputs inside the network, so the reference runs on a copy.
+		want := dep.Model().Clone().Predict(tensor.FromSlice(append([]float32(nil), x...), 1, es))
 		for i, v := range out.Split.Logits {
 			if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
 				t.Fatalf("query %d: offloaded logit %d differs from on-device forward", q, i)

@@ -66,6 +66,9 @@ type Platform struct {
 	// tests, observes each one.
 	classMu   sync.Mutex
 	onPrepare func(modelID string)
+	// images holds what unwatermarked deployments run: one decoded artifact
+	// and one executor per (version, executor kind), shared by pointer.
+	images imageTable
 
 	// encMu serializes protected-offload provisioning (sealing advances an
 	// enclave-internal monotonic counter); encSess is the lazily provisioned
@@ -148,7 +151,7 @@ type DeployConfig struct {
 // encrypts and "ships" it (charging the download to the device's radio),
 // provisions a prepaid meter and a drift monitor, and returns the live
 // deployment handle.
-func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (*Deployment, error) {
+func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (_ *Deployment, err error) {
 	dev, ok := p.Fleet.Get(deviceID)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown device %q", deviceID)
@@ -169,20 +172,17 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (*Deploy
 	if version.Kind == registry.KindProcVM && cfg.Watermark != "" {
 		return nil, fmt.Errorf("core: compiled module versions cannot carry a watermark")
 	}
-	model, compiled, err := p.shipFull(nil, dev, version, new(UpdateReport))
+	img, err := p.shipFull(nil, dev, version, cfg.Watermark, new(UpdateReport))
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Watermark != "" {
-		// The mark identifies the customer (capacity scales to the carrier
-		// layer so tiny models still embed reliably); the registry tag is
-		// keyed per device so every customer's mark stays on record and
-		// parallel deploys stay deterministic (a single shared key would be
-		// last-writer-wins in scheduling order).
-		if err := p.embedWatermark(model, version.ID, deviceID, cfg.Watermark); err != nil {
-			return nil, err
+	// Until the deployment is published the image reference is this call's
+	// to give back.
+	defer func() {
+		if err != nil {
+			p.images.release(img)
 		}
-	}
+	}()
 
 	quota := cfg.PrepaidQueries
 	if quota == 0 {
@@ -193,18 +193,12 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (*Deploy
 		return nil, err
 	}
 
-	run, err := newExecutor(dev, version, model, compiled)
-	if err != nil {
-		return nil, err
-	}
 	d := &Deployment{
 		DeviceID:  deviceID,
 		Version:   version,
 		platform:  p,
 		device:    dev,
-		model:     model,
-		compiled:  compiled,
-		run:       run,
+		img:       img,
 		policy:    cfg.Policy,
 		watermark: cfg.Watermark,
 		Meter:     metering.NewMeter(voucher),
@@ -230,8 +224,12 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (*Deploy
 		d.Meter.SetAttestor(p.attRate, d.attest)
 	}
 	p.mu.Lock()
+	old := p.deployments[deviceID]
 	p.deployments[deviceID] = d
 	p.mu.Unlock()
+	if old != nil {
+		old.disown()
+	}
 	return d, nil
 }
 

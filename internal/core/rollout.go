@@ -176,7 +176,9 @@ type rolloutTarget struct {
 func (t *rolloutTarget) DeviceIDs() []string {
 	var out []string
 	for _, d := range t.p.Deployments() {
-		if d.Version.Name == t.target.Name {
+		// Read under the deployment's lock: another rollout on this platform
+		// may be updating it.
+		if v, _, _ := d.StateSnapshot(); v.Name == t.target.Name {
 			out = append(out, d.DeviceID)
 		}
 	}

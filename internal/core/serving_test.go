@@ -73,7 +73,7 @@ func TestWrongWidthQueryFailsAloneOnEveryKind(t *testing.T) {
 		if after.used != before.used+1 || after.retained != before.retained+1 || after.failed != before.failed+1 {
 			t.Fatalf("%s: failed query moved state %+v -> %+v, want one charge, one retained row, one failure", v.name, before, after)
 		}
-		declared := dep.run.InputShape() != nil
+		declared := dep.img.run.InputShape() != nil
 		if declared && after.inferences != before.inferences {
 			t.Fatalf("%s: device ran %d inferences for a query rejected on width", v.name, after.inferences-before.inferences)
 		}

@@ -143,29 +143,23 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 	if toCompiled && d.watermark != "" {
 		return nil, fmt.Errorf("core: watermarked deployment %s cannot update to compiled module %s", d.DeviceID, chosen.ID)
 	}
-	var model *nn.Network
-	var compiled *procvm.Module
 	// Delta transfer requires the on-device weights to be bit-identical to
 	// the registry's stored artifact; a per-customer watermark perturbs
 	// them, so watermarked deployments always ship full images. A compiled
 	// image holds no float weights at all, so a compiled→network update is
 	// always a full ship too.
-	if !opts.ForceFull && !toCompiled && d.watermark == "" && d.model != nil {
-		if model, err = d.tryDeltaLocked(opts.Swarm, chosen, rep); err != nil {
+	var img *image
+	if !opts.ForceFull && !toCompiled && d.watermark == "" && d.img.model != nil {
+		if img, err = d.tryDeltaLocked(opts.Swarm, chosen, rep); err != nil {
 			return nil, err
 		}
 	}
-	if model == nil {
-		if model, compiled, err = p.shipFull(opts.Swarm, d.device, chosen, rep); err != nil {
+	if img == nil {
+		if img, err = p.shipFull(opts.Swarm, d.device, chosen, d.watermark, rep); err != nil {
 			return nil, err
 		}
-		if d.watermark != "" {
-			if err := p.embedWatermark(model, chosen.ID, d.DeviceID, d.watermark); err != nil {
-				return nil, err
-			}
-		}
 	}
-	if err := d.swapLocked(chosen, model, compiled, opts.Calibration); err != nil {
+	if err := d.swapLocked(img, opts.Calibration); err != nil {
 		return nil, err
 	}
 	// The swap succeeded: the device now holds the canonical artifact (and,
@@ -182,12 +176,12 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 }
 
 // tryDeltaLocked attempts a delta transfer to the chosen version, filling
-// rep and returning the patched model on success. A nil model (with nil
+// rep and returning the patched image on success. A nil image (with nil
 // error) means the caller must ship the full artifact: the versions do not
 // share a topology, or the delta would not beat the packed image — a full
 // retrain degrades to a dense delta whose index overhead can exceed what
 // it patches. Caller holds d.mu.
-func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersion, rep *UpdateReport) (*nn.Network, error) {
+func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersion, rep *UpdateReport) (*image, error) {
 	p := d.platform
 	delta, err := p.Registry.Delta(d.Version.ID, chosen.ID)
 	if err != nil {
@@ -216,13 +210,23 @@ func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersi
 	if err != nil {
 		return nil, err
 	}
-	model, err := nn.ApplyDelta(d.model, plain)
+	// The patch is verified and what it patches is the fleet's image of the
+	// base, so the result is the fleet's image of the target: only the first
+	// device of a wave computes it. A base the table does not hold (a fresh
+	// Deploy replaced this deployment) is patched privately.
+	img, err := p.images.install(d.device, chosen, !p.images.shares(d.img), func() (*nn.Network, *procvm.Module, error) {
+		model, err := nn.ApplyDelta(d.img.model, plain)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: apply delta on %s: %w", d.DeviceID, err)
+		}
+		return model, nil, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: apply delta on %s: %w", d.DeviceID, err)
+		return nil, err
 	}
 	rep.UsedDelta = true
 	rep.ChangedParams, rep.TotalParams = cost.ChangedParams, cost.TotalParams
-	return model, nil
+	return img, nil
 }
 
 // transfer moves one artifact — a full image or a delta, named by its
@@ -290,8 +294,9 @@ func (d *Deployment) Rollback() (*UpdateReport, error) {
 	d.rollWindowLocked()
 	// The image comes back with the executor it ran on: an integer variant
 	// returns to the integer kernels, a compiled image to the VM.
-	d.Version, d.model, d.compiled, d.Monitor, d.run = d.prev.version, d.prev.model, d.prev.compiled, d.prev.monitor, d.prev.run
-	d.prev = nil
+	d.platform.images.release(d.img)
+	d.Version, d.img, d.Monitor = d.prev.version, d.prev, d.prevMonitor
+	d.prev, d.prevMonitor = nil, nil
 	if d.Monitor != nil {
 		d.Monitor.Reset()
 	}
@@ -304,20 +309,14 @@ func (d *Deployment) Rollback() (*UpdateReport, error) {
 	return rep, nil
 }
 
-// swapLocked installs (version, model-or-module) as the live image, saving
-// the old one for rollback. Exactly one of m and mod is non-nil, matching
-// the version's kind. Caller holds d.mu.
-func (d *Deployment) swapLocked(v *registry.ModelVersion, m *nn.Network, mod *procvm.Module, calib *dataset.Dataset) error {
-	// The registry artifact stays the source of truth: deltas patched the
-	// float model, and the executor (QModel included) is re-instantiated
-	// from the result.
-	run, err := newExecutor(d.device, v, m, mod)
-	if err != nil {
-		return err
-	}
+// swapLocked installs img as the live image, keeping the old one (and the
+// monitor calibrated for it) for rollback and letting go of the one before
+// that. The deployment owns img's reference from here on. Caller holds d.mu.
+func (d *Deployment) swapLocked(img *image, calib *dataset.Dataset) error {
 	d.rollWindowLocked()
-	d.prev = &image{version: d.Version, model: d.model, compiled: d.compiled, monitor: d.Monitor, run: d.run}
-	d.Version, d.model, d.compiled, d.run = v, m, mod, run
+	d.platform.images.release(d.prev)
+	d.prev, d.prevMonitor = d.img, d.Monitor
+	d.Version, d.img = img.version, img
 	if d.retained != nil {
 		if err := d.refreshAttestorLocked(); err != nil {
 			return err
@@ -350,30 +349,42 @@ func (d *Deployment) recalibrateLocked(calib *dataset.Dataset) error {
 }
 
 // shipFull transfers a version's full artifact, of either kind, onto the
-// device and decodes it into an installable image — the path shared by
-// Deploy and Update. A direct ship reads the registry blob and moves the
-// variant's packed size; a swarm sources and sizes the bytes itself, so
-// the blob need not even exist any more.
-func (p *Platform) shipFull(sw *swarm.Swarm, dev *device.Device, v *registry.ModelVersion, rep *UpdateReport) (*nn.Network, *procvm.Module, error) {
+// device and returns the image it installs as — the path shared by Deploy
+// and Update. A direct ship reads the registry blob and moves the variant's
+// packed size; a swarm sources and sizes the bytes itself, so the blob need
+// not even exist any more. The bytes that arrive passed the transfer's own
+// verification (chunk hashes and artifact digest, or the AEAD open), so an
+// unwatermarked device takes the fleet's image of them; a watermarked one
+// decodes its own copy and stamps the customer's mark into it.
+func (p *Platform) shipFull(sw *swarm.Swarm, dev *device.Device, v *registry.ModelVersion, watermark string, rep *UpdateReport) (*image, error) {
 	var artifact []byte
 	var size int64
 	if sw == nil {
 		var err error
 		if artifact, err = p.Registry.Bytes(v.ID); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		size = int64(v.Metrics.SizeBytes)
 	}
 	plain, err := p.transfer(sw, dev, v, "full:"+v.ID, artifact, size, size, rep)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return decodeImage(v, plain)
+	return p.images.install(dev, v, watermark != "", func() (*nn.Network, *procvm.Module, error) {
+		model, compiled, err := decodeImage(v, plain)
+		if err == nil && watermark != "" {
+			err = p.embedWatermark(model, v.ID, dev.ID, watermark)
+		}
+		return model, compiled, err
+	})
 }
 
 // embedWatermark stamps the customer identity into a deployed copy and
-// records it in the registry (§V: per-user marks, keyed per device so
-// parallel deploys stay deterministic).
+// records it in the registry (§V: per-user marks; capacity scales to the
+// carrier layer so tiny models still embed reliably). The tag is keyed per
+// device so every customer's mark stays on record and parallel deploys stay
+// deterministic — a single shared key would be last-writer-wins in
+// scheduling order.
 func (p *Platform) embedWatermark(model *nn.Network, versionID, deviceID, owner string) error {
 	capacity := watermarkCapacity(model)
 	bits := ipprot.KeyedBits(owner, capacity)

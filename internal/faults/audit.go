@@ -8,16 +8,19 @@ import (
 	"tinymlops/internal/core"
 	"tinymlops/internal/ipprot"
 	"tinymlops/internal/metering"
+	"tinymlops/internal/nn"
 	"tinymlops/internal/observe"
 	"tinymlops/internal/swarm"
 )
 
 // AuditConfig controls one fleet audit.
 type AuditConfig struct {
-	// Deep re-serializes every unwatermarked deployment's model and
+	// Deep re-serializes what every unwatermarked deployment runs and
 	// verifies it is bit-identical to the registry artifact of the version
 	// it claims to run — the strongest convergence proof (an interrupted
-	// and resumed delta install must reproduce the target exactly).
+	// and resumed delta install must reproduce the target exactly). Each
+	// distinct image the fleet shares is serialized once and its verdict
+	// attributed to every device holding it.
 	Deep bool
 	// AllowPartial tolerates half-written staging slots: an audit taken
 	// mid-recovery counts them without flagging a violation. The terminal
@@ -115,6 +118,9 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 	}
 
 	vouchers := make(map[string]string) // voucher ID -> device holding it
+	// diverged memoises the deep artifact check per decoded image: what is
+	// wrong with it, or "" when it serializes to the registry's bytes.
+	diverged := make(map[*nn.Network]string)
 	for _, d := range deps {
 		id := d.DeviceID
 
@@ -202,9 +208,9 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		// canonical bytes; a watermarked deployment (whose weights are
 		// deliberately perturbed) must still carry its exact per-customer
 		// mark; any other deployment's model must serialize to exactly
-		// the registry artifact. Updates swap the model pointer rather
-		// than mutating in place, so serializing the snapshot outside the
-		// lock is safe.
+		// the registry artifact, checked once per distinct image. Updates
+		// swap the model pointer rather than mutating in place, so
+		// serializing the snapshot outside the lock is safe.
 		if cfg.Deep && ver != nil {
 			switch {
 			case d.CompiledModule() != nil:
@@ -229,11 +235,17 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 					rep.ArtifactsVerified++
 				}
 			default:
-				data, merr := liveModel.MarshalBinary()
-				if merr != nil {
-					rep.violate(max, "%s: deployed model does not serialize: %v", id, merr)
-				} else if sha256.Sum256(data) != ver.Digest {
-					rep.violate(max, "%s: deployed model bytes diverge from artifact %s", id, ver.ID)
+				why, seen := diverged[liveModel]
+				if !seen {
+					if data, merr := liveModel.MarshalBinary(); merr != nil {
+						why = fmt.Sprintf("deployed model does not serialize: %v", merr)
+					} else if sha256.Sum256(data) != ver.Digest {
+						why = "deployed model bytes diverge from artifact " + ver.ID
+					}
+					diverged[liveModel] = why
+				}
+				if why != "" {
+					rep.violate(max, "%s: %s", id, why)
 				} else {
 					rep.ArtifactsVerified++
 				}

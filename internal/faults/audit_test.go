@@ -16,6 +16,13 @@ import (
 // some traffic served, telemetry synced once.
 func auditFixture(t *testing.T) (*core.Platform, *dataset.Dataset) {
 	t.Helper()
+	return markedAuditFixture(t, "")
+}
+
+// markedAuditFixture is auditFixture with the copy on device marked (if
+// any) watermarked for a customer.
+func markedAuditFixture(t *testing.T, marked string) (*core.Platform, *dataset.Dataset) {
+	t.Helper()
 	rng := tensor.NewRNG(21)
 	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2, Seed: 21})
 	if err != nil {
@@ -41,12 +48,22 @@ func auditFixture(t *testing.T) (*core.Platform, *dataset.Dataset) {
 	if _, err := p.Publish("aud", net, ds, spec); err != nil {
 		t.Fatal(err)
 	}
-	var ids []string
+	var ids, plain []string
 	for _, d := range fleet.Devices() {
 		ids = append(ids, d.ID)
+		if d.ID != marked {
+			plain = append(plain, d.ID)
+		}
 	}
-	if _, err := p.DeployMany(ids, "aud", core.DeployConfig{PrepaidQueries: 500, Calibration: ds}); err != nil {
+	cfg := core.DeployConfig{PrepaidQueries: 500, Calibration: ds}
+	if _, err := p.DeployMany(plain, "aud", cfg); err != nil {
 		t.Fatal(err)
+	}
+	if marked != "" {
+		cfg.Watermark = "customer-7"
+		if _, err := p.Deploy(marked, "aud", cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rows := trafficRows(ds, 8)
 	driveTraffic(p, ids, rows)
@@ -116,23 +133,70 @@ func TestAuditFlagsTamperedModelBytes(t *testing.T) {
 	p, _ := auditFixture(t)
 	dep := p.Deployments()[3]
 	// Corrupt one deployed weight — as a botched patch application would.
+	// The fleet shares one decoded image per (version, executor kind), so
+	// the corruption is every holder's: the audit serializes the image once
+	// and must name each device running it, and no other.
 	dep.Model().Params()[0].Value.Data[0] += 1
-	rep := Audit(p, AuditConfig{Deep: true})
-	if rep.OK() {
-		t.Fatal("tampered model passed the deep audit")
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if strings.Contains(v, "diverge from artifact") && strings.Contains(v, dep.DeviceID) {
-			found = true
+	holders := map[string]bool{}
+	for _, d := range p.Deployments() {
+		if d.Model() == dep.Model() {
+			holders[d.DeviceID] = true
 		}
 	}
-	if !found {
-		t.Fatalf("no divergence violation for %s in %v", dep.DeviceID, rep.Violations)
+	if !holders[dep.DeviceID] || len(holders) < 2 {
+		t.Fatalf("fixture: %d deployments share the tampered image, want the fleet's", len(holders))
+	}
+	rep := Audit(p, AuditConfig{Deep: true})
+	if rep.ViolationCount != len(holders) || rep.ArtifactsVerified != len(p.Deployments())-len(holders) {
+		t.Fatalf("%d violations and %d artifacts verified for %d holders of %d: %v",
+			rep.ViolationCount, rep.ArtifactsVerified, len(holders), len(p.Deployments()), rep.Violations)
+	}
+	for id := range holders {
+		found := false
+		for _, v := range rep.Violations {
+			if strings.Contains(v, "diverge from artifact") && strings.HasPrefix(v, id+":") {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("no divergence violation for %s in %v", id, rep.Violations)
+		}
 	}
 	// A shallow audit does not serialize models and stays green.
 	if rep := Audit(p, AuditConfig{}); !rep.OK() {
 		t.Fatalf("shallow audit: %v", rep.Violations)
+	}
+}
+
+// TestAuditFlagsTamperedPrivateCopyAlone is the sibling case: a watermarked
+// deployment runs its own copy, so corrupting it is that device's problem
+// and nobody else's.
+func TestAuditFlagsTamperedPrivateCopyAlone(t *testing.T) {
+	const id = "m4-wearable-01"
+	p, _ := markedAuditFixture(t, id)
+	marked, _ := p.Deployment(id)
+	if !marked.Watermarked() {
+		t.Fatalf("fixture: %s is not watermarked", id)
+	}
+	for _, d := range p.Deployments() {
+		if d != marked && d.Model() == marked.Model() {
+			t.Fatalf("%s shares the watermarked copy of %s", d.DeviceID, id)
+		}
+	}
+	if rep := Audit(p, AuditConfig{Deep: true}); !rep.OK() {
+		t.Fatalf("marked fleet failed the deep audit: %v", rep.Violations)
+	}
+	// Flatten the carrier layer: the mark no longer extracts.
+	w := marked.Model().Params()[0].Value.Data
+	for i := range w {
+		w[i] = 0
+	}
+	rep := Audit(p, AuditConfig{Deep: true})
+	if rep.ViolationCount != 1 || !strings.HasPrefix(rep.Violations[0], id+":") || !strings.Contains(rep.Violations[0], "watermark") {
+		t.Fatalf("tampered private copy of %s: %v", id, rep.Violations)
+	}
+	if rep.ArtifactsVerified != len(p.Deployments())-1 {
+		t.Fatalf("%d artifacts verified, want every other device's", rep.ArtifactsVerified)
 	}
 }
 

@@ -104,10 +104,14 @@ type SessionConfig struct {
 	VersionID string
 	// Device is the edge node paying for prefix compute and radio.
 	Device *device.Device
+	// Executor, when non-nil, is the on-device executor itself: a platform
+	// deployment passes the one it already serves with, so opening a session
+	// lowers nothing, and Model, Scheme and Module go unread. Leave it nil
+	// for a standalone session, which builds its executor from them.
+	Executor exec.Executor
 	// Model is the on-device network. Bit-exactness requires its weights be
-	// identical to the cloud's registered artifact — deployments satisfy
-	// that, since every device owns its decrypted copy of the registry
-	// bytes. Nil exactly when Module is set.
+	// identical to the cloud's registered artifact. Nil exactly when Module
+	// is set.
 	Model *nn.Network
 	// Scheme, when an integer scheme, runs both halves of the split on the
 	// integer kernels: the session lowers Model onto them, plans cuts
@@ -141,10 +145,12 @@ type SessionConfig struct {
 	Plan *market.SplitPlan
 }
 
-// executor builds the on-device executor the configuration describes — the
-// one place offload looks at a variant kind.
+// executor returns the on-device executor the configuration names or
+// describes — the one place offload looks at a variant kind.
 func (cfg *SessionConfig) executor() (exec.Executor, error) {
 	switch {
+	case cfg.Executor != nil:
+		return cfg.Executor, nil
 	case (cfg.Model == nil) == (cfg.Module == nil):
 		return nil, fmt.Errorf("offload: session needs exactly one of a model and a compiled module")
 	case cfg.Module != nil:

@@ -164,6 +164,24 @@ func maxCode(s Scheme) float32 {
 	}
 }
 
+// roundCode rounds a scaled weight half away from zero and saturates it at
+// ±mc; NaN quantizes to zero. Inside the clamp |x| < 128 and x carries a
+// float32's 24 significant bits, so x ± 0.5 is exact in float64 and the
+// truncating conversion is math.Round without its bit manipulation. The
+// sign of a weight is a coin flip, so it is copied, not branched on.
+func roundCode(x, mc float32) int8 {
+	switch {
+	case x != x:
+		return 0
+	case x >= mc:
+		return int8(mc)
+	case x <= -mc:
+		return -int8(mc)
+	}
+	f := float64(x)
+	return int8(int32(f + math.Copysign(0.5, f)))
+}
+
 // QuantizeMatrix quantizes a [rows, cols] float32 matrix with
 // per-output-channel (column) scales under the given scheme.
 func QuantizeMatrix(w *tensor.Tensor, scheme Scheme) (*QTensor, error) {
@@ -178,37 +196,34 @@ func QuantizeMatrix(w *tensor.Tensor, scheme Scheme) (*QTensor, error) {
 		Scales: make([]float32, cols), Scheme: scheme}
 	switch scheme {
 	case Int8, Int4:
+		// The matrix is row-major, so both sweeps walk w.Data in storage
+		// order: the first folds each column's largest magnitude into
+		// q.Scales, the second writes the codes.
 		mc := maxCode(scheme)
-		for j := 0; j < cols; j++ {
-			var absMax float32
-			for i := 0; i < rows; i++ {
-				v := w.At2(i, j)
-				if v < 0 {
-					v = -v
-				}
-				if v > absMax { // NaN compares false: ignored for the scale
-					absMax = v
+		scales := q.Scales
+		for i := 0; i < rows; i++ {
+			for j, v := range w.Data[i*cols : (i+1)*cols] {
+				// |v| by clearing the sign bit: branching on a weight's sign
+				// mispredicts every other element.
+				v = math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
+				if v > scales[j] { // NaN compares false: ignored for the scale
+					scales[j] = v
 				}
 			}
+		}
+		for j, absMax := range scales {
 			scale := absMax / mc
 			// All-zero columns and non-finite magnitudes fall back to
 			// scale 1: codes stay deterministic (zeros, or saturated ±mc).
 			if !(scale > 0) || math.IsInf(float64(scale), 0) {
 				scale = 1
 			}
-			q.Scales[j] = scale
-			for i := 0; i < rows; i++ {
-				code := float64(w.At2(i, j) / scale)
-				c := math.Round(code)
-				switch {
-				case c != c: // NaN weights quantize to zero
-					c = 0
-				case c > float64(mc):
-					c = float64(mc)
-				case c < -float64(mc):
-					c = -float64(mc)
-				}
-				q.Data[i*cols+j] = int8(c)
+			scales[j] = scale
+		}
+		for i := 0; i < rows; i++ {
+			codes := q.Data[i*cols : (i+1)*cols]
+			for j, v := range w.Data[i*cols : (i+1)*cols] {
+				codes[j] = roundCode(v/scales[j], mc)
 			}
 		}
 	case Ternary:

@@ -354,3 +354,137 @@ func TestInt8ErrorBoundProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// columnMajorQuantize is the integer branch of QuantizeMatrix as it stood
+// before the row-major sweep: one column at a time through At2, rounding
+// with math.Round. It is the reference the property below compares against.
+func columnMajorQuantize(w *tensor.Tensor, scheme Scheme) (codes []int8, scales []float32) {
+	rows, cols := w.Dim(0), w.Dim(1)
+	codes, scales = make([]int8, rows*cols), make([]float32, cols)
+	mc := maxCode(scheme)
+	for j := 0; j < cols; j++ {
+		var absMax float32
+		for i := 0; i < rows; i++ {
+			v := w.At2(i, j)
+			if v < 0 {
+				v = -v
+			}
+			if v > absMax {
+				absMax = v
+			}
+		}
+		scale := absMax / mc
+		if !(scale > 0) || math.IsInf(float64(scale), 0) {
+			scale = 1
+		}
+		scales[j] = scale
+		for i := 0; i < rows; i++ {
+			c := math.Round(float64(w.At2(i, j) / scale))
+			switch {
+			case c != c:
+				c = 0
+			case c > float64(mc):
+				c = float64(mc)
+			case c < -float64(mc):
+				c = -float64(mc)
+			}
+			codes[i*cols+j] = int8(c)
+		}
+	}
+	return codes, scales
+}
+
+// Property: the row-major QuantizeMatrix produces the codes and scales of
+// the column-major reference bit for bit, on matrices salted with the
+// values its special cases exist for.
+func TestQuantizeMatrixMatchesColumnMajorReference(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	salt := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), negZero, 0,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32,
+	}
+	f := func(seed uint64) bool {
+		rr := tensor.NewRNG(seed)
+		rows, cols := 1+rr.Intn(24), 1+rr.Intn(12)
+		w := tensor.Randn(rr, 1+rr.Float32()*3, rows, cols)
+		switch rr.Intn(4) {
+		case 0: // a few special values anywhere
+			for k := 0; k < 1+rr.Intn(6); k++ {
+				w.Data[rr.Intn(len(w.Data))] = salt[rr.Intn(len(salt))]
+			}
+		case 1: // one all-zero column, one all-NaN column
+			for i := 0; i < rows; i++ {
+				w.Set2(i, 0, []float32{0, negZero}[i%2])
+				w.Set2(i, cols-1, float32(math.NaN()))
+			}
+		case 2: // exact rounding ties: codes land on k + 0.5
+			mc := float32(7 + 120*rr.Intn(2))
+			for j := 0; j < cols; j++ {
+				w.Set2(0, j, mc)
+				for i := 1; i < rows; i++ {
+					w.Set2(i, j, float32(rr.Intn(int(2*mc)))-mc+0.5)
+				}
+			}
+		}
+		for _, scheme := range []Scheme{Int8, Int4} {
+			q, err := QuantizeMatrix(w, scheme)
+			if err != nil {
+				return false
+			}
+			codes, scales := columnMajorQuantize(w, scheme)
+			for j := range scales {
+				if math.Float32bits(q.Scales[j]) != math.Float32bits(scales[j]) {
+					return false
+				}
+			}
+			for i := range codes {
+				if q.Data[i] != codes[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRoundCodeIsSaturatedRound sweeps every float32 in a band around each
+// rounding tie, plus the saturation edges, against math.Round.
+func TestRoundCodeIsSaturatedRound(t *testing.T) {
+	want := func(x, mc float32) int8 {
+		c := math.Round(float64(x))
+		switch {
+		case c != c:
+			c = 0
+		case c > float64(mc):
+			c = float64(mc)
+		case c < -float64(mc):
+			c = -float64(mc)
+		}
+		return int8(c)
+	}
+	for _, mc := range []float32{127, 7} {
+		for k := -mc - 2; k <= mc+2; k++ {
+			for _, centre := range []float32{k, k + 0.5} {
+				x := centre
+				for s := 0; s < 64; s++ {
+					x = math.Nextafter32(x, float32(math.Inf(-1)))
+				}
+				for s := 0; s < 128; s++ {
+					if got := roundCode(x, mc); got != want(x, mc) {
+						t.Fatalf("roundCode(%v, %v) = %d, want %d", x, mc, got, want(x, mc))
+					}
+					x = math.Nextafter32(x, float32(math.Inf(1)))
+				}
+			}
+		}
+		for _, x := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32,
+			math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, float32(math.Copysign(0, -1))} {
+			if got := roundCode(x, mc); got != want(x, mc) {
+				t.Fatalf("roundCode(%v, %v) = %d, want %d", x, mc, got, want(x, mc))
+			}
+		}
+	}
+}
