@@ -1,7 +1,6 @@
 package tinymlops_test
 
 import (
-	"errors"
 	"math"
 	"net"
 	"strings"
@@ -21,7 +20,6 @@ func TestDatasetGenerators(t *testing.T) {
 	}{
 		{"blobs", tinymlops.Blobs(rng, 100, 4, 3, 3)},
 		{"rings", tinymlops.Rings(rng, 100, 2, 0.1)},
-		{"shapes", tinymlops.ShapeImages(rng, 40, 12, 0.1)},
 		{"keywords", tinymlops.KeywordSeq(rng, 100, 32, 4, 0.1, 0.2)},
 		{"vibration", tinymlops.VibrationAnomaly(rng, 100, 32, 0.3, 2)},
 	}
@@ -37,7 +35,7 @@ func TestDatasetGenerators(t *testing.T) {
 	if len(shards) != 4 {
 		t.Fatalf("PartitionIID returned %d shards", len(shards))
 	}
-	stream := tinymlops.NewDriftStream(rng, cases[0].ds, 10, tinymlops.DriftScale, 0.5)
+	stream := tinymlops.NewDriftStream(rng, cases[0].ds, 10, tinymlops.DriftMeanShift, 0.5)
 	for i := 0; i < 20; i++ {
 		x, y := stream.Next()
 		if len(x) != 4 || y < 0 || y > 2 {
@@ -49,7 +47,8 @@ func TestDatasetGenerators(t *testing.T) {
 	}
 }
 
-// TestDeviceAndSelectionSurface exercises profiles and manual selection.
+// TestDeviceAndSelectionSurface exercises profiles and policy-constrained
+// selection at deploy time.
 func TestDeviceAndSelectionSurface(t *testing.T) {
 	profiles := tinymlops.StandardProfiles()
 	if len(profiles) != 6 {
@@ -76,44 +75,23 @@ func TestDeviceAndSelectionSurface(t *testing.T) {
 	ds := tinymlops.Blobs(rng, 400, 4, 2, 4)
 	net := tinymlops.NewNetwork([]int{4}, tinymlops.Dense(4, 8, rng), tinymlops.ReLU(), tinymlops.Dense(8, 2, rng))
 	versions, err := platform.Publish("surface", net, ds, tinymlops.DefaultOptimizationSpec(ds))
+	if err != nil || len(versions) != 5 {
+		t.Fatalf("published %d versions: %v", len(versions), err)
+	}
+	dep, err := platform.Deploy("phone-00", "surface", tinymlops.DeployConfig{
+		PrepaidQueries: 1,
+		Policy:         tinymlops.SelectionPolicy{Schemes: []tinymlops.Scheme{tinymlops.Ternary}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := fleet.Get("phone-00")
-	dec, err := tinymlops.Select(d, versions, tinymlops.DefaultSelectionPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Chosen == nil || len(dec.Evaluations) != len(versions) {
-		t.Fatalf("decision = %+v", dec)
+	if dep.Version.Scheme != tinymlops.Ternary {
+		t.Fatalf("allowlisted ternary, selected %v", dep.Version.Scheme)
 	}
 }
 
-// TestLayerConstructorsAndConvPath builds a conv network purely through
-// the facade and trains a step.
-func TestLayerConstructorsAndConvPath(t *testing.T) {
-	rng := tinymlops.NewRNG(3)
-	ds := tinymlops.ShapeImages(rng, 80, 12, 0.1)
-	net := tinymlops.NewNetwork([]int{1, 12, 12},
-		tinymlops.Conv2D(1, 4, 3, 3, 1, 1, rng), tinymlops.ReLU(),
-		tinymlops.MaxPool2D(2, 2), tinymlops.Flatten(),
-		tinymlops.Dense(144, 16, rng), tinymlops.BatchNorm1D(16), tinymlops.Tanh(),
-		tinymlops.Dropout(0.2, rng),
-		tinymlops.Dense(16, 4, rng))
-	if _, err := tinymlops.Train(net, ds.X, ds.Y, tinymlops.TrainConfig{
-		Epochs: 2, BatchSize: 16, Optimizer: tinymlops.Adam(0.01), RNG: rng,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Sigmoid and Softmax constructors compile into a valid net.
-	head := tinymlops.NewNetwork([]int{4}, tinymlops.Dense(4, 2, rng), tinymlops.Sigmoid(), tinymlops.Softmax())
-	if out := head.Predict(tinymlops.NewTensor(1, 4)); out.Dim(1) != 2 {
-		t.Fatalf("head output %v", out.Shape())
-	}
-}
-
-// TestRolloutSurface pins the staged-OTA facade: rollout config/result
-// types, Deployment.Update/Rollback/Health, and the weight-delta codec.
+// TestRolloutSurface pins the staged-OTA facade: rollout config, wave and
+// gate types, the rollout record, and Deployment.Health/Rollback.
 func TestRolloutSurface(t *testing.T) {
 	rng := tinymlops.NewRNG(9)
 	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 9})
@@ -154,42 +132,12 @@ func TestRolloutSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The delta codec round-trips through the facade.
-	delta, err := tinymlops.EncodeModelDelta(v1net, v2net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched, err := tinymlops.ApplyModelDelta(v1net, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := patched.FlatParams(), v2net.FlatParams()
-	if len(got) != len(want) {
-		t.Fatalf("patched params %d != %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("patched param %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	cost, err := tinymlops.CostOfModelDelta(delta, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost.ChangedParams != 18 {
-		t.Fatalf("delta cost = %+v", cost)
-	}
-
 	v2s, err := platform.Publish("surface-ota", v2net, ds, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Staged rollout through the facade: one wave, default gate, no bake.
-	var waves []tinymlops.RolloutWave = tinymlops.DefaultRolloutWaves()
-	if len(waves) != 3 {
-		t.Fatalf("default waves = %v", waves)
-	}
+	// Staged rollout through the facade: one wave, a loose gate, a bake hook.
 	res, err := platform.Rollout(v2s[0], tinymlops.RolloutConfig{
 		Waves: []tinymlops.RolloutWave{{Name: "fleet", Fraction: 1.0}},
 		Gate:  tinymlops.RolloutGate{MaxErrorRate: 0.5},
@@ -204,31 +152,24 @@ func TestRolloutSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rr *tinymlops.RolloutResult = res
-	if !rr.Completed || rr.DeltaTransfers != 2 {
-		t.Fatalf("rollout result = %+v", rr)
+	if !res.Completed || res.DeltaTransfers != 2 {
+		t.Fatalf("rollout result = %+v", res)
 	}
-	var wr tinymlops.WaveResult = rr.Waves[0]
-	var gd tinymlops.GateDecision = wr.Gate
-	if !gd.Pass {
-		t.Fatalf("gate = %+v", gd)
+	if gate := res.Waves[0].Gate; !gate.Pass {
+		t.Fatalf("gate = %+v", gate)
 	}
 
-	// Deployment health, manual rollback and update report types.
+	// Deployment health and manual rollback.
 	dep, _ := platform.Deployment("phone-00")
-	var h tinymlops.DeviceHealth = dep.Health()
-	if h.DriftAlarm {
+	if dep.Health().DriftAlarm {
 		t.Fatal("drift alarm without a monitor")
 	}
-	var rep *tinymlops.UpdateReport
-	if rep, err = dep.Rollback(); err != nil {
+	rep, err := dep.Rollback()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.To.Name != "surface-ota" || rep.From.ID == rep.To.ID {
 		t.Fatalf("rollback report = %+v", rep)
-	}
-	if _, err := dep.Update(v2s[0], tinymlops.UpdateOptions{ForceFull: true}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -283,9 +224,8 @@ func TestProtectionWrappers(t *testing.T) {
 	}
 }
 
-// TestChaosSurface pins the fault-injection and audit facade: the fault
-// plane, the retry policy, the invariant auditor and the canned chaos
-// scenario, all reached through re-exports only.
+// TestChaosSurface pins the fault-injection facade: the fault plane with its
+// federated hook and the canned chaos scenario with its audit.
 func TestChaosSurface(t *testing.T) {
 	// Deterministic fault profiles from the facade.
 	plane := tinymlops.NewFaultPlane(tinymlops.ChaosConfig{
@@ -295,30 +235,11 @@ func TestChaosSurface(t *testing.T) {
 	if prof != plane.Profile(1, "phone-00") {
 		t.Fatal("fault profile not deterministic")
 	}
-	var cf tinymlops.ClientFault = plane.FedFaults()(1, "client-0")
-	_ = cf
-
-	// Retry policy with deterministic backoff.
-	pol := tinymlops.RetryPolicy{Attempts: 3, BaseBackoff: 0}
-	calls := 0
-	rr, err := tinymlops.Retry(pol, tinymlops.TransientUpdateError, func(int) error {
-		calls++
-		if calls < 2 {
-			return tinymlops.ErrDeviceOffline
-		}
-		return nil
-	})
-	if err != nil || rr.Attempts != 2 {
-		t.Fatalf("retry = %+v, %v", rr, err)
-	}
-	if tinymlops.TransientUpdateError(tinymlops.ErrInstallInterrupted) != true {
-		t.Fatal("interrupted install must be transient")
-	}
-	if a, b := tinymlops.SeedForID(1, 2, "x"), tinymlops.SeedForID(1, 2, "y"); a == b {
-		t.Fatal("SeedForID collision")
+	if cf := plane.FedFaults()(1, "client-0"); cf != plane.FedFaults()(1, "client-0") {
+		t.Fatal("federated fault draw not deterministic")
 	}
 
-	// The full chaos scenario plus the auditor, end to end but tiny.
+	// The full chaos scenario with its audit, end to end but tiny.
 	res, err := tinymlops.RunChaosScenario(tinymlops.ChaosScenarioConfig{
 		Devices: 12, Workers: 2, Seed: 31,
 		Chaos: tinymlops.ChaosConfig{Seed: 32, PDrop: 0.2, PCrash: 0.3, PChurn: 0.1},
@@ -326,55 +247,23 @@ func TestChaosSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep *tinymlops.AuditReport = res.Audit
+	rep := res.Audit
 	if !rep.OK() || res.Converged != res.FleetSize {
 		t.Fatalf("scenario: converged %d/%d, audit %v", res.Converged, res.FleetSize, rep.Violations)
 	}
 	if res.Fingerprint == "" {
 		t.Fatal("no fingerprint")
 	}
-	// The auditor is callable directly against any platform too.
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
-		VendorKey: []byte("surface-test-key-0123456789abcde"), Seed: 33,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := tinymlops.AuditPlatform(p, tinymlops.AuditConfig{Deep: true}); !rep.OK() {
-		t.Fatalf("empty platform fails audit: %v", rep.Violations)
-	}
 }
 
-// TestIntegerServingSurface pins the integer-serving facade: QModel with
-// its batched scratch path, the selection policy's scheme allowlist, the
-// deployment's reported execution scheme, and the offload refusal
-// sentinel — all reached through re-exports only.
+// TestIntegerServingSurface pins the integer-serving facade: the selection
+// policy's scheme allowlist, the deployment's reported execution scheme, and
+// an integer-native deployment splitting through the quantized boundary.
 func TestIntegerServingSurface(t *testing.T) {
 	rng := tinymlops.NewRNG(51)
 	net := tinymlops.NewNetwork([]int{4}, tinymlops.Dense(4, 8, rng), tinymlops.ReLU(), tinymlops.Dense(8, 2, rng))
 
-	// QModel + QScratch through the facade, bit-identical to Predict.
-	var qm *tinymlops.QModel
-	qm, err := tinymlops.Quantize(net, tinymlops.Int8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var scratch *tinymlops.QScratch = tinymlops.NewQScratch()
-	in := tinymlops.FromSlice([]float32{1, -2, 0.5, 3, 0, 0, -1, 2}, 2, 4)
-	got := qm.ForwardBatch(in, scratch)
-	want := qm.Predict(in)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("ForwardBatch diverged from Predict at %d", i)
-		}
-	}
-
-	// An int8-pinned deployment on NPU hardware reports int8 execution
-	// and refuses to offload.
+	// An int8-pinned deployment on NPU hardware reports int8 execution.
 	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
@@ -403,8 +292,7 @@ func TestIntegerServingSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sch tinymlops.Scheme = dep.ExecutionScheme()
-	if sch != tinymlops.Int8 {
+	if sch := dep.ExecutionScheme(); sch != tinymlops.Int8 {
 		t.Fatalf("execution scheme %v, want int8", sch)
 	}
 	cloud := tinymlops.NewOffloadCloud(tinymlops.OffloadCloudConfig{MaxBatch: 4})
@@ -421,9 +309,8 @@ func TestIntegerServingSurface(t *testing.T) {
 }
 
 // TestOffloadSurface pins the edge–cloud offload facade: the split
-// planner, the cloud tier, Platform.Offload sessions with their result
-// and stats types, the mode constants, the error sentinels, and the
-// chaos scenario's offload phase.
+// planner, the cloud tier, Platform.Offload sessions with their results and
+// stats, the mode constants, and the chaos scenario's offload phase.
 func TestOffloadSurface(t *testing.T) {
 	rng := tinymlops.NewRNG(41)
 	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 41})
@@ -479,32 +366,21 @@ func TestOffloadSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	es := ds.X.Size() / ds.Len()
-	var out tinymlops.OffloadOutcome
-	out, err = sess.Infer(ds.X.Data[:es])
+	out, err := sess.Infer(ds.X.Data[:es])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res tinymlops.OffloadResult = out.Split
-	var mode tinymlops.OffloadMode = res.Mode
-	if mode != tinymlops.OffloadSplit || res.Cut != 1 {
+	if res := out.Split; res.Mode != tinymlops.OffloadSplit || res.Cut != 1 {
 		t.Fatalf("offloaded query: %+v", res)
 	}
 	if tinymlops.OffloadLocal == tinymlops.OffloadSplit || tinymlops.OffloadSplit == tinymlops.OffloadFallback {
 		t.Fatal("offload mode constants collide")
 	}
-	var st tinymlops.OffloadStats = sess.Stats()
-	if st.Split != 1 {
+	if st := sess.Stats(); st.Split != 1 {
 		t.Fatalf("session stats %+v", st)
 	}
-	var cs tinymlops.OffloadCloudStats = cloud.Stats()
-	if cs.Served != 1 {
+	if cs := cloud.Stats(); cs.Served != 1 {
 		t.Fatalf("cloud stats %+v", cs)
-	}
-	var cond tinymlops.OffloadConditions
-	cond.BandwidthBps = 1 // the type is addressable and field-complete
-	_ = cond
-	if tinymlops.ErrOffloadShed == nil || tinymlops.ErrOffloadStale == nil {
-		t.Fatal("offload error sentinels missing")
 	}
 
 	// The chaos scenario's offload phase through the facade.
@@ -516,7 +392,7 @@ func TestOffloadSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var orep *tinymlops.OffloadReport = scen.Offload
+	orep := scen.Offload
 	if orep == nil || orep.Mismatches != 0 || orep.Queries == 0 {
 		t.Fatalf("offload phase report %+v", orep)
 	}
@@ -525,8 +401,7 @@ func TestOffloadSurface(t *testing.T) {
 // TestVerifiedBillingSurface pins the verifiable pay-per-query facade:
 // the verified-billing platform config, attestations riding the
 // settlement report, TCP settlement with batch proof verification, the
-// billing-fraud profile fields with the tamper helper, and the batch
-// verifier — all reached through re-exports only.
+// and the billing-fraud profile fields with the tamper helper.
 func TestVerifiedBillingSurface(t *testing.T) {
 	rng := tinymlops.NewRNG(61)
 	ds := tinymlops.Blobs(rng, 300, 4, 3, 5)
@@ -579,13 +454,8 @@ func TestVerifiedBillingSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var atts []tinymlops.Attestation = rep.Attestations
-	if len(atts) == 0 {
+	if len(rep.Attestations) == 0 {
 		t.Fatal("rate-1 attestation produced no proofs")
-	}
-	var proof tinymlops.MatMulProof
-	if err := proof.UnmarshalBinary(atts[0].Proof); err != nil {
-		t.Fatalf("attestation carries an undecodable proof: %v", err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -593,8 +463,7 @@ func TestVerifiedBillingSurface(t *testing.T) {
 	}
 	srv := tinymlops.ServeSettlement(l, p)
 	defer srv.Close()
-	var rc tinymlops.SettlementReceipt
-	rc, err = tinymlops.SettleAttestedOverTCP(srv.Addr(), rep)
+	rc, err := tinymlops.SettleAttestedOverTCP(srv.Addr(), rep)
 	if err != nil || !rc.OK || rc.ProofsChecked == 0 {
 		t.Fatalf("honest settlement: receipt %+v, %v", rc, err)
 	}
@@ -622,28 +491,6 @@ func TestVerifiedBillingSurface(t *testing.T) {
 	if rc2.OK || !strings.Contains(rc2.Reason, "proof") {
 		t.Fatalf("tampered settlement: receipt %+v", rc2)
 	}
-	if tinymlops.ErrProofInvalid == nil {
-		t.Fatal("ErrProofInvalid sentinel missing")
-	}
-
-	// The batch verifier: the platform's own, plus a standalone one that
-	// rejects claims against an unprepared class.
-	var bv *tinymlops.BatchVerifier = p.BatchVerifier()
-	if bv == nil {
-		t.Fatal("verified platform exposes no batch verifier")
-	}
-	standalone := tinymlops.NewBatchVerifier(nil)
-	results, _, err := standalone.VerifyBatch([]tinymlops.BatchItem{
-		{ClassID: "ghost", A: []int32{1}, M: 1, C: []int64{1}, Proof: &proof},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res tinymlops.BatchResult = results[0]
-	if res.OK || res.Err == nil {
-		t.Fatalf("unprepared class verified: %+v", res)
-	}
-
 	// The chaos scenario surfaces its settlement phase.
 	scen, err := tinymlops.RunChaosScenario(tinymlops.ChaosScenarioConfig{
 		Devices: 12, Workers: 2, Seed: 63,
@@ -652,229 +499,67 @@ func TestVerifiedBillingSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var srep *tinymlops.SettlementPhaseReport = scen.Settlement
-	if srep == nil || srep.Devices == 0 {
+	srep := scen.Settlement
+	if srep == nil || srep.Devices == 0 || len(srep.Verdicts) != srep.Devices {
 		t.Fatalf("settlement phase report %+v", srep)
 	}
-	var vd tinymlops.SettleVerdict = srep.Verdicts[0]
-	_ = vd
 	if srep.FraudInjected != srep.FraudCaught {
 		t.Fatalf("scenario missed fraud: %+v", srep)
 	}
 }
 
-// TestInt4AndBenchSurface pins the packed-int4 kernel surface (packing
-// codec, packed QTensor storage form, the SWAR matmul) and the benchmark
-// trajectory report types — all reached through re-exports only.
-func TestInt4AndBenchSurface(t *testing.T) {
-	// Packing codec: round trip, canonical rejection.
-	codes := []int8{-8, 7, 0, 3, -1}
-	packed, err := tinymlops.PackInt4(codes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(packed) != tinymlops.Int4PackedLen(len(codes)) {
-		t.Fatalf("packed %d bytes, want %d", len(packed), tinymlops.Int4PackedLen(len(codes)))
-	}
-	back, err := tinymlops.UnpackInt4(packed, len(codes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range codes {
-		if back[i] != codes[i] {
-			t.Fatalf("code %d: %d != %d", i, back[i], codes[i])
-		}
-	}
-	if _, err := tinymlops.UnpackInt4(packed[:1], len(codes)); err == nil {
-		t.Fatal("truncated buffer decoded")
-	}
-	if _, err := tinymlops.PackInt4([]int8{8}); err == nil {
-		t.Fatal("out-of-range code packed")
-	}
-
-	// MatMulInt4 vs a naive scalar reference, exercising both nibbles.
-	const m, k, n = 2, 3, 5
-	a := []int8{1, -2, 3, 0, 5, -6}
-	w := []int8{1, -8, 7, 0, 2, -1, 3, 4, -5, 6, 0, -7, 1, 2, -3}
-	bPacked, err := tinymlops.PackInt4Matrix(w, k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := []float32{0.5, 2}
-	cols := []float32{1, 0.25, 3, 0.5, 2}
-	got := make([]float32, m*n)
-	tinymlops.MatMulInt4(got, a, bPacked, m, k, n, rows, cols)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var sum int32
-			for p := 0; p < k; p++ {
-				sum += int32(a[i*k+p]) * int32(w[p*n+j])
-			}
-			want := float32(sum) * rows[i] * cols[j]
-			if got[i*n+j] != want {
-				t.Fatalf("MatMulInt4[%d,%d] = %g, want %g", i, j, got[i*n+j], want)
-			}
-		}
-	}
-	// MatMulInt4LHS: the same codes as a packed [3,2] left operand
-	// against an int8 [2,3] right operand, vs the naive reference.
-	wPacked, err := tinymlops.PackInt4Matrix(w[:6], 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lhsGot := make([]float32, 3*3)
-	ones := []float32{1, 1, 1}
-	tinymlops.MatMulInt4LHS(lhsGot, wPacked, a[:6], 3, 2, 3, ones, ones)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			var sum int32
-			for p := 0; p < 2; p++ {
-				sum += int32(w[i*2+p]) * int32(a[p*3+j])
-			}
-			if lhsGot[i*3+j] != float32(sum) {
-				t.Fatalf("MatMulInt4LHS[%d,%d] = %g, want %d", i, j, lhsGot[i*3+j], sum)
-			}
-		}
-	}
-
-	// Packed QTensor storage form through the facade.
-	rng := tinymlops.NewRNG(77)
-	var qt *tinymlops.QTensor
-	qt, err = tinymlops.QuantizeMatrix(tinymlops.FromSlice(randRow(rng, 12), 3, 4), tinymlops.Int4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := qt.Dequantize()
-	if err := qt.PackInt4(); err != nil {
-		t.Fatal(err)
-	}
-	if !qt.IsPacked() {
-		t.Fatal("PackInt4 left the tensor unpacked")
-	}
-	packedDeq := qt.Dequantize()
-	for i := range ref.Data {
-		if ref.Data[i] != packedDeq.Data[i] {
-			t.Fatalf("packed dequantize diverged at %d", i)
-		}
-	}
-
-	// Bench trajectory types: a fabricated slowdown must trip the gate.
-	base := &tinymlops.BenchReport{Area: "surface", Entries: []tinymlops.BenchEntry{
-		{Name: "Hot", Iters: 100, NsPerOp: 100, AllocsPerOp: 0},
-	}}
-	cur := &tinymlops.BenchReport{Area: "surface", Entries: []tinymlops.BenchEntry{
-		{Name: "Hot", Iters: 100, NsPerOp: 200, AllocsPerOp: 1},
-	}}
-	regs := tinymlops.DiffBenchReports(base, cur, 0.25)
-	if len(regs) != 2 {
-		t.Fatalf("want ns/op + allocs/op regressions, got %v", regs)
-	}
-	var reg tinymlops.BenchRegression = regs[0]
-	if reg.String() == "" {
-		t.Fatal("regression renders empty")
-	}
-	if tinymlops.DiffBenchReports(base, base, 0.25) != nil {
-		t.Fatal("identical reports regressed")
-	}
-}
-
-// randRow fills a float32 slice from the facade RNG.
-func randRow(rng *tinymlops.RNG, n int) []float32 {
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = rng.NormFloat32()
-	}
-	return out
-}
-
-// TestHierFederatedSurface pins the two-tier federated facade: the
-// hierarchical coordinator, the edge aggregator's masked accumulator and
-// the per-tier round accounting, all reached through re-exports only.
+// TestHierFederatedSurface pins the two-tier federated facade:
+// Platform.HierFederatedUpdate trains the published line, accounts both
+// tiers, and hands back the coordinator whose global is, bit for bit, the
+// version it published.
 func TestHierFederatedSurface(t *testing.T) {
 	rng := tinymlops.NewRNG(7)
-	ds := tinymlops.Blobs(rng, 400, 4, 3, 4)
-	shards := tinymlops.PartitionIID(rng, ds, 24)
-	clients := tinymlops.MakeFederatedClients(ds, shards, "api")
-	global := tinymlops.NewNetwork([]int{4}, tinymlops.Dense(4, 8, rng), tinymlops.ReLU(), tinymlops.Dense(8, 3, rng))
-	var cfg tinymlops.HierFederatedConfig
-	cfg.Rounds = 1
-	cfg.LocalEpochs = 1
-	cfg.LocalBatch = 8
-	cfg.LR = 0.1
-	cfg.Seed = 9
-	cfg.Aggregators = 4
-	cfg.SecureAgg = true
-	hc, err := tinymlops.NewHierFederatedCoordinator(global, clients, ds.X, ds.Y, cfg)
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cohorts []*tinymlops.FederatedCohort
-	for _, co := range hc.Cohorts {
-		cohorts = append(cohorts, co)
-	}
-	if len(cohorts) != 4 {
-		t.Fatalf("%d cohorts", len(cohorts))
-	}
-	var s tinymlops.RoundStats
-	if s, err = hc.RunRound(); err != nil {
+	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
+		VendorKey: []byte("surface-test-key-0123456789abcde"), Seed: 7,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.EdgeUplinkBytes == 0 || s.CloudUplinkBytes == 0 || s.CloudUplinkBytes >= s.EdgeUplinkBytes {
+	ds := tinymlops.Blobs(rng, 400, 4, 3, 4)
+	global := tinymlops.NewNetwork([]int{4}, tinymlops.Dense(4, 8, rng), tinymlops.ReLU(), tinymlops.Dense(8, 3, rng))
+	var spec tinymlops.OptimizationSpec
+	if _, err := platform.Publish("surface-fed", global, ds, spec); err != nil {
+		t.Fatal(err)
+	}
+	clients := tinymlops.MakeFederatedClients(ds, tinymlops.PartitionIID(rng, ds, 24), "api")
+	hc, versions, stats, err := platform.HierFederatedUpdate("surface-fed", clients, ds, tinymlops.HierFederatedConfig{
+		Config:      tinymlops.FederatedConfig{Rounds: 1, LocalEpochs: 1, LocalBatch: 8, LR: 0.1, Seed: 9},
+		Aggregators: 4, SecureAgg: true,
+	}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hc.Cohorts) != 4 || len(stats) != 1 {
+		t.Fatalf("%d cohorts, %d rounds", len(hc.Cohorts), len(stats))
+	}
+	if s := stats[0]; s.EdgeUplinkBytes == 0 || s.CloudUplinkBytes == 0 || s.CloudUplinkBytes >= s.EdgeUplinkBytes {
 		t.Fatalf("per-tier accounting: %+v", s)
 	}
-	// The edge accumulator type is reachable and usable directly.
-	var agg *tinymlops.EdgeAggregator
-	agg, err = tinymlops.NewEdgeAggregator("api", tinymlops.NewPairwiseSeeds(rng, 2), 3)
+	published, err := platform.Registry.Load(versions[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.Received() != 0 {
-		t.Fatal("fresh aggregator non-empty")
+	got, want := published.FlatParams(), hc.Global.FlatParams()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("published weight %d differs from the coordinator's global", i)
+		}
 	}
 }
 
-// TestSwarmSurface pins the peer-to-peer OTA distribution facade: the
-// chunk manifest codec with its typed errors, Platform.NewSwarm, the
-// chaos scenario's swarm mode with its per-wave egress report, and the
-// byte-conservation fields on the audit.
+// TestSwarmSurface pins the peer-to-peer OTA distribution facade:
+// Platform.NewSwarm, the chaos scenario's swarm mode with its per-wave
+// egress report, and the byte-conservation fields on the audit.
 func TestSwarmSurface(t *testing.T) {
-	// Chunk codec round trip.
-	blob := []byte("swarm-surface-artifact-0123456789")
-	m, err := tinymlops.BuildChunkManifest("full:surface", blob, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := tinymlops.UnmarshalChunkManifest(enc)
-	if err != nil || dec.NumChunks() != m.NumChunks() || dec.TotalBytes != int64(len(blob)) {
-		t.Fatalf("manifest round trip: %+v (%v)", dec, err)
-	}
-	ra := tinymlops.NewChunkReassembler(dec)
-	for i := 0; i < dec.NumChunks(); i++ {
-		s, e := dec.ChunkSpan(i)
-		if err := ra.AddChunk(i, blob[s:e]); err != nil {
-			t.Fatal(err)
-		}
-		if err := ra.AddChunk(i, blob[s:e]); !errors.Is(err, tinymlops.ErrDuplicateChunk) {
-			t.Fatalf("duplicate chunk error: %v", err)
-		}
-	}
-	out, err := ra.Assemble()
-	if err != nil || string(out) != string(blob) {
-		t.Fatalf("assembly diverged: %q (%v)", out, err)
-	}
-	corrupt := append([]byte(nil), blob[:8]...)
-	corrupt[0] ^= 0xff
-	if err := tinymlops.NewChunkReassembler(dec).AddChunk(0, corrupt); !errors.Is(err, tinymlops.ErrChunkHashMismatch) {
-		t.Fatalf("corrupt chunk error: %v", err)
-	}
-	if _, err := tinymlops.UnmarshalChunkManifest([]byte("nope")); !errors.Is(err, tinymlops.ErrBadManifest) {
-		t.Fatalf("bad manifest error: %v", err)
-	}
-
 	// Platform.NewSwarm is reachable and returns a quiet coordinator.
 	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 80})
 	if err != nil {
@@ -886,14 +571,11 @@ func TestSwarmSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var drop tinymlops.SwarmDropFunc // nil = no injected peer loss
-	var sw *tinymlops.Swarm
-	sw, err = platform.NewSwarm(tinymlops.SwarmOptions{ChunkBytes: 16, Seed: 81, PeerDrop: drop})
+	sw, err := platform.NewSwarm(tinymlops.SwarmOptions{ChunkBytes: 16, Seed: 81})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st tinymlops.SwarmStats = sw.Stats()
-	if st.Transfers != 0 || sw.InFlight() != 0 {
+	if st := sw.Stats(); st.Transfers != 0 || sw.InFlight() != 0 {
 		t.Fatalf("fresh swarm not quiet: %+v", st)
 	}
 
@@ -906,7 +588,7 @@ func TestSwarmSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var srep *tinymlops.SwarmReport = scen.Swarm
+	srep := scen.Swarm
 	if srep == nil {
 		t.Fatal("swarm scenario produced no swarm report")
 	}
@@ -916,8 +598,7 @@ func TestSwarmSurface(t *testing.T) {
 	}
 	var total int64
 	for _, wb := range srep.WaveEgress {
-		var one tinymlops.SwarmWaveBytes = wb
-		total += one.RegistryBytes + one.PeerBytes
+		total += wb.RegistryBytes + wb.PeerBytes
 	}
 	if len(srep.WaveEgress) == 0 || total == 0 {
 		t.Fatalf("wave egress: %+v", srep.WaveEgress)
@@ -925,18 +606,11 @@ func TestSwarmSurface(t *testing.T) {
 	if !scen.Audit.SwarmChecked || scen.Audit.SwarmDeliveredBytes != ledger.DeliveredBytes {
 		t.Fatalf("audit swarm fields: %+v", scen.Audit)
 	}
-
-	// The typed delta-fallback errors are distinct, exported sentinels.
-	if tinymlops.ErrDeltaBaseMissing == nil || tinymlops.ErrArtifactMissing == nil ||
-		errors.Is(tinymlops.ErrDeltaBaseMissing, tinymlops.ErrArtifactMissing) {
-		t.Fatal("delta fallback sentinels miswired")
-	}
 }
 
 // TestProtectedPortableSurface pins the protected-portable facade: the
-// procvm module/runtime/capability re-exports, the compile and codec
-// wrappers, the artifact-kind constants, and the enclave session API —
-// all reached through the root package only.
+// procvm compile wrapper, the compiled-artifact kind, and an enclave sealing
+// the module's canonical encoding under an attestation that verifies.
 func TestProtectedPortableSurface(t *testing.T) {
 	rng := tinymlops.NewRNG(6)
 	net := tinymlops.NewNetwork([]int{4},
@@ -945,78 +619,27 @@ func TestProtectedPortableSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m *tinymlops.ProcVMModule = mod
-	dec, err := tinymlops.DecodeProcVMModule(m.Encode())
-	if err != nil {
-		t.Fatal(err)
+	again, err := tinymlops.CompileProcVM(net, tinymlops.ProcVMCompileOptions{Name: "surface"})
+	if err != nil || again.Digest() != mod.Digest() || mod.GasLimit == 0 {
+		t.Fatalf("compile is not reproducible or left gas unpinned: %v", err)
 	}
-	if dec.Digest() != m.Digest() {
-		t.Fatal("module digest unstable across the facade codec")
+	if tinymlops.ModelKindProcVM != "procvm" {
+		t.Fatalf("artifact kind %q drifted", tinymlops.ModelKindProcVM)
 	}
-	var rt *tinymlops.ProcVMRuntime = tinymlops.NewProcVMRuntime(m.Caps)
-	rt.MaxGas = m.GasLimit
-	x := []float32{1, -2, 3, -4}
-	res, err := rt.Run(dec, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GasUsed != m.GasLimit {
-		t.Fatalf("gas %d != pinned limit %d", res.GasUsed, m.GasLimit)
-	}
-	// The metering and capability sentinels.
-	starved := tinymlops.NewProcVMRuntime(m.Caps)
-	starved.MaxGas = 1
-	if _, err := starved.Run(dec, x); !errors.Is(err, tinymlops.ErrProcVMOutOfGas) {
-		t.Fatalf("starved run: %v, want ErrProcVMOutOfGas", err)
-	}
-	denied := tinymlops.NewProcVMRuntime(tinymlops.ProcVMCapNone)
-	if _, err := denied.Run(dec, x); !errors.Is(err, tinymlops.ErrProcVMCapabilityDenied) {
-		t.Fatalf("ungranted run: %v, want ErrProcVMCapabilityDenied", err)
-	}
-	var caps tinymlops.ProcVMCapability = tinymlops.ProcVMCapSensor | tinymlops.ProcVMCapNetwork | tinymlops.ProcVMCapStorage
-	if caps == tinymlops.ProcVMCapNone {
-		t.Fatal("capability constants collapsed")
-	}
-	// The registry artifact kinds.
-	if tinymlops.ModelKindNetwork != "" || tinymlops.ModelKindProcVM != "procvm" {
-		t.Fatalf("artifact kinds %q/%q drifted", tinymlops.ModelKindNetwork, tinymlops.ModelKindProcVM)
-	}
-	// The enclave session: sealed load, attestable measurement, and the
-	// loaded module running bit-identical to the one that was sealed.
 	root := []byte("surface-root-key-0123456789abcde")
 	encl, err := tinymlops.NewEnclave("surface", root, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := tinymlops.NewEnclaveSession(encl)
-	sealed, err := encl.Seal(m.Encode())
+	sealed, err := encl.Seal(mod.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	meas, err := sess.LoadSealedModule("m", sealed)
-	if err != nil {
-		t.Fatal(err)
+	plain, err := encl.Unseal(sealed)
+	if err != nil || string(plain) != string(mod.Encode()) {
+		t.Fatalf("sealed module did not round-trip: %v", err)
 	}
-	var rep tinymlops.EnclaveReport
-	if rep, err = sess.Attest("m", []byte{9}); err != nil {
-		t.Fatal(err)
+	if !tinymlops.VerifyAttestation(root, encl.Attest(mod.Digest(), []byte{9})) {
+		t.Fatal("enclave attestation does not verify against the root")
 	}
-	if !tinymlops.VerifyAttestation(root, rep) || rep.Measurement != meas {
-		t.Fatal("session attestation does not verify against the root")
-	}
-	inside, err := sess.Module("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := rt.Run(inside, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out.Output.Vec {
-		if math.Float32bits(v) != math.Float32bits(res.Output.Vec[i]) {
-			t.Fatalf("enclave output %d diverged from the plain runtime", i)
-		}
-	}
-	// Offload accepts a caller-owned session.
-	_ = tinymlops.OffloadConfig{Enclave: sess}
 }

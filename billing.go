@@ -3,7 +3,6 @@ package tinymlops
 import (
 	"tinymlops/internal/faults"
 	"tinymlops/internal/metering"
-	"tinymlops/internal/verify"
 )
 
 // Verifiable pay-per-query settlement (§III-C metering + §VI sum-check
@@ -13,47 +12,16 @@ import (
 // the settlement report, and the platform's settler batch-verifies them
 // before accepting any usage claim.
 
-// Attestation is one sampled charge's proof of inference: the charge
-// sequence, the model version that served it, the quantized input row,
-// the claimed output and the serialized sum-check proof.
-type Attestation = metering.Attestation
-
 // AttestedReport is a settlement report carrying inference attestations.
 // It is a wire superset of the plain report: legacy settlers ignore the
 // attestations, legacy devices settle with none.
 type AttestedReport = metering.AttestedReport
 
-// SettlementReceipt is the settler's signed-off verdict on one report.
-type SettlementReceipt = metering.Receipt
-
-// ErrProofInvalid marks a settlement rejected because an inference proof
-// failed verification.
-var ErrProofInvalid = metering.ErrProofInvalid
-
 // SettleAttestedOverTCP submits an attested report to a settlement
-// server and returns the receipt.
-func SettleAttestedOverTCP(addr string, report AttestedReport) (SettlementReceipt, error) {
+// server and returns the settler's signed-off verdict on it.
+func SettleAttestedOverTCP(addr string, report AttestedReport) (metering.Receipt, error) {
 	return metering.SettleAttestedOverTCP(addr, report)
 }
-
-// MatMulProof is one sum-check proof that C = A·B over the integer
-// domain, transcript-bound to its charge context.
-type MatMulProof = verify.Proof
-
-// BatchVerifier amortizes sum-check verification across a settlement
-// window: weight encodings are prepared once per (model-version, shape)
-// class, a shared-transcript Freivalds projection pre-screens each claim,
-// and full verification fans out on the engine's worker pool.
-type BatchVerifier = verify.BatchVerifier
-
-// BatchItem is one proof-of-inference claim in a verification batch.
-type BatchItem = verify.BatchItem
-
-// BatchResult is one BatchItem's verdict.
-type BatchResult = verify.BatchResult
-
-// NewBatchVerifier returns a batch verifier running on eng (nil = serial).
-func NewBatchVerifier(eng *Engine) *BatchVerifier { return verify.NewBatchVerifier(eng) }
 
 // TamperAttestedReport applies a fault profile's billing frauds to a
 // settlement report in place — the chaos plane's billing adversary —
@@ -61,9 +29,3 @@ func NewBatchVerifier(eng *Engine) *BatchVerifier { return verify.NewBatchVerifi
 func TamperAttestedReport(f FaultProfile, rep *AttestedReport, altModels ...string) FaultProfile {
 	return faults.TamperAttestedReport(f, rep, altModels...)
 }
-
-// SettlementPhaseReport accounts a chaos scenario's settlement phase.
-type SettlementPhaseReport = faults.SettlementReport
-
-// SettleVerdict is one device's settlement outcome in a chaos scenario.
-type SettleVerdict = faults.SettleVerdict

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,7 +15,7 @@ import (
 // the committed BENCH_<area>.json snapshots (the trajectory's new
 // baseline); with -check it diffs the fresh run against them and fails on
 // any regression, which is what CI runs on every push.
-func cmdBench(args []string) error {
+func cmdBench(w io.Writer, args []string) error {
 	fs := newFlagSet("bench")
 	dir := fs.String("dir", ".", "directory holding the BENCH_<area>.json snapshots")
 	area := fs.String("area", "all", "suite to run: all, serving, offload, fed, swarm, protect")
@@ -38,13 +39,13 @@ func cmdBench(args []string) error {
 
 	var regressions []benchfmt.Regression
 	for _, name := range names {
-		fmt.Printf("== %s ==\n", name)
+		fmt.Fprintf(w, "== %s ==\n", name)
 		report := benchsuite.Report(name, areas[name])
 		for _, e := range report.Entries {
-			fmt.Printf("  %-28s %12.0f ns/op %8d B/op %6d allocs/op\n",
+			fmt.Fprintf(w, "  %-28s %12.0f ns/op %8d B/op %6d allocs/op\n",
 				e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
 			for _, k := range sortedMetricKeys(e.Metrics) {
-				fmt.Printf("  %-28s %12.0f %s\n", "", e.Metrics[k], k)
+				fmt.Fprintf(w, "  %-28s %12.0f %s\n", "", e.Metrics[k], k)
 			}
 		}
 		path := filepath.Join(*dir, "BENCH_"+name+".json")
@@ -52,7 +53,7 @@ func cmdBench(args []string) error {
 			if err := report.WriteFile(path); err != nil {
 				return err
 			}
-			fmt.Printf("  wrote %s\n", path)
+			fmt.Fprintf(w, "  wrote %s\n", path)
 			continue
 		}
 		base, err := benchfmt.ReadFile(path)
@@ -64,7 +65,7 @@ func cmdBench(args []string) error {
 			fmt.Fprintf(os.Stderr, "  REGRESSION %s\n", g)
 		}
 		if len(regs) == 0 {
-			fmt.Printf("  ok: within +%.0f%% ns/op of baseline, no new allocations\n", *tol*100)
+			fmt.Fprintf(w, "  ok: within +%.0f%% ns/op of baseline, no new allocations\n", *tol*100)
 		}
 		regressions = append(regressions, regs...)
 	}

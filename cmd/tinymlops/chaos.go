@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"text/tabwriter"
 
 	"tinymlops"
@@ -14,7 +14,7 @@ import (
 // telemetry loss), reconcile the stragglers and audit every fleet
 // invariant. Exits non-zero if any device fails to converge or any
 // invariant is violated.
-func cmdChaos(args []string) error {
+func cmdChaos(w io.Writer, args []string) error {
 	fs := newFlagSet("chaos")
 	devices := fs.Int("devices", 600, "fleet size (rounded up to a multiple of the 6 profiles)")
 	seed := fs.Uint64("seed", 42, "platform seed")
@@ -38,7 +38,7 @@ func cmdChaos(args []string) error {
 	if *useSwarm {
 		mode = "swarm"
 	}
-	fmt.Printf("chaos: %d devices, seed %d/%d, churn %.0f%%, drop %.0f%%, crash %.0f%%, %s OTA\n\n",
+	fmt.Fprintf(w, "chaos: %d devices, seed %d/%d, churn %.0f%%, drop %.0f%%, crash %.0f%%, %s OTA\n\n",
 		*devices, *seed, *chaosSeed, *churn*100, *drop*100, *crash*100, mode)
 
 	cfg := tinymlops.ChaosScenarioConfig{
@@ -58,12 +58,12 @@ func cmdChaos(args []string) error {
 		return err
 	}
 
-	fmt.Printf("v1 %s -> v2 %s across %d devices\n\n", res.V1.ID, res.V2.ID, res.FleetSize)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "v1 %s -> v2 %s across %d devices\n\n", res.V1.ID, res.V2.ID, res.FleetSize)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "wave\tdevices\toffline\tchurned\tspikes\tdead-batt\tupdate-fails\tgate")
-	for i, w := range res.Rollout.Waves {
+	for i, wave := range res.Rollout.Waves {
 		verdict := "PASS"
-		if !w.Gate.Pass {
+		if !wave.Gate.Pass {
 			verdict = "FAIL"
 		}
 		if i >= len(res.WaveWeather) {
@@ -71,24 +71,24 @@ func cmdChaos(args []string) error {
 		}
 		rw := res.WaveWeather[i]
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			w.Wave.Name, len(w.DeviceIDs), rw.Offline, rw.Churned,
-			rw.LatencySpikes, rw.BatteryDeaths, w.Gate.UpdateFailures, verdict)
+			wave.Wave.Name, len(wave.DeviceIDs), rw.Offline, rw.Churned,
+			rw.LatencySpikes, rw.BatteryDeaths, wave.Gate.UpdateFailures, verdict)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 
-	fmt.Printf("\nfaults injected: %d mid-flash crashes over %d install attempts, %d telemetry records lost\n",
+	fmt.Fprintf(w, "\nfaults injected: %d mid-flash crashes over %d install attempts, %d telemetry records lost\n",
 		res.Crashes, res.InstallAttempts, res.TelemetryLost)
-	fmt.Printf("healed: %d updates recovered by in-wave retries, %d by reconciliation sweeps\n",
+	fmt.Fprintf(w, "healed: %d updates recovered by in-wave retries, %d by reconciliation sweeps\n",
 		res.RetriedUpdates, res.ReconcileUpdated)
-	fmt.Printf("transfers: %d delta, %d full; %d B shipped\n",
+	fmt.Fprintf(w, "transfers: %d delta, %d full; %d B shipped\n",
 		res.Rollout.DeltaTransfers, res.Rollout.FullTransfers, res.Rollout.TotalShipBytes)
-	fmt.Printf("converged: %d/%d devices on v2\n\n", res.Converged, res.FleetSize)
+	fmt.Fprintf(w, "converged: %d/%d devices on v2\n\n", res.Converged, res.FleetSize)
 
 	if res.Swarm != nil {
-		fmt.Println("swarm egress by wave:")
-		stw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "swarm egress by wave:")
+		stw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(stw, "wave\tregistry-B\tpeer-B\tpeer-share")
 		for _, wb := range res.Swarm.WaveEgress {
 			total := wb.RegistryBytes + wb.PeerBytes
@@ -102,19 +102,19 @@ func cmdChaos(args []string) error {
 			return err
 		}
 		st := res.Swarm.Stats
-		fmt.Printf("swarm ledger: %d transfers (%d resumed), %d B delivered = %d B registry + %d B peers\n",
+		fmt.Fprintf(w, "swarm ledger: %d transfers (%d resumed), %d B delivered = %d B registry + %d B peers\n",
 			st.Transfers, st.Resumed, st.DeliveredBytes, st.RegistryEgressBytes, st.PeerBytes)
-		fmt.Printf("              %d chunks verified, %d hash rejects, %d peer drops healed, %d conservation violations\n\n",
+		fmt.Fprintf(w, "              %d chunks verified, %d hash rejects, %d peer drops healed, %d conservation violations\n\n",
 			st.ChunksVerified, st.HashRejects, st.MidChunkDrops, st.ConservationViolations)
 	}
 
-	fmt.Println(res.Audit.String())
+	fmt.Fprintln(w, res.Audit.String())
 	if !res.Audit.OK() {
 		for _, v := range res.Audit.Violations {
-			fmt.Println("  VIOLATION:", v)
+			fmt.Fprintln(w, "  VIOLATION:", v)
 		}
 		return fmt.Errorf("chaos: %d invariant violations", res.Audit.ViolationCount)
 	}
-	fmt.Printf("fingerprint: %s (bit-identical at any -workers)\n", res.Fingerprint)
+	fmt.Fprintf(w, "fingerprint: %s (bit-identical at any -workers)\n", res.Fingerprint)
 	return nil
 }

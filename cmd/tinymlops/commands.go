@@ -2,13 +2,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 	"time"
 
 	"tinymlops"
-	"tinymlops/internal/compat"
-	"tinymlops/internal/nn"
 )
 
 // taskDataset builds one of the named synthetic tasks.
@@ -27,7 +26,7 @@ func taskDataset(task string, rng *tinymlops.RNG) (*tinymlops.Dataset, error) {
 	}
 }
 
-func cmdTrain(args []string) error {
+func cmdTrain(w io.Writer, args []string) error {
 	fs := newFlagSet("train")
 	task := fs.String("task", "blobs", "synthetic task: blobs|rings|keywords|vibration")
 	out := fs.String("out", "model.tmln", "output artifact path")
@@ -51,7 +50,7 @@ func cmdTrain(args []string) error {
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("task %s: train acc %.3f, test acc %.3f\n", *task,
+	fmt.Fprintf(w, "task %s: train acc %.3f, test acc %.3f\n", *task,
 		tinymlops.Evaluate(net, train.X, train.Y), tinymlops.Evaluate(net, test.X, test.Y))
 	data, err := net.MarshalBinary()
 	if err != nil {
@@ -60,7 +59,7 @@ func cmdTrain(args []string) error {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d bytes)\n", *out, len(data))
+	fmt.Fprintf(w, "wrote %s (%d bytes)\n", *out, len(data))
 	return nil
 }
 
@@ -69,10 +68,10 @@ func loadModel(path string) (*tinymlops.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return nn.UnmarshalNetwork(data)
+	return tinymlops.UnmarshalNetwork(data)
 }
 
-func cmdInfo(args []string) error {
+func cmdInfo(w io.Writer, args []string) error {
 	fs := newFlagSet("info")
 	model := fs.String("model", "model.tmln", "model artifact path")
 	fs.Parse(args) //nolint:errcheck
@@ -84,25 +83,25 @@ func cmdInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("input shape: %v\n", net.InputShape)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "input shape: %v\n", net.InputShape)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "layer\tkind\tout shape\tMACs\tparams")
 	for _, lc := range summary {
 		fmt.Fprintf(tw, "%d\t%s\t%v\t%d\t%d\n", lc.Index, lc.Kind, lc.Info.OutShape, lc.Info.MACs, lc.Info.ParamCount)
 	}
 	tw.Flush() //nolint:errcheck
 	macs, _ := net.TotalMACs()
-	fmt.Printf("total: %d params, %d MACs/inference, ops %v\n", net.ParamCount(), macs, net.OpKinds())
+	fmt.Fprintf(w, "total: %d params, %d MACs/inference, ops %v\n", net.ParamCount(), macs, net.OpKinds())
 
-	fmt.Println("\nmodeled per-device latency (fp32):")
-	tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "\nmodeled per-device latency (fp32):")
+	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	for _, p := range tinymlops.StandardProfiles() {
 		fmt.Fprintf(tw, "  %s\t%v\n", p.Name, p.InferenceLatency(macs, 32).Round(time.Microsecond))
 	}
 	return tw.Flush()
 }
 
-func cmdVariants(args []string) error {
+func cmdVariants(w io.Writer, args []string) error {
 	fs := newFlagSet("variants")
 	model := fs.String("model", "model.tmln", "model artifact path")
 	task := fs.String("task", "blobs", "task for accuracy evaluation")
@@ -118,7 +117,7 @@ func cmdVariants(args []string) error {
 		return err
 	}
 	_, test := ds.Split(0.8, rng)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scheme\tsize bytes\taccuracy\tnative exec on")
 	for _, scheme := range []tinymlops.Scheme{tinymlops.Float32, tinymlops.Int8, tinymlops.Int4, tinymlops.Ternary, tinymlops.Binary} {
 		candidate := net
@@ -129,13 +128,13 @@ func cmdVariants(args []string) error {
 			}
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%.3f\t%s\n", scheme,
-			quantSize(net, scheme), tinymlops.Evaluate(candidate, test.X, test.Y),
+			tinymlops.QuantizedSize(net, scheme), tinymlops.Evaluate(candidate, test.X, test.Y),
 			nativeExecProfiles(scheme))
 	}
 	return tw.Flush()
 }
 
-func cmdExport(args []string) error {
+func cmdExport(w io.Writer, args []string) error {
 	fs := newFlagSet("export")
 	model := fs.String("model", "model.tmln", "model artifact path")
 	out := fs.String("out", "model.json", "output exchange document")
@@ -144,22 +143,18 @@ func cmdExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	doc, err := compat.Export(net)
-	if err != nil {
-		return err
-	}
-	data, err := doc.EncodeJSON()
+	data, err := tinymlops.ExportJSON(net)
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d bytes, exchange format v%d)\n", *out, len(data), compat.ExchangeVersion)
+	fmt.Fprintf(w, "wrote %s (%d bytes, exchange format v%d)\n", *out, len(data), tinymlops.ExchangeVersion)
 	return nil
 }
 
-func cmdImport(args []string) error {
+func cmdImport(w io.Writer, args []string) error {
 	fs := newFlagSet("import")
 	graph := fs.String("graph", "model.json", "exchange document path")
 	out := fs.String("out", "model.tmln", "output artifact path")
@@ -168,11 +163,7 @@ func cmdImport(args []string) error {
 	if err != nil {
 		return err
 	}
-	doc, err := compat.DecodeJSON(data)
-	if err != nil {
-		return err
-	}
-	net, err := compat.Import(doc)
+	net, err := tinymlops.ImportJSON(data)
 	if err != nil {
 		return err
 	}
@@ -183,11 +174,11 @@ func cmdImport(args []string) error {
 	if err := os.WriteFile(*out, bin, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("imported %d-param model from %s -> %s\n", net.ParamCount(), *graph, *out)
+	fmt.Fprintf(w, "imported %d-param model from %s -> %s\n", net.ParamCount(), *graph, *out)
 	return nil
 }
 
-func cmdSimulate(args []string) error {
+func cmdSimulate(w io.Writer, args []string) error {
 	fs := newFlagSet("simulate")
 	perProfile := fs.Int("devices", 1, "devices per hardware profile")
 	queries := fs.Int("queries", 150, "queries per device")
@@ -271,7 +262,7 @@ func cmdSimulate(args []string) error {
 		return nil
 	})
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "device\tvariant\texec\tserved\tdenied\tbattery")
 	for i, d := range devs {
 		// A nil dep with a nil err means the deploy task died before
@@ -292,12 +283,7 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\ntelemetry: %d records (%d bytes) across %d cohorts\n",
+	fmt.Fprintf(w, "\ntelemetry: %d records (%d bytes) across %d cohorts\n",
 		records, bytes, len(platform.Aggregator.Cohorts()))
 	return nil
-}
-
-// quantSize returns the packed artifact size for a scheme.
-func quantSize(net *tinymlops.Network, scheme tinymlops.Scheme) int {
-	return quantNetworkSize(net, scheme)
 }

@@ -2,20 +2,16 @@ package main
 
 import (
 	"fmt"
+	"io"
 
-	"tinymlops/internal/dataset"
-	"tinymlops/internal/engine"
-	"tinymlops/internal/faults"
-	"tinymlops/internal/fed"
-	"tinymlops/internal/nn"
-	"tinymlops/internal/tensor"
+	"tinymlops"
 )
 
 // cmdFed runs a hierarchical federated-learning simulation: a synthetic
 // client fleet sharded across edge aggregators trains a small classifier
 // for a few masked two-tier rounds under configurable dropout/straggler
 // weather, printing a per-round, per-tier table.
-func cmdFed(args []string) error {
+func cmdFed(w io.Writer, args []string) error {
 	fs := newFlagSet("fed")
 	clients := fs.Int("clients", 1000, "fleet size (synthetic clients)")
 	aggregators := fs.Int("aggregators", 10, "edge aggregator count (cohorts)")
@@ -32,56 +28,69 @@ func cmdFed(args []string) error {
 	if *clients < *aggregators {
 		return fmt.Errorf("-clients %d < -aggregators %d", *clients, *aggregators)
 	}
-	var codec fed.Codec
+	var codec tinymlops.UpdateCodec
 	switch *codecName {
 	case "none":
-		codec = fed.NoneCodec{}
+		codec = tinymlops.RawCodec{}
 	case "int8":
-		codec = fed.Int8Codec{}
+		codec = tinymlops.Int8Codec{}
 	case "ternary":
-		codec = fed.TernaryCodec{}
+		codec = tinymlops.TernaryCodec{}
 	case "topk":
-		codec = fed.TopKCodec{Ratio: 0.25}
+		codec = tinymlops.TopKCodec{Ratio: 0.25}
 	default:
 		return fmt.Errorf("unknown codec %q", *codecName)
 	}
 
-	rng := tensor.NewRNG(*seed)
-	pool, test := dataset.Blobs(rng, 4**clients+400, 4, 3, 4).Split(0.9, rng)
-	shards := dataset.PartitionIID(rng, pool, *clients)
-	fleet := fed.MakeClients(pool, shards, "fedc")
-	global := nn.NewNetwork([]int{4}, nn.NewDense(4, 16, rng), nn.NewReLU(), nn.NewDense(16, 3, rng))
+	rng := tinymlops.NewRNG(*seed)
+	pool, test := tinymlops.Blobs(rng, 4**clients+400, 4, 3, 4).Split(0.9, rng)
+	shards := tinymlops.PartitionIID(rng, pool, *clients)
+	clientFleet := tinymlops.MakeFederatedClients(pool, shards, "fedc")
+	global := tinymlops.NewNetwork([]int{4},
+		tinymlops.Dense(4, 16, rng), tinymlops.ReLU(), tinymlops.Dense(16, 3, rng))
 
-	plane := faults.New(faults.ChaosConfig{
-		Seed: *seed ^ 0xfed, PDropout: *dropout, PStraggler: *straggler, StragglerFactor: 8,
-	})
-	ff := plane.FedFaults()
-	hc, err := fed.NewHierCoordinator(global, fleet, test.X, test.Y, fed.HierConfig{
-		Config: fed.Config{
-			Rounds: *rounds, LocalEpochs: 1, LocalBatch: 8, LR: 0.1, Seed: *seed,
-			Engine: engine.New(engine.Config{Workers: *workers}),
-			Codec:  codec, Faults: ff, StragglerDeadline: 4,
-		},
-		Aggregators: *aggregators, SecureAgg: *secure,
-		AggFaults: ff, AggStragglerDeadline: 4,
+	// The model line lives in a platform registry: publish the untrained
+	// global, train it through the platform's two-tier federated update, and
+	// the improved global comes back as the line's next rollout candidate.
+	devices, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: *seed})
+	if err != nil {
+		return err
+	}
+	platform, err := tinymlops.NewPlatform(devices, tinymlops.PlatformConfig{
+		VendorKey: []byte("cli-vendor-key-0123456789abcdef0"), Seed: *seed, Workers: *workers,
 	})
 	if err != nil {
 		return err
 	}
+	var spec tinymlops.OptimizationSpec
+	if _, err := platform.Publish("fed", global, test, spec); err != nil {
+		return err
+	}
 
-	fmt.Printf("hierarchical federated learning: %d clients, %d aggregators, codec=%s, secure=%v\n\n",
+	ff := tinymlops.NewFaultPlane(tinymlops.ChaosConfig{
+		Seed: *seed ^ 0xfed, PDropout: *dropout, PStraggler: *straggler, StragglerFactor: 8,
+	}).FedFaults()
+	hc, _, stats, err := platform.HierFederatedUpdate("fed", clientFleet, test, tinymlops.HierFederatedConfig{
+		Config: tinymlops.FederatedConfig{
+			Rounds: *rounds, LocalEpochs: 1, LocalBatch: 8, LR: 0.1, Seed: *seed,
+			Codec: codec, Faults: ff, StragglerDeadline: 4,
+		},
+		Aggregators: *aggregators, SecureAgg: *secure,
+		AggFaults: ff, AggStragglerDeadline: 4,
+	}, spec)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(w, "hierarchical federated learning: %d clients, %d aggregators, codec=%s, secure=%v\n\n",
 		*clients, *aggregators, codec.Name(), *secure)
-	fmt.Println("round  part  drop  late  aggDrop aggLate    edge-up   cloud-up   downlink  accuracy")
-	for r := 0; r < *rounds; r++ {
-		s, err := hc.RunRound()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%5d %5d %5d %5d  %6d %7d %9dB %9dB %9dB %9.3f\n",
+	fmt.Fprintln(w, "round  part  drop  late  aggDrop aggLate    edge-up   cloud-up   downlink  accuracy")
+	for r, s := range stats {
+		fmt.Fprintf(w, "%5d %5d %5d %5d  %6d %7d %9dB %9dB %9dB %9.3f\n",
 			r+1, s.Participants, s.Dropouts, s.Late, s.AggDropouts, s.AggLate,
 			s.EdgeUplinkBytes, s.CloudUplinkBytes, s.DownlinkBytes, s.TestAccuracy)
 	}
-	fmt.Printf("\nfinal accuracy %.3f over %d rounds; the cloud tier heard %d partials per round instead of %d client updates\n",
-		nn.Evaluate(hc.Global, test.X, test.Y), *rounds, *aggregators, *clients)
+	fmt.Fprintf(w, "\nfinal accuracy %.3f over %d rounds; the cloud tier heard %d partials per round instead of %d client updates\n",
+		tinymlops.Evaluate(hc.Global, test.X, test.Y), len(stats), *aggregators, *clients)
 	return nil
 }

@@ -21,48 +21,44 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 )
+
+// subcommands maps each subcommand to its body. Bodies write their
+// transcript to w, which is what the golden tests capture.
+var subcommands = map[string]func(w io.Writer, args []string) error{
+	"train":    cmdTrain,
+	"info":     cmdInfo,
+	"variants": cmdVariants,
+	"export":   cmdExport,
+	"import":   cmdImport,
+	"simulate": cmdSimulate,
+	"rollout":  cmdRollout,
+	"chaos":    cmdChaos,
+	"offload":  cmdOffload,
+	"settle":   cmdSettle,
+	"fed":      cmdFed,
+	"bench":    cmdBench,
+}
 
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	var err error
 	switch os.Args[1] {
-	case "train":
-		err = cmdTrain(os.Args[2:])
-	case "info":
-		err = cmdInfo(os.Args[2:])
-	case "variants":
-		err = cmdVariants(os.Args[2:])
-	case "export":
-		err = cmdExport(os.Args[2:])
-	case "import":
-		err = cmdImport(os.Args[2:])
-	case "simulate":
-		err = cmdSimulate(os.Args[2:])
-	case "rollout":
-		err = cmdRollout(os.Args[2:])
-	case "chaos":
-		err = cmdChaos(os.Args[2:])
-	case "offload":
-		err = cmdOffload(os.Args[2:])
-	case "settle":
-		err = cmdSettle(os.Args[2:])
-	case "fed":
-		err = cmdFed(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
-	default:
+		return
+	}
+	cmd, ok := subcommands[os.Args[1]]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown subcommand %q\n\n", os.Args[1])
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	if err := cmd(os.Stdout, os.Args[2:]); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
@@ -101,6 +97,5 @@ run 'tinymlops <subcommand> -h' for flags`)
 }
 
 func newFlagSet(name string) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	return fs
+	return flag.NewFlagSet(name, flag.ExitOnError)
 }

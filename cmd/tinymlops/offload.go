@@ -2,13 +2,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
-	"os"
 	"text/tabwriter"
 	"time"
 
 	"tinymlops"
-	"tinymlops/internal/device"
 )
 
 // cmdOffload runs the live edge–cloud offload demonstration: deploy a
@@ -18,7 +17,7 @@ import (
 // migrates each device's cut as its uplink changes. Every answer is
 // verified bit-exact against the device's own forward pass; exits
 // non-zero on any mismatch.
-func cmdOffload(args []string) error {
+func cmdOffload(w io.Writer, args []string) error {
 	fs := newFlagSet("offload")
 	perProfile := fs.Int("devices", 1, "devices per hardware profile (6 profiles)")
 	queries := fs.Int("queries", 12, "queries per device per connectivity phase")
@@ -35,7 +34,7 @@ func cmdOffload(args []string) error {
 	}
 	devs := fleet.Devices()
 	for _, d := range devs {
-		d.SetNet(device.WiFi)
+		d.SetNet(tinymlops.WiFi)
 	}
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("offload-demo-key-0123456789abcdef"), Seed: *seed, Workers: *workers,
@@ -87,22 +86,22 @@ func cmdOffload(args []string) error {
 		}
 	}
 
-	fmt.Printf("offload: %d devices, %d queries/device/phase, rtt %v\n", len(ids), *queries, *rtt)
+	fmt.Fprintf(w, "offload: %d devices, %d queries/device/phase, rtt %v\n", len(ids), *queries, *rtt)
 	if *enclaved {
-		fmt.Println("enclave: per-device watermarked suffixes attested and sealed into the vendor enclave")
+		fmt.Fprintln(w, "enclave: per-device watermarked suffixes attested and sealed into the vendor enclave")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	es := ds.X.Size() / ds.Len()
 	phases := []struct {
 		name string
-		net  device.NetState
+		net  tinymlops.NetState
 	}{
-		{"wifi", device.WiFi},
-		{"cellular", device.Cellular},
-		{"offline", device.Offline},
-		{"recovery", device.WiFi},
+		{"wifi", tinymlops.WiFi},
+		{"cellular", tinymlops.Cellular},
+		{"offline", tinymlops.Offline},
+		{"recovery", tinymlops.WiFi},
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "phase\tsplit\tlocal\tfallback\treplans\tuplink-B\tmean-latency")
 	mismatches := 0
 	for _, ph := range phases {
@@ -154,13 +153,13 @@ func cmdOffload(args []string) error {
 		return err
 	}
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	cs := cloud.Stats()
 	occupancy := 0.0
 	if cs.Batches > 0 {
 		occupancy = float64(cs.Served) / float64(cs.Batches)
 	}
-	fmt.Printf("cloud: %d suffix requests in %d batches (mean occupancy %.1f, max %d), %d shed, peak queue %d\n",
+	fmt.Fprintf(w, "cloud: %d suffix requests in %d batches (mean occupancy %.1f, max %d), %d shed, peak queue %d\n",
 		cs.Served, cs.Batches, occupancy, cs.MaxBatchSize, cs.Shed, cs.MaxQueueDepth)
 	var used uint64
 	for _, id := range ids {
@@ -168,10 +167,10 @@ func cmdOffload(args []string) error {
 			used += dep.Meter.Used()
 		}
 	}
-	fmt.Printf("metering: %d queries charged across the fleet (offloaded queries stay pay-per-query)\n", used)
+	fmt.Fprintf(w, "metering: %d queries charged across the fleet (offloaded queries stay pay-per-query)\n", used)
 	if mismatches > 0 {
 		return fmt.Errorf("offload: %d answers were not bit-exact with the on-device forward", mismatches)
 	}
-	fmt.Println("bit-exactness: every answer identical to the on-device forward pass")
+	fmt.Fprintln(w, "bit-exactness: every answer identical to the on-device forward pass")
 	return nil
 }

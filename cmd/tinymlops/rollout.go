@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"text/tabwriter"
 
@@ -14,7 +14,7 @@ import (
 // → fleet rollout whose waves are gated on post-update health. With -drift
 // the cohort wave bakes on a shifted input distribution, trips the drift
 // gate and demonstrates the rollback path.
-func cmdRollout(args []string) error {
+func cmdRollout(w io.Writer, args []string) error {
 	fs := newFlagSet("rollout")
 	perProfile := fs.Int("devices", 2, "devices per hardware profile")
 	seed := fs.Uint64("seed", 42, "random seed")
@@ -65,7 +65,7 @@ func cmdRollout(args []string) error {
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("v1 %s deployed to %d devices\n", v1s[0].ID, len(ids))
+	fmt.Fprintf(w, "v1 %s deployed to %d devices\n", v1s[0].ID, len(ids))
 
 	// Traffic rows: in-distribution for baselines, shifted for -drift.
 	rows := make([][]float32, 64)
@@ -102,15 +102,15 @@ func cmdRollout(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("v2 %s published (head fine-tune)\n\n", v2s[0].ID)
+	fmt.Fprintf(w, "v2 %s published (head fine-tune)\n\n", v2s[0].ID)
 
 	res, err := platform.Rollout(v2s[0], tinymlops.RolloutConfig{
 		Seed:        *seed,
 		Calibration: train,
 		ForceFull:   *full,
-		Bake: func(w tinymlops.RolloutWave, deviceIDs []string) error {
+		Bake: func(wave tinymlops.RolloutWave, deviceIDs []string) error {
 			data := rows
-			if *drift && w.Name == "cohort" {
+			if *drift && wave.Name == "cohort" {
 				data = bad
 			}
 			driveTraffic(deviceIDs, data, 4)
@@ -121,12 +121,12 @@ func cmdRollout(args []string) error {
 		return err
 	}
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "wave\tdevices\tdelta/full\tshipped\tgate\tdetail")
-	for _, w := range res.Waves {
+	for _, wave := range res.Waves {
 		deltas, fulls := 0, 0
 		var shipped int64
-		for _, o := range w.Outcomes {
+		for _, o := range wave.Outcomes {
 			if o.UpdateErr != "" {
 				continue
 			}
@@ -138,24 +138,24 @@ func cmdRollout(args []string) error {
 			}
 		}
 		verdict := "PASS"
-		detail := fmt.Sprintf("drift=%d err=%.2f lat=%.2fx", w.Gate.DriftAlarms, w.Gate.ErrorRate, w.Gate.LatencyRatio)
-		if !w.Gate.Pass {
+		detail := fmt.Sprintf("drift=%d err=%.2f lat=%.2fx", wave.Gate.DriftAlarms, wave.Gate.ErrorRate, wave.Gate.LatencyRatio)
+		if !wave.Gate.Pass {
 			verdict = "FAIL -> ROLLBACK"
-			detail = strings.Join(w.Gate.Reasons, "; ")
+			detail = strings.Join(wave.Gate.Reasons, "; ")
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%d/%d\t%d B\t%s\t%s\n",
-			w.Wave.Name, len(w.DeviceIDs), deltas, fulls, shipped, verdict, detail)
+			wave.Wave.Name, len(wave.DeviceIDs), deltas, fulls, shipped, verdict, detail)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	fullBytes := int64(v2s[0].Metrics.SizeBytes) * int64(res.DeltaTransfers+res.FullTransfers)
-	fmt.Printf("\ntransfers: %d delta, %d full; %d B shipped (full-artifact cost would be %d B)\n",
+	fmt.Fprintf(w, "\ntransfers: %d delta, %d full; %d B shipped (full-artifact cost would be %d B)\n",
 		res.DeltaTransfers, res.FullTransfers, res.TotalShipBytes, fullBytes)
 	if res.Completed {
-		fmt.Println("rollout completed: entire fleet on v2")
+		fmt.Fprintln(w, "rollout completed: entire fleet on v2")
 	} else {
-		fmt.Println("rollout halted: failing wave reverted to v1, earlier waves keep v2")
+		fmt.Fprintln(w, "rollout halted: failing wave reverted to v1, earlier waves keep v2")
 	}
 	return nil
 }

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"text/tabwriter"
 
 	"tinymlops"
@@ -16,7 +16,7 @@ import (
 // fraud (overclaimed ticks, replayed proofs, wrong-version relabeling).
 // Exits non-zero if any tampered report settles or any honest report is
 // rejected.
-func cmdSettle(args []string) error {
+func cmdSettle(w io.Writer, args []string) error {
 	fs := newFlagSet("settle")
 	devices := fs.Int("devices", 90, "fleet size (rounded up to a multiple of the 6 profiles)")
 	seed := fs.Uint64("seed", 42, "platform seed")
@@ -31,7 +31,7 @@ func cmdSettle(args []string) error {
 	if *chaosSeed == 0 {
 		*chaosSeed = *seed + 1
 	}
-	fmt.Printf("settle: %d devices, seed %d/%d, fraud overclaim %.0f%% replay %.0f%% wrong-version %.0f%%\n\n",
+	fmt.Fprintf(w, "settle: %d devices, seed %d/%d, fraud overclaim %.0f%% replay %.0f%% wrong-version %.0f%%\n\n",
 		*devices, *seed, *chaosSeed, *overclaim*100, *replay*100, *wrongVersion*100)
 
 	res, err := tinymlops.RunChaosScenario(tinymlops.ChaosScenarioConfig{
@@ -51,7 +51,7 @@ func cmdSettle(args []string) error {
 		return fmt.Errorf("settle: scenario produced no settlement report")
 	}
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "device\tfraud\tverdict\tproofs\tack-seq\treason")
 	for _, vd := range s.Verdicts {
 		if !*all && !vd.Injected && vd.OK {
@@ -82,18 +82,18 @@ func cmdSettle(args []string) error {
 		return err
 	}
 
-	fmt.Printf("\nsettled: %d/%d honest devices, %d inference proofs batch-verified\n",
+	fmt.Fprintf(w, "\nsettled: %d/%d honest devices, %d inference proofs batch-verified\n",
 		s.Settled, s.Devices-s.FraudInjected, s.ProofsChecked)
-	fmt.Printf("fraud: %d injected (%d overclaim, %d replay, %d wrong-version), %d caught\n",
+	fmt.Fprintf(w, "fraud: %d injected (%d overclaim, %d replay, %d wrong-version), %d caught\n",
 		s.FraudInjected, s.Overclaims, s.Replays, s.WrongVersions, s.FraudCaught)
-	fmt.Printf("audit: %d settlements inspected, %d flagged as fraud\n",
+	fmt.Fprintf(w, "audit: %d settlements inspected, %d flagged as fraud\n",
 		res.Audit.SettlementsChecked, res.Audit.FraudFlagged)
 	if !res.Audit.OK() {
 		for _, v := range res.Audit.Violations {
-			fmt.Println("  VIOLATION:", v)
+			fmt.Fprintln(w, "  VIOLATION:", v)
 		}
 		return fmt.Errorf("settle: %d invariant violations", res.Audit.ViolationCount)
 	}
-	fmt.Printf("fingerprint: %s (bit-identical at any -workers)\n", res.Fingerprint)
+	fmt.Fprintf(w, "fingerprint: %s (bit-identical at any -workers)\n", res.Fingerprint)
 	return nil
 }

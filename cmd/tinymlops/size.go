@@ -4,14 +4,7 @@ import (
 	"strings"
 
 	"tinymlops"
-	"tinymlops/internal/quant"
 )
-
-// quantNetworkSize reports the packed weight footprint of net at the
-// given scheme's bit width.
-func quantNetworkSize(net *tinymlops.Network, scheme tinymlops.Scheme) int {
-	return quant.NetworkSizeBytes(net, scheme)
-}
 
 // nativeExecProfiles lists the standard hardware profiles that execute
 // the scheme on native kernels (QModel for integer schemes, the float

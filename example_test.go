@@ -282,7 +282,7 @@ func ExamplePlatform_hierarchicalFed() {
 	cfg.Seed = 13
 	cfg.Aggregators = 6
 	cfg.SecureAgg = true
-	versions, stats, err := platform.HierFederatedUpdate("fed-demo", clients, ds, cfg, spec)
+	_, versions, stats, err := platform.HierFederatedUpdate("fed-demo", clients, ds, cfg, spec)
 	if err != nil {
 		panic(err)
 	}

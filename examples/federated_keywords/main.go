@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tinymlops"
 )
@@ -19,6 +21,13 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go pins its transcript.
+func run(w io.Writer) error {
 	rng := tinymlops.NewRNG(2026)
 
 	// Global pool (the vendor's seed corpus) and held-out test set.
@@ -33,7 +42,7 @@ func main() {
 		tinymlops.Dense(seqLen, 32, rng), tinymlops.ReLU(),
 		tinymlops.Dense(32, classes, rng))
 
-	fmt.Println("=== federated training: codec comparison (8 rounds each) ===")
+	fmt.Fprintln(w, "=== federated training: codec comparison (8 rounds each) ===")
 	type result struct {
 		name   string
 		acc    float64
@@ -55,11 +64,11 @@ func main() {
 				Codec: codec, Seed: 11,
 			})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		stats, err := co.Run()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var uplink int64
 		for _, s := range stats {
@@ -69,21 +78,21 @@ func main() {
 	}
 	base := float64(results[0].uplink)
 	for _, r := range results {
-		fmt.Printf("  codec %-10s final acc %.3f  uplink %8d B  (%.1f× smaller)\n",
+		fmt.Fprintf(w, "  codec %-10s final acc %.3f  uplink %8d B  (%.1f× smaller)\n",
 			r.name, r.acc, r.uplink, base/float64(r.uplink))
 	}
 
 	// Personalization: each user fine-tunes the shared model on their own
 	// pitch-shifted voice; the feature extractor stays frozen.
-	fmt.Println("\n=== per-user personalization (speaker pitch shift) ===")
+	fmt.Fprintln(w, "\n=== per-user personalization (speaker pitch shift) ===")
 	gl := global.Clone()
 	co, err := tinymlops.NewFederatedCoordinator(gl, clients, test.X, test.Y,
 		tinymlops.FederatedConfig{Rounds: 8, LocalEpochs: 2, LocalBatch: 16, LR: 0.1, Seed: 11})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := co.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var beforeSum, afterSum float64
 	for u := 0; u < 4; u++ {
@@ -95,14 +104,15 @@ func main() {
 			FreezeLayers: 2, Epochs: 8, BatchSize: 16, LR: 0.05, RNG: rng,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		after := tinymlops.Evaluate(personal, ltest.X, ltest.Y)
 		beforeSum += before
 		afterSum += after
-		fmt.Printf("  user %d (pitch %+.0f%%): global %.3f -> personalized %.3f\n",
+		fmt.Fprintf(w, "  user %d (pitch %+.0f%%): global %.3f -> personalized %.3f\n",
 			u, shift*100, before, after)
 	}
-	fmt.Printf("  mean: %.3f -> %.3f (personalization gain %+.3f)\n",
+	fmt.Fprintf(w, "  mean: %.3f -> %.3f (personalization gain %+.3f)\n",
 		beforeSum/4, afterSum/4, (afterSum-beforeSum)/4)
+	return nil
 }

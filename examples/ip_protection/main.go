@@ -7,12 +7,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tinymlops"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go pins its transcript.
+func run(w io.Writer) error {
 	rng := tinymlops.NewRNG(99)
 	// A moderately hard 5-class task: with overlapping clusters the clone
 	// quality actually depends on what the black box reveals, so the
@@ -26,49 +35,49 @@ func main() {
 	if _, err := tinymlops.Train(victim, train.X, train.Y, tinymlops.TrainConfig{
 		Epochs: 12, BatchSize: 32, Optimizer: tinymlops.SGD(0.1).WithMomentum(0.9), RNG: rng,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("victim model accuracy: %.3f\n\n", tinymlops.Evaluate(victim, test.X, test.Y))
+	fmt.Fprintf(w, "victim model accuracy: %.3f\n\n", tinymlops.Evaluate(victim, test.X, test.Y))
 
 	// --- Encryption at rest ------------------------------------------
-	fmt.Println("=== encryption at rest ===")
+	fmt.Fprintln(w, "=== encryption at rest ===")
 	artifact, err := victim.MarshalBinary()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	vendorKey := []byte("vendor-secret-key-0123456789abcd")
 	sealed, err := tinymlops.EncryptModel(vendorKey, "victim-v1", artifact)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  artifact %d B -> sealed %d B; flash dump is useless without the key\n",
+	fmt.Fprintf(w, "  artifact %d B -> sealed %d B; flash dump is useless without the key\n",
 		len(artifact), len(sealed.Ciphertext))
 	if _, err := tinymlops.DecryptModel([]byte("wrong-key-aaaaaaaaaaaaaaaaaaaaaa"), sealed); err != nil {
-		fmt.Println("  wrong key rejected:", err != nil)
+		fmt.Fprintln(w, "  wrong key rejected:", err != nil)
 	}
 
 	// --- Per-customer watermarks --------------------------------------
-	fmt.Println("\n=== watermarking ===")
+	fmt.Fprintln(w, "\n=== watermarking ===")
 	marked := victim.Clone()
 	bits := tinymlops.WatermarkBits("customer-7", 48)
 	if err := tinymlops.EmbedWatermark(marked, "customer-7", bits, tinymlops.DefaultStaticWatermarkConfig()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	got, _ := tinymlops.ExtractWatermark(marked, "customer-7", 48, tinymlops.DefaultStaticWatermarkConfig())
-	fmt.Printf("  static mark: BER %.3f, accuracy cost %.3f\n",
+	fmt.Fprintf(w, "  static mark: BER %.3f, accuracy cost %.3f\n",
 		tinymlops.BitErrorRate(bits, got),
 		tinymlops.Evaluate(victim, test.X, test.Y)-tinymlops.Evaluate(marked, test.X, test.Y))
 
 	triggers := tinymlops.NewTriggerSet("customer-7", 30, []int{8}, 5)
 	if err := tinymlops.EmbedTriggerWatermark(marked, triggers, train.X, train.Y, 6, rng); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  dynamic mark: trigger recall %.2f (innocent model: %.2f) — black-box evidence\n",
+	fmt.Fprintf(w, "  dynamic mark: trigger recall %.2f (innocent model: %.2f) — black-box evidence\n",
 		tinymlops.VerifyTriggerWatermark(marked, triggers),
 		tinymlops.VerifyTriggerWatermark(victim, triggers))
 
 	// --- Extraction attack vs defenses ---------------------------------
-	fmt.Println("\n=== indirect model stealing: clone agreement by query budget ===")
+	fmt.Fprintln(w, "\n=== indirect model stealing: clone agreement by query budget ===")
 	bb := tinymlops.ModelBlackBox(victim)
 	eval := test.X.RowSlice(0, 300)
 	defenses := []tinymlops.Defense{
@@ -79,13 +88,13 @@ func main() {
 		tinymlops.DeceptiveDefense{},
 	}
 	budgets := []int{40, 150, 500}
-	fmt.Printf("  %-12s", "defense")
+	fmt.Fprintf(w, "  %-12s", "defense")
 	for _, b := range budgets {
-		fmt.Printf("  q=%4d", b)
+		fmt.Fprintf(w, "  q=%4d", b)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, d := range defenses {
-		fmt.Printf("  %-12s", d.Name())
+		fmt.Fprintf(w, "  %-12s", d.Name())
 		for _, budget := range budgets {
 			srng := tinymlops.NewRNG(1000 + uint64(budget))
 			student := tinymlops.NewNetwork([]int{8},
@@ -94,15 +103,15 @@ func main() {
 			queries := train.X.RowSlice(0, budget)
 			if _, err := tinymlops.ExtractModel(tinymlops.Defend(bb, d), student, queries,
 				tinymlops.ExtractionConfig{Epochs: 20, LR: 0.05, RNG: srng}); err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("  %.3f", tinymlops.Agreement(bb, tinymlops.ModelBlackBox(student), eval))
+			fmt.Fprintf(w, "  %.3f", tinymlops.Agreement(bb, tinymlops.ModelBlackBox(student), eval))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	// --- Stealing-query detection --------------------------------------
-	fmt.Println("\n=== PRADA-style query-stream detection ===")
+	fmt.Fprintln(w, "\n=== PRADA-style query-stream detection ===")
 	det := tinymlops.NewQueryDetector()
 	for i := 0; i < 500; i++ {
 		row := make([]float32, 8)
@@ -112,7 +121,7 @@ func main() {
 		}
 		det.Observe(row)
 	}
-	fmt.Printf("  benign client after 500 queries: flagged=%v (K²=%.1f)\n", det.Flagged(), det.Score())
+	fmt.Fprintf(w, "  benign client after 500 queries: flagged=%v (K²=%.1f)\n", det.Flagged(), det.Score())
 	det.Reset()
 	seed := make([]float32, 8)
 	attackFlagged := -1
@@ -133,19 +142,20 @@ func main() {
 			attackFlagged = i
 		}
 	}
-	fmt.Printf("  perturbation attacker: flagged at query %d\n", attackFlagged)
+	fmt.Fprintf(w, "  perturbation attacker: flagged at query %d\n", attackFlagged)
 
 	// --- Key-gated scrambling ------------------------------------------
-	fmt.Println("\n=== key-gated weight scrambling ===")
+	fmt.Fprintln(w, "\n=== key-gated weight scrambling ===")
 	locked := victim.Clone()
 	if err := tinymlops.ScrambleModel(locked, "activation-key"); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  scrambled accuracy: %.3f (was %.3f)\n",
+	fmt.Fprintf(w, "  scrambled accuracy: %.3f (was %.3f)\n",
 		tinymlops.Evaluate(locked, test.X, test.Y), tinymlops.Evaluate(victim, test.X, test.Y))
 	if err := tinymlops.UnscrambleModel(locked, "activation-key"); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  with the key: %.3f — full potential restored\n",
+	fmt.Fprintf(w, "  with the key: %.3f — full potential restored\n",
 		tinymlops.Evaluate(locked, test.X, test.Y))
+	return nil
 }

@@ -6,8 +6,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tinymlops"
 )
@@ -15,6 +18,13 @@ import (
 const window = 32
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go pins its transcript.
+func run(w io.Writer) error {
 	rng := tinymlops.NewRNG(7)
 
 	// Train the anomaly detector on factory-floor reference data.
@@ -26,14 +36,14 @@ func main() {
 	if _, err := tinymlops.Train(model, train.X, train.Y, tinymlops.TrainConfig{
 		Epochs: 12, BatchSize: 32, Optimizer: tinymlops.SGD(0.1).WithMomentum(0.9), RNG: rng,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("anomaly detector: test accuracy %.3f\n", tinymlops.Evaluate(model, test.X, test.Y))
+	fmt.Fprintf(w, "anomaly detector: test accuracy %.3f\n", tinymlops.Evaluate(model, test.X, test.Y))
 
 	// Platform + fleet of machine-mounted M4 sensors.
 	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 3, Seed: 3})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, d := range fleet.Devices() {
 		d.SetBehavior(1, 1, 0)
@@ -43,23 +53,23 @@ func main() {
 		VendorKey: []byte("maintenance-vendor-key-012345678"), Seed: 7, MinCohort: 1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := platform.Publish("vibration", model, test, tinymlops.DefaultOptimizationSpec(test)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sensors := []string{"m4-wearable-00", "m4-wearable-01", "m4-wearable-02"}
 	for _, id := range sensors {
 		if _, err := platform.Deploy(id, "vibration", tinymlops.DeployConfig{
 			PrepaidQueries: 100000, Calibration: train,
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("deployed to %d machine sensors\n\n", len(sensors))
+	fmt.Fprintf(w, "deployed to %d machine sensors\n\n", len(sensors))
 
 	// Machine 0 develops a fault: its signal statistics shift mid-stream.
-	fmt.Println("=== streaming with drift onset at t=800 on sensor 0 ===")
+	fmt.Fprintln(w, "=== streaming with drift onset at t=800 on sensor 0 ===")
 	stream := tinymlops.NewDriftStream(rng, test, 800, tinymlops.DriftMeanShift, 1.5)
 	dep, _ := platform.Deployment(sensors[0])
 	alarmAt := -1
@@ -67,30 +77,30 @@ func main() {
 		x, _ := stream.Next()
 		res, err := dep.Infer(x)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if res.DriftAlarm && alarmAt < 0 {
 			alarmAt = t
 		}
 	}
 	if alarmAt < 0 {
-		log.Fatal("drift was never detected")
+		return errors.New("drift was never detected")
 	}
-	fmt.Printf("  drift onset t=800, on-device alarm at t=%d (delay %d windows)\n", alarmAt, alarmAt-800)
+	fmt.Fprintf(w, "  drift onset t=800, on-device alarm at t=%d (delay %d windows)\n", alarmAt, alarmAt-800)
 
 	// Telemetry carries the alarm (aggregates only) to the fleet monitor.
 	if _, _, err := platform.SyncTelemetry(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sum, err := platform.Aggregator.Summarize("cortex-m4")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  cloud monitor: cohort %s reports %d drift alarm(s) across %d devices\n\n",
+	fmt.Fprintf(w, "  cloud monitor: cohort %s reports %d drift alarm(s) across %d devices\n\n",
 		sum.Cohort, sum.DriftAlarms, sum.Devices)
 
 	// React: retrain on data from the new regime and roll out.
-	fmt.Println("=== retrain and staged rollout ===")
+	fmt.Fprintln(w, "=== retrain and staged rollout ===")
 	shifted := tinymlops.VibrationAnomaly(rng, 2000, window, 0.3, 0)
 	// The new regime: emulate the drifted distribution the monitor saw.
 	for i := range shifted.X.Data {
@@ -101,14 +111,14 @@ func main() {
 	if _, err := tinymlops.Train(retrained, newTrain.X, newTrain.Y, tinymlops.TrainConfig{
 		Epochs: 8, BatchSize: 32, Optimizer: tinymlops.SGD(0.05), RNG: rng,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	oldAcc := tinymlops.Evaluate(model, newTest.X, newTest.Y)
 	newAcc := tinymlops.Evaluate(retrained, newTest.X, newTest.Y)
-	fmt.Printf("  on the drifted regime: old model %.3f, retrained %.3f\n", oldAcc, newAcc)
+	fmt.Fprintf(w, "  on the drifted regime: old model %.3f, retrained %.3f\n", oldAcc, newAcc)
 	v2s, err := platform.Publish("vibration", retrained, newTest, tinymlops.DefaultOptimizationSpec(newTest))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Staged OTA rollout: one canary sensor bakes the new version on live
@@ -122,7 +132,7 @@ func main() {
 		},
 		Seed:        7,
 		Calibration: newTrain,
-		Bake: func(w tinymlops.RolloutWave, ids []string) error {
+		Bake: func(_ tinymlops.RolloutWave, ids []string) error {
 			// The machines keep vibrating in the new regime while we watch.
 			for _, id := range ids {
 				dep, ok := platform.Deployment(id)
@@ -140,29 +150,30 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	for _, w := range res.Waves {
-		for _, o := range w.Outcomes {
+	for _, wave := range res.Waves {
+		for _, o := range wave.Outcomes {
 			kind := "full image"
 			if o.Transfer.UsedDelta {
 				kind = "delta"
 			}
-			fmt.Printf("  wave %-6s %s -> %s (%s, %d B)\n",
-				w.Wave.Name, o.DeviceID, o.Transfer.ToID, kind, o.Transfer.ShipBytes)
+			fmt.Fprintf(w, "  wave %-6s %s -> %s (%s, %d B)\n",
+				wave.Wave.Name, o.DeviceID, o.Transfer.ToID, kind, o.Transfer.ShipBytes)
 		}
 		verdict := "PASS"
-		if !w.Gate.Pass {
-			verdict = "FAIL -> rolled back: " + w.Gate.Reasons[0]
+		if !wave.Gate.Pass {
+			verdict = "FAIL -> rolled back: " + wave.Gate.Reasons[0]
 		}
-		fmt.Printf("  wave %-6s gate: %s (drift alarms %d, error rate %.2f)\n",
-			w.Wave.Name, verdict, w.Gate.DriftAlarms, w.Gate.ErrorRate)
+		fmt.Fprintf(w, "  wave %-6s gate: %s (drift alarms %d, error rate %.2f)\n",
+			wave.Wave.Name, verdict, wave.Gate.DriftAlarms, wave.Gate.ErrorRate)
 	}
 	if !res.Completed {
-		log.Fatal("rollout did not complete on healthy traffic")
+		return errors.New("rollout did not complete on healthy traffic")
 	}
-	fmt.Printf("\nfleet on retrained model; %d/%d transfers were deltas, %d B shipped\n",
+	fmt.Fprintf(w, "\nfleet on retrained model; %d/%d transfers were deltas, %d B shipped\n",
 		res.DeltaTransfers, res.DeltaTransfers+res.FullTransfers, res.TotalShipBytes)
-	fmt.Printf("registry now tracks %d versions across the incident\n",
+	fmt.Fprintf(w, "registry now tracks %d versions across the incident\n",
 		len(platform.Registry.Versions("vibration")))
+	return nil
 }

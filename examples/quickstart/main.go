@@ -6,14 +6,24 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"os"
 
 	"tinymlops"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go pins its transcript.
+func run(w io.Writer) error {
 	rng := tinymlops.NewRNG(42)
 
 	// 1. Train a small classifier on the vendor's data.
@@ -25,14 +35,14 @@ func main() {
 	if _, err := tinymlops.Train(model, train.X, train.Y, tinymlops.TrainConfig{
 		Epochs: 10, BatchSize: 32, Optimizer: tinymlops.SGD(0.1).WithMomentum(0.9), RNG: rng,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("trained model: test accuracy %.3f\n", tinymlops.Evaluate(model, test.X, test.Y))
+	fmt.Fprintf(w, "trained model: test accuracy %.3f\n", tinymlops.Evaluate(model, test.X, test.Y))
 
 	// 2. Stand up the platform over a 12-device simulated fleet.
 	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 2, Seed: 7})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, d := range fleet.Devices() {
 		d.SetBehavior(0.8, 0.9, 0.05) // mostly charged, mostly on WiFi
@@ -43,24 +53,24 @@ func main() {
 		Seed:      42, MinCohort: 1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. Publish: the optimization pipeline derives int8/int4/ternary/
 	// binary variants and records accuracy, size and MACs for each.
 	versions, err := platform.Publish("demo-clf", model, test, tinymlops.DefaultOptimizationSpec(test))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\npublished %d versions:\n", len(versions))
+	fmt.Fprintf(w, "\npublished %d versions:\n", len(versions))
 	for _, v := range versions {
-		fmt.Printf("  %s  %-8s acc=%.3f size=%6dB MACs=%d\n",
+		fmt.Fprintf(w, "  %s  %-8s acc=%.3f size=%6dB MACs=%d\n",
 			v.ID, v.Scheme, v.Metrics.Accuracy, v.Metrics.SizeBytes, v.Metrics.MACs)
 	}
 
 	// 4. Deploy the best variant per device: constrained MCUs get
 	// quantized models, the gateway gets the full-precision base.
-	fmt.Println("\ndeployments:")
+	fmt.Fprintln(w, "\ndeployments:")
 	targets := []string{"m0-sensor-00", "npu-board-00", "edge-gateway-00"}
 	for _, id := range targets {
 		dep, err := platform.Deploy(id, "demo-clf", tinymlops.DeployConfig{
@@ -68,14 +78,14 @@ func main() {
 			Calibration:    train,
 		})
 		if err != nil {
-			log.Fatalf("deploy %s: %v", id, err)
+			return fmt.Errorf("deploy %s: %v", id, err)
 		}
-		fmt.Printf("  %-16s -> %s (%s, acc %.3f)\n",
+		fmt.Fprintf(w, "  %-16s -> %s (%s, acc %.3f)\n",
 			id, dep.Version.ID, dep.Version.Scheme, dep.Version.Metrics.Accuracy)
 	}
 
 	// 5. Run metered inference at the edge.
-	fmt.Println("\nmetered inference on m0-sensor-00:")
+	fmt.Fprintln(w, "\nmetered inference on m0-sensor-00:")
 	dep, _ := platform.Deployment("m0-sensor-00")
 	correct, denied := 0, 0
 	x := make([]float32, 4)
@@ -84,27 +94,30 @@ func main() {
 			x[f] = test.X.At2(i%test.Len(), f)
 		}
 		res, err := dep.Infer(x)
-		if err != nil {
+		if errors.Is(err, tinymlops.ErrQueryDenied) {
 			denied++
 			continue
+		}
+		if err != nil {
+			return err
 		}
 		if res.Label == test.Y[i%test.Len()] {
 			correct++
 		}
 	}
-	fmt.Printf("  served %d queries (%d correct), denied %d after quota\n",
+	fmt.Fprintf(w, "  served %d queries (%d correct), denied %d after quota\n",
 		120-denied, correct, denied)
-	fmt.Printf("  meter: used %d / remaining %d\n", dep.Meter.Used(), dep.Meter.Remaining())
+	fmt.Fprintf(w, "  meter: used %d / remaining %d\n", dep.Meter.Used(), dep.Meter.Remaining())
 
 	// 6. Telemetry: aggregates only, shipped on WiFi, k-anonymized.
 	records, bytes, err := platform.SyncTelemetry()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ntelemetry: %d records, %d bytes uplinked\n", records, bytes)
+	fmt.Fprintf(w, "\ntelemetry: %d records, %d bytes uplinked\n", records, bytes)
 	for _, cohort := range platform.Aggregator.Cohorts() {
 		if sum, err := platform.Aggregator.Summarize(cohort); err == nil {
-			fmt.Printf("  cohort %-12s devices=%d inferences=%d meanLat=%.1fµs denied=%d\n",
+			fmt.Fprintf(w, "  cohort %-12s devices=%d inferences=%d meanLat=%.1fµs denied=%d\n",
 				cohort, sum.Devices, sum.Inferences, sum.MeanLatency, sum.Denied)
 		}
 	}
@@ -112,7 +125,7 @@ func main() {
 	// 7. Settlement: the device reconciles its hash-chained usage log.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	srv := tinymlops.ServeSettlement(l, platform)
 	defer srv.Close()
@@ -123,8 +136,9 @@ func main() {
 			ok++
 		}
 	}
-	fmt.Printf("\nsettlement: %d/%d deployments reconciled with the vendor\n", ok, len(results))
+	fmt.Fprintf(w, "\nsettlement: %d/%d deployments reconciled with the vendor\n", ok, len(results))
 	if used, found := platform.Settler.SettledUsage(dep.Meter.Voucher().ID); found {
-		fmt.Printf("  vendor-acknowledged usage for %s: %d queries\n", dep.DeviceID, used)
+		fmt.Fprintf(w, "  vendor-acknowledged usage for %s: %d queries\n", dep.DeviceID, used)
 	}
+	return nil
 }

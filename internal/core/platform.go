@@ -382,7 +382,7 @@ func (p *Platform) SettleAll(addr string) map[string]error {
 // client shards and publishes the improved global model into the registry
 // as a rollout candidate (re-deriving all variants, tagged as a federated
 // aggregate). It returns the new versions and per-round stats; chain with
-// Rollout — or call FederatedRollout — to stage the fleet update.
+// Rollout to stage the fleet update.
 func (p *Platform) FederatedUpdate(name string, clients []*fed.Client, test *dataset.Dataset, fcfg fed.Config, spec registry.OptimizationSpec) ([]*registry.ModelVersion, []fed.RoundStats, error) {
 	latest, err := p.Registry.Latest(name)
 	if err != nil {
@@ -415,31 +415,33 @@ func (p *Platform) FederatedUpdate(name string, clients []*fed.Client, test *dat
 // the edge (exactly, in fixed point — with pairwise masking when
 // hcfg.SecureAgg is set) and the cloud sums only one compact partial per
 // aggregator before publishing the improved global as a rollout candidate.
-func (p *Platform) HierFederatedUpdate(name string, clients []*fed.Client, test *dataset.Dataset, hcfg fed.HierConfig, spec registry.OptimizationSpec) ([]*registry.ModelVersion, []fed.RoundStats, error) {
+// The coordinator comes back too: its Global is the published model and
+// PersonalizeCohorts fine-tunes it per cohort.
+func (p *Platform) HierFederatedUpdate(name string, clients []*fed.Client, test *dataset.Dataset, hcfg fed.HierConfig, spec registry.OptimizationSpec) (*fed.HierCoordinator, []*registry.ModelVersion, []fed.RoundStats, error) {
 	latest, err := p.Registry.Latest(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	global, err := p.Registry.Load(latest.ID)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if hcfg.Engine == nil {
 		hcfg.Engine = p.eng
 	}
 	hc, err := fed.NewHierCoordinator(global, clients, test.X, test.Y, hcfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	stats, err := hc.Run()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	versions, err := hc.PublishGlobal(p.Registry, name, spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return versions, stats, nil
+	return hc, versions, stats, nil
 }
 
 // DefaultOptimizationSpec derives the standard int8/int4/ternary/binary

@@ -8,7 +8,6 @@ import (
 	"tinymlops/internal/dataset"
 	"tinymlops/internal/device"
 	"tinymlops/internal/engine"
-	"tinymlops/internal/fed"
 	"tinymlops/internal/registry"
 	"tinymlops/internal/rollout"
 	"tinymlops/internal/swarm"
@@ -141,26 +140,6 @@ func (p *Platform) Rollout(target *registry.ModelVersion, cfg RolloutConfig) (*r
 		rcfg.AfterWave = func(rollout.Wave, []string) { cfg.Swarm.AdvanceWave() }
 	}
 	return ctl.Run(&rolloutTarget{p: p, target: target, cfg: cfg}, rcfg)
-}
-
-// FederatedRollout closes the §III-D → §III-A loop: run federated training
-// of the named model line, publish the aggregated global model (and its
-// variant matrix) as rollout candidates, then drive the fleet through a
-// staged update to the new base. It returns the published versions, the
-// per-round training stats and the rollout record.
-func (p *Platform) FederatedRollout(name string, clients []*fed.Client, test *dataset.Dataset, fcfg fed.Config, spec registry.OptimizationSpec, rcfg RolloutConfig) ([]*registry.ModelVersion, []fed.RoundStats, *rollout.Result, error) {
-	versions, stats, err := p.FederatedUpdate(name, clients, test, fcfg, spec)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if rcfg.Calibration == nil {
-		rcfg.Calibration = test
-	}
-	res, err := p.Rollout(versions[0], rcfg)
-	if err != nil {
-		return versions, stats, nil, err
-	}
-	return versions, stats, res, nil
 }
 
 // rolloutTarget adapts a Platform to the rollout.Target interface.

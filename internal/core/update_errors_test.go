@@ -350,17 +350,25 @@ func TestPublishDefaultEvaluateAndAccessors(t *testing.T) {
 	}
 }
 
-// TestFederatedRolloutArc closes the loop: federated training publishes a
-// new base and the staged rollout moves the fleet onto it.
+// TestFederatedRolloutArc closes the §III-D → §III-A loop: FederatedUpdate
+// publishes a new base and Rollout moves the fleet onto it.
 func TestFederatedRolloutArc(t *testing.T) {
 	f := newRolloutFixture(t, 2)
 	rng := tensor.NewRNG(77)
 	shards := dataset.PartitionIID(rng, f.ds, 4)
 	clients := fed.MakeClients(f.ds, shards, "fc")
-	versions, stats, res, err := f.p.FederatedRollout("clf", clients, f.ds, fed.Config{
+	versions, stats, err := f.p.FederatedUpdate("clf", clients, f.ds, fed.Config{
 		Rounds: 1, LocalEpochs: 1, LocalBatch: 32, LR: 0.05, Seed: 3,
-	}, baseOnlySpec(f.ds), RolloutConfig{
-		Seed: 9,
+	}, baseOnlySpec(f.ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 1 || len(versions) == 0 {
+		t.Fatalf("fed stats %d, versions %d", len(stats), len(versions))
+	}
+	res, err := f.p.Rollout(versions[0], RolloutConfig{
+		Seed:        9,
+		Calibration: f.ds,
 		Bake: func(w rollout.Wave, ids []string) error {
 			f.drive(t, ids, f.inRows, 2)
 			return nil
@@ -368,9 +376,6 @@ func TestFederatedRolloutArc(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(stats) != 1 || len(versions) == 0 {
-		t.Fatalf("fed stats %d, versions %d", len(stats), len(versions))
 	}
 	if !res.Completed {
 		t.Fatalf("federated rollout did not complete: %+v", res.Waves[len(res.Waves)-1].Gate)

@@ -68,18 +68,6 @@ func TestRingsNotLinearlySeparableButLearnable(t *testing.T) {
 	}
 }
 
-func TestShapeImagesDimensions(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	ds := ShapeImages(rng, 40, 12, 0.1)
-	shape := ds.ExampleShape()
-	if len(shape) != 3 || shape[0] != 1 || shape[1] != 12 || shape[2] != 12 {
-		t.Fatalf("ExampleShape = %v", shape)
-	}
-	if ds.NumClasses != 4 {
-		t.Fatalf("NumClasses = %d", ds.NumClasses)
-	}
-}
-
 func TestKeywordSeqClassesDiffer(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	ds := KeywordSeq(rng, 200, 32, 4, 0.05, 0)

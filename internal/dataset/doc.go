@@ -1,7 +1,7 @@
 // Package dataset provides the synthetic workloads every experiment runs
-// on: separable and non-separable classification tasks, image-like inputs
-// for convolutional models, keyword-spotting-style sequences and machine
-// vibration streams for predictive maintenance — plus the two operational
+// on: separable and non-separable classification tasks,
+// keyword-spotting-style sequences and machine vibration streams for
+// predictive maintenance — plus the two operational
 // tools the paper's challenges revolve around: drift injection (§III-B
 // observability) and non-IID partitioning (§III-D federated learning).
 //

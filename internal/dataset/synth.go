@@ -53,61 +53,6 @@ func Rings(rng *tensor.RNG, n, classes int, noise float32) *Dataset {
 	return &Dataset{Name: fmt.Sprintf("rings(k=%d)", classes), X: x, Y: y, NumClasses: classes}
 }
 
-// ShapeImages generates n single-channel size×size images containing one of
-// four shape classes (filled square, cross, diamond, horizontal stripes)
-// at random positions with additive noise. It is the convolutional-scale
-// workload (stand-in for the paper's image-recognition use cases).
-func ShapeImages(rng *tensor.RNG, n, size int, noise float32) *Dataset {
-	const classes = 4
-	if size < 8 {
-		panic("dataset: ShapeImages needs size >= 8")
-	}
-	x := tensor.New(n, 1, size, size)
-	y := make([]int, n)
-	es := size * size
-	for i := 0; i < n; i++ {
-		c := i % classes
-		y[i] = c
-		img := x.Data[i*es : (i+1)*es]
-		// Random top-left corner of a shape bounding box of side s.
-		s := size / 2
-		r0 := rng.Intn(size - s)
-		c0 := rng.Intn(size - s)
-		switch c {
-		case 0: // filled square
-			for r := r0; r < r0+s; r++ {
-				for cc := c0; cc < c0+s; cc++ {
-					img[r*size+cc] = 1
-				}
-			}
-		case 1: // cross
-			mid := s / 2
-			for d := 0; d < s; d++ {
-				img[(r0+mid)*size+c0+d] = 1
-				img[(r0+d)*size+c0+mid] = 1
-			}
-		case 2: // diamond outline
-			mid := s / 2
-			for d := 0; d <= mid; d++ {
-				img[(r0+d)*size+c0+mid-d] = 1
-				img[(r0+d)*size+c0+mid+d] = 1
-				img[(r0+s-1-d)*size+c0+mid-d] = 1
-				img[(r0+s-1-d)*size+c0+mid+d] = 1
-			}
-		case 3: // horizontal stripes
-			for r := r0; r < r0+s; r += 2 {
-				for cc := c0; cc < c0+s; cc++ {
-					img[r*size+cc] = 1
-				}
-			}
-		}
-		for p := range img {
-			img[p] += rng.NormFloat32() * noise
-		}
-	}
-	return &Dataset{Name: fmt.Sprintf("shapes(%dx%d)", size, size), X: x, Y: y, NumClasses: classes}
-}
-
 // KeywordSeq generates keyword-spotting-like examples: length seqLen
 // waveforms where each class is a characteristic pair of frequencies with
 // random phase, amplitude jitter and additive noise. With perUserPitch > 0

@@ -166,8 +166,3 @@ func (e *Enclave) PlanSlalom(totalMACs, enclaveMACs int64) (ExecutionPlan, error
 		LatencyFactor: 1 + frac*(e.Slowdown-1),
 	}, nil
 }
-
-// PlanUntrusted is the baseline: nothing protected, factor 1.
-func PlanUntrusted(totalMACs int64) ExecutionPlan {
-	return ExecutionPlan{Mode: "untrusted", TotalMACs: totalMACs, LatencyFactor: 1}
-}

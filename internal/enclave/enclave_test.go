@@ -113,10 +113,6 @@ func TestExecutionPlans(t *testing.T) {
 	if sl.LatencyFactor < 1.09 || sl.LatencyFactor > 1.11 {
 		t.Fatalf("slalom factor = %v, want ≈1.1", sl.LatencyFactor)
 	}
-	base := PlanUntrusted(1000)
-	if base.LatencyFactor != 1 {
-		t.Fatalf("untrusted factor = %v", base.LatencyFactor)
-	}
 	if _, err := e.PlanSlalom(100, 200); err == nil {
 		t.Fatal("accepted enclaveMACs > totalMACs")
 	}

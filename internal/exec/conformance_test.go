@@ -210,6 +210,11 @@ func TestExecutorConformance(t *testing.T) {
 					if _, err := ex.DecodeBoundary(payload[:len(payload)-1], cut); err == nil {
 						t.Fatalf("cut %d: truncated payload decoded", cut)
 					}
+					// The payload crosses a trust boundary: a valid tensor
+					// followed by anything else is not a valid payload.
+					if _, err := ex.DecodeBoundary(append(payload[:len(payload):len(payload)], 0), cut); err == nil {
+						t.Fatalf("cut %d: payload with a trailing byte decoded", cut)
+					}
 				}
 				resumed, err := ex.Resume(bs, cut, engine.NewArena())
 				if err != nil || !bitsEqual(resumed.Data, want) {

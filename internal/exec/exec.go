@@ -154,8 +154,9 @@ func (g *graph) EncodeBoundary(act *tensor.Tensor, cut int, ar *engine.Arena) ([
 	return buf.Bytes(), nil
 }
 
-// DecodeBoundary parses a one-example float boundary and checks it against
-// the shape step cut expects (any vector when that is undeclared).
+// DecodeBoundary parses a one-example float boundary, which must fill the
+// payload exactly, and checks it against the shape step cut expects (any
+// vector when that is undeclared).
 func (g *graph) DecodeBoundary(payload []byte, cut int) (Boundary, error) {
 	shape, err := g.shapeAt(cut)
 	if err != nil || cut >= g.steps {
@@ -165,8 +166,12 @@ func (g *graph) DecodeBoundary(payload []byte, cut int) (Boundary, error) {
 		return Boundary{}, fmt.Errorf("exec: this model does not accept quantized boundary payloads")
 	}
 	var act tensor.Tensor
-	if _, err := act.ReadFrom(bytes.NewReader(payload)); err != nil {
+	r := bytes.NewReader(payload)
+	if _, err := act.ReadFrom(r); err != nil {
 		return Boundary{}, fmt.Errorf("exec: decode activation: %w", err)
+	}
+	if r.Len() != 0 {
+		return Boundary{}, fmt.Errorf("exec: %d trailing bytes after the activation", r.Len())
 	}
 	if act.Dim(0) != 1 || (shape != nil && !slices.Equal(act.Shape()[1:], shape)) {
 		return Boundary{}, fmt.Errorf("exec: activation shape %v, want [1 %v]", act.Shape(), shape)

@@ -103,6 +103,39 @@ func RunE7(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "lowering bn-mlp for npu-board: passes %v -> ops %v\n", res.Passes, res.Network.OpKinds())
 
+	// Workload brokering: every profile offers spare capacity at its energy
+	// cost (3× on battery) with a 6000-MAC budget, and each model goes to the
+	// cheapest host that has its ops, fits it, meets its latency bound and
+	// still has budget — so the convnet spills to the next-cheapest host.
+	fmt.Fprintln(w, "\nworkload brokering (one offer per profile; odd profiles on battery):")
+	var offers []market.Offer
+	for i, tgt := range targets {
+		d := device.NewDevice(tgt.Name, tgt, tensor.NewRNG(uint64(41+i)))
+		d.SetBehavior(float64(1-i%2), 1, 0)
+		d.Tick()
+		offers = append(offers, market.NewOffer(d, 1, 2, procvm.CapNone, 6000))
+	}
+	var jobs []market.Workload
+	for _, v := range []*registry.ModelVersion{mv, bv, cv} {
+		jobs = append(jobs, market.Workload{
+			ID: v.Name + "/fp32", MACs: v.Metrics.MACs, Bits: 32, RequiredOps: v.OpKinds,
+			ModelBytes: int64(v.Metrics.SizeBytes), RAMBytes: v.Metrics.PeakActivationBytes,
+			MaxLatency: time.Millisecond, MaxPricePerGMAC: 1,
+		})
+	}
+	placed, unplaced := market.Match(jobs, offers)
+	tw = table(w)
+	fmt.Fprintln(tw, "workload\thost\tprice/GMAC\tlatency")
+	for _, a := range placed {
+		fmt.Fprintf(tw, "%s\t%s\t%.4f\t%v\n", a.WorkloadID, a.DeviceID, a.PricePerGMAC, a.Latency)
+	}
+	for _, id := range unplaced {
+		fmt.Fprintf(tw, "%s\t(no feasible offer)\t\t\n", id)
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+
 	// Edge-cloud split point vs bandwidth: a weak device with a large
 	// model, so the optimum actually moves with the link (§IV refs
 	// [62]-[65]).

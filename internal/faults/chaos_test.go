@@ -9,10 +9,12 @@ import (
 // networks, battery deaths and injected mid-flash crashes must converge
 // to the new version on every device, pass the deep invariant audit with
 // zero violations, and produce a bit-identical outcome at 1, 4 and 16
-// workers.
+// workers. Under -short (the CI race step) the same assertions run over
+// 300 devices, so the fingerprint comparison is raced on every push.
 func TestChaosRollout10kBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	devices := 10_000
 	if testing.Short() {
-		t.Skip("10k-device scenario skipped in -short")
+		devices = 300
 	}
 	chaos := ChaosConfig{
 		Seed:           1002,
@@ -26,14 +28,14 @@ func TestChaosRollout10kBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	var first *ScenarioResult
 	for _, workers := range []int{1, 4, 16} {
 		res, err := RunScenario(ScenarioConfig{
-			Devices: 10_000, Workers: workers, Seed: 1001, Chaos: chaos,
+			Devices: devices, Workers: workers, Seed: 1001, Chaos: chaos,
 			OffloadQueries: 2,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if res.FleetSize < 10_000 {
-			t.Fatalf("fleet size %d < 10000", res.FleetSize)
+		if res.FleetSize < devices {
+			t.Fatalf("fleet size %d < %d", res.FleetSize, devices)
 		}
 		if res.Converged != res.FleetSize {
 			t.Fatalf("workers=%d: converged %d/%d", workers, res.Converged, res.FleetSize)
@@ -85,8 +87,8 @@ func TestChaosRollout10kBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 		if first == nil {
 			first = res
-			t.Logf("10k chaos: fingerprint=%s crashes=%d attempts=%d retried=%d reconciled=%d telemetry_lost=%d",
-				res.Fingerprint, res.Crashes, res.InstallAttempts, res.RetriedUpdates,
+			t.Logf("%d-device chaos: fingerprint=%s crashes=%d attempts=%d retried=%d reconciled=%d telemetry_lost=%d",
+				devices, res.Fingerprint, res.Crashes, res.InstallAttempts, res.RetriedUpdates,
 				res.ReconcileUpdated, res.TelemetryLost)
 			continue
 		}

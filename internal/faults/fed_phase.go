@@ -66,8 +66,7 @@ func runFedPhase(p *core.Platform, plane *Plane, round *uint64, cfg ScenarioConf
 	hcfg := fed.HierConfig{
 		Config: fed.Config{
 			Rounds: rounds, LocalEpochs: 1, LocalBatch: 8, LR: 0.1,
-			Seed:   cfg.Seed ^ 0xfed,
-			Engine: p.Engine(),
+			Seed: cfg.Seed ^ 0xfed,
 			Faults: func(r int, id string) fed.ClientFault {
 				return ff(int(base)+r, id)
 			},
@@ -80,21 +79,12 @@ func runFedPhase(p *core.Platform, plane *Plane, round *uint64, cfg ScenarioConf
 		},
 		AggStragglerDeadline: 4,
 	}
-	// The phase trains the deployed model line: pull the latest version as
-	// the starting global, exactly as a production federated round would.
-	latest, err := p.Registry.Latest("chaos")
-	if err != nil {
-		return nil, fmt.Errorf("faults: fed phase: %w", err)
-	}
-	global, err := p.Registry.Load(latest.ID)
-	if err != nil {
-		return nil, fmt.Errorf("faults: fed phase: %w", err)
-	}
-	hc, err := fed.NewHierCoordinator(global, clients, test.X, test.Y, hcfg)
-	if err != nil {
-		return nil, fmt.Errorf("faults: fed phase: %w", err)
-	}
-	stats, err := hc.Run()
+	// The phase trains the deployed model line the way a production
+	// federated round would: latest version in, aggregate published back as
+	// the next rollout candidate.
+	hc, versions, stats, err := p.HierFederatedUpdate("chaos", clients, test, hcfg, registry.OptimizationSpec{
+		Schemes: []quant.Scheme{quant.Int8},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("faults: fed phase: %w", err)
 	}
@@ -113,16 +103,9 @@ func runFedPhase(p *core.Platform, plane *Plane, round *uint64, cfg ScenarioConf
 	}
 	report.FinalAccuracy = stats[len(stats)-1].TestAccuracy
 	report.GlobalDigest = fedDigest(hc.Global)
-
-	// Publish the aggregate back into the scenario's model line — the next
-	// rollout candidate — and give each cohort its personalized variant.
-	versions, err := hc.PublishGlobal(p.Registry, "chaos", registry.OptimizationSpec{
-		Schemes: []quant.Scheme{quant.Int8},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("faults: fed phase publish: %w", err)
-	}
 	report.PublishedID = versions[0].ID
+
+	// Each cohort gets its personalized variant of the published global.
 	nets, err := hc.PersonalizeCohorts(fed.PersonalizeConfig{
 		FreezeLayers: 2, Epochs: 1, BatchSize: 16, LR: 0.05,
 	})

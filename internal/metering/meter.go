@@ -74,13 +74,6 @@ func (m *Meter) Remaining() uint64 {
 	return m.voucher.Queries - m.used
 }
 
-// Head returns the current chain head.
-func (m *Meter) Head() [32]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.head
-}
-
 // Charge admits one query at the device-local tick, or returns
 // ErrQuotaExhausted. The charge is appended to the tamper-evident chain.
 func (m *Meter) Charge(tick uint64) error {
@@ -184,13 +177,6 @@ func (m *Meter) SettledSeq() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.settledSeq
-}
-
-// SettledHead returns the chain head as of the last acknowledgment.
-func (m *Meter) SettledHead() [32]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.settledHead
 }
 
 // GenesisHead returns the chain genesis for a voucher — what the server

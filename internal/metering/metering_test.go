@@ -5,7 +5,9 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 var vendorKey = []byte("vendor-signing-key-0123456789abcdef")
@@ -253,6 +255,63 @@ func TestSettlementTCPRejectsTamper(t *testing.T) {
 	}
 	if receipt.OK || receipt.Reason != ReasonBadChain {
 		t.Fatalf("receipt = %+v", receipt)
+	}
+}
+
+// failingListener fails its first n Accepts, then blocks until closed,
+// counting every call.
+type failingListener struct {
+	fails  int
+	calls  atomic.Int64
+	closed chan struct{}
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	if int(l.calls.Add(1)) <= l.fails {
+		return nil, errors.New("accept: too many open files")
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+func (l *failingListener) Close() error   { close(l.closed); return nil }
+func (l *failingListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestAcceptLoopBacksOffOnPersistentError pins the accept loop's retry
+// discipline: a listener that keeps failing is polled on a doubling sleep,
+// not in a spin, and Close still returns promptly mid-sleep.
+func TestAcceptLoopBacksOffOnPersistentError(t *testing.T) {
+	l := &failingListener{fails: 1 << 30, closed: make(chan struct{})}
+	srv := Serve(l, NewSettler(issuer(t)))
+	time.Sleep(100 * time.Millisecond)
+	// 5 + 10 + 20 + 40 ms of sleeps fit in 100 ms: five calls, with slack
+	// for a slow box. The old loop made hundreds of thousands.
+	if n := l.calls.Load(); n < 2 || n > 8 {
+		t.Errorf("%d Accept calls in 100 ms, want a handful", n)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close did not interrupt the backoff sleep")
+	}
+
+	// A success resets the schedule: after a few failures the loop reaches
+	// the blocking Accept and stays there.
+	l = &failingListener{fails: 3, closed: make(chan struct{})}
+	srv = Serve(l, NewSettler(issuer(t)))
+	for deadline := time.Now().Add(2 * time.Second); l.calls.Load() < 4 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := l.calls.Load(); n != 4 {
+		t.Errorf("%d Accept calls after 3 failures, want 4 (the fourth blocks)", n)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // Receipt is the server's settlement answer.
@@ -214,18 +215,25 @@ func Serve(l net.Listener, settler *Settler) *Server {
 	return srv
 }
 
+// acceptLoop hands each connection to its own handler. A failing Accept
+// that is not a Close (fd exhaustion, say) is retried on a doubling sleep,
+// 5 ms up to 1 s and reset by the next success, as net/http does, so a
+// persistent error does not pin a core; Close interrupts the sleep.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := s.listener.Accept()
 		if err != nil {
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
 			select {
 			case <-s.closed:
 				return
-			default:
+			case <-time.After(backoff):
 				continue
 			}
 		}
+		backoff = 0
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()

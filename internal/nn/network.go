@@ -104,15 +104,6 @@ func (n *Network) SetFlatParams(v []float32) error {
 	return nil
 }
 
-// FlatGrads copies all parameter gradients into one flat vector.
-func (n *Network) FlatGrads() []float32 {
-	out := make([]float32, 0, n.ParamCount())
-	for _, p := range n.Params() {
-		out = append(out, p.Grad.Data...)
-	}
-	return out
-}
-
 // LayerCost is the per-layer entry of a network summary.
 type LayerCost struct {
 	Index int

@@ -29,9 +29,6 @@ func NewSGD(lr float32) *SGD { return &SGD{LR: lr} }
 // WithMomentum sets the momentum coefficient and returns the optimizer.
 func (s *SGD) WithMomentum(m float32) *SGD { s.Momentum = m; return s }
 
-// WithWeightDecay sets decoupled L2 weight decay and returns the optimizer.
-func (s *SGD) WithWeightDecay(wd float32) *SGD { s.WeightDecay = wd; return s }
-
 // Step implements Optimizer.
 func (s *SGD) Step(params []*Param) {
 	if s.Momentum != 0 && s.velocity == nil {

@@ -66,21 +66,3 @@ func (n *Network) ForwardSuffix(x *tensor.Tensor, cut int) (*tensor.Tensor, erro
 	}
 	return x, nil
 }
-
-// PrefixShape returns the per-example shape of the activation crossing a
-// cut: the network input shape at cut 0, otherwise layer cut-1's output
-// shape. It is what a cloud suffix endpoint validates incoming activations
-// against.
-func (n *Network) PrefixShape(cut int) ([]int, error) {
-	if err := n.checkCut(cut); err != nil {
-		return nil, err
-	}
-	if cut == 0 {
-		return append([]int(nil), n.InputShape...), nil
-	}
-	cs, err := n.Summary()
-	if err != nil {
-		return nil, err
-	}
-	return append([]int(nil), cs[cut-1].Info.OutShape...), nil
-}

@@ -155,15 +155,4 @@ func TestSplitValidation(t *testing.T) {
 	if _, err := net.Subnet(1, 0); err == nil {
 		t.Fatal("accepted inverted subnet range")
 	}
-	if _, err := net.PrefixShape(5); err == nil {
-		t.Fatal("accepted out-of-range prefix shape")
-	}
-	shape, err := net.PrefixShape(0)
-	if err != nil || len(shape) != 1 || shape[0] != 4 {
-		t.Fatalf("PrefixShape(0) = %v, %v", shape, err)
-	}
-	shape, err = net.PrefixShape(1)
-	if err != nil || len(shape) != 1 || shape[0] != 2 {
-		t.Fatalf("PrefixShape(1) = %v, %v", shape, err)
-	}
 }

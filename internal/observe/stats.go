@@ -99,9 +99,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
 // Proportions returns the fraction of mass per bin, including the under
 // and overflow buckets as the first and last entries.
 func (h *Histogram) Proportions() []float64 {

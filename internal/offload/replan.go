@@ -89,7 +89,6 @@ type Replanner struct {
 	plan    market.SplitPlan
 	planned Conditions
 	replans int64
-	moves   int64
 }
 
 // NewReplanner seeds a replanner with the plan for the initial conditions,
@@ -117,12 +116,8 @@ func NewReplanner(cfg ReplanConfig, dev, cloud device.Capabilities, costs []nn.L
 // Current returns the plan in force.
 func (r *Replanner) Current() market.SplitPlan { return r.plan }
 
-// Replans returns how many re-evaluations ran; Moves how many actually
-// changed the cut — the gap between them is the hysteresis working.
+// Replans returns how many re-evaluations ran.
 func (r *Replanner) Replans() int64 { return r.replans }
-
-// Moves returns how many re-evaluations moved the cut.
-func (r *Replanner) Moves() int64 { return r.moves }
 
 // Observe feeds the replanner one snapshot of live conditions and returns
 // the plan in force plus whether this observation moved the cut.
@@ -141,9 +136,6 @@ func (r *Replanner) Observe(cond Conditions) (market.SplitPlan, bool) {
 	// Offline leaves exactly one valid plan: everything on-device.
 	if cond.BandwidthBps == 0 {
 		r.plan = best
-		if r.plan.Cut != oldCut {
-			r.moves++
-		}
 		return r.plan, r.plan.Cut != oldCut
 	}
 	current := curve[oldCut] // same cut, re-costed under the new conditions
@@ -159,11 +151,7 @@ func (r *Replanner) Observe(cond Conditions) (market.SplitPlan, bool) {
 		candidate = current
 	}
 	r.plan = candidate
-	if r.plan.Cut != oldCut {
-		r.moves++
-		return r.plan, true
-	}
-	return r.plan, false
+	return r.plan, r.plan.Cut != oldCut
 }
 
 // drifted reports whether conditions moved past a trigger threshold since

@@ -353,8 +353,12 @@ func (s *Session) exec(x []float32) (Result, error) {
 		return s.finishLocal(res, act, cut, prefixLat+upDur+rr.Backoff+resp.Latency, ModeFallback)
 	}
 	var out tensor.Tensor
-	if _, err := out.ReadFrom(bytes.NewReader(resp.Payload)); err != nil {
+	r := bytes.NewReader(resp.Payload)
+	if _, err := out.ReadFrom(r); err != nil {
 		return Result{}, fmt.Errorf("offload: decode result: %w", err)
+	}
+	if r.Len() != 0 {
+		return Result{}, fmt.Errorf("offload: decode result: %d trailing bytes after the logits", r.Len())
 	}
 	res.Mode = ModeSplit
 	res.Latency = prefixLat + upDur + rr.Backoff + resp.Latency + dnDur

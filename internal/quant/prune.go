@@ -71,21 +71,3 @@ func currentSparsity(weights []*nn.Param, total int) float64 {
 	}
 	return float64(zeroed) / float64(total)
 }
-
-// Sparsity returns the fraction of zero entries across all weight matrices.
-func Sparsity(net *nn.Network) float64 {
-	var weights []*nn.Param
-	total := 0
-	for _, l := range net.Layers() {
-		for _, p := range l.Params() {
-			if p.Name == "weight" {
-				weights = append(weights, p)
-				total += p.Value.Size()
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return currentSparsity(weights, total)
-}

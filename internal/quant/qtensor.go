@@ -62,24 +62,6 @@ func (s Scheme) Bits() int {
 	}
 }
 
-// ParseScheme converts a string name to a Scheme.
-func ParseScheme(name string) (Scheme, error) {
-	switch name {
-	case "float32", "fp32", "32":
-		return Float32, nil
-	case "int8", "8":
-		return Int8, nil
-	case "int4", "4":
-		return Int4, nil
-	case "ternary", "2":
-		return Ternary, nil
-	case "binary", "1":
-		return Binary, nil
-	default:
-		return Float32, fmt.Errorf("quant: unknown scheme %q", name)
-	}
-}
-
 // QTensor is a quantized weight matrix with per-output-channel symmetric
 // scales: w ≈ Data[k,j] * Scales[j].
 type QTensor struct {

@@ -22,13 +22,6 @@ func TestSchemeStringsAndBits(t *testing.T) {
 		if c.s.String() != c.name || c.s.Bits() != c.bits {
 			t.Fatalf("scheme %v: %q/%d", c.s, c.s.String(), c.s.Bits())
 		}
-		got, err := ParseScheme(c.name)
-		if err != nil || got != c.s {
-			t.Fatalf("ParseScheme(%q) = %v, %v", c.name, got, err)
-		}
-	}
-	if _, err := ParseScheme("bogus"); err == nil {
-		t.Fatal("ParseScheme accepted bogus scheme")
 	}
 }
 
@@ -261,9 +254,6 @@ func TestMagnitudePrune(t *testing.T) {
 	}
 	if s < 0.49 || s > 0.6 {
 		t.Fatalf("sparsity = %v, want ≈0.5", s)
-	}
-	if got := Sparsity(net); math.Abs(got-s) > 1e-9 {
-		t.Fatalf("Sparsity() = %v, prune reported %v", got, s)
 	}
 	// Biases untouched by sparsity accounting: prune with 0 keeps state.
 	s2, err := MagnitudePrune(net, 0)

@@ -16,14 +16,11 @@ import (
 // produced locally, the split output is bit-identical to ForwardBatch — the
 // property that retires the "integer deployments cannot split" restriction.
 
-// NumStages returns the number of executable stages (one per network layer).
-func (m *QModel) NumStages() int { return len(m.stages) }
-
 // CanCutAt reports whether cut is a valid quantized offload boundary. The
 // remote side resumes from int8 activation codes, so the first remote stage
 // must be a dense integer stage — it consumes exactly the codes the device
-// would have produced. cut == NumStages() is the all-local degenerate split
-// and is always valid.
+// would have produced. A cut at the stage count (one stage per network
+// layer) is the all-local degenerate split and is always valid.
 func (m *QModel) CanCutAt(cut int) bool {
 	if cut == len(m.stages) {
 		return true
@@ -65,8 +62,7 @@ func (m *QModel) BoundaryWidth(cut int) (int, error) {
 }
 
 // ForwardRange runs stages [lo, hi) on x with the scratch's buffers — the
-// device-prefix half of a split. ForwardRange(x, s, 0, NumStages()) is
-// ForwardBatch. The result aliases scratch storage, like ForwardBatch.
+// device-prefix half of a split. Over every stage it is ForwardBatch. The result aliases scratch storage, like ForwardBatch.
 func (m *QModel) ForwardRange(x *tensor.Tensor, s *QScratch, lo, hi int) *tensor.Tensor {
 	if lo < 0 || hi > len(m.stages) || lo > hi {
 		panic(fmt.Sprintf("quant: stage range [%d, %d) invalid for %d stages", lo, hi, len(m.stages)))

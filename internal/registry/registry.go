@@ -69,23 +69,14 @@ type ModelVersion struct {
 	Digest [32]byte
 }
 
-// Pipeline binds optional pre/post-processing modules to a model version.
-type Pipeline struct {
-	ModelID    string
-	PreDigest  string // hex digest of the procvm module, "" if none
-	PostDigest string
-}
-
-// Registry is an in-memory, concurrency-safe model and module store.
+// Registry is an in-memory, concurrency-safe model store.
 type Registry struct {
-	mu        sync.RWMutex
-	seq       uint64
-	blobs     map[string][]byte        // model artifacts by version ID
-	models    map[string]*ModelVersion // version ID -> metadata
-	byName    map[string][]string      // logical name -> version IDs in order
-	children  map[string][]string      // parent ID -> child IDs
-	modules   map[string]*procvm.Module
-	pipelines map[string]Pipeline // model ID -> pipeline
+	mu       sync.RWMutex
+	seq      uint64
+	blobs    map[string][]byte        // model artifacts by version ID
+	models   map[string]*ModelVersion // version ID -> metadata
+	byName   map[string][]string      // logical name -> version IDs in order
+	children map[string][]string      // parent ID -> child IDs
 
 	// Weight-delta cache with single-flight computation: a rollout wave
 	// asks for the same (from, to) pair from every worker at once, and the
@@ -113,8 +104,6 @@ func New() *Registry {
 		models:    make(map[string]*ModelVersion),
 		byName:    make(map[string][]string),
 		children:  make(map[string][]string),
-		modules:   make(map[string]*procvm.Module),
-		pipelines: make(map[string]Pipeline),
 		deltas:    make(map[string]deltaEntry),
 		deltaWait: make(map[string]chan struct{}),
 	}
@@ -423,23 +412,6 @@ func (r *Registry) Variants(parentID string) []*ModelVersion {
 	return out
 }
 
-// Lineage walks parent links from id to its base, returning
-// [id, parent, ..., base].
-func (r *Registry) Lineage(id string) ([]*ModelVersion, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*ModelVersion
-	for id != "" {
-		v, ok := r.models[id]
-		if !ok {
-			return nil, fmt.Errorf("registry: broken lineage at %q", id)
-		}
-		out = append(out, v)
-		id = v.ParentID
-	}
-	return out, nil
-}
-
 // SetTag attaches free-form metadata to a version.
 func (r *Registry) SetTag(id, key, value string) error {
 	r.mu.Lock()
@@ -452,60 +424,11 @@ func (r *Registry) SetTag(id, key, value string) error {
 	return nil
 }
 
-// RegisterModule stores a procvm module by digest and returns its hex ID.
-func (r *Registry) RegisterModule(m *procvm.Module) string {
-	d := m.Digest()
-	id := hex.EncodeToString(d[:8])
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.modules[id] = m
-	return id
-}
-
-// GetModule returns a stored procvm module.
-func (r *Registry) GetModule(id string) (*procvm.Module, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	m, ok := r.modules[id]
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown module %q", id)
-	}
-	return m, nil
-}
-
-// AttachPipeline binds pre/post modules (by module ID, "" for none) to a
-// model version.
-func (r *Registry) AttachPipeline(modelID, preID, postID string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.models[modelID]; !ok {
-		return fmt.Errorf("registry: unknown version %q", modelID)
-	}
-	for _, mid := range []string{preID, postID} {
-		if mid != "" {
-			if _, ok := r.modules[mid]; !ok {
-				return fmt.Errorf("registry: unknown module %q", mid)
-			}
-		}
-	}
-	r.pipelines[modelID] = Pipeline{ModelID: modelID, PreDigest: preID, PostDigest: postID}
-	return nil
-}
-
-// GetPipeline returns the pipeline bound to a model version, if any.
-func (r *Registry) GetPipeline(modelID string) (Pipeline, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	p, ok := r.pipelines[modelID]
-	return p, ok
-}
-
 // Stats reports registry contents.
 type Stats struct {
 	Models    int
 	Bases     int
 	Variants  int
-	Modules   int
 	BlobBytes int
 }
 
@@ -513,7 +436,7 @@ type Stats struct {
 func (r *Registry) Stats() Stats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := Stats{Models: len(r.models), Modules: len(r.modules)}
+	s := Stats{Models: len(r.models)}
 	for _, v := range r.models {
 		if v.ParentID == "" {
 			s.Bases++

@@ -69,12 +69,8 @@ func TestVariantLineage(t *testing.T) {
 	if len(kids) != 2 || kids[0].ID != v8.ID || kids[1].ID != v1.ID {
 		t.Fatalf("variants = %v", kids)
 	}
-	lin, err := r.Lineage(v8.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lin) != 2 || lin[0].ID != v8.ID || lin[1].ID != bv.ID {
-		t.Fatalf("lineage = %v", lin)
+	if v8.ParentID != bv.ID || v1.ParentID != bv.ID {
+		t.Fatalf("variants do not name their base: %q, %q", v8.ParentID, v1.ParentID)
 	}
 	// int8 variant must be smaller than the base.
 	if v8.Metrics.SizeBytes >= bv.Metrics.SizeBytes {
@@ -161,38 +157,6 @@ func TestRegisterWithVariantsRequiresEvaluate(t *testing.T) {
 		Schemes: []quant.Scheme{quant.Int8},
 	}); err == nil {
 		t.Fatal("missing Evaluate accepted")
-	}
-}
-
-func TestModulesAndPipelines(t *testing.T) {
-	r := New()
-	net := newTestNet(9)
-	v, _ := r.RegisterModel("m", net, 0.9)
-	pre, err := procvm.NewBuilder("pre").Input().Clamp(-3, 3).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	post, err := procvm.NewBuilder("post").Input().Softmax().ArgMax().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	preID := r.RegisterModule(pre)
-	postID := r.RegisterModule(post)
-	if _, err := r.GetModule(preID); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AttachPipeline(v.ID, preID, postID); err != nil {
-		t.Fatal(err)
-	}
-	p, ok := r.GetPipeline(v.ID)
-	if !ok || p.PreDigest != preID || p.PostDigest != postID {
-		t.Fatalf("pipeline = %+v", p)
-	}
-	if err := r.AttachPipeline("bogus", preID, postID); err == nil {
-		t.Fatal("attached pipeline to unknown model")
-	}
-	if err := r.AttachPipeline(v.ID, "bogusmodule", ""); err == nil {
-		t.Fatal("attached unknown module")
 	}
 }
 

@@ -2,7 +2,6 @@ package selector
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"tinymlops/internal/device"
@@ -230,22 +229,4 @@ func feasibility(dev *device.Device, v *registry.ModelVersion, policy Policy) st
 		return fmt.Sprintf("accuracy %.3f below floor %.3f", v.Metrics.Accuracy, policy.MinAccuracy)
 	}
 	return ""
-}
-
-// SelectForFleet runs Select for every device and returns the decisions
-// keyed by device ID. Devices with no feasible variant map to a nil entry
-// in choices and are listed in failed.
-func SelectForFleet(fleet *device.Fleet, candidates []*registry.ModelVersion, policy Policy) (choices map[string]*Evaluation, failed []string) {
-	choices = make(map[string]*Evaluation)
-	for _, d := range fleet.Devices() {
-		dec, err := Select(d, candidates, policy)
-		if err != nil {
-			failed = append(failed, d.ID)
-			choices[d.ID] = nil
-			continue
-		}
-		choices[d.ID] = dec.Chosen
-	}
-	sort.Strings(failed)
-	return choices, failed
 }

@@ -195,6 +195,8 @@ func TestSelectErrors(t *testing.T) {
 	}
 }
 
+// TestSelectForFleetCoversAllDevices runs Select across a whole standard
+// fleet: every profile must get a feasible variant, and not all the same one.
 func TestSelectForFleetCoversAllDevices(t *testing.T) {
 	_, cands := buildCandidates(t)
 	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1, Seed: 11})
@@ -205,17 +207,14 @@ func TestSelectForFleetCoversAllDevices(t *testing.T) {
 		d.SetBehavior(1, 1, 0)
 	}
 	fleet.Tick()
-	choices, failed := SelectForFleet(fleet, cands, DefaultPolicy())
-	if len(choices) != fleet.Size() {
-		t.Fatalf("choices for %d of %d devices", len(choices), fleet.Size())
-	}
-	if len(failed) > 0 {
-		t.Fatalf("devices failed selection: %v", failed)
-	}
 	// Heterogeneity: the fleet should not all run the same variant.
 	distinct := make(map[string]bool)
-	for _, ev := range choices {
-		distinct[ev.Version.ID] = true
+	for _, d := range fleet.Devices() {
+		dec, err := Select(d, cands, DefaultPolicy())
+		if err != nil {
+			t.Fatalf("%s: no feasible variant: %v", d.ID, err)
+		}
+		distinct[dec.Chosen.Version.ID] = true
 	}
 	if len(distinct) < 2 {
 		t.Fatal("fleet-wide selection collapsed to a single variant")

@@ -130,21 +130,3 @@ func Inv(a Elem) Elem {
 
 // inv2 is the constant 2⁻¹ mod p, used in quadratic interpolation.
 var inv2 = Inv(2)
-
-// EncodeInt32s lifts a signed int32 slice into the field.
-func EncodeInt32s(v []int32) []Elem {
-	out := make([]Elem, len(v))
-	for i, x := range v {
-		out[i] = FromInt64(int64(x))
-	}
-	return out
-}
-
-// DecodeInt64s lowers field elements back to signed integers.
-func DecodeInt64s(v []Elem) []int64 {
-	out := make([]int64, len(v))
-	for i, e := range v {
-		out[i] = e.Int64()
-	}
-	return out
-}

@@ -1,7 +1,7 @@
 package tinymlops
 
 import (
-	"tinymlops/internal/benchfmt"
+	"tinymlops/internal/compat"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/quant"
 	"tinymlops/internal/tensor"
@@ -19,9 +19,6 @@ type RNG = tensor.RNG
 // NewRNG returns a generator seeded from seed.
 func NewRNG(seed uint64) *RNG { return tensor.NewRNG(seed) }
 
-// NewTensor returns a zero-filled tensor with the given shape.
-func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
-
 // FromSlice wraps data in a tensor of the given shape without copying.
 func FromSlice(data []float32, shape ...int) *Tensor { return tensor.FromSlice(data, shape...) }
 
@@ -37,52 +34,46 @@ type Layer = nn.Layer
 // TrainConfig controls the mini-batch training loop.
 type TrainConfig = nn.TrainConfig
 
-// Optimizer updates parameters from gradients.
-type Optimizer = nn.Optimizer
-
 // NewNetwork returns a network over the given per-example input shape.
 func NewNetwork(inputShape []int, layers ...Layer) *Network {
 	return nn.NewNetwork(inputShape, layers...)
 }
 
-// Dense returns a fully connected layer with He initialization.
-func Dense(in, out int, rng *RNG) Layer { return nn.NewDense(in, out, rng) }
+// UnmarshalNetwork decodes a TMLN1 artifact (Network.MarshalBinary's
+// output) back into a network.
+func UnmarshalNetwork(data []byte) (*Network, error) { return nn.UnmarshalNetwork(data) }
 
-// Conv2D returns a 2D convolution layer over [batch, c, h, w] inputs.
-func Conv2D(inC, outC, kh, kw, stride, pad int, rng *RNG) Layer {
-	return nn.NewConv2D(inC, outC, kh, kw, stride, pad, rng)
+// ExchangeVersion is the JSON exchange format version ExportJSON writes.
+const ExchangeVersion = compat.ExchangeVersion
+
+// ExportJSON converts a network to the JSON exchange document other
+// toolchains read.
+func ExportJSON(net *Network) ([]byte, error) {
+	doc, err := compat.Export(net)
+	if err != nil {
+		return nil, err
+	}
+	return doc.EncodeJSON()
 }
 
-// MaxPool2D returns a max pooling layer.
-func MaxPool2D(k, stride int) Layer { return nn.NewMaxPool2D(k, stride) }
+// ImportJSON builds a network from a JSON exchange document, rejecting
+// unknown ops, future versions and inconsistent tensors.
+func ImportJSON(data []byte) (*Network, error) {
+	doc, err := compat.DecodeJSON(data)
+	if err != nil {
+		return nil, err
+	}
+	return compat.Import(doc)
+}
+
+// Dense returns a fully connected layer with He initialization.
+func Dense(in, out int, rng *RNG) Layer { return nn.NewDense(in, out, rng) }
 
 // ReLU returns a rectified linear activation layer.
 func ReLU() Layer { return nn.NewReLU() }
 
-// Tanh returns a hyperbolic tangent activation layer.
-func Tanh() Layer { return nn.NewTanh() }
-
-// Sigmoid returns a logistic activation layer.
-func Sigmoid() Layer { return nn.NewSigmoid() }
-
-// Softmax returns an explicit softmax layer (training stacks usually end
-// with raw logits instead).
-func Softmax() Layer { return nn.NewSoftmax() }
-
-// Flatten returns a layer reshaping [batch, ...] to [batch, features].
-func Flatten() Layer { return nn.NewFlatten() }
-
-// BatchNorm1D returns a batch normalization layer over f features.
-func BatchNorm1D(f int) Layer { return nn.NewBatchNorm1D(f) }
-
-// Dropout returns an inverted-dropout layer with drop probability p.
-func Dropout(p float32, rng *RNG) Layer { return nn.NewDropout(p, rng) }
-
 // SGD returns a stochastic gradient descent optimizer.
 func SGD(lr float32) *nn.SGD { return nn.NewSGD(lr) }
-
-// Adam returns an Adam optimizer with standard defaults.
-func Adam(lr float32) *nn.Adam { return nn.NewAdam(lr) }
 
 // Train runs mini-batch classification training with softmax
 // cross-entropy.
@@ -94,13 +85,6 @@ func Train(net *Network, x *Tensor, labels []int, cfg TrainConfig) (float32, err
 func Evaluate(net *Network, x *Tensor, labels []int) float64 {
 	return nn.Evaluate(net, x, labels)
 }
-
-// Scratch holds the reusable activation buffers behind
-// Network.ForwardBatch; keep one per goroutine.
-type Scratch = nn.Scratch
-
-// NewScratch returns an empty scratch space for batched inference.
-func NewScratch() *Scratch { return nn.NewScratch() }
 
 // Quantization pipeline.
 
@@ -117,101 +101,12 @@ const (
 	Binary  = quant.Binary
 )
 
-// QModel is an integer-kernel executable derived from a Network: dense
-// and convolutional layers run on the blocked int8 kernel with dynamic
-// per-example activation quantization. Deployments instantiate one
-// automatically when the selected variant's scheme has native hardware
-// support on the device (see Deployment.ExecutionScheme).
-type QModel = quant.QModel
-
-// QScratch holds the reusable buffers behind QModel.ForwardBatch; keep
-// one per goroutine.
-type QScratch = quant.QScratch
-
-// NewQScratch returns an empty scratch space for integer-kernel batched
-// inference.
-func NewQScratch() *QScratch { return quant.NewQScratch() }
-
-// Quantize derives an integer-kernel executable from a network.
-func Quantize(net *Network, scheme Scheme) (*QModel, error) { return quant.NewQModel(net, scheme) }
-
 // FakeQuantize returns a float-engine copy of net with quantize-dequantize
 // weights, for accuracy evaluation of low-bit variants.
 func FakeQuantize(net *Network, scheme Scheme) (*Network, error) {
 	return quant.FakeQuantizeNetwork(net, scheme)
 }
 
-// Prune zeroes the smallest-magnitude fraction of weights globally and
-// returns the achieved sparsity.
-func Prune(net *Network, fraction float64) (float64, error) {
-	return quant.MagnitudePrune(net, fraction)
-}
-
-// Integer serving kernels and packed storage.
-
-// QTensor is a quantized weight matrix: per-output-channel scales over
-// int8 codes, or — after PackInt4 on an int4-scheme tensor — two 4-bit
-// codes per byte, the storage form the packed serving kernels consume.
-type QTensor = quant.QTensor
-
-// QuantizeMatrix quantizes a [out, in] weight matrix symmetrically per
-// output channel under the scheme.
-func QuantizeMatrix(w *Tensor, scheme Scheme) (*QTensor, error) {
-	return quant.QuantizeMatrix(w, scheme)
-}
-
-// MatMulInt4 computes the scaled integer product of an int8 activation
-// matrix and a packed int4 weight matrix (two codes per byte,
-// PackInt4Matrix layout) with exact int32 accumulation — bit-identical
-// to a naive scalar reference at any worker count.
-func MatMulInt4(dst []float32, a []int8, bPacked []byte, m, k, n int, rowScales, colScales []float32) {
-	tensor.MatMulInt4(dst, a, bPacked, m, k, n, rowScales, colScales)
-}
-
-// MatMulInt4LHS is MatMulInt4 with the packed operand on the left — the
-// convolution layout, where the weight matrix is the 4-bit operand.
-func MatMulInt4LHS(dst []float32, aPacked []byte, b []int8, m, k, n int, rowScales, colScales []float32) {
-	tensor.MatMulInt4LHS(dst, aPacked, b, m, k, n, rowScales, colScales)
-}
-
-// Int4PackedLen returns the byte length of n int4 codes packed two per
-// byte.
-func Int4PackedLen(n int) int { return tensor.Int4PackedLen(n) }
-
-// PackInt4 packs signed 4-bit codes two per byte, low nibble first,
-// rejecting codes outside [-8, 7].
-func PackInt4(codes []int8) ([]byte, error) { return tensor.PackInt4(codes) }
-
-// UnpackInt4 expands packed int4 bytes back into count codes, rejecting
-// truncated or oversized buffers and nonzero pad nibbles.
-func UnpackInt4(packed []byte, count int) ([]int8, error) { return tensor.UnpackInt4(packed, count) }
-
-// PackInt4Matrix packs a [rows, cols] code matrix with byte-aligned rows
-// — the layout the packed matmul kernels consume.
-func PackInt4Matrix(codes []int8, rows, cols int) ([]byte, error) {
-	return tensor.PackInt4Matrix(codes, rows, cols)
-}
-
-// Benchmark trajectory.
-
-// BenchEntry is one benchmark's measured point (ns/op, B/op, allocs/op)
-// within a BenchReport.
-type BenchEntry = benchfmt.Entry
-
-// BenchReport is one committed BENCH_<area>.json snapshot: the
-// serving/offload performance trajectory `tinymlops bench` maintains and
-// CI diffs.
-type BenchReport = benchfmt.Report
-
-// BenchRegression is one gate violation found by DiffBenchReports.
-type BenchRegression = benchfmt.Regression
-
-// ReadBenchReport loads a committed BENCH_<area>.json snapshot.
-func ReadBenchReport(path string) (*BenchReport, error) { return benchfmt.ReadFile(path) }
-
-// DiffBenchReports compares a fresh run against a committed baseline:
-// ns/op may drift up to nsTol fractionally, allocs/op not at all, and
-// benchmarks may not appear or vanish unnoticed.
-func DiffBenchReports(base, cur *BenchReport, nsTol float64) []BenchRegression {
-	return benchfmt.Diff(base, cur, nsTol)
-}
+// QuantizedSize returns net's serialized weight footprint in bytes with
+// its weight matrices stored at the scheme's bit width.
+func QuantizedSize(net *Network, scheme Scheme) int { return quant.NetworkSizeBytes(net, scheme) }

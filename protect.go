@@ -7,7 +7,6 @@ import (
 	"tinymlops/internal/fed"
 	"tinymlops/internal/ipprot"
 	"tinymlops/internal/metering"
-	"tinymlops/internal/observe"
 	"tinymlops/internal/verify"
 )
 
@@ -106,12 +105,9 @@ func VerifyTriggerWatermark(net *Network, triggers TriggerSet) float64 {
 	return ipprot.VerifyDynamic(net, triggers)
 }
 
-// QueryDetector is the PRADA-style extraction-attack detector.
-type QueryDetector = ipprot.QueryDetector
-
-// NewQueryDetector returns a stealing-query detector with standard
-// settings.
-func NewQueryDetector() *QueryDetector { return ipprot.DefaultQueryDetector() }
+// NewQueryDetector returns the PRADA-style extraction-attack detector with
+// standard settings.
+func NewQueryDetector() *ipprot.QueryDetector { return ipprot.DefaultQueryDetector() }
 
 // ScrambleModel key-locks a model's hidden channels (ref [83]).
 func ScrambleModel(net *Network, key string) error { return ipprot.ScrambleNetwork(net, key) }
@@ -124,9 +120,6 @@ func UnscrambleModel(net *Network, key string) error { return ipprot.UnscrambleN
 // InferenceProof accompanies a batch of verifiable inference results.
 type InferenceProof = verify.InferenceProof
 
-// ProofStats counts prover/verifier field multiplications and proof bytes.
-type ProofStats = verify.Stats
-
 // ProveInference runs verifiable int8 inference, returning logits plus
 // sum-check proofs for every dense layer.
 func ProveInference(net *Network, x *Tensor) (*InferenceProof, error) {
@@ -135,16 +128,14 @@ func ProveInference(net *Network, x *Tensor) (*InferenceProof, error) {
 
 // VerifyInference checks an inference proof against the verifier's own
 // copies of the model and input without re-executing the matrix products.
-func VerifyInference(net *Network, x *Tensor, ip *InferenceProof) (bool, ProofStats, error) {
+// The stats count prover/verifier field multiplications and proof bytes.
+func VerifyInference(net *Network, x *Tensor, ip *InferenceProof) (bool, verify.Stats, error) {
 	return verify.VerifyInference(net, x, ip)
 }
 
-// Enclave is a simulated secure processing environment (sealing,
-// attestation, slowdown cost model).
-type Enclave = enclave.Enclave
-
-// NewEnclave provisions an enclave from a manufacturer root key.
-func NewEnclave(id string, rootKey []byte, slowdown float64) (*Enclave, error) {
+// NewEnclave provisions a simulated secure processing environment (sealing,
+// attestation, slowdown cost model) from a manufacturer root key.
+func NewEnclave(id string, rootKey []byte, slowdown float64) (*enclave.Enclave, error) {
 	return enclave.New(id, rootKey, slowdown)
 }
 
@@ -161,12 +152,6 @@ type FederatedClient = fed.Client
 // FederatedConfig controls federated optimization.
 type FederatedConfig = fed.Config
 
-// FederatedCoordinator runs FedAvg/FedProx rounds.
-type FederatedCoordinator = fed.Coordinator
-
-// RoundStats records one federated round's outcome.
-type RoundStats = fed.RoundStats
-
 // UpdateCodec compresses federated uplink updates.
 type UpdateCodec = fed.Codec
 
@@ -182,8 +167,9 @@ type (
 	TopKCodec = fed.TopKCodec
 )
 
-// NewFederatedCoordinator builds a coordinator around a global model.
-func NewFederatedCoordinator(global *Network, clients []*FederatedClient, testX *Tensor, testY []int, cfg FederatedConfig) (*FederatedCoordinator, error) {
+// NewFederatedCoordinator builds a coordinator that runs FedAvg/FedProx
+// rounds around a global model.
+func NewFederatedCoordinator(global *Network, clients []*FederatedClient, testX *Tensor, testY []int, cfg FederatedConfig) (*fed.Coordinator, error) {
 	return fed.NewCoordinator(global, clients, testX, testY, cfg)
 }
 
@@ -195,38 +181,6 @@ func MakeFederatedClients(ds *Dataset, shards [][]int, idPrefix string) []*Feder
 // HierFederatedConfig controls two-tier hierarchical federated rounds.
 type HierFederatedConfig = fed.HierConfig
 
-// HierFederatedCoordinator runs hierarchical rounds: clients aggregate
-// exactly at edge cohorts (masked when SecureAgg is set) and the cloud
-// sums one compact partial per aggregator.
-type HierFederatedCoordinator = fed.HierCoordinator
-
-// FederatedCohort is one edge aggregator's client group.
-type FederatedCohort = fed.Cohort
-
-// EdgeAggregator accumulates a cohort's masked fixed-point updates and
-// unmasks only their sum, reconciling dropped clients' stale masks.
-type EdgeAggregator = fed.Aggregator
-
-// NewHierFederatedCoordinator builds a two-tier coordinator: clients shard
-// into cfg.Aggregators cohorts by stable ID hash.
-func NewHierFederatedCoordinator(global *Network, clients []*FederatedClient, testX *Tensor, testY []int, cfg HierFederatedConfig) (*HierFederatedCoordinator, error) {
-	return fed.NewHierCoordinator(global, clients, testX, testY, cfg)
-}
-
-// PairwiseSeeds is the symmetric per-pair mask seed matrix.
-type PairwiseSeeds = fed.PairwiseSeeds
-
-// NewPairwiseSeeds derives the pairwise mask seed matrix for n clients.
-func NewPairwiseSeeds(rng *RNG, n int) PairwiseSeeds {
-	return fed.NewPairwiseSeeds(rng, n)
-}
-
-// NewEdgeAggregator builds one cohort-round masked accumulator of the
-// given update dimension.
-func NewEdgeAggregator(id string, seeds PairwiseSeeds, dim int) (*EdgeAggregator, error) {
-	return fed.NewAggregator(id, seeds, dim)
-}
-
 // PersonalizeConfig controls local fine-tuning with layer freezing.
 type PersonalizeConfig = fed.PersonalizeConfig
 
@@ -235,23 +189,11 @@ func Personalize(global *Network, data *Dataset, cfg PersonalizeConfig) (*Networ
 	return fed.Personalize(global, data, cfg)
 }
 
-// Metering and observability surface needed by integrations.
+// Settlement service (§III-C).
 
-// Meter is the on-device pay-per-query enforcement point.
-type Meter = metering.Meter
-
-// MeteringServer is the vendor-side TCP settlement service.
-type MeteringServer = metering.Server
-
-// ServeSettlement starts the platform's settlement service on a listener;
-// devices reconcile their hash-chained usage logs against it when they
-// reconnect. Close the returned server when done.
-func ServeSettlement(l net.Listener, p *Platform) *MeteringServer {
+// ServeSettlement starts the platform's vendor-side TCP settlement service
+// on a listener; devices reconcile their hash-chained usage logs against it
+// when they reconnect. Close the returned server when done.
+func ServeSettlement(l net.Listener, p *Platform) *metering.Server {
 	return metering.Serve(l, p.Settler)
 }
-
-// TelemetryRecord is one anonymized telemetry report.
-type TelemetryRecord = observe.Record
-
-// DriftDetector is a streaming drift detector.
-type DriftDetector = observe.Detector

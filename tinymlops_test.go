@@ -82,18 +82,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPublicAPIQuantizationAndPruning checks the compression knobs the
+// facade keeps: fake-quantized copies, the packed-size model, and the
+// publish pipeline deriving a pruned, quantized variant matrix.
 func TestPublicAPIQuantizationAndPruning(t *testing.T) {
 	rng := tinymlops.NewRNG(4)
 	net := tinymlops.NewNetwork([]int{8},
 		tinymlops.Dense(8, 16, rng), tinymlops.ReLU(), tinymlops.Dense(16, 2, rng))
-	qm, err := tinymlops.Quantize(net, tinymlops.Int8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tinymlops.FromSlice(make([]float32, 16), 2, 8)
-	if out := qm.Predict(x); out.Dim(1) != 2 {
-		t.Fatalf("quantized output shape %v", out.Shape())
-	}
 	fq, err := tinymlops.FakeQuantize(net, tinymlops.Binary)
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +96,37 @@ func TestPublicAPIQuantizationAndPruning(t *testing.T) {
 	if fq.ParamCount() != net.ParamCount() {
 		t.Fatal("fake quantization changed parameter count")
 	}
-	if s, err := tinymlops.Prune(net, 0.5); err != nil || s < 0.45 {
-		t.Fatalf("prune: %v %v", s, err)
+	if f32, i8, i4 := tinymlops.QuantizedSize(net, tinymlops.Float32), tinymlops.QuantizedSize(net, tinymlops.Int8),
+		tinymlops.QuantizedSize(net, tinymlops.Int4); !(f32 > i8 && i8 > i4) {
+		t.Fatalf("packed sizes not monotone in bit width: %d, %d, %d", f32, i8, i4)
+	}
+
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
+		VendorKey: []byte("api-test-vendor-key-0123456789ab"), Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := tinymlops.Blobs(rng, 200, 8, 2, 4)
+	versions, err := platform.Publish("compress", net, ds, tinymlops.OptimizationSpec{
+		Schemes:        []tinymlops.Scheme{tinymlops.Int8},
+		PruneFractions: []float64{0, 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := 0
+	for _, v := range versions {
+		if v.PruneFraction == 0.5 {
+			pruned++
+		}
+	}
+	if len(versions) < 3 || pruned == 0 {
+		t.Fatalf("published %d versions, %d pruned", len(versions), pruned)
 	}
 }
 
