@@ -24,6 +24,27 @@
 // masked round cross-checks the unmasked reference and fails loudly on
 // any bit difference.
 //
+// What a hierarchical round costs over a flat one for the same bits is
+// secure aggregation and nothing else: a cohort of n clients shares
+// n(n−1)/2 pairwise streams of one word per parameter, and the partial
+// encoding, the cloud merge and the cross-check are small beside that.
+// The simulator draws each stream once, adding it to one end of the pair
+// and subtracting it from the other (maskCohort), where a fleet draws it
+// at both ends; every client's masked upload is nevertheless
+// word-identical to what it would compute alone with MaskFixed, and a
+// property test and the fuzzer hold the two forms to that.
+//
+// # Per-worker workspace
+//
+// Clients do not each hold a model. Both coordinators train every client in
+// one workspace per engine worker (workspace.go), borrowed from an
+// engine.ArenaPool as serving borrows its scratch: a scratch network that
+// nn.Network.ResetFrom returns to the global before each client, the delta
+// and contribution buffers, and the masked vectors of the cohort the
+// worker is running (cohort × dimension words). The global and its flat
+// view are immutable while a round's clients train; a client owns its
+// shard and its (seed, round, ID) stream, nothing else.
+//
 // # Compression, faults, personalization
 //
 // Client updates pass through an update codec (int8, ternary/TernGrad,

@@ -150,6 +150,8 @@ type Coordinator struct {
 	testY []int
 	rng   *tensor.RNG
 	round int
+	// arenas lends each worker its training workspace (workspace.go).
+	arenas *engine.ArenaPool
 }
 
 // NewCoordinator builds a coordinator around a global model. testX/testY
@@ -162,15 +164,9 @@ func NewCoordinator(global *nn.Network, clients []*Client, testX *tensor.Tensor,
 	return &Coordinator{
 		Global: global, Clients: clients, cfg: cfg,
 		testX: testX, testY: testY,
-		rng: tensor.NewRNG(cfg.Seed),
+		rng:    tensor.NewRNG(cfg.Seed),
+		arenas: engine.NewArenaPool(),
 	}, nil
-}
-
-// clientUpdate is a decoded update from one client.
-type clientUpdate struct {
-	delta   []float32
-	samples int
-	bytes   int
 }
 
 // RunRound executes one round of federated averaging and returns its
@@ -240,8 +236,10 @@ func (co *Coordinator) RunRound() (RoundStats, error) {
 		if faults[i].Dropout {
 			return nil // crashed before training; zero update, zero uplink
 		}
+		ar := co.arenas.Acquire()
+		defer co.arenas.Release(ar)
 		var err error
-		updates[i], err = localTrain(&co.cfg, co.Global, globalFlat, sampled[i], co.round)
+		updates[i], err = localTrain(&co.cfg, ar.Slot(co, newWorkspace).(*workspace), co.Global, globalFlat, sampled[i], co.round)
 		return err
 	}); err != nil {
 		return stats, err
@@ -259,13 +257,15 @@ func (co *Coordinator) RunRound() (RoundStats, error) {
 	// integer addition is associative, so this flat sum is bit-identical
 	// to any hierarchical grouping of the same contributions.
 	total := make([]int64, len(globalFlat))
+	contrib := make([]int64, len(globalFlat))
 	var totalSamples int64
 	for _, u := range updates {
 		stats.UplinkBytes += int64(u.bytes)
 		if u.samples == 0 || u.delta == nil {
 			continue
 		}
-		addInto(total, contribution(quantizeFixed(u.delta), u.samples))
+		weighFixed(contrib, u.delta, u.samples)
+		addInto(total, contrib)
 		totalSamples += int64(u.samples)
 	}
 	if totalSamples > 0 {
@@ -280,61 +280,6 @@ func (co *Coordinator) RunRound() (RoundStats, error) {
 		stats.TestAccuracy = nn.Evaluate(co.Global, co.testX, co.testY)
 	}
 	return stats, nil
-}
-
-// localTrain trains one client from the global weights and returns its
-// encoded-then-decoded (i.e. lossy, as the server would see it) delta.
-// The client's training stream derives from (cfg.Seed, round, client ID)
-// alone — the flat and hierarchical coordinators share this function, so
-// the same client produces a bit-identical update under either topology.
-func localTrain(cfg *Config, global *nn.Network, globalFlat []float32, c *Client, round int) (clientUpdate, error) {
-	local := global.Clone()
-	if err := local.SetFlatParams(globalFlat); err != nil {
-		return clientUpdate{}, err
-	}
-	tc := nn.TrainConfig{
-		Epochs:    cfg.LocalEpochs,
-		BatchSize: cfg.LocalBatch,
-		Optimizer: nn.NewSGD(cfg.LR),
-		RNG:       tensor.NewRNG(engine.SeedForID(cfg.Seed, uint64(round), "train|"+c.ID)),
-	}
-	if cfg.ProximalMu > 0 {
-		mu := cfg.ProximalMu
-		tc.ExtraGrad = func(net *nn.Network) {
-			// ∇(μ/2·‖w−w_g‖²) = μ(w−w_g), applied parameter-wise.
-			off := 0
-			for _, p := range net.Params() {
-				n := p.Value.Size()
-				for k := 0; k < n; k++ {
-					p.Grad.Data[k] += mu * (p.Value.Data[k] - globalFlat[off+k])
-				}
-				off += n
-			}
-		}
-	}
-	if _, err := nn.Train(local, c.Data.X, c.Data.Y, tc); err != nil {
-		return clientUpdate{}, fmt.Errorf("fed: client %s: %w", c.ID, err)
-	}
-	localFlat := local.FlatParams()
-	delta := make([]float32, len(localFlat))
-	for j := range delta {
-		delta[j] = localFlat[j] - globalFlat[j]
-	}
-	payload, err := cfg.Codec.Encode(delta)
-	if err != nil {
-		return clientUpdate{}, fmt.Errorf("fed: client %s encode: %w", c.ID, err)
-	}
-	decoded, err := cfg.Codec.Decode(payload, len(delta))
-	if err != nil {
-		return clientUpdate{}, fmt.Errorf("fed: client %s decode: %w", c.ID, err)
-	}
-	// Charge the uplink to the device radio when one is attached.
-	if c.Device != nil {
-		if _, err := c.Device.Upload(int64(len(payload))); err != nil {
-			return clientUpdate{}, fmt.Errorf("fed: client %s upload: %w", c.ID, err)
-		}
-	}
-	return clientUpdate{delta: decoded, samples: c.Data.Len(), bytes: len(payload)}, nil
 }
 
 // Run executes cfg.Rounds rounds and returns per-round statistics.

@@ -32,38 +32,38 @@ const (
 	fixedMax = int64(1) << 42
 )
 
-// quantizeFixed maps a decoded update vector into the fixed-point ring.
-// Non-finite coordinates are defined away deterministically — NaN becomes
-// 0, ±Inf saturates — so a poisoned update cannot make two aggregation
-// orders disagree.
+// quantizeFixed maps a decoded update vector into the fixed-point ring: the
+// weight-one form of weighFixed.
 func quantizeFixed(update []float32) []int64 {
 	q := make([]int64, len(update))
-	for k, v := range update {
-		f := float64(v) * fixedOne
-		switch {
-		case math.IsNaN(f):
-			// q[k] stays 0
-		case f >= float64(fixedMax):
-			q[k] = fixedMax
-		case f <= -float64(fixedMax):
-			q[k] = -fixedMax
-		default:
-			q[k] = int64(math.RoundToEven(f))
-		}
-	}
+	weighFixed(q, update, 1)
 	return q
 }
 
-// contribution returns the client's sample-weighted fixed-point vector
-// samples·q — pre-scaling at the client is what lets a masked aggregator
-// compute a weighted average without learning any individual weight.
-func contribution(q []int64, samples int) []int64 {
-	c := make([]int64, len(q))
+// weighFixed writes a client's sample-weighted fixed-point contribution
+// samples·q(update) into dst, quantizing and weighting in one pass.
+// Non-finite coordinates are defined away deterministically — NaN becomes
+// 0, ±Inf saturates — so a poisoned update cannot make two aggregation
+// orders disagree. Pre-scaling at the client is what lets a masked
+// aggregator compute a weighted average without learning any individual
+// weight.
+func weighFixed(dst []int64, update []float32, samples int) {
 	s := int64(samples)
-	for k, v := range q {
-		c[k] = s * v
+	for k, v := range update {
+		f := float64(v) * fixedOne
+		var q int64
+		switch {
+		case math.IsNaN(f):
+			// q stays 0
+		case f >= float64(fixedMax):
+			q = fixedMax
+		case f <= -float64(fixedMax):
+			q = -fixedMax
+		default:
+			q = int64(math.RoundToEven(f))
+		}
+		dst[k] = s * q
 	}
-	return c
 }
 
 // addInto accumulates src into dst with wrapping int64 addition.

@@ -3,6 +3,7 @@ package fed
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"tinymlops/internal/tensor"
@@ -19,8 +20,10 @@ func bytesToUpdate(data []byte) []float32 {
 }
 
 // FuzzMaskUpdate throws hostile updates and indices at the pairwise masks.
-// Invariants: an out-of-range index errors instead of panicking, and the
-// masks cancel bit-exactly through an Aggregator for every input.
+// Invariants: an out-of-range index errors instead of panicking, the masks
+// cancel bit-exactly through an Aggregator for every input, and the cohort
+// form (each pairwise stream drawn once) gives every present participant
+// the words MaskFixed gives it alone, whichever peers are absent.
 func FuzzMaskUpdate(f *testing.F) {
 	nan := math.Float32bits(float32(math.NaN()))
 	negZero := math.Float32bits(float32(math.Copysign(0, -1)))
@@ -55,11 +58,20 @@ func FuzzMaskUpdate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// seed's low bits pick who is absent from the cohort form.
+		contribs, absent := make([][]int64, n), make([]bool, n)
+		for i := range contribs {
+			contribs[i], absent[i] = q, seed>>uint(i)&1 == 1
+		}
+		rows := maskCohortRows(contribs, absent, seeds)
 		want := make([]int64, len(q))
 		for i := 0; i < n; i++ {
 			m, err := MaskFixed(q, i, seeds)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !absent[i] && !slices.Equal(rows[i], m) {
+				t.Fatalf("participant %d of %d (absent %v): cohort-masked vector differs from MaskFixed", i, n, absent)
 			}
 			if err := agg.Submit(i, m, 1); err != nil {
 				t.Fatal(err)

@@ -75,6 +75,8 @@ type HierCoordinator struct {
 	// downlink ships a bit-exact nn delta patch rather than the full
 	// artifact (full artifact on the first round only).
 	prev *nn.Network
+	// arenas lends each worker its training workspace (workspace.go).
+	arenas *engine.ArenaPool
 }
 
 // NewHierCoordinator shards clients into cfg.Aggregators cohorts and
@@ -115,6 +117,7 @@ func NewHierCoordinator(global *nn.Network, clients []*Client, testX *tensor.Ten
 	return &HierCoordinator{
 		Global: global, Cohorts: cohorts, cfg: cfg,
 		testX: testX, testY: testY,
+		arenas: engine.NewArenaPool(),
 	}, nil
 }
 
@@ -300,10 +303,15 @@ func (hc *HierCoordinator) runCohort(co *Cohort, round int, globalFlat []float32
 		}
 	}
 
+	ar := hc.arenas.Acquire()
+	defer hc.arenas.Release(ar)
+	ws := ar.Slot(hc, newWorkspace).(*workspace)
+
 	// The round's pairwise seeds cover every sampled client — agreed at
 	// fan-out time, before anyone knows who will drop.
 	var agg *Aggregator
 	var seeds PairwiseSeeds
+	var rows [][]uint64
 	if cfg.SecureAgg {
 		seeds = NewPairwiseSeeds(tensor.NewRNG(engine.SeedForID(cfg.Seed, uint64(round), "pairwise|"+co.ID)), len(sampled))
 		var err error
@@ -311,6 +319,7 @@ func (hc *HierCoordinator) runCohort(co *Cohort, round int, globalFlat []float32
 		if err != nil {
 			return res, err
 		}
+		rows = ws.cohortRows(len(sampled), len(globalFlat))
 	}
 
 	// reference is the unmasked integer sum the masked path must
@@ -321,19 +330,17 @@ func (hc *HierCoordinator) runCohort(co *Cohort, round int, globalFlat []float32
 		if faults[i].Dropout {
 			continue // crashed before training; no edge traffic
 		}
-		u, err := localTrain(&cfg.Config, hc.Global, globalFlat, c, round)
+		u, err := localTrain(&cfg.Config, ws, hc.Global, globalFlat, c, round)
 		if err != nil {
 			return res, err
 		}
-		q := quantizeFixed(u.delta)
-		contrib := contribution(q, u.samples)
 		// Edge uplink: masked mode ships the dense uint64 vector plus a
 		// sample-count header — uniform mask words are incompressible;
 		// that is the privacy price. Plain mode wraps the codec payload
 		// in the nn delta container (exact sparse-or-dense patches).
-		wire := int64(8*len(contrib) + 8)
+		wire := int64(8*len(u.delta) + 8)
 		if !cfg.SecureAgg {
-			wire, err = plainWireBytes(hc.Global, globalFlat, u.delta)
+			wire, err = plainWireBytes(ws, hc.Global, globalFlat, u.delta)
 			if err != nil {
 				return res, fmt.Errorf("client %s wire: %w", c.ID, err)
 			}
@@ -351,16 +358,11 @@ func (hc *HierCoordinator) runCohort(co *Cohort, round int, globalFlat []float32
 		if late[i] {
 			continue // uploaded, but past the edge deadline: not summed
 		}
-		addInto(reference, contrib)
+		weighFixed(ws.contrib, u.delta, u.samples)
+		addInto(reference, ws.contrib)
 		refSamples += int64(u.samples)
 		if cfg.SecureAgg {
-			masked, err := MaskFixed(contrib, i, seeds)
-			if err != nil {
-				return res, err
-			}
-			if err := agg.Submit(i, masked, u.samples); err != nil {
-				return res, err
-			}
+			rows[i] = ws.row(ws.contrib)
 		}
 	}
 	if refSamples == 0 {
@@ -369,12 +371,23 @@ func (hc *HierCoordinator) runCohort(co *Cohort, round int, globalFlat []float32
 
 	partial := reference
 	if cfg.SecureAgg {
-		unmasked, samples, err := agg.Unmask()
+		// Every client that made the deadline masks its contribution and
+		// submits it; the aggregator sees masked words and nothing else.
+		maskCohort(rows, seeds)
+		for i, masked := range rows {
+			if masked == nil {
+				continue
+			}
+			if err := agg.Submit(i, masked, sampled[i].Data.Len()); err != nil {
+				return res, err
+			}
+		}
+		unmasked, got, err := agg.Unmask()
 		if err != nil {
 			return res, err
 		}
-		if samples != refSamples {
-			return res, fmt.Errorf("masked sample total %d != reference %d", samples, refSamples)
+		if got != refSamples {
+			return res, fmt.Errorf("masked sample total %d != reference %d", got, refSamples)
 		}
 		// The invariant the whole tier stands on: after reconciling the
 		// masks of dropped and late clients, the masked sum must equal
@@ -388,26 +401,6 @@ func (hc *HierCoordinator) runCohort(co *Cohort, round int, globalFlat []float32
 	}
 	res.wire = encodePartial(refSamples, partial)
 	return res, nil
-}
-
-// plainWireBytes measures the unmasked edge uplink: the codec-decoded
-// update applied to the global and shipped as an nn delta patch — the
-// sparse codecs (top-k, ternary) stay sparse on the wire, the dense ones
-// pay dense bytes.
-func plainWireBytes(global *nn.Network, globalFlat, decoded []float32) (int64, error) {
-	local := global.Clone()
-	next := make([]float32, len(globalFlat))
-	for j := range next {
-		next[j] = globalFlat[j] + decoded[j]
-	}
-	if err := local.SetFlatParams(next); err != nil {
-		return 0, err
-	}
-	patch, err := nn.EncodeDelta(global, local)
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(patch)), nil
 }
 
 // Run executes cfg.Rounds rounds and returns per-round statistics.

@@ -60,7 +60,8 @@ func (s PairwiseSeeds) validate(idx int) error {
 // shared word stream for peers j > idx, − for peers j < idx. Because
 // addition mod 2^64 is exactly associative, a sum over any grouping of
 // masked vectors minus the reconciled masks of absent peers equals the
-// unmasked integer sum bit for bit.
+// unmasked integer sum bit for bit. It is what one client computes alone;
+// maskCohort produces the same words for a whole cohort.
 func MaskFixed(contrib []int64, idx int, seeds PairwiseSeeds) ([]uint64, error) {
 	if err := seeds.validate(idx); err != nil {
 		return nil, err
@@ -69,23 +70,59 @@ func MaskFixed(contrib []int64, idx int, seeds PairwiseSeeds) ([]uint64, error) 
 	for k, v := range contrib {
 		out[k] = uint64(v)
 	}
-	n := len(seeds)
-	for peer := 0; peer < n; peer++ {
-		if peer == idx {
-			continue
-		}
-		mrng := tensor.NewRNG(seeds[idx][peer])
-		if peer > idx {
-			for k := range out {
-				out[k] += mrng.Uint64()
-			}
-		} else {
-			for k := range out {
-				out[k] -= mrng.Uint64()
-			}
+	for peer, seed := range seeds[idx] {
+		switch {
+		case peer > idx:
+			applyStream(seed, out, nil)
+		case peer < idx:
+			applyStream(seed, nil, out)
 		}
 	}
 	return out, nil
+}
+
+// applyStream draws one pairwise word stream and applies it with wrapping
+// arithmetic: added to plus, subtracted from minus. Either may be nil — the
+// end of the pair that is not being computed.
+func applyStream(seed uint64, plus, minus []uint64) {
+	var rng tensor.RNG
+	rng.Seed(seed)
+	switch {
+	case plus != nil && minus != nil:
+		for k := range plus {
+			w := rng.Uint64()
+			plus[k] += w
+			minus[k] -= w
+		}
+	case plus != nil:
+		for k := range plus {
+			plus[k] += rng.Uint64()
+		}
+	default:
+		for k := range minus {
+			minus[k] -= rng.Uint64()
+		}
+	}
+}
+
+// maskCohort masks a whole cohort in place, drawing each pairwise stream
+// once: rows[i] is participant i's lifted contribution, or nil when i
+// uploads nothing the aggregator will sum (it dropped, or arrived late).
+// The (i, j) stream is added to i's row and subtracted from j's, so every
+// non-nil row ends word-identical to MaskFixed of that participant alone —
+// wrapping addition commutes, the order the streams arrive in does not
+// show — including the stale share of each absent peer, which stays for
+// Aggregator.Unmask to reconcile. A pair with both ends absent is never
+// drawn. The simulator holds the cohort's rows at once to do this; a real
+// client holds only its own.
+func maskCohort(rows [][]uint64, seeds PairwiseSeeds) {
+	for i, ri := range rows {
+		for j := i + 1; j < len(rows); j++ {
+			if ri != nil || rows[j] != nil {
+				applyStream(seeds[i][j], ri, rows[j])
+			}
+		}
+	}
 }
 
 // Aggregator is one edge tier's masked-sum accumulator: clients Submit
@@ -187,15 +224,10 @@ func (a *Aggregator) Unmask() ([]int64, int64, error) {
 				continue
 			}
 			// Survivor i applied sign(i,d)·stream(seeds[i][d]); remove it.
-			mrng := tensor.NewRNG(a.seeds[i][d])
 			if d > i {
-				for k := range out {
-					out[k] -= mrng.Uint64()
-				}
+				applyStream(a.seeds[i][d], nil, out)
 			} else {
-				for k := range out {
-					out[k] += mrng.Uint64()
-				}
+				applyStream(a.seeds[i][d], out, nil)
 			}
 		}
 	}

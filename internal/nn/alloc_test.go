@@ -51,8 +51,8 @@ func TestForwardBatchZeroAlloc(t *testing.T) {
 // TestModelCodecAllocationPins bounds what one Clone costs: MarshalBinary
 // and UnmarshalNetwork of a 16-32-4 MLP may not allocate more than they did
 // at commit 963da02 (22 and 75, go1.24). The federated round clones the
-// global model once per client, and its allocs-per-client metric is gated
-// at 5 %.
+// global model once per worker and ResetFroms it per client; the clone is
+// still what every OTA decode and every per-device watermark copy pays.
 func TestModelCodecAllocationPins(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	net := NewNetwork([]int{16}, NewDense(16, 32, rng), NewReLU(), NewDense(32, 4, rng))

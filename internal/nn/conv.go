@@ -18,6 +18,7 @@ type Conv2D struct {
 
 	lastInput *tensor.Tensor
 	lastCols  []*tensor.Tensor // per-example im2col buffers
+	dcols     *tensor.Tensor   // backward scratch: one example's Wᵀ·g
 }
 
 // NewConv2D returns a convolution layer with He-initialized kernels.
@@ -135,10 +136,21 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.backward(grad, tensor.New(c.lastInput.Shape()...))
+}
+
+// backwardParams implements paramBackward.
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) { c.backward(grad, nil) }
+
+// backward accumulates the parameter gradients example by example and, when
+// dx is non-nil, folds the input gradient into it.
+func (c *Conv2D) backward(grad, dx *tensor.Tensor) *tensor.Tensor {
 	b := grad.Dim(0)
 	oh, ow := grad.Dim(2), grad.Dim(3)
 	h, w := c.lastInput.Dim(2), c.lastInput.Dim(3)
-	dx := tensor.New(c.lastInput.Shape()...)
+	if dx != nil && (c.dcols == nil || c.dcols.Dim(1) != oh*ow) {
+		c.dcols = tensor.New(c.InC*c.KH*c.KW, oh*ow)
+	}
 	ex := c.InC * h * w
 	for n := 0; n < b; n++ {
 		g := tensor.FromSlice(grad.Data[n*c.OutC*oh*ow:(n+1)*c.OutC*oh*ow], c.OutC, oh*ow)
@@ -152,9 +164,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 			c.B.Grad.Data[oc] += s
 		}
+		if dx == nil {
+			continue
+		}
 		// dcols = Wᵀ · g, then fold back.
-		dcols := tensor.TMatMul(c.W.Value, g)
-		c.col2im(dcols, h, w, oh, ow, dx.Data[n*ex:(n+1)*ex])
+		tensor.TMatMulInto(c.dcols, c.W.Value, g)
+		c.col2im(c.dcols, h, w, oh, ow, dx.Data[n*ex:(n+1)*ex])
 	}
 	return dx
 }

@@ -14,6 +14,10 @@ type Dense struct {
 	W, B    *Param
 
 	lastInput *tensor.Tensor
+	// dW and dB hold one backward pass's xᵀ·grad and column sums before
+	// they are added to the accumulated gradients; allocated on the first
+	// backward pass and reused by every later one.
+	dW, dB *tensor.Tensor
 }
 
 // NewDense returns a dense layer with He-initialized weights drawn from rng.
@@ -45,12 +49,26 @@ func (d *Dense) InferInto(dst, x *tensor.Tensor) {
 	dst.AddRowVector(d.B.Value)
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dW += xᵀ·grad ; db += column sums ;
+// dx = grad·Wᵀ.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	// dW += xᵀ·grad ; db += column sums ; dx = grad·Wᵀ.
-	d.W.Grad.AddInPlace(tensor.TMatMul(d.lastInput, grad))
-	d.B.Grad.AddInPlace(grad.SumRows())
+	d.backwardParams(grad)
 	return tensor.MatMulT(grad, d.W.Value)
+}
+
+// backwardParams implements paramBackward. Each pass's product is formed in
+// the layer's scratch and then added, as the allocating form did, so two
+// passes without a ZeroGrad between them accumulate to the same bits.
+func (d *Dense) backwardParams(grad *tensor.Tensor) {
+	if d.dW == nil {
+		// The first pass sizes the scratch with the allocating forms.
+		d.dW, d.dB = tensor.TMatMul(d.lastInput, grad), grad.SumRows()
+	} else {
+		tensor.TMatMulInto(d.dW, d.lastInput, grad)
+		grad.SumRowsInto(d.dB)
+	}
+	d.W.Grad.AddInPlace(d.dW)
+	d.B.Grad.AddInPlace(d.dB)
 }
 
 // Params implements Layer.

@@ -113,10 +113,9 @@ var kindRows = []kindRow{
 			if err := s.check(p >= 0 && p < 1); err != nil {
 				return nil, err
 			}
-			// A decoded dropout layer gets a fixed-seed RNG; inference is
-			// unaffected (dropout is the identity there) and callers that
-			// resume training can replace the layer.
-			return &Dropout{P: p, rng: tensor.NewRNG(0)}, nil
+			d := &Dropout{P: p}
+			d.resetDecodeState()
+			return d, nil
 		}),
 	bare("flatten", NewFlatten),
 	bare("relu", NewReLU),

@@ -67,7 +67,7 @@ func TestKindTableRejects(t *testing.T) {
 	if err == nil || spec.Kind != "foreign" || spec.Ints != nil || spec.Tensors != nil {
 		t.Errorf("SpecOf(foreign) = %+v, %v", spec, err)
 	}
-	net := NewNetwork([]int{4}, NewReLU(), foreignLayer{})
+	net := NewNetwork([]int{4}, NewReLU(), foreignLayer{NewReLU()})
 	if _, err := net.MarshalBinary(); err == nil {
 		t.Error("MarshalBinary encoded a layer outside the table")
 	}

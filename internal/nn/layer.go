@@ -39,8 +39,9 @@ type LayerInfo struct {
 // Layer is one differentiable stage of a network.
 //
 // Forward caches whatever it needs for Backward; a layer therefore supports
-// one in-flight forward/backward pair at a time (networks are cheap to
-// Clone when concurrent training is needed, e.g. in federated simulation).
+// one in-flight forward/backward pair at a time. Concurrent training takes
+// a Clone per goroutine, returned to the source between uses by ResetFrom —
+// the federated simulation's one scratch network per worker.
 type Layer interface {
 	// Kind returns the operator type ("dense", "conv2d", "relu", ...), used
 	// for serialization and for device op-support matrices.

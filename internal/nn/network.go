@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"tinymlops/internal/tensor"
 )
@@ -17,16 +19,26 @@ type Network struct {
 	InputShape []int
 
 	layers []Layer
+	// params is every layer's Params in layer order. It is built as layers
+	// are added and never lazily: a per-version image is one Network read
+	// by many goroutines, and a first-use cache would be a write they race
+	// on.
+	params []*Param
 }
 
 // NewNetwork returns a network over the given per-example input shape.
 func NewNetwork(inputShape []int, layers ...Layer) *Network {
-	return &Network{InputShape: append([]int(nil), inputShape...), layers: layers}
+	n := &Network{InputShape: append([]int(nil), inputShape...)}
+	for _, l := range layers {
+		n.Add(l)
+	}
+	return n
 }
 
 // Add appends a layer and returns the network for chaining.
 func (n *Network) Add(l Layer) *Network {
 	n.layers = append(n.layers, l)
+	n.params = append(n.params, l.Params()...)
 	return n
 }
 
@@ -45,23 +57,34 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Predict is Forward in inference mode.
 func (n *Network) Predict(x *tensor.Tensor) *tensor.Tensor { return n.Forward(x, false) }
 
-// Backward propagates the loss gradient through all layers, accumulating
-// parameter gradients. It returns the gradient w.r.t. the network input.
-func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad = n.layers[i].Backward(grad)
-	}
-	return grad
+// paramBackward is Backward for a layer nothing reads the input gradient
+// of: it accumulates the parameter gradients exactly as Backward does and
+// forms no dx.
+type paramBackward interface {
+	backwardParams(grad *tensor.Tensor)
 }
 
-// Params returns every trainable parameter in layer order.
-func (n *Network) Params() []*Param {
-	var ps []*Param
-	for _, l := range n.layers {
-		ps = append(ps, l.Params()...)
+// Backward propagates the loss gradient through all layers, accumulating
+// parameter gradients. The gradient w.r.t. the network input is not formed:
+// training has no use for it, and for a first dense or convolution layer it
+// is a matrix product as large as the weight gradient's.
+func (n *Network) Backward(grad *tensor.Tensor) {
+	if len(n.layers) == 0 {
+		return
 	}
-	return ps
+	for i := len(n.layers) - 1; i > 0; i-- {
+		grad = n.layers[i].Backward(grad)
+	}
+	if pb, ok := n.layers[0].(paramBackward); ok {
+		pb.backwardParams(grad)
+	} else {
+		n.layers[0].Backward(grad)
+	}
 }
+
+// Params returns every trainable parameter in layer order (shared, do not
+// mutate).
+func (n *Network) Params() []*Param { return n.params }
 
 // ZeroGrad resets all accumulated gradients.
 func (n *Network) ZeroGrad() {
@@ -172,8 +195,9 @@ func (n *Network) OpKinds() []string {
 }
 
 // Clone returns a deep copy of the network (architecture and weights) by
-// round-tripping through the binary serialization. Cloning is how the
-// federated simulator gives every client an independent model.
+// round-tripping through the binary serialization. A caller that needs one
+// independent copy after another of the same model — the federated
+// simulator, once per client — clones once and uses ResetFrom after that.
 func (n *Network) Clone() *Network {
 	data, err := n.MarshalBinary()
 	if err != nil {
@@ -184,4 +208,48 @@ func (n *Network) Clone() *Network {
 		panic(fmt.Sprintf("nn: Clone unmarshal: %v", err))
 	}
 	return c
+}
+
+// decodeState is implemented by a layer that carries state the model format
+// does not: resetDecodeState returns it to what a decoded layer starts
+// with. The kind table's constructor and ResetFrom both go through it.
+type decodeState interface {
+	resetDecodeState()
+}
+
+// ResetFrom makes n, a used copy of src, indistinguishable from a fresh
+// src.Clone() without allocating one: every tensor the kind table lists for
+// a layer — parameters and batch-norm running statistics — takes src's
+// values, accumulated gradients return to zero, and state the format does
+// not carry returns to what a decode gives it (a dropout layer's mask
+// stream restarts). What a layer caches between Forward and Backward needs
+// no reset: Forward overwrites it. Layer kinds, config and tensor sizes are
+// compared as the copy goes; a network of another topology is an error and
+// leaves n partly overwritten.
+func (n *Network) ResetFrom(src *Network) error {
+	if len(n.layers) != len(src.layers) {
+		return fmt.Errorf("nn: ResetFrom: %d layers, source has %d", len(n.layers), len(src.layers))
+	}
+	var dst, from LayerSpec
+	for i, l := range n.layers {
+		if err := errors.Join(dst.load(l), from.load(src.layers[i])); err != nil {
+			return fmt.Errorf("nn: ResetFrom layer %d: %w", i, err)
+		}
+		if dst.Kind != from.Kind || !slices.Equal(dst.Ints, from.Ints) || !slices.Equal(dst.Floats, from.Floats) {
+			return fmt.Errorf("nn: ResetFrom layer %d: %s%v%v, source has %s%v%v",
+				i, dst.Kind, dst.Ints, dst.Floats, from.Kind, from.Ints, from.Floats)
+		}
+		for j, t := range dst.Tensors {
+			if t.Size() != from.Tensors[j].Size() {
+				return fmt.Errorf("nn: ResetFrom layer %d (%s): tensor %d has %d elements, source has %d",
+					i, dst.Kind, j, t.Size(), from.Tensors[j].Size())
+			}
+			t.CopyFrom(from.Tensors[j])
+		}
+		if ds, ok := l.(decodeState); ok {
+			ds.resetDecodeState()
+		}
+	}
+	n.ZeroGrad()
+	return nil
 }

@@ -153,6 +153,12 @@ func NewDropout(p float32, rng *tensor.RNG) *Dropout {
 // Kind implements Layer.
 func (d *Dropout) Kind() string { return "dropout" }
 
+// resetDecodeState implements decodeState: a decoded dropout layer draws
+// its masks from a fixed-seed RNG of its own. Inference is unaffected
+// (dropout is the identity there), and a caller that resumes training gets
+// the same stream from every copy of the model.
+func (d *Dropout) resetDecodeState() { d.rng = tensor.NewRNG(0) }
+
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || d.P == 0 {

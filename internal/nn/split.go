@@ -34,7 +34,7 @@ func (n *Network) Subnet(lo, hi int) (*Network, error) {
 		}
 		in = append([]int(nil), cs[lo-1].Info.OutShape...)
 	}
-	return &Network{InputShape: in, layers: n.layers[lo:hi]}, nil
+	return NewNetwork(in, n.layers[lo:hi]...), nil
 }
 
 // ForwardPrefix runs layers [0,cut) on x in inference mode and returns the

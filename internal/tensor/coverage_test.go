@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -57,6 +58,8 @@ func TestShapeMismatchPanics(t *testing.T) {
 		{"TMatMul", func() { TMatMul(New(3, 2), New(4, 2)) }},
 		{"MatVec", func() { MatVec(New(2, 3), New(4)) }},
 		{"MatMulInto", func() { MatMulInto(New(3, 3), New(2, 2), New(2, 2)) }},
+		{"TMatMulInto", func() { TMatMulInto(New(3, 3), New(2, 2), New(2, 2)) }},
+		{"SumRowsInto", func() { a.SumRowsInto(b) }},
 		{"RowSlice", func() { New(2, 2).RowSlice(1, 5) }},
 		{"Reshape-two-infer", func() { New(4).Reshape(-1, -1) }},
 		{"Subset-negative-dim", func() { New(-1) }},
@@ -137,6 +140,15 @@ func TestParallelSingleAndLargeMatmuls(t *testing.T) {
 	want2 := MatMul(c.Transpose(), d)
 	if !ApproxEqual(got2, want2, 1e-3) {
 		t.Fatal("parallel TMatMul mismatch")
+	}
+	// The Into forms overwrite whatever a reused destination held, to the
+	// bits of the allocating forms.
+	dst := Full(7, 96, 80)
+	TMatMulInto(dst, c, d)
+	sums := Full(7, 96)
+	c.SumRowsInto(sums)
+	if !slices.Equal(dst.Data, got2.Data) || !slices.Equal(sums.Data, c.SumRows().Data) {
+		t.Fatal("an Into form over a dirty destination differs from the allocating form")
 	}
 }
 

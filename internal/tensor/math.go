@@ -239,14 +239,8 @@ func (t *Tensor) ArgMaxRowsInto(out []int) {
 // length Cols); i.e. it reduces over rows.
 func (t *Tensor) SumRows() *Tensor {
 	t.must2D("SumRows")
-	r, c := t.shape[0], t.shape[1]
-	out := New(c)
-	for i := 0; i < r; i++ {
-		row := t.Data[i*c : (i+1)*c]
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
+	out := New(t.shape[1])
+	t.SumRowsInto(out)
 	return out
 }
 

@@ -142,36 +142,11 @@ func MatMulT(a, b *Tensor) *Tensor {
 func TMatMul(a, b *Tensor) *Tensor {
 	a.must2D("TMatMul")
 	b.must2D("TMatMul")
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: TMatMul inner dimension mismatch [%d,%d]ᵀ×[%d,%d]", k, m, k2, n))
+	if a.shape[0] != b.shape[0] {
+		panic(fmt.Sprintf("tensor: TMatMul inner dimension mismatch [%d,%d]ᵀ×[%d,%d]", a.shape[0], a.shape[1], b.shape[0], b.shape[1]))
 	}
-	out := New(m, n)
-	kernel := func(lo, hi int) {
-		// out[i,j] = sum_p a[p,i]*b[p,j]; iterate p outermost for sequential reads.
-		for p := 0; p < k; p++ {
-			arow := a.Data[p*m : (p+1)*m]
-			brow := b.Data[p*n : (p+1)*n]
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				orow := out.Data[i*n : (i+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	}
-	// The p-outer kernel writes disjoint row ranges per worker, so it is safe
-	// to parallelize over i.
-	if m*n*k < parallelThreshold {
-		kernel(0, m)
-		return out
-	}
-	parallelRows(m, kernel)
+	out := New(a.shape[1], b.shape[1])
+	TMatMulInto(out, a, b)
 	return out
 }
 
@@ -225,3 +200,62 @@ func parallelRows(m int, body func(lo, hi int)) {
 // Parallel exposes the bounded row-parallel helper for other packages that
 // need to fan work out over a dimension (e.g. fleet simulation).
 func Parallel(n int, body func(lo, hi int)) { parallelRows(n, body) }
+
+// TMatMulInto computes dst = aᵀ × b, reusing dst's storage: the training
+// step's form of TMatMul, as MatMulInto is serving's form of MatMul. dst
+// must have shape [a.Cols, b.Cols] and must not alias a or b.
+func TMatMulInto(dst, a, b *Tensor) {
+	k, m := a.shape[0], a.shape[1]
+	n := b.shape[1]
+	if dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: TMatMulInto dst shape %v, want [%d,%d]", dst.shape, m, n))
+	}
+	dst.Zero()
+	// As in MatMulInto, the serial path never constructs the closure.
+	if m*n*k < parallelThreshold || poolDepth.Load() > 0 {
+		tmatmulRows(dst.Data, a.Data, b.Data, 0, m, k, m, n)
+		return
+	}
+	// The p-outer kernel writes disjoint row ranges per worker, so it is
+	// safe to parallelize over i.
+	parallelRows(m, func(lo, hi int) {
+		tmatmulRows(dst.Data, a.Data, b.Data, lo, hi, k, m, n)
+	})
+}
+
+// tmatmulRows computes rows [lo,hi) of dst = Aᵀ×B for A [k,m] and B [k,n]:
+// dst[i,j] = Σ_p a[p,i]·b[p,j], with p outermost so both reads are
+// sequential. dst rows must be pre-zeroed.
+func tmatmulRows(dst, a, b []float32, lo, hi, k, m, n int) {
+	for p := 0; p < k; p++ {
+		arow := a[p*m : (p+1)*m]
+		brow := b[p*n : (p+1)*n]
+		for i := lo; i < hi; i++ {
+			av := arow[i]
+			if av == 0 {
+				continue
+			}
+			orow := dst[i*n : (i+1)*n]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
+// SumRowsInto writes the sum of each column of the 2D tensor t into dst
+// (Cols elements), rows added in order: SumRows without the allocation.
+func (t *Tensor) SumRowsInto(dst *Tensor) {
+	t.must2D("SumRowsInto")
+	r, c := t.shape[0], t.shape[1]
+	if dst.Size() != c {
+		panic(fmt.Sprintf("tensor: SumRowsInto got %d slots for %d columns", dst.Size(), c))
+	}
+	dst.Zero()
+	for i := 0; i < r; i++ {
+		row := t.Data[i*c : (i+1)*c]
+		for j, v := range row {
+			dst.Data[j] += v
+		}
+	}
+}
