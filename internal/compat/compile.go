@@ -17,9 +17,6 @@ type CompileOptions struct {
 	// CapSensor — the grant every deployment runtime extends — so a
 	// compiled model refuses to run on a host that withholds it.
 	Caps procvm.Capability
-	// Probes are the verification inputs for the compile-time gate; when
-	// nil a deterministic seeded batch of 4 examples is generated.
-	Probes *tensor.Tensor
 	// Tol bounds the deviation VerifyLowering accepts between the original
 	// network and its lowered (dropout-stripped, batchnorm-folded) form.
 	// Defaults to 1e-4; folding is the only pass that moves float results.
@@ -55,17 +52,16 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 	if opts.Tol == 0 {
 		opts.Tol = 1e-4
 	}
-	if opts.Probes == nil {
-		rng := tensor.NewRNG(0x9e3779b97f4a7c15)
-		opts.Probes = tensor.Randn(rng, 1, append([]int{4}, net.InputShape...)...)
-	}
+	// The verification inputs for the compile-time gate: a deterministic
+	// seeded batch of 4 examples.
+	probes := tensor.Randn(tensor.NewRNG(0x9e3779b97f4a7c15), 1, append([]int{4}, net.InputShape...)...)
 
 	lowered := net.Clone()
 	dropDropout(lowered)
 	if _, err := FoldBatchNorm(lowered); err != nil {
 		return nil, fmt.Errorf("compat: compile: %w", err)
 	}
-	if err := VerifyLowering(net, lowered, opts.Probes, opts.Tol); err != nil {
+	if err := VerifyLowering(net, lowered, probes, opts.Tol); err != nil {
 		return nil, fmt.Errorf("compat: compile: lowering gate: %w", err)
 	}
 
@@ -101,11 +97,11 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 	}
 	m.GasLimit = res.GasUsed
 
-	want := lowered.Predict(opts.Probes)
-	rows := opts.Probes.Dim(0)
+	want := lowered.Predict(probes)
+	rows := probes.Dim(0)
 	outLen := want.Size() / rows
 	for r := 0; r < rows; r++ {
-		row := opts.Probes.Data[r*inLen : (r+1)*inLen]
+		row := probes.Data[r*inLen : (r+1)*inLen]
 		got, err := rt.Run(m, row)
 		if err != nil {
 			return nil, fmt.Errorf("compat: compile: probe %d: %w", r, err)

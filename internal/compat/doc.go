@@ -19,8 +19,8 @@
 // lowers a trained network (dropout dropped, batch norm folded) into a
 // procvm module — one instruction per layer, capability-gated, with a
 // gas limit pinned to the measured per-query cost — and refuses to emit
-// the module unless it reproduces the lowered network bit-for-bit on
-// probe batches. The compiled module is a first-class registry artifact
+// the module unless it reproduces the lowered network bit-for-bit on a
+// fixed, seeded batch of four probe inputs. The compiled module is a first-class registry artifact
 // kind: deployments serve it on the capability-gated runtime, and the
 // offload tier can host it inside an enclave for trusted execution.
 package compat

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tinymlops/internal/enclave"
-	"tinymlops/internal/engine"
 	"tinymlops/internal/exec"
 	"tinymlops/internal/market"
 	"tinymlops/internal/offload"
@@ -30,10 +29,8 @@ type OffloadConfig struct {
 	// RTT is the fixed round-trip to the cloud used in planning (also the
 	// default for Replan.RTT).
 	RTT time.Duration
-	// Retry bounds re-admission after cloud shedding.
-	Retry engine.RetryPolicy
-	// Replan tunes the live re-planning loop (hysteresis thresholds,
-	// congestion penalty, energy objective).
+	// Replan tunes the live re-planning loop (its round-trip time, or
+	// Disabled to freeze the initial plan).
 	Replan offload.ReplanConfig
 	// Plan, when non-nil, pins the initial cut instead of planning from
 	// the device's current conditions.
@@ -69,7 +66,7 @@ type OffloadOutcome struct {
 // submitted through the session stay metered, monitored and telemetered
 // exactly like Deployment.Infer, but the forward pass executes under a
 // live SplitPlan — prefix on the device, suffix on cfg.Cloud — re-planned
-// as bandwidth, battery and cloud congestion drift.
+// as bandwidth and battery drift.
 //
 // Every variant kind splits, each on its own executor, and every answer
 // stays bit-identical to the device serving the query alone:
@@ -115,7 +112,6 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 		Device: dep.device,
 		Bits:   img.run.Bits(),
 		Cloud:  cfg.Cloud,
-		Retry:  cfg.Retry,
 		Replan: replan,
 		Plan:   cfg.Plan,
 	}

@@ -133,7 +133,9 @@ func (p *Platform) Publish(name string, net *nn.Network, eval *dataset.Dataset, 
 
 // DeployConfig controls one device deployment.
 type DeployConfig struct {
-	// Policy drives variant selection (zero value = DefaultPolicy).
+	// Policy drives variant selection. The zero value imposes no hard
+	// constraint and scores with the selector's fixed weights, BatteryAware
+	// off: unlike selector.DefaultPolicy, it ignores charger and battery.
 	Policy selector.Policy
 	// PrepaidQueries sets the voucher quota.
 	PrepaidQueries uint64

@@ -35,13 +35,10 @@ type RolloutConfig struct {
 	// ForceFull disables delta transfer for every update in the rollout.
 	ForceFull bool
 	// Retry bounds per-device update attempts within a wave (zero value =
-	// one attempt) on a deterministic backoff schedule.
+	// one attempt). Only a TransientUpdateError retries: a dropped link, or
+	// an interrupted install, which resumes its half-written slot. Battery
+	// death, selection failures and topology problems fail fast.
 	Retry engine.RetryPolicy
-	// Retryable classifies update errors worth another attempt. nil uses
-	// TransientUpdateError: dropped links and interrupted installs retry
-	// (the latter resuming the half-written slot); everything else —
-	// battery death, selection failures, topology problems — fails fast.
-	Retryable func(error) bool
 	// Swarm, when non-nil, switches transfers to peer-to-peer mode: the
 	// registry serves only the canary wave (no device holds the new bytes
 	// yet) and acts as seeder of last resort; later waves fetch chunks from
@@ -57,9 +54,6 @@ type SwarmOptions struct {
 	ChunkBytes int64
 	// Seed roots the deterministic peer assignment.
 	Seed uint64
-	// MaxPeerTries bounds seeders probed per chunk before registry
-	// fallback (0 = 3).
-	MaxPeerTries int
 	// PeerDrop injects deterministic mid-chunk peer churn (the fault
 	// plane's swarm weather hook); nil means peers never drop.
 	PeerDrop swarm.DropFunc
@@ -72,12 +66,11 @@ type SwarmOptions struct {
 // result in RolloutConfig.Swarm or UpdateOptions.Swarm.
 func (p *Platform) NewSwarm(opts SwarmOptions) (*swarm.Swarm, error) {
 	return swarm.New(swarm.Config{
-		Source:       swarm.SourceFunc(p.swarmBytes),
-		Peer:         p.Fleet.Get,
-		ChunkBytes:   opts.ChunkBytes,
-		Seed:         opts.Seed,
-		MaxPeerTries: opts.MaxPeerTries,
-		PeerDrop:     opts.PeerDrop,
+		Source:     swarm.SourceFunc(p.swarmBytes),
+		Peer:       p.Fleet.Get,
+		ChunkBytes: opts.ChunkBytes,
+		Seed:       opts.Seed,
+		PeerDrop:   opts.PeerDrop,
 	})
 }
 
@@ -119,10 +112,6 @@ func (p *Platform) Rollout(target *registry.ModelVersion, cfg RolloutConfig) (*r
 		return nil, fmt.Errorf("core: nil rollout target")
 	}
 	ctl := rollout.NewController(p.eng)
-	retryable := cfg.Retryable
-	if retryable == nil {
-		retryable = TransientUpdateError
-	}
 	rcfg := rollout.Config{
 		Waves:      cfg.Waves,
 		Gate:       cfg.Gate,
@@ -130,7 +119,7 @@ func (p *Platform) Rollout(target *registry.ModelVersion, cfg RolloutConfig) (*r
 		Bake:       cfg.Bake,
 		BeforeWave: cfg.BeforeWave,
 		Retry:      cfg.Retry,
-		Retryable:  retryable,
+		Retryable:  TransientUpdateError,
 	}
 	if cfg.Swarm != nil {
 		// A passed wave's devices hold the new bytes: promote them into the

@@ -361,81 +361,28 @@ func (d *Device) Install(downloadBytes, flashBytes int64) (time.Duration, error)
 // discards the stale half-written slot first. On an injected interruption
 // (see SetInstallInterrupter) the call charges exactly the portion done,
 // records the staging state under a non-empty token, and returns an error
-// wrapping ErrInstallInterrupted.
+// wrapping ErrInstallInterrupted. It is the chunked install with the whole
+// remainder as its one chunk.
 func (d *Device) InstallResumable(token string, downloadBytes, flashBytes int64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	bw, err := d.linkBandwidthLocked()
-	if err != nil {
-		return 0, err
-	}
-	var doneDl, doneFl int64
-	if token != "" && d.staging != nil && d.staging.token == token &&
-		d.staging.downloadTotal == downloadBytes && d.staging.flashTotal == flashBytes {
-		doneDl, doneFl = d.staging.downloadDone, d.staging.flashDone
-	} else {
-		// Any install that is not resuming the recorded image writes over
-		// the inactive slot, so the staged progress — tokened or not — is
-		// no longer trustworthy and must be discarded.
+	_, dur, err := d.advanceInstallLocked(token, downloadBytes, downloadBytes, flashBytes)
+	if d.staging != nil && d.staging.token == "" {
+		// Nothing can name an untokened image to resume it: drop the slot.
 		d.staging = nil
 	}
-	remDl, remFl := downloadBytes-doneDl, flashBytes-doneFl
-
-	// A battery that cannot pay for the remaining flash fails before any
-	// byte moves — and before the crash injector is consulted, so fault
-	// accounting never counts a "mid-flash crash" on an attempt that
-	// actually died of battery death with nothing written.
-	if !d.Caps.WallPowered() && d.battery < float64(remFl)*flashWriteEnergyPerByteJ {
-		return 0, fmt.Errorf("%w on %s", ErrBatteryDepleted, d.ID)
-	}
-
-	frac, crashed := 1.0, false
-	if d.interrupt != nil {
-		if f := d.interrupt(token, remFl); f > 0 && f < 1 {
-			frac, crashed = f, true
-		}
-	}
-	dlNow := int64(float64(remDl) * frac)
-	flNow := int64(float64(remFl) * frac)
-
-	flashEnergy := float64(flNow) * flashWriteEnergyPerByteJ
-	if !d.Caps.WallPowered() {
-		d.battery -= flashEnergy
-	}
-	d.counters.RxBytes += dlNow
-	d.counters.FlashedBytes += flNow
-	d.counters.EnergyJoule += flashEnergy
-	dl := time.Duration(float64(dlNow) / bw * float64(time.Second))
-	fl := time.Duration(float64(flNow) / flashWriteBytesPerSec * float64(time.Second))
-	if crashed {
-		if token != "" {
-			d.staging = &staging{
-				token:         token,
-				downloadDone:  doneDl + dlNow,
-				flashDone:     doneFl + flNow,
-				downloadTotal: downloadBytes,
-				flashTotal:    flashBytes,
-			}
-		}
-		return dl + fl, fmt.Errorf("%w: %s %q at %d/%d bytes",
-			ErrInstallInterrupted, d.ID, token, doneFl+flNow, flashBytes)
-	}
-	d.staging = nil // the staged image is complete and becomes installable
-	return dl + fl, nil
+	return dur, err
 }
 
 // InstallChunk advances the resumable install named by token by up to span
 // download bytes, flashing the proportional share of flashTotal — the
 // swarm-transfer primitive. The staging slot is shared with
-// InstallResumable: a half-written slot for the same (token, totals) is
-// resumed from its exact byte, anything else is discarded first, and the
-// slot persists between chunks (a healthy partial, not a crash) until the
-// final chunk completes the image. The crash injector is consulted once
-// per call with the chunk's flash share, so a swarm transfer interrupted
-// mid-chunk records exactly the bytes it moved and a retry resumes from
-// there — each byte is downloaded and flashed exactly once, from whichever
-// source finishes it. Returns the download bytes actually written (the
-// caller charges the serving side for precisely that many).
+// InstallResumable and persists between chunks (a healthy partial, not a
+// crash) until the final chunk completes the image. The crash injector is
+// consulted once per call with the chunk's flash share, so each byte is
+// downloaded and flashed exactly once, from whichever source finishes it.
+// Returns the download bytes actually written (the caller charges the
+// serving side for precisely that many).
 func (d *Device) InstallChunk(token string, span, downloadTotal, flashTotal int64) (written int64, dur time.Duration, err error) {
 	if token == "" {
 		return 0, 0, fmt.Errorf("device: install chunk needs a token")
@@ -445,6 +392,14 @@ func (d *Device) InstallChunk(token string, span, downloadTotal, flashTotal int6
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.advanceInstallLocked(token, span, downloadTotal, flashTotal)
+}
+
+// advanceInstallLocked is the staging slot's one state machine: resume the
+// recorded image or discard it, move up to span download bytes and their
+// share of the flash rewrite, and leave the slot complete, healthily
+// partial, or crashed. Caller holds d.mu.
+func (d *Device) advanceInstallLocked(token string, span, downloadTotal, flashTotal int64) (written int64, dur time.Duration, err error) {
 	bw, err := d.linkBandwidthLocked()
 	if err != nil {
 		return 0, 0, err
@@ -454,20 +409,28 @@ func (d *Device) InstallChunk(token string, span, downloadTotal, flashTotal int6
 		d.staging.downloadTotal == downloadTotal && d.staging.flashTotal == flashTotal {
 		doneDl, doneFl = d.staging.downloadDone, d.staging.flashDone
 	} else {
-		d.staging = nil // a different image invalidates the staged slot
+		// Any install that is not resuming the recorded image writes over
+		// the inactive slot, so the staged progress is no longer trustworthy
+		// and must be discarded.
+		d.staging = nil
 	}
 	if doneDl+span > downloadTotal {
 		span = downloadTotal - doneDl
 	}
 	// The chunk's flash share is the integer-proportional slice of
-	// flashTotal its download span covers; the final chunk lands exactly on
-	// flashTotal, so no rounding drift accumulates across chunks.
-	flEnd := flashTotal * (doneDl + span) / downloadTotal
+	// flashTotal its download span covers; the chunk that finishes the
+	// download lands exactly on flashTotal, so no rounding drift accumulates
+	// across chunks (and an image with nothing to download is all flash).
+	flEnd := flashTotal
+	if end := doneDl + span; end < downloadTotal {
+		flEnd = flashTotal * end / downloadTotal
+	}
 	remFl := flEnd - doneFl
 
-	// Battery check before the crash draw, same as InstallResumable: an
-	// attempt that dies of battery death wrote nothing and must not be
-	// miscounted as a mid-flash crash.
+	// A battery that cannot pay for the flash share fails before any byte
+	// moves — and before the crash injector is consulted, so fault
+	// accounting never counts a "mid-flash crash" on an attempt that
+	// actually died of battery death with nothing written.
 	if !d.Caps.WallPowered() && d.battery < float64(remFl)*flashWriteEnergyPerByteJ {
 		return 0, 0, fmt.Errorf("%w on %s", ErrBatteryDepleted, d.ID)
 	}
@@ -491,7 +454,7 @@ func (d *Device) InstallChunk(token string, span, downloadTotal, flashTotal int6
 	dur = time.Duration(float64(dlNow)/bw*float64(time.Second)) +
 		time.Duration(float64(flNow)/flashWriteBytesPerSec*float64(time.Second))
 	if doneDl+dlNow >= downloadTotal && !crashed {
-		d.staging = nil // final chunk: the staged image is complete
+		d.staging = nil // the staged image is complete and becomes installable
 		return dlNow, dur, nil
 	}
 	d.staging = &staging{

@@ -511,3 +511,37 @@ func TestTokenlessInstallInvalidatesStaging(t *testing.T) {
 		t.Fatalf("flashed %d after invalidation, want a full 1000", got)
 	}
 }
+
+// TestInstallEntryEdges covers the two cases the install entry points hand
+// the shared staging state machine unchanged: an attempt that fails before
+// any byte moves (offline) must leave another image's half-written slot
+// alone, even an untokened one; and an image with nothing to download is
+// all flash.
+func TestInstallEntryEdges(t *testing.T) {
+	d := NewDevice("ph9", mustProfile(t, "phone"), tensor.NewRNG(13))
+	d.SetNet(WiFi)
+	d.SetInstallInterrupter(func(string, int64) float64 { return 0.5 })
+	if _, err := d.InstallResumable("img-x", 1000, 1000); !errors.Is(err, ErrInstallInterrupted) {
+		t.Fatalf("want interruption, got %v", err)
+	}
+	d.SetInstallInterrupter(nil)
+	d.SetNet(Offline)
+	if _, err := d.Install(100, 100); !errors.Is(err, ErrOffline) {
+		t.Fatalf("offline install: %v", err)
+	}
+	if token, flashed, _, ok := d.Staging(); !ok || token != "img-x" || flashed != 500 {
+		t.Fatalf("offline tokenless install disturbed the slot: %q %d %v", token, flashed, ok)
+	}
+	d.SetNet(WiFi)
+	before := d.Snapshot()
+	if _, err := d.InstallResumable("flash-only", 0, 300); err != nil {
+		t.Fatal(err)
+	}
+	after := d.Snapshot()
+	if after.RxBytes != before.RxBytes || after.FlashedBytes-before.FlashedBytes != 300 {
+		t.Fatalf("zero-byte download: rx +%d flashed +%d", after.RxBytes-before.RxBytes, after.FlashedBytes-before.FlashedBytes)
+	}
+	if _, _, _, ok := d.Staging(); ok {
+		t.Fatal("a completed install left a staging slot")
+	}
+}

@@ -1,81 +1,28 @@
 package engine
 
-import (
-	"math"
-	"time"
-)
-
 // RetryPolicy bounds how a transient failure is retried. The schedule is
-// fully deterministic — no jitter, no wall-clock dependence — so a fleet
-// round that retries flaky devices still produces bit-identical results at
-// any worker count: the attempt sequence a device sees is a pure function
-// of the policy, never of scheduling.
+// fully deterministic — no jitter, no delay, no wall-clock dependence — so a
+// fleet round that retries flaky devices still produces bit-identical
+// results at any worker count: the attempt sequence a device sees is a pure
+// function of the policy, never of scheduling.
 type RetryPolicy struct {
 	// Attempts is the total number of tries (first call included). Values
 	// ≤ 1 mean no retry.
 	Attempts int
-	// BaseBackoff is the modeled delay before the first retry; it doubles
-	// on every further attempt (exponential schedule). Like every other
-	// duration in the simulator it is accounting, not pacing: Retry
-	// records the schedule in RetryResult.Backoff and never sleeps.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (0 = uncapped).
-	MaxBackoff time.Duration
 }
 
-// Backoff returns the deterministic delay scheduled before the given
-// retry (1-based: Backoff(1) precedes the second attempt).
-func (p RetryPolicy) Backoff(retry int) time.Duration {
-	if retry < 1 || p.BaseBackoff <= 0 {
-		return 0
-	}
-	b := p.BaseBackoff << (retry - 1)
-	// A shift overflow saturates — the schedule must stay monotone even
-	// for an uncapped policy.
-	if b < p.BaseBackoff {
-		b = time.Duration(math.MaxInt64)
-	}
-	if p.MaxBackoff > 0 && b > p.MaxBackoff {
-		b = p.MaxBackoff
-	}
-	return b
-}
-
-// RetryResult accounts one retried operation: how many attempts ran and
-// how much modeled backoff the schedule inserted between them.
-type RetryResult struct {
-	Attempts int
-	Backoff  time.Duration
-}
-
-// Retry runs fn up to p.Attempts times, accounting the deterministic
-// backoff schedule between attempts, and returns the last error (nil on
-// success) plus the attempt accounting. The backoff is modeled time — it
-// is summed into RetryResult.Backoff, never slept, so a fleet-wide wave
-// of retries costs no wall clock. retryable decides whether an error is
-// worth another try — nil retries everything. A non-retryable error (a
-// topology mismatch, an exhausted quota) aborts immediately: retrying a
-// permanent failure only burns the fleet's radio budget.
-func Retry(p RetryPolicy, retryable func(error) bool, fn func(attempt int) error) (RetryResult, error) {
-	attempts := p.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	res := RetryResult{}
-	var err error
-	for a := 1; a <= attempts; a++ {
-		res.Attempts = a
-		if err = fn(a); err == nil {
-			return res, nil
-		}
-		if retryable != nil && !retryable(err) {
-			return res, err
-		}
-		if a < attempts {
-			res.Backoff += p.Backoff(a)
+// Retry runs fn up to p.Attempts times and returns how many attempts ran
+// plus the last error (nil on success). Retries follow one another with no
+// modeled delay. retryable decides whether an error is worth another try —
+// nil retries everything. A non-retryable error (a topology mismatch, an
+// exhausted quota) aborts immediately: retrying a permanent failure only
+// burns the fleet's radio budget.
+func Retry(p RetryPolicy, retryable func(error) bool, fn func(attempt int) error) (attempts int, err error) {
+	for a := 1; ; a++ {
+		if err = fn(a); err == nil || a >= p.Attempts || (retryable != nil && !retryable(err)) {
+			return a, err
 		}
 	}
-	return res, err
 }
 
 // SeedForID derives an independent 64-bit seed for a string-keyed entity

@@ -3,12 +3,11 @@ package engine
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	calls := 0
-	res, err := Retry(RetryPolicy{Attempts: 4}, nil, func(attempt int) error {
+	attempts, err := Retry(RetryPolicy{Attempts: 4}, nil, func(attempt int) error {
 		calls++
 		if attempt != calls {
 			t.Fatalf("attempt %d on call %d", attempt, calls)
@@ -18,22 +17,22 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil || calls != 3 || res.Attempts != 3 {
-		t.Fatalf("err=%v calls=%d res=%+v", err, calls, res)
+	if err != nil || calls != 3 || attempts != 3 {
+		t.Fatalf("err=%v calls=%d attempts=%d", err, calls, attempts)
 	}
 }
 
 func TestRetryStopsOnPermanentError(t *testing.T) {
 	permanent := errors.New("permanent")
 	calls := 0
-	res, err := Retry(RetryPolicy{Attempts: 5}, func(err error) bool {
+	attempts, err := Retry(RetryPolicy{Attempts: 5}, func(err error) bool {
 		return !errors.Is(err, permanent)
 	}, func(int) error {
 		calls++
 		return permanent
 	})
-	if !errors.Is(err, permanent) || calls != 1 || res.Attempts != 1 {
-		t.Fatalf("err=%v calls=%d res=%+v", err, calls, res)
+	if !errors.Is(err, permanent) || calls != 1 || attempts != 1 {
+		t.Fatalf("err=%v calls=%d attempts=%d", err, calls, attempts)
 	}
 }
 
@@ -51,32 +50,6 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	calls = 0
 	if _, err := Retry(RetryPolicy{}, nil, func(int) error { calls++; return fail }); err == nil || calls != 1 {
 		t.Fatalf("zero policy: err=%v calls=%d", err, calls)
-	}
-}
-
-func TestBackoffScheduleDeterministic(t *testing.T) {
-	p := RetryPolicy{Attempts: 10, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
-	want := []time.Duration{10e6, 20e6, 40e6, 40e6}
-	for i, w := range want {
-		if got := p.Backoff(i + 1); got != w {
-			t.Fatalf("Backoff(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-	if p.Backoff(0) != 0 {
-		t.Fatal("Backoff(0) must be zero")
-	}
-	if (RetryPolicy{Attempts: 3}).Backoff(1) != 0 {
-		t.Fatal("zero base must not sleep")
-	}
-	// Shift overflow saturates, then the cap applies.
-	big := RetryPolicy{BaseBackoff: time.Hour, MaxBackoff: 2 * time.Hour}
-	if got := big.Backoff(62); got != 2*time.Hour {
-		t.Fatalf("overflowed backoff = %v", got)
-	}
-	// Uncapped overflow stays saturated — never less than earlier retries.
-	uncapped := RetryPolicy{BaseBackoff: time.Hour}
-	if got := uncapped.Backoff(62); got < uncapped.Backoff(2) {
-		t.Fatalf("uncapped overflowed backoff %v below attempt 2's %v", got, uncapped.Backoff(2))
 	}
 }
 

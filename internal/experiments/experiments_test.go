@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,29 +32,67 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// harness holds the one full RunAll of a test binary: all eleven tables,
+// banners included. TestEveryExperimentRuns reads each experiment's section
+// out of it and TestRunAllToDiscard checks the run as a whole, so E1–E11
+// execute once per go test, not once per test.
+var harness struct {
+	once sync.Once
+	out  string
+	err  error
+}
+
+func runAllOnce() (string, error) {
+	harness.once.Do(func() {
+		var buf bytes.Buffer
+		harness.err = RunAll(&buf)
+		harness.out = buf.String()
+	})
+	return harness.out, harness.err
+}
+
+const bannerRule = "================================================================\n"
+
+// banner is the header RunOne prints before an experiment's table.
+func banner(e Experiment) string {
+	return "\n" + bannerRule + e.ID + " — " + e.Title + " (" + e.Paper + ")\n" + bannerRule
+}
+
 // TestEveryExperimentRuns executes each table generator end to end; this
 // is the integration test that ties all sixteen packages together. Heavy
-// generators are skipped in -short mode.
+// generators are skipped in -short mode, which runs the others directly;
+// the full mode reads each table out of the shared RunAll.
 func TestEveryExperimentRuns(t *testing.T) {
 	heavy := map[string]bool{"E2": true, "E6": true, "E9": true, "E10": true}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if testing.Short() && heavy[e.ID] {
-				t.Skipf("%s is heavy; run without -short", e.ID)
+			var out string
+			if testing.Short() {
+				if heavy[e.ID] {
+					t.Skipf("%s is heavy; run without -short", e.ID)
+				}
+				var buf bytes.Buffer
+				if err := e.Run(&buf); err != nil {
+					t.Fatalf("%s failed: %v", e.ID, err)
+				}
+				out = buf.String()
+			} else {
+				all, err := runAllOnce()
+				if err != nil {
+					t.Fatalf("harness failed: %v", err)
+				}
+				_, rest, _ := strings.Cut(all, banner(e))
+				out, _, _ = strings.Cut(rest, "\n"+bannerRule)
 			}
-			var buf bytes.Buffer
-			if err := e.Run(&buf); err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
-			}
-			if buf.Len() == 0 {
+			if len(out) == 0 {
 				t.Fatalf("%s produced no output", e.ID)
 			}
-			if strings.Contains(buf.String(), "FALSE POSITIVE") {
-				t.Fatalf("%s reports a false positive:\n%s", e.ID, buf.String())
+			if strings.Contains(out, "FALSE POSITIVE") {
+				t.Fatalf("%s reports a false positive:\n%s", e.ID, out)
 			}
-			if strings.Contains(buf.String(), "%!") {
-				t.Fatalf("%s has a formatting bug:\n%s", e.ID, buf.String())
+			if strings.Contains(out, "%!") {
+				t.Fatalf("%s has a formatting bug:\n%s", e.ID, out)
 			}
 		})
 	}
@@ -76,7 +114,16 @@ func TestRunAllToDiscard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness is heavy; run without -short")
 	}
-	if err := RunAll(io.Discard); err != nil {
+	out, err := runAllOnce()
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Every experiment ran, each under its banner, in registry order.
+	for _, e := range All() {
+		_, rest, ok := strings.Cut(out, banner(e))
+		if !ok {
+			t.Fatalf("%s's banner is missing or out of order", e.ID)
+		}
+		out = rest
 	}
 }

@@ -26,9 +26,6 @@ type AuditConfig struct {
 	// mid-recovery counts them without flagging a violation. The terminal
 	// audit must not set this.
 	AllowPartial bool
-	// MaxViolations caps the listed violation strings (0 = 64); the count
-	// fields keep the true totals.
-	MaxViolations int
 	// Swarm, when non-nil, extends the audit to the peer-to-peer
 	// distribution ledger: byte conservation (registry egress + peer bytes
 	// == delivered bytes, and no per-transfer conservation violations),
@@ -71,7 +68,7 @@ type AuditReport struct {
 	SwarmRegistryBytes  int64
 	SwarmPeerBytes      int64
 	// ViolationCount is the true number of invariant violations found;
-	// Violations lists the first MaxViolations of them.
+	// Violations lists the first maxViolations of them.
 	ViolationCount int
 	Violations     []string
 }
@@ -86,9 +83,12 @@ func (r *AuditReport) String() string {
 		r.ArtifactsVerified, r.TelemetryRecords, r.PartialInstalls, r.ViolationCount)
 }
 
-func (r *AuditReport) violate(max int, format string, args ...any) {
+// maxViolations caps the listed violations; ViolationCount stays exact.
+const maxViolations = 64
+
+func (r *AuditReport) violate(format string, args ...any) {
 	r.ViolationCount++
-	if len(r.Violations) < max {
+	if len(r.Violations) < maxViolations {
 		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 	}
 }
@@ -101,10 +101,6 @@ func (r *AuditReport) violate(max int, format string, args ...any) {
 // run it quiesced for an exact fleet-wide answer. Violations are reported
 // in deterministic (device ID) order.
 func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
-	max := cfg.MaxViolations
-	if max <= 0 {
-		max = 64
-	}
 	rep := &AuditReport{Devices: p.Fleet.Size()}
 	deps := p.Deployments() // sorted by device ID
 	rep.Deployments = len(deps)
@@ -127,7 +123,7 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		// Fleet membership: a deployment must sit on a registered device.
 		dev, ok := p.Fleet.Get(id)
 		if !ok {
-			rep.violate(max, "%s: deployment on a device the fleet does not know", id)
+			rep.violate("%s: deployment on a device the fleet does not know", id)
 			continue
 		}
 
@@ -138,9 +134,9 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		liveVer, liveModel, watermarked := d.StateSnapshot()
 		ver, err := p.Registry.Get(liveVer.ID)
 		if err != nil {
-			rep.violate(max, "%s: running version %s unknown to the registry", id, liveVer.ID)
+			rep.violate("%s: running version %s unknown to the registry", id, liveVer.ID)
 		} else if ver.Digest != liveVer.Digest {
-			rep.violate(max, "%s: version %s digest diverges from the registry", id, liveVer.ID)
+			rep.violate("%s: version %s digest diverges from the registry", id, liveVer.ID)
 		}
 
 		// Meter conservation: issued == consumed + remaining, the voucher
@@ -152,16 +148,16 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		used, remaining := d.Meter.Used(), d.Meter.Remaining()
 		rep.MetersChecked++
 		if used+remaining != v.Queries {
-			rep.violate(max, "%s: meter leak: used %d + remaining %d != issued %d", id, used, remaining, v.Queries)
+			rep.violate("%s: meter leak: used %d + remaining %d != issued %d", id, used, remaining, v.Queries)
 		}
 		if v.DeviceID != id {
-			rep.violate(max, "%s: voucher %s is bound to %s", id, v.ID, v.DeviceID)
+			rep.violate("%s: voucher %s is bound to %s", id, v.ID, v.DeviceID)
 		}
 		if !p.Issuer.Verify(&v) {
-			rep.violate(max, "%s: voucher %s fails signature verification", id, v.ID)
+			rep.violate("%s: voucher %s fails signature verification", id, v.ID)
 		}
 		if holder, dup := vouchers[v.ID]; dup {
-			rep.violate(max, "%s: voucher %s double-spent (also held by %s)", id, v.ID, holder)
+			rep.violate("%s: voucher %s double-spent (also held by %s)", id, v.ID, holder)
 		}
 		vouchers[v.ID] = id
 
@@ -170,12 +166,12 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		// genesis with exactly `used` links.
 		mrep := d.Meter.BuildReport()
 		if mrep.Used != mrep.FromSeq-1+uint64(len(mrep.Entries)) {
-			rep.violate(max, "%s: meter claims %d used but chain holds %d entries from seq %d",
+			rep.violate("%s: meter claims %d used but chain holds %d entries from seq %d",
 				id, mrep.Used, len(mrep.Entries), mrep.FromSeq)
 		}
 		if mrep.FromSeq == 1 {
 			if err := metering.VerifyChain(v, metering.GenesisHead(v), mrep.Entries); err != nil {
-				rep.violate(max, "%s: %v", id, err)
+				rep.violate("%s: %v", id, err)
 			} else {
 				rep.ChainsVerified++
 			}
@@ -198,7 +194,7 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		if token, flashed, total, partial := dev.Staging(); partial {
 			rep.PartialInstalls++
 			if !cfg.AllowPartial {
-				rep.violate(max, "%s: stuck mid-install: %q at %d/%d bytes", id, token, flashed, total)
+				rep.violate("%s: stuck mid-install: %q at %d/%d bytes", id, token, flashed, total)
 			}
 		}
 
@@ -215,22 +211,22 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 			switch {
 			case d.CompiledModule() != nil:
 				if sha256.Sum256(d.CompiledModule().Encode()) != ver.Digest {
-					rep.violate(max, "%s: compiled module bytes diverge from artifact %s", id, ver.ID)
+					rep.violate("%s: compiled module bytes diverge from artifact %s", id, ver.ID)
 				} else {
 					rep.ArtifactsVerified++
 				}
 			case watermarked:
 				owner, tagged := ver.Tags["watermark:"+id]
 				if !tagged {
-					rep.violate(max, "%s: watermarked deployment has no registry mark tag on %s", id, ver.ID)
+					rep.violate("%s: watermarked deployment has no registry mark tag on %s", id, ver.ID)
 					break
 				}
 				want := ipprot.KeyedBits(owner, core.WatermarkCapacity(liveModel))
 				got, werr := ipprot.ExtractStatic(liveModel, owner, len(want), ipprot.DefaultStaticWMConfig())
 				if werr != nil {
-					rep.violate(max, "%s: watermark extraction failed: %v", id, werr)
+					rep.violate("%s: watermark extraction failed: %v", id, werr)
 				} else if ipprot.BitErrorRate(want, got) != 0 {
-					rep.violate(max, "%s: watermark does not verify against owner %q", id, owner)
+					rep.violate("%s: watermark does not verify against owner %q", id, owner)
 				} else {
 					rep.ArtifactsVerified++
 				}
@@ -245,7 +241,7 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 					diverged[liveModel] = why
 				}
 				if why != "" {
-					rep.violate(max, "%s: %s", id, why)
+					rep.violate("%s: %s", id, why)
 				} else {
 					rep.ArtifactsVerified++
 				}
@@ -273,10 +269,10 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 			last = int(r.Window)
 		}
 		if !ordered {
-			rep.violate(max, "%s: telemetry windows not strictly increasing", id)
+			rep.violate("%s: telemetry windows not strictly increasing", id)
 		}
 		if last >= 0 && uint32(last) >= d.CurrentWindow() {
-			rep.violate(max, "%s: open window %d not beyond last emitted %d", id, d.CurrentWindow(), last)
+			rep.violate("%s: open window %d not beyond last emitted %d", id, d.CurrentWindow(), last)
 		}
 	}
 
@@ -295,7 +291,7 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		if token, flashed, total, partial := dev.Staging(); partial {
 			rep.PartialInstalls++
 			if !cfg.AllowPartial {
-				rep.violate(max, "%s: undeployed device stuck mid-install: %q at %d/%d bytes",
+				rep.violate("%s: undeployed device stuck mid-install: %q at %d/%d bytes",
 					dev.ID, token, flashed, total)
 			}
 		}
@@ -311,17 +307,17 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		rep.SwarmRegistryBytes = st.RegistryEgressBytes
 		rep.SwarmPeerBytes = st.PeerBytes
 		if st.RegistryEgressBytes+st.PeerBytes != st.DeliveredBytes {
-			rep.violate(max, "swarm: byte conservation broken: registry %d + peers %d != delivered %d",
+			rep.violate("swarm: byte conservation broken: registry %d + peers %d != delivered %d",
 				st.RegistryEgressBytes, st.PeerBytes, st.DeliveredBytes)
 		}
 		if st.ConservationViolations > 0 {
-			rep.violate(max, "swarm: %d transfers with unattributed bytes", st.ConservationViolations)
+			rep.violate("swarm: %d transfers with unattributed bytes", st.ConservationViolations)
 		}
 		if st.HashRejects > 0 {
-			rep.violate(max, "swarm: %d chunk hash rejects from honest sources", st.HashRejects)
+			rep.violate("swarm: %d chunk hash rejects from honest sources", st.HashRejects)
 		}
 		if n := cfg.Swarm.InFlight(); n > 0 && !cfg.AllowPartial {
-			rep.violate(max, "swarm: %d devices still hold in-flight transfer state", n)
+			rep.violate("swarm: %d devices still hold in-flight transfer state", n)
 		}
 	}
 	return rep

@@ -39,4 +39,8 @@
 // injected mid-flash crashes with bounded deterministic retries, reconcile
 // the stragglers, then audit. Its Fingerprint digests the terminal fleet
 // state so tests can assert bit-identical outcomes across worker counts.
+//
+// What a ScenarioConfig does not carry is constant (scenario.go, audit.go):
+// rollout.DefaultWaves(), four reconciliation sweeps, 1<<20 prepaid queries
+// per device, 64-byte swarm chunks, and the first 64 violations listed.
 package faults

@@ -19,6 +19,19 @@ import (
 	"tinymlops/internal/tensor"
 )
 
+// The scenario's fixed sizes. The rollout runs rollout.DefaultWaves().
+const (
+	// reconcileRounds recovery sweeps follow the rollout under continued
+	// chaos, before the final calm sweep.
+	reconcileRounds = 4
+	// prepaidQueries per device never gate the chaos traffic; conservation
+	// is still audited.
+	prepaidQueries = 1 << 20
+	// swarmChunkBytes is small against the scenario's tiny artifacts, so
+	// every transfer spans many chunks and exercises the per-chunk faults.
+	swarmChunkBytes = 64
+)
+
 // ScenarioConfig controls one chaos experiment (see RunScenario).
 type ScenarioConfig struct {
 	// Devices is the requested fleet size; it is rounded up to a multiple
@@ -31,17 +44,9 @@ type ScenarioConfig struct {
 	Seed uint64
 	// Chaos is the fault weather.
 	Chaos ChaosConfig
-	// Waves defaults to rollout.DefaultWaves().
-	Waves []rollout.Wave
 	// UpdateAttempts bounds per-device update retries within a wave and
 	// during reconciliation (default 3).
 	UpdateAttempts int
-	// ReconcileRounds is how many post-rollout recovery sweeps run under
-	// continued chaos before the final calm sweep (default 4).
-	ReconcileRounds int
-	// PrepaidQueries per device (default 1<<20 so metering never gates
-	// the chaos traffic; conservation is still audited).
-	PrepaidQueries uint64
 	// OffloadQueries, when positive, appends an offload phase after
 	// convergence: every deployment opens a split-execution session
 	// against a shared cloud tier and serves this many queries per
@@ -68,10 +73,6 @@ type ScenarioConfig struct {
 	// chunks from already-updated devices, and the terminal audit checks
 	// the swarm's byte-conservation ledger.
 	SwarmRollout bool
-	// SwarmChunkBytes is the swarm manifest chunk size (default 64 — small
-	// against the scenario's tiny artifacts, so every transfer spans many
-	// chunks and the per-chunk fault machinery is actually exercised).
-	SwarmChunkBytes int64
 	// ForceFull disables delta transfer for the rollout and every
 	// reconciliation sweep, so the scenario exercises the full-artifact
 	// transfer mode end to end.
@@ -175,12 +176,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if cfg.UpdateAttempts < 1 {
 		cfg.UpdateAttempts = 3
 	}
-	if cfg.ReconcileRounds < 1 {
-		cfg.ReconcileRounds = 4
-	}
-	if cfg.PrepaidQueries == 0 {
-		cfg.PrepaidQueries = 1 << 20
-	}
 	perProfile := (cfg.Devices + 5) / 6
 
 	// Fleet and platform.
@@ -204,12 +199,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// plane's deterministic peer-churn weather.
 	var sw *swarm.Swarm
 	if cfg.SwarmRollout {
-		chunk := cfg.SwarmChunkBytes
-		if chunk <= 0 {
-			chunk = 64
-		}
 		sw, err = p.NewSwarm(core.SwarmOptions{
-			ChunkBytes: chunk,
+			ChunkBytes: swarmChunkBytes,
 			Seed:       cfg.Chaos.Seed + 0x5735,
 			PeerDrop:   plane.SwarmDrop(),
 		})
@@ -284,7 +275,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		{pvmIDs, selector.Policy{Kinds: []string{registry.KindProcVM}}, ""},
 	} {
 		if _, err := p.DeployMany(cohort.ids, "chaos", core.DeployConfig{
-			PrepaidQueries: cfg.PrepaidQueries, Calibration: ds,
+			PrepaidQueries: prepaidQueries, Calibration: ds,
 			Policy: cohort.policy, Watermark: cohort.watermark,
 		}); err != nil {
 			return nil, err
@@ -325,8 +316,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// gating behavior.
 	round := uint64(0)
 	rr, err := p.Rollout(v2, core.RolloutConfig{
-		Waves: cfg.Waves,
-		Seed:  cfg.Seed,
+		Seed: cfg.Seed,
 		Gate: rollout.Gate{
 			MaxDriftFraction:   1,
 			MaxErrorRate:       0.99,
@@ -406,7 +396,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 		return n, err
 	}
-	for sweep := 0; sweep < cfg.ReconcileRounds; sweep++ {
+	for sweep := 0; sweep < reconcileRounds; sweep++ {
 		round++
 		plane.ApplyRound(round, devs)
 		if sw != nil {

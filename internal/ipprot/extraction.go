@@ -199,10 +199,9 @@ func renormalizeRows(p *tensor.Tensor) {
 
 // ExtractConfig controls the student-teacher extraction attack.
 type ExtractConfig struct {
-	Epochs    int
-	BatchSize int
-	LR        float32
-	RNG       *tensor.RNG
+	Epochs int
+	LR     float32
+	RNG    *tensor.RNG
 }
 
 // Extract trains student to mimic the black box on the attacker's query
@@ -217,20 +216,18 @@ func Extract(bb BlackBox, student *nn.Network, queryX *tensor.Tensor, cfg Extrac
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 10
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
-	}
 	if cfg.LR <= 0 {
 		cfg.LR = 0.05
 	}
+	const extractBatch = 32
 	n := queryX.Dim(0)
 	es := queryX.Size() / n
 	probs := bb(queryX) // one pass over the query budget, cached
 	opt := nn.NewSGD(cfg.LR).WithMomentum(0.9)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		perm := cfg.RNG.Perm(n)
-		for lo := 0; lo < n; lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
+		for lo := 0; lo < n; lo += extractBatch {
+			hi := lo + extractBatch
 			if hi > n {
 				hi = n
 			}

@@ -15,29 +15,29 @@ import (
 // X·w and thresholds at zero. Verification requires white-box access to
 // the weights — the trade-off §V describes for static schemes.
 
-// StaticWMConfig controls embedding strength.
+// Embedding strength, fixed at values good for this repository's scales.
+const (
+	// wmSteps and wmLR drive the embedding optimization. The step budget is
+	// generous: embedding stops early as soon as every bit clears the
+	// margin, so the cap only matters for high capacity-to-carrier ratios.
+	wmSteps         = 4000
+	wmLR    float32 = 0.05
+	// wmLambda penalizes distance from the original weights (fidelity).
+	wmLambda float32 = 0.005
+	// wmMargin is the minimum |X·w| each bit is driven to: a larger margin
+	// survives more pruning or fine-tuning at a larger fidelity cost.
+	wmMargin float32 = 2
+)
+
+// StaticWMConfig places the mark.
 type StaticWMConfig struct {
 	// Layer selects which dense layer's weights carry the mark (index
 	// among the network's dense layers, not all layers).
 	Layer int
-	// Steps and LR drive the embedding optimization.
-	Steps int
-	LR    float32
-	// Lambda penalizes distance from the original weights (fidelity).
-	Lambda float32
-	// Margin is the minimum |X·w| each bit is driven to; larger margins
-	// survive more post-hoc distortion (pruning, fine-tuning) at a larger
-	// fidelity cost — the E8 robustness knob.
-	Margin float32
 }
 
-// DefaultStaticWMConfig returns embedding defaults good for the
-// experiment scales in this repository. The step budget is generous:
-// embedding stops early as soon as every bit clears the margin, so the
-// cap only matters for high capacity-to-carrier ratios.
-func DefaultStaticWMConfig() StaticWMConfig {
-	return StaticWMConfig{Layer: 0, Steps: 4000, LR: 0.05, Lambda: 0.005, Margin: 2}
-}
+// DefaultStaticWMConfig marks the first dense layer.
+func DefaultStaticWMConfig() StaticWMConfig { return StaticWMConfig{} }
 
 // denseLayers returns the dense layers of a network in order.
 func denseLayers(net *nn.Network) []*nn.Dense {
@@ -73,15 +73,6 @@ func EmbedStatic(net *nn.Network, key string, bits []bool, cfg StaticWMConfig) e
 	if len(bits) > n/2 {
 		return fmt.Errorf("ipprot: capacity %d too large for %d weights", len(bits), n)
 	}
-	if cfg.Steps <= 0 {
-		cfg.Steps = 4000
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = 0.05
-	}
-	if cfg.Margin <= 0 {
-		cfg.Margin = 2
-	}
 	x := projection(key, len(bits), n)
 	w0 := append([]float32(nil), w.Data...)
 	sign := make([]float32, len(bits))
@@ -93,9 +84,9 @@ func EmbedStatic(net *nn.Network, key string, bits []bool, cfg StaticWMConfig) e
 		}
 	}
 	grad := make([]float32, n)
-	for step := 0; step < cfg.Steps; step++ {
+	for step := 0; step < wmSteps; step++ {
 		for i := range grad {
-			grad[i] = 2 * cfg.Lambda * (w.Data[i] - w0[i])
+			grad[i] = 2 * wmLambda * (w.Data[i] - w0[i])
 		}
 		// Hinge on each bit: push s·(X·w) past the margin.
 		satisfied := 0
@@ -105,7 +96,7 @@ func EmbedStatic(net *nn.Network, key string, bits []bool, cfg StaticWMConfig) e
 			for i, wi := range w.Data {
 				dot += float64(row[i]) * float64(wi)
 			}
-			if float32(dot)*sign[r] >= cfg.Margin {
+			if float32(dot)*sign[r] >= wmMargin {
 				satisfied++
 				continue
 			}
@@ -118,17 +109,17 @@ func EmbedStatic(net *nn.Network, key string, bits []bool, cfg StaticWMConfig) e
 			return nil
 		}
 		for i := range w.Data {
-			w.Data[i] -= cfg.LR * grad[i]
+			w.Data[i] -= wmLR * grad[i]
 		}
 	}
 	// Verify the mark actually took; with a sane capacity this converges
-	// long before Steps runs out.
+	// long before wmSteps runs out.
 	got, err := ExtractStatic(net, key, len(bits), cfg)
 	if err != nil {
 		return err
 	}
 	if BitErrorRate(bits, got) > 0 {
-		return fmt.Errorf("ipprot: embedding did not converge in %d steps (capacity %d)", cfg.Steps, len(bits))
+		return fmt.Errorf("ipprot: embedding did not converge in %d steps (capacity %d)", wmSteps, len(bits))
 	}
 	return nil
 }

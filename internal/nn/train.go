@@ -17,8 +17,6 @@ type TrainConfig struct {
 	// backpropagated and may add additional parameter gradients — the hook
 	// watermark embedding and FedProx's proximal term use.
 	ExtraGrad func(net *Network)
-	// OnEpoch, if non-nil, receives (epoch, meanLoss) after each epoch.
-	OnEpoch func(epoch int, loss float32)
 }
 
 // Train runs mini-batch classification training of net on (x, labels) with
@@ -65,9 +63,6 @@ func Train(net *Network, x *tensor.Tensor, labels []int, cfg TrainConfig) (float
 			batches++
 		}
 		lastLoss = float32(epochLoss / float64(batches))
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, lastLoss)
-		}
 	}
 	return lastLoss, nil
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // ErrShed is returned by Submit when the bounded admission queue is full.
-// Shedding is the cloud tier's overload valve: the device retries on the
-// engine's deterministic backoff schedule and, if the retries exhaust,
-// finishes the query locally — the cloud being busy must never lose a
+// Shedding is the cloud tier's overload valve: the device retries
+// (shedAttempts tries in all) and, if the retries exhaust, finishes the
+// query locally — the cloud being busy must never lose a
 // query, only move its compute back to the edge.
 var ErrShed = errors.New("offload: admission queue full")
 
@@ -29,9 +29,6 @@ var ErrUnknownModel = errors.New("offload: unknown model version")
 
 // CloudConfig sizes a CloudTier.
 type CloudConfig struct {
-	// Caps models the cloud-side hardware for per-query latency accounting
-	// (default: the wall-powered edge-gateway profile).
-	Caps device.Capabilities
 	// MaxBatch bounds how many queued suffix requests one dispatch
 	// coalesces into a single executor call (default 16). Coalescing is
 	// opportunistic: a dispatcher drains whatever is queued up to this
@@ -121,6 +118,8 @@ type class struct {
 // results.
 type CloudTier struct {
 	cfg CloudConfig
+	// caps models the cloud hardware: the wall-powered edge-server profile.
+	caps device.Capabilities
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -139,13 +138,6 @@ type CloudTier struct {
 // begin serving; Submit before Start queues (and may shed) but is not
 // served until dispatchers run.
 func NewCloud(cfg CloudConfig) *CloudTier {
-	if cfg.Caps.Name == "" {
-		for _, p := range device.StandardProfiles() {
-			if p.Class == device.ClassEdgeServer {
-				cfg.Caps = p
-			}
-		}
-	}
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 16
 	}
@@ -160,12 +152,17 @@ func NewCloud(cfg CloudConfig) *CloudTier {
 		models:  make(map[string]exec.Executor),
 		classes: make(map[classKey]*class),
 	}
+	for _, p := range device.StandardProfiles() {
+		if p.Class == device.ClassEdgeServer {
+			c.caps = p
+		}
+	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
 // Caps returns the modeled cloud hardware profile.
-func (c *CloudTier) Caps() device.Capabilities { return c.cfg.Caps }
+func (c *CloudTier) Caps() device.Capabilities { return c.caps }
 
 // Register makes a model version servable from its executor: a float
 // network, an integer-native model resumed from quantized boundary codes,
@@ -237,14 +234,6 @@ func (c *CloudTier) Close() {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.wg.Wait()
-}
-
-// QueueDepth returns the number of admitted, not yet served requests —
-// the congestion signal replanners watch.
-func (c *CloudTier) QueueDepth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.queued
 }
 
 // Stats returns a snapshot of the serving counters.
@@ -394,7 +383,7 @@ func (c *CloudTier) execBatch(cl *class, reqs []*request, ar *engine.Arena) {
 	}
 	out, err := cl.ex.Resume(bs, cl.key.cut, ar)
 	// Protected execution pays the enclave's slowdown on cloud compute.
-	perQuery := time.Duration(float64(c.cfg.Caps.InferenceLatency(cl.sufMACs, cl.ex.Bits())) * cl.ex.Slowdown())
+	perQuery := time.Duration(float64(c.caps.InferenceLatency(cl.sufMACs, cl.ex.Bits())) * cl.ex.Slowdown())
 	// Stats commit BEFORE any reply is delivered: a caller unblocked by
 	// its reply must observe its own request in Stats() — the chaos
 	// scenario's CloudServed == Split invariant depends on it.

@@ -15,14 +15,18 @@
 // bounded admission queue that coalesces concurrent suffix requests of
 // the same (version, cut) class into single executor calls, drains
 // tenants round-robin so no device starves, and sheds under overload —
-// shed queries retry on the engine's deterministic backoff and finish
-// locally if the cloud stays saturated.
+// a shed query is submitted three times in all (shedAttempts), with no
+// modeled delay between tries, and finishes locally if the cloud stays
+// saturated. The tier's hardware is the wall-powered edge-server profile.
 //
-// A Replanner closes the loop: it watches live bandwidth, battery and
-// cloud queue depth, re-runs market.BestSplit when conditions drift past
-// its trigger thresholds, and moves the cut only for a MinGain predicted
-// improvement — two-stage hysteresis, so the fault plane's weather
-// migrates the cut without making it flap.
+// A Replanner closes the loop: it watches live bandwidth and battery,
+// re-runs market.BestSplit when conditions drift past its trigger
+// thresholds, and moves the cut only for a predicted improvement —
+// two-stage hysteresis, so the fault plane's weather migrates the cut
+// without making it flap. The thresholds are the constants in replan.go
+// (bandwidth ×2 or crossing zero, battery 0.25, a 0.15 gain to move, the
+// energy objective below 0.1 battery); a ReplanConfig carries only the
+// round-trip time and an off switch.
 //
 // Neither half knows a variant kind. Both run an exec.Executor — the
 // session's built once from its SessionConfig, the tier's handed to

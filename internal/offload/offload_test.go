@@ -316,9 +316,9 @@ func encodeAct(t *testing.T, x *tensor.Tensor) []byte {
 func waitDepth(t *testing.T, c *CloudTier, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.QueueDepth() < want {
+	for c.Stats().MaxQueueDepth < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d never reached %d", c.QueueDepth(), want)
+			t.Fatalf("queue depth %d never reached %d", c.Stats().MaxQueueDepth, want)
 		}
 		time.Sleep(time.Millisecond)
 	}

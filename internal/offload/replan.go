@@ -10,78 +10,49 @@ import (
 )
 
 // Conditions is the live telemetry a replanner watches: the device's
-// current uplink, its battery level, and the cloud tier's congestion.
+// current uplink and its battery level.
 type Conditions struct {
 	// BandwidthBps is the device's uplink in bytes/second (0 = offline).
 	BandwidthBps float64
 	// Battery is the device battery fraction in [0,1].
 	Battery float64
-	// QueueDepth is the cloud admission queue's current depth.
-	QueueDepth int
 }
 
-// ReplanConfig tunes when a session re-runs BestSplit and how reluctant it
-// is to move the cut. The hysteresis is two-stage: conditions must drift
-// past a trigger threshold before the planner even re-evaluates, and a new
-// cut is adopted only when its predicted total beats the current cut's
-// total (under the new conditions) by MinGain — so small oscillations in
-// bandwidth or battery never make the cut flap.
+// The hysteresis is two-stage and fixed: conditions must drift past a
+// trigger threshold before the planner even re-evaluates, and a new cut is
+// adopted only when its predicted total beats the current cut's total
+// (under the new conditions) by minGain — so small oscillations in bandwidth
+// or battery never make the cut flap.
+const (
+	// bandwidthFactor and batteryDelta trigger re-evaluation: bandwidth moved
+	// by at least this factor (either direction) since the last plan or
+	// crossed zero, or the battery fraction moved by at least this much.
+	bandwidthFactor float64 = 2
+	batteryDelta    float64 = 0.25
+	// minGain is the fractional improvement a new cut must show before it
+	// replaces the current one.
+	minGain float64 = 0.15
+	// lowBattery switches the objective from latency to device energy: below
+	// it a battery-powered device picks the cut that spends the fewest
+	// joules, not the fastest answer.
+	lowBattery float64 = 0.1
+)
+
+// ReplanConfig tunes a session's re-planning loop.
 type ReplanConfig struct {
-	// Cloud models the cloud-side hardware (defaults to the tier's caps).
-	Cloud device.Capabilities
 	// RTT is the fixed round-trip added to any plan touching the cloud.
 	RTT time.Duration
-	// BandwidthFactor triggers re-evaluation when bandwidth moves by at
-	// least this factor (either direction) since the last plan, or crosses
-	// zero (default 2).
-	BandwidthFactor float64
-	// BatteryDelta triggers re-evaluation when the battery fraction moves
-	// by at least this much since the last plan (default 0.25).
-	BatteryDelta float64
-	// QueueHigh, when positive, triggers re-evaluation when the cloud
-	// queue depth crosses this level in either direction.
-	QueueHigh int
-	// QueuePenalty models congestion in the re-planned RTT: each queued
-	// request adds this much (default 0 = congestion-blind).
-	QueuePenalty time.Duration
-	// MinGain is the fractional latency improvement a new cut must show
-	// before it replaces the current one (default 0.15).
-	MinGain float64
-	// LowBattery switches the objective from latency to device energy
-	// when a battery-powered device falls below this fraction (default
-	// 0.1): a dying device picks the cut that spends the fewest joules,
-	// not the fastest answer.
-	LowBattery float64
 	// Disabled freezes the initial plan for the session's lifetime.
 	Disabled bool
 }
 
-func (c ReplanConfig) withDefaults(cloud device.Capabilities) ReplanConfig {
-	if c.Cloud.Name == "" {
-		c.Cloud = cloud
-	}
-	if c.BandwidthFactor <= 1 {
-		c.BandwidthFactor = 2
-	}
-	if c.BatteryDelta <= 0 {
-		c.BatteryDelta = 0.25
-	}
-	if c.MinGain <= 0 {
-		c.MinGain = 0.15
-	}
-	if c.LowBattery == 0 {
-		c.LowBattery = 0.1
-	}
-	return c
-}
-
 // Replanner owns a session's live SplitPlan: it re-runs market.BestSplit
-// when observed conditions drift past the configured thresholds and moves
-// the cut only when the predicted gain clears the hysteresis bar. Not safe
+// when observed conditions drift past the trigger thresholds and moves the
+// cut only when the predicted gain clears the hysteresis bar. Not safe
 // for concurrent use — the owning session serializes access.
 type Replanner struct {
 	cfg        ReplanConfig
-	dev        device.Capabilities
+	dev, cloud device.Capabilities
 	costs      []nn.LayerCost
 	bits       int
 	inputBytes int64
@@ -95,7 +66,7 @@ type Replanner struct {
 // or with the explicit initial plan when non-nil.
 func NewReplanner(cfg ReplanConfig, dev, cloud device.Capabilities, costs []nn.LayerCost, bits int, inputBytes int64, initial *market.SplitPlan, cond Conditions) (*Replanner, error) {
 	r := &Replanner{
-		cfg: cfg.withDefaults(cloud), dev: dev, costs: costs,
+		cfg: cfg, dev: dev, cloud: cloud, costs: costs,
 		bits: bits, inputBytes: inputBytes, planned: cond,
 	}
 	if initial != nil {
@@ -105,7 +76,7 @@ func NewReplanner(cfg ReplanConfig, dev, cloud device.Capabilities, costs []nn.L
 		r.plan = *initial
 		return r, nil
 	}
-	best, _, err := market.BestSplit(costs, dev, r.cfg.Cloud, bits, cond.BandwidthBps, r.cfg.RTT, inputBytes)
+	best, _, err := market.BestSplit(costs, dev, cloud, bits, cond.BandwidthBps, cfg.RTT, inputBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -127,8 +98,7 @@ func (r *Replanner) Observe(cond Conditions) (market.SplitPlan, bool) {
 	}
 	r.replans++
 	r.planned = cond // anchor hysteresis to what we just evaluated
-	rtt := r.cfg.RTT + time.Duration(cond.QueueDepth)*r.cfg.QueuePenalty
-	best, curve, err := market.BestSplit(r.costs, r.dev, r.cfg.Cloud, r.bits, cond.BandwidthBps, rtt, r.inputBytes)
+	best, curve, err := market.BestSplit(r.costs, r.dev, r.cloud, r.bits, cond.BandwidthBps, r.cfg.RTT, r.inputBytes)
 	if err != nil {
 		return r.plan, false
 	}
@@ -140,13 +110,13 @@ func (r *Replanner) Observe(cond Conditions) (market.SplitPlan, bool) {
 	}
 	current := curve[oldCut] // same cut, re-costed under the new conditions
 	candidate := best
-	if r.lowBattery(cond) {
+	if r.dev.BatteryJoule > 0 && cond.Battery < lowBattery {
 		candidate = r.minEnergyPlan(curve)
-		// Energy hysteresis: move only for a MinGain energy saving.
-		if r.deviceEnergy(candidate.Cut) > (1-r.cfg.MinGain)*r.deviceEnergy(oldCut) {
+		// Energy hysteresis: move only for a minGain energy saving.
+		if r.deviceEnergy(candidate.Cut) > (1-minGain)*r.deviceEnergy(oldCut) {
 			candidate = current
 		}
-	} else if float64(candidate.Total) > (1-r.cfg.MinGain)*float64(current.Total) {
+	} else if float64(candidate.Total) > (1-minGain)*float64(current.Total) {
 		// The best cut doesn't beat the current one by enough: keep it.
 		candidate = current
 	}
@@ -166,21 +136,12 @@ func (r *Replanner) drifted(c Conditions) bool {
 		if ratio < 1 {
 			ratio = 1 / ratio
 		}
-		if ratio >= r.cfg.BandwidthFactor {
+		if ratio >= bandwidthFactor {
 			return true
 		}
 	}
-	if diff := c.Battery - r.planned.Battery; diff >= r.cfg.BatteryDelta || -diff >= r.cfg.BatteryDelta {
-		return true
-	}
-	if r.cfg.QueueHigh > 0 && (c.QueueDepth >= r.cfg.QueueHigh) != (r.planned.QueueDepth >= r.cfg.QueueHigh) {
-		return true
-	}
-	return false
-}
-
-func (r *Replanner) lowBattery(c Conditions) bool {
-	return r.dev.BatteryJoule > 0 && r.cfg.LowBattery > 0 && c.Battery < r.cfg.LowBattery
+	diff := c.Battery - r.planned.Battery
+	return diff >= batteryDelta || -diff >= batteryDelta
 }
 
 // txBytes is the planner's approximation of what crosses the uplink at a

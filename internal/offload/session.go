@@ -18,6 +18,10 @@ import (
 	"tinymlops/internal/tensor"
 )
 
+// shedAttempts is how many times a session submits a query the cloud keeps
+// shedding before it finishes the suffix on the device.
+const shedAttempts = 3
+
 // ErrMetered is wrapped by Infer when the prepaid meter denies the query.
 // The denial happens before any compute: no prefix runs, no byte moves.
 var ErrMetered = errors.New("offload: query denied by meter")
@@ -61,7 +65,7 @@ type Result struct {
 	// forward pass regardless of Mode.
 	Logits []float32
 	// Latency is the modeled end-to-end time: device prefix + uplink +
-	// retry backoff + cloud compute + downlink (terms zero when unused).
+	// cloud compute + downlink (terms zero when unused).
 	Latency time.Duration
 	// Mode is how the query executed; Cut is the plan it executed under.
 	Mode Mode
@@ -136,8 +140,6 @@ type SessionConfig struct {
 	Meter *metering.Meter
 	// Cloud is the suffix-serving tier.
 	Cloud *CloudTier
-	// Retry bounds re-admission after cloud shedding (default 3 attempts).
-	Retry engine.RetryPolicy
 	// Replan tunes the live re-planning loop.
 	Replan ReplanConfig
 	// Plan, when non-nil, is the initial split; otherwise the session
@@ -200,9 +202,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Bits <= 0 {
 		cfg.Bits = 32
 	}
-	if cfg.Retry.Attempts < 1 {
-		cfg.Retry.Attempts = 3
-	}
 	ex, err := cfg.executor()
 	if err != nil {
 		return nil, err
@@ -229,7 +228,6 @@ func (s *Session) conditions() Conditions {
 	return Conditions{
 		BandwidthBps: s.cfg.Device.Net().Bandwidth(),
 		Battery:      s.cfg.Device.BatteryLevel(),
-		QueueDepth:   s.cfg.Cloud.QueueDepth(),
 	}
 }
 
@@ -330,7 +328,7 @@ func (s *Session) exec(x []float32) (Result, error) {
 	s.stats.ActivationBytes += int64(len(payload))
 
 	var resp Response
-	rr, err := engine.Retry(s.cfg.Retry,
+	attempts, err := engine.Retry(engine.RetryPolicy{Attempts: shedAttempts},
 		func(e error) bool { return errors.Is(e, ErrShed) },
 		func(int) error {
 			r, serr := s.cfg.Cloud.Submit(s.cfg.Tenant, s.cfg.VersionID, cut, payload)
@@ -339,18 +337,18 @@ func (s *Session) exec(x []float32) (Result, error) {
 			}
 			return serr
 		})
-	s.stats.ShedRetries += int64(rr.Attempts - 1)
+	s.stats.ShedRetries += int64(attempts - 1)
 	if err != nil {
 		// The cloud shed us past the retry budget (or is closed): the
 		// uplink bytes are spent, but the query must still answer.
-		return s.finishLocal(res, act, cut, prefixLat+upDur+rr.Backoff, ModeFallback)
+		return s.finishLocal(res, act, cut, prefixLat+upDur, ModeFallback)
 	}
 
 	dnDur, err := dev.Download(int64(len(resp.Payload)))
 	if err != nil {
 		// The answer was computed but the downlink is gone; recompute the
 		// suffix locally rather than losing the query.
-		return s.finishLocal(res, act, cut, prefixLat+upDur+rr.Backoff+resp.Latency, ModeFallback)
+		return s.finishLocal(res, act, cut, prefixLat+upDur+resp.Latency, ModeFallback)
 	}
 	var out tensor.Tensor
 	r := bytes.NewReader(resp.Payload)
@@ -361,7 +359,7 @@ func (s *Session) exec(x []float32) (Result, error) {
 		return Result{}, fmt.Errorf("offload: decode result: %d trailing bytes after the logits", r.Len())
 	}
 	res.Mode = ModeSplit
-	res.Latency = prefixLat + upDur + rr.Backoff + resp.Latency + dnDur
+	res.Latency = prefixLat + upDur + resp.Latency + dnDur
 	res.ResponseBytes = int64(len(resp.Payload))
 	res.CloudBatch = resp.BatchSize
 	// The decoded response is fresh storage the caller may keep.

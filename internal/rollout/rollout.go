@@ -139,8 +139,8 @@ type Config struct {
 	AfterWave func(wave Wave, deviceIDs []string)
 	// Retry bounds per-device update attempts within a wave (zero value =
 	// a single attempt). Retries run inline in the device's own indexed
-	// task with a deterministic backoff schedule, so a flaky fleet still
-	// rolls out bit-identically at any worker count.
+	// task, so a flaky fleet still rolls out bit-identically at any worker
+	// count.
 	Retry engine.RetryPolicy
 	// Retryable classifies update errors worth another attempt (nil
 	// retries everything). Pass a transient-fault classifier so permanent
@@ -313,12 +313,12 @@ func (c *Controller) Run(t Target, cfg Config) (*Result, error) {
 			// device finishes flashing the remainder instead of failing the
 			// wave or re-shipping the image from byte zero.
 			var tr Transfer
-			rr, uerr := engine.Retry(cfg.Retry, cfg.Retryable, func(int) error {
+			attempts, uerr := engine.Retry(cfg.Retry, cfg.Retryable, func(int) error {
 				var terr error
 				tr, terr = t.Update(id)
 				return terr
 			})
-			out.Attempts = rr.Attempts
+			out.Attempts = attempts
 			if uerr != nil {
 				out.UpdateErr = uerr.Error()
 			} else {

@@ -9,7 +9,24 @@ import (
 	"tinymlops/internal/registry"
 )
 
-// Policy weights the selection objectives and sets hard constraints.
+// The objective is fixed: accuracy, minus latency, download and energy
+// penalties at the weights used across the experiments. The latency and
+// download penalties are unit-free against absolute budgets — a candidate at
+// the budget costs its full weight, one far below it almost nothing. Energy
+// is normalized relative to the most expensive feasible candidate (what
+// matters for battery life is the choice among alternatives).
+const (
+	wAccuracy float64 = 1.0
+	wLatency  float64 = 0.4
+	wDownload float64 = 0.15
+	wEnergy   float64 = 0.15
+
+	latencyRef  = 100 * time.Millisecond
+	downloadRef = 60 * time.Second
+)
+
+// Policy sets the hard constraints of a selection and whether the objective
+// looks at the battery.
 type Policy struct {
 	// MinAccuracy rejects variants below this validation accuracy.
 	MinAccuracy float64
@@ -27,56 +44,13 @@ type Policy struct {
 	// the Schemes pin.
 	Kinds []string
 
-	// LatencyRef and DownloadRef are the absolute budgets that make the
-	// latency and download penalties unit-free: a candidate at the
-	// reference costs its full weight, a candidate far below it costs
-	// almost nothing. Defaults: 100ms and 60s. Energy is normalized
-	// relative to the most expensive feasible candidate (what matters for
-	// battery life is the choice among alternatives).
-	LatencyRef  time.Duration
-	DownloadRef time.Duration
-
-	// Objective weights (≥0). A zero Policy gets DefaultPolicy weights.
-	WAccuracy float64
-	WLatency  float64
-	WDownload float64
-	WEnergy   float64
-
-	// BatteryAware boosts the energy weight ×4 when the device is below
-	// 30% battery and not charging.
+	// BatteryAware drops the energy penalty on a charging device and boosts
+	// its weight ×4 when the device is below 30% battery and not charging.
 	BatteryAware bool
 }
 
-// DefaultPolicy returns the weights used across the experiments.
-func DefaultPolicy() Policy {
-	return Policy{
-		MinAccuracy:  0,
-		LatencyRef:   100 * time.Millisecond,
-		DownloadRef:  60 * time.Second,
-		WAccuracy:    1.0,
-		WLatency:     0.4,
-		WDownload:    0.15,
-		WEnergy:      0.15,
-		BatteryAware: true,
-	}
-}
-
-func (p Policy) normalized() Policy {
-	if p.WAccuracy == 0 && p.WLatency == 0 && p.WDownload == 0 && p.WEnergy == 0 {
-		d := DefaultPolicy()
-		d.MinAccuracy, d.MaxLatency, d.BatteryAware = p.MinAccuracy, p.MaxLatency, p.BatteryAware
-		d.Schemes = p.Schemes
-		d.Kinds = p.Kinds
-		p = d
-	}
-	if p.LatencyRef <= 0 {
-		p.LatencyRef = 100 * time.Millisecond
-	}
-	if p.DownloadRef <= 0 {
-		p.DownloadRef = 60 * time.Second
-	}
-	return p
-}
+// DefaultPolicy is the experiments' policy: no hard constraint, battery-aware.
+func DefaultPolicy() Policy { return Policy{BatteryAware: true} }
 
 // Evaluation is the per-candidate record of a selection decision.
 type Evaluation struct {
@@ -105,7 +79,6 @@ func Select(dev *device.Device, candidates []*registry.ModelVersion, policy Poli
 	if len(candidates) == 0 {
 		return Decision{}, fmt.Errorf("selector: no candidates")
 	}
-	policy = policy.normalized()
 	evals := make([]Evaluation, 0, len(candidates))
 	bw := dev.Net().Bandwidth()
 	for _, v := range candidates {
@@ -133,7 +106,7 @@ func Select(dev *device.Device, candidates []*registry.ModelVersion, policy Poli
 	}
 
 	// Energy is normalized relative to the most expensive feasible
-	// candidate; latency and download against the absolute policy budgets.
+	// candidate; latency and download against the absolute budgets.
 	var maxEn float64
 	feasibleCount := 0
 	for _, ev := range evals {
@@ -148,15 +121,15 @@ func Select(dev *device.Device, candidates []*registry.ModelVersion, policy Poli
 	if feasibleCount == 0 {
 		return Decision{Evaluations: evals}, fmt.Errorf("selector: no feasible variant for device %s", dev.ID)
 	}
-	wEnergy := policy.WEnergy
+	energyWeight := wEnergy
 	if policy.BatteryAware {
 		switch {
 		case dev.Charging():
 			// Wall power or charger: energy is a non-issue (§III-A).
-			wEnergy = 0
+			energyWeight = 0
 		case dev.BatteryLevel() < 0.3:
 			// Running low: energy dominates.
-			wEnergy *= 4
+			energyWeight *= 4
 		}
 	}
 	best := -1
@@ -165,11 +138,11 @@ func Select(dev *device.Device, candidates []*registry.ModelVersion, policy Poli
 		if !ev.Feasible {
 			continue
 		}
-		score := policy.WAccuracy * ev.Version.Metrics.Accuracy
-		score -= policy.WLatency * capAt1(float64(ev.Latency)/float64(policy.LatencyRef))
-		score -= policy.WDownload * capAt1(float64(ev.DownloadTime)/float64(policy.DownloadRef))
+		score := wAccuracy * ev.Version.Metrics.Accuracy
+		score -= wLatency * capAt1(float64(ev.Latency)/float64(latencyRef))
+		score -= wDownload * capAt1(float64(ev.DownloadTime)/float64(downloadRef))
 		if maxEn > 0 {
-			score -= wEnergy * ev.EnergyJoule / maxEn
+			score -= energyWeight * ev.EnergyJoule / maxEn
 		}
 		ev.Score = score
 		if best < 0 || score > evals[best].Score {

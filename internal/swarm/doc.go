@@ -11,7 +11,8 @@
 // pending seeders, wave promotion freezes them into a sorted active set,
 // and the next wave's devices fetch chunks from SeedForID-assigned peers
 // with the registry serving only the canary wave and acting as seeder of
-// last resort. Transfers reuse the device staging-slot discipline, so a
+// last resort: a chunk attempt probes at most three seeders (maxPeerTries,
+// a constant) before falling back to it. Transfers reuse the device staging-slot discipline, so a
 // swarm transfer interrupted mid-chunk resumes from the exact byte and
 // every byte is downloaded and flashed exactly once — the Stats ledger
 // proves byte conservation (registry egress + peer bytes == delivered

@@ -31,6 +31,10 @@ func (f SourceFunc) Bytes(key string) ([]byte, error) { return f(key) }
 // peer, key, chunk), so swarm weather reproduces at any worker count.
 type DropFunc func(wave uint64, attempt int, fetcherID, peerID, key string, chunk int) float64
 
+// maxPeerTries bounds the seeder candidates probed per chunk attempt before
+// falling back to the registry.
+const maxPeerTries = 3
+
 // Config configures a Swarm.
 type Config struct {
 	// Source resolves artifact keys to canonical bytes (required).
@@ -41,9 +45,6 @@ type Config struct {
 	ChunkBytes int64
 	// Seed roots the deterministic peer assignment.
 	Seed uint64
-	// MaxPeerTries bounds seeder candidates probed per chunk attempt before
-	// falling back to the registry (0 = 3).
-	MaxPeerTries int
 	// PeerDrop, when non-nil, injects mid-chunk peer churn.
 	PeerDrop DropFunc
 }
@@ -151,9 +152,6 @@ func New(cfg Config) (*Swarm, error) {
 	}
 	if cfg.ChunkBytes < 1 {
 		return nil, fmt.Errorf("swarm: chunk size %d", cfg.ChunkBytes)
-	}
-	if cfg.MaxPeerTries <= 0 {
-		cfg.MaxPeerTries = 3
 	}
 	return &Swarm{
 		cfg:       cfg,
@@ -298,7 +296,7 @@ func (s *Swarm) materialize(key string) (*Manifest, []byte, error) {
 
 // pickSource chooses the serving side for one chunk attempt: a rotation
 // over the wave's frozen seeder set starting at a SeedForID-derived index,
-// probing up to MaxPeerTries online candidates, with the registry as the
+// probing up to maxPeerTries online candidates, with the registry as the
 // seeder of last resort. Pure in (wave, active set, fetcher, key, chunk,
 // attempt) plus the candidates' frozen connectivity.
 func (s *Swarm) pickSource(fetcherID, key string, chunk, attempt int) (string, *device.Device) {
@@ -311,7 +309,7 @@ func (s *Swarm) pickSource(fetcherID, key string, chunk, attempt int) (string, *
 	}
 	start := int(engine.SeedForID(s.cfg.Seed, wave,
 		fmt.Sprintf("assign|%s|%s|%d|%d", fetcherID, key, chunk, attempt)) % uint64(len(seeders)))
-	tries := s.cfg.MaxPeerTries
+	tries := maxPeerTries
 	if tries > len(seeders) {
 		tries = len(seeders)
 	}

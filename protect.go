@@ -63,10 +63,10 @@ func ExtractModel(bb BlackBox, student *Network, queries *Tensor, cfg Extraction
 // Agreement returns argmax agreement between two black boxes.
 func Agreement(a, b BlackBox, x *Tensor) float64 { return ipprot.Agreement(a, b, x) }
 
-// StaticWatermarkConfig controls white-box watermark embedding.
+// StaticWatermarkConfig names the dense layer that carries a white-box mark.
 type StaticWatermarkConfig = ipprot.StaticWMConfig
 
-// DefaultStaticWatermarkConfig returns embedding defaults.
+// DefaultStaticWatermarkConfig marks the first dense layer.
 func DefaultStaticWatermarkConfig() StaticWatermarkConfig { return ipprot.DefaultStaticWMConfig() }
 
 // EmbedWatermark embeds an owner-keyed bit string into the model weights.

@@ -109,7 +109,7 @@ func RunChaosScenario(cfg ChaosScenarioConfig) (*faults.ScenarioResult, error) {
 }
 
 // SwarmOptions configures Platform.NewSwarm (chunk size, seed, peer-drop
-// weather, per-chunk retry budget): peer-to-peer OTA distribution of
+// weather): peer-to-peer OTA distribution of
 // content-addressed chunks under a byte-conservation ledger. Pass the swarm
 // to RolloutConfig.Swarm.
 type SwarmOptions = core.SwarmOptions
@@ -160,15 +160,15 @@ const (
 	OffloadFallback = offload.ModeFallback
 )
 
-// OffloadReplanConfig tunes when a session re-runs BestSplit and how
-// reluctant it is to move the cut (two-stage hysteresis).
+// OffloadReplanConfig sets a session's planning round-trip time, or
+// freezes its initial plan; the re-planning thresholds are fixed.
 type OffloadReplanConfig = offload.ReplanConfig
 
 // Portable protected execution: compat→procvm lowering, registry-first
 // compiled artifacts and enclave-hosted trusted offload.
 
 // ProcVMCompileOptions controls CompileProcVM (module name, capability
-// manifest, verification probes and lowering tolerance).
+// manifest and lowering tolerance).
 type ProcVMCompileOptions = compat.CompileOptions
 
 // CompileProcVM lowers a trained network into a procvm module — the
@@ -206,8 +206,8 @@ type OptimizationSpec = registry.OptimizationSpec
 
 // Selection types.
 
-// SelectionPolicy weighs accuracy, latency, download and energy when
-// choosing a variant for a device context.
+// SelectionPolicy constrains the choice of a variant for a device context:
+// accuracy floor, latency bound, scheme and kind pins, battery awareness.
 type SelectionPolicy = selector.Policy
 
 // Fleet types.
