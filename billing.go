@@ -13,8 +13,9 @@ import (
 // before accepting any usage claim.
 
 // AttestedReport is a settlement report carrying inference attestations.
-// It is a wire superset of the plain report: legacy settlers ignore the
-// attestations, legacy devices settle with none.
+// It is the one report the settlement socket carries: a settler with
+// verified billing off ignores the attestations, a device with it off
+// settles with none.
 type AttestedReport = metering.AttestedReport
 
 // SettleAttestedOverTCP submits an attested report to a settlement

@@ -1,12 +1,14 @@
 package faults
 
 import (
+	"net"
 	"strings"
 	"testing"
 
 	"tinymlops/internal/core"
 	"tinymlops/internal/dataset"
 	"tinymlops/internal/device"
+	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/registry"
 	"tinymlops/internal/tensor"
@@ -315,5 +317,38 @@ func TestAuditFlagsUndeployedPartialInstall(t *testing.T) {
 	}
 	if !strings.Contains(rep.Violations[0], "undeployed device stuck mid-install") {
 		t.Fatalf("violation: %q", rep.Violations[0])
+	}
+}
+
+// TestAuditIgnoresUnauthenticatedRejection: a stranger who has seen a
+// device's voucher ID sends a report under it whose signature does not
+// verify. The settler refuses it without touching the voucher's record, so
+// the audit's fraud flag — the latest verdict on each voucher — stays off
+// the honest device.
+func TestAuditIgnoresUnauthenticatedRejection(t *testing.T) {
+	p, _ := auditFixture(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := metering.Serve(l, p.Settler)
+	defer srv.Close()
+	dep := p.Deployments()[3]
+	forged := dep.Meter.BuildReport()
+	if err := metering.MustSettle(srv.Addr(), dep.Meter); err != nil {
+		t.Fatal(err)
+	}
+	forged.Voucher.Sig = append([]byte(nil), forged.Voucher.Sig...)
+	forged.Voucher.Sig[0] ^= 1
+	rc, err := metering.SettleOverTCP(srv.Addr(), forged)
+	if err != nil || rc.OK || rc.Reason != metering.ReasonBadVoucher {
+		t.Fatalf("forged report: %+v, %v", rc, err)
+	}
+	if rc, ok := p.Settler.LastReceipt(forged.Voucher.ID); !ok || !rc.OK {
+		t.Fatalf("the honest verdict became %+v", rc)
+	}
+	rep := Audit(p, AuditConfig{})
+	if !rep.OK() || rep.SettlementsChecked != 1 || rep.FraudFlagged != 0 {
+		t.Fatalf("audit after the forged report: %d settlements checked, flagged %v, violations %v", rep.SettlementsChecked, rep.FraudDevices, rep.Violations)
 	}
 }

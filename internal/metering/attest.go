@@ -44,8 +44,8 @@ type Attestation struct {
 }
 
 // AttestedReport is a settlement report plus the proof sample. It embeds
-// Report, so the wire encoding is a superset: a plain Report decodes as
-// an AttestedReport with no attestations.
+// Report, and it is what the settlement frame carries: a plain Report
+// travels as an AttestedReport with no attestations.
 type AttestedReport struct {
 	Report
 	Attestations []Attestation

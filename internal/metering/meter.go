@@ -97,17 +97,16 @@ func (m *Meter) ChargeSeq(tick uint64) (uint64, error) {
 	return e.Seq, nil
 }
 
+// chainHash is one SHA-256 over prev ‖ seq ‖ tick ‖ voucherID, assembled on
+// the stack: a charge allocates nothing. A voucher ID too long for the
+// buffer makes append move it to the heap, and the hash is the same.
 func chainHash(prev [32]byte, seq, tick uint64, voucherID string) [32]byte {
-	h := sha256.New()
-	h.Write(prev[:])
-	var nums [16]byte
-	binary.LittleEndian.PutUint64(nums[:8], seq)
-	binary.LittleEndian.PutUint64(nums[8:], tick)
-	h.Write(nums[:])
-	h.Write([]byte(voucherID))
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var stack [128]byte
+	buf := append(stack[:0], prev[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint64(buf, tick)
+	buf = append(buf, voucherID...)
+	return sha256.Sum256(buf)
 }
 
 // VerifyChain recomputes the unsettled chain from the last settled head

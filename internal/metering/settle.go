@@ -1,11 +1,10 @@
 package metering
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -48,8 +47,11 @@ type Settler struct {
 
 	mu    sync.Mutex
 	state map[string]*voucherState
-	// TamperLog records rejected settlements for audit.
+	// tamperLog holds the latest tamperLogKeep rejections for audit;
+	// rejected counts every one, a forged voucher's (which leaves no line)
+	// included.
 	tamperLog []string
+	rejected  int
 	// lastReceipt remembers each voucher's latest settlement verdict for
 	// audit (see faults.Audit).
 	lastReceipt map[string]Receipt
@@ -80,95 +82,113 @@ func (s *Settler) Settle(r Report) Receipt {
 // missing, surplus, duplicate or failing proof rejects the whole report
 // before any state advances.
 func (s *Settler) SettleAttested(r AttestedReport) Receipt {
+	return s.settle(r, false)
+}
+
+// settle is the one settlement path. It hashes the chain once, from the
+// stored head over the report's (seq, tick) pairs, and checks every hash
+// the caller supplied: all of them in process, the last one when framed (a
+// report off the wire, see frame.go), whose other entries it fills in with
+// what it computed — the decoder made that slice, so it is the settler's
+// to write.
+func (s *Settler) settle(r AttestedReport, framed bool) Receipt {
 	if !s.issuer.Verify(&r.Voucher) {
-		return s.reject(r.Report, ReasonBadVoucher)
+		// Nothing in an unauthenticated report is evidence about the voucher
+		// it names: count it, and touch no per-voucher state.
+		s.mu.Lock()
+		s.rejected++
+		s.mu.Unlock()
+		return Receipt{Reason: ReasonBadVoucher}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.state[r.Voucher.ID]
+	id := r.Voucher.ID
+	st, ok := s.state[id]
 	if !ok {
 		st = &voucherState{head: GenesisHead(r.Voucher)}
-		s.state[r.Voucher.ID] = st
+		s.state[id] = st
 	}
 	switch {
 	case r.FromSeq <= st.seq:
-		return s.rejectLocked(r.Report, ReasonRollback)
+		return s.rejectLocked(id, ReasonRollback)
 	case r.FromSeq > st.seq+1:
-		return s.rejectLocked(r.Report, ReasonGap)
+		return s.rejectLocked(id, ReasonGap)
 	}
 	// Verify the chain extends the stored head, with contiguous sequences.
-	head := st.head
-	seq := st.seq
-	entryHash := make(map[uint64][32]byte, len(r.Entries))
+	head, seq := st.head, st.seq
 	for i := range r.Entries {
 		e := &r.Entries[i]
 		if e.Seq != seq+1 {
-			return s.rejectLocked(r.Report, ReasonGap)
+			return s.rejectLocked(id, ReasonGap)
 		}
-		want := chainHash(head, e.Seq, e.Tick, r.Voucher.ID)
-		if want != e.Hash {
-			return s.rejectLocked(r.Report, ReasonBadChain)
+		head = chainHash(head, e.Seq, e.Tick, id)
+		if framed && i < len(r.Entries)-1 {
+			e.Hash = head
+		} else if head != e.Hash {
+			return s.rejectLocked(id, ReasonBadChain)
 		}
-		head = e.Hash
 		seq = e.Seq
-		entryHash[e.Seq] = e.Hash
 	}
 	if r.Used != seq {
-		return s.rejectLocked(r.Report, ReasonBadUsage)
+		return s.rejectLocked(id, ReasonBadUsage)
 	}
 	if r.Used > r.Voucher.Queries {
-		return s.rejectLocked(r.Report, ReasonOverQuota)
+		return s.rejectLocked(id, ReasonOverQuota)
 	}
 	proofsChecked := 0
 	if s.attVerifier != nil {
 		// Resolve the sample against the verified terminal head, never the
-		// device's claims: head now covers every accepted entry.
+		// device's claims: head now covers every accepted entry. owed[i] is
+		// set while entry i is sampled and no proof has claimed it.
+		owed := make([]bool, len(r.Entries))
 		sampledCount := 0
-		for _, e := range r.Entries {
-			if Sampled(head, r.Voucher.ID, e.Seq, s.attRate) {
+		for i := range r.Entries {
+			if Sampled(head, id, r.Entries[i].Seq, s.attRate) {
+				owed[i] = true
 				sampledCount++
 			}
 		}
-		seen := make(map[uint64]bool, len(r.Attestations))
 		checks := make([]AttestationCheck, 0, len(r.Attestations))
 		for _, att := range r.Attestations {
-			h, inReport := entryHash[att.Seq]
-			// A proof for a charge outside this report, for an unsampled
-			// charge, or repeated, is a replay or padding attempt.
-			if !inReport || seen[att.Seq] || !Sampled(head, r.Voucher.ID, att.Seq, s.attRate) {
-				return s.rejectLocked(r.Report, ReasonProofInvalid)
+			// The entries are contiguous from FromSeq, so a charge's entry
+			// sits at seq − FromSeq. A proof for a charge outside this
+			// report, for an unsampled charge, or repeated, is a replay or
+			// padding attempt.
+			i := att.Seq - r.FromSeq
+			if i >= uint64(len(owed)) || !owed[i] {
+				return s.rejectLocked(id, ReasonProofInvalid)
 			}
-			seen[att.Seq] = true
-			checks = append(checks, AttestationCheck{Att: att, EntryHash: h})
+			owed[i] = false
+			checks = append(checks, AttestationCheck{Att: att, EntryHash: r.Entries[i].Hash})
 		}
 		if len(checks) != sampledCount {
-			return s.rejectLocked(r.Report, ReasonProofMissing)
+			return s.rejectLocked(id, ReasonProofMissing)
 		}
 		for _, err := range s.attVerifier(r.Voucher, checks) {
 			if err != nil {
-				return s.rejectLocked(r.Report, ReasonProofInvalid)
+				return s.rejectLocked(id, ReasonProofInvalid)
 			}
 		}
 		proofsChecked = len(checks)
 	}
-	st.head = head
-	st.seq = seq
-	st.used = r.Used
+	*st = voucherState{head: head, seq: seq, used: r.Used}
 	receipt := Receipt{OK: true, AckSeq: seq, ProofsChecked: proofsChecked}
-	s.lastReceipt[r.Voucher.ID] = receipt
+	s.lastReceipt[id] = receipt
 	return receipt
 }
 
-func (s *Settler) reject(r Report, reason string) Receipt {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rejectLocked(r, reason)
-}
+// tamperLogKeep bounds the audit log: a device that keeps cheating cannot
+// grow the settler without limit.
+const tamperLogKeep = 256
 
-func (s *Settler) rejectLocked(r Report, reason string) Receipt {
-	s.tamperLog = append(s.tamperLog, fmt.Sprintf("voucher %s: %s", r.Voucher.ID, reason))
+func (s *Settler) rejectLocked(voucherID, reason string) Receipt {
+	if len(s.tamperLog) == tamperLogKeep {
+		s.tamperLog = slices.Delete(s.tamperLog, 0, 1)
+	}
+	s.tamperLog = append(s.tamperLog, fmt.Sprintf("voucher %s: %s", voucherID, reason))
+	s.rejected++
 	receipt := Receipt{OK: false, Reason: reason}
-	s.lastReceipt[r.Voucher.ID] = receipt
+	s.lastReceipt[voucherID] = receipt
 	return receipt
 }
 
@@ -180,11 +200,17 @@ func (s *Settler) LastReceipt(voucherID string) (Receipt, bool) {
 	return rc, ok
 }
 
-// TamperEvents returns the audit log of rejected settlements.
+// TamperEvents returns the audit log of rejected settlements, oldest
+// first. When more were rejected than it lists (forged vouchers leave no
+// line, and only the latest tamperLogKeep are kept), a last line says so.
 func (s *Settler) TamperEvents() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]string(nil), s.tamperLog...)
+	events := append([]string(nil), s.tamperLog...)
+	if unlisted := s.rejected - len(events); unlisted > 0 {
+		events = append(events, fmt.Sprintf("%d rejections in all, %d not listed", s.rejected, unlisted))
+	}
+	return events
 }
 
 // SettledUsage returns the server-acknowledged usage for a voucher.
@@ -198,18 +224,34 @@ func (s *Settler) SettledUsage(voucherID string) (uint64, bool) {
 	return st.used, true
 }
 
-// Server exposes the settler over TCP with newline-delimited JSON — the
-// reconnect path a fleet device uses after an offline period.
+// Server exposes the settler over TCP, one report frame in and one receipt
+// frame out per settlement (frame.go) — the reconnect path a fleet device
+// uses after an offline period.
 type Server struct {
 	settler  *Settler
 	listener net.Listener
-	wg       sync.WaitGroup
-	closed   chan struct{}
+	// timeout bounds each wait on a client: for a whole frame to arrive,
+	// and for a receipt to be taken.
+	timeout time.Duration
+	wg      sync.WaitGroup
+	closed  chan struct{}
 }
+
+// dialTimeout and ioTimeout bound a settlement's waits on the network: the
+// client's connect and its whole exchange, the server's wait for one frame
+// and for its receipt to be taken.
+const (
+	dialTimeout = 5 * time.Second
+	ioTimeout   = 30 * time.Second
+)
 
 // Serve starts accepting settlement connections on l until Close.
 func Serve(l net.Listener, settler *Settler) *Server {
-	srv := &Server{settler: settler, listener: l, closed: make(chan struct{})}
+	return serve(l, settler, ioTimeout)
+}
+
+func serve(l net.Listener, settler *Settler, timeout time.Duration) *Server {
+	srv := &Server{settler: settler, listener: l, timeout: timeout, closed: make(chan struct{})}
 	srv.wg.Add(1)
 	go srv.acceptLoop()
 	return srv
@@ -242,20 +284,25 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// handle settles the reports a connection sends, one after another. It
+// hangs up on the first frame that is late, over the cap, cut short or not
+// a report: a peer that cannot frame one gets no verdict, and no state has
+// moved for it.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	reader := bufio.NewReader(conn)
-	dec := json.NewDecoder(reader)
-	enc := json.NewEncoder(conn)
 	for {
-		// AttestedReport is a wire superset of Report: plain reports decode
-		// with no attestations and take the legacy path.
-		var report AttestedReport
-		if err := dec.Decode(&report); err != nil {
+		conn.SetReadDeadline(time.Now().Add(s.timeout)) //nolint:errcheck
+		payload, err := readFrame(conn)
+		if err != nil {
 			return
 		}
-		receipt := s.settler.SettleAttested(report)
-		if err := enc.Encode(receipt); err != nil {
+		report, err := decodeReport(payload)
+		if err != nil {
+			return
+		}
+		receipt := s.settler.settle(report, true)
+		conn.SetWriteDeadline(time.Now().Add(s.timeout)) //nolint:errcheck
+		if _, err := conn.Write(encodeReceipt(receipt)); err != nil {
 			return
 		}
 	}
@@ -281,19 +328,24 @@ func SettleOverTCP(addr string, report Report) (Receipt, error) {
 // SettleAttestedOverTCP dials the settlement server, submits a report
 // with its proof sample and returns the receipt.
 func SettleAttestedOverTCP(addr string, report AttestedReport) (Receipt, error) {
-	conn, err := net.Dial("tcp", addr)
+	frame, err := encodeReport(&report)
+	if err != nil {
+		return Receipt{}, err
+	}
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return Receipt{}, fmt.Errorf("metering: dial settlement server: %w", err)
 	}
 	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(report); err != nil {
+	conn.SetDeadline(time.Now().Add(ioTimeout)) //nolint:errcheck
+	if _, err := conn.Write(frame); err != nil {
 		return Receipt{}, fmt.Errorf("metering: send report: %w", err)
 	}
-	var receipt Receipt
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&receipt); err != nil {
+	payload, err := readFrame(conn)
+	if err != nil {
 		return Receipt{}, fmt.Errorf("metering: read receipt: %w", err)
 	}
-	return receipt, nil
+	return decodeReceipt(payload)
 }
 
 // ErrSettlementRejected wraps a rejected receipt for callers that want an

@@ -1,6 +1,7 @@
 // Package wire is the one strict byte cursor behind the repo's hand-rolled
 // wire formats: TMLN1 and TMLD1 (nn), PVM1 (procvm), QAB1 (exec), TMSW
-// (swarm), the telemetry record (observe) and the federated partial (fed).
+// (swarm), the telemetry record (observe), the federated partial (fed) and
+// the settlement frame pair (metering), the one that crosses a real socket.
 // Each is parsed by a tier that did not produce the bytes. A decoder reads
 // every field through a Reader and returns its Done; that alone gives it
 // the rejection contract:
