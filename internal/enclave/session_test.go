@@ -231,6 +231,30 @@ func TestRunModuleGasExhaustionMidSuffix(t *testing.T) {
 	}
 }
 
+// TestLoadSealedModuleValidates: a sealed program Builder.Build could not
+// have emitted is a bad artifact at load, not a failure (or, for the pool
+// window larger than its map, once an index panic) on the first hosted run.
+func TestLoadSealedModuleValidates(t *testing.T) {
+	sess, _, _, _ := testSessionFixture(t)
+	for name, code := range map[string][]byte{
+		"underflow":         {byte(procvm.OpInput), byte(procvm.OpAdd)},
+		"truncated operand": {byte(procvm.OpInput), byte(procvm.OpSlice), 0, 0, 1},
+		"unknown opcode":    {byte(procvm.OpInput), 250},
+		"pool index":        {byte(procvm.OpInput), byte(procvm.OpPushScalar), 1, 0},
+		"empty final stack": {byte(procvm.OpInput), byte(procvm.OpDrop)},
+		"pool window":       {byte(procvm.OpInput), byte(procvm.OpMaxPool2D), 1, 0, 2, 0, 2, 0, 3, 0, 2, 0},
+	} {
+		mod := &procvm.Module{Name: name, Scalars: []float32{1}, Code: code}
+		sealed, err := sess.Enclave().Seal(mod.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.LoadSealedModule(name, sealed); !errors.Is(err, ErrBadArtifact) {
+			t.Errorf("%s: error %v, want %v", name, err, ErrBadArtifact)
+		}
+	}
+}
+
 // TestSessionShared64Goroutines hammers one Session from 64 goroutines
 // mixing loads, runs, attestations and measurements — the shape of a cloud
 // tier serving many split sessions from one enclave. Every runner must see

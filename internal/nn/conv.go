@@ -182,10 +182,12 @@ func (c *Conv2D) Describe(in []int) (LayerInfo, error) {
 	if len(in) != 3 || in[0] != c.InC {
 		return LayerInfo{}, errShape("conv2d", []int{c.InC, -1, -1}, in)
 	}
-	oh, ow := c.outHW(in[1], in[2])
-	if oh <= 0 || ow <= 0 {
-		return LayerInfo{}, fmt.Errorf("nn: conv2d output empty for input %v", in)
+	// outHW cannot tell: its division truncates toward zero, so at stride
+	// > 1 a kernel larger than the padded map counts as one window.
+	if c.KH > in[1]+2*c.Pad || c.KW > in[2]+2*c.Pad {
+		return LayerInfo{}, fmt.Errorf("nn: conv2d kernel %d×%d does not fit input %v padded by %d", c.KH, c.KW, in, c.Pad)
 	}
+	oh, ow := c.outHW(in[1], in[2])
 	outN := int64(c.OutC) * int64(oh) * int64(ow)
 	return LayerInfo{
 		OutShape:         []int{c.OutC, oh, ow},
@@ -303,10 +305,12 @@ func (p *MaxPool2D) Describe(in []int) (LayerInfo, error) {
 	if len(in) != 3 {
 		return LayerInfo{}, errShape("maxpool2d", []int{-1, -1, -1}, in)
 	}
-	oh, ow := p.outHW(in[1], in[2])
-	if oh <= 0 || ow <= 0 {
-		return LayerInfo{}, fmt.Errorf("nn: maxpool2d output empty for input %v", in)
+	// As in Conv2D.Describe; here the one window outHW counts would index
+	// past the map.
+	if p.K > in[1] || p.K > in[2] {
+		return LayerInfo{}, fmt.Errorf("nn: maxpool2d window %d does not fit input %v", p.K, in)
 	}
+	oh, ow := p.outHW(in[1], in[2])
 	outN := int64(in[0]) * int64(oh) * int64(ow)
 	return LayerInfo{OutShape: []int{in[0], oh, ow}, ActivationFloats: outN}, nil
 }

@@ -365,6 +365,31 @@ func TestSummaryReportsShapeErrors(t *testing.T) {
 	}
 }
 
+// TestSummaryRejectsWindowLargerThanMap: (h−k)/stride+1 truncates toward
+// zero, so at stride 2 a 3×3 window over a 2×2 map used to count as one
+// output — Summary, MarshalBinary and UnmarshalNetwork passed, and
+// ForwardBatch indexed past the map (pool) or convolved one partial window
+// (conv). Padding that makes the kernel fit is still accepted.
+func TestSummaryRejectsWindowLargerThanMap(t *testing.T) {
+	rng := tensor.NewRNG(14)
+	for name, net := range map[string]*Network{
+		"maxpool2d": NewNetwork([]int{1, 2, 2}, NewMaxPool2D(3, 2), NewFlatten()),
+		"conv2d":    NewNetwork([]int{1, 2, 2}, NewConv2D(1, 1, 3, 3, 2, 0, rng), NewFlatten()),
+		"conv2d-w":  NewNetwork([]int{1, 4, 2}, NewConv2D(1, 1, 3, 3, 2, 0, rng), NewFlatten()),
+	} {
+		if cs, err := net.Summary(); err == nil {
+			t.Errorf("%s: Summary inferred %v for a window larger than its map", name, cs[0].Info.OutShape)
+		}
+	}
+	padded := NewNetwork([]int{1, 2, 2}, NewConv2D(1, 1, 3, 3, 2, 1, rng), NewFlatten())
+	if _, err := padded.Summary(); err != nil {
+		t.Fatalf("3×3 kernel over a 2×2 map padded to 4×4: %v", err)
+	}
+	if out := padded.ForwardBatch(tensor.New(1, 1, 2, 2), nil); out.Size() != 1 {
+		t.Fatalf("padded convolution produced %v", out.Shape())
+	}
+}
+
 func TestOpKinds(t *testing.T) {
 	rng := tensor.NewRNG(15)
 	net := NewNetwork([]int{4}, NewDense(4, 4, rng), NewReLU(), NewDense(4, 2, rng))

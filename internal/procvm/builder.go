@@ -221,97 +221,27 @@ func (b *Builder) Build() (*Module, error) {
 	return &m, nil
 }
 
-// Validate statically checks a module: opcodes are defined, operands are
-// complete, pool references are in range and the stack never underflows
-// (conservatively, treating every value as one slot).
+// Validate statically checks a module: it walks the code through decode,
+// as Run does (opcodes defined, operands complete, pool references in
+// range, geometry possible), and simulates the stack depth from the rows'
+// pops and pushes, treating every value as one slot and halt as a no-op:
+// the stack never underflows and ends non-empty.
 func Validate(m *Module) error {
-	pc := 0
+	var a operands
 	depth := 0
-	for pc < len(m.Code) {
-		op := OpCode(m.Code[pc])
-		pc++
-		if !op.Valid() {
-			return fmt.Errorf("procvm: invalid opcode %d at offset %d", byte(op), pc-1)
+	for pc := 0; pc < len(m.Code); {
+		op, next, err := decode(m, pc, &a)
+		if err != nil {
+			return err
 		}
-		operands := make([]int, op.Operands())
-		for i := range operands {
-			if pc+2 > len(m.Code) {
-				return fmt.Errorf("procvm: truncated operand for %v at offset %d", op, pc)
-			}
-			operands[i] = int(binary.LittleEndian.Uint16(m.Code[pc:]))
-			pc += 2
+		if depth -= opTable[op].pops; depth < 0 {
+			return fmt.Errorf("%w at %v (offset %d)", ErrStackUnderflow, op, pc)
 		}
-		switch op {
-		case OpPushScalar:
-			if operands[0] >= len(m.Scalars) {
-				return fmt.Errorf("procvm: scalar index %d out of pool (size %d)", operands[0], len(m.Scalars))
-			}
-		case OpPushVector:
-			if operands[0] >= len(m.Vectors) {
-				return fmt.Errorf("procvm: vector index %d out of pool (size %d)", operands[0], len(m.Vectors))
-			}
-		case OpMeanPool:
-			if operands[0] == 0 {
-				return fmt.Errorf("procvm: meanpool window must be positive")
-			}
-		case OpSlice:
-			if operands[0] > operands[1] {
-				return fmt.Errorf("procvm: slice bounds [%d:%d] inverted", operands[0], operands[1])
-			}
-		case OpMatVec:
-			if operands[0] >= len(m.Vectors) || operands[1] >= len(m.Vectors) {
-				return fmt.Errorf("procvm: matvec pool index out of pool (size %d)", len(m.Vectors))
-			}
-			if operands[2] == 0 {
-				return fmt.Errorf("procvm: matvec output width must be positive")
-			}
-		case OpConv2D:
-			if operands[0] >= len(m.Vectors) || operands[1] >= len(m.Vectors) {
-				return fmt.Errorf("procvm: conv2d pool index out of pool (size %d)", len(m.Vectors))
-			}
-			for _, v := range operands[2:9] {
-				if v == 0 {
-					return fmt.Errorf("procvm: conv2d geometry operand must be positive")
-				}
-			}
-		case OpMaxPool2D:
-			for _, v := range operands {
-				if v == 0 {
-					return fmt.Errorf("procvm: maxpool2d geometry operand must be positive")
-				}
-			}
-		}
-		pops, pushes := stackEffect(op)
-		depth -= pops
-		if depth < 0 {
-			return fmt.Errorf("procvm: stack underflow at %v (offset %d)", op, pc)
-		}
-		depth += pushes
+		depth += opTable[op].pushes
+		pc = next
 	}
 	if depth < 1 {
-		return fmt.Errorf("procvm: module leaves %d values on the stack, need ≥1", depth)
+		return fmt.Errorf("%w: module leaves %d values on the stack, need ≥1", ErrBadModule, depth)
 	}
 	return nil
-}
-
-// stackEffect returns how many values op pops and pushes.
-func stackEffect(op OpCode) (pops, pushes int) {
-	switch op {
-	case OpHalt:
-		return 0, 0
-	case OpInput, OpPushScalar, OpPushVector:
-		return 0, 1
-	case OpDup:
-		return 1, 2
-	case OpDrop:
-		return 1, 0
-	case OpSwap:
-		return 2, 2
-	case OpAdd, OpSub, OpMul, OpDiv, OpThreshold:
-		return 2, 1
-	case OpClamp, OpNormalize:
-		return 3, 1
-	default: // unary and reductions
-		return 1, 1
-	}
 }

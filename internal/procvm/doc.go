@@ -3,21 +3,33 @@
 // spectral features, thresholding, argmax) travel with a model version
 // through the registry and run identically on every device class — the
 // answer to processing pipelines being even less portable than the
-// models they wrap.
+// models they wrap, and the reproduction's stand-in for the WebAssembly
+// modules the paper points at (§III-A, ref [24], the hotg.ai Rune
+// container). Experiment E7 contrasts the dense portability of modules
+// with the sparse native-op support matrix.
 //
-// Modules are built with a validating Builder (pool references, operand
-// encoding and stack balance are checked statically), serialized in a
-// versioned binary format, and executed under a capability gate: an
-// owner grants CapSensor/CapNetwork-style permissions per runtime, so a
-// marketplace host can run a stranger's pipeline without trusting it —
-// the §IV orchestration story's sandbox requirement. The interpreter is
-// deliberately allocation-light and branch-simple, standing in for the
-// WebAssembly-class runtimes the paper points at.
+// An instruction is one row of the table in ops.go — mnemonic, what each
+// operand is, values popped and pushed, gas per element — and one arm of
+// the switch in Runtime.Run. Validate and Run read code through the same
+// decoder and apply the same operand check; Validate adds the stack-depth
+// simulation, Run what needs live values. Modules are built with a
+// Builder that ends in Validate, serialized in a versioned binary format
+// whose decoder ends in Validate too, and executed under a capability
+// gate: an owner grants CapSensor/CapNetwork-style permissions per
+// runtime, so a marketplace host can run a stranger's pipeline without
+// trusting it — the §IV orchestration story's sandbox requirement. A
+// failure that depends on the data (a type, a length, gas) fails that
+// query with a sentinel error, never the process. Run allocates only the
+// values the ISA promises: its frame, value stack and decoded operands
+// stay on its own stack.
 //
-// Beyond hand-built pipelines, internal/compat compiles whole trained
-// networks into modules — dense, convolution, pooling and activation
-// instructions — making the VM a portable protected-execution target:
-// a module's gas limit is pinned at compile time to its measured
-// per-query cost, so a hosting runtime can meter a stranger's model
-// deterministically without trusting its cost claims.
+// Gas is deterministic — a pure function of the code and the input's
+// length — and is metered per instruction on the value on top of the stack
+// before the instruction runs (see opInfo.gasPerElem for what that makes
+// of pushv and clamp). Beyond hand-built pipelines, internal/compat
+// compiles whole trained networks into modules — dense, convolution,
+// pooling and activation instructions — making the VM a portable
+// protected-execution target: a module's gas limit is pinned at compile
+// time to its measured per-query cost, so a hosting runtime can meter a
+// stranger's model without trusting its cost claims.
 package procvm

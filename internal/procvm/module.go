@@ -1,14 +1,3 @@
-// Package procvm is a small sandboxed stack virtual machine for the
-// pre/post-processing pipelines that accompany a deployed model:
-// normalization, thresholding, windowing, argmax, softmax and control-free
-// vector arithmetic.
-//
-// It is the reproduction's stand-in for the WebAssembly modules the paper
-// proposes (§III-A, §IV, ref [24] — the hotg.ai Rune container): one
-// portable artifact that runs bit-identically on every target, is sandboxed
-// behind explicit capability grants, and is resource-bounded by a
-// deterministic gas meter. Experiment E7 contrasts the dense portability of
-// procvm modules with the sparse native-op support matrix.
 package procvm
 
 import (
@@ -108,6 +97,8 @@ func (m *Module) Digest() [32]byte { return sha256.Sum256(m.Encode()) }
 
 // DecodeModule parses a module from its canonical binary form. The input
 // must be consumed exactly: truncated, trailing or garbage bytes all reject.
+// So does a program Validate refuses: a module that decodes is one
+// Builder.Build could have emitted.
 func DecodeModule(data []byte) (*Module, error) {
 	r := wire.NewReader(data)
 	r.Magic(moduleMagic)
@@ -119,7 +110,11 @@ func DecodeModule(data []byte) (*Module, error) {
 		m.Vectors[i] = r.F32s(r.Count(1<<20, 4))
 	}
 	m.Code = append([]byte{}, r.Bytes(r.Count(1<<20, 1))...)
-	if err := r.Done(); err != nil {
+	err := r.Done()
+	if err == nil {
+		err = Validate(m)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("procvm: decode PVM1 module: %w", err)
 	}
 	return m, nil

@@ -141,10 +141,12 @@ func TestMaxPool2DAgainstReference(t *testing.T) {
 	if _, err := NewRuntime(CapNone).Run(m, []float32{1, 2}); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("mis-shaped pool input: %v, want ErrTypeMismatch", err)
 	}
-	empty, err := NewBuilder("empty").Input().MaxPool2D(1, 2, 2, 3, 1).Build()
-	if err != nil {
-		t.Fatal(err)
+	// A window larger than its map is refused where the module is built,
+	// and by Run when the module was not.
+	if _, err := NewBuilder("empty").Input().MaxPool2D(1, 2, 2, 3, 1).Build(); !errors.Is(err, ErrTypeMismatch) {
+		t.Fatalf("3×3 window over a 2×2 map built: %v, want ErrTypeMismatch", err)
 	}
+	empty := &Module{Code: []byte{byte(OpInput), byte(OpMaxPool2D), 1, 0, 2, 0, 2, 0, 3, 0, 1, 0}}
 	if _, err := NewRuntime(CapNone).Run(empty, []float32{1, 2, 3, 4}); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("empty pool output: %v, want ErrTypeMismatch", err)
 	}

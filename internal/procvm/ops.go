@@ -1,6 +1,9 @@
 package procvm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // OpCode is one instruction of the pipeline ISA. Instructions operate on a
 // stack of values; a value is either a scalar or a float32 vector. Binary
@@ -74,84 +77,145 @@ const (
 	opCount // sentinel
 )
 
-// opInfo describes one instruction's mnemonic and operand count (u16
-// operands following the opcode byte).
+// operands holds one instruction's decoded u16 operands; conv2d, the
+// widest, fills it.
+type operands [10]int
+
+// opInfo is one row of the ISA, the only description of an instruction:
+// what is true of it whatever values it meets. Validate and Run both read
+// code through decode, which holds every operand to its row; Validate adds
+// the depth simulation from pops and pushes, Run what needs live values
+// (operand types, lengths against the popped value, supplemental gas,
+// MaxStack).
 type opInfo struct {
-	name     string
-	operands int
+	name string
+	// operands has one byte per u16 operand following the opcode, saying
+	// what decode holds it to: 's' an index into Scalars, 'v' an index into
+	// Vectors (ErrBadModule otherwise), '+' a positive count or dimension
+	// (ErrTypeMismatch otherwise), '.' anything.
+	operands     string
+	pops, pushes int // every value is one slot
+	// gasPerElem (0, 1, 2 or 4) meters the instruction at gasPerElem·n + 1,
+	// n being the length of the value on top of the stack before it runs:
+	// the input's for OpInput, 1 for a scalar or an empty stack. So pushv
+	// of any vector onto an empty stack costs 2, and so does clamp, whose
+	// top of stack is its hi bound. Kept, because compiled artifacts pin
+	// GasLimit to their measured cost and so carry it in their digests.
+	gasPerElem int
+	// fits, where set, is the test that relates one operand to another. It
+	// takes the operands by value so that Run's, handed to this func value,
+	// stay on Run's stack.
+	fits func(a operands) error
 }
 
 var opTable = [opCount]opInfo{
-	OpHalt:       {"halt", 0},
-	OpInput:      {"input", 0},
-	OpPushScalar: {"pushs", 1},
-	OpPushVector: {"pushv", 1},
-	OpDup:        {"dup", 0},
-	OpDrop:       {"drop", 0},
-	OpSwap:       {"swap", 0},
-	OpAdd:        {"add", 0},
-	OpSub:        {"sub", 0},
-	OpMul:        {"mul", 0},
-	OpDiv:        {"div", 0},
-	OpNeg:        {"neg", 0},
-	OpAbs:        {"abs", 0},
-	OpSquare:     {"square", 0},
-	OpSqrt:       {"sqrt", 0},
-	OpClamp:      {"clamp", 0},
-	OpNormalize:  {"normalize", 0},
-	OpThreshold:  {"threshold", 0},
-	OpSoftmax:    {"softmax", 0},
-	OpArgMax:     {"argmax", 0},
-	OpMax:        {"max", 0},
-	OpMean:       {"mean", 0},
-	OpSum:        {"sum", 0},
-	OpMeanPool:   {"meanpool", 1},
-	OpSlice:      {"slice", 2},
-	OpReLU:       {"relu", 0},
-	OpSigmoid:    {"sigmoid", 0},
-	OpTanh:       {"tanh", 0},
-	OpMatVec:     {"matvec", 3},
-	OpConv2D:     {"conv2d", 10},
-	OpMaxPool2D:  {"maxpool2d", 5},
+	OpHalt:       {"halt", "", 0, 0, 0, nil},
+	OpInput:      {"input", "", 0, 1, 1, nil},
+	OpPushScalar: {"pushs", "s", 0, 1, 0, nil},
+	OpPushVector: {"pushv", "v", 0, 1, 1, nil},
+	OpDup:        {"dup", "", 1, 2, 0, nil},
+	OpDrop:       {"drop", "", 1, 0, 0, nil},
+	OpSwap:       {"swap", "", 2, 2, 0, nil},
+	OpAdd:        {"add", "", 2, 1, 1, nil},
+	OpSub:        {"sub", "", 2, 1, 1, nil},
+	OpMul:        {"mul", "", 2, 1, 1, nil},
+	OpDiv:        {"div", "", 2, 1, 1, nil},
+	OpNeg:        {"neg", "", 1, 1, 1, nil},
+	OpAbs:        {"abs", "", 1, 1, 1, nil},
+	OpSquare:     {"square", "", 1, 1, 1, nil},
+	OpSqrt:       {"sqrt", "", 1, 1, 2, nil},
+	OpClamp:      {"clamp", "", 3, 1, 1, nil},
+	OpNormalize:  {"normalize", "", 3, 1, 2, nil},
+	OpThreshold:  {"threshold", "", 2, 1, 1, nil},
+	OpSoftmax:    {"softmax", "", 1, 1, 4, nil},
+	OpArgMax:     {"argmax", "", 1, 1, 1, nil},
+	OpMax:        {"max", "", 1, 1, 1, nil},
+	OpMean:       {"mean", "", 1, 1, 1, nil},
+	OpSum:        {"sum", "", 1, 1, 1, nil},
+	OpMeanPool:   {"meanpool", "+", 1, 1, 1, nil},
+	OpSlice:      {"slice", "..", 1, 1, 1, sliceFits},
+	OpReLU:       {"relu", "", 1, 1, 1, nil},
+	OpSigmoid:    {"sigmoid", "", 1, 1, 2, nil},
+	OpTanh:       {"tanh", "", 1, 1, 2, nil},
+	// The heavy nn ops charge, on top of the row's base cost, one gas per
+	// MAC (or comparison) once the input's length is known.
+	OpMatVec:    {"matvec", "vv+", 1, 1, 1, nil},
+	OpConv2D:    {"conv2d", "vv+++++++.", 1, 1, 1, conv2DFits},
+	OpMaxPool2D: {"maxpool2d", "+++++", 1, 1, 1, maxPool2DFits},
 }
+
+func sliceFits(a operands) error {
+	if a[0] > a[1] {
+		return fmt.Errorf("%w: slice bounds [%d:%d] inverted", ErrTypeMismatch, a[0], a[1])
+	}
+	return nil
+}
+
+// windowFits rejects a kh×kw window larger than its h×w map. The output
+// size (h−kh)/stride+1 truncates toward zero, so without this test such a
+// window would count as one, and maxpool2d index past the end of the map.
+func windowFits(name string, kh, kw, h, w int) error {
+	if kh > h || kw > w {
+		return fmt.Errorf("%w: %s window %d×%d does not fit its %d×%d map", ErrTypeMismatch, name, kh, kw, h, w)
+	}
+	return nil
+}
+
+func conv2DFits(a operands) error {
+	return windowFits("conv2d", a[6], a[7], a[3]+2*a[9], a[4]+2*a[9])
+}
+
+func maxPool2DFits(a operands) error { return windowFits("maxpool2d", a[3], a[3], a[1], a[2]) }
 
 // String implements fmt.Stringer.
 func (o OpCode) String() string {
-	if int(o) < len(opTable) && opTable[o].name != "" {
+	if o.Valid() {
 		return opTable[o].name
 	}
 	return fmt.Sprintf("op(%d)", byte(o))
 }
 
 // Valid reports whether the opcode is defined.
-func (o OpCode) Valid() bool { return int(o) < int(opCount) && opTable[o].name != "" }
+func (o OpCode) Valid() bool { return o < opCount }
 
 // Operands returns the number of u16 operands the opcode carries.
 func (o OpCode) Operands() int {
 	if !o.Valid() {
 		return 0
 	}
-	return opTable[o].operands
+	return len(opTable[o].operands)
 }
 
-// gasCost returns the metered cost of executing op on a value of n
-// elements (n=1 for scalars). Costs are deterministic so a module's gas is
-// a pure function of its code and input length.
-func gasCost(op OpCode, n int) uint64 {
-	switch op {
-	case OpHalt, OpDup, OpDrop, OpSwap, OpPushScalar:
-		return 1
-	case OpInput, OpPushVector, OpSlice:
-		return uint64(n) + 1
-	case OpSoftmax:
-		return uint64(4*n) + 1
-	case OpSqrt, OpNormalize, OpSigmoid, OpTanh:
-		return uint64(2*n) + 1
-	default:
-		// The heavy nn ops (OpMatVec, OpConv2D, OpMaxPool2D) land here for
-		// their base cost and charge supplemental gas proportional to the
-		// actual MAC count inside the interpreter, after decoding operands
-		// — still a pure function of the code and input length.
-		return uint64(n) + 1
+// decode reads the instruction at m.Code[pc] — the opcode, then the u16
+// operands its row declares, into a — holds each operand to what the row
+// says it is, and returns the offset of the next instruction. Validate and
+// Run both walk code through it, so it is the one place an unknown opcode,
+// a truncated operand or an operand no input could make valid is rejected:
+// Validate refuses the module, Run fails the query of a module that was
+// never validated. op is returned with every error, and is not Valid only
+// with the first.
+func decode(m *Module, pc int, a *operands) (op OpCode, next int, err error) {
+	op = OpCode(m.Code[pc])
+	if !op.Valid() {
+		return op, pc, fmt.Errorf("%w: invalid opcode %d at offset %d", ErrBadModule, byte(op), pc)
 	}
+	row := &opTable[op]
+	next = pc + 1 + 2*len(row.operands)
+	if next > len(m.Code) {
+		return op, pc, fmt.Errorf("%w: truncated operand for %s at offset %d", ErrBadModule, row.name, pc)
+	}
+	for i, kind := range []byte(row.operands) {
+		v := int(binary.LittleEndian.Uint16(m.Code[pc+1+2*i:]))
+		switch {
+		case kind == 's' && v >= len(m.Scalars), kind == 'v' && v >= len(m.Vectors):
+			return op, pc, fmt.Errorf("%w: %s operand %d: index %d out of pool", ErrBadModule, row.name, i, v)
+		case kind == '+' && v == 0:
+			return op, pc, fmt.Errorf("%w: %s operand %d must be positive", ErrTypeMismatch, row.name, i)
+		}
+		a[i] = v
+	}
+	if row.fits != nil {
+		err = row.fits(*a)
+	}
+	return op, next, err
 }

@@ -1,7 +1,6 @@
 package procvm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -61,337 +60,233 @@ var (
 	ErrBadModule        = errors.New("procvm: malformed module")
 )
 
+// frame is the state of one Run: the value stack, the gas meter and the
+// first error. Like wire.Reader it is sticky: once err is set, pops return
+// zero values and pushes and charges do nothing, so an instruction's body
+// reads straight down and Run looks at err once per instruction. It stays
+// on Run's stack, which is why the bodies are methods behind a plain
+// switch (a table of func values taking *frame would move it to the heap
+// on every query) and why the first 16 slots are an array inside it
+// (escape analysis is per variable, so a slice of Run's stack memory held
+// here would go to the heap the moment Run returns f.err).
+type frame struct {
+	slots           [16]Value
+	deep            []Value // slots 16 and up, which no shipped module reaches
+	depth, maxStack int
+	gas, limit      uint64
+	err             error
+}
+
+// charge meters n more gas and fails once the total passes the limit.
+func (f *frame) charge(n uint64) {
+	if f.err != nil {
+		return
+	}
+	if f.gas += n; f.gas > f.limit {
+		f.err = fmt.Errorf("%w: used %d of %d", ErrOutOfGas, f.gas, f.limit)
+	}
+}
+
+// slot returns stack slot i, counted from the bottom.
+func (f *frame) slot(i int) *Value {
+	if i < len(f.slots) {
+		return &f.slots[i]
+	}
+	return &f.deep[i-len(f.slots)]
+}
+
+func (f *frame) push(v Value) {
+	switch {
+	case f.err != nil:
+	case f.depth >= f.maxStack:
+		f.err = ErrStackOverflow
+	default:
+		if f.depth >= len(f.slots) {
+			f.deep = append(f.deep[:f.depth-len(f.slots)], Value{})
+		}
+		*f.slot(f.depth) = v
+		f.depth++
+	}
+}
+
+func (f *frame) pop() Value {
+	if f.err != nil {
+		return Value{}
+	}
+	if f.depth == 0 {
+		f.err = ErrStackUnderflow
+		return Value{}
+	}
+	f.depth--
+	return *f.slot(f.depth)
+}
+
+func (f *frame) popVec() []float32 {
+	v := f.pop()
+	if f.err == nil && !v.IsVec {
+		f.err = fmt.Errorf("%w: expected vector", ErrTypeMismatch)
+	}
+	return v.Vec
+}
+
+func (f *frame) popScalar() float32 {
+	v := f.pop()
+	if f.err == nil && v.IsVec {
+		f.err = fmt.Errorf("%w: expected scalar", ErrTypeMismatch)
+	}
+	return v.Scalar
+}
+
 // Run executes the module on the input vector and returns the top of the
-// stack at halt.
+// stack at halt. Each instruction is read and its operands checked by
+// decode, metered from its row on the value on top of the stack before it
+// runs, and executed by its arm below. A failed Result carries the gas
+// metered up to and including the failing instruction — except that an
+// unknown opcode, which has no row to meter, reports none.
 func (rt *Runtime) Run(m *Module, input []float32) (Result, error) {
 	if !rt.Granted.Has(m.Caps) {
 		return Result{}, fmt.Errorf("%w: need %v, granted %v", ErrCapabilityDenied, m.Caps, rt.Granted)
 	}
-	gasLimit := rt.MaxGas
-	if m.GasLimit > 0 && m.GasLimit < gasLimit {
-		gasLimit = m.GasLimit
+	f := frame{maxStack: rt.MaxStack, limit: rt.MaxGas}
+	if m.GasLimit > 0 && m.GasLimit < f.limit {
+		f.limit = m.GasLimit
 	}
-	var gas uint64
-	stack := make([]Value, 0, 16)
-
-	push := func(v Value) error {
-		if len(stack) >= rt.MaxStack {
-			return ErrStackOverflow
-		}
-		stack = append(stack, v)
-		return nil
-	}
-	pop := func() (Value, error) {
-		if len(stack) == 0 {
-			return Value{}, ErrStackUnderflow
-		}
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return v, nil
-	}
-	popVec := func() ([]float32, error) {
-		v, err := pop()
-		if err != nil {
-			return nil, err
-		}
-		if !v.IsVec {
-			return nil, fmt.Errorf("%w: expected vector", ErrTypeMismatch)
-		}
-		return v.Vec, nil
-	}
-	popScalar := func() (float32, error) {
-		v, err := pop()
-		if err != nil {
-			return 0, err
-		}
-		if v.IsVec {
-			return 0, fmt.Errorf("%w: expected scalar", ErrTypeMismatch)
-		}
-		return v.Scalar, nil
-	}
-
-	pc := 0
-	code := m.Code
-	readU16 := func() (int, error) {
-		if pc+2 > len(code) {
-			return 0, fmt.Errorf("%w: truncated operand at pc=%d", ErrBadModule, pc)
-		}
-		v := int(binary.LittleEndian.Uint16(code[pc:]))
-		pc += 2
-		return v, nil
-	}
-
-	for pc < len(code) {
-		op := OpCode(code[pc])
-		pc++
+	var a operands
+	for pc := 0; pc < len(m.Code) && f.err == nil; {
+		op, next, err := decode(m, pc, &a)
 		if !op.Valid() {
-			return Result{}, fmt.Errorf("%w: invalid opcode %d at pc=%d", ErrBadModule, byte(op), pc-1)
+			return Result{}, err
 		}
-		// Meter on the size of the value the op touches (top of stack or
-		// the pushed value).
 		n := 1
-		if len(stack) > 0 {
-			n = stack[len(stack)-1].Len()
-		}
 		if op == OpInput {
 			n = len(input)
+		} else if f.depth > 0 {
+			n = f.slot(f.depth - 1).Len()
 		}
-		gas += gasCost(op, n)
-		if gas > gasLimit {
-			return Result{GasUsed: gas}, fmt.Errorf("%w: used %d of %d", ErrOutOfGas, gas, gasLimit)
+		// Whatever else is wrong with the instruction, its base cost is
+		// metered first, and running out of gas there is what is reported.
+		f.charge(uint64(opTable[op].gasPerElem*n) + 1)
+		if f.err == nil {
+			f.err = err
 		}
-		// charge meters supplemental gas for the heavy nn ops, whose cost
-		// is known only after their operands decode.
-		charge := func(extra uint64) error {
-			gas += extra
-			if gas > gasLimit {
-				return fmt.Errorf("%w: used %d of %d", ErrOutOfGas, gas, gasLimit)
-			}
-			return nil
+		if f.err != nil {
+			break
 		}
-
-		var err error
+		pc = next
 		switch op {
 		case OpHalt:
-			pc = len(code)
+			pc = len(m.Code)
 		case OpInput:
-			cp := make([]float32, len(input))
-			copy(cp, input)
-			err = push(vector(cp))
+			f.push(vector(clone(input)))
 		case OpPushScalar:
-			var idx int
-			if idx, err = readU16(); err == nil {
-				if idx >= len(m.Scalars) {
-					err = fmt.Errorf("%w: scalar pool index %d out of range", ErrBadModule, idx)
-				} else {
-					err = push(scalar(m.Scalars[idx]))
-				}
-			}
+			f.push(scalar(m.Scalars[a[0]]))
 		case OpPushVector:
-			var idx int
-			if idx, err = readU16(); err == nil {
-				if idx >= len(m.Vectors) {
-					err = fmt.Errorf("%w: vector pool index %d out of range", ErrBadModule, idx)
-				} else {
-					cp := make([]float32, len(m.Vectors[idx]))
-					copy(cp, m.Vectors[idx])
-					err = push(vector(cp))
-				}
-			}
+			f.push(vector(clone(m.Vectors[a[0]])))
 		case OpDup:
-			var v Value
-			if v, err = pop(); err == nil {
-				cp := v
-				if v.IsVec {
-					cp.Vec = append([]float32(nil), v.Vec...)
-				}
-				if err = push(v); err == nil {
-					err = push(cp)
-				}
-			}
+			f.dup()
 		case OpDrop:
-			_, err = pop()
+			f.pop()
 		case OpSwap:
-			var a, b Value
-			if b, err = pop(); err == nil {
-				if a, err = pop(); err == nil {
-					if err = push(b); err == nil {
-						err = push(a)
-					}
-				}
-			}
+			y, x := f.pop(), f.pop()
+			f.push(y)
+			f.push(x)
 		case OpAdd, OpSub, OpMul, OpDiv:
-			err = binaryOp(&stack, op, push, pop)
-		case OpNeg:
-			err = unaryOp(pop, push, func(x float32) float32 { return -x })
-		case OpAbs:
-			err = unaryOp(pop, push, func(x float32) float32 {
-				if x < 0 {
-					return -x
-				}
-				return x
-			})
-		case OpSquare:
-			err = unaryOp(pop, push, func(x float32) float32 { return x * x })
-		case OpSqrt:
-			err = unaryOp(pop, push, func(x float32) float32 {
-				return float32(math.Sqrt(float64(x)))
-			})
+			f.arith(op)
+		case OpNeg, OpAbs, OpSquare, OpSqrt, OpReLU, OpSigmoid, OpTanh:
+			f.push(mapValue(f.pop(), elementwise(op)))
 		case OpClamp:
-			var hi, lo float32
-			var x Value
-			if hi, err = popScalar(); err == nil {
-				if lo, err = popScalar(); err == nil {
-					if x, err = pop(); err == nil {
-						err = push(mapValue(x, func(v float32) float32 {
-							if v < lo {
-								return lo
-							}
-							if v > hi {
-								return hi
-							}
-							return v
-						}))
-					}
-				}
-			}
+			f.clamp()
 		case OpNormalize:
-			var std, mean, x []float32
-			if std, err = popVec(); err == nil {
-				if mean, err = popVec(); err == nil {
-					if x, err = popVec(); err == nil {
-						if len(x) != len(mean) || len(x) != len(std) {
-							err = fmt.Errorf("%w: normalize lengths %d/%d/%d", ErrTypeMismatch, len(x), len(mean), len(std))
-						} else {
-							out := make([]float32, len(x))
-							for i := range x {
-								d := std[i]
-								if d == 0 {
-									d = 1
-								}
-								out[i] = (x[i] - mean[i]) / d
-							}
-							err = push(vector(out))
-						}
-					}
-				}
-			}
+			f.normalize()
 		case OpThreshold:
-			var t float32
-			var x Value
-			if t, err = popScalar(); err == nil {
-				if x, err = pop(); err == nil {
-					err = push(mapValue(x, func(v float32) float32 {
-						if v > t {
-							return 1
-						}
-						return 0
-					}))
-				}
-			}
+			f.threshold()
 		case OpSoftmax:
-			var x []float32
-			if x, err = popVec(); err == nil {
-				err = push(vector(softmax(x)))
-			}
-		case OpArgMax:
-			var x []float32
-			if x, err = popVec(); err == nil {
-				if len(x) == 0 {
-					err = fmt.Errorf("%w: argmax of empty vector", ErrTypeMismatch)
-				} else {
-					best, bi := x[0], 0
-					for i, v := range x[1:] {
-						if v > best {
-							best, bi = v, i+1
-						}
-					}
-					err = push(scalar(float32(bi)))
-				}
-			}
-		case OpMax, OpMean, OpSum:
-			var x []float32
-			if x, err = popVec(); err == nil {
-				if len(x) == 0 {
-					err = fmt.Errorf("%w: reduction of empty vector", ErrTypeMismatch)
-				} else {
-					err = push(scalar(reduce(op, x)))
-				}
-			}
+			f.push(vector(softmax(f.popVec())))
+		case OpArgMax, OpMax, OpMean, OpSum:
+			f.reduce(op)
 		case OpMeanPool:
-			var k int
-			if k, err = readU16(); err == nil {
-				var x []float32
-				if x, err = popVec(); err == nil {
-					if k <= 0 || len(x)%k != 0 {
-						err = fmt.Errorf("%w: meanpool window %d does not divide length %d", ErrTypeMismatch, k, len(x))
-					} else {
-						out := make([]float32, len(x)/k)
-						for i := range out {
-							var s float32
-							for j := 0; j < k; j++ {
-								s += x[i*k+j]
-							}
-							out[i] = s / float32(k)
-						}
-						err = push(vector(out))
-					}
-				}
-			}
+			f.meanPool(a[0])
 		case OpSlice:
-			var lo, hi int
-			if lo, err = readU16(); err == nil {
-				if hi, err = readU16(); err == nil {
-					var x []float32
-					if x, err = popVec(); err == nil {
-						if lo > hi || hi > len(x) {
-							err = fmt.Errorf("%w: slice [%d:%d] of length %d", ErrTypeMismatch, lo, hi, len(x))
-						} else {
-							err = push(vector(append([]float32(nil), x[lo:hi]...)))
-						}
-					}
-				}
-			}
-		case OpReLU:
-			err = unaryOp(pop, push, func(x float32) float32 {
-				if x > 0 {
-					return x
-				}
-				return 0
-			})
-		case OpSigmoid:
-			err = unaryOp(pop, push, func(x float32) float32 {
-				return float32(1 / (1 + math.Exp(-float64(x))))
-			})
-		case OpTanh:
-			err = unaryOp(pop, push, func(x float32) float32 {
-				return float32(math.Tanh(float64(x)))
-			})
+			f.slice(a[0], a[1])
 		case OpMatVec:
-			err = runMatVec(m, readU16, popVec, push, charge)
+			f.matVec(m.Vectors[a[0]], m.Vectors[a[1]], a[2])
 		case OpConv2D:
-			err = runConv2D(m, readU16, popVec, push, charge)
+			f.conv2D(m.Vectors[a[0]], m.Vectors[a[1]], a[2], a[3], a[4], a[5], a[6], a[7], a[8], a[9])
 		case OpMaxPool2D:
-			err = runMaxPool2D(readU16, popVec, push, charge)
-		}
-		if err != nil {
-			return Result{GasUsed: gas}, err
+			f.maxPool2D(a[0], a[1], a[2], a[3], a[4])
 		}
 	}
-	if len(stack) == 0 {
-		return Result{GasUsed: gas}, fmt.Errorf("%w: module left an empty stack", ErrBadModule)
+	if f.err == nil && f.depth == 0 {
+		f.err = fmt.Errorf("%w: module left an empty stack", ErrBadModule)
 	}
-	return Result{Output: stack[len(stack)-1], GasUsed: gas}, nil
+	if f.err != nil {
+		return Result{GasUsed: f.gas}, f.err
+	}
+	return Result{Output: *f.slot(f.depth - 1), GasUsed: f.gas}, nil
 }
 
-func mapValue(v Value, f func(float32) float32) Value {
+// clone copies a vector the module or the caller owns before it goes on
+// the stack, where instructions may hand it out as the Result.
+func clone(v []float32) []float32 {
+	cp := make([]float32, len(v))
+	copy(cp, v)
+	return cp
+}
+
+func mapValue(v Value, fn func(float32) float32) Value {
 	if !v.IsVec {
-		return scalar(f(v.Scalar))
+		return scalar(fn(v.Scalar))
 	}
 	out := make([]float32, len(v.Vec))
 	for i, x := range v.Vec {
-		out[i] = f(x)
+		out[i] = fn(x)
 	}
 	return vector(out)
 }
 
-func unaryOp(pop func() (Value, error), push func(Value) error, f func(float32) float32) error {
-	v, err := pop()
-	if err != nil {
-		return err
+// elementwise returns the map of a unary arithmetic or activation op.
+func elementwise(op OpCode) func(float32) float32 {
+	switch op {
+	case OpNeg:
+		return func(x float32) float32 { return -x }
+	case OpAbs:
+		return func(x float32) float32 {
+			if x < 0 {
+				return -x
+			}
+			return x
+		}
+	case OpSquare:
+		return func(x float32) float32 { return x * x }
+	case OpSqrt:
+		return func(x float32) float32 { return float32(math.Sqrt(float64(x))) }
+	case OpReLU:
+		return func(x float32) float32 {
+			if x > 0 {
+				return x
+			}
+			return 0
+		}
+	case OpSigmoid:
+		return func(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
+	default: // OpTanh
+		return func(x float32) float32 { return float32(math.Tanh(float64(x))) }
 	}
-	return push(mapValue(v, f))
 }
 
-func binaryOp(stack *[]Value, op OpCode, push func(Value) error, pop func() (Value, error)) error {
-	b, err := pop()
-	if err != nil {
-		return err
+func (f *frame) dup() {
+	v := f.pop()
+	cp := v
+	if v.IsVec {
+		cp.Vec = append([]float32(nil), v.Vec...)
 	}
-	a, err := pop()
-	if err != nil {
-		return err
-	}
+	f.push(v)
+	f.push(cp)
+}
+
+// arith pops b then a and pushes a∘b, broadcasting a scalar over a vector.
+func (f *frame) arith(op OpCode) {
+	b, a := f.pop(), f.pop()
 	apply := func(x, y float32) float32 {
 		switch op {
 		case OpAdd:
@@ -406,21 +301,62 @@ func binaryOp(stack *[]Value, op OpCode, push func(Value) error, pop func() (Val
 	}
 	switch {
 	case !a.IsVec && !b.IsVec:
-		return push(scalar(apply(a.Scalar, b.Scalar)))
-	case a.IsVec && !b.IsVec:
-		return push(mapValue(a, func(x float32) float32 { return apply(x, b.Scalar) }))
-	case !a.IsVec && b.IsVec:
-		return push(mapValue(b, func(y float32) float32 { return apply(a.Scalar, y) }))
+		f.push(scalar(apply(a.Scalar, b.Scalar)))
+	case !b.IsVec:
+		f.push(mapValue(a, func(x float32) float32 { return apply(x, b.Scalar) }))
+	case !a.IsVec:
+		f.push(mapValue(b, func(y float32) float32 { return apply(a.Scalar, y) }))
+	case len(a.Vec) != len(b.Vec):
+		f.err = fmt.Errorf("%w: vector lengths %d vs %d", ErrTypeMismatch, len(a.Vec), len(b.Vec))
 	default:
-		if len(a.Vec) != len(b.Vec) {
-			return fmt.Errorf("%w: vector lengths %d vs %d", ErrTypeMismatch, len(a.Vec), len(b.Vec))
-		}
 		out := make([]float32, len(a.Vec))
 		for i := range out {
 			out[i] = apply(a.Vec[i], b.Vec[i])
 		}
-		return push(vector(out))
+		f.push(vector(out))
 	}
+}
+
+func (f *frame) clamp() {
+	hi, lo := f.popScalar(), f.popScalar()
+	f.push(mapValue(f.pop(), func(v float32) float32 {
+		if v < lo {
+			return lo
+		}
+		if v > hi {
+			return hi
+		}
+		return v
+	}))
+}
+
+func (f *frame) threshold() {
+	t := f.popScalar()
+	f.push(mapValue(f.pop(), func(v float32) float32 {
+		if v > t {
+			return 1
+		}
+		return 0
+	}))
+}
+
+func (f *frame) normalize() {
+	std, mean, x := f.popVec(), f.popVec(), f.popVec()
+	if f.err == nil && (len(x) != len(mean) || len(x) != len(std)) {
+		f.err = fmt.Errorf("%w: normalize lengths %d/%d/%d", ErrTypeMismatch, len(x), len(mean), len(std))
+	}
+	if f.err != nil {
+		return
+	}
+	out := make([]float32, len(x))
+	for i := range x {
+		d := std[i]
+		if d == 0 {
+			d = 1
+		}
+		out[i] = (x[i] - mean[i]) / d
+	}
+	f.push(vector(out))
 }
 
 func softmax(x []float32) []float32 {
@@ -447,84 +383,103 @@ func softmax(x []float32) []float32 {
 	return out
 }
 
-// runMatVec executes OpMatVec: pop x (len in), push x·W + b. The multiply
-// goes through tensor.MatMulInto on a 1×in row so the result is
-// bit-identical to nn.Dense's InferInto on the same row.
-func runMatVec(m *Module, readU16 func() (int, error), popVec func() ([]float32, error), push func(Value) error, charge func(uint64) error) error {
-	wi, err := readU16()
-	if err != nil {
-		return err
+// reduce pops a non-empty vector and pushes its argmax, max, mean or sum.
+func (f *frame) reduce(op OpCode) {
+	x := f.popVec()
+	if f.err == nil && len(x) == 0 {
+		f.err = fmt.Errorf("%w: %v of empty vector", ErrTypeMismatch, op)
 	}
-	bi, err := readU16()
-	if err != nil {
-		return err
+	if f.err != nil {
+		return
 	}
-	outN, err := readU16()
-	if err != nil {
-		return err
+	best, bi := x[0], 0
+	var sum float64
+	for i, v := range x {
+		if v > best {
+			best, bi = v, i
+		}
+		sum += float64(v)
 	}
-	if wi >= len(m.Vectors) || bi >= len(m.Vectors) {
-		return fmt.Errorf("%w: matvec pool index out of range", ErrBadModule)
+	switch op {
+	case OpArgMax:
+		f.push(scalar(float32(bi)))
+	case OpMax:
+		f.push(scalar(best))
+	case OpSum:
+		f.push(scalar(float32(sum)))
+	default: // OpMean
+		f.push(scalar(float32(sum / float64(len(x)))))
 	}
-	x, err := popVec()
-	if err != nil {
-		return err
+}
+
+func (f *frame) meanPool(k int) {
+	x := f.popVec()
+	if f.err == nil && len(x)%k != 0 {
+		f.err = fmt.Errorf("%w: meanpool window %d does not divide length %d", ErrTypeMismatch, k, len(x))
 	}
+	if f.err != nil {
+		return
+	}
+	out := make([]float32, len(x)/k)
+	for i := range out {
+		var s float32
+		for j := 0; j < k; j++ {
+			s += x[i*k+j]
+		}
+		out[i] = s / float32(k)
+	}
+	f.push(vector(out))
+}
+
+func (f *frame) slice(lo, hi int) {
+	x := f.popVec()
+	if f.err == nil && hi > len(x) {
+		f.err = fmt.Errorf("%w: slice [%d:%d] of length %d", ErrTypeMismatch, lo, hi, len(x))
+	}
+	if f.err != nil {
+		return
+	}
+	f.push(vector(append([]float32(nil), x[lo:hi]...)))
+}
+
+// matVec pops x (length in) and pushes x·W + b for the [in, out] matrix w,
+// charging in×out supplemental gas. The multiply goes through
+// tensor.MatMulInto on a 1×in row so the result is bit-identical to
+// nn.Dense's InferInto on the same row.
+func (f *frame) matVec(w, b []float32, outN int) {
+	x := f.popVec()
 	in := len(x)
-	w, b := m.Vectors[wi], m.Vectors[bi]
-	if outN <= 0 || len(w) != in*outN || len(b) != outN {
-		return fmt.Errorf("%w: matvec shapes: input %d, weights %d, bias %d, out %d",
+	if f.err == nil && (len(w) != in*outN || len(b) != outN) {
+		f.err = fmt.Errorf("%w: matvec shapes: input %d, weights %d, bias %d, out %d",
 			ErrTypeMismatch, in, len(w), len(b), outN)
 	}
-	if err := charge(uint64(in) * uint64(outN)); err != nil {
-		return err
+	if f.charge(uint64(in) * uint64(outN)); f.err != nil {
+		return
 	}
 	out := make([]float32, outN)
 	tensor.MatMulInto(tensor.FromSlice(out, 1, outN), tensor.FromSlice(x, 1, in), tensor.FromSlice(w, in, outN))
 	for j := range out {
 		out[j] += b[j]
 	}
-	return push(vector(out))
+	f.push(vector(out))
 }
 
-// runConv2D executes OpConv2D by the same im2col + MatMulInto route
-// nn.Conv2D takes, so compiled convolutions stay bit-identical to native.
-func runConv2D(m *Module, readU16 func() (int, error), popVec func() ([]float32, error), push func(Value) error, charge func(uint64) error) error {
-	var ops [10]int
-	for i := range ops {
-		v, err := readU16()
-		if err != nil {
-			return err
-		}
-		ops[i] = v
-	}
-	wi, bi := ops[0], ops[1]
-	inC, h, w := ops[2], ops[3], ops[4]
-	outC, kh, kw := ops[5], ops[6], ops[7]
-	stride, pad := ops[8], ops[9]
-	if wi >= len(m.Vectors) || bi >= len(m.Vectors) {
-		return fmt.Errorf("%w: conv2d pool index out of range", ErrBadModule)
-	}
-	if inC <= 0 || h <= 0 || w <= 0 || outC <= 0 || kh <= 0 || kw <= 0 || stride <= 0 {
-		return fmt.Errorf("%w: conv2d geometry", ErrTypeMismatch)
-	}
+// conv2D pops a flattened [inC, h, w] map and pushes the [outC, oh, ow]
+// convolution, charging one gas per MAC, by the same im2col + MatMulInto
+// route nn.Conv2D takes, so compiled convolutions stay bit-identical to
+// native. The row's check has made every dimension positive and the
+// window fit, so oh and ow are at least 1.
+func (f *frame) conv2D(weights, bias []float32, inC, h, w, outC, kh, kw, stride, pad int) {
 	oh := (h+2*pad-kh)/stride + 1
 	ow := (w+2*pad-kw)/stride + 1
-	if oh <= 0 || ow <= 0 {
-		return fmt.Errorf("%w: conv2d output would be empty", ErrTypeMismatch)
-	}
-	x, err := popVec()
-	if err != nil {
-		return err
-	}
+	x := f.popVec()
 	k := inC * kh * kw
-	weights, bias := m.Vectors[wi], m.Vectors[bi]
-	if len(x) != inC*h*w || len(weights) != outC*k || len(bias) != outC {
-		return fmt.Errorf("%w: conv2d shapes: input %d, weights %d, bias %d",
+	if f.err == nil && (len(x) != inC*h*w || len(weights) != outC*k || len(bias) != outC) {
+		f.err = fmt.Errorf("%w: conv2d shapes: input %d, weights %d, bias %d",
 			ErrTypeMismatch, len(x), len(weights), len(bias))
 	}
-	if err := charge(uint64(outC) * uint64(oh) * uint64(ow) * uint64(k)); err != nil {
-		return err
+	if f.charge(uint64(outC) * uint64(oh) * uint64(ow) * uint64(k)); f.err != nil {
+		return
 	}
 	cols := tensor.New(k, oh*ow)
 	// im2col matching nn.Conv2D's unroll exactly (zero-padded taps).
@@ -551,8 +506,7 @@ func runConv2D(m *Module, readU16 func() (int, error), popVec func() ([]float32,
 	}
 	y := tensor.New(outC, oh*ow)
 	tensor.MatMulInto(y, tensor.FromSlice(weights, outC, k), cols)
-	out := make([]float32, outC*oh*ow)
-	copy(out, y.Data)
+	out := y.Data
 	for oc := 0; oc < outC; oc++ {
 		b := bias[oc]
 		seg := out[oc*oh*ow : (oc+1)*oh*ow]
@@ -560,37 +514,20 @@ func runConv2D(m *Module, readU16 func() (int, error), popVec func() ([]float32,
 			seg[i] += b
 		}
 	}
-	return push(vector(out))
+	f.push(vector(out))
 }
 
-// runMaxPool2D executes OpMaxPool2D with nn.MaxPool2D's exact loop.
-func runMaxPool2D(readU16 func() (int, error), popVec func() ([]float32, error), push func(Value) error, charge func(uint64) error) error {
-	var ops [5]int
-	for i := range ops {
-		v, err := readU16()
-		if err != nil {
-			return err
-		}
-		ops[i] = v
-	}
-	ch, h, w, k, stride := ops[0], ops[1], ops[2], ops[3], ops[4]
-	if ch <= 0 || h <= 0 || w <= 0 || k <= 0 || stride <= 0 {
-		return fmt.Errorf("%w: maxpool2d geometry", ErrTypeMismatch)
-	}
+// maxPool2D pops a flattened [ch, h, w] map and pushes its k×k max-pooled
+// map with nn.MaxPool2D's exact loop, charging one gas per comparison.
+func (f *frame) maxPool2D(ch, h, w, k, stride int) {
 	oh := (h-k)/stride + 1
 	ow := (w-k)/stride + 1
-	if oh <= 0 || ow <= 0 {
-		return fmt.Errorf("%w: maxpool2d output would be empty", ErrTypeMismatch)
+	x := f.popVec()
+	if f.err == nil && len(x) != ch*h*w {
+		f.err = fmt.Errorf("%w: maxpool2d input %d != %d×%d×%d", ErrTypeMismatch, len(x), ch, h, w)
 	}
-	x, err := popVec()
-	if err != nil {
-		return err
-	}
-	if len(x) != ch*h*w {
-		return fmt.Errorf("%w: maxpool2d input %d != %d×%d×%d", ErrTypeMismatch, len(x), ch, h, w)
-	}
-	if err := charge(uint64(ch) * uint64(oh) * uint64(ow) * uint64(k) * uint64(k)); err != nil {
-		return err
+	if f.charge(uint64(ch) * uint64(oh) * uint64(ow) * uint64(k) * uint64(k)); f.err != nil {
+		return
 	}
 	out := make([]float32, ch*oh*ow)
 	for c := 0; c < ch; c++ {
@@ -611,30 +548,5 @@ func runMaxPool2D(readU16 func() (int, error), popVec func() ([]float32, error),
 			}
 		}
 	}
-	return push(vector(out))
-}
-
-func reduce(op OpCode, x []float32) float32 {
-	switch op {
-	case OpMax:
-		m := x[0]
-		for _, v := range x[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	case OpSum:
-		var s float64
-		for _, v := range x {
-			s += float64(v)
-		}
-		return float32(s)
-	default: // OpMean
-		var s float64
-		for _, v := range x {
-			s += float64(v)
-		}
-		return float32(s / float64(len(x)))
-	}
+	f.push(vector(out))
 }

@@ -56,3 +56,38 @@ func FuzzDecodeModule(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) { wiretest.Canonical(t, data, reencodeModule) })
 }
+
+// invalidPrograms are programs Builder.Build could not have emitted, one
+// per thing Validate checks, as hand-built modules over a pool of one
+// scalar and no vectors.
+var invalidPrograms = map[string][]byte{
+	"underflow":         {byte(OpInput), byte(OpAdd)},
+	"truncated operand": {byte(OpInput), byte(OpSlice), 0, 0, 1},
+	"unknown opcode":    {byte(OpInput), byte(opCount)},
+	"pool index":        {byte(OpInput), byte(OpPushScalar), 1, 0},
+	"empty final stack": {byte(OpInput), byte(OpDrop)},
+	// (2−3)/2+1 truncates to one window; Run used to index past the map.
+	"pool window larger than its map": {byte(OpInput), byte(OpMaxPool2D), 1, 0, 2, 0, 2, 0, 3, 0, 2, 0},
+}
+
+// TestDecodeValidates: a PVM1 blob whose program Validate refuses does not
+// decode, so no loader (registry.LoadCompiled, core's image decode,
+// enclave.LoadSealedModule) hands it to a first query; if such a module is
+// built by hand anyway, Run fails that query with a sentinel.
+func TestDecodeValidates(t *testing.T) {
+	for name, code := range invalidPrograms {
+		m := &Module{Name: name, Scalars: []float32{1}, Code: code}
+		if err := Validate(m); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		if _, err := DecodeModule(m.Encode()); err == nil {
+			t.Errorf("%s: DecodeModule accepted it", name)
+		}
+		if res, err := NewRuntime(CapNone).Run(m, []float32{1, 2, 3, 4}); err == nil {
+			t.Errorf("%s: Run returned %+v", name, res)
+		}
+	}
+	if _, err := NewBuilder("p").Input().MaxPool2D(1, 2, 2, 3, 2).Build(); err == nil {
+		t.Error("Build accepted a pool window larger than its map")
+	}
+}

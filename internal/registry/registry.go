@@ -262,6 +262,9 @@ func (r *Registry) RegisterCompiled(parentID string, m *procvm.Module, accuracy 
 	if parent.Kind != KindNetwork {
 		return nil, fmt.Errorf("registry: compiled parent %q must be a network artifact", parentID)
 	}
+	if err := procvm.Validate(m); err != nil {
+		return nil, fmt.Errorf("registry: compiled module: %w", err)
+	}
 	data := m.Encode()
 	digest := sha256.Sum256(data)
 	id := idFromDigest(digest)

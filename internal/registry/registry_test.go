@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"crypto/sha256"
 	"strings"
 	"sync"
 	"testing"
@@ -301,6 +302,40 @@ func TestRegisterCompiledAndLoadCompiledRejects(t *testing.T) {
 	}
 	if _, err := r.LoadCompiled("missing"); err == nil {
 		t.Fatal("unknown ID loaded")
+	}
+}
+
+// TestCompiledModulesAreValidated: a program Builder.Build could not have
+// emitted is refused at publication, and — planted in the blob store with a
+// matching digest, as a corrupted or hostile store would hold it — at load,
+// not by the first query that runs it. The last row is the pool window
+// that used to index past its map.
+func TestCompiledModulesAreValidated(t *testing.T) {
+	r := New()
+	parent, err := r.RegisterModel("demo", newTestNet(1), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, code := range map[string][]byte{
+		"underflow":         {byte(procvm.OpInput), byte(procvm.OpAdd)},
+		"truncated operand": {byte(procvm.OpInput), byte(procvm.OpSlice), 0, 0, 1},
+		"unknown opcode":    {byte(procvm.OpInput), 250},
+		"pool index":        {byte(procvm.OpInput), byte(procvm.OpPushScalar), 1, 0},
+		"empty final stack": {byte(procvm.OpInput), byte(procvm.OpDrop)},
+		"pool window":       {byte(procvm.OpInput), byte(procvm.OpMaxPool2D), 1, 0, 2, 0, 2, 0, 3, 0, 2, 0},
+	} {
+		mod := &procvm.Module{Name: name, Scalars: []float32{1}, Code: code}
+		if _, err := r.RegisterCompiled(parent.ID, mod, 0.5); err == nil {
+			t.Errorf("%s: RegisterCompiled accepted it", name)
+		}
+		data := mod.Encode()
+		digest := sha256.Sum256(data)
+		id := idFromDigest(digest)
+		r.blobs[id] = data
+		r.models[id] = &ModelVersion{ID: id, Kind: KindProcVM, Digest: digest}
+		if _, err := r.LoadCompiled(id); err == nil {
+			t.Errorf("%s: LoadCompiled accepted it", name)
+		}
 	}
 }
 
