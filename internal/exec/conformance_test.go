@@ -307,6 +307,12 @@ func TestConstructorsRejectUnusableModels(t *testing.T) {
 	if _, err := bad.Run(tensor.Randn(tensor.NewRNG(2), 1, 1, 2), 1, 2, engine.NewArena()); err == nil {
 		t.Fatal("ran a suffix of a network that does not shape-infer")
 	}
+	// The integer lowering happens once, at build, so that is where a window
+	// larger than its map is refused; it used to serve one partial window.
+	oversized := nn.NewNetwork([]int{1, 2, 2}, nn.NewConv2D(1, 2, 3, 3, 2, 0, tensor.NewRNG(1)), nn.NewFlatten())
+	if _, err := Quant(oversized, quant.Int8); err == nil {
+		t.Fatal("integer executor built over a convolution window larger than its map")
+	}
 	mod := compile(t, conformanceModel())
 	undeclared := Module(mod, mod.Caps, 0, 1)
 	if undeclared.InputShape() != nil {

@@ -10,6 +10,8 @@
 //
 // Tensors follow the conventions of internal/tensor: dense layers take
 // [batch, features]; convolutional layers take [batch, channels, h, w].
+// Conv2D and MaxPool2D describe their geometry as a tensor.Window and run
+// tensor/window.go's kernels; nothing here restates what a window is.
 //
 // Two forward paths exist. Layer.Forward caches what Backward needs, so a
 // network is single-flight while training. Network.ForwardBatch is the

@@ -39,9 +39,8 @@ type bstep struct {
 	dense *Dense
 
 	conv     *Conv2D
+	win      tensor.Window  // conv geometry (fixed per program)
 	cols, my *tensor.Tensor // conv im2col and matmul-output workspaces
-	ch, cw   int            // conv input spatial dims (fixed per program)
-	coh, cow int            // conv output spatial dims
 	flatHdr  *tensor.Tensor // stepFlatten: [b, per] view, data rebound per run
 }
 
@@ -98,13 +97,13 @@ func (n *Network) compileBatch(b int, in []int) (*program, error) {
 			i = absorbTail(st, layers, i, l.Out)
 			p.steps = append(p.steps, st)
 		case *Conv2D:
-			oh, ow := info.OutShape[1], info.OutShape[2]
+			g := l.window(cur[1], cur[2])
+			positions := info.OutShape[1] * info.OutShape[2]
 			st := &bstep{
-				kind: stepConv, conv: l,
+				kind: stepConv, conv: l, win: g,
 				dst:  tensor.New(append([]int{b}, info.OutShape...)...),
-				cols: tensor.New(l.InC*l.KH*l.KW, oh*ow),
-				my:   tensor.New(l.OutC, oh*ow),
-				ch:   cur[1], cw: cur[2], coh: oh, cow: ow,
+				cols: tensor.New(g.Taps(), positions),
+				my:   tensor.New(l.OutC, positions),
 			}
 			i = absorbTail(st, layers, i, 0)
 			p.steps = append(p.steps, st)
@@ -148,21 +147,8 @@ func (p *program) run(x *tensor.Tensor) *tensor.Tensor {
 			st.runTail()
 			x = st.dst
 		case stepConv:
-			c := st.conv
-			oh, ow := st.coh, st.cow
-			ex := st.ch * st.cw * c.InC
 			for n := 0; n < p.batch; n++ {
-				c.im2colInto(st.cols, x.Data[n*ex:(n+1)*ex], st.ch, st.cw, oh, ow)
-				tensor.MatMulInto(st.my, c.W.Value, st.cols)
-				seg := st.dst.Data[n*c.OutC*oh*ow : (n+1)*c.OutC*oh*ow]
-				copy(seg, st.my.Data)
-				for oc := 0; oc < c.OutC; oc++ {
-					bias := c.B.Value.Data[oc]
-					row := seg[oc*oh*ow : (oc+1)*oh*ow]
-					for i := range row {
-						row[i] += bias
-					}
-				}
+				st.conv.convolve(st.dst, x, n, st.win, st.cols, st.my)
 			}
 			st.runTail()
 			x = st.dst

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"tinymlops/internal/tensor"
@@ -369,9 +371,16 @@ func TestSummaryReportsShapeErrors(t *testing.T) {
 // zero, so at stride 2 a 3×3 window over a 2×2 map used to count as one
 // output — Summary, MarshalBinary and UnmarshalNetwork passed, and
 // ForwardBatch indexed past the map (pool) or convolved one partial window
-// (conv). Padding that makes the kernel fit is still accepted.
+// (conv). Padding that makes the kernel fit is still accepted. Forward, which
+// never asks Summary, used to index out of range (pool) or return the partial
+// window's logits (conv); it panics with tensor.Window.Check's refusal.
 func TestSummaryRejectsWindowLargerThanMap(t *testing.T) {
 	rng := tensor.NewRNG(14)
+	refusal := func(net *Network) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		net.Predict(tensor.New(append([]int{1}, net.InputShape...)...))
+		return
+	}
 	for name, net := range map[string]*Network{
 		"maxpool2d": NewNetwork([]int{1, 2, 2}, NewMaxPool2D(3, 2), NewFlatten()),
 		"conv2d":    NewNetwork([]int{1, 2, 2}, NewConv2D(1, 1, 3, 3, 2, 0, rng), NewFlatten()),
@@ -379,6 +388,9 @@ func TestSummaryRejectsWindowLargerThanMap(t *testing.T) {
 	} {
 		if cs, err := net.Summary(); err == nil {
 			t.Errorf("%s: Summary inferred %v for a window larger than its map", name, cs[0].Info.OutShape)
+		}
+		if msg := refusal(net); !strings.Contains(msg, "does not fit") {
+			t.Errorf("%s: Predict on a window larger than its map: %s", name, msg)
 		}
 	}
 	padded := NewNetwork([]int{1, 2, 2}, NewConv2D(1, 1, 3, 3, 2, 1, rng), NewFlatten())

@@ -28,7 +28,8 @@
 // before the instruction runs (see opInfo.gasPerElem for what that makes
 // of pushv and clamp). Beyond hand-built pipelines, internal/compat
 // compiles whole trained networks into modules — dense, convolution,
-// pooling and activation instructions — making the VM a portable
+// pooling and activation instructions, the windowed ones over the
+// tensor.Window and kernels the native layers run — making the VM a portable
 // protected-execution target: a module's gas limit is pinned at compile
 // time to its measured per-query cost, so a hosting runtime can meter a
 // stranger's model without trusting its cost claims.

@@ -3,6 +3,8 @@ package procvm
 import (
 	"encoding/binary"
 	"fmt"
+
+	"tinymlops/internal/tensor"
 )
 
 // OpCode is one instruction of the pipeline ISA. Instructions operate on a
@@ -151,21 +153,28 @@ func sliceFits(a operands) error {
 	return nil
 }
 
-// windowFits rejects a kh×kw window larger than its h×w map. The output
-// size (h−kh)/stride+1 truncates toward zero, so without this test such a
-// window would count as one, and maxpool2d index past the end of the map.
-func windowFits(name string, kh, kw, h, w int) error {
-	if kh > h || kw > w {
-		return fmt.Errorf("%w: %s window %d×%d does not fit its %d×%d map", ErrTypeMismatch, name, kh, kw, h, w)
+// conv2DWindow and maxPool2DWindow read an instruction's operands as the
+// tensor.Window it slides, for the row's fits test and for the arm.
+func conv2DWindow(a operands) tensor.Window {
+	return tensor.Window{C: a[2], H: a[3], W: a[4], KH: a[6], KW: a[7], Stride: a[8], Pad: a[9]}
+}
+
+func maxPool2DWindow(a operands) tensor.Window {
+	return tensor.Window{C: a[0], H: a[1], W: a[2], KH: a[3], KW: a[3], Stride: a[4]}
+}
+
+// windowFits holds a window to tensor.Window.Check: one larger than its
+// padded map would count as one position and read past the map's end.
+func windowFits(name string, g tensor.Window) error {
+	if err := g.Check(); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrTypeMismatch, name, err)
 	}
 	return nil
 }
 
-func conv2DFits(a operands) error {
-	return windowFits("conv2d", a[6], a[7], a[3]+2*a[9], a[4]+2*a[9])
-}
+func conv2DFits(a operands) error { return windowFits("conv2d", conv2DWindow(a)) }
 
-func maxPool2DFits(a operands) error { return windowFits("maxpool2d", a[3], a[3], a[1], a[2]) }
+func maxPool2DFits(a operands) error { return windowFits("maxpool2d", maxPool2DWindow(a)) }
 
 // String implements fmt.Stringer.
 func (o OpCode) String() string {

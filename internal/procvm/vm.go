@@ -211,9 +211,9 @@ func (rt *Runtime) Run(m *Module, input []float32) (Result, error) {
 		case OpMatVec:
 			f.matVec(m.Vectors[a[0]], m.Vectors[a[1]], a[2])
 		case OpConv2D:
-			f.conv2D(m.Vectors[a[0]], m.Vectors[a[1]], a[2], a[3], a[4], a[5], a[6], a[7], a[8], a[9])
+			f.conv2D(m.Vectors[a[0]], m.Vectors[a[1]], a[5], conv2DWindow(a))
 		case OpMaxPool2D:
-			f.maxPool2D(a[0], a[1], a[2], a[3], a[4])
+			f.maxPool2D(maxPool2DWindow(a))
 		}
 	}
 	if f.err == nil && f.depth == 0 {
@@ -465,88 +465,37 @@ func (f *frame) matVec(w, b []float32, outN int) {
 }
 
 // conv2D pops a flattened [inC, h, w] map and pushes the [outC, oh, ow]
-// convolution, charging one gas per MAC, by the same im2col + MatMulInto
-// route nn.Conv2D takes, so compiled convolutions stay bit-identical to
-// native. The row's check has made every dimension positive and the
-// window fit, so oh and ow are at least 1.
-func (f *frame) conv2D(weights, bias []float32, inC, h, w, outC, kh, kw, stride, pad int) {
-	oh := (h+2*pad-kh)/stride + 1
-	ow := (w+2*pad-kw)/stride + 1
+// convolution, charging one gas per MAC. tensor.Conv2DInto is the body
+// nn.Conv2D runs, so compiled convolutions stay bit-identical to native. The
+// row's check has held g to Window.Check, so oh and ow are at least 1.
+func (f *frame) conv2D(weights, bias []float32, outC int, g tensor.Window) {
+	oh, ow := g.Out()
 	x := f.popVec()
-	k := inC * kh * kw
-	if f.err == nil && (len(x) != inC*h*w || len(weights) != outC*k || len(bias) != outC) {
+	k := g.Taps()
+	if f.err == nil && (len(x) != g.C*g.H*g.W || len(weights) != outC*k || len(bias) != outC) {
 		f.err = fmt.Errorf("%w: conv2d shapes: input %d, weights %d, bias %d",
 			ErrTypeMismatch, len(x), len(weights), len(bias))
 	}
 	if f.charge(uint64(outC) * uint64(oh) * uint64(ow) * uint64(k)); f.err != nil {
 		return
 	}
-	cols := tensor.New(k, oh*ow)
-	// im2col matching nn.Conv2D's unroll exactly (zero-padded taps).
-	idx := 0
-	for ch := 0; ch < inC; ch++ {
-		plane := x[ch*h*w : (ch+1)*h*w]
-		for ki := 0; ki < kh; ki++ {
-			for kj := 0; kj < kw; kj++ {
-				row := cols.Data[idx*oh*ow : (idx+1)*oh*ow]
-				idx++
-				p := 0
-				for oi := 0; oi < oh; oi++ {
-					si := oi*stride + ki - pad
-					for oj := 0; oj < ow; oj++ {
-						sj := oj*stride + kj - pad
-						if si >= 0 && si < h && sj >= 0 && sj < w {
-							row[p] = plane[si*w+sj]
-						}
-						p++
-					}
-				}
-			}
-		}
-	}
 	y := tensor.New(outC, oh*ow)
-	tensor.MatMulInto(y, tensor.FromSlice(weights, outC, k), cols)
-	out := y.Data
-	for oc := 0; oc < outC; oc++ {
-		b := bias[oc]
-		seg := out[oc*oh*ow : (oc+1)*oh*ow]
-		for i := range seg {
-			seg[i] += b
-		}
-	}
-	f.push(vector(out))
+	tensor.Conv2DInto(y, tensor.FromSlice(weights, outC, k), tensor.New(k, oh*ow), x, bias, g)
+	f.push(vector(y.Data))
 }
 
 // maxPool2D pops a flattened [ch, h, w] map and pushes its k×k max-pooled
-// map with nn.MaxPool2D's exact loop, charging one gas per comparison.
-func (f *frame) maxPool2D(ch, h, w, k, stride int) {
-	oh := (h-k)/stride + 1
-	ow := (w-k)/stride + 1
+// map, charging one gas per comparison: tensor.MaxPool, as nn.MaxPool2D.
+func (f *frame) maxPool2D(g tensor.Window) {
+	oh, ow := g.Out()
 	x := f.popVec()
-	if f.err == nil && len(x) != ch*h*w {
-		f.err = fmt.Errorf("%w: maxpool2d input %d != %d×%d×%d", ErrTypeMismatch, len(x), ch, h, w)
+	if f.err == nil && len(x) != g.C*g.H*g.W {
+		f.err = fmt.Errorf("%w: maxpool2d input %d != %d×%d×%d", ErrTypeMismatch, len(x), g.C, g.H, g.W)
 	}
-	if f.charge(uint64(ch) * uint64(oh) * uint64(ow) * uint64(k) * uint64(k)); f.err != nil {
+	if f.charge(uint64(g.C) * uint64(oh) * uint64(ow) * uint64(g.KH) * uint64(g.KW)); f.err != nil {
 		return
 	}
-	out := make([]float32, ch*oh*ow)
-	for c := 0; c < ch; c++ {
-		plane := x[c*h*w : (c+1)*h*w]
-		dst := out[c*oh*ow : (c+1)*oh*ow]
-		for oi := 0; oi < oh; oi++ {
-			for oj := 0; oj < ow; oj++ {
-				best := float32(math.Inf(-1))
-				for ki := 0; ki < k; ki++ {
-					for kj := 0; kj < k; kj++ {
-						v := plane[(oi*stride+ki)*w+(oj*stride+kj)]
-						if v > best {
-							best = v
-						}
-					}
-				}
-				dst[oi*ow+oj] = best
-			}
-		}
-	}
+	out := make([]float32, g.C*oh*ow)
+	tensor.MaxPool(out, x, g, nil)
 	f.push(vector(out))
 }

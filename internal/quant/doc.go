@@ -7,7 +7,9 @@
 //
 // QModel is a first-class servable, not an evaluation aid: dense and
 // convolutional layers run on the blocked integer kernels in
-// internal/tensor with dynamic per-example activation quantization, and
+// internal/tensor with dynamic per-example activation quantization (a
+// convolution unrolls its int8 codes through the tensor.Im2col the float
+// engine uses, over the same tensor.Window), and
 // ForwardBatch serves whole bursts through reusable QScratch buffers —
 // allocation-free in the steady state, bit-identical to per-example
 // Predict, and safe for any number of goroutines over one shared model

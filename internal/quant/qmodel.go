@@ -211,8 +211,9 @@ func (d *qDense) sizeBytes() int { return d.w.SizeBytes() + 4*len(d.bias) }
 
 // qConv2D runs a convolution on the integer kernel: each example's
 // activations are quantized with one dynamic scale, unrolled to int8
-// im2col columns (zero padding is exact in the integer domain), and
-// multiplied against per-output-channel quantized kernels.
+// columns by the tensor.Im2col that nn.Conv2D's floats go through (zero
+// padding is exact in the integer domain), and multiplied against
+// per-output-channel quantized kernels.
 type qConv2D struct {
 	inC, outC   int
 	kh, kw      int
@@ -225,49 +226,18 @@ type qConv2D struct {
 	scheme      Scheme
 }
 
-func (c *qConv2D) outHW(h, w int) (int, int) {
-	return (h+2*c.pad-c.kh)/c.stride + 1, (w+2*c.pad-c.kw)/c.stride + 1
-}
-
-// im2colInt8 unrolls one example's int8 codes [inC, h, w] into a
-// [inC*kh*kw, oh*ow] column matrix, zeroing padded taps.
-func (c *qConv2D) im2colInt8(cols, x []int8, h, w, oh, ow int) {
-	idx := 0
-	for ch := 0; ch < c.inC; ch++ {
-		plane := x[ch*h*w : (ch+1)*h*w]
-		for ki := 0; ki < c.kh; ki++ {
-			for kj := 0; kj < c.kw; kj++ {
-				row := cols[idx*oh*ow : (idx+1)*oh*ow]
-				idx++
-				p := 0
-				for oi := 0; oi < oh; oi++ {
-					si := oi*c.stride + ki - c.pad
-					for oj := 0; oj < ow; oj++ {
-						sj := oj*c.stride + kj - c.pad
-						if si >= 0 && si < h && sj >= 0 && sj < w {
-							row[p] = plane[si*w+sj]
-						} else {
-							row[p] = 0
-						}
-						p++
-					}
-				}
-			}
-		}
-	}
-}
-
 func (c *qConv2D) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
 	if x.Rank() != 4 || x.Dim(1) != c.inC {
 		panic(fmt.Sprintf("quant: qconv2d(%d→%d) got input shape %v", c.inC, c.outC, x.Shape()))
 	}
-	b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	oh, ow := c.outHW(h, w)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("quant: qconv2d output would be empty for input %v", x.Shape()))
+	g := tensor.Window{C: c.inC, H: x.Dim(2), W: x.Dim(3), KH: c.kh, KW: c.kw, Stride: c.stride, Pad: c.pad}
+	if err := g.Check(); err != nil {
+		panic(fmt.Sprintf("quant: qconv2d: %v", err))
 	}
-	ex := c.inC * h * w
-	k := c.inC * c.kh * c.kw
+	b := x.Dim(0)
+	oh, ow := g.Out()
+	ex := g.C * g.H * g.W
+	k := g.Taps()
 	codes := grow8(&s.codes, b*ex)
 	scales := growf(&s.rowScales, b)
 	QuantizeActivationsRows(x, codes, scales)
@@ -275,7 +245,7 @@ func (c *qConv2D) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
 	colScales := growf(&s.colScales, oh*ow)
 	out := s.buffer4(idx, b, c.outC, oh, ow)
 	for n := 0; n < b; n++ {
-		c.im2colInt8(cols, codes[n*ex:(n+1)*ex], h, w, oh, ow)
+		tensor.Im2col(cols, codes[n*ex:(n+1)*ex], g)
 		for j := range colScales {
 			colScales[j] = scales[n]
 		}
@@ -285,13 +255,7 @@ func (c *qConv2D) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
 		} else {
 			tensor.MatMulInt8(dst, c.w, cols, c.outC, k, oh*ow, c.wScales, colScales)
 		}
-		for oc := 0; oc < c.outC; oc++ {
-			bias := c.bias[oc]
-			seg := dst[oc*oh*ow : (oc+1)*oh*ow]
-			for i := range seg {
-				seg[i] += bias
-			}
-		}
+		tensor.AddBias(dst, c.bias)
 	}
 	return out
 }
@@ -390,6 +354,11 @@ func floatStageBytes(l nn.Layer) int {
 func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 	if scheme == Float32 {
 		return nil, fmt.Errorf("quant: NewQModel requires an integer scheme, got %v", scheme)
+	}
+	// Lowering happens once per version: refuse shapes that do not chain, or
+	// a window that does not fit its map, here and not on the first query.
+	if _, err := net.Summary(); err != nil {
+		return nil, fmt.Errorf("quant: %w", err)
 	}
 	m := &QModel{InputShape: append([]int(nil), net.InputShape...), Scheme: scheme}
 	for i, l := range net.Layers() {

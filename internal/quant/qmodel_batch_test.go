@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,7 +40,7 @@ func refForward(m *QModel, x *tensor.Tensor) *tensor.Tensor {
 			x = out
 		case *qConv2D:
 			b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-			oh, ow := s.outHW(h, w)
+			oh, ow := (h+2*s.pad-s.kh)/s.stride+1, (w+2*s.pad-s.kw)/s.stride+1
 			ex := s.inC * h * w
 			codes := make([]int8, x.Size())
 			scales := make([]float32, b)
@@ -260,12 +261,14 @@ func (opaqueLayer) Describe(in []int) (nn.LayerInfo, error) {
 }
 
 // TestNewQModelErrorPaths is the table-driven error contract: float
-// schemes and unknown layer kinds are rejected with errors, never lowered
-// silently.
+// schemes, unknown layer kinds and a window larger than its map (which used
+// to lower, and convolve one partial window on every query) are rejected
+// with errors, never lowered silently.
 func TestNewQModelErrorPaths(t *testing.T) {
 	rng := tensor.NewRNG(98)
 	plain := nn.NewNetwork([]int{4}, nn.NewDense(4, 2, rng))
 	exotic := nn.NewNetwork([]int{4}, nn.NewDense(4, 4, rng), opaqueLayer{}, nn.NewDense(4, 2, rng))
+	oversized := nn.NewNetwork([]int{1, 2, 2}, nn.NewConv2D(1, 2, 3, 3, 2, 0, rng), nn.NewFlatten())
 	cases := []struct {
 		name   string
 		net    *nn.Network
@@ -274,6 +277,7 @@ func TestNewQModelErrorPaths(t *testing.T) {
 	}{
 		{"float32 scheme rejected", plain, Float32, false},
 		{"unsupported layer kind rejected", exotic, Int8, false},
+		{"window larger than its map rejected", oversized, Int8, false},
 		{"plain dense int8 accepted", plain, Int8, true},
 		{"plain dense binary accepted", plain, Binary, true},
 	}
@@ -286,6 +290,23 @@ func TestNewQModelErrorPaths(t *testing.T) {
 			t.Fatalf("%s: error expected", c.name)
 		}
 	}
+}
+
+// TestQConvRefusesMapSmallerThanWindow: a batch whose maps are smaller than
+// the kernel the model was lowered with used to convolve one partial window;
+// the stage panics with tensor.Window.Check's refusal, as nn.Conv2D does.
+func TestQConvRefusesMapSmallerThanWindow(t *testing.T) {
+	net := nn.NewNetwork([]int{1, 4, 4}, nn.NewConv2D(1, 2, 3, 3, 2, 0, tensor.NewRNG(7)), nn.NewFlatten())
+	qm, err := NewQModel(net, Int8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "does not fit") {
+			t.Fatalf("2×2 maps under a 3×3 kernel: %s", msg)
+		}
+	}()
+	qm.Predict(tensor.New(1, 1, 2, 2))
 }
 
 // TestQScratchBufferReuse pins the steady-state reuse contract: repeated

@@ -25,6 +25,11 @@
 // MACs, the scalar analogue of a SIMD nibble kernel. All kernel scratch
 // lives on the worker's stack, so the serving hot loop allocates nothing.
 //
+// window.go is the module's one description of a sliding window: Window
+// says which geometry is valid and how many positions it takes, and Im2col,
+// Col2im and MaxPool share one walk over its taps, so a convolution or a
+// pooling is the same arithmetic under nn, quant and procvm.
+//
 // All stochastic helpers take an explicit *RNG so every higher layer is
 // reproducible from a seed.
 package tensor

@@ -106,13 +106,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Sum returns the sum of all elements (accumulated in float64 for accuracy).
 func (t *Tensor) Sum() float32 {
 	var s float64
@@ -268,24 +261,6 @@ func Dot(a, b *Tensor) float32 {
 	var s float64
 	for i := range a.Data {
 		s += float64(a.Data[i]) * float64(b.Data[i])
-	}
-	return float32(s)
-}
-
-// L2Norm returns the Euclidean norm of the tensor's elements.
-func (t *Tensor) L2Norm() float32 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return float32(math.Sqrt(s))
-}
-
-// L1Norm returns the sum of absolute values.
-func (t *Tensor) L1Norm() float32 {
-	var s float64
-	for _, v := range t.Data {
-		s += math.Abs(float64(v))
 	}
 	return float32(s)
 }

@@ -68,9 +68,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // NormFloat64 returns a standard normal variate (Box-Muller, with caching).
 func (r *RNG) NormFloat64() float64 {
 	if r.hasSp {

@@ -92,35 +92,11 @@ func (t *Tensor) must2D(op string) {
 	}
 }
 
-// At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set writes v at the given multi-dimensional index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
 // At2 is a fast accessor for 2D tensors.
 func (t *Tensor) At2(i, j int) float32 { return t.Data[i*t.shape[1]+j] }
 
 // Set2 is a fast mutator for 2D tensors.
 func (t *Tensor) Set2(i, j int, v float32) { t.Data[i*t.shape[1]+j] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.shape))
-	}
-	off := 0
-	for k, i := range idx {
-		if i < 0 || i >= t.shape[k] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[k] + i
-	}
-	return off
-}
 
 // Clone returns a deep copy of the tensor.
 func (t *Tensor) Clone() *Tensor {

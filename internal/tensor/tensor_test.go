@@ -37,23 +37,6 @@ func TestFromSliceLengthMismatchPanics(t *testing.T) {
 	FromSlice([]float32{1, 2, 3}, 2, 2)
 }
 
-func TestAtSetRoundTrip(t *testing.T) {
-	x := New(2, 3, 4)
-	x.Set(7.5, 1, 2, 3)
-	if got := x.At(1, 2, 3); got != 7.5 {
-		t.Fatalf("At = %v, want 7.5", got)
-	}
-	// Verify row-major offset: (1*3+2)*4+3 = 23.
-	if x.Data[23] != 7.5 {
-		t.Fatalf("row-major layout violated: Data[23]=%v", x.Data[23])
-	}
-}
-
-func TestAtOutOfRangePanics(t *testing.T) {
-	defer expectPanic(t, "At")
-	New(2, 2).At(2, 0)
-}
-
 func TestReshape(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	y := x.Reshape(3, 2)
@@ -266,12 +249,6 @@ func TestDotAndNorms(t *testing.T) {
 	a := FromSlice([]float32{3, 4}, 2)
 	if Dot(a, a) != 25 {
 		t.Fatalf("Dot = %v", Dot(a, a))
-	}
-	if a.L2Norm() != 5 {
-		t.Fatalf("L2Norm = %v", a.L2Norm())
-	}
-	if a.L1Norm() != 7 {
-		t.Fatalf("L1Norm = %v", a.L1Norm())
 	}
 }
 
