@@ -298,14 +298,11 @@ func TestConstructorsRejectUnusableModels(t *testing.T) {
 	if _, err := Float(nn.NewNetwork([]int{4}), 32); err == nil {
 		t.Fatal("empty network accepted")
 	}
-	// A network that does not shape-infer has no cost list, and fails any
-	// split with an error.
-	bad := must(t)(Float(nn.NewNetwork([]int{4}, nn.NewDense(5, 2, tensor.NewRNG(1)), nn.NewReLU()), 32))
-	if bad.Costs() != nil {
-		t.Fatal("shape-inconsistent network produced a cost list")
-	}
-	if _, err := bad.Run(tensor.Randn(tensor.NewRNG(2), 1, 1, 2), 1, 2, engine.NewArena()); err == nil {
-		t.Fatal("ran a suffix of a network that does not shape-infer")
+	// A network that does not shape-infer is refused at build: it used to
+	// build, report a nil cost list, error on a suffix and panic in the
+	// dense kernel on Run(x, 0, 2).
+	if _, err := Float(nonChaining(), 32); err == nil {
+		t.Fatal("float executor built over a network whose shapes do not chain")
 	}
 	// The integer lowering happens once, at build, so that is where a window
 	// larger than its map is refused; it used to serve one partial window.

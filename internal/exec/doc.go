@@ -16,6 +16,12 @@
 // — plus Hosted, which wraps any of them for execution inside an enclave
 // and adds nothing but the protected world's slowdown factor.
 //
+// An executor is built once per model version, and its geometry is fixed
+// there: Float and Quant shape-infer the network, refuse one whose shapes
+// do not chain, and keep the per-step cost list, so Costs and the shape
+// entering any step are plain reads, and Run checks a batch once, against
+// the step it enters.
+//
 // core.Deployment serves local queries with Run(x, 0, n); offload.Session
 // runs the device prefix with Run(x, 0, cut), ships EncodeBoundary's bytes
 // and finishes a failed split with Run(act, cut, n); offload.CloudTier

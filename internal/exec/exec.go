@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sync"
 
 	"tinymlops/internal/engine"
 	"tinymlops/internal/nn"
@@ -73,59 +72,49 @@ func Width(shape []int) int {
 
 // graph is the step geometry every executor embeds, with the defaults two
 // of the three share: float kernels, a cut at any step boundary, and the
-// float tensor codec on the wire. The cost list of a network is
-// shape-inferred on first need: a deployment serving whole passes to a
-// fleet never pays for it.
+// float tensor codec on the wire. It is resolved when the executor is
+// built and read-only after: a network that does not shape-infer is no
+// executor, so every step of one that exists has a cost and a shape.
 type graph struct {
-	net   *nn.Network // nil for a module, whose one cost is given
 	in    []int
-	steps int
-
-	mu    sync.Mutex // guards costs, and the float executor's views
-	costs []nn.LayerCost
+	costs []nn.LayerCost // one per step
 }
 
 func (g *graph) init(net *nn.Network) error {
 	if net == nil || len(net.Layers()) == 0 {
 		return fmt.Errorf("exec: model has no layers")
 	}
-	g.net, g.in, g.steps = net, net.InputShape, len(net.Layers())
+	costs, err := net.Summary()
+	if err != nil {
+		return fmt.Errorf("exec: %w", err)
+	}
+	g.in, g.costs = net.InputShape, costs
 	return nil
 }
 
-func (g *graph) Steps() int           { return g.steps }
-func (g *graph) InputShape() []int    { return g.in }
-func (g *graph) Slowdown() float64    { return 1 }
-func (g *graph) Scheme() quant.Scheme { return quant.Float32 }
-func (g *graph) SnapCut(cut int) int  { return min(max(cut, 0), g.steps) }
-
-// Costs is nil for a network that does not shape-infer.
-func (g *graph) Costs() []nn.LayerCost {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.costs == nil && g.net != nil {
-		g.costs, _ = g.net.Summary()
-	}
-	return g.costs
-}
+func (g *graph) Steps() int            { return len(g.costs) }
+func (g *graph) Costs() []nn.LayerCost { return g.costs }
+func (g *graph) InputShape() []int     { return g.in }
+func (g *graph) Slowdown() float64     { return 1 }
+func (g *graph) Scheme() quant.Scheme  { return quant.Float32 }
+func (g *graph) SnapCut(cut int) int   { return min(max(cut, 0), len(g.costs)) }
 
 // shapeAt is the per-example shape entering step i (nil: undeclared).
 func (g *graph) shapeAt(i int) ([]int, error) {
 	if i == 0 {
 		return g.in, nil
 	}
-	costs := g.Costs()
-	if i < 0 || i > len(costs) {
-		return nil, fmt.Errorf("exec: no shape at step %d of %d (the model must shape-infer)", i, len(costs))
+	if i < 0 || i > len(g.costs) {
+		return nil, fmt.Errorf("exec: no shape at step %d of %d", i, len(g.costs))
 	}
-	return costs[i-1].Info.OutShape, nil
+	return g.costs[i-1].Info.OutShape, nil
 }
 
 // enter checks a Run request and returns x in the declared shape entering
 // step lo (a flat feature row becomes the image a conv step expects).
 func (g *graph) enter(x *tensor.Tensor, lo, hi int) (*tensor.Tensor, error) {
-	if lo < 0 || hi > g.steps || lo > hi {
-		return nil, fmt.Errorf("exec: step range [%d,%d) out of [0,%d]", lo, hi, g.steps)
+	if lo < 0 || hi > g.Steps() || lo > hi {
+		return nil, fmt.Errorf("exec: step range [%d,%d) out of [0,%d]", lo, hi, g.Steps())
 	}
 	shape, err := g.shapeAt(lo)
 	if err != nil {
@@ -159,8 +148,8 @@ func (g *graph) EncodeBoundary(act *tensor.Tensor, cut int, ar *engine.Arena) ([
 // vector when that is undeclared).
 func (g *graph) DecodeBoundary(payload []byte, cut int) (Boundary, error) {
 	shape, err := g.shapeAt(cut)
-	if err != nil || cut >= g.steps {
-		return Boundary{}, fmt.Errorf("exec: cut %d out of range [0,%d)", cut, g.steps)
+	if err != nil || cut >= g.Steps() {
+		return Boundary{}, fmt.Errorf("exec: cut %d out of range [0,%d)", cut, g.Steps())
 	}
 	if isQAB(payload) {
 		return Boundary{}, fmt.Errorf("exec: this model does not accept quantized boundary payloads")

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"tinymlops/internal/engine"
 	"tinymlops/internal/nn"
@@ -14,8 +15,11 @@ import (
 // would, and no pass writes layer state.
 type floatExec struct {
 	graph
-	bits  int
-	views map[[2]int]*nn.Network // cached Subnets, guarded by graph.mu
+	net  *nn.Network
+	bits int
+
+	mu    sync.Mutex
+	views map[[2]int]*nn.Network // cached Subnets, guarded by mu
 }
 
 // Float returns the float-engine executor over net. bits is the variant's
@@ -26,7 +30,7 @@ func Float(net *nn.Network, bits int) (Executor, error) {
 	if bits <= 0 {
 		bits = 32
 	}
-	f := &floatExec{bits: bits}
+	f := &floatExec{net: net, bits: bits}
 	if err := f.init(net); err != nil {
 		return nil, err
 	}
@@ -38,7 +42,7 @@ func (f *floatExec) Bits() int { return f.bits }
 // view returns the cached Subnet for [lo, hi); the whole range is the
 // network itself.
 func (f *floatExec) view(lo, hi int) (*nn.Network, error) {
-	if lo == 0 && hi == f.steps {
+	if lo == 0 && hi == f.Steps() {
 		return f.net, nil
 	}
 	f.mu.Lock()
@@ -76,5 +80,5 @@ func (f *floatExec) Resume(bs []Boundary, cut int, ar *engine.Arena) (*tensor.Te
 	if err != nil {
 		return nil, err
 	}
-	return f.Run(gather(ar, f, bs, shape), cut, f.steps, ar)
+	return f.Run(gather(ar, f, bs, shape), cut, f.Steps(), ar)
 }

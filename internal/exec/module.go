@@ -30,7 +30,7 @@ func Module(mod *procvm.Module, granted procvm.Capability, features int, macs in
 		rt.MaxGas = mod.GasLimit
 	}
 	m := &moduleExec{mod: mod, rt: rt}
-	m.steps, m.costs = 1, []nn.LayerCost{{Kind: "module", Info: nn.LayerInfo{MACs: macs}}}
+	m.costs = []nn.LayerCost{{Kind: "module", Info: nn.LayerInfo{MACs: macs}}}
 	if features > 0 {
 		m.in = []int{features}
 	}

@@ -206,9 +206,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(ex.Costs()) != ex.Steps() {
-		return nil, fmt.Errorf("offload: model does not shape-infer into a cost list")
-	}
 	s := &Session{
 		cfg: cfg, ex: ex, costs: ex.Costs(), arena: engine.NewArena(),
 		in: tensor.New(append([]int{1}, ex.InputShape()...)...),

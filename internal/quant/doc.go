@@ -13,7 +13,13 @@
 // ForwardBatch serves whole bursts through reusable QScratch buffers —
 // allocation-free in the steady state, bit-identical to per-example
 // Predict, and safe for any number of goroutines over one shared model
-// (one scratch each). Int8 variants execute on MatMulInt8; int4 variants
+// (one scratch each). What is known when a model is lowered lives on the
+// model: NewQModel shape-infers the network once and every stage keeps
+// its input and output shape (a convolution its window, tap count and
+// strides), so a pass checks its batch once, where it enters, and no
+// stage derives geometry per call. What is per goroutine lives in the
+// QScratch: one output buffer per stage, sized by the batch, and the
+// int8 and scale workspaces. Int8 variants execute on MatMulInt8; int4 variants
 // store their weights packed two codes per byte (QTensor.PackInt4) and
 // execute on the packed MatMulInt4/MatMulInt4LHS kernels without ever
 // unpacking, so a 4-bit deployment's flash, RAM and kernel all see the

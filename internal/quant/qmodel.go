@@ -2,7 +2,6 @@ package quant
 
 import (
 	"fmt"
-	"slices"
 
 	"tinymlops/internal/nn"
 	"tinymlops/internal/tensor"
@@ -15,6 +14,12 @@ import (
 // else runs in float32 through the stateless inference fast paths. A
 // QModel never writes to itself during inference, so one model may serve
 // any number of goroutines as long as each brings its own QScratch.
+//
+// Geometry is a build-time fact: NewQModel shape-infers the network once
+// and every stage keeps the per-example input and output shape that pass
+// admitted (a convolution its window, too). A forward pass checks the
+// batch against the first stage it enters and nothing after that: no stage
+// re-derives or re-checks a shape per call.
 //
 // Numerical contract: every example is quantized and executed
 // independently, so ForwardBatch over a batch, Predict row by row, and a
@@ -30,27 +35,30 @@ type QModel struct {
 	stages []qStage
 }
 
-// qStage is one executable stage of a QModel. run may use s's reusable
-// buffers keyed by idx; the returned tensor is valid until the next call
-// with the same scratch.
+// qStage is one executable stage of a QModel. run takes a batch in the
+// stage's input shape and returns it in the output shape, in the scratch
+// buffer keyed by idx: valid until the next call with the same scratch.
 type qStage interface {
 	run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor
 	sizeBytes() int
+	shapes() *geom
 }
 
-// QScratch holds the reusable buffers behind QModel.ForwardBatch: one
-// float activation buffer per stage plus shared int8 code, im2col and
-// scale workspaces, reshape headers and per-stage shape caches. One
-// QScratch serves one goroutine and one model; everything grows on first
-// use and is reused while shapes repeat, so a steady-state serving loop
-// allocates nothing at all — asserted with testing.AllocsPerRun in the
-// alloc tests. All per-call caches live here rather than on the stages
-// because a QModel is shared read-only across goroutines.
+// geom is a stage's per-example geometry, fixed when the model is lowered:
+// the shapes net.Summary admitted there.
+type geom struct{ in, out []int }
+
+func (g *geom) shapes() *geom { return g }
+
+// QScratch is what a forward pass needs per goroutine, and nothing a
+// QModel knows at build: one output buffer per stage, sized batch × the
+// stage's output shape, plus the int8 code, im2col and scale workspaces
+// the integer stages share. One QScratch serves one goroutine and one
+// model; buffers are allocated on the first batch and again only when the
+// batch dimension changes, so a steady-state serving loop allocates
+// nothing at all — asserted with testing.AllocsPerRun in the alloc tests.
 type QScratch struct {
-	bufs      []*tensor.Tensor
-	hdrs      []*tensor.Tensor // Flatten views aliasing the input's data
-	inShapes  [][]int          // per-stage cached input shape (sans batch)
-	outShapes [][]int          // per-stage cached Describe output shape
+	bufs      []*tensor.Tensor // stage i's [batch, out...] output
 	codes     []int8
 	cols      []int8
 	rowScales []float32
@@ -60,118 +68,34 @@ type QScratch struct {
 // NewQScratch returns an empty scratch space for integer-kernel inference.
 func NewQScratch() *QScratch { return &QScratch{} }
 
-// buffer returns the cached float buffer for stage idx reshaped to shape,
-// reallocating only when the element count changed.
-func (s *QScratch) buffer(idx int, shape []int) *tensor.Tensor {
+// buffer returns stage idx's output for a batch of b examples shaped out.
+// A stage that only re-views its input passes the input's data as alias,
+// and its buffer is the header rebound to it.
+func (s *QScratch) buffer(idx, b int, out []int, alias []float32) *tensor.Tensor {
 	for len(s.bufs) <= idx {
 		s.bufs = append(s.bufs, nil)
 	}
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if b := s.bufs[idx]; b != nil && b.Size() == n {
-		if !slices.Equal(b.Shape(), shape) {
-			b = tensor.FromSlice(b.Data, shape...)
-			s.bufs[idx] = b
+	t := s.bufs[idx]
+	if t == nil || t.Dim(0) != b {
+		dims := append(make([]int, 0, 1+len(out)), b)
+		dims = append(dims, out...)
+		if alias != nil {
+			t = tensor.FromSlice(alias, dims...)
+		} else {
+			t = tensor.New(dims...)
 		}
-		return b
+		s.bufs[idx] = t
+	} else if alias != nil {
+		t.Data = alias
 	}
-	b := tensor.New(shape...)
-	s.bufs[idx] = b
-	return b
+	return t
 }
 
-// buffer2 is buffer for the [r, c] matrix case with an allocation-free
-// steady state: while the requested shape repeats, the cached tensor is
-// returned untouched.
-func (s *QScratch) buffer2(idx, r, c int) *tensor.Tensor {
-	for len(s.bufs) <= idx {
-		s.bufs = append(s.bufs, nil)
-	}
-	if b := s.bufs[idx]; b != nil && b.Rank() == 2 && b.Dim(0) == r && b.Dim(1) == c {
-		return b
-	}
-	b := tensor.New(r, c)
-	s.bufs[idx] = b
-	return b
-}
-
-// buffer4 is buffer2 for the [b, c, h, w] feature-map case.
-func (s *QScratch) buffer4(idx, n, c, h, w int) *tensor.Tensor {
-	for len(s.bufs) <= idx {
-		s.bufs = append(s.bufs, nil)
-	}
-	if b := s.bufs[idx]; b != nil && b.Rank() == 4 &&
-		b.Dim(0) == n && b.Dim(1) == c && b.Dim(2) == h && b.Dim(3) == w {
-		return b
-	}
-	b := tensor.New(n, c, h, w)
-	s.bufs[idx] = b
-	return b
-}
-
-// flatView returns a [b, per] tensor aliasing data, reusing the cached
-// header while the shape repeats — Flatten without a per-call allocation.
-func (s *QScratch) flatView(idx int, data []float32, b, per int) *tensor.Tensor {
-	for len(s.hdrs) <= idx {
-		s.hdrs = append(s.hdrs, nil)
-	}
-	if h := s.hdrs[idx]; h != nil && h.Dim(0) == b && h.Dim(1) == per {
-		h.Data = data
-		return h
-	}
-	h := tensor.FromSlice(data, b, per)
-	s.hdrs[idx] = h
-	return h
-}
-
-// stageOutShape returns the cached Describe output shape for stage idx,
-// recomputing (and caching the input shape) only when the per-example
-// input shape changed since the last call.
-func (s *QScratch) stageOutShape(idx int, l nn.Layer, x *tensor.Tensor) ([]int, error) {
-	for len(s.inShapes) <= idx {
-		s.inShapes = append(s.inShapes, nil)
-		s.outShapes = append(s.outShapes, nil)
-	}
-	in := x.Shape()[1:]
-	if cached := s.inShapes[idx]; cached != nil && slices.Equal(cached, in) {
-		return s.outShapes[idx], nil
-	}
-	info, err := l.Describe(in)
-	if err != nil {
-		return nil, err
-	}
-	s.inShapes[idx] = append(s.inShapes[idx][:0], in...)
-	s.outShapes[idx] = append(s.outShapes[idx][:0], info.OutShape...)
-	return s.outShapes[idx], nil
-}
-
-// bufferOut returns the stage buffer for a [b, out...] result, routing the
-// common ranks through the allocation-free fast paths.
-func (s *QScratch) bufferOut(idx, b int, out []int) *tensor.Tensor {
-	switch len(out) {
-	case 1:
-		return s.buffer2(idx, b, out[0])
-	case 3:
-		return s.buffer4(idx, b, out[0], out[1], out[2])
-	}
-	return s.buffer(idx, append([]int{b}, out...))
-}
-
-// grow8 grows one of the scratch's int8 workspaces to at least n codes.
-func grow8(buf *[]int8, n int) []int8 {
+// grow resizes one of the scratch's workspaces to n entries, reallocating
+// only past its capacity.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int8, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// growf grows a float32 workspace to at least n entries.
-func growf(buf *[]float32, n int) []float32 {
-	if cap(*buf) < n {
-		*buf = make([]float32, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -180,19 +104,24 @@ func growf(buf *[]float32, n int) []float32 {
 // qDense runs y = dequant(quant(x) ⊗ Wq) + b on the integer kernel with
 // one dynamic activation scale per example row.
 type qDense struct {
+	geom
 	w    *QTensor
 	bias []float32
 }
 
 func (d *qDense) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
-	if x.Rank() != 2 || x.Dim(1) != d.w.Rows {
-		panic(fmt.Sprintf("quant: qdense(%d→%d) got input shape %v", d.w.Rows, d.w.Cols, x.Shape()))
-	}
 	rows := x.Dim(0)
-	codes := grow8(&s.codes, rows*d.w.Rows)
-	scales := growf(&s.rowScales, rows)
+	codes := grow(&s.codes, rows*d.w.Rows)
+	scales := grow(&s.rowScales, rows)
 	QuantizeActivationsRows(x, codes, scales)
-	out := s.buffer2(idx, rows, d.w.Cols)
+	return d.product(codes, scales, rows, s, idx)
+}
+
+// product is the stage past quantization: rows of int8 codes, one scale
+// each, against the quantized weights, plus the bias. A split resumes here
+// with the codes that crossed the wire.
+func (d *qDense) product(codes []int8, scales []float32, rows int, s *QScratch, idx int) *tensor.Tensor {
+	out := s.buffer(idx, rows, d.out, nil)
 	if d.w.IsPacked() {
 		tensor.MatMulInt4(out.Data, codes, d.w.Packed, rows, d.w.Rows, d.w.Cols, scales, d.w.Scales)
 	} else {
@@ -215,45 +144,37 @@ func (d *qDense) sizeBytes() int { return d.w.SizeBytes() + 4*len(d.bias) }
 // padding is exact in the integer domain), and multiplied against
 // per-output-channel quantized kernels.
 type qConv2D struct {
-	inC, outC   int
-	kh, kw      int
-	stride, pad int
-	w           []int8    // [outC, inC*kh*kw] row-major codes (nil when packed)
-	wp          []byte    // packed int4 form of w (tensor.PackInt4Matrix layout)
-	wCount      int       // outC * inC*kh*kw, storage-form independent
-	wScales     []float32 // per output channel
-	bias        []float32
-	scheme      Scheme
+	geom
+	win     tensor.Window // over the input map; Summary checked that it fits
+	outC    int
+	ex      int       // inC·h·w: one example's stride through the batch
+	taps    int       // inC·kh·kw: the product's inner dimension
+	spots   int       // oh·ow: output positions per channel
+	w       []int8    // [outC, taps] row-major codes (nil when packed)
+	wp      []byte    // packed int4 form of w (tensor.PackInt4Matrix layout)
+	wScales []float32 // per output channel
+	bias    []float32
+	scheme  Scheme
 }
 
 func (c *qConv2D) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
-	if x.Rank() != 4 || x.Dim(1) != c.inC {
-		panic(fmt.Sprintf("quant: qconv2d(%d→%d) got input shape %v", c.inC, c.outC, x.Shape()))
-	}
-	g := tensor.Window{C: c.inC, H: x.Dim(2), W: x.Dim(3), KH: c.kh, KW: c.kw, Stride: c.stride, Pad: c.pad}
-	if err := g.Check(); err != nil {
-		panic(fmt.Sprintf("quant: qconv2d: %v", err))
-	}
-	b := x.Dim(0)
-	oh, ow := g.Out()
-	ex := g.C * g.H * g.W
-	k := g.Taps()
-	codes := grow8(&s.codes, b*ex)
-	scales := growf(&s.rowScales, b)
+	b, ex := x.Dim(0), c.ex
+	codes := grow(&s.codes, b*ex)
+	scales := grow(&s.rowScales, b)
 	QuantizeActivationsRows(x, codes, scales)
-	cols := grow8(&s.cols, k*oh*ow)
-	colScales := growf(&s.colScales, oh*ow)
-	out := s.buffer4(idx, b, c.outC, oh, ow)
+	cols := grow(&s.cols, c.taps*c.spots)
+	colScales := grow(&s.colScales, c.spots)
+	out := s.buffer(idx, b, c.out, nil)
 	for n := 0; n < b; n++ {
-		tensor.Im2col(cols, codes[n*ex:(n+1)*ex], g)
+		tensor.Im2col(cols, codes[n*ex:(n+1)*ex], c.win)
 		for j := range colScales {
 			colScales[j] = scales[n]
 		}
-		dst := out.Data[n*c.outC*oh*ow : (n+1)*c.outC*oh*ow]
+		dst := out.Data[n*c.outC*c.spots : (n+1)*c.outC*c.spots]
 		if c.wp != nil {
-			tensor.MatMulInt4LHS(dst, c.wp, cols, c.outC, k, oh*ow, c.wScales, colScales)
+			tensor.MatMulInt4LHS(dst, c.wp, cols, c.outC, c.taps, c.spots, c.wScales, colScales)
 		} else {
-			tensor.MatMulInt8(dst, c.w, cols, c.outC, k, oh*ow, c.wScales, colScales)
+			tensor.MatMulInt8(dst, c.w, cols, c.outC, c.taps, c.spots, c.wScales, colScales)
 		}
 		tensor.AddBias(dst, c.bias)
 	}
@@ -261,7 +182,7 @@ func (c *qConv2D) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
 }
 
 func (c *qConv2D) sizeBytes() int {
-	wBits := c.wCount * c.scheme.Bits()
+	wBits := c.outC * c.taps * c.scheme.Bits()
 	return (wBits+7)/8 + 4*len(c.wScales) + 4*len(c.bias)
 }
 
@@ -271,42 +192,34 @@ type inferInto interface {
 	InferInto(dst, x *tensor.Tensor)
 }
 
-// qFloat wraps a layer that stays in float32 (activation, pooling,
-// normalization with frozen statistics, ...). It prefers the layer's
-// stateless InferInto fast path into a scratch buffer; shape-only layers
-// are handled inline. NewQModel's kind allowlist guarantees every layer
-// that reaches here takes one of those stateless paths (the Forward
-// fallback is only reachable on a shape mismatch, which panics in the
-// layer anyway) — a new nn layer kind must be added to that switch before
-// a QModel will carry it, which is where its dispatch gets decided.
+// qFloat is a layer that stays in float32 (activation, pooling,
+// normalization with frozen statistics, ...), run through its stateless
+// InferInto fast path into the stage's buffer. A layer that only re-views
+// its input at inference time (flatten; dropout, the identity) has no
+// kernel: its output is the input's data under the output shape.
 type qFloat struct {
+	geom
 	layer nn.Layer
-	bytes int
+	infer inferInto // nil: re-view the input
 }
 
 func (f *qFloat) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
-	b := x.Dim(0)
-	switch f.layer.(type) {
-	case *nn.Flatten:
-		per := 1
-		for _, d := range x.Shape()[1:] {
-			per *= d
-		}
-		return s.flatView(idx, x.Data, b, per)
-	case *nn.Dropout:
-		return x // inverted dropout is the identity at inference time
+	if f.infer == nil {
+		return s.buffer(idx, x.Dim(0), f.out, x.Data)
 	}
-	if fast, ok := f.layer.(inferInto); ok {
-		if out, err := s.stageOutShape(idx, f.layer, x); err == nil {
-			dst := s.bufferOut(idx, b, out)
-			fast.InferInto(dst, x)
-			return dst
-		}
-	}
-	return f.layer.Forward(x, false)
+	dst := s.buffer(idx, x.Dim(0), f.out, nil)
+	f.infer.InferInto(dst, x)
+	return dst
 }
 
-func (f *qFloat) sizeBytes() int { return f.bytes }
+// sizeBytes accounts a float stage's parameters at full precision.
+func (f *qFloat) sizeBytes() int {
+	total := 0
+	for _, p := range f.layer.Params() {
+		total += 4 * p.Value.Size()
+	}
+	return total
+}
 
 // quantizeRowChannels quantizes a [rows, cols] matrix with one scale per
 // ROW (the per-output-channel layout convolution kernels need), returning
@@ -334,15 +247,6 @@ func quantizeRowChannels(w *tensor.Tensor, scheme Scheme) ([]int8, []float32, er
 	return codes, qt.Scales, nil
 }
 
-// floatStageBytes accounts a float stage's parameters at full precision.
-func floatStageBytes(l nn.Layer) int {
-	total := 0
-	for _, p := range l.Params() {
-		total += 4 * p.Value.Size()
-	}
-	return total
-}
-
 // NewQModel lowers net into an integer-kernel executable under the scheme:
 // dense and convolutional layers quantize their weights (per output
 // channel) and run on tensor.MatMulInt8; activations, pooling, batch norm
@@ -357,11 +261,16 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 	}
 	// Lowering happens once per version: refuse shapes that do not chain, or
 	// a window that does not fit its map, here and not on the first query.
-	if _, err := net.Summary(); err != nil {
+	// What the pass admits is the geometry every stage runs with.
+	costs, err := net.Summary()
+	if err != nil {
 		return nil, fmt.Errorf("quant: %w", err)
 	}
 	m := &QModel{InputShape: append([]int(nil), net.InputShape...), Scheme: scheme}
+	in := m.InputShape
 	for i, l := range net.Layers() {
+		g := geom{in: in, out: costs[i].Info.OutShape}
+		in = g.out
 		switch v := l.(type) {
 		case *nn.Dense:
 			qw, err := QuantizeMatrix(v.W.Value, scheme)
@@ -376,31 +285,40 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 				}
 			}
 			bias := append([]float32(nil), v.B.Value.Data...)
-			m.stages = append(m.stages, &qDense{w: qw, bias: bias})
+			m.stages = append(m.stages, &qDense{geom: g, w: qw, bias: bias})
 		case *nn.Conv2D:
 			codes, scales, err := quantizeRowChannels(v.W.Value, scheme)
 			if err != nil {
 				return nil, err
 			}
+			win := tensor.Window{C: v.InC, H: g.in[1], W: g.in[2], KH: v.KH, KW: v.KW, Stride: v.Stride, Pad: v.Pad}
 			st := &qConv2D{
-				inC: v.InC, outC: v.OutC, kh: v.KH, kw: v.KW,
-				stride: v.Stride, pad: v.Pad,
-				w: codes, wCount: len(codes), wScales: scales,
+				geom: g, win: win, outC: v.OutC,
+				ex: v.InC * g.in[1] * g.in[2], taps: win.Taps(), spots: g.out[1] * g.out[2],
+				w: codes, wScales: scales,
 				bias:   append([]float32(nil), v.B.Value.Data...),
 				scheme: scheme,
 			}
 			if scheme == Int4 {
-				k := v.InC * v.KH * v.KW
-				wp, err := tensor.PackInt4Matrix(codes, v.OutC, k)
+				wp, err := tensor.PackInt4Matrix(codes, v.OutC, st.taps)
 				if err != nil {
 					return nil, err
 				}
 				st.wp, st.w = wp, nil
 			}
 			m.stages = append(m.stages, st)
-		case *nn.ReLU, *nn.Tanh, *nn.Sigmoid, *nn.Softmax, *nn.Flatten,
-			*nn.MaxPool2D, *nn.BatchNorm1D, *nn.Dropout:
-			m.stages = append(m.stages, &qFloat{layer: l, bytes: floatStageBytes(l)})
+		case *nn.Flatten, *nn.Dropout:
+			m.stages = append(m.stages, &qFloat{geom: g, layer: l})
+		case *nn.ReLU, *nn.Tanh, *nn.Sigmoid, *nn.Softmax, *nn.MaxPool2D, *nn.BatchNorm1D:
+			// A kind admitted here must implement InferInto: it is the only
+			// way a float stage runs, and a QModel has no stateful fallback.
+			// A new nn layer kind joins this switch before a QModel carries
+			// it, which is where its dispatch gets decided.
+			fast, ok := l.(inferInto)
+			if !ok {
+				return nil, fmt.Errorf("quant: layer %d (%s) has no stateless InferInto path", i, l.Kind())
+			}
+			m.stages = append(m.stages, &qFloat{geom: g, layer: l, infer: fast})
 		default:
 			return nil, fmt.Errorf("quant: layer %d (%s) has no integer-runtime kernel", i, l.Kind())
 		}
@@ -415,15 +333,10 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 // — the property the serving layer's batched admission path relies on. A
 // nil scratch allocates fresh buffers; an empty batch returns an empty
 // output without touching any kernel. The result aliases scratch storage
-// and is valid until the next call with the same QScratch.
+// and is valid until the next call with the same QScratch. A batch that is
+// not [n, InputShape...] panics before any stage runs.
 func (m *QModel) ForwardBatch(x *tensor.Tensor, s *QScratch) *tensor.Tensor {
-	if s == nil {
-		s = NewQScratch()
-	}
-	for i, st := range m.stages {
-		x = st.run(x, s, i)
-	}
-	return x
+	return m.ForwardRange(x, s, 0, len(m.stages))
 }
 
 // Predict runs quantized inference on a batch with one-shot buffers.

@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -40,16 +41,16 @@ func refForward(m *QModel, x *tensor.Tensor) *tensor.Tensor {
 			x = out
 		case *qConv2D:
 			b, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-			oh, ow := (h+2*s.pad-s.kh)/s.stride+1, (w+2*s.pad-s.kw)/s.stride+1
-			ex := s.inC * h * w
+			oh, ow := (h+2*s.win.Pad-s.win.KH)/s.win.Stride+1, (w+2*s.win.Pad-s.win.KW)/s.win.Stride+1
+			ex := s.win.C * h * w
 			codes := make([]int8, x.Size())
 			scales := make([]float32, b)
 			QuantizeActivationsRows(x, codes, scales)
 			wcodes := s.w
 			if s.wp != nil { // decode the packed int4 weights for the reference
-				k := s.inC * s.kh * s.kw
+				k := s.win.C * s.win.KH * s.win.KW
 				rb := tensor.Int4PackedLen(k)
-				wcodes = make([]int8, 0, s.wCount)
+				wcodes = make([]int8, 0, s.outC*k)
 				for oc := 0; oc < s.outC; oc++ {
 					row, err := tensor.UnpackInt4(s.wp[oc*rb:(oc+1)*rb], k)
 					if err != nil {
@@ -64,14 +65,14 @@ func refForward(m *QModel, x *tensor.Tensor) *tensor.Tensor {
 					for oi := 0; oi < oh; oi++ {
 						for oj := 0; oj < ow; oj++ {
 							var acc int32
-							for ic := 0; ic < s.inC; ic++ {
-								for ki := 0; ki < s.kh; ki++ {
-									for kj := 0; kj < s.kw; kj++ {
-										si, sj := oi*s.stride+ki-s.pad, oj*s.stride+kj-s.pad
+							for ic := 0; ic < s.win.C; ic++ {
+								for ki := 0; ki < s.win.KH; ki++ {
+									for kj := 0; kj < s.win.KW; kj++ {
+										si, sj := oi*s.win.Stride+ki-s.win.Pad, oj*s.win.Stride+kj-s.win.Pad
 										if si < 0 || si >= h || sj < 0 || sj >= w {
 											continue
 										}
-										wc := wcodes[oc*s.inC*s.kh*s.kw+(ic*s.kh+ki)*s.kw+kj]
+										wc := wcodes[oc*s.win.C*s.win.KH*s.win.KW+(ic*s.win.KH+ki)*s.win.KW+kj]
 										xc := codes[n*ex+(ic*h+si)*w+sj]
 										acc += int32(wc) * int32(xc)
 									}
@@ -293,41 +294,112 @@ func TestNewQModelErrorPaths(t *testing.T) {
 }
 
 // TestQConvRefusesMapSmallerThanWindow: a batch whose maps are smaller than
-// the kernel the model was lowered with used to convolve one partial window;
-// the stage panics with tensor.Window.Check's refusal, as nn.Conv2D does.
+// the kernel the model was lowered with used to convolve one partial window,
+// then panicked inside the stage. Geometry is fixed at build, so that batch,
+// a mis-ranked dense batch and a mis-sized one are all refused by the one
+// check where a pass enters — before any stage sizes a buffer or runs a
+// kernel, which the untouched scratch shows.
 func TestQConvRefusesMapSmallerThanWindow(t *testing.T) {
-	net := nn.NewNetwork([]int{1, 4, 4}, nn.NewConv2D(1, 2, 3, 3, 2, 0, tensor.NewRNG(7)), nn.NewFlatten())
-	qm, err := NewQModel(net, Int8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "does not fit") {
-			t.Fatalf("2×2 maps under a 3×3 kernel: %s", msg)
+	conv := nn.NewNetwork([]int{1, 4, 4}, nn.NewConv2D(1, 2, 3, 3, 2, 0, tensor.NewRNG(7)), nn.NewFlatten())
+	dense := nn.NewNetwork([]int{6}, nn.NewDense(6, 3, tensor.NewRNG(7)), nn.NewReLU())
+	for _, c := range []struct {
+		name string
+		net  *nn.Network
+		in   *tensor.Tensor
+	}{
+		{"2×2 maps under a 3×3 kernel", conv, tensor.New(1, 1, 2, 2)},
+		{"mis-ranked dense batch", dense, tensor.New(2, 3, 2)},
+		{"mis-sized dense batch", dense, tensor.New(2, 5)},
+	} {
+		qm, err := NewQModel(c.net, Int8)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	qm.Predict(tensor.New(1, 1, 2, 2))
+		s := NewQScratch()
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "does not fit") {
+					t.Errorf("%s: %s", c.name, msg)
+				}
+			}()
+			qm.ForwardBatch(c.in, s)
+		}()
+		if len(s.bufs) != 0 || s.codes != nil || s.rowScales != nil {
+			t.Errorf("%s: a stage ran before the batch was refused", c.name)
+		}
+	}
 }
 
-// TestQScratchBufferReuse pins the steady-state reuse contract: repeated
-// same-shape batches through one scratch hand back the same storage.
+// TestQScratchBufferReuse pins what a scratch holds and when it allocates.
+// For an MLP of kws-mlp's shape, one of sensor-mlp's and a conv → pool →
+// flatten → dense net, at int8 and int4: after a batch of b rows every
+// stage's buffer is [b, the shape Summary reports there...]; a second batch
+// of b rows reuses the same storage; and b → b' → b replaces the stage
+// buffers, whose batch dimension changed, and nothing else — the int8 and
+// scale workspaces sized for the larger batch serve the smaller one.
 func TestQScratchBufferReuse(t *testing.T) {
 	rng := tensor.NewRNG(99)
-	net := nn.NewNetwork([]int{6}, nn.NewDense(6, 8, rng), nn.NewReLU(), nn.NewDense(8, 3, rng))
-	qm, err := NewQModel(net, Int8)
-	if err != nil {
-		t.Fatal(err)
+	nets := []struct {
+		name string
+		net  *nn.Network
+	}{
+		{"kws-mlp", nn.NewNetwork([]int{64},
+			nn.NewDense(64, 256, rng), nn.NewReLU(), nn.NewDense(256, 128, rng), nn.NewReLU(), nn.NewDense(128, 10, rng))},
+		{"sensor-mlp", nn.NewNetwork([]int{4}, nn.NewDense(4, 16, rng), nn.NewReLU(), nn.NewDense(16, 3, rng))},
+		{"conv", nn.NewNetwork([]int{2, 9, 7},
+			nn.NewConv2D(2, 3, 3, 2, 2, 1, rng), nn.NewReLU(), nn.NewMaxPool2D(2, 1), nn.NewFlatten(), nn.NewDense(3*4*3, 5, rng))},
 	}
-	s := NewQScratch()
-	in := tensor.Randn(rng, 1, 5, 6)
-	first := qm.ForwardBatch(in, s)
-	second := qm.ForwardBatch(in, s)
-	if &first.Data[0] != &second.Data[0] {
-		t.Fatal("same-shape batches did not reuse the scratch output buffer")
-	}
-	// A different batch size regrows cleanly.
-	wide := qm.ForwardBatch(tensor.Randn(rng, 1, 11, 6), s)
-	if wide.Dim(0) != 11 {
-		t.Fatalf("regrown batch shape %v", wide.Shape())
+	for _, fx := range nets {
+		costs, err := fx.net.Summary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range []Scheme{Int8, Int4} {
+			name := fmt.Sprintf("%s/%v", fx.name, scheme)
+			qm, err := NewQModel(fx.net, scheme)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			s := NewQScratch()
+			batch := func(b int) *tensor.Tensor {
+				return tensor.Randn(rng, 1, append([]int{b}, fx.net.InputShape...)...)
+			}
+			// holds checks every stage buffer against Summary and returns
+			// where each one's storage starts.
+			holds := func(b int) []*float32 {
+				t.Helper()
+				if len(s.bufs) != len(costs) {
+					t.Fatalf("%s: %d stage buffers for %d stages", name, len(s.bufs), len(costs))
+				}
+				at := make([]*float32, len(costs))
+				for i, c := range costs {
+					want := append([]int{b}, c.Info.OutShape...)
+					if got := s.bufs[i]; !slices.Equal(got.Shape(), want) || got.Size() != b*int(c.Info.ActivationFloats) {
+						t.Fatalf("%s: stage %d (%s) buffer is %v with %d elements, Summary says %v",
+							name, i, c.Kind, got.Shape(), got.Size(), want)
+					}
+					at[i] = &s.bufs[i].Data[0]
+				}
+				return at
+			}
+			const b, smaller = 16, 4
+			in := batch(b)
+			want := append([]float32(nil), qm.ForwardBatch(in, s).Data...)
+			first := holds(b)
+			codes, cols, scales := cap(s.codes), cap(s.cols), cap(s.rowScales)
+			qm.ForwardBatch(in, s)
+			if second := holds(b); !slices.Equal(first, second) {
+				t.Fatalf("%s: a second batch of %d rows did not reuse the stage buffers", name, b)
+			}
+			qm.ForwardBatch(batch(smaller), s)
+			holds(smaller)
+			got := qm.ForwardBatch(in, s)
+			holds(b)
+			mustIdentical(t, name+" after b → b' → b", got, tensor.FromSlice(want, got.Shape()...))
+			if cap(s.codes) != codes || cap(s.cols) != cols || cap(s.rowScales) != scales {
+				t.Fatalf("%s: b → b' → b reallocated a workspace: codes %d→%d, cols %d→%d, scales %d→%d",
+					name, codes, cap(s.codes), cols, cap(s.cols), scales, cap(s.rowScales))
+			}
+		}
 	}
 }

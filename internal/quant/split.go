@@ -2,6 +2,7 @@ package quant
 
 import (
 	"fmt"
+	"slices"
 
 	"tinymlops/internal/tensor"
 )
@@ -62,10 +63,21 @@ func (m *QModel) BoundaryWidth(cut int) (int, error) {
 }
 
 // ForwardRange runs stages [lo, hi) on x with the scratch's buffers — the
-// device-prefix half of a split. Over every stage it is ForwardBatch. The result aliases scratch storage, like ForwardBatch.
+// device-prefix half of a split, and over every stage ForwardBatch. The
+// result aliases scratch storage, like ForwardBatch. This is where a pass
+// enters, so it is the one place a batch is checked: x must be
+// [n, shape entering stage lo...], and a stage range or a batch that is not
+// panics here, before any kernel runs.
 func (m *QModel) ForwardRange(x *tensor.Tensor, s *QScratch, lo, hi int) *tensor.Tensor {
-	if lo < 0 || hi > len(m.stages) || lo > hi {
-		panic(fmt.Sprintf("quant: stage range [%d, %d) invalid for %d stages", lo, hi, len(m.stages)))
+	var want []int
+	ok := 0 <= lo && lo <= hi && hi <= len(m.stages)
+	if ok && lo < hi {
+		want = m.stages[lo].shapes().in
+		ok = slices.Equal(x.Shape()[1:], want)
+	}
+	if !ok {
+		panic(fmt.Sprintf("quant: input shape %v does not fit stages [%d, %d) of %d, entered with [n %v]",
+			x.Shape(), lo, hi, len(m.stages), want))
 	}
 	if s == nil {
 		s = NewQScratch()
@@ -100,21 +112,5 @@ func (m *QModel) ForwardFromCodes(codes []int8, scales []float32, rows, cut int,
 	if s == nil {
 		s = NewQScratch()
 	}
-	out := s.buffer2(cut, rows, d.w.Cols)
-	if d.w.IsPacked() {
-		tensor.MatMulInt4(out.Data, codes, d.w.Packed, rows, d.w.Rows, d.w.Cols, scales, d.w.Scales)
-	} else {
-		tensor.MatMulInt8(out.Data, codes, d.w.Data, rows, d.w.Rows, d.w.Cols, scales, d.w.Scales)
-	}
-	for i := 0; i < rows; i++ {
-		row := out.Data[i*d.w.Cols : (i+1)*d.w.Cols]
-		for j := range row {
-			row[j] += d.bias[j]
-		}
-	}
-	x := out
-	for i := cut + 1; i < len(m.stages); i++ {
-		x = m.stages[i].run(x, s, i)
-	}
-	return x, nil
+	return m.ForwardRange(d.product(codes, scales, rows, s, cut), s, cut+1, len(m.stages)), nil
 }
