@@ -96,53 +96,6 @@ func BenchmarkE2VariantSelection(b *testing.B) {
 	}
 }
 
-// --- E3: precision kernels ----------------------------------------------
-
-const benchM, benchK, benchN = 128, 256, 128
-
-func int8Operands(rng *tensor.RNG) (a, bb []int8, scales []float32, dst []float32) {
-	a = make([]int8, benchM*benchK)
-	bb = make([]int8, benchK*benchN)
-	for i := range a {
-		a[i] = int8(rng.Intn(255) - 127)
-	}
-	for i := range bb {
-		bb[i] = int8(rng.Intn(255) - 127)
-	}
-	scales = make([]float32, benchN)
-	for i := range scales {
-		scales[i] = 0.01
-	}
-	return a, bb, scales, make([]float32, benchM*benchN)
-}
-
-func BenchmarkE3MatMulFloat32(b *testing.B) {
-	rng := tensor.NewRNG(4)
-	x := tensor.Randn(rng, 1, benchM, benchK)
-	y := tensor.Randn(rng, 1, benchK, benchN)
-	out := tensor.New(benchM, benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulInto(out, x, y)
-	}
-}
-
-func BenchmarkE3MatMulInt8Native(b *testing.B) {
-	a, bb, scales, dst := int8Operands(tensor.NewRNG(5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		quant.MatMulInt8(dst, a, bb, benchM, benchK, benchN, 0.05, scales)
-	}
-}
-
-func BenchmarkE3MatMulInt8Emulated(b *testing.B) {
-	a, bb, scales, dst := int8Operands(tensor.NewRNG(6))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		quant.MatMulInt8Emulated(dst, a, bb, benchM, benchK, benchN, 0.05, scales)
-	}
-}
-
 // --- E4: drift detectors -------------------------------------------------
 
 func driftRef(rng *tensor.RNG) []float64 {

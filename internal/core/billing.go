@@ -227,11 +227,3 @@ func (p *Platform) verifyAttestations(v metering.Voucher, items []metering.Attes
 	}
 	return errs
 }
-
-// BatchVerifier exposes the settlement proof verifier (nil unless
-// VerifiedBilling is on) for audit tooling.
-func (p *Platform) BatchVerifier() *verify.BatchVerifier { return p.verifier }
-
-// AttestationRate returns the billing sample rate (0 when verified
-// billing is off).
-func (p *Platform) AttestationRate() int { return p.attRate }

@@ -246,9 +246,6 @@ func (p *Platform) hostSealed(cfg OffloadConfig, artID string, blob []byte, v *r
 	return hostedExecutor(sess, artID, v, features)
 }
 
-// Plan returns the split currently in force.
-func (s *OffloadSession) Plan() market.SplitPlan { return s.sess.Plan() }
-
 // Stats returns the session's split-execution counters.
 func (s *OffloadSession) Stats() offload.Stats { return s.sess.Stats() }
 

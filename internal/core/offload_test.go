@@ -113,10 +113,14 @@ func TestPlatformOffloadBitExactAndMetered(t *testing.T) {
 
 // TestPlatformOffloadDeniesWhenExhausted pins pay-per-query through the
 // split: once the shared meter runs out, offloaded queries are denied
-// before any compute, same as local ones.
+// before any compute, same as local ones — no prefix runs, no byte moves,
+// no energy is spent and the split runtime never sees the query.
 func TestPlatformOffloadDeniesWhenExhausted(t *testing.T) {
 	p, dep, cloud, ds := offloadPlatform(t, "")
-	sess, err := p.Offload("phone-00", OffloadConfig{Cloud: cloud})
+	sess, err := p.Offload("phone-00", OffloadConfig{
+		Cloud: cloud, Plan: &market.SplitPlan{Cut: 1},
+		Replan: offload.ReplanConfig{Disabled: true},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +131,20 @@ func TestPlatformOffloadDeniesWhenExhausted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := dep.Device().Snapshot()
+	before, split, served := dep.Device().Snapshot(), sess.Stats(), cloud.Stats().Served
 	if _, err := sess.Infer(x); !errors.Is(err, ErrQueryDenied) {
 		t.Fatalf("exhausted meter returned %v", err)
 	}
 	after := dep.Device().Snapshot()
-	if after.Inferences != before.Inferences || after.TxBytes != before.TxBytes {
-		t.Fatal("denied offloaded query still spent device resources")
+	if after.Inferences != before.Inferences || after.TxBytes != before.TxBytes ||
+		after.RxBytes != before.RxBytes || after.EnergyJoule != before.EnergyJoule {
+		t.Fatalf("denied offloaded query still spent device resources: %+v -> %+v", before, after)
 	}
 	if after.DeniedQueries != before.DeniedQueries+1 {
 		t.Fatal("denial not counted")
+	}
+	if st := sess.Stats(); st != split || cloud.Stats().Served != served {
+		t.Fatalf("denied query reached the split runtime: session %+v -> %+v", split, st)
 	}
 }
 

@@ -69,17 +69,6 @@ func (d *Dataset) Clone() *Dataset {
 	return d.Subset(idx)
 }
 
-// ClassCounts returns the number of examples per class.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses)
-	for _, y := range d.Y {
-		if y >= 0 && y < d.NumClasses {
-			counts[y]++
-		}
-	}
-	return counts
-}
-
 // Standardize shifts and scales every feature to zero mean and unit
 // variance computed over this dataset, returning the per-feature means and
 // standard deviations so the same transform can be packaged as a

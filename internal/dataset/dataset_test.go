@@ -8,13 +8,22 @@ import (
 	"tinymlops/internal/tensor"
 )
 
+// classCounts returns the number of examples per class.
+func classCounts(ds *Dataset) []int {
+	counts := make([]int, ds.NumClasses)
+	for _, y := range ds.Y {
+		counts[y]++
+	}
+	return counts
+}
+
 func TestBlobsBasicProperties(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	ds := Blobs(rng, 300, 5, 3, 4)
 	if ds.Len() != 300 || ds.NumClasses != 3 {
 		t.Fatalf("Len=%d classes=%d", ds.Len(), ds.NumClasses)
 	}
-	counts := ds.ClassCounts()
+	counts := classCounts(ds)
 	for c, n := range counts {
 		if n != 100 {
 			t.Fatalf("class %d has %d examples", c, n)
@@ -98,7 +107,7 @@ func TestKeywordSeqClassesDiffer(t *testing.T) {
 func TestVibrationAnomalyFraction(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	ds := VibrationAnomaly(rng, 2000, 32, 0.3, 1)
-	counts := ds.ClassCounts()
+	counts := classCounts(ds)
 	frac := float64(counts[1]) / float64(ds.Len())
 	if frac < 0.25 || frac > 0.35 {
 		t.Fatalf("anomaly fraction = %v, want ≈0.3", frac)
@@ -161,56 +170,6 @@ func TestStandardize(t *testing.T) {
 		if math.Abs(m) > 1e-4 || math.Abs(sd-1) > 1e-3 {
 			t.Fatalf("feature %d after standardize: mean=%v std=%v", f, m, sd)
 		}
-	}
-}
-
-func TestMeanShiftAndScaleDrift(t *testing.T) {
-	rng := tensor.NewRNG(10)
-	ds := Blobs(rng, 100, 2, 2, 3)
-	before := ds.X.Mean()
-	MeanShift(ds, 5)
-	if math.Abs(float64(ds.X.Mean()-before-5)) > 1e-4 {
-		t.Fatalf("MeanShift: mean %v -> %v", before, ds.X.Mean())
-	}
-	ScaleDrift(ds, 2)
-	if math.Abs(float64(ds.X.Mean()-2*(before+5))) > 1e-3 {
-		t.Fatalf("ScaleDrift wrong mean: %v", ds.X.Mean())
-	}
-}
-
-func TestRotateFeaturesPreservesNorm(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	ds := Blobs(rng, 50, 2, 2, 3)
-	var normBefore float64
-	for i := 0; i < ds.Len(); i++ {
-		normBefore += float64(ds.X.At2(i, 0)*ds.X.At2(i, 0) + ds.X.At2(i, 1)*ds.X.At2(i, 1))
-	}
-	RotateFeatures(ds, 0, 1, math.Pi/3)
-	var normAfter float64
-	for i := 0; i < ds.Len(); i++ {
-		normAfter += float64(ds.X.At2(i, 0)*ds.X.At2(i, 0) + ds.X.At2(i, 1)*ds.X.At2(i, 1))
-	}
-	if math.Abs(normBefore-normAfter) > 1e-2 {
-		t.Fatalf("rotation changed norms: %v vs %v", normBefore, normAfter)
-	}
-}
-
-func TestLabelNoiseFlipsRoughlyRequestedFraction(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	ds := Blobs(rng, 1000, 2, 3, 3)
-	orig := append([]int(nil), ds.Y...)
-	flipped := LabelNoise(rng, ds, 0.2)
-	if flipped < 150 || flipped > 250 {
-		t.Fatalf("flipped %d of 1000, want ≈200", flipped)
-	}
-	changed := 0
-	for i := range orig {
-		if orig[i] != ds.Y[i] {
-			changed++
-		}
-	}
-	if changed != flipped {
-		t.Fatalf("reported %d flips but %d labels changed", flipped, changed)
 	}
 }
 
@@ -284,23 +243,6 @@ func TestPartitionDirichletSkewIncreasesAsAlphaShrinks(t *testing.T) {
 	}
 	if sHigh > 0.15 {
 		t.Fatalf("alpha=100 should be near-IID, skew=%v", sHigh)
-	}
-}
-
-func TestPartitionByClassIsPathological(t *testing.T) {
-	rng := tensor.NewRNG(16)
-	ds := Blobs(rng, 300, 2, 3, 3)
-	shards := PartitionByClass(ds, 3)
-	skew := LabelSkew(ds, shards)
-	if skew < 0.6 {
-		t.Fatalf("by-class skew = %v, want high", skew)
-	}
-	for c, shard := range shards {
-		for _, i := range shard {
-			if ds.Y[i] != c {
-				t.Fatalf("shard %d contains class %d", c, ds.Y[i])
-			}
-		}
 	}
 }
 

@@ -7,52 +7,6 @@ import (
 	"tinymlops/internal/tensor"
 )
 
-// MeanShift adds delta to every feature of ds in place — the simplest
-// covariate drift (e.g. sensor bias developing over time).
-func MeanShift(ds *Dataset, delta float32) {
-	ds.X.AddScalar(delta)
-}
-
-// RotateFeatures rotates feature pair (f1, f2) of every example by angle
-// radians in place — covariate drift that preserves marginal means, which
-// defeats naive mean-based monitors and motivates distribution tests.
-func RotateFeatures(ds *Dataset, f1, f2 int, angle float64) {
-	es := ds.exampleSize()
-	if f1 < 0 || f2 < 0 || f1 >= es || f2 >= es {
-		panic(fmt.Sprintf("dataset: RotateFeatures(%d,%d) out of range for %d features", f1, f2, es))
-	}
-	c, s := float32(math.Cos(angle)), float32(math.Sin(angle))
-	for i := 0; i < ds.Len(); i++ {
-		a := ds.X.Data[i*es+f1]
-		b := ds.X.Data[i*es+f2]
-		ds.X.Data[i*es+f1] = c*a - s*b
-		ds.X.Data[i*es+f2] = s*a + c*b
-	}
-}
-
-// ScaleDrift multiplies every feature by factor in place (gain drift).
-func ScaleDrift(ds *Dataset, factor float32) {
-	ds.X.Scale(factor)
-}
-
-// LabelNoise flips the label of a fraction of examples to a different
-// uniformly random class — the "low quality user labels" of §III-D.
-func LabelNoise(rng *tensor.RNG, ds *Dataset, frac float64) int {
-	flipped := 0
-	for i := range ds.Y {
-		if rng.Float64() < frac {
-			old := ds.Y[i]
-			ny := rng.Intn(ds.NumClasses)
-			for ny == old && ds.NumClasses > 1 {
-				ny = rng.Intn(ds.NumClasses)
-			}
-			ds.Y[i] = ny
-			flipped++
-		}
-	}
-	return flipped
-}
-
 // Stream produces an endless sequence of examples over virtual time; the
 // observability experiments consume one example per tick.
 type Stream interface {

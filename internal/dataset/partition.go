@@ -62,18 +62,6 @@ func PartitionDirichlet(rng *tensor.RNG, ds *Dataset, k int, alpha float64) [][]
 	return shards
 }
 
-// PartitionByClass gives each client examples from exactly one class
-// (clients beyond the class count cycle) — the worst-case shard for
-// federated averaging.
-func PartitionByClass(ds *Dataset, k int) [][]int {
-	shards := make([][]int, k)
-	for i, y := range ds.Y {
-		c := y % k
-		shards[c] = append(shards[c], i)
-	}
-	return shards
-}
-
 // LabelSkew quantifies how non-IID a partition is: it returns the mean
 // total-variation distance between each shard's label distribution and the
 // global label distribution (0 = perfectly IID, →1 = disjoint).

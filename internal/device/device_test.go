@@ -265,19 +265,6 @@ func TestFleetEligible(t *testing.T) {
 	}
 }
 
-func TestFleetByClass(t *testing.T) {
-	f, _ := NewStandardFleet(FleetSpec{CountPerProfile: 2, Seed: 3})
-	groups := f.ByClass()
-	if len(groups) != 6 {
-		t.Fatalf("got %d classes", len(groups))
-	}
-	for c, ids := range groups {
-		if len(ids) != 2 {
-			t.Fatalf("class %v has %d devices", c, len(ids))
-		}
-	}
-}
-
 func TestNetStateStringsAndBandwidth(t *testing.T) {
 	if Offline.String() != "offline" || Cellular.String() != "cellular" || WiFi.String() != "wifi" {
 		t.Fatal("NetState strings wrong")

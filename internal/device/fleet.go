@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -108,18 +107,6 @@ func (f *Fleet) Eligible() []*Device {
 		if d.Charging() && d.Net() == WiFi {
 			out = append(out, d)
 		}
-	}
-	return out
-}
-
-// ByClass groups device IDs by hardware class, each group sorted by ID.
-func (f *Fleet) ByClass() map[Class][]string {
-	out := make(map[Class][]string)
-	for _, d := range f.Devices() {
-		out[d.Caps.Class] = append(out[d.Caps.Class], d.ID)
-	}
-	for c := range out {
-		sort.Strings(out[c])
 	}
 	return out
 }

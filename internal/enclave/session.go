@@ -99,17 +99,6 @@ func (s *Session) Attest(id string, nonce []byte) (Report, error) {
 	return s.enc.Attest(art.measurement, nonce), nil
 }
 
-// Measurement returns the loaded artifact's measurement.
-func (s *Session) Measurement(id string) ([32]byte, error) {
-	s.mu.RLock()
-	art, ok := s.arts[id]
-	s.mu.RUnlock()
-	if !ok {
-		return [32]byte{}, fmt.Errorf("%w: %s", ErrUnknownArtifact, id)
-	}
-	return art.measurement, nil
-}
-
 // Network exposes a loaded network for protected suffix execution. The
 // returned network is enclave-resident state: callers run it, they do not
 // re-export it.

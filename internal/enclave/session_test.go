@@ -313,10 +313,6 @@ func TestSessionShared64Goroutines(t *testing.T) {
 						return
 					}
 				}
-				if _, err := sess.Measurement("shared"); err != nil {
-					errCh <- err
-					return
-				}
 			}
 		}(g)
 	}

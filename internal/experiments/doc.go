@@ -12,6 +12,8 @@
 //
 // Every experiment consumes the same internal packages the platform's
 // production paths use, so the tables double as executable documentation;
-// cmd/experiments runs any subset from the command line, and the module
-// root's bench_test.go tracks each experiment's hot path as a benchmark.
+// cmd/experiments runs any subset from the command line. The tables print
+// counts (multiplications, bytes, parameters) and the modelled clock, never
+// a stopwatch reading: each table that used to time something names the
+// bench/run.sh entry that measures it.
 package experiments

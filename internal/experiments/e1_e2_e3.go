@@ -227,7 +227,7 @@ func RunE2(w io.Writer) error {
 }
 
 // RunE3 shows that reduced precision only helps with hardware support:
-// modeled latency per device × precision, plus real kernel measurements.
+// modeled latency per device × precision.
 func RunE3(w io.Writer) error {
 	const macs = 200_000
 	tw := table(w)
@@ -248,40 +248,6 @@ func RunE3(w io.Writer) error {
 		return err
 	}
 
-	// Real kernels on this host: int8 with native accumulate vs the
-	// dequantize-in-the-loop emulation vs float32.
-	rng := tensor.NewRNG(12)
-	m, k, n := 128, 256, 128
-	a := make([]int8, m*k)
-	b := make([]int8, k*n)
-	for i := range a {
-		a[i] = int8(rng.Intn(255) - 127)
-	}
-	for i := range b {
-		b[i] = int8(rng.Intn(255) - 127)
-	}
-	scales := make([]float32, n)
-	for i := range scales {
-		scales[i] = 0.01
-	}
-	dst := make([]float32, m*n)
-	timeIt := func(f func()) time.Duration {
-		const reps = 20
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			f()
-		}
-		return time.Since(start) / reps
-	}
-	tInt8 := timeIt(func() { quant.MatMulInt8(dst, a, b, m, k, n, 0.05, scales) })
-	tEmul := timeIt(func() { quant.MatMulInt8Emulated(dst, a, b, m, k, n, 0.05, scales) })
-	af := tensor.Randn(rng, 1, m, k)
-	bf := tensor.Randn(rng, 1, k, n)
-	tF32 := timeIt(func() { tensor.MatMul(af, bf) })
-	fmt.Fprintf(w, "\nhost kernel measurements (%d×%d×%d):\n", m, k, n)
-	fmt.Fprintf(w, "  int8 native accumulate: %v\n", tInt8)
-	fmt.Fprintf(w, "  int8 emulated (dequantize in loop): %v (%.1f× slower than native int8)\n",
-		tEmul, float64(tEmul)/float64(tInt8))
-	fmt.Fprintf(w, "  float32: %v\n", tF32)
+	fmt.Fprintln(w, "\nhost kernel time: bench/run.sh measures it (tensor.matmul_i8_us, tensor.matmul_f32_us)")
 	return nil
 }

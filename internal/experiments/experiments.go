@@ -2,8 +2,8 @@
 // reproduction (E1–E11, see DESIGN.md §3). The paper is a position paper
 // with no evaluation tables of its own; each experiment operationalizes a
 // quantified claim from the prose and reports the measured shape. The
-// cmd/experiments binary prints the tables; bench_test.go measures the
-// underlying kernels with testing.B.
+// cmd/experiments binary prints the tables; they hold counts and the
+// modelled clock, and bench/run.sh measures the timings they leave out.
 package experiments
 
 import (

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -263,30 +264,46 @@ func TestHier100kHeadline(t *testing.T) {
 }
 
 // TestHierCoordinatorValidation table-drives the constructor and tier-size
-// error paths.
+// error paths, and a client whose data the round must refuse.
 func TestHierCoordinatorValidation(t *testing.T) {
 	rng := tensor.NewRNG(47)
 	net := nn.NewNetwork([]int{4}, nn.NewDense(4, 2, rng))
 	ds := dataset.Blobs(rng, 40, 4, 2, 3)
 	shards := dataset.PartitionIID(rng, ds, 4)
 	clients := MakeClients(ds, shards, "v")
+	mislabeled := MakeClients(ds, shards, "m")
+	mislabeled[2].Data.Y[len(mislabeled[2].Data.Y)-1] = 2 // two classes: [0,2)
 	cases := []struct {
 		name    string
 		global  *nn.Network
 		clients []*Client
 		cfg     HierConfig
+		// roundFails names the client RunRound must fail on, after the
+		// constructor accepted the fleet.
+		roundFails string
 	}{
-		{"nil global", nil, clients, HierConfig{Aggregators: 2}},
-		{"no clients", net, nil, HierConfig{Aggregators: 2}},
-		{"zero aggregators", net, clients, HierConfig{}},
-		{"negative aggregators", net, clients, HierConfig{Aggregators: -1}},
-		{"more aggregators than clients", net, clients, HierConfig{Aggregators: 5}},
-		{"duplicate client IDs", net, []*Client{clients[0], clients[0]}, HierConfig{Aggregators: 1}},
-		{"nil client", net, []*Client{clients[0], nil}, HierConfig{Aggregators: 1}},
+		{"nil global", nil, clients, HierConfig{Aggregators: 2}, ""},
+		{"no clients", net, nil, HierConfig{Aggregators: 2}, ""},
+		{"zero aggregators", net, clients, HierConfig{}, ""},
+		{"negative aggregators", net, clients, HierConfig{Aggregators: -1}, ""},
+		{"more aggregators than clients", net, clients, HierConfig{Aggregators: 5}, ""},
+		{"duplicate client IDs", net, []*Client{clients[0], clients[0]}, HierConfig{Aggregators: 1}, ""},
+		{"nil client", net, []*Client{clients[0], nil}, HierConfig{Aggregators: 1}, ""},
+		{"label out of range", net.Clone(), mislabeled, HierConfig{Aggregators: 2}, mislabeled[2].ID},
 	}
 	for _, c := range cases {
-		if _, err := NewHierCoordinator(c.global, c.clients, nil, nil, c.cfg); err == nil {
-			t.Fatalf("%s: constructor accepted it", c.name)
+		hc, err := NewHierCoordinator(c.global, c.clients, nil, nil, c.cfg)
+		if c.roundFails == "" {
+			if err == nil {
+				t.Fatalf("%s: constructor accepted it", c.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := hc.RunRound(); err == nil || !strings.Contains(err.Error(), c.roundFails) {
+			t.Fatalf("%s: RunRound returned %v, want an error naming %s", c.name, err, c.roundFails)
 		}
 	}
 	// Every client in exactly one cohort.
@@ -427,8 +444,8 @@ func TestAggregatorSubmitValidation(t *testing.T) {
 	if err := agg.Submit(0, m, 1); err == nil {
 		t.Fatal("accepted duplicate submission")
 	}
-	if agg.Received() != 1 {
-		t.Fatalf("received %d", agg.Received())
+	if agg.nRecv != 1 {
+		t.Fatalf("received %d", agg.nRecv)
 	}
 	empty, err := NewAggregator("b", seeds, 2)
 	if err != nil {

@@ -193,13 +193,6 @@ func (a *Aggregator) Submit(idx int, masked []uint64, samples int) error {
 	return nil
 }
 
-// Received reports how many participants have submitted.
-func (a *Aggregator) Received() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.nRecv
-}
-
 // Unmask reconciles the masks of absent participants and returns the
 // exact cohort partial (Σ samples_i·q_i over received clients) plus the
 // received sample total. Every surviving submission carries one stale

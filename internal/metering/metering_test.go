@@ -3,7 +3,6 @@ package metering
 import (
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,9 +144,6 @@ func TestSettlementDetectsRollback(t *testing.T) {
 	rec2 := settler.Settle(m2.BuildReport())
 	if rec2.OK || rec2.Reason != ReasonRollback {
 		t.Fatalf("reset-meter report = %+v, want rollback", rec2)
-	}
-	if len(settler.TamperEvents()) != 2 {
-		t.Fatalf("tamper log = %v", settler.TamperEvents())
 	}
 }
 
@@ -377,8 +373,5 @@ func TestGapDetection(t *testing.T) {
 	rec := settler.Settle(r)
 	if rec.OK || rec.Reason != ReasonGap {
 		t.Fatalf("gap report = %+v", rec)
-	}
-	if !strings.Contains(strings.Join(settler.TamperEvents(), ";"), "gap") {
-		t.Fatal("gap not logged")
 	}
 }

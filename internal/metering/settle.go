@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"time"
 )
@@ -47,11 +46,6 @@ type Settler struct {
 
 	mu    sync.Mutex
 	state map[string]*voucherState
-	// tamperLog holds the latest tamperLogKeep rejections for audit;
-	// rejected counts every one, a forged voucher's (which leaves no line)
-	// included.
-	tamperLog []string
-	rejected  int
 	// lastReceipt remembers each voucher's latest settlement verdict for
 	// audit (see faults.Audit).
 	lastReceipt map[string]Receipt
@@ -70,8 +64,7 @@ func NewSettler(issuer *Issuer) *Settler {
 }
 
 // Settle verifies a usage report and returns a receipt. On success the
-// server state advances; on any inconsistency the report is rejected and
-// logged.
+// server state advances; on any inconsistency the report is rejected.
 func (s *Settler) Settle(r Report) Receipt {
 	return s.SettleAttested(AttestedReport{Report: r})
 }
@@ -94,10 +87,7 @@ func (s *Settler) SettleAttested(r AttestedReport) Receipt {
 func (s *Settler) settle(r AttestedReport, framed bool) Receipt {
 	if !s.issuer.Verify(&r.Voucher) {
 		// Nothing in an unauthenticated report is evidence about the voucher
-		// it names: count it, and touch no per-voucher state.
-		s.mu.Lock()
-		s.rejected++
-		s.mu.Unlock()
+		// it names: touch no per-voucher state.
 		return Receipt{Reason: ReasonBadVoucher}
 	}
 	s.mu.Lock()
@@ -177,16 +167,7 @@ func (s *Settler) settle(r AttestedReport, framed bool) Receipt {
 	return receipt
 }
 
-// tamperLogKeep bounds the audit log: a device that keeps cheating cannot
-// grow the settler without limit.
-const tamperLogKeep = 256
-
 func (s *Settler) rejectLocked(voucherID, reason string) Receipt {
-	if len(s.tamperLog) == tamperLogKeep {
-		s.tamperLog = slices.Delete(s.tamperLog, 0, 1)
-	}
-	s.tamperLog = append(s.tamperLog, fmt.Sprintf("voucher %s: %s", voucherID, reason))
-	s.rejected++
 	receipt := Receipt{OK: false, Reason: reason}
 	s.lastReceipt[voucherID] = receipt
 	return receipt
@@ -198,19 +179,6 @@ func (s *Settler) LastReceipt(voucherID string) (Receipt, bool) {
 	defer s.mu.Unlock()
 	rc, ok := s.lastReceipt[voucherID]
 	return rc, ok
-}
-
-// TamperEvents returns the audit log of rejected settlements, oldest
-// first. When more were rejected than it lists (forged vouchers leave no
-// line, and only the latest tamperLogKeep are kept), a last line says so.
-func (s *Settler) TamperEvents() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	events := append([]string(nil), s.tamperLog...)
-	if unlisted := s.rejected - len(events); unlisted > 0 {
-		events = append(events, fmt.Sprintf("%d rejections in all, %d not listed", s.rejected, unlisted))
-	}
-	return events
 }
 
 // SettledUsage returns the server-acknowledged usage for a voucher.

@@ -33,75 +33,3 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float32, *tensor.
 	grad.Scale(1 / float32(b))
 	return float32(loss / float64(b)), grad
 }
-
-// MSE computes the mean squared error between pred and target and its
-// gradient w.r.t. pred.
-func MSE(pred, target *tensor.Tensor) (float32, *tensor.Tensor) {
-	if !tensor.SameShape(pred, target) {
-		panic(fmt.Sprintf("nn: MSE shape mismatch %v vs %v", pred.Shape(), target.Shape()))
-	}
-	n := float32(pred.Size())
-	grad := tensor.Sub(pred, target)
-	var loss float64
-	for _, d := range grad.Data {
-		loss += float64(d) * float64(d)
-	}
-	grad.Scale(2 / n)
-	return float32(loss / float64(n)), grad
-}
-
-// DistillationLoss blends hard-label cross-entropy with a soft-target term
-// against teacher probabilities at temperature T (Hinton-style knowledge
-// distillation). alpha weighs the soft term; the returned gradient is
-// w.r.t. the student logits.
-func DistillationLoss(studentLogits, teacherProbs *tensor.Tensor, labels []int, temperature, alpha float32) (float32, *tensor.Tensor) {
-	if temperature <= 0 {
-		panic("nn: distillation temperature must be positive")
-	}
-	hardLoss, hardGrad := SoftmaxCrossEntropy(studentLogits, labels)
-
-	// Soft term: CE(teacherProbs, softmax(student/T)), gradient scaled by T²
-	// as in the original formulation so the soft-gradient magnitude is
-	// temperature-independent.
-	b, c := studentLogits.Dim(0), studentLogits.Dim(1)
-	scaled := studentLogits.Map(func(v float32) float32 { return v / temperature })
-	sp := SoftmaxRows(scaled)
-	var softLoss float64
-	softGrad := tensor.New(b, c)
-	for i := 0; i < b; i++ {
-		for j := 0; j < c; j++ {
-			tp := float64(teacherProbs.At2(i, j))
-			p := float64(sp.At2(i, j))
-			if p < 1e-12 {
-				p = 1e-12
-			}
-			softLoss -= tp * math.Log(p)
-			softGrad.Set2(i, j, (sp.At2(i, j)-teacherProbs.At2(i, j))*temperature/float32(b))
-		}
-	}
-	loss := (1-alpha)*hardLoss + alpha*float32(softLoss/float64(b))
-	grad := tensor.New(b, c)
-	for i := range grad.Data {
-		grad.Data[i] = (1-alpha)*hardGrad.Data[i] + alpha*softGrad.Data[i]
-	}
-	return loss, grad
-}
-
-// Accuracy returns the fraction of rows of logits whose argmax equals the
-// label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	pred := logits.ArgMaxRows()
-	if len(pred) != len(labels) {
-		panic(fmt.Sprintf("nn: Accuracy got %d predictions for %d labels", len(pred), len(labels)))
-	}
-	if len(labels) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
-}

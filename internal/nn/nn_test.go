@@ -177,30 +177,6 @@ func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {
 	}
 }
 
-func TestMSEKnownValue(t *testing.T) {
-	pred := tensor.FromSlice([]float32{1, 2}, 1, 2)
-	targ := tensor.FromSlice([]float32{0, 0}, 1, 2)
-	loss, grad := MSE(pred, targ)
-	if loss != 2.5 {
-		t.Fatalf("MSE = %v, want 2.5", loss)
-	}
-	if grad.Data[0] != 1 || grad.Data[1] != 2 {
-		t.Fatalf("MSE grad = %v", grad.Data)
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float32{
-		2, 1, 0,
-		0, 3, 1,
-		1, 0, 5,
-		9, 0, 0,
-	}, 4, 3)
-	if got := Accuracy(logits, []int{0, 1, 2, 1}); got != 0.75 {
-		t.Fatalf("Accuracy = %v, want 0.75", got)
-	}
-}
-
 func TestTrainLearnsLinearlySeparable(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	// Two Gaussian blobs separated along the first coordinate.
@@ -223,6 +199,30 @@ func TestTrainLearnsLinearlySeparable(t *testing.T) {
 	}
 	if acc := Evaluate(net, x, labels); acc < 0.98 {
 		t.Fatalf("train accuracy %v < 0.98", acc)
+	}
+}
+
+// TestTrainRejectsOutOfRangeLabel: a label past the logit width is input
+// from outside, so Train returns an error naming the example — before any
+// step, not as a panic once its batch comes up.
+func TestTrainRejectsOutOfRangeLabel(t *testing.T) {
+	rng := tensor.NewRNG(10)
+	net := NewNetwork([]int{4}, NewDense(4, 3, rng))
+	x := tensor.Randn(rng, 1, 64, 4)
+	labels := make([]int, 64)
+	for i := range labels {
+		labels[i] = i % 3
+	}
+	labels[63] = 3
+	before := net.FlatParams()
+	_, err := Train(net, x, labels, TrainConfig{BatchSize: 2, Optimizer: NewSGD(0.1), RNG: rng})
+	if err == nil || !strings.Contains(err.Error(), "example 63") {
+		t.Fatalf("err = %v, want an out-of-range label at example 63", err)
+	}
+	for i, v := range net.FlatParams() {
+		if math.Float32bits(v) != math.Float32bits(before[i]) {
+			t.Fatalf("parameter %d moved before the label was refused", i)
+		}
 	}
 }
 
@@ -408,37 +408,6 @@ func TestOpKinds(t *testing.T) {
 	kinds := net.OpKinds()
 	if len(kinds) != 2 || kinds[0] != "dense" || kinds[1] != "relu" {
 		t.Fatalf("OpKinds = %v", kinds)
-	}
-}
-
-func TestDistillationLossGradientDirection(t *testing.T) {
-	rng := tensor.NewRNG(16)
-	logits := tensor.Randn(rng, 1, 4, 3)
-	teacher := SoftmaxRows(tensor.Randn(rng, 1, 4, 3))
-	labels := []int{0, 1, 2, 0}
-	loss, grad := DistillationLoss(logits, teacher, labels, 2.0, 0.5)
-	if loss <= 0 {
-		t.Fatalf("distillation loss = %v", loss)
-	}
-	// Gradient step should reduce the loss.
-	lr := float32(0.5)
-	stepped := logits.Clone()
-	stepped.Axpy(-lr, grad)
-	loss2, _ := DistillationLoss(stepped, teacher, labels, 2.0, 0.5)
-	if loss2 >= loss {
-		t.Fatalf("distillation loss did not decrease: %v -> %v", loss, loss2)
-	}
-}
-
-func TestMeanLossMatchesDirectComputation(t *testing.T) {
-	rng := tensor.NewRNG(17)
-	net := NewNetwork([]int{4}, NewDense(4, 3, rng))
-	x := tensor.Randn(rng, 1, 10, 4)
-	labels := []int{0, 1, 2, 0, 1, 2, 0, 1, 2, 0}
-	want, _ := SoftmaxCrossEntropy(net.Predict(x), labels)
-	got := MeanLoss(net, x, labels)
-	if math.Abs(float64(want-got)) > 1e-5 {
-		t.Fatalf("MeanLoss = %v, want %v", got, want)
 	}
 }
 

@@ -6,14 +6,6 @@ import (
 	"tinymlops/internal/tensor"
 )
 
-// checkCut validates a layer cut point for partitioned execution.
-func (n *Network) checkCut(cut int) error {
-	if cut < 0 || cut > len(n.layers) {
-		return fmt.Errorf("nn: cut %d out of range [0,%d]", cut, len(n.layers))
-	}
-	return nil
-}
-
 // Subnet returns a view over layers [lo,hi) of the network: the returned
 // Network shares the receiver's layer objects (weights included — no copy),
 // with its InputShape set to the per-example shape entering layer lo. It is
@@ -41,27 +33,13 @@ func (n *Network) Subnet(lo, hi int) (*Network, error) {
 // boundary activation — the tensor an edge–cloud split ships over the
 // network. cut = 0 returns x unchanged; cut = len(layers) computes the full
 // forward pass. The result is bit-identical to stopping Forward(x, false)
-// after cut layers, so ForwardSuffix(ForwardPrefix(x, c), c) reproduces the
-// monolithic output exactly for any c.
+// after cut layers, so running Subnet(c, len) on ForwardPrefix(x, c)
+// reproduces the monolithic output exactly for any c.
 func (n *Network) ForwardPrefix(x *tensor.Tensor, cut int) (*tensor.Tensor, error) {
-	if err := n.checkCut(cut); err != nil {
-		return nil, err
+	if cut < 0 || cut > len(n.layers) {
+		return nil, fmt.Errorf("nn: cut %d out of range [0,%d]", cut, len(n.layers))
 	}
 	for _, l := range n.layers[:cut] {
-		x = l.Forward(x, false)
-	}
-	return x, nil
-}
-
-// ForwardSuffix runs layers [cut,len) on a boundary activation in
-// inference mode — the cloud half of a partitioned forward pass. cut = 0
-// runs the whole network (the activation is the raw input); cut =
-// len(layers) returns x unchanged (the device already finished).
-func (n *Network) ForwardSuffix(x *tensor.Tensor, cut int) (*tensor.Tensor, error) {
-	if err := n.checkCut(cut); err != nil {
-		return nil, err
-	}
-	for _, l := range n.layers[cut:] {
 		x = l.Forward(x, false)
 	}
 	return x, nil

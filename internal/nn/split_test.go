@@ -85,10 +85,11 @@ func TestSplitBitExactAtEveryCut(t *testing.T) {
 			if _, err := wire.ReadFrom(&buf); err != nil {
 				t.Fatalf("%s cut %d: decode: %v", c.name, cut, err)
 			}
-			got, err := c.net.ForwardSuffix(&wire, cut)
+			suffix, err := c.net.Subnet(cut, n)
 			if err != nil {
 				t.Fatalf("%s cut %d: suffix: %v", c.name, cut, err)
 			}
+			got := suffix.Forward(&wire, false)
 			if !bitsEqual(got, want) {
 				t.Fatalf("%s cut %d: split output differs from monolithic Forward", c.name, cut)
 			}
@@ -149,7 +150,7 @@ func TestSplitValidation(t *testing.T) {
 	if _, err := net.ForwardPrefix(x, -1); err == nil {
 		t.Fatal("accepted negative cut")
 	}
-	if _, err := net.ForwardSuffix(x, 2); err == nil {
+	if _, err := net.ForwardPrefix(x, 2); err == nil {
 		t.Fatal("accepted cut past the last layer")
 	}
 	if _, err := net.Subnet(1, 0); err == nil {

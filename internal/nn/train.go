@@ -53,6 +53,15 @@ func Train(net *Network, x *tensor.Tensor, labels []int, cfg TrainConfig) (float
 			bx, by := gatherBatch(x, labels, perm[lo:hi], exampleSize)
 			net.ZeroGrad()
 			logits := net.Forward(bx, true)
+			if epoch == 0 && lo == 0 {
+				// Labels come from outside: refuse a bad one before the
+				// first step changes a parameter, not when its batch comes up.
+				for i, y := range labels {
+					if y < 0 || y >= logits.Dim(1) {
+						return 0, fmt.Errorf("nn: Train: label %d of example %d out of range [0,%d)", y, i, logits.Dim(1))
+					}
+				}
+			}
 			loss, grad := SoftmaxCrossEntropy(logits, by)
 			net.Backward(grad)
 			if cfg.ExtraGrad != nil {
@@ -105,29 +114,4 @@ func Evaluate(net *Network, x *tensor.Tensor, labels []int) float64 {
 		}
 	}
 	return float64(correct) / float64(n)
-}
-
-// MeanLoss returns the mean softmax cross-entropy of net on (x, labels)
-// without updating any state.
-func MeanLoss(net *Network, x *tensor.Tensor, labels []int) float32 {
-	n := x.Dim(0)
-	if n == 0 {
-		return 0
-	}
-	const batch = 256
-	exampleSize := x.Size() / n
-	var total float64
-	var count int
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		shape := append([]int{hi - lo}, x.Shape()[1:]...)
-		bx := tensor.FromSlice(x.Data[lo*exampleSize:hi*exampleSize], shape...)
-		loss, _ := SoftmaxCrossEntropy(net.Predict(bx), labels[lo:hi])
-		total += float64(loss) * float64(hi-lo)
-		count += hi - lo
-	}
-	return float32(total / float64(count))
 }

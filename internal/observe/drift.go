@@ -99,9 +99,6 @@ func (k *KSDetector) Drifted() bool { return k.drifted }
 // Score implements Detector.
 func (k *KSDetector) Score() float64 { return k.score }
 
-// Critical returns the rejection threshold for the configured alpha.
-func (k *KSDetector) Critical() float64 { return k.critical }
-
 // Reset implements Detector.
 func (k *KSDetector) Reset() {
 	k.window = NewSlidingWindow(len(k.window.buf))
@@ -281,10 +278,6 @@ func (m *Monitor) Observe(x []float32) {
 
 // Drifted reports whether any feature's detector has fired.
 func (m *Monitor) Drifted() bool { return m.alarmTick >= 0 }
-
-// AlarmTick returns the observation index at which the first alarm fired,
-// or -1.
-func (m *Monitor) AlarmTick() int { return m.alarmTick }
 
 // MaxScore returns the largest current detector score.
 func (m *Monitor) MaxScore() float64 {

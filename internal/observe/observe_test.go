@@ -125,7 +125,7 @@ func TestKSDetectorFiresOnShiftNotOnNull(t *testing.T) {
 		det.Observe(rng.NormFloat64())
 	}
 	if det.Drifted() {
-		t.Fatalf("KS false positive on in-distribution stream (score %v > crit %v)", det.Score(), det.Critical())
+		t.Fatalf("KS false positive on in-distribution stream (score %v > crit %v)", det.Score(), det.critical)
 	}
 	// Shifted stream: must fire.
 	for i := 0; i < 500 && !det.Drifted(); i++ {
@@ -249,11 +249,11 @@ func TestMonitorOnDriftStream(t *testing.T) {
 	if !mon.Drifted() {
 		t.Fatal("monitor missed injected drift")
 	}
-	if mon.AlarmTick() < 500 {
-		t.Fatalf("monitor fired before onset: tick %d", mon.AlarmTick())
+	if mon.alarmTick < 500 {
+		t.Fatalf("monitor fired before onset: tick %d", mon.alarmTick)
 	}
 	mon.Reset()
-	if mon.Drifted() || mon.AlarmTick() != -1 {
+	if mon.Drifted() || mon.alarmTick != -1 {
 		t.Fatal("monitor Reset incomplete")
 	}
 }
@@ -271,7 +271,7 @@ func TestColumnsOf(t *testing.T) {
 func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
 	r := goldenRecord()
 	enc := r.Encode()
-	got, err := DecodeRecord(enc)
+	got, err := decodeRecord(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
 	// are TestGoldenRecord's: it runs the shared strictness helper over
 	// these same bytes.
 	enc[len(enc)-1] = 2
-	if _, err := DecodeRecord(enc); err == nil {
+	if _, err := decodeRecord(enc); err == nil {
 		t.Fatal("alarm byte 2 accepted")
 	}
 }
@@ -310,7 +310,7 @@ func TestRecordRoundTripProperty(t *testing.T) {
 			r.FeatureMeans[i] = rng.NormFloat32()
 			r.FeatureStds[i] = rng.Float32()
 		}
-		got, err := DecodeRecord(r.Encode())
+		got, err := decodeRecord(r.Encode())
 		if err != nil {
 			return false
 		}
@@ -341,8 +341,8 @@ func TestBufferStoreAndForward(t *testing.T) {
 	if err != nil || recs != nil || n != 0 {
 		t.Fatalf("offline flush = %v, %d, %v", recs, n, err)
 	}
-	if buf.Pending() != 2 {
-		t.Fatalf("pending = %d", buf.Pending())
+	if len(buf.pending) != 2 {
+		t.Fatalf("pending = %d", len(buf.pending))
 	}
 	// On WiFi: drains and uploads.
 	d.SetBehavior(0, 1, 0)
@@ -354,7 +354,7 @@ func TestBufferStoreAndForward(t *testing.T) {
 	if len(recs) != 2 || n <= 0 {
 		t.Fatalf("flush = %d records, %d bytes", len(recs), n)
 	}
-	if buf.Pending() != 0 {
+	if len(buf.pending) != 0 {
 		t.Fatal("buffer not drained")
 	}
 	if d.Snapshot().TxBytes != int64(n) {
@@ -367,8 +367,8 @@ func TestBufferCapEvictsOldest(t *testing.T) {
 	buf.Add(Record{Window: 1})
 	buf.Add(Record{Window: 2})
 	buf.Add(Record{Window: 3})
-	if buf.Pending() != 2 || buf.Dropped() != 1 {
-		t.Fatalf("pending=%d dropped=%d", buf.Pending(), buf.Dropped())
+	if len(buf.pending) != 2 || buf.dropped != 1 {
+		t.Fatalf("pending=%d dropped=%d", len(buf.pending), buf.dropped)
 	}
 }
 

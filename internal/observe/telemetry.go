@@ -63,10 +63,10 @@ func (r *Record) Encode() []byte {
 	return append(b, 0)
 }
 
-// DecodeRecord parses a record encoded by Encode. It accepts exactly what
+// decodeRecord parses a record encoded by Encode. It accepts exactly what
 // Encode produces: a record cut short anywhere, followed by anything, or
 // with an alarm byte other than 0 or 1 is rejected.
-func DecodeRecord(data []byte) (*Record, error) {
+func decodeRecord(data []byte) (*Record, error) {
 	r := wire.NewReader(data)
 	out := &Record{DeviceID: r.String(256)}
 	out.Window, out.Inferences, out.Denied = r.U32(), r.U32(), r.U32()
@@ -118,26 +118,12 @@ func (b *Buffer) Add(r Record) {
 	b.pending = append(b.pending, r)
 }
 
-// Pending returns the queued record count.
-func (b *Buffer) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pending)
-}
-
 // Snapshot returns a copy of the queued records without draining them —
 // the audit path reads the store-and-forward queue in place.
 func (b *Buffer) Snapshot() []Record {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]Record(nil), b.pending...)
-}
-
-// Dropped returns how many records the cap evicted.
-func (b *Buffer) Dropped() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
 }
 
 // FlushIfWiFi drains the buffer when the device is on WiFi, charging the

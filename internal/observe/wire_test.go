@@ -23,7 +23,7 @@ func goldenRecord() *Record {
 // reencodeRecord is the telemetry record's decode-then-encode for the
 // shared strictness helpers.
 func reencodeRecord(data []byte) ([]byte, error) {
-	r, err := DecodeRecord(data)
+	r, err := decodeRecord(data)
 	if err != nil {
 		return nil, err
 	}

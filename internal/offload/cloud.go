@@ -41,10 +41,6 @@ type CloudConfig struct {
 	// drains and executes one batch at a time on its own arena; executors
 	// perform no model writes, so dispatchers share them safely.
 	Dispatchers int
-	// TraceBatch, when set, observes every dispatched batch (model
-	// version, cut, tenants in service order) — a test and CLI hook, called
-	// outside the tier lock.
-	TraceBatch func(versionID string, cut int, tenants []string)
 }
 
 // Response is the cloud's answer to one suffix request.
@@ -74,7 +70,6 @@ type CloudStats struct {
 // request is one admitted suffix query waiting for service: the boundary
 // its executor decoded at admission.
 type request struct {
-	tenant   string
 	boundary exec.Boundary
 	reply    chan result
 }
@@ -281,7 +276,7 @@ func (c *CloudTier) Submit(tenant, versionID string, cut int, activation []byte)
 		c.classes[key] = cl
 		c.classOrder = append(c.classOrder, key)
 	}
-	req := &request{tenant: tenant, boundary: b, reply: make(chan result, 1)}
+	req := &request{boundary: b, reply: make(chan result, 1)}
 	if _, ok := cl.tenants[tenant]; !ok {
 		cl.order = append(cl.order, tenant)
 	}
@@ -369,13 +364,6 @@ func (c *CloudTier) drainLocked() (*class, []*request) {
 // An executor error (a module out of gas, say) fails the whole batch: each
 // device then finishes its own query locally.
 func (c *CloudTier) execBatch(cl *class, reqs []*request, ar *engine.Arena) {
-	if c.cfg.TraceBatch != nil {
-		tenants := make([]string, len(reqs))
-		for i, r := range reqs {
-			tenants[i] = r.tenant
-		}
-		c.cfg.TraceBatch(cl.key.version, cl.key.cut, tenants)
-	}
 	rows := len(reqs)
 	bs := make([]exec.Boundary, rows)
 	for i, r := range reqs {

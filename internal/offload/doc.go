@@ -6,12 +6,13 @@
 // The paper treats the cut point as an operational concern, so this
 // package is a serving runtime, not a calculator. A Session owns one
 // device's split: it charges prefix compute and radio to the device cost
-// model and every query to the prepaid meter (offloading never escapes
-// pay-per-query), serializes the boundary activation through its
-// executor's codec, and — because the split performs the monolithic
-// model's exact operations — answers bit-identically to a full on-device
-// forward pass no matter where the cut lands or whether the network
-// failed it back to the edge. A CloudTier is the vendor-side half: a
+// model (the query itself is metered upstream: core.OffloadSession.Infer
+// runs the session inside the deployment's pay-per-query pipeline, so
+// offloading never escapes it), serializes the boundary activation
+// through its executor's codec, and — because the split performs the
+// monolithic model's exact operations — answers bit-identically to a full
+// on-device forward pass no matter where the cut lands or whether the
+// network failed it back to the edge. A CloudTier is the vendor-side half: a
 // bounded admission queue that coalesces concurrent suffix requests of
 // the same (version, cut) class into single executor calls, drains
 // tenants round-robin so no device starves, and sheds under overload —

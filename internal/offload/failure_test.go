@@ -10,23 +10,18 @@ import (
 	"tinymlops/internal/device"
 	"tinymlops/internal/engine"
 	"tinymlops/internal/market"
-	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/tensor"
 )
 
 // TestOffloadFailurePaths is the table-driven failure-path suite: each
 // case arranges one way the split can go wrong and pins the required
-// recovery — uplink drops fall back to full on-device execution, an
-// exhausted meter rejects before any compute, a dead battery fails the
-// query outright, and the replanner's hysteresis keeps the cut still
-// under sub-threshold noise.
+// recovery — uplink drops fall back to full on-device execution, a dead
+// battery fails the query outright, and the replanner's hysteresis keeps
+// the cut still under sub-threshold noise.
 func TestOffloadFailurePaths(t *testing.T) {
 	cases := []struct {
-		name  string
-		quota uint64
-		// drain spends the whole quota with successful queries first.
-		drain   bool
+		name    string
 		arrange func(f *fixture)
 		// wantErrOnly means the query must error with wantErr; otherwise
 		// it must succeed in wantMode.
@@ -35,51 +30,37 @@ func TestOffloadFailurePaths(t *testing.T) {
 		wantErrOnly bool
 	}{
 		{
-			name: "uplink drop mid-activation falls back on-device", quota: 10,
+			name:     "uplink drop mid-activation falls back on-device",
 			arrange:  func(f *fixture) { f.dev.SetNet(device.Offline) },
 			wantMode: ModeFallback,
 		},
 		{
-			name: "degraded link still splits", quota: 10,
+			name:     "degraded link still splits",
 			arrange:  func(f *fixture) { f.dev.SetNet(device.Cellular) },
 			wantMode: ModeSplit,
 		},
 		{
-			name: "exhausted meter rejects before compute", quota: 1,
-			drain:       true,
-			arrange:     func(f *fixture) {},
-			wantErr:     ErrMetered,
-			wantErrOnly: true,
-		},
-		{
-			name: "dead battery fails the prefix", quota: 10,
+			name:        "dead battery fails the prefix",
 			arrange:     func(f *fixture) { f.dev.SetBatteryLevel(0) },
 			wantErr:     device.ErrBatteryDepleted,
 			wantErrOnly: true,
 		},
 		{
-			name: "cloud closed: retries exhaust, finish locally", quota: 10,
+			name:     "cloud closed: retries exhaust, finish locally",
 			arrange:  func(f *fixture) { f.cloud.Close() },
 			wantMode: ModeFallback,
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			f := newFixture(t, "phone", CloudConfig{}, c.quota)
+			f := newFixture(t, "phone", CloudConfig{})
 			f.cloud.Start()
 			defer f.cloud.Close()
 			c.arrange(f)
 			s := f.session(t, 2)
 			x := f.input(21)
-			if c.drain {
-				for f.meter.Remaining() > 0 {
-					if _, err := s.Infer(x); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
 			before := f.dev.Snapshot()
-			res, err := s.Infer(x)
+			res, err := s.Exec(x)
 			if c.wantErrOnly {
 				if !errors.Is(err, c.wantErr) {
 					t.Fatalf("err = %v, want %v", err, c.wantErr)
@@ -106,10 +87,9 @@ func TestOffloadFailurePaths(t *testing.T) {
 // sessionOutcome is the per-device record the determinism test compares
 // across worker counts.
 type sessionOutcome struct {
-	labels    []int
-	stats     Stats
-	meterUsed uint64
-	counters  device.Counters
+	labels   []int
+	stats    Stats
+	counters device.Counters
 }
 
 // runSessionFleet drives nDevices concurrent sessions (each with a
@@ -126,33 +106,17 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 	registerFloat(t, cloud, "v1", model, 1)
 	cloud.Start()
 	defer cloud.Close()
-	issuer, err := metering.NewIssuer([]byte("fleet-failure-key-0123456789abcdef"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	caps, _ := device.ProfileByName("phone")
 
 	type state struct {
-		dev   *device.Device
-		sess  *Session
-		meter *metering.Meter
+		dev  *device.Device
+		sess *Session
 	}
 	states := make([]*state, nDevices)
 	for i := range states {
 		id := fmt.Sprintf("ph-%02d", i)
 		dev := device.NewDevice(id, caps, tensor.NewRNG(uint64(100+i)))
 		dev.SetNet(device.WiFi)
-		// Low quotas on every third device exercise the metering denial
-		// path mid-stream.
-		quota := uint64(queries)
-		if i%3 == 2 {
-			quota = uint64(queries / 2)
-		}
-		v, err := issuer.Issue(id, "v1", quota)
-		if err != nil {
-			t.Fatal(err)
-		}
-		meter := metering.NewMeter(v)
 		plan := market.SplitPlan{Cut: 2}
 		// Devices at i%4==3 pin their plan (no replanning): an outage hits
 		// them as an upload failure and exercises the fallback path, while
@@ -163,12 +127,12 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 		}
 		sess, err := NewSession(SessionConfig{
 			Tenant: id, VersionID: "v1", Device: dev, Model: model.Clone(),
-			Meter: meter, Cloud: cloud, Plan: &plan, Replan: rp,
+			Cloud: cloud, Plan: &plan, Replan: rp,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		states[i] = &state{dev: dev, sess: sess, meter: meter}
+		states[i] = &state{dev: dev, sess: sess}
 	}
 
 	eng := engine.New(engine.Config{Workers: workers})
@@ -182,7 +146,7 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 		}
 		inputs[q] = row
 	}
-	err = eng.ForEach(nDevices, func(i int) error {
+	err := eng.ForEach(nDevices, func(i int) error {
 		st := states[i]
 		for q := 0; q < queries; q++ {
 			// Scripted per-device weather: devices at i%4∈{1,3} lose their
@@ -193,12 +157,8 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 			} else {
 				st.dev.SetNet(device.WiFi)
 			}
-			res, ierr := st.sess.Infer(inputs[q])
+			res, ierr := st.sess.Exec(inputs[q])
 			if ierr != nil {
-				if errors.Is(ierr, ErrMetered) {
-					outcomes[i].labels = append(outcomes[i].labels, -1)
-					continue
-				}
 				return ierr
 			}
 			outcomes[i].labels = append(outcomes[i].labels, res.Label)
@@ -210,7 +170,6 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 	}
 	for i, st := range states {
 		outcomes[i].stats = st.sess.Stats()
-		outcomes[i].meterUsed = st.meter.Used()
 		outcomes[i].counters = st.dev.Snapshot()
 	}
 	return outcomes
@@ -218,25 +177,24 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 
 // TestOffloadFleetDeterministicAcrossWorkers runs the same scripted
 // mixed-failure fleet at 1, 4 and 16 workers (with -race in CI) and
-// requires per-device labels, session stats, meter usage and device
-// counters to be identical — cloud batching composition may vary with
-// scheduling, but nothing observable may.
+// requires per-device labels, session stats and device counters to be
+// identical — cloud batching composition may vary with scheduling, but
+// nothing observable may.
 func TestOffloadFleetDeterministicAcrossWorkers(t *testing.T) {
 	const nDevices, queries = 12, 18
 	var first []sessionOutcome
 	for _, workers := range []int{1, 4, 16} {
 		out := runSessionFleet(t, workers, nDevices, queries)
 		// The script must actually exercise every path.
-		var falls, locals, denies, splits int64
+		var falls, locals, splits int64
 		for _, o := range out {
 			falls += o.stats.Fallbacks
 			locals += o.stats.Local
-			denies += o.stats.Denied
 			splits += o.stats.Split
 		}
-		if falls == 0 || locals == 0 || denies == 0 || splits == 0 {
-			t.Fatalf("workers=%d: script exercised too little: fallback=%d local=%d denied=%d split=%d",
-				workers, falls, locals, denies, splits)
+		if falls == 0 || locals == 0 || splits == 0 {
+			t.Fatalf("workers=%d: script exercised too little: fallback=%d local=%d split=%d",
+				workers, falls, locals, splits)
 		}
 		if first == nil {
 			first = out

@@ -3,7 +3,9 @@ package offload
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +13,6 @@ import (
 	"tinymlops/internal/device"
 	"tinymlops/internal/exec"
 	"tinymlops/internal/market"
-	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/tensor"
 )
@@ -21,10 +22,9 @@ type fixture struct {
 	dev   *device.Device
 	model *nn.Network
 	cloud *CloudTier
-	meter *metering.Meter
 }
 
-func newFixture(t *testing.T, profile string, cloudCfg CloudConfig, quota uint64) *fixture {
+func newFixture(t *testing.T, profile string, cloudCfg CloudConfig) *fixture {
 	t.Helper()
 	caps, err := device.ProfileByName(profile)
 	if err != nil {
@@ -39,15 +39,7 @@ func newFixture(t *testing.T, profile string, cloudCfg CloudConfig, quota uint64
 		nn.NewDense(16, 4, rng))
 	cloud := NewCloud(cloudCfg)
 	registerFloat(t, cloud, "v1", model, 1)
-	issuer, err := metering.NewIssuer([]byte("offload-test-key-0123456789abcdef"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := issuer.Issue(dev.ID, "v1", quota)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{dev: dev, model: model, cloud: cloud, meter: metering.NewMeter(v)}
+	return &fixture{dev: dev, model: model, cloud: cloud}
 }
 
 // registerFloat registers model with the cloud under id on the float
@@ -70,8 +62,8 @@ func (f *fixture) session(t *testing.T, cut int) *Session {
 	t.Helper()
 	plan := market.SplitPlan{Cut: cut}
 	s, err := NewSession(SessionConfig{
-		VersionID: "v1", Device: f.dev, Model: f.model, Meter: f.meter,
-		Cloud: f.cloud, Plan: &plan, Replan: ReplanConfig{Disabled: true},
+		VersionID: "v1", Device: f.dev, Model: f.model, Cloud: f.cloud,
+		Plan: &plan, Replan: ReplanConfig{Disabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +96,7 @@ func logitsEqual(got []float32, want *tensor.Tensor) bool {
 	return true
 }
 
-// TestSessionSplitBitExactAtEveryCut drives one metered query through
+// TestSessionSplitBitExactAtEveryCut drives one query through
 // every possible cut (including the all-cloud cut 0 and the all-edge cut
 // n) and demands the split answer be bit-identical to the monolithic
 // forward, with the device's radio counters matching the serialized
@@ -112,12 +104,12 @@ func logitsEqual(got []float32, want *tensor.Tensor) bool {
 func TestSessionSplitBitExactAtEveryCut(t *testing.T) {
 	n := 5 // layers in the fixture model
 	for cut := 0; cut <= n; cut++ {
-		f := newFixture(t, "phone", CloudConfig{}, 100)
+		f := newFixture(t, "phone", CloudConfig{})
 		f.cloud.Start()
 		s := f.session(t, cut)
 		x := f.input(uint64(40 + cut))
 		want := f.expect(x)
-		res, err := s.Infer(x)
+		res, err := s.Exec(x)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -149,58 +141,18 @@ func TestSessionSplitBitExactAtEveryCut(t *testing.T) {
 				t.Fatalf("cut %d: no modeled latency", cut)
 			}
 		}
-		if used := f.meter.Used(); used != 1 {
-			t.Fatalf("cut %d: meter used %d, want 1", cut, used)
-		}
 		f.cloud.Close()
-	}
-}
-
-// TestSessionMeterDeniesBeforeAnyCompute pins the pay-per-query contract:
-// an exhausted voucher rejects the query before the prefix runs or any
-// byte moves — identical device counters, one more denied query.
-func TestSessionMeterDeniesBeforeAnyCompute(t *testing.T) {
-	f := newFixture(t, "phone", CloudConfig{}, 1)
-	f.cloud.Start()
-	defer f.cloud.Close()
-	s := f.session(t, 2)
-	x := f.input(7)
-	if _, err := s.Infer(x); err != nil {
-		t.Fatal(err)
-	}
-	before := f.dev.Snapshot()
-	_, err := s.Infer(x)
-	if !errors.Is(err, ErrMetered) || !errors.Is(err, metering.ErrQuotaExhausted) {
-		t.Fatalf("err = %v, want metered denial", err)
-	}
-	after := f.dev.Snapshot()
-	if after.Inferences != before.Inferences || after.TxBytes != before.TxBytes ||
-		after.EnergyJoule != before.EnergyJoule {
-		t.Fatalf("denied query still charged the device: %+v -> %+v", before, after)
-	}
-	if after.DeniedQueries != before.DeniedQueries+1 {
-		t.Fatalf("denied counter %d -> %d", before.DeniedQueries, after.DeniedQueries)
-	}
-	if st := s.Stats(); st.Denied != 1 || st.Queries != 1 {
-		t.Fatalf("stats %+v", st)
 	}
 }
 
 // TestCloudFairScheduling floods the queue from one tenant while another
 // submits a single request, then starts the dispatcher: round-robin
 // draining must put the lone tenant's request in the first batch instead
-// of behind the flood.
+// of behind the flood. Each reply says how large a batch it rode in.
 func TestCloudFairScheduling(t *testing.T) {
 	var mu sync.Mutex
-	var batches [][]string
-	cloud := NewCloud(CloudConfig{
-		MaxBatch: 4, Dispatchers: 1,
-		TraceBatch: func(_ string, _ int, tenants []string) {
-			mu.Lock()
-			batches = append(batches, append([]string(nil), tenants...))
-			mu.Unlock()
-		},
-	})
+	batchOf := map[string][]int{} // tenant → the batch size of each reply
+	cloud := NewCloud(CloudConfig{MaxBatch: 4, Dispatchers: 1})
 	rng := tensor.NewRNG(3)
 	model := nn.NewNetwork([]int{4}, nn.NewDense(4, 8, rng), nn.NewReLU(), nn.NewDense(8, 2, rng))
 	registerFloat(t, cloud, "v1", model, 1)
@@ -212,9 +164,14 @@ func TestCloudFairScheduling(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := cloud.Submit(tenant, "v1", 0, act); err != nil {
+				resp, err := cloud.Submit(tenant, "v1", 0, act)
+				if err != nil {
 					t.Error(err)
+					return
 				}
+				mu.Lock()
+				batchOf[tenant] = append(batchOf[tenant], resp.BatchSize)
+				mu.Unlock()
 			}()
 		}
 	}
@@ -227,20 +184,14 @@ func TestCloudFairScheduling(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(batches) != 2 {
-		t.Fatalf("%d batches, want 2 (4+1)", len(batches))
+	// The first batch takes four of five: the lone request and three of the
+	// flood; the last flooder rides alone.
+	if got := batchOf["lone"]; len(got) != 1 || got[0] != 4 {
+		t.Fatalf("lone tenant rode batches %v, want [4] — fair scheduling broken", got)
 	}
-	if len(batches[0]) != 4 {
-		t.Fatalf("first batch size %d, want 4", len(batches[0]))
-	}
-	lone := 0
-	for _, tn := range batches[0] {
-		if tn == "lone" {
-			lone++
-		}
-	}
-	if lone != 1 {
-		t.Fatalf("lone tenant appears %d times in first batch %v — fair scheduling broken", lone, batches[0])
+	sort.Ints(batchOf["flooder"])
+	if got := batchOf["flooder"]; fmt.Sprint(got) != "[1 4 4 4]" {
+		t.Fatalf("flooder rode batches %v, want [1 4 4 4]", got)
 	}
 	st := cloud.Stats()
 	if st.Served != 5 || st.Batches != 2 || st.MaxBatchSize != 4 {
@@ -328,13 +279,13 @@ func waitDepth(t *testing.T, c *CloudTier, want int) {
 // permanently: the session must finish the query locally (fallback) with
 // a bit-exact answer rather than erroring.
 func TestSessionRetriesShedThenFallsBack(t *testing.T) {
-	f := newFixture(t, "phone", CloudConfig{}, 10)
+	f := newFixture(t, "phone", CloudConfig{})
 	f.cloud.Start()
 	f.cloud.Close()
 	s := f.session(t, 2)
 	x := f.input(9)
 	want := f.expect(x)
-	res, err := s.Infer(x)
+	res, err := s.Exec(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +324,7 @@ func TestReplannerHysteresis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut0 := r.Current().Cut
+	cut0 := r.plan.Cut
 
 	// Oscillate within the bandwidth factor: no re-evaluation at all.
 	for i := 0; i < 20; i++ {
@@ -385,8 +336,8 @@ func TestReplannerHysteresis(t *testing.T) {
 			t.Fatalf("iteration %d: cut moved on a sub-threshold oscillation", i)
 		}
 	}
-	if r.Replans() != 0 {
-		t.Fatalf("%d re-plans on sub-threshold noise", r.Replans())
+	if r.replans != 0 {
+		t.Fatalf("%d re-plans on sub-threshold noise", r.replans)
 	}
 
 	// Offline: the only valid plan is full-edge.
@@ -403,8 +354,8 @@ func TestReplannerHysteresis(t *testing.T) {
 	if p.Cut >= len(costs) {
 		t.Fatalf("fat-pipe recovery kept cut %d on-device", p.Cut)
 	}
-	if r.Replans() < 2 {
-		t.Fatalf("replans %d, want ≥2", r.Replans())
+	if r.replans < 2 {
+		t.Fatalf("replans %d, want ≥2", r.replans)
 	}
 
 	// Flapping across the offline boundary must not flap the cut more

@@ -89,7 +89,7 @@ func (f *fixture) checkEveryMode(t *testing.T, c kindCase, x []float32) Result {
 // bit-identical to the device's full integer forward. The planned cut 1
 // is not a dense boundary; the session snaps it down to 0.
 func TestQuantSplitSessionBitExact(t *testing.T) {
-	f := newFixture(t, "phone", CloudConfig{}, 100)
+	f := newFixture(t, "phone", CloudConfig{})
 	f.cloud.Start()
 	defer f.cloud.Close()
 	ex, err := exec.Quant(f.model, quant.Int8)
@@ -126,7 +126,7 @@ func TestQuantSplitSessionBitExact(t *testing.T) {
 // device's own forward bit-for-bit — protection must not perturb results,
 // only charge the protected world's slowdown.
 func TestProtectedSessionBitExact(t *testing.T) {
-	f := newFixture(t, "phone", CloudConfig{}, 100)
+	f := newFixture(t, "phone", CloudConfig{})
 	f.cloud.Start()
 	defer f.cloud.Close()
 	enc, err := enclave.New("prot-enclave", []byte("prot-test-root-key-0123456789abc"), 2)
@@ -174,7 +174,7 @@ func TestProtectedSessionBitExact(t *testing.T) {
 // the fallback and the all-local cut run the module on the session's own
 // gas-raised runtime — and all must agree bit-for-bit with a direct run.
 func TestModuleSessionSplitAndLocal(t *testing.T) {
-	f := newFixture(t, "phone", CloudConfig{}, 100)
+	f := newFixture(t, "phone", CloudConfig{})
 	f.cloud.Start()
 	defer f.cloud.Close()
 	mod, err := compat.CompileProcVM(f.model, compat.CompileOptions{Name: "mod"})

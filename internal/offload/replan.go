@@ -84,12 +84,6 @@ func NewReplanner(cfg ReplanConfig, dev, cloud device.Capabilities, costs []nn.L
 	return r, nil
 }
 
-// Current returns the plan in force.
-func (r *Replanner) Current() market.SplitPlan { return r.plan }
-
-// Replans returns how many re-evaluations ran.
-func (r *Replanner) Replans() int64 { return r.replans }
-
 // Observe feeds the replanner one snapshot of live conditions and returns
 // the plan in force plus whether this observation moved the cut.
 func (r *Replanner) Observe(cond Conditions) (market.SplitPlan, bool) {

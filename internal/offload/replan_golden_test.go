@@ -66,10 +66,10 @@ func TestReplannerGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			row := fmt.Sprintf("model%d/rtt=%v: start=%+v", mi, rtt, r.Current())
+			row := fmt.Sprintf("model%d/rtt=%v: start=%+v", mi, rtt, r.plan)
 			for _, cond := range walk {
 				plan, moved := r.Observe(cond)
-				row += fmt.Sprintf(" | %+v moved=%v replans=%d", plan, moved, r.Replans())
+				row += fmt.Sprintf(" | %+v moved=%v replans=%d", plan, moved, r.replans)
 			}
 			got = append(got, row)
 		}

@@ -11,7 +11,6 @@ import (
 	"tinymlops/internal/engine"
 	"tinymlops/internal/exec"
 	"tinymlops/internal/market"
-	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/procvm"
 	"tinymlops/internal/quant"
@@ -21,10 +20,6 @@ import (
 // shedAttempts is how many times a session submits a query the cloud keeps
 // shedding before it finishes the suffix on the device.
 const shedAttempts = 3
-
-// ErrMetered is wrapped by Infer when the prepaid meter denies the query.
-// The denial happens before any compute: no prefix runs, no byte moves.
-var ErrMetered = errors.New("offload: query denied by meter")
 
 // Mode records how one offloaded query actually executed.
 type Mode int
@@ -88,7 +83,6 @@ type Result struct {
 // Stats aggregates a session's execution counters.
 type Stats struct {
 	Queries   int64
-	Denied    int64
 	Split     int64
 	Local     int64
 	Fallbacks int64
@@ -134,10 +128,6 @@ type SessionConfig struct {
 	InFeatures int
 	// Bits is the deployed weight precision for latency modeling (≤0 = 32).
 	Bits int
-	// Meter, when non-nil, gates every query (pay-per-query survives the
-	// split). Leave nil when an upstream gate already charges, and call
-	// Exec instead of Infer.
-	Meter *metering.Meter
 	// Cloud is the suffix-serving tier.
 	Cloud *CloudTier
 	// Replan tunes the live re-planning loop.
@@ -183,7 +173,6 @@ type Session struct {
 
 	mu     sync.Mutex
 	replan *Replanner
-	tick   uint64
 	stats  Stats
 	// arena holds the executor scratch and boundary-encode buffer: queries
 	// serialize under s.mu, so one arena per session suffices.
@@ -228,13 +217,6 @@ func (s *Session) conditions() Conditions {
 	}
 }
 
-// Plan returns the split currently in force.
-func (s *Session) Plan() market.SplitPlan {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replan.Current()
-}
-
 // Stats returns a snapshot of the session counters.
 func (s *Session) Stats() Stats {
 	s.mu.Lock()
@@ -242,30 +224,12 @@ func (s *Session) Stats() Stats {
 	return s.stats
 }
 
-// Infer runs one metered query: the prepaid meter charges before any
-// compute (an exhausted voucher denies the query with zero device cost),
-// then the query executes under the live plan.
-func (s *Session) Infer(x []float32) (Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tick++
-	if s.cfg.Meter == nil {
-		return Result{}, fmt.Errorf("offload: session has no meter; use Exec with an upstream gate")
-	}
-	if err := s.cfg.Meter.Charge(s.tick); err != nil {
-		s.cfg.Device.DenyQuery()
-		s.stats.Denied++
-		return Result{}, fmt.Errorf("%w: %w", ErrMetered, err)
-	}
-	return s.exec(x)
-}
-
-// Exec runs one unmetered query for callers whose own gate already
-// charged (the platform's deployment meter, for instance).
+// Exec runs one query under the live plan. It charges nothing: the caller's
+// own gate meters the query (core.OffloadSession.Infer runs it as the
+// execute step of the deployment's metered serving pipeline).
 func (s *Session) Exec(x []float32) (Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tick++
 	return s.exec(x)
 }
 

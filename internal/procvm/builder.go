@@ -30,12 +30,6 @@ func (b *Builder) RequireCaps(c Capability) *Builder {
 	return b
 }
 
-// WithGasLimit sets the module's own gas ceiling.
-func (b *Builder) WithGasLimit(gas uint64) *Builder {
-	b.m.GasLimit = gas
-	return b
-}
-
 func (b *Builder) emit(op OpCode, operands ...int) *Builder {
 	if b.err != nil {
 		return b
@@ -91,7 +85,7 @@ func (b *Builder) PushVector(v []float32) *Builder {
 	return b.emit(OpPushVector, b.vectorConst(v))
 }
 
-// Add, Sub, Mul, Div emit the binary arithmetic ops.
+// Add emits an addition.
 func (b *Builder) Add() *Builder { return b.emit(OpAdd) }
 
 // Sub emits a subtraction.
@@ -100,17 +94,8 @@ func (b *Builder) Sub() *Builder { return b.emit(OpSub) }
 // Mul emits a multiplication.
 func (b *Builder) Mul() *Builder { return b.emit(OpMul) }
 
-// Div emits a division.
-func (b *Builder) Div() *Builder { return b.emit(OpDiv) }
-
-// Neg negates the top value.
-func (b *Builder) Neg() *Builder { return b.emit(OpNeg) }
-
 // Abs takes element-wise absolute value.
 func (b *Builder) Abs() *Builder { return b.emit(OpAbs) }
-
-// Square squares element-wise.
-func (b *Builder) Square() *Builder { return b.emit(OpSquare) }
 
 // Sqrt takes the element-wise square root.
 func (b *Builder) Sqrt() *Builder { return b.emit(OpSqrt) }
@@ -132,11 +117,6 @@ func (b *Builder) Clamp(lo, hi float32) *Builder {
 	return b.PushScalar(lo).PushScalar(hi).emit(OpClamp)
 }
 
-// Threshold binarizes against t.
-func (b *Builder) Threshold(t float32) *Builder {
-	return b.PushScalar(t).emit(OpThreshold)
-}
-
 // Softmax applies softmax to the top vector.
 func (b *Builder) Softmax() *Builder { return b.emit(OpSoftmax) }
 
@@ -151,9 +131,6 @@ func (b *Builder) Mean() *Builder { return b.emit(OpMean) }
 
 // Sum reduces the top vector to its sum.
 func (b *Builder) Sum() *Builder { return b.emit(OpSum) }
-
-// MeanPool averages non-overlapping windows of size k.
-func (b *Builder) MeanPool(k int) *Builder { return b.emit(OpMeanPool, k) }
 
 // Slice keeps elements [lo, hi) of the top vector.
 func (b *Builder) Slice(lo, hi int) *Builder { return b.emit(OpSlice, lo, hi) }
@@ -198,15 +175,6 @@ func (b *Builder) Conv2D(w, bias []float32, inC, h, wd, outC, kh, kw, stride, pa
 func (b *Builder) MaxPool2D(ch, h, w, k, stride int) *Builder {
 	return b.emit(OpMaxPool2D, ch, h, w, k, stride)
 }
-
-// Dup duplicates the top value.
-func (b *Builder) Dup() *Builder { return b.emit(OpDup) }
-
-// Drop discards the top value.
-func (b *Builder) Drop() *Builder { return b.emit(OpDrop) }
-
-// Swap exchanges the top two values.
-func (b *Builder) Swap() *Builder { return b.emit(OpSwap) }
 
 // Build validates and returns the module.
 func (b *Builder) Build() (*Module, error) {

@@ -32,7 +32,7 @@ func TestMatVecAgainstReference(t *testing.T) {
 		}
 	}
 
-	relu, err := NewBuilder("dense-relu").Input().MatVec(w, bias).Neg().ReLU().Build()
+	relu, err := NewBuilder("dense-relu").Input().MatVec(w, bias).emit(OpNeg).ReLU().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMaxPool2DAgainstReference(t *testing.T) {
 // discards a duplicate.
 func TestSubDivAndStackHelpers(t *testing.T) {
 	m, err := NewBuilder("arith").
-		Input().PushScalar(1).Sub().PushScalar(2).Div().Dup().Drop().Build()
+		Input().PushScalar(1).Sub().PushScalar(2).emit(OpDiv).emit(OpDup).emit(OpDrop).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSubDivAndStackHelpers(t *testing.T) {
 		}
 	}
 	// Division by zero stays IEEE: +Inf, not a panic.
-	dz, err := NewBuilder("dz").Input().PushScalar(0).Div().Build()
+	dz, err := NewBuilder("dz").Input().PushScalar(0).emit(OpDiv).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,12 @@ func TestSubDivAndStackHelpers(t *testing.T) {
 // trailing byte after a valid body — and through every section's cap.
 func TestModuleDecodeRejectTable(t *testing.T) {
 	m, err := NewBuilder("codec").
-		RequireCaps(CapSensor).WithGasLimit(500).
+		RequireCaps(CapSensor).
 		Input().PushScalar(2).Mul().MatVec([]float32{1, 2}, []float32{0}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.GasLimit = 500
 	enc := m.Encode()
 	dec, err := DecodeModule(enc)
 	if err != nil {

@@ -62,7 +62,7 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 }
 
 func TestThresholdAndClamp(t *testing.T) {
-	m, err := NewBuilder("t").Input().Clamp(-1, 1).Threshold(0).Build()
+	m, err := NewBuilder("t").Input().Clamp(-1, 1).PushScalar(0).emit(OpThreshold).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestVectorVectorArithmetic(t *testing.T) {
 }
 
 func TestMeanPoolAndSlice(t *testing.T) {
-	m, err := NewBuilder("mp").Input().MeanPool(2).Slice(0, 2).Build()
+	m, err := NewBuilder("mp").Input().emit(OpMeanPool, 2).Slice(0, 2).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMeanPoolAndSlice(t *testing.T) {
 }
 
 func TestMeanPoolRejectsNonDivisor(t *testing.T) {
-	m, err := NewBuilder("mp").Input().MeanPool(4).Build()
+	m, err := NewBuilder("mp").Input().emit(OpMeanPool, 4).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestReductions(t *testing.T) {
 
 func TestStackOpsDupSwapDrop(t *testing.T) {
 	// input, dup, sum, swap, mean, add → sum + mean
-	m, err := NewBuilder("s").Input().Dup().Sum().Swap().Mean().Add().Build()
+	m, err := NewBuilder("s").Input().emit(OpDup).Sum().emit(OpSwap).Mean().Add().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,8 @@ func TestGasLimitEnforced(t *testing.T) {
 		t.Fatalf("want out of gas, got %v", err)
 	}
 	// Module-declared limit tighter than host limit also applies.
-	m2, _ := NewBuilder("self-limited").WithGasLimit(3).Input().Build()
+	m2, _ := NewBuilder("self-limited").Input().Build()
+	m2.GasLimit = 3
 	if _, err := NewRuntime(CapNone).Run(m2, make([]float32, 64)); !errors.Is(err, ErrOutOfGas) {
 		t.Fatalf("want out of gas from module limit, got %v", err)
 	}
@@ -251,7 +252,6 @@ func TestStackOverflow(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m, err := NewBuilder("roundtrip").
 		RequireCaps(CapSensor).
-		WithGasLimit(12345).
 		Input().
 		Normalize([]float32{1, 2}, []float32{3, 4}).
 		Clamp(-1, 1).
@@ -260,6 +260,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.GasLimit = 12345
 	enc := m.Encode()
 	m2, err := DecodeModule(enc)
 	if err != nil {
@@ -307,7 +308,7 @@ func TestDigestChangesWithContent(t *testing.T) {
 }
 
 func TestUnaryOps(t *testing.T) {
-	m, err := NewBuilder("u").Input().Neg().Abs().Square().Sqrt().Build()
+	m, err := NewBuilder("u").Input().emit(OpNeg).Abs().emit(OpSquare).Sqrt().Build()
 	if err != nil {
 		t.Fatal(err)
 	}

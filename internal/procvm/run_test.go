@@ -116,26 +116,26 @@ func successCorpus(t testing.TB) []runCase {
 	for _, arith := range []struct {
 		name string
 		op   func(*procvm.Builder) *procvm.Builder
-	}{{"add", (*procvm.Builder).Add}, {"sub", (*procvm.Builder).Sub}, {"mul", (*procvm.Builder).Mul}, {"div", (*procvm.Builder).Div}} {
+	}{{"add", (*procvm.Builder).Add}, {"sub", (*procvm.Builder).Sub}, {"mul", (*procvm.Builder).Mul}, {"div", func(b *procvm.Builder) *procvm.Builder { return b.Emit(procvm.OpDiv) }}} {
 		add(arith.name+"/scalar-scalar", arith.op(nb().PushScalar(7).PushScalar(-3)), 0)
 		add(arith.name+"/vector-scalar", arith.op(nb().Input().PushScalar(-3)), 5)
 		add(arith.name+"/scalar-vector", arith.op(nb().PushScalar(7).Input()), 5)
 		add(arith.name+"/vector-vector", arith.op(nb().Input().PushVector([]float32{3, -1, 0.5, 8, -0.25})), 5)
 	}
-	add("unary/vector", nb().Input().Neg().Abs().Square().Sqrt(), 9)
-	add("unary/scalar", nb().PushScalar(-2.25).Neg().Abs().Square().Sqrt().ReLU().Sigmoid().Tanh(), 0)
+	add("unary/vector", nb().Input().Emit(procvm.OpNeg).Abs().Emit(procvm.OpSquare).Sqrt(), 9)
+	add("unary/scalar", nb().PushScalar(-2.25).Emit(procvm.OpNeg).Abs().Emit(procvm.OpSquare).Sqrt().ReLU().Sigmoid().Tanh(), 0)
 	add("relu", nb().Input().ReLU(), 9)
 	add("sigmoid", nb().Input().Sigmoid(), 9)
 	add("tanh", nb().Input().Tanh(), 9)
-	add("clamp-threshold/vector", nb().Input().Clamp(-0.5, 0.5).Dup().Threshold(0).Add(), 9)
-	add("clamp-threshold/scalar", nb().PushScalar(3).Clamp(-1, 1).Threshold(0.5), 0)
+	add("clamp-threshold/vector", nb().Input().Clamp(-0.5, 0.5).Emit(procvm.OpDup).PushScalar(0).Emit(procvm.OpThreshold).Add(), 9)
+	add("clamp-threshold/scalar", nb().PushScalar(3).Clamp(-1, 1).PushScalar(0.5).Emit(procvm.OpThreshold), 0)
 	add("softmax", nb().Input().Softmax(), 9)
 	add("softmax/empty", nb().Input().Softmax(), 0)
 	add("argmax", nb().Input().ArgMax(), 9)
 	add("max", nb().Input().Max(), 9)
 	add("mean", nb().Input().Mean(), 9)
 	add("sum", nb().Input().Sum(), 9)
-	add("shuffle", nb().Input().Dup().Sum().Swap().Mean().Add().Dup().Drop(), 6)
+	add("shuffle", nb().Input().Emit(procvm.OpDup).Sum().Emit(procvm.OpSwap).Mean().Add().Emit(procvm.OpDup).Emit(procvm.OpDrop), 6)
 	deep := nb() // past the frame's 16 inline slots
 	for i := 0; i < 20; i++ {
 		deep.PushScalar(float32(i) / 4)
@@ -144,7 +144,7 @@ func successCorpus(t testing.TB) []runCase {
 		deep.Sub()
 	}
 	add("deep-stack", deep, 0)
-	add("meanpool-slice", nb().Input().MeanPool(2).Slice(1, 3), 8)
+	add("meanpool-slice", nb().Input().Emit(procvm.OpMeanPool, 2).Slice(1, 3), 8)
 	add("normalize/zero-std", nb().Input().Normalize([]float32{1, 2, 3}, []float32{2, 0, -4}), 3)
 	add("conv-strided", nb().Input().Conv2D(ramp(2*1*3*3), []float32{0.5, -1}, 1, 5, 5, 2, 3, 3, 2, 1).MaxPool2D(2, 3, 3, 2, 1), 25)
 	add("maxpool-overlap", nb().Input().MaxPool2D(2, 5, 5, 3, 2), 50)

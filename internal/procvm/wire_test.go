@@ -15,12 +15,13 @@ import (
 func goldenModule(t testing.TB) *Module {
 	t.Helper()
 	m, err := NewBuilder("golden").
-		RequireCaps(CapSensor|CapStorage).WithGasLimit(1<<33+5).
+		RequireCaps(CapSensor|CapStorage).
 		Input().Normalize([]float32{1, 2}, []float32{3, 4}).PushScalar(2).Mul().
 		MatVec([]float32{1, 2, 3, 4}, []float32{0, -0.5}).Softmax().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.GasLimit = 1<<33 + 5
 	m.Vectors = append(m.Vectors, []float32{})
 	return m
 }
@@ -71,9 +72,9 @@ var invalidPrograms = map[string][]byte{
 }
 
 // TestDecodeValidates: a PVM1 blob whose program Validate refuses does not
-// decode, so no loader (registry.LoadCompiled, core's image decode,
-// enclave.LoadSealedModule) hands it to a first query; if such a module is
-// built by hand anyway, Run fails that query with a sentinel.
+// decode, so no loader (core's image decode, enclave.LoadSealedModule)
+// hands it to a first query; if such a module is built by hand anyway, Run
+// fails that query with a sentinel.
 func TestDecodeValidates(t *testing.T) {
 	for name, code := range invalidPrograms {
 		m := &Module{Name: name, Scalars: []float32{1}, Code: code}

@@ -2,8 +2,7 @@
 // executes them: post-training quantization to int8/int4/ternary/binary
 // with per-channel scales (stored as exact float32 artifacts, shipped at
 // packed size), the QModel integer runtime, fake-quantization for
-// accuracy evaluation, global magnitude pruning, and teacher→student
-// distillation for recovering accuracy in the smallest variants.
+// accuracy evaluation and global magnitude pruning.
 //
 // QModel is a first-class servable, not an evaluation aid: dense and
 // convolutional layers run on the blocked integer kernels in

@@ -421,39 +421,3 @@ func QuantizeBlock(data []float32, codes []int8) float32 {
 // maxFinite is math.MaxFloat32; spelled out to keep the hot file's import
 // set minimal.
 const maxFinite = 0x1.fffffep127
-
-// MatMulInt8 computes dst[i,j] = sx*scales[j] * Σ_k a[i,k]·b[k,j] with
-// int32 accumulation — the "hardware supports int8 dot product" fast path
-// of experiment E3, now delegating to the blocked kernel in tensor (one
-// shared activation scale sx broadcast over the rows).
-func MatMulInt8(dst []float32, a, b []int8, m, k, n int, sx float32, scales []float32) {
-	rs := make([]float32, m)
-	for i := range rs {
-		rs[i] = sx
-	}
-	tensor.MatMulInt8(dst, a, b, m, k, n, rs, scales)
-}
-
-// MatMulInt8Emulated computes the same result as MatMulInt8 but the way a
-// platform *without* low-bit hardware support has to: every weight is
-// dequantized to float32 inside the inner loop before the multiply. It
-// exists so E3 can show that low bit width alone buys nothing without
-// hardware support (§III-A of the paper).
-func MatMulInt8Emulated(dst []float32, a, b []int8, m, k, n int, sx float32, scales []float32) {
-	tensor.Parallel(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
-			drow := dst[i*n : (i+1)*n]
-			for j := range drow {
-				drow[j] = 0
-			}
-			for p, av := range arow {
-				af := float32(av) * sx
-				brow := b[p*n : (p+1)*n]
-				for j, bv := range brow {
-					drow[j] += af * (float32(bv) * scales[j])
-				}
-			}
-		}
-	})
-}

@@ -1,9 +1,8 @@
 // Package quant implements the model-optimization pipeline of §III-A of the
 // TinyMLOps paper: post-training quantization at 8/4/2(ternary)/1(binary)
-// bits, an int8 inference engine, magnitude pruning and knowledge
-// distillation. The registry uses it to derive per-device variants from a
-// base model; experiment E2 sweeps its schemes and E3 measures its kernels
-// with and without simulated hardware support.
+// bits, an int8 inference engine and magnitude pruning. The registry uses it
+// to derive per-device variants from a base model; experiment E2 sweeps its
+// schemes.
 package quant
 
 import (
@@ -74,7 +73,7 @@ type QTensor struct {
 	// Packed is the storage-density form for Int4: two signed 4-bit codes
 	// per byte with byte-aligned rows (tensor.PackInt4Matrix layout), fed
 	// directly to the packed matmul kernels. Exactly one of Data and Packed
-	// is non-nil; PackInt4/UnpackInt4 convert between the two forms.
+	// is non-nil; PackInt4 converts to the packed form.
 	Packed []byte
 	Scales []float32 // length Cols (per output channel)
 	Scheme Scheme
@@ -100,25 +99,6 @@ func (q *QTensor) PackInt4() error {
 		return err
 	}
 	q.Packed, q.Data = p, nil
-	return nil
-}
-
-// UnpackInt4 converts a packed tensor back to one-code-per-int8 form. It is
-// a no-op on an unpacked tensor.
-func (q *QTensor) UnpackInt4() error {
-	if !q.IsPacked() {
-		return nil
-	}
-	rb := tensor.Int4PackedLen(q.Cols)
-	codes := make([]int8, q.Rows*q.Cols)
-	for r := 0; r < q.Rows; r++ {
-		row, err := tensor.UnpackInt4(q.Packed[r*rb:(r+1)*rb], q.Cols)
-		if err != nil {
-			return err
-		}
-		copy(codes[r*q.Cols:], row)
-	}
-	q.Data, q.Packed = codes, nil
 	return nil
 }
 
@@ -288,21 +268,6 @@ func (q *QTensor) Dequantize() *tensor.Tensor {
 func (q *QTensor) SizeBytes() int {
 	wBits := q.Rows * q.Cols * q.Scheme.Bits()
 	return (wBits+7)/8 + 4*len(q.Scales)
-}
-
-// QuantizationError returns the mean absolute reconstruction error
-// |w - dequant(quant(w))| of quantizing w under the scheme.
-func QuantizationError(w *tensor.Tensor, scheme Scheme) (float64, error) {
-	q, err := QuantizeMatrix(w, scheme)
-	if err != nil {
-		return 0, err
-	}
-	d := q.Dequantize()
-	var sum float64
-	for i := range w.Data {
-		sum += math.Abs(float64(w.Data[i] - d.Data[i]))
-	}
-	return sum / float64(len(w.Data)), nil
 }
 
 // FakeQuantizeNetwork returns a deep copy of net whose weight matrices —

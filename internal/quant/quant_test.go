@@ -66,22 +66,6 @@ func TestQuantizeCodesWithinRange(t *testing.T) {
 	}
 }
 
-func TestQuantizationErrorMonotoneInBits(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	w := tensor.Randn(rng, 1, 64, 32)
-	var prev float64 = -1
-	for _, s := range []Scheme{Int8, Int4, Ternary, Binary} {
-		e, err := QuantizationError(w, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e < prev {
-			t.Fatalf("error not monotone: %v gives %g after %g", s, e, prev)
-		}
-		prev = e
-	}
-}
-
 func TestQTensorSizeBytes(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	w := tensor.Randn(rng, 1, 100, 10)
@@ -197,32 +181,6 @@ func TestNewQModelRejectsFloatScheme(t *testing.T) {
 	}
 }
 
-func TestInt8KernelsAgree(t *testing.T) {
-	rng := tensor.NewRNG(9)
-	m, k, n := 17, 23, 11
-	a := make([]int8, m*k)
-	b := make([]int8, k*n)
-	for i := range a {
-		a[i] = int8(rng.Intn(255) - 127)
-	}
-	for i := range b {
-		b[i] = int8(rng.Intn(255) - 127)
-	}
-	scales := make([]float32, n)
-	for i := range scales {
-		scales[i] = 0.01 * float32(i+1)
-	}
-	d1 := make([]float32, m*n)
-	d2 := make([]float32, m*n)
-	MatMulInt8(d1, a, b, m, k, n, 0.05, scales)
-	MatMulInt8Emulated(d2, a, b, m, k, n, 0.05, scales)
-	for i := range d1 {
-		if math.Abs(float64(d1[i]-d2[i])) > 1e-3*math.Max(1, math.Abs(float64(d1[i]))) {
-			t.Fatalf("kernel mismatch at %d: %v vs %v", i, d1[i], d2[i])
-		}
-	}
-}
-
 func TestQuantizeActivationsSymmetric(t *testing.T) {
 	x := tensor.FromSlice([]float32{-1, 0, 0.5, 1}, 1, 4)
 	q, scale := QuantizeActivations(x)
@@ -286,36 +244,6 @@ func TestPruneKeepsLargestWeights(t *testing.T) {
 	}
 	if w.Data[15] != 16 {
 		t.Fatalf("largest weight was pruned: %v", w.Data[15])
-	}
-}
-
-func TestDistillStudentApproachesTeacher(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	teacher, x, labels := trainBlobModel(t, rng)
-	student := nn.NewNetwork([]int{4}, nn.NewDense(4, 8, rng), nn.NewReLU(), nn.NewDense(8, 3, rng))
-	before := nn.Evaluate(student, x, labels)
-	_, err := Distill(teacher, student, x, labels, DistillConfig{
-		Epochs: 15, BatchSize: 32, Temperature: 2, Alpha: 0.7,
-		Optimizer: nn.NewSGD(0.1).WithMomentum(0.9), RNG: rng,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := nn.Evaluate(student, x, labels)
-	if after < before+0.1 || after < 0.85 {
-		t.Fatalf("distillation did not help: %v -> %v", before, after)
-	}
-}
-
-func TestDistillValidatesConfig(t *testing.T) {
-	rng := tensor.NewRNG(13)
-	net := nn.NewNetwork([]int{2}, nn.NewDense(2, 2, rng))
-	x := tensor.New(4, 2)
-	if _, err := Distill(net, net, x, []int{0}, DistillConfig{RNG: rng, Optimizer: nn.NewSGD(0.1)}); err == nil {
-		t.Fatal("accepted mismatched labels")
-	}
-	if _, err := Distill(net, net, x, []int{0, 0, 0, 0}, DistillConfig{}); err == nil {
-		t.Fatal("accepted missing RNG/optimizer")
 	}
 }
 

@@ -59,21 +59,21 @@ func TestDeltaSingleFlightUnderContention(t *testing.T) {
 			t.Fatalf("goroutine %d saw different delta bytes", g)
 		}
 	}
-	if n := r.DeltaComputes(); n != 1 {
+	if n := r.deltaComputes.Load(); n != 1 {
 		t.Fatalf("computed %d times under contention, want exactly 1", n)
 	}
 	// A later request is a pure cache hit.
 	if _, err := r.Delta(from, to); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.DeltaComputes(); n != 1 {
+	if n := r.deltaComputes.Load(); n != 1 {
 		t.Fatalf("cache hit recomputed: %d", n)
 	}
 	// The reverse direction is its own cache entry.
 	if _, err := r.Delta(to, from); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.DeltaComputes(); n != 2 {
+	if n := r.deltaComputes.Load(); n != 2 {
 		t.Fatalf("reverse pair computes = %d, want 2", n)
 	}
 }
@@ -120,18 +120,18 @@ func TestDeltaSingleFlightManyPairs(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if n := r.DeltaComputes(); n != int64(len(pairs)) {
+	if n := r.deltaComputes.Load(); n != int64(len(pairs)) {
 		t.Fatalf("computed %d deltas for %d distinct pairs", n, len(pairs))
 	}
 	// Deterministic failures are cached like successes.
 	if _, err := r.Delta(ids[0], "no-such-version"); err == nil {
 		t.Fatal("unknown version produced a delta")
 	}
-	before := r.DeltaComputes()
+	before := r.deltaComputes.Load()
 	if _, err := r.Delta(ids[0], "no-such-version"); err == nil {
 		t.Fatal("unknown version produced a delta on retry")
 	}
-	if r.DeltaComputes() != before {
+	if r.deltaComputes.Load() != before {
 		t.Fatal("failed delta recomputed instead of served from cache")
 	}
 }

@@ -22,15 +22,6 @@ type OptimizationSpec struct {
 	Evaluate func(*nn.Network) float64
 }
 
-// DefaultOptimizationSpec derives int8/int4/ternary/binary dense variants.
-func DefaultOptimizationSpec(eval func(*nn.Network) float64) OptimizationSpec {
-	return OptimizationSpec{
-		Schemes:        []quant.Scheme{quant.Int8, quant.Int4, quant.Ternary, quant.Binary},
-		PruneFractions: []float64{0},
-		Evaluate:       eval,
-	}
-}
-
 // RegisterWithVariants registers net as a new base version of name and
 // immediately runs the optimization pipeline, registering one variant per
 // (scheme, prune) combination. This is the §III-A requirement that

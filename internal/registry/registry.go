@@ -230,25 +230,6 @@ func (r *Registry) Load(id string) (*nn.Network, error) {
 	return nn.UnmarshalNetwork(data)
 }
 
-// LoadCompiled decodes the procvm module stored under a compiled version
-// ID, verifying the artifact digest first.
-func (r *Registry) LoadCompiled(id string) (*procvm.Module, error) {
-	r.mu.RLock()
-	data, ok := r.blobs[id]
-	v := r.models[id]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: version %q", ErrArtifactMissing, id)
-	}
-	if v.Kind != KindProcVM {
-		return nil, fmt.Errorf("registry: version %q is not a compiled module", id)
-	}
-	if sha256.Sum256(data) != v.Digest {
-		return nil, fmt.Errorf("registry: artifact %q failed integrity check", id)
-	}
-	return procvm.DecodeModule(data)
-}
-
 // RegisterCompiled stores a compiled procvm module as a first-class
 // variant of the float version it was lowered from: the canonical PVM1
 // encoding is the digest-pinned artifact, cost metrics carry over from the
@@ -353,11 +334,6 @@ func (r *Registry) Delta(fromID, toID string) ([]byte, error) {
 		return e.data, e.err
 	}
 }
-
-// DeltaComputes returns how many deltas were actually encoded (cache
-// misses). Under single-flight, N concurrent requests for the same pair
-// add exactly 1.
-func (r *Registry) DeltaComputes() int64 { return r.deltaComputes.Load() }
 
 func (r *Registry) computeDelta(key, fromID, toID string) deltaEntry {
 	r.deltaComputes.Add(1)

@@ -1,7 +1,7 @@
 package registry
 
 import (
-	"crypto/sha256"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -234,7 +234,7 @@ func buildTestModule(t *testing.T, name string) *procvm.Module {
 // TestRegisterCompiledLineageAndRoundTrip pins the compiled artifact kind:
 // the module registers as a digest-addressed procvm variant of its float
 // parent, carries the parent's cost metrics, round-trips bit-exactly
-// through LoadCompiled, and deduplicates on content.
+// through its stored bytes, and deduplicates on content.
 func TestRegisterCompiledLineageAndRoundTrip(t *testing.T) {
 	r := New()
 	parent, err := r.RegisterModel("demo", newTestNet(1), 0.9)
@@ -252,7 +252,11 @@ func TestRegisterCompiledLineageAndRoundTrip(t *testing.T) {
 	if v.Metrics.MACs != parent.Metrics.MACs || v.Metrics.Accuracy != 0.89 {
 		t.Fatalf("compiled metrics = %+v", v.Metrics)
 	}
-	got, err := r.LoadCompiled(v.ID)
+	blob, err := r.Bytes(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := procvm.DecodeModule(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +280,9 @@ func TestRegisterCompiledLineageAndRoundTrip(t *testing.T) {
 }
 
 // TestRegisterCompiledAndLoadCompiledRejects pins the kind guards: no
-// compiling off an unknown or non-network parent, no loading a float
-// artifact as a module, and integrity failure on tampered blobs.
+// compiling off an unknown or non-network parent, and no loading a float
+// artifact as a module — the bytes the registry serves for it do not decode
+// as PVM1 — or an unknown ID.
 func TestRegisterCompiledAndLoadCompiledRejects(t *testing.T) {
 	r := New()
 	parent, err := r.RegisterModel("demo", newTestNet(1), 0.9)
@@ -297,19 +302,23 @@ func TestRegisterCompiledAndLoadCompiledRejects(t *testing.T) {
 		t.Fatal("compiled-on-compiled lineage accepted")
 	}
 	// The float parent is not loadable as a module.
-	if _, err := r.LoadCompiled(parent.ID); err == nil {
+	blob, err := r.Bytes(parent.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := procvm.DecodeModule(blob); err == nil {
 		t.Fatal("float artifact loaded as a compiled module")
 	}
-	if _, err := r.LoadCompiled("missing"); err == nil {
-		t.Fatal("unknown ID loaded")
+	if _, err := r.Bytes("missing"); !errors.Is(err, ErrArtifactMissing) {
+		t.Fatalf("unknown ID: %v", err)
 	}
 }
 
 // TestCompiledModulesAreValidated: a program Builder.Build could not have
-// emitted is refused at publication, and — planted in the blob store with a
-// matching digest, as a corrupted or hostile store would hold it — at load,
-// not by the first query that runs it. The last row is the pool window
-// that used to index past its map.
+// emitted is refused at publication, not by the first query that runs it.
+// (procvm.TestDecodeValidates pins the same refusal at decode, the door a
+// stored blob enters through.) The last row is the pool window that used
+// to index past its map.
 func TestCompiledModulesAreValidated(t *testing.T) {
 	r := New()
 	parent, err := r.RegisterModel("demo", newTestNet(1), 0.9)
@@ -327,14 +336,6 @@ func TestCompiledModulesAreValidated(t *testing.T) {
 		mod := &procvm.Module{Name: name, Scalars: []float32{1}, Code: code}
 		if _, err := r.RegisterCompiled(parent.ID, mod, 0.5); err == nil {
 			t.Errorf("%s: RegisterCompiled accepted it", name)
-		}
-		data := mod.Encode()
-		digest := sha256.Sum256(data)
-		id := idFromDigest(digest)
-		r.blobs[id] = data
-		r.models[id] = &ModelVersion{ID: id, Kind: KindProcVM, Digest: digest}
-		if _, err := r.LoadCompiled(id); err == nil {
-			t.Errorf("%s: LoadCompiled accepted it", name)
 		}
 	}
 }
@@ -361,18 +362,5 @@ func TestEvictKeepsMetadataDropsBytes(t *testing.T) {
 	}
 	if _, err := r.Load(v.ID); err == nil {
 		t.Fatal("evicted artifact still loads")
-	}
-}
-
-// TestDefaultOptimizationSpec exercises the canned variant pipeline spec.
-func TestDefaultOptimizationSpec(t *testing.T) {
-	ds := dataset.Blobs(tensor.NewRNG(3), 60, 4, 3, 4)
-	eval := func(n *nn.Network) float64 { return nn.Evaluate(n, ds.X, ds.Y) }
-	spec := DefaultOptimizationSpec(eval)
-	if spec.Evaluate == nil {
-		t.Fatal("spec has no evaluator")
-	}
-	if acc := spec.Evaluate(newTestNet(1)); acc < 0 || acc > 1 {
-		t.Fatalf("accuracy %v out of range", acc)
 	}
 }

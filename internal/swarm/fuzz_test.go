@@ -28,7 +28,7 @@ func FuzzChunkManifestRoundTrip(f *testing.F) {
 	f.Add([]byte("TMSW\x01\x04full\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalManifest(data)
+		m, err := unmarshalManifest(data)
 		if err != nil {
 			if !errors.Is(err, ErrBadManifest) {
 				t.Fatalf("untyped decode failure: %v", err)
@@ -93,7 +93,7 @@ func FuzzChunkReassembly(f *testing.F) {
 		// Complete the stream with the true chunks; the assembly must be
 		// bit-identical to the artifact no matter what the fuzzer injected.
 		for i := 0; i < m.NumChunks(); i++ {
-			if ra.Have(i) {
+			if ra.have[i] {
 				continue
 			}
 			s, e := m.ChunkSpan(i)

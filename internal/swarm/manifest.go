@@ -158,12 +158,12 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// UnmarshalManifest decodes and validates a canonical manifest encoding.
+// unmarshalManifest decodes and validates a canonical manifest encoding.
 // Truncated input, trailing bytes, out-of-range sizes, a wrong chunk count
 // and non-minimal varints are all rejected. Every field then has exactly
 // one encoding, so if decoding succeeds, re-encoding reproduces the input
 // byte-for-byte (FuzzChunkManifestRoundTrip holds it to that).
-func UnmarshalManifest(data []byte) (*Manifest, error) {
+func unmarshalManifest(data []byte) (*Manifest, error) {
 	r := wire.NewReader(data)
 	r.Magic(manifestMagic)
 	version := r.U8()
@@ -234,15 +234,6 @@ func (r *Reassembler) AddChunk(i int, data []byte) error {
 	r.missing--
 	return nil
 }
-
-// Have reports whether chunk i has been verified and stored.
-func (r *Reassembler) Have(i int) bool { return i >= 0 && i < len(r.have) && r.have[i] }
-
-// Missing returns how many chunks are still absent.
-func (r *Reassembler) Missing() int { return r.missing }
-
-// Complete reports whether every chunk has arrived.
-func (r *Reassembler) Complete() bool { return r.missing == 0 }
 
 // Assemble returns the reassembled artifact after verifying the
 // whole-artifact digest. The returned slice is the reassembler's buffer;

@@ -93,7 +93,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalManifest(enc)
+	got, err := unmarshalManifest(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestUnmarshalManifestRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := UnmarshalManifest(tc.data); !errors.Is(err, ErrBadManifest) {
+			if _, err := unmarshalManifest(tc.data); !errors.Is(err, ErrBadManifest) {
 				t.Fatalf("err = %v, want ErrBadManifest", err)
 			}
 		})
@@ -206,11 +206,11 @@ func TestReassemblerAssemble(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ra.Complete() {
+	if ra.missing == 0 {
 		t.Fatal("complete with a chunk missing")
 	}
-	if ra.Missing() != 1 || ra.Have(1) || !ra.Have(0) {
-		t.Fatalf("missing = %d, have(1) = %v", ra.Missing(), ra.Have(1))
+	if ra.missing != 1 || ra.have[1] || !ra.have[0] {
+		t.Fatalf("missing = %d, have(1) = %v", ra.missing, ra.have[1])
 	}
 	s, e := m.ChunkSpan(1)
 	if err := ra.AddChunk(1, data[s:e]); err != nil {

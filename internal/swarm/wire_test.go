@@ -29,7 +29,7 @@ func goldenManifest(t testing.TB) []byte {
 // helper. Every rejection must be typed.
 func reencodeManifest(t testing.TB) func([]byte) ([]byte, error) {
 	return func(data []byte) ([]byte, error) {
-		m, err := UnmarshalManifest(data)
+		m, err := unmarshalManifest(data)
 		if err != nil {
 			if !errors.Is(err, ErrBadManifest) {
 				t.Errorf("rejection is not ErrBadManifest: %v", err)

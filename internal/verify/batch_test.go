@@ -41,10 +41,10 @@ func TestOperandValidation(t *testing.T) {
 		{"verify zero n", func() error { _, _, err := VerifyMatMul(a, m, k, b, 0, c, proof); return err }},
 		{"verify short c", func() error { _, _, err := VerifyMatMul(a, m, k, b, n, c[:len(c)-1], proof); return err }},
 		{"verify nil proof", func() error { _, _, err := VerifyMatMul(a, m, k, b, n, c, nil); return err }},
-		{"freivalds zero rounds", func() error { _, err := FreivaldsCheck(a, m, k, b, n, c, 0, 1); return err }},
-		{"freivalds negative rounds", func() error { _, err := FreivaldsCheck(a, m, k, b, n, c, -3, 1); return err }},
-		{"freivalds nil b", func() error { _, err := FreivaldsCheck(a, m, k, nil, n, c, 1, 1); return err }},
-		{"freivalds short c", func() error { _, err := FreivaldsCheck(a, m, k, b, n, c[:1], 1, 1); return err }},
+		{"freivalds zero rounds", func() error { _, err := freivaldsCheck(a, m, k, b, n, c, 0, 1); return err }},
+		{"freivalds negative rounds", func() error { _, err := freivaldsCheck(a, m, k, b, n, c, -3, 1); return err }},
+		{"freivalds nil b", func() error { _, err := freivaldsCheck(a, m, k, nil, n, c, 1, 1); return err }},
+		{"freivalds short c", func() error { _, err := freivaldsCheck(a, m, k, b, n, c[:1], 1, 1); return err }},
 		{"prepare zero k", func() error { _, err := PrepareWeights(b, 0, n); return err }},
 		{"prepare short b", func() error { _, err := PrepareWeights(b[:2], k, n); return err }},
 		{"prepared nil pw", func() error { _, _, err := VerifyMatMulPrepared(nil, a, m, nil, c, proof); return err }},
@@ -272,4 +272,41 @@ func TestBatchAmortizesWeightHashing(t *testing.T) {
 		t.Fatalf("amortization missing: naive hashed %d elems, batch hashed %d (weight digest is %d/proof)",
 			naive.HashedElems, batched.HashedElems, perProofWeightCost)
 	}
+}
+
+// freivaldsCheck probabilistically verifies c = a×b with `rounds` random
+// projections over the field; each round costs O(m·k + k·n + m·n) and a
+// wrong product survives a round with probability ≤ 1/p. The seed
+// parameterizes the randomness (use a fresh one per check). rounds must
+// be positive and the operand shapes must agree, else an error. It is the
+// independent oracle the sum-check tests hold products to.
+func freivaldsCheck(a []int32, m, k int, b []int32, n int, c []int64, rounds int, seed uint64) (bool, error) {
+	if rounds <= 0 {
+		return false, fmt.Errorf("verify: freivalds needs rounds >= 1, got %d", rounds)
+	}
+	if err := checkOperands(a, m, k, len(b), n); err != nil {
+		return false, err
+	}
+	if len(c) != m*n {
+		return false, fmt.Errorf("verify: result size %d, want %d", len(c), m*n)
+	}
+	af, mp, kp := padMatrix(a, m, k)
+	bf, _, np := padMatrix(b, k, n)
+	cf := padResult(c, m, n, mp, np)
+	tr := newTranscript("freivalds")
+	tr.absorbInt(int(seed))
+	br := make([]Elem, kp)
+	for round := 0; round < rounds; round++ {
+		r := tr.challenges(np)
+		// br = B×r ; abr = A×br ; cr = C×r ; check abr == cr.
+		for i := range br {
+			br[i] = dot(r, bf[i*np:], 1)
+		}
+		for i := 0; i < mp; i++ {
+			if dot(br, af[i*kp:], 1) != dot(r, cf[i*np:], 1) {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
 }

@@ -17,9 +17,6 @@ func reduce(x uint64) Elem {
 	return Elem(x)
 }
 
-// NewElem maps a uint64 into the field.
-func NewElem(x uint64) Elem { return reduce(x) }
-
 // FromInt64 encodes a signed integer: negatives map to p−|v|.
 func FromInt64(v int64) Elem {
 	if v >= 0 {

@@ -105,7 +105,7 @@ func TestGoldenProofs(t *testing.T) {
 func fullRangeElems(rng *tensor.RNG, n int) []Elem {
 	out := make([]Elem, n)
 	for i := range out {
-		out[i] = NewElem(rng.Uint64())
+		out[i] = reduce(rng.Uint64())
 	}
 	if n > 1 {
 		out[0], out[n-1] = Elem(P-1), 0

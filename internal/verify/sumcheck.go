@@ -362,39 +362,3 @@ func verifyLifted(ctx []byte, af, cf []Elem, mp int, pw *PreparedWeights, proof 
 	stats.VerifierMuls += int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(kp) + 1
 	return claim == Mul(ua, vbAt[0]), stats, nil
 }
-
-// FreivaldsCheck probabilistically verifies c = a×b with `rounds` random
-// projections over the field; each round costs O(m·k + k·n + m·n) and a
-// wrong product survives a round with probability ≤ 1/p. The seed
-// parameterizes the randomness (use a fresh one per check). rounds must
-// be positive and the operand shapes must agree, else an error.
-func FreivaldsCheck(a []int32, m, k int, b []int32, n int, c []int64, rounds int, seed uint64) (bool, error) {
-	if rounds <= 0 {
-		return false, fmt.Errorf("verify: freivalds needs rounds >= 1, got %d", rounds)
-	}
-	if err := checkOperands(a, m, k, len(b), n); err != nil {
-		return false, err
-	}
-	if len(c) != m*n {
-		return false, fmt.Errorf("verify: result size %d, want %d", len(c), m*n)
-	}
-	af, mp, kp := padMatrix(a, m, k)
-	bf, _, np := padMatrix(b, k, n)
-	cf := padResult(c, m, n, mp, np)
-	tr := newTranscript("freivalds")
-	tr.absorbInt(int(seed))
-	br := make([]Elem, kp)
-	for round := 0; round < rounds; round++ {
-		r := tr.challenges(np)
-		// br = B×r ; abr = A×br ; cr = C×r ; check abr == cr.
-		for i := range br {
-			br[i] = dot(r, bf[i*np:], 1)
-		}
-		for i := 0; i < mp; i++ {
-			if dot(br, af[i*kp:], 1) != dot(r, cf[i*np:], 1) {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}

@@ -10,7 +10,7 @@ import (
 
 func TestFieldAxiomsProperty(t *testing.T) {
 	f := func(x, y, z uint64) bool {
-		a, b, c := NewElem(x), NewElem(y), NewElem(z)
+		a, b, c := reduce(x), reduce(y), reduce(z)
 		// Commutativity and associativity.
 		if Add(a, b) != Add(b, a) || Mul(a, b) != Mul(b, a) {
 			return false
@@ -43,7 +43,7 @@ func TestFieldAxiomsProperty(t *testing.T) {
 func TestFieldInverse(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	for i := 0; i < 100; i++ {
-		a := NewElem(rng.Uint64())
+		a := reduce(rng.Uint64())
 		if a == 0 {
 			continue
 		}
@@ -90,7 +90,7 @@ func TestMulMatchesBigReduction(t *testing.T) {
 	}
 	rng := tensor.NewRNG(2)
 	for i := 0; i < 50; i++ {
-		a, b := NewElem(rng.Uint64()), NewElem(rng.Uint64()%100000)
+		a, b := reduce(rng.Uint64()), reduce(rng.Uint64()%100000)
 		if Mul(a, b) != slowMul(a, b) {
 			t.Fatalf("Mul mismatch for %v·%v", a, b)
 		}
@@ -254,12 +254,12 @@ func TestFreivalds(t *testing.T) {
 	m, k, n := 10, 20, 15
 	a, b := randMat(rng, m*k), randMat(rng, k*n)
 	c := naiveMatMul(a, m, k, b, n)
-	ok, err := FreivaldsCheck(a, m, k, b, n, c, 2, 42)
+	ok, err := freivaldsCheck(a, m, k, b, n, c, 2, 42)
 	if err != nil || !ok {
 		t.Fatalf("Freivalds rejected a correct product: %v %v", ok, err)
 	}
 	c[7] += 3
-	ok, err = FreivaldsCheck(a, m, k, b, n, c, 2, 42)
+	ok, err = freivaldsCheck(a, m, k, b, n, c, 2, 42)
 	if err != nil || ok {
 		t.Fatalf("Freivalds accepted a corrupted product: %v %v", ok, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,7 +28,7 @@ var optionStruct = regexp.MustCompile(`(Config|Options|Policy|Spec)$`)
 // The census is syntactic (go/parser, no type checker). A setter is a keyed
 // element of a composite literal of the struct, an assignment or ++/--
 // through a selector naming the field, or a call of an exported method of
-// the struct that assigns it (CompileOptions.WithCaps). Default-filling code
+// the struct that assigns it (a WithX builder). Default-filling code
 // is, in the declaring package's non-test files, every such assignment
 // (c.F = d) and every literal inside a function that returns the struct
 // (DefaultPolicy). A pass-through (F: cfg.G, with G itself an option field)
@@ -72,8 +73,8 @@ func TestOptionsAreLiveSurface(t *testing.T) {
 		source   string
 	}
 	var sets []set
-	// builders["WithCaps"] lists the fields an exported method of an option
-	// struct assigns; calls["WithCaps"] lists, per call of a method so named,
+	// builders["WithX"] lists the fields an exported method of an option
+	// struct assigns; calls["WithX"] lists, per call of a method so named,
 	// the package the call is default-filling code of. A call sets the fields.
 	builders := map[string][]set{}
 	calls := map[string][]string{}
@@ -239,6 +240,9 @@ type census struct {
 	internal map[string]bool        // package keys under internal/
 	structs  map[string]*structDecl // "pkg.Type" → declaration
 	alias    map[string]string      // `type X = pkg.Y`: "pkg.X" → "pkg.Y"
+	// results maps "pkg.Func" and "pkg.Type.Method" to the resolved types
+	// of the declared results; nil where two declarations disagree.
+	results map[string][]string
 }
 
 // parseRepo parses every .go file of the repository — bench/ and tests
@@ -248,6 +252,7 @@ func parseRepo(t *testing.T) *census {
 	c := &census{
 		fset: token.NewFileSet(), internal: map[string]bool{},
 		structs: map[string]*structDecl{}, alias: map[string]string{},
+		results: map[string][]string{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -334,6 +339,31 @@ func parseRepo(t *testing.T) *census {
 			}
 		}
 	})
+
+	for _, f := range c.files {
+		for _, d := range f.ast.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			key := f.pkg + "." + fn.Name.Name
+			if fn.Recv != nil {
+				key = f.pkg + "." + receiverName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+			}
+			var res []string
+			if fn.Type.Results != nil {
+				for _, r := range fn.Type.Results.List {
+					for range max(1, len(r.Names)) {
+						res = append(res, c.resolve(f, r.Type))
+					}
+				}
+			}
+			if prev, seen := c.results[key]; seen && !slices.Equal(prev, res) {
+				res = nil
+			}
+			c.results[key] = res
+		}
+	}
 
 	// reach: a file can hold a value of a package's type only if its own
 	// package is that one or imports it, directly or transitively.
@@ -442,8 +472,29 @@ func (c *census) typeOf(f *repoFile, env scope, e ast.Expr) string {
 		return c.typeOf(f, env, e.X)
 	case *ast.StarExpr:
 		return c.typeOf(f, env, e.X)
+	case *ast.CallExpr:
+		if res := c.callResults(f, env, e); len(res) == 1 {
+			return res[0]
+		}
 	}
 	return ""
+}
+
+// callResults is the resolved result list of the function or method a call
+// names, where the call's syntax and the enclosing scope show which it is.
+func (c *census) callResults(f *repoFile, env scope, call *ast.CallExpr) []string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return c.results[f.pkg+"."+fun.Name]
+	case *ast.SelectorExpr:
+		if x, ok := fun.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+			return c.results[f.imports[x.Name]+"."+fun.Sel.Name]
+		}
+		if typ := c.typeOf(f, env, fun.X); typ != "" {
+			return c.results[typ+"."+fun.Sel.Name]
+		}
+	}
+	return nil
 }
 
 // walk calls visit on every node of the file with the enclosing top-level
@@ -491,6 +542,10 @@ func (c *census) walk(f *repoFile, visit func(fn *ast.FuncDecl, env scope, n ast
 						typ := ""
 						if len(n.Lhs) == len(n.Rhs) {
 							typ = c.typeOf(f, env, n.Rhs[i])
+						} else if call, ok := n.Rhs[0].(*ast.CallExpr); ok {
+							if res := c.callResults(f, env, call); len(res) == len(n.Lhs) {
+								typ = res[i]
+							}
 						}
 						declare(lhs.(*ast.Ident), typ)
 					}

@@ -167,8 +167,8 @@ type OffloadReplanConfig = offload.ReplanConfig
 // Portable protected execution: compat→procvm lowering, registry-first
 // compiled artifacts and enclave-hosted trusted offload.
 
-// ProcVMCompileOptions controls CompileProcVM (module name, capability
-// manifest and lowering tolerance).
+// ProcVMCompileOptions controls CompileProcVM (module name and lowering
+// tolerance).
 type ProcVMCompileOptions = compat.CompileOptions
 
 // CompileProcVM lowers a trained network into a procvm module — the
