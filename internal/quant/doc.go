@@ -18,12 +18,16 @@
 // strides), so a pass checks its batch once, where it enters, and no
 // stage derives geometry per call. What is per goroutine lives in the
 // QScratch: one output buffer per stage, sized by the batch, and the
-// int8 and scale workspaces. Int8 variants execute on MatMulInt8; int4 variants
-// store their weights packed two codes per byte (QTensor.PackInt4) and
-// execute on the packed MatMulInt4/MatMulInt4LHS kernels without ever
-// unpacking, so a 4-bit deployment's flash, RAM and kernel all see the
-// 4-bit form. The serving layer (internal/core) instantiates a QModel
-// automatically whenever the selected variant's scheme has native
+// int8 and scale workspaces. Weights are laid out once, at NewQModel, in
+// the form their kernel reads: int8 dense weights widened to column pairs
+// (one int64 per two output columns) for MatMulInt8Pairs, int8 convolution
+// weights as codes for MatMulInt8, and int4 weights packed two codes per
+// byte (QTensor.PackInt4) for the packed MatMulInt4/MatMulInt4LHS kernels,
+// which never unpack them, so a 4-bit deployment's flash, RAM and kernel
+// all see the 4-bit form. The int8 pairs trade RAM for speed: they hold
+// 32 bits per code (4× the codes), while SizeBytes reports the nominal
+// artifact width. The serving layer (internal/core) instantiates a
+// QModel automatically whenever the selected variant's scheme has native
 // hardware support on the target device, so the variant matrix governs
 // the executing kernels, not just artifact sizes.
 //

@@ -125,7 +125,7 @@ func (d *qDense) product(codes []int8, scales []float32, rows int, s *QScratch, 
 	if d.w.IsPacked() {
 		tensor.MatMulInt4(out.Data, codes, d.w.Packed, rows, d.w.Rows, d.w.Cols, scales, d.w.Scales)
 	} else {
-		tensor.MatMulInt8(out.Data, codes, d.w.Data, rows, d.w.Rows, d.w.Cols, scales, d.w.Scales)
+		tensor.MatMulInt8Pairs(out.Data, codes, d.w.Pairs, rows, d.w.Rows, d.w.Cols, scales, d.w.Scales)
 	}
 	for i := 0; i < rows; i++ {
 		row := out.Data[i*d.w.Cols : (i+1)*d.w.Cols]
@@ -249,12 +249,14 @@ func quantizeRowChannels(w *tensor.Tensor, scheme Scheme) ([]int8, []float32, er
 
 // NewQModel lowers net into an integer-kernel executable under the scheme:
 // dense and convolutional layers quantize their weights (per output
-// channel) and run on tensor.MatMulInt8; activations, pooling, batch norm
-// (frozen statistics), flatten and dropout execute in float32 through
-// their stateless fast paths. Layer kinds outside that set have no kernel
-// in the integer runtime and are rejected — the caller falls back to
-// fake-quantized float execution, exactly what a device without the
-// operator would do.
+// channel) and run on the integer kernels (dense layers on
+// tensor.MatMulInt8Pairs or, for int4, tensor.MatMulInt4; convolutions on
+// tensor.MatMulInt8 or tensor.MatMulInt4LHS); activations, pooling, batch
+// norm (frozen statistics), flatten and dropout execute in float32
+// through their stateless fast paths. Layer kinds outside that set have
+// no kernel in the integer runtime and are rejected — the caller falls
+// back to fake-quantized float execution, exactly what a device without
+// the operator would do.
 func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 	if scheme == Float32 {
 		return nil, fmt.Errorf("quant: NewQModel requires an integer scheme, got %v", scheme)
@@ -277,12 +279,16 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Weights serve from the one form their kernel reads, made here
+			// once: int4 packed two per byte for tensor.MatMulInt4, the
+			// other schemes widened to column pairs for
+			// tensor.MatMulInt8Pairs.
 			if scheme == Int4 {
-				// Int4 weights serve from the packed two-per-byte form, the
-				// layout tensor.MatMulInt4 consumes natively.
 				if err := qw.PackInt4(); err != nil {
 					return nil, err
 				}
+			} else {
+				qw.Pairs, qw.Data = tensor.PackInt8Pairs(qw.Data, qw.Rows, qw.Cols), nil
 			}
 			bias := append([]float32(nil), v.B.Value.Data...)
 			m.stages = append(m.stages, &qDense{geom: g, w: qw, bias: bias})
@@ -344,7 +350,8 @@ func (m *QModel) Predict(x *tensor.Tensor) *tensor.Tensor {
 	return m.ForwardBatch(x, nil)
 }
 
-// SizeBytes returns the total weight footprint of the quantized model.
+// SizeBytes returns the total weight footprint of the quantized model at
+// the scheme's nominal width (QTensor.SizeBytes), not its resident size.
 func (m *QModel) SizeBytes() int {
 	total := 0
 	for _, s := range m.stages {

@@ -68,13 +68,21 @@ type QTensor struct {
 	// Data holds the quantized integer codes row-major, one int8 per code.
 	// For sub-int8 schemes the codes occupy the low bits of each int8; size
 	// accounting always uses the scheme's nominal width. Data is nil when
-	// the tensor is in packed form (see Packed).
+	// the tensor is in a kernel form (see Packed and Pairs).
 	Data []int8
 	// Packed is the storage-density form for Int4: two signed 4-bit codes
 	// per byte with byte-aligned rows (tensor.PackInt4Matrix layout), fed
-	// directly to the packed matmul kernels. Exactly one of Data and Packed
-	// is non-nil; PackInt4 converts to the packed form.
+	// directly to the packed matmul kernels. PackInt4 converts to it.
 	Packed []byte
+	// Pairs is the dense serving form for every other integer scheme: each
+	// row's codes widened to column pairs lo + hi<<32 (tensor.PackInt8Pairs
+	// layout), the operand tensor.MatMulInt8Pairs reads; NewQModel converts
+	// to it. Exactly one of Data, Packed and Pairs is non-nil. Pairs spend
+	// 32 bits of RAM per code against Data's 8: kws-mlp's three dense
+	// layers hold 201,728 bytes as pairs, 50,432 as codes (sensor-mlp 512
+	// and 112), the price of two MACs per multiply with no widening per
+	// query. SizeBytes still counts the nominal width.
+	Pairs  []int64
 	Scales []float32 // length Cols (per output channel)
 	Scheme Scheme
 }
@@ -102,7 +110,7 @@ func (q *QTensor) PackInt4() error {
 	return nil
 }
 
-// code returns the integer code at (i, j) in either storage form.
+// code returns the integer code at (i, j) in the Data or Packed form.
 func (q *QTensor) code(i, j int) int8 {
 	if !q.IsPacked() {
 		return q.Data[i*q.Cols+j]
@@ -264,7 +272,8 @@ func (q *QTensor) Dequantize() *tensor.Tensor {
 // SizeBytes returns the storage footprint at the scheme's nominal bit width
 // (packed), plus the per-channel scales. It is storage-form independent:
 // Rows·Cols codes at the nominal width, whether or not they are physically
-// packed right now.
+// packed right now — the artifact's size, not the resident size of a
+// kernel form (Pairs holds 32 bits per code).
 func (q *QTensor) SizeBytes() int {
 	wBits := q.Rows * q.Cols * q.Scheme.Bits()
 	return (wBits+7)/8 + 4*len(q.Scales)

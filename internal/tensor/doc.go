@@ -14,16 +14,19 @@
 // the property the fleet engine's determinism contract rests on.
 //
 // The integer serving kernels relax the ordering constraint instead of
-// fighting it: int32 accumulation is exact and commutative, so MatMulInt8
-// and the packed-int4 kernels are free to unroll, retile and
-// register-block while staying bit-identical to a naive scalar triple
-// loop at any worker count. The int4 side never unpacks its operand:
-// PackInt4/UnpackInt4/PackInt4Matrix define a canonical
-// two-codes-per-byte encoding (low nibble first, zero pad), and
-// MatMulInt4 multiplies whole bytes via a 256-entry table that expands
-// each one to lo + hi<<32 — one 64-bit multiply retires both columns'
-// MACs, the scalar analogue of a SIMD nibble kernel. All kernel scratch
-// lives on the worker's stack, so the serving hot loop allocates nothing.
+// fighting it: integer accumulation is exact and commutative, so the int8
+// and packed-int4 kernels are free to unroll, retile, reorder and skip
+// zeros while staying bit-identical to a naive scalar triple loop at any
+// worker count. The dense kernels work on column pairs lo + hi<<32: one
+// 64-bit multiply retires both columns' MACs, the scalar analogue of a
+// SIMD kernel. MatMulInt8Pairs reads int8 weights widened to pairs once
+// (PackInt8Pairs); MatMulInt4 never unpacks its operand
+// (PackInt4/UnpackInt4/PackInt4Matrix define a canonical two-codes-per-byte
+// encoding, low nibble first, zero pad) and expands each byte to a pair
+// through a 256-entry table. Both walk a per-row list of the nonzero
+// activations, so a zero costs neither a multiply nor a branch. All kernel
+// scratch lives on the worker's stack, so the serving hot loop allocates
+// nothing.
 //
 // window.go is the module's one description of a sliding window: Window
 // says which geometry is valid and how many positions it takes, and Im2col,

@@ -82,51 +82,26 @@ func PackInt4Matrix(codes []int8, rows, cols int) ([]byte, error) {
 // kernel for packed int4 weight matrices. a is int8 ([m,k] row-major,
 // e.g. dynamically quantized activations), accumulation is exact int32.
 //
-// The kernel never unpacks the weights: each packed byte is expanded via
-// a 256-entry table to lo + hi<<32, so one 64-bit multiply by the
-// activation accumulates both of the byte's columns at once (two MACs per
-// multiply — the scalar analogue of a SIMD nibble kernel). Column tiles
-// of int4ColTile keep the packed accumulator row L1-resident across the
-// k-loop (int4ColTile is even, so tiles always start on a byte boundary),
-// activation rows are register-blocked in pairs, and rows fan out across
-// the bounded worker pool for large problems. Integer accumulation is
-// exact and order-independent, so the blocked, parallel result is
-// bit-identical to a naive scalar triple loop at any worker count. The
-// caller must keep k·127·8 inside int32 range (k < ~2^21), which every
-// TinyML-scale layer does.
+// The kernel never unpacks the weights: a packed byte holds two adjacent
+// output columns, which is exactly one column pair of MatMulInt8Pairs, so
+// both kernels share pairRows' walk over each row's nonzero activations
+// and differ only in where a pair comes from — here a 256-entry table
+// expands the byte to lo + hi<<32, so one 64-bit multiply by the
+// activation accumulates both columns at once (two MACs per multiply, the
+// scalar analogue of a SIMD nibble kernel). Integer accumulation is exact
+// and order-independent, so the result is bit-identical to a naive scalar
+// triple loop at any worker count. Each |x·code| ≤ 128·8, so the caller
+// must keep k·1024 inside int32 range (k < 2^21), which every TinyML-scale
+// layer does.
 func MatMulInt4(dst []float32, a []int8, bPacked []byte, m, k, n int, rowScales, colScales []float32) {
-	// Serial path first, without constructing the parallel closure: an
-	// escaping closure is heap-allocated on every call, which would cost
-	// the zero-alloc serving hot loop one allocation per matmul.
-	if m*n*k < parallelThreshold || poolDepth.Load() > 0 {
-		matmulInt4Rows(dst, a, bPacked, 0, m, k, n, rowScales, colScales)
-		return
-	}
-	Parallel(m, func(lo, hi int) {
-		matmulInt4Rows(dst, a, bPacked, lo, hi, k, n, rowScales, colScales)
-	})
+	pairMatMul(dst, a, nil, bPacked, m, k, n, rowScales, colScales)
 }
 
-// Packed-int4 kernel tile sizes. The RHS kernel walks column tiles of
-// int4ColTile codes (int4ColTile/2 packed bytes) with int4RowTile
-// activation rows register-blocked per pass; the accumulator tile
-// (int4RowTile × int4ColTile/2 int64s = 8KB) lives on the worker's stack,
-// so the kernels stay allocation-free. int4ColTile is even, so column
-// tiles always start on a byte boundary. int4KPanel sizes the LHS
-// kernel's decoded weight-segment buffer.
-const (
-	int4ColTile = 128
-	int4KPanel  = 128
-	int4RowTile = 16
-)
+// int4KPanel sizes the LHS kernel's decoded weight-segment buffer.
+const int4KPanel = 128
 
 // int4PairTab maps a packed int4 byte to its SWAR pair value
-// lo + hi<<32: multiplying by an int8 activation x yields x·lo in the low
-// 32 bits and x·hi in the high 32 bits of a single 64-bit product — two
-// MACs per multiply. Each |x·code| ≤ 127·8 = 1016, so per-half partial
-// sums stay well inside 32 bits for any k < 2^21 and the halves never
-// corrupt each other beyond the recoverable borrow (see the writeback in
-// matmulInt4Rows).
+// lo + hi<<32, the form pairRows accumulates (see MatMulInt8Pairs).
 var int4PairTab = func() [256]int64 {
 	var t [256]int64
 	for by := 0; by < 256; by++ {
@@ -137,124 +112,20 @@ var int4PairTab = func() [256]int64 {
 	return t
 }()
 
-// matmulInt4Rows computes rows [lo,hi) of the packed-RHS int4 matmul.
-//
-// The kernel multiplies packed bytes directly: each byte holds the codes
-// of two adjacent output columns, int4PairTab expands it to lo + hi<<32,
-// and one 64-bit multiply by the activation accumulates both columns into
-// a packed int64 accumulator. The writeback splits each accumulator into
-// its two exact int32 column sums: the low sum is the accumulator's low
-// 32 bits (two's complement, so a sign-extending truncation recovers it
-// exactly while any borrow it generated is cancelled by the subtraction),
-// and the high sum is what remains after removing it. Every intermediate
-// is an exact integer, so the result is bit-identical to the naive scalar
-// triple loop. An odd final column rides along for free: its pad nibble
-// is canonically zero, so the pair's high half accumulates zeros and the
-// writeback simply drops it.
-func matmulInt4Rows(dst []float32, a []int8, bPacked []byte, lo, hi, k, n int, rowScales, colScales []float32) {
-	rb := Int4PackedLen(n)
+// foldInt4 is pairRows' inner loop for packed int4 weights: it adds each
+// listed activation times its weight row's packed bytes, table-expanded to
+// pairs, into the accumulator tile u, four list entries per pass.
+func foldInt4(u, xs []int64, offs []int, jo int, b []byte) {
 	tab := &int4PairTab
-	var acc [int4RowTile * (int4ColTile / 2)]int64
-	for jb := 0; jb < n; jb += int4ColTile {
-		jhi := min(jb+int4ColTile, n)
-		w := jhi - jb
-		wb := (w + 1) >> 1 // packed bytes (column pairs) in this tile
-		jo := jb >> 1      // byte offset of the tile within a packed row
-		for ib := lo; ib < hi; ib += int4RowTile {
-			ihi := min(ib+int4RowTile, hi)
-			ih := ihi - ib
-			az := acc[:ih*wb]
-			for x := range az {
-				az[x] = 0
-			}
-			// Rows are register-blocked in pairs: each pass over a packed
-			// B row feeds two accumulator tiles, so every byte load and
-			// table lookup is shared by four MACs.
-			ii := 0
-			for ; ii+1 < ih; ii += 2 {
-				arow0 := a[(ib+ii)*k : (ib+ii)*k+k]
-				arow1 := a[(ib+ii+1)*k : (ib+ii+1)*k+k][:len(arow0)]
-				t0 := acc[ii*wb : ii*wb+wb]
-				t1 := acc[(ii+1)*wb : (ii+1)*wb+wb][:wb]
-				p := 0
-				for ; p+1 < k; p += 2 {
-					x0, x1 := int64(arow0[p]), int64(arow0[p+1])
-					y0, y1 := int64(arow1[p]), int64(arow1[p+1])
-					if x0|x1|y0|y1 == 0 {
-						continue
-					}
-					b0 := bPacked[p*rb+jo : p*rb+jo+wb]
-					b1 := bPacked[(p+1)*rb+jo : (p+1)*rb+jo+wb][:len(b0)]
-					u0, u1 := t0[:len(b0)], t1[:len(b0)]
-					for j, by := range b0 {
-						bv, bw := tab[by], tab[b1[j]]
-						u0[j] += x0*bv + x1*bw
-						u1[j] += y0*bv + y1*bw
-					}
-				}
-				if p < k {
-					x0, y0 := int64(arow0[p]), int64(arow1[p])
-					if x0|y0 != 0 {
-						b0 := bPacked[p*rb+jo : p*rb+jo+wb]
-						u0, u1 := t0[:len(b0)], t1[:len(b0)]
-						for j, by := range b0 {
-							bv := tab[by]
-							u0[j] += x0 * bv
-							u1[j] += y0 * bv
-						}
-					}
-				}
-			}
-			for ; ii < ih; ii++ {
-				arow := a[(ib+ii)*k : (ib+ii)*k+k]
-				tile := acc[ii*wb : ii*wb+wb]
-				p := 0
-				for ; p+3 < k; p += 4 {
-					x0, x1 := int64(arow[p]), int64(arow[p+1])
-					x2, x3 := int64(arow[p+2]), int64(arow[p+3])
-					if x0|x1|x2|x3 == 0 {
-						continue
-					}
-					b0 := bPacked[p*rb+jo : p*rb+jo+wb]
-					b1 := bPacked[(p+1)*rb+jo : (p+1)*rb+jo+wb][:len(b0)]
-					b2 := bPacked[(p+2)*rb+jo : (p+2)*rb+jo+wb][:len(b0)]
-					b3 := bPacked[(p+3)*rb+jo : (p+3)*rb+jo+wb][:len(b0)]
-					u := tile[:len(b0)]
-					for j, by := range b0 {
-						u[j] += x0*tab[by] + x1*tab[b1[j]] + x2*tab[b2[j]] + x3*tab[b3[j]]
-					}
-				}
-				for ; p < k; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					x := int64(av)
-					b0 := bPacked[p*rb+jo : p*rb+jo+wb]
-					u := tile[:len(b0)]
-					for j, by := range b0 {
-						u[j] += x * tab[by]
-					}
-				}
-			}
-			// Writeback: split each packed accumulator into its two exact
-			// column sums and apply the dequantization scales.
-			nf := w >> 1
-			for ii := 0; ii < ih; ii++ {
-				rs := rowScales[ib+ii]
-				tile := acc[ii*wb : ii*wb+wb]
-				base := (ib + ii) * n
-				for j2 := 0; j2 < nf; j2++ {
-					av := tile[j2]
-					lov := int64(int32(av))
-					hiv := (av - lov) >> 32
-					dst[base+jb+2*j2] = float32(lov) * rs * colScales[jb+2*j2]
-					dst[base+jb+2*j2+1] = float32(hiv) * rs * colScales[jb+2*j2+1]
-				}
-				if w&1 == 1 {
-					dst[base+jhi-1] = float32(int32(tile[nf])) * rs * colScales[jhi-1]
-				}
-			}
+	offs = offs[:len(xs)]
+	for q := 0; q+3 < len(xs); q += 4 {
+		x0, x1, x2, x3 := xs[q], xs[q+1], xs[q+2], xs[q+3]
+		b0 := b[offs[q]+jo:][:len(u)]
+		b1 := b[offs[q+1]+jo:][:len(u)]
+		b2 := b[offs[q+2]+jo:][:len(u)]
+		b3 := b[offs[q+3]+jo:][:len(u)]
+		for j, by := range b0 {
+			u[j] += x0*tab[by] + x1*tab[b1[j]] + x2*tab[b2[j]] + x3*tab[b3[j]]
 		}
 	}
 }
@@ -281,24 +152,18 @@ func MatMulInt4LHS(dst []float32, aPacked []byte, b []int8, m, k, n int, rowScal
 //
 // Per (output row, column tile, k panel): the packed weight-row segment is
 // nibble-decoded into a small stack buffer once, reused across the whole
-// column tile (amortizing decode over n columns), and folded in with the
-// same four-wide-unrolled loop as the int8 kernel. Int32 addition is
-// exact and commutative, so the reassociated sum is bit-identical to the
-// naive scalar order. int4KPanel is even, so panel starts are always
-// byte-aligned within a packed row.
+// column tile (amortizing decode over n columns), and folded in by the
+// int8 kernel's foldInt8Row. int4KPanel is even, so panel starts are
+// always byte-aligned within a packed row.
 func matmulInt4LHSRows(dst []float32, aPacked []byte, b []int8, lo, hi, k, n int, rowScales, colScales []float32) {
 	rb := Int4PackedLen(k)
 	var accArr [colBlock]int32
 	var wbuf [int4KPanel]int8
 	for jb := 0; jb < n; jb += colBlock {
-		jhi := min(jb+colBlock, n)
-		w := jhi - jb
+		tile := accArr[:min(colBlock, n-jb)]
 		for i := lo; i < hi; i++ {
 			arow := aPacked[i*rb : (i+1)*rb]
-			tile := accArr[:w]
-			for j := range tile {
-				tile[j] = 0
-			}
+			clear(tile)
 			for kb := 0; kb < k; kb += int4KPanel {
 				khi := min(kb+int4KPanel, k)
 				kh := khi - kb
@@ -312,40 +177,9 @@ func matmulInt4LHSRows(dst []float32, aPacked []byte, b []int8, lo, hi, k, n int
 				if kh&1 == 1 { // odd k tail: the pad nibble is canonically zero
 					wbuf[kh-1] = int8(seg[nb]<<4) >> 4
 				}
-				p := 0
-				for ; p+3 < kh; p += 4 {
-					a0, a1 := int32(wbuf[p]), int32(wbuf[p+1])
-					a2, a3 := int32(wbuf[p+2]), int32(wbuf[p+3])
-					if a0|a1|a2|a3 == 0 {
-						continue
-					}
-					b0 := b[(kb+p)*n+jb : (kb+p)*n+jhi]
-					b1 := b[(kb+p+1)*n+jb : (kb+p+1)*n+jhi][:len(b0)]
-					b2 := b[(kb+p+2)*n+jb : (kb+p+2)*n+jhi][:len(b0)]
-					b3 := b[(kb+p+3)*n+jb : (kb+p+3)*n+jhi][:len(b0)]
-					u := tile[:len(b0)]
-					for j, bv := range b0 {
-						u[j] += a0*int32(bv) + a1*int32(b1[j]) + a2*int32(b2[j]) + a3*int32(b3[j])
-					}
-				}
-				for ; p < kh; p++ {
-					av := wbuf[p]
-					if av == 0 {
-						continue
-					}
-					a32 := int32(av)
-					brow := b[(kb+p)*n+jb : (kb+p)*n+jhi]
-					u := tile[:len(brow)]
-					for j, bv := range brow {
-						u[j] += a32 * int32(bv)
-					}
-				}
+				foldInt8Row(tile, wbuf[:kh], b[kb*n:], n, jb)
 			}
-			rs := rowScales[i]
-			drow := dst[i*n+jb : i*n+jhi]
-			for j := range drow {
-				drow[j] = float32(tile[j]) * rs * colScales[jb+j]
-			}
+			scaleRow(dst[i*n+jb:i*n+jb+len(tile)], tile, rowScales[i], colScales[jb:])
 		}
 	}
 }

@@ -85,6 +85,7 @@ func TestMatMulInt4MatchesScalarReference(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 7}, {4, 8, 10}, {16, 33, 21}, {2, 9, 1},
 		{5, 16, colBlock + 3}, // spans a column-tile boundary with an odd tail
+		{3, 2*nzCap + 5, 7},   // walks the nonzero list in chunks
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
