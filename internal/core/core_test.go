@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"net"
 	"testing"
 
@@ -342,5 +343,37 @@ func TestFederatedUpdateImprovesAndRepublishes(t *testing.T) {
 	}
 	if bases != 2 {
 		t.Fatalf("bases in line = %d", bases)
+	}
+}
+
+// TestFederatedPublishTags pins the provenance both platform entry points
+// leave on the published base: a flat run is tagged federated with its round
+// count, and a two-tier run adds its topology and aggregator count.
+func TestFederatedPublishTags(t *testing.T) {
+	p, _, _ := fixture(t, 12)
+	rng := tensor.NewRNG(125)
+	ds := dataset.Blobs(rng, 600, 4, 3, 5)
+	clients := fed.MakeClients(ds, dataset.PartitionIID(rng, ds, 6), "c")
+	spec := registry.OptimizationSpec{Evaluate: func(n *nn.Network) float64 { return nn.Evaluate(n, ds.X, ds.Y) }}
+	cfg := fed.Config{Rounds: 2, LocalEpochs: 1, LocalBatch: 16, LR: 0.1, Seed: 19}
+	flat, _, err := p.FederatedUpdate("clf", clients, ds, cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hier, _, err := p.HierFederatedUpdate("clf", clients, ds, fed.HierConfig{Config: cfg, Aggregators: 3, SecureAgg: true}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want map[string]string
+	}{
+		{"flat", flat[0].Tags, map[string]string{"source": "federated", "fed:rounds": "2"}},
+		{"hierarchical", hier[0].Tags, map[string]string{"source": "federated", "fed:rounds": "2",
+			"fed:topology": "hierarchical", "fed:aggregators": "3"}},
+	} {
+		if !maps.Equal(c.got, c.want) {
+			t.Errorf("%s base tags %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }

@@ -380,46 +380,25 @@ func (p *Platform) SettleAll(addr string) map[string]error {
 	return out
 }
 
-// FederatedUpdate runs federated training of the named model line over
-// client shards and publishes the improved global model into the registry
-// as a rollout candidate (re-deriving all variants, tagged as a federated
-// aggregate). It returns the new versions and per-round stats; chain with
-// Rollout to stage the fleet update.
+// FederatedUpdate is HierFederatedUpdate over the flat topology: every
+// client uploads straight to the cloud.
 func (p *Platform) FederatedUpdate(name string, clients []*fed.Client, test *dataset.Dataset, fcfg fed.Config, spec registry.OptimizationSpec) ([]*registry.ModelVersion, []fed.RoundStats, error) {
-	latest, err := p.Registry.Latest(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	global, err := p.Registry.Load(latest.ID)
-	if err != nil {
-		return nil, nil, err
-	}
-	if fcfg.Engine == nil {
-		fcfg.Engine = p.eng
-	}
-	co, err := fed.NewCoordinator(global, clients, test.X, test.Y, fcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats, err := co.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	versions, err := co.PublishGlobal(p.Registry, name, spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return versions, stats, nil
+	_, versions, stats, err := p.HierFederatedUpdate(name, clients, test, fed.HierConfig{Config: fcfg}, spec)
+	return versions, stats, err
 }
 
-// HierFederatedUpdate is FederatedUpdate's two-tier form: the client fleet
-// shards into edge-aggregator cohorts, each cohort's updates aggregate at
-// the edge (exactly, in fixed point — with pairwise masking when
-// hcfg.SecureAgg is set) and the cloud sums only one compact partial per
-// aggregator before publishing the improved global as a rollout candidate.
-// The coordinator comes back too: its Global is the published model and
-// PersonalizeCohorts fine-tunes it per cohort.
-func (p *Platform) HierFederatedUpdate(name string, clients []*fed.Client, test *dataset.Dataset, hcfg fed.HierConfig, spec registry.OptimizationSpec) (*fed.HierCoordinator, []*registry.ModelVersion, []fed.RoundStats, error) {
+// HierFederatedUpdate runs federated training of the named model line over
+// client shards and publishes the improved global model into the registry
+// as a rollout candidate (re-deriving all variants, tagged as a federated
+// aggregate). With hcfg.Aggregators > 0 the client fleet shards into
+// edge-aggregator cohorts, each cohort's updates aggregate at the edge
+// (exactly, in fixed point — with pairwise masking when hcfg.SecureAgg is
+// set) and the cloud sums only one compact partial per aggregator; with 0
+// the clients upload straight to the cloud. It returns the coordinator — its
+// Global is the published model and PersonalizeCohorts fine-tunes it per
+// cohort — the new versions and per-round stats; chain with Rollout to
+// stage the fleet update.
+func (p *Platform) HierFederatedUpdate(name string, clients []*fed.Client, test *dataset.Dataset, hcfg fed.HierConfig, spec registry.OptimizationSpec) (*fed.Coordinator, []*registry.ModelVersion, []fed.RoundStats, error) {
 	latest, err := p.Registry.Latest(name)
 	if err != nil {
 		return nil, nil, nil, err
@@ -431,19 +410,19 @@ func (p *Platform) HierFederatedUpdate(name string, clients []*fed.Client, test 
 	if hcfg.Engine == nil {
 		hcfg.Engine = p.eng
 	}
-	hc, err := fed.NewHierCoordinator(global, clients, test.X, test.Y, hcfg)
+	co, err := fed.New(global, clients, test.X, test.Y, hcfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	stats, err := hc.Run()
+	stats, err := co.Run()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	versions, err := hc.PublishGlobal(p.Registry, name, spec)
+	versions, err := co.PublishGlobal(p.Registry, name, spec)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return hc, versions, stats, nil
+	return co, versions, stats, nil
 }
 
 // DefaultOptimizationSpec derives the standard int8/int4/ternary/binary

@@ -1,16 +1,20 @@
-// Package fed implements the federated learning stack of §III-D, from a
-// flat FedAvg/FedProx coordinator up to a two-tier hierarchical topology
-// with exact secure aggregation at the edge tier.
+// Package fed implements the federated learning stack of §III-D:
+// FedAvg/FedProx rounds over a flat or two-tier topology, with exact secure
+// aggregation at the edge tier.
 //
 // # Topologies
 //
-// Coordinator runs the flat form: sampled clients train locally and the
-// cloud averages their updates. HierCoordinator shards the fleet into
+// One round engine, Coordinator, runs every topology; flat is a hierarchy
+// with no edge tier. With 0 aggregators (NewCoordinator) eligible clients
+// train locally and upload straight to the cloud, which averages their
+// updates. With N (NewHierCoordinator) the fleet shards into
 // edge-aggregator cohorts (assignment by engine.ShardForID, so the
 // partition is stable at any worker count), each aggregator collects its
-// cohort's updates, and the cloud sums only one varint-encoded partial
-// per aggregator — the fan-in reduction that keeps 100k-client rounds
-// affordable on the vendor uplink.
+// cohort's updates, masked or plain, and the cloud sums only one
+// varint-encoded partial per aggregator — the fan-in reduction that keeps
+// 100k-client rounds affordable on the vendor uplink. Eligibility, weather,
+// training and the weigh-and-sum are one body; the topology picks the unit
+// of fan-out (a client or a cohort) and the tier each byte is charged to.
 //
 // # Exact aggregation and masking
 //
@@ -36,7 +40,7 @@
 //
 // # Per-worker workspace
 //
-// Clients do not each hold a model. Both coordinators train every client in
+// Clients do not each hold a model. A round trains every client in
 // one workspace per engine worker (workspace.go), borrowed from an
 // engine.ArenaPool as serving borrows its scratch: a scratch network that
 // nn.Network.ResetFrom returns to the global before each client, the delta

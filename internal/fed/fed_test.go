@@ -238,20 +238,6 @@ func TestFedProxHelpsOnPathologicalNonIID(t *testing.T) {
 	}
 }
 
-func TestClientSampling(t *testing.T) {
-	global, clients, test := fedFixture(t, 10, 10)
-	co, _ := NewCoordinator(global, clients, test.X, test.Y, Config{
-		Rounds: 2, ClientsPerRound: 3, LocalEpochs: 1, LocalBatch: 16, LR: 0.1, Seed: 11,
-	})
-	s, err := co.RunRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Participants != 3 {
-		t.Fatalf("participants = %d, want 3", s.Participants)
-	}
-}
-
 func TestEligibilityGate(t *testing.T) {
 	global, clients, test := fedFixture(t, 10, 12)
 	// Attach devices: half are never charging.
@@ -448,11 +434,38 @@ func TestSemiSupervisedRoundUsesConfidentExamples(t *testing.T) {
 	}
 }
 
+// TestCoordinatorValidation table-drives the flat constructor: it refuses
+// what the two-tier one refuses, before a round can panic on it or train a
+// client twice.
 func TestCoordinatorValidation(t *testing.T) {
 	rng := tensor.NewRNG(22)
 	net := nn.NewNetwork([]int{4}, nn.NewDense(4, 2, rng))
-	if _, err := NewCoordinator(net, nil, nil, nil, Config{}); err == nil {
-		t.Fatal("accepted zero clients")
+	ds := dataset.Blobs(rng, 20, 4, 2, 3)
+	clients := MakeClients(ds, dataset.PartitionIID(rng, ds, 2), "v")
+	cases := []struct {
+		name    string
+		global  *nn.Network
+		clients []*Client
+	}{
+		{"no clients", net, nil},
+		{"nil global", nil, clients},
+		{"nil client", net, []*Client{clients[0], nil}},
+		{"nil client data", net, []*Client{clients[0], {ID: "v-empty"}}},
+		{"duplicate client IDs", net, []*Client{clients[0], clients[1], clients[0]}},
+	}
+	for _, c := range cases {
+		if _, err := NewCoordinator(c.global, c.clients, nil, nil, Config{}); err == nil {
+			t.Fatalf("%s: constructor accepted it", c.name)
+		}
+	}
+	// With no edge tier there is no aggregator to mask for or to fail.
+	for name, cfg := range map[string]HierConfig{
+		"flat secure aggregation": {SecureAgg: true},
+		"flat aggregator faults":  {AggFaults: func(int, string) ClientFault { return ClientFault{} }},
+	} {
+		if _, err := New(net, clients, nil, nil, cfg); err == nil {
+			t.Fatalf("%s: constructor accepted it", name)
+		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"tinymlops/internal/dataset"
 	"tinymlops/internal/device"
 	"tinymlops/internal/engine"
-	"tinymlops/internal/nn"
-	"tinymlops/internal/tensor"
 )
 
 // Client is one federated participant: a private data shard, optionally
@@ -33,9 +31,6 @@ func (c *Client) Eligible() bool {
 type Config struct {
 	// Rounds of federated averaging.
 	Rounds int
-	// ClientsPerRound samples this many eligible clients (0 = all). The
-	// hierarchical coordinator applies the cap per cohort.
-	ClientsPerRound int
 	// LocalEpochs and LocalBatch configure each client's local training.
 	LocalEpochs int
 	LocalBatch  int
@@ -46,20 +41,21 @@ type Config struct {
 	ProximalMu float32
 	// Codec compresses uplink updates (nil = NoneCodec).
 	Codec Codec
-	// Seed derives all stochasticity (client sampling, local shuffling).
+	// Seed derives all stochasticity (cohort assignment, pairwise masks,
+	// local shuffling).
 	// A client's round-r training stream is a pure function of
 	// (Seed, r, client ID), so the same client produces a bit-identical
 	// update under any topology, worker count or iteration order.
 	Seed uint64
 	// Engine bounds the per-round client-training fan-out (nil = a
 	// GOMAXPROCS-wide pool). Rounds previously spawned one goroutine per
-	// sampled client, which at fleet scale meant thousands of concurrent
-	// local trainings thrashing the scheduler.
+	// client, which at fleet scale meant thousands of concurrent local
+	// trainings thrashing the scheduler.
 	Engine *engine.Engine
-	// Faults, when non-nil, injects per-round client failures after
-	// sampling: a Dropout crashes the client before it trains (downlink
+	// Faults, when non-nil, injects per-round failures into eligible
+	// clients: a Dropout crashes the client before it trains (downlink
 	// spent, nothing comes back), a SlowFactor > 1 marks it a straggler.
-	// The hook is called once per sampled client per round and must be a
+	// The hook is called once per eligible client per round and must be a
 	// pure function of (round, clientID) so results stay worker-count
 	// independent — the fault plane's derivation guarantees this.
 	Faults func(round int, clientID string) ClientFault
@@ -92,7 +88,7 @@ func (cfg *Config) normalize() {
 	}
 }
 
-// ClientFault is one sampled client's injected failure for one round.
+// ClientFault is one eligible client's injected failure for one round.
 type ClientFault struct {
 	// Dropout crashes the client after it receives the global model and
 	// before it returns an update.
@@ -113,17 +109,18 @@ type RoundStats struct {
 	// DownlinkBytes the total model broadcast traffic.
 	UplinkBytes   int64
 	DownlinkBytes int64
-	// Per-tier accounting for the hierarchical topology. Edge covers
-	// client ↔ aggregator traffic, Cloud covers aggregator ↔ coordinator.
-	// The flat coordinator reports its single client ↔ cloud hop as the
-	// cloud tier, so flat-vs-hierarchical cloud fan-in compares directly.
+	// Per-tier accounting. Edge covers client ↔ aggregator traffic, Cloud
+	// covers what reaches the coordinator: aggregator ↔ cloud, or with no
+	// edge tier the clients' own hop, so flat-vs-hierarchical cloud fan-in
+	// compares directly.
 	EdgeUplinkBytes    int64
 	EdgeDownlinkBytes  int64
 	CloudUplinkBytes   int64
 	CloudDownlinkBytes int64
 	// TestAccuracy of the averaged global model (if a test set is given).
 	TestAccuracy float64
-	// Dropouts counts sampled clients that crashed before returning an
+	// Participants counts eligible clients, each sent the broadcast.
+	// Dropouts counts participants that crashed before returning an
 	// update; Stragglers counts slow clients, and Late the subset whose
 	// update missed the aggregation deadline (trained and uploaded, but
 	// excluded from the average). Aggregated counts only cover
@@ -138,161 +135,6 @@ type RoundStats struct {
 	AggDropouts   int
 	AggStragglers int
 	AggLate       int
-}
-
-// Coordinator runs flat federated averaging over a set of clients.
-type Coordinator struct {
-	Global  *nn.Network
-	Clients []*Client
-	cfg     Config
-
-	testX *tensor.Tensor
-	testY []int
-	rng   *tensor.RNG
-	round int
-	// arenas lends each worker its training workspace (workspace.go).
-	arenas *engine.ArenaPool
-}
-
-// NewCoordinator builds a coordinator around a global model. testX/testY
-// may be nil to skip accuracy tracking.
-func NewCoordinator(global *nn.Network, clients []*Client, testX *tensor.Tensor, testY []int, cfg Config) (*Coordinator, error) {
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("fed: no clients")
-	}
-	cfg.normalize()
-	return &Coordinator{
-		Global: global, Clients: clients, cfg: cfg,
-		testX: testX, testY: testY,
-		rng:    tensor.NewRNG(cfg.Seed),
-		arenas: engine.NewArenaPool(),
-	}, nil
-}
-
-// RunRound executes one round of federated averaging and returns its
-// statistics. Local training runs concurrently across sampled clients.
-func (co *Coordinator) RunRound() (RoundStats, error) {
-	co.round++
-	stats := RoundStats{Round: co.round}
-
-	var eligible []*Client
-	for _, c := range co.Clients {
-		if c.Eligible() {
-			eligible = append(eligible, c)
-		}
-	}
-	if len(eligible) == 0 {
-		// No chargers + WiFi this round: skip, as a real fleet would.
-		if co.testX != nil {
-			stats.TestAccuracy = nn.Evaluate(co.Global, co.testX, co.testY)
-		}
-		return stats, nil
-	}
-	sampled := eligible
-	if co.cfg.ClientsPerRound > 0 && co.cfg.ClientsPerRound < len(eligible) {
-		perm := co.rng.Perm(len(eligible))
-		sampled = make([]*Client, co.cfg.ClientsPerRound)
-		for i := 0; i < co.cfg.ClientsPerRound; i++ {
-			sampled[i] = eligible[perm[i]]
-		}
-	}
-	stats.Participants = len(sampled)
-
-	globalFlat := co.Global.FlatParams()
-	modelBytes := int64(4 * len(globalFlat))
-	// Every sampled client receives the broadcast — dropouts and late
-	// stragglers included; their downlink is spent either way.
-	stats.DownlinkBytes = modelBytes * int64(len(sampled))
-
-	// Injected client faults, decided up front from (round, clientID) so
-	// the round outcome cannot depend on scheduling. A dropout crashes
-	// before training; a late straggler trains and uploads but its update
-	// misses the deadline and is excluded from the average.
-	faults := make([]ClientFault, len(sampled))
-	late := make([]bool, len(sampled))
-	if co.cfg.Faults != nil {
-		for i, c := range sampled {
-			f := co.cfg.Faults(co.round, c.ID)
-			faults[i] = f
-			if f.Dropout {
-				stats.Dropouts++
-				continue
-			}
-			if f.SlowFactor > 1 {
-				stats.Stragglers++
-				if co.cfg.StragglerDeadline > 0 && f.SlowFactor > co.cfg.StragglerDeadline {
-					late[i] = true
-					stats.Late++
-				}
-			}
-		}
-	}
-
-	// Local trainings fan out over the bounded engine pool; each client's
-	// stochasticity is derived from (Seed, round, ID), so the round result
-	// does not depend on the worker count or iteration order.
-	updates := make([]clientUpdate, len(sampled))
-	if err := co.cfg.Engine.ForEach(len(sampled), func(i int) error {
-		if faults[i].Dropout {
-			return nil // crashed before training; zero update, zero uplink
-		}
-		ar := co.arenas.Acquire()
-		defer co.arenas.Release(ar)
-		var err error
-		updates[i], err = localTrain(&co.cfg, ar.Slot(co, newWorkspace).(*workspace), co.Global, globalFlat, sampled[i], co.round)
-		return err
-	}); err != nil {
-		return stats, err
-	}
-	for i := range updates {
-		if late[i] {
-			// The upload happened (bytes already charged below), but the
-			// server aggregates without it.
-			updates[i].samples = 0
-			updates[i].delta = nil
-		}
-	}
-
-	// Sample-weighted aggregation in int64 fixed point (see fixed.go):
-	// integer addition is associative, so this flat sum is bit-identical
-	// to any hierarchical grouping of the same contributions.
-	total := make([]int64, len(globalFlat))
-	contrib := make([]int64, len(globalFlat))
-	var totalSamples int64
-	for _, u := range updates {
-		stats.UplinkBytes += int64(u.bytes)
-		if u.samples == 0 || u.delta == nil {
-			continue
-		}
-		weighFixed(contrib, u.delta, u.samples)
-		addInto(total, contrib)
-		totalSamples += int64(u.samples)
-	}
-	if totalSamples > 0 {
-		if err := co.Global.SetFlatParams(applyFixed(globalFlat, total, totalSamples)); err != nil {
-			return stats, err
-		}
-	}
-	// Flat topology: the single hop is the cloud tier.
-	stats.CloudUplinkBytes = stats.UplinkBytes
-	stats.CloudDownlinkBytes = stats.DownlinkBytes
-	if co.testX != nil {
-		stats.TestAccuracy = nn.Evaluate(co.Global, co.testX, co.testY)
-	}
-	return stats, nil
-}
-
-// Run executes cfg.Rounds rounds and returns per-round statistics.
-func (co *Coordinator) Run() ([]RoundStats, error) {
-	out := make([]RoundStats, 0, co.cfg.Rounds)
-	for r := 0; r < co.cfg.Rounds; r++ {
-		s, err := co.RunRound()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 // MakeClients shards a dataset into federated clients using the provided

@@ -75,8 +75,8 @@ func addInto(dst, src []int64) {
 
 // applyFixed converts an aggregated fixed-point total back to float32
 // weights: next = global + total/(totalSamples·2^shift). This is the one
-// float conversion in the whole aggregation path, performed identically
-// by the flat and hierarchical coordinators.
+// float conversion in the whole aggregation path, performed once by the
+// cloud at any edge-tier width.
 func applyFixed(globalFlat []float32, total []int64, totalSamples int64) []float32 {
 	next := make([]float32, len(globalFlat))
 	denom := float64(totalSamples) * fixedOne

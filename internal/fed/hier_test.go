@@ -42,7 +42,7 @@ func paramsDigest(net *nn.Network) string {
 // hierarchical aggregation must be bit-identical to flat unmasked FedAvg
 // over the same client set, seeds and codec — across worker counts and
 // across dropout/straggler patterns (surviving-peer mask reconstruction
-// exact). The cross-check inside runCohort already fails the round if the
+// exact). The cross-check inside runUnit already fails the round if the
 // masked cohort sum differs from the unmasked reference by one bit; this
 // test additionally pins the *global models* equal between topologies.
 func TestHierMaskedEqualsFlatUnmasked(t *testing.T) {

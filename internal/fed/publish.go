@@ -5,54 +5,36 @@ import (
 
 	"tinymlops/internal/nn"
 	"tinymlops/internal/registry"
-	"tinymlops/internal/tensor"
 )
 
-// publishGlobal registers a coordinator's global model as a new base
-// version of the named model line — deriving the full variant matrix via
-// the registry's optimization pipeline — and tags its provenance. The
-// published base is a rollout candidate: a federated round feeds straight
-// into a staged fleet update (§III-D closing into §III-A).
-func publishGlobal(r *registry.Registry, name string, spec registry.OptimizationSpec,
-	global *nn.Network, rounds int, testX *tensor.Tensor, testY []int, tags map[string]string) ([]*registry.ModelVersion, error) {
+// PublishGlobal registers the coordinator's current global model as a new
+// base version of the named model line — deriving the full variant matrix
+// via the registry's optimization pipeline — and tags its provenance
+// (source=federated, fed:rounds, and for a two-tier run fed:topology and
+// fed:aggregators). The published base is a rollout candidate: a federated
+// round feeds straight into a staged fleet update (§III-D closing into
+// §III-A).
+func (co *Coordinator) PublishGlobal(r *registry.Registry, name string, spec registry.OptimizationSpec) ([]*registry.ModelVersion, error) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
 	if spec.Evaluate == nil {
-		if testX == nil {
+		if co.testX == nil {
 			return nil, fmt.Errorf("fed: publish needs spec.Evaluate or a coordinator test set")
 		}
-		spec.Evaluate = func(n *nn.Network) float64 { return nn.Evaluate(n, testX, testY) }
+		spec.Evaluate = func(n *nn.Network) float64 { return nn.Evaluate(n, co.testX, co.testY) }
 	}
-	versions, err := r.RegisterWithVariants(name, global, spec.Evaluate(global), spec)
+	versions, err := r.RegisterWithVariants(name, co.Global, spec.Evaluate(co.Global), spec)
 	if err != nil {
 		return nil, err
 	}
-	base := versions[0]
-	if err := r.SetTag(base.ID, "source", "federated"); err != nil {
-		return nil, err
+	tags := [][2]string{{"source", "federated"}, {"fed:rounds", fmt.Sprint(co.round)}}
+	if co.Cohorts != nil {
+		tags = append(tags, [2]string{"fed:topology", "hierarchical"}, [2]string{"fed:aggregators", fmt.Sprint(len(co.Cohorts))})
 	}
-	if err := r.SetTag(base.ID, "fed:rounds", fmt.Sprintf("%d", rounds)); err != nil {
-		return nil, err
-	}
-	for k, v := range tags {
-		if err := r.SetTag(base.ID, k, v); err != nil {
+	for _, t := range tags {
+		if err := r.SetTag(versions[0].ID, t[0], t[1]); err != nil {
 			return nil, err
 		}
 	}
 	return versions, nil
-}
-
-// PublishGlobal registers the flat coordinator's current global model as a
-// federated-aggregate rollout candidate.
-func (co *Coordinator) PublishGlobal(r *registry.Registry, name string, spec registry.OptimizationSpec) ([]*registry.ModelVersion, error) {
-	return publishGlobal(r, name, spec, co.Global, co.round, co.testX, co.testY, nil)
-}
-
-// PublishGlobal registers the hierarchical coordinator's current global
-// model as a rollout candidate, tagged with the two-tier topology.
-func (hc *HierCoordinator) PublishGlobal(r *registry.Registry, name string, spec registry.OptimizationSpec) ([]*registry.ModelVersion, error) {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	return publishGlobal(r, name, spec, hc.Global, hc.round, hc.testX, hc.testY, map[string]string{
-		"fed:topology":    "hierarchical",
-		"fed:aggregators": fmt.Sprintf("%d", len(hc.Cohorts)),
-	})
 }

@@ -14,7 +14,7 @@ import (
 // sum, so federated averaging still works — addressing §III-D's tension
 // between aggregating updates and not revealing any single user's update.
 //
-// The masks (MaskFixed plus the Aggregator in hier.go) are uniform uint64
+// The masks (MaskFixed plus the Aggregator below) are uniform uint64
 // words added with wrapping arithmetic to fixed-point contributions, so
 // they cancel *exactly* — bit-identical to an unmasked integer sum — and a
 // dropped client's stale masks can be reconciled precisely by

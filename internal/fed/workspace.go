@@ -88,9 +88,8 @@ type clientUpdate struct {
 // localTrain trains one client from the global weights in the worker's
 // workspace and returns its encoded-then-decoded (i.e. lossy, as the server
 // would see it) delta. The client's training stream derives from (cfg.Seed,
-// round, client ID) alone — the flat and hierarchical coordinators share
-// this function, so the same client produces a bit-identical update under
-// either topology, on any worker, after any other client.
+// round, client ID) alone, so the same client produces a bit-identical
+// update under any topology, on any worker, after any other client.
 func localTrain(cfg *Config, ws *workspace, global *nn.Network, globalFlat []float32, c *Client, round int) (clientUpdate, error) {
 	ws.reset(global)
 	ws.fit(len(globalFlat))
@@ -141,26 +140,4 @@ func localTrain(cfg *Config, ws *workspace, global *nn.Network, globalFlat []flo
 		}
 	}
 	return clientUpdate{delta: decoded, samples: c.Data.Len(), bytes: len(payload)}, nil
-}
-
-// plainWireBytes measures the unmasked edge uplink: the codec-decoded
-// update applied to the global and shipped as an nn delta patch — the
-// sparse codecs (top-k, ternary) stay sparse on the wire, the dense ones
-// pay dense bytes. The patch is sized on the workspace network, which the
-// client has finished with (as it has with the delta buffer): reset, so that
-// no running statistic the client moved is in the patch, then set to global
-// + decoded.
-func plainWireBytes(ws *workspace, global *nn.Network, globalFlat, decoded []float32) (int64, error) {
-	ws.reset(global)
-	for k, g := range globalFlat {
-		ws.delta[k] = g + decoded[k]
-	}
-	if err := ws.net.SetFlatParams(ws.delta); err != nil {
-		return 0, err
-	}
-	patch, err := nn.EncodeDelta(global, ws.net)
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(patch)), nil
 }

@@ -1,6 +1,8 @@
 package fed
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -71,10 +73,12 @@ func TestMaskCohortEqualsMaskFixed(t *testing.T) {
 // TestRoundAllocationPins pins what the per-worker workspace is for, on the
 // end-to-end benchmark's round shape (a 16→32→4 model, 16 examples a client
 // in batches of 8): in the steady state a client update costs at most 100
-// allocations under either coordinator — 77 masked hierarchical and 73 flat at the
-// commit that introduced the workspace, 228 at its parent, where every
-// client cloned the global through the wire format — and a coordinator
-// builds one workspace per worker however many clients and rounds it trains.
+// allocations under every topology — 77 masked hierarchical and 73 flat at
+// the commit that introduced the workspace, 228 at its parent, where every
+// client cloned the global through the wire format, and 149 plain
+// hierarchical while its uplink was sized by encoding an nn delta patch — and
+// a coordinator builds one workspace per worker however many clients and
+// rounds it trains.
 func TestRoundAllocationPins(t *testing.T) {
 	const clients, ceiling = 96, 100
 	fixture := func() (*nn.Network, []*Client) {
@@ -83,55 +87,128 @@ func TestRoundAllocationPins(t *testing.T) {
 		global := nn.NewNetwork([]int{16}, nn.NewDense(16, 32, rng), nn.NewReLU(), nn.NewDense(32, 4, rng))
 		return global, MakeClients(ds, dataset.PartitionIID(rng, ds, clients), "ap")
 	}
-	perClient := func(round func() error) float64 {
-		t.Helper()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for r := 0; r < 3; r++ {
-			if err := round(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / (3 * clients)
-	}
 	for _, workers := range []int{1, 4} {
 		cfg := Config{LocalEpochs: 1, LocalBatch: 8, LR: 0.1, Seed: 93, Engine: engine.New(engine.Config{Workers: workers})}
+		for _, topo := range []struct {
+			name string
+			cfg  HierConfig
+		}{
+			{"flat", HierConfig{Config: cfg}},
+			{"masked hierarchical", HierConfig{Config: cfg, Aggregators: 8, SecureAgg: true}},
+			{"plain hierarchical", HierConfig{Config: cfg, Aggregators: 8}},
+		} {
+			global, cs := fixture()
+			co, err := New(global, cs, nil, nil, topo.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := co.RunRound(); err != nil { // warm-up: the workspaces are built here
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for r := 0; r < 3; r++ {
+				if _, err := co.RunRound(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			got := float64(after.Mallocs-before.Mallocs) / (3 * clients)
+			t.Logf("workers=%d: %s %.1f allocations per client update", workers, topo.name, got)
+			if got > ceiling {
+				t.Errorf("workers=%d: %s round allocates %.1f per client update, pinned at <= %d", workers, topo.name, got, ceiling)
+			}
+			if got := co.arenas.Created(); got > workers {
+				t.Errorf("workers=%d: %s coordinator built %d workspaces", workers, topo.name, got)
+			}
+		}
+	}
+}
 
-		global, cs := fixture()
-		flat, err := NewCoordinator(global, cs, nil, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
+// TestDeltaSizeMatchesEncodeDelta holds nn.DeltaSize, which sizes the plain
+// edge uplink, to the length of the patch it stands for, on the golden's two
+// models — the conv one carries batch-norm running statistics and a dropout
+// stream, state an update leaves alone. An element is changed when its bits
+// are: an update that rounds away is no change, +0 onto −0 is one.
+func TestDeltaSizeMatchesEncodeDelta(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	cases := map[string]func(g []float32, rng *tensor.RNG) []float32{
+		"zero": func(g []float32, _ *tensor.RNG) []float32 { return make([]float32, len(g)) },
+		"rounds away": func(g []float32, _ *tensor.RNG) []float32 {
+			d := make([]float32, len(g))
+			for k, v := range g {
+				d[k] = v * 0x1p-30
+			}
+			return d
+		},
+		"signed zeros": func(g []float32, _ *tensor.RNG) []float32 {
+			g[0], g[len(g)-1] = negZero, negZero
+			return make([]float32, len(g))
+		},
+		"NaN": func(g []float32, _ *tensor.RNG) []float32 {
+			d := make([]float32, len(g))
+			d[1] = nan
+			g[2], d[2] = nan, 1
+			g[3] = nan
+			return d
+		},
+		"dense": func(g []float32, rng *tensor.RNG) []float32 {
+			d := make([]float32, len(g))
+			for k := range d {
+				d[k] = rng.NormFloat32()
+			}
+			return d
+		},
+		"single": func(g []float32, _ *tensor.RNG) []float32 {
+			d := make([]float32, len(g))
+			d[len(d)/2] = 0.5
+			return d
+		},
+	}
+	// Sparse and dense tensors both, either side of the 8·changed < 4·n rule.
+	for _, share := range []float32{0.1, 0.3, 0.45, 0.5, 0.55, 0.7} {
+		cases[fmt.Sprintf("share %.2f", share)] = func(g []float32, rng *tensor.RNG) []float32 {
+			d := make([]float32, len(g))
+			for k := range d {
+				if rng.Float32() < share {
+					d[k] = rng.NormFloat32()
+				}
+			}
+			return d
 		}
-		round := func() error { _, err := flat.RunRound(); return err }
-		if err := round(); err != nil { // warm-up: the workspaces are built here
-			t.Fatal(err)
+	}
+	for _, model := range []string{"mlp", "conv"} {
+		for name, update := range cases {
+			global, _, _ := goldenProblem(model)
+			g := global.FlatParams()
+			d := update(g, tensor.NewRNG(97))
+			if err := global.SetFlatParams(g); err != nil {
+				t.Fatal(err)
+			}
+			next := global.Clone()
+			sum := make([]float32, len(g))
+			for k := range g {
+				sum[k] = g[k] + d[k]
+			}
+			if err := next.SetFlatParams(sum); err != nil {
+				t.Fatal(err)
+			}
+			patch, err := nn.EncodeDelta(global, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := nn.DeltaSize(global, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != len(patch) {
+				t.Errorf("%s/%s: DeltaSize %d, EncodeDelta %d bytes", model, name, got, len(patch))
+			}
 		}
-		got := perClient(round)
-		t.Logf("workers=%d: flat %.1f allocations per client update", workers, got)
-		if got > ceiling {
-			t.Errorf("workers=%d: flat round allocates %.1f per client update, pinned at <= %d", workers, got, ceiling)
-		}
-		if got := flat.arenas.Created(); got > workers {
-			t.Errorf("workers=%d: flat coordinator built %d workspaces", workers, got)
-		}
-
-		global, cs = fixture()
-		hier, err := NewHierCoordinator(global, cs, nil, nil, HierConfig{Config: cfg, Aggregators: 8, SecureAgg: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		round = func() error { _, err := hier.RunRound(); return err }
-		if err := round(); err != nil {
-			t.Fatal(err)
-		}
-		got = perClient(round)
-		t.Logf("workers=%d: masked hierarchical %.1f allocations per client update", workers, got)
-		if got > ceiling {
-			t.Errorf("workers=%d: masked hierarchical round allocates %.1f per client update, pinned at <= %d", workers, got, ceiling)
-		}
-		if got := hier.arenas.Created(); got > workers {
-			t.Errorf("workers=%d: hierarchical coordinator built %d workspaces", workers, got)
-		}
+	}
+	global, _, _ := goldenProblem("mlp")
+	if _, err := nn.DeltaSize(global, make([]float32, 3)); err == nil {
+		t.Fatal("sized an update of the wrong dimension")
 	}
 }

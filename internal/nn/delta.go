@@ -93,8 +93,7 @@ func EncodeDelta(oldNet, newNet *Network) ([]byte, error) {
 			}
 		}
 		w = le.AppendUint32(w, uint32(len(ov)))
-		// Sparse costs 8 bytes per change, dense 4 per element.
-		if len(changed)*8 < len(ov)*4 {
+		if sparseWins(len(changed), len(ov)) {
 			w = append(w, deltaSparse)
 			w = le.AppendUint32(w, uint32(len(changed)))
 			for _, i := range changed {
@@ -109,6 +108,44 @@ func EncodeDelta(oldNet, newNet *Network) ([]byte, error) {
 		}
 	}
 	return w, nil
+}
+
+// sparseWins is TMLD1's per-tensor encoding rule: sparse costs 8 bytes per
+// changed element, dense 4 per element, and the smaller one ships.
+func sparseWins(changed, total int) bool { return changed*8 < total*4 }
+
+// DeltaSize is len(EncodeDelta(oldNet, newNet)) for the newNet whose
+// parameters are oldNet's flat parameters g plus d (FlatParams order) and
+// whose other state — batch-norm running statistics — is oldNet's. An element
+// counts as changed when the float32 bits of g+d differ from those of g, as
+// EncodeDelta compares them. It sizes the patch without building either the
+// network or the patch.
+func DeltaSize(oldNet *Network, d []float32) (int, error) {
+	if len(d) != oldNet.ParamCount() {
+		return 0, fmt.Errorf("nn: delta size: %d values, model has %d parameters", len(d), oldNet.ParamCount())
+	}
+	size := len(deltaMagic) + 4 + len(oldNet.TopologySignature()) + 4
+	// The parameters are a subsequence of the state tensors, in order.
+	params := oldNet.Params()
+	for _, t := range oldNet.stateTensors() {
+		changed := 0
+		if len(params) > 0 && params[0].Value == t {
+			for k, g := range t.Data {
+				if math.Float32bits(g+d[k]) != math.Float32bits(g) {
+					changed++
+				}
+			}
+			d, params = d[len(t.Data):], params[1:]
+		}
+		// Element count and mode byte, then the payload.
+		size += 5
+		if sparseWins(changed, len(t.Data)) {
+			size += 4 + 8*changed
+		} else {
+			size += 4 * len(t.Data)
+		}
+	}
+	return size, nil
 }
 
 // walkDelta is the one TMLD1 parser. It checks the magic, hands head the
