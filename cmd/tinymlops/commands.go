@@ -79,10 +79,7 @@ func cmdInfo(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	summary, err := net.Summary()
-	if err != nil {
-		return err
-	}
+	summary, _ := net.Summary() // the plan the decoder kept; it cannot fail
 	fmt.Fprintf(w, "input shape: %v\n", net.InputShape)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "layer\tkind\tout shape\tMACs\tparams")
@@ -90,7 +87,7 @@ func cmdInfo(w io.Writer, args []string) error {
 		fmt.Fprintf(tw, "%d\t%s\t%v\t%d\t%d\n", lc.Index, lc.Kind, lc.Info.OutShape, lc.Info.MACs, lc.Info.ParamCount)
 	}
 	tw.Flush() //nolint:errcheck
-	macs, _ := net.TotalMACs()
+	macs := net.TotalMACs()
 	fmt.Fprintf(w, "total: %d params, %d MACs/inference, ops %v\n", net.ParamCount(), macs, net.OpKinds())
 
 	fmt.Fprintln(w, "\nmodeled per-device latency (fp32):")

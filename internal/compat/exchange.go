@@ -99,8 +99,9 @@ func Export(net *nn.Network) (*GraphDoc, error) {
 	return doc, nil
 }
 
-// Import reconstructs a network from an exchange document. Unknown ops and
-// future format versions are errors.
+// Import reconstructs a network from an exchange document. Unknown ops,
+// future format versions and a graph whose shapes do not chain (nn.Assemble
+// refuses it) are errors.
 func Import(doc *GraphDoc) (*nn.Network, error) {
 	if doc.FormatVersion > ExchangeVersion {
 		return nil, fmt.Errorf("compat: document format v%d is newer than supported v%d", doc.FormatVersion, ExchangeVersion)
@@ -108,16 +109,17 @@ func Import(doc *GraphDoc) (*nn.Network, error) {
 	if doc.FormatVersion < 1 {
 		return nil, fmt.Errorf("compat: invalid format version %d", doc.FormatVersion)
 	}
-	net := nn.NewNetwork(append([]int(nil), doc.InputShape...))
+	layers := make([]nn.Layer, len(doc.Nodes))
 	for i, node := range doc.Nodes {
 		l, err := importNode(node)
 		if err != nil {
 			return nil, fmt.Errorf("compat: node %d: %w", i, err)
 		}
-		net.Add(l)
+		layers[i] = l
 	}
-	if _, err := net.Summary(); err != nil {
-		return nil, fmt.Errorf("compat: imported graph fails shape inference: %w", err)
+	net, err := nn.Assemble(doc.InputShape, layers)
+	if err != nil {
+		return nil, fmt.Errorf("compat: imported graph: %w", err)
 	}
 	return net, nil
 }

@@ -49,10 +49,9 @@ func Lower(net *nn.Network, caps device.Capabilities) (LoweringResult, error) {
 // removed. Dropout is the identity at inference, so this is always sound
 // for deployment artifacts.
 func dropDropout(net *nn.Network) int {
-	layers := net.Layers()
-	kept := layers[:0]
+	var kept []nn.Layer
 	removed := 0
-	for _, l := range layers {
+	for _, l := range net.Layers() {
 		if _, ok := l.(*nn.Dropout); ok {
 			removed++
 			continue

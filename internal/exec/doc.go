@@ -17,10 +17,10 @@
 // and adds nothing but the protected world's slowdown factor.
 //
 // An executor is built once per model version, and its geometry is fixed
-// there: Float and Quant shape-infer the network, refuse one whose shapes
-// do not chain, and keep the per-step cost list, so Costs and the shape
-// entering any step are plain reads, and Run checks a batch once, against
-// the step it enters.
+// there: a network's shapes were inferred, and a network whose shapes do not
+// chain refused, when nn.Assemble made it, so Float and Quant only read the
+// plan it kept. Costs and the shape entering any step are plain reads, and
+// Run checks a batch once, against the step it enters.
 //
 // core.Deployment serves local queries with Run(x, 0, n); offload.Session
 // runs the device prefix with Run(x, 0, cut), ships EncodeBoundary's bytes

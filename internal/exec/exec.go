@@ -72,9 +72,9 @@ func Width(shape []int) int {
 
 // graph is the step geometry every executor embeds, with the defaults two
 // of the three share: float kernels, a cut at any step boundary, and the
-// float tensor codec on the wire. It is resolved when the executor is
-// built and read-only after: a network that does not shape-infer is no
-// executor, so every step of one that exists has a cost and a shape.
+// float tensor codec on the wire. It is the network's own plan, read when
+// the executor is built: a network was admitted when it was made, so every
+// step has a cost and a shape.
 type graph struct {
 	in    []int
 	costs []nn.LayerCost // one per step
@@ -84,11 +84,8 @@ func (g *graph) init(net *nn.Network) error {
 	if net == nil || len(net.Layers()) == 0 {
 		return fmt.Errorf("exec: model has no layers")
 	}
-	costs, err := net.Summary()
-	if err != nil {
-		return fmt.Errorf("exec: %w", err)
-	}
-	g.in, g.costs = net.InputShape, costs
+	g.in = net.InputShape
+	g.costs, _ = net.Summary() // the kept plan; it cannot fail
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,46 +12,52 @@ import (
 	"tinymlops/internal/tensor"
 )
 
-// nonChaining is a network every layer of which is well-formed and whose
-// shapes do not chain: a 4-wide input into a 5-wide dense layer. The TMLN1
-// decoder checks each layer against its own tensors only, so this is what a
-// decoded artifact can look like when it reaches a constructor.
-func nonChaining() *nn.Network {
-	return nn.NewNetwork([]int{4}, nn.NewDense(5, 2, tensor.NewRNG(1)), nn.NewReLU())
+// nonChaining is golden.tmln with its input width patched from 6 to 8: every
+// layer is well-formed against its own tensors, and the flattened map no
+// longer fits the first dense layer. It is what a non-chaining artifact
+// looks like on the wire; the decoder refuses it, so no executor sees it.
+func nonChaining(golden []byte) []byte {
+	data := append([]byte(nil), golden...)
+	binary.LittleEndian.PutUint32(data[len("TMLN1\n")+4+8:], 8) // [1 6 6] → [1 6 8]
+	return data
 }
 
 // FuzzExecutorBuild decodes arbitrary bytes as a TMLN1 artifact and hands
-// the network to every network executor. Geometry is a build-time fact, so
-// each constructor either refuses, or returns an executor that has a cost
-// per step and serves a row of its declared shape whole and split at every
-// cut it allows, bit-identically, without panicking. Before the cost list
-// was resolved at build, Float accepted nonChaining and panicked in the
-// dense kernel on the first whole pass.
+// the network to every network executor. A network that decodes was
+// admitted — its shapes chain — so each constructor either refuses (the
+// integer runtime may lack a kernel), or returns an executor that has a
+// cost per step and serves a row of its declared shape whole and split at
+// every cut it allows, bit-identically, without panicking. Before the
+// decoder admitted networks, nonChaining decoded, and each executor had to
+// refuse it; before executors resolved their costs at build, Float accepted
+// it and panicked in the dense kernel on the first whole pass.
 func FuzzExecutorBuild(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("..", "nn", "testdata", "golden.tmln"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(golden)
-	for _, net := range []*nn.Network{nonChaining(), conformanceModel()} {
-		data, err := net.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
+	if _, err := nn.UnmarshalNetwork(nonChaining(golden)); err == nil {
+		f.Fatal("the decoder admitted a network whose shapes do not chain")
+	}
+	conformance, err := conformanceModel().MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, data := range [][]byte{golden, nonChaining(golden), conformance} {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, err := nn.UnmarshalNetwork(data)
 		if err != nil {
-			return
+			return // refused by the decoder
 		}
 		// Keep the fuzzer from asking for gigabytes: a small declared input
-		// and, where the shapes chain, small activations.
+		// and small activations.
 		const maxFloats = 1 << 14
 		if Width(net.InputShape) > maxFloats {
 			return
 		}
-		costs, chainErr := net.Summary()
+		costs, _ := net.Summary()
 		for _, c := range costs {
 			if c.Info.ActivationFloats > maxFloats {
 				return
@@ -65,15 +72,15 @@ func FuzzExecutorBuild(f *testing.F) {
 			{"int4", func() (Executor, error) { return Quant(net, quant.Int4) }},
 		} {
 			ex, err := b.build()
-			if chainErr != nil || len(costs) == 0 {
+			if len(costs) == 0 {
 				if err == nil {
-					t.Fatalf("%s: executor built over a network that does not shape-infer (%v)", b.name, chainErr)
+					t.Fatalf("%s: executor built over a network with no layers", b.name)
 				}
 				continue
 			}
 			if err != nil {
 				if b.name == "float" {
-					t.Fatalf("float: refused a network that shape-infers: %v", err)
+					t.Fatalf("float: refused an admitted network: %v", err)
 				}
 				continue // the integer runtime may lack a kernel for a kind
 			}

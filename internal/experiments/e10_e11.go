@@ -70,10 +70,7 @@ func RunE10(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	macs, err := net.TotalMACs()
-	if err != nil {
-		return err
-	}
+	macs := net.TotalMACs()
 	full := encl.PlanFullEnclave(macs)
 	slalom, err := encl.PlanSlalom(macs, macs/10)
 	if err != nil {

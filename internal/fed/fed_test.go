@@ -446,15 +446,21 @@ func TestCoordinatorValidation(t *testing.T) {
 		name    string
 		global  *nn.Network
 		clients []*Client
+		testX   *tensor.Tensor
+		testY   []int
 	}{
-		{"no clients", net, nil},
-		{"nil global", nil, clients},
-		{"nil client", net, []*Client{clients[0], nil}},
-		{"nil client data", net, []*Client{clients[0], {ID: "v-empty"}}},
-		{"duplicate client IDs", net, []*Client{clients[0], clients[1], clients[0]}},
+		{"no clients", net, nil, nil, nil},
+		{"nil global", nil, clients, nil, nil},
+		{"nil client", net, []*Client{clients[0], nil}, nil, nil},
+		{"nil client data", net, []*Client{clients[0], {ID: "v-empty"}}, nil, nil},
+		{"duplicate client IDs", net, []*Client{clients[0], clients[1], clients[0]}, nil, nil},
+		// Both used to pass, and the round's evaluation then panicked the
+		// process (shape) or indexed past the labels (count).
+		{"mis-shaped test set", net, clients, tensor.New(10, 5), make([]int, 10)},
+		{"test rows without labels", net, clients, tensor.New(10, 4), make([]int, 9)},
 	}
 	for _, c := range cases {
-		if _, err := NewCoordinator(c.global, c.clients, nil, nil, Config{}); err == nil {
+		if _, err := NewCoordinator(c.global, c.clients, c.testX, c.testY, Config{}); err == nil {
 			t.Fatalf("%s: constructor accepted it", c.name)
 		}
 	}

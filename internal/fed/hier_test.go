@@ -273,6 +273,8 @@ func TestHierCoordinatorValidation(t *testing.T) {
 	clients := MakeClients(ds, shards, "v")
 	mislabeled := MakeClients(ds, shards, "m")
 	mislabeled[2].Data.Y[len(mislabeled[2].Data.Y)-1] = 2 // two classes: [0,2)
+	wide := MakeClients(ds, shards, "w")
+	wide[2].Data = dataset.Blobs(rng, wide[2].Data.Len(), 5, 2, 3) // the model takes 4 features
 	cases := []struct {
 		name    string
 		global  *nn.Network
@@ -290,6 +292,7 @@ func TestHierCoordinatorValidation(t *testing.T) {
 		{"duplicate client IDs", net, []*Client{clients[0], clients[0]}, HierConfig{Aggregators: 1}, ""},
 		{"nil client", net, []*Client{clients[0], nil}, HierConfig{Aggregators: 1}, ""},
 		{"label out of range", net.Clone(), mislabeled, HierConfig{Aggregators: 2}, mislabeled[2].ID},
+		{"wrong example width", net.Clone(), wide, HierConfig{Aggregators: 2}, wide[2].ID},
 	}
 	for _, c := range cases {
 		hc, err := NewHierCoordinator(c.global, c.clients, nil, nil, c.cfg)

@@ -120,9 +120,6 @@ func SemiSupervisedRound(global *nn.Network, unlabeled *tensor.Tensor, threshold
 }
 
 func outputClasses(net *nn.Network) int {
-	shape, err := net.OutputShape()
-	if err != nil || len(shape) == 0 {
-		return 0
-	}
+	shape := net.OutputShape()
 	return shape[len(shape)-1]
 }

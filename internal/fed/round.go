@@ -2,6 +2,7 @@ package fed
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"tinymlops/internal/engine"
@@ -66,6 +67,10 @@ func New(global *nn.Network, clients []*Client, testX *tensor.Tensor, testY []in
 	}
 	if cfg.Aggregators == 0 && (cfg.SecureAgg || cfg.AggFaults != nil) {
 		return nil, fmt.Errorf("fed: secure aggregation and aggregator faults need an edge tier")
+	}
+	if testX != nil && (!slices.Equal(testX.Shape()[1:], global.InputShape) || testX.Dim(0) != len(testY)) {
+		return nil, fmt.Errorf("fed: test set %v with %d labels does not fit a model over [n %v]",
+			testX.Shape(), len(testY), global.InputShape)
 	}
 	seen := make(map[string]bool, len(clients))
 	for _, c := range clients {

@@ -1,15 +1,10 @@
 package nn
 
-import (
-	"fmt"
-	"slices"
-
-	"tinymlops/internal/tensor"
-)
+import "tinymlops/internal/tensor"
 
 // inferInto is the stateless kernel behind Network.ForwardBatch: write
 // the inference-mode (train=false) output for x into dst without touching
-// any layer state. dst has shape [batch, Describe(in).OutShape...] and may
+// any layer state. dst has shape [batch, the layer's planned output...] and may
 // hold stale values from a previous call, so implementations must write
 // every element. Because the contract forbids state writes, any number of
 // goroutines may drive the fast path through one shared network.
@@ -20,8 +15,8 @@ type inferInto interface {
 // Scratch holds the compiled batch program (see fuse.go) behind
 // Network.ForwardBatch, and with it every activation buffer the pass
 // writes. One Scratch serves one goroutine and one network; the program is
-// compiled on first use and reused while batch size and input shape
-// repeat, so a steady-state inference loop allocates nothing at all.
+// compiled on first use and reused while the batch size repeats, so a
+// steady-state inference loop allocates nothing at all.
 type Scratch struct {
 	prog    *program
 	progNet *Network
@@ -44,21 +39,17 @@ func NewScratch() *Scratch { return &Scratch{} }
 // — the property the fleet engine relies on to serve thousands of
 // simulated devices from one model.
 //
-// An input whose per-example shape does not fit the network, or a layer of
-// a kind the compiler has no kernel for, is a caller bug and panics;
-// internal/exec checks query shapes before it calls here.
+// An input whose per-example shape is not InputShape is a caller bug and
+// panics before any kernel runs; internal/exec checks query shapes before
+// it calls here.
 func (n *Network) ForwardBatch(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
+	n.enter(x)
 	if s == nil {
 		s = NewScratch()
 	}
-	// Recompile only when the (network, batch, shape) triple changed.
-	if p := s.prog; p == nil || s.progNet != n || p.batch != x.Dim(0) ||
-		!slices.Equal(p.inShape, x.Shape()[1:]) {
-		p, err := n.compileBatch(x.Dim(0), x.Shape()[1:])
-		if err != nil {
-			panic(fmt.Sprintf("nn: ForwardBatch on input %v: %v", x.Shape(), err))
-		}
-		s.prog, s.progNet = p, n
+	// Recompile only when the network or the batch size changed.
+	if s.prog == nil || s.progNet != n || s.prog.batch != x.Dim(0) {
+		s.prog, s.progNet = n.compileBatch(x.Dim(0)), n
 	}
 	return s.prog.run(x)
 }

@@ -21,11 +21,9 @@ type Conv2D struct {
 	dcols     *tensor.Tensor   // backward scratch: one example's Wᵀ·g
 }
 
-// NewConv2D returns a convolution layer with He-initialized kernels.
+// NewConv2D returns a convolution layer with He-initialized kernels. Its
+// geometry is checked where a network is made (Describe).
 func NewConv2D(inC, outC, kh, kw, stride, pad int, rng *tensor.RNG) *Conv2D {
-	if stride < 1 {
-		panic("nn: conv2d stride must be >= 1")
-	}
 	fanIn := inC * kh * kw
 	std := float32(math.Sqrt(2.0 / float64(fanIn)))
 	w := tensor.Randn(rng, std, outC, fanIn)
@@ -53,13 +51,7 @@ func (c *Conv2D) convolve(dst, x *tensor.Tensor, n int, g tensor.Window, cols, y
 
 // Forward implements Layer, keeping each example's im2col matrix for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 || x.Dim(1) != c.InC {
-		panic(fmt.Sprintf("nn: conv2d(%d→%d) got input shape %v", c.InC, c.OutC, x.Shape()))
-	}
 	g := c.window(x.Dim(2), x.Dim(3))
-	if err := g.Check(); err != nil {
-		panic(fmt.Sprintf("nn: conv2d: %v", err))
-	}
 	oh, ow := g.Out()
 	c.lastInput = x
 	c.lastCols = make([]*tensor.Tensor, x.Dim(0))
@@ -143,34 +135,22 @@ type MaxPool2D struct {
 }
 
 // NewMaxPool2D returns a pooling layer with window k and the given stride.
-func NewMaxPool2D(k, stride int) *MaxPool2D {
-	if k < 1 || stride < 1 {
-		panic("nn: maxpool2d window and stride must be >= 1")
-	}
-	return &MaxPool2D{K: k, Stride: stride}
-}
+// Its geometry is checked where a network is made (Describe).
+func NewMaxPool2D(k, stride int) *MaxPool2D { return &MaxPool2D{K: k, Stride: stride} }
 
 // Kind implements Layer.
 func (p *MaxPool2D) Kind() string { return "maxpool2d" }
 
-// window returns the pooling window over the whole batch x: the geometry is
-// checked per example, then the batch folds into the channel axis, so that an
+// window returns the pooling window over c [h, w] maps. A batch is pooled
+// as one window whose planes are every channel of every example, so that an
 // empty batch is zero planes and pools to an empty output.
-func (p *MaxPool2D) window(x *tensor.Tensor) tensor.Window {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("nn: maxpool2d got input shape %v", x.Shape()))
-	}
-	g := tensor.Window{C: x.Dim(1), H: x.Dim(2), W: x.Dim(3), KH: p.K, KW: p.K, Stride: p.Stride}
-	if err := g.Check(); err != nil {
-		panic(fmt.Sprintf("nn: maxpool2d: %v", err))
-	}
-	g.C *= x.Dim(0)
-	return g
+func (p *MaxPool2D) window(c, h, w int) tensor.Window {
+	return tensor.Window{C: c, H: h, W: w, KH: p.K, KW: p.K, Stride: p.Stride}
 }
 
 // Forward implements Layer: InferInto's kernel, keeping the argmax.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	g := p.window(x)
+	g := p.window(x.Dim(0)*x.Dim(1), x.Dim(2), x.Dim(3))
 	oh, ow := g.Out()
 	p.lastShape = append([]int(nil), x.Shape()...)
 	out := tensor.New(x.Dim(0), x.Dim(1), oh, ow)
@@ -182,7 +162,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // InferInto implements the ForwardBatch fast path: pooling without the
 // argmax cache Backward needs.
 func (p *MaxPool2D) InferInto(dst, x *tensor.Tensor) {
-	tensor.MaxPool(dst.Data, x.Data, p.window(x), nil)
+	tensor.MaxPool(dst.Data, x.Data, p.window(x.Dim(0)*x.Dim(1), x.Dim(2), x.Dim(3)), nil)
 }
 
 // Backward implements Layer.
@@ -202,7 +182,7 @@ func (p *MaxPool2D) Describe(in []int) (LayerInfo, error) {
 	if len(in) != 3 {
 		return LayerInfo{}, errShape("maxpool2d", []int{-1, -1, -1}, in)
 	}
-	g := tensor.Window{C: in[0], H: in[1], W: in[2], KH: p.K, KW: p.K, Stride: p.Stride}
+	g := p.window(in[0], in[1], in[2])
 	if err := g.Check(); err != nil {
 		return LayerInfo{}, fmt.Errorf("nn: maxpool2d: %w", err)
 	}

@@ -36,7 +36,7 @@ func (n *Network) TopologySignature() string {
 	b := fmt.Appendf(nil, "in%v", n.InputShape)
 	var s LayerSpec
 	for _, l := range n.layers {
-		s.load(l) //nolint:errcheck // a layer outside the table signs as its bare kind
+		s.load(l)
 		b = append(append(b, '|'), s.Kind...)
 		sep := byte('(')
 		for _, v := range s.Ints {
@@ -60,7 +60,7 @@ func (n *Network) stateTensors() []*tensor.Tensor {
 	var s LayerSpec
 	var out []*tensor.Tensor
 	for _, l := range n.layers {
-		s.load(l) //nolint:errcheck // a layer outside the table has no state
+		s.load(l)
 		out = append(out, s.Tensors...)
 	}
 	return out

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"tinymlops/internal/tensor"
@@ -42,9 +41,6 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // InferInto implements the ForwardBatch fast path: dst = xW + b with no
 // allocation and no backward cache.
 func (d *Dense) InferInto(dst, x *tensor.Tensor) {
-	if x.Rank() != 2 || x.Dim(1) != d.In {
-		panic(fmt.Sprintf("nn: dense(%d→%d) got input shape %v", d.In, d.Out, x.Shape()))
-	}
 	tensor.MatMulInto(dst, x, d.W.Value)
 	dst.AddRowVector(d.B.Value)
 }

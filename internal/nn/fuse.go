@@ -1,14 +1,10 @@
 package nn
 
-import (
-	"fmt"
-
-	"tinymlops/internal/tensor"
-)
+import "tinymlops/internal/tensor"
 
 // This file implements the compiled batch program behind
-// Network.ForwardBatch: the layer list is lowered once per (batch, input
-// shape) into a list of steps whose buffers, workspace headers and fusion
+// Network.ForwardBatch: the layer list is lowered once per batch size into
+// a list of steps whose buffers, workspace headers and fusion
 // decisions are all resolved ahead of time, so running the program in the
 // steady state allocates nothing. Dense layers absorb a following
 // BatchNorm1D (frozen statistics) and elementwise activations into a
@@ -44,12 +40,11 @@ type bstep struct {
 	flatHdr  *tensor.Tensor // stepFlatten: [b, per] view, data rebound per run
 }
 
-// program is a network lowered for one (batch, per-example input shape)
-// pair. It is owned by a Scratch, so one program serves one goroutine.
+// program is a network lowered for one batch size. It is owned by a
+// Scratch, so one program serves one goroutine.
 type program struct {
-	batch   int
-	inShape []int
-	steps   []*bstep
+	batch int
+	steps []*bstep
 }
 
 // absorbTail fuses into st the layers after layers[i] that can run in place
@@ -75,53 +70,46 @@ func absorbTail(st *bstep, layers []Layer, i, width int) int {
 	return i
 }
 
-// compileBatch lowers the network for a batch of b examples shaped in.
-// Every layer's Describe checks its input shape on the way, so a program
-// that compiles cannot hit a shape panic inside a kernel.
-func (n *Network) compileBatch(b int, in []int) (*program, error) {
-	p := &program{batch: b, inShape: append([]int(nil), in...)}
-	cur := p.inShape
+// compileBatch lowers the network for a batch of b examples. Every shape
+// and window it sizes a buffer by is read off the plan Assemble kept, which
+// is also why a compiled program cannot hit a shape panic inside a kernel.
+// Every kind of the table runs: fused below, or as a plain step through its
+// InferInto.
+func (n *Network) compileBatch(b int) *program {
+	p := &program{batch: b}
+	cur := n.InputShape
 	layers := n.layers
 	for i := 0; i < len(layers); i++ {
-		info, err := layers[i].Describe(cur)
-		if err != nil {
-			return nil, fmt.Errorf("layer %d (%s): %w", i, layers[i].Kind(), err)
-		}
+		out := n.plan[i].Info.OutShape
 		switch l := layers[i].(type) {
 		case *Dropout:
 			// Inverted dropout is the identity at inference time.
 		case *Flatten:
-			p.steps = append(p.steps, &bstep{kind: stepFlatten, flatHdr: tensor.New(b, info.OutShape[0])})
+			p.steps = append(p.steps, &bstep{kind: stepFlatten, flatHdr: tensor.New(b, out[0])})
 		case *Dense:
 			st := &bstep{kind: stepDense, dense: l, dst: tensor.New(b, l.Out)}
 			i = absorbTail(st, layers, i, l.Out)
 			p.steps = append(p.steps, st)
 		case *Conv2D:
 			g := l.window(cur[1], cur[2])
-			positions := info.OutShape[1] * info.OutShape[2]
+			positions := out[1] * out[2]
 			st := &bstep{
 				kind: stepConv, conv: l, win: g,
-				dst:  tensor.New(append([]int{b}, info.OutShape...)...),
+				dst:  tensor.New(append([]int{b}, out...)...),
 				cols: tensor.New(g.Taps(), positions),
 				my:   tensor.New(l.OutC, positions),
 			}
 			i = absorbTail(st, layers, i, 0)
 			p.steps = append(p.steps, st)
 		default:
-			kernel, ok := l.(inferInto)
-			if !ok {
-				return nil, fmt.Errorf("layer %d (%s) has no batch kernel", i, l.Kind())
-			}
 			p.steps = append(p.steps, &bstep{
-				kind: stepPlain, plain: kernel,
-				dst: tensor.New(append([]int{b}, info.OutShape...)...),
+				kind: stepPlain, plain: l.(inferInto),
+				dst: tensor.New(append([]int{b}, out...)...),
 			})
 		}
-		// Absorbed layers are elementwise, so the fused step's output shape
-		// is the shape Describe reported for the layer that opened it.
-		cur = info.OutShape
+		cur = n.plan[i].Info.OutShape
 	}
-	return p, nil
+	return p
 }
 
 // runTail runs the step's absorbed layers in place over its output.

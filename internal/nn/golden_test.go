@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tinymlops/internal/tensor"
@@ -75,6 +77,25 @@ func TestGoldenTMLN1(t *testing.T) {
 	})
 }
 
+// nonChainingTMLN1 is golden.tmln with its input width patched from 6 to 8:
+// every layer is still well-formed against its own tensors, but the
+// flattened map is now 24 wide, and the first dense layer takes 18.
+func nonChainingTMLN1(t testing.TB) []byte {
+	data := readGolden(t, "golden.tmln")
+	binary.LittleEndian.PutUint32(data[len(netMagic)+4+8:], 8) // [1 6 6] → [1 6 8]
+	return data
+}
+
+// TestGoldenTMLN1RefusesNonChaining: admission belongs to the decoder. A
+// network whose shapes do not chain used to decode and be refused only when
+// an executor was built over it.
+func TestGoldenTMLN1RefusesNonChaining(t *testing.T) {
+	_, err := UnmarshalNetwork(nonChainingTMLN1(t))
+	if err == nil || !strings.Contains(err.Error(), "layer 4 (dense): nn: dense expects input shape [18], got [24]") {
+		t.Fatalf("UnmarshalNetwork of a non-chaining artifact: %v", err)
+	}
+}
+
 func TestGoldenTMLD1(t *testing.T) {
 	want := readGolden(t, "golden.tmld")
 	base, target := goldenNet(), goldenHeadUpdate()
@@ -114,8 +135,9 @@ func TestGoldenTMLD1(t *testing.T) {
 }
 
 // FuzzUnmarshalNetwork feeds arbitrary bytes to the TMLN1 decoder: it
-// must reject with an error and never panic, and whatever it accepts must
-// re-marshal to bytes that decode back to those same bytes.
+// must reject with an error and never panic, whatever it accepts must carry
+// a plan entry per layer, and re-marshal to bytes that decode back to those
+// same bytes.
 func FuzzUnmarshalNetwork(f *testing.F) {
 	golden := readGolden(f, "golden.tmln")
 	f.Add(golden)
@@ -127,6 +149,9 @@ func FuzzUnmarshalNetwork(f *testing.F) {
 		net, err := UnmarshalNetwork(data)
 		if err != nil {
 			return
+		}
+		if plan, _ := net.Summary(); len(plan) != len(net.Layers()) {
+			t.Fatalf("decoded %d layers with a plan of %d", len(net.Layers()), len(plan))
 		}
 		first, err := net.MarshalBinary()
 		if err != nil {

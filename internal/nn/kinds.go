@@ -22,21 +22,22 @@ type LayerSpec struct {
 
 // kindRow is one layer kind: the exchange-document attribute names of its
 // config and tensors in TMLN1 order, how to take a layer of the kind apart
-// (appending to a cleared spec; false when l is some other type), and the
-// one constructor that puts it back together. build may assume the three
-// counts are right and no tensor is nil; everything else about the spec is
-// its to check. It keeps the tensors but none of the spec's slices.
+// (appending to a cleared spec; false when l is some other type), the
+// validation a spec must pass, and the constructor that puts a valid one
+// back together. check and build may assume the three counts are right and
+// no tensor is nil; build keeps the tensors but none of the spec's slices.
 type kindRow struct {
 	kind                  string
 	ints, floats, tensors []string
 	open                  func(l Layer, s *LayerSpec) bool
-	build                 func(s LayerSpec) (Layer, error)
+	check                 func(s LayerSpec) error
+	build                 func(s LayerSpec) Layer
 }
 
 // row fills a kindRow for the concrete layer type T.
 func row[T Layer](kind string, ints, floats, tensors []string,
-	open func(T, *LayerSpec), build func(LayerSpec) (Layer, error)) kindRow {
-	return kindRow{kind: kind, ints: ints, floats: floats, tensors: tensors, build: build,
+	open func(T, *LayerSpec), check func(LayerSpec) error, build func(LayerSpec) Layer) kindRow {
+	return kindRow{kind: kind, ints: ints, floats: floats, tensors: tensors, check: check, build: build,
 		open: func(l Layer, s *LayerSpec) bool {
 			v, ok := l.(T)
 			if ok {
@@ -49,7 +50,7 @@ func row[T Layer](kind string, ints, floats, tensors []string,
 // bare is the row of a kind with no config and no state.
 func bare[T Layer](kind string, build func() T) kindRow {
 	return row(kind, nil, nil, nil, func(T, *LayerSpec) {},
-		func(LayerSpec) (Layer, error) { return build(), nil })
+		func(LayerSpec) error { return nil }, func(LayerSpec) Layer { return build() })
 }
 
 // kindRows is the layer-kind table. A new kind is one row here, its
@@ -60,35 +61,31 @@ var kindRows = []kindRow{
 			s.Ints = append(s.Ints, d.In, d.Out)
 			s.Tensors = append(s.Tensors, d.W.Value, d.B.Value)
 		},
-		func(s LayerSpec) (Layer, error) {
+		func(s LayerSpec) error {
 			in, out := s.Ints[0], s.Ints[1]
-			if err := s.check(in >= 1 && out >= 1, []int{in, out}, []int{out}); err != nil {
-				return nil, err
-			}
-			return &Dense{In: in, Out: out, W: newParam("weight", s.Tensors[0]), B: newParam("bias", s.Tensors[1])}, nil
+			return s.check(in >= 1 && out >= 1, []int{in, out}, []int{out})
+		},
+		func(s LayerSpec) Layer {
+			return &Dense{In: s.Ints[0], Out: s.Ints[1], W: newParam("weight", s.Tensors[0]), B: newParam("bias", s.Tensors[1])}
 		}),
 	row("conv2d", []string{"in_c", "out_c", "kh", "kw", "stride", "pad"}, nil, []string{"weight", "bias"},
 		func(c *Conv2D, s *LayerSpec) {
 			s.Ints = append(s.Ints, c.InC, c.OutC, c.KH, c.KW, c.Stride, c.Pad)
 			s.Tensors = append(s.Tensors, c.W.Value, c.B.Value)
 		},
-		func(s LayerSpec) (Layer, error) {
+		func(s LayerSpec) error {
 			inC, outC, kh, kw, stride, pad := s.Ints[0], s.Ints[1], s.Ints[2], s.Ints[3], s.Ints[4], s.Ints[5]
 			ok := geometry(1, inC, outC, kh, kw, stride) && geometry(0, pad)
-			if err := s.check(ok, []int{outC, inC * kh * kw}, []int{outC}); err != nil {
-				return nil, err
-			}
-			return &Conv2D{InC: inC, OutC: outC, KH: kh, KW: kw, Stride: stride, Pad: pad,
-				W: newParam("weight", s.Tensors[0]), B: newParam("bias", s.Tensors[1])}, nil
+			return s.check(ok, []int{outC, inC * kh * kw}, []int{outC})
+		},
+		func(s LayerSpec) Layer {
+			return &Conv2D{InC: s.Ints[0], OutC: s.Ints[1], KH: s.Ints[2], KW: s.Ints[3], Stride: s.Ints[4], Pad: s.Ints[5],
+				W: newParam("weight", s.Tensors[0]), B: newParam("bias", s.Tensors[1])}
 		}),
 	row("maxpool2d", []string{"k", "stride"}, nil, nil,
 		func(p *MaxPool2D, s *LayerSpec) { s.Ints = append(s.Ints, p.K, p.Stride) },
-		func(s LayerSpec) (Layer, error) {
-			if err := s.check(geometry(1, s.Ints...)); err != nil {
-				return nil, err
-			}
-			return &MaxPool2D{K: s.Ints[0], Stride: s.Ints[1]}, nil
-		}),
+		func(s LayerSpec) error { return s.check(geometry(1, s.Ints...)) },
+		func(s LayerSpec) Layer { return &MaxPool2D{K: s.Ints[0], Stride: s.Ints[1]} }),
 	// Eps and Momentum are config, not state: a TMLD1 delta cannot patch
 	// them, so they are part of the topology signature.
 	row("batchnorm1d", []string{"features"}, []string{"eps", "momentum"}, []string{"gamma", "beta", "mean", "var"},
@@ -97,25 +94,22 @@ var kindRows = []kindRow{
 			s.Floats = append(s.Floats, bn.Eps, bn.Momentum)
 			s.Tensors = append(s.Tensors, bn.Gamma.Value, bn.Beta.Value, bn.RunMean, bn.RunVar)
 		},
-		func(s LayerSpec) (Layer, error) {
+		func(s LayerSpec) error {
 			f := []int{s.Ints[0]}
-			if err := s.check(f[0] >= 1, f, f, f, f); err != nil {
-				return nil, err
-			}
-			return &BatchNorm1D{F: f[0], Eps: s.Floats[0], Momentum: s.Floats[1],
+			return s.check(f[0] >= 1, f, f, f, f)
+		},
+		func(s LayerSpec) Layer {
+			return &BatchNorm1D{F: s.Ints[0], Eps: s.Floats[0], Momentum: s.Floats[1],
 				Gamma: newParam("gamma", s.Tensors[0]), Beta: newParam("beta", s.Tensors[1]),
-				RunMean: s.Tensors[2], RunVar: s.Tensors[3]}, nil
+				RunMean: s.Tensors[2], RunVar: s.Tensors[3]}
 		}),
 	row("dropout", nil, []string{"p"}, nil,
 		func(d *Dropout, s *LayerSpec) { s.Floats = append(s.Floats, d.P) },
-		func(s LayerSpec) (Layer, error) {
-			p := s.Floats[0]
-			if err := s.check(p >= 0 && p < 1); err != nil {
-				return nil, err
-			}
-			d := &Dropout{P: p}
+		func(s LayerSpec) error { return s.check(s.Floats[0] >= 0 && s.Floats[0] < 1) },
+		func(s LayerSpec) Layer {
+			d := &Dropout{P: s.Floats[0]}
 			d.resetDecodeState()
-			return d, nil
+			return d
 		}),
 	bare("flatten", NewFlatten),
 	bare("relu", NewReLU),
@@ -169,14 +163,19 @@ func (s *LayerSpec) reset(kind string) {
 	*s = LayerSpec{Kind: kind, Ints: s.Ints[:0], Floats: s.Floats[:0], Tensors: s.Tensors[:0]}
 }
 
-// load resets s and fills it from l. For a layer outside the kind table it
-// sets only the kind and returns an error.
-func (s *LayerSpec) load(l Layer) error {
+// load resets s and fills it from l, and reports whether l is a layer of a
+// kind in the table; when it is not, s carries only the kind. Assemble
+// admits no other layer, so the codecs, which walk admitted networks, ignore
+// the result.
+func (s *LayerSpec) load(l Layer) bool {
 	s.reset(l.Kind())
-	if row, ok := kinds[s.Kind]; ok && row.open(l, s) {
-		return nil
-	}
-	return fmt.Errorf("nn: %T is not a layer of a known kind (%q)", l, s.Kind)
+	row, ok := kinds[s.Kind]
+	return ok && row.open(l, s)
+}
+
+// errForeign refuses a layer outside the kind table.
+func errForeign(l Layer) error {
+	return fmt.Errorf("nn: %T is not a layer of a known kind (%q)", l, l.Kind())
 }
 
 // SpecOf takes a layer apart. The spec shares the layer's tensors. For a
@@ -184,8 +183,10 @@ func (s *LayerSpec) load(l Layer) error {
 // only the kind.
 func SpecOf(l Layer) (LayerSpec, error) {
 	var s LayerSpec
-	err := s.load(l)
-	return s, err
+	if !s.load(l) {
+		return s, errForeign(l)
+	}
+	return s, nil
 }
 
 // NewLayer is the one shape-validating constructor behind every model
@@ -207,7 +208,10 @@ func NewLayer(s LayerSpec) (Layer, error) {
 			return nil, fmt.Errorf("nn: %s: tensor %q is missing", s.Kind, row.tensors[i])
 		}
 	}
-	return row.build(s)
+	if err := row.check(s); err != nil {
+		return nil, err
+	}
+	return row.build(s), nil
 }
 
 // AttrNames returns the exchange-document attribute names of a kind's

@@ -62,40 +62,37 @@ func TestKindTableRejects(t *testing.T) {
 		t.Error("NewLayer accepted a conv2d kernel height beyond the geometry cap")
 	}
 	// A layer type the table does not know — even one that claims a known
-	// kind — has no spec, does not marshal, and signs as its bare kind.
+	// kind — has no spec.
 	spec, err := SpecOf(foreignLayer{})
 	if err == nil || spec.Kind != "foreign" || spec.Ints != nil || spec.Tensors != nil {
 		t.Errorf("SpecOf(foreign) = %+v, %v", spec, err)
 	}
-	net := NewNetwork([]int{4}, NewReLU(), foreignLayer{NewReLU()})
-	if _, err := net.MarshalBinary(); err == nil {
-		t.Error("MarshalBinary encoded a layer outside the table")
-	}
-	if got := net.TopologySignature(); got != "in[4]|relu|foreign" {
-		t.Errorf("TopologySignature = %q", got)
+	// Nor is it admitted into a network: every codec, Clone and ResetFrom
+	// take an admitted network's layers apart without an error path.
+	if _, err := Assemble([]int{4}, []Layer{NewReLU(), foreignLayer{NewReLU()}}); err == nil ||
+		!strings.Contains(err.Error(), "layer 1: nn: nn.foreignLayer is not a layer of a known kind") {
+		t.Errorf("Assemble with a foreign layer: %v", err)
 	}
 }
 
-// TestForwardBatchPanicsOnMisfit pins what replaced the uncompiled
-// fallback: an input the network cannot take is reported once, at compile
-// time, naming the layer — not by whichever kernel trips over it first.
+// TestForwardBatchPanicsOnMisfit pins the one check on a batch: an input the
+// network cannot take is refused where it enters — by ForwardBatch and by
+// Forward, through one helper — naming the network's input, not by
+// whichever kernel trips over it first.
 func TestForwardBatchPanicsOnMisfit(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	net := NewNetwork([]int{4}, NewDense(4, 3, rng), NewReLU())
-	for name, c := range map[string]struct {
-		net *Network
-		in  *tensor.Tensor
-	}{
-		"wrong width":   {net, tensor.New(2, 5)},
-		"foreign layer": {NewNetwork([]int{4}, foreignLayer{NewReLU()}), tensor.New(2, 4)},
+	for name, in := range map[string]*tensor.Tensor{
+		"wrong width": tensor.New(2, 5),
+		"wrong rank":  tensor.New(2, 2, 2),
 	} {
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "layer 0") {
-					t.Errorf("%s: ForwardBatch panic = %q, want it to name layer 0", name, msg)
-				}
-			}()
-			c.net.ForwardBatch(c.in, nil)
-		}()
+		for path, run := range map[string]func(){
+			"ForwardBatch": func() { net.ForwardBatch(in, nil) },
+			"Forward":      func() { net.Forward(in, true) },
+		} {
+			if msg := panicMessage(run); !strings.Contains(msg, "takes [n [4]] at layer 0") {
+				t.Errorf("%s: %s panic = %q, want it to name the input at layer 0", name, path, msg)
+			}
+		}
 	}
 }

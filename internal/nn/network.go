@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -13,41 +12,106 @@ import (
 // quantizer derives variants from them, the federated coordinator averages
 // their flattened parameters and the verifier lifts their dense layers into
 // field arithmetic.
+//
+// A Network is admitted once, when Assemble makes it: shape inference runs
+// then, and its result — the plan, one LayerCost per layer — is kept. The
+// layer list is fixed from then on, so the plan cannot go stale, and every
+// reader (Summary, the executors, the registry, the compiler, Subnet, the
+// batch compiler) reads it instead of inferring again. Like params, the
+// plan is built eagerly, never lazily: a per-version image is one Network
+// read by many goroutines, and a first-use cache would be a write they race
+// on.
 type Network struct {
 	// InputShape is the per-example input shape (batch dimension excluded),
 	// e.g. [16] for a 16-feature MLP or [1, 16, 16] for a 1-channel image.
+	// It is read-only: the plan was inferred from it.
 	InputShape []int
 
 	layers []Layer
-	// params is every layer's Params in layer order. It is built as layers
-	// are added and never lazily: a per-version image is one Network read
-	// by many goroutines, and a first-use cache would be a write they race
-	// on.
-	params []*Param
+	params []*Param // every layer's Params, in layer order
+	plan   []LayerCost
 }
 
-// NewNetwork returns a network over the given per-example input shape.
-func NewNetwork(inputShape []int, layers ...Layer) *Network {
-	n := &Network{InputShape: append([]int(nil), inputShape...)}
-	for _, l := range layers {
-		n.Add(l)
+// Assemble is the one way a Network is made, and where it is admitted:
+// every layer must be a kind of the table in kinds.go, and the shapes must
+// chain from inputShape. Both model decoders end here, so bytes whose shapes
+// do not chain are a decode error, not a panic in a serving kernel.
+func Assemble(inputShape []int, layers []Layer) (*Network, error) {
+	return assemble(slices.Clone(inputShape), slices.Clone(layers))
+}
+
+// assemble is Assemble over slices the network may keep.
+func assemble(in []int, layers []Layer) (*Network, error) {
+	if err := checkInputShape(in); err != nil {
+		return nil, err
 	}
-	return n
+	n := &Network{InputShape: in, layers: layers, plan: make([]LayerCost, len(layers))}
+	var s LayerSpec // reused: only whether load succeeds is wanted
+	for i, l := range layers {
+		if !s.load(l) {
+			return nil, fmt.Errorf("nn: layer %d: %w", i, errForeign(l))
+		}
+		info, err := l.Describe(in)
+		if err != nil {
+			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, l.Kind(), err)
+		}
+		n.plan[i] = LayerCost{Index: i, Kind: l.Kind(), Info: info}
+		n.params = append(n.params, l.Params()...)
+		in = info.OutShape
+	}
+	return n, nil
 }
 
-// Add appends a layer and returns the network for chaining.
-func (n *Network) Add(l Layer) *Network {
-	n.layers = append(n.layers, l)
-	n.params = append(n.params, l.Params()...)
+// maxInputElements caps the per-example input size a network accepts: the
+// element cap of the tensor codec, since no larger input could be carried.
+const maxInputElements = 1 << 28
+
+// checkInputShape rejects a declared input shape no query could have: no
+// dimension at all, a dimension below one, or more elements than
+// maxInputElements.
+func checkInputShape(shape []int) error {
+	total, ok := 1, len(shape) > 0
+	for _, d := range shape {
+		// Checked per dimension, before multiplying: a product of large
+		// dimensions would wrap around to a small count.
+		if d < 1 || d > maxInputElements/total {
+			ok = false
+			break
+		}
+		total *= d
+	}
+	if !ok {
+		return fmt.Errorf("nn: implausible input shape %v", shape)
+	}
+	return nil
+}
+
+// NewNetwork is Assemble for a network built in code, where layers that do
+// not fit together are a programmer error: it panics with Assemble's error.
+func NewNetwork(inputShape []int, layers ...Layer) *Network {
+	n, err := Assemble(inputShape, layers)
+	if err != nil {
+		panic(err.Error())
+	}
 	return n
 }
 
 // Layers returns the layer list (shared, do not mutate).
 func (n *Network) Layers() []Layer { return n.layers }
 
+// enter is the one shape check on a batch: x must be [batch, InputShape...].
+// Past it every layer sees the shape Assemble admitted for it, so no kernel
+// checks again. A batch that does not fit is a caller bug and panics here.
+func (n *Network) enter(x *tensor.Tensor) {
+	if !slices.Equal(x.Shape()[1:], n.InputShape) {
+		panic(fmt.Sprintf("nn: input %v does not fit the network, which takes [n %v] at layer 0", x.Shape(), n.InputShape))
+	}
+}
+
 // Forward runs the network on a batch. train toggles training behaviour
 // (dropout, batch-norm statistics).
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	n.enter(x)
 	for _, l := range n.layers {
 		x = l.Forward(x, train)
 	}
@@ -134,50 +198,29 @@ type LayerCost struct {
 	Info  LayerInfo
 }
 
-// Summary performs a shape-inference pass from InputShape and returns
-// per-layer costs. It is the bridge to the device cost model: MACs and
-// activation sizes feed latency/energy/memory estimates.
-func (n *Network) Summary() ([]LayerCost, error) {
-	if err := checkInputShape(n.InputShape); err != nil {
-		return nil, err
-	}
-	in := append([]int(nil), n.InputShape...)
-	out := make([]LayerCost, 0, len(n.layers))
-	for i, l := range n.layers {
-		info, err := l.Describe(in)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, l.Kind(), err)
-		}
-		out = append(out, LayerCost{Index: i, Kind: l.Kind(), Info: info})
-		in = info.OutShape
-	}
-	return out, nil
-}
+// Summary returns the plan: per layer, the per-example output shape and
+// costs Assemble inferred. It is the bridge to the device cost model: MACs
+// and activation sizes feed latency/energy/memory estimates. The list is
+// shared and read-only. The error is always nil — inference ran, and
+// succeeded, when the network was made — and stays in the signature only
+// because the benchmark harness (bench/offload.go) calls it that way.
+func (n *Network) Summary() ([]LayerCost, error) { return n.plan, nil }
 
-// TotalMACs returns the per-example multiply-accumulate count, or an error
-// if shape inference fails.
-func (n *Network) TotalMACs() (int64, error) {
-	cs, err := n.Summary()
-	if err != nil {
-		return 0, err
-	}
+// TotalMACs returns the per-example multiply-accumulate count.
+func (n *Network) TotalMACs() int64 {
 	var total int64
-	for _, c := range cs {
+	for _, c := range n.plan {
 		total += c.Info.MACs
 	}
-	return total, nil
+	return total
 }
 
-// OutputShape returns the per-example output shape.
-func (n *Network) OutputShape() ([]int, error) {
-	cs, err := n.Summary()
-	if err != nil {
-		return nil, err
+// OutputShape returns the per-example output shape (shared, read-only).
+func (n *Network) OutputShape() []int {
+	if len(n.plan) == 0 {
+		return n.InputShape
 	}
-	if len(cs) == 0 {
-		return append([]int(nil), n.InputShape...), nil
-	}
-	return cs[len(cs)-1].Info.OutShape, nil
+	return n.plan[len(n.plan)-1].Info.OutShape
 }
 
 // OpKinds returns the set of operator kinds the network uses; the
@@ -194,18 +237,22 @@ func (n *Network) OpKinds() []string {
 	return out
 }
 
-// Clone returns a deep copy of the network (architecture and weights) by
-// round-tripping through the binary serialization. A caller that needs one
-// independent copy after another of the same model — the federated
+// Clone returns a deep copy of the network: each layer is taken apart
+// through the kind table and rebuilt by its constructor over copies of its
+// tensors, as a decoder would rebuild it — a dropout layer's mask stream
+// restarts. The copy shares the source's read-only plan. A caller that needs
+// one independent copy after another of the same model — the federated
 // simulator, once per client — clones once and uses ResetFrom after that.
 func (n *Network) Clone() *Network {
-	data, err := n.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("nn: Clone marshal: %v", err))
-	}
-	c, err := UnmarshalNetwork(data)
-	if err != nil {
-		panic(fmt.Sprintf("nn: Clone unmarshal: %v", err))
+	c := &Network{InputShape: n.InputShape, layers: make([]Layer, len(n.layers)), plan: n.plan}
+	var s LayerSpec
+	for i, l := range n.layers {
+		s.load(l)
+		for j, t := range s.Tensors {
+			s.Tensors[j] = t.Clone()
+		}
+		c.layers[i] = kinds[s.Kind].build(s)
+		c.params = append(c.params, c.layers[i].Params()...)
 	}
 	return c
 }
@@ -232,9 +279,8 @@ func (n *Network) ResetFrom(src *Network) error {
 	}
 	var dst, from LayerSpec
 	for i, l := range n.layers {
-		if err := errors.Join(dst.load(l), from.load(src.layers[i])); err != nil {
-			return fmt.Errorf("nn: ResetFrom layer %d: %w", i, err)
-		}
+		dst.load(l)
+		from.load(src.layers[i])
 		if dst.Kind != from.Kind || !slices.Equal(dst.Ints, from.Ints) || !slices.Equal(dst.Floats, from.Floats) {
 			return fmt.Errorf("nn: ResetFrom layer %d: %s%v%v, source has %s%v%v",
 				i, dst.Kind, dst.Ints, dst.Floats, from.Kind, from.Ints, from.Floats)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -226,6 +227,25 @@ func TestTrainRejectsOutOfRangeLabel(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsWrongExampleWidth: examples the network cannot take are
+// input from outside too, so Train returns an error before any step — it
+// used to panic in the first layer, and inside an engine task name no
+// client.
+func TestTrainRejectsWrongExampleWidth(t *testing.T) {
+	rng := tensor.NewRNG(10)
+	net := NewNetwork([]int{4}, NewDense(4, 2, rng))
+	before := net.FlatParams()
+	_, err := Train(net, tensor.Randn(rng, 1, 10, 5), make([]int, 10), TrainConfig{Optimizer: NewSGD(0.1), RNG: rng})
+	if err == nil || !strings.Contains(err.Error(), "examples shaped [5], the network takes [4]") {
+		t.Fatalf("err = %v, want a refusal of 5-wide examples", err)
+	}
+	for i, v := range net.FlatParams() {
+		if math.Float32bits(v) != math.Float32bits(before[i]) {
+			t.Fatalf("parameter %d moved before the examples were refused", i)
+		}
+	}
+}
+
 func TestAdamConvergesFasterThanPlainsSGDOnRosenbrockLikeTask(t *testing.T) {
 	// Tiny regression sanity check: Adam reduces loss on a fixed batch.
 	rng := tensor.NewRNG(9)
@@ -289,13 +309,34 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestCloneIsIndependent: for every layer kind, a clone — rebuilt through
+// the kind table, not the codec — serializes to the source's bytes, and
+// writing every state tensor of the clone leaves the source's bytes as they
+// were.
 func TestCloneIsIndependent(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	net := NewNetwork([]int{4}, NewDense(4, 4, rng))
-	clone := net.Clone()
-	net.Params()[0].Value.Data[0] += 100
-	if clone.Params()[0].Value.Data[0] == net.Params()[0].Value.Data[0] {
-		t.Fatal("clone shares weight storage with original")
+	for kind, fx := range kindFixtures(tensor.NewRNG(11)) {
+		src := marshalOrDie(t, fx.net)
+		clone := fx.net.Clone()
+		if !bytes.Equal(marshalOrDie(t, clone), src) {
+			t.Fatalf("%s: the clone does not serialize to the source's bytes", kind)
+		}
+		for _, l := range clone.Layers() {
+			spec, err := SpecOf(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range spec.Tensors {
+				for i := range st.Data {
+					st.Data[i] += 1
+				}
+			}
+		}
+		if !bytes.Equal(marshalOrDie(t, fx.net), src) {
+			t.Fatalf("%s: writing the clone's state moved the source", kind)
+		}
+		if bytes.Equal(marshalOrDie(t, clone), src) {
+			t.Fatalf("%s: the clone's state was not written", kind)
+		}
 	}
 }
 
@@ -343,27 +384,33 @@ func TestSummaryAndMACs(t *testing.T) {
 	if got := cs[2].Info.OutShape[0]; got != 32 {
 		t.Fatalf("flatten out = %d, want 32", got)
 	}
-	total, err := net.TotalMACs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 1152+320 {
+	if total := net.TotalMACs(); total != 1152+320 {
 		t.Fatalf("TotalMACs = %d", total)
 	}
-	outShape, err := net.OutputShape()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outShape) != 1 || outShape[0] != 10 {
+	if outShape := net.OutputShape(); len(outShape) != 1 || outShape[0] != 10 {
 		t.Fatalf("OutputShape = %v", outShape)
 	}
 }
 
+// panicMessage runs f and returns what it panicked with ("<nil>": nothing).
+func panicMessage(f func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	f()
+	return
+}
+
+// TestSummaryReportsShapeErrors: shapes are inferred when a network is made,
+// so a layer list that does not chain is refused there — an error from
+// Assemble, a panic naming the layer from NewNetwork — and never reaches
+// Summary.
 func TestSummaryReportsShapeErrors(t *testing.T) {
 	rng := tensor.NewRNG(14)
-	net := NewNetwork([]int{5}, NewDense(4, 2, rng)) // mismatched input
-	if _, err := net.Summary(); err == nil {
-		t.Fatal("Summary accepted mismatched shapes")
+	if _, err := Assemble([]int{5}, []Layer{NewDense(4, 2, rng)}); err == nil {
+		t.Fatal("Assemble accepted mismatched shapes")
+	}
+	msg := panicMessage(func() { NewNetwork([]int{5}, NewDense(4, 2, rng)) })
+	if !strings.Contains(msg, "layer 0 (dense): nn: dense expects input shape [4], got [5]") {
+		t.Fatalf("NewNetwork over mismatched shapes: %s", msg)
 	}
 }
 
@@ -371,31 +418,23 @@ func TestSummaryReportsShapeErrors(t *testing.T) {
 // zero, so at stride 2 a 3×3 window over a 2×2 map used to count as one
 // output — Summary, MarshalBinary and UnmarshalNetwork passed, and
 // ForwardBatch indexed past the map (pool) or convolved one partial window
-// (conv). Padding that makes the kernel fit is still accepted. Forward, which
-// never asks Summary, used to index out of range (pool) or return the partial
-// window's logits (conv); it panics with tensor.Window.Check's refusal.
+// (conv). Such a network cannot be made now: NewNetwork panics with
+// tensor.Window.Check's refusal. Padding that makes the kernel fit is still
+// accepted.
 func TestSummaryRejectsWindowLargerThanMap(t *testing.T) {
 	rng := tensor.NewRNG(14)
-	refusal := func(net *Network) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		net.Predict(tensor.New(append([]int{1}, net.InputShape...)...))
-		return
-	}
-	for name, net := range map[string]*Network{
-		"maxpool2d": NewNetwork([]int{1, 2, 2}, NewMaxPool2D(3, 2), NewFlatten()),
-		"conv2d":    NewNetwork([]int{1, 2, 2}, NewConv2D(1, 1, 3, 3, 2, 0, rng), NewFlatten()),
-		"conv2d-w":  NewNetwork([]int{1, 4, 2}, NewConv2D(1, 1, 3, 3, 2, 0, rng), NewFlatten()),
+	for name, build := range map[string]func(){
+		"maxpool2d": func() { NewNetwork([]int{1, 2, 2}, NewMaxPool2D(3, 2), NewFlatten()) },
+		"conv2d":    func() { NewNetwork([]int{1, 2, 2}, NewConv2D(1, 1, 3, 3, 2, 0, rng), NewFlatten()) },
+		"conv2d-w":  func() { NewNetwork([]int{1, 4, 2}, NewConv2D(1, 1, 3, 3, 2, 0, rng), NewFlatten()) },
 	} {
-		if cs, err := net.Summary(); err == nil {
-			t.Errorf("%s: Summary inferred %v for a window larger than its map", name, cs[0].Info.OutShape)
-		}
-		if msg := refusal(net); !strings.Contains(msg, "does not fit") {
-			t.Errorf("%s: Predict on a window larger than its map: %s", name, msg)
+		if msg := panicMessage(build); !strings.Contains(msg, "does not fit") {
+			t.Errorf("%s: NewNetwork over a window larger than its map: %s", name, msg)
 		}
 	}
 	padded := NewNetwork([]int{1, 2, 2}, NewConv2D(1, 1, 3, 3, 2, 1, rng), NewFlatten())
-	if _, err := padded.Summary(); err != nil {
-		t.Fatalf("3×3 kernel over a 2×2 map padded to 4×4: %v", err)
+	if cs, _ := padded.Summary(); cs[1].Info.OutShape[0] != 1 {
+		t.Fatalf("3×3 kernel over a 2×2 map padded to 4×4: plan %v", cs)
 	}
 	if out := padded.ForwardBatch(tensor.New(1, 1, 2, 2), nil); out.Size() != 1 {
 		t.Fatalf("padded convolution produced %v", out.Shape())

@@ -40,9 +40,6 @@ func (bn *BatchNorm1D) Kind() string { return "batchnorm1d" }
 
 // Forward implements Layer.
 func (bn *BatchNorm1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 2 || x.Dim(1) != bn.F {
-		panic(fmt.Sprintf("nn: batchnorm1d(%d) got input shape %v", bn.F, x.Shape()))
-	}
 	b := x.Dim(0)
 	out := tensor.New(b, bn.F)
 	if !train {
@@ -81,9 +78,6 @@ func (bn *BatchNorm1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // InferInto implements the ForwardBatch fast path: normalization with the
 // frozen running statistics, no batch-statistic updates.
 func (bn *BatchNorm1D) InferInto(dst, x *tensor.Tensor) {
-	if x.Rank() != 2 || x.Dim(1) != bn.F {
-		panic(fmt.Sprintf("nn: batchnorm1d(%d) got input shape %v", bn.F, x.Shape()))
-	}
 	b := x.Dim(0)
 	for j := 0; j < bn.F; j++ {
 		inv := 1 / float32(math.Sqrt(float64(bn.RunVar.Data[j]+bn.Eps)))

@@ -136,8 +136,6 @@ func TestResetFromRejectsAnotherTopology(t *testing.T) {
 		"floats": NewNetwork([]int{6}, NewDense(6, 8, rng), eps, NewDropout(0.3, rng), NewDense(8, 3, rng)),
 		"p":      NewNetwork([]int{6}, NewDense(6, 8, rng), NewBatchNorm1D(8), NewDropout(0.5, rng), NewDense(8, 3, rng)),
 		"tensor": NewNetwork([]int{6}, wide, NewBatchNorm1D(8), NewDropout(0.3, rng), NewDense(8, 3, rng)),
-		"foreign": NewNetwork([]int{6}, NewDense(6, 8, rng), foreignLayer{NewBatchNorm1D(8)}, NewDropout(0.3, rng),
-			NewDense(8, 3, rng)),
 	} {
 		if err := base().ResetFrom(other); err == nil {
 			t.Errorf("%s: ResetFrom accepted %s", name, other.TopologySignature())

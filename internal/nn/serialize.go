@@ -18,16 +18,15 @@ import (
 const netMagic = "TMLN1\n"
 
 // MarshalBinary serializes the network (architecture, weights and, for
-// batch norm, running statistics).
+// batch norm, running statistics). The error, encoding.BinaryMarshaler's,
+// is always nil: every layer of an admitted network is a kind of the table.
 func (n *Network) MarshalBinary() ([]byte, error) {
 	// One spec is reloaded per layer, twice over: first to size the buffer,
 	// then to fill it.
 	var s LayerSpec
 	size := len(netMagic) + 8 + 4*len(n.InputShape)
-	for i, l := range n.layers {
-		if err := s.load(l); err != nil {
-			return nil, fmt.Errorf("nn: encode layer %d: %w", i, err)
-		}
+	for _, l := range n.layers {
+		s.load(l)
 		size += 4 + len(s.Kind) + 4*(len(s.Ints)+len(s.Floats))
 		for _, t := range s.Tensors {
 			size += 16 + 4*(t.Rank()+t.Size()) // an upper bound on the TMLT1 header
@@ -42,7 +41,7 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 	}
 	w.Write(le.AppendUint32(b, uint32(len(n.layers))))
 	for _, l := range n.layers {
-		s.load(l) //nolint:errcheck // loaded without error above
+		s.load(l)
 		b = le.AppendUint32(w.AvailableBuffer(), uint32(len(s.Kind)))
 		b = append(b, s.Kind...)
 		for _, v := range s.Ints {
@@ -59,30 +58,11 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// maxInputElements caps the per-example input size a decoder accepts: the
-// element cap of the tensor codec, since no larger input could be carried.
-const maxInputElements = 1 << 28
-
-// checkInputShape rejects a declared input shape no query could have: a
-// dimension below one, or more elements than maxInputElements. Both model
-// decoders go through it — UnmarshalNetwork directly, compat.Import by
-// way of Summary.
-func checkInputShape(shape []int) error {
-	total := 1
-	for _, d := range shape {
-		// Checked per dimension, before multiplying: a product of large
-		// dimensions would wrap around to a small count.
-		if d < 1 || d > maxInputElements/total {
-			return fmt.Errorf("nn: implausible input shape %v", shape)
-		}
-		total *= d
-	}
-	return nil
-}
-
 // UnmarshalNetwork parses a network serialized by MarshalBinary. Every
 // layer is built by NewLayer, so an artifact whose declared config
-// disagrees with its tensors is rejected here, not in a serving kernel.
+// disagrees with its tensors is rejected here, and the network is made by
+// Assemble, so one whose shapes do not chain is rejected here too: a network
+// that decodes is a network that runs.
 func UnmarshalNetwork(data []byte) (*Network, error) {
 	r := wire.NewReader(data)
 	r.Magic(netMagic)
@@ -94,25 +74,19 @@ func UnmarshalNetwork(data []byte) (*Network, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("nn: decode network header: %w", err)
 	}
-	if len(inShape) == 0 {
-		return nil, fmt.Errorf("nn: implausible input rank 0")
-	}
-	if err := checkInputShape(inShape); err != nil {
-		return nil, err
-	}
-	net := &Network{InputShape: inShape}
+	layers := make([]Layer, count)
 	var s LayerSpec // reused: NewLayer keeps none of its slices
-	for i := 0; i < count; i++ {
+	for i := range layers {
 		l, err := decodeLayer(r, &s)
 		if err != nil {
 			return nil, fmt.Errorf("nn: decode layer %d: %w", i, err)
 		}
-		net.Add(l)
+		layers[i] = l
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("nn: decode network: %w", err)
 	}
-	return net, nil
+	return assemble(inShape, layers)
 }
 
 // decodeLayer reads one layer: its kind, then as many ints, floats and

@@ -8,25 +8,20 @@ import (
 
 // Subnet returns a view over layers [lo,hi) of the network: the returned
 // Network shares the receiver's layer objects (weights included — no copy),
-// with its InputShape set to the per-example shape entering layer lo. It is
-// the execution form of a partitioned model: Subnet(0, cut) is the device
+// with its InputShape the planned shape entering layer lo. It is the
+// execution form of a partitioned model: Subnet(0, cut) is the device
 // prefix and Subnet(cut, len) is the cloud suffix, and because the layers
 // are shared, running both in sequence performs exactly the floating-point
-// operations Forward would. The view must not outlive mutations of the
-// parent's layer list.
+// operations Forward would.
 func (n *Network) Subnet(lo, hi int) (*Network, error) {
 	if lo < 0 || hi > len(n.layers) || lo > hi {
 		return nil, fmt.Errorf("nn: subnet [%d,%d) out of range [0,%d]", lo, hi, len(n.layers))
 	}
-	in := append([]int(nil), n.InputShape...)
+	in := n.InputShape
 	if lo > 0 {
-		cs, err := n.Summary()
-		if err != nil {
-			return nil, err
-		}
-		in = append([]int(nil), cs[lo-1].Info.OutShape...)
+		in = n.plan[lo-1].Info.OutShape
 	}
-	return NewNetwork(in, n.layers[lo:hi]...), nil
+	return Assemble(in, n.layers[lo:hi])
 }
 
 // ForwardPrefix runs layers [0,cut) on x in inference mode and returns the
@@ -39,6 +34,7 @@ func (n *Network) ForwardPrefix(x *tensor.Tensor, cut int) (*tensor.Tensor, erro
 	if cut < 0 || cut > len(n.layers) {
 		return nil, fmt.Errorf("nn: cut %d out of range [0,%d]", cut, len(n.layers))
 	}
+	n.enter(x)
 	for _, l := range n.layers[:cut] {
 		x = l.Forward(x, false)
 	}

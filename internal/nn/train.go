@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"tinymlops/internal/tensor"
 )
@@ -23,6 +24,11 @@ type TrainConfig struct {
 // softmax cross-entropy. x is [n, features...] and labels has length n. It
 // returns the mean loss of the final epoch.
 func Train(net *Network, x *tensor.Tensor, labels []int, cfg TrainConfig) (float32, error) {
+	// Examples come from outside: one the network cannot take is refused
+	// before the first step, not where the first layer trips over it.
+	if !slices.Equal(x.Shape()[1:], net.InputShape) {
+		return 0, fmt.Errorf("nn: Train got examples shaped %v, the network takes %v", x.Shape()[1:], net.InputShape)
+	}
 	n := x.Dim(0)
 	if len(labels) != n {
 		return 0, fmt.Errorf("nn: Train got %d labels for %d examples", len(labels), n)

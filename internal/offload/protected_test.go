@@ -197,10 +197,7 @@ func TestModuleSessionSplitAndLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	macs, err := f.model.TotalMACs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	macs := f.model.TotalMACs()
 	// The tier validates boundaries before they queue, so an executor that
 	// declares no input width cannot register.
 	if err := f.cloud.Register("vm2", exec.Module(inside, inside.Caps, 0, macs)); err == nil {

@@ -13,9 +13,8 @@
 // allocation-free in the steady state, bit-identical to per-example
 // Predict, and safe for any number of goroutines over one shared model
 // (one scratch each). What is known when a model is lowered lives on the
-// model: NewQModel shape-infers the network once and every stage keeps
-// its input and output shape (a convolution its window, tap count and
-// strides), so a pass checks its batch once, where it enters, and no
+// model: every stage keeps the input and output shape the network's plan
+// holds (a convolution its window, tap count and strides), so a pass checks its batch once, where it enters, and no
 // stage derives geometry per call. What is per goroutine lives in the
 // QScratch: one output buffer per stage, sized by the batch, and the
 // int8 and scale workspaces. Weights are laid out once, at NewQModel, in

@@ -15,9 +15,9 @@ import (
 // QModel never writes to itself during inference, so one model may serve
 // any number of goroutines as long as each brings its own QScratch.
 //
-// Geometry is a build-time fact: NewQModel shape-infers the network once
-// and every stage keeps the per-example input and output shape that pass
-// admitted (a convolution its window, too). A forward pass checks the
+// Geometry is a build-time fact: every stage keeps the per-example input
+// and output shape of the network's plan, inferred when the network was
+// made (a convolution its window, too). A forward pass checks the
 // batch against the first stage it enters and nothing after that: no stage
 // re-derives or re-checks a shape per call.
 //
@@ -45,7 +45,7 @@ type qStage interface {
 }
 
 // geom is a stage's per-example geometry, fixed when the model is lowered:
-// the shapes net.Summary admitted there.
+// the shapes the network's plan holds there.
 type geom struct{ in, out []int }
 
 func (g *geom) shapes() *geom { return g }
@@ -145,7 +145,7 @@ func (d *qDense) sizeBytes() int { return d.w.SizeBytes() + 4*len(d.bias) }
 // per-output-channel quantized kernels.
 type qConv2D struct {
 	geom
-	win     tensor.Window // over the input map; Summary checked that it fits
+	win     tensor.Window // over the input map; admission checked that it fits
 	outC    int
 	ex      int       // inC·h·w: one example's stride through the batch
 	taps    int       // inC·kh·kw: the product's inner dimension
@@ -261,13 +261,9 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 	if scheme == Float32 {
 		return nil, fmt.Errorf("quant: NewQModel requires an integer scheme, got %v", scheme)
 	}
-	// Lowering happens once per version: refuse shapes that do not chain, or
-	// a window that does not fit its map, here and not on the first query.
-	// What the pass admits is the geometry every stage runs with.
-	costs, err := net.Summary()
-	if err != nil {
-		return nil, fmt.Errorf("quant: %w", err)
-	}
+	// The network's plan is the geometry every stage runs with: shapes that
+	// chain and windows that fit their maps, checked when it was made.
+	costs, _ := net.Summary()
 	m := &QModel{InputShape: append([]int(nil), net.InputShape...), Scheme: scheme}
 	in := m.InputShape
 	for i, l := range net.Layers() {

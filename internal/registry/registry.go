@@ -143,10 +143,7 @@ func (r *Registry) register(name, parentID string, net *nn.Network, scheme quant
 	if err != nil {
 		return nil, fmt.Errorf("registry: serialize: %w", err)
 	}
-	summary, err := net.Summary()
-	if err != nil {
-		return nil, fmt.Errorf("registry: cost model: %w", err)
-	}
+	summary, _ := net.Summary() // the kept plan; it cannot fail
 	var macs int64
 	prevFloats := int64(1)
 	for _, d := range net.InputShape {

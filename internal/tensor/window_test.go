@@ -8,7 +8,6 @@ import (
 
 	"tinymlops/internal/nn"
 	"tinymlops/internal/procvm"
-	"tinymlops/internal/quant"
 	"tinymlops/internal/tensor"
 )
 
@@ -178,10 +177,10 @@ func TestWindowCheck(t *testing.T) {
 
 // FuzzWindow reads a small geometry from the fuzzer. When Check accepts it,
 // Out is at least 1×1 and every kernel runs inside buffers sized from Out
-// and Taps. When Check refuses it, so does every package built on it: the
-// nn layers' Describe, procvm.Validate (inside Build) on the one-instruction
-// module, and quant.NewQModel — which is what keeps the refusal from
-// drifting apart again.
+// and Taps. When Check refuses it, so does every package built on it:
+// nn.Assemble, so no network — and no QModel lowered from one — holds the
+// layer, and procvm.Validate (inside Build) on the one-instruction module —
+// which is what keeps the refusal from drifting apart again.
 func FuzzWindow(f *testing.F) {
 	f.Add(byte(1), byte(2), byte(2), byte(3), byte(3), byte(2), byte(0)) // the window PR 22 found
 	f.Add(byte(2), byte(6), byte(6), byte(3), byte(3), byte(1), byte(1))
@@ -202,16 +201,10 @@ func FuzzWindow(f *testing.F) {
 			tensor.MaxPool(pooled, x, g, make([]int, len(pooled)))
 			return
 		}
-		if g.Stride < 1 {
-			return // the layer constructors panic on it before a window exists
-		}
 		conv := nn.NewConv2D(g.C, 1, g.KH, g.KW, g.Stride, g.Pad, rng)
 		in := []int{g.C, g.H, g.W}
-		if info, err := conv.Describe(in); err == nil {
-			t.Errorf("%+v: nn.Conv2D.Describe inferred %v", g, info.OutShape)
-		}
-		if _, err := quant.NewQModel(nn.NewNetwork(in, conv, nn.NewFlatten()), quant.Int8); err == nil {
-			t.Errorf("%+v: quant.NewQModel lowered the convolution", g)
+		if _, err := nn.Assemble(in, []nn.Layer{conv, nn.NewFlatten()}); err == nil {
+			t.Errorf("%+v: nn.Assemble admitted the convolution", g)
 		}
 		_, err := procvm.NewBuilder("window").Input().
 			Conv2D(conv.W.Value.Data, conv.B.Value.Data, g.C, g.H, g.W, 1, g.KH, g.KW, g.Stride, g.Pad).Build()
@@ -221,9 +214,8 @@ func FuzzWindow(f *testing.F) {
 		if g.KH != g.KW || g.Pad != 0 || g.KH < 1 {
 			return // not a pooling window
 		}
-		pool := nn.NewMaxPool2D(g.KH, g.Stride)
-		if info, err := pool.Describe(in); err == nil {
-			t.Errorf("%+v: nn.MaxPool2D.Describe inferred %v", g, info.OutShape)
+		if _, err := nn.Assemble(in, []nn.Layer{nn.NewMaxPool2D(g.KH, g.Stride)}); err == nil {
+			t.Errorf("%+v: nn.Assemble admitted the pooling", g)
 		}
 		_, err = procvm.NewBuilder("window").Input().MaxPool2D(g.C, g.H, g.W, g.KH, g.Stride).Build()
 		if !errors.Is(err, procvm.ErrTypeMismatch) {
