@@ -32,8 +32,8 @@ var standardMethods = map[string]bool{
 // method found on the type (or a struct it embeds) is the one named.
 // Elsewhere it counts for every method named M: the rule errs toward keeping.
 // A method whose name an interface of the repository or a standard one
-// declares counts as called. internal/tensor is logged, not failed;
-// internal/wire/wiretest is test support by design and exempt.
+// declares counts as called. internal/wire/wiretest is test support by
+// design and exempt.
 func TestExportsAreLiveSurface(t *testing.T) {
 	c := parseRepo(t)
 
@@ -155,22 +155,13 @@ func TestExportsAreLiveSurface(t *testing.T) {
 		})
 	}
 
-	var dead, logged []string
+	var dead []string
 	for key, pkg := range declared {
-		switch {
-		case live[key], pkg == "wire/wiretest":
-		case pkg == "tensor":
-			logged = append(logged, key)
-		default:
+		if !live[key] && pkg != "wire/wiretest" {
 			dead = append(dead, key)
 		}
 	}
 	sort.Strings(dead)
-	sort.Strings(logged)
-	if len(logged) > 0 {
-		t.Logf("%d exports of internal/tensor have no caller but its own tests (kept until kernel placement allows editing tensor):\n  %s",
-			len(logged), strings.Join(logged, "\n  "))
-	}
 	if len(dead) > 0 {
 		t.Fatalf("%d of %d exported functions and methods under internal/ are named only by their own package's tests; delete them with those tests, or make them private:\n  %s",
 			len(dead), len(declared), strings.Join(dead, "\n  "))

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"tinymlops/internal/quant"
+	"tinymlops/internal/registry"
 )
 
 // deployFiveKinds deploys every row of the conformance variant matrix
@@ -140,10 +140,12 @@ func TestFailingQueryInsideForEachIsolatesOneDevice(t *testing.T) {
 }
 
 // TestServingAllocationPins pins the steady-state allocation counts of the
-// deployment-level serving calls (the nn and quant packages pin only their
-// kernels). The pipeline allocates nothing, and since the meter hashes a
-// charge on its stack neither does the charge: what remains is the result
-// slice InferBatch returns.
+// deployment-level serving calls on every kind (the nn, quant and procvm
+// packages pin only their kernels). The pipeline allocates nothing, and
+// since the meter hashes a charge on its stack neither does the charge:
+// what remains is the result slice InferBatch returns, and on the procvm
+// kind the vectors each row's module run returns (procvm's
+// TestRunAllocationPins).
 func TestServingAllocationPins(t *testing.T) {
 	f := newConformanceFixture(t)
 	deps := deployFiveKinds(t, f, 1_000_000)
@@ -152,8 +154,9 @@ func TestServingAllocationPins(t *testing.T) {
 		batch[i] = f.ds.X.Data[i*f.es : (i+1)*f.es]
 	}
 	for i, v := range conformanceVariants() {
-		if v.wantKind != "" || v.wantMark || (v.wantExec != quant.Float32 && v.wantExec != quant.Int8 && v.wantExec != quant.Int4) {
-			continue
+		wantInfer, wantBatch := inferAllocs, inferBatchAllocs
+		if v.wantKind == registry.KindProcVM {
+			wantInfer, wantBatch = procvmRunAllocs, inferBatchAllocs+len(batch)*procvmRunAllocs
 		}
 		dep := deps[i]
 		// Warm the arena, the scratch and the cached headers for both shapes.
@@ -166,20 +169,23 @@ func TestServingAllocationPins(t *testing.T) {
 			if _, err := dep.Infer(batch[0]); err != nil {
 				t.Fatal(err)
 			}
-		}); got > inferAllocs {
-			t.Errorf("%s: Infer allocates %v per call, pinned at %d", v.name, got, inferAllocs)
+		}); got > float64(wantInfer) {
+			t.Errorf("%s: Infer allocates %v per call, pinned at %d", v.name, got, wantInfer)
 		}
 		for w := 0; w < 3; w++ {
 			dep.InferBatch(batch)
 		}
-		if got := testing.AllocsPerRun(200, func() { dep.InferBatch(batch) }); got > inferBatchAllocs {
-			t.Errorf("%s: InferBatch(16) allocates %v per call, pinned at %d", v.name, got, inferBatchAllocs)
+		if got := testing.AllocsPerRun(200, func() { dep.InferBatch(batch) }); got > float64(wantBatch) {
+			t.Errorf("%s: InferBatch(16) allocates %v per call, pinned at %d", v.name, got, wantBatch)
 		}
 	}
 }
 
-// Amortized growth of the meter's unsettled log rounds to zero.
+// Amortized growth of the meter's unsettled log rounds to zero. A compiled
+// module run allocates the copy of its input and one vector per matvec and
+// per activation: four on the fixture's two-layer MLP.
 const (
 	inferAllocs      = 0
 	inferBatchAllocs = 1
+	procvmRunAllocs  = 4
 )

@@ -406,8 +406,11 @@ func TestRunErrorParity(t *testing.T) {
 // TestRunAllocationPins holds Run's allocations where the serving
 // benchmark reads them: the normalize and label modules around every
 // serve_single query, and one compiled forward per procvm row. Everything
-// counted is an output or pool copy the ISA promises; the frame, the value
-// stack and the decoded operands stay on Run's stack.
+// counted is an output or pool copy the ISA promises — a compiled MLP makes
+// one copy of its input and one vector per matvec and per activation — and
+// nothing else: the frame, the value stack and the decoded operands stay
+// on Run's stack, and matvec hands the kernel bare slices, not tensor
+// headers.
 func TestRunAllocationPins(t *testing.T) {
 	rng := tensor.NewRNG(22)
 	for _, c := range []struct {
@@ -416,8 +419,8 @@ func TestRunAllocationPins(t *testing.T) {
 	}{
 		{runCase{mod: built(t, procvm.NewBuilder("normalize").Input().Normalize(ramp(4), []float32{1, 2, 3, 4})), input: ramp(4)}, 4},
 		{runCase{mod: built(t, procvm.NewBuilder("label").Input().ArgMax()), input: ramp(3)}, 1},
-		{compiled(t, "sensor-mlp", mlp(rng, 4, 16, 3)), 22},
-		{compiled(t, "kws-mlp", mlp(rng, 64, 256, 128, 10)), 33},
+		{compiled(t, "sensor-mlp", mlp(rng, 4, 16, 3)), 4},
+		{compiled(t, "kws-mlp", mlp(rng, 64, 256, 128, 10)), 6},
 	} {
 		rt := procvm.NewRuntime(c.run.mod.Caps)
 		got := testing.AllocsPerRun(50, func() {

@@ -443,9 +443,9 @@ func (f *frame) slice(lo, hi int) {
 }
 
 // matVec pops x (length in) and pushes x·W + b for the [in, out] matrix w,
-// charging in×out supplemental gas. The multiply goes through
-// tensor.MatMulInto on a 1×in row so the result is bit-identical to
-// nn.Dense's InferInto on the same row.
+// charging in×out supplemental gas. The multiply is tensor.MatMulRowsInto
+// on a 1×in row, the kernel behind nn.Dense's InferInto, so the result is
+// bit-identical to it on the same row.
 func (f *frame) matVec(w, b []float32, outN int) {
 	x := f.popVec()
 	in := len(x)
@@ -457,7 +457,7 @@ func (f *frame) matVec(w, b []float32, outN int) {
 		return
 	}
 	out := make([]float32, outN)
-	tensor.MatMulInto(tensor.FromSlice(out, 1, outN), tensor.FromSlice(x, 1, in), tensor.FromSlice(w, in, outN))
+	tensor.MatMulRowsInto(out, x, w, 1, in, outN)
 	for j := range out {
 		out[j] += b[j]
 	}

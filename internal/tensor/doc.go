@@ -11,7 +11,16 @@
 // rows out over a bounded goroutine pool above a work threshold; blocking
 // and parallelism are both arranged so every output element accumulates
 // in a fixed order, keeping results bit-identical across worker counts —
-// the property the fleet engine's determinism contract rests on.
+// the property the fleet engine's determinism contract rests on. Within
+// that order it works like the integer kernels below: each row chunk
+// lists its nonzero activations, and foldFloat32 folds four listed weight
+// rows per pass into a register, adding them one at a time in list order
+// with a float32 rounding after each product and each add, exactly as the
+// scalar ikj loop does. The float32(a*b) conversions also keep arm64 from
+// fusing the multiply into the add, which would skip a rounding; CI fails
+// on a fused instruction in the float kernels of an arm64 build.
+// MatMulRowsInto is the kernel's entry over bare slices, MatMulInto the
+// shape-checking form over tensors.
 //
 // The integer serving kernels relax the ordering constraint instead of
 // fighting it: integer accumulation is exact and commutative, so the int8

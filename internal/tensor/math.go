@@ -5,11 +5,6 @@ import (
 	"math"
 )
 
-// Add returns a + b element-wise as a new tensor.
-func Add(a, b *Tensor) *Tensor {
-	return zipNew(a, b, "Add", func(x, y float32) float32 { return x + y })
-}
-
 // Sub returns a - b element-wise as a new tensor.
 func Sub(a, b *Tensor) *Tensor {
 	return zipNew(a, b, "Sub", func(x, y float32) float32 { return x - y })
@@ -18,11 +13,6 @@ func Sub(a, b *Tensor) *Tensor {
 // Mul returns a * b element-wise (Hadamard product) as a new tensor.
 func Mul(a, b *Tensor) *Tensor {
 	return zipNew(a, b, "Mul", func(x, y float32) float32 { return x * y })
-}
-
-// Div returns a / b element-wise as a new tensor.
-func Div(a, b *Tensor) *Tensor {
-	return zipNew(a, b, "Div", func(x, y float32) float32 { return x / y })
 }
 
 func zipNew(a, b *Tensor, op string, f func(x, y float32) float32) *Tensor {
@@ -43,16 +33,6 @@ func (t *Tensor) AddInPlace(b *Tensor) {
 	}
 	for i := range t.Data {
 		t.Data[i] += b.Data[i]
-	}
-}
-
-// SubInPlace subtracts b from a element-wise.
-func (t *Tensor) SubInPlace(b *Tensor) {
-	if !SameShape(t, b) {
-		panic(fmt.Sprintf("tensor: SubInPlace shape mismatch %v vs %v", t.shape, b.shape))
-	}
-	for i := range t.Data {
-		t.Data[i] -= b.Data[i]
 	}
 }
 
@@ -250,19 +230,6 @@ func (t *Tensor) AddRowVector(v *Tensor) {
 			row[j] += v.Data[j]
 		}
 	}
-}
-
-// Dot returns the inner product of two tensors of identical size
-// (accumulated in float64).
-func Dot(a, b *Tensor) float32 {
-	if len(a.Data) != len(b.Data) {
-		panic(fmt.Sprintf("tensor: Dot size mismatch %d vs %d", len(a.Data), len(b.Data)))
-	}
-	var s float64
-	for i := range a.Data {
-		s += float64(a.Data[i]) * float64(b.Data[i])
-	}
-	return float32(s)
 }
 
 // Clamp limits every element to [lo, hi] in place and returns the receiver.

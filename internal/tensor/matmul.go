@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,48 +33,41 @@ func EnterPool() (exit func()) {
 }
 
 // parallelThreshold is the number of multiply-accumulate operations above
-// which MatMul fans out across goroutines. Below it, the goroutine overhead
-// outweighs the parallel speedup on typical hardware.
+// which the matmul kernels fan out across goroutines. Below it, the
+// goroutine overhead outweighs the parallel speedup on typical hardware.
 const parallelThreshold = 1 << 17
 
-// MatMul returns a × b for 2D tensors ([m,k] × [k,n] → [m,n]).
-//
-// The inner kernel iterates the B matrix row-wise (ikj ordering), which keeps
-// both A and B accesses sequential, and splits the rows of A across a bounded
-// pool of goroutines when the problem is large enough to benefit.
-func MatMul(a, b *Tensor) *Tensor {
-	a.must2D("MatMul")
-	b.must2D("MatMul")
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch [%d,%d]×[%d,%d]", m, k, k2, n))
-	}
-	out := New(m, n)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes dst = a × b, reusing dst's storage. dst must have
-// shape [a.Rows, b.Cols] and must not alias a or b.
+// MatMulInto computes dst = a × b for 2D tensors ([m,k] × [k,n] → [m,n]),
+// reusing dst's storage: the shape-checking form of MatMulRowsInto. dst
+// must have shape [m,n] and must not alias a or b.
 func MatMulInto(dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d,%d]", dst.shape, m, n))
+	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulInto [%d,%d]×%v into %v", m, k, b.shape, dst.shape))
 	}
-	dst.Zero()
+	MatMulRowsInto(dst.Data, a.Data, b.Data, m, k, n)
+}
+
+// MatMulRowsInto computes dst = a × b for row-major slices a [m,k], b [k,n]
+// and dst [m,n], overwriting dst — the float matmul for a caller that holds
+// bare slices, with no tensor header to build. dst must not alias a or b.
+//
+// The kernel iterates the B matrix row-wise (ikj ordering), which keeps
+// both A and B accesses sequential, and splits the rows of A across a
+// bounded pool of goroutines when the problem is large enough to benefit.
+func MatMulRowsInto(dst, a, b []float32, m, k, n int) {
+	clear(dst[:m*n])
 	// The poolDepth check is duplicated from parallelRows so the serial
 	// path never constructs the closure below: a closure that escapes on
 	// any branch is heap-allocated on every call, which would put one
 	// allocation in the zero-alloc serving hot loop.
-	work := m * n * k
-	if work < parallelThreshold || poolDepth.Load() > 0 {
-		matmulRows(dst.Data, a.Data, b.Data, 0, m, k, n)
+	if m*n*k < parallelThreshold || poolDepth.Load() > 0 {
+		matmulRows(dst, a, b, 0, m, k, n)
 		return
 	}
 	parallelRows(m, func(lo, hi int) {
-		matmulRows(dst.Data, a.Data, b.Data, lo, hi, k, n)
+		matmulRows(dst, a, b, lo, hi, k, n)
 	})
 }
 
@@ -85,22 +79,64 @@ func MatMulInto(dst, a, b *Tensor) {
 const colBlock = 512
 
 // matmulRows computes rows [lo,hi) of dst = A×B with the column-blocked
-// ikj kernel. dst rows must be pre-zeroed.
+// ikj kernel. dst rows must be pre-zeroed. Each row chunk of up to nzCap
+// activations first lists its nonzero ones with their B-row offsets, as
+// pairRows does for the integer kernels, and foldFloat32 folds the listed
+// rows into the dst tile. A ±0 activation is skipped, as the scalar loop
+// skips it; the list is built without a data-dependent branch (the count
+// advances when a bit below the sign is set) and holds no pad entry, since
+// a pad's 0·w is NaN for an infinite or NaN weight.
 func matmulRows(dst, a, b []float32, lo, hi, k, n int) {
+	var xs [nzCap]float32
+	var offs [nzCap]int
 	for jb := 0; jb < n; jb += colBlock {
 		jhi := min(jb+colBlock, n)
 		for i := lo; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
 			drow := dst[i*n+jb : i*n+jhi]
-			for p, av := range arow {
-				if av == 0 {
-					continue
+			for c := 0; c < k; c += nzCap {
+				nz := 0
+				for p, av := range a[i*k+c : i*k+min(c+nzCap, k)] {
+					xs[nz], offs[nz] = av, (c+p)*n+jb
+					u := math.Float32bits(av) << 1
+					nz += int((u | -u) >> 31)
 				}
-				brow := b[p*n+jb : p*n+jhi]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
+				foldFloat32(drow, xs[:nz], offs[:nz], b)
 			}
+		}
+	}
+}
+
+// foldFloat32 adds each listed activation times its B row into drow, four
+// list entries per pass: an element is loaded and stored once per four
+// MACs instead of once per MAC, and the last one to three entries take a
+// single-row pass. Every element still adds its products in list order,
+// rounding to float32 after each add, so the result is bit-identical to
+// the scalar ikj loop. The float32 conversions round each product too,
+// which keeps an architecture that fuses a multiply into an add (arm64's
+// FMADDS) from skipping that rounding.
+func foldFloat32(drow, xs []float32, offs []int, b []float32) {
+	w := len(drow)
+	offs = offs[:len(xs)]
+	q := 0
+	for ; q+3 < len(xs); q += 4 {
+		a0, a1, a2, a3 := xs[q], xs[q+1], xs[q+2], xs[q+3]
+		b0 := b[offs[q]:][:w]
+		b1 := b[offs[q+1]:][:w]
+		b2 := b[offs[q+2]:][:w]
+		b3 := b[offs[q+3]:][:w]
+		for j, bv := range b0 {
+			d := drow[j]
+			d += float32(a0 * bv)
+			d += float32(a1 * b1[j])
+			d += float32(a2 * b2[j])
+			d += float32(a3 * b3[j])
+			drow[j] = d
+		}
+	}
+	for ; q < len(xs); q++ {
+		av := xs[q]
+		for j, bv := range b[offs[q]:][:w] {
+			drow[j] += float32(av * bv)
 		}
 	}
 }
@@ -150,25 +186,6 @@ func TMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatVec returns a × v for a 2D tensor a [m,k] and 1D v [k].
-func MatVec(a, v *Tensor) *Tensor {
-	a.must2D("MatVec")
-	m, k := a.shape[0], a.shape[1]
-	if v.Size() != k {
-		panic(fmt.Sprintf("tensor: MatVec dimension mismatch [%d,%d]×[%d]", m, k, v.Size()))
-	}
-	out := New(m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*k : (i+1)*k]
-		var s float32
-		for j := range row {
-			s += row[j] * v.Data[j]
-		}
-		out.Data[i] = s
-	}
-	return out
-}
-
 // parallelRows splits [0,m) into contiguous chunks and runs body on each
 // chunk in its own goroutine, bounded by GOMAXPROCS workers. Inside a
 // worker pool (EnterPool) it degrades to the serial kernel.
@@ -202,7 +219,7 @@ func parallelRows(m int, body func(lo, hi int)) {
 func Parallel(n int, body func(lo, hi int)) { parallelRows(n, body) }
 
 // TMatMulInto computes dst = aᵀ × b, reusing dst's storage: the training
-// step's form of TMatMul, as MatMulInto is serving's form of MatMul. dst
+// step's form of TMatMul. dst
 // must have shape [a.Cols, b.Cols] and must not alias a or b.
 func TMatMulInto(dst, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]
@@ -211,7 +228,7 @@ func TMatMulInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: TMatMulInto dst shape %v, want [%d,%d]", dst.shape, m, n))
 	}
 	dst.Zero()
-	// As in MatMulInto, the serial path never constructs the closure.
+	// As in MatMulRowsInto, the serial path never constructs the closure.
 	if m*n*k < parallelThreshold || poolDepth.Load() > 0 {
 		tmatmulRows(dst.Data, a.Data, b.Data, 0, m, k, m, n)
 		return
@@ -225,7 +242,8 @@ func TMatMulInto(dst, a, b *Tensor) {
 
 // tmatmulRows computes rows [lo,hi) of dst = Aᵀ×B for A [k,m] and B [k,n]:
 // dst[i,j] = Σ_p a[p,i]·b[p,j], with p outermost so both reads are
-// sequential. dst rows must be pre-zeroed.
+// sequential. dst rows must be pre-zeroed. The float32 conversion rounds
+// each product before the add, as in foldFloat32.
 func tmatmulRows(dst, a, b []float32, lo, hi, k, m, n int) {
 	for p := 0; p < k; p++ {
 		arow := a[p*m : (p+1)*m]
@@ -237,7 +255,7 @@ func tmatmulRows(dst, a, b []float32, lo, hi, k, m, n int) {
 			}
 			orow := dst[i*n : (i+1)*n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float32(av * bv)
 			}
 		}
 	}

@@ -138,13 +138,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: out, Data: t.Data}
 }
 
-// Row returns a 1-element-deep view of row i of a 2D tensor.
-func (t *Tensor) Row(i int) *Tensor {
-	t.must2D("Row")
-	c := t.shape[1]
-	return &Tensor{shape: []int{c}, Data: t.Data[i*c : (i+1)*c]}
-}
-
 // RowSlice returns rows [lo,hi) of a 2D tensor as a shared view.
 func (t *Tensor) RowSlice(lo, hi int) *Tensor {
 	t.must2D("RowSlice")
@@ -202,28 +195,6 @@ func (t *Tensor) String() string {
 		n = 8
 	}
 	return fmt.Sprintf("Tensor%v%v…", t.shape, t.Data[:n])
-}
-
-// Transpose returns a new tensor that is the transpose of a 2D tensor.
-func (t *Tensor) Transpose() *Tensor {
-	t.must2D("Transpose")
-	r, c := t.shape[0], t.shape[1]
-	out := New(c, r)
-	// Blocked transpose for cache friendliness on large matrices.
-	const bs = 32
-	for i0 := 0; i0 < r; i0 += bs {
-		iMax := min(i0+bs, r)
-		for j0 := 0; j0 < c; j0 += bs {
-			jMax := min(j0+bs, c)
-			for i := i0; i < iMax; i++ {
-				row := t.Data[i*c:]
-				for j := j0; j < jMax; j++ {
-					out.Data[j*r+i] = row[j]
-				}
-			}
-		}
-	}
-	return out
 }
 
 const magic = "TMLT1\n"
