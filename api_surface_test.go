@@ -386,14 +386,13 @@ func TestOffloadSurface(t *testing.T) {
 	// The chaos scenario's offload phase through the facade.
 	scen, err := tinymlops.RunChaosScenario(tinymlops.ChaosScenarioConfig{
 		Devices: 12, Workers: 2, Seed: 43,
-		Chaos:          tinymlops.ChaosConfig{Seed: 44, PDrop: 0.3},
-		OffloadQueries: 2, OffloadRounds: 2,
+		Chaos: tinymlops.ChaosConfig{Seed: 44, PDrop: 0.3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	orep := scen.Offload
-	if orep == nil || orep.Mismatches != 0 || orep.Queries == 0 {
+	if orep.Mismatches != 0 || orep.Queries == 0 {
 		t.Fatalf("offload phase report %+v", orep)
 	}
 }

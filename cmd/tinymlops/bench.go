@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"tinymlops/internal/benchfmt"
 	"tinymlops/internal/benchsuite"
 )
 
@@ -37,10 +36,10 @@ func cmdBench(w io.Writer, args []string) error {
 	}
 	sort.Strings(names)
 
-	var regressions []benchfmt.Regression
+	var regressions []benchsuite.Regression
 	for _, name := range names {
 		fmt.Fprintf(w, "== %s ==\n", name)
-		report := benchsuite.Report(name, areas[name])
+		report := benchsuite.RunArea(name, areas[name])
 		for _, e := range report.Entries {
 			fmt.Fprintf(w, "  %-28s %12.0f ns/op %8d B/op %6d allocs/op\n",
 				e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
@@ -56,11 +55,11 @@ func cmdBench(w io.Writer, args []string) error {
 			fmt.Fprintf(w, "  wrote %s\n", path)
 			continue
 		}
-		base, err := benchfmt.ReadFile(path)
+		base, err := benchsuite.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("no committed baseline for %s (run `tinymlops bench` to create it): %w", name, err)
 		}
-		regs := benchfmt.Diff(base, report, *tol)
+		regs := benchsuite.Diff(base, report, *tol)
 		for _, g := range regs {
 			fmt.Fprintf(os.Stderr, "  REGRESSION %s\n", g)
 		}

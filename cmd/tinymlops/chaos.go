@@ -11,8 +11,9 @@ import (
 // cmdChaos runs the deterministic chaos experiment: deploy v1 to a
 // fleet, publish v2, drive a staged rollout under injected faults
 // (churn, network drops, battery death, mid-flash install crashes,
-// telemetry loss), reconcile the stragglers and audit every fleet
-// invariant. Exits non-zero if any device fails to converge or any
+// telemetry loss), reconcile the stragglers, serve split queries, settle,
+// run federated rounds and audit every fleet invariant. It prints the
+// offload and federated phases one line each. Exits non-zero if any device fails to converge or any
 // invariant is violated.
 func cmdChaos(w io.Writer, args []string) error {
 	fs := newFlagSet("chaos")
@@ -84,7 +85,13 @@ func cmdChaos(w io.Writer, args []string) error {
 		res.RetriedUpdates, res.ReconcileUpdated)
 	fmt.Fprintf(w, "transfers: %d delta, %d full; %d B shipped\n",
 		res.Rollout.DeltaTransfers, res.Rollout.FullTransfers, res.Rollout.TotalShipBytes)
-	fmt.Fprintf(w, "converged: %d/%d devices on v2\n\n", res.Converged, res.FleetSize)
+	fmt.Fprintf(w, "converged: %d/%d devices on v2\n", res.Converged, res.FleetSize)
+	o := res.Offload
+	fmt.Fprintf(w, "offload: %d queries (%d split, %d local, %d fallback), %d replans, %d B uplinked, %d not bit-exact\n",
+		o.Queries, o.Split, o.Local, o.Fallback, o.Replans, o.ActivationBytes, o.Mismatches)
+	f := res.Fed
+	fmt.Fprintf(w, "federated: %d clients in %d cohorts, %d rounds, %d dropouts, accuracy %.3f, published %s\n\n",
+		f.Clients, f.Aggregators, f.Rounds, f.Dropouts, f.FinalAccuracy, f.PublishedID)
 
 	if res.Swarm != nil {
 		fmt.Fprintln(w, "swarm egress by wave:")

@@ -79,7 +79,7 @@ func TestFleetSubcommandsMatchGoldenAtAnyWorkerCount(t *testing.T) {
 		{"chaos_swarm", "chaos -devices 60 -swarm"},
 		{"offload", "offload"},
 		{"offload_enclave", "offload -enclave"},
-		{"settle", "settle -devices 12"},
+		{"settle", "settle -devices 12 -seed 46"},
 		{"fed", "fed -clients 40 -aggregators 4 -rounds 2"},
 	}
 	for _, c := range cases {

@@ -47,9 +47,6 @@ func cmdSettle(w io.Writer, args []string) error {
 		return err
 	}
 	s := res.Settlement
-	if s == nil {
-		return fmt.Errorf("settle: scenario produced no settlement report")
-	}
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "device\tfraud\tverdict\tproofs\tack-seq\treason")

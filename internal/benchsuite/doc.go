@@ -5,9 +5,18 @@
 //
 // The `go test -bench` benchmarks measure; this package remembers. Each
 // Case wraps the same fixture as its -bench twin so `tinymlops bench` can
-// run the suite via testing.Benchmark outside a test binary, convert the
-// results with benchfmt, and commit them as BENCH_<area>.json snapshots
-// that CI diffs on every push. Cases run inside tensor.EnterPool, pinning
-// the kernels to their serial in-worker form — the numbers measure the
-// kernels, not the host's core count.
+// run the suite via testing.Benchmark outside a test binary and commit the
+// results as BENCH_<area>.json snapshots that CI diffs on every push. Cases
+// run inside tensor.EnterPool, pinning the kernels to their serial
+// in-worker form — the numbers measure the kernels, not the host's core
+// count.
+//
+// A Report is one area run on one machine: per-benchmark ns/op, B/op and
+// allocs/op plus the Go version and platform that produced it.
+// WriteFile/ReadFile give the snapshots a stable, diff-friendly encoding;
+// Diff compares a current run against a committed baseline and returns
+// every regression — ns/op beyond the tolerance, any allocation increase at
+// all, and benchmarks that appear or disappear without the baseline being
+// refreshed. CI runs `tinymlops bench -check` so a slow patch fails the
+// build instead of landing silently.
 package benchsuite

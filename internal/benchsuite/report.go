@@ -1,4 +1,4 @@
-package benchfmt
+package benchsuite
 
 import (
 	"encoding/json"
@@ -44,9 +44,9 @@ type Report struct {
 	Entries []Entry `json:"entries"`
 }
 
-// NewReport builds a Report for the given area stamped with the current
+// newReport builds a Report for the given area stamped with the current
 // toolchain and platform, sorting entries by name.
-func NewReport(area string, entries []Entry) *Report {
+func newReport(area string, entries []Entry) *Report {
 	sorted := append([]Entry(nil), entries...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
 	return &Report{
@@ -55,8 +55,8 @@ func NewReport(area string, entries []Entry) *Report {
 	}
 }
 
-// FromBenchmarkResult converts a testing.Benchmark result into an Entry.
-func FromBenchmarkResult(name string, r testing.BenchmarkResult) Entry {
+// fromBenchmarkResult converts a testing.Benchmark result into an Entry.
+func fromBenchmarkResult(name string, r testing.BenchmarkResult) Entry {
 	e := Entry{
 		Name:        name,
 		Iters:       r.N,
@@ -91,7 +91,7 @@ func ReadFile(path string) (*Report, error) {
 	}
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("benchfmt: %s: %w", path, err)
+		return nil, fmt.Errorf("benchsuite: %s: %w", path, err)
 	}
 	return &r, nil
 }

@@ -1,4 +1,4 @@
-package benchfmt
+package benchsuite
 
 import (
 	"path/filepath"
@@ -8,7 +8,7 @@ import (
 )
 
 func sampleReport(nsScale float64, allocs int64) *Report {
-	return NewReport("serving", []Entry{
+	return newReport("serving", []Entry{
 		{Name: "InferBatchFloat32", Iters: 1000, NsPerOp: 1000 * nsScale, BytesPerOp: 0, AllocsPerOp: allocs},
 		{Name: "InferBatchInt8", Iters: 1000, NsPerOp: 800 * nsScale, BytesPerOp: 0, AllocsPerOp: allocs},
 	})
@@ -36,7 +36,7 @@ func TestReportRoundTrip(t *testing.T) {
 
 func TestReportRoundTripPreservesMetrics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_fed.json")
-	r := NewReport("fed", []Entry{
+	r := newReport("fed", []Entry{
 		{Name: "HierRound", NsPerOp: 5000, Metrics: map[string]float64{"cloud-uplink-B/op": 1234}},
 	})
 	if err := r.WriteFile(path); err != nil {
@@ -109,7 +109,7 @@ func TestDiffAllocSlackScalesWithBaseline(t *testing.T) {
 
 func TestDiffFlagsShapeChanges(t *testing.T) {
 	base := sampleReport(1, 0)
-	cur := NewReport("serving", []Entry{
+	cur := newReport("serving", []Entry{
 		base.Entries[0],
 		{Name: "InferBatchInt4", NsPerOp: 700},
 	})
@@ -125,7 +125,7 @@ func TestDiffFlagsShapeChanges(t *testing.T) {
 
 func TestFromBenchmarkResult(t *testing.T) {
 	r := testing.BenchmarkResult{N: 100, T: 200 * time.Microsecond, MemAllocs: 300, MemBytes: 4000}
-	e := FromBenchmarkResult("X", r)
+	e := fromBenchmarkResult("X", r)
 	if e.Name != "X" || e.Iters != 100 || e.NsPerOp != 2000 || e.AllocsPerOp != 3 || e.BytesPerOp != 40 {
 		t.Fatalf("conversion wrong: %+v", e)
 	}
@@ -133,7 +133,7 @@ func TestFromBenchmarkResult(t *testing.T) {
 		t.Fatalf("no-Extra result grew metrics: %+v", e.Metrics)
 	}
 	r.Extra = map[string]float64{"cloud-uplink-B/op": 99.5}
-	e = FromBenchmarkResult("X", r)
+	e = fromBenchmarkResult("X", r)
 	if e.Metrics["cloud-uplink-B/op"] != 99.5 {
 		t.Fatalf("Extra not carried into Metrics: %+v", e)
 	}
@@ -145,7 +145,7 @@ func TestFromBenchmarkResult(t *testing.T) {
 // flagged like a missing benchmark.
 func TestDiffGatesCustomMetrics(t *testing.T) {
 	withMetric := func(v float64) *Report {
-		return NewReport("fed", []Entry{
+		return newReport("fed", []Entry{
 			{Name: "HierRound", NsPerOp: 1000, Metrics: map[string]float64{"cloud-uplink-B/op": v}},
 		})
 	}
@@ -163,7 +163,7 @@ func TestDiffGatesCustomMetrics(t *testing.T) {
 	if regs[0].String() == "" {
 		t.Fatal("empty metric regression string")
 	}
-	bare := NewReport("fed", []Entry{{Name: "HierRound", NsPerOp: 1000}})
+	bare := newReport("fed", []Entry{{Name: "HierRound", NsPerOp: 1000}})
 	regs = Diff(base, bare, 0.25)
 	if len(regs) != 1 || regs[0].Kind != "missing" {
 		t.Fatalf("dropped metric not flagged: %v", regs)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"tinymlops/internal/benchfmt"
 	"tinymlops/internal/compat"
 	"tinymlops/internal/core"
 	"tinymlops/internal/dataset"
@@ -41,15 +40,15 @@ type Case struct {
 const runRounds = 3
 
 // Run executes the cases via testing.Benchmark under tensor.EnterPool and
-// returns one benchfmt entry per case (its best of runRounds interleaved
-// rounds by ns/op).
-func Run(cases []Case) []benchfmt.Entry {
+// returns one entry per case (its best of runRounds interleaved rounds by
+// ns/op).
+func Run(cases []Case) []Entry {
 	exit := tensor.EnterPool()
 	defer exit()
-	entries := make([]benchfmt.Entry, len(cases))
+	entries := make([]Entry, len(cases))
 	for round := 0; round < runRounds; round++ {
 		for i, c := range cases {
-			e := benchfmt.FromBenchmarkResult(c.Name, testing.Benchmark(c.Bench))
+			e := fromBenchmarkResult(c.Name, testing.Benchmark(c.Bench))
 			if round == 0 || e.NsPerOp < entries[i].NsPerOp {
 				entries[i] = e
 			}
@@ -58,9 +57,9 @@ func Run(cases []Case) []benchfmt.Entry {
 	return entries
 }
 
-// Report runs the cases and wraps the results as an area report.
-func Report(area string, cases []Case) *benchfmt.Report {
-	return benchfmt.NewReport(area, Run(cases))
+// RunArea runs the cases and wraps the results as an area report.
+func RunArea(area string, cases []Case) *Report {
+	return newReport(area, Run(cases))
 }
 
 // servingFixture mirrors the root BenchmarkInferBatch* fixture: same

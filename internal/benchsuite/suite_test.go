@@ -47,7 +47,7 @@ func TestRunKeepsBestRoundAndReportWraps(t *testing.T) {
 	if entries[0].NsPerOp < 0 {
 		t.Fatalf("negative ns/op: %+v", entries[0])
 	}
-	rep := Report("smoke", cases)
+	rep := RunArea("smoke", cases)
 	if rep.Area != "smoke" || len(rep.Entries) != 1 {
 		t.Fatalf("report = %+v", rep)
 	}

@@ -13,13 +13,14 @@ import (
 type CompileOptions struct {
 	// Name labels the module; defaults to "compiled".
 	Name string
-	// Tol bounds the deviation VerifyLowering accepts between the original
-	// network and its lowered (dropout-stripped, batchnorm-folded) form.
-	// Defaults to 1e-4; folding is the only pass that moves float results.
-	// The compiled module itself must match the lowered network bit-exactly
-	// on every probe — that check has no tolerance.
-	Tol float32
 }
+
+// loweringTol bounds the deviation VerifyLowering accepts between the
+// original network and its lowered (dropout-stripped, batchnorm-folded)
+// form; folding is the only pass that moves float results. The compiled
+// module itself must match the lowered network bit-exactly on every probe —
+// that check has no tolerance.
+const loweringTol = 1e-4
 
 // CompileProcVM lowers a trained network into a gas-metered procvm.Module:
 // the portable obfuscated deployment format. The pipeline is
@@ -32,9 +33,6 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 	if opts.Name == "" {
 		opts.Name = "compiled"
 	}
-	if opts.Tol == 0 {
-		opts.Tol = 1e-4
-	}
 	// The verification inputs for the compile-time gate: a deterministic
 	// seeded batch of 4 examples.
 	probes := tensor.Randn(tensor.NewRNG(0x9e3779b97f4a7c15), 1, append([]int{4}, net.InputShape...)...)
@@ -44,7 +42,7 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 	if _, err := FoldBatchNorm(lowered); err != nil {
 		return nil, fmt.Errorf("compat: compile: %w", err)
 	}
-	if err := VerifyLowering(net, lowered, probes, opts.Tol); err != nil {
+	if err := VerifyLowering(net, lowered, probes, loweringTol); err != nil {
 		return nil, fmt.Errorf("compat: compile: lowering gate: %w", err)
 	}
 

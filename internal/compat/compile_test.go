@@ -230,28 +230,32 @@ func TestCompileGasDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCompileVerifyLoweringGate proves the compile gate is real: a
-// batchnorm fold moves float results by a few ULPs, so demanding an
-// impossibly tight tolerance must abort the compile through VerifyLowering
+// batchnorm fold moves float results by a few ULPs, which the fixed
+// tolerance absorbs at ordinary statistics; at extreme ones (running means
+// far from the activations, a sharp gamma) the folded bias cancels
+// catastrophically, and the compile must abort through VerifyLowering
 // rather than ship a module that silently deviates.
 func TestCompileVerifyLoweringGate(t *testing.T) {
-	rng := tensor.NewRNG(53)
-	net := nn.NewNetwork([]int{6},
-		nn.NewDense(6, 24, rng), nn.NewBatchNorm1D(24), nn.NewReLU(), nn.NewDense(24, 4, rng))
-	bn := net.Layers()[1].(*nn.BatchNorm1D)
-	for i := 0; i < bn.F; i++ {
-		bn.RunMean.Data[i] = rng.Float32()*2 - 1
-		bn.RunVar.Data[i] = 0.5 + rng.Float32()
-		bn.Gamma.Value.Data[i] = 0.5 + rng.Float32()
-		bn.Beta.Value.Data[i] = rng.Float32() - 0.5
+	build := func(mean, gamma float32) *nn.Network {
+		rng := tensor.NewRNG(53)
+		net := nn.NewNetwork([]int{6},
+			nn.NewDense(6, 24, rng), nn.NewBatchNorm1D(24), nn.NewReLU(), nn.NewDense(24, 4, rng))
+		bn := net.Layers()[1].(*nn.BatchNorm1D)
+		for i := 0; i < bn.F; i++ {
+			bn.RunMean.Data[i] = mean * (rng.Float32()*2 - 1)
+			bn.RunVar.Data[i] = 0.5 + rng.Float32()
+			bn.Gamma.Value.Data[i] = gamma * (0.5 + rng.Float32())
+			bn.Beta.Value.Data[i] = rng.Float32() - 0.5
+		}
+		return net
 	}
-	if _, err := CompileProcVM(net, CompileOptions{Tol: 1e-30}); err == nil {
-		t.Fatal("compile accepted a fold that cannot meet a 1e-30 tolerance")
+	if _, err := CompileProcVM(build(1, 1), CompileOptions{}); err != nil {
+		t.Fatalf("the gate rejected an ordinary fold: %v", err)
+	}
+	if _, err := CompileProcVM(build(1e4, 1e3), CompileOptions{}); err == nil {
+		t.Fatal("compile accepted a fold that deviates beyond the lowering tolerance")
 	} else if !strings.Contains(err.Error(), "lowering gate") {
 		t.Fatalf("compile failed outside the lowering gate: %v", err)
-	}
-	// At the default tolerance the same network compiles.
-	if _, err := CompileProcVM(net, CompileOptions{}); err != nil {
-		t.Fatalf("default tolerance rejected a valid fold: %v", err)
 	}
 }
 

@@ -35,12 +35,6 @@ type OffloadConfig struct {
 	// Plan, when non-nil, pins the initial cut instead of planning from
 	// the device's current conditions.
 	Plan *market.SplitPlan
-	// Enclave, when non-nil, hosts protected suffix execution (watermarked
-	// and compiled deployments) instead of the platform's lazily
-	// provisioned shared session. Its enclave must be provisioned from the
-	// platform vendor key — the manufacturer root the platform verifies
-	// attestation reports against.
-	Enclave *enclave.Session
 }
 
 // OffloadSession is a deployment serving queries through the split
@@ -153,7 +147,7 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 			if err != nil {
 				return nil, err
 			}
-			return p.hostSealed(cfg, version.ID, blob, version, feats)
+			return p.hostSealed(version.ID, blob, version, feats)
 		})
 
 	case watermarked:
@@ -166,7 +160,7 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 			if err != nil {
 				return nil, err
 			}
-			return p.hostSealed(cfg, key, blob, version, 0)
+			return p.hostSealed(key, blob, version, 0)
 		})
 
 	default:
@@ -198,17 +192,16 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 }
 
 // hostSealed seals an artifact of version v into the enclave session hosting
-// protected execution — the caller's, or the platform's shared cloud
-// enclave, provisioned on first use from the vendor key — under artID and
-// verifies the attestation chain before anything serves from it: the loaded
-// measurement must equal the artifact digest, and the session's report
-// over it must verify against the vendor root. It returns the executor over
+// protected execution — the platform's shared cloud enclave, provisioned on
+// first use from the vendor key — under artID and verifies the attestation
+// chain before anything serves from it: the loaded measurement must equal
+// the artifact digest, and the session's report over it must verify against
+// the vendor root. It returns the executor over
 // the enclave's copy (features is a compiled module's input width). Sealing
 // advances the enclave's monotonic counter, so it serializes under encMu.
-func (p *Platform) hostSealed(cfg OffloadConfig, artID string, blob []byte, v *registry.ModelVersion, features int) (exec.Executor, error) {
-	sess := cfg.Enclave
+func (p *Platform) hostSealed(artID string, blob []byte, v *registry.ModelVersion, features int) (exec.Executor, error) {
 	p.encMu.Lock()
-	if sess == nil && p.encSess == nil {
+	if p.encSess == nil {
 		enc, err := enclave.New("cloud-enclave", p.vendorKey, 1.2)
 		if err != nil {
 			p.encMu.Unlock()
@@ -216,9 +209,7 @@ func (p *Platform) hostSealed(cfg OffloadConfig, artID string, blob []byte, v *r
 		}
 		p.encSess = enclave.NewSession(enc)
 	}
-	if sess == nil {
-		sess = p.encSess
-	}
+	sess := p.encSess
 	sealed, err := sess.Enclave().Seal(blob)
 	p.encMu.Unlock()
 	if err != nil {

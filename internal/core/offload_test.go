@@ -233,16 +233,17 @@ func TestPlatformOffloadStaleAfterUpdate(t *testing.T) {
 // TestPlatformOffloadRejectsForeignEnclave: protected offload only serves
 // through an enclave whose attestation chain verifies against the
 // platform's vendor root. A session provisioned from a different
-// manufacturer key produces reports the platform cannot verify, so both
-// protected paths — watermarked and compiled — must refuse to open.
+// manufacturer key (planted where the platform keeps its shared session)
+// produces reports the platform cannot verify, so both protected paths —
+// watermarked and compiled — must refuse to open.
 func TestPlatformOffloadRejectsForeignEnclave(t *testing.T) {
 	p, _, cloud, ds := offloadPlatform(t, "customer-7")
 	rogueEnc, err := enclave.New("rogue-cloud", []byte("rogue-manufacturer-root-key-00001"), 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rogue := enclave.NewSession(rogueEnc)
-	if _, err := p.Offload("phone-00", OffloadConfig{Cloud: cloud, Enclave: rogue}); err == nil {
+	p.encSess = enclave.NewSession(rogueEnc)
+	if _, err := p.Offload("phone-00", OffloadConfig{Cloud: cloud}); err == nil {
 		t.Fatal("watermarked offload accepted a foreign enclave")
 	} else if !strings.Contains(err.Error(), "attestation") {
 		t.Fatalf("watermarked offload failed outside attestation: %v", err)
@@ -269,12 +270,13 @@ func TestPlatformOffloadRejectsForeignEnclave(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Offload("m4-wearable-00", OffloadConfig{Cloud: cloud, Enclave: rogue}); err == nil {
+	if _, err := p.Offload("m4-wearable-00", OffloadConfig{Cloud: cloud}); err == nil {
 		t.Fatal("compiled offload accepted a foreign enclave")
 	} else if !strings.Contains(err.Error(), "attestation") {
 		t.Fatalf("compiled offload failed outside attestation: %v", err)
 	}
 	// The platform's own lazily provisioned enclave still works.
+	p.encSess = nil
 	if _, err := p.Offload("m4-wearable-00", OffloadConfig{Cloud: cloud}); err != nil {
 		t.Fatalf("vendor enclave refused after rogue attempt: %v", err)
 	}

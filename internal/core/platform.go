@@ -72,7 +72,7 @@ type Platform struct {
 
 	// encMu serializes protected-offload provisioning (sealing advances an
 	// enclave-internal monotonic counter); encSess is the lazily provisioned
-	// shared cloud enclave session used when OffloadConfig.Enclave is nil.
+	// shared cloud enclave session that hosts every protected suffix.
 	encMu   sync.Mutex
 	encSess *enclave.Session
 

@@ -22,15 +22,10 @@ type AuditConfig struct {
 	// distinct image the fleet shares is serialized once and its verdict
 	// attributed to every device holding it.
 	Deep bool
-	// AllowPartial tolerates half-written staging slots: an audit taken
-	// mid-recovery counts them without flagging a violation. The terminal
-	// audit must not set this.
-	AllowPartial bool
 	// Swarm, when non-nil, extends the audit to the peer-to-peer
 	// distribution ledger: byte conservation (registry egress + peer bytes
 	// == delivered bytes, and no per-transfer conservation violations),
-	// zero hash rejects, and — unless AllowPartial — no transfer state
-	// left in flight.
+	// zero hash rejects, and no transfer state left in flight.
 	Swarm *swarm.Swarm
 }
 
@@ -193,9 +188,7 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		// Slot convergence: no half-written staging slot may survive.
 		if token, flashed, total, partial := dev.Staging(); partial {
 			rep.PartialInstalls++
-			if !cfg.AllowPartial {
-				rep.violate("%s: stuck mid-install: %q at %d/%d bytes", id, token, flashed, total)
-			}
+			rep.violate("%s: stuck mid-install: %q at %d/%d bytes", id, token, flashed, total)
 		}
 
 		// Bit-exact artifact check — the proof that interrupted installs
@@ -290,10 +283,8 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		}
 		if token, flashed, total, partial := dev.Staging(); partial {
 			rep.PartialInstalls++
-			if !cfg.AllowPartial {
-				rep.violate("%s: undeployed device stuck mid-install: %q at %d/%d bytes",
-					dev.ID, token, flashed, total)
-			}
+			rep.violate("%s: undeployed device stuck mid-install: %q at %d/%d bytes",
+				dev.ID, token, flashed, total)
 		}
 	}
 
@@ -316,7 +307,7 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		if st.HashRejects > 0 {
 			rep.violate("swarm: %d chunk hash rejects from honest sources", st.HashRejects)
 		}
-		if n := cfg.Swarm.InFlight(); n > 0 && !cfg.AllowPartial {
+		if n := cfg.Swarm.InFlight(); n > 0 {
 			rep.violate("swarm: %d devices still hold in-flight transfer state", n)
 		}
 	}

@@ -29,18 +29,24 @@
 // version whose bytes — for unwatermarked copies — are bit-identical to
 // the stored artifact, even after interrupted-and-resumed delta installs),
 // telemetry window monotonicity across buffered and ingested records, and
-// no device left mid-install in a half-written staging slot.
+// no device left mid-install in a half-written staging slot. Every audit is
+// strict: a half-written slot is a violation, not a tolerated state.
 //
 // # Chaos scenario
 //
 // RunScenario is the canned end-to-end experiment behind the `tinymlops
-// chaos` CLI subcommand and the acceptance tests: deploy v1 to a fleet,
-// publish v2, drive a staged rollout under churn + flaky networks +
-// injected mid-flash crashes with bounded deterministic retries, reconcile
-// the stragglers, then audit. Its Fingerprint digests the terminal fleet
-// state so tests can assert bit-identical outcomes across worker counts.
+// chaos` and `tinymlops settle` CLI subcommands and the acceptance tests:
+// deploy v1 to a fleet, publish v2, drive a staged rollout under churn +
+// flaky networks + injected mid-flash crashes with bounded deterministic
+// retries, reconcile the stragglers, serve split queries through the
+// offload plane, settle every meter against the verifying settler, run
+// masked two-tier federated rounds, then audit. Every phase runs on every
+// run. Its Fingerprint digests the terminal fleet state so tests can assert
+// bit-identical outcomes across worker counts.
 //
 // What a ScenarioConfig does not carry is constant (scenario.go, audit.go):
 // rollout.DefaultWaves(), four reconciliation sweeps, 1<<20 prepaid queries
-// per device, 64-byte swarm chunks, and the first 64 violations listed.
+// per device, 64-byte swarm chunks, two split queries per device in each of
+// three offload rounds, 48 federated clients in four cohorts for three
+// rounds, and the first 64 violations listed.
 package faults

@@ -39,40 +39,32 @@ type FedReport struct {
 }
 
 // runFedPhase drives the hierarchical federated plane under the scenario's
-// chaos: FedClients synthetic clients in FedAggregators cohorts run
-// FedRounds masked rounds, every round drawing fresh weather for both
+// chaos: fedClients synthetic clients in fedAggregators cohorts run
+// fedRounds masked rounds, every round drawing fresh weather for both
 // tiers from the plane (round-offset into the scenario's round counter so
 // the streams never collide with device rounds). The aggregated global is
 // published into p's registry and each cohort personalizes it.
-func runFedPhase(p *core.Platform, plane *Plane, round *uint64, cfg ScenarioConfig) (*FedReport, error) {
-	nClients := cfg.FedClients
-	if nClients < cfg.FedAggregators {
-		nClients = 4 * cfg.FedAggregators
-	}
-	rounds := cfg.FedRounds
-	if rounds < 1 {
-		rounds = 2
-	}
+func runFedPhase(p *core.Platform, plane *Plane, round *uint64, seed uint64) (*FedReport, error) {
 	base := *round
-	*round += uint64(rounds)
+	*round += fedRounds
 
 	// The fed fleet's data: shards of one blob problem, test split shared.
-	rng := tensor.NewRNG(cfg.Seed + 0xfed)
-	pool, test := dataset.Blobs(rng, 8*nClients+200, 4, 3, 4).Split(0.9, rng)
-	shards := dataset.PartitionIID(rng, pool, nClients)
+	rng := tensor.NewRNG(seed + 0xfed)
+	pool, test := dataset.Blobs(rng, 8*fedClients+200, 4, 3, 4).Split(0.9, rng)
+	shards := dataset.PartitionIID(rng, pool, fedClients)
 	clients := fed.MakeClients(pool, shards, "fedc")
 
 	ff := plane.FedFaults()
 	hcfg := fed.HierConfig{
 		Config: fed.Config{
-			Rounds: rounds, LocalEpochs: 1, LocalBatch: 8, LR: 0.1,
-			Seed: cfg.Seed ^ 0xfed,
+			Rounds: fedRounds, LocalEpochs: 1, LocalBatch: 8, LR: 0.1,
+			Seed: seed ^ 0xfed,
 			Faults: func(r int, id string) fed.ClientFault {
 				return ff(int(base)+r, id)
 			},
 			StragglerDeadline: 4,
 		},
-		Aggregators: cfg.FedAggregators,
+		Aggregators: fedAggregators,
 		SecureAgg:   true,
 		AggFaults: func(r int, id string) fed.ClientFault {
 			return ff(int(base)+r, "fed-"+id)
@@ -88,7 +80,7 @@ func runFedPhase(p *core.Platform, plane *Plane, round *uint64, cfg ScenarioConf
 	if err != nil {
 		return nil, fmt.Errorf("faults: fed phase: %w", err)
 	}
-	report := &FedReport{Clients: nClients, Aggregators: cfg.FedAggregators, Rounds: rounds}
+	report := &FedReport{Clients: fedClients, Aggregators: fedAggregators, Rounds: fedRounds}
 	for _, s := range stats {
 		report.Participants += s.Participants
 		report.Dropouts += s.Dropouts

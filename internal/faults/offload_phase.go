@@ -42,14 +42,10 @@ type OffloadReport struct {
 }
 
 // runOffloadPhase opens a split session on every deployment against one
-// shared cloud tier and drives cfg.OffloadQueries queries per device per
-// weather round, auditing every answer for bit-exactness against the
-// device's own model.
-func runOffloadPhase(p *core.Platform, plane *Plane, round *uint64, cfg ScenarioConfig, rows [][]float32) (*OffloadReport, error) {
-	rounds := cfg.OffloadRounds
-	if rounds < 1 {
-		rounds = 3
-	}
+// shared cloud tier and drives offloadQueries queries per device in each of
+// offloadRounds weather rounds, auditing every answer for bit-exactness
+// against the device's own model.
+func runOffloadPhase(p *core.Platform, plane *Plane, round *uint64, rows [][]float32) (*OffloadReport, error) {
 	deps := p.Deployments()
 	cloud := offload.NewCloud(offload.CloudConfig{
 		MaxBatch:    32,
@@ -79,12 +75,12 @@ func runOffloadPhase(p *core.Platform, plane *Plane, round *uint64, cfg Scenario
 	for i, d := range deps {
 		devs[i] = &deviceHandle{dep: d}
 	}
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < offloadRounds; r++ {
 		*round++
 		plane.ApplyRound(*round, fleetDevices(deps))
 		err := p.Engine().ForEach(len(deps), func(i int) error {
 			h := devs[i]
-			for q := 0; q < cfg.OffloadQueries; q++ {
+			for q := 0; q < offloadQueries; q++ {
 				x := rows[q%len(rows)]
 				out, ierr := sessions[i].Infer(x)
 				if ierr != nil {

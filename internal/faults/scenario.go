@@ -24,6 +24,15 @@ const (
 	// reconcileRounds recovery sweeps follow the rollout under continued
 	// chaos, before the final calm sweep.
 	reconcileRounds = 4
+	// offloadRounds weather rounds of the offload phase each serve
+	// offloadQueries split queries per device.
+	offloadRounds  = 3
+	offloadQueries = 2
+	// fedClients synthetic clients in fedAggregators edge cohorts run
+	// fedRounds masked two-tier rounds in the federated phase.
+	fedClients     = 48
+	fedAggregators = 4
+	fedRounds      = 3
 	// prepaidQueries per device never gate the chaos traffic; conservation
 	// is still audited.
 	prepaidQueries = 1 << 20
@@ -47,36 +56,12 @@ type ScenarioConfig struct {
 	// UpdateAttempts bounds per-device update retries within a wave and
 	// during reconciliation (default 3).
 	UpdateAttempts int
-	// OffloadQueries, when positive, appends an offload phase after
-	// convergence: every deployment opens a split-execution session
-	// against a shared cloud tier and serves this many queries per
-	// weather round, the cut re-planning as the fault plane moves
-	// connectivity and batteries. Every answer is checked bit-exact
-	// against the device's own monolithic forward, and the terminal audit
-	// covers the phase's metering.
-	OffloadQueries int
-	// OffloadRounds is how many weather rounds the offload phase spans
-	// (default 3 when OffloadQueries > 0).
-	OffloadRounds int
-	// FedAggregators, when positive, appends a hierarchical federated-
-	// learning phase after settlement: FedClients synthetic clients (default
-	// 4× the aggregator count) in FedAggregators edge cohorts run FedRounds
-	// (default 2) masked two-tier rounds under the plane's weather on both
-	// tiers, and the aggregated global publishes back into the scenario's
-	// model line.
-	FedAggregators int
-	FedClients     int
-	FedRounds      int
 	// SwarmRollout switches the rollout's and reconciliation's transfers to
 	// peer-to-peer swarm distribution: the registry serves the canary wave
 	// and acts as seeder of last resort, later waves fetch hash-verified
 	// chunks from already-updated devices, and the terminal audit checks
 	// the swarm's byte-conservation ledger.
 	SwarmRollout bool
-	// ForceFull disables delta transfer for the rollout and every
-	// reconciliation sweep, so the scenario exercises the full-artifact
-	// transfer mode end to end.
-	ForceFull bool
 }
 
 // SwarmReport records a swarm scenario's peer-to-peer distribution: the
@@ -139,8 +124,11 @@ type ScenarioResult struct {
 	// TelemetryLost counts records dropped in transit by injected
 	// telemetry loss.
 	TelemetryLost int
-	// Offload is the offload phase's record (nil when the phase was not
-	// configured).
+	// Offload is the offload phase's record: every deployment opens a
+	// split-execution session against a shared cloud tier and serves split
+	// queries over a few weather rounds, the cut re-planning as the fault
+	// plane moves connectivity and batteries. The scenario errors unless
+	// every answer is bit-exact with the device's own monolithic forward.
 	Offload *OffloadReport
 	// Settlement is the verified-billing settlement phase's record: every
 	// deployment settles its metered window over TCP, with the round's
@@ -148,8 +136,10 @@ type ScenarioResult struct {
 	// scenario errors unless every tampered report was rejected and every
 	// honest one accepted.
 	Settlement *SettlementReport
-	// Fed is the hierarchical federated-learning phase's record (nil when
-	// the phase was not configured).
+	// Fed is the hierarchical federated-learning phase's record: a
+	// synthetic client fleet trains the model line through masked two-tier
+	// rounds under the plane's weather on both tiers, and the aggregated
+	// global publishes back into the scenario's model line.
 	Fed *FedReport
 	// Swarm is the peer-to-peer distribution record (nil unless
 	// SwarmRollout was configured).
@@ -166,9 +156,10 @@ type ScenarioResult struct {
 // across a standard fleet, publish a fine-tuned v2, drive a staged
 // rollout under the configured fault weather (fresh weather before every
 // wave), reconcile the devices the chaos left behind, calm the weather
-// for a terminal sweep, and audit every fleet invariant. The entire run
-// derives from (Seed, Chaos.Seed, fleet), so two runs with different
-// Workers produce identical ScenarioResult fingerprints.
+// for a terminal sweep, serve split queries, settle, run federated rounds,
+// and audit every fleet invariant. The entire run derives from (Seed,
+// Chaos.Seed, fleet), so two runs with different Workers produce identical
+// ScenarioResult fingerprints.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if cfg.Devices < 1 {
 		cfg.Devices = 6
@@ -326,7 +317,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		Calibration: ds,
 		Retry:       engine.RetryPolicy{Attempts: cfg.UpdateAttempts},
 		Swarm:       sw,
-		ForceFull:   cfg.ForceFull,
 		BeforeWave: func(w rollout.Wave, _ []string) {
 			round++
 			res.WaveWeather = append(res.WaveWeather, plane.ApplyRound(round, devs))
@@ -363,7 +353,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// wave, retries exhausted mid-crash, batteries dead — under continued
 	// weather, then one terminal sweep under calm skies. Interrupted
 	// installs resume their half-written slots here.
-	opts := core.UpdateOptions{Calibration: ds, Swarm: sw, ForceFull: cfg.ForceFull}
+	opts := core.UpdateOptions{Calibration: ds, Swarm: sw}
 	// A device has converged when it runs v2's family: the base for the
 	// float cohort, the derived int8 variant for the integer cohort.
 	onV2 := func(v *registry.ModelVersion) bool {
@@ -466,12 +456,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// Offload phase: the converged fleet serves split queries under fresh
 	// weather rounds. Runs before the terminal audit so the phase's meter
 	// charges are inside the conservation check.
-	if cfg.OffloadQueries > 0 {
-		report, oerr := runOffloadPhase(p, plane, &round, cfg, rows)
-		if oerr != nil {
-			return nil, oerr
-		}
-		res.Offload = report
+	if res.Offload, err = runOffloadPhase(p, plane, &round, rows); err != nil {
+		return nil, err
 	}
 
 	// Settlement phase: every device settles its metered window against
@@ -479,22 +465,16 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// before the terminal audit so the audit sees the settlement verdicts
 	// (and the post-acknowledge chain state) — the audit's fraud flags
 	// must reproduce exactly the set of tampered devices.
-	settle, serr := runSettlementPhase(p, plane, &round, res)
-	if serr != nil {
-		return nil, serr
+	if res.Settlement, err = runSettlementPhase(p, plane, &round, res); err != nil {
+		return nil, err
 	}
-	res.Settlement = settle
 
 	// Federated phase: a synthetic client fleet trains the deployed model
 	// line through masked two-tier rounds under the same weather plane and
 	// publishes the aggregate as the next rollout candidate. Runs before
 	// the terminal audit so the published artifact is inside its checks.
-	if cfg.FedAggregators > 0 {
-		fedReport, ferr := runFedPhase(p, plane, &round, cfg)
-		if ferr != nil {
-			return nil, ferr
-		}
-		res.Fed = fedReport
+	if res.Fed, err = runFedPhase(p, plane, &round, cfg.Seed); err != nil {
+		return nil, err
 	}
 
 	if sw != nil {
@@ -591,31 +571,28 @@ func fingerprint(p *core.Platform, res *ScenarioResult) string {
 		res.Rollout.DeltaTransfers, res.Rollout.FullTransfers)
 	fmt.Fprintf(h, "chaos|%d|%d|%d|%d\n", res.Crashes, res.InstallAttempts,
 		res.RetriedUpdates, res.TelemetryLost)
-	if o := res.Offload; o != nil {
-		// CloudBatches/MaxCloudBatch are scheduling-dependent coalescing
-		// detail and deliberately excluded.
-		fmt.Fprintf(h, "offload|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d\n",
-			o.Queries, o.Denied, o.Errors, o.Split, o.Local, o.Fallback,
-			o.Replans, o.ActivationBytes, o.Mismatches, o.CloudServed)
+	// CloudBatches/MaxCloudBatch are scheduling-dependent coalescing detail
+	// and deliberately excluded.
+	o := res.Offload
+	fmt.Fprintf(h, "offload|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d\n",
+		o.Queries, o.Denied, o.Errors, o.Split, o.Local, o.Fallback,
+		o.Replans, o.ActivationBytes, o.Mismatches, o.CloudServed)
+	s := res.Settlement
+	for _, vd := range s.Verdicts {
+		fmt.Fprintf(h, "settle|%s|%v|%v|%v|%v|%v|%s|%d|%d\n",
+			vd.DeviceID, vd.Injected, vd.Overclaim, vd.ProofReplay,
+			vd.WrongVersionProof, vd.OK, vd.Reason, vd.ProofsChecked, vd.AckSeq)
 	}
-	if s := res.Settlement; s != nil {
-		for _, vd := range s.Verdicts {
-			fmt.Fprintf(h, "settle|%s|%v|%v|%v|%v|%v|%s|%d|%d\n",
-				vd.DeviceID, vd.Injected, vd.Overclaim, vd.ProofReplay,
-				vd.WrongVersionProof, vd.OK, vd.Reason, vd.ProofsChecked, vd.AckSeq)
-		}
-		fmt.Fprintf(h, "settlement|%d|%d|%d|%d|%d|%d|%d|%d\n",
-			s.Devices, s.Settled, s.FraudInjected, s.FraudCaught,
-			s.Overclaims, s.Replays, s.WrongVersions, s.ProofsChecked)
-	}
-	if f := res.Fed; f != nil {
-		fmt.Fprintf(h, "fed|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%s|%s|%d\n",
-			f.Clients, f.Aggregators, f.Rounds,
-			f.Participants, f.Dropouts, f.Stragglers, f.Late,
-			f.AggDropouts, f.AggStragglers, f.AggLate,
-			f.EdgeUplinkBytes, f.CloudUplinkBytes, f.DownlinkBytes,
-			f.GlobalDigest, f.PublishedID, f.Personalized)
-	}
+	fmt.Fprintf(h, "settlement|%d|%d|%d|%d|%d|%d|%d|%d\n",
+		s.Devices, s.Settled, s.FraudInjected, s.FraudCaught,
+		s.Overclaims, s.Replays, s.WrongVersions, s.ProofsChecked)
+	f := res.Fed
+	fmt.Fprintf(h, "fed|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%s|%s|%d\n",
+		f.Clients, f.Aggregators, f.Rounds,
+		f.Participants, f.Dropouts, f.Stragglers, f.Late,
+		f.AggDropouts, f.AggStragglers, f.AggLate,
+		f.EdgeUplinkBytes, f.CloudUplinkBytes, f.DownlinkBytes,
+		f.GlobalDigest, f.PublishedID, f.Personalized)
 	if s := res.Swarm; s != nil {
 		fmt.Fprintf(h, "swarm|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d\n",
 			s.Stats.Transfers, s.Stats.Resumed, s.Stats.DeliveredBytes,

@@ -89,57 +89,71 @@ func checkSwarmScenario(t *testing.T, res *ScenarioResult, workers int) {
 // 1k-device staged rollout where only the canary wave downloads from the
 // registry and every later wave fetches hash-verified chunks from
 // already-updated neighbors, under churn, mid-flash crashes and peer-drop
-// weather. Both transfer modes run — delta-chunk (the head-only
-// fine-tune's natural path) and full-artifact (ForceFull) — and in each
-// mode every device must converge to a bit-identical artifact, the
-// byte-conservation audit must be clean, and the outcome must be
-// fingerprint-identical at 1, 4 and 16 workers.
+// weather. Both transfer modes run in the one rollout — delta chunks (the
+// head-only fine-tune's natural path) and full artifacts (the compiled and
+// watermarked cohorts always ship whole) — and every device must converge
+// to a bit-identical artifact, the byte-conservation audit must be clean,
+// and the outcome must be fingerprint-identical at 1, 4 and 16 workers.
+// One subtest per mode checks that the mode shipped and that its
+// post-canary transfers drew on peers.
 func TestChaosSwarmRolloutDeterministic1k(t *testing.T) {
+	var first *ScenarioResult
+	for _, workers := range []int{1, 4, 16} {
+		res, err := RunScenario(ScenarioConfig{
+			Devices: 1_000, Workers: workers, Seed: 7001,
+			Chaos:        swarmChaos(7002),
+			SwarmRollout: true,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		checkSwarmScenario(t, res, workers)
+		if first == nil {
+			first = res
+			st := res.Swarm.Stats
+			t.Logf("1k swarm: fingerprint=%s delivered=%dB registry=%dB peers=%dB resumed=%d drops=%d",
+				res.Fingerprint, st.DeliveredBytes, st.RegistryEgressBytes,
+				st.PeerBytes, st.Resumed, st.MidChunkDrops)
+			continue
+		}
+		if res.Fingerprint != first.Fingerprint {
+			t.Fatalf("workers=%d: fingerprint %s != workers=1's %s — swarm outcome depends on scheduling",
+				workers, res.Fingerprint, first.Fingerprint)
+		}
+		if res.Swarm.Stats != first.Swarm.Stats {
+			t.Fatalf("workers=%d: swarm ledger diverged:\n%+v\nvs\n%+v",
+				workers, res.Swarm.Stats, first.Swarm.Stats)
+		}
+	}
 	for _, mode := range []struct {
-		name      string
-		forceFull bool
+		name  string
+		delta bool
 	}{
-		{"delta-chunks", false},
-		{"full-artifact", true},
+		{"delta-chunks", true},
+		{"full-artifact", false},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			var first *ScenarioResult
-			for _, workers := range []int{1, 4, 16} {
-				res, err := RunScenario(ScenarioConfig{
-					Devices: 1_000, Workers: workers, Seed: 7001,
-					Chaos:        swarmChaos(7002),
-					SwarmRollout: true,
-					ForceFull:    mode.forceFull,
-				})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				checkSwarmScenario(t, res, workers)
-				if mode.forceFull {
-					if res.Rollout.FullTransfers == 0 || res.Rollout.DeltaTransfers != 0 {
-						t.Fatalf("workers=%d: ForceFull shipped %d full / %d delta",
-							workers, res.Rollout.FullTransfers, res.Rollout.DeltaTransfers)
+			var shipped int
+			var laterPeer int64
+			for wi, w := range first.Rollout.Waves {
+				for _, o := range w.Outcomes {
+					if o.UpdateErr != "" || o.Transfer.Unchanged() || o.Transfer.UsedDelta != mode.delta {
+						continue
 					}
-				} else if res.Rollout.DeltaTransfers == 0 {
-					t.Fatalf("workers=%d: head-only update never shipped a delta", workers)
-				}
-				if first == nil {
-					first = res
-					st := res.Swarm.Stats
-					t.Logf("1k swarm %s: fingerprint=%s delivered=%dB registry=%dB peers=%dB resumed=%d drops=%d",
-						mode.name, res.Fingerprint, st.DeliveredBytes, st.RegistryEgressBytes,
-						st.PeerBytes, st.Resumed, st.MidChunkDrops)
-					continue
-				}
-				if res.Fingerprint != first.Fingerprint {
-					t.Fatalf("workers=%d: fingerprint %s != workers=1's %s — swarm outcome depends on scheduling",
-						workers, res.Fingerprint, first.Fingerprint)
-				}
-				if res.Swarm.Stats != first.Swarm.Stats {
-					t.Fatalf("workers=%d: swarm ledger diverged:\n%+v\nvs\n%+v",
-						workers, res.Swarm.Stats, first.Swarm.Stats)
+					shipped++
+					if wi > 0 {
+						laterPeer += o.Transfer.PeerBytes
+					}
 				}
 			}
+			if shipped == 0 {
+				t.Fatalf("rollout shipped no %s transfer (%d full / %d delta)",
+					mode.name, first.Rollout.FullTransfers, first.Rollout.DeltaTransfers)
+			}
+			if laterPeer == 0 {
+				t.Fatalf("%d %s transfers, none after the canary served by peers", shipped, mode.name)
+			}
+			t.Logf("%d %s transfers, %dB post-canary from peers", shipped, mode.name, laterPeer)
 		})
 	}
 }

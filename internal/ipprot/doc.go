@@ -18,7 +18,7 @@
 // deployments opt out of bit-exact machinery like delta updates and
 // split execution.
 //
-// A StaticWMConfig only names the dense layer that carries the mark; the
-// embedding strength (4000 steps at 0.05, λ = 0.005, margin 2) and the
+// A StaticWMConfig has no fields: the mark rides the first dense layer, and
+// the embedding strength (4000 steps at 0.05, λ = 0.005, margin 2) and the
 // extraction attack's batch size (32) are constants.
 package ipprot

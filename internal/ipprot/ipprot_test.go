@@ -118,10 +118,8 @@ func TestStaticWatermarkValidation(t *testing.T) {
 	if err := EmbedStatic(net, "k", nil, DefaultStaticWMConfig()); err == nil {
 		t.Fatal("empty watermark accepted")
 	}
-	cfg := DefaultStaticWMConfig()
-	cfg.Layer = 9
-	if err := EmbedStatic(net, "k", KeyedBits("k", 8), cfg); err == nil {
-		t.Fatal("bad layer index accepted")
+	if err := EmbedStatic(nn.NewNetwork([]int{4}, nn.NewReLU()), "k", KeyedBits("k", 8), DefaultStaticWMConfig()); err == nil {
+		t.Fatal("a network with no dense layer accepted a mark")
 	}
 	huge := KeyedBits("k", 10000)
 	if err := EmbedStatic(net, "k", huge, DefaultStaticWMConfig()); err == nil {

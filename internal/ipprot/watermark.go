@@ -29,14 +29,11 @@ const (
 	wmMargin float32 = 2
 )
 
-// StaticWMConfig places the mark.
-type StaticWMConfig struct {
-	// Layer selects which dense layer's weights carry the mark (index
-	// among the network's dense layers, not all layers).
-	Layer int
-}
+// StaticWMConfig is the static mark's configuration. It has no fields: the
+// mark always rides the first dense layer's weights.
+type StaticWMConfig struct{}
 
-// DefaultStaticWMConfig marks the first dense layer.
+// DefaultStaticWMConfig is the one static-mark configuration.
 func DefaultStaticWMConfig() StaticWMConfig { return StaticWMConfig{} }
 
 // denseLayers returns the dense layers of a network in order.
@@ -50,25 +47,34 @@ func denseLayers(net *nn.Network) []*nn.Dense {
 	return out
 }
 
+// carrier returns the weights of the network's first dense layer, which
+// carry the mark.
+func carrier(net *nn.Network) (*tensor.Tensor, error) {
+	dl := denseLayers(net)
+	if len(dl) == 0 {
+		return nil, fmt.Errorf("ipprot: no dense layer to carry the mark")
+	}
+	return dl[0].W.Value, nil
+}
+
 // projection builds the capacity×n secret matrix from the owner key.
 func projection(key string, capacity, n int) *tensor.Tensor {
 	rng := tensor.NewRNG(keySeed(key, "static-wm"))
 	return tensor.Randn(rng, 1, capacity, n)
 }
 
-// EmbedStatic embeds bits into net's carrier layer in place. The embedding
-// minimizes binary cross-entropy of sigmoid(X·w) against the bits plus
-// λ‖w−w₀‖², so fidelity degrades gracefully as capacity grows (the E8
+// EmbedStatic embeds bits into net's first dense layer in place. The
+// embedding minimizes binary cross-entropy of sigmoid(X·w) against the bits
+// plus λ‖w−w₀‖², so fidelity degrades gracefully as capacity grows (the E8
 // trade-off).
 func EmbedStatic(net *nn.Network, key string, bits []bool, cfg StaticWMConfig) error {
 	if len(bits) == 0 {
 		return fmt.Errorf("ipprot: empty watermark")
 	}
-	dl := denseLayers(net)
-	if cfg.Layer < 0 || cfg.Layer >= len(dl) {
-		return fmt.Errorf("ipprot: carrier layer %d out of range (%d dense layers)", cfg.Layer, len(dl))
+	w, err := carrier(net)
+	if err != nil {
+		return err
 	}
-	w := dl[cfg.Layer].W.Value
 	n := w.Size()
 	if len(bits) > n/2 {
 		return fmt.Errorf("ipprot: capacity %d too large for %d weights", len(bits), n)
@@ -124,14 +130,13 @@ func EmbedStatic(net *nn.Network, key string, bits []bool, cfg StaticWMConfig) e
 	return nil
 }
 
-// ExtractStatic reads capacity bits back from the carrier layer with
+// ExtractStatic reads capacity bits back from the first dense layer with
 // white-box access.
 func ExtractStatic(net *nn.Network, key string, capacity int, cfg StaticWMConfig) ([]bool, error) {
-	dl := denseLayers(net)
-	if cfg.Layer < 0 || cfg.Layer >= len(dl) {
-		return nil, fmt.Errorf("ipprot: carrier layer %d out of range (%d dense layers)", cfg.Layer, len(dl))
+	w, err := carrier(net)
+	if err != nil {
+		return nil, err
 	}
-	w := dl[cfg.Layer].W.Value
 	n := w.Size()
 	x := projection(key, capacity, n)
 	out := make([]bool, capacity)

@@ -410,6 +410,45 @@ func TestServerSurvivesHostileClients(t *testing.T) {
 	}
 }
 
+// TestCloseInterruptsIdleClients: a client that connects and sends nothing
+// holds a handler waiting for its first frame. Close interrupts those waits
+// instead of sitting out the read deadline.
+func TestCloseInterruptsIdleClients(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve(l, NewSettler(issuer(t)), 5*time.Second)
+	const idle = 4
+	var clients []net.Conn
+	for range idle {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients = append(clients, c)
+	}
+	// Wait until a handler holds each connection.
+	for waiting := false; !waiting; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		waiting = len(srv.conns) == idle
+		srv.mu.Unlock()
+	}
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("Close took %v with %d idle clients connected", took, idle)
+	}
+	for i, c := range clients {
+		if !hungUp(c) {
+			t.Fatalf("idle client %d's connection is still open after Close", i)
+		}
+	}
+}
+
 // The cap is checked on the prefix alone: a frame over it fails as over the
 // cap, not as cut short, so nothing was allocated or read for its body.
 func TestFrameCapPrecedesTheBody(t *testing.T) {

@@ -203,6 +203,10 @@ type Server struct {
 	timeout time.Duration
 	wg      sync.WaitGroup
 	closed  chan struct{}
+	// mu guards conns, the connections whose handlers may be waiting for a
+	// frame, so Close can interrupt them.
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
 }
 
 // dialTimeout and ioTimeout bound a settlement's waits on the network: the
@@ -219,7 +223,8 @@ func Serve(l net.Listener, settler *Settler) *Server {
 }
 
 func serve(l net.Listener, settler *Settler, timeout time.Duration) *Server {
-	srv := &Server{settler: settler, listener: l, timeout: timeout, closed: make(chan struct{})}
+	srv := &Server{settler: settler, listener: l, timeout: timeout,
+		closed: make(chan struct{}), conns: map[net.Conn]struct{}{}}
 	srv.wg.Add(1)
 	go srv.acceptLoop()
 	return srv
@@ -255,11 +260,16 @@ func (s *Server) acceptLoop() {
 // handle settles the reports a connection sends, one after another. It
 // hangs up on the first frame that is late, over the cap, cut short or not
 // a report: a peer that cannot frame one gets no verdict, and no state has
-// moved for it.
+// moved for it. It hangs up too once Close has begun, after writing the
+// receipt of a settlement already under way.
 func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	for {
-		conn.SetReadDeadline(time.Now().Add(s.timeout)) //nolint:errcheck
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
+	for s.await(conn) {
 		payload, err := readFrame(conn)
 		if err != nil {
 			return
@@ -276,13 +286,36 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// await arms conn's deadline for the next frame and reports whether to wait
+// for one: not once Close has begun. Both happen under mu, so Close either
+// finds conn here and interrupts the wait, or the handler sees it closing.
+func (s *Server) await(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.closed:
+		return false
+	default:
+	}
+	s.conns[conn] = struct{}{}
+	conn.SetReadDeadline(time.Now().Add(s.timeout)) //nolint:errcheck
+	return true
+}
+
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
-// Close stops the server and waits for in-flight settlements.
+// Close stops the server and waits for in-flight settlements. A handler
+// waiting for a frame is interrupted by a read deadline in the past, so an
+// idle client does not hold Close for the server's timeout.
 func (s *Server) Close() error {
 	close(s.closed)
 	err := s.listener.Close()
+	s.mu.Lock()
+	for conn := range s.conns {
+		conn.SetReadDeadline(time.Unix(1, 0)) //nolint:errcheck
+	}
+	s.mu.Unlock()
 	s.wg.Wait()
 	return err
 }

@@ -25,14 +25,9 @@ const (
 	downloadRef = 60 * time.Second
 )
 
-// Policy sets the hard constraints of a selection and whether the objective
+// Policy sets which variants a selection may pick and whether the objective
 // looks at the battery.
 type Policy struct {
-	// MinAccuracy rejects variants below this validation accuracy.
-	MinAccuracy float64
-	// MaxLatency rejects variants whose modeled inference latency exceeds
-	// this bound (0 = unbounded).
-	MaxLatency time.Duration
 	// Schemes, when non-empty, restricts candidates to these weight
 	// precisions — the operational knob for pinning a cohort to a runtime
 	// (e.g. Float32 only while the integer serving path canaries, or Int8
@@ -49,7 +44,7 @@ type Policy struct {
 	BatteryAware bool
 }
 
-// DefaultPolicy is the experiments' policy: no hard constraint, battery-aware.
+// DefaultPolicy is the experiments' policy: no pin, battery-aware.
 func DefaultPolicy() Policy { return Policy{BatteryAware: true} }
 
 // Evaluation is the per-candidate record of a selection decision.
@@ -97,10 +92,6 @@ func Select(dev *device.Device, candidates []*registry.ModelVersion, policy Poli
 			// Offline: the variant must wait for connectivity; penalize
 			// with a large but finite stand-in so scoring still orders by size.
 			ev.DownloadTime = time.Duration(v.Metrics.SizeBytes) * time.Millisecond
-		}
-		if policy.MaxLatency > 0 && ev.Latency > policy.MaxLatency {
-			ev.Feasible = false
-			ev.Reason = fmt.Sprintf("latency %v exceeds bound %v", ev.Latency, policy.MaxLatency)
 		}
 		evals = append(evals, ev)
 	}
@@ -197,9 +188,6 @@ func feasibility(dev *device.Device, v *registry.ModelVersion, policy Policy) st
 	}
 	if err := dev.CheckFit(int64(v.Metrics.SizeBytes), v.Metrics.PeakActivationBytes); err != nil {
 		return err.Error()
-	}
-	if v.Metrics.Accuracy < policy.MinAccuracy {
-		return fmt.Sprintf("accuracy %.3f below floor %.3f", v.Metrics.Accuracy, policy.MinAccuracy)
 	}
 	return ""
 }

@@ -3,7 +3,6 @@ package selector
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"tinymlops/internal/device"
 	"tinymlops/internal/nn"
@@ -129,30 +128,6 @@ func TestOpSupportRejection(t *testing.T) {
 	m7 := deviceOf(t, "m7-camera", 5)
 	if _, err := Select(m7, []*registry.ModelVersion{v}, DefaultPolicy()); err != nil {
 		t.Fatalf("m7 should support conv2d: %v", err)
-	}
-}
-
-func TestMaxLatencyBound(t *testing.T) {
-	_, cands := buildCandidates(t)
-	m0 := deviceOf(t, "m0-sensor", 6)
-	policy := DefaultPolicy()
-	policy.MaxLatency = time.Millisecond // the big model at 0.5 MAC/cycle blows this
-	dec, err := Select(m0, cands, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Chosen.Latency > policy.MaxLatency {
-		t.Fatalf("chosen latency %v exceeds bound", dec.Chosen.Latency)
-	}
-}
-
-func TestMinAccuracyFloor(t *testing.T) {
-	_, cands := buildCandidates(t)
-	gw := deviceOf(t, "edge-gateway", 7)
-	policy := DefaultPolicy()
-	policy.MinAccuracy = 0.99
-	if _, err := Select(gw, cands, policy); err == nil {
-		t.Fatal("no candidate reaches 0.99 accuracy; Select should fail")
 	}
 }
 

@@ -63,10 +63,11 @@ func ExtractModel(bb BlackBox, student *Network, queries *Tensor, cfg Extraction
 // Agreement returns argmax agreement between two black boxes.
 func Agreement(a, b BlackBox, x *Tensor) float64 { return ipprot.Agreement(a, b, x) }
 
-// StaticWatermarkConfig names the dense layer that carries a white-box mark.
+// StaticWatermarkConfig configures a white-box mark. It has no fields: the
+// mark rides the first dense layer.
 type StaticWatermarkConfig = ipprot.StaticWMConfig
 
-// DefaultStaticWatermarkConfig marks the first dense layer.
+// DefaultStaticWatermarkConfig is the one white-box mark configuration.
 func DefaultStaticWatermarkConfig() StaticWatermarkConfig { return ipprot.DefaultStaticWMConfig() }
 
 // EmbedWatermark embeds an owner-keyed bit string into the model weights.

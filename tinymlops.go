@@ -100,10 +100,10 @@ func NewFaultPlane(cfg ChaosConfig) *faults.Plane { return faults.New(cfg) }
 type ChaosScenarioConfig = faults.ScenarioConfig
 
 // RunChaosScenario deploys v1, publishes v2, drives a staged rollout
-// under the configured fault weather, reconciles the stragglers and
-// audits every invariant. The result records the rollout, the fault
-// accounting, the audit and the determinism fingerprint — bit-identical at
-// any worker count.
+// under the configured fault weather, reconciles the stragglers, runs the
+// offload, settlement and federated phases and audits every invariant. The
+// result records the rollout, the fault accounting, each phase, the audit
+// and the determinism fingerprint — bit-identical at any worker count.
 func RunChaosScenario(cfg ChaosScenarioConfig) (*faults.ScenarioResult, error) {
 	return faults.RunScenario(cfg)
 }
@@ -167,8 +167,7 @@ type OffloadReplanConfig = offload.ReplanConfig
 // Portable protected execution: compat→procvm lowering, registry-first
 // compiled artifacts and enclave-hosted trusted offload.
 
-// ProcVMCompileOptions controls CompileProcVM (module name and lowering
-// tolerance).
+// ProcVMCompileOptions controls CompileProcVM (the module name).
 type ProcVMCompileOptions = compat.CompileOptions
 
 // CompileProcVM lowers a trained network into a procvm module — the
