@@ -15,7 +15,6 @@
 //	tinymlops offload  -devices 2 -queries 12 -rtt 200us
 //	tinymlops settle   -devices 90 -overclaim 0.1 -replay 0.1 -wrong-version 0.1
 //	tinymlops fed      -clients 1000 -aggregators 10 -rounds 3 -secure
-//	tinymlops bench    -check -tolerance 0.25
 package main
 
 import (
@@ -39,7 +38,6 @@ var subcommands = map[string]func(w io.Writer, args []string) error{
 	"offload":  cmdOffload,
 	"settle":   cmdSettle,
 	"fed":      cmdFed,
-	"bench":    cmdBench,
 }
 
 func main() {
@@ -89,9 +87,6 @@ subcommands:
   fed        run hierarchical federated learning over a synthetic client
              fleet: edge-aggregator cohorts, masked (secure) aggregation,
              compressed updates, dropout/straggler weather on both tiers
-  bench      run the tracked serving/offload/fed/swarm benchmark suite and rewrite
-             the committed BENCH_<area>.json snapshots, or with -check
-             fail on any ns/op or allocs/op regression against them
 
 run 'tinymlops <subcommand> -h' for flags`)
 }

@@ -45,8 +45,8 @@ func Rings(rng *tensor.RNG, n, classes int, noise float32) *Dataset {
 	for i := 0; i < n; i++ {
 		c := i % classes
 		y[i] = c
-		r := float64(c+1) + float64(rng.NormFloat32())*float64(noise)
-		th := rng.Float64() * 2 * math.Pi
+		r := float64(c+1) + float64(float64(rng.NormFloat32())*float64(noise))
+		th := uniformAngle(rng)
 		x.Set2(i, 0, float32(r*math.Cos(th)))
 		x.Set2(i, 1, float32(r*math.Sin(th)))
 	}
@@ -68,13 +68,13 @@ func KeywordSeq(rng *tensor.RNG, n, seqLen, classes int, noise, pitchShift float
 		c := i % classes
 		y[i] = c
 		f1 := (1 + float64(c)) * (1 + float64(pitchShift))
-		f2 := (1.5 + 0.5*float64(c)) * (1 + float64(pitchShift))
-		phase := rng.Float64() * 2 * math.Pi
-		amp := 0.8 + 0.4*rng.Float64()
+		f2 := (1.5 + float64(0.5*float64(c))) * (1 + float64(pitchShift))
+		phase := uniformAngle(rng)
+		amp := 0.8 + float64(0.4*rng.Float64())
 		for tt := 0; tt < seqLen; tt++ {
 			u := 2 * math.Pi * float64(tt) / float64(seqLen)
-			v := amp * (math.Sin(f1*u+phase) + 0.5*math.Sin(f2*u))
-			x.Set2(i, tt, float32(v)+rng.NormFloat32()*noise)
+			v := amp * (math.Sin(float64(f1*u)+phase) + float64(0.5*math.Sin(f2*u)))
+			x.Set2(i, tt, float32(v)+float32(rng.NormFloat32()*noise))
 		}
 	}
 	return &Dataset{Name: fmt.Sprintf("keywords(k=%d,len=%d)", classes, seqLen), X: x, Y: y, NumClasses: classes}
@@ -92,24 +92,32 @@ func VibrationAnomaly(rng *tensor.RNG, n, window int, anomalyFrac float64, machi
 	}
 	x := tensor.New(n, window)
 	y := make([]int, n)
-	base := 3.0 + 0.35*float64(machineID%7)
+	base := 3.0 + float64(0.35*float64(machineID%7))
 	for i := 0; i < n; i++ {
 		anomalous := rng.Float64() < anomalyFrac
 		if anomalous {
 			y[i] = 1
 		}
-		phase := rng.Float64() * 2 * math.Pi
+		phase := uniformAngle(rng)
 		for tt := 0; tt < window; tt++ {
 			u := 2 * math.Pi * float64(tt) / float64(window)
-			v := math.Sin(base*u + phase)
+			v := math.Sin(float64(base*u) + phase)
 			if anomalous {
-				v += 0.8 * math.Sin(7.3*base*u+phase)
+				v += float64(0.8 * math.Sin(float64(7.3*base*u)+phase))
 				if rng.Float64() < 0.08 {
 					v += 2.5
 				}
 			}
-			x.Set2(i, tt, float32(v)+rng.NormFloat32()*0.15)
+			x.Set2(i, tt, float32(v)+float32(rng.NormFloat32()*0.15))
 		}
 	}
 	return &Dataset{Name: fmt.Sprintf("vibration(m=%d)", machineID), X: x, Y: y, NumClasses: 2}
+}
+
+// uniformAngle draws an angle in [0, 2π). Both conversions round, so an
+// arm64 build draws the amd64 bits: the inner one keeps the draw's own
+// scaling product from fusing with the doubling, the outer one keeps the
+// angle's product from fusing into the sum the caller adds it to.
+func uniformAngle(rng *tensor.RNG) float64 {
+	return float64(float64(rng.Float64()) * 2 * math.Pi)
 }

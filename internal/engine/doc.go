@@ -7,10 +7,7 @@
 // users" (§I, §III-B); a serial per-device loop cannot exercise that scale.
 // The engine solves the operational half of the problem: Engine.ForEach and
 // Map fan indexed work out over a fixed number of workers with dynamic
-// block scheduling, and SeedFor/RNGFor derive each task's randomness from
-// (root seed, round, index) alone — never from scheduling order — so a
+// block scheduling, and SeedForID derives each task's randomness from
+// (root seed, round, entity ID) alone — never from scheduling order — so a
 // fleet round gives identical results at one worker or sixty-four.
-// FleetRunner ties the two together for device.Fleet: parallel ticks and
-// per-device round work (inference rounds, federated client updates, drift
-// checks) collected in fleet insertion order.
 package engine

@@ -20,7 +20,8 @@ type Config struct {
 // Engine is a bounded worker pool for indexed task sets. The zero-cost
 // contract is determinism: an Engine never exposes scheduling order to the
 // tasks it runs, so any computation that derives its randomness from the
-// task index (see SeedFor) produces identical results at any worker count.
+// task's identity (see SeedForID) produces identical results at any worker
+// count.
 type Engine struct {
 	workers int
 }
@@ -125,21 +126,6 @@ func Map[T any](e *Engine, n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil
 	})
 	return out, err
-}
-
-// SeedFor derives an independent 64-bit seed for task index i of round r
-// under a root seed. The derivation is a pure splitmix64-style mix of
-// (root, round, index), so the stream a task sees depends only on its
-// coordinates — never on which worker ran it or when — which is what makes
-// parallel fleet rounds reproducible.
-func SeedFor(root, round uint64, index int) uint64 {
-	z := mix64(root + 0x9E3779B97F4A7C15*round)
-	return mix64(z + 0x9E3779B97F4A7C15*uint64(index+1))
-}
-
-// RNGFor returns a generator seeded with SeedFor(root, round, index).
-func RNGFor(root, round uint64, index int) *tensor.RNG {
-	return tensor.NewRNG(SeedFor(root, round, index))
 }
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche so related

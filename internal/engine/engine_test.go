@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -77,48 +76,39 @@ func TestMapCollectsInIndexOrder(t *testing.T) {
 	}
 }
 
-func TestSeedForDependsOnlyOnCoordinates(t *testing.T) {
-	if SeedFor(1, 2, 3) != SeedFor(1, 2, 3) {
-		t.Fatal("SeedFor is not a pure function")
-	}
-	seen := make(map[uint64]bool)
-	for r := uint64(0); r < 10; r++ {
-		for i := 0; i < 10; i++ {
-			s := SeedFor(42, r, i)
-			if seen[s] {
-				t.Fatalf("seed collision at round %d index %d", r, i)
-			}
-			seen[s] = true
-		}
-	}
-}
-
-// roundFingerprint runs rounds of per-device work (RNG draws + simulated
-// inference) and folds every outcome into a deterministic fingerprint.
+// roundFingerprint runs rounds of per-device work (a tick, RNG draws and
+// simulated inference) over a standard fleet, each device drawing from the
+// stream SeedForID derives from its round and ID, and folds every outcome
+// into a deterministic fingerprint.
 func roundFingerprint(t *testing.T, workers, rounds int) uint64 {
 	t.Helper()
 	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 20, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewFleetRunner(New(Config{Workers: workers}), fleet, 7)
+	e := New(Config{Workers: workers})
+	devs := fleet.Devices()
 	var fp uint64
-	for round := 0; round < rounds; round++ {
-		r.Tick()
-		results := RunRound(r, func(d *device.Device, rng *tensor.RNG) (uint64, error) {
-			v := rng.Uint64()
-			lat, err := d.RunInference(1000+int64(rng.Intn(1000)), 8)
-			if err != nil {
-				return v, err
-			}
-			return v ^ uint64(lat), nil
-		})
-		for _, res := range results {
-			fp = fp*1099511628211 ^ res.Value
-			for _, c := range res.DeviceID {
+	for round := 1; round <= rounds; round++ {
+		values := make([]uint64, len(devs))
+		failed := make([]bool, len(devs))
+		if err := e.ForEach(len(devs), func(i int) error {
+			devs[i].Tick()
+			rng := tensor.NewRNG(SeedForID(7, uint64(round), devs[i].ID))
+			values[i] = rng.Uint64()
+			lat, err := devs[i].RunInference(1000+int64(rng.Intn(1000)), 8)
+			failed[i] = err != nil
+			values[i] ^= uint64(lat)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range devs {
+			fp = fp*1099511628211 ^ values[i]
+			for _, c := range d.ID {
 				fp = fp*1099511628211 ^ uint64(c)
 			}
-			if res.Err != nil {
+			if failed[i] {
 				fp ^= 0xDEAD
 			}
 		}
@@ -133,49 +123,6 @@ func TestFleetRoundsDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{2, 4, 16} {
 		if got := roundFingerprint(t, workers, 3); got != want {
 			t.Fatalf("workers=%d: fingerprint %x, want %x", workers, got, want)
-		}
-	}
-}
-
-func TestRunRoundKeepsInsertionOrderAndPanics(t *testing.T) {
-	fleet := device.NewFleet()
-	for i := 0; i < 10; i++ {
-		caps, _ := device.ProfileByName("phone")
-		if err := fleet.Add(device.NewDevice(fmt.Sprintf("p-%02d", i), caps, tensor.NewRNG(uint64(i)))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewFleetRunner(New(Config{Workers: 4}), fleet, 1)
-	results := RunRound(r, func(d *device.Device, rng *tensor.RNG) (string, error) {
-		if d.ID == "p-03" {
-			panic("bad device")
-		}
-		if d.ID == "p-04" {
-			return "", errors.New("flaky")
-		}
-		return d.ID, nil
-	})
-	if len(results) != 10 {
-		t.Fatalf("%d results", len(results))
-	}
-	for i, res := range results {
-		wantID := fmt.Sprintf("p-%02d", i)
-		if res.DeviceID != wantID {
-			t.Fatalf("result %d is %q, want %q (insertion order)", i, res.DeviceID, wantID)
-		}
-		switch wantID {
-		case "p-03":
-			if res.Err == nil || !strings.Contains(res.Err.Error(), "panicked") {
-				t.Fatalf("panicking device error = %v", res.Err)
-			}
-		case "p-04":
-			if res.Err == nil {
-				t.Fatal("flaky device error lost")
-			}
-		default:
-			if res.Err != nil || res.Value != wantID {
-				t.Fatalf("device %s: value %q err %v", wantID, res.Value, res.Err)
-			}
 		}
 	}
 }

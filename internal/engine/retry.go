@@ -26,13 +26,13 @@ func Retry(p RetryPolicy, retryable func(error) bool, fn func(attempt int) error
 }
 
 // SeedForID derives an independent 64-bit seed for a string-keyed entity
-// (a device ID, a federated client ID) in round r under a root seed — the
-// ID-keyed sibling of SeedFor. Because the derivation hashes the ID rather
-// than a positional index, the stream an entity sees is stable across
-// fleet subsets and iteration orders, which is what lets a fault plane
-// assign per-device faults deterministically at any worker count.
+// (a device ID, a federated client ID) in round r under a root seed.
+// Because the derivation hashes the ID rather than a positional index, the
+// stream an entity sees is stable across fleet subsets and iteration
+// orders, which is what lets a fault plane assign per-device faults
+// deterministically at any worker count.
 func SeedForID(root, round uint64, id string) uint64 {
-	// FNV-1a over the ID, then the same splitmix64 avalanche SeedFor uses.
+	// FNV-1a over the ID, then the splitmix64 avalanche.
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -45,6 +45,9 @@ type Coordinator struct {
 	// downlink ships a bit-exact nn delta patch rather than the full
 	// artifact (full artifact on the first round only).
 	prev *nn.Network
+	// sums holds every unit's unmasked fixed-point sum, len(units) × the
+	// model's dimension, zeroed at the start of each round.
+	sums []int64
 	// arenas lends each worker its training workspace (workspace.go).
 	arenas *engine.ArenaPool
 }
@@ -90,8 +93,10 @@ func New(global *nn.Network, clients []*Client, testX *tensor.Tensor, testY []in
 	}
 	if cfg.Aggregators == 0 {
 		co.units = make([]*Cohort, len(clients))
+		ones := make([]Cohort, len(clients))
 		for i := range clients {
-			co.units[i] = &Cohort{Clients: clients[i : i+1]}
+			ones[i].Clients = clients[i : i+1]
+			co.units[i] = &ones[i]
 		}
 		return co, nil
 	}
@@ -158,9 +163,15 @@ func (co *Coordinator) RunRound() (RoundStats, error) {
 	if err != nil {
 		return stats, err
 	}
+	dim := len(globalFlat)
+	if len(co.sums) != len(co.units)*dim {
+		co.sums = make([]int64, len(co.units)*dim)
+	} else {
+		clear(co.sums)
+	}
 	results := make([]unitResult, len(co.units))
 	if err := co.cfg.Engine.ForEach(len(co.units), func(i int) error {
-		r, err := co.runUnit(co.units[i], globalFlat, bcast)
+		r, err := co.runUnit(co.units[i], co.sums[i*dim:(i+1)*dim:(i+1)*dim], globalFlat, bcast)
 		if err != nil && co.Cohorts != nil {
 			return fmt.Errorf("fed: %s: %w", co.units[i].ID, err)
 		}
@@ -253,8 +264,9 @@ func (co *Coordinator) broadcast(dim int) (int64, error) {
 // runUnit runs one unit's share of the round: its aggregator's weather, then
 // its eligible clients' weather, training and uploads, and the weighed sum
 // of the updates that arrive in time — under SecureAgg summed from masked
-// words and cross-checked against the plain sum.
-func (co *Coordinator) runUnit(u *Cohort, globalFlat []float32, bcast int64) (unitResult, error) {
+// words and cross-checked against reference, the zeroed plain sum the
+// coordinator lends the unit for the round.
+func (co *Coordinator) runUnit(u *Cohort, reference []int64, globalFlat []float32, bcast int64) (unitResult, error) {
 	cfg := &co.cfg
 	round := co.round
 	var res unitResult
@@ -273,21 +285,22 @@ func (co *Coordinator) runUnit(u *Cohort, globalFlat []float32, bcast int64) (un
 		}
 	}
 
-	var eligible []*Client
+	ar := co.arenas.Acquire()
+	defer co.arenas.Release(ar)
+	ws := ar.Slot(co, newWorkspace).(*workspace)
+
+	eligible := ws.eligible[:0]
 	for _, c := range u.Clients {
 		if c.Eligible() {
 			eligible = append(eligible, c)
 		}
 	}
+	ws.eligible = eligible
 	if len(eligible) == 0 {
 		return res, nil // no chargers + WiFi this round: sit it out
 	}
 	res.participants = len(eligible)
 	res.down = bcast * int64(len(eligible))
-
-	ar := co.arenas.Acquire()
-	defer co.arenas.Release(ar)
-	ws := ar.Slot(co, newWorkspace).(*workspace)
 
 	// The round's pairwise seeds cover every eligible client — agreed at
 	// fan-out time, before anyone knows who will drop.
@@ -305,7 +318,6 @@ func (co *Coordinator) runUnit(u *Cohort, globalFlat []float32, bcast int64) (un
 
 	// reference is the unmasked integer sum the masked path must reproduce
 	// bit for bit (and the whole partial when SecureAgg is off).
-	reference := make([]int64, len(globalFlat))
 	var refSamples int64
 	for i, c := range eligible {
 		// Client weather, a pure function of (round, ID): a dropout crashes

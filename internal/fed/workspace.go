@@ -31,6 +31,8 @@ type workspace struct {
 	// (nil for a participant the aggregator will not sum), cut from slab.
 	rows [][]uint64
 	slab []uint64
+	// eligible lists the unit's clients that take part in the round.
+	eligible []*Client
 }
 
 func newWorkspace() any { return new(workspace) }

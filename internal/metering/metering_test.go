@@ -347,7 +347,7 @@ func TestConcurrentCharges(t *testing.T) {
 
 func TestChargeOverheadIsSmall(t *testing.T) {
 	// Sanity check that metering adds microsecond-scale overhead, the E5
-	// claim; the benchmark in bench_test.go quantifies it precisely.
+	// claim; metering.charge_ns on the serving workloads times it.
 	is := issuer(t)
 	v, _ := is.Issue("dev-1", "model-a", 100000)
 	m := NewMeter(v)

@@ -236,35 +236,3 @@ func TestPackInt4MatrixRowAlignment(t *testing.T) {
 		t.Fatal("PackInt4Matrix accepted a mismatched shape")
 	}
 }
-
-func BenchmarkMatMulInt4(b *testing.B) {
-	m, k, n := 128, 256, 128
-	a := make([]int8, m*k)
-	codes := make([]int8, k*n)
-	for i := range a {
-		a[i] = int8(i%255 - 127)
-	}
-	for i := range codes {
-		codes[i] = int8(i%15 - 7)
-	}
-	bp, err := PackInt4Matrix(codes, k, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs := make([]float32, m)
-	cs := make([]float32, n)
-	for i := range rs {
-		rs[i] = 0.01
-	}
-	for j := range cs {
-		cs[j] = 0.02
-	}
-	dst := make([]float32, m*n)
-	exit := EnterPool() // serial kernel: stable, machine-count-independent
-	defer exit()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInt4(dst, a, bp, m, k, n, rs, cs)
-	}
-}

@@ -202,17 +202,3 @@ func FuzzMatMulInt8Pairs(f *testing.F) {
 		checkPairs(t, a, b, m, k, n, rs, cs)
 	})
 }
-
-// BenchmarkMatMulInt8Blocked measures the blocked integer kernel on the
-// same shape as the float matmul benchmarks in the root bench suite.
-func BenchmarkMatMulInt8Blocked(b *testing.B) {
-	rng := NewRNG(73)
-	m, k, n := 128, 256, 128
-	a, bb, rs, cs := int8Fixture(rng, m, k, n)
-	dst := make([]float32, m*n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInt8(dst, a, bb, m, k, n, rs, cs)
-	}
-}

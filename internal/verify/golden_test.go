@@ -9,6 +9,7 @@ import (
 	"math/big"
 	"testing"
 
+	"tinymlops/internal/engine"
 	"tinymlops/internal/tensor"
 )
 
@@ -208,26 +209,106 @@ func TestDotLazyReductionMatchesBig(t *testing.T) {
 	}
 }
 
-// TestPreparedProofAllocs is the ceiling on what one prepared proof of
-// the settlement shape allocates, so the per-proof scratch (in-place
+// TestPreparedProofAllocs pins what one prepared proof of the settlement
+// shape (1×256 · 256×64) allocates, so the per-proof scratch (in-place
 // folds, the transcript's resident hasher, the chunked digests) cannot
-// silently regress to the 74 allocations of the one-shot prover it
+// silently regress toward the 74 allocations of the one-shot prover it
 // replaced.
 func TestPreparedProofAllocs(t *testing.T) {
-	rng := tensor.NewRNG(80)
-	a, b := randMat(rng, 64), randMat(rng, 64*256)
-	pw, err := PrepareWeights(b, 64, 256)
+	a, b := settlementOperands(50)
+	pw, err := PrepareWeights(b, settleK, settleN)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := bytes.Repeat([]byte{7}, 80)
-	const ceiling = 20
+	const pin = 14
 	got := testing.AllocsPerRun(50, func() {
 		if _, _, _, err := ProveMatMulPrepared(ctx, a, 1, pw); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got > ceiling {
-		t.Fatalf("one prepared proof allocates %.0f times, ceiling %d", got, ceiling)
+	if got != pin {
+		t.Fatalf("one prepared proof allocates %.0f times, pinned at %d", got, pin)
+	}
+}
+
+// settleK and settleN are a deployment's proved layer at settlement: one
+// quantized input row against a k×n weight matrix.
+const settleK, settleN = 256, 64
+
+func settlementOperands(seed uint64) (a, w []int32) {
+	rng := tensor.NewRNG(seed)
+	return randMat(rng, settleK), randMat(rng, settleK*settleN)
+}
+
+// TestSettlementAllocationPins pins the rest of settlement's proof path at
+// its shape: the one-shot prover, which encodes and digests the weights
+// each time; the one-shot verifier; and a 16-proof window through the
+// batch verifier on two workers (the pool's goroutines are counted, so the
+// worker count is fixed). The proof is 204 bytes.
+func TestSettlementAllocationPins(t *testing.T) {
+	a, w := settlementOperands(50)
+	c, proof, _, err := ProveMatMul(a, 1, settleK, w, settleN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := proof.SizeBytes(); got != 204 {
+		t.Errorf("proof is %d bytes, pinned at 204", got)
+	}
+	bv := NewBatchVerifier(engine.New(engine.Config{Workers: 2}))
+	if err := bv.Prepare("class", w, settleK, settleN); err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(52)
+	items := make([]BatchItem, 16)
+	for i := range items {
+		ai := randMat(rng, settleK)
+		ci, pi, _, err := ProveMatMul(ai, 1, settleK, w, settleN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items[i] = BatchItem{ClassID: "class", A: ai, M: 1, C: ci, Proof: pi}
+	}
+	for _, pin := range []struct {
+		name string
+		want float64
+		op   func()
+	}{
+		{"ProveMatMul", 16, func() { ProveMatMul(a, 1, settleK, w, settleN) }},             //nolint:errcheck
+		{"VerifyMatMul", 40, func() { VerifyMatMul(a, 1, settleK, w, settleN, c, proof) }}, //nolint:errcheck
+		{"VerifyBatch of 16", 675, func() { bv.VerifyBatch(items) }},                       //nolint:errcheck
+	} {
+		if got := testing.AllocsPerRun(20, pin.op); got != pin.want {
+			t.Errorf("%s allocates %.0f times, pinned at %.0f", pin.name, got, pin.want)
+		}
+	}
+	results, _, err := bv.VerifyBatch(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if !r.OK {
+			t.Fatalf("batch rejected honest proof %d: %v", i, r.Err)
+		}
+	}
+}
+
+// BenchmarkProveMatMulPrepared times the settlement prover at its shape.
+// The end-to-end harness times the one-shot prover instead
+// (verify.prove_us), so this figure is measured, not gated:
+//
+//	go test -run '^$' -bench ProveMatMulPrepared ./internal/verify
+func BenchmarkProveMatMulPrepared(b *testing.B) {
+	a, w := settlementOperands(50)
+	pw, err := PrepareWeights(w, settleK, settleN)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := ProveMatMulPrepared(nil, a, 1, pw); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
