@@ -258,7 +258,7 @@ func TestChaosSurface(t *testing.T) {
 
 // TestIntegerServingSurface pins the integer-serving facade: the selection
 // policy's scheme allowlist, the deployment's reported execution scheme, and
-// an integer-native deployment splitting through the quantized boundary.
+// an integer deployment splitting through the quantized boundary.
 func TestIntegerServingSurface(t *testing.T) {
 	rng := tinymlops.NewRNG(51)
 	net := tinymlops.NewNetwork([]int{4}, tinymlops.Dense(4, 8, rng), tinymlops.ReLU(), tinymlops.Dense(8, 2, rng))

@@ -6,10 +6,10 @@ import (
 	"tinymlops"
 )
 
-// nativeExecProfiles lists the standard hardware profiles that execute
-// the scheme on native kernels (QModel for integer schemes, the float
-// engine for float32); everywhere else the variant falls back to
-// fake-quantized float and pays the emulation penalty.
+// nativeExecProfiles lists the standard hardware profiles that retire the
+// scheme's MACs natively. Every profile runs the variant on the same
+// kernels (QModel for integer schemes, the float engine for float32); the
+// rest pay the emulation penalty on the modelled clock.
 func nativeExecProfiles(scheme tinymlops.Scheme) string {
 	var names []string
 	for _, p := range tinymlops.StandardProfiles() {
@@ -19,7 +19,7 @@ func nativeExecProfiles(scheme tinymlops.Scheme) string {
 	}
 	switch len(names) {
 	case 0:
-		return "none (fake-quant float fallback)"
+		return "none (emulated everywhere)"
 	case len(tinymlops.StandardProfiles()):
 		return "all profiles"
 	}

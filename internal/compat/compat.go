@@ -19,7 +19,7 @@ type Report struct {
 	// MissingOps lists operators with no native kernel on the target.
 	MissingOps []string
 	// EmulatedBits is set when the variant's weight width has no hardware
-	// support and would fall back to the penalized fp32 path (§III-A).
+	// support and is charged the emulation penalty (§III-A).
 	EmulatedBits bool
 	// FitsFlash is false when the artifact exceeds device storage.
 	FitsFlash bool

@@ -24,8 +24,8 @@ func schemePin(s quant.Scheme) selector.Policy {
 }
 
 // conformanceVariant is one row of the variant matrix: a serving kind, the
-// selection policy that pins it, the device whose hardware executes it
-// natively, and the split cut its offload plane runs at.
+// selection policy that pins it, the device serving it, and the split cut
+// its offload plane runs at.
 type conformanceVariant struct {
 	name     string
 	deviceID string
@@ -36,7 +36,8 @@ type conformanceVariant struct {
 	cut      int
 }
 
-// conformanceFixture is a six-profile fleet serving the "conf" model line,
+// conformanceFixture is a six-profile fleet, two devices per profile,
+// serving the "conf" model line,
 // plus a started cloud tier. Generations are published one at a time (see
 // publishGen) so each serving plane selects against exactly the registry
 // state a staged rollout would see.
@@ -58,7 +59,7 @@ func newConformanceFixture(t *testing.T) *conformanceFixture {
 // platform configuration.
 func newConformanceFixtureWith(t *testing.T, cfg Config) *conformanceFixture {
 	t.Helper()
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1, Seed: 9})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +111,11 @@ func (f *conformanceFixture) publishGen(t *testing.T) *registry.ModelVersion {
 	return base
 }
 
-// conformanceVariants returns the five-kind matrix. Each variant is pinned
-// to a device whose hardware serves it natively, so ExecutionScheme (and
-// the independent reference below) never silently falls back.
+// conformanceVariants returns the five-kind matrix plus two cells that
+// prove a variant is one function on every device: int4 on hardware without
+// 4-bit MACs, and a watermarked int8 copy, which splits through the
+// enclave on the integer kernels. wantExec is the variant's own scheme in
+// every row, whatever the device's bit widths.
 func conformanceVariants() []conformanceVariant {
 	return []conformanceVariant{
 		{
@@ -144,6 +147,18 @@ func conformanceVariants() []conformanceVariant {
 			},
 			wantKind: registry.KindProcVM, wantExec: quant.Float32, cut: 0,
 		},
+		{
+			name: "int4-emulated", deviceID: "m7-camera-01",
+			policy:   func() DeployConfig { return DeployConfig{Policy: schemePin(quant.Int4)} },
+			wantKind: registry.KindNetwork, wantExec: quant.Int4, cut: 2,
+		},
+		{
+			name: "watermarked-int8", deviceID: "m0-sensor-00",
+			policy: func() DeployConfig {
+				return DeployConfig{Policy: schemePin(quant.Int8), Watermark: "conf-customer"}
+			},
+			wantKind: registry.KindNetwork, wantExec: quant.Int8, wantMark: true, cut: 2,
+		},
 	}
 }
 
@@ -151,8 +166,8 @@ func conformanceVariants() []conformanceVariant {
 // produce for one input row without touching the deployment's own
 // executable: the registry artifact is re-loaded (and, for watermarked
 // copies, re-marked from the version's ownership tag) and run through a
-// freshly built engine of the matching kind. This is the monolithic
-// reference every serving plane must match bit-for-bit.
+// freshly built engine of the version's kind and scheme. This is the
+// monolithic reference every serving plane must match bit-for-bit.
 func independentLogits(t *testing.T, p *Platform, dep *Deployment, x []float32) []float32 {
 	t.Helper()
 	ver := dep.Version
@@ -190,7 +205,7 @@ func independentLogits(t *testing.T, p *Platform, dep *Deployment, x []float32) 
 		}
 	}
 	in := tensor.FromSlice(append([]float32(nil), x...), 1, len(x))
-	if dep.ExecutionScheme() != quant.Float32 {
+	if ver.Scheme != quant.Float32 {
 		qm, err := quant.NewQModel(model, ver.Scheme)
 		if err != nil {
 			t.Fatal(err)

@@ -20,15 +20,15 @@ import (
 )
 
 // Deployment is one model running on one device: the installed image (the
-// decoded model and the executable serving it — the float engine, or the
-// integer-kernel QModel when the variant's scheme has native hardware
-// support, see ExecutionScheme), the metering gate, the drift monitor, the
-// telemetry buffer and the optional procvm pipeline stages. What is the
-// device's own lives here; the image is the platform's one copy per
-// (version, executor kind), held by pointer, unless a watermark made it
-// this device's. Deployments are updatable: Update hot-swaps the image to a
-// new registry version (keeping meter and telemetry buffer) and Rollback
-// reverts to the previous one, A/B-slot style.
+// decoded model and the executable serving it — the float engine, the
+// integer-kernel QModel of an integer variant, or the VM; see
+// ExecutionScheme), the metering gate, the drift monitor, the telemetry
+// buffer and the optional procvm pipeline stages. What is the device's own
+// lives here; the image is the platform's one copy per version, held by
+// pointer, unless a watermark made it this device's. Deployments are
+// updatable: Update hot-swaps the image to a new registry version (keeping
+// meter and telemetry buffer) and Rollback reverts to the previous one,
+// A/B-slot style.
 type Deployment struct {
 	DeviceID string
 	Version  *registry.ModelVersion
@@ -262,14 +262,14 @@ func argMax(v []float32) int {
 
 // executeLocal is the on-device execute step: each admitted row is charged
 // to the device cost model at the bit width of the kernels that execute
-// (native integer or float/emulated), then one batched forward pass serves
-// every row the device could pay for.
+// (emulated where the hardware lacks it), then one batched forward pass
+// serves every row the device could pay for.
 func (d *Deployment) executeLocal(in *tensor.Tensor, adm []admitted) ([]float32, error) {
 	macs := d.Version.Metrics.MACs
 	energyMJ := d.device.Caps.InferenceEnergy(macs) * 1e3
 	paid := 0
 	for i := range adm {
-		lat, err := d.device.RunInference(macs, d.img.run.Bits())
+		lat, err := d.device.RunInference(macs, d.img.run.Scheme().Bits())
 		if err != nil {
 			adm[i].err = fmt.Errorf("core: device: %w", err)
 			continue
@@ -392,10 +392,8 @@ func (d *Deployment) ReferenceLogits(x []float32) []float32 {
 }
 
 // ExecutionScheme reports the weight precision of the kernels actually
-// serving this deployment: the variant's integer scheme when the device
-// executes the QModel natively, Float32 when the float engine serves it
-// (float bases, and integer variants falling back to fake-quantized float
-// on hardware without the bit width).
+// serving this deployment: an integer variant's scheme on every device,
+// Float32 for float bases and compiled modules.
 func (d *Deployment) ExecutionScheme() quant.Scheme {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"tinymlops/internal/device"
 	"tinymlops/internal/enclave"
 	"tinymlops/internal/exec"
 	"tinymlops/internal/nn"
@@ -14,57 +13,44 @@ import (
 
 // image is one installed model generation: the decoded artifact (a network,
 // or a procvm module for a compiled version) and the executor lowered from
-// it, immutable once built. Every unwatermarked deployment of a (version,
-// executor kind) holds the platform's one image of it in its live or
-// rollback slot; a watermarked deployment holds a private one, because the
-// marked copy is the device's own.
+// it, immutable once built. Every unwatermarked deployment of a version
+// holds the platform's one image of it in its live or rollback slot; a
+// watermarked deployment holds a private one, because the marked copy is
+// the device's own.
 type image struct {
 	version  *registry.ModelVersion
 	model    *nn.Network
 	compiled *procvm.Module
 	run      exec.Executor
 
-	// key and refs are the image table's, guarded by its mutex: refs counts
-	// the deployment slots holding a shared image, and stays 0 on a private
-	// one.
-	key  imageKey
+	// refs is the image table's, guarded by its mutex: it counts the
+	// deployment slots holding a shared image, and stays 0 on a private one.
 	refs int
 }
 
-// imageKey names a shared image: a version lowered for one executor kind.
-// Variants exist per device class, not per device (§III-A), so a fleet of
-// any size holds a handful of keys.
-type imageKey struct {
-	versionID string
-	// native selects the integer kernels at the version's scheme; false is
-	// the float engine, or the VM for a compiled version.
-	native bool
-}
-
-// newExecutor builds the executor serving an image — the one place core
-// decides which kernels run a variant. A compiled image runs on the VM
-// under the device's capability grant. native lowers the network onto the
-// integer kernels of the version's scheme (§III-A: low precision buys
-// nothing without them). Everything else — float bases, devices without
-// the bit width, models the integer runtime cannot lower — runs the float
-// engine over the artifact's (fake-quantized) weights, charged at the
-// variant's bit width so unsupported widths pay the emulation penalty.
-func newExecutor(v *registry.ModelVersion, native bool, model *nn.Network, compiled *procvm.Module) (exec.Executor, error) {
-	if compiled != nil {
+// newExecutor builds the executor serving a version — the one place core
+// decides which kernels run a variant, from the version alone. A compiled
+// version runs on the VM under the device's capability grant, an
+// integer variant on the integer kernels of its scheme and a float one on
+// the float engine. One version is one function on every device: hardware
+// without the bit width runs the same kernels, and the device cost model
+// charges it the emulation penalty.
+func newExecutor(v *registry.ModelVersion, model *nn.Network, compiled *procvm.Module) (exec.Executor, error) {
+	switch {
+	case compiled != nil:
 		return exec.Module(compiled, procvm.CapSensor, 0, v.Metrics.MACs), nil
+	case v.Scheme != quant.Float32:
+		return exec.Quant(model, v.Scheme)
+	default:
+		return exec.Float(model)
 	}
-	if native {
-		if ex, err := exec.Quant(model, v.Scheme); err == nil {
-			return ex, nil
-		}
-	}
-	return exec.Float(model, v.Scheme.Bits())
 }
 
 // hostedExecutor is the executor over an artifact sealed into an enclave
-// session under artID: the protected world's own decoded copy runs, granted
-// what a module asks for, at the enclave's slowdown. features is a compiled
-// module's input width, which it does not declare itself.
+// session under artID: the protected world's own decoded copy runs, on the
+// executor the device runs it with, at the enclave's slowdown. A module is
+// granted what it asks for; features is its input width, which it does not
+// declare itself.
 func hostedExecutor(sess *enclave.Session, artID string, v *registry.ModelVersion, features int) (exec.Executor, error) {
 	if v.Kind == registry.KindProcVM {
 		mod, err := sess.Module(artID)
@@ -77,37 +63,36 @@ func hostedExecutor(sess *enclave.Session, artID string, v *registry.ModelVersio
 	if err != nil {
 		return nil, err
 	}
-	ex, err := exec.Float(inside, v.Scheme.Bits())
+	ex, err := newExecutor(v, inside, nil)
 	if err != nil {
 		return nil, err
 	}
 	return exec.Hosted(ex, sess.Enclave().Slowdown), nil
 }
 
-// imageTable is the platform's single-flight (version, executor kind) →
-// image lookup: a wave of a thousand devices moving to one version decodes
-// and lowers it once. An entry lives exactly as long as some deployment's
-// live or rollback slot references it, so residency follows what the fleet
-// runs, not what the registry has published.
+// imageTable is the platform's single-flight version → image lookup: a
+// wave of a thousand devices moving to one version decodes and lowers it
+// once. An entry lives exactly as long as some deployment's live or
+// rollback slot references it, so residency follows what the fleet runs,
+// not what the registry has published.
 type imageTable struct {
 	mu      sync.Mutex
-	entries map[imageKey]*image
-	misses  int // images built into the table
+	entries map[string]*image // by version ID
+	misses  int               // images built into the table
 }
 
-// install returns the image dev runs v as, given decode for the artifact
-// the device holds. A private install decodes and lowers for this device
-// alone. Otherwise the device takes the table's image with one more
-// reference; the first to need a key builds it with the mutex held, so
-// concurrent installs of one key build it once, and a failed build inserts
-// nothing and fails its caller alone.
-func (t *imageTable) install(dev *device.Device, v *registry.ModelVersion, private bool, decode func() (*nn.Network, *procvm.Module, error)) (*image, error) {
-	native := v.Kind != registry.KindProcVM && v.Scheme != quant.Float32 && dev.Caps.SupportsBits(v.Scheme.Bits())
-	key := imageKey{v.ID, native}
+// install returns the image a device runs v as, given decode for the
+// artifact the device holds. A private install decodes and lowers for that
+// device alone. Otherwise the device takes the table's image with one more
+// reference; the first to need a version builds it with the mutex held, so
+// concurrent installs of one version build it once, and a failed build
+// inserts nothing and fails its caller alone. Variants exist per device
+// class, not per device (§III-A), so a fleet of any size holds a handful.
+func (t *imageTable) install(v *registry.ModelVersion, private bool, decode func() (*nn.Network, *procvm.Module, error)) (*image, error) {
 	if !private {
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		if img, ok := t.entries[key]; ok {
+		if img, ok := t.entries[v.ID]; ok {
 			img.refs++
 			return img, nil
 		}
@@ -116,28 +101,28 @@ func (t *imageTable) install(dev *device.Device, v *registry.ModelVersion, priva
 	if err != nil {
 		return nil, err
 	}
-	run, err := newExecutor(v, native, model, compiled)
+	run, err := newExecutor(v, model, compiled)
 	if err != nil {
 		return nil, err
 	}
 	img := &image{version: v, model: model, compiled: compiled, run: run}
 	if !private {
 		if t.entries == nil {
-			t.entries = make(map[imageKey]*image)
+			t.entries = make(map[string]*image)
 		}
-		img.key, img.refs = key, 1
-		t.entries[key] = img
+		img.refs = 1
+		t.entries[v.ID] = img
 		t.misses++
 	}
 	return img, nil
 }
 
-// shares reports whether img is the table's own image of its key; it stays
-// true while the asking deployment holds its reference.
+// shares reports whether img is the table's own image of its version; it
+// stays true while the asking deployment holds its reference.
 func (t *imageTable) shares(img *image) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return img != nil && t.entries[img.key] == img
+	return img != nil && t.entries[img.version.ID] == img
 }
 
 // release drops one slot's reference, and the entry with its last one.
@@ -145,10 +130,10 @@ func (t *imageTable) shares(img *image) bool {
 func (t *imageTable) release(img *image) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if img == nil || t.entries[img.key] != img {
+	if img == nil || t.entries[img.version.ID] != img {
 		return
 	}
 	if img.refs--; img.refs == 0 {
-		delete(t.entries, img.key)
+		delete(t.entries, img.version.ID)
 	}
 }

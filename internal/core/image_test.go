@@ -19,35 +19,34 @@ import (
 	"tinymlops/internal/tensor"
 )
 
-// tableState reads the image table's miss counter and its keys, sorted.
+// tableState reads the image table's miss counter and its entries, sorted.
 func tableState(p *Platform) (misses int, keys []string) {
 	p.images.mu.Lock()
 	defer p.images.mu.Unlock()
-	for k, img := range p.images.entries {
-		keys = append(keys, fmt.Sprintf("%s native=%v refs=%d", k.versionID, k.native, img.refs))
+	for id, img := range p.images.entries {
+		keys = append(keys, fmt.Sprintf("%s refs=%d", id, img.refs))
 	}
 	sort.Strings(keys)
 	return p.images.misses, keys
 }
 
-// referencedImages lists what the table must hold: every (version, kind)
-// some unwatermarked deployment's live or rollback slot holds, with the
-// number of slots holding it, in tableState's format.
+// referencedImages lists what the table must hold: every version some
+// unwatermarked deployment's live or rollback slot holds, with the number
+// of slots holding it, in tableState's format.
 func referencedImages(p *Platform) []string {
-	refs := map[imageKey]int{}
+	refs := map[string]int{}
 	for _, d := range p.Deployments() {
 		d.mu.Lock()
 		for _, img := range []*image{d.img, d.prev} {
 			if img != nil && d.watermark == "" {
-				native := img.version.Scheme != quant.Float32 && d.device.Caps.SupportsBits(img.version.Scheme.Bits())
-				refs[imageKey{img.version.ID, native}]++
+				refs[img.version.ID]++
 			}
 		}
 		d.mu.Unlock()
 	}
 	var keys []string
-	for k, n := range refs {
-		keys = append(keys, fmt.Sprintf("%s native=%v refs=%d", k.versionID, k.native, n))
+	for id, n := range refs {
+		keys = append(keys, fmt.Sprintf("%s refs=%d", id, n))
 	}
 	sort.Strings(keys)
 	return keys

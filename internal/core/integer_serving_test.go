@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"tinymlops/internal/dataset"
@@ -15,8 +16,8 @@ import (
 )
 
 // softCaps is a hardware profile with no native low-bit support: integer
-// variants deployed here must fall back to fake-quantized float execution
-// and pay the emulation penalty in the cost model.
+// variants deployed here run the same integer kernels and pay the
+// emulation penalty in the cost model.
 func softCaps() device.Capabilities {
 	return device.Capabilities{
 		Name: "m-soft", Class: device.ClassM4,
@@ -159,39 +160,56 @@ func TestDeployIntegerVariantServesNativeKernels(t *testing.T) {
 	}
 }
 
-// TestDeployIntegerVariantFallsBackWithoutNativeBits pins the fallback
-// wiring: the same int8 variant on hardware without 8-bit MACs executes
-// on the float engine (fake-quantized weights) and is charged the
-// emulated — slower than float32 — latency.
-func TestDeployIntegerVariantFallsBackWithoutNativeBits(t *testing.T) {
+// TestIntegerVariantIsOneFunctionOnEveryDevice pins §III-A's one variant,
+// one function: the same int8 version on hardware with 8-bit MACs and on
+// hardware without them shares one image (one table build, two references),
+// runs the same integer kernels with bit-identical logits, and differs only
+// in the modelled charge — each device pays InferenceLatency(macs, 8) on its
+// own profile, so the soft device is emulated and slower than its float32
+// rate.
+func TestIntegerVariantIsOneFunctionOnEveryDevice(t *testing.T) {
 	p, ds, _ := integerFixture(t, 22)
-	dep, err := p.Deploy("soft-00", "intline", DeployConfig{
-		PrepaidQueries: 100, Policy: int8Policy(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	var deps []*Deployment
+	for _, id := range []string{"npu-00", "soft-00"} {
+		dep, err := p.Deploy(id, "intline", DeployConfig{PrepaidQueries: 100, Policy: int8Policy()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dep.Version.Scheme != quant.Int8 || dep.ExecutionScheme() != quant.Int8 {
+			t.Fatalf("%s: selected %v, executing %v, want int8 both", id, dep.Version.Scheme, dep.ExecutionScheme())
+		}
+		deps = append(deps, dep)
 	}
-	if dep.Version.Scheme != quant.Int8 {
-		t.Fatalf("selected scheme %v", dep.Version.Scheme)
+	if deps[0].Version.ID != deps[1].Version.ID {
+		t.Fatalf("devices selected different variants: %s vs %s", deps[0].Version.ID, deps[1].Version.ID)
 	}
-	if got := dep.ExecutionScheme(); got != quant.Float32 {
-		t.Fatalf("execution scheme %v, want float32 fallback", got)
+	misses, keys := tableState(p)
+	if want := []string{deps[0].Version.ID + " refs=2"}; misses != 1 || !slices.Equal(keys, want) {
+		t.Fatalf("image table: %d misses, entries %v; want 1 miss, %v", misses, keys, want)
 	}
-	x := make([]float32, 4)
-	for f := range x {
-		x[f] = ds.X.At2(0, f)
+
+	es := ds.X.Size() / ds.Len()
+	for q := 0; q < 8; q++ {
+		x := ds.X.Data[q*es : (q+1)*es]
+		if !bitsEqual(deps[0].ReferenceLogits(x), deps[1].ReferenceLogits(x)) {
+			t.Fatalf("row %d: logits differ between the native and the soft device", q)
+		}
 	}
-	res, err := dep.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caps := dep.Device().Caps
-	macs := dep.Version.Metrics.MACs
-	if want := caps.InferenceLatency(macs, 8); res.Latency != want {
-		t.Fatalf("latency %v, want emulated %v", res.Latency, want)
-	}
-	if f32 := caps.InferenceLatency(macs, 32); res.Latency <= f32 {
-		t.Fatalf("emulated int8 latency %v should exceed float32 %v (§III-A)", res.Latency, f32)
+
+	x := ds.X.Data[:es]
+	for _, dep := range deps {
+		res, err := dep.Infer(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps := dep.Device().Caps
+		macs := dep.Version.Metrics.MACs
+		if want := caps.InferenceLatency(macs, 8); res.Latency != want {
+			t.Fatalf("%s: latency %v, want %v", dep.DeviceID, res.Latency, want)
+		}
+		if f32 := caps.InferenceLatency(macs, 32); caps.SupportsBits(8) != (res.Latency < f32) {
+			t.Fatalf("%s: int8 latency %v vs float32 %v with native 8-bit MACs %v", dep.DeviceID, res.Latency, f32, caps.SupportsBits(8))
+		}
 	}
 }
 
@@ -278,62 +296,51 @@ func TestQModelReinstantiatedAcrossUpdateAndRollback(t *testing.T) {
 }
 
 // TestOffloadIntegerDeployments pins how the platform keys the quantized
-// split: an integer-native deployment offloads under the version's "#q"
-// cloud entry and really splits at the dense-stage cut, while the same
-// variant on hardware without the bit width splits in float under the
-// version's own key — the two entries coexist. (Bit-exactness of the
-// quantized split is the int8/int4 offload cell of the conformance
-// matrix and, below it, the executor conformance table.)
+// split: an integer deployment offloads under the version's "#q" cloud
+// entry and really splits at the dense-stage cut, and the same variant on
+// hardware without the bit width splits through that same entry — no float
+// entry of the version is registered. (Bit-exactness of the quantized split
+// is the int8/int4 offload cells of the conformance matrix and, below them,
+// the executor conformance table.)
 func TestOffloadIntegerDeployments(t *testing.T) {
 	p, ds, _ := integerFixture(t, 24)
-	dep, err := p.Deploy("npu-00", "intline", DeployConfig{
-		PrepaidQueries: 100, Policy: int8Policy(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.ExecutionScheme() == quant.Float32 {
-		t.Fatal("fixture lost its native integer execution")
-	}
 	cloud := offload.NewCloud(offload.CloudConfig{MaxBatch: 4})
 	cloud.Start()
 	defer cloud.Close()
-	// Stage layout is [dense relu dense]: cut 2 is the dense boundary the
-	// session snaps any plan onto.
-	sess, err := p.Offload("npu-00", OffloadConfig{
-		Cloud: cloud, Plan: &market.SplitPlan{Cut: 2},
-		Replan: offload.ReplanConfig{Disabled: true},
-	})
-	if err != nil {
-		t.Fatalf("integer offload: %v", err)
-	}
 	es := ds.X.Size() / ds.Len()
-	for q := 0; q < 8; q++ {
-		x := ds.X.Data[q*es : (q+1)*es]
-		out, err := sess.Infer(x)
+	for _, id := range []string{"npu-00", "soft-00"} {
+		dep, err := p.Deploy(id, "intline", DeployConfig{PrepaidQueries: 100, Policy: int8Policy()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Split.Mode != offload.ModeSplit || out.Split.Cut != 2 {
-			t.Fatalf("query %d: mode %v cut %d", q, out.Split.Mode, out.Split.Cut)
+		if dep.ExecutionScheme() != quant.Int8 {
+			t.Fatalf("%s: executing %v, want int8", id, dep.ExecutionScheme())
 		}
-	}
-	ver, _, _ := dep.StateSnapshot()
-	if !cloud.Registered(ver.ID + "#q") {
-		t.Fatal("integer split did not register a quant entry")
-	}
-
-	// The float fallback on the soft device offloads through the plain
-	// float path under the version's own key — the two entries coexist.
-	if _, err := p.Deploy("soft-00", "intline", DeployConfig{
-		PrepaidQueries: 100, Policy: int8Policy(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Offload("soft-00", OffloadConfig{Cloud: cloud}); err != nil {
-		t.Fatalf("float-fallback deployment refused: %v", err)
-	}
-	if !cloud.Registered(ver.ID) {
-		t.Fatal("float entry missing after fallback offload")
+		// Stage layout is [dense relu dense]: cut 2 is the dense boundary
+		// the session snaps any plan onto.
+		sess, err := p.Offload(id, OffloadConfig{
+			Cloud: cloud, Plan: &market.SplitPlan{Cut: 2},
+			Replan: offload.ReplanConfig{Disabled: true},
+		})
+		if err != nil {
+			t.Fatalf("%s: integer offload: %v", id, err)
+		}
+		for q := 0; q < 8; q++ {
+			x := ds.X.Data[q*es : (q+1)*es]
+			out, err := sess.Infer(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Split.Mode != offload.ModeSplit || out.Split.Cut != 2 {
+				t.Fatalf("%s query %d: mode %v cut %d", id, q, out.Split.Mode, out.Split.Cut)
+			}
+			if !bitsEqual(out.Split.Logits, dep.ReferenceLogits(x)) {
+				t.Fatalf("%s query %d: split logits differ from the device's own", id, q)
+			}
+		}
+		ver, _, _ := dep.StateSnapshot()
+		if !cloud.Registered(ver.ID+"#q") || cloud.Registered(ver.ID) {
+			t.Fatalf("%s: want the quant entry %s#q alone registered", id, ver.ID)
+		}
 	}
 }

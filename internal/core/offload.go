@@ -67,7 +67,7 @@ type OffloadOutcome struct {
 //
 //   - Float deployments ship float boundary activations; the cloud serves
 //     the registry artifact (bit-identical to the device's copy).
-//   - Integer-native deployments ship int8 boundary codes plus a dynamic
+//   - Integer deployments ship int8 boundary codes plus a dynamic
 //     per-example scale (the QAB1 codec); the cloud resumes the same
 //     integer kernels at a dense-stage cut.
 //   - Watermarked deployments seal their per-device marked copy into the
@@ -93,9 +93,6 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	img, watermarked := dep.img, dep.watermark != ""
 	dep.mu.Unlock()
 	version, execScheme := img.version, img.run.Scheme()
-	if watermarked && execScheme != quant.Float32 {
-		return nil, fmt.Errorf("core: watermarked integer-native deployment on %s cannot offload (the enclave executes the float copy)", deviceID)
-	}
 
 	replan := cfg.Replan
 	if replan.RTT == 0 {
@@ -104,7 +101,7 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	scfg := offload.SessionConfig{
 		Tenant: deviceID,
 		Device: dep.device,
-		Bits:   img.run.Bits(),
+		Bits:   execScheme.Bits(),
 		Cloud:  cfg.Cloud,
 		Replan: replan,
 		Plan:   cfg.Plan,
@@ -166,10 +163,9 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	default:
 		// The cloud serves the fleet's own image of the version: the same
 		// decoded registry artifact and the same executor the device runs,
-		// by pointer. Integer-native deployments cross the cut as int8 codes;
-		// the "#q" key keeps their entry distinct from the float entry of
-		// the same version (devices without native support still split in
-		// float).
+		// by pointer. Integer deployments cross the cut as int8 codes under
+		// the version's "#q" key, the name the split benchmark's standalone
+		// sessions look the quantized entry up by.
 		key := version.ID
 		if execScheme != quant.Float32 {
 			key += "#q"

@@ -285,7 +285,7 @@ func buildMonitor(ref *dataset.Dataset) (*observe.Monitor, error) {
 	// The monitor alarms when ANY feature's detector fires, which divides
 	// the per-feature in-control run length by the feature count; scale
 	// the CUSUM threshold with log(features) to compensate.
-	h := 10 + 4*float64(log2Ceil(len(cols)))
+	h := 10 + float64(4*log2Ceil(len(cols)))
 	return observe.NewMonitor(cols, func(col []float64) (observe.Detector, error) {
 		var w observe.Welford
 		for _, v := range col {

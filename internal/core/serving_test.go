@@ -7,10 +7,10 @@ import (
 	"tinymlops/internal/registry"
 )
 
-// deployFiveKinds deploys every row of the conformance variant matrix
+// deployMatrix deploys every row of the conformance variant matrix
 // against a freshly published generation and returns the deployments in
 // matrix order.
-func deployFiveKinds(t *testing.T, f *conformanceFixture, quota uint64) []*Deployment {
+func deployMatrix(t *testing.T, f *conformanceFixture, quota uint64) []*Deployment {
 	t.Helper()
 	gen := f.publishGen(t)
 	var deps []*Deployment
@@ -53,7 +53,7 @@ func TestWrongWidthQueryFailsAloneOnEveryKind(t *testing.T) {
 	f := newConformanceFixtureWith(t, Config{
 		VendorKey: []byte("wrong-width-key-0123456789abcdef"), Seed: 9, MinCohort: 1, VerifiedBilling: true,
 	})
-	deps := deployFiveKinds(t, f, 100)
+	deps := deployMatrix(t, f, 100)
 	good := f.ds.X.Data[:f.es]
 	bad := good[:3]
 	for i, v := range conformanceVariants() {
@@ -104,7 +104,7 @@ func TestFailingQueryInsideForEachIsolatesOneDevice(t *testing.T) {
 	f := newConformanceFixtureWith(t, Config{
 		VendorKey: []byte("foreach-isolation-key-0123456789"), Seed: 9, MinCohort: 1, Workers: 4,
 	})
-	deps := deployFiveKinds(t, f, 100)
+	deps := deployMatrix(t, f, 100)
 	const victim = 1
 	rows := make([][]float32, len(deps))
 	for i := range rows {
@@ -148,7 +148,7 @@ func TestFailingQueryInsideForEachIsolatesOneDevice(t *testing.T) {
 // TestRunAllocationPins).
 func TestServingAllocationPins(t *testing.T) {
 	f := newConformanceFixture(t)
-	deps := deployFiveKinds(t, f, 1_000_000)
+	deps := deployMatrix(t, f, 1_000_000)
 	batch := make([][]float32, 16)
 	for i := range batch {
 		batch[i] = f.ds.X.Data[i*f.es : (i+1)*f.es]

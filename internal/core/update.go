@@ -214,7 +214,7 @@ func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersi
 	// base, so the result is the fleet's image of the target: only the first
 	// device of a wave computes it. A base the table does not hold (a fresh
 	// Deploy replaced this deployment) is patched privately.
-	img, err := p.images.install(d.device, chosen, !p.images.shares(d.img), func() (*nn.Network, *procvm.Module, error) {
+	img, err := p.images.install(chosen, !p.images.shares(d.img), func() (*nn.Network, *procvm.Module, error) {
 		model, err := nn.ApplyDelta(d.img.model, plain)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: apply delta on %s: %w", d.DeviceID, err)
@@ -370,7 +370,7 @@ func (p *Platform) shipFull(sw *swarm.Swarm, dev *device.Device, v *registry.Mod
 	if err != nil {
 		return nil, err
 	}
-	return p.images.install(dev, v, watermark != "", func() (*nn.Network, *procvm.Module, error) {
+	return p.images.install(v, watermark != "", func() (*nn.Network, *procvm.Module, error) {
 		model, compiled, err := decodeImage(v, plain)
 		if err == nil && watermark != "" {
 			err = p.embedWatermark(model, v.ID, dev.ID, watermark)

@@ -47,8 +47,8 @@ type Capabilities struct {
 	ClockHz float64
 	// MACsPerCycle maps a weight bit width (32, 8, 4, 2, 1) to the
 	// multiply-accumulates the hardware retires per cycle at that width.
-	// A missing entry means no native support: execution falls back to the
-	// float32 rate multiplied by EmulationPenalty (unpacking overhead) —
+	// A missing entry means no native support: the width is charged the
+	// float32 rate divided by EmulationPenalty (unpacking overhead) —
 	// the §III-A observation that low precision buys nothing without
 	// hardware support.
 	MACsPerCycle map[int]float64

@@ -42,7 +42,6 @@ type conformanceKind struct {
 	name     string
 	build    func(t *testing.T, net *nn.Network) Executor
 	scheme   quant.Scheme
-	bits     int
 	slowdown float64
 	steps    int
 	legal    []int // cuts < n that SnapCut must leave alone
@@ -103,18 +102,18 @@ func conformanceKinds() []conformanceKind {
 	return []conformanceKind{
 		{
 			name:   "float32",
-			build:  func(t *testing.T, net *nn.Network) Executor { return must(t)(Float(net, 0)) },
-			scheme: quant.Float32, bits: 32, slowdown: 1, steps: 5, legal: []int{0, 1, 2, 3, 4}, ref: floatRef,
+			build:  func(t *testing.T, net *nn.Network) Executor { return must(t)(Float(net)) },
+			scheme: quant.Float32, slowdown: 1, steps: 5, legal: []int{0, 1, 2, 3, 4}, ref: floatRef,
 		},
 		{
 			name:   "int8",
 			build:  func(t *testing.T, net *nn.Network) Executor { return must(t)(Quant(net, quant.Int8)) },
-			scheme: quant.Int8, bits: 8, slowdown: 1, steps: 5, legal: []int{0, 2, 4}, ref: quantRef(quant.Int8),
+			scheme: quant.Int8, slowdown: 1, steps: 5, legal: []int{0, 2, 4}, ref: quantRef(quant.Int8),
 		},
 		{
 			name:   "int4",
 			build:  func(t *testing.T, net *nn.Network) Executor { return must(t)(Quant(net, quant.Int4)) },
-			scheme: quant.Int4, bits: 4, slowdown: 1, steps: 5, legal: []int{0, 2, 4}, ref: quantRef(quant.Int4),
+			scheme: quant.Int4, slowdown: 1, steps: 5, legal: []int{0, 2, 4}, ref: quantRef(quant.Int4),
 		},
 		{
 			name: "procvm",
@@ -122,14 +121,21 @@ func conformanceKinds() []conformanceKind {
 				mod := compile(t, net)
 				return Module(mod, mod.Caps, 8, 1234)
 			},
-			scheme: quant.Float32, bits: 32, slowdown: 1, steps: 1, legal: []int{0}, ref: moduleRef,
+			scheme: quant.Float32, slowdown: 1, steps: 1, legal: []int{0}, ref: moduleRef,
 		},
 		{
 			name: "enclave-network",
 			build: func(t *testing.T, net *nn.Network) Executor {
-				return Hosted(must(t)(Float(net, 8)), 1.5)
+				return Hosted(must(t)(Float(net)), 1.5)
 			},
-			scheme: quant.Float32, bits: 8, slowdown: 1.5, steps: 5, legal: []int{0, 1, 2, 3, 4}, ref: floatRef,
+			scheme: quant.Float32, slowdown: 1.5, steps: 5, legal: []int{0, 1, 2, 3, 4}, ref: floatRef,
+		},
+		{
+			name: "enclave-int8",
+			build: func(t *testing.T, net *nn.Network) Executor {
+				return Hosted(must(t)(Quant(net, quant.Int8)), 1.5)
+			},
+			scheme: quant.Int8, slowdown: 1.5, steps: 5, legal: []int{0, 2, 4}, ref: quantRef(quant.Int8),
 		},
 		{
 			name: "enclave-module",
@@ -137,7 +143,7 @@ func conformanceKinds() []conformanceKind {
 				mod := compile(t, net)
 				return Hosted(Module(mod, mod.Caps, 8, 1234), 2)
 			},
-			scheme: quant.Float32, bits: 32, slowdown: 2, steps: 1, legal: []int{0}, ref: moduleRef,
+			scheme: quant.Float32, slowdown: 2, steps: 1, legal: []int{0}, ref: moduleRef,
 		},
 	}
 }
@@ -154,9 +160,9 @@ func TestExecutorConformance(t *testing.T) {
 			net := conformanceModel()
 			ex := k.build(t, net)
 			n := ex.Steps()
-			if n != k.steps || len(ex.Costs()) != n || ex.Scheme() != k.scheme || ex.Bits() != k.bits || ex.Slowdown() != k.slowdown || Width(ex.InputShape()) != 8 {
-				t.Fatalf("self-description: %d steps, scheme %v, %d bits, slowdown %v, input %v",
-					n, ex.Scheme(), ex.Bits(), ex.Slowdown(), ex.InputShape())
+			if n != k.steps || len(ex.Costs()) != n || ex.Scheme() != k.scheme || ex.Slowdown() != k.slowdown || Width(ex.InputShape()) != 8 {
+				t.Fatalf("self-description: %d steps, scheme %v, slowdown %v, input %v",
+					n, ex.Scheme(), ex.Slowdown(), ex.InputShape())
 			}
 			const rows = 3
 			x := tensor.Randn(tensor.NewRNG(5), 1, rows, 8)
@@ -245,7 +251,7 @@ func TestExecutorConformance(t *testing.T) {
 // float executor only tensor-codec ones, each naming the mismatch.
 func TestBoundaryCodecsDoNotCross(t *testing.T) {
 	net := conformanceModel()
-	f, q := must(t)(Float(net, 32)), must(t)(Quant(net, quant.Int8))
+	f, q := must(t)(Float(net)), must(t)(Quant(net, quant.Int8))
 	x := tensor.Randn(tensor.NewRNG(7), 1, 1, 8)
 	ar := engine.NewArena()
 	fp, err := f.EncodeBoundary(x, 0, ar)
@@ -278,7 +284,7 @@ func TestFloatExecutorReshapesFlatRows(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	net := nn.NewNetwork([]int{1, 6, 6},
 		nn.NewConv2D(1, 2, 3, 3, 1, 0, rng), nn.NewReLU(), nn.NewFlatten(), nn.NewDense(32, 3, rng))
-	ex := must(t)(Float(net, 32))
+	ex := must(t)(Float(net))
 	img := tensor.Randn(tensor.NewRNG(4), 1, 2, 1, 6, 6)
 	want := append([]float32(nil), net.Predict(img).Data...)
 	flat := tensor.FromSlice(img.Data, 2, 36)
@@ -293,10 +299,10 @@ func TestFloatExecutorReshapesFlatRows(t *testing.T) {
 
 // TestConstructorsRejectUnusableModels covers the construction errors.
 func TestConstructorsRejectUnusableModels(t *testing.T) {
-	if _, err := Float(nil, 32); err == nil {
+	if _, err := Float(nil); err == nil {
 		t.Fatal("nil network accepted")
 	}
-	if _, err := Float(nn.NewNetwork([]int{4}), 32); err == nil {
+	if _, err := Float(nn.NewNetwork([]int{4})); err == nil {
 		t.Fatal("empty network accepted")
 	}
 	// A window larger than its map used to reach the integer lowering and

@@ -6,11 +6,11 @@
 // IP-protection (§V) challenges give the platform five variant kinds. They
 // reduce to three executors —
 //
-//   - Float: the float engine's fused batch programs, for float bases,
-//     watermarked copies and low-bit variants emulated on hardware without
-//     the width;
-//   - Quant: the integer kernels of a quant.QModel, split only at
-//     dense-stage boundaries and shipped as QAB1 int8 codes;
+//   - Float: the float engine's fused batch programs, for float bases and
+//     their watermarked copies;
+//   - Quant: the integer kernels of a quant.QModel, for every integer
+//     variant on every device, split only at dense-stage boundaries and
+//     shipped as QAB1 int8 codes;
 //   - Module: a compiled procvm module, one indivisible step;
 //
 // — plus Hosted, which wraps any of them for execution inside an enclave

@@ -29,11 +29,9 @@ type Executor interface {
 	// InputShape is the per-example input shape, nil when the artifact
 	// declares none (a compiled module of unknown width).
 	InputShape() []int
-	// Scheme is the weight precision of the kernels that execute; Bits the
-	// width charged to the device cost model, which differs when float
-	// kernels emulate a low-bit variant.
+	// Scheme is the weight precision of the kernels that execute, and its
+	// width is what the device cost model charges.
 	Scheme() quant.Scheme
-	Bits() int
 	// Slowdown is the latency factor of the hosting world: 1 outside an
 	// enclave.
 	Slowdown() float64

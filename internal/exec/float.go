@@ -15,29 +15,20 @@ import (
 // would, and no pass writes layer state.
 type floatExec struct {
 	graph
-	net  *nn.Network
-	bits int
+	net *nn.Network
 
 	mu    sync.Mutex
 	views map[[2]int]*nn.Network // cached Subnets, guarded by mu
 }
 
-// Float returns the float-engine executor over net. bits is the variant's
-// weight width for the device cost model (≤0 = 32): an integer variant
-// served from its fake-quantized float artifact keeps its own width, so
-// hardware without it pays the emulation penalty.
-func Float(net *nn.Network, bits int) (Executor, error) {
-	if bits <= 0 {
-		bits = 32
-	}
-	f := &floatExec{net: net, bits: bits}
+// Float returns the float-engine executor over net.
+func Float(net *nn.Network) (Executor, error) {
+	f := &floatExec{net: net}
 	if err := f.init(net); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
-
-func (f *floatExec) Bits() int { return f.bits }
 
 // view returns the cached Subnet for [lo, hi); the whole range is the
 // network itself.

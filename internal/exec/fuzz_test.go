@@ -67,7 +67,7 @@ func FuzzExecutorBuild(f *testing.F) {
 			name  string
 			build func() (Executor, error)
 		}{
-			{"float", func() (Executor, error) { return Float(net, 32) }},
+			{"float", func() (Executor, error) { return Float(net) }},
 			{"int8", func() (Executor, error) { return Quant(net, quant.Int8) }},
 			{"int4", func() (Executor, error) { return Quant(net, quant.Int4) }},
 		} {

@@ -37,8 +37,6 @@ func Module(mod *procvm.Module, granted procvm.Capability, features int, macs in
 	return m
 }
 
-func (m *moduleExec) Bits() int { return 32 }
-
 func (m *moduleExec) Run(x *tensor.Tensor, lo, hi int, ar *engine.Arena) (*tensor.Tensor, error) {
 	x, err := m.enter(x, lo, hi)
 	if err != nil || lo == hi {

@@ -9,11 +9,13 @@ import (
 	"tinymlops/internal/tensor"
 )
 
-// quantExec runs a network on the integer kernels at the variant's native
-// bit width. A cut is legal only where the resuming stage is a dense
-// integer stage: the boundary crosses as the int8 codes plus the dynamic
-// per-example scale that stage would have computed locally (the QAB1
-// codec), so the resumed answer is bit-identical to the whole pass.
+// quantExec runs a network on the integer kernels of the variant's scheme,
+// on every device: hardware without the bit width runs the same kernels,
+// and only the modelled charge differs. A cut is legal only where the
+// resuming stage is a dense integer stage: the boundary crosses as the int8
+// codes plus the dynamic per-example scale that stage would have computed
+// locally (the QAB1 codec), so the resumed answer is bit-identical to the
+// whole pass.
 type quantExec struct {
 	graph
 	qm *quant.QModel
@@ -40,7 +42,6 @@ func Quant(net *nn.Network, scheme quant.Scheme) (Executor, error) {
 }
 
 func (q *quantExec) Scheme() quant.Scheme { return q.qm.Scheme }
-func (q *quantExec) Bits() int            { return q.qm.Scheme.Bits() }
 func (q *quantExec) SnapCut(cut int) int  { return q.qm.SnapCut(cut) }
 
 func (q *quantExec) scratch(ar *engine.Arena) *quant.QScratch {
@@ -88,7 +89,7 @@ func (q *quantExec) DecodeBoundary(payload []byte, cut int) (Boundary, error) {
 		return Boundary{}, fmt.Errorf("exec: cut %d is not a quantized boundary: %w", cut, err)
 	}
 	if !isQAB(payload) {
-		return Boundary{}, fmt.Errorf("exec: this model is integer-native and requires quantized boundary payloads")
+		return Boundary{}, fmt.Errorf("exec: this model is integer and requires quantized boundary payloads")
 	}
 	codes, scales, rows, cols, err := decodeQAB(payload)
 	if err != nil {

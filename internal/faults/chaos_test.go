@@ -68,15 +68,15 @@ func TestChaosRollout10kBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 		// The serving matrix must actually be mixed: the fleet rotates
 		// through five policy cohorts — int8, int4 (packed kernels on
-		// 4-bit-capable hardware, fake-quantized float on the rest),
+		// every device, emulated where the hardware lacks 4-bit MACs),
 		// float32, watermarked and compiled procvm — and every one of
 		// them, integer and protected variants included, serves split
 		// traffic through the offload phase above.
 		if res.IntServing == 0 || res.FloatServing == 0 {
 			t.Fatalf("workers=%d: serving cohorts int=%d float=%d — want both", workers, res.IntServing, res.FloatServing)
 		}
-		if res.Int4Native == 0 {
-			t.Fatalf("workers=%d: int4 cohort produced no native packed-int4 deployments", workers)
+		if res.Int4Serving == 0 {
+			t.Fatalf("workers=%d: int4 cohort produced no packed-int4 deployments", workers)
 		}
 		if res.Watermarked == 0 {
 			t.Fatalf("workers=%d: watermarked cohort produced no marked deployments", workers)
@@ -135,8 +135,8 @@ func TestChaosOffloadPhaseDeterministicSmall(t *testing.T) {
 		if o.CloudServed != o.Split {
 			t.Fatalf("workers=%d: cloud served %d vs %d splits", workers, o.CloudServed, o.Split)
 		}
-		if res.Int4Native == 0 {
-			t.Fatalf("workers=%d: int4 cohort produced no native packed-int4 deployments", workers)
+		if res.Int4Serving == 0 {
+			t.Fatalf("workers=%d: int4 cohort produced no packed-int4 deployments", workers)
 		}
 		if !res.Audit.OK() {
 			t.Fatalf("workers=%d: audit violations after offload phase: %v", workers, res.Audit.Violations)

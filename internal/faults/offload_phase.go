@@ -59,7 +59,7 @@ func runOffloadPhase(p *core.Platform, plane *Plane, round *uint64, rows [][]flo
 	// every initial plan derives from (profile, calm link) alone — and
 	// sealing/attestation order into the shared cloud enclave stays
 	// deterministic. Every cohort splits: float ships float activations,
-	// integer-native ships quantized boundary codes, watermarked and
+	// integer ships quantized boundary codes, watermarked and
 	// compiled deployments execute their suffix inside the enclave.
 	report := &OffloadReport{}
 	sessions := make([]*core.OffloadSession, len(deps))

@@ -98,13 +98,11 @@ type ScenarioResult struct {
 	// covers every deployment executing on the integer kernels at any
 	// width.
 	IntServing, FloatServing int
-	// Int4Native counts terminal deployments executing on the packed int4
-	// kernels: int4-cohort devices whose hardware retires 4-bit MACs
-	// natively. The rest of that cohort (no sub-int8 modes) serves the
-	// same variant fake-quantized on the float engine, paying the
-	// emulation penalty — both outcomes are pinned per device by the
-	// fingerprint's executing-scheme column.
-	Int4Native int
+	// Int4Serving counts terminal deployments executing on the packed int4
+	// kernels: the whole int4 cohort, since a variant runs its own kernels
+	// on every device. Hardware without 4-bit MACs pays the emulation
+	// penalty in the modelled charge, not in a different function.
+	Int4Serving int
 	// Watermarked counts terminal deployments carrying a per-customer mark;
 	// ProcVM counts deployments executing compiled bytecode on the
 	// capability-gated VM. Both cohorts ride the same rollout, offload and
@@ -224,17 +222,16 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 
 	// The fleet splits into five selection-policy cohorts by rotation:
-	// int8-pinned (every standard profile retires int8 MACs natively, so
-	// these serve through the blocked int8 kernels), int4-pinned (devices
-	// with native 4-bit modes serve through the packed int4 kernels; the
-	// rest fall back to the fake-quantized float engine under the same
-	// pin), float32-pinned, watermarked (float artifact stamped with a
-	// per-customer mark on device) and procvm-pinned (the compiled
-	// bytecode variant, executing on the capability-gated VM). The chaos
-	// therefore exercises the full protected serving matrix — integer
-	// QModels, float, marked and obfuscated deployments crash, resume,
-	// update and roll back side by side — and the fingerprint pins every
-	// device's executing scheme and artifact kind at every worker count.
+	// int8-pinned (served through the blocked int8 kernels), int4-pinned
+	// (served through the packed int4 kernels on every device; those
+	// without 4-bit modes pay the emulation penalty), float32-pinned,
+	// watermarked (float artifact stamped with a per-customer mark on
+	// device) and procvm-pinned (the compiled bytecode variant, executing on
+	// the capability-gated VM). The chaos therefore exercises the full
+	// protected serving matrix — integer QModels, float, marked and
+	// obfuscated deployments crash, resume, update and roll back side by
+	// side — and the fingerprint pins every device's executing scheme and
+	// artifact kind at every worker count.
 	ids := make([]string, 0, len(devs))
 	for _, d := range devs {
 		ids = append(ids, d.ID)
@@ -421,7 +418,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		case quant.Float32:
 			res.FloatServing++
 		case quant.Int4:
-			res.Int4Native++
+			res.Int4Serving++
 			res.IntServing++
 		default:
 			res.IntServing++
@@ -439,10 +436,10 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if len(int8IDs) > 0 && res.IntServing == 0 {
 		return nil, fmt.Errorf("faults: integer cohorts of %d devices ended with no QModel deployments", len(int8IDs)+len(int4IDs))
 	}
-	// Half the standard profiles retire 4-bit MACs natively, so a healthy
-	// int4 cohort must end with packed-int4 executables on those devices.
-	if len(int4IDs) > 0 && res.Int4Native == 0 {
-		return nil, fmt.Errorf("faults: int4 cohort of %d devices ended with no native int4 deployments", len(int4IDs))
+	// Every int4-cohort device ends on the packed int4 kernels, whatever
+	// its bit widths.
+	if res.Int4Serving != len(int4IDs) {
+		return nil, fmt.Errorf("faults: %d of the int4 cohort's %d devices ended on the int4 kernels", res.Int4Serving, len(int4IDs))
 	}
 	if len(wmIDs) > 0 && res.Watermarked == 0 {
 		return nil, fmt.Errorf("faults: watermarked cohort of %d devices ended with no marked deployments", len(wmIDs))

@@ -31,7 +31,7 @@ func (w *Welford) Add(x float64) {
 	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // N returns the observation count.

@@ -160,8 +160,8 @@ func NewCloud(cfg CloudConfig) *CloudTier {
 func (c *CloudTier) Caps() device.Capabilities { return c.caps }
 
 // Register makes a model version servable from its executor: a float
-// network, an integer-native model resumed from quantized boundary codes,
-// or either of them or a compiled module hosted in an enclave. The
+// network, an integer model resumed from quantized boundary codes, or
+// either of them or a compiled module hosted in an enclave. The
 // executor is shared, not copied. It must declare its input shape — the
 // tier validates every boundary before it queues. Repeated registration
 // of the same version is a no-op.
@@ -371,7 +371,7 @@ func (c *CloudTier) execBatch(cl *class, reqs []*request, ar *engine.Arena) {
 	}
 	out, err := cl.ex.Resume(bs, cl.key.cut, ar)
 	// Protected execution pays the enclave's slowdown on cloud compute.
-	perQuery := time.Duration(float64(c.caps.InferenceLatency(cl.sufMACs, cl.ex.Bits())) * cl.ex.Slowdown())
+	perQuery := time.Duration(float64(c.caps.InferenceLatency(cl.sufMACs, cl.ex.Scheme().Bits())) * cl.ex.Slowdown())
 	// Stats commit BEFORE any reply is delivered: a caller unblocked by
 	// its reply must observe its own request in Stats() — the chaos
 	// scenario's CloudServed == Split invariant depends on it.

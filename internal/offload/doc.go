@@ -32,10 +32,11 @@
 // Neither half knows a variant kind. Both run an exec.Executor — the
 // session's built once from its SessionConfig, the tier's handed to
 // Register — and the executor owns kernels, cut legality and wire format:
-// float networks ship tensor-codec activations; integer-native models
-// ship int8 codes plus a per-example scale (the strict QAB1 codec) and
-// resume on the same integer kernels; an exec.Hosted executor serves a
-// watermarked per-device copy or a compiled procvm module (all-local
-// versus whole-module, cut 0) from inside an enclave, charging every
-// query the protected world's slowdown.
+// float networks ship tensor-codec activations; integer variants ship
+// int8 codes plus a per-example scale (the strict QAB1 codec) and resume
+// on the same integer kernels; an exec.Hosted executor serves a
+// watermarked per-device copy, float or integer, or a compiled procvm
+// module (all-local versus whole-module, cut 0) from inside an enclave,
+// charging every query the protected world's slowdown. Every charge is at
+// the width of the executor's scheme.
 package offload

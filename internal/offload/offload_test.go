@@ -46,7 +46,7 @@ func newFixture(t *testing.T, profile string, cloudCfg CloudConfig) *fixture {
 // executor, enclave-hosted when slowdown exceeds 1.
 func registerFloat(tb testing.TB, cloud *CloudTier, id string, model *nn.Network, slowdown float64) {
 	tb.Helper()
-	ex, err := exec.Float(model, 32)
+	ex, err := exec.Float(model)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestProtectedSessionBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := exec.Float(inside, 32)
+	ex, err := exec.Float(inside)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func (cfg *SessionConfig) executor() (exec.Executor, error) {
 	case cfg.Scheme != quant.Float32:
 		return exec.Quant(cfg.Model, cfg.Scheme)
 	default:
-		return exec.Float(cfg.Model, cfg.Bits)
+		return exec.Float(cfg.Model)
 	}
 }
 

@@ -26,9 +26,10 @@
 // all see the 4-bit form. The int8 pairs trade RAM for speed: they hold
 // 32 bits per code (4× the codes), while SizeBytes reports the nominal
 // artifact width. The serving layer (internal/core) instantiates a
-// QModel automatically whenever the selected variant's scheme has native
-// hardware support on the target device, so the variant matrix governs
-// the executing kernels, not just artifact sizes.
+// QModel for every integer variant on every device, so the variant matrix
+// governs the executing kernels, not just artifact sizes, and one variant
+// computes one function: hardware without the bit width runs the same
+// kernels and pays only the modelled emulation penalty.
 //
 // The paper's pipeline observation is that every published model fans
 // out into a matrix of precision × sparsity variants, and which one a

@@ -253,10 +253,9 @@ func quantizeRowChannels(w *tensor.Tensor, scheme Scheme) ([]int8, []float32, er
 // tensor.MatMulInt8Pairs or, for int4, tensor.MatMulInt4; convolutions on
 // tensor.MatMulInt8 or tensor.MatMulInt4LHS); activations, pooling, batch
 // norm (frozen statistics), flatten and dropout execute in float32
-// through their stateless fast paths. Layer kinds outside that set have
-// no kernel in the integer runtime and are rejected — the caller falls
-// back to fake-quantized float execution, exactly what a device without
-// the operator would do.
+// through their stateless fast paths. That set is every kind nn.Assemble
+// admits, so every network lowers; a kind outside it is an error, never a
+// float fallback.
 func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 	if scheme == Float32 {
 		return nil, fmt.Errorf("quant: NewQModel requires an integer scheme, got %v", scheme)

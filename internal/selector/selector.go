@@ -31,7 +31,7 @@ type Policy struct {
 	// Schemes, when non-empty, restricts candidates to these weight
 	// precisions — the operational knob for pinning a cohort to a runtime
 	// (e.g. Float32 only while the integer serving path canaries, or Int8
-	// only to force native execution on capable hardware).
+	// only to run a cohort on the int8 kernels).
 	Schemes []quant.Scheme
 	// Kinds lists the artifact kinds the policy accepts. Empty means
 	// network artifacts only: compiled variants (registry.KindProcVM) are

@@ -8,8 +8,9 @@
 //   - model training and serialization (the nn engine),
 //   - the registry with its automatic optimization pipeline (§III-A),
 //   - per-device variant selection and deployment over a simulated
-//     heterogeneous fleet, serving integer variants through native
-//     int8/int4 kernels on capable hardware (§III-A, §IV),
+//     heterogeneous fleet, serving integer variants through their
+//     int8/int4 kernels on every device, emulated where the hardware
+//     lacks the width (§III-A, §IV),
 //   - on-device observability and store-and-forward telemetry (§III-B),
 //   - offline pay-per-query metering with tamper-evident settlement
 //     (§III-C),
