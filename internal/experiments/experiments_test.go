@@ -60,32 +60,18 @@ func banner(e Experiment) string {
 }
 
 // TestEveryExperimentRuns executes each table generator end to end; this
-// is the integration test that ties all sixteen packages together. Heavy
-// generators are skipped in -short mode, which runs the others directly;
-// the full mode reads each table out of the shared RunAll.
+// is the integration test that ties all sixteen packages together. Each
+// experiment's table is read out of the shared RunAll.
 func TestEveryExperimentRuns(t *testing.T) {
-	heavy := map[string]bool{"E2": true, "E6": true, "E9": true, "E10": true}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var out string
-			if testing.Short() {
-				if heavy[e.ID] {
-					t.Skipf("%s is heavy; run without -short", e.ID)
-				}
-				var buf bytes.Buffer
-				if err := e.Run(&buf); err != nil {
-					t.Fatalf("%s failed: %v", e.ID, err)
-				}
-				out = buf.String()
-			} else {
-				all, err := runAllOnce()
-				if err != nil {
-					t.Fatalf("harness failed: %v", err)
-				}
-				_, rest, _ := strings.Cut(all, banner(e))
-				out, _, _ = strings.Cut(rest, "\n"+bannerRule)
+			all, err := runAllOnce()
+			if err != nil {
+				t.Fatalf("harness failed: %v", err)
 			}
+			_, rest, _ := strings.Cut(all, banner(e))
+			out, _, _ := strings.Cut(rest, "\n"+bannerRule)
 			if len(out) == 0 {
 				t.Fatalf("%s produced no output", e.ID)
 			}
@@ -117,9 +103,6 @@ func TestRunOneBanners(t *testing.T) {
 // recorded at 2751a79 with only the stopwatch lines and columns cut and a
 // footnote naming each gated entry in their place.
 func TestRunAllToDiscard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness is heavy; run without -short")
-	}
 	out, err := runAllOnce()
 	if err != nil {
 		t.Fatal(err)

@@ -1,21 +1,46 @@
 package faults
 
 import (
+	"os"
+	"strings"
 	"testing"
 )
 
-// TestChaosRollout10kBitIdenticalAcrossWorkerCounts is the headline
-// acceptance scenario: a 10k-device staged rollout under 5% churn, flaky
-// networks, battery deaths and injected mid-flash crashes must converge
-// to the new version on every device, pass the deep invariant audit with
-// zero violations, and produce a bit-identical outcome at 1, 4 and 16
-// workers. Under -short (the CI race step) the same assertions run over
-// 300 devices, so the fingerprint comparison is raced on every push.
-func TestChaosRollout10kBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	devices := 10_000
-	if testing.Short() {
-		devices = 300
+// goldenFingerprint returns the scenario fingerprint testdata/fingerprints.golden
+// pins under name: one "name fingerprint" pair per line.
+func goldenFingerprint(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/fingerprints.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, " "); ok && k == name {
+			return v
+		}
+	}
+	t.Fatalf("testdata/fingerprints.golden has no %q line", name)
+	return ""
+}
+
+// TestChaosRollout300BitIdenticalAcrossWorkerCounts runs the chaos headline
+// at 300 devices and pins its fingerprint in testdata/fingerprints.golden,
+// recorded at 6bdafb1: a behaviour change fails here as surely as a
+// worker-count disagreement. TestChaosRollout10kHeadline runs the same
+// assertions at 10 000 devices under the headline build tag.
+func TestChaosRollout300BitIdenticalAcrossWorkerCounts(t *testing.T) {
+	if got, want := checkChaosRollout(t, 300), goldenFingerprint(t, "chaos-rollout-300"); got != want {
+		t.Fatalf("300-device chaos fingerprint %s, testdata/fingerprints.golden pins %s", got, want)
+	}
+}
+
+// checkChaosRollout is the acceptance scenario: a staged rollout over the
+// given number of devices under 5% churn, flaky networks, battery deaths
+// and injected mid-flash crashes must converge to the new version on every
+// device, pass the deep invariant audit with zero violations, and produce a
+// bit-identical outcome at 1, 4 and 16 workers. It returns that outcome's
+// fingerprint.
+func checkChaosRollout(t *testing.T, devices int) string {
 	chaos := ChaosConfig{
 		Seed:           1002,
 		PChurn:         0.05, // the headline churn
@@ -100,10 +125,10 @@ func TestChaosRollout10kBitIdenticalAcrossWorkerCounts(t *testing.T) {
 				workers, res.Crashes, first.Crashes, res.InstallAttempts, first.InstallAttempts)
 		}
 	}
+	return first.Fingerprint
 }
 
-// TestChaosOffloadPhaseDeterministicSmall is the fast (non -short-skipped)
-// version of the offload acceptance: a 120-device fleet serves split
+// TestChaosOffloadPhaseDeterministicSmall is the small of the offload acceptance: a 120-device fleet serves split
 // queries under weather at 1, 4 and 16 workers; every answer must be
 // bit-exact, the audit must stay clean, and the fingerprint — which
 // covers the offload tallies — must be identical across worker counts.

@@ -204,18 +204,24 @@ func TestChaosSwarmInstallEquivalentToRegistryDirect(t *testing.T) {
 	}
 }
 
-// TestChaosSwarmRollout10kBitIdenticalAcrossWorkerCounts is the headline
-// acceptance scenario for swarm distribution: a 10k-device rollout under
-// the full fault weather converges with zero audit violations while the
-// registry funds only the canary wave (plus last-resort chunks), and the
-// outcome — including the complete swarm byte ledger — is bit-identical
-// at 1, 4 and 16 workers. Under -short (the CI race step) the same
-// assertions run over 300 devices.
-func TestChaosSwarmRollout10kBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	devices := 10_000
-	if testing.Short() {
-		devices = 300
+// TestChaosSwarmRollout300BitIdenticalAcrossWorkerCounts runs the swarm
+// headline at 300 devices and pins its fingerprint in
+// testdata/fingerprints.golden, recorded at 6bdafb1.
+// TestChaosSwarmRollout10kHeadline runs the same assertions at 10 000
+// devices under the headline build tag.
+func TestChaosSwarmRollout300BitIdenticalAcrossWorkerCounts(t *testing.T) {
+	if got, want := checkSwarmRollout(t, 300), goldenFingerprint(t, "chaos-swarm-300"); got != want {
+		t.Fatalf("300-device swarm fingerprint %s, testdata/fingerprints.golden pins %s", got, want)
 	}
+}
+
+// checkSwarmRollout is the acceptance scenario for swarm distribution: a
+// rollout over the given number of devices under the full fault weather
+// converges with zero audit violations while the registry funds only the
+// canary wave (plus last-resort chunks), and the outcome — including the
+// complete swarm byte ledger — is bit-identical at 1, 4 and 16 workers. It
+// returns that outcome's fingerprint.
+func checkSwarmRollout(t *testing.T, devices int) string {
 	var first *ScenarioResult
 	for _, workers := range []int{1, 4, 16} {
 		res, err := RunScenario(ScenarioConfig{
@@ -247,4 +253,5 @@ func TestChaosSwarmRollout10kBitIdenticalAcrossWorkerCounts(t *testing.T) {
 				workers, res.Fingerprint, first.Fingerprint)
 		}
 	}
+	return first.Fingerprint
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -176,16 +177,26 @@ func TestHierConvergesUnderWeather(t *testing.T) {
 	}
 }
 
-// TestHier100kHeadline is the acceptance headline: a 100k-client round
-// across 100 edge aggregators with masked aggregation, converging under
-// dropout/straggler weather, fingerprint-identical at 1/4/16 workers. Under
-// -short (the CI race step) the same assertions run over 2 000 clients and
-// 20 aggregators.
-func TestHier100kHeadline(t *testing.T) {
-	nClients, nAggs := 100_000, 100
-	if testing.Short() {
-		nClients, nAggs = 2_000, 20
+// TestHier2kBitIdenticalAcrossWorkerCounts runs the hierarchical headline
+// at 2 000 clients and 20 aggregators and pins its global digest in
+// testdata/hier2k.golden, recorded at 6bdafb1. TestHier100kHeadline runs
+// the same assertions at 100 000 clients and 100 aggregators under the
+// headline build tag.
+func TestHier2kBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	want, err := os.ReadFile("testdata/hier2k.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := checkHierRound(t, 2_000, 20); got != strings.TrimSpace(string(want)) {
+		t.Fatalf("2000-client global digest %s, testdata/hier2k.golden pins %s", got, want)
+	}
+}
+
+// checkHierRound is the acceptance scenario: a round of nClients across
+// nAggs edge aggregators with masked aggregation, converging under
+// dropout/straggler weather, fingerprint-identical at 1/4/16 workers. It
+// returns the global's digest.
+func checkHierRound(t *testing.T, nClients, nAggs int) string {
 	faults := func(round int, id string) ClientFault {
 		s := engine.SeedForID(123, uint64(round), id)
 		switch s % 10 {
@@ -249,7 +260,7 @@ func TestHier100kHeadline(t *testing.T) {
 		got := paramsDigest(hier.Global)
 		if want == "" {
 			want, first = got, s
-			t.Logf("%d-client headline: digest=%s participants=%d dropouts=%d late=%d aggDrop=%d aggLate=%d edgeUp=%dB cloudUp=%dB acc=%.3f",
+			t.Logf("%d-client round: digest=%s participants=%d dropouts=%d late=%d aggDrop=%d aggLate=%d edgeUp=%dB cloudUp=%dB acc=%.3f",
 				nClients, got, s.Participants, s.Dropouts, s.Late, s.AggDropouts, s.AggLate,
 				s.EdgeUplinkBytes, s.CloudUplinkBytes, s.TestAccuracy)
 			continue
@@ -261,6 +272,7 @@ func TestHier100kHeadline(t *testing.T) {
 			t.Fatalf("workers=%d: round stats diverged:\n%+v\n%+v", workers, s, first)
 		}
 	}
+	return want
 }
 
 // TestHierCoordinatorValidation table-drives the constructor and tier-size

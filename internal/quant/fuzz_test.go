@@ -168,8 +168,8 @@ func FuzzQTensorRoundTrip(f *testing.F) {
 				t.Fatalf("column %d: scale %v not positive finite", j, s)
 			}
 		}
-		// Requantizing the dequantized matrix reproduces the codes: this
-		// is why a QModel built from the fake-quantized registry artifact
+		// Requantizing the dequantized matrix reproduces the codes and the
+		// scales bit for bit: this is why a QModel built from the fake-quantized registry artifact
 		// carries the artifact's exact integer weights. The property holds
 		// for scales inside the normal float32 range with headroom: a
 		// denormal scale loses mantissa bits in the division, and a scale
@@ -194,8 +194,8 @@ func FuzzQTensorRoundTrip(f *testing.F) {
 			if !safe(s) {
 				continue
 			}
-			if diff := math.Abs(float64(again.Scales[j]-s)) / float64(s); diff > 1e-5 {
-				t.Fatalf("scale %d drifted %v across round trip", j, diff)
+			if math.Float32bits(again.Scales[j]) != math.Float32bits(s) {
+				t.Fatalf("scale %d changed across dequantize→requantize: %v -> %v", j, s, again.Scales[j])
 			}
 		}
 	})

@@ -221,30 +221,33 @@ func (f *qFloat) sizeBytes() int {
 	return total
 }
 
-// quantizeRowChannels quantizes a [rows, cols] matrix with one scale per
-// ROW (the per-output-channel layout convolution kernels need), returning
-// row-major codes and the row scales. It reuses QuantizeMatrix's
-// per-column logic on the transpose so every scheme shares one rounding
-// implementation.
-func quantizeRowChannels(w *tensor.Tensor, scheme Scheme) ([]int8, []float32, error) {
-	rows, cols := w.Dim(0), w.Dim(1)
-	wt := tensor.New(cols, rows)
+// quantizeWeight quantizes a dense or convolutional layer's weight w once,
+// per output channel, for NewQModel to run and FakeQuantizeNetwork to
+// dequantize. q is per column over [inputs, outputs]: a dense weight as it
+// is, a conv kernel [outC, taps] transposed. w is nil for other layers.
+func quantizeWeight(l nn.Layer, scheme Scheme) (w *tensor.Tensor, q *QTensor, transposed bool, err error) {
+	switch v := l.(type) {
+	case *nn.Dense:
+		q, err = QuantizeMatrix(v.W.Value, scheme)
+		return v.W.Value, q, false, err
+	case *nn.Conv2D:
+		w = v.W.Value
+		q, err = QuantizeMatrix(tensor.FromSlice(transpose(w.Data, w.Dim(0), w.Dim(1)), w.Dim(1), w.Dim(0)), scheme)
+		return w, q, true, err
+	}
+	return nil, nil, false, nil
+}
+
+// transpose returns the [cols, rows] transpose of a row-major [rows, cols]
+// matrix.
+func transpose[T any](m []T, rows, cols int) []T {
+	t := make([]T, len(m))
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
-			wt.Set2(j, i, w.At2(i, j))
+			t[j*rows+i] = m[i*cols+j]
 		}
 	}
-	qt, err := QuantizeMatrix(wt, scheme)
-	if err != nil {
-		return nil, nil, err
-	}
-	codes := make([]int8, rows*cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			codes[i*cols+j] = qt.Data[j*rows+i]
-		}
-	}
-	return codes, qt.Scales, nil
+	return t
 }
 
 // NewQModel lowers net into an integer-kernel executable under the scheme:
@@ -268,12 +271,12 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 	for i, l := range net.Layers() {
 		g := geom{in: in, out: costs[i].Info.OutShape}
 		in = g.out
+		_, qw, _, err := quantizeWeight(l, scheme)
+		if err != nil {
+			return nil, err
+		}
 		switch v := l.(type) {
 		case *nn.Dense:
-			qw, err := QuantizeMatrix(v.W.Value, scheme)
-			if err != nil {
-				return nil, err
-			}
 			// Weights serve from the one form their kernel reads, made here
 			// once: int4 packed two per byte for tensor.MatMulInt4, the
 			// other schemes widened to column pairs for
@@ -288,20 +291,16 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 			bias := append([]float32(nil), v.B.Value.Data...)
 			m.stages = append(m.stages, &qDense{geom: g, w: qw, bias: bias})
 		case *nn.Conv2D:
-			codes, scales, err := quantizeRowChannels(v.W.Value, scheme)
-			if err != nil {
-				return nil, err
-			}
 			win := tensor.Window{C: v.InC, H: g.in[1], W: g.in[2], KH: v.KH, KW: v.KW, Stride: v.Stride, Pad: v.Pad}
 			st := &qConv2D{
 				geom: g, win: win, outC: v.OutC,
 				ex: v.InC * g.in[1] * g.in[2], taps: win.Taps(), spots: g.out[1] * g.out[2],
-				w: codes, wScales: scales,
+				w: transpose(qw.Data, qw.Rows, qw.Cols), wScales: qw.Scales,
 				bias:   append([]float32(nil), v.B.Value.Data...),
 				scheme: scheme,
 			}
 			if scheme == Int4 {
-				wp, err := tensor.PackInt4Matrix(codes, v.OutC, st.taps)
+				wp, err := tensor.PackInt4Matrix(st.w, v.OutC, st.taps)
 				if err != nil {
 					return nil, err
 				}

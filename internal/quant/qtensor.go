@@ -282,41 +282,42 @@ func (q *QTensor) SizeBytes() int {
 // FakeQuantizeNetwork returns a deep copy of net whose weight matrices —
 // every parameter nn's kind table names "weight", the same ones
 // NetworkSizeBytes counts at the scheme's width — are replaced by their
-// quantize-dequantize approximation under the scheme (biases stay float32,
-// the standard practice). The copy runs on the float engine, which makes
-// it ideal for accuracy evaluation of low-bit variants; use NewQModel for
-// integer-kernel execution.
+// quantize-dequantize approximation under the scheme, per output channel as
+// NewQModel quantizes them (biases stay float32, the standard practice).
+// The copy runs on the float engine, which makes it ideal for accuracy
+// evaluation of low-bit variants; use NewQModel for integer-kernel
+// execution.
 func FakeQuantizeNetwork(net *nn.Network, scheme Scheme) (*nn.Network, error) {
 	clone := net.Clone()
 	if scheme == Float32 {
 		return clone, nil
 	}
-	for _, p := range clone.Params() {
-		if p.Name != "weight" {
-			continue
-		}
-		q, err := QuantizeMatrix(p.Value, scheme)
+	for _, l := range clone.Layers() {
+		w, q, transposed, err := quantizeWeight(l, scheme)
 		if err != nil {
 			return nil, err
 		}
-		p.Value.CopyFrom(q.Dequantize())
+		switch {
+		case transposed:
+			copy(w.Data, transpose(q.Dequantize().Data, q.Rows, q.Cols))
+		case w != nil:
+			w.CopyFrom(q.Dequantize())
+		}
 	}
 	return clone, nil
 }
 
 // NetworkSizeBytes returns the serialized weight footprint of net if its
-// weight matrices were stored at the scheme's bit width (activations and
-// biases at float32).
+// weight matrices were stored at the scheme's bit width with a scale per
+// output channel, the first dimension of the layer's output (biases at
+// float32).
 func NetworkSizeBytes(net *nn.Network, scheme Scheme) int {
+	costs, _ := net.Summary()
 	total := 0
-	for _, l := range net.Layers() {
+	for i, l := range net.Layers() {
 		for _, p := range l.Params() {
 			if p.Name == "weight" && scheme != Float32 {
-				bits := p.Value.Size() * scheme.Bits()
-				total += (bits + 7) / 8
-				// per-channel scales
-				sh := p.Value.Shape()
-				total += 4 * sh[len(sh)-1]
+				total += (p.Value.Size()*scheme.Bits()+7)/8 + 4*costs[i].Info.OutShape[0]
 			} else {
 				total += 4 * p.Value.Size()
 			}
