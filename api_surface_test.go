@@ -295,8 +295,7 @@ func TestIntegerServingSurface(t *testing.T) {
 	if sch := dep.ExecutionScheme(); sch != tinymlops.Int8 {
 		t.Fatalf("execution scheme %v, want int8", sch)
 	}
-	cloud := tinymlops.NewOffloadCloud(tinymlops.OffloadCloudConfig{MaxBatch: 4})
-	cloud.Start()
+	cloud := tinymlops.NewOffloadCloud()
 	defer cloud.Close()
 	// Integer-native deployments split through the quantized boundary codec.
 	sess, err := platform.Offload("npu-board-00", tinymlops.OffloadConfig{Cloud: cloud})
@@ -354,8 +353,7 @@ func TestOffloadSurface(t *testing.T) {
 	}
 
 	// The live plane: cloud tier + session over the deployment.
-	cloud := tinymlops.NewOffloadCloud(tinymlops.OffloadCloudConfig{MaxBatch: 8})
-	cloud.Start()
+	cloud := tinymlops.NewOffloadCloud()
 	defer cloud.Close()
 	sess, err := platform.Offload("phone-00", tinymlops.OffloadConfig{
 		Cloud:  cloud,

@@ -12,7 +12,7 @@ import (
 
 // cmdOffload runs the live edge–cloud offload demonstration: deploy a
 // model across a heterogeneous fleet, open split-execution sessions
-// against a batched cloud tier, and drive queries through a connectivity
+// against one cloud tier, and drive queries through a connectivity
 // schedule (WiFi → cellular → offline → recovery) so the replanner
 // migrates each device's cut as its uplink changes. Every answer is
 // verified bit-exact against the device's own forward pass; exits
@@ -74,10 +74,7 @@ func cmdOffload(w io.Writer, args []string) error {
 		return err
 	}
 
-	cloud := tinymlops.NewOffloadCloud(tinymlops.OffloadCloudConfig{
-		MaxBatch: 32, QueueCap: 4 * len(ids), Dispatchers: 2,
-	})
-	cloud.Start()
+	cloud := tinymlops.NewOffloadCloud()
 	defer cloud.Close()
 	sessions := make([]*tinymlops.OffloadSession, len(ids))
 	for i, id := range ids {
@@ -155,12 +152,8 @@ func cmdOffload(w io.Writer, args []string) error {
 
 	fmt.Fprintln(w)
 	cs := cloud.Stats()
-	occupancy := 0.0
-	if cs.Batches > 0 {
-		occupancy = float64(cs.Served) / float64(cs.Batches)
-	}
-	fmt.Fprintf(w, "cloud: %d suffix requests in %d batches (mean occupancy %.1f, max %d), %d shed, peak queue %d\n",
-		cs.Served, cs.Batches, occupancy, cs.MaxBatchSize, cs.Shed, cs.MaxQueueDepth)
+	fmt.Fprintf(w, "cloud: %d suffix requests served, %d shed, peak in flight %d\n",
+		cs.Served, cs.Shed, cs.MaxQueueDepth)
 	var used uint64
 	for _, id := range ids {
 		if dep, ok := platform.Deployment(id); ok {

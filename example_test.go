@@ -75,8 +75,7 @@ func ExamplePlatform_Offload() {
 		panic(err)
 	}
 
-	cloud := tinymlops.NewOffloadCloud(tinymlops.OffloadCloudConfig{})
-	cloud.Start()
+	cloud := tinymlops.NewOffloadCloud()
 	defer cloud.Close()
 	sess, err := platform.Offload("m4-wearable-00", tinymlops.OffloadConfig{
 		Cloud:  cloud,
@@ -460,8 +459,7 @@ func ExamplePlatform_protectedOffload() {
 		panic(err)
 	}
 
-	cloud := tinymlops.NewOffloadCloud(tinymlops.OffloadCloudConfig{})
-	cloud.Start()
+	cloud := tinymlops.NewOffloadCloud()
 	defer cloud.Close()
 	wmSess, err := platform.Offload("edge-gateway-00", tinymlops.OffloadConfig{
 		Cloud: cloud, Plan: &tinymlops.SplitPlan{Cut: 1},

@@ -80,7 +80,6 @@ func newConformanceFixtureWith(t *testing.T, cfg Config) *conformanceFixture {
 		},
 	}
 	f.cloud = offload.NewCloud(offload.CloudConfig{})
-	f.cloud.Start()
 	t.Cleanup(f.cloud.Close)
 	return f
 }

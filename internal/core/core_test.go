@@ -4,6 +4,7 @@ import (
 	"errors"
 	"maps"
 	"net"
+	"strings"
 	"testing"
 
 	"tinymlops/internal/dataset"
@@ -224,6 +225,33 @@ func TestSettlementOverTCPFromPlatform(t *testing.T) {
 	used, ok := p.Settler.SettledUsage(dep.Meter.Voucher().ID)
 	if !ok || used != 17 {
 		t.Fatalf("settled usage = %d", used)
+	}
+}
+
+// TestSettleAllReportsPanic: a device whose settlement panics (here, a
+// deployment that lost its meter) gets an error, not the nil that reads as
+// settled; the other devices still settle.
+func TestSettleAllReportsPanic(t *testing.T) {
+	p, _, _ := fixture(t, 6)
+	for _, id := range []string{"phone-00", "m4-wearable-00"} {
+		if _, err := p.Deploy(id, "clf", DeployConfig{PrepaidQueries: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	broken, _ := p.Deployment("m4-wearable-00")
+	broken.Meter = nil
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := metering.Serve(l, p.Settler)
+	defer srv.Close()
+	results := p.SettleAll(srv.Addr())
+	if err := results["phone-00"]; err != nil {
+		t.Fatalf("healthy device: %v", err)
+	}
+	if err := results["m4-wearable-00"]; err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking settlement returned %v", err)
 	}
 }
 

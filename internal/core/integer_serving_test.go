@@ -304,8 +304,7 @@ func TestQModelReinstantiatedAcrossUpdateAndRollback(t *testing.T) {
 // the executor conformance table.)
 func TestOffloadIntegerDeployments(t *testing.T) {
 	p, ds, _ := integerFixture(t, 24)
-	cloud := offload.NewCloud(offload.CloudConfig{MaxBatch: 4})
-	cloud.Start()
+	cloud := offload.NewCloud(offload.CloudConfig{})
 	defer cloud.Close()
 	es := ds.X.Size() / ds.Len()
 	for _, id := range []string{"npu-00", "soft-00"} {

@@ -52,7 +52,7 @@ type OffloadSession struct {
 type OffloadOutcome struct {
 	InferenceResult
 	// Split records how the query actually executed (mode, cut, boundary
-	// bytes, cloud batch, energy).
+	// bytes, energy).
 	Split offload.Result
 }
 
@@ -176,10 +176,6 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 		return nil, err
 	}
 
-	// A session's first Infer would otherwise block forever on a tier
-	// whose dispatchers were never launched — while holding the
-	// deployment lock. Start is idempotent, so just ensure it.
-	cfg.Cloud.Start()
 	sess, err := offload.NewSession(scfg)
 	if err != nil {
 		return nil, err

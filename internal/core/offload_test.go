@@ -49,7 +49,6 @@ func offloadPlatform(t *testing.T, watermark string) (*Platform, *Deployment, *o
 		t.Fatal(err)
 	}
 	cloud := offload.NewCloud(offload.CloudConfig{})
-	cloud.Start()
 	t.Cleanup(cloud.Close)
 	return p, dep, cloud, ds
 }

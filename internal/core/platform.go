@@ -365,11 +365,17 @@ func (p *Platform) SyncTelemetry() (records, bytes int, err error) {
 }
 
 // SettleAll settles every deployment's meter against a settlement server
-// address concurrently, returning per-device errors keyed by device ID.
+// address concurrently, returning per-device errors keyed by device ID. A
+// settlement that panics is that device's error.
 func (p *Platform) SettleAll(addr string) map[string]error {
 	deps := p.Deployments()
 	errs := make([]error, len(deps))
 	_ = p.eng.ForEach(len(deps), func(i int) error {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("core: settle %s panicked: %v", deps[i].DeviceID, r)
+			}
+		}()
 		errs[i] = metering.MustSettle(addr, deps[i].Meter)
 		return nil
 	})

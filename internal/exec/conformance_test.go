@@ -151,9 +151,10 @@ func conformanceKinds() []conformanceKind {
 // TestExecutorConformance is the one table every executor answers to. For
 // each kind, on a batch of three examples: the whole pass equals the
 // independent reference; SnapCut is idempotent and leaves exactly the
-// legal cuts alone; and at every legal cut, prefix → encode → decode →
-// batched resume, and prefix → local suffix, are both bit-identical to the
-// whole pass. Misshapen input and foreign payloads come back as errors.
+// legal cuts alone; and at every legal cut, prefix → local suffix, and
+// prefix → encode → decode → resume of each example on its own, are
+// bit-identical to the whole pass. Misshapen input and foreign payloads
+// come back as errors.
 func TestExecutorConformance(t *testing.T) {
 	for _, k := range conformanceKinds() {
 		t.Run(k.name, func(t *testing.T) {
@@ -201,17 +202,17 @@ func TestExecutorConformance(t *testing.T) {
 				if err != nil || !bitsEqual(local.Data, want) {
 					t.Fatalf("cut %d: prefix → local suffix differs from the whole pass (err %v)", cut, err)
 				}
-				// The wire carries one example per payload; the resume side
-				// coalesces them back into one batch.
-				per := act.Size() / rows
-				bs := make([]Boundary, rows)
+				// The wire carries one example per payload, and each resumes
+				// on its own into its row of the whole pass.
+				per, outW := act.Size()/rows, len(want)/rows
 				for r := 0; r < rows; r++ {
 					one := tensor.FromSlice(act.Data[r*per:(r+1)*per], append([]int{1}, act.Shape()[1:]...)...)
 					payload, err := ex.EncodeBoundary(one, cut, ar)
 					if err != nil {
 						t.Fatalf("cut %d: encode: %v", cut, err)
 					}
-					if bs[r], err = ex.DecodeBoundary(payload, cut); err != nil {
+					b, err := ex.DecodeBoundary(payload, cut)
+					if err != nil {
 						t.Fatalf("cut %d: decode: %v", cut, err)
 					}
 					if _, err := ex.DecodeBoundary(payload[:len(payload)-1], cut); err == nil {
@@ -222,10 +223,10 @@ func TestExecutorConformance(t *testing.T) {
 					if _, err := ex.DecodeBoundary(append(payload[:len(payload):len(payload)], 0), cut); err == nil {
 						t.Fatalf("cut %d: payload with a trailing byte decoded", cut)
 					}
-				}
-				resumed, err := ex.Resume(bs, cut, engine.NewArena())
-				if err != nil || !bitsEqual(resumed.Data, want) {
-					t.Fatalf("cut %d: prefix → codec → resume differs from the whole pass (err %v)", cut, err)
+					resumed, err := ex.Resume(b, cut, engine.NewArena())
+					if err != nil || !bitsEqual(resumed.Data, want[r*outW:(r+1)*outW]) {
+						t.Fatalf("cut %d row %d: prefix → codec → resume differs from the whole pass (err %v)", cut, r, err)
+					}
 				}
 			}
 
@@ -324,8 +325,8 @@ func TestConstructorsRejectUnusableModels(t *testing.T) {
 	if _, err := undeclared.Run(tensor.Randn(tensor.NewRNG(2), 1, 1, 3), 0, 1, engine.NewArena()); err == nil {
 		t.Fatal("the VM accepted a misshapen row")
 	}
-	if _, err := undeclared.Resume(nil, 0, engine.NewArena()); err == nil {
-		t.Fatal("resumed a batch on a module with no declared width")
+	if _, err := undeclared.Resume(Boundary{}, 0, engine.NewArena()); err == nil {
+		t.Fatal("resumed a boundary on a module with no declared width")
 	}
 	denied := Module(mod, procvm.CapNone, 8, 1)
 	if _, err := denied.Run(tensor.Randn(tensor.NewRNG(2), 1, 1, 8), 0, 1, engine.NewArena()); err == nil {
@@ -334,8 +335,8 @@ func TestConstructorsRejectUnusableModels(t *testing.T) {
 }
 
 // TestExecutorsSharedAcrossGoroutines is the cloud tier's usage: one
-// executor per registered model, many dispatchers, each with its own
-// arena. Every goroutine must get the whole-pass bits at every cut.
+// executor per registered model, many submitting goroutines, each with its
+// own arena. Every goroutine must get the whole-pass bits at every cut.
 func TestExecutorsSharedAcrossGoroutines(t *testing.T) {
 	for _, k := range conformanceKinds() {
 		t.Run(k.name, func(t *testing.T) {

@@ -43,17 +43,18 @@ type Executor interface {
 	// example's payload and checks it against the geometry entering cut.
 	EncodeBoundary(act *tensor.Tensor, cut int, ar *engine.Arena) ([]byte, error)
 	DecodeBoundary(payload []byte, cut int) (Boundary, error)
-	// Resume runs steps [cut, n) on a batch of decoded boundaries,
-	// bit-identically to Run(x, 0, n, ar) on the examples they came from.
-	Resume(bs []Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error)
+	// Resume runs steps [cut, n) on one decoded boundary, bit-identically
+	// to Run(x, 0, n, ar) on the example it came from. The result aliases
+	// arena storage and the boundary.
+	Resume(b Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error)
 }
 
 // Boundary is one example's decoded boundary activation. Only the executor
 // that decoded it can read it.
 type Boundary struct {
-	act   []float32
-	codes []int8
-	scale float32
+	act    []float32
+	codes  []int8
+	scales []float32 // the one dynamic scale of codes
 }
 
 // Width is the element count of a per-example shape (0 for nil).
@@ -178,15 +179,12 @@ func (b *batch) view(rows int, shape []int) *tensor.Tensor {
 	return b.hdr
 }
 
-// gather copies one coalesced batch of decoded boundaries into the arena
-// slot keyed by owner, as one [len(bs), shape...] tensor.
-func gather(ar *engine.Arena, owner any, bs []Boundary, shape []int) *tensor.Tensor {
-	b := ar.Slot(owner, func() any { return new(batch) }).(*batch)
-	b.data = b.data[:0]
-	for i := range bs {
-		b.data = append(b.data, bs[i].act...)
-	}
-	return b.view(len(bs), shape)
+// row returns a decoded float boundary as a [1, shape...] tensor, through
+// the header cached in the arena slot keyed by owner; it does not copy.
+func row(ar *engine.Arena, owner any, b Boundary, shape []int) *tensor.Tensor {
+	r := ar.Slot(owner, func() any { return new(batch) }).(*batch)
+	r.data = b.act
+	return r.view(1, shape)
 }
 
 // hosted is an executor running inside a protected world.

@@ -66,10 +66,10 @@ func (f *floatExec) Run(x *tensor.Tensor, lo, hi int, ar *engine.Arena) (*tensor
 	return v.ForwardBatch(x, s), nil
 }
 
-func (f *floatExec) Resume(bs []Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
+func (f *floatExec) Resume(b Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
 	shape, err := f.shapeAt(cut)
 	if err != nil {
 		return nil, err
 	}
-	return f.Run(gather(ar, f, bs, shape), cut, f.Steps(), ar)
+	return f.Run(row(ar, f, b, shape), cut, f.Steps(), ar)
 }

@@ -120,7 +120,7 @@ func serveWholeAndSplit(t *testing.T, name string, ex Executor) {
 		if err != nil {
 			t.Fatalf("%s: cut %d: decode: %v", name, cut, err)
 		}
-		resumed, err := ex.Resume([]Boundary{b}, cut, engine.NewArena())
+		resumed, err := ex.Resume(b, cut, engine.NewArena())
 		if err != nil {
 			t.Fatalf("%s: cut %d: resume: %v", name, cut, err)
 		}

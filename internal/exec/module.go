@@ -59,10 +59,10 @@ func (m *moduleExec) Run(x *tensor.Tensor, lo, hi int, ar *engine.Arena) (*tenso
 	return out.view(rows, []int{len(out.data) / rows}), nil
 }
 
-// Resume runs the whole module on each boundary, which is the raw input.
-func (m *moduleExec) Resume(bs []Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
+// Resume runs the whole module on the boundary, which is the raw input.
+func (m *moduleExec) Resume(b Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
 	if m.in == nil {
-		return nil, fmt.Errorf("exec: module %s declares no input width to batch on", m.mod.Name)
+		return nil, fmt.Errorf("exec: module %s declares no input width to resume on", m.mod.Name)
 	}
-	return m.Run(gather(ar, m.mod, bs, m.in), cut, 1, ar)
+	return m.Run(row(ar, m.mod, b, m.in), cut, 1, ar)
 }

@@ -98,20 +98,12 @@ func (q *quantExec) DecodeBoundary(payload []byte, cut int) (Boundary, error) {
 	if rows != 1 || cols != width {
 		return Boundary{}, fmt.Errorf("exec: quantized boundary is %dx%d, want 1x%d at cut %d", rows, cols, width, cut)
 	}
-	return Boundary{codes: codes, scale: scales[0]}, nil
+	return Boundary{codes: codes, scales: scales}, nil
 }
 
-func (q *quantExec) Resume(bs []Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
-	width, err := q.qm.BoundaryWidth(cut)
-	if err != nil {
-		return nil, fmt.Errorf("exec: %w", err)
-	}
-	w := q.workspace(ar, len(bs), width)
-	for i := range bs {
-		copy(w.codes[i*width:(i+1)*width], bs[i].codes)
-		w.scales[i] = bs[i].scale
-	}
-	out, err := q.qm.ForwardFromCodes(w.codes, w.scales, len(bs), cut, q.scratch(ar))
+// Resume runs the integer suffix on the boundary's own codes.
+func (q *quantExec) Resume(b Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
+	out, err := q.qm.ForwardFromCodes(b.codes, b.scales, 1, cut, q.scratch(ar))
 	if err != nil {
 		return nil, fmt.Errorf("exec: quant suffix: %w", err)
 	}

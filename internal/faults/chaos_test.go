@@ -168,8 +168,8 @@ func TestChaosOffloadPhaseDeterministicSmall(t *testing.T) {
 		}
 		if first == nil {
 			first = res
-			t.Logf("offload phase: queries=%d split=%d local=%d fallback=%d replans=%d errors=%d activation=%dB batches=%d",
-				o.Queries, o.Split, o.Local, o.Fallback, o.Replans, o.Errors, o.ActivationBytes, o.CloudBatches)
+			t.Logf("offload phase: queries=%d split=%d local=%d fallback=%d replans=%d errors=%d activation=%dB",
+				o.Queries, o.Split, o.Local, o.Fallback, o.Replans, o.Errors, o.ActivationBytes)
 			continue
 		}
 		if res.Fingerprint != first.Fingerprint {

@@ -10,10 +10,8 @@ import (
 	"tinymlops/internal/offload"
 )
 
-// OffloadReport accounts the chaos scenario's offload phase. Everything
-// except CloudBatches and MaxCloudBatch is a pure function of the seeds —
-// batch composition depends on scheduling, but per-query outcomes never
-// do, because ForwardBatch answers are bit-identical at any batch size.
+// OffloadReport accounts the chaos scenario's offload phase. Every field
+// is a pure function of the seeds.
 type OffloadReport struct {
 	// Queries counts queries served (all modes); Denied counts metering
 	// denials; Errors counts queries the weather failed outright (a dead
@@ -34,11 +32,8 @@ type OffloadReport struct {
 	// bit-exactness audit; any nonzero value fails the scenario.
 	Mismatches int64
 	// CloudServed is the number of suffix requests the tier executed
-	// (equals Split); CloudBatches and MaxCloudBatch describe coalescing
-	// and are scheduling-dependent — excluded from the fingerprint.
-	CloudServed   int64
-	CloudBatches  int64
-	MaxCloudBatch int
+	// (equals Split).
+	CloudServed int64
 }
 
 // runOffloadPhase opens a split session on every deployment against one
@@ -47,12 +42,9 @@ type OffloadReport struct {
 // against the device's own model.
 func runOffloadPhase(p *core.Platform, plane *Plane, round *uint64, rows [][]float32) (*OffloadReport, error) {
 	deps := p.Deployments()
-	cloud := offload.NewCloud(offload.CloudConfig{
-		MaxBatch:    32,
-		QueueCap:    2*len(deps) + 256, // never shed: shedding composition is scheduling-dependent
-		Dispatchers: 2,
-	})
-	cloud.Start()
+	// At most one request per engine worker is in flight, so the tier never
+	// sheds here.
+	cloud := offload.NewCloud(offload.CloudConfig{})
 	defer cloud.Close()
 
 	// Sessions are created serially under the calm terminal weather, so
@@ -138,10 +130,7 @@ func runOffloadPhase(p *core.Platform, plane *Plane, round *uint64, rows [][]flo
 		report.ActivationBytes += h.activationBytes
 		report.Mismatches += h.mismatches
 	}
-	st := cloud.Stats()
-	report.CloudServed = st.Served
-	report.CloudBatches = st.Batches
-	report.MaxCloudBatch = st.MaxBatchSize
+	report.CloudServed = cloud.Stats().Served
 	if report.Mismatches > 0 {
 		return report, fmt.Errorf("faults: %d offloaded answers were not bit-exact with the on-device forward", report.Mismatches)
 	}

@@ -568,8 +568,6 @@ func fingerprint(p *core.Platform, res *ScenarioResult) string {
 		res.Rollout.DeltaTransfers, res.Rollout.FullTransfers)
 	fmt.Fprintf(h, "chaos|%d|%d|%d|%d\n", res.Crashes, res.InstallAttempts,
 		res.RetriedUpdates, res.TelemetryLost)
-	// CloudBatches/MaxCloudBatch are scheduling-dependent coalescing detail
-	// and deliberately excluded.
 	o := res.Offload
 	fmt.Fprintf(h, "offload|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d\n",
 		o.Queries, o.Denied, o.Errors, o.Split, o.Local, o.Fallback,

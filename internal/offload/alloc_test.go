@@ -2,19 +2,21 @@ package offload
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 
 	"tinymlops/internal/device"
 	"tinymlops/internal/enclave"
+	"tinymlops/internal/engine"
 	"tinymlops/internal/market"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/tensor"
 )
 
 // pinModel is a deeper MLP than the fixture's, so the split pins cover real
-// suffix work, not just queue overhead.
+// suffix work, not just the tier's overhead.
 func pinModel() *nn.Network {
 	rng := tensor.NewRNG(2)
 	return nn.NewNetwork([]int{32},
@@ -49,16 +51,19 @@ func pinInput() []float32 {
 	return x
 }
 
-// pinCloud starts a cloud tier serving model as version "pin", on an
+// pinCloud returns a cloud tier serving model as version "pin", on an
 // enclave-hosted executor when slowdown exceeds 1.
-func pinCloud(t *testing.T, cfg CloudConfig, model *nn.Network, slowdown float64) *CloudTier {
+func pinCloud(t *testing.T, model *nn.Network, slowdown float64) *CloudTier {
 	t.Helper()
-	cloud := NewCloud(cfg)
+	cloud := NewCloud(CloudConfig{})
 	registerFloat(t, cloud, "pin", model, slowdown)
-	cloud.Start()
 	t.Cleanup(cloud.Close)
 	return cloud
 }
+
+// splitAllocs is what one split query allocates in the steady state, its
+// suffix served by the cloud tier.
+const splitAllocs = 20
 
 // TestExecAllocationPins pins what one Session.Exec allocates in the steady
 // state: the whole model on the device (the result's logits), a split at
@@ -92,9 +97,9 @@ func TestExecAllocationPins(t *testing.T) {
 		s      *Session
 		allocs float64
 	}{
-		{"monolithic", pinSession(t, len(model.Layers()), pinCloud(t, CloudConfig{}, model, 1), model, "mono"), 1},
-		{"split", pinSession(t, 2, pinCloud(t, CloudConfig{}, model, 1), model, "split"), 30},
-		{"enclave suffix", pinSession(t, 2, pinCloud(t, CloudConfig{}, inside, esess.Enclave().Slowdown), model, "enclave"), 30},
+		{"monolithic", pinSession(t, len(model.Layers()), pinCloud(t, model, 1), model, "mono"), 1},
+		{"split", pinSession(t, 2, pinCloud(t, model, 1), model, "split"), splitAllocs},
+		{"enclave suffix", pinSession(t, 2, pinCloud(t, inside, esess.Enclave().Slowdown), model, "enclave"), splitAllocs},
 	} {
 		exec := func() {
 			if _, err := pin.s.Exec(x); err != nil {
@@ -110,24 +115,48 @@ func TestExecAllocationPins(t *testing.T) {
 	}
 }
 
-// TestBatchedCloudAllocationPin drives 16 sessions' splits through one
-// batching cloud tier at once and pins the allocations per query. It runs
-// on one processor, where each submit is served before the next session
-// runs: the batches are all of one and the count is the same every run. On
-// two processors the batch sizes follow the scheduler and the count moves
-// between 30 and 33. The pin is a ceiling, not an exact count, because the
-// mean includes the 16 goroutines' own allocations and because a
-// race-detector build interleaves the sessions and coalesces them.
-func TestBatchedCloudAllocationPin(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const sessions, perSession, pin = 16, 50, 30.1
+// TestConcurrentCloudAllocationPin drives 16 sessions' splits through one
+// cloud tier at once and pins what a query allocates at exactly the
+// single-session split's count. The tier's arena pool grows to the peak
+// number of requests in flight, which the scheduler picks, so the test
+// first grows it to 16 warm arenas, one per session. What is left over
+// the pin is under one allocation per query: the burst's 16 goroutines and
+// the runtime's bookkeeping for contended locks, a few dozen allocations a
+// burst that vary with scheduling and with the race detector.
+func TestConcurrentCloudAllocationPin(t *testing.T) {
+	const sessions, perSession, cut = 16, 50, 2
 	model := pinModel()
-	cloud := pinCloud(t, CloudConfig{MaxBatch: 32, QueueCap: 1024, Dispatchers: 2}, model, 1)
+	cloud := pinCloud(t, model, 1)
 	ss := make([]*Session, sessions)
 	for i := range ss {
-		ss[i] = pinSession(t, 2, cloud, model, fmt.Sprintf("batch-%02d", i))
+		ss[i] = pinSession(t, cut, cloud, model, fmt.Sprintf("burst-%02d", i))
 	}
 	x := pinInput()
+	ex := cloud.models["pin"]
+	held := make([]*engine.Arena, sessions)
+	for i := range held {
+		held[i] = cloud.arenas.Acquire()
+	}
+	for _, ar := range held {
+		act, err := ex.Run(tensor.FromSlice(x, 1, len(x)), 0, cut, ar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := ex.EncodeBoundary(act, cut, ar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ex.DecodeBoundary(payload, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.Resume(b, cut, ar); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ar := range held {
+		cloud.arenas.Release(ar)
+	}
 	burst := func() {
 		var wg sync.WaitGroup
 		for _, s := range ss {
@@ -151,8 +180,8 @@ func TestBatchedCloudAllocationPin(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / (sessions * perSession)
 	st := cloud.Stats()
-	t.Logf("%.2f allocations per query; %d queries in %d batches", got, st.Served, st.Batches)
-	if got > pin {
-		t.Errorf("a coalesced split query allocates %.2f, pinned at <= %v", got, pin)
+	t.Logf("%.4f allocations per query; %d queries, peak %d in flight, %d arenas", got, st.Served, st.MaxQueueDepth, cloud.arenas.Created())
+	if math.Floor(got) != splitAllocs || cloud.arenas.Created() != sessions {
+		t.Errorf("a concurrent split query allocates %.4f on %d arenas, pinned at %v on %d", got, cloud.arenas.Created(), splitAllocs, sessions)
 	}
 }

@@ -10,15 +10,18 @@ import (
 	"tinymlops/internal/device"
 	"tinymlops/internal/engine"
 	"tinymlops/internal/exec"
-	"tinymlops/internal/tensor"
 )
 
-// ErrShed is returned by Submit when the bounded admission queue is full.
+// maxInFlight bounds the suffix requests the tier executes at once; Submit
+// sheds with ErrShed beyond it.
+const maxInFlight = 256
+
+// ErrShed is returned by Submit when the tier is at its in-flight cap.
 // Shedding is the cloud tier's overload valve: the device retries
 // (shedAttempts tries in all) and, if the retries exhaust, finishes the
 // query locally — the cloud being busy must never lose a
 // query, only move its compute back to the edge.
-var ErrShed = errors.New("offload: admission queue full")
+var ErrShed = errors.New("offload: cloud tier at capacity")
 
 // ErrClosed is returned by Submit after the tier has been closed.
 var ErrClosed = errors.New("offload: cloud tier closed")
@@ -27,21 +30,8 @@ var ErrClosed = errors.New("offload: cloud tier closed")
 // model version.
 var ErrUnknownModel = errors.New("offload: unknown model version")
 
-// CloudConfig sizes a CloudTier.
-type CloudConfig struct {
-	// MaxBatch bounds how many queued suffix requests one dispatch
-	// coalesces into a single executor call (default 16). Coalescing is
-	// opportunistic: a dispatcher drains whatever is queued up to this
-	// limit, it never waits for a batch to fill.
-	MaxBatch int
-	// QueueCap bounds admitted-but-unserved requests across all tenants;
-	// Submit sheds with ErrShed beyond it (default 256).
-	QueueCap int
-	// Dispatchers is the number of serving goroutines (default 2). Each
-	// drains and executes one batch at a time on its own arena; executors
-	// perform no model writes, so dispatchers share them safely.
-	Dispatchers int
-}
+// CloudConfig is the tier's configuration; the tier has nothing to tune.
+type CloudConfig struct{}
 
 // Response is the cloud's answer to one suffix request.
 type Response struct {
@@ -50,9 +40,6 @@ type Response struct {
 	Payload []byte
 	// Latency is the modeled cloud compute time for this query.
 	Latency time.Duration
-	// BatchSize is how many requests the serving batch coalesced —
-	// observability for the batching efficiency the tier exists for.
-	BatchSize int
 }
 
 // CloudStats aggregates a tier's serving counters.
@@ -60,99 +47,39 @@ type CloudStats struct {
 	Submitted int64
 	Served    int64
 	Shed      int64
-	Batches   int64
-	// MaxQueueDepth is the high-water mark of admitted requests.
+	// Batches counts executor calls, failed ones included: one per
+	// admitted request.
+	Batches int64
+	// MaxQueueDepth is the high-water mark of requests in flight.
 	MaxQueueDepth int
-	// MaxBatchSize is the largest coalesced batch dispatched.
-	MaxBatchSize int
 }
 
-// request is one admitted suffix query waiting for service: the boundary
-// its executor decoded at admission.
-type request struct {
-	boundary exec.Boundary
-	reply    chan result
-}
-
-// result is what a dispatcher delivers back to a waiting Submit.
-type result struct {
-	resp Response
-	err  error
-}
-
-// classKey identifies a batchable request class: only requests for the
-// same model version at the same cut share activation shapes and suffix
-// weights, so only they can ride one batch.
-type classKey struct {
-	version string
-	cut     int
-}
-
-// class is the per-(version, cut) queue state: the executor resuming at
-// the cut, per-tenant FIFOs and the round-robin cursor that makes draining
-// fair — a tenant flooding the queue gets at most one slot per turn while
-// other tenants have work.
-type class struct {
-	key     classKey
-	ex      exec.Executor
-	sufMACs int64
-
-	tenants map[string][]*request
-	order   []string // tenants with pending work, in arrival order
-	next    int      // round-robin cursor into order
-	pending int
-}
-
-// CloudTier is the cloud half of the offload plane: a bounded, batched
-// admission queue in front of suffix execution. Devices Submit boundary
-// activations; dispatcher goroutines coalesce concurrent requests of the
-// same (model, cut) class into single executor Resume calls with
-// per-tenant fair scheduling. Because batched execution is bit-identical
-// to per-sample execution, the answer a device gets does not depend on
-// which batch its request rode in — batching changes throughput, never
-// results.
+// CloudTier is the cloud half of the offload plane: bounded admission in
+// front of suffix execution. A device Submits its boundary activation and
+// the registered executor resumes the model from it in the submitting
+// goroutine, on an arena borrowed from the tier's pool — the suffix is a
+// call, so its answer and the tier's counters depend on nothing but the
+// requests.
 type CloudTier struct {
-	cfg CloudConfig
 	// caps models the cloud hardware: the wall-powered edge-server profile.
-	caps device.Capabilities
+	caps   device.Capabilities
+	arenas *engine.ArenaPool
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	models     map[string]exec.Executor
-	classes    map[classKey]*class
-	classOrder []classKey
-	nextClass  int
-	queued     int
-	started    bool
-	closed     bool
-	stats      CloudStats
-	wg         sync.WaitGroup
+	mu       sync.Mutex
+	models   map[string]exec.Executor
+	inFlight int
+	closed   bool
+	stats    CloudStats
 }
 
-// NewCloud returns a cloud tier over the configuration. Call Start to
-// begin serving; Submit before Start queues (and may shed) but is not
-// served until dispatchers run.
-func NewCloud(cfg CloudConfig) *CloudTier {
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 16
-	}
-	if cfg.QueueCap < 1 {
-		cfg.QueueCap = 256
-	}
-	if cfg.Dispatchers < 1 {
-		cfg.Dispatchers = 2
-	}
-	c := &CloudTier{
-		cfg:     cfg,
-		models:  make(map[string]exec.Executor),
-		classes: make(map[classKey]*class),
-	}
+// NewCloud returns a cloud tier, serving from the moment it is made.
+func NewCloud(CloudConfig) *CloudTier {
+	c := &CloudTier{arenas: engine.NewArenaPool(), models: make(map[string]exec.Executor)}
 	for _, p := range device.StandardProfiles() {
 		if p.Class == device.ClassEdgeServer {
 			c.caps = p
 		}
 	}
-	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
@@ -163,7 +90,7 @@ func (c *CloudTier) Caps() device.Capabilities { return c.caps }
 // network, an integer model resumed from quantized boundary codes, or
 // either of them or a compiled module hosted in an enclave. The
 // executor is shared, not copied. It must declare its input shape — the
-// tier validates every boundary before it queues. Repeated registration
+// tier validates every boundary before it admits it. Repeated registration
 // of the same version is a no-op.
 func (c *CloudTier) Register(versionID string, ex exec.Executor) error {
 	if versionID == "" || ex == nil {
@@ -189,46 +116,14 @@ func (c *CloudTier) Registered(versionID string) bool {
 	return ok
 }
 
-// Start launches the dispatcher goroutines. Idempotent.
-func (c *CloudTier) Start() {
-	c.mu.Lock()
-	if c.started || c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.started = true
-	c.mu.Unlock()
-	for i := 0; i < c.cfg.Dispatchers; i++ {
-		c.wg.Add(1)
-		go c.dispatch()
-	}
-}
+// Start does nothing: a tier serves from NewCloud on.
+func (c *CloudTier) Start() {}
 
-// Close stops admission, drains queued requests (failing them with
-// ErrClosed if the tier never started) and waits for dispatchers to exit.
+// Close stops admission; requests already admitted finish.
 func (c *CloudTier) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
 	c.closed = true
-	if !c.started {
-		// No dispatcher will ever drain; fail the queued requests here.
-		for _, cl := range c.classes {
-			for _, q := range cl.tenants {
-				for _, r := range q {
-					r.reply <- result{err: ErrClosed}
-				}
-			}
-			cl.tenants = make(map[string][]*request)
-			cl.order, cl.pending = nil, 0
-		}
-		c.queued = 0
-	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
-	c.wg.Wait()
 }
 
 // Stats returns a snapshot of the serving counters.
@@ -239,9 +134,8 @@ func (c *CloudTier) Stats() CloudStats {
 }
 
 // Submit hands the cloud one boundary activation (encoded by the device's
-// executor) for steps [cut, n) of the registered model version and blocks
-// until the suffix result returns or admission fails. tenant scopes fair
-// scheduling — use a stable per-device identity.
+// executor) for steps [cut, n) of the registered model version, runs the
+// suffix and returns its encoded output. The tenant is not read.
 func (c *CloudTier) Submit(tenant, versionID string, cut int, activation []byte) (Response, error) {
 	c.mu.Lock()
 	ex, ok := c.models[versionID]
@@ -261,145 +155,49 @@ func (c *CloudTier) Submit(tenant, versionID string, cut int, activation []byte)
 		c.mu.Unlock()
 		return Response{}, ErrClosed
 	}
-	if c.queued >= c.cfg.QueueCap {
+	if c.inFlight >= maxInFlight {
 		c.stats.Shed++
 		c.mu.Unlock()
-		return Response{}, fmt.Errorf("%w (%d queued)", ErrShed, c.cfg.QueueCap)
+		return Response{}, fmt.Errorf("%w (%d in flight)", ErrShed, maxInFlight)
 	}
-	key := classKey{version: versionID, cut: cut}
-	cl, ok := c.classes[key]
-	if !ok {
-		cl = &class{key: key, ex: ex, tenants: make(map[string][]*request)}
-		for _, lc := range ex.Costs()[cut:] {
-			cl.sufMACs += lc.Info.MACs
-		}
-		c.classes[key] = cl
-		c.classOrder = append(c.classOrder, key)
-	}
-	req := &request{boundary: b, reply: make(chan result, 1)}
-	if _, ok := cl.tenants[tenant]; !ok {
-		cl.order = append(cl.order, tenant)
-	}
-	cl.tenants[tenant] = append(cl.tenants[tenant], req)
-	cl.pending++
-	c.queued++
+	c.inFlight++
 	c.stats.Submitted++
-	if c.queued > c.stats.MaxQueueDepth {
-		c.stats.MaxQueueDepth = c.queued
-	}
-	c.cond.Signal()
+	c.stats.MaxQueueDepth = max(c.stats.MaxQueueDepth, c.inFlight)
 	c.mu.Unlock()
 
-	r := <-req.reply
-	return r.resp, r.err
-}
+	resp, err := c.resume(ex, b, cut)
 
-// dispatch is one serving goroutine: wait for work, drain a fair batch,
-// execute it on the goroutine's own arena, repeat until closed and drained.
-func (c *CloudTier) dispatch() {
-	defer c.wg.Done()
-	ar := engine.NewArena()
-	for {
-		c.mu.Lock()
-		for c.queued == 0 && !c.closed {
-			c.cond.Wait()
-		}
-		if c.queued == 0 && c.closed {
-			c.mu.Unlock()
-			return
-		}
-		cl, reqs := c.drainLocked()
-		c.mu.Unlock()
-		if len(reqs) > 0 {
-			c.execBatch(cl, reqs, ar)
-		}
-	}
-}
-
-// drainLocked picks the next class with pending work (round-robin across
-// classes) and drains up to MaxBatch requests from it, one per tenant per
-// turn. Caller holds c.mu.
-func (c *CloudTier) drainLocked() (*class, []*request) {
-	var cl *class
-	for range c.classOrder {
-		key := c.classOrder[c.nextClass%len(c.classOrder)]
-		c.nextClass = (c.nextClass + 1) % len(c.classOrder)
-		if cand := c.classes[key]; cand.pending > 0 {
-			cl = cand
-			break
-		}
-	}
-	if cl == nil {
-		return nil, nil
-	}
-	take := cl.pending
-	if take > c.cfg.MaxBatch {
-		take = c.cfg.MaxBatch
-	}
-	reqs := make([]*request, 0, take)
-	for len(reqs) < take {
-		tenant := cl.order[cl.next]
-		q := cl.tenants[tenant]
-		reqs = append(reqs, q[0])
-		q = q[1:]
-		if len(q) == 0 {
-			delete(cl.tenants, tenant)
-			cl.order = append(cl.order[:cl.next], cl.order[cl.next+1:]...)
-			if len(cl.order) == 0 {
-				cl.next = 0
-			} else {
-				cl.next %= len(cl.order)
-			}
-		} else {
-			cl.tenants[tenant] = q
-			cl.next = (cl.next + 1) % len(cl.order)
-		}
-		cl.pending--
-	}
-	c.queued -= len(reqs)
-	return cl, reqs
-}
-
-// execBatch runs one coalesced suffix batch and replies to every request.
-// An executor error (a module out of gas, say) fails the whole batch: each
-// device then finishes its own query locally.
-func (c *CloudTier) execBatch(cl *class, reqs []*request, ar *engine.Arena) {
-	rows := len(reqs)
-	bs := make([]exec.Boundary, rows)
-	for i, r := range reqs {
-		bs[i] = r.boundary
-	}
-	out, err := cl.ex.Resume(bs, cl.key.cut, ar)
-	// Protected execution pays the enclave's slowdown on cloud compute.
-	perQuery := time.Duration(float64(c.caps.InferenceLatency(cl.sufMACs, cl.ex.Scheme().Bits())) * cl.ex.Slowdown())
-	// Stats commit BEFORE any reply is delivered: a caller unblocked by
-	// its reply must observe its own request in Stats() — the chaos
-	// scenario's CloudServed == Split invariant depends on it.
 	c.mu.Lock()
+	c.inFlight--
 	c.stats.Batches++
 	if err == nil {
-		c.stats.Served += int64(rows)
-	}
-	if rows > c.stats.MaxBatchSize {
-		c.stats.MaxBatchSize = rows
+		c.stats.Served++
 	}
 	c.mu.Unlock()
+	return resp, err
+}
+
+// resume runs the suffix for one decoded boundary and encodes its output.
+// An executor error (a module out of gas, say) fails the request: the
+// device then finishes its own query locally.
+func (c *CloudTier) resume(ex exec.Executor, b exec.Boundary, cut int) (Response, error) {
+	ar := c.arenas.Acquire()
+	defer c.arenas.Release(ar)
+	out, err := ex.Resume(b, cut, ar)
 	if err != nil {
-		for _, r := range reqs {
-			r.reply <- result{err: fmt.Errorf("offload: suffix: %w", err)}
-		}
-		return
+		return Response{}, fmt.Errorf("offload: suffix: %w", err)
 	}
-	// One header walks the output rows; each reply owns its encoded bytes.
-	outLen := out.Size() / rows
-	row := tensor.FromSlice(out.Data[:outLen], append([]int{1}, out.Shape()[1:]...)...)
-	for i, r := range reqs {
-		row.Data = out.Data[i*outLen : (i+1)*outLen]
-		var buf bytes.Buffer
-		if _, err := row.WriteTo(&buf); err != nil {
-			r.reply <- result{err: fmt.Errorf("offload: encode result: %w", err)}
-			continue
-		}
-		r.reply <- result{resp: Response{Payload: buf.Bytes(), Latency: perQuery, BatchSize: rows}}
+	// The reply owns its bytes: out aliases the arena, which the next
+	// borrower reuses.
+	var buf bytes.Buffer
+	if _, err := out.WriteTo(&buf); err != nil {
+		return Response{}, fmt.Errorf("offload: encode result: %w", err)
 	}
+	var sufMACs int64
+	for _, lc := range ex.Costs()[cut:] {
+		sufMACs += lc.Info.MACs
+	}
+	// Protected execution pays the enclave's slowdown on cloud compute.
+	lat := time.Duration(float64(c.caps.InferenceLatency(sufMACs, ex.Scheme().Bits())) * ex.Slowdown())
+	return Response{Payload: buf.Bytes(), Latency: lat}, nil
 }

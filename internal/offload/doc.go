@@ -12,13 +12,13 @@
 // through its executor's codec, and — because the split performs the
 // monolithic model's exact operations — answers bit-identically to a full
 // on-device forward pass no matter where the cut lands or whether the
-// network failed it back to the edge. A CloudTier is the vendor-side half: a
-// bounded admission queue that coalesces concurrent suffix requests of
-// the same (version, cut) class into single executor calls, drains
-// tenants round-robin so no device starves, and sheds under overload —
-// a shed query is submitted three times in all (shedAttempts), with no
-// modeled delay between tries, and finishes locally if the cloud stays
-// saturated. The tier's hardware is the wall-powered edge-server profile.
+// network failed it back to the edge. A CloudTier is the vendor-side half:
+// Submit is a call — it admits the request against a fixed in-flight cap,
+// runs the suffix in the submitting goroutine on an arena from the tier's
+// pool, and returns the encoded answer. Past the cap it sheds: a shed
+// query is submitted three times in all (shedAttempts), with no modeled
+// delay between tries, and finishes locally if the cloud stays saturated.
+// The tier's hardware is the wall-powered edge-server profile.
 //
 // A Replanner closes the loop: it watches live bandwidth and battery,
 // re-runs market.BestSplit when conditions drift past its trigger

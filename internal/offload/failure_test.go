@@ -53,8 +53,7 @@ func TestOffloadFailurePaths(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			f := newFixture(t, "phone", CloudConfig{})
-			f.cloud.Start()
+			f := newFixture(t, "phone")
 			defer f.cloud.Close()
 			c.arrange(f)
 			s := f.session(t, 2)
@@ -102,9 +101,8 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 		nn.NewDense(8, 24, rng), nn.NewReLU(),
 		nn.NewDense(24, 12, rng), nn.NewSigmoid(),
 		nn.NewDense(12, 3, rng))
-	cloud := NewCloud(CloudConfig{QueueCap: 4 * nDevices, MaxBatch: 8, Dispatchers: 2})
+	cloud := NewCloud(CloudConfig{})
 	registerFloat(t, cloud, "v1", model, 1)
-	cloud.Start()
 	defer cloud.Close()
 	caps, _ := device.ProfileByName("phone")
 
@@ -178,8 +176,8 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 // TestOffloadFleetDeterministicAcrossWorkers runs the same scripted
 // mixed-failure fleet at 1, 4 and 16 workers (with -race in CI) and
 // requires per-device labels, session stats and device counters to be
-// identical — cloud batching composition may vary with scheduling, but
-// nothing observable may.
+// identical — the order the tier serves requests in may vary with
+// scheduling, but nothing observable may.
 func TestOffloadFleetDeterministicAcrossWorkers(t *testing.T) {
 	const nDevices, queries = 12, 18
 	var first []sessionOutcome

@@ -3,14 +3,13 @@ package offload
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"tinymlops/internal/device"
+	"tinymlops/internal/engine"
 	"tinymlops/internal/exec"
 	"tinymlops/internal/market"
 	"tinymlops/internal/nn"
@@ -24,7 +23,7 @@ type fixture struct {
 	cloud *CloudTier
 }
 
-func newFixture(t *testing.T, profile string, cloudCfg CloudConfig) *fixture {
+func newFixture(t *testing.T, profile string) *fixture {
 	t.Helper()
 	caps, err := device.ProfileByName(profile)
 	if err != nil {
@@ -37,7 +36,7 @@ func newFixture(t *testing.T, profile string, cloudCfg CloudConfig) *fixture {
 		nn.NewDense(8, 32, rng), nn.NewReLU(),
 		nn.NewDense(32, 16, rng), nn.NewTanh(),
 		nn.NewDense(16, 4, rng))
-	cloud := NewCloud(cloudCfg)
+	cloud := NewCloud(CloudConfig{})
 	registerFloat(t, cloud, "v1", model, 1)
 	return &fixture{dev: dev, model: model, cloud: cloud}
 }
@@ -104,8 +103,7 @@ func logitsEqual(got []float32, want *tensor.Tensor) bool {
 func TestSessionSplitBitExactAtEveryCut(t *testing.T) {
 	n := 5 // layers in the fixture model
 	for cut := 0; cut <= n; cut++ {
-		f := newFixture(t, "phone", CloudConfig{})
-		f.cloud.Start()
+		f := newFixture(t, "phone")
 		s := f.session(t, cut)
 		x := f.input(uint64(40 + cut))
 		want := f.expect(x)
@@ -134,9 +132,6 @@ func TestSessionSplitBitExactAtEveryCut(t *testing.T) {
 			if c.RxBytes != res.ResponseBytes || res.ResponseBytes == 0 {
 				t.Fatalf("cut %d: RxBytes %d vs response %d", cut, c.RxBytes, res.ResponseBytes)
 			}
-			if res.CloudBatch < 1 {
-				t.Fatalf("cut %d: no cloud batch recorded", cut)
-			}
 			if res.Latency <= 0 {
 				t.Fatalf("cut %d: no modeled latency", cut)
 			}
@@ -145,87 +140,97 @@ func TestSessionSplitBitExactAtEveryCut(t *testing.T) {
 	}
 }
 
-// TestCloudFairScheduling floods the queue from one tenant while another
-// submits a single request, then starts the dispatcher: round-robin
-// draining must put the lone tenant's request in the first batch instead
-// of behind the flood. Each reply says how large a batch it rode in.
-func TestCloudFairScheduling(t *testing.T) {
-	var mu sync.Mutex
-	batchOf := map[string][]int{} // tenant → the batch size of each reply
-	cloud := NewCloud(CloudConfig{MaxBatch: 4, Dispatchers: 1})
-	rng := tensor.NewRNG(3)
-	model := nn.NewNetwork([]int{4}, nn.NewDense(4, 8, rng), nn.NewReLU(), nn.NewDense(8, 2, rng))
-	registerFloat(t, cloud, "v1", model, 1)
-	act := encodeAct(t, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4))
+// blockingExec is a registered executor whose Resume waits until release
+// is closed, so a test can hold requests in flight.
+type blockingExec struct {
+	exec.Executor
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b blockingExec) Resume(bd exec.Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Executor.Resume(bd, cut, ar)
+}
+
+// TestCloudShedsAtCapacity holds maxInFlight requests inside Resume and
+// expects the next Submit to shed with ErrShed, counted; once released,
+// every held request is served its correct answer.
+func TestCloudShedsAtCapacity(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	model := nn.NewNetwork([]int{4}, nn.NewDense(4, 2, rng))
+	inner, err := exec.Float(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := blockingExec{Executor: inner, entered: make(chan struct{}), release: make(chan struct{})}
+	cloud := NewCloud(CloudConfig{})
+	if err := cloud.Register("v1", held); err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4)
+	act := encodeAct(t, x)
+	want := encodeAct(t, model.Predict(x))
 
 	var wg sync.WaitGroup
-	submit := func(tenant string, k int) {
-		for i := 0; i < k; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := cloud.Submit(tenant, "v1", 0, act)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				batchOf[tenant] = append(batchOf[tenant], resp.BatchSize)
-				mu.Unlock()
-			}()
+	replies := make([][]byte, maxInFlight)
+	for i := range replies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := cloud.Submit("t", "v1", 0, act)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			replies[i] = resp.Payload
+		}()
+	}
+	for range maxInFlight {
+		<-held.entered
+	}
+	if _, err := cloud.Submit("t", "v1", 0, act); !errors.Is(err, ErrShed) {
+		t.Fatalf("submit past the cap returned %v, want ErrShed", err)
+	}
+	close(held.release)
+	wg.Wait()
+	for i, r := range replies {
+		if !bytes.Equal(r, want) {
+			t.Fatalf("held request %d answered %x, want %x", i, r, want)
 		}
 	}
-	submit("flooder", 4)
-	submit("lone", 1)
-	waitDepth(t, cloud, 5)
-	cloud.Start()
-	wg.Wait()
-	cloud.Close()
-
-	mu.Lock()
-	defer mu.Unlock()
-	// The first batch takes four of five: the lone request and three of the
-	// flood; the last flooder rides alone.
-	if got := batchOf["lone"]; len(got) != 1 || got[0] != 4 {
-		t.Fatalf("lone tenant rode batches %v, want [4] — fair scheduling broken", got)
-	}
-	sort.Ints(batchOf["flooder"])
-	if got := batchOf["flooder"]; fmt.Sprint(got) != "[1 4 4 4]" {
-		t.Fatalf("flooder rode batches %v, want [1 4 4 4]", got)
-	}
 	st := cloud.Stats()
-	if st.Served != 5 || st.Batches != 2 || st.MaxBatchSize != 4 {
+	if st.Shed != 1 || st.Served != maxInFlight || st.Submitted != maxInFlight || st.MaxQueueDepth != maxInFlight {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
-// TestCloudBoundedQueueSheds fills the admission queue beyond its cap and
-// expects ErrShed, with the shed counted and no request lost.
-func TestCloudBoundedQueueSheds(t *testing.T) {
-	cloud := NewCloud(CloudConfig{MaxBatch: 2, QueueCap: 2, Dispatchers: 1})
-	rng := tensor.NewRNG(5)
-	model := nn.NewNetwork([]int{4}, nn.NewDense(4, 2, rng))
-	registerFloat(t, cloud, "v1", model, 1)
-	act := encodeAct(t, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4))
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := cloud.Submit("t", "v1", 0, act); err != nil {
-				t.Error(err)
-			}
-		}()
+// TestSessionAnswersOnUnstartedTier runs a standalone session against a
+// tier nobody started: the suffix is a call, so the query answers, split.
+func TestSessionAnswersOnUnstartedTier(t *testing.T) {
+	f := newFixture(t, "phone")
+	s := f.session(t, 2)
+	x := f.input(7)
+	type outcome struct {
+		res Result
+		err error
 	}
-	waitDepth(t, cloud, 2)
-	if _, err := cloud.Submit("t", "v1", 0, act); !errors.Is(err, ErrShed) {
-		t.Fatalf("overfull queue returned %v, want ErrShed", err)
-	}
-	cloud.Start()
-	wg.Wait()
-	cloud.Close()
-	if st := cloud.Stats(); st.Shed != 1 || st.Served != 2 {
-		t.Fatalf("stats %+v", st)
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := s.Exec(x)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.res.Mode != ModeSplit || !logitsEqual(o.res.Logits, f.expect(x)) {
+			t.Fatalf("mode %v, logits %v; want a bit-exact split answer", o.res.Mode, o.res.Logits)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a query on a tier that was never started did not answer within 10s")
 	}
 }
 
@@ -264,23 +269,11 @@ func encodeAct(t *testing.T, x *tensor.Tensor) []byte {
 	return buf.Bytes()
 }
 
-func waitDepth(t *testing.T, c *CloudTier, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().MaxQueueDepth < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d never reached %d", c.Stats().MaxQueueDepth, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestSessionRetriesShedThenFallsBack closes the cloud so admission fails
 // permanently: the session must finish the query locally (fallback) with
 // a bit-exact answer rather than erroring.
 func TestSessionRetriesShedThenFallsBack(t *testing.T) {
-	f := newFixture(t, "phone", CloudConfig{})
-	f.cloud.Start()
+	f := newFixture(t, "phone")
 	f.cloud.Close()
 	s := f.session(t, 2)
 	x := f.input(9)

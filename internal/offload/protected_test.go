@@ -89,8 +89,7 @@ func (f *fixture) checkEveryMode(t *testing.T, c kindCase, x []float32) Result {
 // bit-identical to the device's full integer forward. The planned cut 1
 // is not a dense boundary; the session snaps it down to 0.
 func TestQuantSplitSessionBitExact(t *testing.T) {
-	f := newFixture(t, "phone", CloudConfig{})
-	f.cloud.Start()
+	f := newFixture(t, "phone")
 	defer f.cloud.Close()
 	ex, err := exec.Quant(f.model, quant.Int8)
 	if err != nil {
@@ -126,8 +125,7 @@ func TestQuantSplitSessionBitExact(t *testing.T) {
 // device's own forward bit-for-bit — protection must not perturb results,
 // only charge the protected world's slowdown.
 func TestProtectedSessionBitExact(t *testing.T) {
-	f := newFixture(t, "phone", CloudConfig{})
-	f.cloud.Start()
+	f := newFixture(t, "phone")
 	defer f.cloud.Close()
 	enc, err := enclave.New("prot-enclave", []byte("prot-test-root-key-0123456789abc"), 2)
 	if err != nil {
@@ -174,8 +172,7 @@ func TestProtectedSessionBitExact(t *testing.T) {
 // the fallback and the all-local cut run the module on the session's own
 // gas-raised runtime — and all must agree bit-for-bit with a direct run.
 func TestModuleSessionSplitAndLocal(t *testing.T) {
-	f := newFixture(t, "phone", CloudConfig{})
-	f.cloud.Start()
+	f := newFixture(t, "phone")
 	defer f.cloud.Close()
 	mod, err := compat.CompileProcVM(f.model, compat.CompileOptions{Name: "mod"})
 	if err != nil {

@@ -72,9 +72,6 @@ type Result struct {
 	// DeviceEnergyJ is the device-side energy actually charged: prefix
 	// (and fallback suffix) compute plus radio transmit.
 	DeviceEnergyJ float64
-	// CloudBatch is the coalesced batch size the suffix rode in (0 when
-	// the suffix never reached the cloud).
-	CloudBatch int
 	// Replanned reports that this query's condition snapshot moved the
 	// cut before executing.
 	Replanned bool
@@ -96,7 +93,8 @@ type Stats struct {
 
 // SessionConfig binds a split-execution session to one device and model.
 type SessionConfig struct {
-	// Tenant scopes cloud fair scheduling; use the device ID.
+	// Tenant names the session to the cloud tier (default: the device
+	// ID); the tier does not read it.
 	Tenant string
 	// VersionID names the registered model version the cloud serves.
 	VersionID string
@@ -271,8 +269,8 @@ func (s *Session) exec(x []float32) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("offload: %w", err)
 	}
-	// The payload aliases the session's arena: Cloud.Submit is synchronous
-	// and copies what it keeps, so the next query reuses the storage.
+	// The payload aliases the session's arena: Cloud.Submit is a call that
+	// keeps nothing past its return, so the next query reuses the storage.
 	payload, err := s.ex.EncodeBoundary(act, cut, s.arena)
 	if err != nil {
 		return Result{}, fmt.Errorf("offload: encode activation: %w", err)
@@ -322,7 +320,6 @@ func (s *Session) exec(x []float32) (Result, error) {
 	res.Mode = ModeSplit
 	res.Latency = prefixLat + upDur + resp.Latency + dnDur
 	res.ResponseBytes = int64(len(resp.Payload))
-	res.CloudBatch = resp.BatchSize
 	// The decoded response is fresh storage the caller may keep.
 	res.Logits, res.Label = out.Data, out.ArgMax()
 	s.stats.Queries++

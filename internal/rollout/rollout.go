@@ -357,12 +357,18 @@ func (c *Controller) Run(t Target, cfg Config) (*Result, error) {
 
 		// Read post-bake health and judge the wave. A failed read is
 		// recorded on the outcome: an unreachable device must not pass the
-		// gate by looking like a zero-error idle one.
+		// gate by looking like a zero-error idle one. A panicking read is a
+		// failed read.
 		posts := make([]Health, len(group))
 		_ = c.eng.ForEach(len(group), func(i int) error {
 			if wr.Outcomes[i].UpdateErr != "" {
 				return nil
 			}
+			defer func() {
+				if r := recover(); r != nil {
+					wr.Outcomes[i].HealthErr = fmt.Sprintf("health read panicked: %v", r)
+				}
+			}()
 			h, herr := t.Health(group[i])
 			if herr != nil {
 				wr.Outcomes[i].HealthErr = herr.Error()
@@ -390,13 +396,18 @@ func (c *Controller) Run(t Target, cfg Config) (*Result, error) {
 
 // rollbackWave reverts every device the wave actually changed — update
 // failures were never on the new version and no-op updates changed
-// nothing, so neither is touched.
+// nothing, so neither is touched. A panicking revert is a failed one.
 func (c *Controller) rollbackWave(t Target, group []string, wr *WaveResult) {
 	wr.RolledBack = true
 	_ = c.eng.ForEach(len(group), func(i int) error {
 		if wr.Outcomes[i].UpdateErr != "" || wr.Outcomes[i].Transfer.Unchanged() {
 			return nil
 		}
+		defer func() {
+			if r := recover(); r != nil {
+				wr.Outcomes[i].RollbackErr = fmt.Sprintf("rollback panicked: %v", r)
+			}
+		}()
 		if rerr := t.Rollback(group[i]); rerr != nil {
 			wr.Outcomes[i].RollbackErr = rerr.Error()
 		} else {

@@ -30,6 +30,9 @@ type fakeTarget struct {
 	failHealth map[string]bool
 	// noop marks devices already running v2 (content-addressed no-op).
 	noop map[string]bool
+	// panicHealth and panicRollback mark devices whose post-bake health
+	// read or revert panics.
+	panicHealth, panicRollback map[string]bool
 }
 
 func newFakeTarget(n int) *fakeTarget {
@@ -40,6 +43,9 @@ func newFakeTarget(n int) *fakeTarget {
 		failUpdate: make(map[string]bool),
 		failHealth: make(map[string]bool),
 		noop:       make(map[string]bool),
+
+		panicHealth:   make(map[string]bool),
+		panicRollback: make(map[string]bool),
 	}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("dev-%03d", i)
@@ -69,6 +75,9 @@ func (t *fakeTarget) Update(id string) (Transfer, error) {
 }
 
 func (t *fakeTarget) Health(id string) (Health, error) {
+	if t.panicHealth[id] {
+		panic("health probe dereferenced a nil monitor")
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.failHealth[id] {
@@ -83,6 +92,9 @@ func (t *fakeTarget) Health(id string) (Health, error) {
 }
 
 func (t *fakeTarget) Rollback(id string) error {
+	if t.panicRollback[id] {
+		panic("slot B image missing")
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.version[id] != "v2" {
@@ -282,6 +294,56 @@ func TestUnreadableHealthFailsGate(t *testing.T) {
 	}
 	if !res2.Completed {
 		t.Fatalf("tolerated health failure still failed: %+v", res2.Waves[0].Gate)
+	}
+}
+
+// TestPanickingHealthFailsGate: a health read that panics is a failed
+// read, so it counts against the gate instead of passing as a device with
+// zero errors.
+func TestPanickingHealthFailsGate(t *testing.T) {
+	ft := newFakeTarget(4)
+	ft.panicHealth[ft.ids[1]] = true
+	c := NewController(engine.New(engine.Config{Workers: 4}))
+	res, err := c.Run(ft, Config{Seed: 2, Waves: []Wave{{Name: "all", Fraction: 1}}, Bake: ft.bake})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := res.Waves[0]
+	if w.Gate.Pass || w.Gate.HealthFailures != 1 || !w.RolledBack {
+		t.Fatalf("gate = %+v rolledBack=%v", w.Gate, w.RolledBack)
+	}
+	for _, o := range w.Outcomes {
+		if panicked := strings.Contains(o.HealthErr, "panicked"); panicked != (o.DeviceID == ft.ids[1]) {
+			t.Fatalf("outcome %+v", o)
+		}
+	}
+}
+
+// TestPanickingRollbackIsSurfaced: a revert that panics is a failed revert,
+// recorded on the device's outcome rather than swallowed.
+func TestPanickingRollbackIsSurfaced(t *testing.T) {
+	ft := newFakeTarget(4)
+	for _, id := range ft.ids {
+		ft.driftOn[id] = true // the single wave fails its gate
+	}
+	ft.panicRollback[ft.ids[2]] = true
+	c := NewController(engine.New(engine.Config{Workers: 4}))
+	res, err := c.Run(ft, Config{Seed: 2, Waves: []Wave{{Name: "all", Fraction: 1}}, Bake: ft.bake})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := res.Waves[0]
+	if w.Gate.Pass || !w.RolledBack {
+		t.Fatalf("gate = %+v rolledBack=%v", w.Gate, w.RolledBack)
+	}
+	for _, o := range w.Outcomes {
+		if o.DeviceID == ft.ids[2] {
+			if o.RolledBack || !strings.Contains(o.RollbackErr, "rollback panicked: slot B image missing") {
+				t.Fatalf("panicked revert reads as %+v", o)
+			}
+		} else if !o.RolledBack || o.RollbackErr != "" {
+			t.Fatalf("outcome %+v", o)
+		}
 	}
 }
 

@@ -133,15 +133,10 @@ func BestSplit(costs []LayerCost, dev, cloud DeviceCapabilities, bits int, bandw
 	return market.BestSplit(costs, dev, cloud, bits, bandwidthBps, rtt, inputBytes)
 }
 
-// OffloadCloudConfig sizes the cloud tier (modeled hardware, batch
-// coalescing limit, queue bound, dispatcher count).
-type OffloadCloudConfig = offload.CloudConfig
-
-// NewOffloadCloud returns the cloud half of the offload plane: a bounded,
-// batched admission queue that coalesces concurrent suffix requests into
-// single ForwardBatch calls with per-tenant fair scheduling. Call Start to
-// begin serving and Close to drain and stop.
-func NewOffloadCloud(cfg OffloadCloudConfig) *offload.CloudTier { return offload.NewCloud(cfg) }
+// NewOffloadCloud returns the cloud half of the offload plane: bounded
+// admission in front of suffix execution, which runs in the goroutine that
+// submits the request. Close stops admission.
+func NewOffloadCloud() *offload.CloudTier { return offload.NewCloud(offload.CloudConfig{}) }
 
 // OffloadConfig controls Platform.Offload (cloud tier, RTT, shed retry
 // policy, re-planning thresholds, optional pinned plan).
