@@ -2,6 +2,7 @@ package fed
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -463,6 +464,12 @@ func TestCoordinatorValidation(t *testing.T) {
 		if _, err := NewCoordinator(c.global, c.clients, c.testX, c.testY, Config{}); err == nil {
 			t.Fatalf("%s: constructor accepted it", c.name)
 		}
+	}
+	// An empty shard used to pass, and the round then failed as a whole on
+	// an integer divide by zero in the client's training.
+	empty := &Client{ID: "v-none", Data: ds.Subset([]int{})}
+	if _, err := NewCoordinator(net, []*Client{clients[0], empty}, nil, nil, Config{}); err == nil || !strings.Contains(err.Error(), empty.ID) {
+		t.Fatalf("a client with no examples: constructor returned %v, want an error naming %s", err, empty.ID)
 	}
 	// With no edge tier there is no aggregator to mask for or to fail.
 	for name, cfg := range map[string]HierConfig{

@@ -83,6 +83,9 @@ func New(global *nn.Network, clients []*Client, testX *tensor.Tensor, testY []in
 		if seen[c.ID] {
 			return nil, fmt.Errorf("fed: duplicate client ID %q", c.ID)
 		}
+		if c.Data.Len() == 0 {
+			return nil, fmt.Errorf("fed: client %q has no examples", c.ID)
+		}
 		seen[c.ID] = true
 	}
 	cfg.normalize()

@@ -12,11 +12,13 @@ import (
 // the coordinator's engine.ArenaPool as serving borrows its scratch, so a
 // coordinator keeps as many as it has had clients training at once — its
 // worker count — however many clients a round trains. What is resident per
-// worker: one copy of the model, three vectors of the model's dimension, and
-// under SecureAgg the masked vectors of the one cohort the worker is
-// running, cohort × dimension words, reused from cohort to cohort. A client
-// keeps nothing between rounds but its shard and its (seed, round, ID)
-// stream.
+// worker: one copy of the model with its training plan — the gathered batch
+// and each layer's training-mode outputs and gradients, a few batches of
+// activations, carried from client to client — three vectors of the model's
+// dimension, and under SecureAgg the masked vectors of the one cohort the
+// worker is running, cohort × dimension words, reused from cohort to cohort.
+// A client keeps nothing between rounds but its shard and its (seed, round,
+// ID) stream.
 type workspace struct {
 	// net is the scratch network every client trains in, reset from the
 	// global before each one.
@@ -44,10 +46,11 @@ func (ws *workspace) fit(dim int) {
 	}
 }
 
-// reset makes ws.net indistinguishable from a fresh global.Clone(). The
-// first client of a worker pays the clone, and so does the first after the
-// global was replaced by a model of another topology — which ResetFrom
-// reports as it copies, so no round compares signatures.
+// reset makes ws.net indistinguishable from a fresh global.Clone(), but for
+// the training plan it keeps. The first client of a worker pays the clone
+// and the plan, and so does the first after the global was replaced by a
+// model of another topology — which ResetFrom reports as it copies, so no
+// round compares signatures.
 func (ws *workspace) reset(global *nn.Network) {
 	if ws.net == nil || ws.net.ResetFrom(global) != nil {
 		ws.net = global.Clone()

@@ -72,16 +72,20 @@ func TestMaskCohortEqualsMaskFixed(t *testing.T) {
 
 // TestRoundAllocationPins pins what the per-worker workspace is for, on the
 // end-to-end benchmark's round shape (a 16→32→4 model, 16 examples a client
-// in batches of 8): in the steady state a client update costs 73.1
-// allocations flat, 75.9 masked hierarchical and 89.4 plain hierarchical on
-// one worker (90.0 in a race-detector build) — 228 before the workspace,
-// where every client cloned the global through the wire format; 149 plain
-// hierarchical while its uplink was sized by encoding an nn delta patch; and
-// one more flat while each unit allocated its eligible list and its
-// reference sum — and a coordinator builds one workspace per worker however
-// many clients and rounds it trains. A worker that first trains in a
-// measured round builds its workspace there, about 150 allocations, so each
-// extra worker may add that much.
+// in batches of 8): in the steady state a client update costs 2.1
+// allocations flat (the codec payload, encoded and decoded), 4.9 masked
+// hierarchical and 18.4 plain hierarchical on one worker (up to 19.0 in a
+// race-detector build, whose sync.Pool drops entries at random, so the fmt
+// behind the plain uplink's nn.DeltaSize allocates more). History: 228
+// before the workspace, where every client cloned the global through the
+// wire format; 149 plain hierarchical while its uplink was sized by encoding
+// an nn delta patch; one more flat while each unit allocated its eligible
+// list and its reference sum; 73.1 / 75.9 / 90.0 while nn.Train allocated
+// its batches, every layer's outputs and gradients and a backward product
+// per step, and ResetFrom its layer specs. A coordinator builds one
+// workspace per worker however many clients and rounds it trains. A worker
+// that first trains in a measured round builds its workspace there, at most
+// about 150 allocations, so each extra worker may add that much.
 func TestRoundAllocationPins(t *testing.T) {
 	const clients, rounds, workspaceAllocs = 96, 3, 150
 	fixture := func() (*nn.Network, []*Client) {
@@ -97,9 +101,9 @@ func TestRoundAllocationPins(t *testing.T) {
 			cfg  HierConfig
 			pin  float64
 		}{
-			{"flat", HierConfig{Config: cfg}, 73.1},
-			{"masked hierarchical", HierConfig{Config: cfg, Aggregators: 8, SecureAgg: true}, 75.9},
-			{"plain hierarchical", HierConfig{Config: cfg, Aggregators: 8}, 90.0},
+			{"flat", HierConfig{Config: cfg}, 2.1},
+			{"masked hierarchical", HierConfig{Config: cfg, Aggregators: 8, SecureAgg: true}, 4.9},
+			{"plain hierarchical", HierConfig{Config: cfg, Aggregators: 8}, 19.0},
 		} {
 			global, cs := fixture()
 			co, err := New(global, cs, nil, nil, topo.cfg)
@@ -133,8 +137,9 @@ func TestRoundAllocationPins(t *testing.T) {
 // TestFleetRoundPins pins one round over 1600 two-example clients on a 4→3
 // linear model, coordinator construction included, flat and over 100 masked
 // cohorts: allocations per client on one worker, mean of three runs after a
-// warm-up, and the cloud uplink to the byte — a 60-byte dense payload per
-// client flat, one varint partial per cohort hierarchical.
+// warm-up (26.1 and 28.1 while nn.Train allocated per step, 2.1 and 4.1
+// since it runs from a plan), and the cloud uplink to the byte — a 60-byte
+// dense payload per client flat, one varint partial per cohort hierarchical.
 func TestFleetRoundPins(t *testing.T) {
 	const clients, runs = 1600, 3
 	fixture := func() (*nn.Network, []*Client, *dataset.Dataset) {
@@ -154,8 +159,8 @@ func TestFleetRoundPins(t *testing.T) {
 		allocs float64
 		uplink int64
 	}{
-		{"flat", HierConfig{Config: cfg}, 26.1, 96_000},
-		{"100 masked cohorts", HierConfig{Config: cfg, Aggregators: 100, SecureAgg: true}, 28.1, 5_266},
+		{"flat", HierConfig{Config: cfg}, 2.1, 96_000},
+		{"100 masked cohorts", HierConfig{Config: cfg, Aggregators: 100, SecureAgg: true}, 4.1, 5_266},
 	} {
 		var mallocs uint64
 		for r := 0; r <= runs; r++ {

@@ -242,10 +242,13 @@ func Extract(bb BlackBox, student *nn.Network, queryX *tensor.Tensor, cfg Extrac
 			student.ZeroGrad()
 			logits := student.Forward(bx, true)
 			sp := nn.SoftmaxRows(logits)
-			// Soft cross-entropy gradient: (softmax(student) − teacher)/batch.
-			grad := tensor.Sub(sp, bt)
-			grad.Scale(1 / float32(len(idx)))
-			student.Backward(grad)
+			// Soft cross-entropy gradient: (softmax(student) − teacher)/batch,
+			// in place.
+			scale := 1 / float32(len(idx))
+			for i, t := range bt.Data {
+				sp.Data[i] = (sp.Data[i] - t) * scale
+			}
+			student.Backward(sp)
 			opt.Step(student.Params())
 		}
 	}

@@ -9,6 +9,7 @@ import (
 // ReLU is the rectified linear activation max(0, x).
 type ReLU struct {
 	lastInput *tensor.Tensor
+	out, dx   trainBuf
 }
 
 // NewReLU returns a ReLU layer.
@@ -20,7 +21,7 @@ func (r *ReLU) Kind() string { return "relu" }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.lastInput = x
-	out := tensor.New(x.Shape()...)
+	out := r.out.out(train, x.Shape()...)
 	r.InferInto(out, x)
 	return out
 }
@@ -38,8 +39,9 @@ func (r *ReLU) InferInto(dst, x *tensor.Tensor) {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape()...)
+	out := r.dx.get(grad.Shape()...)
 	for i, v := range r.lastInput.Data {
+		out.Data[i] = 0
 		if v > 0 {
 			out.Data[i] = grad.Data[i]
 		}
@@ -58,6 +60,7 @@ func (r *ReLU) Describe(in []int) (LayerInfo, error) {
 // Sigmoid is the logistic activation 1/(1+e^-x).
 type Sigmoid struct {
 	lastOutput *tensor.Tensor
+	out, dx    trainBuf
 }
 
 // NewSigmoid returns a Sigmoid layer.
@@ -68,7 +71,7 @@ func (s *Sigmoid) Kind() string { return "sigmoid" }
 
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	out := s.out.out(train, x.Shape()...)
 	s.InferInto(out, x)
 	s.lastOutput = out
 	return out
@@ -83,7 +86,7 @@ func (s *Sigmoid) InferInto(dst, x *tensor.Tensor) {
 
 // Backward implements Layer.
 func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape()...)
+	out := s.dx.get(grad.Shape()...)
 	for i, y := range s.lastOutput.Data {
 		out.Data[i] = grad.Data[i] * y * (1 - y)
 	}
@@ -102,6 +105,7 @@ func (s *Sigmoid) Describe(in []int) (LayerInfo, error) {
 // Tanh is the hyperbolic tangent activation.
 type Tanh struct {
 	lastOutput *tensor.Tensor
+	out, dx    trainBuf
 }
 
 // NewTanh returns a Tanh layer.
@@ -112,7 +116,7 @@ func (t *Tanh) Kind() string { return "tanh" }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	out := t.out.out(train, x.Shape()...)
 	t.InferInto(out, x)
 	t.lastOutput = out
 	return out
@@ -127,7 +131,7 @@ func (t *Tanh) InferInto(dst, x *tensor.Tensor) {
 
 // Backward implements Layer.
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape()...)
+	out := t.dx.get(grad.Shape()...)
 	for i, y := range t.lastOutput.Data {
 		out.Data[i] = grad.Data[i] * (1 - y*y)
 	}
@@ -144,12 +148,13 @@ func (t *Tanh) Describe(in []int) (LayerInfo, error) {
 }
 
 // Softmax converts logits to probabilities row-wise. In classification
-// networks prefer ending with raw logits and using SoftmaxCrossEntropy,
+// networks prefer ending with raw logits and training them with Train,
 // which fuses this layer with the loss for numerical stability; an explicit
 // Softmax layer is still useful for inference-only pipelines and for the
 // prediction-poisoning defenses that perturb probability vectors.
 type Softmax struct {
 	lastOutput *tensor.Tensor
+	out, dx    trainBuf
 }
 
 // NewSoftmax returns a Softmax layer.
@@ -160,7 +165,8 @@ func (s *Softmax) Kind() string { return "softmax" }
 
 // Forward implements Layer.
 func (s *Softmax) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := SoftmaxRows(x)
+	out := s.out.out(train, x.Shape()...)
+	softmaxRowsInto(out, x)
 	s.lastOutput = out
 	return out
 }
@@ -174,7 +180,7 @@ func (s *Softmax) InferInto(dst, x *tensor.Tensor) {
 func (s *Softmax) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// dx_i = y_i * (g_i - sum_j g_j y_j), row-wise.
 	rows, cols := grad.Dim(0), grad.Dim(1)
-	out := tensor.New(rows, cols)
+	out := s.dx.get(rows, cols)
 	for i := 0; i < rows; i++ {
 		g := grad.Data[i*cols : (i+1)*cols]
 		y := s.lastOutput.Data[i*cols : (i+1)*cols]

@@ -67,3 +67,56 @@ func TestModelCodecAllocationPins(t *testing.T) {
 		t.Errorf("UnmarshalNetwork allocates %.0f allocs/op, pinned at <= 75", got)
 	}
 }
+
+// TestTrainAllocationPins: after a first epoch has sized the network's
+// training plan and every layer's training buffers, an epoch allocates
+// nothing — the short final batch included — on a dense fixture and on a
+// conv fixture that between them reach every layer kind.
+func TestTrainAllocationPins(t *testing.T) {
+	rng := tensor.NewRNG(8)
+	fixtures := []trainFixture{
+		denseFixture(rng, NewBatchNorm1D(8), NewReLU(), NewDropout(0.2, rng), NewDense(8, 8, rng), NewTanh(),
+			NewDense(8, 8, rng), NewSigmoid(), NewDense(8, 8, rng), NewSoftmax()),
+		convFixture(rng, 18, NewReLU(), NewConv2D(2, 2, 3, 3, 1, 1, rng), NewMaxPool2D(2, 2)),
+	}
+	exit := tensor.EnterPool()
+	defer exit()
+	for _, fx := range fixtures {
+		cfg := TrainConfig{BatchSize: 5, Optimizer: NewSGD(0.05), RNG: tensor.NewRNG(9)}
+		epoch := func() {
+			if _, err := Train(fx.net, fx.x, fx.labels, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epoch() // sizes the plan and the buffers
+		if got := testing.AllocsPerRun(20, epoch); got != 0 {
+			t.Errorf("%s: a steady-state epoch allocates %.1f, want 0", fx.net.TopologySignature(), got)
+		}
+	}
+}
+
+// TestTrainPlanStaysWithItsNetwork: the plan Train builds belongs to the
+// network it trained — Clone starts without one, and ResetFrom keeps the
+// copy's own while it compares and copies without allocating.
+func TestTrainPlanStaysWithItsNetwork(t *testing.T) {
+	fx := denseFixture(tensor.NewRNG(12), NewBatchNorm1D(8))
+	trainSeeded(t, fx, fx.net, 1, nil)
+	if fx.net.train == nil {
+		t.Fatal("Train left no plan on the network")
+	}
+	c := fx.net.Clone()
+	if c.train != nil {
+		t.Fatal("Clone copied the training plan")
+	}
+	trainSeeded(t, fx, c, 2, nil)
+	plan := c.train
+	if err := c.ResetFrom(fx.net); err != nil { // sizes ResetFrom's scratch
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { c.ResetFrom(fx.net) }); got != 0 { //nolint:errcheck
+		t.Errorf("a steady-state ResetFrom allocates %.1f, want 0", got)
+	}
+	if c.train != plan {
+		t.Error("ResetFrom dropped the copy's training plan")
+	}
+}

@@ -16,9 +16,10 @@ type Conv2D struct {
 	Stride, Pad int
 	W, B        *Param // W is [OutC, InC*KH*KW]
 
-	lastInput *tensor.Tensor
-	lastCols  []*tensor.Tensor // per-example im2col buffers
-	dcols     *tensor.Tensor   // backward scratch: one example's Wᵀ·g
+	lastInput         *tensor.Tensor
+	lastCols          []float32 // every example's im2col matrix, kept from pass to pass
+	out, dx           trainBuf
+	dW, wt, ct, dcols []float32 // one example's g·colsᵀ, Wᵀ, colsᵀ and Wᵀ·g
 }
 
 // NewConv2D returns a convolution layer with He-initialized kernels. Its
@@ -41,12 +42,11 @@ func (c *Conv2D) window(h, w int) tensor.Window {
 	return tensor.Window{C: c.InC, H: h, W: w, KH: c.KH, KW: c.KW, Stride: c.Stride, Pad: c.Pad}
 }
 
-// convolve runs example n of x into example n of dst through the workspaces
-// cols and y, which Forward owns per call and the compiled program per step.
-func (c *Conv2D) convolve(dst, x *tensor.Tensor, n int, g tensor.Window, cols, y *tensor.Tensor) {
-	in := g.C * g.H * g.W
-	tensor.Conv2DInto(y, c.W.Value, cols, x.Data[n*in:(n+1)*in], c.B.Value.Data, g)
-	copy(dst.Data[n*y.Size():], y.Data)
+// convolve runs example n of x into example n of dst through the im2col
+// workspace cols: Forward's per example, the compiled program's per step.
+func (c *Conv2D) convolve(dst, x *tensor.Tensor, n int, g tensor.Window, cols []float32) {
+	in, out := g.C*g.H*g.W, dst.Size()/dst.Dim(0)
+	tensor.Conv2DInto(dst.Data[n*out:(n+1)*out], c.W.Value.Data, cols, x.Data[n*in:(n+1)*in], c.B.Value.Data, g)
 }
 
 // Forward implements Layer, keeping each example's im2col matrix for Backward.
@@ -54,42 +54,47 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.window(x.Dim(2), x.Dim(3))
 	oh, ow := g.Out()
 	c.lastInput = x
-	c.lastCols = make([]*tensor.Tensor, x.Dim(0))
-	out := tensor.New(x.Dim(0), c.OutC, oh, ow)
-	y := tensor.New(c.OutC, oh*ow)
-	for n := range c.lastCols {
-		c.lastCols[n] = tensor.New(g.Taps(), oh*ow)
-		c.convolve(out, x, n, g, c.lastCols[n], y)
+	out := c.out.out(train, x.Dim(0), c.OutC, oh, ow)
+	size := g.Taps() * oh * ow
+	c.lastCols = grow(c.lastCols, x.Dim(0)*size)
+	for n := 0; n < x.Dim(0); n++ {
+		c.convolve(out, x, n, g, c.lastCols[n*size:(n+1)*size])
 	}
 	return out
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return c.backward(grad, tensor.New(c.lastInput.Shape()...))
+	return c.backward(grad, c.dx.get(c.lastInput.Shape()...))
 }
 
 // backwardParams implements paramBackward.
 func (c *Conv2D) backwardParams(grad *tensor.Tensor) { c.backward(grad, nil) }
 
 // backward accumulates the parameter gradients example by example and, when
-// dx is non-nil, folds the input gradient into it.
+// dx is non-nil, overwrites it with the input gradient. As in Dense, g·colsᵀ
+// skips a ±0 gradient; Wᵀ·g skips a ±0 weight.
 func (c *Conv2D) backward(grad, dx *tensor.Tensor) *tensor.Tensor {
-	b := grad.Dim(0)
-	oh, ow := grad.Dim(2), grad.Dim(3)
 	win := c.window(c.lastInput.Dim(2), c.lastInput.Dim(3))
-	if dx != nil && (c.dcols == nil || c.dcols.Dim(1) != oh*ow) {
-		c.dcols = tensor.New(win.Taps(), oh*ow)
+	taps, pos, ex := win.Taps(), grad.Dim(2)*grad.Dim(3), win.C*win.H*win.W
+	c.dW = grow(c.dW, c.OutC*taps)
+	if dx != nil {
+		clear(dx.Data)
+		c.wt = transpose(c.wt, c.W.Value.Data, c.OutC, taps)
+		c.dcols = grow(c.dcols, taps*pos)
 	}
-	ex := win.C * win.H * win.W
-	for n := 0; n < b; n++ {
-		g := tensor.FromSlice(grad.Data[n*c.OutC*oh*ow:(n+1)*c.OutC*oh*ow], c.OutC, oh*ow)
+	for n := 0; n < grad.Dim(0); n++ {
+		g := grad.Data[n*c.OutC*pos : (n+1)*c.OutC*pos]
 		// dW += g · colsᵀ
-		c.W.Grad.AddInPlace(tensor.MatMulT(g, c.lastCols[n]))
+		c.ct = transpose(c.ct, c.lastCols[n*taps*pos:(n+1)*taps*pos], taps, pos)
+		tensor.MatMulRowsInto(c.dW, g, c.ct, c.OutC, pos, taps)
+		for i, v := range c.dW {
+			c.W.Grad.Data[i] += v
+		}
 		// db += row sums of g
 		for oc := 0; oc < c.OutC; oc++ {
 			var s float32
-			for _, v := range g.Data[oc*oh*ow : (oc+1)*oh*ow] {
+			for _, v := range g[oc*pos : (oc+1)*pos] {
 				s += v
 			}
 			c.B.Grad.Data[oc] += s
@@ -98,8 +103,8 @@ func (c *Conv2D) backward(grad, dx *tensor.Tensor) *tensor.Tensor {
 			continue
 		}
 		// dcols = Wᵀ · g, then fold back.
-		tensor.TMatMulInto(c.dcols, c.W.Value, g)
-		tensor.Col2im(dx.Data[n*ex:(n+1)*ex], c.dcols.Data, win)
+		tensor.MatMulRowsInto(c.dcols, c.wt, g, taps, c.OutC, pos)
+		tensor.Col2im(dx.Data[n*ex:(n+1)*ex], c.dcols, win)
 	}
 	return dx
 }
@@ -132,6 +137,7 @@ type MaxPool2D struct {
 
 	lastShape  []int
 	lastArgmax []int // flat index into input for each output element
+	out, dx    trainBuf
 }
 
 // NewMaxPool2D returns a pooling layer with window k and the given stride.
@@ -152,9 +158,9 @@ func (p *MaxPool2D) window(c, h, w int) tensor.Window {
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := p.window(x.Dim(0)*x.Dim(1), x.Dim(2), x.Dim(3))
 	oh, ow := g.Out()
-	p.lastShape = append([]int(nil), x.Shape()...)
-	out := tensor.New(x.Dim(0), x.Dim(1), oh, ow)
-	p.lastArgmax = make([]int, out.Size())
+	p.lastShape = append(p.lastShape[:0], x.Shape()...)
+	out := p.out.out(train, x.Dim(0), x.Dim(1), oh, ow)
+	p.lastArgmax = grow(p.lastArgmax, out.Size())
 	tensor.MaxPool(out.Data, x.Data, g, p.lastArgmax)
 	return out
 }
@@ -167,7 +173,8 @@ func (p *MaxPool2D) InferInto(dst, x *tensor.Tensor) {
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(p.lastShape...)
+	dx := p.dx.get(p.lastShape...)
+	clear(dx.Data)
 	for oi, src := range p.lastArgmax {
 		dx.Data[src] += grad.Data[oi]
 	}

@@ -13,10 +13,11 @@ type Dense struct {
 	W, B    *Param
 
 	lastInput *tensor.Tensor
+	out, dx   trainBuf
 	// dW and dB hold one backward pass's xᵀ·grad and column sums before
-	// they are added to the accumulated gradients; allocated on the first
-	// backward pass and reused by every later one.
-	dW, dB *tensor.Tensor
+	// they are added to the gradients; t a product's transposed operand.
+	dW, dB trainBuf
+	t      []float32
 }
 
 // NewDense returns a dense layer with He-initialized weights drawn from rng.
@@ -33,7 +34,7 @@ func (d *Dense) Kind() string { return "dense" }
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	d.lastInput = x
-	y := tensor.New(x.Dim(0), d.Out)
+	y := d.out.out(train, x.Dim(0), d.Out)
 	d.InferInto(y, x)
 	return y
 }
@@ -46,25 +47,26 @@ func (d *Dense) InferInto(dst, x *tensor.Tensor) {
 }
 
 // Backward implements Layer: dW += xᵀ·grad ; db += column sums ;
-// dx = grad·Wᵀ.
+// dx = grad·Wᵀ. Both products run the forward kernel over a transposed
+// operand, which skips a ±0 on its left: a zero gradient times an infinite
+// weight adds nothing to dx.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d.backwardParams(grad)
-	return tensor.MatMulT(grad, d.W.Value)
+	dx := d.dx.get(grad.Dim(0), d.In)
+	d.t = transpose(d.t, d.W.Value.Data, d.In, d.Out)
+	tensor.MatMulRowsInto(dx.Data, grad.Data, d.t, grad.Dim(0), d.Out, d.In)
+	return dx
 }
 
 // backwardParams implements paramBackward. Each pass's product is formed in
-// the layer's scratch and then added, as the allocating form did, so two
-// passes without a ZeroGrad between them accumulate to the same bits.
+// the layer's scratch and then added, as Conv2D's are.
 func (d *Dense) backwardParams(grad *tensor.Tensor) {
-	if d.dW == nil {
-		// The first pass sizes the scratch with the allocating forms.
-		d.dW, d.dB = tensor.TMatMul(d.lastInput, grad), grad.SumRows()
-	} else {
-		tensor.TMatMulInto(d.dW, d.lastInput, grad)
-		grad.SumRowsInto(d.dB)
-	}
-	d.W.Grad.AddInPlace(d.dW)
-	d.B.Grad.AddInPlace(d.dB)
+	dW, dB, b := d.dW.get(d.In, d.Out), d.dB.get(d.Out), grad.Dim(0)
+	d.t = transpose(d.t, d.lastInput.Data, b, d.In)
+	tensor.MatMulRowsInto(dW.Data, d.t, grad.Data, d.In, b, d.Out)
+	grad.SumRowsInto(dB)
+	d.W.Grad.AddInPlace(dW)
+	d.B.Grad.AddInPlace(dB)
 }
 
 // Params implements Layer.
@@ -86,6 +88,7 @@ func (d *Dense) Describe(in []int) (LayerInfo, error) {
 // Flatten reshapes [batch, d1, d2, ...] input to [batch, d1*d2*...].
 type Flatten struct {
 	lastShape []int
+	out, dx   trainBuf // training-mode headers, over the input's and the gradient's data
 }
 
 // NewFlatten returns a Flatten layer.
@@ -96,13 +99,16 @@ func (f *Flatten) Kind() string { return "flatten" }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.lastShape = append([]int(nil), x.Shape()...)
-	return x.Reshape(x.Dim(0), -1)
+	f.lastShape = append(f.lastShape[:0], x.Shape()...)
+	if !train {
+		return x.Reshape(x.Dim(0), -1)
+	}
+	return f.out.view(x.Data, x.Dim(0), int(shapeProduct(x.Shape()[1:])))
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.lastShape...)
+	return f.dx.view(grad.Data, f.lastShape...)
 }
 
 // Params implements Layer.

@@ -34,10 +34,10 @@ type bstep struct {
 
 	dense *Dense
 
-	conv     *Conv2D
-	win      tensor.Window  // conv geometry (fixed per program)
-	cols, my *tensor.Tensor // conv im2col and matmul-output workspaces
-	flatHdr  *tensor.Tensor // stepFlatten: [b, per] view, data rebound per run
+	conv    *Conv2D
+	win     tensor.Window  // conv geometry (fixed per program)
+	cols    []float32      // conv im2col workspace
+	flatHdr *tensor.Tensor // stepFlatten: [b, per] view, data rebound per run
 }
 
 // program is a network lowered for one batch size. It is owned by a
@@ -96,8 +96,7 @@ func (n *Network) compileBatch(b int) *program {
 			st := &bstep{
 				kind: stepConv, conv: l, win: g,
 				dst:  tensor.New(append([]int{b}, out...)...),
-				cols: tensor.New(g.Taps(), positions),
-				my:   tensor.New(l.OutC, positions),
+				cols: make([]float32, g.Taps()*positions),
 			}
 			i = absorbTail(st, layers, i, 0)
 			p.steps = append(p.steps, st)
@@ -136,7 +135,7 @@ func (p *program) run(x *tensor.Tensor) *tensor.Tensor {
 			x = st.dst
 		case stepConv:
 			for n := 0; n < p.batch; n++ {
-				st.conv.convolve(st.dst, x, n, st.win, st.cols, st.my)
+				st.conv.convolve(st.dst, x, n, st.win, st.cols)
 			}
 			st.runTail()
 			x = st.dst

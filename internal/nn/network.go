@@ -30,6 +30,9 @@ type Network struct {
 	layers []Layer
 	params []*Param // every layer's Params, in layer order
 	plan   []LayerCost
+
+	train *trainPlan   // Train's buffers (train.go), made by the first Train
+	specs [2]LayerSpec // ResetFrom's scratch, reused from call to call
 }
 
 // Assemble is the one way a Network is made, and where it is admitted:
@@ -271,13 +274,13 @@ type decodeState interface {
 // not carry returns to what a decode gives it (a dropout layer's mask
 // stream restarts). What a layer caches between Forward and Backward needs
 // no reset: Forward overwrites it. Layer kinds, config and tensor sizes are
-// compared as the copy goes; a network of another topology is an error and
-// leaves n partly overwritten.
+// compared as the copy goes, in specs n keeps, without allocating; a network
+// of another topology is an error and leaves n partly overwritten.
 func (n *Network) ResetFrom(src *Network) error {
 	if len(n.layers) != len(src.layers) {
 		return fmt.Errorf("nn: ResetFrom: %d layers, source has %d", len(n.layers), len(src.layers))
 	}
-	var dst, from LayerSpec
+	dst, from := &n.specs[0], &n.specs[1]
 	for i, l := range n.layers {
 		dst.load(l)
 		from.load(src.layers[i])
@@ -296,6 +299,7 @@ func (n *Network) ResetFrom(src *Network) error {
 			ds.resetDecodeState()
 		}
 	}
+	clear(from.Tensors[:cap(from.Tensors)]) // n keeps no reference to src
 	n.ZeroGrad()
 	return nil
 }

@@ -10,15 +10,21 @@ import (
 	"tinymlops/internal/tensor"
 )
 
+// softmaxCE is the loss and gradient Train takes, into a new tensor.
+func softmaxCE(logits *tensor.Tensor, labels []int) (float32, *tensor.Tensor) {
+	grad := tensor.New(logits.Dim(0), logits.Dim(1))
+	return softmaxCrossEntropy(grad, logits, labels), grad
+}
+
 // numericalGrad estimates d(loss)/d(param) for one scalar parameter by
 // central differences, using a full forward pass each time.
 func numericalGrad(net *Network, x *tensor.Tensor, labels []int, p *tensor.Tensor, i int) float64 {
 	const eps = 1e-3
 	orig := p.Data[i]
 	p.Data[i] = orig + eps
-	lp, _ := SoftmaxCrossEntropy(net.Forward(x, false), labels)
+	lp, _ := softmaxCE(net.Forward(x, false), labels)
 	p.Data[i] = orig - eps
-	lm, _ := SoftmaxCrossEntropy(net.Forward(x, false), labels)
+	lm, _ := softmaxCE(net.Forward(x, false), labels)
 	p.Data[i] = orig
 	return (float64(lp) - float64(lm)) / (2 * eps)
 }
@@ -29,7 +35,7 @@ func checkGradients(t *testing.T, net *Network, x *tensor.Tensor, labels []int, 
 	t.Helper()
 	net.ZeroGrad()
 	logits := net.Forward(x, false)
-	_, grad := SoftmaxCrossEntropy(logits, labels)
+	_, grad := softmaxCE(logits, labels)
 	net.Backward(grad)
 	rng := tensor.NewRNG(99)
 	for _, p := range net.Params() {
@@ -101,16 +107,16 @@ func TestBatchNormGradient(t *testing.T) {
 	// train=true forward passes by temporarily wiring them manually.
 	net.ZeroGrad()
 	logits := net.Forward(x, true)
-	_, grad := SoftmaxCrossEntropy(logits, labels)
+	_, grad := softmaxCE(logits, labels)
 	net.Backward(grad)
 	// Validate gamma gradient numerically (in train mode).
 	const eps = 1e-3
 	for i := 0; i < 4; i++ {
 		orig := bn.Gamma.Value.Data[i]
 		bn.Gamma.Value.Data[i] = orig + eps
-		lp, _ := SoftmaxCrossEntropy(net.Forward(x, true), labels)
+		lp, _ := softmaxCE(net.Forward(x, true), labels)
 		bn.Gamma.Value.Data[i] = orig - eps
-		lm, _ := SoftmaxCrossEntropy(net.Forward(x, true), labels)
+		lm, _ := softmaxCE(net.Forward(x, true), labels)
 		bn.Gamma.Value.Data[i] = orig
 		numeric := (float64(lp) - float64(lm)) / (2 * eps)
 		analytic := float64(bn.Gamma.Grad.Data[i])
@@ -168,7 +174,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 
 func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {
 	logits := tensor.FromSlice([]float32{0, 0}, 1, 2)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{0})
+	loss, grad := softmaxCE(logits, []int{0})
 	want := float32(math.Log(2))
 	if math.Abs(float64(loss-want)) > 1e-6 {
 		t.Fatalf("loss = %v, want ln2", loss)
@@ -246,6 +252,17 @@ func TestTrainRejectsWrongExampleWidth(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsNoExamples: an empty training set is an error, not the
+// integer divide by zero it used to panic with.
+func TestTrainRejectsNoExamples(t *testing.T) {
+	rng := tensor.NewRNG(10)
+	net := NewNetwork([]int{4}, NewDense(4, 2, rng))
+	_, err := Train(net, tensor.New(0, 4), nil, TrainConfig{Optimizer: NewSGD(0.1), RNG: rng})
+	if err == nil || !strings.Contains(err.Error(), "no examples") {
+		t.Fatalf("err = %v, want a refusal of an empty training set", err)
+	}
+}
+
 func TestAdamConvergesFasterThanPlainsSGDOnRosenbrockLikeTask(t *testing.T) {
 	// Tiny regression sanity check: Adam reduces loss on a fixed batch.
 	rng := tensor.NewRNG(9)
@@ -262,7 +279,7 @@ func TestAdamConvergesFasterThanPlainsSGDOnRosenbrockLikeTask(t *testing.T) {
 	var last float32
 	for step := 0; step < 60; step++ {
 		net.ZeroGrad()
-		loss, grad := SoftmaxCrossEntropy(net.Forward(x, true), labels)
+		loss, grad := softmaxCE(net.Forward(x, true), labels)
 		net.Backward(grad)
 		opt.Step(net.Params())
 		if step == 0 {

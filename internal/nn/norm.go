@@ -22,6 +22,8 @@ type BatchNorm1D struct {
 	lastXHat  *tensor.Tensor
 	lastStd   []float32
 	lastBatch int
+	xhat      trainBuf // lastXHat's storage
+	out, dx   trainBuf
 }
 
 // NewBatchNorm1D returns a batch-norm layer over f features.
@@ -41,14 +43,14 @@ func (bn *BatchNorm1D) Kind() string { return "batchnorm1d" }
 // Forward implements Layer.
 func (bn *BatchNorm1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b := x.Dim(0)
-	out := tensor.New(b, bn.F)
+	out := bn.out.out(train, b, bn.F)
 	if !train {
 		bn.InferInto(out, x)
 		return out
 	}
 	bn.lastBatch = b
-	bn.lastXHat = tensor.New(b, bn.F)
-	bn.lastStd = make([]float32, bn.F)
+	bn.lastXHat = bn.xhat.get(b, bn.F)
+	bn.lastStd = grow(bn.lastStd, bn.F)
 	for j := 0; j < bn.F; j++ {
 		var mean float64
 		for i := 0; i < b; i++ {
@@ -91,7 +93,7 @@ func (bn *BatchNorm1D) InferInto(dst, x *tensor.Tensor) {
 // Backward implements Layer.
 func (bn *BatchNorm1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	b := bn.lastBatch
-	dx := tensor.New(b, bn.F)
+	dx := bn.dx.get(b, bn.F)
 	for j := 0; j < bn.F; j++ {
 		var sumG, sumGX float32
 		for i := 0; i < b; i++ {
@@ -133,6 +135,8 @@ type Dropout struct {
 	rng *tensor.RNG
 
 	lastMask *tensor.Tensor
+	mask     trainBuf // lastMask's storage
+	out, dx  trainBuf
 }
 
 // NewDropout returns a dropout layer with drop probability p drawing its
@@ -161,12 +165,14 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	keep := 1 - d.P
 	scale := 1 / keep
-	d.lastMask = tensor.New(x.Shape()...)
-	out := tensor.New(x.Shape()...)
+	d.lastMask = d.mask.get(x.Shape()...)
+	out := d.out.get(x.Shape()...)
 	for i, v := range x.Data {
 		if d.rng.Float32() < keep {
 			d.lastMask.Data[i] = scale
 			out.Data[i] = v * scale
+		} else {
+			d.lastMask.Data[i], out.Data[i] = 0, 0
 		}
 	}
 	return out
@@ -177,7 +183,11 @@ func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastMask == nil {
 		return grad
 	}
-	return tensor.Mul(grad, d.lastMask)
+	dx := d.dx.get(grad.Shape()...)
+	for i, m := range d.lastMask.Data {
+		dx.Data[i] = grad.Data[i] * m
+	}
+	return dx
 }
 
 // Params implements Layer.

@@ -29,14 +29,15 @@ func NewSGD(lr float32) *SGD { return &SGD{LR: lr} }
 // WithMomentum sets the momentum coefficient and returns the optimizer.
 func (s *SGD) WithMomentum(m float32) *SGD { s.Momentum = m; return s }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Every product is rounded to float32 before it
+// is added, so arm64 cannot fuse the two and trains on amd64's bits.
 func (s *SGD) Step(params []*Param) {
 	if s.Momentum != 0 && s.velocity == nil {
 		s.velocity = make(map[*Param]*tensor.Tensor)
 	}
 	for _, p := range params {
 		if s.WeightDecay != 0 {
-			p.Value.Scale(1 - s.LR*s.WeightDecay)
+			p.Value.Scale(1 - float32(s.LR*s.WeightDecay))
 		}
 		if s.Momentum == 0 {
 			p.Value.Axpy(-s.LR, p.Grad)
@@ -48,8 +49,8 @@ func (s *SGD) Step(params []*Param) {
 			s.velocity[p] = v
 		}
 		for i := range v.Data {
-			v.Data[i] = s.Momentum*v.Data[i] + p.Grad.Data[i]
-			p.Value.Data[i] -= s.LR * v.Data[i]
+			v.Data[i] = float32(s.Momentum*v.Data[i]) + p.Grad.Data[i]
+			p.Value.Data[i] -= float32(s.LR * v.Data[i])
 		}
 	}
 }

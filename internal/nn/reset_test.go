@@ -163,7 +163,8 @@ func gradDigest(net *Network) string {
 }
 
 // backwardGoldens were recorded at commit 5a8c1b0, when Dense.Backward
-// allocated a TMatMul and a SumRows result per step and Network.Backward
+// allocated its weight-gradient product and column sums per step, both
+// backward products ran kernels of their own, and Network.Backward
 // formed the first layer's input gradient. Three networks reach the three
 // first-layer paths — a dense one, a convolution (the ten-kind golden
 // network) and a batch norm, which has parameters and no parameter-only
@@ -201,7 +202,7 @@ func backwardDigests(t *testing.T) map[string]string {
 		shape := append([]int{6}, fx.x.Shape()[1:]...)
 		per := fx.x.Size() / 12
 		pass := func(lo int) {
-			_, grad := SoftmaxCrossEntropy(fx.net.Forward(tensor.FromSlice(fx.x.Data[lo*per:(lo+6)*per], shape...), true), fx.labels[lo:lo+6])
+			_, grad := softmaxCE(fx.net.Forward(tensor.FromSlice(fx.x.Data[lo*per:(lo+6)*per], shape...), true), fx.labels[lo:lo+6])
 			fx.net.Backward(grad)
 		}
 		fx.net.ZeroGrad()
@@ -225,7 +226,7 @@ func backwardDigests(t *testing.T) map[string]string {
 	}
 	// A decoded dropout layer's stream: what ResetFrom must restart.
 	dec := goldenNet().Clone()
-	_, grad := SoftmaxCrossEntropy(dec.Forward(fixtures["conv"].x, true), fixtures["conv"].labels)
+	_, grad := softmaxCE(dec.Forward(fixtures["conv"].x, true), fixtures["conv"].labels)
 	dec.Backward(grad)
 	out["dropout/once"] = gradDigest(dec)
 	return out

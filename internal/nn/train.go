@@ -22,7 +22,9 @@ type TrainConfig struct {
 
 // Train runs mini-batch classification training of net on (x, labels) with
 // softmax cross-entropy. x is [n, features...] and labels has length n. It
-// returns the mean loss of the final epoch.
+// returns the mean loss of the final epoch. After a first epoch that sizes
+// the network's training plan and every layer's training buffers, an epoch
+// allocates nothing.
 func Train(net *Network, x *tensor.Tensor, labels []int, cfg TrainConfig) (float32, error) {
 	// Examples come from outside: one the network cannot take is refused
 	// before the first step, not where the first layer trips over it.
@@ -30,6 +32,9 @@ func Train(net *Network, x *tensor.Tensor, labels []int, cfg TrainConfig) (float
 		return 0, fmt.Errorf("nn: Train got examples shaped %v, the network takes %v", x.Shape()[1:], net.InputShape)
 	}
 	n := x.Dim(0)
+	if n == 0 {
+		return 0, fmt.Errorf("nn: Train got no examples")
+	}
 	if len(labels) != n {
 		return 0, fmt.Errorf("nn: Train got %d labels for %d examples", len(labels), n)
 	}
@@ -45,30 +50,26 @@ func Train(net *Network, x *tensor.Tensor, labels []int, cfg TrainConfig) (float
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
 	}
+	// Labels come from outside too: a bad one is refused before the first
+	// step changes a parameter, not when its batch comes up.
+	classes := net.OutputShape()[0]
+	for i, y := range labels {
+		if y < 0 || y >= classes {
+			return 0, fmt.Errorf("nn: Train: label %d of example %d out of range [0,%d)", y, i, classes)
+		}
+	}
+	p := net.trainPlan(min(cfg.BatchSize, n))
 	var lastLoss float32
-	exampleSize := x.Size() / n
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := cfg.RNG.Perm(n)
+		perm := p.shuffle(cfg.RNG, n)
 		var epochLoss float64
 		batches := 0
 		for lo := 0; lo < n; lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > n {
-				hi = n
-			}
-			bx, by := gatherBatch(x, labels, perm[lo:hi], exampleSize)
+			bx, by := p.gather(x, labels, perm[lo:min(lo+cfg.BatchSize, n)])
 			net.ZeroGrad()
 			logits := net.Forward(bx, true)
-			if epoch == 0 && lo == 0 {
-				// Labels come from outside: refuse a bad one before the
-				// first step changes a parameter, not when its batch comes up.
-				for i, y := range labels {
-					if y < 0 || y >= logits.Dim(1) {
-						return 0, fmt.Errorf("nn: Train: label %d of example %d out of range [0,%d)", y, i, logits.Dim(1))
-					}
-				}
-			}
-			loss, grad := SoftmaxCrossEntropy(logits, by)
+			grad := p.grad.get(logits.Shape()...)
+			loss := softmaxCrossEntropy(grad, logits, by)
 			net.Backward(grad)
 			if cfg.ExtraGrad != nil {
 				cfg.ExtraGrad(net)
@@ -82,16 +83,51 @@ func Train(net *Network, x *tensor.Tensor, labels []int, cfg TrainConfig) (float
 	return lastLoss, nil
 }
 
-// gatherBatch copies the selected examples into a contiguous batch tensor.
-func gatherBatch(x *tensor.Tensor, labels []int, idx []int, exampleSize int) (*tensor.Tensor, []int) {
-	shape := append([]int{len(idx)}, x.Shape()[1:]...)
-	bx := tensor.New(shape...)
-	by := make([]int, len(idx))
-	for i, src := range idx {
-		copy(bx.Data[i*exampleSize:(i+1)*exampleSize], x.Data[src*exampleSize:(src+1)*exampleSize])
-		by[i] = labels[src]
+// trainPlan is what Train runs from besides the layers' buffers, sized on
+// the first batch and kept while the batch size repeats. Clone,
+// MarshalBinary and ResetFrom never copy it.
+type trainPlan struct {
+	x, short *tensor.Tensor // the gathered batch, and a view of its first rows for a short one
+	y, perm  []int          // the batch's labels; the epoch's example order
+	grad     trainBuf       // the softmax probabilities, then the loss gradient
+}
+
+// trainPlan returns the network's plan for batches of up to batch examples.
+func (n *Network) trainPlan(batch int) *trainPlan {
+	if p := n.train; p != nil && p.x.Dim(0) == batch {
+		return p
 	}
-	return bx, by
+	n.train = &trainPlan{x: tensor.New(append([]int{batch}, n.InputShape...)...), y: make([]int, batch)}
+	return n.train
+}
+
+// shuffle returns the plan's permutation of [0,n): rng.Perm(n) without the
+// allocation.
+func (p *trainPlan) shuffle(rng *tensor.RNG, n int) []int {
+	perm := grow(p.perm, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	p.perm = perm
+	return perm
+}
+
+// gather copies the examples idx lists into the plan's batch and returns it
+// with their labels.
+func (p *trainPlan) gather(x *tensor.Tensor, labels, idx []int) (*tensor.Tensor, []int) {
+	bx, per := p.x, p.x.Size()/p.x.Dim(0)
+	if b := len(idx); b < bx.Dim(0) {
+		if p.short == nil || p.short.Dim(0) != b {
+			p.short = tensor.FromSlice(bx.Data[:b*per], append([]int{b}, bx.Shape()[1:]...)...)
+		}
+		bx = p.short
+	}
+	for i, src := range idx {
+		copy(bx.Data[i*per:(i+1)*per], x.Data[src*per:(src+1)*per])
+		p.y[i] = labels[src]
+	}
+	return bx, p.y[:len(idx)]
 }
 
 // Evaluate returns classification accuracy of net on (x, labels), running
@@ -106,10 +142,7 @@ func Evaluate(net *Network, x *tensor.Tensor, labels []int) float64 {
 	correct := 0
 	scratch := NewScratch()
 	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+batch, n)
 		shape := append([]int{hi - lo}, x.Shape()[1:]...)
 		bx := tensor.FromSlice(x.Data[lo*exampleSize:hi*exampleSize], shape...)
 		pred := net.ForwardBatch(bx, scratch).ArgMaxRows()

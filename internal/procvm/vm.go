@@ -479,9 +479,9 @@ func (f *frame) conv2D(weights, bias []float32, outC int, g tensor.Window) {
 	if f.charge(uint64(outC) * uint64(oh) * uint64(ow) * uint64(k)); f.err != nil {
 		return
 	}
-	y := tensor.New(outC, oh*ow)
-	tensor.Conv2DInto(y, tensor.FromSlice(weights, outC, k), tensor.New(k, oh*ow), x, bias, g)
-	f.push(vector(y.Data))
+	y := make([]float32, outC*oh*ow)
+	tensor.Conv2DInto(y, weights, make([]float32, k*oh*ow), x, bias, g)
+	f.push(vector(y))
 }
 
 // maxPool2D pops a flattened [ch, h, w] map and pushes its k×k max-pooled

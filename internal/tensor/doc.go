@@ -18,9 +18,11 @@
 // with a float32 rounding after each product and each add, exactly as the
 // scalar ikj loop does. The float32(a*b) conversions also keep arm64 from
 // fusing the multiply into the add, which would skip a rounding; CI fails
-// on a fused instruction in the float kernels of an arm64 build.
+// on a fused instruction in any function of this package in an arm64 build.
 // MatMulRowsInto is the kernel's entry over bare slices, MatMulInto the
-// shape-checking form over tensors.
+// shape-checking form over tensors. It is the one float product: training
+// runs its backward products through it too, over an operand internal/nn
+// transposes, so there is no transposed-product kernel.
 //
 // The integer serving kernels relax the ordering constraint instead of
 // fighting it: integer accumulation is exact and commutative, so the int8

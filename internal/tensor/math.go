@@ -5,27 +5,6 @@ import (
 	"math"
 )
 
-// Sub returns a - b element-wise as a new tensor.
-func Sub(a, b *Tensor) *Tensor {
-	return zipNew(a, b, "Sub", func(x, y float32) float32 { return x - y })
-}
-
-// Mul returns a * b element-wise (Hadamard product) as a new tensor.
-func Mul(a, b *Tensor) *Tensor {
-	return zipNew(a, b, "Mul", func(x, y float32) float32 { return x * y })
-}
-
-func zipNew(a, b *Tensor, op string, f func(x, y float32) float32) *Tensor {
-	if !SameShape(a, b) {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, a.shape, b.shape))
-	}
-	out := New(a.shape...)
-	for i := range a.Data {
-		out.Data[i] = f(a.Data[i], b.Data[i])
-	}
-	return out
-}
-
 // AddInPlace adds b into a element-wise.
 func (t *Tensor) AddInPlace(b *Tensor) {
 	if !SameShape(t, b) {
@@ -52,13 +31,14 @@ func (t *Tensor) AddScalar(s float32) *Tensor {
 	return t
 }
 
-// Axpy computes t += alpha * x element-wise.
+// Axpy computes t += alpha * x element-wise, each product rounded before it
+// is added so arm64 cannot fuse the two (see doc.go).
 func (t *Tensor) Axpy(alpha float32, x *Tensor) {
 	if !SameShape(t, x) {
 		panic(fmt.Sprintf("tensor: Axpy shape mismatch %v vs %v", t.shape, x.shape))
 	}
 	for i := range t.Data {
-		t.Data[i] += alpha * x.Data[i]
+		t.Data[i] += float32(alpha * x.Data[i])
 	}
 }
 
@@ -206,15 +186,6 @@ func (t *Tensor) ArgMaxRowsInto(out []int) {
 		}
 		out[i] = bi
 	}
-}
-
-// SumRows returns a 1D tensor with the sum of each column (the result has
-// length Cols); i.e. it reduces over rows.
-func (t *Tensor) SumRows() *Tensor {
-	t.must2D("SumRows")
-	out := New(t.shape[1])
-	t.SumRowsInto(out)
-	return out
 }
 
 // AddRowVector adds a length-Cols vector to every row of a 2D tensor in place.

@@ -141,51 +141,6 @@ func foldFloat32(drow, xs []float32, offs []int, b []float32) {
 	}
 }
 
-// MatMulT returns a × bᵀ ([m,k] × [n,k] → [m,n]). This is the layout used by
-// dense-layer backward passes and avoids materializing the transpose.
-func MatMulT(a, b *Tensor) *Tensor {
-	a.must2D("MatMulT")
-	b.must2D("MatMulT")
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT inner dimension mismatch [%d,%d]×[%d,%d]ᵀ", m, k, n, k2))
-	}
-	out := New(m, n)
-	kernel := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b.Data[j*k : (j+1)*k]
-				var s float32
-				for p := range arow {
-					s += arow[p] * brow[p]
-				}
-				orow[j] = s
-			}
-		}
-	}
-	if m*n*k < parallelThreshold {
-		kernel(0, m)
-		return out
-	}
-	parallelRows(m, kernel)
-	return out
-}
-
-// TMatMul returns aᵀ × b ([k,m]ᵀ × [k,n] → [m,n]); used for weight gradients.
-func TMatMul(a, b *Tensor) *Tensor {
-	a.must2D("TMatMul")
-	b.must2D("TMatMul")
-	if a.shape[0] != b.shape[0] {
-		panic(fmt.Sprintf("tensor: TMatMul inner dimension mismatch [%d,%d]ᵀ×[%d,%d]", a.shape[0], a.shape[1], b.shape[0], b.shape[1]))
-	}
-	out := New(a.shape[1], b.shape[1])
-	TMatMulInto(out, a, b)
-	return out
-}
-
 // parallelRows splits [0,m) into contiguous chunks and runs body on each
 // chunk in its own goroutine, bounded by GOMAXPROCS workers. Inside a
 // worker pool (EnterPool) it degrades to the serial kernel.
@@ -218,51 +173,8 @@ func parallelRows(m int, body func(lo, hi int)) {
 // need to fan work out over a dimension (e.g. fleet simulation).
 func Parallel(n int, body func(lo, hi int)) { parallelRows(n, body) }
 
-// TMatMulInto computes dst = aᵀ × b, reusing dst's storage: the training
-// step's form of TMatMul. dst
-// must have shape [a.Cols, b.Cols] and must not alias a or b.
-func TMatMulInto(dst, a, b *Tensor) {
-	k, m := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: TMatMulInto dst shape %v, want [%d,%d]", dst.shape, m, n))
-	}
-	dst.Zero()
-	// As in MatMulRowsInto, the serial path never constructs the closure.
-	if m*n*k < parallelThreshold || poolDepth.Load() > 0 {
-		tmatmulRows(dst.Data, a.Data, b.Data, 0, m, k, m, n)
-		return
-	}
-	// The p-outer kernel writes disjoint row ranges per worker, so it is
-	// safe to parallelize over i.
-	parallelRows(m, func(lo, hi int) {
-		tmatmulRows(dst.Data, a.Data, b.Data, lo, hi, k, m, n)
-	})
-}
-
-// tmatmulRows computes rows [lo,hi) of dst = Aᵀ×B for A [k,m] and B [k,n]:
-// dst[i,j] = Σ_p a[p,i]·b[p,j], with p outermost so both reads are
-// sequential. dst rows must be pre-zeroed. The float32 conversion rounds
-// each product before the add, as in foldFloat32.
-func tmatmulRows(dst, a, b []float32, lo, hi, k, m, n int) {
-	for p := 0; p < k; p++ {
-		arow := a[p*m : (p+1)*m]
-		brow := b[p*n : (p+1)*n]
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := dst[i*n : (i+1)*n]
-			for j, bv := range brow {
-				orow[j] += float32(av * bv)
-			}
-		}
-	}
-}
-
 // SumRowsInto writes the sum of each column of the 2D tensor t into dst
-// (Cols elements), rows added in order: SumRows without the allocation.
+// (Cols elements), rows added in order.
 func (t *Tensor) SumRowsInto(dst *Tensor) {
 	t.must2D("SumRowsInto")
 	r, c := t.shape[0], t.shape[1]

@@ -91,16 +91,14 @@ func (r *RNG) NormFloat64() float64 {
 // NormFloat32 returns a standard normal variate as float32.
 func (r *RNG) NormFloat32() float32 { return float32(r.NormFloat64()) }
 
-// Perm returns a pseudo-random permutation of [0,n).
+// Perm returns a pseudo-random permutation of [0,n): Shuffle over the
+// identity, the stream a caller shuffling its own buffer draws.
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
 }
 

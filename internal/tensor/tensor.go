@@ -74,18 +74,6 @@ func (t *Tensor) Size() int { return len(t.Data) }
 // Dim returns the size of dimension i.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
-// Rows returns the first dimension of a matrix; it panics for non-2D tensors.
-func (t *Tensor) Rows() int {
-	t.must2D("Rows")
-	return t.shape[0]
-}
-
-// Cols returns the second dimension of a matrix; it panics for non-2D tensors.
-func (t *Tensor) Cols() int {
-	t.must2D("Cols")
-	return t.shape[1]
-}
-
 func (t *Tensor) must2D(op string) {
 	if len(t.shape) != 2 {
 		panic(fmt.Sprintf("tensor: %s requires a 2D tensor, got shape %v", op, t.shape))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -18,8 +19,8 @@ func TestNewZeroFilled(t *testing.T) {
 			t.Fatalf("Data[%d] = %v, want 0", i, v)
 		}
 	}
-	if x.Rows() != 3 || x.Cols() != 4 {
-		t.Fatalf("Rows/Cols = %d,%d", x.Rows(), x.Cols())
+	if x.Dim(0) != 3 || x.Dim(1) != 4 {
+		t.Fatalf("Dim(0)/Dim(1) = %d,%d", x.Dim(0), x.Dim(1))
 	}
 }
 
@@ -61,7 +62,7 @@ func TestReshapeBadSizePanics(t *testing.T) {
 func TestRowAndRowSliceViews(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
 	s := x.RowSlice(1, 3)
-	if s.Rows() != 2 || s.At2(1, 1) != 6 {
+	if s.Dim(0) != 2 || s.At2(1, 1) != 6 {
 		t.Fatalf("RowSlice = %v", s.Data)
 	}
 	s.Set2(0, 0, -1)
@@ -84,17 +85,6 @@ func TestTranspose(t *testing.T) {
 	z := transpose(y)
 	if !ApproxEqual(x, z, 0) {
 		t.Fatal("double transpose is not identity")
-	}
-}
-
-func TestElementwiseOps(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	b := FromSlice([]float32{4, 3, 2, 1}, 2, 2)
-	if got := Sub(a, b); got.Data[0] != -3 {
-		t.Fatalf("Sub = %v", got.Data)
-	}
-	if got := Mul(a, b); got.Data[1] != 6 {
-		t.Fatalf("Mul = %v", got.Data)
 	}
 }
 
@@ -138,6 +128,16 @@ func TestReductions(t *testing.T) {
 	}
 }
 
+func TestElementwiseOps(t *testing.T) {
+	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
+	b := FromSlice([]float32{4, 3, 2, 1}, 2, 2)
+	a.AddInPlace(b)
+	a.Axpy(-2, b)
+	if !slices.Equal(a.Scale(2).Data, []float32{-6, -2, 2, 6}) {
+		t.Fatalf("2·(a + b − 2b) = %v", a.Data)
+	}
+}
+
 func TestArgMaxRows(t *testing.T) {
 	x := FromSlice([]float32{1, 5, 2, 9, 0, 3}, 2, 3)
 	got := x.ArgMaxRows()
@@ -148,9 +148,10 @@ func TestArgMaxRows(t *testing.T) {
 
 func TestSumRowsAndAddRowVector(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	s := x.SumRows()
+	s := New(2)
+	x.SumRowsInto(s)
 	if s.Data[0] != 4 || s.Data[1] != 6 {
-		t.Fatalf("SumRows = %v", s.Data)
+		t.Fatalf("SumRowsInto = %v", s.Data)
 	}
 	x.AddRowVector(FromSlice([]float32{10, 20}, 2))
 	if x.At2(1, 1) != 24 {
@@ -227,24 +228,6 @@ func TestMatMulMatchesNaiveLarge(t *testing.T) {
 	want := matmulNaive(a, b)
 	if !ApproxEqual(got, want, 1e-3) {
 		t.Fatal("parallel MatMulInto deviates from naive reference")
-	}
-}
-
-func TestMatMulTAndTMatMulAgreeWithTranspose(t *testing.T) {
-	r := NewRNG(11)
-	a := Randn(r, 1, 33, 47)
-	b := Randn(r, 1, 29, 47) // for MatMulT: a [33,47] × bᵀ [47,29]
-	got := MatMulT(a, b)
-	want := matMul(a, transpose(b))
-	if !ApproxEqual(got, want, 1e-3) {
-		t.Fatal("MatMulT != MatMulInto with explicit transpose")
-	}
-	c := Randn(r, 1, 47, 21) // for TMatMul: aᵀ [47,33]ᵀ... a is [33,47], need aᵀ×c with a [47,33]
-	a2 := Randn(r, 1, 47, 33)
-	got2 := TMatMul(a2, c)
-	want2 := matMul(transpose(a2), c)
-	if !ApproxEqual(got2, want2, 1e-3) {
-		t.Fatal("TMatMul != transpose-then-MatMulInto")
 	}
 }
 
@@ -405,7 +388,7 @@ func TestRNGGammaMean(t *testing.T) {
 }
 
 // Property: (A×B)ᵀ == Bᵀ×Aᵀ for random small matrices.
-func TestMatMulTransposeProperty(t *testing.T) {
+func TestTransposedProductProperty(t *testing.T) {
 	r := NewRNG(20)
 	f := func(seed uint64) bool {
 		rr := NewRNG(seed)

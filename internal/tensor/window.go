@@ -130,10 +130,11 @@ func AddBias(y, bias []float32) {
 }
 
 // Conv2DInto convolves one example: y = w × im2col(x) + bias, for the
-// [outC, Taps] kernel matrix w, through the [Taps, oh·ow] workspace cols
-// into the [outC, oh·ow] map y.
-func Conv2DInto(y, w, cols *Tensor, x, bias []float32, g Window) {
-	Im2col(cols.Data, x, g)
-	MatMulInto(y, w, cols)
-	AddBias(y.Data, bias)
+// [len(bias), Taps] kernel matrix w, through the [Taps, oh·ow] workspace
+// cols into the [len(bias), oh·ow] map y.
+func Conv2DInto(y, w, cols, x, bias []float32, g Window) {
+	oh, ow := g.Out()
+	Im2col(cols, x, g)
+	MatMulRowsInto(y, w, cols, len(bias), g.Taps(), oh*ow)
+	AddBias(y, bias)
 }
