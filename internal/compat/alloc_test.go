@@ -9,11 +9,12 @@ import (
 )
 
 // TestForwardAllocationPins pins one query on the offload pins' MLP
-// (32→128→128→64→8) two ways: through the compiled module on the
-// capability-gated runtime — the input copy, one vector per matvec and one
-// per activation, procvm's TestRunAllocationPins — and through the fused
-// batch path it was lowered from, with a held scratch, which allocates
-// nothing.
+// (32→128→128→64→8) two ways, each with a held scratch, and neither
+// allocates: through the compiled module on the capability-gated runtime
+// (procvm's TestRunAllocationPins) and through the fused batch path it was
+// lowered from. History: the module pinned at 8 — the input copy, one
+// vector per matvec and one per activation — while every run allocated its
+// values.
 func TestForwardAllocationPins(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	net := nn.NewNetwork([]int{32},
@@ -28,14 +29,14 @@ func TestForwardAllocationPins(t *testing.T) {
 	rt := procvm.NewRuntime(m.Caps)
 	rt.MaxGas = m.GasLimit
 	x := tensor.Randn(tensor.NewRNG(4), 1, 1, 32)
-	scratch := nn.NewScratch()
+	scratch, vm := nn.NewScratch(), new(procvm.Scratch)
 	for _, pin := range []struct {
 		name string
 		want float64
 		op   func()
 	}{
-		{"compiled module", 8, func() {
-			if _, err := rt.Run(m, x.Data); err != nil {
+		{"compiled module", 0, func() {
+			if _, err := rt.RunScratch(m, x.Data, vm); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -71,7 +71,8 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 		inLen *= d
 	}
 	rt := &procvm.Runtime{Granted: procvm.CapSensor, MaxStack: 64, MaxGas: math.MaxUint64}
-	res, err := rt.Run(m, make([]float32, inLen))
+	var s procvm.Scratch
+	res, err := rt.RunScratch(m, make([]float32, inLen), &s)
 	if err != nil {
 		return nil, fmt.Errorf("compat: compile: gas measurement: %w", err)
 	}
@@ -82,7 +83,7 @@ func CompileProcVM(net *nn.Network, opts CompileOptions) (*procvm.Module, error)
 	outLen := want.Size() / rows
 	for r := 0; r < rows; r++ {
 		row := probes.Data[r*inLen : (r+1)*inLen]
-		got, err := rt.Run(m, row)
+		got, err := rt.RunScratch(m, row, &s)
 		if err != nil {
 			return nil, fmt.Errorf("compat: compile: probe %d: %w", r, err)
 		}

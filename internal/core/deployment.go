@@ -66,15 +66,18 @@ type Deployment struct {
 	sweptSeq   uint64
 
 	// Reusable serving buffers (guarded by d.mu): the admitted-row feature
-	// slab, per-row bookkeeping, the input tensor header over the slab and
-	// the logits copied out of the arena. Together with the arena-borrowed
-	// executor scratch they make the steady-state serving path
-	// allocation-free apart from the per-call result slice InferBatch
-	// returns.
+	// slab, per-row bookkeeping, the input tensor header over the slab, the
+	// logits copied out of the arena, and the scratch the pre- and
+	// post-modules run in (a pre-module's output lives there until the next
+	// run, so it is retained and copied into the slab before then).
+	// Together with the arena-borrowed executor scratch they make the
+	// steady-state serving path allocation-free apart from the per-call
+	// result slice InferBatch returns.
 	batchFeats  []float32
 	batchAdm    []admitted
 	inHdr       *tensor.Tensor
 	batchLogits []float32
+	vm          procvm.Scratch
 
 	tick        uint64
 	window      uint32
@@ -220,9 +223,10 @@ func (d *Deployment) serveLocked(rows [][]float32, out []BatchOutcome, execute e
 }
 
 // preprocessLocked runs the portable preprocessing module (§III-A / §IV)
-// on one query. Caller holds d.mu.
+// on one query. The features it returns live in d.vm until the next module
+// run. Caller holds d.mu.
 func (d *Deployment) preprocessLocked(x []float32) ([]float32, error) {
-	res, err := d.runtime.Run(d.pre, x)
+	res, err := d.runtime.RunScratch(d.pre, x, &d.vm)
 	if err != nil {
 		return nil, fmt.Errorf("core: preprocess: %w", err)
 	}
@@ -234,17 +238,22 @@ func (d *Deployment) preprocessLocked(x []float32) ([]float32, error) {
 
 // postprocessLocked turns one query's logits into its label: the optional
 // postprocessing module's scalar, otherwise the argmax. The VM copies its
-// input, so the logits row is passed as is. Caller holds d.mu.
+// input, so the logits row is passed as is. A label must be a class index:
+// Go leaves converting a NaN, an infinity or an out-of-range float to int
+// to the architecture, so such a scalar fails the query. Caller holds d.mu.
 func (d *Deployment) postprocessLocked(logits []float32) (int, error) {
 	if d.post == nil {
 		return argMax(logits), nil
 	}
-	res, err := d.runtime.Run(d.post, logits)
+	res, err := d.runtime.RunScratch(d.post, logits, &d.vm)
 	if err != nil {
 		return 0, fmt.Errorf("core: postprocess: %w", err)
 	}
 	if res.Output.IsVec {
 		return 0, fmt.Errorf("core: postprocess must reduce to a scalar label")
+	}
+	if l := res.Output.Scalar; !(l >= 0 && l < 1<<31) {
+		return 0, fmt.Errorf("core: postprocess label %v is not a class index", l)
 	}
 	return int(res.Output.Scalar), nil
 }

@@ -1,10 +1,16 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"tinymlops/internal/device"
+	"tinymlops/internal/procvm"
 	"tinymlops/internal/registry"
+	"tinymlops/internal/selector"
 )
 
 // deployMatrix deploys every row of the conformance variant matrix
@@ -12,12 +18,21 @@ import (
 // matrix order.
 func deployMatrix(t *testing.T, f *conformanceFixture, quota uint64) []*Deployment {
 	t.Helper()
-	gen := f.publishGen(t)
+	return deployGen(t, f, f.publishGen(t), quota, nil)
+}
+
+// deployGen is deployMatrix against generation gen, each row's
+// configuration edited by with if it is not nil.
+func deployGen(t *testing.T, f *conformanceFixture, gen *registry.ModelVersion, quota uint64, with func(*DeployConfig)) []*Deployment {
+	t.Helper()
 	var deps []*Deployment
 	for _, v := range conformanceVariants() {
 		cfg := v.policy()
 		cfg.PrepaidQueries = quota
 		cfg.Calibration = f.ds
+		if with != nil {
+			with(&cfg)
+		}
 		dep, err := f.p.Deploy(v.deviceID, "conf", cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
@@ -141,51 +156,212 @@ func TestFailingQueryInsideForEachIsolatesOneDevice(t *testing.T) {
 
 // TestServingAllocationPins pins the steady-state allocation counts of the
 // deployment-level serving calls on every kind (the nn, quant and procvm
-// packages pin only their kernels). The pipeline allocates nothing, and
-// since the meter hashes a charge on its stack neither does the charge:
-// what remains is the result slice InferBatch returns, and on the procvm
-// kind the vectors each row's module run returns (procvm's
-// TestRunAllocationPins).
+// packages pin only their kernels), bare and behind serve_single's
+// pipeline, a normalize pre-module and an argmax post-module. The pipeline
+// allocates nothing: the meter hashes a charge on its stack, and every
+// procvm run, a compiled model's included, works in a scratch the
+// deployment or the arena keeps. What remains is the result slice
+// InferBatch returns. History: the procvm kind paid 4 allocations per row
+// and each module 4 (normalize) or 1 (argmax) per query while procvm
+// allocated every value it pushed.
 func TestServingAllocationPins(t *testing.T) {
 	f := newConformanceFixture(t)
-	deps := deployMatrix(t, f, 1_000_000)
 	batch := make([][]float32, 16)
 	for i := range batch {
 		batch[i] = f.ds.X.Data[i*f.es : (i+1)*f.es]
 	}
-	for i, v := range conformanceVariants() {
-		wantInfer, wantBatch := inferAllocs, inferBatchAllocs
-		if v.wantKind == registry.KindProcVM {
-			wantInfer, wantBatch = procvmRunAllocs, inferBatchAllocs+len(batch)*procvmRunAllocs
-		}
-		dep := deps[i]
-		// Warm the arena, the scratch and the cached headers for both shapes.
-		for w := 0; w < 3; w++ {
-			if _, err := dep.Infer(batch[0]); err != nil {
-				t.Fatal(err)
+	gen := f.publishGen(t)
+	pre, post := servePipeline(t, f)
+	for _, shape := range []struct {
+		name string
+		with func(*DeployConfig)
+	}{
+		{"bare", nil},
+		{"pipeline", func(c *DeployConfig) { c.Pre, c.Post = pre, post }},
+	} {
+		deps := deployGen(t, f, gen, 1_000_000, shape.with)
+		for i, v := range conformanceVariants() {
+			dep := deps[i]
+			// Warm the arena, the scratches and the cached headers for both shapes.
+			for w := 0; w < 3; w++ {
+				if _, err := dep.Infer(batch[0]); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if got := testing.AllocsPerRun(200, func() {
-			if _, err := dep.Infer(batch[0]); err != nil {
-				t.Fatal(err)
+			if got := testing.AllocsPerRun(200, func() {
+				if _, err := dep.Infer(batch[0]); err != nil {
+					t.Fatal(err)
+				}
+			}); got > inferAllocs {
+				t.Errorf("%s/%s: Infer allocates %v per call, pinned at %d", shape.name, v.name, got, inferAllocs)
 			}
-		}); got > float64(wantInfer) {
-			t.Errorf("%s: Infer allocates %v per call, pinned at %d", v.name, got, wantInfer)
-		}
-		for w := 0; w < 3; w++ {
-			dep.InferBatch(batch)
-		}
-		if got := testing.AllocsPerRun(200, func() { dep.InferBatch(batch) }); got > float64(wantBatch) {
-			t.Errorf("%s: InferBatch(16) allocates %v per call, pinned at %d", v.name, got, wantBatch)
+			for w := 0; w < 3; w++ {
+				dep.InferBatch(batch)
+			}
+			if got := testing.AllocsPerRun(200, func() { dep.InferBatch(batch) }); got > inferBatchAllocs {
+				t.Errorf("%s/%s: InferBatch(16) allocates %v per call, pinned at %d", shape.name, v.name, got, inferBatchAllocs)
+			}
 		}
 	}
 }
 
-// Amortized growth of the meter's unsettled log rounds to zero. A compiled
-// module run allocates the copy of its input and one vector per matvec and
-// per activation: four on the fixture's two-layer MLP.
+// Amortized growth of the meter's unsettled log rounds to zero.
 const (
 	inferAllocs      = 0
 	inferBatchAllocs = 1
-	procvmRunAllocs  = 4
 )
+
+// servePipeline builds serve_single's modules for the fixture: a
+// normalize pre-module over the dataset's per-feature mean and spread, and
+// an argmax post-module.
+func servePipeline(t *testing.T, f *conformanceFixture) (pre, post *procvm.Module) {
+	t.Helper()
+	means, stds := make([]float32, f.es), make([]float32, f.es)
+	for i := range means {
+		means[i], stds[i] = float32(i)*0.25-0.5, 1+float32(i)*0.5
+	}
+	pre, err := procvm.NewBuilder("normalize").Input().Normalize(means, stds).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if post, err = procvm.NewBuilder("label").Input().ArgMax().Build(); err != nil {
+		t.Fatal(err)
+	}
+	return pre, post
+}
+
+// TestPostprocessLabelMustBeAClassIndex serves behind post-modules whose
+// scalar is not always a class index. Go leaves int(x) for a NaN, an
+// infinity or an out-of-range x to the architecture, so such a query must
+// fail alone, counted in window health, while every other query gets its
+// scalar as the label: here the square root of the logits' sum, NaN where
+// the sum is negative, and a scalar past 2³¹ on every query.
+func TestPostprocessLabelMustBeAClassIndex(t *testing.T) {
+	f := newConformanceFixture(t)
+	f.publishGen(t)
+	v := conformanceVariants()[0]
+	deploy := func(b *procvm.Builder) *Deployment {
+		t.Helper()
+		post, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := v.policy()
+		cfg.PrepaidQueries, cfg.Post = 1000, post
+		dep, err := f.p.Deploy(v.deviceID, "conf", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dep
+	}
+	// expect serves one row and checks it failed alone or got label want.
+	expect := func(dep *Deployment, r int, fails bool, want int) {
+		t.Helper()
+		x := f.ds.X.Data[r*f.es : (r+1)*f.es]
+		before := snapshotServing(dep)
+		res, err := dep.Infer(x)
+		after := snapshotServing(dep)
+		switch {
+		case fails && (err == nil || after.failed != before.failed+1):
+			t.Fatalf("row %d: label %d, err %v, failures %d -> %d; want the query to fail alone", r, res.Label, err, before.failed, after.failed)
+		case !fails && (err != nil || res.Label != want):
+			t.Fatalf("row %d: label %d, err %v; want label %d", r, res.Label, err, want)
+		}
+	}
+
+	dep := deploy(procvm.NewBuilder("root-sum").Input().Sum().Sqrt())
+	var failed, served int
+	for r := 0; r < 64; r++ {
+		var sum float64
+		for _, v := range dep.ReferenceLogits(f.ds.X.Data[r*f.es : (r+1)*f.es]) {
+			sum += float64(v)
+		}
+		s := float32(sum)
+		if s < 0 {
+			failed++
+		} else {
+			served++
+		}
+		expect(dep, r, s < 0, int(float32(math.Sqrt(float64(s)))))
+	}
+	t.Logf("%d rows failed, %d served", failed, served)
+	if failed == 0 || served == 0 {
+		t.Fatalf("%d rows failed and %d were served: the fixture no longer exercises both", failed, served)
+	}
+
+	dep = deploy(procvm.NewBuilder("huge").Input().Max().Abs().PushScalar(1 << 31).Add())
+	expect(dep, 0, true, 0)
+}
+
+// TestSharedModulesServeConcurrently serves from 8 goroutines through
+// deployments that share one pre-module and one compiled image. Each
+// deployment runs its modules in its own scratch and the compiled model in
+// its arena slot's, so every label is the argmax of ReferenceLogits on the
+// pre-module's features, and neither a module nor a caller's input is
+// written. It is a test of the memory model: run it under -race.
+func TestSharedModulesServeConcurrently(t *testing.T) {
+	f := newConformanceFixtureWith(t, Config{VendorKey: []byte("shared-modules-key-0123456789abc"), Seed: 9, MinCohort: 1, Workers: 4})
+	f.publishGen(t)
+	pre, post := servePipeline(t, f)
+	var deps []*Deployment
+	for _, p := range device.StandardProfiles() {
+		for _, id := range []string{p.Name + "-00", p.Name + "-01"} {
+			cfg := DeployConfig{Policy: selector.Policy{Kinds: []string{registry.KindProcVM}}, PrepaidQueries: 1 << 20, Pre: pre, Post: post}
+			if dep, err := f.p.Deploy(id, "conf", cfg); err == nil {
+				deps = append(deps, dep)
+			}
+		}
+	}
+	t.Logf("the compiled variant serves %d devices", len(deps))
+	if len(deps) < 2 {
+		t.Fatalf("the compiled variant deployed to %d devices, want at least 2", len(deps))
+	}
+	compiled := deps[0].CompiledModule()
+	for _, dep := range deps {
+		if dep.CompiledModule() != compiled {
+			t.Fatalf("%s serves its own copy of the compiled module", dep.DeviceID)
+		}
+	}
+	preDigest, modDigest := pre.Digest(), compiled.Digest()
+
+	const rows = 32
+	in := f.ds.X.Data[:rows*f.es]
+	orig := slices.Clone(in)
+	batch, want := make([][]float32, rows), make([]int, rows)
+	for r := range batch {
+		batch[r] = in[r*f.es : (r+1)*f.es]
+		res, err := procvm.NewRuntime(procvm.CapSensor).Run(pre, batch[r])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[r] = argMax(deps[0].ReferenceLogits(res.Output.Vec))
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(dep *Deployment) {
+			defer wg.Done()
+			for it := 0; it < 20; it++ {
+				r := it % rows
+				if res, err := dep.Infer(batch[r]); err != nil || res.Label != want[r] {
+					t.Errorf("%s row %d: label %d, err %v; want %d", dep.DeviceID, r, res.Label, err, want[r])
+					return
+				}
+				for r, o := range dep.InferBatch(batch) {
+					if o.Err != nil || o.Result.Label != want[r] {
+						t.Errorf("%s batch row %d: label %d, err %v; want %d", dep.DeviceID, r, o.Result.Label, o.Err, want[r])
+						return
+					}
+				}
+			}
+		}(deps[g%len(deps)])
+	}
+	wg.Wait()
+	if pre.Digest() != preDigest || compiled.Digest() != modDigest {
+		t.Error("serving wrote into a shared module")
+	}
+	if !slices.Equal(in, orig) {
+		t.Error("serving wrote into the caller's input rows")
+	}
+}

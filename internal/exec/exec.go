@@ -7,6 +7,7 @@ import (
 
 	"tinymlops/internal/engine"
 	"tinymlops/internal/nn"
+	"tinymlops/internal/procvm"
 	"tinymlops/internal/quant"
 	"tinymlops/internal/tensor"
 )
@@ -164,10 +165,12 @@ func (g *graph) DecodeBoundary(payload []byte, cut int) (Boundary, error) {
 	return Boundary{act: act.Data}, nil
 }
 
-// batch is an arena-resident row buffer with a cached header over it.
+// batch is an arena-resident row buffer with a cached header over it and,
+// for a module, the VM's scratch, so no two concurrent runs share one.
 type batch struct {
 	data []float32
 	hdr  *tensor.Tensor
+	vm   procvm.Scratch
 }
 
 // view returns the [rows, shape...] tensor over the buffer's data.

@@ -47,7 +47,7 @@ func (m *moduleExec) Run(x *tensor.Tensor, lo, hi int, ar *engine.Arena) (*tenso
 	out := ar.Slot(m, func() any { return new(batch) }).(*batch)
 	out.data = out.data[:0]
 	for i := 0; i < rows; i++ {
-		res, err := m.rt.Run(m.mod, x.Data[i*cols:(i+1)*cols])
+		res, err := m.rt.RunScratch(m.mod, x.Data[i*cols:(i+1)*cols], &out.vm)
 		if err != nil {
 			return nil, fmt.Errorf("exec: module %s: %w", m.mod.Name, err)
 		}

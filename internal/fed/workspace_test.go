@@ -74,17 +74,17 @@ func TestMaskCohortEqualsMaskFixed(t *testing.T) {
 // end-to-end benchmark's round shape (a 16→32→4 model, 16 examples a client
 // in batches of 8): in the steady state a client update costs 2.1
 // allocations flat (the codec payload, encoded and decoded), 4.9 masked
-// hierarchical and 18.4 plain hierarchical on one worker (up to 19.0 in a
-// race-detector build, whose sync.Pool drops entries at random, so the fmt
-// behind the plain uplink's nn.DeltaSize allocates more). History: 228
-// before the workspace, where every client cloned the global through the
-// wire format; 149 plain hierarchical while its uplink was sized by encoding
-// an nn delta patch; one more flat while each unit allocated its eligible
-// list and its reference sum; 73.1 / 75.9 / 90.0 while nn.Train allocated
-// its batches, every layer's outputs and gradients and a backward product
-// per step, and ResetFrom its layer specs. A coordinator builds one
-// workspace per worker however many clients and rounds it trains. A worker
-// that first trains in a measured round builds its workspace there, at most
+// hierarchical and 3.4 plain hierarchical on one worker (3.3 measured, in a
+// race-detector build too). History: 228 before the workspace, where every
+// client cloned the global through the wire format; 149 plain hierarchical
+// while its uplink was sized by encoding an nn delta patch; one more flat
+// while each unit allocated its eligible list and its reference sum; 73.1 /
+// 75.9 / 90.0 while nn.Train allocated its batches, every layer's outputs
+// and gradients and a backward product per step, and ResetFrom its layer
+// specs; 18.4 plain (19.0 under the race detector) while nn.DeltaSize
+// built the topology signature and the state-tensor list for every client.
+// A coordinator builds one workspace per worker however many clients and
+// rounds it trains. A worker that first trains in a measured round builds its workspace there, at most
 // about 150 allocations, so each extra worker may add that much.
 func TestRoundAllocationPins(t *testing.T) {
 	const clients, rounds, workspaceAllocs = 96, 3, 150
@@ -103,7 +103,7 @@ func TestRoundAllocationPins(t *testing.T) {
 		}{
 			{"flat", HierConfig{Config: cfg}, 2.1},
 			{"masked hierarchical", HierConfig{Config: cfg, Aggregators: 8, SecureAgg: true}, 4.9},
-			{"plain hierarchical", HierConfig{Config: cfg, Aggregators: 8}, 19.0},
+			{"plain hierarchical", HierConfig{Config: cfg, Aggregators: 8}, 3.4},
 		} {
 			global, cs := fixture()
 			co, err := New(global, cs, nil, nil, topo.cfg)
@@ -194,8 +194,9 @@ func TestFleetRoundPins(t *testing.T) {
 // TestDeltaSizeMatchesEncodeDelta holds nn.DeltaSize, which sizes the plain
 // edge uplink, to the length of the patch it stands for, on the golden's two
 // models — the conv one carries batch-norm running statistics and a dropout
-// stream, state an update leaves alone. An element is changed when its bits
-// are: an update that rounds away is no change, +0 onto −0 is one.
+// stream, state an update leaves alone — and to no allocation. An element
+// is changed when its bits are: an update that rounds away is no change, +0
+// onto −0 is one.
 func TestDeltaSizeMatchesEncodeDelta(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	nan := float32(math.NaN())
@@ -264,12 +265,14 @@ func TestDeltaSizeMatchesEncodeDelta(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := nn.DeltaSize(global, d)
-			if err != nil {
-				t.Fatal(err)
+			// A Clone keeps what its topology fixes in a patch.
+			for _, from := range []*nn.Network{global, global.Clone()} {
+				if got, err := nn.DeltaSize(from, d); err != nil || got != len(patch) {
+					t.Errorf("%s/%s: DeltaSize %d, %v; EncodeDelta %d bytes", model, name, got, err, len(patch))
+				}
 			}
-			if got != len(patch) {
-				t.Errorf("%s/%s: DeltaSize %d, EncodeDelta %d bytes", model, name, got, len(patch))
+			if allocs := testing.AllocsPerRun(10, func() { nn.DeltaSize(global, d) }); allocs != 0 {
+				t.Errorf("%s/%s: DeltaSize allocates %v", model, name, allocs)
 			}
 		}
 	}

@@ -33,25 +33,44 @@ const (
 // serialize to artifacts that differ only in tensor data, which is exactly
 // the precondition for a weight delta to reproduce the target bit-exactly.
 func (n *Network) TopologySignature() string {
-	b := fmt.Appendf(nil, "in%v", n.InputShape)
+	b := appendShapeSignature(nil, n.InputShape)
 	var s LayerSpec
 	for _, l := range n.layers {
 		s.load(l)
-		b = append(append(b, '|'), s.Kind...)
-		sep := byte('(')
-		for _, v := range s.Ints {
-			b = strconv.AppendInt(append(b, sep), int64(v), 10)
-			sep = ','
-		}
-		for _, v := range s.Floats {
-			b = strconv.AppendUint(append(b, sep), uint64(math.Float32bits(v)), 16)
-			sep = ','
-		}
-		if sep == ',' {
-			b = append(b, ')')
-		}
+		b = appendLayerSignature(b, &s)
 	}
 	return string(b)
+}
+
+// appendShapeSignature appends the signature's head: "in" and the input
+// shape as fmt's %v prints it.
+func appendShapeSignature(b []byte, shape []int) []byte {
+	b = append(b, "in["...)
+	for i, d := range shape {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(d), 10)
+	}
+	return append(b, ']')
+}
+
+// appendLayerSignature appends one layer's part of the signature.
+func appendLayerSignature(b []byte, s *LayerSpec) []byte {
+	b = append(append(b, '|'), s.Kind...)
+	sep := byte('(')
+	for _, v := range s.Ints {
+		b = strconv.AppendInt(append(b, sep), int64(v), 10)
+		sep = ','
+	}
+	for _, v := range s.Floats {
+		b = strconv.AppendUint(append(b, sep), uint64(math.Float32bits(v)), 16)
+		sep = ','
+	}
+	if sep == ',' {
+		b = append(b, ')')
+	}
+	return b
 }
 
 // stateTensors returns every tensor the binary model format serializes, in
@@ -119,33 +138,53 @@ func sparseWins(changed, total int) bool { return changed*8 < total*4 }
 // whose other state — batch-norm running statistics — is oldNet's. An element
 // counts as changed when the float32 bits of g+d differ from those of g, as
 // EncodeDelta compares them. It sizes the patch without building either the
-// network or the patch.
+// network or the patch, and allocates nothing: what the topology fixes was
+// counted when oldNet was assembled.
 func DeltaSize(oldNet *Network, d []float32) (int, error) {
 	if len(d) != oldNet.ParamCount() {
 		return 0, fmt.Errorf("nn: delta size: %d values, model has %d parameters", len(d), oldNet.ParamCount())
 	}
-	size := len(deltaMagic) + 4 + len(oldNet.TopologySignature()) + 4
-	// The parameters are a subsequence of the state tensors, in order.
-	params := oldNet.Params()
-	for _, t := range oldNet.stateTensors() {
+	size := oldNet.deltaFixed
+	for _, p := range oldNet.params {
+		g := p.Value.Data
 		changed := 0
-		if len(params) > 0 && params[0].Value == t {
-			for k, g := range t.Data {
-				if math.Float32bits(g+d[k]) != math.Float32bits(g) {
-					changed++
-				}
+		for k := range g {
+			if math.Float32bits(g[k]+d[k]) != math.Float32bits(g[k]) {
+				changed++
 			}
-			d, params = d[len(t.Data):], params[1:]
 		}
-		// Element count and mode byte, then the payload.
-		size += 5
-		if sparseWins(changed, len(t.Data)) {
-			size += 4 + 8*changed
-		} else {
-			size += 4 * len(t.Data)
-		}
+		d = d[len(g):]
+		size += patchSize(changed, len(g))
 	}
 	return size, nil
+}
+
+// deltaFixed is what layer s, whose parameters are params, adds to a TMLD1
+// patch whatever the parameters hold: its part of the topology signature,
+// and each state tensor that is not a parameter, which a delta never
+// changes. buf is room to write the signature part in, so that assembling
+// a network allocates nothing for it.
+func (s *LayerSpec) deltaFixed(params []*Param, buf []byte) int {
+	size := len(appendLayerSignature(buf, s))
+	// The parameters are a subsequence of the state tensors, in order.
+	for _, t := range s.Tensors {
+		if len(params) > 0 && params[0].Value == t {
+			params = params[1:]
+		} else {
+			size += patchSize(0, t.Size())
+		}
+	}
+	return size
+}
+
+// patchSize is the bytes one tensor of total elements, changed of them
+// changed, takes in a patch: its element count and mode byte, then the
+// payload.
+func patchSize(changed, total int) int {
+	if sparseWins(changed, total) {
+		return 5 + 4 + 8*changed
+	}
+	return 5 + 4*total
 }
 
 // walkDelta is the one TMLD1 parser. It checks the magic, hands head the

@@ -33,6 +33,9 @@ type Network struct {
 
 	train *trainPlan   // Train's buffers (train.go), made by the first Train
 	specs [2]LayerSpec // ResetFrom's scratch, reused from call to call
+	// deltaFixed is what a TMLD1 patch of this topology costs whatever its
+	// parameters hold (LayerSpec.deltaFixed), counted once for DeltaSize.
+	deltaFixed int
 }
 
 // Assemble is the one way a Network is made, and where it is admitted:
@@ -49,7 +52,9 @@ func assemble(in []int, layers []Layer) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{InputShape: in, layers: layers, plan: make([]LayerCost, len(layers))}
-	var s LayerSpec // reused: only whether load succeeds is wanted
+	var s LayerSpec // reused from layer to layer
+	var sig [64]byte
+	n.deltaFixed = len(deltaMagic) + 4 + len(appendShapeSignature(sig[:0], in)) + 4
 	for i, l := range layers {
 		if !s.load(l) {
 			return nil, fmt.Errorf("nn: layer %d: %w", i, errForeign(l))
@@ -59,7 +64,9 @@ func assemble(in []int, layers []Layer) (*Network, error) {
 			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, l.Kind(), err)
 		}
 		n.plan[i] = LayerCost{Index: i, Kind: l.Kind(), Info: info}
-		n.params = append(n.params, l.Params()...)
+		params := l.Params()
+		n.params = append(n.params, params...)
+		n.deltaFixed += s.deltaFixed(params, sig[:0])
 		in = info.OutShape
 	}
 	return n, nil
@@ -247,7 +254,7 @@ func (n *Network) OpKinds() []string {
 // one independent copy after another of the same model — the federated
 // simulator, once per client — clones once and uses ResetFrom after that.
 func (n *Network) Clone() *Network {
-	c := &Network{InputShape: n.InputShape, layers: make([]Layer, len(n.layers)), plan: n.plan}
+	c := &Network{InputShape: n.InputShape, layers: make([]Layer, len(n.layers)), plan: n.plan, deltaFixed: n.deltaFixed}
 	var s LayerSpec
 	for i, l := range n.layers {
 		s.load(l)

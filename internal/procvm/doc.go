@@ -10,7 +10,7 @@
 //
 // An instruction is one row of the table in ops.go — mnemonic, what each
 // operand is, values popped and pushed, gas per element — and one arm of
-// the switch in Runtime.Run. Validate and Run read code through the same
+// the switch in the run loop. Validate and Run read code through the same
 // decoder and apply the same operand check; Validate adds the stack-depth
 // simulation, Run what needs live values. Modules are built with a
 // Builder that ends in Validate, serialized in a versioned binary format
@@ -19,9 +19,10 @@
 // runtime, so a marketplace host can run a stranger's pipeline without
 // trusting it — the §IV orchestration story's sandbox requirement. A
 // failure that depends on the data (a type, a length, gas) fails that
-// query with a sentinel error, never the process. Run allocates only the
-// values the ISA promises: its frame, value stack and decoded operands
-// stay on its own stack.
+// query with a sentinel error, never the process. Run's output is the
+// caller's to keep; RunScratch's aliases the caller's Scratch and is valid
+// until that Scratch's next run, which allocates nothing on an input of
+// the length the Scratch last served.
 //
 // Gas is deterministic — a pure function of the code and the input's
 // length — and is metered per instruction on the value on top of the stack

@@ -1,11 +1,11 @@
 package procvm
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"tinymlops/internal/wire"
 )
@@ -32,19 +32,13 @@ func (c Capability) String() string {
 	if c == CapNone {
 		return "none"
 	}
-	var buf bytes.Buffer
-	add := func(f Capability, name string) {
-		if c&f != 0 {
-			if buf.Len() > 0 {
-				buf.WriteByte('|')
-			}
-			buf.WriteString(name)
+	var names []string
+	for i, name := range []string{"sensor", "network", "storage"} {
+		if c&(CapSensor<<i) != 0 {
+			names = append(names, name)
 		}
 	}
-	add(CapSensor, "sensor")
-	add(CapNetwork, "network")
-	add(CapStorage, "storage")
-	return buf.String()
+	return strings.Join(names, "|")
 }
 
 // Module is a compiled processing pipeline: a constant pool, bytecode and a

@@ -136,7 +136,7 @@ func successCorpus(t testing.TB) []runCase {
 	add("mean", nb().Input().Mean(), 9)
 	add("sum", nb().Input().Sum(), 9)
 	add("shuffle", nb().Input().Emit(procvm.OpDup).Sum().Emit(procvm.OpSwap).Mean().Add().Emit(procvm.OpDup).Emit(procvm.OpDrop), 6)
-	deep := nb() // past the frame's 16 inline slots
+	deep := nb() // past the 16 slots a new Scratch starts its stack with
 	for i := 0; i < 20; i++ {
 		deep.PushScalar(float32(i) / 4)
 	}
@@ -403,24 +403,26 @@ func TestRunErrorParity(t *testing.T) {
 	}
 }
 
-// TestRunAllocationPins holds Run's allocations where the serving
-// benchmark reads them: the normalize and label modules around every
-// serve_single query, and one compiled forward per procvm row. Everything
-// counted is an output or pool copy the ISA promises — a compiled MLP makes
-// one copy of its input and one vector per matvec and per activation — and
-// nothing else: the frame, the value stack and the decoded operands stay
-// on Run's stack, and matvec hands the kernel bare slices, not tensor
-// headers.
+// TestRunAllocationPins holds Run's and RunScratch's allocations where the
+// serving benchmark reads them: the normalize and label modules around
+// every serve_single query, and one compiled forward per procvm row. Run
+// works in a fresh Scratch and hands its output to the caller, so it
+// allocates the stack that Scratch starts with plus every value the run
+// pushes — an input copy and one vector per pushv, matvec and activation.
+// RunScratch allocates nothing once one run has sized its Scratch: the
+// value stack and the decoded operands live there or on its own stack, and
+// matvec hands the kernel bare slices, not tensor headers. History: 4 / 1
+// / 4 / 6 while Run kept its stack in a 16-slot array on its own stack.
 func TestRunAllocationPins(t *testing.T) {
 	rng := tensor.NewRNG(22)
 	for _, c := range []struct {
 		run  runCase
 		want float64
 	}{
-		{runCase{mod: built(t, procvm.NewBuilder("normalize").Input().Normalize(ramp(4), []float32{1, 2, 3, 4})), input: ramp(4)}, 4},
-		{runCase{mod: built(t, procvm.NewBuilder("label").Input().ArgMax()), input: ramp(3)}, 1},
-		{compiled(t, "sensor-mlp", mlp(rng, 4, 16, 3)), 4},
-		{compiled(t, "kws-mlp", mlp(rng, 64, 256, 128, 10)), 6},
+		{runCase{mod: built(t, procvm.NewBuilder("normalize").Input().Normalize(ramp(4), []float32{1, 2, 3, 4})), input: ramp(4)}, 5},
+		{runCase{mod: built(t, procvm.NewBuilder("label").Input().ArgMax()), input: ramp(3)}, 2},
+		{compiled(t, "sensor-mlp", mlp(rng, 4, 16, 3)), 5},
+		{compiled(t, "kws-mlp", mlp(rng, 64, 256, 128, 10)), 7},
 	} {
 		rt := procvm.NewRuntime(c.run.mod.Caps)
 		got := testing.AllocsPerRun(50, func() {
@@ -431,6 +433,77 @@ func TestRunAllocationPins(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: %v allocations per Run, want %v", c.run.mod.Name, got, c.want)
 		}
+		if got := scratchAllocs(t, rt, c.run.mod, c.run.input); got != 0 {
+			t.Errorf("%s: %v allocations per warm RunScratch, want 0", c.run.mod.Name, got)
+		}
+	}
+}
+
+// scratchAllocs runs m once in a new Scratch, then counts what each run in
+// that Scratch allocates.
+func scratchAllocs(t *testing.T, rt *procvm.Runtime, m *procvm.Module, input []float32) float64 {
+	t.Helper()
+	var s procvm.Scratch
+	run := func() {
+		if _, err := rt.RunScratch(m, input, &s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	return testing.AllocsPerRun(50, run)
+}
+
+// everyOp is one module that executes every row of the opcode table.
+func everyOp(t testing.TB) *procvm.Module {
+	return built(t, procvm.NewBuilder("every-op").
+		Input().
+		Conv2D(ramp(4), []float32{0.5, -1}, 2, 2, 2, 2, 1, 1, 1, 0).
+		MaxPool2D(2, 2, 2, 1, 1).
+		MatVec(ramp(8*4), []float32{0.25, -0.5, 1, 0}).
+		ReLU().Sigmoid().Tanh().Emit(procvm.OpNeg).Abs().Emit(procvm.OpSquare).Sqrt().
+		Emit(procvm.OpDup).Emit(procvm.OpSwap).Add().
+		PushScalar(0.5).Sub().PushScalar(2).Mul().PushScalar(3).Emit(procvm.OpDiv).
+		Clamp(-1, 1).
+		Normalize([]float32{0.1, 0.2, 0.3, 0.4}, []float32{1, 0, 2, 0.5}).
+		Emit(procvm.OpDup).PushScalar(0).Emit(procvm.OpThreshold).Add().
+		Softmax().
+		Emit(procvm.OpMeanPool, 2).
+		Slice(0, 2).
+		Emit(procvm.OpDup).Max().Emit(procvm.OpDrop).
+		Emit(procvm.OpDup).Mean().Emit(procvm.OpDrop).
+		Emit(procvm.OpDup).Sum().Emit(procvm.OpDrop).
+		ArgMax().
+		Emit(procvm.OpHalt))
+}
+
+// TestRunScratchAllocatesNothing pins a warm RunScratch at 0 allocations on
+// a module that executes every instruction, and its output, gas and bits to
+// Run's.
+func TestRunScratchAllocatesNothing(t *testing.T) {
+	m := everyOp(t)
+	seen := make(map[procvm.OpCode]bool)
+	for pc := 0; pc < len(m.Code); pc += 1 + 2*procvm.OpCode(m.Code[pc]).Operands() {
+		seen[procvm.OpCode(m.Code[pc])] = true
+	}
+	for op := procvm.OpCode(0); op.Valid(); op++ {
+		if !seen[op] {
+			t.Errorf("the module does not execute %v", op)
+		}
+	}
+	rt, input := procvm.NewRuntime(procvm.CapNone), ramp(8)
+	want, err := rt.Run(m, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s procvm.Scratch
+	for i := 0; i < 2; i++ {
+		got, err := rt.RunScratch(m, input, &s)
+		if err != nil || got.GasUsed != want.GasUsed || got.Output.IsVec || math.Float32bits(got.Output.Scalar) != math.Float32bits(want.Output.Scalar) {
+			t.Fatalf("run %d: RunScratch gave %+v, %v; Run gave %+v", i, got, err, want)
+		}
+	}
+	if got := scratchAllocs(t, rt, m, input); got != 0 {
+		t.Errorf("%v allocations per warm RunScratch, want 0", got)
 	}
 }
 
@@ -439,7 +512,9 @@ func TestRunAllocationPins(t *testing.T) {
 // of a module over handPool that never saw Validate, so the checks Run
 // makes for itself are what stands between the bytes and a panic. A run
 // that succeeds stayed within the gas limit in force and left a value; one
-// that fails, fails with one of the six sentinels.
+// that fails, fails with one of the six sentinels. Every module also runs
+// through RunScratch in one Scratch, reused and dirty from input to input,
+// and must give Run's output bits, gas and error.
 func FuzzRunModule(f *testing.F) {
 	for _, c := range successCorpus(f) {
 		f.Add(c.mod.Encode())
@@ -455,6 +530,7 @@ func FuzzRunModule(f *testing.F) {
 
 	rt := procvm.NewRuntime(procvm.CapNone)
 	input := ramp(4)
+	var s procvm.Scratch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mods := []*procvm.Module{asm(data)}
 		if m, err := procvm.DecodeModule(data); err == nil {
@@ -466,6 +542,10 @@ func FuzzRunModule(f *testing.F) {
 				limit = m.GasLimit
 			}
 			res, err := rt.Run(m, input)
+			got, gotErr := rt.RunScratch(m, input, &s)
+			if fmt.Sprint(gotErr) != fmt.Sprint(err) || got.GasUsed != res.GasUsed || !sameValue(got.Output, res.Output) {
+				t.Fatalf("RunScratch gave %+v, %v; Run gave %+v, %v", got, gotErr, res, err)
+			}
 			if err == nil {
 				if res.GasUsed > limit {
 					t.Fatalf("used %d gas of %d", res.GasUsed, limit)
@@ -481,4 +561,17 @@ func FuzzRunModule(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameValue reports whether two values are the same kind and bits.
+func sameValue(a, b procvm.Value) bool {
+	if a.IsVec != b.IsVec || math.Float32bits(a.Scalar) != math.Float32bits(b.Scalar) || len(a.Vec) != len(b.Vec) {
+		return false
+	}
+	for i := range a.Vec {
+		if math.Float32bits(a.Vec[i]) != math.Float32bits(b.Vec[i]) {
+			return false
+		}
+	}
+	return true
 }

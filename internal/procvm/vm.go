@@ -15,14 +15,6 @@ type Value struct {
 	Vec    []float32
 }
 
-// Len returns the element count (1 for scalars).
-func (v Value) Len() int {
-	if v.IsVec {
-		return len(v.Vec)
-	}
-	return 1
-}
-
 func scalar(s float32) Value   { return Value{Scalar: s} }
 func vector(v []float32) Value { return Value{IsVec: true, Vec: v} }
 
@@ -60,22 +52,37 @@ var (
 	ErrBadModule        = errors.New("procvm: malformed module")
 )
 
-// frame is the state of one Run: the value stack, the gas meter and the
-// first error. Like wire.Reader it is sticky: once err is set, pops return
-// zero values and pushes and charges do nothing, so an instruction's body
-// reads straight down and Run looks at err once per instruction. It stays
-// on Run's stack, which is why the bodies are methods behind a plain
-// switch (a table of func values taking *frame would move it to the heap
-// on every query) and why the first 16 slots are an array inside it
-// (escape analysis is per variable, so a slice of Run's stack memory held
-// here would go to the heap the moment Run returns f.err).
+// Scratch is the memory runs work in, kept from one run to the next: the
+// value stack and one slab that every vector a run pushes is carved from.
+// It is the caller's, sized by the runs it serves: a run that outgrows the
+// slab completes on the heap and leaves the slab at its total. The zero
+// value is ready; a Scratch serves one run at a time.
+type Scratch struct{ frame }
+
+// frame is the state of one run: its memory, the gas meter and the first
+// error, which is sticky like wire.Reader's: once err is set, pops return
+// zero values and pushes and charges do nothing. The bodies are methods
+// behind a plain switch: a table of func values taking *frame would move
+// a Run's frame to the heap.
 type frame struct {
-	slots           [16]Value
-	deep            []Value // slots 16 and up, which no shipped module reaches
-	depth, maxStack int
-	gas, limit      uint64
-	err             error
+	stack      []Value
+	slab       []float32
+	used       int // floats the run has carved, past the slab included
+	maxStack   int
+	gas, limit uint64
+	err        error
 }
+
+// alloc carves n floats for its caller to fill; no op writes its operands.
+func (f *frame) alloc(n int) []float32 {
+	if f.used += n; f.used > len(f.slab) {
+		return make([]float32, n)
+	}
+	return f.slab[f.used-n : f.used : f.used]
+}
+
+// copyOf carves a copy of a vector the module or the caller owns.
+func (f *frame) copyOf(v []float32) []float32 { return append(f.alloc(len(v))[:0], v...) }
 
 // charge meters n more gas and fails once the total passes the limit.
 func (f *frame) charge(n uint64) {
@@ -87,25 +94,13 @@ func (f *frame) charge(n uint64) {
 	}
 }
 
-// slot returns stack slot i, counted from the bottom.
-func (f *frame) slot(i int) *Value {
-	if i < len(f.slots) {
-		return &f.slots[i]
-	}
-	return &f.deep[i-len(f.slots)]
-}
-
 func (f *frame) push(v Value) {
 	switch {
 	case f.err != nil:
-	case f.depth >= f.maxStack:
+	case len(f.stack) >= f.maxStack:
 		f.err = ErrStackOverflow
 	default:
-		if f.depth >= len(f.slots) {
-			f.deep = append(f.deep[:f.depth-len(f.slots)], Value{})
-		}
-		*f.slot(f.depth) = v
-		f.depth++
+		f.stack = append(f.stack, v)
 	}
 }
 
@@ -113,12 +108,13 @@ func (f *frame) pop() Value {
 	if f.err != nil {
 		return Value{}
 	}
-	if f.depth == 0 {
+	st := f.stack
+	if len(st) == 0 {
 		f.err = ErrStackUnderflow
 		return Value{}
 	}
-	f.depth--
-	return *f.slot(f.depth)
+	f.stack = st[:len(st)-1]
+	return st[len(st)-1]
 }
 
 func (f *frame) popVec() []float32 {
@@ -137,17 +133,33 @@ func (f *frame) popScalar() float32 {
 	return v.Scalar
 }
 
-// Run executes the module on the input vector and returns the top of the
-// stack at halt. Each instruction is read and its operands checked by
-// decode, metered from its row on the value on top of the stack before it
-// runs, and executed by its arm below. A failed Result carries the gas
-// metered up to and including the failing instruction — except that an
-// unknown opcode, which has no row to meter, reports none.
+// Run executes the module on the input vector, in a fresh Scratch, and
+// returns the top of the stack at halt. Each instruction is read and its
+// operands checked by decode, metered from its row on the value on top of
+// the stack before it runs, and executed by its arm in run. A failed Result
+// carries the gas metered up to and including the failing instruction —
+// except that an unknown opcode, which has no row to meter, reports none.
 func (rt *Runtime) Run(m *Module, input []float32) (Result, error) {
+	return rt.run(m, input, &Scratch{frame{stack: make([]Value, 0, 16)}}) // deeper than any shipped module
+}
+
+// RunScratch is Run in s: its output aliases s and stays valid until s's
+// next run, and input must not alias s. Once s has served a run on an
+// input of this length, the run allocates nothing.
+func (rt *Runtime) RunScratch(m *Module, input []float32, s *Scratch) (Result, error) {
+	res, err := rt.run(m, input, s)
+	if s.used > len(s.slab) {
+		s.slab = make([]float32, s.used)
+	}
+	return res, err
+}
+
+func (rt *Runtime) run(m *Module, input []float32, s *Scratch) (Result, error) {
 	if !rt.Granted.Has(m.Caps) {
 		return Result{}, fmt.Errorf("%w: need %v, granted %v", ErrCapabilityDenied, m.Caps, rt.Granted)
 	}
-	f := frame{maxStack: rt.MaxStack, limit: rt.MaxGas}
+	f := &s.frame
+	*f = frame{stack: f.stack[:0], slab: f.slab, maxStack: rt.MaxStack, limit: rt.MaxGas}
 	if m.GasLimit > 0 && m.GasLimit < f.limit {
 		f.limit = m.GasLimit
 	}
@@ -160,8 +172,8 @@ func (rt *Runtime) Run(m *Module, input []float32) (Result, error) {
 		n := 1
 		if op == OpInput {
 			n = len(input)
-		} else if f.depth > 0 {
-			n = f.slot(f.depth - 1).Len()
+		} else if st := f.stack; len(st) > 0 && st[len(st)-1].IsVec {
+			n = len(st[len(st)-1].Vec)
 		}
 		// Whatever else is wrong with the instruction, its base cost is
 		// metered first, and running out of gas there is what is reported.
@@ -177,11 +189,11 @@ func (rt *Runtime) Run(m *Module, input []float32) (Result, error) {
 		case OpHalt:
 			pc = len(m.Code)
 		case OpInput:
-			f.push(vector(clone(input)))
+			f.push(vector(f.copyOf(input)))
 		case OpPushScalar:
 			f.push(scalar(m.Scalars[a[0]]))
 		case OpPushVector:
-			f.push(vector(clone(m.Vectors[a[0]])))
+			f.push(vector(f.copyOf(m.Vectors[a[0]])))
 		case OpDup:
 			f.dup()
 		case OpDrop:
@@ -193,7 +205,7 @@ func (rt *Runtime) Run(m *Module, input []float32) (Result, error) {
 		case OpAdd, OpSub, OpMul, OpDiv:
 			f.arith(op)
 		case OpNeg, OpAbs, OpSquare, OpSqrt, OpReLU, OpSigmoid, OpTanh:
-			f.push(mapValue(f.pop(), elementwise(op)))
+			f.push(f.mapValue(f.pop(), elementwise(op)))
 		case OpClamp:
 			f.clamp()
 		case OpNormalize:
@@ -201,7 +213,7 @@ func (rt *Runtime) Run(m *Module, input []float32) (Result, error) {
 		case OpThreshold:
 			f.threshold()
 		case OpSoftmax:
-			f.push(vector(softmax(f.popVec())))
+			f.softmax()
 		case OpArgMax, OpMax, OpMean, OpSum:
 			f.reduce(op)
 		case OpMeanPool:
@@ -216,28 +228,21 @@ func (rt *Runtime) Run(m *Module, input []float32) (Result, error) {
 			f.maxPool2D(maxPool2DWindow(a))
 		}
 	}
-	if f.err == nil && f.depth == 0 {
+	st := f.stack
+	if f.err == nil && len(st) == 0 {
 		f.err = fmt.Errorf("%w: module left an empty stack", ErrBadModule)
 	}
 	if f.err != nil {
 		return Result{GasUsed: f.gas}, f.err
 	}
-	return Result{Output: *f.slot(f.depth - 1), GasUsed: f.gas}, nil
+	return Result{Output: st[len(st)-1], GasUsed: f.gas}, nil
 }
 
-// clone copies a vector the module or the caller owns before it goes on
-// the stack, where instructions may hand it out as the Result.
-func clone(v []float32) []float32 {
-	cp := make([]float32, len(v))
-	copy(cp, v)
-	return cp
-}
-
-func mapValue(v Value, fn func(float32) float32) Value {
+func (f *frame) mapValue(v Value, fn func(float32) float32) Value {
 	if !v.IsVec {
 		return scalar(fn(v.Scalar))
 	}
-	out := make([]float32, len(v.Vec))
+	out := f.alloc(len(v.Vec))
 	for i, x := range v.Vec {
 		out[i] = fn(x)
 	}
@@ -274,14 +279,11 @@ func elementwise(op OpCode) func(float32) float32 {
 	}
 }
 
+// dup pushes the top value again, a vector as a copy.
 func (f *frame) dup() {
 	v := f.pop()
-	cp := v
-	if v.IsVec {
-		cp.Vec = append([]float32(nil), v.Vec...)
-	}
 	f.push(v)
-	f.push(cp)
+	f.push(f.mapValue(v, func(x float32) float32 { return x }))
 }
 
 // arith pops b then a and pushes a∘b, broadcasting a scalar over a vector.
@@ -300,16 +302,14 @@ func (f *frame) arith(op OpCode) {
 		}
 	}
 	switch {
-	case !a.IsVec && !b.IsVec:
-		f.push(scalar(apply(a.Scalar, b.Scalar)))
 	case !b.IsVec:
-		f.push(mapValue(a, func(x float32) float32 { return apply(x, b.Scalar) }))
+		f.push(f.mapValue(a, func(x float32) float32 { return apply(x, b.Scalar) }))
 	case !a.IsVec:
-		f.push(mapValue(b, func(y float32) float32 { return apply(a.Scalar, y) }))
+		f.push(f.mapValue(b, func(y float32) float32 { return apply(a.Scalar, y) }))
 	case len(a.Vec) != len(b.Vec):
 		f.err = fmt.Errorf("%w: vector lengths %d vs %d", ErrTypeMismatch, len(a.Vec), len(b.Vec))
 	default:
-		out := make([]float32, len(a.Vec))
+		out := f.alloc(len(a.Vec))
 		for i := range out {
 			out[i] = apply(a.Vec[i], b.Vec[i])
 		}
@@ -319,7 +319,7 @@ func (f *frame) arith(op OpCode) {
 
 func (f *frame) clamp() {
 	hi, lo := f.popScalar(), f.popScalar()
-	f.push(mapValue(f.pop(), func(v float32) float32 {
+	f.push(f.mapValue(f.pop(), func(v float32) float32 {
 		if v < lo {
 			return lo
 		}
@@ -332,7 +332,7 @@ func (f *frame) clamp() {
 
 func (f *frame) threshold() {
 	t := f.popScalar()
-	f.push(mapValue(f.pop(), func(v float32) float32 {
+	f.push(f.mapValue(f.pop(), func(v float32) float32 {
 		if v > t {
 			return 1
 		}
@@ -348,7 +348,7 @@ func (f *frame) normalize() {
 	if f.err != nil {
 		return
 	}
-	out := make([]float32, len(x))
+	out := f.alloc(len(x))
 	for i := range x {
 		d := std[i]
 		if d == 0 {
@@ -359,17 +359,19 @@ func (f *frame) normalize() {
 	f.push(vector(out))
 }
 
-func softmax(x []float32) []float32 {
-	if len(x) == 0 {
-		return nil
+// softmax pops a vector and pushes its softmax.
+func (f *frame) softmax() {
+	x := f.popVec()
+	out := f.alloc(len(x))
+	var m float32
+	if len(x) > 0 {
+		m = x[0]
 	}
-	m := x[0]
-	for _, v := range x[1:] {
+	for _, v := range x {
 		if v > m {
 			m = v
 		}
 	}
-	out := make([]float32, len(x))
 	var sum float64
 	for i, v := range x {
 		e := math.Exp(float64(v - m))
@@ -380,7 +382,7 @@ func softmax(x []float32) []float32 {
 	for i := range out {
 		out[i] *= inv
 	}
-	return out
+	f.push(vector(out))
 }
 
 // reduce pops a non-empty vector and pushes its argmax, max, mean or sum.
@@ -420,7 +422,7 @@ func (f *frame) meanPool(k int) {
 	if f.err != nil {
 		return
 	}
-	out := make([]float32, len(x)/k)
+	out := f.alloc(len(x) / k)
 	for i := range out {
 		var s float32
 		for j := 0; j < k; j++ {
@@ -439,7 +441,7 @@ func (f *frame) slice(lo, hi int) {
 	if f.err != nil {
 		return
 	}
-	f.push(vector(append([]float32(nil), x[lo:hi]...)))
+	f.push(vector(f.copyOf(x[lo:hi])))
 }
 
 // matVec pops x (length in) and pushes x·W + b for the [in, out] matrix w,
@@ -456,7 +458,7 @@ func (f *frame) matVec(w, b []float32, outN int) {
 	if f.charge(uint64(in) * uint64(outN)); f.err != nil {
 		return
 	}
-	out := make([]float32, outN)
+	out := f.alloc(outN)
 	tensor.MatMulRowsInto(out, x, w, 1, in, outN)
 	for j := range out {
 		out[j] += b[j]
@@ -479,8 +481,8 @@ func (f *frame) conv2D(weights, bias []float32, outC int, g tensor.Window) {
 	if f.charge(uint64(outC) * uint64(oh) * uint64(ow) * uint64(k)); f.err != nil {
 		return
 	}
-	y := make([]float32, outC*oh*ow)
-	tensor.Conv2DInto(y, weights, make([]float32, k*oh*ow), x, bias, g)
+	y := f.alloc(outC * oh * ow)
+	tensor.Conv2DInto(y, weights, f.alloc(k*oh*ow), x, bias, g)
 	f.push(vector(y))
 }
 
@@ -495,7 +497,7 @@ func (f *frame) maxPool2D(g tensor.Window) {
 	if f.charge(uint64(g.C) * uint64(oh) * uint64(ow) * uint64(g.KH) * uint64(g.KW)); f.err != nil {
 		return
 	}
-	out := make([]float32, g.C*oh*ow)
+	out := f.alloc(g.C * oh * ow)
 	tensor.MaxPool(out, x, g, nil)
 	f.push(vector(out))
 }
