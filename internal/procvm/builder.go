@@ -44,7 +44,9 @@ func (b *Builder) emit(op OpCode, operands ...int) *Builder {
 			b.err = fmt.Errorf("procvm: operand %d out of u16 range", v)
 			return b
 		}
-		b.m.Code = binary.LittleEndian.AppendUint16(b.m.Code, uint16(v))
+		var tmp [2]byte
+		binary.LittleEndian.PutUint16(tmp[:], uint16(v))
+		b.m.Code = append(b.m.Code, tmp[:]...)
 	}
 	return b
 }

@@ -22,7 +22,8 @@
 // query with a sentinel error, never the process. Run's output is the
 // caller's to keep; RunScratch's aliases the caller's Scratch and is valid
 // until that Scratch's next run, which allocates nothing on an input of
-// the length the Scratch last served.
+// the length the Scratch last served. A Scratch keeps at most MaxStack
+// vectors of the longest a run carved, whatever the run's total.
 //
 // Gas is deterministic — a pure function of the code and the input's
 // length — and is metered per instruction on the value on top of the stack

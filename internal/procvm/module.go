@@ -1,11 +1,11 @@
 package procvm
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 
 	"tinymlops/internal/wire"
 )
@@ -32,13 +32,19 @@ func (c Capability) String() string {
 	if c == CapNone {
 		return "none"
 	}
-	var names []string
-	for i, name := range []string{"sensor", "network", "storage"} {
-		if c&(CapSensor<<i) != 0 {
-			names = append(names, name)
+	var buf bytes.Buffer
+	add := func(f Capability, name string) {
+		if c&f != 0 {
+			if buf.Len() > 0 {
+				buf.WriteByte('|')
+			}
+			buf.WriteString(name)
 		}
 	}
-	return strings.Join(names, "|")
+	add(CapSensor, "sensor")
+	add(CapNetwork, "network")
+	add(CapStorage, "storage")
+	return buf.String()
 }
 
 // Module is a compiled processing pipeline: a constant pool, bytecode and a

@@ -507,6 +507,41 @@ func TestRunScratchAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestScratchKeepsABoundedSlab holds what a Scratch keeps to MaxStack
+// vectors of the longest a run carved, on modules whose carves add up to
+// far more because gas does not meter them by length: a constant pushed
+// onto a scalar and dropped, and a long input duplicated and dropped, in a
+// loop. Each still gives Run's result, run after run.
+func TestScratchKeepsABoundedSlab(t *testing.T) {
+	const n, loops = 1 << 12, 200
+	churn := procvm.NewBuilder("churn").PushScalar(0).PushVector(make([]float32, n)).Emit(procvm.OpDrop)
+	dupDrop := procvm.NewBuilder("dup-drop").Input()
+	for i := 0; i < loops; i++ {
+		churn.Emit(procvm.OpPushVector, 0).Emit(procvm.OpDrop)
+		dupDrop.Emit(procvm.OpDup).Emit(procvm.OpDrop)
+	}
+	rt := procvm.NewRuntime(procvm.CapNone)
+	for _, c := range []runCase{
+		{mod: built(t, churn), input: ramp(4)},
+		{mod: built(t, dupDrop.Sum()), input: make([]float32, n)},
+	} {
+		want, err := rt.Run(c.mod, c.input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s procvm.Scratch
+		for i := 0; i < 3; i++ {
+			got, err := rt.RunScratch(c.mod, c.input, &s)
+			if err != nil || got.GasUsed != want.GasUsed || !sameValue(got.Output, want.Output) {
+				t.Fatalf("%s run %d: RunScratch gave %+v, %v; Run gave %+v", c.mod.Name, i, got, err, want)
+			}
+		}
+		if got, bound := s.SlabLen(), rt.MaxStack*n; got > bound {
+			t.Errorf("%s: the Scratch keeps %d floats, more than MaxStack × %d = %d", c.mod.Name, got, n, bound)
+		}
+	}
+}
+
 // FuzzRunModule executes what decodes, and what does not. The bytes are
 // run twice: as a PVM1 blob through DecodeModule, and directly as the code
 // of a module over handPool that never saw Validate, so the checks Run

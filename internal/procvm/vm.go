@@ -55,8 +55,11 @@ var (
 // Scratch is the memory runs work in, kept from one run to the next: the
 // value stack and one slab that every vector a run pushes is carved from.
 // It is the caller's, sized by the runs it serves: a run that outgrows the
-// slab completes on the heap and leaves the slab at its total. The zero
-// value is ready; a Scratch serves one run at a time.
+// slab completes on the heap and leaves the slab at its total, up to what
+// MaxStack vectors of the longest it carved hold. Gas does not bound a
+// run's total (dup and drop in a loop), so past that bound its carves stay
+// garbage for the collector, as Run's are. The zero value is ready; a
+// Scratch serves one run at a time.
 type Scratch struct{ frame }
 
 // frame is the state of one run: its memory, the gas meter and the first
@@ -68,6 +71,7 @@ type frame struct {
 	stack      []Value
 	slab       []float32
 	used       int // floats the run has carved, past the slab included
+	longest    int // the longest vector the run has carved
 	maxStack   int
 	gas, limit uint64
 	err        error
@@ -75,6 +79,7 @@ type frame struct {
 
 // alloc carves n floats for its caller to fill; no op writes its operands.
 func (f *frame) alloc(n int) []float32 {
+	f.longest = max(f.longest, n)
 	if f.used += n; f.used > len(f.slab) {
 		return make([]float32, n)
 	}
@@ -145,11 +150,12 @@ func (rt *Runtime) Run(m *Module, input []float32) (Result, error) {
 
 // RunScratch is Run in s: its output aliases s and stays valid until s's
 // next run, and input must not alias s. Once s has served a run on an
-// input of this length, the run allocates nothing.
+// input of this length, the run allocates nothing unless it carves more
+// than MaxStack of its longest vectors.
 func (rt *Runtime) RunScratch(m *Module, input []float32, s *Scratch) (Result, error) {
 	res, err := rt.run(m, input, s)
-	if s.used > len(s.slab) {
-		s.slab = make([]float32, s.used)
+	if n := min(s.used, rt.MaxStack*s.longest); n > len(s.slab) {
+		s.slab = make([]float32, n)
 	}
 	return res, err
 }
