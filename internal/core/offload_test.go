@@ -280,3 +280,70 @@ func TestPlatformOffloadRejectsForeignEnclave(t *testing.T) {
 		t.Fatalf("vendor enclave refused after rogue attempt: %v", err)
 	}
 }
+
+// TestOffloadAllocationPins pins what one OffloadSession.Infer allocates in
+// the steady state at the split benchmark's shape — a 64-256-128-10 MLP,
+// every network kind split at cut 2 and the compiled module run whole in
+// the enclave at cut 0, the watermarked suffix in the enclave too: exactly
+// what the query hands back, the cloud reply's payload and the result's
+// logits. The boundary and the reply decode into storage the cloud's arena
+// and the session keep; serve_offload measured 17.2 allocations per query
+// while both crossed TMLT1 into fresh tensors.
+func TestOffloadAllocationPins(t *testing.T) {
+	f := newConformanceFixture(t)
+	ds := dataset.Blobs(f.rng, 200, 64, 10, 4)
+	f.ds, f.es = ds, 64
+	f.spec.Evaluate = func(n *nn.Network) float64 { return nn.Evaluate(n, ds.X, ds.Y) }
+	net := nn.NewNetwork([]int{64}, nn.NewDense(64, 256, f.rng), nn.NewReLU(),
+		nn.NewDense(256, 128, f.rng), nn.NewReLU(), nn.NewDense(128, 10, f.rng))
+	vs, err := f.p.Publish("conf", net, f.ds, f.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := vs[0]
+	mod, err := compat.CompileProcVM(net, compat.CompileOptions{Name: base.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.p.Registry.RegisterCompiled(base.ID, mod, base.Metrics.Accuracy); err != nil {
+		t.Fatal(err)
+	}
+	x := f.ds.X.Data[:f.es]
+	for _, v := range conformanceVariants()[:5] {
+		cut := 2
+		if v.wantKind == registry.KindProcVM {
+			cut = 0
+		}
+		cfg := v.policy()
+		cfg.PrepaidQueries, cfg.Calibration = 1_000_000, f.ds
+		dep, err := f.p.Deploy(v.deviceID, "conf", cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		assertNoFallback(t, dep, v, base)
+		sess, err := f.p.Offload(v.deviceID, OffloadConfig{
+			Cloud: f.cloud, Plan: &market.SplitPlan{Cut: cut}, Replan: offload.ReplanConfig{Disabled: true},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		infer := func() {
+			out, err := sess.Infer(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Split.Mode != offload.ModeSplit || out.Split.Cut != cut {
+				t.Fatalf("%s: mode %v at cut %d, want a split at %d", v.name, out.Split.Mode, out.Split.Cut, cut)
+			}
+		}
+		for w := 0; w < 3; w++ {
+			infer()
+		}
+		if got := testing.AllocsPerRun(200, infer); got != offloadAllocs {
+			t.Errorf("%s: OffloadSession.Infer allocates %v per call, pinned at %d", v.name, got, offloadAllocs)
+		}
+	}
+}
+
+// offloadAllocs is a split query's reply payload and its logits.
+const offloadAllocs = 2

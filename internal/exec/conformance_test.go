@@ -40,7 +40,7 @@ func bitsEqual(a, b []float32) bool {
 // computed without any executor.
 type conformanceKind struct {
 	name     string
-	build    func(t *testing.T, net *nn.Network) Executor
+	build    func(t testing.TB, net *nn.Network) Executor
 	scheme   quant.Scheme
 	slowdown float64
 	steps    int
@@ -62,7 +62,7 @@ func quantRef(scheme quant.Scheme) func(*testing.T, *nn.Network, *tensor.Tensor)
 	}
 }
 
-func compile(t *testing.T, net *nn.Network) *procvm.Module {
+func compile(t testing.TB, net *nn.Network) *procvm.Module {
 	t.Helper()
 	mod, err := compat.CompileProcVM(net, compat.CompileOptions{Name: "conf"})
 	if err != nil {
@@ -88,7 +88,7 @@ func moduleRef(t *testing.T, net *nn.Network, x *tensor.Tensor) []float32 {
 	return out
 }
 
-func must(t *testing.T) func(Executor, error) Executor {
+func must(t testing.TB) func(Executor, error) Executor {
 	return func(ex Executor, err error) Executor {
 		t.Helper()
 		if err != nil {
@@ -102,22 +102,22 @@ func conformanceKinds() []conformanceKind {
 	return []conformanceKind{
 		{
 			name:   "float32",
-			build:  func(t *testing.T, net *nn.Network) Executor { return must(t)(Float(net)) },
+			build:  func(t testing.TB, net *nn.Network) Executor { return must(t)(Float(net)) },
 			scheme: quant.Float32, slowdown: 1, steps: 5, legal: []int{0, 1, 2, 3, 4}, ref: floatRef,
 		},
 		{
 			name:   "int8",
-			build:  func(t *testing.T, net *nn.Network) Executor { return must(t)(Quant(net, quant.Int8)) },
+			build:  func(t testing.TB, net *nn.Network) Executor { return must(t)(Quant(net, quant.Int8)) },
 			scheme: quant.Int8, slowdown: 1, steps: 5, legal: []int{0, 2, 4}, ref: quantRef(quant.Int8),
 		},
 		{
 			name:   "int4",
-			build:  func(t *testing.T, net *nn.Network) Executor { return must(t)(Quant(net, quant.Int4)) },
+			build:  func(t testing.TB, net *nn.Network) Executor { return must(t)(Quant(net, quant.Int4)) },
 			scheme: quant.Int4, slowdown: 1, steps: 5, legal: []int{0, 2, 4}, ref: quantRef(quant.Int4),
 		},
 		{
 			name: "procvm",
-			build: func(t *testing.T, net *nn.Network) Executor {
+			build: func(t testing.TB, net *nn.Network) Executor {
 				mod := compile(t, net)
 				return Module(mod, mod.Caps, 8, 1234)
 			},
@@ -125,21 +125,21 @@ func conformanceKinds() []conformanceKind {
 		},
 		{
 			name: "enclave-network",
-			build: func(t *testing.T, net *nn.Network) Executor {
+			build: func(t testing.TB, net *nn.Network) Executor {
 				return Hosted(must(t)(Float(net)), 1.5)
 			},
 			scheme: quant.Float32, slowdown: 1.5, steps: 5, legal: []int{0, 1, 2, 3, 4}, ref: floatRef,
 		},
 		{
 			name: "enclave-int8",
-			build: func(t *testing.T, net *nn.Network) Executor {
+			build: func(t testing.TB, net *nn.Network) Executor {
 				return Hosted(must(t)(Quant(net, quant.Int8)), 1.5)
 			},
 			scheme: quant.Int8, slowdown: 1.5, steps: 5, legal: []int{0, 2, 4}, ref: quantRef(quant.Int8),
 		},
 		{
 			name: "enclave-module",
-			build: func(t *testing.T, net *nn.Network) Executor {
+			build: func(t testing.TB, net *nn.Network) Executor {
 				mod := compile(t, net)
 				return Hosted(Module(mod, mod.Caps, 8, 1234), 2)
 			},
@@ -211,19 +211,22 @@ func TestExecutorConformance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("cut %d: encode: %v", cut, err)
 					}
-					b, err := ex.DecodeBoundary(payload, cut)
-					if err != nil {
-						t.Fatalf("cut %d: decode: %v", cut, err)
-					}
-					if _, err := ex.DecodeBoundary(payload[:len(payload)-1], cut); err == nil {
+					if _, err := ex.DecodeBoundary(payload[:len(payload)-1], cut, ar); err == nil {
 						t.Fatalf("cut %d: truncated payload decoded", cut)
 					}
 					// The payload crosses a trust boundary: a valid tensor
 					// followed by anything else is not a valid payload.
-					if _, err := ex.DecodeBoundary(append(payload[:len(payload):len(payload)], 0), cut); err == nil {
+					if _, err := ex.DecodeBoundary(append(payload[:len(payload):len(payload)], 0), cut, ar); err == nil {
 						t.Fatalf("cut %d: payload with a trailing byte decoded", cut)
 					}
-					resumed, err := ex.Resume(b, cut, engine.NewArena())
+					// Decoded into the arena the payload was encoded in, the
+					// boundary resumes in that arena too, as the cloud tier
+					// runs it.
+					b, err := ex.DecodeBoundary(payload, cut, ar)
+					if err != nil {
+						t.Fatalf("cut %d: decode: %v", cut, err)
+					}
+					resumed, err := ex.Resume(b, cut, ar)
 					if err != nil || !bitsEqual(resumed.Data, want[r*outW:(r+1)*outW]) {
 						t.Fatalf("cut %d row %d: prefix → codec → resume differs from the whole pass (err %v)", cut, r, err)
 					}
@@ -237,10 +240,10 @@ func TestExecutorConformance(t *testing.T) {
 			if _, err := ex.Run(x, 0, n+1, ar); err == nil {
 				t.Fatal("step range past the end accepted")
 			}
-			if _, err := ex.DecodeBoundary([]byte("garbage"), 0); err == nil {
+			if _, err := ex.DecodeBoundary([]byte("garbage"), 0, ar); err == nil {
 				t.Fatal("garbage payload decoded")
 			}
-			if _, err := ex.DecodeBoundary(nil, n); err == nil {
+			if _, err := ex.DecodeBoundary(nil, n, ar); err == nil {
 				t.Fatal("decoded a boundary at the all-local cut")
 			}
 		})
@@ -264,13 +267,13 @@ func TestBoundaryCodecsDoNotCross(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.DecodeBoundary(fp, 0); err == nil || !strings.Contains(err.Error(), "requires quantized") {
+	if _, err := q.DecodeBoundary(fp, 0, ar); err == nil || !strings.Contains(err.Error(), "requires quantized") {
 		t.Fatalf("quant executor on a float payload: %v", err)
 	}
-	if _, err := f.DecodeBoundary(qp, 0); err == nil || !strings.Contains(err.Error(), "does not accept quantized") {
+	if _, err := f.DecodeBoundary(qp, 0, ar); err == nil || !strings.Contains(err.Error(), "does not accept quantized") {
 		t.Fatalf("float executor on a quantized payload: %v", err)
 	}
-	if _, err := q.DecodeBoundary(qp, 1); err == nil {
+	if _, err := q.DecodeBoundary(qp, 1, ar); err == nil {
 		t.Fatal("quant executor resumed at a non-dense stage")
 	}
 	if len(qp) >= len(fp) {
@@ -325,7 +328,7 @@ func TestConstructorsRejectUnusableModels(t *testing.T) {
 	if _, err := undeclared.Run(tensor.Randn(tensor.NewRNG(2), 1, 1, 3), 0, 1, engine.NewArena()); err == nil {
 		t.Fatal("the VM accepted a misshapen row")
 	}
-	if _, err := undeclared.Resume(Boundary{}, 0, engine.NewArena()); err == nil {
+	if _, err := undeclared.Resume(new(Boundary), 0, engine.NewArena()); err == nil {
 		t.Fatal("resumed a boundary on a module with no declared width")
 	}
 	denied := Module(mod, procvm.CapNone, 8, 1)

@@ -25,9 +25,9 @@
 // core.Deployment serves local queries with Run(x, 0, n); offload.Session
 // runs the device prefix with Run(x, 0, cut), ships EncodeBoundary's bytes
 // and finishes a failed split with Run(act, cut, n); offload.CloudTier
-// admits a payload with DecodeBoundary and serves it with Resume. None of
-// the three switches on a kind. The invariant every implementation keeps,
-// pinned by the package's conformance test, is that prefix → encode →
-// decode → resume is bit-identical to the whole pass at every cut SnapCut
-// allows.
+// admits a payload with DecodeBoundary, which decodes it into the arena the
+// tier lends, and serves it with Resume in that arena. None of the three
+// switches on a kind. The invariant every implementation keeps, pinned by
+// the package's conformance test, is that prefix → encode → decode →
+// resume is bit-identical to the whole pass at every cut SnapCut allows.
 package exec

@@ -1,15 +1,14 @@
 package exec
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
 	"tinymlops/internal/engine"
 	"tinymlops/internal/nn"
-	"tinymlops/internal/procvm"
 	"tinymlops/internal/quant"
 	"tinymlops/internal/tensor"
+	"tinymlops/internal/wire"
 )
 
 // Executor runs one deployed model, whole or split at a step boundary. A
@@ -17,7 +16,8 @@ import (
 // and moves activations across a cut only through the executor's own
 // codec, so no caller knows which kernels or wire format a variant kind
 // uses. Executors are read-only after construction and safe for concurrent
-// use; all per-call state lives in the arena the caller lends.
+// use; all per-call state lives in the arena the caller lends, a decoded
+// boundary included.
 type Executor interface {
 	// Run executes steps [lo, hi) on a batch x of activations entering
 	// step lo (lo == hi returns x). The result aliases arena storage until
@@ -41,21 +41,31 @@ type Executor interface {
 	SnapCut(cut int) int
 	// EncodeBoundary serializes what Run(x, 0, cut, ar) returned for the
 	// wire; the bytes alias arena storage. DecodeBoundary parses one
-	// example's payload and checks it against the geometry entering cut.
+	// example's payload into arena storage the payload never aliases and
+	// checks it against the geometry entering cut; the boundary is valid
+	// until the next EncodeBoundary or DecodeBoundary with that arena.
 	EncodeBoundary(act *tensor.Tensor, cut int, ar *engine.Arena) ([]byte, error)
-	DecodeBoundary(payload []byte, cut int) (Boundary, error)
+	DecodeBoundary(payload []byte, cut int, ar *engine.Arena) (*Boundary, error)
 	// Resume runs steps [cut, n) on one decoded boundary, bit-identically
 	// to Run(x, 0, n, ar) on the example it came from. The result aliases
 	// arena storage and the boundary.
-	Resume(b Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error)
+	Resume(b *Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error)
 }
 
-// Boundary is one example's decoded boundary activation. Only the executor
-// that decoded it can read it.
+// Boundary is one example's decoded boundary activation — a float
+// activation, or QAB1 codes and their scale, which an integer EncodeBoundary
+// quantizes into the same slot — in an arena slot of the executor that
+// decoded it; only that executor can read it. A payload is never in it (an
+// encoding lives in the arena's encode buffer), so a decode never writes the
+// bytes it reads, and Run touches none of it.
 type Boundary struct {
-	act    []float32
-	codes  []int8
-	scales []float32 // the one dynamic scale of codes
+	act tensor.Tensor // [1, shape entering the cut...]
+	codeBuf
+}
+
+// boundary returns the executor's boundary slot in ar.
+func (g *graph) boundary(ar *engine.Arena) *Boundary {
+	return ar.Slot(g, func() any { return new(Boundary) }).(*Boundary)
 }
 
 // Width is the element count of a per-example shape (0 for nil).
@@ -130,64 +140,36 @@ func (g *graph) enter(x *tensor.Tensor, lo, hi int) (*tensor.Tensor, error) {
 	return x, nil
 }
 
-// EncodeBoundary writes act with the float tensor codec into the arena's
-// encode buffer.
+// EncodeBoundary appends act's TMLT1 encoding to the arena's encode buffer.
 func (g *graph) EncodeBoundary(act *tensor.Tensor, cut int, ar *engine.Arena) ([]byte, error) {
 	buf := ar.Buffer(0)
-	if _, err := act.WriteTo(buf); err != nil {
-		return nil, err
-	}
+	buf.Write(act.AppendBinary(buf.AvailableBuffer()))
 	return buf.Bytes(), nil
 }
 
 // DecodeBoundary parses a one-example float boundary, which must fill the
-// payload exactly, and checks it against the shape step cut expects (any
-// vector when that is undeclared).
-func (g *graph) DecodeBoundary(payload []byte, cut int) (Boundary, error) {
+// payload exactly, into the arena and checks it against the shape step cut
+// expects (any vector when that is undeclared).
+func (g *graph) DecodeBoundary(payload []byte, cut int, ar *engine.Arena) (*Boundary, error) {
 	shape, err := g.shapeAt(cut)
 	if err != nil || cut >= g.Steps() {
-		return Boundary{}, fmt.Errorf("exec: cut %d out of range [0,%d)", cut, g.Steps())
+		return nil, fmt.Errorf("exec: cut %d out of range [0,%d)", cut, g.Steps())
 	}
 	if isQAB(payload) {
-		return Boundary{}, fmt.Errorf("exec: this model does not accept quantized boundary payloads")
+		return nil, fmt.Errorf("exec: this model does not accept quantized boundary payloads")
 	}
-	var act tensor.Tensor
-	r := bytes.NewReader(payload)
-	if _, err := act.ReadFrom(r); err != nil {
-		return Boundary{}, fmt.Errorf("exec: decode activation: %w", err)
+	b := g.boundary(ar)
+	r := wire.NewReader(payload)
+	if err = b.act.Decode(r); err == nil {
+		err = r.Done()
 	}
-	if r.Len() != 0 {
-		return Boundary{}, fmt.Errorf("exec: %d trailing bytes after the activation", r.Len())
+	if err != nil {
+		return nil, fmt.Errorf("exec: decode activation: %w", err)
 	}
-	if act.Dim(0) != 1 || (shape != nil && !slices.Equal(act.Shape()[1:], shape)) {
-		return Boundary{}, fmt.Errorf("exec: activation shape %v, want [1 %v]", act.Shape(), shape)
+	if got := b.act.Shape(); got[0] != 1 || (shape != nil && !slices.Equal(got[1:], shape)) {
+		return nil, fmt.Errorf("exec: activation shape %v, want [1 %v]", got, shape)
 	}
-	return Boundary{act: act.Data}, nil
-}
-
-// batch is an arena-resident row buffer with a cached header over it and,
-// for a module, the VM's scratch, so no two concurrent runs share one.
-type batch struct {
-	data []float32
-	hdr  *tensor.Tensor
-	vm   procvm.Scratch
-}
-
-// view returns the [rows, shape...] tensor over the buffer's data.
-func (b *batch) view(rows int, shape []int) *tensor.Tensor {
-	if b.hdr == nil || b.hdr.Dim(0) != rows || !slices.Equal(b.hdr.Shape()[1:], shape) {
-		b.hdr = tensor.FromSlice(b.data, append([]int{rows}, shape...)...)
-	}
-	b.hdr.Data = b.data
-	return b.hdr
-}
-
-// row returns a decoded float boundary as a [1, shape...] tensor, through
-// the header cached in the arena slot keyed by owner; it does not copy.
-func row(ar *engine.Arena, owner any, b Boundary, shape []int) *tensor.Tensor {
-	r := ar.Slot(owner, func() any { return new(batch) }).(*batch)
-	r.data = b.act
-	return r.view(1, shape)
+	return b, nil
 }
 
 // hosted is an executor running inside a protected world.

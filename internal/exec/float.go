@@ -66,10 +66,6 @@ func (f *floatExec) Run(x *tensor.Tensor, lo, hi int, ar *engine.Arena) (*tensor
 	return v.ForwardBatch(x, s), nil
 }
 
-func (f *floatExec) Resume(b Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
-	shape, err := f.shapeAt(cut)
-	if err != nil {
-		return nil, err
-	}
-	return f.Run(row(ar, f, b, shape), cut, f.Steps(), ar)
+func (f *floatExec) Resume(b *Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
+	return f.Run(&b.act, cut, f.Steps(), ar)
 }

@@ -116,7 +116,7 @@ func serveWholeAndSplit(t *testing.T, name string, ex Executor) {
 		if err != nil {
 			t.Fatalf("%s: cut %d: encode: %v", name, cut, err)
 		}
-		b, err := ex.DecodeBoundary(payload, cut)
+		b, err := ex.DecodeBoundary(payload, cut, ar)
 		if err != nil {
 			t.Fatalf("%s: cut %d: decode: %v", name, cut, err)
 		}
@@ -128,4 +128,69 @@ func serveWholeAndSplit(t *testing.T, name string, ex Executor) {
 			t.Fatalf("%s: cut %d: split pass differs from the whole pass", name, cut)
 		}
 	}
+}
+
+// FuzzDecodeBoundary holds a decode into reused storage to a decode into
+// fresh storage. Every executor kind, at every cut it allows, decodes the
+// same arbitrary payload into one arena that every earlier input, prefix
+// and encoding has dirtied, and into a new arena: the two verdicts agree,
+// and a payload both accept resumes to the same bits, each boundary in the
+// arena it was decoded into, as the cloud tier runs it.
+func FuzzDecodeBoundary(f *testing.F) {
+	net := conformanceModel()
+	kinds := conformanceKinds()
+	exs := make([]Executor, len(kinds))
+	for i, k := range kinds {
+		exs[i] = k.build(f, net)
+	}
+	x := tensor.Randn(tensor.NewRNG(8), 1, 1, 8)
+	dirty := engine.NewArena()
+	for i, k := range kinds {
+		for _, cut := range k.legal {
+			act, err := exs[i].Run(x, 0, cut, dirty)
+			if err != nil {
+				f.Fatal(err)
+			}
+			payload, err := exs[i].EncodeBoundary(act, cut, dirty)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(append([]byte(nil), payload...))
+			f.Add(append([]byte(nil), payload[:len(payload)/2]...))
+		}
+	}
+	f.Add([]byte("garbage"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, k := range kinds {
+			ex := exs[i]
+			for _, cut := range k.legal {
+				// Leave the encode side of the arena holding another
+				// boundary, as a tier whose arena a session shares would.
+				act, err := ex.Run(x, 0, cut, dirty)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ex.EncodeBoundary(act, cut, dirty); err != nil {
+					t.Fatal(err)
+				}
+				fresh := engine.NewArena()
+				bd, derr := ex.DecodeBoundary(data, cut, dirty)
+				bf, ferr := ex.DecodeBoundary(data, cut, fresh)
+				if (derr == nil) != (ferr == nil) {
+					t.Fatalf("%s cut %d: reused arena says %v, fresh one %v", k.name, cut, derr, ferr)
+				}
+				if derr != nil {
+					continue
+				}
+				od, derr := ex.Resume(bd, cut, dirty)
+				of, ferr := ex.Resume(bf, cut, fresh)
+				if (derr == nil) != (ferr == nil) {
+					t.Fatalf("%s cut %d: resume in the reused arena says %v, in the fresh one %v", k.name, cut, derr, ferr)
+				}
+				if derr == nil && !bitsEqual(od.Data, of.Data) {
+					t.Fatalf("%s cut %d: the reused arena resumes to other bits", k.name, cut)
+				}
+			}
+		}
+	})
 }

@@ -19,6 +19,15 @@ type moduleExec struct {
 	rt  *procvm.Runtime
 }
 
+// batch is a module's arena-resident output rows, the cached [rows, width]
+// header over them and the VM's scratch, so no two concurrent runs share
+// one.
+type batch struct {
+	data []float32
+	hdr  *tensor.Tensor
+	vm   procvm.Scratch
+}
+
 // Module returns the executor over a compiled module. granted is the
 // capability set the host extends to it; features is the input width (0
 // when unknown — a module does not declare its geometry, and the VM then
@@ -56,13 +65,17 @@ func (m *moduleExec) Run(x *tensor.Tensor, lo, hi int, ar *engine.Arena) (*tenso
 		}
 		out.data = append(out.data, res.Output.Vec...)
 	}
-	return out.view(rows, []int{len(out.data) / rows}), nil
+	if out.hdr == nil || out.hdr.Size() != len(out.data) || out.hdr.Dim(0) != rows {
+		out.hdr = tensor.FromSlice(out.data, rows, len(out.data)/rows)
+	}
+	out.hdr.Data = out.data
+	return out.hdr, nil
 }
 
 // Resume runs the whole module on the boundary, which is the raw input.
-func (m *moduleExec) Resume(b Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
+func (m *moduleExec) Resume(b *Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
 	if m.in == nil {
 		return nil, fmt.Errorf("exec: module %s declares no input width to resume on", m.mod.Name)
 	}
-	return m.Run(row(ar, m.mod, b, m.in), cut, 1, ar)
+	return m.Run(&b.act, cut, 1, ar)
 }

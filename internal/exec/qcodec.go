@@ -56,23 +56,44 @@ func encodeQAB(buf *bytes.Buffer, codes []int8, scales []float32, rows, cols int
 	return nil
 }
 
-// decodeQAB parses a QAB1 payload, rejecting truncation and trailing bytes.
-func decodeQAB(payload []byte) (codes []int8, scales []float32, rows, cols int, err error) {
+// codeBuf holds a boundary's int8 codes and per-row scales.
+type codeBuf struct {
+	codes  []int8
+	scales []float32
+}
+
+// size makes w hold rows×cols codes and rows scales, reusing its storage
+// when it is large enough.
+func (w *codeBuf) size(rows, cols int) {
+	if cap(w.codes) < rows*cols {
+		w.codes = make([]int8, rows*cols)
+	}
+	if cap(w.scales) < rows {
+		w.scales = make([]float32, rows)
+	}
+	w.codes, w.scales = w.codes[:rows*cols], w.scales[:rows]
+}
+
+// decodeQAB parses a QAB1 payload into w, rejecting truncation, trailing
+// bytes and a zero dimension. It allocates only when w is too small for
+// what the payload holds.
+func (w *codeBuf) decodeQAB(payload []byte) (rows, cols int, err error) {
 	r := wire.NewReader(payload)
 	r.Magic(qabMagic)
 	rows = r.Count(1<<20, 4)    // a row is at least its scale
 	cols = r.Count(1<<24, rows) // and cols code bytes
-	scales = r.F32s(rows)
-	raw := r.Bytes(rows * cols)
+	if r.Err() == nil && (rows == 0 || cols == 0) {
+		return 0, 0, fmt.Errorf("exec: qab decode: implausible dimensions %dx%d", rows, cols)
+	}
+	w.size(rows, cols)
+	for i := range w.scales {
+		w.scales[i] = r.F32()
+	}
+	for i, b := range r.Bytes(rows * cols) {
+		w.codes[i] = int8(b)
+	}
 	if err := r.Done(); err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: %w", err)
+		return 0, 0, fmt.Errorf("exec: qab decode: %w", err)
 	}
-	if rows == 0 || cols == 0 {
-		return nil, nil, 0, 0, fmt.Errorf("exec: qab decode: implausible dimensions %dx%d", rows, cols)
-	}
-	codes = make([]int8, len(raw))
-	for i, b := range raw {
-		codes[i] = int8(b)
-	}
-	return codes, scales, rows, cols, nil
+	return rows, cols, nil
 }

@@ -34,19 +34,20 @@ func TestQABRoundTrip(t *testing.T) {
 	if !isQAB(enc) {
 		t.Fatal("encoded payload does not carry the QAB magic")
 	}
-	gotCodes, gotScales, rows, cols, err := decodeQAB(enc)
+	var got codeBuf
+	rows, cols, err := got.decodeQAB(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows != 3 || cols != 2 {
-		t.Fatalf("decoded %dx%d, want 3x2", rows, cols)
+	if rows != 3 || cols != 2 || len(got.codes) != 6 || len(got.scales) != 3 {
+		t.Fatalf("decoded %dx%d into %d codes and %d scales, want 3x2", rows, cols, len(got.codes), len(got.scales))
 	}
-	for i, c := range gotCodes {
+	for i, c := range got.codes {
 		if c != codes[i] {
 			t.Fatalf("code %d: %d != %d", i, c, codes[i])
 		}
 	}
-	for i, s := range gotScales {
+	for i, s := range got.scales {
 		if math.Float32bits(s) != math.Float32bits(scales[i]) {
 			t.Fatalf("scale %d: bits %08x != %08x", i, math.Float32bits(s), math.Float32bits(scales[i]))
 		}
@@ -75,13 +76,13 @@ func TestQABDecodeRejects(t *testing.T) {
 		{"zero cols", header(2, 0, 8)},
 	}
 	for _, tc := range cases {
-		if _, _, _, _, err := decodeQAB(tc.payload); err == nil {
+		if _, _, err := new(codeBuf).decodeQAB(tc.payload); err == nil {
 			t.Errorf("%s: decoded without error", tc.name)
 		}
 	}
 	// A dimension over its cap rejects on the cap, whatever follows.
 	for name, payload := range map[string][]byte{"rows": header(1<<20+1, 1, 64), "cols": header(1, 1<<24+1, 64)} {
-		if _, _, _, _, err := decodeQAB(payload); err == nil || !strings.Contains(err.Error(), "over the limit") {
+		if _, _, err := new(codeBuf).decodeQAB(payload); err == nil || !strings.Contains(err.Error(), "over the limit") {
 			t.Errorf("absurd %s: %v", name, err)
 		}
 	}

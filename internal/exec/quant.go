@@ -21,12 +21,6 @@ type quantExec struct {
 	qm *quant.QModel
 }
 
-// codeBuf is the arena-resident workspace for boundary codes and scales.
-type codeBuf struct {
-	codes  []int8
-	scales []float32
-}
-
 // Quant lowers net onto the integer kernels of scheme and returns the
 // executor over them.
 func Quant(net *nn.Network, scheme quant.Scheme) (Executor, error) {
@@ -48,18 +42,6 @@ func (q *quantExec) scratch(ar *engine.Arena) *quant.QScratch {
 	return ar.Slot(q, func() any { return quant.NewQScratch() }).(*quant.QScratch)
 }
 
-func (q *quantExec) workspace(ar *engine.Arena, rows, cols int) *codeBuf {
-	w := ar.Slot(q.qm, func() any { return new(codeBuf) }).(*codeBuf)
-	if cap(w.codes) < rows*cols {
-		w.codes = make([]int8, rows*cols)
-	}
-	if cap(w.scales) < rows {
-		w.scales = make([]float32, rows)
-	}
-	w.codes, w.scales = w.codes[:rows*cols], w.scales[:rows]
-	return w
-}
-
 func (q *quantExec) Run(x *tensor.Tensor, lo, hi int, ar *engine.Arena) (*tensor.Tensor, error) {
 	x, err := q.enter(x, lo, hi)
 	if err != nil || lo == hi {
@@ -74,7 +56,8 @@ func (q *quantExec) Run(x *tensor.Tensor, lo, hi int, ar *engine.Arena) (*tensor
 func (q *quantExec) EncodeBoundary(act *tensor.Tensor, cut int, ar *engine.Arena) ([]byte, error) {
 	rows := act.Dim(0)
 	cols := act.Size() / rows
-	w := q.workspace(ar, rows, cols)
+	w := &q.boundary(ar).codeBuf
+	w.size(rows, cols)
 	quant.QuantizeActivationsRows(act, w.codes, w.scales)
 	buf := ar.Buffer(0)
 	if err := encodeQAB(buf, w.codes, w.scales, rows, cols); err != nil {
@@ -83,26 +66,29 @@ func (q *quantExec) EncodeBoundary(act *tensor.Tensor, cut int, ar *engine.Arena
 	return buf.Bytes(), nil
 }
 
-func (q *quantExec) DecodeBoundary(payload []byte, cut int) (Boundary, error) {
+// DecodeBoundary parses a one-example QAB1 payload into the arena and
+// checks it against the width of the dense stage cut resumes at.
+func (q *quantExec) DecodeBoundary(payload []byte, cut int, ar *engine.Arena) (*Boundary, error) {
 	width, err := q.qm.BoundaryWidth(cut)
 	if err != nil {
-		return Boundary{}, fmt.Errorf("exec: cut %d is not a quantized boundary: %w", cut, err)
+		return nil, fmt.Errorf("exec: cut %d is not a quantized boundary: %w", cut, err)
 	}
 	if !isQAB(payload) {
-		return Boundary{}, fmt.Errorf("exec: this model is integer and requires quantized boundary payloads")
+		return nil, fmt.Errorf("exec: this model is integer and requires quantized boundary payloads")
 	}
-	codes, scales, rows, cols, err := decodeQAB(payload)
+	b := q.boundary(ar)
+	rows, cols, err := b.decodeQAB(payload)
 	if err != nil {
-		return Boundary{}, err
+		return nil, err
 	}
 	if rows != 1 || cols != width {
-		return Boundary{}, fmt.Errorf("exec: quantized boundary is %dx%d, want 1x%d at cut %d", rows, cols, width, cut)
+		return nil, fmt.Errorf("exec: quantized boundary is %dx%d, want 1x%d at cut %d", rows, cols, width, cut)
 	}
-	return Boundary{codes: codes, scales: scales}, nil
+	return b, nil
 }
 
 // Resume runs the integer suffix on the boundary's own codes.
-func (q *quantExec) Resume(b Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
+func (q *quantExec) Resume(b *Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
 	out, err := q.qm.ForwardFromCodes(b.codes, b.scales, 1, cut, q.scratch(ar))
 	if err != nil {
 		return nil, fmt.Errorf("exec: quant suffix: %w", err)

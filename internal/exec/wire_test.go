@@ -22,12 +22,13 @@ func goldenQAB(t testing.TB) []byte {
 // reencodeQAB is QAB1's decode-then-encode for the shared strictness
 // helpers.
 func reencodeQAB(data []byte) ([]byte, error) {
-	codes, scales, rows, cols, err := decodeQAB(data)
+	var w codeBuf
+	rows, cols, err := w.decodeQAB(data)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	err = encodeQAB(&buf, codes, scales, rows, cols)
+	err = encodeQAB(&buf, w.codes, w.scales, rows, cols)
 	return buf.Bytes(), err
 }
 

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -32,17 +31,16 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 			size += 16 + 4*(t.Rank()+t.Size()) // an upper bound on the TMLT1 header
 		}
 	}
-	w := bytes.NewBuffer(make([]byte, 0, size))
 	le := binary.LittleEndian
-	b := append(w.AvailableBuffer(), netMagic...)
+	b := append(make([]byte, 0, size), netMagic...)
 	b = le.AppendUint32(b, uint32(len(n.InputShape)))
 	for _, d := range n.InputShape {
 		b = le.AppendUint32(b, uint32(d))
 	}
-	w.Write(le.AppendUint32(b, uint32(len(n.layers))))
+	b = le.AppendUint32(b, uint32(len(n.layers)))
 	for _, l := range n.layers {
 		s.load(l)
-		b = le.AppendUint32(w.AvailableBuffer(), uint32(len(s.Kind)))
+		b = le.AppendUint32(b, uint32(len(s.Kind)))
 		b = append(b, s.Kind...)
 		for _, v := range s.Ints {
 			b = le.AppendUint32(b, uint32(v))
@@ -50,12 +48,11 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 		for _, v := range s.Floats {
 			b = le.AppendUint32(b, math.Float32bits(v))
 		}
-		w.Write(b)
 		for _, t := range s.Tensors {
-			t.WriteTo(w) //nolint:errcheck // bytes.Buffer writes cannot fail
+			b = t.AppendBinary(b)
 		}
 	}
-	return w.Bytes(), nil
+	return b, nil
 }
 
 // UnmarshalNetwork parses a network serialized by MarshalBinary. Every
@@ -109,7 +106,7 @@ func decodeLayer(r *wire.Reader, s *LayerSpec) (Layer, error) {
 	}
 	for range row.tensors {
 		t := new(tensor.Tensor)
-		if _, err := t.ReadFrom(r); err != nil {
+		if err := t.Decode(r); err != nil {
 			return nil, err
 		}
 		s.Tensors = append(s.Tensors, t)

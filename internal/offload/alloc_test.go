@@ -62,8 +62,11 @@ func pinCloud(t *testing.T, model *nn.Network, slowdown float64) *CloudTier {
 }
 
 // splitAllocs is what one split query allocates in the steady state, its
-// suffix served by the cloud tier.
-const splitAllocs = 20
+// suffix served by the cloud tier: exactly what it hands back, the reply's
+// payload and the result's logits. The boundary and the reply decode into
+// storage the cloud's arena and the session keep; it was 20 while both
+// crossed TMLT1 through io.Reader into fresh tensors.
+const splitAllocs = 2
 
 // TestExecAllocationPins pins what one Session.Exec allocates in the steady
 // state: the whole model on the device (the result's logits), a split at
@@ -146,7 +149,7 @@ func TestConcurrentCloudAllocationPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ex.DecodeBoundary(payload, cut)
+		b, err := ex.DecodeBoundary(payload, cut, ar)
 		if err != nil {
 			t.Fatal(err)
 		}

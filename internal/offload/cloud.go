@@ -1,7 +1,6 @@
 package offload
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -144,8 +143,11 @@ func (c *CloudTier) Submit(tenant, versionID string, cut int, activation []byte)
 		return Response{}, fmt.Errorf("%w: %s", ErrUnknownModel, versionID)
 	}
 	// The registered executor owns the wire format: it decodes the payload
-	// and checks it and the cut against its geometry, outside the tier lock.
-	b, err := ex.DecodeBoundary(activation, cut)
+	// into the arena the suffix then runs in, and checks it and the cut
+	// against its geometry, outside the tier lock.
+	ar := c.arenas.Acquire()
+	defer c.arenas.Release(ar)
+	b, err := ex.DecodeBoundary(activation, cut, ar)
 	if err != nil {
 		return Response{}, fmt.Errorf("offload: %s@%d: %w", versionID, cut, err)
 	}
@@ -165,7 +167,7 @@ func (c *CloudTier) Submit(tenant, versionID string, cut int, activation []byte)
 	c.stats.MaxQueueDepth = max(c.stats.MaxQueueDepth, c.inFlight)
 	c.mu.Unlock()
 
-	resp, err := c.resume(ex, b, cut)
+	resp, err := c.resume(ex, b, cut, ar)
 
 	c.mu.Lock()
 	c.inFlight--
@@ -177,21 +179,13 @@ func (c *CloudTier) Submit(tenant, versionID string, cut int, activation []byte)
 	return resp, err
 }
 
-// resume runs the suffix for one decoded boundary and encodes its output.
-// An executor error (a module out of gas, say) fails the request: the
-// device then finishes its own query locally.
-func (c *CloudTier) resume(ex exec.Executor, b exec.Boundary, cut int) (Response, error) {
-	ar := c.arenas.Acquire()
-	defer c.arenas.Release(ar)
+// resume runs the suffix for one boundary decoded into ar and encodes its
+// output. An executor error (a module out of gas, say) fails the request:
+// the device then finishes its own query locally.
+func (c *CloudTier) resume(ex exec.Executor, b *exec.Boundary, cut int, ar *engine.Arena) (Response, error) {
 	out, err := ex.Resume(b, cut, ar)
 	if err != nil {
 		return Response{}, fmt.Errorf("offload: suffix: %w", err)
-	}
-	// The reply owns its bytes: out aliases the arena, which the next
-	// borrower reuses.
-	var buf bytes.Buffer
-	if _, err := out.WriteTo(&buf); err != nil {
-		return Response{}, fmt.Errorf("offload: encode result: %w", err)
 	}
 	var sufMACs int64
 	for _, lc := range ex.Costs()[cut:] {
@@ -199,5 +193,7 @@ func (c *CloudTier) resume(ex exec.Executor, b exec.Boundary, cut int) (Response
 	}
 	// Protected execution pays the enclave's slowdown on cloud compute.
 	lat := time.Duration(float64(c.caps.InferenceLatency(sufMACs, ex.Scheme().Bits())) * ex.Slowdown())
-	return Response{Payload: buf.Bytes(), Latency: lat}, nil
+	// The reply owns its bytes, encoded straight into one allocation of
+	// their size: out aliases the arena, which the next borrower reuses.
+	return Response{Payload: out.AppendBinary(nil), Latency: lat}, nil
 }

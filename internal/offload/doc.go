@@ -15,7 +15,10 @@
 // network failed it back to the edge. A CloudTier is the vendor-side half:
 // Submit is a call — it admits the request against a fixed in-flight cap,
 // runs the suffix in the submitting goroutine on an arena from the tier's
-// pool, and returns the encoded answer. Past the cap it sheds: a shed
+// pool — the boundary decodes into that arena too — and returns the
+// encoded answer, which the session decodes into a tensor it keeps. A split
+// query allocates only what it hands back: the reply's bytes and the
+// result's logits. Past the cap it sheds: a shed
 // query is submitted three times in all (shedAttempts), with no modeled
 // delay between tries, and finishes locally if the cloud stays saturated.
 // The tier's hardware is the wall-powered edge-server profile.

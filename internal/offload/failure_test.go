@@ -3,6 +3,7 @@ package offload
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"testing"
@@ -203,5 +204,30 @@ func TestOffloadFleetDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d device %d diverged:\n%+v\nvs\n%+v", workers, i, out[i], first[i])
 			}
 		}
+	}
+}
+
+// TestMisshapenReplyFailsTheQuery registers a 64-output suffix under the
+// version ID of an 8-output session. The cloud resumes the boundary and
+// replies with 64 logits, which the session used to return with a label
+// its model cannot produce and a nil error; a reply that is not one row of
+// the session's declared output must fail the query.
+func TestMisshapenReplyFailsTheQuery(t *testing.T) {
+	model := pinModel()
+	rng := tensor.NewRNG(9)
+	wide := nn.NewNetwork([]int{32}, nn.NewDense(32, 128, rng), nn.NewReLU(), nn.NewDense(128, 64, rng))
+	s := pinSession(t, 2, pinCloud(t, wide, 1), model, "misshapen")
+	x := pinInput()
+	for q := 0; q < 5; q++ {
+		res, err := s.Exec(x)
+		if err == nil {
+			t.Fatalf("query %d: %d logits and label %d accepted from an 8-output model's cloud", q, len(res.Logits), res.Label)
+		}
+		if !strings.Contains(err.Error(), "replied with shape [1 64]") {
+			t.Fatalf("query %d: %v", q, err)
+		}
+	}
+	if st := s.Stats(); st.Split != 0 || st.Queries != 0 {
+		t.Fatalf("failed queries counted: %+v", st)
 	}
 }

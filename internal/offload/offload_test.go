@@ -148,7 +148,7 @@ type blockingExec struct {
 	release chan struct{}
 }
 
-func (b blockingExec) Resume(bd exec.Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
+func (b blockingExec) Resume(bd *exec.Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
 	b.entered <- struct{}{}
 	<-b.release
 	return b.Executor.Resume(bd, cut, ar)

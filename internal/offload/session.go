@@ -1,9 +1,9 @@
 package offload
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,6 +15,7 @@ import (
 	"tinymlops/internal/procvm"
 	"tinymlops/internal/quant"
 	"tinymlops/internal/tensor"
+	"tinymlops/internal/wire"
 )
 
 // shedAttempts is how many times a session submits a query the cloud keeps
@@ -175,6 +176,8 @@ type Session struct {
 	// arena holds the executor scratch and boundary-encode buffer: queries
 	// serialize under s.mu, so one arena per session suffices.
 	arena *engine.Arena
+	// reply is what each cloud reply decodes into.
+	reply tensor.Tensor
 }
 
 // NewSession validates the configuration and plans the initial split from
@@ -309,22 +312,39 @@ func (s *Session) exec(x []float32) (Result, error) {
 		// suffix locally rather than losing the query.
 		return s.finishLocal(res, act, cut, prefixLat+upDur+resp.Latency, ModeFallback)
 	}
-	var out tensor.Tensor
-	r := bytes.NewReader(resp.Payload)
-	if _, err := out.ReadFrom(r); err != nil {
-		return Result{}, fmt.Errorf("offload: decode result: %w", err)
-	}
-	if r.Len() != 0 {
-		return Result{}, fmt.Errorf("offload: decode result: %d trailing bytes after the logits", r.Len())
+	out, err := s.decodeReply(resp.Payload)
+	if err != nil {
+		return Result{}, err
 	}
 	res.Mode = ModeSplit
 	res.Latency = prefixLat + upDur + resp.Latency + dnDur
 	res.ResponseBytes = int64(len(resp.Payload))
-	// The decoded response is fresh storage the caller may keep.
-	res.Logits, res.Label = out.Data, out.ArgMax()
+	// The reply decoded into the session's tensor; the caller keeps a copy.
+	res.Logits, res.Label = slices.Clone(out.Data), out.ArgMax()
 	s.stats.Queries++
 	s.stats.Split++
 	return res, nil
+}
+
+// decodeReply decodes the cloud's TMLT1 reply into the session's tensor.
+// It must be one row of the output the executor declares (of one vector
+// when it declares none): any other reply fails the query, whatever its
+// argmax.
+func (s *Session) decodeReply(payload []byte) (*tensor.Tensor, error) {
+	r := wire.NewReader(payload)
+	err := s.reply.Decode(r)
+	if err == nil {
+		err = r.Done()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("offload: decode result: %w", err)
+	}
+	shape := s.reply.Shape()
+	want := s.costs[len(s.costs)-1].Info.OutShape
+	if shape[0] != 1 || (want == nil && len(shape) != 2) || (want != nil && !slices.Equal(shape[1:], want)) {
+		return nil, fmt.Errorf("offload: cloud replied with shape %v, want [1 %v]", shape, want)
+	}
+	return &s.reply, nil
 }
 
 // finishLocal runs steps [cut, n) on the device from act — the whole pass

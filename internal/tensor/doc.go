@@ -44,6 +44,10 @@
 // Col2im and MaxPool share one walk over its taps, so a convolution or a
 // pooling is the same arithmetic under nn, quant and procvm.
 //
+// AppendBinary encodes a tensor as TMLT1, and Decode reads one on the
+// internal/wire cursor into the tensor's own storage when it is large
+// enough; WriteTo and ReadFrom are io adapters over the two.
+//
 // All stochastic helpers take an explicit *RNG so every higher layer is
 // reproducible from a seed.
 package tensor

@@ -2,10 +2,11 @@ package tensor
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"tinymlops/internal/wire"
 )
 
 // Tensor is a dense, row-major float32 tensor.
@@ -187,97 +188,89 @@ func (t *Tensor) String() string {
 
 const magic = "TMLT1\n"
 
-// WriteTo serializes the tensor in a stable little-endian binary format:
-// magic, rank, dims, raw float32 bits. It implements io.WriterTo.
-func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	m, err := io.WriteString(w, magic)
-	n += int64(m)
-	if err != nil {
-		return n, fmt.Errorf("tensor: write header: %w", err)
-	}
-	hdr := make([]byte, 4+4*len(t.shape))
-	binary.LittleEndian.PutUint32(hdr, uint32(len(t.shape)))
-	for i, d := range t.shape {
-		binary.LittleEndian.PutUint32(hdr[4+4*i:], uint32(d))
-	}
-	m, err = w.Write(hdr)
-	n += int64(m)
-	if err != nil {
-		return n, fmt.Errorf("tensor: write shape: %w", err)
-	}
-	buf := make([]byte, 4*len(t.Data))
-	for i, v := range t.Data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	m, err = w.Write(buf)
-	n += int64(m)
-	if err != nil {
-		return n, fmt.Errorf("tensor: write data: %w", err)
-	}
-	return n, nil
-}
-
-// maxElements caps the element count ReadFrom accepts.
+// maxElements caps the element count Decode accepts.
 const maxElements = 1 << 28
 
-// ReadFrom deserializes a tensor written by WriteTo, replacing t's contents.
-// Every dimension must be positive and their product at most maxElements.
-func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
-	var n int64
-	got := make([]byte, len(magic))
-	m, err := io.ReadFull(r, got)
-	n += int64(m)
+// AppendBinary appends the tensor's stable TMLT1 encoding to b and returns
+// the extended slice: magic, rank, dims, then the raw float32 bits, all
+// little-endian.
+func (t *Tensor) AppendBinary(b []byte) []byte {
+	if n := len(magic) + 4*(1+len(t.shape)+len(t.Data)); cap(b)-len(b) < n {
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
+	b = append(b, magic...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.shape)))
+	for _, d := range t.shape {
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
+	}
+	for _, v := range t.Data {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+	}
+	return b
+}
+
+// WriteTo writes the tensor's TMLT1 encoding (see AppendBinary). It
+// implements io.WriterTo.
+func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(t.AppendBinary(nil))
 	if err != nil {
-		return n, fmt.Errorf("tensor: read header: %w", err)
+		return int64(n), fmt.Errorf("tensor: write: %w", err)
 	}
-	if string(got) != magic {
-		return n, errors.New("tensor: bad magic in stream")
+	return int64(n), nil
+}
+
+// Decode reads one TMLT1 tensor at r's cursor into t, reusing t's shape
+// and data storage when they are large enough. The rank must be 1 to 8,
+// every dimension positive and their product at most maxElements, and the
+// payload must be in the input: nothing is allocated for a count the input
+// cannot back. A tensor that does not decode leaves t as it was.
+func (t *Tensor) Decode(r *wire.Reader) error {
+	r.Magic(magic)
+	var dims [8]int
+	k := r.Count(len(dims), 4)
+	if r.Err() == nil && k == 0 {
+		return fmt.Errorf("tensor: implausible rank 0")
 	}
-	var rank [4]byte
-	m, err = io.ReadFull(r, rank[:])
-	n += int64(m)
-	if err != nil {
-		return n, fmt.Errorf("tensor: read rank: %w", err)
-	}
-	k := int(binary.LittleEndian.Uint32(rank[:]))
-	if k <= 0 || k > 8 {
-		return n, fmt.Errorf("tensor: implausible rank %d", k)
-	}
-	dims := make([]byte, 4*k)
-	m, err = io.ReadFull(r, dims)
-	n += int64(m)
-	if err != nil {
-		return n, fmt.Errorf("tensor: read dims: %w", err)
-	}
-	shape := make([]int, k)
 	total := 1
-	for i := range shape {
-		d := binary.LittleEndian.Uint32(dims[4*i:])
+	for i := range dims[:k] {
+		d := r.U32()
 		// Checked per dimension, before multiplying: a product of large
 		// dimensions would wrap around to a small count.
 		if d == 0 || uint64(d) > maxElements/uint64(total) {
-			return n, fmt.Errorf("tensor: implausible dimensions (dim %d is %d, %d elements before it)", i, d, total)
+			return fmt.Errorf("tensor: implausible dimensions (dim %d is %d, %d elements before it)", i, d, total)
 		}
-		shape[i] = int(d)
-		total *= shape[i]
+		dims[i] = int(d)
+		total *= dims[i]
 	}
-	// A reader that knows how much it still holds (bytes.Reader,
-	// bytes.Buffer) lets a count the stream cannot back be refused before
-	// up to a gigabyte is allocated for it.
-	if l, ok := r.(interface{ Len() int }); ok && 4*total > l.Len() {
-		return n, fmt.Errorf("tensor: %d elements declared, %d bytes left: %w", total, l.Len(), io.ErrUnexpectedEOF)
+	raw := r.Bytes(4 * total)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("tensor: %w", err)
 	}
-	buf := make([]byte, 4*total)
-	m, err = io.ReadFull(r, buf)
-	n += int64(m)
-	if err != nil {
-		return n, fmt.Errorf("tensor: read data: %w", err)
+	t.shape = append(t.shape[:0], dims[:k]...)
+	if cap(t.Data) < total {
+		t.Data = make([]float32, total)
 	}
-	t.shape = shape
-	t.Data = make([]float32, total)
+	t.Data = t.Data[:total]
 	for i := range t.Data {
-		t.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		t.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return nil
+}
+
+// ReadFrom reads r to EOF and decodes what it read as exactly one TMLT1
+// tensor, replacing t's contents (see Decode). It implements io.ReaderFrom.
+func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
+	data, err := io.ReadAll(r)
+	n := int64(len(data))
+	if err != nil {
+		return n, fmt.Errorf("tensor: read: %w", err)
+	}
+	c := wire.NewReader(data)
+	if err := t.Decode(c); err != nil {
+		return n, err
+	}
+	if err := c.Done(); err != nil {
+		return n, fmt.Errorf("tensor: %w", err)
 	}
 	return n, nil
 }

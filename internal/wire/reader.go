@@ -55,20 +55,6 @@ func (r *Reader) Bytes(n int) []byte {
 	return b
 }
 
-// Read implements io.Reader over the unread bytes, so that an embedded
-// value with its own ReadFrom (a TMLT1 tensor) reads through the cursor.
-func (r *Reader) Read(p []byte) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	if r.Len() == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.buf[r.off:])
-	r.off += n
-	return n, nil
-}
-
 // Magic consumes the format's magic string.
 func (r *Reader) Magic(magic string) {
 	if b := r.Bytes(len(magic)); r.err == nil && string(b) != magic {

@@ -111,31 +111,23 @@ func TestFirstErrorSticks(t *testing.T) {
 		t.Error("a read after the failure returned data")
 	}
 	r.Magic("\x05")
-	if n, err := r.Read(make([]byte, 1)); n != 0 || err != first {
-		t.Errorf("Read after the failure = %d, %v", n, err)
-	}
 	if r.Done() != first || r.Len() != 2 {
 		t.Errorf("Done = %v with %d bytes left, want the first error and 2", r.Done(), r.Len())
 	}
 }
 
-// TestReadIsAnIOReader pins the io.Reader half: io.ReadFull sees exactly
-// the unread bytes, then EOF, and Bytes never lets an append reach the
-// input that follows it.
-func TestReadIsAnIOReader(t *testing.T) {
+// TestBytesStayInTheirRange: an append to what Bytes returned never
+// reaches the input that follows it, and the zero Reader is an empty input.
+func TestBytesStayInTheirRange(t *testing.T) {
 	data := []byte{1, 2, 3, 4, 5}
 	r := NewReader(data)
 	head := r.Bytes(2)
 	_ = append(head, 0xee)
-	var buf [2]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil || buf != [2]byte{3, 4} {
-		t.Fatalf("ReadFull = %v, %v", buf, err)
+	if b := r.Bytes(2); !bytes.Equal(b, []byte{3, 4}) {
+		t.Fatalf("Bytes after an append to the previous slice = %v", b)
 	}
-	if _, err := io.ReadFull(r, buf[:]); err != io.ErrUnexpectedEOF {
-		t.Fatalf("short ReadFull = %v", err)
-	}
-	if _, err := r.Read(buf[:]); err != io.EOF {
-		t.Fatalf("Read at the end = %v", err)
+	if r.U8() != 5 || r.Len() != 0 {
+		t.Fatalf("%d bytes left after the last one", r.Len())
 	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
