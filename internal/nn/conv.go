@@ -83,13 +83,14 @@ func (c *Conv2D) backward(grad, dx *tensor.Tensor) *tensor.Tensor {
 		c.wt = transpose(c.wt, c.W.Value.Data, c.OutC, taps)
 		c.dcols = grow(c.dcols, taps*pos)
 	}
+	gw, gb := c.W.grad().Data, c.B.grad().Data
 	for n := 0; n < grad.Dim(0); n++ {
 		g := grad.Data[n*c.OutC*pos : (n+1)*c.OutC*pos]
 		// dW += g · colsᵀ
 		c.ct = transpose(c.ct, c.lastCols[n*taps*pos:(n+1)*taps*pos], taps, pos)
 		tensor.MatMulRowsInto(c.dW, g, c.ct, c.OutC, pos, taps)
 		for i, v := range c.dW {
-			c.W.Grad.Data[i] += v
+			gw[i] += v
 		}
 		// db += row sums of g
 		for oc := 0; oc < c.OutC; oc++ {
@@ -97,7 +98,7 @@ func (c *Conv2D) backward(grad, dx *tensor.Tensor) *tensor.Tensor {
 			for _, v := range g[oc*pos : (oc+1)*pos] {
 				s += v
 			}
-			c.B.Grad.Data[oc] += s
+			gb[oc] += s
 		}
 		if dx == nil {
 			continue

@@ -65,8 +65,8 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	d.t = transpose(d.t, d.lastInput.Data, b, d.In)
 	tensor.MatMulRowsInto(dW.Data, d.t, grad.Data, d.In, b, d.Out)
 	grad.SumRowsInto(dB)
-	d.W.Grad.AddInPlace(dW)
-	d.B.Grad.AddInPlace(dB)
+	d.W.grad().AddInPlace(dW)
+	d.B.grad().AddInPlace(dB)
 }
 
 // Params implements Layer.

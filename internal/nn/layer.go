@@ -14,12 +14,22 @@ type Param struct {
 	// Value is the current parameter tensor.
 	Value *tensor.Tensor
 	// Grad accumulates the gradient of the loss w.r.t. Value. It has the
-	// same shape as Value and is reset by Network.ZeroGrad.
+	// same shape as Value and is reset by Network.ZeroGrad. It is nil until
+	// the parameter first trains: ZeroGrad, a backward pass and an optimizer
+	// step allocate it, so a network that only serves holds no gradients.
 	Grad *tensor.Tensor
 }
 
 func newParam(name string, v *tensor.Tensor) *Param {
-	return &Param{Name: name, Value: v, Grad: tensor.New(v.Shape()...)}
+	return &Param{Name: name, Value: v}
+}
+
+// grad returns p.Grad, allocating it zeroed on first use.
+func (p *Param) grad() *tensor.Tensor {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.Value.Shape()...)
+	}
+	return p.Grad
 }
 
 // LayerInfo describes the static properties of a layer for a given input

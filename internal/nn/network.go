@@ -163,7 +163,7 @@ func (n *Network) Params() []*Param { return n.params }
 // ZeroGrad resets all accumulated gradients.
 func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {
-		p.Grad.Zero()
+		p.grad().Zero()
 	}
 }
 

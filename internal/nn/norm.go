@@ -94,6 +94,7 @@ func (bn *BatchNorm1D) InferInto(dst, x *tensor.Tensor) {
 func (bn *BatchNorm1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	b := bn.lastBatch
 	dx := bn.dx.get(b, bn.F)
+	gBeta, gGamma := bn.Beta.grad().Data, bn.Gamma.grad().Data
 	for j := 0; j < bn.F; j++ {
 		var sumG, sumGX float32
 		for i := 0; i < b; i++ {
@@ -101,8 +102,8 @@ func (bn *BatchNorm1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			sumG += g
 			sumGX += g * bn.lastXHat.Data[i*bn.F+j]
 		}
-		bn.Beta.Grad.Data[j] += sumG
-		bn.Gamma.Grad.Data[j] += sumGX
+		gBeta[j] += sumG
+		gGamma[j] += sumGX
 		gamma := bn.Gamma.Value.Data[j]
 		invStd := 1 / bn.lastStd[j]
 		nb := float32(b)

@@ -40,7 +40,7 @@ func (s *SGD) Step(params []*Param) {
 			p.Value.Scale(1 - float32(s.LR*s.WeightDecay))
 		}
 		if s.Momentum == 0 {
-			p.Value.Axpy(-s.LR, p.Grad)
+			p.Value.Axpy(-s.LR, p.grad())
 			continue
 		}
 		v, ok := s.velocity[p]
@@ -48,8 +48,9 @@ func (s *SGD) Step(params []*Param) {
 			v = tensor.New(p.Value.Shape()...)
 			s.velocity[p] = v
 		}
+		g := p.grad().Data
 		for i := range v.Data {
-			v.Data[i] = float32(s.Momentum*v.Data[i]) + p.Grad.Data[i]
+			v.Data[i] = float32(s.Momentum*v.Data[i]) + g[i]
 			p.Value.Data[i] -= float32(s.LR * v.Data[i])
 		}
 	}
@@ -87,8 +88,9 @@ func (a *Adam) Step(params []*Param) {
 			v = tensor.New(p.Value.Shape()...)
 			a.v[p] = v
 		}
+		grad := p.grad().Data
 		for i := range p.Value.Data {
-			g := p.Grad.Data[i]
+			g := grad[i]
 			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
 			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
 			mh := m.Data[i] / bc1

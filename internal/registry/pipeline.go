@@ -45,8 +45,11 @@ func (r *Registry) RegisterWithVariants(name string, net *nn.Network, baseAccura
 			if scheme == quant.Float32 && frac == 0 {
 				continue // identical to the base artifact
 			}
-			candidate := net.Clone()
+			// Clone only to prune: FakeQuantizeNetwork returns a copy of
+			// its own, which is the candidate.
+			candidate := net
 			if frac > 0 {
+				candidate = net.Clone()
 				if _, err := quant.MagnitudePrune(candidate, frac); err != nil {
 					return nil, fmt.Errorf("registry: prune %v: %w", frac, err)
 				}

@@ -5,7 +5,8 @@
 // Tensors are row-major and contiguous. The package is deliberately small:
 // it provides exactly the operations the neural-network engine
 // (internal/nn), the quantizer (internal/quant) and the verifiable-execution
-// layer (internal/verify) need, implemented with the standard library only.
+// layer (internal/verify) need, implemented with the standard library only
+// and one assembly file, matmul_amd64.s.
 //
 // The float matmul kernel is column-blocked for cache residency and fans
 // rows out over a bounded goroutine pool above a work threshold; blocking
@@ -19,6 +20,13 @@
 // scalar ikj loop does. The float32(a*b) conversions also keep arm64 from
 // fusing the multiply into the add, which would skip a rounding; CI fails
 // on a fused instruction in any function of this package in an arm64 build.
+// On amd64 the fold is SSE2 assembly, four output columns per instruction,
+// one element per lane: the same order and roundings, so the same bits (SSE
+// has no fused multiply-add). SSE2 is amd64's baseline, so nothing detects
+// the CPU. The Go fold (matmul_generic.go) is built wherever the assembly
+// is not: off amd64, and in a race build, since the race detector cannot
+// see the assembly's memory accesses. MatMulRowsInto checks its operands'
+// lengths once, at entry, which keeps every row the fold reads inside b.
 // MatMulRowsInto is the kernel's entry over bare slices, MatMulInto the
 // shape-checking form over tensors. It is the one float product: training
 // runs its backward products through it too, over an operand internal/nn

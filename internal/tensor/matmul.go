@@ -3,39 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"math/bits"
 )
-
-// poolDepth counts goroutines currently executing inside a bounded worker
-// pool (see EnterPool). While it is non-zero the machine is already
-// saturated with coarse-grained parallelism, so the matmul kernels run
-// serially instead of oversubscribing the scheduler with nested fan-outs.
-// Results are bit-identical either way: parallelism only partitions rows,
-// never reorders accumulation.
-var poolDepth atomic.Int32
-
-// EnterPool marks the calling goroutine as a worker of a bounded pool
-// until the returned func is called. The fleet engine wraps each worker
-// with it so per-device work does not nest another GOMAXPROCS-wide matmul
-// fan-out per layer.
-//
-// The counter is deliberately process-global (Go offers no cheap
-// goroutine-local state): while any pool is active, unrelated goroutines'
-// matmuls also degrade to serial. That collateral costs at most the
-// parallel speedup for the pool's duration — never correctness, since the
-// serial and parallel kernels are bit-identical — whereas oversubscription
-// costs every party scheduler thrash.
-func EnterPool() (exit func()) {
-	poolDepth.Add(1)
-	return func() { poolDepth.Add(-1) }
-}
-
-// parallelThreshold is the number of multiply-accumulate operations above
-// which the matmul kernels fan out across goroutines. Below it, the
-// goroutine overhead outweighs the parallel speedup on typical hardware.
-const parallelThreshold = 1 << 17
 
 // MatMulInto computes dst = a × b for 2D tensors ([m,k] × [k,n] → [m,n]),
 // reusing dst's storage: the shape-checking form of MatMulRowsInto. dst
@@ -56,7 +25,13 @@ func MatMulInto(dst, a, b *Tensor) {
 // The kernel iterates the B matrix row-wise (ikj ordering), which keeps
 // both A and B accesses sequential, and splits the rows of A across a
 // bounded pool of goroutines when the problem is large enough to benefit.
+// A negative dimension or an operand too short for its shape panics here,
+// before any work, so every offset the kernel lists lies within b.
 func MatMulRowsInto(dst, a, b []float32, m, k, n int) {
+	if m < 0 || k < 0 || n < 0 || !fits(len(dst), m, n) || !fits(len(a), m, k) || !fits(len(b), k, n) {
+		panic(fmt.Sprintf("tensor: MatMulRowsInto [%d,%d]×[%d,%d] from %d and %d elements into %d",
+			m, k, k, n, len(a), len(b), len(dst)))
+	}
 	clear(dst[:m*n])
 	// The poolDepth check is duplicated from parallelRows so the serial
 	// path never constructs the closure below: a closure that escapes on
@@ -69,6 +44,13 @@ func MatMulRowsInto(dst, a, b []float32, m, k, n int) {
 	parallelRows(m, func(lo, hi int) {
 		matmulRows(dst, a, b, lo, hi, k, n)
 	})
+}
+
+// fits reports whether an r×c operand fits in l elements, for r, c ≥ 0;
+// the product is taken in 128 bits, so a huge shape cannot wrap to fit.
+func fits(l, r, c int) bool {
+	hi, lo := bits.Mul64(uint64(r), uint64(c))
+	return hi == 0 && lo <= uint64(l)
 }
 
 // colBlock is the column-tile width of the ikj kernel. Wide outputs are
@@ -105,73 +87,6 @@ func matmulRows(dst, a, b []float32, lo, hi, k, n int) {
 		}
 	}
 }
-
-// foldFloat32 adds each listed activation times its B row into drow, four
-// list entries per pass: an element is loaded and stored once per four
-// MACs instead of once per MAC, and the last one to three entries take a
-// single-row pass. Every element still adds its products in list order,
-// rounding to float32 after each add, so the result is bit-identical to
-// the scalar ikj loop. The float32 conversions round each product too,
-// which keeps an architecture that fuses a multiply into an add (arm64's
-// FMADDS) from skipping that rounding.
-func foldFloat32(drow, xs []float32, offs []int, b []float32) {
-	w := len(drow)
-	offs = offs[:len(xs)]
-	q := 0
-	for ; q+3 < len(xs); q += 4 {
-		a0, a1, a2, a3 := xs[q], xs[q+1], xs[q+2], xs[q+3]
-		b0 := b[offs[q]:][:w]
-		b1 := b[offs[q+1]:][:w]
-		b2 := b[offs[q+2]:][:w]
-		b3 := b[offs[q+3]:][:w]
-		for j, bv := range b0 {
-			d := drow[j]
-			d += float32(a0 * bv)
-			d += float32(a1 * b1[j])
-			d += float32(a2 * b2[j])
-			d += float32(a3 * b3[j])
-			drow[j] = d
-		}
-	}
-	for ; q < len(xs); q++ {
-		av := xs[q]
-		for j, bv := range b[offs[q]:][:w] {
-			drow[j] += float32(av * bv)
-		}
-	}
-}
-
-// parallelRows splits [0,m) into contiguous chunks and runs body on each
-// chunk in its own goroutine, bounded by GOMAXPROCS workers. Inside a
-// worker pool (EnterPool) it degrades to the serial kernel.
-func parallelRows(m int, body func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 || poolDepth.Load() > 0 {
-		body(0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// Parallel exposes the bounded row-parallel helper for other packages that
-// need to fan work out over a dimension (e.g. fleet simulation).
-func Parallel(n int, body func(lo, hi int)) { parallelRows(n, body) }
 
 // SumRowsInto writes the sum of each column of the 2D tensor t into dst
 // (Cols elements), rows added in order.

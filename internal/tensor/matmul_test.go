@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -96,6 +98,7 @@ func TestMatMulIntoMatchesScalarOrder(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {16, 1, 4}, {16, 8, 5}, {16, 13, 6}, {16, 17, 7},
 		{16, nzCap + 5, 9}, {16, 2*nzCap + 3, 3}, {4, 9, colBlock + 3},
+		{16, 13, 8}, {16, nzCap + 5, 12},
 		{64, 96, 81}, {0, 4, 4}, {4, 0, 5}, {4, 4, 0},
 	}
 	for _, s := range shapes {
@@ -105,6 +108,51 @@ func TestMatMulIntoMatchesScalarOrder(t *testing.T) {
 		exit := EnterPool()
 		checkMatMulInto(t, a, b, m, k, n)
 		exit()
+	}
+}
+
+// TestMatMulRowsIntoChecksOperands pins MatMulRowsInto's entry check: an
+// operand one element short of its shape, a negative dimension or a shape
+// whose element count wraps panics with the shapes before the kernel runs,
+// and operands of exactly their size or longer do not.
+func TestMatMulRowsIntoChecksOperands(t *testing.T) {
+	const m, k, n = 2, 3, 4
+	full := func(l int) []float32 {
+		s := make([]float32, l)
+		for i := range s {
+			s[i] = 1
+		}
+		return s
+	}
+	cases := []struct {
+		name       string
+		dst, a, b  []float32
+		m, k, n    int
+		wantsPanic bool
+	}{
+		{"exact", full(m * n), full(m * k), full(k * n), m, k, n, false},
+		{"longer", full(m*n + 1), full(m*k + 1), full(k*n + 1), m, k, n, false},
+		{"short dst", full(m*n - 1), full(m * k), full(k * n), m, k, n, true},
+		{"short a", full(m * n), full(m*k - 1), full(k * n), m, k, n, true},
+		{"short b", full(m * n), full(m * k), full(k*n - 1), m, k, n, true},
+		{"negative m", nil, nil, nil, -1, k, n, true},
+		{"negative k", nil, nil, nil, m, -1, n, true},
+		{"negative n", nil, nil, nil, m, k, -1, true},
+		{"wrapping k×n", nil, nil, nil, 0, 1 << 62, 4, true},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				r := recover()
+				if (r != nil) != c.wantsPanic {
+					t.Fatalf("%s: panic %v, want one: %v", c.name, r, c.wantsPanic)
+				}
+				if r != nil && !strings.Contains(fmt.Sprint(r), "MatMulRowsInto [") {
+					t.Fatalf("%s: panic %q is not the entry check's", c.name, r)
+				}
+			}()
+			MatMulRowsInto(c.dst, c.a, c.b, c.m, c.k, c.n)
+		}()
 	}
 }
 
