@@ -98,8 +98,8 @@ type ScenarioResult struct {
 	// covers every deployment executing on the integer kernels at any
 	// width.
 	IntServing, FloatServing int
-	// Int4Serving counts terminal deployments executing on the packed int4
-	// kernels: the whole int4 cohort, since a variant runs its own kernels
+	// Int4Serving counts terminal deployments executing on the int4
+	// variant's integer kernels: the whole int4 cohort, since a variant runs its own kernels
 	// on every device. Hardware without 4-bit MACs pays the emulation
 	// penalty in the modelled charge, not in a different function.
 	Int4Serving int
@@ -223,7 +223,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	// The fleet splits into five selection-policy cohorts by rotation:
 	// int8-pinned (served through the blocked int8 kernels), int4-pinned
-	// (served through the packed int4 kernels on every device; those
+	// (served through the integer kernels on every device; those
 	// without 4-bit modes pay the emulation penalty), float32-pinned,
 	// watermarked (float artifact stamped with a per-customer mark on
 	// device) and procvm-pinned (the compiled bytecode variant, executing on
@@ -436,7 +436,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if len(int8IDs) > 0 && res.IntServing == 0 {
 		return nil, fmt.Errorf("faults: integer cohorts of %d devices ended with no QModel deployments", len(int8IDs)+len(int4IDs))
 	}
-	// Every int4-cohort device ends on the packed int4 kernels, whatever
+	// Every int4-cohort device ends on the integer kernels, whatever
 	// its bit widths.
 	if res.Int4Serving != len(int4IDs) {
 		return nil, fmt.Errorf("faults: %d of the int4 cohort's %d devices ended on the int4 kernels", res.Int4Serving, len(int4IDs))

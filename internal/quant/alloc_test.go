@@ -1,7 +1,6 @@
 package quant
 
 import (
-	"fmt"
 	"testing"
 
 	"tinymlops/internal/nn"
@@ -50,49 +49,41 @@ func TestQModelForwardBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestQTensorPackRoundTrip checks the packed storage form end to end:
-// packing then unpacking restores the exact codes, Dequantize reads both
-// forms identically, and SizeBytes is storage-form independent.
+// TestQTensorPackRoundTrip checks the kernel form end to end: NewQModel
+// widens every dense layer's codes, int8 and int4 alike, to the
+// interleaved int16 form — an odd row count (9) pads a row pair — and
+// reading it back gives the exact codes QuantizeMatrix made, while
+// SizeBytes still counts the scheme's nominal width.
 func TestQTensorPackRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(5)
-	w := tensor.Randn(rng, 1, 9, 7) // odd cols exercise the pad nibble
-	q, err := QuantizeMatrix(w, Int4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codes := append([]int8(nil), q.Data...)
-	deq := q.Dequantize()
-	size := q.SizeBytes()
-	if err := q.PackInt4(); err != nil {
-		t.Fatal(err)
-	}
-	if !q.IsPacked() || q.Data != nil {
-		t.Fatal("PackInt4 left the tensor unpacked")
-	}
-	if got := q.SizeBytes(); got != size {
-		t.Fatalf("SizeBytes changed across packing: %d vs %d", got, size)
-	}
-	deqPacked := q.Dequantize()
-	for i := range deq.Data {
-		if deq.Data[i] != deqPacked.Data[i] {
-			t.Fatalf("Dequantize differs at %d: %v vs %v", i, deq.Data[i], deqPacked.Data[i])
+	net := nn.NewNetwork([]int{9}, nn.NewDense(9, 7, rng), nn.NewReLU(), nn.NewDense(7, 5, rng))
+	for _, scheme := range []Scheme{Int8, Int4, Ternary, Binary} {
+		qm, err := NewQModel(net, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []int{0, 2} {
+			d := qm.stages[l].(*qDense)
+			q, err := QuantizeMatrix(net.Layers()[l].(*nn.Dense).W.Value, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.w.Data != nil || len(d.w.Wide) != (q.Rows+1)/2*2*q.Cols {
+				t.Fatalf("%v layer %d: Data %d codes, Wide %d values", scheme, l, len(d.w.Data), len(d.w.Wide))
+			}
+			if got, want := d.w.SizeBytes(), q.SizeBytes(); got != want {
+				t.Fatalf("%v layer %d: SizeBytes %d in kernel form, %d as codes", scheme, l, got, want)
+			}
+			for i := range q.Data {
+				if got := weightCode(d.w, i/q.Cols, i%q.Cols); got != q.Data[i] {
+					t.Fatalf("%v layer %d: code %d widened %d -> %d", scheme, l, i, q.Data[i], got)
+				}
+			}
+			for j := 0; j < q.Cols && q.Rows&1 == 1; j++ {
+				if pad := d.w.Wide[(q.Rows-1)*q.Cols+2*j+1]; pad != 0 {
+					t.Fatalf("%v layer %d: column %d pads the odd row with %d", scheme, l, j, pad)
+				}
+			}
 		}
 	}
-	if err := q.PackInt4(); err != nil {
-		t.Fatalf("PackInt4 on packed tensor: %v", err)
-	}
-	for i := range codes {
-		if got := q.code(i/q.Cols, i%q.Cols); got != codes[i] {
-			t.Fatalf("code %d round-tripped %d -> %d", i, codes[i], got)
-		}
-	}
-	// Non-int4 schemes must refuse to pack.
-	q8, err := QuantizeMatrix(w, Int8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q8.PackInt4(); err == nil {
-		t.Fatal("PackInt4 accepted an int8 tensor")
-	}
-	_ = fmt.Sprintf("%v", q8.Scheme) // keep fmt imported alongside future cases
 }

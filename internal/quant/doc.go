@@ -18,18 +18,23 @@
 // stage derives geometry per call. What is per goroutine lives in the
 // QScratch: one output buffer per stage, sized by the batch, and the
 // int8 and scale workspaces. Weights are laid out once, at NewQModel, in
-// the form their kernel reads: int8 dense weights widened to column pairs
-// (one int64 per two output columns) for MatMulInt8Pairs, int8 convolution
-// weights as codes for MatMulInt8, and int4 weights packed two codes per
-// byte (QTensor.PackInt4) for the packed MatMulInt4/MatMulInt4LHS kernels,
-// which never unpack them, so a 4-bit deployment's flash, RAM and kernel
-// all see the 4-bit form. The int8 pairs trade RAM for speed: they hold
-// 32 bits per code (4× the codes), while SizeBytes reports the nominal
-// artifact width. The serving layer (internal/core) instantiates a
-// QModel for every integer variant on every device, so the variant matrix
-// governs the executing kernels, not just artifact sizes, and one variant
-// computes one function: hardware without the bit width runs the same
-// kernels and pays only the modelled emulation penalty.
+// the form their kernel reads. Dense weights have one kernel form for
+// every scheme: codes widened to int16 and interleaved along k for
+// tensor.MatMulInterleaved, whose SSE2 PMADDWD fold multiplies an
+// activation pair by four columns' weight pairs per instruction, so int4
+// serves as fast as int8. The form costs 2 bytes of RAM per weight
+// whatever the nominal width: kws-mlp's dense layers hold 100,864 bytes,
+// against 50,432 as int8 codes and 25,216 as packed int4. So a 4-bit
+// deployment's flash and link see the 4-bit form — SizeBytes and every
+// modelled flash and link figure keep the nominal width — but its dense
+// RAM does not. Convolution weights keep their own kernels' forms: int8
+// codes for MatMulInt8, and int4 packed two codes per byte for
+// MatMulInt4LHS, which never unpacks them. The serving layer
+// (internal/core) instantiates a QModel for every integer variant on
+// every device, so the variant matrix governs the executing kernels, not
+// just artifact sizes, and one variant computes one function: hardware
+// without the bit width runs the same kernels and pays only the modelled
+// emulation penalty.
 //
 // The paper's pipeline observation is that every published model fans
 // out into a matrix of precision × sparsity variants, and which one a

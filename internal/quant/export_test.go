@@ -1,5 +1,7 @@
 package quant
 
+import "tinymlops/internal/tensor"
+
 // ConvCodes returns the codes, [outC, taps] row-major, and the per-output-
 // channel scales that stage i of m multiplies, for the external tests; the
 // stage must be a convolution.
@@ -8,12 +10,14 @@ func (m *QModel) ConvCodes(i int) ([]int8, []float32) {
 	if c.wp == nil {
 		return c.w, c.wScales
 	}
-	packed := QTensor{Rows: c.outC, Cols: c.taps, Packed: c.wp}
+	rb := tensor.Int4PackedLen(c.taps)
 	codes := make([]int8, 0, c.outC*c.taps)
 	for o := 0; o < c.outC; o++ {
-		for k := 0; k < c.taps; k++ {
-			codes = append(codes, packed.code(o, k))
+		row, err := tensor.UnpackInt4(c.wp[o*rb:(o+1)*rb], c.taps)
+		if err != nil {
+			panic(err)
 		}
+		codes = append(codes, row...)
 	}
 	return codes, c.wScales
 }

@@ -122,11 +122,7 @@ func (d *qDense) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
 // with the codes that crossed the wire.
 func (d *qDense) product(codes []int8, scales []float32, rows int, s *QScratch, idx int) *tensor.Tensor {
 	out := s.buffer(idx, rows, d.out, nil)
-	if d.w.IsPacked() {
-		tensor.MatMulInt4(out.Data, codes, d.w.Packed, rows, d.w.Rows, d.w.Cols, scales, d.w.Scales)
-	} else {
-		tensor.MatMulInt8Pairs(out.Data, codes, d.w.Pairs, rows, d.w.Rows, d.w.Cols, scales, d.w.Scales)
-	}
+	tensor.MatMulInterleaved(out.Data, codes, d.w.Wide, rows, d.w.Rows, d.w.Cols, scales, d.w.Scales)
 	for i := 0; i < rows; i++ {
 		row := out.Data[i*d.w.Cols : (i+1)*d.w.Cols]
 		for j := range row {
@@ -253,8 +249,8 @@ func transpose[T any](m []T, rows, cols int) []T {
 // NewQModel lowers net into an integer-kernel executable under the scheme:
 // dense and convolutional layers quantize their weights (per output
 // channel) and run on the integer kernels (dense layers on
-// tensor.MatMulInt8Pairs or, for int4, tensor.MatMulInt4; convolutions on
-// tensor.MatMulInt8 or tensor.MatMulInt4LHS); activations, pooling, batch
+// tensor.MatMulInterleaved; convolutions on tensor.MatMulInt8 or
+// tensor.MatMulInt4LHS); activations, pooling, batch
 // norm (frozen statistics), flatten and dropout execute in float32
 // through their stateless fast paths. That set is every kind nn.Assemble
 // admits, so every network lowers; a kind outside it is an error, never a
@@ -278,16 +274,9 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 		switch v := l.(type) {
 		case *nn.Dense:
 			// Weights serve from the one form their kernel reads, made here
-			// once: int4 packed two per byte for tensor.MatMulInt4, the
-			// other schemes widened to column pairs for
-			// tensor.MatMulInt8Pairs.
-			if scheme == Int4 {
-				if err := qw.PackInt4(); err != nil {
-					return nil, err
-				}
-			} else {
-				qw.Pairs, qw.Data = tensor.PackInt8Pairs(qw.Data, qw.Rows, qw.Cols), nil
-			}
+			// once for every scheme: int16 interleaved along k for
+			// tensor.MatMulInterleaved.
+			qw.Wide, qw.Data = tensor.InterleaveK(qw.Data, qw.Rows, qw.Cols), nil
 			bias := append([]float32(nil), v.B.Value.Data...)
 			m.stages = append(m.stages, &qDense{geom: g, w: qw, bias: bias})
 		case *nn.Conv2D:

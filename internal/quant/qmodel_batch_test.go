@@ -31,8 +31,8 @@ func refForward(m *QModel, x *tensor.Tensor) *tensor.Tensor {
 				for j := 0; j < s.w.Cols; j++ {
 					var acc int32
 					for p := 0; p < s.w.Rows; p++ {
-						// weightCode decodes every storage form, so the pairs
-						// and packed int4 paths meet the same reference.
+						// weightCode reads the interleaved form, so int8 and
+						// int4 meet the same reference.
 						acc += int32(codes[i*s.w.Rows+p]) * int32(weightCode(s.w, p, j))
 					}
 					out.Data[i*s.w.Cols+j] = float32(acc)*scales[i]*s.w.Scales[j] + s.bias[j]
@@ -94,18 +94,11 @@ func refForward(m *QModel, x *tensor.Tensor) *tensor.Tensor {
 	return x
 }
 
-// weightCode returns the code at (i, j) of a dense stage's weights in any
-// storage form, splitting a column pair the way the pairs kernel does.
+// weightCode returns the code at (i, j) of a dense stage's weights, read
+// from the interleaved int16 form the kernel multiplies: row pair i/2,
+// column j, the half i&1.
 func weightCode(q *QTensor, i, j int) int8 {
-	if q.Pairs == nil {
-		return q.code(i, j)
-	}
-	v := q.Pairs[i*((q.Cols+1)/2)+j/2]
-	lo := int64(int32(v))
-	if j&1 == 0 {
-		return int8(lo)
-	}
-	return int8((v - lo) >> 32) // undo the negative low code's borrow
+	return int8(q.Wide[i>>1*2*q.Cols+2*j+i&1])
 }
 
 // perSample runs every example of x through m.Predict individually and

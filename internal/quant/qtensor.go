@@ -67,59 +67,21 @@ type QTensor struct {
 	Rows, Cols int
 	// Data holds the quantized integer codes row-major, one int8 per code.
 	// For sub-int8 schemes the codes occupy the low bits of each int8; size
-	// accounting always uses the scheme's nominal width. Data is nil when
-	// the tensor is in a kernel form (see Packed and Pairs).
+	// accounting always uses the scheme's nominal width. Data is nil once
+	// the tensor is in its kernel form, Wide.
 	Data []int8
-	// Packed is the storage-density form for Int4: two signed 4-bit codes
-	// per byte with byte-aligned rows (tensor.PackInt4Matrix layout), fed
-	// directly to the packed matmul kernels. PackInt4 converts to it.
-	Packed []byte
-	// Pairs is the dense serving form for every other integer scheme: each
-	// row's codes widened to column pairs lo + hi<<32 (tensor.PackInt8Pairs
-	// layout), the operand tensor.MatMulInt8Pairs reads; NewQModel converts
-	// to it. Exactly one of Data, Packed and Pairs is non-nil. Pairs spend
-	// 32 bits of RAM per code against Data's 8: kws-mlp's three dense
-	// layers hold 201,728 bytes as pairs, 50,432 as codes (sensor-mlp 512
-	// and 112), the price of two MACs per multiply with no widening per
-	// query. SizeBytes still counts the nominal width.
-	Pairs  []int64
+	// Wide is the dense serving form of every integer scheme, int8 and int4
+	// alike: the codes widened to int16 and interleaved along rows
+	// (tensor.InterleaveK layout), the operand tensor.MatMulInterleaved
+	// reads; NewQModel converts to it. Exactly one of Data and Wide is
+	// non-nil. Wide spends 16 bits of RAM per code whatever the scheme:
+	// kws-mlp's three dense layers hold 100,864 bytes, against 50,432 as
+	// int8 codes and 25,216 packed as int4 (sensor-mlp 224, 112 and 64),
+	// the price of one kernel that runs four columns' pair products per
+	// instruction. SizeBytes still counts the nominal width.
+	Wide   []int16
 	Scales []float32 // length Cols (per output channel)
 	Scheme Scheme
-}
-
-// IsPacked reports whether the tensor holds its codes in the packed
-// two-per-byte int4 form.
-func (q *QTensor) IsPacked() bool { return q.Packed != nil }
-
-// PackInt4 converts an Int4 tensor from one-code-per-int8 form to the packed
-// two-codes-per-byte form consumed by tensor.MatMulInt4. It is a no-op on an
-// already-packed tensor and an error for any other scheme (wider codes do
-// not fit a nibble; ternary/binary have cheaper encodings of their own).
-func (q *QTensor) PackInt4() error {
-	if q.IsPacked() {
-		return nil
-	}
-	if q.Scheme != Int4 {
-		return fmt.Errorf("quant: PackInt4 on %v tensor", q.Scheme)
-	}
-	p, err := tensor.PackInt4Matrix(q.Data, q.Rows, q.Cols)
-	if err != nil {
-		return err
-	}
-	q.Packed, q.Data = p, nil
-	return nil
-}
-
-// code returns the integer code at (i, j) in the Data or Packed form.
-func (q *QTensor) code(i, j int) int8 {
-	if !q.IsPacked() {
-		return q.Data[i*q.Cols+j]
-	}
-	by := q.Packed[i*tensor.Int4PackedLen(q.Cols)+j/2]
-	if j&1 == 0 {
-		return int8(by<<4) >> 4
-	}
-	return int8(by) >> 4
 }
 
 // maxCode returns the largest magnitude representable by the scheme.
@@ -258,12 +220,13 @@ func QuantizeMatrix(w *tensor.Tensor, scheme Scheme) (*QTensor, error) {
 	return q, nil
 }
 
-// Dequantize reconstructs the float32 approximation of the matrix.
+// Dequantize reconstructs the float32 approximation of the matrix from
+// its codes, Data.
 func (q *QTensor) Dequantize() *tensor.Tensor {
 	out := tensor.New(q.Rows, q.Cols)
 	for i := 0; i < q.Rows; i++ {
 		for j := 0; j < q.Cols; j++ {
-			out.Set2(i, j, float32(q.code(i, j))*q.Scales[j])
+			out.Set2(i, j, float32(q.Data[i*q.Cols+j])*q.Scales[j])
 		}
 	}
 	return out
@@ -271,9 +234,8 @@ func (q *QTensor) Dequantize() *tensor.Tensor {
 
 // SizeBytes returns the storage footprint at the scheme's nominal bit width
 // (packed), plus the per-channel scales. It is storage-form independent:
-// Rows·Cols codes at the nominal width, whether or not they are physically
-// packed right now — the artifact's size, not the resident size of a
-// kernel form (Pairs holds 32 bits per code).
+// Rows·Cols codes at the nominal width — the artifact's size, not the
+// resident size of the kernel form (Wide holds 16 bits per code).
 func (q *QTensor) SizeBytes() int {
 	wBits := q.Rows * q.Cols * q.Scheme.Bits()
 	return (wBits+7)/8 + 4*len(q.Scales)

@@ -6,7 +6,8 @@
 // it provides exactly the operations the neural-network engine
 // (internal/nn), the quantizer (internal/quant) and the verifiable-execution
 // layer (internal/verify) need, implemented with the standard library only
-// and one assembly file, matmul_amd64.s.
+// and two assembly files, matmul_amd64.s (the float fold) and
+// matmul_int16_amd64.s (the integer one).
 //
 // The float matmul kernel is column-blocked for cache residency and fans
 // rows out over a bounded goroutine pool above a work threshold; blocking
@@ -33,19 +34,25 @@
 // transposes, so there is no transposed-product kernel.
 //
 // The integer serving kernels relax the ordering constraint instead of
-// fighting it: integer accumulation is exact and commutative, so the int8
-// and packed-int4 kernels are free to unroll, retile, reorder and skip
-// zeros while staying bit-identical to a naive scalar triple loop at any
-// worker count. The dense kernels work on column pairs lo + hi<<32: one
-// 64-bit multiply retires both columns' MACs, the scalar analogue of a
-// SIMD kernel. MatMulInt8Pairs reads int8 weights widened to pairs once
-// (PackInt8Pairs); MatMulInt4 never unpacks its operand
-// (PackInt4/UnpackInt4/PackInt4Matrix define a canonical two-codes-per-byte
-// encoding, low nibble first, zero pad) and expands each byte to a pair
-// through a 256-entry table. Both walk a per-row list of the nonzero
-// activations, so a zero costs neither a multiply nor a branch. All kernel
-// scratch lives on the worker's stack, so the serving hot loop allocates
-// nothing.
+// fighting it: integer accumulation is exact and commutative, so they are
+// free to unroll, retile, reorder and skip zeros while staying
+// bit-identical to a naive scalar triple loop at any worker count. The
+// dense kernel, MatMulInterleaved, serves int8 and int4 weights alike,
+// widened once to int16 and interleaved along k (InterleaveK): row pair P
+// holds, for each column j, the pair (w[2P,j], w[2P+1,j]), an odd last row
+// pairing with 0. Each row lists its activation pairs that are not both
+// zero, so a zero pair costs neither a multiply nor a branch, and the fold
+// multiplies a pair by its row pair: on amd64 one SSE2 PMADDWD gives four
+// columns' x_2P·w[2P,j] + x_2P+1·w[2P+1,j], the shape of the Cortex-M4's
+// dual 16-bit MAC that CMSIS-NN widens int8 for. A pair sum cannot
+// saturate for int8 codes, and the int32 tile is exact while k < 2^17.
+// The Go fold of matmul_generic.go runs the same layout elsewhere and in a
+// race build, as the float fold's does. MatMulInt4 widens a packed operand
+// (PackInt4Matrix/UnpackInt4 define a canonical two-codes-per-byte
+// encoding, low nibble first, zero pad) per call and runs the same kernel.
+// The convolutions keep their own kernels: MatMulInt8 over int8 codes and
+// MatMulInt4LHS over packed int4 weights. All kernel scratch lives on the
+// worker's stack, so the serving hot loop allocates nothing.
 //
 // window.go is the module's one description of a sliding window: Window
 // says which geometry is valid and how many positions it takes, and Im2col,

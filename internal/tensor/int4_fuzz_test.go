@@ -21,7 +21,7 @@ func FuzzInt4PackRoundTrip(f *testing.F) {
 		for i, b := range raw {
 			codes[i] = int8(b&0xF) - 8 // always in [-8,7]
 		}
-		packed, err := PackInt4(codes)
+		packed, err := packRow(codes)
 		if err != nil {
 			t.Fatalf("pack of in-range codes failed: %v", err)
 		}
@@ -38,7 +38,7 @@ func FuzzInt4PackRoundTrip(f *testing.F) {
 			}
 		}
 		// Canonical: repacking the decoded codes gives identical bytes.
-		repacked, err := PackInt4(got)
+		repacked, err := packRow(got)
 		if err != nil {
 			t.Fatalf("repack failed: %v", err)
 		}

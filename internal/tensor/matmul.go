@@ -63,8 +63,8 @@ const colBlock = 512
 // matmulRows computes rows [lo,hi) of dst = A×B with the column-blocked
 // ikj kernel. dst rows must be pre-zeroed. Each row chunk of up to nzCap
 // activations first lists its nonzero ones with their B-row offsets, as
-// pairRows does for the integer kernels, and foldFloat32 folds the listed
-// rows into the dst tile. A ±0 activation is skipped, as the scalar loop
+// interleavedRows does for the integer kernel, and foldFloat32 folds the
+// listed rows into the dst tile. A ±0 activation is skipped, as the scalar loop
 // skips it; the list is built without a data-dependent branch (the count
 // advances when a bit below the sign is set) and holds no pad entry, since
 // a pad's 0·w is NaN for an infinite or NaN weight.

@@ -160,13 +160,17 @@ func TestMatMulInt4ParallelBitIdentical(t *testing.T) {
 	}
 }
 
+// packRow packs codes as a one-row matrix: the two-per-byte encoding
+// itself, which UnpackInt4 inverts.
+func packRow(codes []int8) ([]byte, error) { return PackInt4Matrix(codes, 1, len(codes)) }
+
 func TestPackInt4RoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 16, 33} {
 		codes := make([]int8, n)
 		for i := range codes {
 			codes[i] = int8(i%16 - 8)
 		}
-		packed, err := PackInt4(codes)
+		packed, err := packRow(codes)
 		if err != nil {
 			t.Fatalf("n=%d: pack: %v", n, err)
 		}
@@ -186,16 +190,16 @@ func TestPackInt4RoundTrip(t *testing.T) {
 }
 
 func TestPackInt4RejectsOutOfRange(t *testing.T) {
-	if _, err := PackInt4([]int8{0, 8}); err == nil {
-		t.Fatal("PackInt4 accepted code 8")
+	if _, err := packRow([]int8{0, 8}); err == nil {
+		t.Fatal("PackInt4Matrix accepted code 8")
 	}
-	if _, err := PackInt4([]int8{-9}); err == nil {
-		t.Fatal("PackInt4 accepted code -9")
+	if _, err := packRow([]int8{-9}); err == nil {
+		t.Fatal("PackInt4Matrix accepted code -9")
 	}
 }
 
 func TestUnpackInt4RejectsBadBuffers(t *testing.T) {
-	packed, err := PackInt4([]int8{1, -2, 3})
+	packed, err := packRow([]int8{1, -2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,5 +238,21 @@ func TestPackInt4MatrixRowAlignment(t *testing.T) {
 	}
 	if _, err := PackInt4Matrix(codes, 2, 2); err == nil {
 		t.Fatal("PackInt4Matrix accepted a mismatched shape")
+	}
+}
+
+// TestPackInt4MatrixAllocatesOnce pins PackInt4Matrix to its one output
+// allocation: rows are packed in place, odd columns and all.
+func TestPackInt4MatrixAllocatesOnce(t *testing.T) {
+	codes := make([]int8, 9*7)
+	for i := range codes {
+		codes[i] = int8(i%16 - 8)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := PackInt4Matrix(codes, 9, 7); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("PackInt4Matrix allocates %.1f times per call, want 1", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -84,11 +85,12 @@ func TestMatMulInt8WorkerCountIndependent(t *testing.T) {
 	}
 }
 
-// pairsFixture builds operands that walk every branch of the pairs
-// kernel: rows cycle through all-zero, fully dense at the extreme codes
-// −128, −127 and 127, fully dense at random codes, and half zero (the
-// post-ReLU case); weights span the whole int8 range, extremes included.
-func pairsFixture(rng *RNG, m, k, n int) (a, b []int8, rs, cs []float32) {
+// interleavedFixture builds operands that walk every branch of the
+// interleaved kernel: rows cycle through all-zero, fully dense at the
+// extreme codes −128, −127 and 127, fully dense at random codes, and half
+// zero (the post-ReLU case); weights span the whole int8 range, extremes
+// included.
+func interleavedFixture(rng *RNG, m, k, n int) (a, b []int8, rs, cs []float32) {
 	extremes := []int8{-128, -127, 127}
 	a = make([]int8, m*k)
 	for i := range a {
@@ -117,13 +119,13 @@ func pairsFixture(rng *RNG, m, k, n int) (a, b []int8, rs, cs []float32) {
 	return a, b, rs, cs
 }
 
-// checkPairs runs MatMulInt8Pairs over b widened by PackInt8Pairs and
-// fails unless every output bit equals the naive reference's.
-func checkPairs(t testing.TB, a, b []int8, m, k, n int, rs, cs []float32) {
+// checkInterleaved runs MatMulInterleaved over b widened by InterleaveK
+// and fails unless every output bit equals the naive reference's.
+func checkInterleaved(t testing.TB, a, b []int8, m, k, n int, rs, cs []float32) {
 	t.Helper()
 	want := refMatMulInt8(a, b, m, k, n, rs, cs)
 	got := make([]float32, m*n)
-	MatMulInt8Pairs(got, a, PackInt8Pairs(b, k, n), m, k, n, rs, cs)
+	MatMulInterleaved(got, a, InterleaveK(b, k, n), m, k, n, rs, cs)
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("[%d,%d,%d]: element %d = %v, want %v (must be bit-identical)", m, k, n, i, got[i], want[i])
@@ -131,33 +133,50 @@ func checkPairs(t testing.TB, a, b []int8, m, k, n int, rs, cs []float32) {
 	}
 }
 
-// TestMatMulInt8PairsMatchesNaive pins the pairs kernel to the scalar
-// reference on odd n (the pad column), k = 1, k past the nonzero list's
-// capacity (the chunked walk), n past a column tile, empty dimensions, and
-// a product large enough for the parallel path — each serially under
-// EnterPool and on the default path.
-func TestMatMulInt8PairsMatchesNaive(t *testing.T) {
+// TestMatMulInterleavedMatchesNaive pins the interleaved kernel to the
+// scalar reference on odd k (a pair tail), k = 1, n mod 4 ∈ {0, 1, 2, 3}
+// (the fold's one-column tail), n past a column tile, k past one and past
+// two lists (the chunked walk), empty dimensions, all-zero and all-−128
+// operands, and products large enough for the parallel path — each
+// serially under EnterPool and on the default path, so the two are
+// bit-identical.
+func TestMatMulInterleavedMatchesNaive(t *testing.T) {
 	rng := NewRNG(74)
 	shapes := [][3]int{
 		{1, 1, 1}, {4, 1, 2}, {5, 1, 9}, {4, 7, 5}, {8, 23, 11},
-		{4, nzCap + 1, 7}, {8, 2*nzCap + 9, 2*pairTile + 3},
-		{64, 96, 81}, {0, 4, 4}, {4, 0, 5}, {4, 4, 0},
+		{3, 6, 4}, {3, 6, 5}, {3, 9, 6}, {3, 9, 7}, {2, 2, 8},
+		{4, 2*nzCap + 1, 7}, {3, 4*nzCap + 3, 13}, {8, 4*nzCap + 9, 2*colBlock + 3},
+		{64, 96, 81}, {96, 65, 83}, {0, 4, 4}, {4, 0, 5}, {4, 4, 0},
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
-		a, b, rs, cs := pairsFixture(rng, m, k, n)
-		checkPairs(t, a, b, m, k, n, rs, cs)
+		a, b, rs, cs := interleavedFixture(rng, m, k, n)
+		checkInterleaved(t, a, b, m, k, n, rs, cs)
 		exit := EnterPool()
-		checkPairs(t, a, b, m, k, n, rs, cs)
+		checkInterleaved(t, a, b, m, k, n, rs, cs)
 		exit()
+	}
+	for _, fill := range []int8{0, -128} {
+		for _, s := range [][3]int{{2, 7, 5}, {3, 2*nzCap + 5, 10}} {
+			m, k, n := s[0], s[1], s[2]
+			a, b := make([]int8, m*k), make([]int8, k*n)
+			for i := range a {
+				a[i] = fill
+			}
+			for i := range b {
+				b[i] = fill
+			}
+			_, _, rs, cs := int8Fixture(rng, m, 0, n)
+			checkInterleaved(t, a, b, m, k, n, rs, cs)
+		}
 	}
 }
 
-// TestMatMulInt8PairsOverflowBound runs the worst case the documented k
+// TestMatMulInterleavedOverflowBound runs the worst case the documented k
 // bound admits: k = 2^17 − 1 MACs of ±128·128 per output, so the low
 // column's sum reaches 2^31 − 2^14, one product short of int32 overflow,
 // while its neighbour sums to the most negative value the codes allow.
-func TestMatMulInt8PairsOverflowBound(t *testing.T) {
+func TestMatMulInterleavedOverflowBound(t *testing.T) {
 	const k, n = 1<<17 - 1, 3
 	a := make([]int8, k)
 	b := make([]int8, k*n)
@@ -165,12 +184,63 @@ func TestMatMulInt8PairsOverflowBound(t *testing.T) {
 		a[p] = -128
 		b[p*n], b[p*n+1], b[p*n+2] = -128, 127, -128
 	}
-	checkPairs(t, a, b, 1, k, n, []float32{1}, []float32{1, 1, 1})
+	checkInterleaved(t, a, b, 1, k, n, []float32{1}, []float32{1, 1, 1})
 }
 
-// FuzzMatMulInt8Pairs derives a shape and both operands from the input and
-// checks the pairs kernel against the naive reference bit for bit.
-func FuzzMatMulInt8Pairs(f *testing.F) {
+// TestInterleaveKLayout pins the widened layout on a [3,2] matrix: row
+// pair 0 interleaves rows 0 and 1 column by column, and the odd last row
+// pairs with 0.
+func TestInterleaveKLayout(t *testing.T) {
+	got := InterleaveK([]int8{1, 2, 3, 4, -5, -128}, 3, 2)
+	want := []int16{1, 3, 2, 4, -5, 0, -128, 0}
+	if !slices.Equal(got, want) {
+		t.Fatalf("InterleaveK = %v, want %v", got, want)
+	}
+}
+
+// TestMatMulInterleavedPanicsOnShortOperands checks the entry check: a
+// negative dimension or any operand one element short of its shape panics
+// before the fold, which reads w unchecked on amd64, touches anything.
+func TestMatMulInterleavedPanicsOnShortOperands(t *testing.T) {
+	const m, k, n = 2, 5, 3
+	full := func() (dst []float32, a []int8, w []int16, rs, cs []float32) {
+		return make([]float32, m*n), make([]int8, m*k), make([]int16, (k+1)/2*2*n),
+			make([]float32, m), make([]float32, n)
+	}
+	cases := []struct {
+		name    string
+		m, k, n int
+		cut     func(dst *[]float32, a *[]int8, w *[]int16, rs, cs *[]float32)
+	}{
+		{"dst", m, k, n, func(d *[]float32, _ *[]int8, _ *[]int16, _, _ *[]float32) { *d = (*d)[:m*n-1] }},
+		{"a", m, k, n, func(_ *[]float32, a *[]int8, _ *[]int16, _, _ *[]float32) { *a = (*a)[:m*k-1] }},
+		{"w", m, k, n, func(_ *[]float32, _ *[]int8, w *[]int16, _, _ *[]float32) { *w = (*w)[:len(*w)-1] }},
+		{"rowScales", m, k, n, func(_ *[]float32, _ *[]int8, _ *[]int16, rs, _ *[]float32) { *rs = (*rs)[:m-1] }},
+		{"colScales", m, k, n, func(_ *[]float32, _ *[]int8, _ *[]int16, _, cs *[]float32) { *cs = (*cs)[:n-1] }},
+		{"negative m", -1, k, n, nil},
+		{"negative k", m, -1, n, nil},
+		{"negative n", m, k, -1, nil},
+	}
+	for _, c := range cases {
+		dst, a, w, rs, cs := full()
+		if c.cut != nil {
+			c.cut(&dst, &a, &w, &rs, &cs)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: MatMulInterleaved did not panic", c.name)
+				}
+			}()
+			MatMulInterleaved(dst, a, w, c.m, c.k, c.n, rs, cs)
+		}()
+	}
+}
+
+// FuzzMatMulInterleaved derives a shape and both operands from the input
+// and checks the interleaved kernel against the naive reference bit for
+// bit.
+func FuzzMatMulInterleaved(f *testing.F) {
 	f.Add(uint8(1), uint8(1), []byte{0x80, 0x81, 0x7f})
 	f.Add(uint8(3), uint8(5), []byte{0, 0, 1, 0xff, 0x80, 0, 0x7f, 2, 0, 0})
 	f.Add(uint8(16), uint8(129), []byte{0x80})
@@ -178,8 +248,8 @@ func FuzzMatMulInt8Pairs(f *testing.F) {
 		if len(raw) == 0 {
 			return
 		}
-		m, n := int(mb%17), int(nb)%(2*pairTile+5)
-		k := 1 + len(raw)%(nzCap+40)
+		m, n := int(mb%17), int(nb)
+		k := 1 + len(raw)%(4*nzCap+40)
 		a := make([]int8, m*k)
 		for i := range a {
 			a[i] = int8(raw[i%len(raw)])
@@ -199,6 +269,6 @@ func FuzzMatMulInt8Pairs(f *testing.F) {
 		for j := range cs {
 			cs[j] = 1 / float32(j+1)
 		}
-		checkPairs(t, a, b, m, k, n, rs, cs)
+		checkInterleaved(t, a, b, m, k, n, rs, cs)
 	})
 }
