@@ -8,8 +8,8 @@ import (
 )
 
 // TestQModelForwardBatchZeroAlloc asserts the integer serving paths are
-// allocation-free in the steady state for both the int8 kernels and the
-// packed int4 kernels, over a dense topology and a convolutional one.
+// allocation-free in the steady state at int8 and int4, over a dense
+// topology and a convolutional one.
 // One warmup call sizes every scratch buffer; EnterPool pins the kernels
 // to their serial in-worker form so the result is machine-independent.
 func TestQModelForwardBatchZeroAlloc(t *testing.T) {

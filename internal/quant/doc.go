@@ -5,7 +5,7 @@
 // accuracy evaluation and global magnitude pruning.
 //
 // QModel is a first-class servable, not an evaluation aid: dense and
-// convolutional layers run on the blocked integer kernels in
+// convolutional layers run on the blocked integer kernel in
 // internal/tensor with dynamic per-example activation quantization (a
 // convolution unrolls its int8 codes through the tensor.Im2col the float
 // engine uses, over the same tensor.Window), and
@@ -17,24 +17,25 @@
 // holds (a convolution its window, tap count and strides), so a pass checks its batch once, where it enters, and no
 // stage derives geometry per call. What is per goroutine lives in the
 // QScratch: one output buffer per stage, sized by the batch, and the
-// int8 and scale workspaces. Weights are laid out once, at NewQModel, in
-// the form their kernel reads. Dense weights have one kernel form for
-// every scheme: codes widened to int16 and interleaved along k for
-// tensor.MatMulInterleaved, whose SSE2 PMADDWD fold multiplies an
-// activation pair by four columns' weight pairs per instruction, so int4
-// serves as fast as int8. The form costs 2 bytes of RAM per weight
-// whatever the nominal width: kws-mlp's dense layers hold 100,864 bytes,
-// against 50,432 as int8 codes and 25,216 as packed int4. So a 4-bit
+// int8, widened-column and scale workspaces. Weights are laid out once,
+// at NewQModel, in the form their kernel reads, and every integer layer
+// runs one kernel, tensor.MatMulInterleaved, whose SSE2 PMADDWD fold
+// multiplies a code pair by four columns' int16 pairs per instruction, so
+// int4 serves as fast as int8. Dense weights are its right operand:
+// codes widened to int16 and interleaved along k, 2 bytes of RAM per
+// weight whatever the nominal width. kws-mlp's dense layers hold 100,864
+// bytes, against 50,432 as int8 codes and 25,216 as packed int4. A
+// convolution keeps its per-output-channel weights on the left as int8
+// codes, 1 byte per code at int8 and int4 alike, and widens each
+// example's im2col columns on the right into a QScratch workspace of 2
+// bytes per tap (an odd count rounded up) and output position. So a 4-bit
 // deployment's flash and link see the 4-bit form — SizeBytes and every
-// modelled flash and link figure keep the nominal width — but its dense
-// RAM does not. Convolution weights keep their own kernels' forms: int8
-// codes for MatMulInt8, and int4 packed two codes per byte for
-// MatMulInt4LHS, which never unpacks them. The serving layer
-// (internal/core) instantiates a QModel for every integer variant on
-// every device, so the variant matrix governs the executing kernels, not
-// just artifact sizes, and one variant computes one function: hardware
-// without the bit width runs the same kernels and pays only the modelled
-// emulation penalty.
+// modelled flash and link figure keep the nominal width — but its RAM
+// does not. The serving layer (internal/core) instantiates a QModel for
+// every integer variant on every device, so the variant matrix governs
+// the executing kernels, not just artifact sizes, and one variant computes
+// one function: hardware without the bit width runs the same kernels and
+// pays only the modelled emulation penalty.
 //
 // The paper's pipeline observation is that every published model fans
 // out into a matrix of precision × sparsity variants, and which one a

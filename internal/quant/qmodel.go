@@ -52,15 +52,17 @@ func (g *geom) shapes() *geom { return g }
 
 // QScratch is what a forward pass needs per goroutine, and nothing a
 // QModel knows at build: one output buffer per stage, sized batch × the
-// stage's output shape, plus the int8 code, im2col and scale workspaces
-// the integer stages share. One QScratch serves one goroutine and one
-// model; buffers are allocated on the first batch and again only when the
-// batch dimension changes, so a steady-state serving loop allocates
-// nothing at all — asserted with testing.AllocsPerRun in the alloc tests.
+// stage's output shape, plus the int8 code, im2col, widened-column and
+// scale workspaces the integer stages share. One QScratch serves one
+// goroutine and one model; buffers are allocated on the first batch and
+// again only when the batch dimension changes, so a steady-state serving
+// loop allocates nothing at all — asserted with testing.AllocsPerRun in the
+// alloc tests.
 type QScratch struct {
 	bufs      []*tensor.Tensor // stage i's [batch, out...] output
 	codes     []int8
 	cols      []int8
+	wide      []int16 // cols widened by tensor.InterleaveKInto
 	rowScales []float32
 	colScales []float32
 }
@@ -137,8 +139,11 @@ func (d *qDense) sizeBytes() int { return d.w.SizeBytes() + 4*len(d.bias) }
 // qConv2D runs a convolution on the integer kernel: each example's
 // activations are quantized with one dynamic scale, unrolled to int8
 // columns by the tensor.Im2col that nn.Conv2D's floats go through (zero
-// padding is exact in the integer domain), and multiplied against
-// per-output-channel quantized kernels.
+// padding is exact in the integer domain), widened by
+// tensor.InterleaveKInto, and multiplied by tensor.MatMulInterleaved with
+// the per-output-channel quantized kernels on the left, so the product
+// lands in NCHW order. The kernels stay int8 codes at every scheme: one
+// byte of RAM per code, an int4 one included.
 type qConv2D struct {
 	geom
 	win     tensor.Window // over the input map; admission checked that it fits
@@ -146,8 +151,7 @@ type qConv2D struct {
 	ex      int       // inC·h·w: one example's stride through the batch
 	taps    int       // inC·kh·kw: the product's inner dimension
 	spots   int       // oh·ow: output positions per channel
-	w       []int8    // [outC, taps] row-major codes (nil when packed)
-	wp      []byte    // packed int4 form of w (tensor.PackInt4Matrix layout)
+	w       []int8    // [outC, taps] row-major codes
 	wScales []float32 // per output channel
 	bias    []float32
 	scheme  Scheme
@@ -159,19 +163,17 @@ func (c *qConv2D) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
 	scales := grow(&s.rowScales, b)
 	QuantizeActivationsRows(x, codes, scales)
 	cols := grow(&s.cols, c.taps*c.spots)
+	wide := grow(&s.wide, (c.taps+1)&^1*c.spots)
 	colScales := grow(&s.colScales, c.spots)
 	out := s.buffer(idx, b, c.out, nil)
 	for n := 0; n < b; n++ {
 		tensor.Im2col(cols, codes[n*ex:(n+1)*ex], c.win)
+		tensor.InterleaveKInto(wide, cols, c.taps, c.spots)
 		for j := range colScales {
 			colScales[j] = scales[n]
 		}
 		dst := out.Data[n*c.outC*c.spots : (n+1)*c.outC*c.spots]
-		if c.wp != nil {
-			tensor.MatMulInt4LHS(dst, c.wp, cols, c.outC, c.taps, c.spots, c.wScales, colScales)
-		} else {
-			tensor.MatMulInt8(dst, c.w, cols, c.outC, c.taps, c.spots, c.wScales, colScales)
-		}
+		tensor.MatMulInterleaved(dst, c.w, wide, c.outC, c.taps, c.spots, c.wScales, colScales)
 		tensor.AddBias(dst, c.bias)
 	}
 	return out
@@ -248,13 +250,12 @@ func transpose[T any](m []T, rows, cols int) []T {
 
 // NewQModel lowers net into an integer-kernel executable under the scheme:
 // dense and convolutional layers quantize their weights (per output
-// channel) and run on the integer kernels (dense layers on
-// tensor.MatMulInterleaved; convolutions on tensor.MatMulInt8 or
-// tensor.MatMulInt4LHS); activations, pooling, batch
-// norm (frozen statistics), flatten and dropout execute in float32
-// through their stateless fast paths. That set is every kind nn.Assemble
-// admits, so every network lowers; a kind outside it is an error, never a
-// float fallback.
+// channel) and run on the one integer kernel, tensor.MatMulInterleaved
+// (dense weights widened here, convolution columns per example);
+// activations, pooling, batch norm (frozen statistics), flatten and
+// dropout execute in float32 through their stateless fast paths. That set
+// is every kind nn.Assemble admits, so every network lowers; a kind outside
+// it is an error, never a float fallback.
 func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 	if scheme == Float32 {
 		return nil, fmt.Errorf("quant: NewQModel requires an integer scheme, got %v", scheme)
@@ -281,21 +282,13 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 			m.stages = append(m.stages, &qDense{geom: g, w: qw, bias: bias})
 		case *nn.Conv2D:
 			win := tensor.Window{C: v.InC, H: g.in[1], W: g.in[2], KH: v.KH, KW: v.KW, Stride: v.Stride, Pad: v.Pad}
-			st := &qConv2D{
+			m.stages = append(m.stages, &qConv2D{
 				geom: g, win: win, outC: v.OutC,
 				ex: v.InC * g.in[1] * g.in[2], taps: win.Taps(), spots: g.out[1] * g.out[2],
 				w: transpose(qw.Data, qw.Rows, qw.Cols), wScales: qw.Scales,
 				bias:   append([]float32(nil), v.B.Value.Data...),
 				scheme: scheme,
-			}
-			if scheme == Int4 {
-				wp, err := tensor.PackInt4Matrix(st.w, v.OutC, st.taps)
-				if err != nil {
-					return nil, err
-				}
-				st.wp, st.w = wp, nil
-			}
-			m.stages = append(m.stages, st)
+			})
 		case *nn.Flatten, *nn.Dropout:
 			m.stages = append(m.stages, &qFloat{geom: g, layer: l})
 		case *nn.ReLU, *nn.Tanh, *nn.Sigmoid, *nn.Softmax, *nn.MaxPool2D, *nn.BatchNorm1D:

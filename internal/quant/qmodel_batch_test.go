@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -46,19 +47,6 @@ func refForward(m *QModel, x *tensor.Tensor) *tensor.Tensor {
 			codes := make([]int8, x.Size())
 			scales := make([]float32, b)
 			QuantizeActivationsRows(x, codes, scales)
-			wcodes := s.w
-			if s.wp != nil { // decode the packed int4 weights for the reference
-				k := s.win.C * s.win.KH * s.win.KW
-				rb := tensor.Int4PackedLen(k)
-				wcodes = make([]int8, 0, s.outC*k)
-				for oc := 0; oc < s.outC; oc++ {
-					row, err := tensor.UnpackInt4(s.wp[oc*rb:(oc+1)*rb], k)
-					if err != nil {
-						panic(err)
-					}
-					wcodes = append(wcodes, row...)
-				}
-			}
 			out := tensor.New(b, s.outC, oh, ow)
 			for n := 0; n < b; n++ {
 				for oc := 0; oc < s.outC; oc++ {
@@ -72,7 +60,7 @@ func refForward(m *QModel, x *tensor.Tensor) *tensor.Tensor {
 										if si < 0 || si >= h || sj < 0 || sj >= w {
 											continue
 										}
-										wc := wcodes[oc*s.win.C*s.win.KH*s.win.KW+(ic*s.win.KH+ki)*s.win.KW+kj]
+										wc := s.w[oc*s.win.C*s.win.KH*s.win.KW+(ic*s.win.KH+ki)*s.win.KW+kj]
 										xc := codes[n*ex+(ic*h+si)*w+sj]
 										acc += int32(wc) * int32(xc)
 									}
@@ -136,7 +124,8 @@ func mustIdentical(t *testing.T, name string, got, want *tensor.Tensor) {
 
 // qmodelFixtures returns the (network, input) pairs the bit-exactness
 // property is checked over: a dense stack with batch norm, a conv stack,
-// and a dense stack fed NaN and signed-zero payloads.
+// a dense stack fed NaN and signed-zero payloads, and a conv wide enough
+// that its product takes the kernel's parallel branch (wideConv).
 func qmodelFixtures(t *testing.T) []struct {
 	name string
 	net  *nn.Network
@@ -168,6 +157,7 @@ func qmodelFixtures(t *testing.T) []struct {
 	weird.Data[0] = float32(math.NaN())
 	weird.Data[5] = float32(math.Copysign(0, -1))
 	weird.Data[17] = float32(math.NaN())
+	wide := wideConv(rng)
 
 	return []struct {
 		name string
@@ -177,7 +167,17 @@ func qmodelFixtures(t *testing.T) []struct {
 		{"mlp-batchnorm", mlp, tensor.Randn(rng, 1, 17, 12)},
 		{"conv", conv, tensor.Randn(rng, 1, 9, 1, 10, 10)},
 		{"nan-negzero", mlp, weird},
+		{"conv-parallel", wide, tensor.Randn(rng, 1, 3, 8, 16, 16)},
 	}
+}
+
+// wideConv is an 8→16 3×3 convolution over 16×16 maps, padded to keep
+// them: its product is 16 output channels × 72 taps × 256 spots, 294,912
+// MACs, past the 2^17 at which tensor's kernels fan rows out.
+func wideConv(rng *tensor.RNG) *nn.Network {
+	return nn.NewNetwork([]int{8, 16, 16},
+		nn.NewConv2D(8, 16, 3, 3, 1, 1, rng), nn.NewReLU(),
+		nn.NewFlatten(), nn.NewDense(16*16*16, 4, rng))
 }
 
 // TestQModelForwardBatchBitExact is the integer runtime's acceptance
@@ -212,6 +212,32 @@ func TestQModelForwardBatchBitExact(t *testing.T) {
 				t.Fatalf("%s: empty batch produced %v", name, out.Shape())
 			}
 		}
+	}
+}
+
+// TestQConvWorkerCountIndependent runs wideConv's parallel product at
+// GOMAXPROCS 1, 4 and 16 and serially under EnterPool, at every scheme:
+// each pass must equal the scalar reference bit for bit.
+func TestQConvWorkerCountIndependent(t *testing.T) {
+	rng := tensor.NewRNG(93)
+	net := wideConv(rng)
+	in := tensor.Randn(rng, 1, 2, 8, 16, 16)
+	for _, scheme := range []Scheme{Int8, Int4, Ternary, Binary} {
+		qm, err := NewQModel(net, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refForward(qm, in)
+		for _, workers := range []int{1, 4, 16} {
+			prev := runtime.GOMAXPROCS(workers)
+			got := qm.ForwardBatch(in, NewQScratch())
+			runtime.GOMAXPROCS(prev)
+			mustIdentical(t, fmt.Sprintf("%v GOMAXPROCS=%d", scheme, workers), got, want)
+		}
+		exit := tensor.EnterPool()
+		got := qm.ForwardBatch(in, NewQScratch())
+		exit()
+		mustIdentical(t, fmt.Sprintf("%v under EnterPool", scheme), got, want)
 	}
 }
 
@@ -334,8 +360,9 @@ func TestQConvRefusesMapSmallerThanWindow(t *testing.T) {
 // flatten → dense net, at int8 and int4: after a batch of b rows every
 // stage's buffer is [b, the shape Summary reports there...]; a second batch
 // of b rows reuses the same storage; and b → b' → b replaces the stage
-// buffers, whose batch dimension changed, and nothing else — the int8 and
-// scale workspaces sized for the larger batch serve the smaller one.
+// buffers, whose batch dimension changed, and nothing else — the int8,
+// widened-column and scale workspaces sized for the larger batch serve the
+// smaller one.
 func TestQScratchBufferReuse(t *testing.T) {
 	rng := tensor.NewRNG(99)
 	nets := []struct {
@@ -385,7 +412,7 @@ func TestQScratchBufferReuse(t *testing.T) {
 			in := batch(b)
 			want := append([]float32(nil), qm.ForwardBatch(in, s).Data...)
 			first := holds(b)
-			codes, cols, scales := cap(s.codes), cap(s.cols), cap(s.rowScales)
+			codes, cols, wide, scales := cap(s.codes), cap(s.cols), cap(s.wide), cap(s.rowScales)
 			qm.ForwardBatch(in, s)
 			if second := holds(b); !slices.Equal(first, second) {
 				t.Fatalf("%s: a second batch of %d rows did not reuse the stage buffers", name, b)
@@ -395,9 +422,9 @@ func TestQScratchBufferReuse(t *testing.T) {
 			got := qm.ForwardBatch(in, s)
 			holds(b)
 			mustIdentical(t, name+" after b → b' → b", got, tensor.FromSlice(want, got.Shape()...))
-			if cap(s.codes) != codes || cap(s.cols) != cols || cap(s.rowScales) != scales {
-				t.Fatalf("%s: b → b' → b reallocated a workspace: codes %d→%d, cols %d→%d, scales %d→%d",
-					name, codes, cap(s.codes), cols, cap(s.cols), scales, cap(s.rowScales))
+			if cap(s.codes) != codes || cap(s.cols) != cols || cap(s.wide) != wide || cap(s.rowScales) != scales {
+				t.Fatalf("%s: b → b' → b reallocated a workspace: codes %d→%d, cols %d→%d, wide %d→%d, scales %d→%d",
+					name, codes, cap(s.codes), cols, cap(s.cols), wide, cap(s.wide), scales, cap(s.rowScales))
 			}
 		}
 	}

@@ -33,26 +33,30 @@
 // runs its backward products through it too, over an operand internal/nn
 // transposes, so there is no transposed-product kernel.
 //
-// The integer serving kernels relax the ordering constraint instead of
-// fighting it: integer accumulation is exact and commutative, so they are
+// The integer serving kernel relaxes the ordering constraint instead of
+// fighting it: integer accumulation is exact and commutative, so it is
 // free to unroll, retile, reorder and skip zeros while staying
-// bit-identical to a naive scalar triple loop at any worker count. The
-// dense kernel, MatMulInterleaved, serves int8 and int4 weights alike,
-// widened once to int16 and interleaved along k (InterleaveK): row pair P
+// bit-identical to a naive scalar triple loop at any worker count. There
+// is one, MatMulInterleaved, and every integer layer at every width runs
+// on it. Its right operand is int8 codes widened to int16 and interleaved
+// along k (InterleaveKInto, the one writer of the layout): row pair P
 // holds, for each column j, the pair (w[2P,j], w[2P+1,j]), an odd last row
-// pairing with 0. Each row lists its activation pairs that are not both
-// zero, so a zero pair costs neither a multiply nor a branch, and the fold
-// multiplies a pair by its row pair: on amd64 one SSE2 PMADDWD gives four
-// columns' x_2P·w[2P,j] + x_2P+1·w[2P+1,j], the shape of the Cortex-M4's
-// dual 16-bit MAC that CMSIS-NN widens int8 for. A pair sum cannot
-// saturate for int8 codes, and the int32 tile is exact while k < 2^17.
-// The Go fold of matmul_generic.go runs the same layout elsewhere and in a
-// race build, as the float fold's does. MatMulInt4 widens a packed operand
-// (PackInt4Matrix/UnpackInt4 define a canonical two-codes-per-byte
-// encoding, low nibble first, zero pad) per call and runs the same kernel.
-// The convolutions keep their own kernels: MatMulInt8 over int8 codes and
-// MatMulInt4LHS over packed int4 weights. All kernel scratch lives on the
-// worker's stack, so the serving hot loop allocates nothing.
+// pairing with 0. A dense layer's weights are widened once, at build, and
+// its activations sit on the left; a convolution keeps its weights on the
+// left and widens each example's im2col columns into a workspace, so its
+// product lands in NCHW order. Each row lists its code pairs that are not
+// both zero, so a zero pair costs neither a multiply nor a branch, and the
+// fold multiplies a pair by its row pair: on amd64 one SSE2 PMADDWD gives
+// four columns' x_2P·w[2P,j] + x_2P+1·w[2P+1,j], the shape of the
+// Cortex-M4's dual 16-bit MAC that CMSIS-NN widens int8 for. A pair sum
+// cannot saturate for int8 codes, and the int32 tile is exact while
+// k < 2^17. The Go fold of matmul_generic.go runs the same layout
+// elsewhere and in a race build, as the float fold's does. MatMulInt8,
+// MatMulInt4 and PackInt4Matrix (a canonical two-codes-per-byte encoding,
+// low nibble first, zero pad) live on only for the benchmark harness's
+// kernel probes: each widens its right operand per call and runs
+// MatMulInterleaved. All kernel scratch lives on the worker's stack, so
+// the serving hot loop allocates nothing.
 //
 // window.go is the module's one description of a sliding window: Window
 // says which geometry is valid and how many positions it takes, and Im2col,

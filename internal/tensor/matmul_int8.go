@@ -4,82 +4,13 @@ import "fmt"
 
 // MatMulInt8 computes dst[i,j] = rowScales[i] * colScales[j] * Σ_p a[i,p]·b[p,j]
 // for int8 operands a ([m,k] row-major) and b ([k,n] row-major) with exact
-// int32 accumulation — quant.QModel's int8 convolution kernel, weights on
-// the left (dense layers serve from MatMulInterleaved). rowScales has length
-// m (one dequantization scale per output row, e.g. a dynamically quantized
-// activation row) and colScales has length n (one per output column, e.g.
-// a per-output-channel weight scale).
-//
-// The kernel mirrors the float matmul's layout choices: ikj ordering keeps
-// both operands sequential, the j dimension is processed in column tiles
-// so one accumulator row stays resident in L1 across the whole k-loop, and
-// rows fan out across the bounded worker pool for large problems. Because
-// the accumulation is integer (and therefore exact and order-independent),
-// the blocked, parallel result is bit-identical to a naive scalar triple
-// loop at any worker count.
-//
-// The accumulator is int32, like the DSP/NPU MAC units this models: the
-// caller must keep k·127² inside int32 range (k < ~2^17), which every
-// TinyML-scale layer does.
+// int32 accumulation. It widens b to InterleaveK's layout on every call and
+// runs MatMulInterleaved, so the result is bit-identical to a naive scalar
+// triple loop at any worker count. No model serves from it: a QModel widens
+// its dense weights once, at build, and its convolutions' im2col columns
+// into a scratch workspace.
 func MatMulInt8(dst []float32, a, b []int8, m, k, n int, rowScales, colScales []float32) {
-	// Serial path first, without constructing the parallel closure: an
-	// escaping closure is heap-allocated on every call, which would cost
-	// the zero-alloc serving hot loop one allocation per matmul.
-	if m*n*k < parallelThreshold || poolDepth.Load() > 0 {
-		matmulInt8Rows(dst, a, b, 0, m, k, n, rowScales, colScales)
-		return
-	}
-	Parallel(m, func(lo, hi int) {
-		matmulInt8Rows(dst, a, b, lo, hi, k, n, rowScales, colScales)
-	})
-}
-
-// matmulInt8Rows computes rows [lo,hi) of the int8 matmul.
-func matmulInt8Rows(dst []float32, a, b []int8, lo, hi, k, n int, rowScales, colScales []float32) {
-	// The accumulator tile lives on the worker's stack (colBlock int32s
-	// = 2KB), so the serving hot loop stays allocation-free.
-	var accArr [colBlock]int32
-	for jb := 0; jb < n; jb += colBlock {
-		tile := accArr[:min(colBlock, n-jb)]
-		for i := lo; i < hi; i++ {
-			clear(tile)
-			foldInt8Row(tile, a[i*k:(i+1)*k], b, n, jb)
-			scaleRow(dst[i*n+jb:i*n+jb+len(tile)], tile, rowScales[i], colScales[jb:])
-		}
-	}
-}
-
-// foldInt8Row adds arow · b[:, jb:jb+len(tile)] into tile, b being the
-// [len(arow), n] int8 right operand. The k-loop is unrolled four-wide:
-// each pass over the tile folds in four B rows, so the tile's
-// read-modify-write traffic — the dominant cost of a scalar ikj kernel —
-// is paid once per four MACs instead of once per MAC. Int32 addition is
-// exact and commutative, so the reassociated sum is bit-identical to the
-// naive scalar order.
-func foldInt8Row(tile []int32, arow, b []int8, n, jb int) {
-	w := len(tile)
-	p := 0
-	for ; p+3 < len(arow); p += 4 {
-		a0, a1 := int32(arow[p]), int32(arow[p+1])
-		a2, a3 := int32(arow[p+2]), int32(arow[p+3])
-		if a0|a1|a2|a3 == 0 {
-			continue
-		}
-		b0 := b[p*n+jb:][:w]
-		b1 := b[(p+1)*n+jb:][:w]
-		b2 := b[(p+2)*n+jb:][:w]
-		b3 := b[(p+3)*n+jb:][:w]
-		for j, bv := range b0 {
-			tile[j] += a0*int32(bv) + a1*int32(b1[j]) + a2*int32(b2[j]) + a3*int32(b3[j])
-		}
-	}
-	for ; p < len(arow); p++ {
-		if av := int32(arow[p]); av != 0 {
-			for j, bv := range b[p*n+jb:][:w] {
-				tile[j] += av * int32(bv)
-			}
-		}
-	}
+	MatMulInterleaved(dst, a, InterleaveK(b, k, n), m, k, n, rowScales, colScales)
 }
 
 // scaleRow dequantizes one output row segment: drow[j] = acc[j]·rs·cs[j].
@@ -90,34 +21,53 @@ func scaleRow(drow []float32, acc []int32, rs float32, cs []float32) {
 }
 
 // InterleaveK widens a [rows, cols] row-major int8 code matrix to the
-// layout MatMulInterleaved reads: int16, interleaved along rows. Row pair
-// P is 2·cols values, for each column j the pair (w[2P,j], w[2P+1,j]); an
-// odd last row pairs with 0. A model widens its weights once, when it is
-// built, so the kernel never widens a weight per query.
+// layout MatMulInterleaved reads, in a new slice: InterleaveKInto's.
 func InterleaveK(codes []int8, rows, cols int) []int16 {
 	w := make([]int16, (rows+1)&^1*cols)
-	for p := 0; p < rows; p++ {
-		at := p>>1*2*cols + p&1
-		for j, c := range codes[p*cols : (p+1)*cols] {
-			w[at+2*j] = int16(c)
-		}
-	}
+	InterleaveKInto(w, codes, rows, cols)
 	return w
 }
 
+// InterleaveKInto widens a [rows, cols] row-major int8 code matrix into
+// dst, the layout MatMulInterleaved reads: int16, interleaved along rows.
+// Row pair P is 2·cols values, for each column j the pair (w[2P,j],
+// w[2P+1,j]); an odd last row pairs with 0. dst must hold (rows+1)&^1·cols
+// entries, and every one of them is written, the zero partners included,
+// so a reused workspace needs no clearing. A model widens its dense
+// weights once, when it is built, and a convolution each example's im2col
+// columns, so the kernel never widens an operand itself.
+func InterleaveKInto(dst []int16, codes []int8, rows, cols int) {
+	for p := 0; p < rows; p += 2 {
+		r0 := codes[p*cols:][:cols]
+		pair := dst[p*cols:][:2*cols]
+		if p+1 == rows {
+			for j, c := range r0 {
+				pair[2*j], pair[2*j+1] = int16(c), 0
+			}
+			break
+		}
+		r1 := codes[(p+1)*cols:][:cols]
+		for j, c := range r0 {
+			pair[2*j], pair[2*j+1] = int16(c), int16(r1[j])
+		}
+	}
+}
+
 // MatMulInterleaved computes dst[i,j] = rowScales[i] * colScales[j] *
-// Σ_p a[i,p]·b[p,j] for int8 activations a ([m,k] row-major) and weights w,
-// a [k,n] code matrix widened by InterleaveK — quant.QModel's dense kernel,
-// int8 and int4 alike. One multiply of an activation pair (a[i,2P],
-// a[i,2P+1]) by row pair P's column j gives a[i,2P]·b[2P,j] +
-// a[i,2P+1]·b[2P+1,j], which is one lane of SSE2's PMADDWD: four columns,
-// eight MACs per instruction on amd64.
+// Σ_p a[i,p]·b[p,j] for int8 codes a ([m,k] row-major) and w, a [k,n] code
+// matrix widened by InterleaveK — quant.QModel's one integer kernel, int8
+// and int4 alike: a dense layer's activations times its weights, widened
+// at build, and a convolution's per-output-channel weights times one
+// example's im2col columns, widened per example. One multiply of a code
+// pair (a[i,2P], a[i,2P+1]) by row pair P's column j gives a[i,2P]·b[2P,j]
+// + a[i,2P+1]·b[2P+1,j], which is one lane of SSE2's PMADDWD: four
+// columns, eight MACs per instruction on amd64.
 //
 // Codes are int8, so a pair's sum is at most 2·128·128 = 2^15 in magnitude
 // and the multiply cannot saturate (PMADDWD saturates only when both halves
 // are −32768·−32768). The int32 accumulator stays exact while k < 2^17,
-// MatMulInt8's bound, and integer addition is associative, so the result is
-// bit-identical to the naive triple loop at any worker count.
+// and integer addition is associative, so the result is bit-identical to
+// the naive triple loop at any worker count.
 //
 // A negative dimension or an operand too short for its shape panics here,
 // before any work: the assembly fold reads w unchecked.

@@ -189,12 +189,27 @@ func TestMatMulInterleavedOverflowBound(t *testing.T) {
 
 // TestInterleaveKLayout pins the widened layout on a [3,2] matrix: row
 // pair 0 interleaves rows 0 and 1 column by column, and the odd last row
-// pairs with 0.
+// pairs with 0. InterleaveKInto, over a destination full of garbage, must
+// write every entry, an odd last row's zero partners included, and so
+// equal InterleaveK at odd and even row counts.
 func TestInterleaveKLayout(t *testing.T) {
 	got := InterleaveK([]int8{1, 2, 3, 4, -5, -128}, 3, 2)
 	want := []int16{1, 3, 2, 4, -5, 0, -128, 0}
 	if !slices.Equal(got, want) {
 		t.Fatalf("InterleaveK = %v, want %v", got, want)
+	}
+	rng := NewRNG(75)
+	for _, s := range [][2]int{{1, 1}, {1, 5}, {2, 3}, {3, 4}, {4, 7}, {7, 9}, {0, 3}, {5, 0}} {
+		rows, cols := s[0], s[1]
+		codes, _, _, _ := int8Fixture(rng, rows, cols, 0)
+		dst := make([]int16, (rows+1)&^1*cols)
+		for i := range dst {
+			dst[i] = int16(rng.Intn(1<<16) - 1<<15)
+		}
+		InterleaveKInto(dst, codes, rows, cols)
+		if want := InterleaveK(codes, rows, cols); !slices.Equal(dst, want) {
+			t.Fatalf("[%d,%d]: InterleaveKInto over garbage = %v, want %v", rows, cols, dst, want)
+		}
 	}
 }
 

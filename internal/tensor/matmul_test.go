@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -138,7 +139,7 @@ func TestMatMulRowsIntoChecksOperands(t *testing.T) {
 		{"negative m", nil, nil, nil, -1, k, n, true},
 		{"negative k", nil, nil, nil, m, -1, n, true},
 		{"negative n", nil, nil, nil, m, k, -1, true},
-		{"wrapping k×n", nil, nil, nil, 0, 1 << 62, 4, true},
+		{"wrapping k×n", nil, nil, nil, 0, 1 << (strconv.IntSize - 2), 4, true},
 	}
 	for _, c := range cases {
 		func() {
