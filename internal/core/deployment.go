@@ -365,11 +365,8 @@ func (d *Deployment) rollWindowLocked() {
 // verification in disputes). Unless the deployment is watermarked this is
 // the platform's one decoded copy of the version, which every device on it
 // and the cloud tier serve from concurrently: the caller must not mutate
-// it, and must not call Forward, Predict or any training entry point on it
-// either — those record per-layer inputs inside the network. Use
-// ReferenceLogits for the deployment's answer, or Clone for anything else.
-// Compiled (procvm) deployments have no network; they return nil — see
-// CompiledModule.
+// or train it. Compiled (procvm) deployments have no network; they return
+// nil — see CompiledModule.
 func (d *Deployment) Model() *nn.Network {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -134,7 +134,7 @@ func TestDeployIntegerVariantServesNativeKernels(t *testing.T) {
 	for i := range rows {
 		rows[i] = append([]float32(nil), ds.X.Data[i*4:(i+1)*4]...)
 	}
-	wantLabels := qm.Predict(ds.X.RowSlice(0, n)).ArgMaxRows()
+	wantLabels := qm.ForwardBatch(ds.X.RowSlice(0, n), nil).ArgMaxRows()
 	floatLabels := artifact.Predict(ds.X.RowSlice(0, n)).ArgMaxRows()
 	agree := 0
 	for i, o := range dep.InferBatch(rows) {
@@ -255,7 +255,7 @@ func TestQModelReinstantiatedAcrossUpdateAndRollback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return qm.Predict(ds.X.RowSlice(0, 32)).ArgMaxRows()
+		return qm.ForwardBatch(ds.X.RowSlice(0, 32), nil).ArgMaxRows()
 	}
 	check := func(stage string, wantVersion string) {
 		t.Helper()

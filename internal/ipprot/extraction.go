@@ -240,7 +240,7 @@ func Extract(bb BlackBox, student *nn.Network, queryX *tensor.Tensor, cfg Extrac
 				copy(bt.Data[i*probs.Dim(1):(i+1)*probs.Dim(1)], probs.Data[src*probs.Dim(1):(src+1)*probs.Dim(1)])
 			}
 			student.ZeroGrad()
-			logits := student.Forward(bx, true)
+			logits := student.Forward(bx)
 			sp := nn.SoftmaxRows(logits)
 			// Soft cross-entropy gradient: (softmax(student) − teacher)/batch,
 			// in place.

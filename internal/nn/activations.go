@@ -19,9 +19,9 @@ func NewReLU() *ReLU { return &ReLU{} }
 func (r *ReLU) Kind() string { return "relu" }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	r.lastInput = x
-	out := r.out.out(train, x.Shape()...)
+	out := r.out.get(x.Shape()...)
 	r.InferInto(out, x)
 	return out
 }
@@ -70,8 +70,8 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 func (s *Sigmoid) Kind() string { return "sigmoid" }
 
 // Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := s.out.out(train, x.Shape()...)
+func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
+	out := s.out.get(x.Shape()...)
 	s.InferInto(out, x)
 	s.lastOutput = out
 	return out
@@ -115,8 +115,8 @@ func NewTanh() *Tanh { return &Tanh{} }
 func (t *Tanh) Kind() string { return "tanh" }
 
 // Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := t.out.out(train, x.Shape()...)
+func (t *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
+	out := t.out.get(x.Shape()...)
 	t.InferInto(out, x)
 	t.lastOutput = out
 	return out
@@ -164,8 +164,8 @@ func NewSoftmax() *Softmax { return &Softmax{} }
 func (s *Softmax) Kind() string { return "softmax" }
 
 // Forward implements Layer.
-func (s *Softmax) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := s.out.out(train, x.Shape()...)
+func (s *Softmax) Forward(x *tensor.Tensor) *tensor.Tensor {
+	out := s.out.get(x.Shape()...)
 	softmaxRowsInto(out, x)
 	s.lastOutput = out
 	return out

@@ -42,7 +42,7 @@ func TestBackwardProductsAreTransposeThenMatMul(t *testing.T) {
 		in, out, b := sz[0], sz[1], sz[2]
 		d := NewDense(in, out, rng)
 		x, g := sparseRandn(rng, b, in), sparseRandn(rng, b, out)
-		d.Forward(x, true)
+		d.Forward(x)
 		dx := d.Backward(g)
 		if !slices.Equal(d.dW.get(in, out).Data, matMul(transposed(x), g).Data) {
 			t.Errorf("dense %v: dW differs from xᵀ·g", sz)
@@ -54,7 +54,7 @@ func TestBackwardProductsAreTransposeThenMatMul(t *testing.T) {
 
 	c := NewConv2D(2, 3, 3, 3, 1, 1, rng)
 	x := tensor.Randn(rng, 1, 3, 2, 6, 6)
-	c.Forward(x, true)
+	c.Forward(x)
 	g := tensor.Randn(rng, 1, 3, 3, 6, 6)
 	dx := c.Backward(g)
 	win := c.window(6, 6)
@@ -87,7 +87,7 @@ func TestBackwardNonFiniteWeights(t *testing.T) {
 
 	d := NewDense(2, 2, rng)
 	copy(d.W.Value.Data, []float32{inf, 1, 1, 1}) // W[0][0] = +Inf
-	d.Forward(tensor.FromSlice([]float32{1, 1}, 1, 2), true)
+	d.Forward(tensor.FromSlice([]float32{1, 1}, 1, 2))
 	dx := d.Backward(tensor.FromSlice([]float32{0, 1}, 1, 2))
 	if !slices.Equal(dx.Data, []float32{1, 1}) {
 		t.Errorf("dense dx = %v, want [1 1]: the zero gradient's product with +Inf is skipped", dx.Data)
@@ -96,7 +96,7 @@ func TestBackwardNonFiniteWeights(t *testing.T) {
 	// A 1×1 convolution over a 1×2 map: cols is the map, dW = Σ g·x.
 	c := NewConv2D(1, 1, 1, 1, 1, 0, rng)
 	c.W.Value.Data[0] = inf
-	c.Forward(tensor.FromSlice([]float32{inf, 2}, 1, 1, 1, 2), true)
+	c.Forward(tensor.FromSlice([]float32{inf, 2}, 1, 1, 1, 2))
 	dx = c.Backward(tensor.FromSlice([]float32{0, 1}, 1, 1, 1, 2))
 	if got := c.W.Grad.Data[0]; got != 2 {
 		t.Errorf("conv dW = %v, want 2: the zero gradient's product with the +Inf input is skipped", got)
@@ -108,5 +108,32 @@ func TestBackwardNonFiniteWeights(t *testing.T) {
 	dx = c.Backward(tensor.FromSlice([]float32{inf, 1}, 1, 1, 1, 2))
 	if !slices.Equal(dx.Data, []float32{0, 0}) {
 		t.Errorf("conv dx = %v, want [0 0]: a zero weight's product with +Inf is skipped", dx.Data)
+	}
+}
+
+// TestPredictBetweenForwardAndBackward: inference between a training
+// forward pass and its backward pass leaves the gradients alone, bit for
+// bit — Predict runs the compiled program, which reads no cache Backward
+// relies on and writes none.
+func TestPredictBetweenForwardAndBackward(t *testing.T) {
+	rng := tensor.NewRNG(33)
+	net := NewNetwork([]int{8}, NewDense(8, 6, rng), NewReLU(), NewDense(6, 3, rng))
+	ref := net.Clone()
+	x, other := tensor.Randn(rng, 1, 5, 8), tensor.Randn(rng, 1, 5, 8)
+	labels := []int{0, 1, 2, 1, 0}
+	step := func(n *Network, between func()) {
+		n.ZeroGrad()
+		_, grad := softmaxCE(n.Forward(x), labels)
+		between()
+		n.Backward(grad)
+	}
+	step(ref, func() {})
+	step(net, func() { net.Predict(other) })
+	for i, p := range net.Params() {
+		for j, g := range p.Grad.Data {
+			if math.Float32bits(g) != math.Float32bits(ref.Params()[i].Grad.Data[j]) {
+				t.Fatalf("%s[%d]: gradient %v after a Predict, %v without", p.Name, j, g, ref.Params()[i].Grad.Data[j])
+			}
+		}
 	}
 }

@@ -3,10 +3,10 @@ package nn
 import "tinymlops/internal/tensor"
 
 // inferInto is the stateless kernel behind Network.ForwardBatch: write
-// the inference-mode (train=false) output for x into dst without touching
-// any layer state. dst has shape [batch, the layer's planned output...] and may
-// hold stale values from a previous call, so implementations must write
-// every element. Because the contract forbids state writes, any number of
+// the inference output for x into dst without touching any layer state.
+// dst has shape [batch, the layer's planned output...] and may hold stale
+// values from a previous call, so implementations must write every
+// element. Because the contract forbids state writes, any number of
 // goroutines may drive the fast path through one shared network.
 type inferInto interface {
 	InferInto(dst, x *tensor.Tensor)
@@ -26,11 +26,11 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // ForwardBatch runs inference on a batch of B examples ([B, example
-// shape...]) through the network's compiled batch program. The output is
-// bit-identical to Forward(x, false) — and therefore to B single-example
-// Forward calls — because every fused kernel preserves its layers' exact
-// floating-point accumulation order; only allocation and caching behavior
-// differ.
+// shape...]) through the network's compiled batch program; it is the one
+// float inference path, behind Predict and ForwardPrefix too. The output
+// is bit-identical to running each layer's own kernel in turn — and
+// therefore to B single-example calls — because every fused kernel
+// preserves its layers' exact floating-point accumulation order.
 //
 // The returned tensor aliases scratch storage and is valid until the next
 // call with the same Scratch; clone it to retain it. A nil scratch

@@ -7,7 +7,35 @@ import (
 	"tinymlops/internal/tensor"
 )
 
-// rowByRow runs every example of x through net.Forward individually and
+// layerwise is the unfused reference the compiled program is held to: each
+// layer runs its own inference kernel into a fresh tensor — InferInto, or
+// for a convolution its per-example im2col product — except that Flatten
+// reshapes and Dropout passes its input through. Nothing is fused and no
+// buffer is reused.
+func layerwise(net *Network, x *tensor.Tensor) *tensor.Tensor {
+	net.enter(x)
+	for i, l := range net.layers {
+		shape := append([]int{x.Dim(0)}, net.plan[i].Info.OutShape...)
+		switch l := l.(type) {
+		case *Flatten:
+			x = x.Reshape(shape...)
+		case *Dropout:
+		case *Conv2D:
+			y, g := tensor.New(shape...), l.window(x.Dim(2), x.Dim(3))
+			for n := 0; n < x.Dim(0); n++ {
+				l.convolve(y, x, n, g, make([]float32, g.Taps()*shape[2]*shape[3]))
+			}
+			x = y
+		default:
+			y := tensor.New(shape...)
+			l.(inferInto).InferInto(y, x)
+			x = y
+		}
+	}
+	return x
+}
+
+// rowByRow runs every example of x through layerwise individually and
 // concatenates the outputs — the single-sample reference path.
 func rowByRow(t *testing.T, net *Network, x *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
@@ -17,7 +45,7 @@ func rowByRow(t *testing.T, net *Network, x *tensor.Tensor) *tensor.Tensor {
 	for i := 0; i < n; i++ {
 		shape := append([]int{1}, x.Shape()[1:]...)
 		row := tensor.FromSlice(x.Data[i*exampleSize:(i+1)*exampleSize], shape...)
-		y := net.Forward(row, false)
+		y := layerwise(net, row)
 		if out == nil {
 			out = tensor.New(append([]int{n}, y.Shape()[1:]...)...)
 		}
@@ -40,7 +68,7 @@ func requireIdentical(t *testing.T, name string, got, want *tensor.Tensor) {
 }
 
 // TestForwardBatchMatchesSingleSampleMLP checks the acceptance contract:
-// ForwardBatch output is byte-identical to per-sample Forward, including
+// ForwardBatch output is byte-identical to the per-sample reference, including
 // through batch norm (frozen stats), dropout (identity) and softmax.
 func TestForwardBatchMatchesSingleSampleMLP(t *testing.T) {
 	rng := tensor.NewRNG(11)
@@ -68,8 +96,8 @@ func TestForwardBatchMatchesSingleSampleMLP(t *testing.T) {
 		requireIdentical(t, "mlp scratch reuse", net.ForwardBatch(in, scratch), want)
 		// Nil scratch allocates per call but computes the same values.
 		requireIdentical(t, "mlp nil scratch", net.ForwardBatch(in, nil), want)
-		// The regular full-batch Forward is the third equivalent path.
-		requireIdentical(t, "mlp Forward full batch", net.Forward(in, false), want)
+		// The unfused reference over the whole batch is the third.
+		requireIdentical(t, "mlp layerwise full batch", layerwise(net, in), want)
 	}
 }
 
@@ -109,6 +137,49 @@ func TestForwardBatchConcurrent(t *testing.T) {
 						t.Errorf("concurrent ForwardBatch diverged at %d", i)
 						return
 					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestInferenceEntryPointsShareANetwork drives Predict and ForwardPrefix —
+// each a compiled program on a fresh Scratch — from many goroutines over one
+// conv network: neither writes layer state, so every result is the serial
+// one, bit for bit (and the race detector sees no write).
+func TestInferenceEntryPointsShareANetwork(t *testing.T) {
+	rng := tensor.NewRNG(19)
+	net := NewNetwork([]int{1, 8, 8},
+		NewConv2D(1, 4, 3, 3, 1, 1, rng), NewReLU(), NewMaxPool2D(2, 2),
+		NewFlatten(), NewDense(4*4*4, 3, rng))
+	const cut = 3
+	in := make([]*tensor.Tensor, 8)
+	wantLogits := make([]*tensor.Tensor, 8)
+	wantAct := make([]*tensor.Tensor, 8)
+	for g := range in {
+		in[g] = tensor.Randn(rng, 1, 1+g%3, 1, 8, 8)
+		wantLogits[g] = net.Predict(in[g])
+		act, err := net.ForwardPrefix(in[g], cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAct[g] = act
+	}
+	var wg sync.WaitGroup
+	for g := range in {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				if !bitsEqual(net.Predict(in[g]), wantLogits[g]) {
+					t.Errorf("goroutine %d round %d: concurrent Predict differs from the serial result", g, k)
+					return
+				}
+				act, err := net.ForwardPrefix(in[g], cut)
+				if err != nil || !bitsEqual(act, wantAct[g]) {
+					t.Errorf("goroutine %d round %d: concurrent ForwardPrefix differs from the serial result (err %v)", g, k, err)
+					return
 				}
 			}
 		}()

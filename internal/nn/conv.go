@@ -50,11 +50,11 @@ func (c *Conv2D) convolve(dst, x *tensor.Tensor, n int, g tensor.Window, cols []
 }
 
 // Forward implements Layer, keeping each example's im2col matrix for Backward.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	g := c.window(x.Dim(2), x.Dim(3))
 	oh, ow := g.Out()
 	c.lastInput = x
-	out := c.out.out(train, x.Dim(0), c.OutC, oh, ow)
+	out := c.out.get(x.Dim(0), c.OutC, oh, ow)
 	size := g.Taps() * oh * ow
 	c.lastCols = grow(c.lastCols, x.Dim(0)*size)
 	for n := 0; n < x.Dim(0); n++ {
@@ -156,11 +156,11 @@ func (p *MaxPool2D) window(c, h, w int) tensor.Window {
 }
 
 // Forward implements Layer: InferInto's kernel, keeping the argmax.
-func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	g := p.window(x.Dim(0)*x.Dim(1), x.Dim(2), x.Dim(3))
 	oh, ow := g.Out()
 	p.lastShape = append(p.lastShape[:0], x.Shape()...)
-	out := p.out.out(train, x.Dim(0), x.Dim(1), oh, ow)
+	out := p.out.get(x.Dim(0), x.Dim(1), oh, ow)
 	p.lastArgmax = grow(p.lastArgmax, out.Size())
 	tensor.MaxPool(out.Data, x.Data, g, p.lastArgmax)
 	return out

@@ -20,7 +20,7 @@ func deltaFixtureNet(seed uint64) *Network {
 	// Give batch norm non-trivial running statistics: they are serialized
 	// state and the delta must carry them too.
 	x := tensor.Randn(rng, 1, 16, 1*8*8).Reshape(16, 1, 8, 8)
-	net.Forward(x, true)
+	net.Forward(x)
 	return net
 }
 

@@ -32,9 +32,9 @@ func NewDense(in, out int, rng *tensor.RNG) *Dense {
 func (d *Dense) Kind() string { return "dense" }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	d.lastInput = x
-	y := d.out.out(train, x.Dim(0), d.Out)
+	y := d.out.get(x.Dim(0), d.Out)
 	d.InferInto(y, x)
 	return y
 }
@@ -88,7 +88,7 @@ func (d *Dense) Describe(in []int) (LayerInfo, error) {
 // Flatten reshapes [batch, d1, d2, ...] input to [batch, d1*d2*...].
 type Flatten struct {
 	lastShape []int
-	out, dx   trainBuf // training-mode headers, over the input's and the gradient's data
+	out, dx   trainBuf // headers over the input's and the gradient's data
 }
 
 // NewFlatten returns a Flatten layer.
@@ -98,11 +98,8 @@ func NewFlatten() *Flatten { return &Flatten{} }
 func (f *Flatten) Kind() string { return "flatten" }
 
 // Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
 	f.lastShape = append(f.lastShape[:0], x.Shape()...)
-	if !train {
-		return x.Reshape(x.Dim(0), -1)
-	}
 	return f.out.view(x.Data, x.Dim(0), int(shapeProduct(x.Shape()[1:])))
 }
 

@@ -21,15 +21,17 @@
 // A batch is checked once, where it enters the network; no kernel checks
 // its input shape again.
 //
-// Two forward paths exist. Layer.Forward caches what Backward needs, so a
-// network is single-flight while training; Train runs from a plan on the
-// network and buffers in its layers, so a steady-state epoch allocates
-// nothing. Network.ForwardBatch is the serving path: the layer list
-// compiled once per batch size into a fused program, allocation-free in the
-// steady state, free of layer-state writes — so one model can serve many
-// simulated devices concurrently — and bit-identical to per-sample Forward,
-// which keeps it out of the accuracy story entirely. There is no third,
-// uncompiled path: the compiler runs every kind of the table.
+// Inference has one path, Network.ForwardBatch: the layer list compiled
+// once per batch size into a fused program, allocation-free in the steady
+// state, free of layer-state writes — so one model can serve many simulated
+// devices concurrently — and bit-identical to running each layer's own
+// kernel one example at a time, which keeps it out of the accuracy story
+// entirely. Predict and ForwardPrefix run it on a fresh Scratch. The
+// compiler runs every kind of the table. Layer.Forward is training's alone:
+// it applies dropout and batch statistics and caches what Backward needs,
+// so a network is single-flight while training; Train runs from a plan on
+// the network and buffers in its layers, so a steady-state epoch allocates
+// nothing.
 //
 // What a layer kind is — config, state tensors, their wire order and
 // exchange names — is one row of the table in kinds.go. The binary model

@@ -12,7 +12,7 @@ import "tinymlops/internal/tensor"
 // layer runs as its own InferInto kernel, in place over the step's output
 // — each of these kernels reads only the element (for batch norm, the
 // column) it writes — so a compiled program's output is bit-identical to
-// Forward by construction.
+// running every layer's own kernel in turn, by construction.
 
 // stepKind identifies the executable form of one compiled step.
 type stepKind int

@@ -88,7 +88,7 @@ func TestForwardBatchPanicsOnMisfit(t *testing.T) {
 	} {
 		for path, run := range map[string]func(){
 			"ForwardBatch": func() { net.ForwardBatch(in, nil) },
-			"Forward":      func() { net.Forward(in, true) },
+			"Forward":      func() { net.Forward(in) },
 		} {
 			if msg := panicMessage(run); !strings.Contains(msg, "takes [n [4]] at layer 0") {
 				t.Errorf("%s: %s panic = %q, want it to name the input at layer 0", name, path, msg)

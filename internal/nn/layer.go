@@ -49,22 +49,24 @@ type LayerInfo struct {
 
 // Layer is one differentiable stage of a network.
 //
-// Forward caches whatever it needs for Backward; a layer therefore supports
-// one in-flight forward/backward pair at a time. Concurrent training takes
-// a Clone per goroutine, returned to the source between uses by ResetFrom —
-// the federated simulation's one scratch network per worker.
+// Forward is the training pass: it applies training-only behaviour
+// (dropout masks, batch-norm statistics updates) and caches whatever
+// Backward needs, so a layer supports one in-flight forward/backward pair
+// at a time. Concurrent training takes a Clone per goroutine, returned to
+// the source between uses by ResetFrom — the federated simulation's one
+// scratch network per worker. Inference never calls Forward: it runs the
+// network's compiled program (Network.ForwardBatch), which writes no layer
+// state.
 //
-// The layer owns what Forward(x, true) and Backward return: each is a
-// buffer the layer keeps and overwrites on a later pass, valid until the
-// layer's next forward pass, so a training step allocates nothing. What
-// Forward(x, false) returns belongs to the caller.
+// The layer owns what Forward and Backward return: each is a buffer the
+// layer keeps and overwrites on a later pass, valid until the layer's next
+// forward pass, so a training step allocates nothing.
 type Layer interface {
 	// Kind returns the operator type ("dense", "conv2d", "relu", ...), used
 	// for serialization and for device op-support matrices.
 	Kind() string
-	// Forward computes the layer output. train enables training-only
-	// behaviour (dropout masks, batch-norm statistics updates).
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	// Forward computes the layer's training-mode output.
+	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward consumes the gradient w.r.t. the layer output and returns
 	// the gradient w.r.t. the layer input, accumulating parameter
 	// gradients along the way.
@@ -87,7 +89,7 @@ func errShape(kind string, want, got []int) error {
 	return fmt.Errorf("nn: %s expects input shape %v, got %v", kind, want, got)
 }
 
-// trainBuf is a tensor a layer hands out in training mode — an output or an
+// trainBuf is a tensor a layer hands out while training — an output or an
 // input gradient — kept for the last two shapes asked of it: an epoch
 // alternates between its full batch and its short final one, and neither
 // allocates after the first epoch. Its contents are stale when handed out.
@@ -103,15 +105,6 @@ func (b *trainBuf) get(shape ...int) *tensor.Tensor {
 	// Cloned so that a caller's shape literal stays on its stack.
 	b[0], b[1] = tensor.New(slices.Clone(shape)...), b[0]
 	return b[0]
-}
-
-// out returns a layer's forward output: the buffer in training mode, a new
-// tensor the caller owns otherwise.
-func (b *trainBuf) out(train bool, shape ...int) *tensor.Tensor {
-	if train {
-		return b.get(shape...)
-	}
-	return tensor.New(slices.Clone(shape)...)
 }
 
 // view returns a header of the given shape over data: a reshape that makes

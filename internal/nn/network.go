@@ -118,18 +118,21 @@ func (n *Network) enter(x *tensor.Tensor) {
 	}
 }
 
-// Forward runs the network on a batch. train toggles training behaviour
-// (dropout, batch-norm statistics).
-func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+// Forward runs the training pass on a batch: dropout draws its masks,
+// batch norm normalizes over the batch and moves its running statistics,
+// and every layer caches what Backward needs. It is Train's, not an
+// inference entry point.
+func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n.enter(x)
 	for _, l := range n.layers {
-		x = l.Forward(x, train)
+		x = l.Forward(x)
 	}
 	return x
 }
 
-// Predict is Forward in inference mode.
-func (n *Network) Predict(x *tensor.Tensor) *tensor.Tensor { return n.Forward(x, false) }
+// Predict runs inference on a batch: ForwardBatch on a fresh Scratch, so
+// no later call overwrites the result.
+func (n *Network) Predict(x *tensor.Tensor) *tensor.Tensor { return n.ForwardBatch(x, nil) }
 
 // paramBackward is Backward for a layer nothing reads the input gradient
 // of: it accumulates the parameter gradients exactly as Backward does and

@@ -22,9 +22,9 @@ func numericalGrad(net *Network, x *tensor.Tensor, labels []int, p *tensor.Tenso
 	const eps = 1e-3
 	orig := p.Data[i]
 	p.Data[i] = orig + eps
-	lp, _ := softmaxCE(net.Forward(x, false), labels)
+	lp, _ := softmaxCE(net.Predict(x), labels)
 	p.Data[i] = orig - eps
-	lm, _ := softmaxCE(net.Forward(x, false), labels)
+	lm, _ := softmaxCE(net.Predict(x), labels)
 	p.Data[i] = orig
 	return (float64(lp) - float64(lm)) / (2 * eps)
 }
@@ -34,7 +34,7 @@ func numericalGrad(net *Network, x *tensor.Tensor, labels []int, p *tensor.Tenso
 func checkGradients(t *testing.T, net *Network, x *tensor.Tensor, labels []int, tol float64) {
 	t.Helper()
 	net.ZeroGrad()
-	logits := net.Forward(x, false)
+	logits := net.Forward(x)
 	_, grad := softmaxCE(logits, labels)
 	net.Backward(grad)
 	rng := tensor.NewRNG(99)
@@ -103,20 +103,20 @@ func TestBatchNormGradient(t *testing.T) {
 	net := NewNetwork([]int{4}, NewDense(4, 4, rng), bn, NewDense(4, 2, rng))
 	x := tensor.Randn(rng, 1, 6, 4)
 	labels := []int{0, 1, 0, 1, 0, 1}
-	// Batch-norm training mode differs from eval mode; check gradients with
-	// train=true forward passes by temporarily wiring them manually.
+	// Batch norm trains on batch statistics and infers on running ones, so
+	// the numeric gradient takes training forward passes too.
 	net.ZeroGrad()
-	logits := net.Forward(x, true)
+	logits := net.Forward(x)
 	_, grad := softmaxCE(logits, labels)
 	net.Backward(grad)
-	// Validate gamma gradient numerically (in train mode).
+	// Validate gamma gradient numerically.
 	const eps = 1e-3
 	for i := 0; i < 4; i++ {
 		orig := bn.Gamma.Value.Data[i]
 		bn.Gamma.Value.Data[i] = orig + eps
-		lp, _ := softmaxCE(net.Forward(x, true), labels)
+		lp, _ := softmaxCE(net.Forward(x), labels)
 		bn.Gamma.Value.Data[i] = orig - eps
-		lm, _ := softmaxCE(net.Forward(x, true), labels)
+		lm, _ := softmaxCE(net.Forward(x), labels)
 		bn.Gamma.Value.Data[i] = orig
 		numeric := (float64(lp) - float64(lm)) / (2 * eps)
 		analytic := float64(bn.Gamma.Grad.Data[i])
@@ -130,7 +130,7 @@ func TestSoftmaxLayerMatchesSoftmaxRows(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	x := tensor.Randn(rng, 2, 4, 5)
 	sm := NewSoftmax()
-	y := sm.Forward(x, false)
+	y := NewNetwork([]int{5}, sm).Predict(x)
 	want := SoftmaxRows(x)
 	if !tensor.ApproxEqual(y, want, 1e-6) {
 		t.Fatal("Softmax layer disagrees with SoftmaxRows")
@@ -150,7 +150,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	d := NewDropout(0.5, rng)
 	x := tensor.Ones(1, 1000)
-	ytrain := d.Forward(x, true)
+	ytrain := d.Forward(x)
 	zeros := 0
 	for _, v := range ytrain.Data {
 		if v == 0 {
@@ -166,9 +166,9 @@ func TestDropoutTrainVsEval(t *testing.T) {
 			t.Fatalf("dropout survivor has value %v, want 2", v)
 		}
 	}
-	yeval := d.Forward(x, false)
+	yeval := NewNetwork([]int{1000}, d).Predict(x)
 	if !tensor.ApproxEqual(yeval, x, 0) {
-		t.Fatal("dropout must be identity in eval mode")
+		t.Fatal("dropout must be the identity at inference")
 	}
 }
 
@@ -279,7 +279,7 @@ func TestAdamConvergesFasterThanPlainsSGDOnRosenbrockLikeTask(t *testing.T) {
 	var last float32
 	for step := 0; step < 60; step++ {
 		net.ZeroGrad()
-		loss, grad := softmaxCE(net.Forward(x, true), labels)
+		loss, grad := softmaxCE(net.Forward(x), labels)
 		net.Backward(grad)
 		opt.Step(net.Params())
 		if step == 0 {
@@ -473,7 +473,7 @@ func TestBatchNormRunningStatsConverge(t *testing.T) {
 	// Feed batches with mean 3, std 2.
 	for i := 0; i < 200; i++ {
 		x := tensor.Randn(rng, 2, 64, 1).AddScalar(3)
-		bn.Forward(x, true)
+		bn.Forward(x)
 	}
 	if math.Abs(float64(bn.RunMean.Data[0])-3) > 0.3 {
 		t.Fatalf("running mean = %v, want ≈3", bn.RunMean.Data[0])

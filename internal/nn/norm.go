@@ -41,13 +41,9 @@ func NewBatchNorm1D(f int) *BatchNorm1D {
 func (bn *BatchNorm1D) Kind() string { return "batchnorm1d" }
 
 // Forward implements Layer.
-func (bn *BatchNorm1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (bn *BatchNorm1D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	b := x.Dim(0)
-	out := bn.out.out(train, b, bn.F)
-	if !train {
-		bn.InferInto(out, x)
-		return out
-	}
+	out := bn.out.get(b, bn.F)
 	bn.lastBatch = b
 	bn.lastXHat = bn.xhat.get(b, bn.F)
 	bn.lastStd = grow(bn.lastStd, bn.F)
@@ -159,8 +155,8 @@ func (d *Dropout) Kind() string { return "dropout" }
 func (d *Dropout) resetDecodeState() { d.rng = tensor.NewRNG(0) }
 
 // Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P == 0 {
+func (d *Dropout) Forward(x *tensor.Tensor) *tensor.Tensor {
+	if d.P == 0 {
 		d.lastMask = nil
 		return x
 	}

@@ -202,7 +202,7 @@ func backwardDigests(t *testing.T) map[string]string {
 		shape := append([]int{6}, fx.x.Shape()[1:]...)
 		per := fx.x.Size() / 12
 		pass := func(lo int) {
-			_, grad := softmaxCE(fx.net.Forward(tensor.FromSlice(fx.x.Data[lo*per:(lo+6)*per], shape...), true), fx.labels[lo:lo+6])
+			_, grad := softmaxCE(fx.net.Forward(tensor.FromSlice(fx.x.Data[lo*per:(lo+6)*per], shape...)), fx.labels[lo:lo+6])
 			fx.net.Backward(grad)
 		}
 		fx.net.ZeroGrad()
@@ -226,7 +226,7 @@ func backwardDigests(t *testing.T) map[string]string {
 	}
 	// A decoded dropout layer's stream: what ResetFrom must restart.
 	dec := goldenNet().Clone()
-	_, grad := softmaxCE(dec.Forward(fixtures["conv"].x, true), fixtures["conv"].labels)
+	_, grad := softmaxCE(dec.Forward(fixtures["conv"].x), fixtures["conv"].labels)
 	dec.Backward(grad)
 	out["dropout/once"] = gradDigest(dec)
 	return out

@@ -37,8 +37,8 @@ func splitNets(t *testing.T) []struct {
 		return x
 	}
 	// Run a training forward through the batch-norm net so its running
-	// statistics are non-trivial before inference-mode comparison.
-	bn.Forward(mk(4, 8), true)
+	// statistics are non-trivial before inference is compared.
+	bn.Forward(mk(4, 8))
 	return []struct {
 		name string
 		net  *Network
@@ -65,10 +65,10 @@ func bitsEqual(a, b *tensor.Tensor) bool {
 // TestSplitBitExactAtEveryCut is the partitioned-execution contract:
 // prefix + suffix, with the boundary activation round-tripped through the
 // tensor codec (the serialized handoff an edge–cloud split performs), is
-// bit-identical to the monolithic forward pass at every possible cut.
+// bit-identical to the monolithic unfused reference at every possible cut.
 func TestSplitBitExactAtEveryCut(t *testing.T) {
 	for _, c := range splitNets(t) {
-		want := c.net.Forward(c.x, false)
+		want := layerwise(c.net, c.x)
 		n := len(c.net.Layers())
 		for cut := 0; cut <= n; cut++ {
 			act, err := c.net.ForwardPrefix(c.x, cut)
@@ -89,20 +89,20 @@ func TestSplitBitExactAtEveryCut(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s cut %d: suffix: %v", c.name, cut, err)
 			}
-			got := suffix.Forward(&wire, false)
+			got := layerwise(suffix, &wire)
 			if !bitsEqual(got, want) {
-				t.Fatalf("%s cut %d: split output differs from monolithic Forward", c.name, cut)
+				t.Fatalf("%s cut %d: split output differs from the monolithic reference", c.name, cut)
 			}
 		}
 	}
 }
 
 // TestSubnetForwardBatchMatchesSuffix pins the cloud serving path: the
-// suffix subnet's batched fast path must be bit-identical to the plain
-// suffix — and therefore to the monolithic forward.
+// suffix subnet's compiled program must be bit-identical to the monolithic
+// unfused reference.
 func TestSubnetForwardBatchMatchesSuffix(t *testing.T) {
 	for _, c := range splitNets(t) {
-		want := c.net.Forward(c.x, false)
+		want := layerwise(c.net, c.x)
 		n := len(c.net.Layers())
 		for cut := 0; cut < n; cut++ {
 			act, err := c.net.ForwardPrefix(c.x, cut)
@@ -115,7 +115,7 @@ func TestSubnetForwardBatchMatchesSuffix(t *testing.T) {
 			}
 			got := suffix.ForwardBatch(act, NewScratch())
 			if !bitsEqual(got, want) {
-				t.Fatalf("%s cut %d: suffix ForwardBatch differs from monolithic Forward", c.name, cut)
+				t.Fatalf("%s cut %d: suffix ForwardBatch differs from the monolithic reference", c.name, cut)
 			}
 		}
 	}
@@ -135,9 +135,9 @@ func TestSubnetSharesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := suffix.Forward(act, false).Data[0]
+	before := suffix.Predict(act).Data[0]
 	net.Layers()[2].(*Dense).W.Value.Data[0] += 1
-	after := suffix.Forward(act, false).Data[0]
+	after := suffix.Predict(act).Data[0]
 	if before == after {
 		t.Fatal("subnet did not observe the parent's weight mutation")
 	}

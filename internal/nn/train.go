@@ -67,7 +67,7 @@ func Train(net *Network, x *tensor.Tensor, labels []int, cfg TrainConfig) (float
 		for lo := 0; lo < n; lo += cfg.BatchSize {
 			bx, by := p.gather(x, labels, perm[lo:min(lo+cfg.BatchSize, n)])
 			net.ZeroGrad()
-			logits := net.Forward(bx, true)
+			logits := net.Forward(bx)
 			grad := p.grad.get(logits.Shape()...)
 			loss := softmaxCrossEntropy(grad, logits, by)
 			net.Backward(grad)

@@ -10,8 +10,8 @@
 // convolution unrolls its int8 codes through the tensor.Im2col the float
 // engine uses, over the same tensor.Window), and
 // ForwardBatch serves whole bursts through reusable QScratch buffers —
-// allocation-free in the steady state, bit-identical to per-example
-// Predict, and safe for any number of goroutines over one shared model
+// allocation-free in the steady state, bit-identical to a pass per
+// example, and safe for any number of goroutines over one shared model
 // (one scratch each). What is known when a model is lowered lives on the
 // model: every stage keeps the input and output shape the network's plan
 // holds (a convolution its window, tap count and strides), so a pass checks its batch once, where it enters, and no

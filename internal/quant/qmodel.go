@@ -22,8 +22,8 @@ import (
 // re-derives or re-checks a shape per call.
 //
 // Numerical contract: every example is quantized and executed
-// independently, so ForwardBatch over a batch, Predict row by row, and a
-// naive scalar int8 reference all produce bit-identical outputs. Against
+// independently, so ForwardBatch over a batch, ForwardBatch row by row and
+// a naive scalar int8 reference all produce bit-identical outputs. Against
 // the fake-quantized float reference (FakeQuantizeNetwork at the same
 // scheme) the only deviation is dynamic activation quantization: each
 // quantized activation differs from its float value by at most half the
@@ -319,11 +319,6 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 // not [n, InputShape...] panics before any stage runs.
 func (m *QModel) ForwardBatch(x *tensor.Tensor, s *QScratch) *tensor.Tensor {
 	return m.ForwardRange(x, s, 0, len(m.stages))
-}
-
-// Predict runs quantized inference on a batch with one-shot buffers.
-func (m *QModel) Predict(x *tensor.Tensor) *tensor.Tensor {
-	return m.ForwardBatch(x, nil)
 }
 
 // SizeBytes returns the total weight footprint of the quantized model at

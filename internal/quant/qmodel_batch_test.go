@@ -17,7 +17,7 @@ import (
 // refForward executes a QModel with naive scalar loops: per-example
 // activation quantization, a scalar triple-loop int8 matmul for dense
 // stages, a direct (non-im2col) integer convolution for conv stages, and
-// the layers' own Forward for float stages. Integer accumulation is exact,
+// the float network's inference of the layer alone for float stages. Integer accumulation is exact,
 // so the blocked kernels must reproduce this reference bit for bit.
 func refForward(m *QModel, x *tensor.Tensor) *tensor.Tensor {
 	for _, st := range m.stages {
@@ -74,7 +74,7 @@ func refForward(m *QModel, x *tensor.Tensor) *tensor.Tensor {
 			}
 			x = out
 		case *qFloat:
-			x = s.layer.Forward(x, false)
+			x = nn.NewNetwork(x.Shape()[1:], s.layer).Predict(x)
 		default:
 			panic(fmt.Sprintf("unknown stage %T", st))
 		}
@@ -89,7 +89,7 @@ func weightCode(q *QTensor, i, j int) int8 {
 	return int8(q.Wide[i>>1*2*q.Cols+2*j+i&1])
 }
 
-// perSample runs every example of x through m.Predict individually and
+// perSample runs every example of x through m.ForwardBatch individually and
 // concatenates the outputs — the single-sample reference path (mirrors
 // nn/batch_test.go's rowByRow).
 func perSample(t *testing.T, m *QModel, x *tensor.Tensor) *tensor.Tensor {
@@ -100,7 +100,7 @@ func perSample(t *testing.T, m *QModel, x *tensor.Tensor) *tensor.Tensor {
 	for i := 0; i < n; i++ {
 		shape := append([]int{1}, x.Shape()[1:]...)
 		row := tensor.FromSlice(x.Data[i*es:(i+1)*es], shape...)
-		y := m.Predict(row)
+		y := m.ForwardBatch(row, nil)
 		if out == nil {
 			out = tensor.New(append([]int{n}, y.Shape()[1:]...)...)
 		}
@@ -182,7 +182,7 @@ func wideConv(rng *tensor.RNG) *nn.Network {
 
 // TestQModelForwardBatchBitExact is the integer runtime's acceptance
 // property: for every fixture and every scheme, ForwardBatch over a
-// batch, Predict example by example, and the naive scalar reference all
+// batch, ForwardBatch example by example, and the naive scalar reference all
 // produce bit-identical outputs — including scratch reuse, nil scratch,
 // NaN/-0 payloads and the empty batch.
 func TestQModelForwardBatchBitExact(t *testing.T) {
@@ -201,9 +201,9 @@ func TestQModelForwardBatchBitExact(t *testing.T) {
 			mustIdentical(t, name+" scratch reuse", qm.ForwardBatch(fx.in, scratch), want)
 			// Nil scratch allocates per call but computes the same values.
 			mustIdentical(t, name+" nil scratch", qm.ForwardBatch(fx.in, nil), want)
-			// Per-example dynamic quantization makes per-sample Predict
-			// bit-identical to the batched pass.
-			mustIdentical(t, name+" per-sample Predict", perSample(t, qm, fx.in), want)
+			// Per-example dynamic quantization makes a per-sample pass
+			// bit-identical to the batched one.
+			mustIdentical(t, name+" per-sample", perSample(t, qm, fx.in), want)
 
 			// Empty batches flow through without touching a kernel.
 			empty := tensor.New(append([]int{0}, fx.in.Shape()[1:]...)...)
@@ -254,7 +254,7 @@ func TestQModelConcurrentServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := tensor.Randn(rng, 1, 10, 8)
-	want := qm.Predict(in)
+	want := qm.ForwardBatch(in, nil)
 	for _, workers := range []int{1, 4, 16} {
 		eng := engine.New(engine.Config{Workers: workers})
 		var mu sync.Mutex

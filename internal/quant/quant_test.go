@@ -133,7 +133,7 @@ func TestQModelMatchesFakeQuantPredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logits := qm.Predict(x.RowSlice(0, 64))
+	logits := qm.ForwardBatch(x.RowSlice(0, 64), nil)
 	// Compare classification agreement with the float model (activation
 	// quantization adds noise so exact equality is not expected).
 	want := net.Predict(x.RowSlice(0, 64)).ArgMaxRows()
@@ -148,7 +148,7 @@ func TestQModelMatchesFakeQuantPredictions(t *testing.T) {
 		t.Fatalf("int8 QModel agrees on only %d/64 predictions", agree)
 	}
 	qacc := 0
-	pred := qm.Predict(x).ArgMaxRows()
+	pred := qm.ForwardBatch(x, nil).ArgMaxRows()
 	for i := range pred {
 		if pred[i] == labels[i] {
 			qacc++

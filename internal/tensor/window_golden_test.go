@@ -66,18 +66,20 @@ func windowRows(t *testing.T, c windowCase, batch int) []string {
 		rows = append(rows, fmt.Sprintf("%s/b%d/%s %s", c.name, batch, path, val))
 	}
 
-	y := conv.Forward(x, true)
+	y := conv.Forward(x)
 	row("conv.forward", fmt.Sprint(y.Shape(), " ", bits(y.Data)))
 	dx := conv.Backward(tensor.Randn(rng, 1, y.Shape()...))
 	row("conv.dx", bits(dx.Data))
 	row("conv.dW", bits(conv.W.Grad.Data))
 	row("conv.db", bits(conv.B.Grad.Data))
-	z := pool.Forward(y, true)
+	z := pool.Forward(y)
 	row("pool.forward", fmt.Sprint(z.Shape(), " ", bits(z.Data)))
 	row("pool.dx", bits(pool.Backward(tensor.Randn(rng, 1, z.Shape()...)).Data))
 
 	net := nn.NewNetwork([]int{c.inC, c.h, c.w}, conv, nn.NewReLU(), pool, nn.NewFlatten())
-	row("nn.Forward", bits(net.Forward(x, false).Data))
+	// The training pass runs each layer's own kernel, unfused; with no
+	// dropout or batch norm in the network it computes what inference does.
+	row("nn.Forward", bits(net.Forward(x).Data))
 	row("nn.ForwardBatch", bits(net.ForwardBatch(x, nn.NewScratch()).Data))
 	for _, scheme := range []quant.Scheme{quant.Int8, quant.Int4} {
 		qm, err := quant.NewQModel(net, scheme)

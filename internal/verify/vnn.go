@@ -95,10 +95,16 @@ func walkInference(net *nn.Network, x *tensor.Tensor,
 ) (*tensor.Tensor, error) {
 	cur := x
 	denseIdx := 0
-	for _, l := range net.Layers() {
+	for i, l := range net.Layers() {
 		d, ok := l.(*nn.Dense)
 		if !ok {
-			cur = l.Forward(cur, false)
+			// A layer the proof does not cover is plain float inference:
+			// the network's compiled program over that one layer.
+			glue, err := net.Subnet(i, i+1)
+			if err != nil {
+				return nil, err
+			}
+			cur = glue.ForwardBatch(cur, nil)
 			continue
 		}
 		codes, sx := quant.QuantizeActivations(cur)
