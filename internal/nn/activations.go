@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"tinymlops/internal/tensor"
-)
+import "tinymlops/internal/tensor"
 
 // ReLU is the rectified linear activation max(0, x).
 type ReLU struct {
@@ -22,20 +18,12 @@ func (r *ReLU) Kind() string { return "relu" }
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	r.lastInput = x
 	out := r.out.get(x.Shape()...)
-	r.InferInto(out, x)
+	r.inferInto(out, x)
 	return out
 }
 
-// InferInto implements the ForwardBatch fast path.
-func (r *ReLU) InferInto(dst, x *tensor.Tensor) {
-	for i, v := range x.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
-	}
-}
+// inferInto implements kernel.
+func (r *ReLU) inferInto(dst, x *tensor.Tensor) { tensor.ReLU(dst.Data, x.Data) }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
@@ -72,17 +60,13 @@ func (s *Sigmoid) Kind() string { return "sigmoid" }
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := s.out.get(x.Shape()...)
-	s.InferInto(out, x)
+	s.inferInto(out, x)
 	s.lastOutput = out
 	return out
 }
 
-// InferInto implements the ForwardBatch fast path.
-func (s *Sigmoid) InferInto(dst, x *tensor.Tensor) {
-	for i, v := range x.Data {
-		dst.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-}
+// inferInto implements kernel.
+func (s *Sigmoid) inferInto(dst, x *tensor.Tensor) { tensor.Sigmoid(dst.Data, x.Data) }
 
 // Backward implements Layer.
 func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
@@ -117,17 +101,13 @@ func (t *Tanh) Kind() string { return "tanh" }
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := t.out.get(x.Shape()...)
-	t.InferInto(out, x)
+	t.inferInto(out, x)
 	t.lastOutput = out
 	return out
 }
 
-// InferInto implements the ForwardBatch fast path.
-func (t *Tanh) InferInto(dst, x *tensor.Tensor) {
-	for i, v := range x.Data {
-		dst.Data[i] = float32(math.Tanh(float64(v)))
-	}
-}
+// inferInto implements kernel.
+func (t *Tanh) inferInto(dst, x *tensor.Tensor) { tensor.Tanh(dst.Data, x.Data) }
 
 // Backward implements Layer.
 func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
@@ -166,14 +146,14 @@ func (s *Softmax) Kind() string { return "softmax" }
 // Forward implements Layer.
 func (s *Softmax) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := s.out.get(x.Shape()...)
-	softmaxRowsInto(out, x)
+	s.inferInto(out, x)
 	s.lastOutput = out
 	return out
 }
 
-// InferInto implements the ForwardBatch fast path.
-func (s *Softmax) InferInto(dst, x *tensor.Tensor) {
-	softmaxRowsInto(dst, x)
+// inferInto implements kernel.
+func (s *Softmax) inferInto(dst, x *tensor.Tensor) {
+	tensor.SoftmaxRows(dst.Data, x.Data, x.Dim(0), x.Dim(1))
 }
 
 // Backward implements Layer.
@@ -209,31 +189,6 @@ func (s *Softmax) Describe(in []int) (LayerInfo, error) {
 // trick for numerical stability.
 func SoftmaxRows(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Dim(0), x.Dim(1))
-	softmaxRowsInto(out, x)
+	tensor.SoftmaxRows(out.Data, x.Data, x.Dim(0), x.Dim(1))
 	return out
-}
-
-// softmaxRowsInto writes row-wise softmax of x into out without allocating.
-func softmaxRowsInto(out, x *tensor.Tensor) {
-	rows, cols := x.Dim(0), x.Dim(1)
-	for i := 0; i < rows; i++ {
-		row := x.Data[i*cols : (i+1)*cols]
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		var sum float64
-		o := out.Data[i*cols : (i+1)*cols]
-		for j, v := range row {
-			e := math.Exp(float64(v - m))
-			o[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for j := range o {
-			o[j] *= inv
-		}
-	}
 }

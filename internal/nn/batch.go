@@ -2,14 +2,14 @@ package nn
 
 import "tinymlops/internal/tensor"
 
-// inferInto is the stateless kernel behind Network.ForwardBatch: write
-// the inference output for x into dst without touching any layer state.
-// dst has shape [batch, the layer's planned output...] and may hold stale
-// values from a previous call, so implementations must write every
+// kernel is a layer's stateless inference behind Network.ForwardBatch:
+// write the inference output for x into dst without touching any layer
+// state. dst has shape [batch, the layer's planned output...] and may hold
+// stale values from a previous call, so implementations must write every
 // element. Because the contract forbids state writes, any number of
 // goroutines may drive the fast path through one shared network.
-type inferInto interface {
-	InferInto(dst, x *tensor.Tensor)
+type kernel interface {
+	inferInto(dst, x *tensor.Tensor)
 }
 
 // Scratch holds the compiled batch program (see fuse.go) behind

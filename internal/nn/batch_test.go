@@ -8,7 +8,7 @@ import (
 )
 
 // layerwise is the unfused reference the compiled program is held to: each
-// layer runs its own inference kernel into a fresh tensor — InferInto, or
+// layer runs its own inference kernel into a fresh tensor — inferInto, or
 // for a convolution its per-example im2col product — except that Flatten
 // reshapes and Dropout passes its input through. Nothing is fused and no
 // buffer is reused.
@@ -28,7 +28,7 @@ func layerwise(net *Network, x *tensor.Tensor) *tensor.Tensor {
 			x = y
 		default:
 			y := tensor.New(shape...)
-			l.(inferInto).InferInto(y, x)
+			l.(kernel).inferInto(y, x)
 			x = y
 		}
 	}

@@ -155,7 +155,7 @@ func (p *MaxPool2D) window(c, h, w int) tensor.Window {
 	return tensor.Window{C: c, H: h, W: w, KH: p.K, KW: p.K, Stride: p.Stride}
 }
 
-// Forward implements Layer: InferInto's kernel, keeping the argmax.
+// Forward implements Layer: inferInto's pooling, keeping the argmax.
 func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	g := p.window(x.Dim(0)*x.Dim(1), x.Dim(2), x.Dim(3))
 	oh, ow := g.Out()
@@ -166,9 +166,9 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// InferInto implements the ForwardBatch fast path: pooling without the
-// argmax cache Backward needs.
-func (p *MaxPool2D) InferInto(dst, x *tensor.Tensor) {
+// inferInto implements kernel: pooling without the argmax cache Backward
+// needs.
+func (p *MaxPool2D) inferInto(dst, x *tensor.Tensor) {
 	tensor.MaxPool(dst.Data, x.Data, p.window(x.Dim(0)*x.Dim(1), x.Dim(2), x.Dim(3)), nil)
 }
 

@@ -35,13 +35,13 @@ func (d *Dense) Kind() string { return "dense" }
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	d.lastInput = x
 	y := d.out.get(x.Dim(0), d.Out)
-	d.InferInto(y, x)
+	d.inferInto(y, x)
 	return y
 }
 
-// InferInto implements the ForwardBatch fast path: dst = xW + b with no
-// allocation and no backward cache.
-func (d *Dense) InferInto(dst, x *tensor.Tensor) {
+// inferInto implements kernel: dst = xW + b with no allocation and no
+// backward cache.
+func (d *Dense) inferInto(dst, x *tensor.Tensor) {
 	tensor.MatMulInto(dst, x, d.W.Value)
 	dst.AddRowVector(d.B.Value)
 }

@@ -27,11 +27,15 @@
 // devices concurrently — and bit-identical to running each layer's own
 // kernel one example at a time, which keeps it out of the accuracy story
 // entirely. Predict and ForwardPrefix run it on a fresh Scratch. The
-// compiler runs every kind of the table. Layer.Forward is training's alone:
-// it applies dropout and batch statistics and caches what Backward needs,
-// so a network is single-flight while training; Train runs from a plan on
-// the network and buffers in its layers, so a steady-state epoch allocates
-// nothing.
+// compiler runs every kind of the table, each through its layer's
+// unexported kernel; an activation's is a tensor slice kernel
+// (tensor/nonlinear.go) that procvm's opcodes run too. Outside nn a layer
+// runs only inside a network: quant's float stages and verify's proof walk
+// run a one-layer Subnet through ForwardBatch. Layer.Forward is
+// training's alone: it applies dropout and batch statistics and caches
+// what Backward needs, so a network is single-flight while training; Train
+// runs from a plan on the network and buffers in its layers, so a
+// steady-state epoch allocates nothing.
 //
 // What a layer kind is — config, state tensors, their wire order and
 // exchange names — is one row of the table in kinds.go. The binary model

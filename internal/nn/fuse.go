@@ -9,7 +9,7 @@ import "tinymlops/internal/tensor"
 // steady state allocates nothing. Dense layers absorb a following
 // BatchNorm1D (frozen statistics) and elementwise activations into a
 // single fused step; Conv2D absorbs elementwise activations. An absorbed
-// layer runs as its own InferInto kernel, in place over the step's output
+// layer runs as its own kernel, in place over the step's output
 // — each of these kernels reads only the element (for batch norm, the
 // column) it writes — so a compiled program's output is bit-identical to
 // running every layer's own kernel in turn, by construction.
@@ -29,8 +29,8 @@ const (
 type bstep struct {
 	kind  stepKind
 	dst   *tensor.Tensor
-	tail  []inferInto // absorbed layers, run in place over dst
-	plain inferInto   // stepPlain
+	tail  []kernel // absorbed layers, run in place over dst
+	plain kernel   // stepPlain
 
 	dense *Dense
 
@@ -55,7 +55,7 @@ func absorbTail(st *bstep, layers []Layer, i, width int) int {
 	for ; i+1 < len(layers); i++ {
 		switch l := layers[i+1].(type) {
 		case *ReLU, *Tanh, *Sigmoid:
-			st.tail = append(st.tail, l.(inferInto))
+			st.tail = append(st.tail, l.(kernel))
 		case *BatchNorm1D:
 			if l.F != width {
 				return i
@@ -74,7 +74,7 @@ func absorbTail(st *bstep, layers []Layer, i, width int) int {
 // and window it sizes a buffer by is read off the plan Assemble kept, which
 // is also why a compiled program cannot hit a shape panic inside a kernel.
 // Every kind of the table runs: fused below, or as a plain step through its
-// InferInto.
+// kernel.
 func (n *Network) compileBatch(b int) *program {
 	p := &program{batch: b}
 	cur := n.InputShape
@@ -102,7 +102,7 @@ func (n *Network) compileBatch(b int) *program {
 			p.steps = append(p.steps, st)
 		default:
 			p.steps = append(p.steps, &bstep{
-				kind: stepPlain, plain: l.(inferInto),
+				kind: stepPlain, plain: l.(kernel),
 				dst: tensor.New(append([]int{b}, out...)...),
 			})
 		}
@@ -114,7 +114,7 @@ func (n *Network) compileBatch(b int) *program {
 // runTail runs the step's absorbed layers in place over its output.
 func (st *bstep) runTail() {
 	for _, k := range st.tail {
-		k.InferInto(st.dst, st.dst)
+		k.inferInto(st.dst, st.dst)
 	}
 }
 
@@ -140,7 +140,7 @@ func (p *program) run(x *tensor.Tensor) *tensor.Tensor {
 			st.runTail()
 			x = st.dst
 		case stepPlain:
-			st.plain.InferInto(st.dst, x)
+			st.plain.inferInto(st.dst, x)
 			x = st.dst
 		}
 	}

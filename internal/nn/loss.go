@@ -16,7 +16,7 @@ func softmaxCrossEntropy(grad, logits *tensor.Tensor, labels []int) float32 {
 	if len(labels) != b {
 		panic(fmt.Sprintf("nn: softmaxCrossEntropy got %d labels for batch %d", len(labels), b))
 	}
-	softmaxRowsInto(grad, logits)
+	tensor.SoftmaxRows(grad.Data, logits.Data, b, c)
 	var loss float64
 	for i, y := range labels {
 		if y < 0 || y >= c {

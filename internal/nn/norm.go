@@ -73,9 +73,9 @@ func (bn *BatchNorm1D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// InferInto implements the ForwardBatch fast path: normalization with the
-// frozen running statistics, no batch-statistic updates.
-func (bn *BatchNorm1D) InferInto(dst, x *tensor.Tensor) {
+// inferInto implements kernel: normalization with the frozen running
+// statistics, no batch-statistic updates.
+func (bn *BatchNorm1D) inferInto(dst, x *tensor.Tensor) {
 	b := x.Dim(0)
 	for j := 0; j < bn.F; j++ {
 		inv := 1 / float32(math.Sqrt(float64(bn.RunVar.Data[j]+bn.Eps)))

@@ -211,7 +211,7 @@ func (rt *Runtime) run(m *Module, input []float32, s *Scratch) (Result, error) {
 		case OpAdd, OpSub, OpMul, OpDiv:
 			f.arith(op)
 		case OpNeg, OpAbs, OpSquare, OpSqrt, OpReLU, OpSigmoid, OpTanh:
-			f.push(f.mapValue(f.pop(), elementwise(op)))
+			f.unary(op)
 		case OpClamp:
 			f.clamp()
 		case OpNormalize:
@@ -255,33 +255,50 @@ func (f *frame) mapValue(v Value, fn func(float32) float32) Value {
 	return vector(out)
 }
 
-// elementwise returns the map of a unary arithmetic or activation op.
-func elementwise(op OpCode) func(float32) float32 {
+// unary pops a value and pushes op of each of its elements; a scalar
+// passes through as a one-element slice on the Go stack.
+func (f *frame) unary(op OpCode) {
+	v := f.pop()
+	if !v.IsVec {
+		one := [1]float32{v.Scalar}
+		unaryInto(op, one[:], one[:])
+		f.push(scalar(one[0]))
+		return
+	}
+	out := f.alloc(len(v.Vec))
+	unaryInto(op, out, v.Vec)
+	f.push(vector(out))
+}
+
+// unaryInto writes op of each element of x into dst. An activation runs
+// the tensor kernel that nn's layer of its kind runs.
+func unaryInto(op OpCode, dst, x []float32) {
 	switch op {
+	case OpReLU:
+		tensor.ReLU(dst, x)
+	case OpSigmoid:
+		tensor.Sigmoid(dst, x)
+	case OpTanh:
+		tensor.Tanh(dst, x)
 	case OpNeg:
-		return func(x float32) float32 { return -x }
+		for i, v := range x {
+			dst[i] = -v
+		}
 	case OpAbs:
-		return func(x float32) float32 {
-			if x < 0 {
-				return -x
+		for i, v := range x {
+			if v < 0 {
+				v = -v
 			}
-			return x
+			dst[i] = v
 		}
 	case OpSquare:
-		return func(x float32) float32 { return x * x }
-	case OpSqrt:
-		return func(x float32) float32 { return float32(math.Sqrt(float64(x))) }
-	case OpReLU:
-		return func(x float32) float32 {
-			if x > 0 {
-				return x
-			}
-			return 0
+		for i, v := range x {
+			dst[i] = v * v
 		}
-	case OpSigmoid:
-		return func(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
-	default: // OpTanh
-		return func(x float32) float32 { return float32(math.Tanh(float64(x))) }
+	default: // OpSqrt
+		for i, v := range x {
+			dst[i] = float32(math.Sqrt(float64(v)))
+		}
 	}
 }
 
@@ -365,29 +382,12 @@ func (f *frame) normalize() {
 	f.push(vector(out))
 }
 
-// softmax pops a vector and pushes its softmax.
+// softmax pops a vector and pushes its softmax, computed by the tensor
+// kernel nn's Softmax layer runs, over one row.
 func (f *frame) softmax() {
 	x := f.popVec()
 	out := f.alloc(len(x))
-	var m float32
-	if len(x) > 0 {
-		m = x[0]
-	}
-	for _, v := range x {
-		if v > m {
-			m = v
-		}
-	}
-	var sum float64
-	for i, v := range x {
-		e := math.Exp(float64(v - m))
-		out[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for i := range out {
-		out[i] *= inv
-	}
+	tensor.SoftmaxRows(out, x, 1, len(x))
 	f.push(vector(out))
 }
 

@@ -8,15 +8,19 @@
 // convolutional layers run on the blocked integer kernel in
 // internal/tensor with dynamic per-example activation quantization (a
 // convolution unrolls its int8 codes through the tensor.Im2col the float
-// engine uses, over the same tensor.Window), and
-// ForwardBatch serves whole bursts through reusable QScratch buffers —
-// allocation-free in the steady state, bit-identical to a pass per
-// example, and safe for any number of goroutines over one shared model
-// (one scratch each). What is known when a model is lowered lives on the
-// model: every stage keeps the input and output shape the network's plan
-// holds (a convolution its window, tap count and strides), so a pass checks its batch once, where it enters, and no
-// stage derives geometry per call. What is per goroutine lives in the
-// QScratch: one output buffer per stage, sized by the batch, and the
+// engine uses, over the same tensor.Window). Every other layer stays
+// float32 and has no code here: it is a one-layer Subnet of the network,
+// run by nn's compiled batch program, so each float kind has one kernel,
+// nn's, and a new kind needs no quant case. ForwardBatch serves whole
+// bursts through reusable QScratch buffers — allocation-free in the
+// steady state, bit-identical to a pass per example, and safe for any
+// number of goroutines over one shared model (one scratch each). What is
+// known when a model is lowered lives on the model: every stage keeps the
+// input and output shape the network's plan holds (a convolution its
+// window, tap count and strides), so a pass checks its batch where it
+// enters, and no stage derives geometry per call. What is per goroutine
+// lives in the QScratch: one output buffer per integer stage, sized by
+// the batch, one nn.Scratch per float stage, holding its program, and the
 // int8, widened-column and scale workspaces. Weights are laid out once,
 // at NewQModel, in the form their kernel reads, and every integer layer
 // runs one kernel, tensor.MatMulInterleaved, whose SSE2 PMADDWD fold

@@ -10,16 +10,18 @@ import (
 // QModel is a quantized executable derived from an nn.Network: dense and
 // convolutional layers run on the blocked integer kernel with dynamically
 // quantized activations (one symmetric int8 scale per example, like a
-// microcontroller runtime quantizing each incoming sample), everything
-// else runs in float32 through the stateless inference fast paths. A
-// QModel never writes to itself during inference, so one model may serve
-// any number of goroutines as long as each brings its own QScratch.
+// microcontroller runtime quantizing each incoming sample); every other
+// layer runs in float32 on nn's own kernel for its kind, as a one-layer
+// view of the network through nn's compiled batch program. A QModel never
+// writes to itself during inference, so one model may serve any number of
+// goroutines as long as each brings its own QScratch.
 //
 // Geometry is a build-time fact: every stage keeps the per-example input
 // and output shape of the network's plan, inferred when the network was
-// made (a convolution its window, too). A forward pass checks the
-// batch against the first stage it enters and nothing after that: no stage
-// re-derives or re-checks a shape per call.
+// made (a convolution its window, too). A forward pass checks the batch
+// against the first stage it enters; past that, only a float stage's
+// program checks its input, as every nn pass does on entry. No stage
+// re-derives a shape per call.
 //
 // Numerical contract: every example is quantized and executed
 // independently, so ForwardBatch over a batch, ForwardBatch row by row and
@@ -36,8 +38,8 @@ type QModel struct {
 }
 
 // qStage is one executable stage of a QModel. run takes a batch in the
-// stage's input shape and returns it in the output shape, in the scratch
-// buffer keyed by idx: valid until the next call with the same scratch.
+// stage's input shape and returns it in the output shape, in scratch
+// storage keyed by idx: valid until the next call with the same scratch.
 type qStage interface {
 	run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor
 	sizeBytes() int
@@ -51,15 +53,17 @@ type geom struct{ in, out []int }
 func (g *geom) shapes() *geom { return g }
 
 // QScratch is what a forward pass needs per goroutine, and nothing a
-// QModel knows at build: one output buffer per stage, sized batch × the
-// stage's output shape, plus the int8 code, im2col, widened-column and
-// scale workspaces the integer stages share. One QScratch serves one
-// goroutine and one model; buffers are allocated on the first batch and
-// again only when the batch dimension changes, so a steady-state serving
-// loop allocates nothing at all — asserted with testing.AllocsPerRun in the
+// QModel knows at build: an integer stage's output buffer, sized batch ×
+// the stage's output shape, a float stage's compiled nn program, which
+// holds its buffers, plus the int8 code, im2col, widened-column and scale
+// workspaces the integer stages share. One QScratch serves one goroutine
+// and one model; buffers are allocated on the first batch and again only
+// when the batch dimension changes, so a steady-state serving loop
+// allocates nothing at all — asserted with testing.AllocsPerRun in the
 // alloc tests.
 type QScratch struct {
-	bufs      []*tensor.Tensor // stage i's [batch, out...] output
+	bufs      []*tensor.Tensor // integer stage i's [batch, out...] output
+	progs     []nn.Scratch     // float stage i's program
 	codes     []int8
 	cols      []int8
 	wide      []int16 // cols widened by tensor.InterleaveKInto
@@ -70,27 +74,22 @@ type QScratch struct {
 // NewQScratch returns an empty scratch space for integer-kernel inference.
 func NewQScratch() *QScratch { return &QScratch{} }
 
-// buffer returns stage idx's output for a batch of b examples shaped out.
-// A stage that only re-views its input passes the input's data as alias,
-// and its buffer is the header rebound to it.
-func (s *QScratch) buffer(idx, b int, out []int, alias []float32) *tensor.Tensor {
-	for len(s.bufs) <= idx {
-		s.bufs = append(s.bufs, nil)
+// slot returns entry idx of a per-stage list, growing the list to hold it.
+func slot[T any](list *[]T, idx int) *T {
+	for len(*list) <= idx {
+		*list = append(*list, *new(T))
 	}
-	t := s.bufs[idx]
-	if t == nil || t.Dim(0) != b {
-		dims := append(make([]int, 0, 1+len(out)), b)
-		dims = append(dims, out...)
-		if alias != nil {
-			t = tensor.FromSlice(alias, dims...)
-		} else {
-			t = tensor.New(dims...)
-		}
-		s.bufs[idx] = t
-	} else if alias != nil {
-		t.Data = alias
+	return &(*list)[idx]
+}
+
+// buffer returns integer stage idx's output for a batch of b examples
+// shaped out.
+func (s *QScratch) buffer(idx, b int, out []int) *tensor.Tensor {
+	t := slot(&s.bufs, idx)
+	if *t == nil || (*t).Dim(0) != b {
+		*t = tensor.New(append([]int{b}, out...)...)
 	}
-	return t
+	return *t
 }
 
 // grow resizes one of the scratch's workspaces to n entries, reallocating
@@ -123,7 +122,7 @@ func (d *qDense) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
 // each, against the quantized weights, plus the bias. A split resumes here
 // with the codes that crossed the wire.
 func (d *qDense) product(codes []int8, scales []float32, rows int, s *QScratch, idx int) *tensor.Tensor {
-	out := s.buffer(idx, rows, d.out, nil)
+	out := s.buffer(idx, rows, d.out)
 	tensor.MatMulInterleaved(out.Data, codes, d.w.Wide, rows, d.w.Rows, d.w.Cols, scales, d.w.Scales)
 	for i := 0; i < rows; i++ {
 		row := out.Data[i*d.w.Cols : (i+1)*d.w.Cols]
@@ -165,7 +164,7 @@ func (c *qConv2D) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
 	cols := grow(&s.cols, c.taps*c.spots)
 	wide := grow(&s.wide, (c.taps+1)&^1*c.spots)
 	colScales := grow(&s.colScales, c.spots)
-	out := s.buffer(idx, b, c.out, nil)
+	out := s.buffer(idx, b, c.out)
 	for n := 0; n < b; n++ {
 		tensor.Im2col(cols, codes[n*ex:(n+1)*ex], c.win)
 		tensor.InterleaveKInto(wide, cols, c.taps, c.spots)
@@ -184,36 +183,24 @@ func (c *qConv2D) sizeBytes() int {
 	return (wBits+7)/8 + 4*len(c.wScales) + 4*len(c.bias)
 }
 
-// inferInto matches the stateless fast-path contract nn layers export; the
-// interface is structural, so quant can drive it without nn exporting it.
-type inferInto interface {
-	InferInto(dst, x *tensor.Tensor)
-}
-
 // qFloat is a layer that stays in float32 (activation, pooling,
-// normalization with frozen statistics, ...), run through its stateless
-// InferInto fast path into the stage's buffer. A layer that only re-views
-// its input at inference time (flatten; dropout, the identity) has no
-// kernel: its output is the input's data under the output shape.
+// normalization with frozen statistics, flatten, dropout): a one-layer view
+// of the network, run through nn's compiled batch program in the stage's
+// slot of the scratch. The program re-views where the layer only reshapes
+// (flatten) or passes its input through (dropout).
 type qFloat struct {
 	geom
-	layer nn.Layer
-	infer inferInto // nil: re-view the input
+	net *nn.Network // the network's Subnet(i, i+1)
 }
 
 func (f *qFloat) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
-	if f.infer == nil {
-		return s.buffer(idx, x.Dim(0), f.out, x.Data)
-	}
-	dst := s.buffer(idx, x.Dim(0), f.out, nil)
-	f.infer.InferInto(dst, x)
-	return dst
+	return f.net.ForwardBatch(x, slot(&s.progs, idx))
 }
 
 // sizeBytes accounts a float stage's parameters at full precision.
 func (f *qFloat) sizeBytes() int {
 	total := 0
-	for _, p := range f.layer.Params() {
+	for _, p := range f.net.Params() {
 		total += 4 * p.Value.Size()
 	}
 	return total
@@ -251,11 +238,10 @@ func transpose[T any](m []T, rows, cols int) []T {
 // NewQModel lowers net into an integer-kernel executable under the scheme:
 // dense and convolutional layers quantize their weights (per output
 // channel) and run on the one integer kernel, tensor.MatMulInterleaved
-// (dense weights widened here, convolution columns per example);
-// activations, pooling, batch norm (frozen statistics), flatten and
-// dropout execute in float32 through their stateless fast paths. That set
-// is every kind nn.Assemble admits, so every network lowers; a kind outside
-// it is an error, never a float fallback.
+// (dense weights widened here, convolution columns per example). Every
+// other layer, whatever its kind, executes in float32 as a one-layer
+// Subnet of net through nn's compiled program, so a kind nn runs lowers
+// with no change here.
 func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 	if scheme == Float32 {
 		return nil, fmt.Errorf("quant: NewQModel requires an integer scheme, got %v", scheme)
@@ -289,20 +275,12 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 				bias:   append([]float32(nil), v.B.Value.Data...),
 				scheme: scheme,
 			})
-		case *nn.Flatten, *nn.Dropout:
-			m.stages = append(m.stages, &qFloat{geom: g, layer: l})
-		case *nn.ReLU, *nn.Tanh, *nn.Sigmoid, *nn.Softmax, *nn.MaxPool2D, *nn.BatchNorm1D:
-			// A kind admitted here must implement InferInto: it is the only
-			// way a float stage runs, and a QModel has no stateful fallback.
-			// A new nn layer kind joins this switch before a QModel carries
-			// it, which is where its dispatch gets decided.
-			fast, ok := l.(inferInto)
-			if !ok {
-				return nil, fmt.Errorf("quant: layer %d (%s) has no stateless InferInto path", i, l.Kind())
-			}
-			m.stages = append(m.stages, &qFloat{geom: g, layer: l, infer: fast})
 		default:
-			return nil, fmt.Errorf("quant: layer %d (%s) has no integer-runtime kernel", i, l.Kind())
+			sub, err := net.Subnet(i, i+1)
+			if err != nil {
+				return nil, err
+			}
+			m.stages = append(m.stages, &qFloat{geom: g, net: sub})
 		}
 	}
 	return m, nil

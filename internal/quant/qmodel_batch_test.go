@@ -74,7 +74,7 @@ func refForward(m *QModel, x *tensor.Tensor) *tensor.Tensor {
 			}
 			x = out
 		case *qFloat:
-			x = nn.NewNetwork(x.Shape()[1:], s.layer).Predict(x)
+			x = nn.NewNetwork(x.Shape()[1:], s.net.Layers()...).Predict(x)
 		default:
 			panic(fmt.Sprintf("unknown stage %T", st))
 		}
@@ -124,8 +124,9 @@ func mustIdentical(t *testing.T, name string, got, want *tensor.Tensor) {
 
 // qmodelFixtures returns the (network, input) pairs the bit-exactness
 // property is checked over: a dense stack with batch norm, a conv stack,
-// a dense stack fed NaN and signed-zero payloads, and a conv wide enough
-// that its product takes the kernel's parallel branch (wideConv).
+// a dense stack fed NaN and signed-zero payloads, a conv wide enough
+// that its product takes the kernel's parallel branch (wideConv), and a
+// dense stack through a sigmoid, the one float kind no other row serves.
 func qmodelFixtures(t *testing.T) []struct {
 	name string
 	net  *nn.Network
@@ -168,6 +169,8 @@ func qmodelFixtures(t *testing.T) []struct {
 		{"conv", conv, tensor.Randn(rng, 1, 9, 1, 10, 10)},
 		{"nan-negzero", mlp, weird},
 		{"conv-parallel", wide, tensor.Randn(rng, 1, 3, 8, 16, 16)},
+		{"sigmoid", nn.NewNetwork([]int{6}, nn.NewDense(6, 10, rng), nn.NewSigmoid(), nn.NewDense(10, 3, rng)),
+			tensor.Randn(rng, 1, 11, 6)},
 	}
 }
 
@@ -358,9 +361,9 @@ func TestQConvRefusesMapSmallerThanWindow(t *testing.T) {
 // TestQScratchBufferReuse pins what a scratch holds and when it allocates.
 // For an MLP of kws-mlp's shape, one of sensor-mlp's and a conv → pool →
 // flatten → dense net, at int8 and int4: after a batch of b rows every
-// stage's buffer is [b, the shape Summary reports there...]; a second batch
+// stage's output is [b, the shape Summary reports there...]; a second batch
 // of b rows reuses the same storage; and b → b' → b replaces the stage
-// buffers, whose batch dimension changed, and nothing else — the int8,
+// outputs, whose batch dimension changed, and nothing else — the int8,
 // widened-column and scale workspaces sized for the larger batch serve the
 // smaller one.
 func TestQScratchBufferReuse(t *testing.T) {
@@ -390,37 +393,46 @@ func TestQScratchBufferReuse(t *testing.T) {
 			batch := func(b int) *tensor.Tensor {
 				return tensor.Randn(rng, 1, append([]int{b}, fx.net.InputShape...)...)
 			}
-			// holds checks every stage buffer against Summary and returns
-			// where each one's storage starts.
-			holds := func(b int) []*float32 {
+			// holds checks every stage's output after a pass over in against
+			// Summary and returns where each one's storage starts. An integer
+			// stage's output is its scratch buffer; a float stage's is read
+			// through its program, run again on the output before it, which
+			// at the same batch size writes the buffers it already holds.
+			// Flatten's output is its input's storage.
+			holds := func(in *tensor.Tensor) []*float32 {
 				t.Helper()
-				if len(s.bufs) != len(costs) {
-					t.Fatalf("%s: %d stage buffers for %d stages", name, len(s.bufs), len(costs))
-				}
+				b, x := in.Dim(0), in
 				at := make([]*float32, len(costs))
 				for i, c := range costs {
+					got := func() *tensor.Tensor {
+						if f, ok := qm.stages[i].(*qFloat); ok {
+							return f.net.ForwardBatch(x, &s.progs[i])
+						}
+						return s.bufs[i]
+					}()
 					want := append([]int{b}, c.Info.OutShape...)
-					if got := s.bufs[i]; !slices.Equal(got.Shape(), want) || got.Size() != b*int(c.Info.ActivationFloats) {
-						t.Fatalf("%s: stage %d (%s) buffer is %v with %d elements, Summary says %v",
+					if !slices.Equal(got.Shape(), want) || got.Size() != b*int(c.Info.ActivationFloats) {
+						t.Fatalf("%s: stage %d (%s) output is %v with %d elements, Summary says %v",
 							name, i, c.Kind, got.Shape(), got.Size(), want)
 					}
-					at[i] = &s.bufs[i].Data[0]
+					at[i], x = &got.Data[0], got
 				}
 				return at
 			}
 			const b, smaller = 16, 4
 			in := batch(b)
 			want := append([]float32(nil), qm.ForwardBatch(in, s).Data...)
-			first := holds(b)
+			first := holds(in)
 			codes, cols, wide, scales := cap(s.codes), cap(s.cols), cap(s.wide), cap(s.rowScales)
 			qm.ForwardBatch(in, s)
-			if second := holds(b); !slices.Equal(first, second) {
-				t.Fatalf("%s: a second batch of %d rows did not reuse the stage buffers", name, b)
+			if second := holds(in); !slices.Equal(first, second) {
+				t.Fatalf("%s: a second batch of %d rows did not reuse the stage outputs", name, b)
 			}
-			qm.ForwardBatch(batch(smaller), s)
-			holds(smaller)
+			small := batch(smaller)
+			qm.ForwardBatch(small, s)
+			holds(small)
 			got := qm.ForwardBatch(in, s)
-			holds(b)
+			holds(in)
 			mustIdentical(t, name+" after b → b' → b", got, tensor.FromSlice(want, got.Shape()...))
 			if cap(s.codes) != codes || cap(s.cols) != cols || cap(s.wide) != wide || cap(s.rowScales) != scales {
 				t.Fatalf("%s: b → b' → b reallocated a workspace: codes %d→%d, cols %d→%d, wide %d→%d, scales %d→%d",

@@ -58,6 +58,10 @@
 // MatMulInterleaved. All kernel scratch lives on the worker's stack, so
 // the serving hot loop allocates nothing.
 //
+// nonlinear.go holds the model path's activation kernels over slices —
+// ReLU, Sigmoid, Tanh and SoftmaxRows — which nn's layers and procvm's
+// opcodes both run, so exp and tanh are evaluated in one place.
+//
 // window.go is the module's one description of a sliding window: Window
 // says which geometry is valid and how many positions it takes, and Im2col,
 // Col2im and MaxPool share one walk over its taps, so a convolution or a

@@ -131,20 +131,6 @@ func (t *Tensor) Max() float32 {
 	return m
 }
 
-// AbsMax returns the largest absolute value; 0 for an empty tensor.
-func (t *Tensor) AbsMax() float32 {
-	var m float32
-	for _, v := range t.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // ArgMax returns the index of the largest element of a 1D tensor.
 func (t *Tensor) ArgMax() int {
 	if len(t.Data) == 0 {

@@ -122,10 +122,6 @@ func TestReductions(t *testing.T) {
 	if math.Abs(float64(x.Variance())-1.25) > 1e-6 {
 		t.Fatalf("Variance = %v, want 1.25", x.Variance())
 	}
-	y := FromSlice([]float32{-5, 2}, 2)
-	if y.AbsMax() != 5 {
-		t.Fatalf("AbsMax = %v", y.AbsMax())
-	}
 }
 
 func TestElementwiseOps(t *testing.T) {

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -113,8 +114,18 @@ func TestProofSerializationRoundTrip(t *testing.T) {
 	if ok, _, err := VerifyMatMul(a, m, k, b, n, c, &back); err != nil || !ok {
 		t.Fatalf("round-tripped proof rejected: %v %v", ok, err)
 	}
-	// Malformed blobs are errors, not panics or garbage proofs.
-	bad := [][]byte{nil, blob[:5], blob[:len(blob)-3], make([]byte, 12)}
+	// Malformed blobs are errors, not panics or garbage proofs: cut short,
+	// all-zero dims, dims not padded to powers of two, and a K whose
+	// log₂K rounds the blob does not hold exactly.
+	withDims := func(m, k, n uint32) []byte {
+		b := append([]byte(nil), blob...)
+		for i, d := range []uint32{m, k, n} {
+			binary.LittleEndian.PutUint32(b[4*i:], d)
+		}
+		return b
+	}
+	bad := [][]byte{nil, blob[:5], blob[:len(blob)-3], make([]byte, 12),
+		withDims(3, 16, 8), withDims(4, 16, 0), withDims(4, 8, 8), withDims(4, 32, 8)}
 	for i, blb := range bad {
 		var p Proof
 		if err := p.UnmarshalBinary(blb); err == nil {

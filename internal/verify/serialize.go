@@ -3,57 +3,78 @@ package verify
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+
+	"tinymlops/internal/wire"
 )
 
-// Proof wire format: three uint32 padded dimensions, then three uint64
-// field elements per round — exactly SizeBytes() bytes. Attestations
-// carry proofs in this form so metering never depends on this package's
-// internals.
+// Proof wire format: three uint32 padded dimensions M, K, N, each a power
+// of two, then log₂K rounds of three uint64 field elements, each below p —
+// exactly SizeBytes() bytes. Attestations carry proofs in this form so
+// metering never depends on this package's internals. The decoder accepts
+// only what MarshalBinary emits, so a proof has one encoding.
 
-// MarshalBinary serializes the proof.
+// MarshalBinary serializes the proof. A proof the format cannot carry is
+// an error.
 func (p *Proof) MarshalBinary() ([]byte, error) {
-	if p.M < 1 || p.K < 1 || p.N < 1 {
-		return nil, fmt.Errorf("verify: proof dims %dx%dx%d not positive", p.M, p.K, p.N)
+	if err := p.check(); err != nil {
+		return nil, err
 	}
-	out := make([]byte, p.SizeBytes())
-	binary.LittleEndian.PutUint32(out[0:], uint32(p.M))
-	binary.LittleEndian.PutUint32(out[4:], uint32(p.K))
-	binary.LittleEndian.PutUint32(out[8:], uint32(p.N))
-	off := 12
+	le := binary.LittleEndian
+	b := make([]byte, 0, p.SizeBytes())
+	b = le.AppendUint32(b, uint32(p.M))
+	b = le.AppendUint32(b, uint32(p.K))
+	b = le.AppendUint32(b, uint32(p.N))
 	for _, g := range p.Rounds {
 		for _, e := range g {
-			binary.LittleEndian.PutUint64(out[off:], uint64(e))
-			off += 8
+			b = le.AppendUint64(b, uint64(e))
 		}
 	}
-	return out, nil
+	return b, nil
 }
 
-// UnmarshalBinary parses a proof produced by MarshalBinary. Field
-// elements are reduced into canonical range, so any byte string yields
-// either an error or a structurally valid (not necessarily verifying)
-// proof.
+// UnmarshalBinary parses a proof produced by MarshalBinary on the strict
+// wire cursor. A blob cut short or followed by more bytes, dimensions that
+// are not powers of two, or a field element at or above p is an error, so
+// any byte string yields either an error or a structurally valid (not
+// necessarily verifying) proof that encodes back to it.
 func (p *Proof) UnmarshalBinary(data []byte) error {
-	if len(data) < 12 {
-		return fmt.Errorf("verify: proof blob %d bytes, need at least 12", len(data))
+	r := wire.NewReader(data)
+	q := Proof{M: int(r.U32()), K: int(r.U32()), N: int(r.U32())}
+	// log₂ of a uint32 is at most 32 rounds, whatever the blob holds.
+	q.Rounds = make([]RoundPoly, log2(q.K))
+	for i := range q.Rounds {
+		for j := range q.Rounds[i] {
+			q.Rounds[i][j] = Elem(r.U64())
+		}
 	}
-	if (len(data)-12)%24 != 0 {
-		return fmt.Errorf("verify: proof blob %d bytes is not 12 + 24×rounds", len(data))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("verify: proof blob: %w", err)
 	}
-	m := int(binary.LittleEndian.Uint32(data[0:]))
-	k := int(binary.LittleEndian.Uint32(data[4:]))
-	n := int(binary.LittleEndian.Uint32(data[8:]))
-	if m < 1 || k < 1 || n < 1 {
-		return fmt.Errorf("verify: proof blob dims %dx%dx%d not positive", m, k, n)
+	if err := q.check(); err != nil {
+		return err
 	}
-	rounds := (len(data) - 12) / 24
-	p.M, p.K, p.N = m, k, n
-	p.Rounds = make([]RoundPoly, rounds)
-	off := 12
-	for i := range p.Rounds {
-		for j := 0; j < 3; j++ {
-			p.Rounds[i][j] = reduce(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
+	*p = q
+	return nil
+}
+
+// check reports why the wire format cannot carry p: a dimension that is
+// not a power of two below 2³², other than log₂K rounds, or an element
+// out of the field's canonical range.
+func (p *Proof) check() error {
+	for _, d := range [3]int{p.M, p.K, p.N} {
+		if d < 1 || d&(d-1) != 0 || int64(d) > math.MaxUint32 {
+			return fmt.Errorf("verify: proof dims %dx%dx%d are not powers of two", p.M, p.K, p.N)
+		}
+	}
+	if len(p.Rounds) != log2(p.K) {
+		return fmt.Errorf("verify: proof has %d rounds, K = %d needs %d", len(p.Rounds), p.K, log2(p.K))
+	}
+	for i, g := range p.Rounds {
+		for j, e := range g {
+			if uint64(e) >= P {
+				return fmt.Errorf("verify: proof round %d element %d is %d, not below p", i, j, e)
+			}
 		}
 	}
 	return nil

@@ -1,10 +1,12 @@
 package verify
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"tinymlops/internal/nn"
+	"tinymlops/internal/quant"
 	"tinymlops/internal/tensor"
 )
 
@@ -409,5 +411,32 @@ func TestInferenceProofSizeModest(t *testing.T) {
 	// this model scale.
 	if ip.SizeBytes() > 4096 {
 		t.Fatalf("inference evidence is %d bytes", ip.SizeBytes())
+	}
+}
+
+// TestQuantizeWeightsNonFinite: the proved layer's weights quantize by
+// quant.QuantizeBlock's rule, non-finite weights included, so no weight
+// reaches int32(NaN), whose value Go leaves to the architecture (−2³¹ on
+// amd64). A NaN weight would, and so would ±Inf under the infinite scale
+// its magnitude gives, which also sends every finite weight beside it to 0.
+func TestQuantizeWeightsNonFinite(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, data := range [][]float32{
+		{0.5, nan, -1.25, 3, 0, -0.75},
+		{inf, 2, -inf, 0.5, -3, 1},
+		{nan, -inf, 0, 7, inf, -7},
+		{0.25, -1, 2.5, 0, 1e-3, -2.5}, // finite: the codes every proof already used
+	} {
+		want := make([]int8, len(data))
+		wantScale := quant.QuantizeBlock(data, want)
+		got, scale := QuantizeWeights(tensor.FromSlice(append([]float32(nil), data...), 2, 3))
+		if math.Float32bits(scale) != math.Float32bits(wantScale) {
+			t.Errorf("%v: scale %v, QuantizeBlock's %v", data, scale, wantScale)
+		}
+		for i, c := range want {
+			if got[i] != int32(c) {
+				t.Errorf("%v: weight %d quantizes to %d, QuantizeBlock's code is %d", data, i, got[i], c)
+			}
+		}
 	}
 }

@@ -50,32 +50,15 @@ func (ip *InferenceProof) SizeBytes() int {
 }
 
 // QuantizeWeights quantizes a weight matrix to int8 codes (as int32
-// operands) with a single symmetric scale. Deterministic, so a prover and
-// a verifier holding the same weights derive bit-identical operands —
-// settlement relies on this to re-derive a deployment's proved layer from
-// the registry artifact alone.
+// operands) with a single symmetric scale: quant.QuantizeBlock's codes and
+// scale, so a non-finite weight gets that rule's code too. Deterministic,
+// so a prover and a verifier holding the same weights derive bit-identical
+// operands — settlement relies on this to re-derive a deployment's proved
+// layer from the registry artifact alone.
 func QuantizeWeights(w *tensor.Tensor) ([]int32, float32) {
-	absMax := w.AbsMax()
-	scale := absMax / 127
-	if scale == 0 {
-		scale = 1
-	}
-	out := make([]int32, w.Size())
-	inv := 1 / scale
-	for i, v := range w.Data {
-		c := v * inv
-		if c > 127 {
-			c = 127
-		} else if c < -127 {
-			c = -127
-		}
-		if c >= 0 {
-			out[i] = int32(c + 0.5)
-		} else {
-			out[i] = int32(c - 0.5)
-		}
-	}
-	return out, scale
+	codes := make([]int8, w.Size())
+	scale := quant.QuantizeBlock(w.Data, codes)
+	return toInt32(codes), scale
 }
 
 func toInt32(codes []int8) []int32 {
