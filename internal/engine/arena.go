@@ -13,12 +13,12 @@ import (
 // worker's private slab; use an ArenaPool to hand arenas to goroutines.
 type Arena struct {
 	slots map[any]any
-	bufs  map[int]*bytes.Buffer
+	buf   bytes.Buffer
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena {
-	return &Arena{slots: make(map[any]any), bufs: make(map[int]*bytes.Buffer)}
+	return &Arena{slots: make(map[any]any)}
 }
 
 // Slot returns the arena's object for key, creating it with init on first
@@ -34,17 +34,10 @@ func (a *Arena) Slot(key any, init func() any) any {
 	return v
 }
 
-// Buffer returns the arena's reusable byte buffer for tag, reset to empty.
-// Tags separate independent uses within one owner (e.g. encode vs decode
-// sides of a boundary codec).
-func (a *Arena) Buffer(tag int) *bytes.Buffer {
-	b, ok := a.bufs[tag]
-	if !ok {
-		b = new(bytes.Buffer)
-		a.bufs[tag] = b
-	}
-	b.Reset()
-	return b
+// Buffer returns the arena's one reusable byte buffer, reset to empty.
+func (a *Arena) Buffer() *bytes.Buffer {
+	a.buf.Reset()
+	return &a.buf
 }
 
 // ArenaPool hands out arenas to serving goroutines: Acquire pops a free

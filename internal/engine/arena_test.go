@@ -22,13 +22,10 @@ func TestArenaSlotAndBufferReuse(t *testing.T) {
 		t.Fatal("distinct keys must get distinct slots")
 	}
 
-	b := a.Buffer(0)
+	b := a.Buffer()
 	b.WriteString("payload")
-	if got := a.Buffer(0); got != b || got.Len() != 0 {
+	if got := a.Buffer(); got != b || got.Len() != 0 {
 		t.Fatalf("buffer not reused-and-reset: %p vs %p, len %d", got, b, got.Len())
-	}
-	if a.Buffer(1) == b {
-		t.Fatal("distinct tags must get distinct buffers")
 	}
 }
 
@@ -46,7 +43,7 @@ func TestArenaPoolBoundedGrowth(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				a := p.Acquire()
-				a.Buffer(0).WriteByte(1)
+				a.Buffer().WriteByte(1)
 				p.Release(a)
 			}
 		}()

@@ -10,4 +10,7 @@
 // block scheduling, and SeedForID derives each task's randomness from
 // (root seed, round, entity ID) alone — never from scheduling order — so a
 // fleet round gives identical results at one worker or sixty-four.
+//
+// It is the platform's only parallelism: a task's tensor kernels run
+// serially in the worker that calls them.
 package engine

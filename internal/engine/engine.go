@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"tinymlops/internal/tensor"
 )
 
 // Config sizes an Engine.
@@ -58,9 +56,6 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 	}
 	errs := make([]error, n)
 	if workers <= 1 {
-		// Suppress nested tensor parallelism here too, so Workers:1 never
-		// uses more CPU than Workers:2 would.
-		defer tensor.EnterPool()()
 		for i := 0; i < n; i++ {
 			errs[i] = call(fn, i)
 		}
@@ -78,11 +73,6 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Tasks run with nested tensor parallelism suppressed: the pool
-			// is the coarse-grained fan-out, so an inner matmul spawning
-			// another GOMAXPROCS goroutines per worker would only thrash
-			// the scheduler.
-			defer tensor.EnterPool()()
 			for {
 				hi := int(cursor.Add(int64(grain)))
 				lo := hi - grain

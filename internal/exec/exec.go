@@ -140,9 +140,9 @@ func (g *graph) enter(x *tensor.Tensor, lo, hi int) (*tensor.Tensor, error) {
 	return x, nil
 }
 
-// EncodeBoundary appends act's TMLT1 encoding to the arena's encode buffer.
+// EncodeBoundary appends act's TMLT1 encoding to the arena's buffer.
 func (g *graph) EncodeBoundary(act *tensor.Tensor, cut int, ar *engine.Arena) ([]byte, error) {
-	buf := ar.Buffer(0)
+	buf := ar.Buffer()
 	buf.Write(act.AppendBinary(buf.AvailableBuffer()))
 	return buf.Bytes(), nil
 }

@@ -59,7 +59,7 @@ func (q *quantExec) EncodeBoundary(act *tensor.Tensor, cut int, ar *engine.Arena
 	w := &q.boundary(ar).codeBuf
 	w.size(rows, cols)
 	quant.QuantizeActivationsRows(act, w.codes, w.scales)
-	buf := ar.Buffer(0)
+	buf := ar.Buffer()
 	if err := encodeQAB(buf, w.codes, w.scales, rows, cols); err != nil {
 		return nil, err
 	}

@@ -179,8 +179,12 @@ func (s *Softmax) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (s *Softmax) Params() []*Param { return nil }
 
-// Describe implements Layer.
+// Describe implements Layer. The kernel normalizes each example's row, so
+// a per-example shape of any rank but 1 is refused.
 func (s *Softmax) Describe(in []int) (LayerInfo, error) {
+	if len(in) != 1 {
+		return LayerInfo{}, errShape("softmax", []int{-1}, in)
+	}
 	n := shapeProduct(in)
 	return LayerInfo{OutShape: append([]int(nil), in...), MACs: 3 * n, ActivationFloats: n}, nil
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"runtime"
 	"testing"
 
 	"tinymlops/internal/tensor"
@@ -9,9 +10,10 @@ import (
 // TestForwardBatchZeroAlloc asserts the compiled float32 serving path is
 // allocation-free in the steady state: after one warmup call (which
 // compiles the program and sizes every buffer), repeated ForwardBatch
-// calls must not allocate at all. EnterPool reproduces the serving
-// context — inside a bounded worker the matmul kernels run serially, so
-// the assertion is independent of the host's core count.
+// calls must not allocate at all, at GOMAXPROCS 1 and 2, from a goroutine
+// outside any engine pool — as a benchmark client calls it. kws-mlp at
+// batch 16 is serve_burst's shape; dense-bn-act's first product is 2^17
+// MACs exactly.
 func TestForwardBatchZeroAlloc(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	fixtures := []struct {
@@ -19,6 +21,12 @@ func TestForwardBatchZeroAlloc(t *testing.T) {
 		net  *Network
 		in   *tensor.Tensor
 	}{
+		{
+			"kws-mlp",
+			NewNetwork([]int{64},
+				NewDense(64, 256, rng), NewReLU(), NewDense(256, 128, rng), NewReLU(), NewDense(128, 10, rng)),
+			tensor.Randn(rng, 1, 16, 64),
+		},
 		{
 			"dense-bn-act",
 			NewNetwork([]int{64},
@@ -34,16 +42,19 @@ func TestForwardBatchZeroAlloc(t *testing.T) {
 			tensor.Randn(rng, 1, 8, 1, 12, 12),
 		},
 	}
-	exit := tensor.EnterPool()
-	defer exit()
-	for _, fx := range fixtures {
-		scratch := NewScratch()
-		fx.net.ForwardBatch(fx.in, scratch) // warmup: compile + size buffers
-		allocs := testing.AllocsPerRun(100, func() {
-			fx.net.ForwardBatch(fx.in, scratch)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: steady-state ForwardBatch allocates %.1f allocs/op, want 0", fx.name, allocs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, fx := range fixtures {
+			scratch := NewScratch()
+			fx.net.ForwardBatch(fx.in, scratch) // warmup: compile + size buffers
+			allocs := testing.AllocsPerRun(100, func() {
+				fx.net.ForwardBatch(fx.in, scratch)
+			})
+			if allocs != 0 {
+				t.Errorf("%s at GOMAXPROCS %d: steady-state ForwardBatch allocates %.1f allocs/op, want 0",
+					fx.name, procs, allocs)
+			}
 		}
 	}
 }
@@ -88,8 +99,6 @@ func TestTrainAllocationPins(t *testing.T) {
 			NewDense(8, 8, rng), NewSigmoid(), NewDense(8, 8, rng), NewSoftmax()),
 		convFixture(rng, 18, NewReLU(), NewConv2D(2, 2, 3, 3, 1, 1, rng), NewMaxPool2D(2, 2)),
 	}
-	exit := tensor.EnterPool()
-	defer exit()
 	for _, fx := range fixtures {
 		cfg := TrainConfig{BatchSize: 5, Optimizer: NewSGD(0.05), RNG: tensor.NewRNG(9)}
 		epoch := func() {

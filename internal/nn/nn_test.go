@@ -431,6 +431,16 @@ func TestSummaryReportsShapeErrors(t *testing.T) {
 	}
 }
 
+// TestSoftmaxRefusesRankOtherThanOne: Softmax normalizes Dim(0) rows of
+// Dim(1) values, so over a [n, c, h, w] batch it would leave all but c of
+// each example's values stale. A per-example shape of rank 2 is refused
+// when the network is made.
+func TestSoftmaxRefusesRankOtherThanOne(t *testing.T) {
+	if _, err := Assemble([]int{2, 2}, []Layer{NewSoftmax()}); err == nil {
+		t.Fatal("Assemble accepted Softmax over a per-example shape of rank 2")
+	}
+}
+
 // TestSummaryRejectsWindowLargerThanMap: (h−k)/stride+1 truncates toward
 // zero, so at stride 2 a 3×3 window over a 2×2 map used to count as one
 // output — Summary, MarshalBinary and UnmarshalNetwork passed, and

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"runtime"
 	"testing"
 
 	"tinymlops/internal/nn"
@@ -8,12 +9,14 @@ import (
 )
 
 // TestQModelForwardBatchZeroAlloc asserts the integer serving paths are
-// allocation-free in the steady state at int8 and int4, over a dense
-// topology and a convolutional one.
-// One warmup call sizes every scratch buffer; EnterPool pins the kernels
-// to their serial in-worker form so the result is machine-independent.
+// allocation-free in the steady state at int8 and int4, over kws-mlp at
+// batch 16 (serve_burst's shape), a dense topology with batch norm and a
+// convolutional one, at GOMAXPROCS 1 and 2, from a goroutine outside any
+// engine pool. One warmup call sizes every scratch buffer.
 func TestQModelForwardBatchZeroAlloc(t *testing.T) {
 	rng := tensor.NewRNG(11)
+	kws := nn.NewNetwork([]int{64},
+		nn.NewDense(64, 256, rng), nn.NewReLU(), nn.NewDense(256, 128, rng), nn.NewReLU(), nn.NewDense(128, 10, rng))
 	mlp := nn.NewNetwork([]int{64},
 		nn.NewDense(64, 128, rng), nn.NewBatchNorm1D(128), nn.NewReLU(),
 		nn.NewDense(128, 10, rng), nn.NewSoftmax())
@@ -25,25 +28,28 @@ func TestQModelForwardBatchZeroAlloc(t *testing.T) {
 		net  *nn.Network
 		in   *tensor.Tensor
 	}{
+		{"kws-mlp", kws, tensor.Randn(rng, 1, 16, 64)},
 		{"mlp", mlp, tensor.Randn(rng, 1, 16, 64)},
 		{"conv", conv, tensor.Randn(rng, 1, 8, 1, 10, 10)},
 	}
-	exit := tensor.EnterPool()
-	defer exit()
-	for _, fx := range fixtures {
-		for _, scheme := range []Scheme{Int8, Int4} {
-			qm, err := NewQModel(fx.net, scheme)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scratch := NewQScratch()
-			qm.ForwardBatch(fx.in, scratch) // warmup sizes all buffers
-			allocs := testing.AllocsPerRun(100, func() {
-				qm.ForwardBatch(fx.in, scratch)
-			})
-			if allocs != 0 {
-				t.Errorf("%s/%v: steady-state ForwardBatch allocates %.1f allocs/op, want 0",
-					fx.name, scheme, allocs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, fx := range fixtures {
+			for _, scheme := range []Scheme{Int8, Int4} {
+				qm, err := NewQModel(fx.net, scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scratch := NewQScratch()
+				qm.ForwardBatch(fx.in, scratch) // warmup sizes all buffers
+				allocs := testing.AllocsPerRun(100, func() {
+					qm.ForwardBatch(fx.in, scratch)
+				})
+				if allocs != 0 {
+					t.Errorf("%s/%v at GOMAXPROCS %d: steady-state ForwardBatch allocates %.1f allocs/op, want 0",
+						fx.name, scheme, procs, allocs)
+				}
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package quant
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -124,9 +123,9 @@ func mustIdentical(t *testing.T, name string, got, want *tensor.Tensor) {
 
 // qmodelFixtures returns the (network, input) pairs the bit-exactness
 // property is checked over: a dense stack with batch norm, a conv stack,
-// a dense stack fed NaN and signed-zero payloads, a conv wide enough
-// that its product takes the kernel's parallel branch (wideConv), and a
-// dense stack through a sigmoid, the one float kind no other row serves.
+// a dense stack fed NaN and signed-zero payloads, a conv whose product is
+// past 2^17 MACs (wideConv), and a dense stack through a sigmoid, the one
+// float kind no other row serves.
 func qmodelFixtures(t *testing.T) []struct {
 	name string
 	net  *nn.Network
@@ -176,7 +175,7 @@ func qmodelFixtures(t *testing.T) []struct {
 
 // wideConv is an 8→16 3×3 convolution over 16×16 maps, padded to keep
 // them: its product is 16 output channels × 72 taps × 256 spots, 294,912
-// MACs, past the 2^17 at which tensor's kernels fan rows out.
+// MACs.
 func wideConv(rng *tensor.RNG) *nn.Network {
 	return nn.NewNetwork([]int{8, 16, 16},
 		nn.NewConv2D(8, 16, 3, 3, 1, 1, rng), nn.NewReLU(),
@@ -215,32 +214,6 @@ func TestQModelForwardBatchBitExact(t *testing.T) {
 				t.Fatalf("%s: empty batch produced %v", name, out.Shape())
 			}
 		}
-	}
-}
-
-// TestQConvWorkerCountIndependent runs wideConv's parallel product at
-// GOMAXPROCS 1, 4 and 16 and serially under EnterPool, at every scheme:
-// each pass must equal the scalar reference bit for bit.
-func TestQConvWorkerCountIndependent(t *testing.T) {
-	rng := tensor.NewRNG(93)
-	net := wideConv(rng)
-	in := tensor.Randn(rng, 1, 2, 8, 16, 16)
-	for _, scheme := range []Scheme{Int8, Int4, Ternary, Binary} {
-		qm, err := NewQModel(net, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refForward(qm, in)
-		for _, workers := range []int{1, 4, 16} {
-			prev := runtime.GOMAXPROCS(workers)
-			got := qm.ForwardBatch(in, NewQScratch())
-			runtime.GOMAXPROCS(prev)
-			mustIdentical(t, fmt.Sprintf("%v GOMAXPROCS=%d", scheme, workers), got, want)
-		}
-		exit := tensor.EnterPool()
-		got := qm.ForwardBatch(in, NewQScratch())
-		exit()
-		mustIdentical(t, fmt.Sprintf("%v under EnterPool", scheme), got, want)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package tensor implements dense float32 tensors and the numeric kernels
-// (element-wise arithmetic, reductions, blocked parallel matrix multiply)
+// (element-wise arithmetic, reductions, blocked matrix multiply)
 // that the rest of the TinyMLOps stack builds on.
 //
 // Tensors are row-major and contiguous. The package is deliberately small:
@@ -9,11 +9,13 @@
 // and two assembly files, matmul_amd64.s (the float fold) and
 // matmul_int16_amd64.s (the integer one).
 //
-// The float matmul kernel is column-blocked for cache residency and fans
-// rows out over a bounded goroutine pool above a work threshold; blocking
-// and parallelism are both arranged so every output element accumulates
-// in a fixed order, keeping results bit-identical across worker counts —
-// the property the fleet engine's determinism contract rests on. Within
+// Every kernel is a serial loop on the calling goroutine, as an MCU's
+// per-operator kernels are on its one core: the package starts no
+// goroutine, and the fleet engine (internal/engine) is the platform's only
+// fan-out. The float matmul kernel is column-blocked for cache residency,
+// and blocking only tiles columns, so every output element accumulates in
+// a fixed order whatever engine worker runs it — the property the fleet
+// engine's determinism contract rests on. Within
 // that order it works like the integer kernels below: each row chunk
 // lists its nonzero activations, and foldFloat32 folds four listed weight
 // rows per pass into a register, adding them one at a time in list order
@@ -36,7 +38,7 @@
 // The integer serving kernel relaxes the ordering constraint instead of
 // fighting it: integer accumulation is exact and commutative, so it is
 // free to unroll, retile, reorder and skip zeros while staying
-// bit-identical to a naive scalar triple loop at any worker count. There
+// bit-identical to a naive scalar triple loop. There
 // is one, MatMulInterleaved, and every integer layer at every width runs
 // on it. Its right operand is int8 codes widened to int16 and interleaved
 // along k (InterleaveKInto, the one writer of the layout): row pair P
@@ -55,7 +57,7 @@
 // MatMulInt4 and PackInt4Matrix (a canonical two-codes-per-byte encoding,
 // low nibble first, zero pad) live on only for the benchmark harness's
 // kernel probes: each widens its right operand per call and runs
-// MatMulInterleaved. All kernel scratch lives on the worker's stack, so
+// MatMulInterleaved. All kernel scratch lives on the caller's stack, so
 // the serving hot loop allocates nothing.
 //
 // nonlinear.go holds the model path's activation kernels over slices —

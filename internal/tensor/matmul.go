@@ -23,27 +23,16 @@ func MatMulInto(dst, a, b *Tensor) {
 // bare slices, with no tensor header to build. dst must not alias a or b.
 //
 // The kernel iterates the B matrix row-wise (ikj ordering), which keeps
-// both A and B accesses sequential, and splits the rows of A across a
-// bounded pool of goroutines when the problem is large enough to benefit.
+// both A and B accesses sequential, on the calling goroutine.
 // A negative dimension or an operand too short for its shape panics here,
 // before any work, so every offset the kernel lists lies within b.
 func MatMulRowsInto(dst, a, b []float32, m, k, n int) {
 	if m < 0 || k < 0 || n < 0 || !fits(len(dst), m, n) || !fits(len(a), m, k) || !fits(len(b), k, n) {
-		panic(fmt.Sprintf("tensor: MatMulRowsInto [%d,%d]×[%d,%d] from %d and %d elements into %d",
-			m, k, k, n, len(a), len(b), len(dst)))
+		panic(fmt.Sprintf("tensor: MatMulRowsInto [%d,%d]×[%[2]d,%d] from %d and %d elements into %d",
+			m, k, n, len(a), len(b), len(dst)))
 	}
 	clear(dst[:m*n])
-	// The poolDepth check is duplicated from parallelRows so the serial
-	// path never constructs the closure below: a closure that escapes on
-	// any branch is heap-allocated on every call, which would put one
-	// allocation in the zero-alloc serving hot loop.
-	if m*n*k < parallelThreshold || poolDepth.Load() > 0 {
-		matmulRows(dst, a, b, 0, m, k, n)
-		return
-	}
-	parallelRows(m, func(lo, hi int) {
-		matmulRows(dst, a, b, lo, hi, k, n)
-	})
+	matmulRows(dst, a, b, 0, m, k, n)
 }
 
 // fits reports whether an r×c operand fits in l elements, for r, c ≥ 0;

@@ -49,7 +49,7 @@ func PackInt4Matrix(codes []int8, rows, cols int) ([]byte, error) {
 // every call and runs MatMulInt8, which widens them through InterleaveK
 // for MatMulInterleaved, the kernel a QModel serves int4 weights on,
 // widened once, at build; so the result is bit-identical to a naive scalar
-// triple loop at any worker count.
+// triple loop.
 func MatMulInt4(dst []float32, a []int8, bPacked []byte, m, k, n int, rowScales, colScales []float32) {
 	rb := Int4PackedLen(n)
 	codes := make([]int8, k*n)

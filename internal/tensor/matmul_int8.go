@@ -6,9 +6,9 @@ import "fmt"
 // for int8 operands a ([m,k] row-major) and b ([k,n] row-major) with exact
 // int32 accumulation. It widens b to InterleaveK's layout on every call and
 // runs MatMulInterleaved, so the result is bit-identical to a naive scalar
-// triple loop at any worker count. No model serves from it: a QModel widens
-// its dense weights once, at build, and its convolutions' im2col columns
-// into a scratch workspace.
+// triple loop. No model serves from it: a QModel widens its dense weights
+// once, at build, and its convolutions' im2col columns into a scratch
+// workspace.
 func MatMulInt8(dst []float32, a, b []int8, m, k, n int, rowScales, colScales []float32) {
 	MatMulInterleaved(dst, a, InterleaveK(b, k, n), m, k, n, rowScales, colScales)
 }
@@ -67,7 +67,7 @@ func InterleaveKInto(dst []int16, codes []int8, rows, cols int) {
 // and the multiply cannot saturate (PMADDWD saturates only when both halves
 // are −32768·−32768). The int32 accumulator stays exact while k < 2^17,
 // and integer addition is associative, so the result is bit-identical to
-// the naive triple loop at any worker count.
+// the naive triple loop.
 //
 // A negative dimension or an operand too short for its shape panics here,
 // before any work: the assembly fold reads w unchecked.
@@ -77,21 +77,12 @@ func MatMulInterleaved(dst []float32, a []int8, w []int16, m, k, n int, rowScale
 		panic(fmt.Sprintf("tensor: MatMulInterleaved [%d,%d]×[%d,%d] from %d codes and %d weights with %d and %d scales into %d",
 			m, k, k, n, len(a), len(w), len(rowScales), len(colScales), len(dst)))
 	}
-	// Serial path first, without constructing the parallel closure: an
-	// escaping closure is heap-allocated on every call, which would cost
-	// the zero-alloc serving hot loop one allocation per matmul.
-	if m*n*k < parallelThreshold || poolDepth.Load() > 0 {
-		interleavedRows(dst, a, w, 0, m, k, n, rowScales, colScales)
-		return
-	}
-	Parallel(m, func(lo, hi int) {
-		interleavedRows(dst, a, w, lo, hi, k, n, rowScales, colScales)
-	})
+	interleavedRows(dst, a, w, 0, m, k, n, rowScales, colScales)
 }
 
 // nzCap is how many entries a nonzero list holds — activations in
 // matmulRows, activation pairs in interleavedRows — a longer row being
-// walked in chunks. A list lives on the worker's stack, so the kernels
+// walked in chunks. A list lives on the caller's stack, so the kernels
 // never allocate; Go zeroes it on every call, which is why it is small.
 const nzCap = 64
 
