@@ -166,11 +166,6 @@ func (d *Deployment) serveLocked(rows [][]float32, out []BatchOutcome, execute e
 		// The charge stands however the rest fares, so it must stay
 		// provable: a failed preprocess retains an empty row.
 		d.retainLocked(seq, features)
-		if width == 0 {
-			// A compiled module declares no width: the first row fixes the
-			// batch's, and the VM validates it.
-			width = len(features)
-		}
 		if err == nil && len(features) != width {
 			err = fmt.Errorf("core: query has %d features, model wants %d", len(features), width)
 		}

@@ -30,15 +30,15 @@ type image struct {
 
 // newExecutor builds the executor serving a version — the one place core
 // decides which kernels run a variant, from the version alone. A compiled
-// version runs on the VM under the device's capability grant, an
-// integer variant on the integer kernels of its scheme and a float one on
-// the float engine. One version is one function on every device: hardware
-// without the bit width runs the same kernels, and the device cost model
-// charges it the emulation penalty.
+// version runs on the VM under the device's capability grant, at the input
+// width its version records, an integer variant on the integer kernels of
+// its scheme and a float one on the float engine. One version is one
+// function on every device: hardware without the bit width runs the same
+// kernels, and the device cost model charges it the emulation penalty.
 func newExecutor(v *registry.ModelVersion, model *nn.Network, compiled *procvm.Module) (exec.Executor, error) {
 	switch {
 	case compiled != nil:
-		return exec.Module(compiled, procvm.CapSensor, 0, v.Metrics.MACs), nil
+		return exec.Module(compiled, procvm.CapSensor, exec.Width(v.InputShape), v.Metrics.MACs)
 	case v.Scheme != quant.Float32:
 		return exec.Quant(model, v.Scheme)
 	default:
@@ -49,23 +49,26 @@ func newExecutor(v *registry.ModelVersion, model *nn.Network, compiled *procvm.M
 // hostedExecutor is the executor over an artifact sealed into an enclave
 // session under artID: the protected world's own decoded copy runs, on the
 // executor the device runs it with, at the enclave's slowdown. A module is
-// granted what it asks for; features is its input width, which it does not
-// declare itself.
-func hostedExecutor(sess *enclave.Session, artID string, v *registry.ModelVersion, features int) (exec.Executor, error) {
+// granted what it asks for.
+func hostedExecutor(sess *enclave.Session, artID string, v *registry.ModelVersion) (exec.Executor, error) {
+	var ex exec.Executor
 	if v.Kind == registry.KindProcVM {
 		mod, err := sess.Module(artID)
 		if err != nil {
 			return nil, err
 		}
-		return exec.Hosted(exec.Module(mod, mod.Caps, features, v.Metrics.MACs), sess.Enclave().Slowdown), nil
-	}
-	inside, err := sess.Network(artID)
-	if err != nil {
-		return nil, err
-	}
-	ex, err := newExecutor(v, inside, nil)
-	if err != nil {
-		return nil, err
+		ex, err = exec.Module(mod, mod.Caps, exec.Width(v.InputShape), v.Metrics.MACs)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		inside, err := sess.Network(artID)
+		if err != nil {
+			return nil, err
+		}
+		if ex, err = newExecutor(v, inside, nil); err != nil {
+			return nil, err
+		}
 	}
 	return exec.Hosted(ex, sess.Enclave().Slowdown), nil
 }

@@ -62,8 +62,10 @@ type OffloadOutcome struct {
 // live SplitPlan — prefix on the device, suffix on cfg.Cloud — re-planned
 // as bandwidth and battery drift.
 //
-// Every variant kind splits, each on its own executor, and every answer
-// stays bit-identical to the device serving the query alone:
+// The device half runs the executor the deployment serves with, under the
+// deployment's own capability grant: opening a session builds none for the
+// device. Every variant kind splits, and every answer stays bit-identical
+// to the device serving the query alone:
 //
 //   - Float deployments ship float boundary activations; the cloud serves
 //     the registry artifact (bit-identical to the device's copy).
@@ -74,7 +76,8 @@ type OffloadOutcome struct {
 //     cloud enclave: the suffix executes inside the protected world (paying
 //     its slowdown), so the mark never exists in cloud plaintext.
 //   - Compiled (procvm) deployments seal the module into the enclave and
-//     run it whole there when the plan offloads (cut 0).
+//     run it whole there when the plan offloads (cut 0), at the input width
+//     their version records.
 //
 // Each sealed artifact is attested at provisioning: the platform verifies
 // the report against the vendor root key and the artifact digest before
@@ -99,18 +102,13 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 		replan.RTT = cfg.RTT
 	}
 	scfg := offload.SessionConfig{
-		Tenant: deviceID,
-		Device: dep.device,
-		Bits:   execScheme.Bits(),
-		Cloud:  cfg.Cloud,
-		Replan: replan,
-		Plan:   cfg.Plan,
-	}
-	if img.compiled == nil {
-		// The device half of the split runs the executor the deployment
-		// already serves with; opening a session lowers nothing. (A compiled
-		// module's session builds its own: it needs the input width.)
-		scfg.Executor = img.run
+		Tenant:   deviceID,
+		Device:   dep.device,
+		Executor: img.run,
+		Bits:     execScheme.Bits(),
+		Cloud:    cfg.Cloud,
+		Replan:   replan,
+		Plan:     cfg.Plan,
 	}
 	// register binds the session to the cloud entry under key, building the
 	// cloud-side executor only if the tier lacks it: fleet-wide session
@@ -131,20 +129,13 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	switch {
 	case img.compiled != nil:
 		// Obfuscated deployment: the module is sealed to the enclave and runs
-		// whole in the protected world when the plan offloads. It declares no
-		// input geometry; the float artifact it was lowered from does.
-		parent, perr := p.Registry.Load(version.ParentID)
-		if perr != nil {
-			return nil, fmt.Errorf("core: offload: %w", perr)
-		}
-		feats := exec.Width(parent.InputShape)
-		scfg.Module, scfg.ModuleMACs, scfg.InFeatures = img.compiled, version.Metrics.MACs, feats
+		// whole in the protected world when the plan offloads.
 		err = register(version.ID, func() (exec.Executor, error) {
 			blob, err := p.Registry.Bytes(version.ID)
 			if err != nil {
 				return nil, err
 			}
-			return p.hostSealed(version.ID, blob, version, feats)
+			return p.hostSealed(version.ID, blob, version)
 		})
 
 	case watermarked:
@@ -157,7 +148,7 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 			if err != nil {
 				return nil, err
 			}
-			return p.hostSealed(key, blob, version, 0)
+			return p.hostSealed(key, blob, version)
 		})
 
 	default:
@@ -188,10 +179,9 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 // first use from the vendor key — under artID and verifies the attestation
 // chain before anything serves from it: the loaded measurement must equal
 // the artifact digest, and the session's report over it must verify against
-// the vendor root. It returns the executor over
-// the enclave's copy (features is a compiled module's input width). Sealing
+// the vendor root. It returns the executor over the enclave's copy. Sealing
 // advances the enclave's monotonic counter, so it serializes under encMu.
-func (p *Platform) hostSealed(artID string, blob []byte, v *registry.ModelVersion, features int) (exec.Executor, error) {
+func (p *Platform) hostSealed(artID string, blob []byte, v *registry.ModelVersion) (exec.Executor, error) {
 	p.encMu.Lock()
 	if p.encSess == nil {
 		enc, err := enclave.New("cloud-enclave", p.vendorKey, 1.2)
@@ -226,7 +216,7 @@ func (p *Platform) hostSealed(artID string, blob []byte, v *registry.ModelVersio
 	if !enclave.VerifyReport(p.vendorKey, rep) || rep.Measurement != want {
 		return nil, fmt.Errorf("attestation for %s failed verification", artID)
 	}
-	return hostedExecutor(sess, artID, v, features)
+	return hostedExecutor(sess, artID, v)
 }
 
 // Stats returns the session's split-execution counters.

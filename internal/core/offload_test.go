@@ -15,6 +15,7 @@ import (
 	"tinymlops/internal/market"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/offload"
+	"tinymlops/internal/procvm"
 	"tinymlops/internal/registry"
 	"tinymlops/internal/tensor"
 )
@@ -345,3 +346,104 @@ func TestOffloadAllocationPins(t *testing.T) {
 
 // offloadAllocs is a split query's reply payload and its logits.
 const offloadAllocs = 2
+
+// deployCompiled registers mod as a compiled variant of the "off" line's
+// base and deploys it on deviceID.
+func deployCompiled(t *testing.T, p *Platform, ds *dataset.Dataset, deviceID string, mod *procvm.Module) (*registry.ModelVersion, *Deployment) {
+	t.Helper()
+	base, err := p.Registry.Latest("off")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Registry.RegisterCompiled(base.ID, mod, base.Metrics.Accuracy); err != nil {
+		t.Fatal(err)
+	}
+	dep, err := p.Deploy(deviceID, "off", DeployConfig{
+		PrepaidQueries: 50, Calibration: ds,
+		Policy: selector.Policy{Kinds: []string{registry.KindProcVM}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dep.CompiledModule() == nil {
+		t.Fatalf("%s deployed %s, want the compiled variant", deviceID, dep.Version.ID)
+	}
+	return base, dep
+}
+
+// compileBase lowers the "off" line's base network to a procvm module.
+func compileBase(t *testing.T, p *Platform) *procvm.Module {
+	t.Helper()
+	base, err := p.Registry.Latest("off")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := p.Registry.Load(base.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := compat.CompileProcVM(net, compat.CompileOptions{Name: base.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod
+}
+
+// TestPlatformOffloadKeepsTheDeviceSandbox: a compiled variant that asks for
+// a capability the deployment does not grant is denied on the device,
+// whether it is served directly or by an all-local offload session, which
+// runs the deployment's own executor under the deployment's grant.
+func TestPlatformOffloadKeepsTheDeviceSandbox(t *testing.T) {
+	p, _, cloud, ds := offloadPlatform(t, "")
+	w := make([]float32, 6*3)
+	for i := range w {
+		w[i] = float32(i%5) - 2
+	}
+	mod, err := procvm.NewBuilder("storage-hungry").RequireCaps(procvm.CapSensor|procvm.CapStorage).
+		Input().MatVec(w, []float32{0, 0.5, -0.5}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dep := deployCompiled(t, p, ds, "m4-wearable-00", mod)
+	x := ds.X.Data[:6]
+	if _, err := dep.Infer(x); !errors.Is(err, procvm.ErrCapabilityDenied) {
+		t.Fatalf("Infer: %v, want a capability denial", err)
+	}
+	sess, err := p.Offload("m4-wearable-00", OffloadConfig{
+		Cloud: cloud, Plan: &market.SplitPlan{Cut: 1}, Replan: offload.ReplanConfig{Disabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := sess.Infer(x); !errors.Is(err, procvm.ErrCapabilityDenied) {
+		t.Fatalf("all-local offload session served in mode %v (err %v), want the deployment's capability denial", out.Split.Mode, err)
+	}
+}
+
+// TestPlatformOffloadCompiledAfterParentEvicted: a compiled deployment opens
+// a session from its own version alone, so pruning the float parent's
+// artifact does not stop it offloading, and the split answers bit for bit
+// as the device does.
+func TestPlatformOffloadCompiledAfterParentEvicted(t *testing.T) {
+	p, _, cloud, ds := offloadPlatform(t, "")
+	base, dep := deployCompiled(t, p, ds, "m4-wearable-00", compileBase(t, p))
+	if err := p.Registry.Evict(base.ID); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := p.Offload("m4-wearable-00", OffloadConfig{
+		Cloud: cloud, Plan: &market.SplitPlan{Cut: 0}, Replan: offload.ReplanConfig{Disabled: true},
+	})
+	if err != nil {
+		t.Fatalf("offload after the parent's artifact was evicted: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		x := ds.X.Data[i*6 : (i+1)*6]
+		out, err := sess.Infer(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Split.Mode != offload.ModeSplit || !bitsEqual(out.Split.Logits, dep.ReferenceLogits(x)) {
+			t.Fatalf("row %d: mode %v, logits %v, want a split answering %v", i, out.Split.Mode, out.Split.Logits, dep.ReferenceLogits(x))
+		}
+	}
+}

@@ -62,8 +62,10 @@ func snapshotServing(d *Deployment) servingState {
 // the caller out of nn (or out of the VM wrapper) after the meter was
 // charged. On every variant kind it must now come back as that query's
 // error — charge standing, evidence retained, window health debited, no
-// device time spent where the executor declares its width — and leave the
-// next query, single or batched, untouched.
+// device time spent — and leave the next query, single or batched,
+// untouched. A batch's first row does not fix its width: every executor
+// declares its own, a compiled module's included, so a bad first row fails
+// alone too.
 func TestWrongWidthQueryFailsAloneOnEveryKind(t *testing.T) {
 	f := newConformanceFixtureWith(t, Config{
 		VendorKey: []byte("wrong-width-key-0123456789abcdef"), Seed: 9, MinCohort: 1, VerifiedBilling: true,
@@ -88,8 +90,7 @@ func TestWrongWidthQueryFailsAloneOnEveryKind(t *testing.T) {
 		if after.used != before.used+1 || after.retained != before.retained+1 || after.failed != before.failed+1 {
 			t.Fatalf("%s: failed query moved state %+v -> %+v, want one charge, one retained row, one failure", v.name, before, after)
 		}
-		declared := dep.img.run.InputShape() != nil
-		if declared && after.inferences != before.inferences {
+		if after.inferences != before.inferences {
 			t.Fatalf("%s: device ran %d inferences for a query rejected on width", v.name, after.inferences-before.inferences)
 		}
 
@@ -107,6 +108,15 @@ func TestWrongWidthQueryFailsAloneOnEveryKind(t *testing.T) {
 		}
 		if got := snapshotServing(dep); got.used != after.used+4 || got.retained != after.retained+4 || got.failed != after.failed+1 {
 			t.Fatalf("%s: batch around a bad row moved state %+v -> %+v", v.name, after, got)
+		}
+		outs = dep.InferBatch([][]float32{bad, good, good})
+		if outs[0].Err == nil {
+			t.Fatalf("%s: batch served its 3-feature first row", v.name)
+		}
+		for _, qi := range []int{1, 2} {
+			if outs[qi].Err != nil || outs[qi].Result.Label != ref.Label {
+				t.Fatalf("%s: batch led by a bad row, row %d: label %d err %v, want label %d", v.name, qi, outs[qi].Result.Label, outs[qi].Err, ref.Label)
+			}
 		}
 	}
 }

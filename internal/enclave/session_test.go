@@ -39,8 +39,11 @@ func runHosted(sess *Session, id string, input []float32) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := exec.Hosted(exec.Module(mod, mod.Caps, len(input), 0), sess.Enclave().Slowdown)
-	out, err := ex.Run(tensor.FromSlice(input, 1, len(input)), 0, 1, engine.NewArena())
+	inner, err := exec.Module(mod, mod.Caps, len(input), 0)
+	if err != nil {
+		return nil, err
+	}
+	out, err := exec.Hosted(inner, sess.Enclave().Slowdown).Run(tensor.FromSlice(input, 1, len(input)), 0, 1, engine.NewArena())
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -119,7 +120,7 @@ func conformanceKinds() []conformanceKind {
 			name: "procvm",
 			build: func(t testing.TB, net *nn.Network) Executor {
 				mod := compile(t, net)
-				return Module(mod, mod.Caps, 8, 1234)
+				return must(t)(Module(mod, mod.Caps, 8, 1234))
 			},
 			scheme: quant.Float32, slowdown: 1, steps: 1, legal: []int{0}, ref: moduleRef,
 		},
@@ -141,27 +142,27 @@ func conformanceKinds() []conformanceKind {
 			name: "enclave-module",
 			build: func(t testing.TB, net *nn.Network) Executor {
 				mod := compile(t, net)
-				return Hosted(Module(mod, mod.Caps, 8, 1234), 2)
+				return Hosted(must(t)(Module(mod, mod.Caps, 8, 1234)), 2)
 			},
 			scheme: quant.Float32, slowdown: 2, steps: 1, legal: []int{0}, ref: moduleRef,
 		},
 	}
 }
 
-// TestExecutorConformance is the one table every executor answers to. For
-// each kind, on a batch of three examples: the whole pass equals the
-// independent reference; SnapCut is idempotent and leaves exactly the
-// legal cuts alone; and at every legal cut, prefix → local suffix, and
-// prefix → encode → decode → resume of each example on its own, are
-// bit-identical to the whole pass. Misshapen input and foreign payloads
-// come back as errors.
+// TestExecutorConformance is the one table every executor answers to. Each
+// kind, hosted ones included, declares the model's input shape. On a batch
+// of three examples: the whole pass equals the independent reference;
+// SnapCut is idempotent and leaves exactly the legal cuts alone; and at
+// every legal cut, prefix → local suffix, and prefix → encode → decode →
+// resume of each example on its own, are bit-identical to the whole pass.
+// Misshapen input and foreign payloads come back as errors.
 func TestExecutorConformance(t *testing.T) {
 	for _, k := range conformanceKinds() {
 		t.Run(k.name, func(t *testing.T) {
 			net := conformanceModel()
 			ex := k.build(t, net)
 			n := ex.Steps()
-			if n != k.steps || len(ex.Costs()) != n || ex.Scheme() != k.scheme || ex.Slowdown() != k.slowdown || Width(ex.InputShape()) != 8 {
+			if n != k.steps || len(ex.Costs()) != n || ex.Scheme() != k.scheme || ex.Slowdown() != k.slowdown || !slices.Equal(ex.InputShape(), []int{8}) {
 				t.Fatalf("self-description: %d steps, scheme %v, slowdown %v, input %v",
 					n, ex.Scheme(), ex.Slowdown(), ex.InputShape())
 			}
@@ -321,17 +322,14 @@ func TestConstructorsRejectUnusableModels(t *testing.T) {
 		nn.NewNetwork([]int{1, 2, 2}, nn.NewConv2D(1, 2, 3, 3, 2, 0, tensor.NewRNG(1)), nn.NewFlatten())
 	}()
 	mod := compile(t, conformanceModel())
-	undeclared := Module(mod, mod.Caps, 0, 1)
-	if undeclared.InputShape() != nil {
-		t.Fatal("module with no declared width reports a shape")
+	// A module does not declare its width, so its caller must: no executor
+	// is built without an input shape.
+	for _, width := range []int{0, -1} {
+		if _, err := Module(mod, mod.Caps, width, 1); err == nil {
+			t.Fatalf("module executor built with input width %d", width)
+		}
 	}
-	if _, err := undeclared.Run(tensor.Randn(tensor.NewRNG(2), 1, 1, 3), 0, 1, engine.NewArena()); err == nil {
-		t.Fatal("the VM accepted a misshapen row")
-	}
-	if _, err := undeclared.Resume(new(Boundary), 0, engine.NewArena()); err == nil {
-		t.Fatal("resumed a boundary on a module with no declared width")
-	}
-	denied := Module(mod, procvm.CapNone, 8, 1)
+	denied := must(t)(Module(mod, procvm.CapNone, 8, 1))
 	if _, err := denied.Run(tensor.Randn(tensor.NewRNG(2), 1, 1, 8), 0, 1, engine.NewArena()); err == nil {
 		t.Fatal("module ran without the capabilities it requires")
 	}

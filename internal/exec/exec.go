@@ -27,8 +27,8 @@ type Executor interface {
 	Steps() int
 	// Costs is the per-step cost list planners and cost models consume.
 	Costs() []nn.LayerCost
-	// InputShape is the per-example input shape, nil when the artifact
-	// declares none (a compiled module of unknown width).
+	// InputShape is the per-example input shape; every executor declares
+	// one, so every batch and boundary is checked against it.
 	InputShape() []int
 	// Scheme is the weight precision of the kernels that execute, and its
 	// width is what the device cost model charges.
@@ -106,7 +106,8 @@ func (g *graph) Slowdown() float64     { return 1 }
 func (g *graph) Scheme() quant.Scheme  { return quant.Float32 }
 func (g *graph) SnapCut(cut int) int   { return min(max(cut, 0), len(g.costs)) }
 
-// shapeAt is the per-example shape entering step i (nil: undeclared).
+// shapeAt is the per-example shape entering step i: the declared input
+// shape at step 0, the output shape of step i-1 after it.
 func (g *graph) shapeAt(i int) ([]int, error) {
 	if i == 0 {
 		return g.in, nil
@@ -128,9 +129,6 @@ func (g *graph) enter(x *tensor.Tensor, lo, hi int) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	rows := x.Dim(0)
-	if shape == nil && rows > 0 {
-		return x, nil
-	}
 	if rows < 1 || x.Size() != rows*Width(shape) {
 		return nil, fmt.Errorf("exec: input shape %v does not fit step %d, which wants [n %v]", x.Shape(), lo, shape)
 	}
@@ -148,8 +146,8 @@ func (g *graph) EncodeBoundary(act *tensor.Tensor, cut int, ar *engine.Arena) ([
 }
 
 // DecodeBoundary parses a one-example float boundary, which must fill the
-// payload exactly, into the arena and checks it against the shape step cut
-// expects (any vector when that is undeclared).
+// payload exactly, into the arena and checks it against the shape entering
+// step cut.
 func (g *graph) DecodeBoundary(payload []byte, cut int, ar *engine.Arena) (*Boundary, error) {
 	shape, err := g.shapeAt(cut)
 	if err != nil || cut >= g.Steps() {
@@ -166,7 +164,7 @@ func (g *graph) DecodeBoundary(payload []byte, cut int, ar *engine.Arena) (*Boun
 	if err != nil {
 		return nil, fmt.Errorf("exec: decode activation: %w", err)
 	}
-	if got := b.act.Shape(); got[0] != 1 || (shape != nil && !slices.Equal(got[1:], shape)) {
+	if got := b.act.Shape(); got[0] != 1 || !slices.Equal(got[1:], shape) {
 		return nil, fmt.Errorf("exec: activation shape %v, want [1 %v]", got, shape)
 	}
 	return b, nil

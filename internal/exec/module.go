@@ -29,21 +29,22 @@ type batch struct {
 }
 
 // Module returns the executor over a compiled module. granted is the
-// capability set the host extends to it; features is the input width (0
-// when unknown — a module does not declare its geometry, and the VM then
-// rejects a misshapen input at run time); macs is the per-query work the
+// capability set the host extends to it; features is the input width,
+// which bytecode does not declare, so the caller passes the width its
+// version records (below 1 is an error); macs is the per-query work the
 // cost model charges for the single step.
-func Module(mod *procvm.Module, granted procvm.Capability, features int, macs int64) Executor {
+func Module(mod *procvm.Module, granted procvm.Capability, features int, macs int64) (Executor, error) {
+	if features < 1 {
+		return nil, fmt.Errorf("exec: module %s needs an input width, got %d", mod.Name, features)
+	}
 	rt := procvm.NewRuntime(granted)
 	if mod.GasLimit > rt.MaxGas {
 		rt.MaxGas = mod.GasLimit
 	}
 	m := &moduleExec{mod: mod, rt: rt}
+	m.in = []int{features}
 	m.costs = []nn.LayerCost{{Kind: "module", Info: nn.LayerInfo{MACs: macs}}}
-	if features > 0 {
-		m.in = []int{features}
-	}
-	return m
+	return m, nil
 }
 
 func (m *moduleExec) Run(x *tensor.Tensor, lo, hi int, ar *engine.Arena) (*tensor.Tensor, error) {
@@ -74,8 +75,5 @@ func (m *moduleExec) Run(x *tensor.Tensor, lo, hi int, ar *engine.Arena) (*tenso
 
 // Resume runs the whole module on the boundary, which is the raw input.
 func (m *moduleExec) Resume(b *Boundary, cut int, ar *engine.Arena) (*tensor.Tensor, error) {
-	if m.in == nil {
-		return nil, fmt.Errorf("exec: module %s declares no input width to resume on", m.mod.Name)
-	}
 	return m.Run(&b.act, cut, 1, ar)
 }

@@ -150,6 +150,20 @@ type SplitPlan struct {
 	Total         time.Duration
 }
 
+// TxBytes is the planner's figure for what crosses the uplink at a cut:
+// the raw input at cut 0, the float activation leaving layer cut-1 at an
+// inner cut, and nothing at n (all on the device).
+func TxBytes(costs []nn.LayerCost, cut int, inputBytes int64) int64 {
+	switch {
+	case cut == len(costs):
+		return 0
+	case cut == 0:
+		return inputBytes
+	default:
+		return 4 * costs[cut-1].Info.ActivationFloats
+	}
+}
+
 // BestSplit finds the layer cut minimizing end-to-end latency for one
 // request. bandwidthBps is the device's uplink in bytes/second (0 means no
 // connectivity, forcing the full-edge plan; negative is rejected); rtt is
@@ -190,11 +204,7 @@ func BestSplit(costs []nn.LayerCost, dev, cloud device.Capabilities, bits int, b
 		}
 		if cut < len(costs) {
 			// Something crosses the network: activation (or input) + RTT.
-			txBytes := inputBytes
-			if cut > 0 {
-				txBytes = 4 * costs[cut-1].Info.ActivationFloats
-			}
-			p.TxLatency = rtt + time.Duration(float64(txBytes)/bandwidthBps*float64(time.Second))
+			p.TxLatency = rtt + time.Duration(float64(TxBytes(costs, cut, inputBytes))/bandwidthBps*float64(time.Second))
 		}
 		p.Total = p.DeviceLatency + p.TxLatency + p.CloudLatency
 		curve = append(curve, p)

@@ -88,15 +88,11 @@ func (c *CloudTier) Caps() device.Capabilities { return c.caps }
 // Register makes a model version servable from its executor: a float
 // network, an integer model resumed from quantized boundary codes, or
 // either of them or a compiled module hosted in an enclave. The
-// executor is shared, not copied. It must declare its input shape — the
-// tier validates every boundary before it admits it. Repeated registration
-// of the same version is a no-op.
+// executor is shared, not copied. Repeated registration of the same version
+// is a no-op.
 func (c *CloudTier) Register(versionID string, ex exec.Executor) error {
 	if versionID == "" || ex == nil {
 		return fmt.Errorf("offload: register needs a version ID and an executor")
-	}
-	if ex.InputShape() == nil {
-		return fmt.Errorf("offload: register %s: executor declares no input shape", versionID)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

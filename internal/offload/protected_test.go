@@ -195,10 +195,9 @@ func TestModuleSessionSplitAndLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	macs := f.model.TotalMACs()
-	// The tier validates boundaries before they queue, so an executor that
-	// declares no input width cannot register.
-	if err := f.cloud.Register("vm2", exec.Module(inside, inside.Caps, 0, macs)); err == nil {
-		t.Fatal("registered a module executor with no declared input width")
+	hosted, err := exec.Module(inside, inside.Caps, 8, macs)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	x := f.input(7)
@@ -211,7 +210,7 @@ func TestModuleSessionSplitAndLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.checkEveryMode(t, kindCase{
-		key: "vm", ex: exec.Hosted(exec.Module(inside, inside.Caps, 8, macs), esess.Enclave().Slowdown),
+		key: "vm", ex: exec.Hosted(hosted, esess.Enclave().Slowdown),
 		cfg: SessionConfig{Module: mod, ModuleMACs: macs, InFeatures: 8},
 		cut: 0, want: ref.Output.Vec,
 	}, x)

@@ -138,19 +138,6 @@ func (r *Replanner) drifted(c Conditions) bool {
 	return diff >= batteryDelta || -diff >= batteryDelta
 }
 
-// txBytes is the planner's approximation of what crosses the uplink at a
-// cut — the same figure BestSplit prices.
-func (r *Replanner) txBytes(cut int) int64 {
-	switch {
-	case cut == len(r.costs):
-		return 0
-	case cut == 0:
-		return r.inputBytes
-	default:
-		return 4 * r.costs[cut-1].Info.ActivationFloats
-	}
-}
-
 // deviceEnergy is the modeled device-side joules of one query at a cut:
 // prefix compute plus radio transmit.
 func (r *Replanner) deviceEnergy(cut int) float64 {
@@ -158,7 +145,7 @@ func (r *Replanner) deviceEnergy(cut int) float64 {
 	for _, c := range r.costs[:cut] {
 		macs += c.Info.MACs
 	}
-	return r.dev.InferenceEnergy(macs) + float64(r.txBytes(cut))*r.dev.EnergyPerTxByteJoule
+	return r.dev.InferenceEnergy(macs) + float64(market.TxBytes(r.costs, cut, r.inputBytes))*r.dev.EnergyPerTxByteJoule
 }
 
 // minEnergyPlan picks the curve entry minimizing device-side energy,

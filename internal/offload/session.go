@@ -145,10 +145,7 @@ func (cfg *SessionConfig) executor() (exec.Executor, error) {
 	case (cfg.Model == nil) == (cfg.Module == nil):
 		return nil, fmt.Errorf("offload: session needs exactly one of a model and a compiled module")
 	case cfg.Module != nil:
-		if cfg.InFeatures <= 0 {
-			return nil, fmt.Errorf("offload: module session needs InFeatures")
-		}
-		return exec.Module(cfg.Module, cfg.Module.Caps, cfg.InFeatures, cfg.ModuleMACs), nil
+		return exec.Module(cfg.Module, cfg.Module.Caps, cfg.InFeatures, cfg.ModuleMACs)
 	case cfg.Scheme != quant.Float32:
 		return exec.Quant(cfg.Model, cfg.Scheme)
 	default:

@@ -17,20 +17,23 @@ import (
 // produced locally, the split output is bit-identical to ForwardBatch — the
 // property that retires the "integer deployments cannot split" restriction.
 
-// CanCutAt reports whether cut is a valid quantized offload boundary. The
-// remote side resumes from int8 activation codes, so the first remote stage
-// must be a dense integer stage — it consumes exactly the codes the device
-// would have produced. A cut at the stage count (one stage per network
-// layer) is the all-local degenerate split and is always valid.
-func (m *QModel) CanCutAt(cut int) bool {
-	if cut == len(m.stages) {
-		return true
+// cutStage is the integer cut rule: the remote side resumes from int8
+// activation codes, so a cut is a boundary when it is in range and its
+// stage is a dense integer stage, which consumes exactly the codes the
+// device would have produced. It returns that stage, or nil.
+func (m *QModel) cutStage(cut int) *qDense {
+	if cut < 0 || cut >= len(m.stages) {
+		return nil
 	}
-	if cut < 0 || cut > len(m.stages) {
-		return false
-	}
-	_, ok := m.stages[cut].(*qDense)
-	return ok
+	d, _ := m.stages[cut].(*qDense)
+	return d
+}
+
+// canCutAt reports whether cut is a valid quantized offload boundary. A cut
+// at the stage count (one stage per network layer) is the all-local
+// degenerate split and is always valid.
+func (m *QModel) canCutAt(cut int) bool {
+	return cut == len(m.stages) || m.cutStage(cut) != nil
 }
 
 // SnapCut returns the largest valid boundary cut ≤ planned, falling back to
@@ -42,7 +45,7 @@ func (m *QModel) SnapCut(planned int) int {
 		planned = len(m.stages)
 	}
 	for c := planned; c >= 0; c-- {
-		if m.CanCutAt(c) {
+		if m.canCutAt(c) {
 			return c
 		}
 	}
@@ -52,12 +55,9 @@ func (m *QModel) SnapCut(planned int) int {
 // BoundaryWidth returns the per-example activation count crossing a valid
 // boundary cut — the shape contract the wire codec validates against.
 func (m *QModel) BoundaryWidth(cut int) (int, error) {
-	if cut < 0 || cut >= len(m.stages) {
-		return 0, fmt.Errorf("quant: boundary cut %d out of range [0, %d)", cut, len(m.stages))
-	}
-	d, ok := m.stages[cut].(*qDense)
-	if !ok {
-		return 0, fmt.Errorf("quant: stage %d is not a dense integer stage, cannot cut there", cut)
+	d := m.cutStage(cut)
+	if d == nil {
+		return 0, fmt.Errorf("quant: cut %d of %d stages is not at a dense integer stage", cut, len(m.stages))
 	}
 	return d.w.Rows, nil
 }
@@ -96,12 +96,9 @@ func (m *QModel) ForwardRange(x *tensor.Tensor, s *QScratch, lo, hi int) *tensor
 // remaining stages run as usual, so the result is bit-identical to the
 // device having run ForwardBatch locally.
 func (m *QModel) ForwardFromCodes(codes []int8, scales []float32, rows, cut int, s *QScratch) (*tensor.Tensor, error) {
-	if cut < 0 || cut >= len(m.stages) {
-		return nil, fmt.Errorf("quant: boundary cut %d out of range [0, %d)", cut, len(m.stages))
-	}
-	d, ok := m.stages[cut].(*qDense)
-	if !ok {
-		return nil, fmt.Errorf("quant: stage %d is not a dense integer stage, cannot resume there", cut)
+	d := m.cutStage(cut)
+	if d == nil {
+		return nil, fmt.Errorf("quant: cannot resume at cut %d of %d stages: not a dense integer stage", cut, len(m.stages))
 	}
 	if rows < 0 || len(codes) != rows*d.w.Rows {
 		return nil, fmt.Errorf("quant: got %d boundary codes, want %d rows × width %d", len(codes), rows, d.w.Rows)

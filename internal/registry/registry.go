@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,6 +61,9 @@ type ModelVersion struct {
 	// OpKinds lists the operator types the model uses (for target
 	// compatibility checks).
 	OpKinds []string
+	// InputShape is the per-example input shape. A compiled version has
+	// its parent's: bytecode does not declare its own geometry.
+	InputShape []int
 	// Metrics summarizes quality and cost.
 	Metrics Metrics
 	// Tags carries free-form metadata (e.g. the watermark owner a variant
@@ -170,7 +174,7 @@ func (r *Registry) register(name, parentID string, net *nn.Network, scheme quant
 	v := &ModelVersion{
 		ID: id, Name: name, Seq: r.seq, ParentID: parentID,
 		Scheme: scheme, PruneFraction: prune,
-		OpKinds: net.OpKinds(),
+		OpKinds: net.OpKinds(), InputShape: slices.Clone(net.InputShape),
 		Metrics: Metrics{
 			Accuracy:            accuracy,
 			SizeBytes:           quant.NetworkSizeBytes(net, scheme),
@@ -229,9 +233,10 @@ func (r *Registry) Load(id string) (*nn.Network, error) {
 
 // RegisterCompiled stores a compiled procvm module as a first-class
 // variant of the float version it was lowered from: the canonical PVM1
-// encoding is the digest-pinned artifact, cost metrics carry over from the
-// parent (the module executes the same arithmetic), and the variant is
-// selectable only by policies that opt in to registry.KindProcVM.
+// encoding is the digest-pinned artifact, cost metrics and the input shape
+// carry over from the parent (the module executes the same arithmetic), and
+// the variant is selectable only by policies that opt in to
+// registry.KindProcVM.
 func (r *Registry) RegisterCompiled(parentID string, m *procvm.Module, accuracy float64) (*ModelVersion, error) {
 	parent := r.mustGet(parentID)
 	if parent == nil {
@@ -255,7 +260,7 @@ func (r *Registry) RegisterCompiled(parentID string, m *procvm.Module, accuracy 
 	r.seq++
 	v := &ModelVersion{
 		ID: id, Kind: KindProcVM, Name: parent.Name, Seq: r.seq, ParentID: parentID,
-		Scheme: quant.Float32,
+		Scheme: quant.Float32, InputShape: parent.InputShape,
 		Metrics: Metrics{
 			Accuracy:            accuracy,
 			SizeBytes:           len(data),

@@ -32,7 +32,7 @@ func MatMulRowsInto(dst, a, b []float32, m, k, n int) {
 			m, k, n, len(a), len(b), len(dst)))
 	}
 	clear(dst[:m*n])
-	matmulRows(dst, a, b, 0, m, k, n)
+	matmulRows(dst, a, b, m, k, n)
 }
 
 // fits reports whether an r×c operand fits in l elements, for r, c ≥ 0;
@@ -49,20 +49,20 @@ func fits(l, r, c int) bool {
 // straight kernel.
 const colBlock = 512
 
-// matmulRows computes rows [lo,hi) of dst = A×B with the column-blocked
-// ikj kernel. dst rows must be pre-zeroed. Each row chunk of up to nzCap
+// matmulRows computes the m rows of dst = A×B with the column-blocked ikj
+// kernel. dst must be pre-zeroed. Each row chunk of up to nzCap
 // activations first lists its nonzero ones with their B-row offsets, as
 // interleavedRows does for the integer kernel, and foldFloat32 folds the
 // listed rows into the dst tile. A ±0 activation is skipped, as the scalar loop
 // skips it; the list is built without a data-dependent branch (the count
 // advances when a bit below the sign is set) and holds no pad entry, since
 // a pad's 0·w is NaN for an infinite or NaN weight.
-func matmulRows(dst, a, b []float32, lo, hi, k, n int) {
+func matmulRows(dst, a, b []float32, m, k, n int) {
 	var xs [nzCap]float32
 	var offs [nzCap]int
 	for jb := 0; jb < n; jb += colBlock {
 		jhi := min(jb+colBlock, n)
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m; i++ {
 			drow := dst[i*n+jb : i*n+jhi]
 			for c := 0; c < k; c += nzCap {
 				nz := 0

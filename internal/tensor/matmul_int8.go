@@ -77,7 +77,7 @@ func MatMulInterleaved(dst []float32, a []int8, w []int16, m, k, n int, rowScale
 		panic(fmt.Sprintf("tensor: MatMulInterleaved [%d,%d]×[%d,%d] from %d codes and %d weights with %d and %d scales into %d",
 			m, k, k, n, len(a), len(w), len(rowScales), len(colScales), len(dst)))
 	}
-	interleavedRows(dst, a, w, 0, m, k, n, rowScales, colScales)
+	interleavedRows(dst, a, w, m, k, n, rowScales, colScales)
 }
 
 // nzCap is how many entries a nonzero list holds — activations in
@@ -86,7 +86,7 @@ func MatMulInterleaved(dst []float32, a []int8, w []int16, m, k, n int, rowScale
 // never allocate; Go zeroes it on every call, which is why it is small.
 const nzCap = 64
 
-// interleavedRows computes rows [lo,hi) of MatMulInterleaved. Each row
+// interleavedRows computes the m rows of MatMulInterleaved. Each row
 // chunk first lists its activation pairs that are not both zero, each
 // packed as a[i,2P]'s 16 bits under a[i,2P+1]'s, with the offset of its row
 // pair's tile in w, so a zero pair costs neither a multiply nor a branch.
@@ -96,13 +96,13 @@ const nzCap = 64
 // pair (v | -v has its sign bit set exactly when v != 0), and the list is
 // padded to a multiple of four with zero pairs, which add nothing, so
 // foldInt16 takes four entries per pass with no tail.
-func interleavedRows(dst []float32, a []int8, w []int16, lo, hi, k, n int, rowScales, colScales []float32) {
+func interleavedRows(dst []float32, a []int8, w []int16, m, k, n int, rowScales, colScales []float32) {
 	var acc [colBlock]int32
 	var xs [nzCap + 3]int32
 	var offs [nzCap + 3]int
 	for jb := 0; jb < n; jb += colBlock {
 		tile := acc[:min(colBlock, n-jb)]
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m; i++ {
 			arow := a[i*k : i*k+k]
 			clear(tile)
 			for c := 0; c < k; c += 2 * nzCap {
