@@ -79,7 +79,7 @@ subcommands:
              fleet invariant; -swarm distributes the OTA peer-to-peer
              with a byte-conservation audit
   offload    serve queries through the live edge-cloud offload plane
-             (split execution, batched cloud suffix service, replanning
+             (split execution, the cloud suffix as a call, replanning
              as connectivity changes), verified bit-exact
   settle     run verified pay-per-query settlement across a fleet with
              injected billing fraud (overclaimed ticks, replayed proofs,

@@ -78,7 +78,7 @@ func cmdOffload(w io.Writer, args []string) error {
 	defer cloud.Close()
 	sessions := make([]*tinymlops.OffloadSession, len(ids))
 	for i, id := range ids {
-		if sessions[i], err = platform.Offload(id, tinymlops.OffloadConfig{Cloud: cloud, RTT: *rtt}); err != nil {
+		if sessions[i], err = platform.Offload(id, tinymlops.OffloadConfig{Cloud: cloud, Replan: tinymlops.OffloadReplanConfig{RTT: *rtt}}); err != nil {
 			return err
 		}
 	}

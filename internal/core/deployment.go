@@ -342,9 +342,15 @@ func (d *Deployment) rollWindowLocked() {
 		rec.DriftScore = float32(d.Monitor.MaxScore())
 		rec.DriftAlarm = d.Monitor.Drifted()
 	}
-	for i := range d.featStats {
-		rec.FeatureMeans = append(rec.FeatureMeans, float32(d.featStats[i].Mean()))
-		rec.FeatureStds = append(rec.FeatureStds, float32(d.featStats[i].Std()))
+	if n := len(d.featStats); n > 0 {
+		// One allocation for both summaries, each capped at its length so
+		// an append to one cannot overwrite the other.
+		stats := make([]float32, 2*n)
+		rec.FeatureMeans, rec.FeatureStds = stats[:n:n], stats[n:]
+		for i := range d.featStats {
+			rec.FeatureMeans[i] = float32(d.featStats[i].Mean())
+			rec.FeatureStds[i] = float32(d.featStats[i].Std())
+		}
 	}
 	d.Buffer.Add(rec)
 	d.window++

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"tinymlops/internal/enclave"
 	"tinymlops/internal/exec"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/procvm"
@@ -34,7 +33,9 @@ type image struct {
 // width its version records, an integer variant on the integer kernels of
 // its scheme and a float one on the float engine. One version is one
 // function on every device: hardware without the bit width runs the same
-// kernels, and the device cost model charges it the emulation penalty.
+// kernels, and the device cost model charges it the emulation penalty. The
+// cloud enclave builds its executor over a protected deployment's sealed
+// copy here too (Platform.hostSealed), so the grant holds in every world.
 func newExecutor(v *registry.ModelVersion, model *nn.Network, compiled *procvm.Module) (exec.Executor, error) {
 	switch {
 	case compiled != nil:
@@ -44,33 +45,6 @@ func newExecutor(v *registry.ModelVersion, model *nn.Network, compiled *procvm.M
 	default:
 		return exec.Float(model)
 	}
-}
-
-// hostedExecutor is the executor over an artifact sealed into an enclave
-// session under artID: the protected world's own decoded copy runs, on the
-// executor the device runs it with, at the enclave's slowdown. A module is
-// granted what it asks for.
-func hostedExecutor(sess *enclave.Session, artID string, v *registry.ModelVersion) (exec.Executor, error) {
-	var ex exec.Executor
-	if v.Kind == registry.KindProcVM {
-		mod, err := sess.Module(artID)
-		if err != nil {
-			return nil, err
-		}
-		ex, err = exec.Module(mod, mod.Caps, exec.Width(v.InputShape), v.Metrics.MACs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		inside, err := sess.Network(artID)
-		if err != nil {
-			return nil, err
-		}
-		if ex, err = newExecutor(v, inside, nil); err != nil {
-			return nil, err
-		}
-	}
-	return exec.Hosted(ex, sess.Enclave().Slowdown), nil
 }
 
 // imageTable is the platform's single-flight version → image lookup: a

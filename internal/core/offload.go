@@ -4,14 +4,14 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"time"
 
 	"tinymlops/internal/enclave"
 	"tinymlops/internal/exec"
 	"tinymlops/internal/market"
+	"tinymlops/internal/nn"
 	"tinymlops/internal/offload"
+	"tinymlops/internal/procvm"
 	"tinymlops/internal/quant"
-	"tinymlops/internal/registry"
 	"tinymlops/internal/tensor"
 )
 
@@ -26,11 +26,8 @@ type OffloadConfig struct {
 	// Cloud is the suffix-serving tier (required). The platform registers
 	// the deployment's model version with it automatically.
 	Cloud *offload.CloudTier
-	// RTT is the fixed round-trip to the cloud used in planning (also the
-	// default for Replan.RTT).
-	RTT time.Duration
-	// Replan tunes the live re-planning loop (its round-trip time, or
-	// Disabled to freeze the initial plan).
+	// Replan tunes the live re-planning loop: the fixed round-trip to the
+	// cloud it plans with, or Disabled to freeze the initial plan.
 	Replan offload.ReplanConfig
 	// Plan, when non-nil, pins the initial cut instead of planning from
 	// the device's current conditions.
@@ -62,22 +59,25 @@ type OffloadOutcome struct {
 // live SplitPlan — prefix on the device, suffix on cfg.Cloud — re-planned
 // as bandwidth and battery drift.
 //
+// Both halves come from the deployment's live image, so the model store is
+// never read: an evicted artifact stops no deployment that still runs it.
 // The device half runs the executor the deployment serves with, under the
 // deployment's own capability grant: opening a session builds none for the
 // device. Every variant kind splits, and every answer stays bit-identical
 // to the device serving the query alone:
 //
 //   - Float deployments ship float boundary activations; the cloud serves
-//     the registry artifact (bit-identical to the device's copy).
+//     the fleet's image of the version, the device's own executor.
 //   - Integer deployments ship int8 boundary codes plus a dynamic
 //     per-example scale (the QAB1 codec); the cloud resumes the same
 //     integer kernels at a dense-stage cut.
-//   - Watermarked deployments seal their per-device marked copy into the
-//     cloud enclave: the suffix executes inside the protected world (paying
-//     its slowdown), so the mark never exists in cloud plaintext.
-//   - Compiled (procvm) deployments seal the module into the enclave and
-//     run it whole there when the plan offloads (cut 0), at the input width
-//     their version records.
+//   - Protected deployments seal the bytes the device holds into the cloud
+//     enclave, and the suffix executes inside the protected world (paying
+//     its slowdown) on the executor newExecutor builds from the enclave's
+//     decoded copy, under the device's grant: a watermarked deployment its
+//     per-device marked copy, so the mark never exists in cloud plaintext;
+//     a compiled (procvm) one its module, run whole there when the plan
+//     offloads (cut 0), so a query the device denies is denied there too.
 //
 // Each sealed artifact is attested at provisioning: the platform verifies
 // the report against the vendor root key and the artifact digest before
@@ -97,74 +97,45 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	dep.mu.Unlock()
 	version, execScheme := img.version, img.run.Scheme()
 
-	replan := cfg.Replan
-	if replan.RTT == 0 {
-		replan.RTT = cfg.RTT
-	}
 	scfg := offload.SessionConfig{
 		Tenant:   deviceID,
 		Device:   dep.device,
 		Executor: img.run,
 		Bits:     execScheme.Bits(),
 		Cloud:    cfg.Cloud,
-		Replan:   replan,
+		Replan:   cfg.Replan,
 		Plan:     cfg.Plan,
 	}
-	// register binds the session to the cloud entry under key, building the
-	// cloud-side executor only if the tier lacks it: fleet-wide session
-	// setup registers each artifact once, not per device.
-	register := func(key string, build func() (exec.Executor, error)) error {
-		scfg.VersionID = key
-		if cfg.Cloud.Registered(key) {
-			return nil
+	// The session binds to the cloud entry under key. Unprotected, the
+	// cloud serves the fleet's own image of the version: the same executor
+	// the device runs, by pointer; integer deployments cross the cut as int8
+	// codes under the version's "#q" key, the name the split benchmark's
+	// standalone sessions look the quantized entry up by. Protected, it
+	// serves the device's own artifact from inside the enclave — a compiled
+	// module, run whole when the plan offloads, or the per-device marked
+	// copy under a per-device key — so neither the bytecode nor the mark
+	// exists in cloud plaintext.
+	key, build := version.ID, func() (exec.Executor, error) { return img.run, nil }
+	switch {
+	case img.compiled != nil || watermarked:
+		if watermarked {
+			key += "@" + deviceID
 		}
+		build = func() (exec.Executor, error) { return p.hostSealed(key, img) }
+	case execScheme != quant.Float32:
+		key += "#q"
+	}
+	// The cloud-side executor is built only if the tier lacks it: fleet-wide
+	// session setup registers each artifact once, not per device.
+	scfg.VersionID = key
+	if !cfg.Cloud.Registered(key) {
 		ex, err := build()
 		if err != nil {
-			return fmt.Errorf("core: offload: %w", err)
+			return nil, fmt.Errorf("core: offload: %w", err)
 		}
-		return cfg.Cloud.Register(key, ex)
-	}
-
-	var err error
-	switch {
-	case img.compiled != nil:
-		// Obfuscated deployment: the module is sealed to the enclave and runs
-		// whole in the protected world when the plan offloads.
-		err = register(version.ID, func() (exec.Executor, error) {
-			blob, err := p.Registry.Bytes(version.ID)
-			if err != nil {
-				return nil, err
-			}
-			return p.hostSealed(version.ID, blob, version)
-		})
-
-	case watermarked:
-		// The per-device marked copy is sealed to the enclave under a
-		// per-device key: its suffix executes only inside the protected
-		// world, so the split does not break watermark protection.
-		key := version.ID + "@" + deviceID
-		err = register(key, func() (exec.Executor, error) {
-			blob, err := img.model.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			return p.hostSealed(key, blob, version)
-		})
-
-	default:
-		// The cloud serves the fleet's own image of the version: the same
-		// decoded registry artifact and the same executor the device runs,
-		// by pointer. Integer deployments cross the cut as int8 codes under
-		// the version's "#q" key, the name the split benchmark's standalone
-		// sessions look the quantized entry up by.
-		key := version.ID
-		if execScheme != quant.Float32 {
-			key += "#q"
+		if err := cfg.Cloud.Register(key, ex); err != nil {
+			return nil, err
 		}
-		err = register(key, func() (exec.Executor, error) { return img.run, nil })
-	}
-	if err != nil {
-		return nil, err
 	}
 
 	sess, err := offload.NewSession(scfg)
@@ -174,14 +145,15 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 	return &OffloadSession{dep: dep, sess: sess, versionID: version.ID}, nil
 }
 
-// hostSealed seals an artifact of version v into the enclave session hosting
-// protected execution — the platform's shared cloud enclave, provisioned on
-// first use from the vendor key — under artID and verifies the attestation
-// chain before anything serves from it: the loaded measurement must equal
-// the artifact digest, and the session's report over it must verify against
-// the vendor root. It returns the executor over the enclave's copy. Sealing
-// advances the enclave's monotonic counter, so it serializes under encMu.
-func (p *Platform) hostSealed(artID string, blob []byte, v *registry.ModelVersion) (exec.Executor, error) {
+// hostSealed builds the cloud enclave's executor over img, a deployment's
+// live image. It seals the bytes the device holds — the module's canonical
+// PVM1 encoding, or the network's serialization (marked, for a watermarked
+// copy) — into the platform's shared cloud enclave under artID, and runs
+// the protected world's decoded copy on newExecutor: the constructor, and
+// the capability grant, the device's executor comes from, at the enclave's
+// slowdown. Nothing is re-read from the model store, so a deployment whose
+// artifact was evicted still offloads.
+func (p *Platform) hostSealed(artID string, img *image) (exec.Executor, error) {
 	p.encMu.Lock()
 	if p.encSess == nil {
 		enc, err := enclave.New("cloud-enclave", p.vendorKey, 1.2)
@@ -192,31 +164,60 @@ func (p *Platform) hostSealed(artID string, blob []byte, v *registry.ModelVersio
 		p.encSess = enclave.NewSession(enc)
 	}
 	sess := p.encSess
+	p.encMu.Unlock()
+	var model *nn.Network
+	var mod *procvm.Module
+	var err error
+	if img.compiled != nil {
+		if err = p.loadAttested(sess, artID, img.compiled.Encode(), sess.LoadSealedModule); err == nil {
+			mod, err = sess.Module(artID)
+		}
+	} else {
+		var blob []byte
+		if blob, err = img.model.MarshalBinary(); err == nil {
+			if err = p.loadAttested(sess, artID, blob, sess.LoadSealedNetwork); err == nil {
+				model, err = sess.Network(artID)
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	ex, err := newExecutor(img.version, model, mod)
+	if err != nil {
+		return nil, err
+	}
+	return exec.Hosted(ex, sess.Enclave().Slowdown), nil
+}
+
+// loadAttested seals blob to the session's enclave, loads it under artID
+// with load and verifies the attestation chain before anything serves from
+// it: the loaded measurement must equal the blob's digest, and the
+// session's report over it must verify against the vendor root. Sealing
+// advances the enclave's monotonic counter, so it serializes under encMu.
+func (p *Platform) loadAttested(sess *enclave.Session, artID string, blob []byte, load func(string, []byte) ([32]byte, error)) error {
+	p.encMu.Lock()
 	sealed, err := sess.Enclave().Seal(blob)
 	p.encMu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("seal %s: %w", artID, err)
-	}
-	load := sess.LoadSealedNetwork
-	if v.Kind == registry.KindProcVM {
-		load = sess.LoadSealedModule
+		return fmt.Errorf("seal %s: %w", artID, err)
 	}
 	meas, err := load(artID, sealed)
 	if err != nil {
-		return nil, fmt.Errorf("load sealed %s: %w", artID, err)
+		return fmt.Errorf("load sealed %s: %w", artID, err)
 	}
 	want := sha256.Sum256(blob)
 	if meas != want {
-		return nil, fmt.Errorf("enclave measurement mismatch for %s", artID)
+		return fmt.Errorf("enclave measurement mismatch for %s", artID)
 	}
 	rep, err := sess.Attest(artID, want[:16])
 	if err != nil {
-		return nil, fmt.Errorf("attest %s: %w", artID, err)
+		return fmt.Errorf("attest %s: %w", artID, err)
 	}
 	if !enclave.VerifyReport(p.vendorKey, rep) || rep.Measurement != want {
-		return nil, fmt.Errorf("attestation for %s failed verification", artID)
+		return fmt.Errorf("attestation for %s failed verification", artID)
 	}
-	return hostedExecutor(sess, artID, v)
+	return nil
 }
 
 // Stats returns the session's split-execution counters.

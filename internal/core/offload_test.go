@@ -390,9 +390,10 @@ func compileBase(t *testing.T, p *Platform) *procvm.Module {
 }
 
 // TestPlatformOffloadKeepsTheDeviceSandbox: a compiled variant that asks for
-// a capability the deployment does not grant is denied on the device,
-// whether it is served directly or by an all-local offload session, which
-// runs the deployment's own executor under the deployment's grant.
+// a capability the deployment does not grant is denied wherever it runs:
+// served directly, by an all-local offload session, which runs the
+// deployment's own executor, and by a session that offloads it whole at cut
+// 0, whose cloud enclave builds its executor under the same grant.
 func TestPlatformOffloadKeepsTheDeviceSandbox(t *testing.T) {
 	p, _, cloud, ds := offloadPlatform(t, "")
 	w := make([]float32, 6*3)
@@ -418,23 +419,35 @@ func TestPlatformOffloadKeepsTheDeviceSandbox(t *testing.T) {
 	if out, err := sess.Infer(x); !errors.Is(err, procvm.ErrCapabilityDenied) {
 		t.Fatalf("all-local offload session served in mode %v (err %v), want the deployment's capability denial", out.Split.Mode, err)
 	}
+	split, err := p.Offload("m4-wearable-00", OffloadConfig{
+		Cloud: cloud, Plan: &market.SplitPlan{Cut: 0}, Replan: offload.ReplanConfig{Disabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := split.Infer(x); !errors.Is(err, procvm.ErrCapabilityDenied) {
+		t.Fatalf("cut-0 offload session served in mode %v (err %v), want the deployment's capability denial", out.Split.Mode, err)
+	}
 }
 
 // TestPlatformOffloadCompiledAfterParentEvicted: a compiled deployment opens
-// a session from its own version alone, so pruning the float parent's
-// artifact does not stop it offloading, and the split answers bit for bit
-// as the device does.
+// a session from its own live image alone — the cloud enclave seals the
+// module the device holds — so pruning the float parent's artifact, and
+// the compiled version's own, does not stop it offloading, and the split
+// answers bit for bit as the device does.
 func TestPlatformOffloadCompiledAfterParentEvicted(t *testing.T) {
 	p, _, cloud, ds := offloadPlatform(t, "")
 	base, dep := deployCompiled(t, p, ds, "m4-wearable-00", compileBase(t, p))
-	if err := p.Registry.Evict(base.ID); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{base.ID, dep.Version.ID} {
+		if err := p.Registry.Evict(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sess, err := p.Offload("m4-wearable-00", OffloadConfig{
 		Cloud: cloud, Plan: &market.SplitPlan{Cut: 0}, Replan: offload.ReplanConfig{Disabled: true},
 	})
 	if err != nil {
-		t.Fatalf("offload after the parent's artifact was evicted: %v", err)
+		t.Fatalf("offload after the parent's and the version's own artifacts were evicted: %v", err)
 	}
 	for i := 0; i < 4; i++ {
 		x := ds.X.Data[i*6 : (i+1)*6]

@@ -74,10 +74,17 @@ func (p *Platform) NewSwarm(opts SwarmOptions) (*swarm.Swarm, error) {
 	})
 }
 
+// fullKey is the swarm artifact key of a version's stored artifact.
+func fullKey(id string) string { return "full:" + id }
+
+// deltaKey is the swarm artifact key of the delta from one version to
+// another.
+func deltaKey(from, to string) string { return "delta:" + from + ">" + to }
+
 // swarmBytes resolves a swarm artifact key to canonical registry bytes:
-// "full:<version>" is the stored artifact, "delta:<from>><to>" the cached
-// single-flight delta encoding. These are the exact bytes every seeder of
-// the key holds, which is what content-addressed chunks require.
+// fullKey's is the stored artifact, deltaKey's the cached single-flight
+// delta encoding. These are the exact bytes every seeder of the key holds,
+// which is what content-addressed chunks require.
 func (p *Platform) swarmBytes(key string) ([]byte, error) {
 	switch {
 	case strings.HasPrefix(key, "full:"):

@@ -221,6 +221,40 @@ const (
 	inferBatchAllocs = 1
 )
 
+// TestSyncTelemetryAllocationPin: a telemetry sync over the conformance
+// fleet, one query per deployment since the last, allocates a fixed count.
+// Each record's feature summaries are one allocation, and the uplink is
+// sized without encoding a record. One worker keeps the engine's fan-out
+// out of the count.
+func TestSyncTelemetryAllocationPin(t *testing.T) {
+	f := newConformanceFixtureWith(t, Config{VendorKey: []byte("conformance-key-0123456789abcdef"), Seed: 9, MinCohort: 1, Workers: 1})
+	deps := deployGen(t, f, f.publishGen(t), 1_000_000, nil)
+	x := f.ds.X.Data[:f.es]
+	sync := func() {
+		for _, d := range deps {
+			if _, err := d.Infer(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if recs, _, err := f.p.SyncTelemetry(); err != nil || recs != len(deps) {
+			t.Fatalf("SyncTelemetry flushed %d records (err %v), want %d", recs, err, len(deps))
+		}
+	}
+	for w := 0; w < 3; w++ {
+		sync()
+	}
+	if got := testing.AllocsPerRun(200, sync); got != syncTelemetryAllocs {
+		t.Errorf("SyncTelemetry over %d deployments allocates %v per call, pinned at %d", len(deps), got, syncTelemetryAllocs)
+	}
+}
+
+// syncTelemetryAllocs is three for the sorted deployment list, four for the
+// engine's fan-out (result and error slices, two closures) and two per
+// deployment: the record's feature summaries and the buffer slice it is
+// queued in. Amortized growth of the aggregator's cohorts and the meter's
+// log rounds to zero.
+const syncTelemetryAllocs = 21
+
 // servePipeline builds serve_single's modules for the fixture: a
 // normalize pre-module over the dataset's per-feature mean and spread, and
 // an argmax post-module.

@@ -130,7 +130,7 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 		}
 		// The device holds these exact bytes, so it can seed them.
 		if opts.Swarm != nil && d.watermark == "" {
-			opts.Swarm.AddSeeder("full:"+chosen.ID, d.DeviceID)
+			opts.Swarm.AddSeeder(fullKey(chosen.ID), d.DeviceID)
 		}
 		return rep, nil
 	}
@@ -168,9 +168,9 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 	// Watermarked copies are perturbed per customer and never seed.
 	if opts.Swarm != nil && d.watermark == "" {
 		if rep.UsedDelta {
-			opts.Swarm.AddSeeder("delta:"+rep.From.ID+">"+chosen.ID, d.DeviceID)
+			opts.Swarm.AddSeeder(deltaKey(rep.From.ID, chosen.ID), d.DeviceID)
 		}
-		opts.Swarm.AddSeeder("full:"+chosen.ID, d.DeviceID)
+		opts.Swarm.AddSeeder(fullKey(chosen.ID), d.DeviceID)
 	}
 	return rep, nil
 }
@@ -205,7 +205,7 @@ func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersi
 	// mid-flash leaves a recoverable staging slot, and a retried update
 	// that selects the same transition resumes it instead of starting
 	// over. A different transition discards the stale slot.
-	token := "delta:" + d.Version.ID + ">" + chosen.ID
+	token := deltaKey(d.Version.ID, chosen.ID)
 	plain, err := p.transfer(sw, d.device, chosen, token, delta, int64(cost.ShipBytes), int64(cost.FlashBytes), rep)
 	if err != nil {
 		return nil, err
@@ -366,7 +366,7 @@ func (p *Platform) shipFull(sw *swarm.Swarm, dev *device.Device, v *registry.Mod
 		}
 		size = int64(v.Metrics.SizeBytes)
 	}
-	plain, err := p.transfer(sw, dev, v, "full:"+v.ID, artifact, size, size, rep)
+	plain, err := p.transfer(sw, dev, v, fullKey(v.ID), artifact, size, size, rep)
 	if err != nil {
 		return nil, err
 	}

@@ -38,9 +38,7 @@ type Record struct {
 // uplink accounting in E4 measures).
 func (r *Record) Encode() []byte {
 	le := binary.LittleEndian
-	// 37 bytes of fixed fields: two length prefixes, three counters, four
-	// floats and the alarm byte.
-	b := make([]byte, 0, 37+len(r.DeviceID)+4*(len(r.FeatureMeans)+len(r.FeatureStds)))
+	b := make([]byte, 0, r.encodedLen())
 	b = le.AppendUint32(b, uint32(len(r.DeviceID)))
 	b = append(b, r.DeviceID...)
 	b = le.AppendUint32(b, r.Window)
@@ -61,6 +59,13 @@ func (r *Record) Encode() []byte {
 		return append(b, 1)
 	}
 	return append(b, 0)
+}
+
+// encodedLen is the length of Encode's output: 37 bytes of fixed fields
+// (two length prefixes, three counters, four floats and the alarm byte),
+// the device ID and four bytes per feature statistic.
+func (r *Record) encodedLen() int {
+	return 37 + len(r.DeviceID) + 4*(len(r.FeatureMeans)+len(r.FeatureStds))
 }
 
 // decodeRecord parses a record encoded by Encode. It accepts exactly what
@@ -139,7 +144,7 @@ func (b *Buffer) FlushIfWiFi(d *device.Device) ([]Record, int, error) {
 	b.mu.Unlock()
 	totalBytes := 0
 	for i := range recs {
-		totalBytes += len(recs[i].Encode())
+		totalBytes += recs[i].encodedLen()
 	}
 	if totalBytes > 0 {
 		if _, err := d.Upload(int64(totalBytes)); err != nil {

@@ -138,8 +138,9 @@ func BestSplit(costs []LayerCost, dev, cloud DeviceCapabilities, bits int, bandw
 // submits the request. Close stops admission.
 func NewOffloadCloud() *offload.CloudTier { return offload.NewCloud(offload.CloudConfig{}) }
 
-// OffloadConfig controls Platform.Offload (cloud tier, RTT, shed retry
-// policy, re-planning thresholds, optional pinned plan).
+// OffloadConfig controls Platform.Offload: the cloud tier, the re-planning
+// loop's round-trip time (or a frozen plan) and an optional pinned plan.
+// The shed retry policy and the re-planning thresholds are constants.
 type OffloadConfig = core.OffloadConfig
 
 // OffloadSession is a deployment serving queries through the split
