@@ -169,6 +169,66 @@ func TestExportsAreLiveSurface(t *testing.T) {
 	t.Logf("exports: %d exported functions and methods under internal/, all named outside their own package's tests", len(declared))
 }
 
+// TestPrivateFunctionsAreNotTestCode is the private counterpart of
+// TestExportsAreLiveSurface: a private top-level function declared in a
+// non-test file under internal/ stays there only if some non-test file of its
+// package names it, other than its own body. One that only tests reach is
+// test code: it moves into a _test.go file, or goes with its tests. init is
+// exempt. Methods are out of scope; an interface may call them.
+func TestPrivateFunctionsAreNotTestCode(t *testing.T) {
+	c := parseRepo(t)
+	shipped := func(f *repoFile) bool { return !f.test && c.internal[f.pkg] }
+
+	declared := map[string]bool{} // "fed.weighFixed"
+	for _, f := range c.files {
+		if !shipped(f) {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && !fn.Name.IsExported() && fn.Name.Name != "init" {
+				declared[f.pkg+"."+fn.Name.Name] = true
+			}
+		}
+	}
+	live := map[string]bool{}
+	for _, f := range c.files {
+		if !shipped(f) {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			// A declaration's own name is not a use, nor is a function's
+			// call to itself.
+			var name *ast.Ident
+			self := ""
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				name = fn.Name
+				if fn.Recv == nil {
+					self = fn.Name.Name
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id != name && id.Name != self {
+					live[f.pkg+"."+id.Name] = true
+				}
+				return true
+			})
+		}
+	}
+
+	var dead []string
+	for key := range declared {
+		if !live[key] {
+			dead = append(dead, key)
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Fatalf("%d of %d private functions under internal/ are named only by tests; move them into a _test.go file, or delete them with their tests:\n  %s",
+			len(dead), len(declared), strings.Join(dead, "\n  "))
+	}
+	t.Logf("private functions: %d under internal/, all named by their package's non-test code", len(declared))
+}
+
 // receiverName is the type name of a method receiver: T for T, *T, T[P] and
 // *T[P, Q].
 func receiverName(e ast.Expr) string {

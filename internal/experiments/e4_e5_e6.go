@@ -109,7 +109,7 @@ func RunE4(w io.Writer) error {
 
 	rec := observe.Record{DeviceID: "m4-wearable-00", Inferences: 1000,
 		FeatureMeans: make([]float32, 4), FeatureStds: make([]float32, 4)}
-	telemetry := len(rec.Encode())
+	telemetry := rec.UplinkBytes()
 	raw := 1000 * 4 * 4
 	fmt.Fprintf(w, "\ntelemetry for a 1000-inference window: %d B vs %d B raw inputs (%.0f× smaller, no raw data leaves the device)\n",
 		telemetry, raw, float64(raw)/float64(telemetry))

@@ -15,13 +15,6 @@ import (
 
 // AuditConfig controls one fleet audit.
 type AuditConfig struct {
-	// Deep re-serializes what every unwatermarked deployment runs and
-	// verifies it is bit-identical to the registry artifact of the version
-	// it claims to run — the strongest convergence proof (an interrupted
-	// and resumed delta install must reproduce the target exactly). Each
-	// distinct image the fleet shares is serialized once and its verdict
-	// attributed to every device holding it.
-	Deep bool
 	// Swarm, when non-nil, extends the audit to the peer-to-peer
 	// distribution ledger: byte conservation (registry egress + peer bytes
 	// == delivered bytes, and no per-transfer conservation violations),
@@ -40,7 +33,7 @@ type AuditReport struct {
 	MetersChecked  int
 	ChainsVerified int
 	// ArtifactsVerified counts deployments whose model bytes matched the
-	// registry artifact bit-for-bit (Deep audits only).
+	// registry artifact bit-for-bit.
 	ArtifactsVerified int
 	// TelemetryRecords counts window-monotonicity-checked records across
 	// ingested and buffered telemetry.
@@ -109,7 +102,7 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 	}
 
 	vouchers := make(map[string]string) // voucher ID -> device holding it
-	// diverged memoises the deep artifact check per decoded image: what is
+	// diverged memoises the artifact check per decoded image: what is
 	// wrong with it, or "" when it serializes to the registry's bytes.
 	diverged := make(map[*nn.Network]string)
 	for _, d := range deps {
@@ -200,7 +193,7 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 		// the registry artifact, checked once per distinct image. Updates
 		// swap the model pointer rather than mutating in place, so
 		// serializing the snapshot outside the lock is safe.
-		if cfg.Deep && ver != nil {
+		if ver != nil {
 			switch {
 			case d.CompiledModule() != nil:
 				if sha256.Sum256(d.CompiledModule().Encode()) != ver.Digest {

@@ -78,7 +78,7 @@ func markedAuditFixture(t *testing.T, marked string) (*core.Platform, *dataset.D
 
 func TestAuditCleanPlatformPasses(t *testing.T) {
 	p, _ := auditFixture(t)
-	rep := Audit(p, AuditConfig{Deep: true})
+	rep := Audit(p, AuditConfig{})
 	if !rep.OK() {
 		t.Fatalf("clean platform failed audit: %v", rep.Violations)
 	}
@@ -143,7 +143,7 @@ func TestAuditFlagsTamperedModelBytes(t *testing.T) {
 	if !holders[dep.DeviceID] || len(holders) < 2 {
 		t.Fatalf("fixture: %d deployments share the tampered image, want the fleet's", len(holders))
 	}
-	rep := Audit(p, AuditConfig{Deep: true})
+	rep := Audit(p, AuditConfig{})
 	if rep.ViolationCount != len(holders) || rep.ArtifactsVerified != len(p.Deployments())-len(holders) {
 		t.Fatalf("%d violations and %d artifacts verified for %d holders of %d: %v",
 			rep.ViolationCount, rep.ArtifactsVerified, len(holders), len(p.Deployments()), rep.Violations)
@@ -158,10 +158,6 @@ func TestAuditFlagsTamperedModelBytes(t *testing.T) {
 		if !found {
 			t.Fatalf("no divergence violation for %s in %v", id, rep.Violations)
 		}
-	}
-	// A shallow audit does not serialize models and stays green.
-	if rep := Audit(p, AuditConfig{}); !rep.OK() {
-		t.Fatalf("shallow audit: %v", rep.Violations)
 	}
 }
 
@@ -180,15 +176,15 @@ func TestAuditFlagsTamperedPrivateCopyAlone(t *testing.T) {
 			t.Fatalf("%s shares the watermarked copy of %s", d.DeviceID, id)
 		}
 	}
-	if rep := Audit(p, AuditConfig{Deep: true}); !rep.OK() {
-		t.Fatalf("marked fleet failed the deep audit: %v", rep.Violations)
+	if rep := Audit(p, AuditConfig{}); !rep.OK() {
+		t.Fatalf("marked fleet failed the audit: %v", rep.Violations)
 	}
 	// Flatten the carrier layer: the mark no longer extracts.
 	w := marked.Model().Params()[0].Value.Data
 	for i := range w {
 		w[i] = 0
 	}
-	rep := Audit(p, AuditConfig{Deep: true})
+	rep := Audit(p, AuditConfig{})
 	if rep.ViolationCount != 1 || !strings.HasPrefix(rep.Violations[0], id+":") || !strings.Contains(rep.Violations[0], "watermark") {
 		t.Fatalf("tampered private copy of %s: %v", id, rep.Violations)
 	}

@@ -142,7 +142,7 @@ type ScenarioResult struct {
 	// Swarm is the peer-to-peer distribution record (nil unless
 	// SwarmRollout was configured).
 	Swarm *SwarmReport
-	// Audit is the terminal deep audit (no partial slots tolerated).
+	// Audit is the terminal audit (no partial slots tolerated).
 	Audit *AuditReport
 	// Fingerprint digests the terminal fleet state (per-device version,
 	// meter, counters) plus the rollout record — equal fingerprints mean
@@ -477,7 +477,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if sw != nil {
 		res.Swarm.Stats = sw.Stats()
 	}
-	res.Audit = Audit(p, AuditConfig{Deep: true, Swarm: sw})
+	res.Audit = Audit(p, AuditConfig{Swarm: sw})
 	res.Fingerprint = fingerprint(p, res)
 	return res, nil
 }

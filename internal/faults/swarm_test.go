@@ -20,7 +20,7 @@ func swarmChaos(seed uint64) ChaosConfig {
 }
 
 // checkSwarmScenario asserts the invariants every swarm scenario must
-// satisfy regardless of scale: full convergence, a clean deep audit that
+// satisfy regardless of scale: full convergence, a clean audit that
 // covered the swarm ledger, byte conservation, peers actually carrying
 // load, and the canary wave being the only wave fully funded by the
 // registry.
@@ -161,7 +161,7 @@ func TestChaosSwarmRolloutDeterministic1k(t *testing.T) {
 // TestChaosSwarmInstallEquivalentToRegistryDirect is the install-
 // equivalence property: the same scenario run registry-direct and run
 // over the swarm must converge every device onto artifacts that are
-// bit-identical to the registry's canonical bytes — the deep audit's
+// bit-identical to the registry's canonical bytes — the audit's
 // ArtifactsVerified re-derives each deployment from the registry and
 // compares byte-for-byte, so full verification on both sides proves the
 // two transports installed the same bits. The swarm run must additionally

@@ -12,6 +12,14 @@ import (
 	"tinymlops/internal/tensor"
 )
 
+// quantizeFixed maps a decoded update vector into the fixed-point ring: the
+// weight-one form of weighFixed.
+func quantizeFixed(update []float32) []int64 {
+	q := make([]int64, len(update))
+	weighFixed(q, update, 1)
+	return q
+}
+
 func codecRoundTrip(t *testing.T, c Codec, update []float32) []float32 {
 	t.Helper()
 	payload, err := c.Encode(update)

@@ -32,14 +32,6 @@ const (
 	fixedMax = int64(1) << 42
 )
 
-// quantizeFixed maps a decoded update vector into the fixed-point ring: the
-// weight-one form of weighFixed.
-func quantizeFixed(update []float32) []int64 {
-	q := make([]int64, len(update))
-	weighFixed(q, update, 1)
-	return q
-}
-
 // weighFixed writes a client's sample-weighted fixed-point contribution
 // samples·q(update) into dst, quantizing and weighting in one pass.
 // Non-finite coordinates are defined away deterministically — NaN becomes

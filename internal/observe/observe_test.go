@@ -3,7 +3,6 @@ package observe
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"tinymlops/internal/dataset"
 	"tinymlops/internal/device"
@@ -268,65 +267,22 @@ func TestColumnsOf(t *testing.T) {
 	}
 }
 
-func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
-	r := goldenRecord()
-	enc := r.Encode()
-	got, err := decodeRecord(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.DeviceID != r.DeviceID || got.Inferences != 120 || !got.DriftAlarm ||
-		got.FeatureMeans[1] != -0.2 || got.DriftScore != 0.31 {
-		t.Fatalf("round trip = %+v", got)
-	}
-	// An alarm byte of 2 rejects. Every proper prefix and a trailing byte
-	// are TestGoldenRecord's: it runs the shared strictness helper over
-	// these same bytes.
-	enc[len(enc)-1] = 2
-	if _, err := decodeRecord(enc); err == nil {
-		t.Fatal("alarm byte 2 accepted")
+// goldenRecord sets every field of the telemetry record.
+func goldenRecord() *Record {
+	return &Record{
+		DeviceID: "m4-wearable-01", Window: 7, Inferences: 120, Denied: 3,
+		MeanLatencyUS: 850.5, MaxLatencyUS: 2100, EnergyMJ: 12.5,
+		FeatureMeans: []float32{0.1, -0.2}, FeatureStds: []float32{1.0, 0.9},
+		DriftScore: 0.31, DriftAlarm: true,
 	}
 }
 
-// Property: encode/decode round-trips arbitrary records.
-func TestRecordRoundTripProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := tensor.NewRNG(seed)
-		nf := rng.Intn(6)
-		r := Record{
-			DeviceID:      "dev",
-			Window:        uint32(rng.Intn(1000)),
-			Inferences:    uint32(rng.Intn(100000)),
-			Denied:        uint32(rng.Intn(100)),
-			MeanLatencyUS: rng.Float32() * 1e4,
-			MaxLatencyUS:  rng.Float32() * 1e5,
-			EnergyMJ:      rng.Float32() * 100,
-			FeatureMeans:  make([]float32, nf),
-			FeatureStds:   make([]float32, nf),
-			DriftScore:    rng.Float32(),
-			DriftAlarm:    rng.Float64() < 0.5,
-		}
-		for i := 0; i < nf; i++ {
-			r.FeatureMeans[i] = rng.NormFloat32()
-			r.FeatureStds[i] = rng.Float32()
-		}
-		got, err := decodeRecord(r.Encode())
-		if err != nil {
-			return false
-		}
-		if got.Window != r.Window || got.Inferences != r.Inferences ||
-			got.DriftAlarm != r.DriftAlarm || len(got.FeatureMeans) != nf {
-			return false
-		}
-		for i := range r.FeatureMeans {
-			if got.FeatureMeans[i] != r.FeatureMeans[i] || got.FeatureStds[i] != r.FeatureStds[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+// TestUplinkBytesPinsTheRecordLayout holds the modelled uplink size of a
+// record with every field set to 67 B: 37 fixed bytes, the 14-byte device ID
+// and two features' mean and std at 4 B each.
+func TestUplinkBytesPinsTheRecordLayout(t *testing.T) {
+	if got := goldenRecord().UplinkBytes(); got != 67 {
+		t.Fatalf("UplinkBytes = %d, want 67", got)
 	}
 }
 
@@ -408,7 +364,7 @@ func TestTelemetryIsFarSmallerThanRawData(t *testing.T) {
 		DeviceID: "m0-sensor-00", Window: 1, Inferences: 1000,
 		FeatureMeans: make([]float32, 16), FeatureStds: make([]float32, 16),
 	}
-	telemetryBytes := len(r.Encode())
+	telemetryBytes := r.UplinkBytes()
 	rawBytes := 1000 * 16 * 4
 	if telemetryBytes*100 > rawBytes {
 		t.Fatalf("telemetry %dB not ≪ raw %dB", telemetryBytes, rawBytes)

@@ -1,13 +1,10 @@
 package observe
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"tinymlops/internal/device"
-	"tinymlops/internal/wire"
 )
 
 // Record is one telemetry report: anonymized aggregates over a reporting
@@ -34,60 +31,13 @@ type Record struct {
 	DriftAlarm bool
 }
 
-// Encode serializes the record to its compact wire form (the bytes the
-// uplink accounting in E4 measures).
-func (r *Record) Encode() []byte {
-	le := binary.LittleEndian
-	b := make([]byte, 0, r.encodedLen())
-	b = le.AppendUint32(b, uint32(len(r.DeviceID)))
-	b = append(b, r.DeviceID...)
-	b = le.AppendUint32(b, r.Window)
-	b = le.AppendUint32(b, r.Inferences)
-	b = le.AppendUint32(b, r.Denied)
-	b = le.AppendUint32(b, math.Float32bits(r.MeanLatencyUS))
-	b = le.AppendUint32(b, math.Float32bits(r.MaxLatencyUS))
-	b = le.AppendUint32(b, math.Float32bits(r.EnergyMJ))
-	b = le.AppendUint32(b, uint32(len(r.FeatureMeans)))
-	for _, v := range r.FeatureMeans {
-		b = le.AppendUint32(b, math.Float32bits(v))
-	}
-	for _, v := range r.FeatureStds {
-		b = le.AppendUint32(b, math.Float32bits(v))
-	}
-	b = le.AppendUint32(b, math.Float32bits(r.DriftScore))
-	if r.DriftAlarm {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// encodedLen is the length of Encode's output: 37 bytes of fixed fields
-// (two length prefixes, three counters, four floats and the alarm byte),
-// the device ID and four bytes per feature statistic.
-func (r *Record) encodedLen() int {
+// UplinkBytes is what the record costs the radio when FlushIfWiFi ships
+// it, priced on a compact layout: 37 fixed bytes (u32 device-ID and
+// feature-count prefixes, u32 Window, Inferences and Denied, four f32
+// values and the alarm byte), the device ID, and 4 B per feature
+// statistic. Records reach the cloud in process, so no bytes are encoded.
+func (r *Record) UplinkBytes() int {
 	return 37 + len(r.DeviceID) + 4*(len(r.FeatureMeans)+len(r.FeatureStds))
-}
-
-// decodeRecord parses a record encoded by Encode. It accepts exactly what
-// Encode produces: a record cut short anywhere, followed by anything, or
-// with an alarm byte other than 0 or 1 is rejected.
-func decodeRecord(data []byte) (*Record, error) {
-	r := wire.NewReader(data)
-	out := &Record{DeviceID: r.String(256)}
-	out.Window, out.Inferences, out.Denied = r.U32(), r.U32(), r.U32()
-	out.MeanLatencyUS, out.MaxLatencyUS, out.EnergyMJ = r.F32(), r.F32(), r.F32()
-	nf := r.Count(1<<16, 8) // a feature is its mean and its std
-	out.FeatureMeans, out.FeatureStds = r.F32s(nf), r.F32s(nf)
-	out.DriftScore = r.F32()
-	alarm := r.U8()
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("observe: decode record: %w", err)
-	}
-	if alarm > 1 {
-		return nil, fmt.Errorf("observe: alarm byte %d is neither 0 nor 1", alarm)
-	}
-	out.DriftAlarm = alarm == 1
-	return out, nil
 }
 
 // Buffer is the on-device store-and-forward queue: records accumulate
@@ -144,7 +94,7 @@ func (b *Buffer) FlushIfWiFi(d *device.Device) ([]Record, int, error) {
 	b.mu.Unlock()
 	totalBytes := 0
 	for i := range recs {
-		totalBytes += recs[i].encodedLen()
+		totalBytes += recs[i].UplinkBytes()
 	}
 	if totalBytes > 0 {
 		if _, err := d.Upload(int64(totalBytes)); err != nil {

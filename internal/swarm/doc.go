@@ -3,10 +3,11 @@
 // ~flat as the fleet grows, instead of linear in fleet size.
 //
 // An artifact — a registry image or an encoded weight delta — is split by
-// a Manifest into fixed-size SHA-256-hashed chunks with a canonical wire
-// codec, and a Reassembler verifies every chunk on receipt (duplicates,
-// truncations, reorderings and corrupt chunks are rejected, never
-// mis-assembled). The Swarm coordinator tracks which devices hold which
+// a Manifest into fixed-size SHA-256-hashed chunks, and a Reassembler
+// verifies every chunk on receipt (duplicates, truncations, reorderings and
+// corrupt chunks are rejected, never mis-assembled). Manifests pass between
+// devices in process as values, so they have no byte encoding; what
+// BuildManifest is handed is all there is to reject. The Swarm coordinator tracks which devices hold which
 // artifact per rollout wave: devices that complete an update register as
 // pending seeders, wave promotion freezes them into a sorted active set,
 // and the next wave's devices fetch chunks from SeedForID-assigned peers

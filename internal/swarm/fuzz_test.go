@@ -6,48 +6,6 @@ import (
 	"testing"
 )
 
-// FuzzChunkManifestRoundTrip pins the codec's canonical-form contract: any
-// input that decodes must re-encode to exactly the input bytes, and any
-// manifest built from real data must survive a marshal/unmarshal round
-// trip unchanged. Decode failures must be typed (ErrBadManifest), never
-// panics or silent truncation.
-func FuzzChunkManifestRoundTrip(f *testing.F) {
-	for _, size := range []int{1, 100, 1000, 4096} {
-		m, err := BuildManifest("full:seed", testBlob(size, uint64(size)), 256)
-		if err != nil {
-			f.Fatal(err)
-		}
-		enc, err := m.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
-	}
-	f.Add([]byte("TMSW"))
-	f.Add([]byte{})
-	f.Add([]byte("TMSW\x01\x04full\x00"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := unmarshalManifest(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadManifest) {
-				t.Fatalf("untyped decode failure: %v", err)
-			}
-			return
-		}
-		reenc, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatalf("decoded manifest does not re-encode: %v", err)
-		}
-		if !bytes.Equal(reenc, data) {
-			t.Fatalf("decode/encode not canonical:\nin  %x\nout %x", data, reenc)
-		}
-		if m.NumChunks() != len(m.Hashes) {
-			t.Fatalf("decoded %d hashes for %d chunks", len(m.Hashes), m.NumChunks())
-		}
-	})
-}
-
 // FuzzChunkReassembly feeds a reassembler an adversarial chunk stream —
 // arbitrary indexes, arbitrary bytes, duplicates, truncations — and pins
 // that it either rejects each bogus chunk with a typed error or ends up

@@ -2,34 +2,31 @@ package swarm
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"tinymlops/internal/wire"
 )
 
 // DefaultChunkBytes is the chunk size used when a Config leaves it zero.
 const DefaultChunkBytes = 4 << 10
 
-// Wire-format bounds: a decoder must reject anything outside them before
-// allocating, so a hostile manifest cannot ask for gigabytes.
+// Bounds on what BuildManifest accepts: a key of at most maxKeyBytes, and
+// at most maxChunks chunks, so a bad chunk size cannot ask for gigabytes of
+// hashes.
 const (
-	manifestMagic   = "TMSW"
-	manifestVersion = 1
-	maxKeyBytes     = 4096
-	maxChunks       = 1 << 22
+	maxKeyBytes = 4096
+	maxChunks   = 1 << 22
 )
 
-// Typed failures of the chunk plane. Every rejection a transfer or a
-// decoder can produce wraps one of these, so callers classify by
+// Typed failures of the chunk plane. Every rejection BuildManifest or a
+// transfer can produce wraps one of these, so callers classify by
 // errors.Is rather than string matching.
 var (
 	// ErrEmptyArtifact rejects building a manifest over zero bytes — there
 	// is nothing to distribute, and a zero-chunk manifest would make
 	// "complete" ambiguous.
 	ErrEmptyArtifact = errors.New("swarm: zero-length artifact")
-	// ErrBadManifest rejects a malformed or non-canonical manifest encoding.
+	// ErrBadManifest rejects BuildManifest input it cannot describe: an
+	// empty or over-long key, a negative chunk size, or too many chunks.
 	ErrBadManifest = errors.New("swarm: malformed manifest")
 	// ErrUnknownChunk rejects a chunk index outside the manifest.
 	ErrUnknownChunk = errors.New("swarm: unknown chunk index")
@@ -119,81 +116,6 @@ func (m *Manifest) ChunkSpan(i int) (start, end int64) {
 
 // ChunkOf returns the index of the chunk containing artifact offset off.
 func (m *Manifest) ChunkOf(off int64) int { return int(off / m.ChunkBytes) }
-
-// MarshalBinary encodes the manifest in the canonical wire format: magic,
-// version byte, uvarint-prefixed key, uvarint total and chunk sizes, the
-// artifact digest, then the chunk hashes (chunk lengths are implied by the
-// sizes, so there is exactly one encoding of a given manifest).
-func (m *Manifest) MarshalBinary() ([]byte, error) {
-	if err := m.validate(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 64+len(m.Key)+32*len(m.Hashes))
-	buf = append(buf, manifestMagic...)
-	buf = append(buf, manifestVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Key)))
-	buf = append(buf, m.Key...)
-	buf = binary.AppendUvarint(buf, uint64(m.TotalBytes))
-	buf = binary.AppendUvarint(buf, uint64(m.ChunkBytes))
-	buf = append(buf, m.Digest[:]...)
-	for i := range m.Hashes {
-		buf = append(buf, m.Hashes[i][:]...)
-	}
-	return buf, nil
-}
-
-func (m *Manifest) validate() error {
-	if m.Key == "" || len(m.Key) > maxKeyBytes {
-		return fmt.Errorf("%w: key length %d", ErrBadManifest, len(m.Key))
-	}
-	if m.TotalBytes < 1 {
-		return fmt.Errorf("%w: total %d bytes", ErrEmptyArtifact, m.TotalBytes)
-	}
-	if m.ChunkBytes < 1 {
-		return fmt.Errorf("%w: chunk size %d", ErrBadManifest, m.ChunkBytes)
-	}
-	if n := m.NumChunks(); n > maxChunks || len(m.Hashes) != n {
-		return fmt.Errorf("%w: %d hashes for %d chunks", ErrBadManifest, len(m.Hashes), n)
-	}
-	return nil
-}
-
-// unmarshalManifest decodes and validates a canonical manifest encoding.
-// Truncated input, trailing bytes, out-of-range sizes, a wrong chunk count
-// and non-minimal varints are all rejected. Every field then has exactly
-// one encoding, so if decoding succeeds, re-encoding reproduces the input
-// byte-for-byte (FuzzChunkManifestRoundTrip holds it to that).
-func unmarshalManifest(data []byte) (*Manifest, error) {
-	r := wire.NewReader(data)
-	r.Magic(manifestMagic)
-	version := r.U8()
-	m := &Manifest{Key: string(r.Bytes(r.UvarintCount(maxKeyBytes, 1)))}
-	total, chunk := r.Uvarint(), r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
-	if version != manifestVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadManifest, version)
-	}
-	if m.Key == "" || total < 1 || total > 1<<62 || chunk < 1 || chunk > 1<<62 {
-		return nil, fmt.Errorf("%w: key %q, sizes %d/%d", ErrBadManifest, m.Key, total, chunk)
-	}
-	m.TotalBytes, m.ChunkBytes = int64(total), int64(chunk)
-	n := m.NumChunks()
-	if n > maxChunks {
-		return nil, fmt.Errorf("%w: %d chunks exceed the %d cap", ErrBadManifest, n, maxChunks)
-	}
-	digest, hashes := r.Bytes(32), r.Bytes(32*n)
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("%w: %d chunks: %v", ErrBadManifest, n, err)
-	}
-	copy(m.Digest[:], digest)
-	m.Hashes = make([][32]byte, n)
-	for i := range m.Hashes {
-		copy(m.Hashes[i][:], hashes[32*i:])
-	}
-	return m, nil
-}
 
 // Reassembler collects verified chunks of one manifest into the artifact.
 // Chunks may arrive in any order and from any mix of sources; each is

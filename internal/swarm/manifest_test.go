@@ -83,65 +83,6 @@ func TestBuildManifestRejects(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTrip(t *testing.T) {
-	data := testBlob(10_000, 7)
-	m, err := BuildManifest("delta:aa>bb", data, 999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := unmarshalManifest(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Key != m.Key || got.TotalBytes != m.TotalBytes || got.ChunkBytes != m.ChunkBytes ||
-		got.Digest != m.Digest || len(got.Hashes) != len(m.Hashes) {
-		t.Fatalf("round trip diverged: %+v vs %+v", got, m)
-	}
-	reenc, err := got.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, reenc) {
-		t.Fatal("re-encoding is not byte-identical")
-	}
-}
-
-func TestUnmarshalManifestRejectsMalformed(t *testing.T) {
-	m, err := BuildManifest("full:v1", testBlob(1000, 3), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut := func(f func(b []byte) []byte) []byte {
-		return f(append([]byte(nil), enc...))
-	}
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"empty", nil},
-		{"bad-magic", mut(func(b []byte) []byte { b[0] ^= 0xff; return b })},
-		{"bad-version", mut(func(b []byte) []byte { b[4] = 99; return b })},
-		{"truncated-header", enc[:3]},
-		{"truncated-hashes", enc[:len(enc)-7]},
-		{"trailing-garbage", append(append([]byte(nil), enc...), 0xaa)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := unmarshalManifest(tc.data); !errors.Is(err, ErrBadManifest) {
-				t.Fatalf("err = %v, want ErrBadManifest", err)
-			}
-		})
-	}
-}
-
 func TestReassemblerErrorPaths(t *testing.T) {
 	data := testBlob(1000, 11)
 	m, err := BuildManifest("full:v1", data, 256)

@@ -1,8 +1,8 @@
 // Package wire is the one strict byte cursor behind the repo's hand-rolled
 // wire formats: TMLT1 (tensor), TMLN1 and TMLD1 (nn), PVM1 (procvm), QAB1
-// (exec), TMSW (swarm), the telemetry record (observe), the federated
-// partial (fed), the settlement frame pair (metering), the one that
-// crosses a real socket, and the sum-check proof (verify) it carries.
+// (exec), the federated partial (fed), the settlement frame pair
+// (metering), the one that crosses a real socket, and the sum-check proof
+// (verify) it carries.
 // Each is parsed by a tier that did not produce the bytes. A decoder reads
 // every field through a Reader and returns its Done; that alone gives it
 // the rejection contract:
