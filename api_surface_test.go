@@ -217,7 +217,7 @@ func TestProtectionWrappers(t *testing.T) {
 	}
 	// Personalization wrapper.
 	personal, err := tinymlops.Personalize(net, ds, tinymlops.PersonalizeConfig{
-		Epochs: 1, BatchSize: 16, LR: 0.05, RNG: rng,
+		Epochs: 1, RNG: rng,
 	})
 	if err != nil || personal == nil {
 		t.Fatalf("personalize: %v", err)

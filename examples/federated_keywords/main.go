@@ -101,7 +101,7 @@ func run(w io.Writer) error {
 		ltrain, ltest := local.Split(0.7, rng)
 		before := tinymlops.Evaluate(co.Global, ltest.X, ltest.Y)
 		personal, err := tinymlops.Personalize(co.Global, ltrain, tinymlops.PersonalizeConfig{
-			FreezeLayers: 2, Epochs: 8, BatchSize: 16, LR: 0.05, RNG: rng,
+			Epochs: 8, RNG: rng,
 		})
 		if err != nil {
 			return err

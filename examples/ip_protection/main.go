@@ -101,8 +101,7 @@ func run(w io.Writer) error {
 				tinymlops.Dense(8, 48, srng), tinymlops.ReLU(),
 				tinymlops.Dense(48, 5, srng))
 			queries := train.X.RowSlice(0, budget)
-			if _, err := tinymlops.ExtractModel(tinymlops.Defend(bb, d), student, queries,
-				tinymlops.ExtractionConfig{Epochs: 20, LR: 0.05, RNG: srng}); err != nil {
+			if _, err := tinymlops.ExtractModel(tinymlops.Defend(bb, d), student, queries, srng); err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "  %.3f", tinymlops.Agreement(bb, tinymlops.ModelBlackBox(student), eval))

@@ -347,9 +347,9 @@ func TestFederatedUpdateImprovesAndRepublishes(t *testing.T) {
 			return nn.Evaluate(n, test.X, test.Y)
 		},
 	}
-	versions, stats, err := p.FederatedUpdate("clf", clients, test, fed.Config{
+	_, versions, stats, err := p.HierFederatedUpdate("clf", clients, test, fed.HierConfig{Config: fed.Config{
 		Rounds: 4, LocalEpochs: 2, LocalBatch: 16, LR: 0.1, Seed: 17,
-	}, spec)
+	}}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +374,8 @@ func TestFederatedUpdateImprovesAndRepublishes(t *testing.T) {
 	}
 }
 
-// TestFederatedPublishTags pins the provenance both platform entry points
-// leave on the published base: a flat run is tagged federated with its round
+// TestFederatedPublishTags pins the provenance a federated run leaves on the
+// published base: a flat run is tagged federated with its round
 // count, and a two-tier run adds its topology and aggregator count.
 func TestFederatedPublishTags(t *testing.T) {
 	p, _, _ := fixture(t, 12)
@@ -384,7 +384,7 @@ func TestFederatedPublishTags(t *testing.T) {
 	clients := fed.MakeClients(ds, dataset.PartitionIID(rng, ds, 6), "c")
 	spec := registry.OptimizationSpec{Evaluate: func(n *nn.Network) float64 { return nn.Evaluate(n, ds.X, ds.Y) }}
 	cfg := fed.Config{Rounds: 2, LocalEpochs: 1, LocalBatch: 16, LR: 0.1, Seed: 19}
-	flat, _, err := p.FederatedUpdate("clf", clients, ds, cfg, spec)
+	_, flat, _, err := p.HierFederatedUpdate("clf", clients, ds, fed.HierConfig{Config: cfg}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

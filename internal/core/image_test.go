@@ -250,10 +250,10 @@ func TestImageTableResidency(t *testing.T) {
 }
 
 // TestFailedInstallsLeaveTheTableAlone is the poisoning property: a swarm
-// transfer whose chunk fails its hash, an install interrupted mid-flash and
-// a delta against an evicted base each fail or fall back on that device
-// alone; none inserts into the table, and the fleet's image of the target
-// is the one an undisturbed device built.
+// transfer whose chunk fails its hash and an install interrupted mid-flash
+// each fail on that device alone; neither inserts into the table, and the
+// fleet's image of the target is the one an undisturbed device built, which
+// a later full ship of the same version resolves to as well.
 func TestFailedInstallsLeaveTheTableAlone(t *testing.T) {
 	f := newRolloutFixture(t, 2)
 	deps := f.p.Deployments()
@@ -289,7 +289,11 @@ func TestFailedInstallsLeaveTheTableAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sw.Manifest(deltaKey); err != nil {
+	// A transfer to a device outside the fleet cuts the manifest over the
+	// honest bytes.
+	spare := device.NewDevice("spare", deps[1].Device().Caps, tensor.NewRNG(1))
+	spare.SetNet(device.WiFi)
+	if _, _, err := sw.Transfer(spare, deltaKey, 0); err != nil {
 		t.Fatal(err)
 	}
 	served[len(served)/2] ^= 0x40
@@ -328,9 +332,8 @@ func TestFailedInstallsLeaveTheTableAlone(t *testing.T) {
 	}
 	unchanged("after the resume", 3)
 
-	// A delta whose base the registry evicted falls back to a full ship,
-	// and the full bytes resolve to the image a device that shipped them in
-	// full already built. (The v1→v3 delta must not be cached, so the first
+	// Full bytes resolve to the image a device that shipped them in full
+	// already built. (The v1→v3 delta must not be cached, so the first
 	// device ships v3 whole.)
 	v2net, err := f.p.Registry.Load(f.v2.ID)
 	if err != nil {
@@ -345,14 +348,11 @@ func TestFailedInstallsLeaveTheTableAlone(t *testing.T) {
 	}
 	good, misses, keys = deps[3].img, misses+1, append(keys, "v3")
 	unchanged("after a full ship of v3", 1)
-	if err := f.p.Registry.Evict(f.v1.ID); err != nil {
-		t.Fatal(err)
+	rep, err := deps[4].Update(v3s[0], UpdateOptions{ForceFull: true})
+	if err != nil || rep.UsedDelta || deps[4].img != good {
+		t.Fatalf("second full ship: %+v, %v, shared %v", rep, err, deps[4].img == good)
 	}
-	rep, err := deps[4].Update(v3s[0], UpdateOptions{})
-	if err != nil || rep.UsedDelta || !errors.Is(rep.DeltaFallback, ErrDeltaBaseMissing) || deps[4].img != good {
-		t.Fatalf("evicted base: %+v, %v, shared %v", rep, err, deps[4].img == good)
-	}
-	unchanged("after the full-ship fallback", 2)
+	unchanged("after a second full ship of v3", 2)
 }
 
 // TestWatermarkedDeviceKeepsPrivateImage puts one watermarked device in a

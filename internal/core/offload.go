@@ -60,7 +60,7 @@ type OffloadOutcome struct {
 // as bandwidth and battery drift.
 //
 // Both halves come from the deployment's live image, so the model store is
-// never read: an evicted artifact stops no deployment that still runs it.
+// never read.
 // The device half runs the executor the deployment serves with, under the
 // deployment's own capability grant: opening a session builds none for the
 // device. Every variant kind splits, and every answer stays bit-identical
@@ -151,8 +151,7 @@ func (p *Platform) Offload(deviceID string, cfg OffloadConfig) (*OffloadSession,
 // copy) — into the platform's shared cloud enclave under artID, and runs
 // the protected world's decoded copy on newExecutor: the constructor, and
 // the capability grant, the device's executor comes from, at the enclave's
-// slowdown. Nothing is re-read from the model store, so a deployment whose
-// artifact was evicted still offloads.
+// slowdown. Nothing is re-read from the model store.
 func (p *Platform) hostSealed(artID string, img *image) (exec.Executor, error) {
 	p.encMu.Lock()
 	if p.encSess == nil {

@@ -432,22 +432,18 @@ func TestPlatformOffloadKeepsTheDeviceSandbox(t *testing.T) {
 
 // TestPlatformOffloadCompiledAfterParentEvicted: a compiled deployment opens
 // a session from its own live image alone — the cloud enclave seals the
-// module the device holds — so pruning the float parent's artifact, and
-// the compiled version's own, does not stop it offloading, and the split
-// answers bit for bit as the device does.
+// module the device holds — so a registry that holds neither the float
+// parent's artifact nor the compiled version's own does not stop it
+// offloading, and the split answers bit for bit as the device does.
 func TestPlatformOffloadCompiledAfterParentEvicted(t *testing.T) {
 	p, _, cloud, ds := offloadPlatform(t, "")
-	base, dep := deployCompiled(t, p, ds, "m4-wearable-00", compileBase(t, p))
-	for _, id := range []string{base.ID, dep.Version.ID} {
-		if err := p.Registry.Evict(id); err != nil {
-			t.Fatal(err)
-		}
-	}
+	_, dep := deployCompiled(t, p, ds, "m4-wearable-00", compileBase(t, p))
+	p.Registry = registry.New()
 	sess, err := p.Offload("m4-wearable-00", OffloadConfig{
 		Cloud: cloud, Plan: &market.SplitPlan{Cut: 0}, Replan: offload.ReplanConfig{Disabled: true},
 	})
 	if err != nil {
-		t.Fatalf("offload after the parent's and the version's own artifacts were evicted: %v", err)
+		t.Fatalf("offload against a registry without the parent's or the version's own artifact: %v", err)
 	}
 	for i := 0; i < 4; i++ {
 		x := ds.X.Data[i*6 : (i+1)*6]

@@ -158,7 +158,7 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (_ *Depl
 	if !ok {
 		return nil, fmt.Errorf("core: unknown device %q", deviceID)
 	}
-	candidates := p.candidates(modelName)
+	candidates := p.Registry.Versions(modelName)
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("core: model line %q is empty", modelName)
 	}
@@ -204,7 +204,7 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (_ *Depl
 		policy:    cfg.Policy,
 		watermark: cfg.Watermark,
 		Meter:     metering.NewMeter(voucher),
-		Buffer:    observe.NewBuffer(256),
+		Buffer:    observe.NewBuffer(),
 		pre:       cfg.Pre,
 		post:      cfg.Post,
 		runtime:   procvm.NewRuntime(procvm.CapSensor),
@@ -233,11 +233,6 @@ func (p *Platform) Deploy(deviceID, modelName string, cfg DeployConfig) (_ *Depl
 		old.disown()
 	}
 	return d, nil
-}
-
-// candidates returns every version of a model line (bases and variants).
-func (p *Platform) candidates(name string) []*registry.ModelVersion {
-	return p.Registry.Versions(name)
 }
 
 // Deployment returns the live deployment on a device, if any.
@@ -309,12 +304,9 @@ func log2Ceil(n int) int {
 
 // WatermarkCapacity reports the per-customer mark size the platform embeds
 // into a deployed copy of this model — the convention auditors need to
-// re-extract and verify a device's mark.
-func WatermarkCapacity(model *nn.Network) int { return watermarkCapacity(model) }
-
-// watermarkCapacity picks a per-customer mark size the first dense layer
+// re-extract and verify a device's mark. It is a size the first dense layer
 // can carry comfortably (≤ a quarter of its weights, at most 32 bits).
-func watermarkCapacity(model *nn.Network) int {
+func WatermarkCapacity(model *nn.Network) int {
 	for _, l := range model.Layers() {
 		if d, ok := l.(*nn.Dense); ok {
 			c := d.W.Value.Size() / 4
@@ -386,13 +378,6 @@ func (p *Platform) SettleAll(addr string) map[string]error {
 	return out
 }
 
-// FederatedUpdate is HierFederatedUpdate over the flat topology: every
-// client uploads straight to the cloud.
-func (p *Platform) FederatedUpdate(name string, clients []*fed.Client, test *dataset.Dataset, fcfg fed.Config, spec registry.OptimizationSpec) ([]*registry.ModelVersion, []fed.RoundStats, error) {
-	_, versions, stats, err := p.HierFederatedUpdate(name, clients, test, fed.HierConfig{Config: fcfg}, spec)
-	return versions, stats, err
-}
-
 // HierFederatedUpdate runs federated training of the named model line over
 // client shards and publishes the improved global model into the registry
 // as a rollout candidate (re-deriving all variants, tagged as a federated
@@ -435,8 +420,7 @@ func (p *Platform) HierFederatedUpdate(name string, clients []*fed.Client, test 
 // variant matrix evaluated on eval.
 func DefaultOptimizationSpec(eval *dataset.Dataset) registry.OptimizationSpec {
 	return registry.OptimizationSpec{
-		Schemes:        []quant.Scheme{quant.Int8, quant.Int4, quant.Ternary, quant.Binary},
-		PruneFractions: []float64{0},
+		Schemes: []quant.Scheme{quant.Int8, quant.Int4, quant.Ternary, quant.Binary},
 		Evaluate: func(n *nn.Network) float64 {
 			return nn.Evaluate(n, eval.X, eval.Y)
 		},

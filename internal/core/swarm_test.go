@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
-	"tinymlops/internal/registry"
 	"tinymlops/internal/rollout"
 	"tinymlops/internal/swarm"
 )
@@ -110,45 +108,6 @@ func TestSwarmRegistryServesOnlyCanary(t *testing.T) {
 	}
 }
 
-// TestSwarmDeltaBaseEvictedFallsBackToFull is the regression test for the
-// silent-fallback fix: when the registry evicts the running version's
-// artifact mid-rollout, a delta-eligible swarm update must (a) surface the
-// typed ErrDeltaBaseMissing on the report rather than failing or silently
-// degrading, and (b) complete by fetching the full artifact over the
-// swarm — the wave converges instead of wedging.
-func TestSwarmDeltaBaseEvictedFallsBackToFull(t *testing.T) {
-	f := newRolloutFixture(t, 2)
-	sw := f.swarmFor(t, 13)
-	if err := f.p.Registry.Evict(f.v1.ID); err != nil {
-		t.Fatal(err)
-	}
-	deps := f.p.Deployments()
-	rep, err := deps[0].Update(f.v2, UpdateOptions{Calibration: f.ds, Swarm: sw})
-	if err != nil {
-		t.Fatalf("update wedged on an evicted delta base: %v", err)
-	}
-	if rep.UsedDelta {
-		t.Fatal("delta shipped from an evicted base")
-	}
-	if !errors.Is(rep.DeltaFallback, ErrDeltaBaseMissing) {
-		t.Fatalf("DeltaFallback = %v, want ErrDeltaBaseMissing", rep.DeltaFallback)
-	}
-	if !errors.Is(rep.DeltaFallback, registry.ErrArtifactMissing) {
-		t.Fatalf("DeltaFallback = %v should preserve the registry cause", rep.DeltaFallback)
-	}
-	if rep.To.ID != f.v2.ID || rep.ShipBytes == 0 {
-		t.Fatalf("fallback shipped %d bytes to %s", rep.ShipBytes, rep.To.ID)
-	}
-	// Same classification on the registry-direct path.
-	rep2, err := deps[1].Update(f.v2, UpdateOptions{Calibration: f.ds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.UsedDelta || !errors.Is(rep2.DeltaFallback, ErrDeltaBaseMissing) {
-		t.Fatalf("direct path: UsedDelta=%v DeltaFallback=%v", rep2.UsedDelta, rep2.DeltaFallback)
-	}
-}
-
 // TestSwarmUpdateUsesDeltaKey pins that same-topology swarm updates ship
 // the delta artifact (its own swarm key), not the full image, and report
 // the saving.
@@ -163,23 +122,25 @@ func TestSwarmUpdateUsesDeltaKey(t *testing.T) {
 	if !rep.UsedDelta {
 		t.Fatal("same-topology swarm update did not ship a delta")
 	}
-	if rep.DeltaFallback != nil {
-		t.Fatalf("unexpected fallback: %v", rep.DeltaFallback)
-	}
 	if rep.ShipBytes >= rep.FullBytes {
 		t.Fatalf("delta shipped %d of full %d: no saving", rep.ShipBytes, rep.FullBytes)
 	}
-	key := "delta:" + f.v1.ID + ">" + f.v2.ID
-	if m, err := sw.Manifest(key); err != nil || m.TotalBytes != rep.ShipBytes {
-		t.Fatalf("delta manifest %v (err %v), want %d bytes under %q", m, err, rep.ShipBytes, key)
-	}
-	// The updated device becomes a pending seeder for both keys.
+	// The updated device becomes a seeder for both keys from the next wave
+	// on: a second device's delta and a third's full image come from it
+	// alone, the delta at the size the first device shipped.
 	sw.AdvanceWave()
-	if s := sw.Seeders(key); len(s) != 1 || s[0] != rep.DeviceID {
-		t.Fatalf("delta seeders = %v, want [%s]", s, rep.DeviceID)
-	}
-	if s := sw.Seeders("full:" + f.v2.ID); len(s) != 1 || s[0] != rep.DeviceID {
-		t.Fatalf("full seeders = %v, want [%s]", s, rep.DeviceID)
+	for i, full := range []bool{false, true} {
+		got, err := deps[i+1].Update(f.v2, UpdateOptions{Calibration: f.ds, Swarm: sw, ForceFull: full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.UsedDelta == full || got.PeerBytes != got.ShipBytes || got.RegistryBytes != 0 {
+			t.Fatalf("full=%v: delta %v, %d peer and %d registry bytes of %d, want all from %s",
+				full, got.UsedDelta, got.PeerBytes, got.RegistryBytes, got.ShipBytes, rep.DeviceID)
+		}
+		if !full && got.ShipBytes != rep.ShipBytes {
+			t.Fatalf("second delta shipped %d bytes, the first %d", got.ShipBytes, rep.ShipBytes)
+		}
 	}
 }
 
@@ -197,7 +158,11 @@ func TestSwarmRollbackWithdrawsPendingSeeder(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw.AdvanceWave()
-	if s := sw.Seeders("full:" + f.v2.ID); len(s) != 0 {
-		t.Fatalf("rolled-back device still seeds: %v", s)
+	rep, err := f.p.Deployments()[1].Update(f.v2, UpdateOptions{Calibration: f.ds, Swarm: sw, ForceFull: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PeerBytes != 0 || rep.RegistryBytes != rep.ShipBytes {
+		t.Fatalf("rolled-back device still seeds: %d of %d bytes came from peers", rep.PeerBytes, rep.ShipBytes)
 	}
 }

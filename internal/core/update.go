@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -15,14 +14,6 @@ import (
 	"tinymlops/internal/selector"
 	"tinymlops/internal/swarm"
 )
-
-// ErrDeltaBaseMissing reports that a delta transfer could not even be
-// attempted because the registry no longer holds the artifact of the
-// version the device is running — the base was evicted mid-rollout. The
-// update surfaces it on the report's DeltaFallback and ships the full
-// artifact instead (over the swarm when one is configured), so a wave
-// with a pruned base degrades to full transfers rather than wedging.
-var ErrDeltaBaseMissing = errors.New("core: delta base artifact missing")
 
 // UpdateOptions controls one deployment update.
 type UpdateOptions struct {
@@ -57,11 +48,6 @@ type UpdateReport struct {
 	// PeerBytes/RegistryBytes split a swarm transfer's radio bytes by
 	// serving side (both zero on registry-direct transfers).
 	PeerBytes, RegistryBytes int64
-	// DeltaFallback, when non-nil, explains why a delta-eligible update
-	// shipped the full artifact instead of failing: it wraps
-	// ErrDeltaBaseMissing when the registry evicted the base image
-	// mid-rollout. The update itself succeeded.
-	DeltaFallback error
 }
 
 // Health returns the deployment's live-window telemetry summary: queries
@@ -185,14 +171,7 @@ func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersi
 	p := d.platform
 	delta, err := p.Registry.Delta(d.Version.ID, chosen.ID)
 	if err != nil {
-		// Different topology: expected, a full transfer is simply the plan.
-		// A missing base artifact (evicted mid-rollout) is surfaced as a
-		// typed fallback so callers can tell pruning from topology — the
-		// wave degrades to full transfers instead of wedging.
-		if errors.Is(err, registry.ErrArtifactMissing) {
-			rep.DeltaFallback = fmt.Errorf("%w: %w", ErrDeltaBaseMissing, err)
-		}
-		return nil, nil
+		return nil, nil // different topology: a full transfer is the plan
 	}
 	cost, err := nn.CostOfDelta(delta, chosen.Scheme.Bits())
 	if err != nil {
@@ -386,7 +365,7 @@ func (p *Platform) shipFull(sw *swarm.Swarm, dev *device.Device, v *registry.Mod
 // deterministic — a single shared key would be last-writer-wins in
 // scheduling order.
 func (p *Platform) embedWatermark(model *nn.Network, versionID, deviceID, owner string) error {
-	capacity := watermarkCapacity(model)
+	capacity := WatermarkCapacity(model)
 	bits := ipprot.KeyedBits(owner, capacity)
 	if err := ipprot.EmbedStatic(model, owner, bits, ipprot.DefaultStaticWMConfig()); err != nil {
 		return fmt.Errorf("core: watermark: %w", err)

@@ -8,6 +8,7 @@ import (
 
 	"tinymlops/internal/dataset"
 	"tinymlops/internal/device"
+	"tinymlops/internal/engine"
 	"tinymlops/internal/fed"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/procvm"
@@ -325,7 +326,7 @@ func TestInferBatchWithPipelineModules(t *testing.T) {
 // default plus the small platform/deployment accessors.
 func TestPublishDefaultEvaluateAndAccessors(t *testing.T) {
 	f := newRolloutFixture(t, 2)
-	if f.p.Engine() == nil || f.p.Engine().Workers() != 2 {
+	if e := f.p.Engine(); e == nil || *e != *engine.New(engine.Config{Workers: 2}) {
 		t.Fatalf("engine = %+v", f.p.Engine())
 	}
 	rng := tensor.NewRNG(55)
@@ -350,16 +351,16 @@ func TestPublishDefaultEvaluateAndAccessors(t *testing.T) {
 	}
 }
 
-// TestFederatedRolloutArc closes the §III-D → §III-A loop: FederatedUpdate
+// TestFederatedRolloutArc closes the §III-D → §III-A loop: a federated run
 // publishes a new base and Rollout moves the fleet onto it.
 func TestFederatedRolloutArc(t *testing.T) {
 	f := newRolloutFixture(t, 2)
 	rng := tensor.NewRNG(77)
 	shards := dataset.PartitionIID(rng, f.ds, 4)
 	clients := fed.MakeClients(f.ds, shards, "fc")
-	versions, stats, err := f.p.FederatedUpdate("clf", clients, f.ds, fed.Config{
+	_, versions, stats, err := f.p.HierFederatedUpdate("clf", clients, f.ds, fed.HierConfig{Config: fed.Config{
 		Rounds: 1, LocalEpochs: 1, LocalBatch: 32, LR: 0.05, Seed: 3,
-	}, baseOnlySpec(f.ds))
+	}}, baseOnlySpec(f.ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +476,7 @@ func TestPlatformConfigDefaultsAndFedErrors(t *testing.T) {
 	if p.Aggregator.MinCohort != 1 {
 		t.Fatalf("MinCohort floor = %d", p.Aggregator.MinCohort)
 	}
-	if _, _, err := p.FederatedUpdate("no-such-line", nil, nil, fed.Config{}, registry.OptimizationSpec{}); err == nil {
+	if _, _, _, err := p.HierFederatedUpdate("no-such-line", nil, nil, fed.HierConfig{}, registry.OptimizationSpec{}); err == nil {
 		t.Fatal("federated update of an unknown line succeeded")
 	}
 }
@@ -485,15 +486,15 @@ func TestPlatformConfigDefaultsAndFedErrors(t *testing.T) {
 func TestWatermarkCapacityClamps(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	tiny := nn.NewNetwork([]int{2}, nn.NewDense(2, 2, rng))
-	if c := watermarkCapacity(tiny); c != 4 {
+	if c := WatermarkCapacity(tiny); c != 4 {
 		t.Fatalf("tiny capacity = %d, want the floor 4", c)
 	}
 	noDense := nn.NewNetwork([]int{1, 8, 8}, nn.NewConv2D(1, 2, 3, 3, 1, 1, rng))
-	if c := watermarkCapacity(noDense); c != 16 {
+	if c := WatermarkCapacity(noDense); c != 16 {
 		t.Fatalf("dense-free capacity = %d, want the default 16", c)
 	}
 	big := nn.NewNetwork([]int{64}, nn.NewDense(64, 64, rng))
-	if c := watermarkCapacity(big); c != 32 {
+	if c := WatermarkCapacity(big); c != 32 {
 		t.Fatalf("big capacity = %d, want the cap 32", c)
 	}
 }

@@ -64,7 +64,7 @@ func TestRingsNotLinearlySeparableButLearnable(t *testing.T) {
 	// ...while an MLP succeeds.
 	mlp := nn.NewNetwork([]int{2}, nn.NewDense(2, 32, rng), nn.NewReLU(), nn.NewDense(32, 3, rng))
 	if _, err := nn.Train(mlp, train.X, train.Y, nn.TrainConfig{
-		Epochs: 40, BatchSize: 32, Optimizer: nn.NewAdam(0.01), RNG: rng,
+		Epochs: 40, BatchSize: 32, Optimizer: nn.NewSGD(0.1).WithMomentum(0.9), RNG: rng,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,8 @@ func (a *Arena) Buffer() *bytes.Buffer {
 // Acquire/Release pair is a mutex and two slice ops, so per-query
 // borrowing is allocation-free.
 type ArenaPool struct {
-	mu      sync.Mutex
-	free    []*Arena
-	created int
+	mu   sync.Mutex
+	free []*Arena
 }
 
 // NewArenaPool returns an empty pool.
@@ -64,7 +63,6 @@ func (p *ArenaPool) Acquire() *Arena {
 		p.free = p.free[:n-1]
 		return a
 	}
-	p.created++
 	return NewArena()
 }
 
@@ -77,13 +75,4 @@ func (p *ArenaPool) Release(a *Arena) {
 	p.mu.Lock()
 	p.free = append(p.free, a)
 	p.mu.Unlock()
-}
-
-// Created reports how many arenas the pool has ever built — in a bounded
-// serving loop this converges to the worker count, which the alloc tests
-// assert indirectly by demanding zero steady-state allocations.
-func (p *ArenaPool) Created() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.created
 }

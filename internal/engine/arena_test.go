@@ -36,6 +36,8 @@ func TestArenaPoolBoundedGrowth(t *testing.T) {
 	p := NewArenaPool()
 	p.Release(nil) // nil release is a no-op, not a poisoned free list
 	const workers = 8
+	var mu sync.Mutex
+	seen := map[*Arena]bool{} // every arena the pool handed out
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -44,21 +46,26 @@ func TestArenaPoolBoundedGrowth(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				a := p.Acquire()
 				a.Buffer().WriteByte(1)
+				mu.Lock()
+				seen[a] = true
+				mu.Unlock()
 				p.Release(a)
 			}
 		}()
 	}
 	wg.Wait()
-	if c := p.Created(); c < 1 || c > workers {
+	if c := len(seen); c < 1 || c > workers {
 		t.Fatalf("pool created %d arenas for %d workers", c, workers)
 	}
 	// Sequential steady state reuses one arena.
 	q := NewArenaPool()
+	first := q.Acquire()
+	q.Release(first)
 	for i := 0; i < 50; i++ {
 		a := q.Acquire()
+		if a != first {
+			t.Fatalf("sequential loop created a second arena at iteration %d, want 1", i)
+		}
 		q.Release(a)
-	}
-	if q.Created() != 1 {
-		t.Fatalf("sequential loop created %d arenas, want 1", q.Created())
 	}
 }

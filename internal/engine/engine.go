@@ -36,9 +36,6 @@ func New(cfg Config) *Engine {
 // Default returns an engine sized to the machine (GOMAXPROCS workers).
 func Default() *Engine { return New(Config{}) }
 
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.workers }
-
 // ForEach runs fn(i) for every i in [0,n) across the worker pool and
 // returns the non-nil errors joined in index order. Workers claim small
 // contiguous index blocks from an atomic cursor, so execution order is

@@ -120,9 +120,9 @@ func RunE1(w io.Writer) error {
 	rng := tensor.NewRNG(2)
 	shards := dataset.PartitionDirichlet(rng, train, 6, 1)
 	clients := fed.MakeClients(train, shards, "c")
-	newVersions, stats, err := p.FederatedUpdate("e1", clients, test, fed.Config{
+	_, newVersions, stats, err := p.HierFederatedUpdate("e1", clients, test, fed.HierConfig{Config: fed.Config{
 		Rounds: 3, LocalEpochs: 1, LocalBatch: 16, LR: 0.1, Seed: 3,
-	}, core.DefaultOptimizationSpec(test))
+	}}, core.DefaultOptimizationSpec(test))
 	if err != nil {
 		return err
 	}

@@ -306,7 +306,7 @@ func RunE6(w io.Writer) error {
 		ltrain, ltest := local.Split(0.7, krng)
 		before := nn.Evaluate(global, ltest.X, ltest.Y)
 		personal, err := fed.Personalize(global, ltrain, fed.PersonalizeConfig{
-			FreezeLayers: 2, Epochs: 8, BatchSize: 16, LR: 0.05, RNG: krng,
+			Epochs: 8, RNG: krng,
 		})
 		if err != nil {
 			return err
@@ -316,7 +316,7 @@ func RunE6(w io.Writer) error {
 		// unlabeled"): fine-tune on the global's own confident predictions.
 		// Its own RNG keeps the labeled columns what they were.
 		pseudo, used, err := fed.SemiSupervisedRound(global, ltrain.X, 0.9, fed.PersonalizeConfig{
-			FreezeLayers: 2, Epochs: 8, BatchSize: 16, LR: 0.05, RNG: tensor.NewRNG(39),
+			Epochs: 8, RNG: tensor.NewRNG(39),
 		})
 		if err != nil {
 			return err

@@ -36,13 +36,13 @@ func RunE7(w io.Writer) error {
 	}
 	models = append(models, mv)
 	q8, _ := quant.FakeQuantizeNetwork(mlp, quant.Int8)
-	v8, err := reg.RegisterVariant(mv.ID, q8, quant.Int8, 0, 0.89)
+	v8, err := reg.RegisterVariant(mv.ID, q8, quant.Int8, 0.89)
 	if err != nil {
 		return err
 	}
 	models = append(models, v8)
 	qt, _ := quant.FakeQuantizeNetwork(mlp, quant.Ternary)
-	vt, err := reg.RegisterVariant(mv.ID, qt, quant.Ternary, 0, 0.84)
+	vt, err := reg.RegisterVariant(mv.ID, qt, quant.Ternary, 0.84)
 	if err != nil {
 		return err
 	}
@@ -280,8 +280,7 @@ func RunE9(w io.Writer) error {
 		for _, budget := range budgets {
 			srng := tensor.NewRNG(100 + uint64(budget))
 			student := nn.NewNetwork([]int{8}, nn.NewDense(8, 48, srng), nn.NewReLU(), nn.NewDense(48, 5, srng))
-			if _, err := ipprot.Extract(ipprot.Defend(bb, d), student, train.X.RowSlice(0, budget),
-				ipprot.ExtractConfig{Epochs: 20, LR: 0.05, RNG: srng}); err != nil {
+			if _, err := ipprot.Extract(ipprot.Defend(bb, d), student, train.X.RowSlice(0, budget), srng); err != nil {
 				return err
 			}
 			line += fmt.Sprintf("\t%.3f", ipprot.Agreement(bb, ipprot.ModelBlackBox(student), eval))
@@ -308,7 +307,7 @@ func RunE9(w io.Writer) error {
 	}
 
 	// Detection.
-	det := ipprot.DefaultQueryDetector()
+	det := ipprot.NewQueryDetector()
 	for i := 0; i < 500; i++ {
 		row := make([]float32, 8)
 		r := rng.Intn(train.Len())

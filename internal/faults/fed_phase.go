@@ -98,9 +98,7 @@ func runFedPhase(p *core.Platform, plane *Plane, round *uint64, seed uint64) (*F
 	report.PublishedID = versions[0].ID
 
 	// Each cohort gets its personalized variant of the published global.
-	nets, err := hc.PersonalizeCohorts(fed.PersonalizeConfig{
-		FreezeLayers: 2, Epochs: 1, BatchSize: 16, LR: 0.05,
-	})
+	nets, err := hc.PersonalizeCohorts(fed.PersonalizeConfig{Epochs: 1})
 	if err != nil {
 		return nil, fmt.Errorf("faults: fed phase personalize: %w", err)
 	}

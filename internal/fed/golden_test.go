@@ -42,7 +42,7 @@ func goldenProblem(model string) (*nn.Network, []*Client, *dataset.Dataset) {
 	ds := dataset.Blobs(rng, 6*nClients+120, 16, 3, 4)
 	var global *nn.Network
 	if model == "conv" {
-		ds.X = ds.X.Reshape(ds.Len(), 1, 4, 4)
+		ds.X = tensor.FromSlice(ds.X.Data, ds.Len(), 1, 4, 4)
 		bn := nn.NewBatchNorm1D(8)
 		for j := range bn.RunMean.Data {
 			bn.RunMean.Data[j] = 0.5 + 0.1*rng.NormFloat32()

@@ -8,19 +8,24 @@ import (
 	"tinymlops/internal/tensor"
 )
 
+// Personalize fine-tunes in batches of personalBatch examples at learning
+// rate personalLR, with the first frozenLayers layers' parameters excluded
+// from updates — the classic "shared feature extractor, personal head"
+// split.
+const (
+	frozenLayers          = 2
+	personalBatch         = 16
+	personalLR    float32 = 0.05
+)
+
 // PersonalizeConfig controls local fine-tuning of a global model.
 type PersonalizeConfig struct {
-	// FreezeLayers excludes the first k layers' parameters from updates —
-	// the classic "shared feature extractor, personal head" split.
-	FreezeLayers int
-	Epochs       int
-	BatchSize    int
-	LR           float32
-	RNG          *tensor.RNG
+	Epochs int
+	RNG    *tensor.RNG
 }
 
 // Personalize clones the global model and fine-tunes it on a client's
-// private data, optionally freezing the first k layers. This is §III-D's
+// private data, freezing the first frozenLayers layers. This is §III-D's
 // "specialized models overfitted to a specific user or location".
 func Personalize(global *nn.Network, data *dataset.Dataset, cfg PersonalizeConfig) (*nn.Network, error) {
 	if global == nil {
@@ -35,27 +40,21 @@ func Personalize(global *nn.Network, data *dataset.Dataset, cfg PersonalizeConfi
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 3
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = 0.02
-	}
 	local := global.Clone()
 	layers := local.Layers()
-	if cfg.FreezeLayers < 0 || cfg.FreezeLayers > len(layers) {
-		return nil, fmt.Errorf("fed: FreezeLayers %d out of range [0,%d]", cfg.FreezeLayers, len(layers))
+	if len(layers) < frozenLayers {
+		return nil, fmt.Errorf("fed: Personalize freezes %d layers, the model has %d", frozenLayers, len(layers))
 	}
 	frozen := make(map[*nn.Param]bool)
-	for _, l := range layers[:cfg.FreezeLayers] {
+	for _, l := range layers[:frozenLayers] {
 		for _, p := range l.Params() {
 			frozen[p] = true
 		}
 	}
 	tc := nn.TrainConfig{
 		Epochs:    cfg.Epochs,
-		BatchSize: cfg.BatchSize,
-		Optimizer: nn.NewSGD(cfg.LR),
+		BatchSize: personalBatch,
+		Optimizer: nn.NewSGD(personalLR),
 		RNG:       cfg.RNG,
 		ExtraGrad: func(net *nn.Network) {
 			for _, p := range net.Params() {

@@ -15,14 +15,6 @@ import (
 
 // QueryDetector watches a stream of query feature vectors.
 type QueryDetector struct {
-	// Window is the number of recent min-distances tested.
-	Window int
-	// Threshold is the K² statistic above which the stream is flagged
-	// (K² is ~χ²₂ under normality; 13.8 ≈ p<0.001).
-	Threshold float64
-	// MaxStored bounds the reference set (ring buffer of recent queries).
-	MaxStored int
-
 	queries  [][]float32
 	next     int
 	minDists []float64
@@ -41,27 +33,23 @@ const detectWarmup = 96
 // latch, controlling the repeated-testing false-positive rate.
 const detectConfirm = 2
 
-// NewQueryDetector returns a detector with the given test window and K²
-// threshold (use DefaultQueryDetector for standard settings).
-func NewQueryDetector(window int, threshold float64, maxStored int) *QueryDetector {
-	if window < 16 {
-		window = 16
-	}
-	if maxStored < window {
-		maxStored = 4 * window
-	}
-	return &QueryDetector{Window: window, Threshold: threshold, MaxStored: maxStored}
-}
+// detectWindow is the number of recent min-distances tested, and
+// detectStored bounds the reference set (a ring buffer of recent queries).
+const (
+	detectWindow = 64
+	detectStored = 512
+)
 
-// DefaultQueryDetector uses a 64-query window and a K² threshold of 35.
-// Natural min-distance samples are only approximately normal (they are
-// mildly skewed), so the textbook χ²₂ p<0.001 level of 13.8 over-fires;
-// perturbation attackers produce near-constant min-distances whose K²
-// is orders of magnitude above any natural stream, so a loose threshold
-// loses no attack sensitivity.
-func DefaultQueryDetector() *QueryDetector {
-	return NewQueryDetector(64, 35, 512)
-}
+// detectThreshold is the K² statistic above which the stream is flagged.
+// K² is ~χ²₂ under normality, but natural min-distance samples are only
+// approximately normal (they are mildly skewed), so the textbook p<0.001
+// level of 13.8 over-fires; perturbation attackers produce near-constant
+// min-distances whose K² is orders of magnitude above any natural stream,
+// so a loose threshold loses no attack sensitivity.
+const detectThreshold = 35
+
+// NewQueryDetector returns a detector with an empty reference set.
+func NewQueryDetector() *QueryDetector { return &QueryDetector{} }
 
 // Observe consumes one query.
 func (d *QueryDetector) Observe(x []float32) {
@@ -74,16 +62,16 @@ func (d *QueryDetector) Observe(x []float32) {
 			}
 		}
 		d.minDists = append(d.minDists, min)
-		if len(d.minDists) > d.Window {
-			d.minDists = d.minDists[len(d.minDists)-d.Window:]
+		if len(d.minDists) > detectWindow {
+			d.minDists = d.minDists[len(d.minDists)-detectWindow:]
 		}
 		d.seen++
 		// Test on spaced windows and require consecutive exceedances —
 		// testing every sample would be a repeated test with an inflated
 		// false-positive rate.
-		if len(d.minDists) == d.Window && d.seen%(d.Window/2) == 0 {
+		if len(d.minDists) == detectWindow && d.seen%(detectWindow/2) == 0 {
 			d.score = dagostinoK2(d.minDists)
-			if d.score > d.Threshold {
+			if d.score > detectThreshold {
 				d.exceeds++
 				if d.exceeds >= detectConfirm {
 					d.flagged = true
@@ -94,11 +82,11 @@ func (d *QueryDetector) Observe(x []float32) {
 		}
 	}
 	cp := append([]float32(nil), x...)
-	if len(d.queries) < d.MaxStored {
+	if len(d.queries) < detectStored {
 		d.queries = append(d.queries, cp)
 	} else {
 		d.queries[d.next] = cp
-		d.next = (d.next + 1) % d.MaxStored
+		d.next = (d.next + 1) % detectStored
 	}
 }
 

@@ -197,35 +197,30 @@ func renormalizeRows(p *tensor.Tensor) {
 	}
 }
 
-// ExtractConfig controls the student-teacher extraction attack.
-type ExtractConfig struct {
-	Epochs int
-	LR     float32
-	RNG    *tensor.RNG
-}
+// Extract trains for extractEpochs passes over the query set in batches of
+// extractBatch, by SGD with momentum 0.9 at learning rate extractLR.
+const (
+	extractEpochs         = 20
+	extractBatch          = 32
+	extractLR     float32 = 0.05
+)
 
 // Extract trains student to mimic the black box on the attacker's query
 // set using soft-label cross-entropy — indirect model stealing. It returns
 // the number of queries spent (one per example per epoch is *not* charged:
 // the attacker caches responses, so queries = len(queryX), matching the
 // edge-deployment threat model where querying is local and free anyway).
-func Extract(bb BlackBox, student *nn.Network, queryX *tensor.Tensor, cfg ExtractConfig) (int, error) {
-	if cfg.RNG == nil {
-		return 0, fmt.Errorf("ipprot: ExtractConfig.RNG is required")
+// rng shuffles the query set between epochs.
+func Extract(bb BlackBox, student *nn.Network, queryX *tensor.Tensor, rng *tensor.RNG) (int, error) {
+	if rng == nil {
+		return 0, fmt.Errorf("ipprot: Extract needs an RNG")
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 10
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = 0.05
-	}
-	const extractBatch = 32
 	n := queryX.Dim(0)
 	es := queryX.Size() / n
 	probs := bb(queryX) // one pass over the query budget, cached
-	opt := nn.NewSGD(cfg.LR).WithMomentum(0.9)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := cfg.RNG.Perm(n)
+	opt := nn.NewSGD(extractLR).WithMomentum(0.9)
+	for epoch := 0; epoch < extractEpochs; epoch++ {
+		perm := rng.Perm(n)
 		for lo := 0; lo < n; lo += extractBatch {
 			hi := lo + extractBatch
 			if hi > n {

@@ -18,7 +18,7 @@ func layerwise(net *Network, x *tensor.Tensor) *tensor.Tensor {
 		shape := append([]int{x.Dim(0)}, net.plan[i].Info.OutShape...)
 		switch l := l.(type) {
 		case *Flatten:
-			x = x.Reshape(shape...)
+			x = tensor.FromSlice(x.Data, shape...)
 		case *Dropout:
 		case *Conv2D:
 			y, g := tensor.New(shape...), l.window(x.Dim(2), x.Dim(3))

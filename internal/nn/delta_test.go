@@ -19,7 +19,7 @@ func deltaFixtureNet(seed uint64) *Network {
 		NewDense(12, 3, rng))
 	// Give batch norm non-trivial running statistics: they are serialized
 	// state and the delta must carry them too.
-	x := tensor.Randn(rng, 1, 16, 1*8*8).Reshape(16, 1, 8, 8)
+	x := tensor.Randn(rng, 1, 16, 1, 8, 8)
 	net.Forward(x)
 	return net
 }

@@ -1,5 +1,5 @@
 // Package nn is a from-scratch neural-network engine: layers with forward
-// and backward passes, losses, optimizers, a training loop, binary model
+// and backward passes, losses, an SGD optimizer, a training loop, binary model
 // serialization and per-layer cost accounting.
 //
 // It plays the role TFLite-Micro/ONNX-Runtime play for the paper: the

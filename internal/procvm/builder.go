@@ -91,9 +91,6 @@ func (b *Builder) Add() *Builder { return b.emit(OpAdd) }
 // Sub emits a subtraction.
 func (b *Builder) Sub() *Builder { return b.emit(OpSub) }
 
-// Mul emits a multiplication.
-func (b *Builder) Mul() *Builder { return b.emit(OpMul) }
-
 // Abs takes element-wise absolute value.
 func (b *Builder) Abs() *Builder { return b.emit(OpAbs) }
 

@@ -184,7 +184,7 @@ func TestSubDivAndStackHelpers(t *testing.T) {
 func TestModuleDecodeRejectTable(t *testing.T) {
 	m, err := NewBuilder("codec").
 		RequireCaps(CapSensor).
-		Input().PushScalar(2).Mul().MatVec([]float32{1, 2}, []float32{0}).Build()
+		Input().PushScalar(2).emit(OpMul).MatVec([]float32{1, 2}, []float32{0}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestThresholdAndClamp(t *testing.T) {
 }
 
 func TestArithmeticBroadcast(t *testing.T) {
-	m, err := NewBuilder("a").Input().PushScalar(2).Mul().PushScalar(1).Add().Build()
+	m, err := NewBuilder("a").Input().PushScalar(2).emit(OpMul).PushScalar(1).Add().Build()
 	if err != nil {
 		t.Fatal(err)
 	}

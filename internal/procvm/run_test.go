@@ -116,7 +116,7 @@ func successCorpus(t testing.TB) []runCase {
 	for _, arith := range []struct {
 		name string
 		op   func(*procvm.Builder) *procvm.Builder
-	}{{"add", (*procvm.Builder).Add}, {"sub", (*procvm.Builder).Sub}, {"mul", (*procvm.Builder).Mul}, {"div", func(b *procvm.Builder) *procvm.Builder { return b.Emit(procvm.OpDiv) }}} {
+	}{{"add", (*procvm.Builder).Add}, {"sub", (*procvm.Builder).Sub}, {"mul", func(b *procvm.Builder) *procvm.Builder { return b.Emit(procvm.OpMul) }}, {"div", func(b *procvm.Builder) *procvm.Builder { return b.Emit(procvm.OpDiv) }}} {
 		add(arith.name+"/scalar-scalar", arith.op(nb().PushScalar(7).PushScalar(-3)), 0)
 		add(arith.name+"/vector-scalar", arith.op(nb().Input().PushScalar(-3)), 5)
 		add(arith.name+"/scalar-vector", arith.op(nb().PushScalar(7).Input()), 5)
@@ -462,7 +462,7 @@ func everyOp(t testing.TB) *procvm.Module {
 		MatVec(ramp(8*4), []float32{0.25, -0.5, 1, 0}).
 		ReLU().Sigmoid().Tanh().Emit(procvm.OpNeg).Abs().Emit(procvm.OpSquare).Sqrt().
 		Emit(procvm.OpDup).Emit(procvm.OpSwap).Add().
-		PushScalar(0.5).Sub().PushScalar(2).Mul().PushScalar(3).Emit(procvm.OpDiv).
+		PushScalar(0.5).Sub().PushScalar(2).Emit(procvm.OpMul).PushScalar(3).Emit(procvm.OpDiv).
 		Clamp(-1, 1).
 		Normalize([]float32{0.1, 0.2, 0.3, 0.4}, []float32{1, 0, 2, 0.5}).
 		Emit(procvm.OpDup).PushScalar(0).Emit(procvm.OpThreshold).Add().

@@ -16,7 +16,7 @@ func goldenModule(t testing.TB) *Module {
 	t.Helper()
 	m, err := NewBuilder("golden").
 		RequireCaps(CapSensor|CapStorage).
-		Input().Normalize([]float32{1, 2}, []float32{3, 4}).PushScalar(2).Mul().
+		Input().Normalize([]float32{1, 2}, []float32{3, 4}).PushScalar(2).emit(OpMul).
 		MatVec([]float32{1, 2, 3, 4}, []float32{0, -0.5}).Softmax().Build()
 	if err != nil {
 		t.Fatal(err)

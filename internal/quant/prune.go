@@ -12,9 +12,8 @@ import (
 // weight matrices (biases are never pruned). It modifies net in place and
 // returns the achieved sparsity (fraction of zeroed weight entries).
 //
-// Pruning is one of the §II efficiency techniques the optimization pipeline
-// applies when deriving variants, and the distortion E8 uses to attack
-// watermarks.
+// Pruning is one of the §II efficiency techniques; E8 uses it as the
+// distortion that attacks watermarks.
 func MagnitudePrune(net *nn.Network, fraction float64) (float64, error) {
 	if fraction < 0 || fraction >= 1 {
 		return 0, fmt.Errorf("quant: prune fraction %v out of [0,1)", fraction)

@@ -1,6 +1,6 @@
 // Package registry implements the model-version management of §III-A: a
 // content-addressed store of model artifacts, a lineage DAG from base
-// models to their derived variants (quantized, pruned, watermarked), an
+// models to their derived variants (quantized, watermarked), an
 // optimization pipeline that regenerates every variant automatically when
 // a base model is retrained, compiled procvm modules as first-class
 // versions in that DAG, and weight-delta computation between same-topology

@@ -56,8 +56,6 @@ type ModelVersion struct {
 	ParentID string
 	// Scheme is the weight precision of this variant.
 	Scheme quant.Scheme
-	// PruneFraction is the magnitude-pruning level applied (0 for dense).
-	PruneFraction float64
 	// OpKinds lists the operator types the model uses (for target
 	// compatibility checks).
 	OpKinds []string
@@ -118,11 +116,11 @@ func idFromDigest(d [32]byte) string { return hex.EncodeToString(d[:8]) }
 
 // RegisterModel stores net as a new base version of the named model line.
 func (r *Registry) RegisterModel(name string, net *nn.Network, accuracy float64) (*ModelVersion, error) {
-	return r.register(name, "", net, quant.Float32, 0, accuracy)
+	return r.register(name, "", net, quant.Float32, accuracy)
 }
 
 // RegisterVariant stores net as a variant derived from parentID.
-func (r *Registry) RegisterVariant(parentID string, net *nn.Network, scheme quant.Scheme, pruneFraction float64, accuracy float64) (*ModelVersion, error) {
+func (r *Registry) RegisterVariant(parentID string, net *nn.Network, scheme quant.Scheme, accuracy float64) (*ModelVersion, error) {
 	r.mu.RLock()
 	_, ok := r.models[parentID]
 	r.mu.RUnlock()
@@ -130,7 +128,7 @@ func (r *Registry) RegisterVariant(parentID string, net *nn.Network, scheme quan
 		return nil, fmt.Errorf("registry: unknown parent version %q", parentID)
 	}
 	parent := r.mustGet(parentID)
-	return r.register(parent.Name, parentID, net, scheme, pruneFraction, accuracy)
+	return r.register(parent.Name, parentID, net, scheme, accuracy)
 }
 
 func (r *Registry) mustGet(id string) *ModelVersion {
@@ -139,7 +137,7 @@ func (r *Registry) mustGet(id string) *ModelVersion {
 	return r.models[id]
 }
 
-func (r *Registry) register(name, parentID string, net *nn.Network, scheme quant.Scheme, prune float64, accuracy float64) (*ModelVersion, error) {
+func (r *Registry) register(name, parentID string, net *nn.Network, scheme quant.Scheme, accuracy float64) (*ModelVersion, error) {
 	if name == "" {
 		return nil, fmt.Errorf("registry: model name must not be empty")
 	}
@@ -172,8 +170,7 @@ func (r *Registry) register(name, parentID string, net *nn.Network, scheme quant
 	}
 	r.seq++
 	v := &ModelVersion{
-		ID: id, Name: name, Seq: r.seq, ParentID: parentID,
-		Scheme: scheme, PruneFraction: prune,
+		ID: id, Name: name, Seq: r.seq, ParentID: parentID, Scheme: scheme,
 		OpKinds: net.OpKinds(), InputShape: slices.Clone(net.InputShape),
 		Metrics: Metrics{
 			Accuracy:            accuracy,
@@ -204,10 +201,8 @@ func (r *Registry) Get(id string) (*ModelVersion, error) {
 	return v, nil
 }
 
-// ErrArtifactMissing reports that a version's artifact bytes are not in
-// the store — the version is unknown, or its blob was evicted while the
-// metadata survives. Callers that can recover (a delta encoder falling
-// back to a full transfer) classify on this instead of failing silently.
+// ErrArtifactMissing reports that the store holds no artifact bytes under
+// a version ID: the version is unknown.
 var ErrArtifactMissing = fmt.Errorf("registry: artifact missing")
 
 // Load deserializes the network stored under a version ID, verifying the
@@ -287,22 +282,6 @@ func (r *Registry) Bytes(id string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: version %q", ErrArtifactMissing, id)
 	}
 	return data, nil
-}
-
-// Evict drops a version's stored artifact bytes while keeping its
-// metadata — vendor-side blob pruning of superseded images. Devices still
-// running the version keep working (audits compare against the retained
-// digest), but transfers that need the bytes — full ships of it, deltas
-// *from* it — fail with ErrArtifactMissing from then on. Already-cached
-// deltas survive: they are derived artifacts in their own right.
-func (r *Registry) Evict(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.models[id]; !ok {
-		return fmt.Errorf("registry: unknown version %q", id)
-	}
-	delete(r.blobs, id)
-	return nil
 }
 
 // Delta returns the encoded weight delta that upgrades fromID's artifact

@@ -40,7 +40,7 @@ func buildCandidates(t *testing.T) (*registry.Registry, []*registry.ModelVersion
 		if s == quant.Binary {
 			acc = 0.82
 		}
-		v, err := reg.RegisterVariant(bigBase.ID, q, s, 0, acc)
+		v, err := reg.RegisterVariant(bigBase.ID, q, s, acc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func buildCandidates(t *testing.T) (*registry.Registry, []*registry.ModelVersion
 	}
 	all = append(all, smallBase)
 	q8, _ := quant.FakeQuantizeNetwork(small, quant.Int8)
-	v8, err := reg.RegisterVariant(smallBase.ID, q8, quant.Int8, 0, 0.89)
+	v8, err := reg.RegisterVariant(smallBase.ID, q8, quant.Int8, 0.89)
 	if err != nil {
 		t.Fatal(err)
 	}

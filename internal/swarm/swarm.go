@@ -2,7 +2,7 @@ package swarm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -217,23 +217,20 @@ func (s *Swarm) AdvanceWave() {
 			act = make(map[string]struct{})
 			s.activeSet[key] = act
 		}
+		// A new slice, never the old one grown and sorted in place: a
+		// transfer reads the set it picked from after the lock is released.
+		ids := append(make([]string, 0, len(s.active[key])+len(set)), s.active[key]...)
 		for id := range set {
 			if _, ok := act[id]; ok {
 				continue
 			}
 			act[id] = struct{}{}
-			s.active[key] = append(s.active[key], id)
+			ids = append(ids, id)
 		}
-		sort.Strings(s.active[key])
+		slices.Sort(ids)
+		s.active[key] = ids
 	}
 	s.pending = make(map[string]map[string]struct{})
-}
-
-// Seeders returns the active seeder IDs for a key (a copy).
-func (s *Swarm) Seeders(key string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.active[key]...)
 }
 
 // Stats returns a snapshot of the cumulative accounting.
@@ -255,13 +252,6 @@ func (s *Swarm) InFlight() int {
 		}
 	}
 	return n
-}
-
-// Manifest returns (building and caching on first use) the chunk manifest
-// for an artifact key.
-func (s *Swarm) Manifest(key string) (*Manifest, error) {
-	m, _, err := s.materialize(key)
-	return m, err
 }
 
 // materialize resolves key to its manifest and canonical bytes, caching

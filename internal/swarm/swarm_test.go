@@ -293,7 +293,7 @@ func TestSwarmSourceCorruptionRejected(t *testing.T) {
 	good := testBlob(1024, 8)
 	h.blobs["full:v1"] = good
 	s := h.swarm(t, Config{ChunkBytes: 256})
-	m, err := s.Manifest("full:v1")
+	m, _, err := s.materialize("full:v1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestTransferDeterministicProvenance(t *testing.T) {
 }
 
 // TestSwarmSharedConcurrentUse drives one Swarm from 64 goroutines mixing
-// every public method — the -race sentinel for the shared coordinator.
+// every public method and the manifest cache — the -race sentinel for the shared coordinator.
 func TestSwarmSharedConcurrentUse(t *testing.T) {
 	h := newHarness(t, 64)
 	for k := 0; k < 4; k++ {
@@ -385,9 +385,8 @@ func TestSwarmSharedConcurrentUse(t *testing.T) {
 				s.RemovePending(id)
 			case 7:
 				_ = s.Stats()
-				_ = s.Seeders(key)
 				_ = s.InFlight()
-				_, _ = s.Manifest(key)
+				_, _, _ = s.materialize(key)
 				_ = s.Wave()
 			default:
 				if _, _, err := s.Transfer(h.devs[id], key, 0); err != nil {

@@ -23,14 +23,6 @@ func (t *Tensor) Scale(s float32) *Tensor {
 	return t
 }
 
-// AddScalar adds s to every element in place and returns the receiver.
-func (t *Tensor) AddScalar(s float32) *Tensor {
-	for i := range t.Data {
-		t.Data[i] += s
-	}
-	return t
-}
-
 // Axpy computes t += alpha * x element-wise, each product rounded before it
 // is added so arm64 cannot fuse the two (see doc.go).
 func (t *Tensor) Axpy(alpha float32, x *Tensor) {
@@ -187,18 +179,6 @@ func (t *Tensor) AddRowVector(v *Tensor) {
 			row[j] += v.Data[j]
 		}
 	}
-}
-
-// Clamp limits every element to [lo, hi] in place and returns the receiver.
-func (t *Tensor) Clamp(lo, hi float32) *Tensor {
-	for i, v := range t.Data {
-		if v < lo {
-			t.Data[i] = lo
-		} else if v > hi {
-			t.Data[i] = hi
-		}
-	}
-	return t
 }
 
 // CountNonZero returns the number of elements that are exactly non-zero.

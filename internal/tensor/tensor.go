@@ -12,8 +12,8 @@ import (
 // Tensor is a dense, row-major float32 tensor.
 //
 // Data holds len == product(shape) values. Callers may read and write Data
-// directly for performance, but must not resize it; use Reshape to change
-// the logical shape.
+// directly for performance, but must not resize it; FromSlice over the same
+// Data gives a view with another shape.
 type Tensor struct {
 	shape []int
 	Data  []float32
@@ -94,39 +94,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view of the tensor with a new shape. The underlying data
-// is shared. The new shape must describe the same number of elements; one
-// dimension may be -1, in which case it is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	infer := -1
-	n := 1
-	for i, d := range shape {
-		switch {
-		case d == -1:
-			if infer >= 0 {
-				panic("tensor: Reshape allows at most one -1 dimension")
-			}
-			infer = i
-		case d < 0:
-			panic(fmt.Sprintf("tensor: invalid Reshape dimension %d", d))
-		default:
-			n *= d
-		}
-	}
-	out := append([]int(nil), shape...)
-	if infer >= 0 {
-		if n == 0 || len(t.Data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension for Reshape(%v) of %d elements", shape, len(t.Data)))
-		}
-		out[infer] = len(t.Data) / n
-		n *= out[infer]
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: Reshape(%v) incompatible with %d elements", shape, len(t.Data)))
-	}
-	return &Tensor{shape: out, Data: t.Data}
-}
-
 // RowSlice returns rows [lo,hi) of a 2D tensor as a shared view.
 func (t *Tensor) RowSlice(lo, hi int) *Tensor {
 	t.must2D("RowSlice")
@@ -153,24 +120,6 @@ func SameShape(a, b *Tensor) bool {
 	}
 	for i := range a.shape {
 		if a.shape[i] != b.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ApproxEqual reports whether a and b have the same shape and all elements
-// within tol of each other.
-func ApproxEqual(a, b *Tensor, tol float32) bool {
-	if !SameShape(a, b) {
-		return false
-	}
-	for i := range a.Data {
-		d := a.Data[i] - b.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
 			return false
 		}
 	}

@@ -38,27 +38,6 @@ func TestFromSliceLengthMismatchPanics(t *testing.T) {
 	FromSlice([]float32{1, 2, 3}, 2, 2)
 }
 
-func TestReshape(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := x.Reshape(3, 2)
-	if y.At2(2, 1) != 6 {
-		t.Fatalf("Reshape content wrong: %v", y.Data)
-	}
-	y.Set2(0, 0, 42)
-	if x.At2(0, 0) != 42 {
-		t.Fatal("Reshape must share data")
-	}
-	z := x.Reshape(-1, 2)
-	if z.Dim(0) != 3 {
-		t.Fatalf("inferred dim = %d, want 3", z.Dim(0))
-	}
-}
-
-func TestReshapeBadSizePanics(t *testing.T) {
-	defer expectPanic(t, "Reshape")
-	New(2, 3).Reshape(4, 2)
-}
-
 func TestRowAndRowSliceViews(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
 	s := x.RowSlice(1, 3)
@@ -83,7 +62,7 @@ func TestTranspose(t *testing.T) {
 		}
 	}
 	z := transpose(y)
-	if !ApproxEqual(x, z, 0) {
+	if !within(x, z, 0) {
 		t.Fatal("double transpose is not identity")
 	}
 }
@@ -222,17 +201,13 @@ func TestMatMulMatchesNaiveLarge(t *testing.T) {
 	b := Randn(r, 1, 96, 80)
 	got := matMul(a, b)
 	want := matmulNaive(a, b)
-	if !ApproxEqual(got, want, 1e-3) {
+	if !within(got, want, 1e-3) {
 		t.Fatal("MatMulInto deviates from naive reference")
 	}
 }
 
-func TestClampAndCountNonZero(t *testing.T) {
-	x := FromSlice([]float32{-2, 0, 0.5, 3}, 4)
-	x.Clamp(-1, 1)
-	if x.Data[0] != -1 || x.Data[3] != 1 {
-		t.Fatalf("Clamp = %v", x.Data)
-	}
+func TestCountNonZero(t *testing.T) {
+	x := FromSlice([]float32{-1, 0, 0.5, 1}, 4)
 	if x.CountNonZero() != 3 {
 		t.Fatalf("CountNonZero = %d", x.CountNonZero())
 	}
@@ -249,7 +224,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if _, err := y.ReadFrom(&buf); err != nil {
 		t.Fatalf("ReadFrom: %v", err)
 	}
-	if !ApproxEqual(x, &y, 0) {
+	if !within(x, &y, 0) {
 		t.Fatal("serialization round trip changed values")
 	}
 }
@@ -393,7 +368,7 @@ func TestTransposedProductProperty(t *testing.T) {
 		b := Randn(r, 1, k, n)
 		lhs := transpose(matMul(a, b))
 		rhs := matMul(transpose(b), transpose(a))
-		return ApproxEqual(lhs, rhs, 1e-4)
+		return within(lhs, rhs, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -411,7 +386,7 @@ func TestMatMulDistributiveProperty(t *testing.T) {
 		c := Randn(r, 1, k, n)
 		lhs := matMul(a, add(b, c))
 		rhs := add(matMul(a, b), matMul(a, c))
-		return ApproxEqual(lhs, rhs, 1e-3)
+		return within(lhs, rhs, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -435,7 +410,7 @@ func TestSerializationProperty(t *testing.T) {
 		if _, err := y.ReadFrom(&buf); err != nil {
 			return false
 		}
-		return ApproxEqual(x, &y, 0)
+		return within(x, &y, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -447,4 +422,17 @@ func expectPanic(t *testing.T, op string) {
 	if recover() == nil {
 		t.Fatalf("%s: expected panic", op)
 	}
+}
+
+// within reports whether a and b have one shape and every element within tol.
+func within(a, b *Tensor, tol float32) bool {
+	if !SameShape(a, b) {
+		return false
+	}
+	for i, v := range a.Data {
+		if d := v - b.Data[i]; d > tol || d < -tol {
+			return false
+		}
+	}
+	return true
 }

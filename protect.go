@@ -51,13 +51,10 @@ type (
 	DeceptiveDefense = ipprot.DeceptiveDefense
 )
 
-// ExtractionConfig controls the student-teacher stealing attack.
-type ExtractionConfig = ipprot.ExtractConfig
-
 // ExtractModel runs the indirect model-stealing attack against a black
-// box.
-func ExtractModel(bb BlackBox, student *Network, queries *Tensor, cfg ExtractionConfig) (int, error) {
-	return ipprot.Extract(bb, student, queries, cfg)
+// box; rng shuffles the queries between epochs.
+func ExtractModel(bb BlackBox, student *Network, queries *Tensor, rng *RNG) (int, error) {
+	return ipprot.Extract(bb, student, queries, rng)
 }
 
 // Agreement returns argmax agreement between two black boxes.
@@ -106,9 +103,8 @@ func VerifyTriggerWatermark(net *Network, triggers TriggerSet) float64 {
 	return ipprot.VerifyDynamic(net, triggers)
 }
 
-// NewQueryDetector returns the PRADA-style extraction-attack detector with
-// standard settings.
-func NewQueryDetector() *ipprot.QueryDetector { return ipprot.DefaultQueryDetector() }
+// NewQueryDetector returns the PRADA-style extraction-attack detector.
+func NewQueryDetector() *ipprot.QueryDetector { return ipprot.NewQueryDetector() }
 
 // ScrambleModel key-locks a model's hidden channels (ref [83]).
 func ScrambleModel(net *Network, key string) error { return ipprot.ScrambleNetwork(net, key) }

@@ -82,10 +82,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicAPIQuantizationAndPruning checks the compression knobs the
-// facade keeps: fake-quantized copies, the packed-size model, and the
-// publish pipeline deriving a pruned, quantized variant matrix.
-func TestPublicAPIQuantizationAndPruning(t *testing.T) {
+// TestPublicAPIQuantization checks the compression knobs the facade keeps:
+// fake-quantized copies, the packed-size model, and the publish pipeline
+// deriving a quantized variant per scheme.
+func TestPublicAPIQuantization(t *testing.T) {
 	rng := tinymlops.NewRNG(4)
 	net := tinymlops.NewNetwork([]int{8},
 		tinymlops.Dense(8, 16, rng), tinymlops.ReLU(), tinymlops.Dense(16, 2, rng))
@@ -113,20 +113,13 @@ func TestPublicAPIQuantizationAndPruning(t *testing.T) {
 	}
 	ds := tinymlops.Blobs(rng, 200, 8, 2, 4)
 	versions, err := platform.Publish("compress", net, ds, tinymlops.OptimizationSpec{
-		Schemes:        []tinymlops.Scheme{tinymlops.Int8},
-		PruneFractions: []float64{0, 0.5},
+		Schemes: []tinymlops.Scheme{tinymlops.Int8},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned := 0
-	for _, v := range versions {
-		if v.PruneFraction == 0.5 {
-			pruned++
-		}
-	}
-	if len(versions) < 3 || pruned == 0 {
-		t.Fatalf("published %d versions, %d pruned", len(versions), pruned)
+	if len(versions) != 2 || versions[0].Scheme != tinymlops.Float32 || versions[1].Scheme != tinymlops.Int8 {
+		t.Fatalf("published %d versions, want the float base and one int8 variant", len(versions))
 	}
 }
 
@@ -153,8 +146,7 @@ func TestPublicAPIProtectionSurface(t *testing.T) {
 	bb := tinymlops.Defend(tinymlops.ModelBlackBox(net), tinymlops.Top1Defense{})
 	student := tinymlops.NewNetwork([]int{6},
 		tinymlops.Dense(6, 24, rng), tinymlops.ReLU(), tinymlops.Dense(24, 3, rng))
-	if _, err := tinymlops.ExtractModel(bb, student, ds.X.RowSlice(0, 100),
-		tinymlops.ExtractionConfig{Epochs: 5, LR: 0.05, RNG: rng}); err != nil {
+	if _, err := tinymlops.ExtractModel(bb, student, ds.X.RowSlice(0, 100), rng); err != nil {
 		t.Fatal(err)
 	}
 	if a := tinymlops.Agreement(tinymlops.ModelBlackBox(net), tinymlops.ModelBlackBox(student), ds.X.RowSlice(100, 300)); a < 0.5 {
