@@ -7,13 +7,6 @@ import (
 	"tinymlops/internal/tensor"
 )
 
-// Stream produces an endless sequence of examples over virtual time; the
-// observability experiments consume one example per tick.
-type Stream interface {
-	// Next returns the features and label of the next example.
-	Next() (x []float32, label int)
-}
-
 // DriftKind names a drift injection mode for DriftStream.
 type DriftKind int
 
@@ -68,7 +61,7 @@ func (s *DriftStream) T() int { return s.t }
 // Drifted reports whether the stream has passed its onset.
 func (s *DriftStream) Drifted() bool { return s.t >= s.Onset }
 
-// Next implements Stream.
+// Next returns the features and label of the next example.
 func (s *DriftStream) Next() ([]float32, int) {
 	es := s.Base.exampleSize()
 	i := s.rng.Intn(s.Base.Len())

@@ -110,28 +110,18 @@ func (m *Meter) SetAttestor(rate int, fn Attestor) {
 // an attestor it degrades to a bare report.
 func (m *Meter) BuildAttestedReport() (AttestedReport, error) {
 	m.mu.Lock()
-	entries := make([]Entry, len(m.unsettled))
-	copy(entries, m.unsettled)
-	rep := AttestedReport{Report: Report{
-		Voucher: m.voucher,
-		FromSeq: m.settledSeq + 1,
-		Entries: entries,
-		Used:    m.used,
-	}}
+	rep := AttestedReport{Report: m.reportLocked()}
 	attestor := m.attestor
 	rate := m.attRate
-	head := m.settledHead
-	voucherID := m.voucher.ID
 	m.mu.Unlock()
 
-	if attestor == nil {
+	entries := rep.Entries
+	if attestor == nil || len(entries) == 0 {
 		return rep, nil
 	}
-	if len(entries) > 0 {
-		head = entries[len(entries)-1].Hash
-	}
+	head := entries[len(entries)-1].Hash
 	for _, e := range entries {
-		if !Sampled(head, voucherID, e.Seq, rate) {
+		if !Sampled(head, rep.Voucher.ID, e.Seq, rate) {
 			continue
 		}
 		att, err := attestor(e.Seq, e.Hash)

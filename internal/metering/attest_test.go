@@ -99,8 +99,22 @@ func TestAttestedSettlementHonest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc2 := s.SettleAttested(rep2); !rc2.OK {
+	rc2 := s.SettleAttested(rep2)
+	if !rc2.OK {
 		t.Fatalf("second attested window rejected: %s", rc2.Reason)
+	}
+	// Third window, once everything is acknowledged: nothing to sample,
+	// and the empty report still settles.
+	m.Acknowledge(rc2.AckSeq)
+	rep3, err := m.BuildAttestedReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep3.Entries) != 0 || len(rep3.Attestations) != 0 {
+		t.Fatalf("acknowledged meter reports %d entries, %d attestations", len(rep3.Entries), len(rep3.Attestations))
+	}
+	if rc3 := s.SettleAttested(rep3); !rc3.OK {
+		t.Fatalf("empty attested window rejected: %s", rc3.Reason)
 	}
 }
 

@@ -35,9 +35,6 @@ type Meter struct {
 	unsettled []Entry
 	// settledSeq is the last charge sequence the server has acknowledged.
 	settledSeq uint64
-	// settledHead is the chain head at settledSeq — the root both sides
-	// use when a report carries no entries.
-	settledHead [32]byte
 	// attestor and attRate drive verified billing (see attest.go).
 	attestor Attestor
 	attRate  int
@@ -47,10 +44,7 @@ type Meter struct {
 // in the voucher identity so logs from different vouchers can never be
 // spliced.
 func NewMeter(v Voucher) *Meter {
-	m := &Meter{voucher: v}
-	m.head = sha256.Sum256([]byte("genesis|" + v.ID + "|" + v.DeviceID))
-	m.settledHead = m.head
-	return m
+	return &Meter{voucher: v, head: GenesisHead(v)}
 }
 
 // Voucher returns the bound voucher.
@@ -141,6 +135,11 @@ type Report struct {
 func (m *Meter) BuildReport() Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.reportLocked()
+}
+
+// reportLocked copies the unsettled usage into a report; m.mu is held.
+func (m *Meter) reportLocked() Report {
 	entries := make([]Entry, len(m.unsettled))
 	copy(entries, m.unsettled)
 	return Report{
@@ -151,8 +150,7 @@ func (m *Meter) BuildReport() Report {
 	}
 }
 
-// Acknowledge prunes entries the server has accepted through seq and
-// advances the settled head to the last pruned entry's hash.
+// Acknowledge prunes entries the server has accepted through seq.
 func (m *Meter) Acknowledge(throughSeq uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -163,8 +161,6 @@ func (m *Meter) Acknowledge(throughSeq uint64) {
 	for _, e := range m.unsettled {
 		if e.Seq > throughSeq {
 			keep = append(keep, e)
-		} else if e.Seq == throughSeq {
-			m.settledHead = e.Hash
 		}
 	}
 	m.unsettled = keep

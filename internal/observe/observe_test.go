@@ -33,11 +33,11 @@ func TestWelfordMatchesDirectComputation(t *testing.T) {
 	if math.Abs(w.Variance()-variance) > 1e-9 {
 		t.Fatalf("Welford variance %v vs %v", w.Variance(), variance)
 	}
-	if w.N() != 1000 {
-		t.Fatalf("N = %d", w.N())
+	if w.n != 1000 {
+		t.Fatalf("n = %d", w.n)
 	}
 	w.Reset()
-	if w.N() != 0 || w.Mean() != 0 {
+	if w.n != 0 || w.Mean() != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }

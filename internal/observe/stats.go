@@ -34,9 +34,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += float64(d * (x - w.mean))
 }
 
-// N returns the observation count.
-func (w *Welford) N() int64 { return w.n }
-
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
 

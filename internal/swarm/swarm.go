@@ -10,19 +10,11 @@ import (
 	"tinymlops/internal/engine"
 )
 
-// Source is the swarm's seeder of last resort: it resolves an artifact key
-// to the canonical bytes. The platform adapts its registry here, so the
+// SourceFunc is the swarm's seeder of last resort: it resolves an artifact
+// key to the canonical bytes. The platform adapts its registry here, so the
 // registry serves the canary wave (no peers hold anything yet) and any
 // chunk no peer can provide — and nothing else.
-type Source interface {
-	Bytes(key string) ([]byte, error)
-}
-
-// SourceFunc adapts a function to Source.
 type SourceFunc func(key string) ([]byte, error)
-
-// Bytes implements Source.
-func (f SourceFunc) Bytes(key string) ([]byte, error) { return f(key) }
 
 // DropFunc models a peer dropping out mid-chunk: it returns the fraction
 // of the requested span the peer manages to serve before vanishing.
@@ -38,7 +30,7 @@ const maxPeerTries = 3
 // Config configures a Swarm.
 type Config struct {
 	// Source resolves artifact keys to canonical bytes (required).
-	Source Source
+	Source SourceFunc
 	// Peer resolves a seeder's device handle; nil candidates are skipped.
 	Peer func(id string) (*device.Device, bool)
 	// ChunkBytes is the manifest chunk size (0 = DefaultChunkBytes).
@@ -266,7 +258,7 @@ func (s *Swarm) materialize(key string) (*Manifest, []byte, error) {
 		return m, blob, nil
 	}
 	s.mu.Unlock()
-	data, err := s.cfg.Source.Bytes(key)
+	data, err := s.cfg.Source(key)
 	if err != nil {
 		return nil, nil, fmt.Errorf("swarm: source %q: %w", key, err)
 	}

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"tinymlops/internal/engine"
@@ -11,15 +10,11 @@ import (
 // Amortized settlement proving and verification. A settlement window of
 // metered queries holds many proofs against few (model-version, shape)
 // classes: every proof of a class shares the same weight matrix B. The
-// sound per-class sharing is (a) B's padded field encoding and transcript
+// one sound per-class sharing is B's padded field encoding and transcript
 // digest — PrepareWeights, reused by ProveMatMulPrepared on the device
-// and VerifyMatMulPrepared at the vendor — and, for the verifier only,
-// (b) one Freivalds projection per class per batch, derived from a batch
-// transcript that binds every claim in the window, used to pre-screen
-// each proof in O(m·k + m·n) before the full sum-check runs. The
-// sum-check's own point challenges r1, r2 are NOT shared on either side:
-// they must bind each proof's claimed C (see verifyLifted), so a prover
-// shares (a) and nothing else.
+// and VerifyMatMulPrepared at the vendor. The sum-check's point
+// challenges r1, r2 are NOT shared on either side: they must bind each
+// proof's claimed C (see VerifyMatMulPrepared).
 
 // PreparedWeights is the reusable per-class encoding of a weight matrix:
 // the padded field matrix and its transcript digest. Immutable once
@@ -47,21 +42,17 @@ func PrepareWeights(b []int32, k, n int) (*PreparedWeights, error) {
 	return &PreparedWeights{K: k, N: n, kp: kp, np: np, bf: bf, db: digestElems(bf)}, nil
 }
 
-// mulCols returns B×w for a vector w of length np: one dot product per
-// row of B, read in place. With w the eq(r₂, ·) table it is the column
-// fold B̃(·, r₂) of the sum-check; with w a Freivalds challenge vector it
-// is the per-class half of a pre-screen round.
-func (pw *PreparedWeights) mulCols(w []Elem) []Elem {
+// foldCols returns B̃(·, c), the kp-vector foldCols(bf, kp, np, c) would
+// produce, without copying the matrix: one dot product of each row of B,
+// read in place, against the eq(c, ·) table.
+func (pw *PreparedWeights) foldCols(c []Elem) []Elem {
+	w := eqTable(c)
 	out := make([]Elem, pw.kp)
 	for i := range out {
 		out[i] = dot(w, pw.bf[i*pw.np:], 1)
 	}
 	return out
 }
-
-// foldCols returns B̃(·, c), the kp-vector foldCols(bf, kp, np, c) would
-// produce, without copying the matrix.
-func (pw *PreparedWeights) foldCols(c []Elem) []Elem { return pw.mulCols(eqTable(c)) }
 
 // matMul computes C = A×B over the field (the prover's native
 // computation) for the first m rows of the mp×kp matrix af, into a padded
@@ -103,11 +94,9 @@ type BatchResult struct {
 }
 
 // BatchVerifier amortizes sum-check verification across a settlement
-// window: weight classes are prepared once and cached, every batch
-// derives one shared Freivalds projection per class to pre-screen items
-// cheaply, and the surviving full verifications fan out over an engine
-// worker pool. Results are bit-identical at any worker count. Safe for
-// concurrent use.
+// window: weight classes are prepared once and cached, and each batch's
+// verifications fan out over an engine worker pool. Results are
+// bit-identical at any worker count. Safe for concurrent use.
 type BatchVerifier struct {
 	eng *engine.Engine
 
@@ -145,12 +134,11 @@ func (bv *BatchVerifier) Class(classID string) (*PreparedWeights, bool) {
 	return pw, ok
 }
 
-// VerifyBatch checks every item and returns per-item verdicts in input
-// order plus aggregate verifier stats. Accept/reject decisions are
-// exactly those of verifying each item alone with VerifyMatMulPrepared:
-// the Freivalds pre-screen can only reject items the full check would
-// also reject (a projection mismatch is a proof of inconsistency), and
-// every pre-screen survivor still runs the full sum-check.
+// VerifyBatch checks every item with VerifyMatMulPrepared against its
+// class's prepared weights and returns per-item verdicts in input order
+// plus the items' summed verifier stats. The items fan out over the
+// engine's workers; each verdict depends only on its item and class, so
+// results are bit-identical at any worker count.
 func (bv *BatchVerifier) VerifyBatch(items []BatchItem) ([]BatchResult, Stats, error) {
 	results := make([]BatchResult, len(items))
 	var agg Stats
@@ -158,80 +146,24 @@ func (bv *BatchVerifier) VerifyBatch(items []BatchItem) ([]BatchResult, Stats, e
 		return results, agg, nil
 	}
 
-	// Snapshot the classes this batch touches.
+	// Snapshot the class each item names; nil for an unregistered one.
+	pws := make([]*PreparedWeights, len(items))
 	bv.mu.Lock()
-	classes := make(map[string]*PreparedWeights, len(bv.classes))
-	for _, it := range items {
-		if pw, ok := bv.classes[it.ClassID]; ok {
-			classes[it.ClassID] = pw
-		}
+	for i, it := range items {
+		pws[i] = bv.classes[it.ClassID]
 	}
 	bv.mu.Unlock()
 
-	// The batch transcript binds every claim in the window before any
-	// challenge is drawn, so the shared projections are unpredictable to
-	// the provers and identical for any verifier replaying the batch.
-	tr := newTranscript("settlement-batch")
-	tr.absorbInt(len(items))
-	for _, it := range items {
-		tr.absorbBytes([]byte(it.ClassID))
-		tr.absorbInt(len(it.Ctx))
-		tr.absorbBytes(it.Ctx)
-		tr.absorbInt(it.M)
-		ce := make([]Elem, len(it.C))
-		for i, v := range it.C {
-			ce[i] = FromInt64(v)
-		}
-		dc := digestElems(ce)
-		tr.absorbBytes(dc[:])
-		agg.HashedElems += int64(len(it.C))
-	}
-
-	// One Freivalds projection per class, in sorted class order so the
-	// challenge assignment is deterministic.
-	names := make([]string, 0, len(classes))
-	for name := range classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	type projection struct{ r, br []Elem }
-	proj := make(map[string]projection, len(names))
-	for _, name := range names {
-		pw := classes[name]
-		r := tr.challenges(pw.np)
-		proj[name] = projection{r: r, br: pw.mulCols(r)}
-		agg.VerifierMuls += int64(pw.kp) * int64(pw.np)
-	}
-
-	// Fan the per-item work out; each verdict is a pure function of the
-	// item and the shared projections, so scheduling cannot change it.
 	stats := make([]Stats, len(items))
 	_ = bv.eng.ForEach(len(items), func(i int) error {
 		it := items[i]
-		pw, ok := classes[it.ClassID]
-		if !ok {
+		if pws[i] == nil {
 			results[i].Err = fmt.Errorf("verify: unknown weight class %q", it.ClassID)
 			return nil
 		}
-		if it.M < 1 || len(it.A) != it.M*pw.K || len(it.C) != it.M*pw.N {
-			results[i].Err = fmt.Errorf("verify: item %d shapes %d,%d do not match class %q (%d×%d, m=%d)",
-				i, len(it.A), len(it.C), it.ClassID, pw.K, pw.N, it.M)
-			return nil
-		}
-		// Lift once: the pre-screen and the sum-check read the same
-		// padded operands.
-		af, mp, _ := padMatrix(it.A, it.M, pw.K)
-		cf := padResult(it.C, it.M, pw.N, mp, pw.np)
-		pr := proj[it.ClassID]
-		if !freivaldsProjected(af, cf, it.M, pw, pr.r, pr.br) {
-			stats[i].VerifierMuls += int64(it.M) * int64(pw.K+pw.N)
-			results[i].OK = false
-			return nil
-		}
-		ok, st, err := verifyLifted(it.Ctx, af, cf, mp, pw, it.Proof)
-		st.VerifierMuls += int64(it.M) * int64(pw.K+pw.N)
-		stats[i] = st
+		ok, st, err := VerifyMatMulPrepared(it.Ctx, it.A, it.M, pws[i], it.C, it.Proof)
 		results[i] = BatchResult{OK: ok, Err: err}
+		stats[i] = st
 		return nil
 	})
 	for _, st := range stats {
@@ -242,17 +174,4 @@ func (bv *BatchVerifier) VerifyBatch(items []BatchItem) ([]BatchResult, Stats, e
 		agg.ProofBytes += st.ProofBytes
 	}
 	return results, agg, nil
-}
-
-// freivaldsProjected runs one pre-screen round for a claimed m-row
-// product (lifted and padded) against the class's shared projection:
-// A×(B×r) must equal C×r row by row. A mismatch proves A×B ≠ C; a match
-// proves nothing and the full sum-check still runs.
-func freivaldsProjected(af, cf []Elem, m int, pw *PreparedWeights, r, br []Elem) bool {
-	for i := 0; i < m; i++ {
-		if dot(br, af[i*pw.kp:], 1) != dot(r, cf[i*pw.np:], 1) {
-			return false
-		}
-	}
-	return true
 }

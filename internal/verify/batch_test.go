@@ -144,8 +144,11 @@ func TestBatchMatchesSerialVerdicts(t *testing.T) {
 		b    []int32
 		k, n int
 	}
+	// The second class is a cohort variant of the first: same shape,
+	// different weights.
 	classes := []class{
 		{"model-v1/8x6", randMat(rng, 8*6), 8, 6},
+		{"model-v1-int8/8x6", randMat(rng, 8*6), 8, 6},
 		{"model-v2/16x4", randMat(rng, 16*4), 16, 4},
 	}
 
@@ -174,9 +177,14 @@ func TestBatchMatchesSerialVerdicts(t *testing.T) {
 		}
 		items = append(items, it)
 	}
-	// One item against an unregistered class, one with a shape mismatch.
+	// One item against an unregistered class, one with a shape mismatch,
+	// and an honest proof relabeled to the second class — the wrong-version
+	// charge a cohort device's report can carry.
 	items = append(items, BatchItem{ClassID: "ghost", Ctx: nil, A: items[0].A, M: items[0].M, C: items[0].C, Proof: items[0].Proof})
 	items = append(items, BatchItem{ClassID: classes[0].id, Ctx: nil, A: items[0].A[:3], M: 1, C: items[0].C, Proof: items[0].Proof})
+	relabeled := items[0]
+	relabeled.ClassID = classes[1].id
+	items = append(items, relabeled)
 
 	var want []BatchResult
 	var fromWorkers map[int][]BatchResult = map[int][]BatchResult{}
@@ -232,6 +240,9 @@ func TestBatchMatchesSerialVerdicts(t *testing.T) {
 	}
 	if got[13].Err == nil {
 		t.Error("shape-mismatched item: expected an error")
+	}
+	if got[14].OK || got[14].Err != nil {
+		t.Errorf("relabeled item: OK=%v err=%v, want a rejection", got[14].OK, got[14].Err)
 	}
 }
 

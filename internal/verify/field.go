@@ -80,9 +80,9 @@ const dotChunk = 32
 
 // dot returns Σ a[i]·b[i·stride] mod p over len(a) terms — the one
 // inner-product kernel behind the field matrix product (stride = a row of
-// B, so a column is read in place), the column fold B̃(·, r) and both
-// Freivalds projections (stride 1). Products are summed in 128 bits and
-// reduced once per dotChunk terms, not once per term.
+// B, so a column is read in place) and the column fold B̃(·, r) (stride
+// 1). Products are summed in 128 bits and reduced once per dotChunk
+// terms, not once per term.
 func dot(a, b []Elem, stride int) Elem {
 	var acc Elem
 	off := 0

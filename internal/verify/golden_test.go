@@ -276,7 +276,7 @@ func TestSettlementAllocationPins(t *testing.T) {
 	}{
 		{"ProveMatMul", 16, func() { ProveMatMul(a, 1, settleK, w, settleN) }},             //nolint:errcheck
 		{"VerifyMatMul", 40, func() { VerifyMatMul(a, 1, settleK, w, settleN, c, proof) }}, //nolint:errcheck
-		{"VerifyBatch of 16", 675, func() { bv.VerifyBatch(items) }},                       //nolint:errcheck
+		{"VerifyBatch of 16", 618, func() { bv.VerifyBatch(items) }},                       //nolint:errcheck
 	} {
 		if got := testing.AllocsPerRun(20, pin.op); got != pin.want {
 			t.Errorf("%s allocates %.0f times, pinned at %.0f", pin.name, got, pin.want)

@@ -279,34 +279,18 @@ func VerifyMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights, c [
 	if len(c) != m*n {
 		return false, Stats{}, fmt.Errorf("verify: result size %d, want %d", len(c), m*n)
 	}
-	af, mp, _ := padMatrix(a, m, k)
-	return verifyLifted(ctx, af, padResult(c, m, n, mp, pw.np), mp, pw, proof)
-}
-
-// padResult embeds a claimed m×n product into the mp×np field matrix.
-func padResult(c []int64, m, n, mp, np int) []Elem {
-	cf := make([]Elem, mp*np)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			cf[i*np+j] = FromInt64(c[i*n+j])
-		}
-	}
-	return cf
-}
-
-// verifyLifted is the sum-check verifier over operands already lifted
-// and padded: af is mp×pw.kp, cf the claimed mp×pw.np product.
-func verifyLifted(ctx []byte, af, cf []Elem, mp int, pw *PreparedWeights, proof *Proof) (bool, Stats, error) {
 	if proof == nil {
 		return false, Stats{}, fmt.Errorf("verify: nil proof")
 	}
-	kp, np := pw.kp, pw.np
+	af, mp, kp := padMatrix(a, m, k)
+	np := pw.np
 	if proof.M != mp || proof.K != kp || proof.N != np {
 		return false, Stats{}, fmt.Errorf("verify: proof dims %dx%dx%d do not match %dx%dx%d", proof.M, proof.K, proof.N, mp, kp, np)
 	}
 	if len(proof.Rounds) != log2(kp) {
 		return false, Stats{}, fmt.Errorf("verify: proof has %d rounds, want %d", len(proof.Rounds), log2(kp))
 	}
+	cf := padResult(c, m, n, mp, np)
 	stats := Stats{DirectMuls: int64(mp) * int64(kp) * int64(np), ProofBytes: proof.SizeBytes()}
 	stats.HashedElems = int64(mp)*int64(kp) + int64(mp)*int64(np)
 
@@ -326,8 +310,7 @@ func verifyLifted(ctx []byte, af, cf []Elem, mp int, pw *PreparedWeights, proof 
 	// the transcript absorbs this proof's own C digest. Sharing them
 	// across a class would let a prover pick a false C agreeing with the
 	// true product's extension at the known point — the only sound
-	// class-level sharing is of the weight encoding (here) and of the
-	// Freivalds pre-screen projection (BatchVerifier).
+	// class-level sharing is of the weight encoding (pw).
 	r1 := tr.challenges(log2(mp))
 	r2 := tr.challenges(log2(np))
 
@@ -361,4 +344,15 @@ func verifyLifted(ctx []byte, af, cf []Elem, mp int, pw *PreparedWeights, proof 
 	}
 	stats.VerifierMuls += int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(kp) + 1
 	return claim == Mul(ua, vbAt[0]), stats, nil
+}
+
+// padResult embeds a claimed m×n product into the mp×np field matrix.
+func padResult(c []int64, m, n, mp, np int) []Elem {
+	cf := make([]Elem, mp*np)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			cf[i*np+j] = FromInt64(c[i*n+j])
+		}
+	}
+	return cf
 }
