@@ -437,7 +437,7 @@ func (d *Deployment) disown() {
 	for _, slot := range []**image{&d.img, &d.prev} {
 		if img := *slot; img != nil {
 			d.platform.images.release(img)
-			*slot = &image{version: img.version, model: img.model, compiled: img.compiled, run: img.run}
+			*slot = &image{version: img.version, key: img.key, model: img.model, compiled: img.compiled, run: img.run}
 		}
 	}
 }

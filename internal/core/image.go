@@ -18,6 +18,7 @@ import (
 // the device's own.
 type image struct {
 	version  *registry.ModelVersion
+	key      string // the swarm key of the version's artifact, which a holder seeds
 	model    *nn.Network
 	compiled *procvm.Module
 	run      exec.Executor
@@ -82,7 +83,7 @@ func (t *imageTable) install(v *registry.ModelVersion, private bool, decode func
 	if err != nil {
 		return nil, err
 	}
-	img := &image{version: v, model: model, compiled: compiled, run: run}
+	img := &image{version: v, key: fullKey(v.ID), model: model, compiled: compiled, run: run}
 	if !private {
 		if t.entries == nil {
 			t.entries = make(map[string]*image)

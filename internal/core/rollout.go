@@ -86,19 +86,17 @@ func deltaKey(from, to string) string { return "delta:" + from + ">" + to }
 // delta encoding. These are the exact bytes every seeder of the key holds,
 // which is what content-addressed chunks require.
 func (p *Platform) swarmBytes(key string) ([]byte, error) {
-	switch {
-	case strings.HasPrefix(key, "full:"):
-		return p.Registry.Bytes(strings.TrimPrefix(key, "full:"))
-	case strings.HasPrefix(key, "delta:"):
-		spec := strings.TrimPrefix(key, "delta:")
-		from, to, ok := strings.Cut(spec, ">")
-		if !ok || from == "" || to == "" {
-			return nil, fmt.Errorf("core: malformed delta key %q", key)
-		}
-		return p.Registry.Delta(from, to)
-	default:
+	if id, ok := strings.CutPrefix(key, "full:"); ok {
+		return p.Registry.Bytes(id)
+	}
+	spec, ok := strings.CutPrefix(key, "delta:")
+	if !ok {
 		return nil, fmt.Errorf("core: unknown artifact key %q", key)
 	}
+	if from, to, ok := strings.Cut(spec, ">"); ok && from != "" && to != "" {
+		return p.Registry.Delta(from, to)
+	}
+	return nil, fmt.Errorf("core: malformed delta key %q", key)
 }
 
 // TransientUpdateError reports whether an update failure is transient: the

@@ -102,8 +102,8 @@ func TestFleetRolloutPins(t *testing.T) {
 		allocs                  float64
 		registry, peer, shipped int64
 	}{
-		{"registry-direct", false, 54.4, 0, 0, 160 * devices},
-		{"swarm", true, 33.5, 2_784, 171_564, 174_348},
+		{"registry-direct", false, 50.3, 0, 0, 160 * devices},
+		{"swarm", true, 21.4, 2_784, 171_564, 174_348},
 	} {
 		p, v2, cfg := newFleetRollout(t, n, pin.viaSwarm)
 		rollOut(t, p, v2, cfg) // warm-up
@@ -124,23 +124,89 @@ func TestFleetRolloutPins(t *testing.T) {
 	}
 }
 
+// TestUpdateAllocationPins pins what one warm Deployment.Update allocates on
+// each transport, at GOMAXPROCS 1, device by device. An earlier device has
+// already made the move, so its delta plan, its chunk manifest and the
+// target's image exist, and what is left is the device's own: its report,
+// its selection table and, through a swarm, its transfer's state and
+// stats. The swarm pin is exact on six second-wave devices fed by the
+// canary; the wave's first device is not among them, because it also makes
+// the swarm's pending-seeder sets. Registry-direct updates seal and open the
+// artifact in ipprot (34 of the delta's 36), whose random draws now and then
+// cost one more, so those two pins are upper bounds at the most measured.
+func TestUpdateAllocationPins(t *testing.T) {
+	for _, pin := range []struct {
+		name           string
+		viaSwarm, full bool
+		allocs         uint64
+		exact          bool
+	}{
+		{"swarm-delta-from-peers", true, false, 7, true},
+		{"registry-delta", false, false, 37, false},
+		{"registry-full", false, true, 38, false},
+	} {
+		t.Run(pin.name, func(t *testing.T) {
+			p, v2, cfg := newFleetRollout(t, 12, pin.viaSwarm)
+			deps := p.Deployments()
+			opts := UpdateOptions{ForceFull: pin.full, Swarm: cfg.Swarm}
+			// Two devices go first. Through a swarm the first is the canary,
+			// which seeds the next wave, and the second starts that wave's
+			// seeder registrations.
+			for i, d := range deps[:2] {
+				if _, err := d.Update(v2, opts); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 && cfg.Swarm != nil {
+					cfg.Swarm.AdvanceWave()
+				}
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			for _, d := range deps[2:8] {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				rep, err := d.Update(v2, opts)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.UsedDelta == pin.full || (pin.viaSwarm && rep.PeerBytes != rep.ShipBytes) {
+					t.Fatalf("%s: delta %v, %d of %d B from peers: not the transport pinned", d.DeviceID, rep.UsedDelta, rep.PeerBytes, rep.ShipBytes)
+				}
+				got := after.Mallocs - before.Mallocs
+				if raceBuild {
+					continue
+				}
+				if got > pin.allocs || (pin.exact && got != pin.allocs) {
+					t.Errorf("%s: %d allocations, pinned at %d (exact: %v)", d.DeviceID, got, pin.allocs, pin.exact)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFleetRolloutSwarm10k times the same swarm rollout over 10 002
 // devices, fleet building excluded, and reports what the vendor and the
-// peers ship per device, the swarm's economics at scale (its 1k figures are
-// TestFleetRolloutPins):
+// peers ship per device, the swarm's economics at scale, and the
+// allocations per device update (its 1k figures are TestFleetRolloutPins):
 //
 //	go test -run '^$' -bench FleetRolloutSwarm10k -benchmem ./internal/core
 func BenchmarkFleetRolloutSwarm10k(b *testing.B) {
 	const devices = 10_002
 	var registryBytes, peerBytes int64
+	var mallocs uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		p, v2, cfg := newFleetRollout(b, devices, true)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		res := rollOut(b, p, v2, cfg)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
 		registryBytes += res.TotalRegistryBytes
 		peerBytes += res.TotalPeerBytes
 	}
 	b.ReportMetric(float64(registryBytes)/float64(b.N*devices), "registry-B/device")
 	b.ReportMetric(float64(peerBytes)/float64(b.N*devices), "peer-B/device")
+	b.ReportMetric(float64(mallocs)/float64(b.N*devices), "allocs/device")
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"tinymlops/internal/dataset"
@@ -91,8 +92,10 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 	defer d.mu.Unlock()
 
 	// Re-run variant selection among the target's family: the paper's
-	// point that every update re-decides per device (§III-A).
-	candidates := append([]*registry.ModelVersion{target}, p.Registry.Variants(target.ID)...)
+	// point that every update re-decides per device (§III-A). The list
+	// lives on the stack while the family fits.
+	var family [8]*registry.ModelVersion
+	candidates := append(append(family[:0], target), p.Registry.Variants(target.ID)...)
 	decision, err := selector.Select(d.device, candidates, d.policy)
 	if err != nil {
 		return nil, fmt.Errorf("core: update select for %s: %w", d.DeviceID, err)
@@ -116,7 +119,7 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 		}
 		// The device holds these exact bytes, so it can seed them.
 		if opts.Swarm != nil && d.watermark == "" {
-			opts.Swarm.AddSeeder(fullKey(chosen.ID), d.DeviceID)
+			opts.Swarm.AddSeeder(d.img.key, d.DeviceID)
 		}
 		return rep, nil
 	}
@@ -135,8 +138,9 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 	// image holds no float weights at all, so a compiled→network update is
 	// always a full ship too.
 	var img *image
+	var delta *deltaPlan
 	if !opts.ForceFull && !toCompiled && d.watermark == "" && d.img.model != nil {
-		if img, err = d.tryDeltaLocked(opts.Swarm, chosen, rep); err != nil {
+		if img, delta, err = d.tryDeltaLocked(opts.Swarm, chosen, rep); err != nil {
 			return nil, err
 		}
 	}
@@ -154,40 +158,78 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 	// Watermarked copies are perturbed per customer and never seed.
 	if opts.Swarm != nil && d.watermark == "" {
 		if rep.UsedDelta {
-			opts.Swarm.AddSeeder(deltaKey(rep.From.ID, chosen.ID), d.DeviceID)
+			opts.Swarm.AddSeeder(delta.key, d.DeviceID)
 		}
-		opts.Swarm.AddSeeder(fullKey(chosen.ID), d.DeviceID)
+		opts.Swarm.AddSeeder(img.key, d.DeviceID)
 	}
 	return rep, nil
 }
 
-// tryDeltaLocked attempts a delta transfer to the chosen version, filling
-// rep and returning the patched image on success. A nil image (with nil
-// error) means the caller must ship the full artifact: the versions do not
-// share a topology, or the delta would not beat the packed image — a full
-// retrain degrades to a dense delta whose index overhead can exceed what
-// it patches. Caller holds d.mu.
-func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersion, rep *UpdateReport) (*image, error) {
+// versionPair names an update's move from one version to another.
+type versionPair struct{ from, to string }
+
+// deltaPlan is how one move ships as a delta, the same for every device
+// that makes it: the swarm artifact key, which is also the install token,
+// the encoded delta and its modelled cost at the target's precision. A nil
+// delta means the move ships the full image: the versions do not share a
+// topology, or the delta would not beat the packed image — a full retrain
+// degrades to a dense delta whose index overhead can exceed what it
+// patches.
+type deltaPlan struct {
+	key   string
+	delta []byte
+	cost  nn.DeltaCost
+}
+
+// deltaPlans is the platform's move → deltaPlan cache: the first device to
+// make a move works its plan out with the mutex held, and every later one
+// reads it.
+type deltaPlans struct {
+	mu    sync.Mutex
+	plans map[versionPair]*deltaPlan
+}
+
+func (t *deltaPlans) plan(reg *registry.Registry, from, to *registry.ModelVersion) (*deltaPlan, error) {
+	k := versionPair{from.ID, to.ID}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if pl, ok := t.plans[k]; ok {
+		return pl, nil
+	}
+	pl := &deltaPlan{key: deltaKey(from.ID, to.ID)}
+	// A registry error means a different topology: the plan is a full ship.
+	if delta, err := reg.Delta(from.ID, to.ID); err == nil {
+		cost, err := nn.CostOfDelta(delta, to.Scheme.Bits())
+		if err != nil {
+			return nil, err
+		}
+		if cost.ShipBytes < to.Metrics.SizeBytes {
+			pl.delta, pl.cost = delta, cost
+		}
+	}
+	if t.plans == nil {
+		t.plans = make(map[versionPair]*deltaPlan)
+	}
+	t.plans[k] = pl
+	return pl, nil
+}
+
+// tryDeltaLocked ships the move's planned delta to the chosen version,
+// filling rep and returning the patched image and the plan. A nil image
+// (with nil error) means the plan is a full transfer. Caller holds d.mu.
+func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersion, rep *UpdateReport) (*image, *deltaPlan, error) {
 	p := d.platform
-	delta, err := p.Registry.Delta(d.Version.ID, chosen.ID)
-	if err != nil {
-		return nil, nil // different topology: a full transfer is the plan
-	}
-	cost, err := nn.CostOfDelta(delta, chosen.Scheme.Bits())
-	if err != nil {
-		return nil, err
-	}
-	if cost.ShipBytes >= chosen.Metrics.SizeBytes {
-		return nil, nil // dense delta, not worth shipping
+	pl, err := p.deltas.plan(p.Registry, d.Version, chosen)
+	if err != nil || pl.delta == nil {
+		return nil, nil, err
 	}
 	// The token names the exact patch (source and target bytes): a crash
 	// mid-flash leaves a recoverable staging slot, and a retried update
 	// that selects the same transition resumes it instead of starting
 	// over. A different transition discards the stale slot.
-	token := deltaKey(d.Version.ID, chosen.ID)
-	plain, err := p.transfer(sw, d.device, chosen, token, delta, int64(cost.ShipBytes), int64(cost.FlashBytes), rep)
+	plain, err := p.transfer(sw, d.device, chosen, pl.key, pl.delta, int64(pl.cost.ShipBytes), int64(pl.cost.FlashBytes), rep)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The patch is verified and what it patches is the fleet's image of the
 	// base, so the result is the fleet's image of the target: only the first
@@ -201,11 +243,11 @@ func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersi
 		return model, nil, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep.UsedDelta = true
-	rep.ChangedParams, rep.TotalParams = cost.ChangedParams, cost.TotalParams
-	return img, nil
+	rep.ChangedParams, rep.TotalParams = pl.cost.ChangedParams, pl.cost.TotalParams
+	return img, pl, nil
 }
 
 // transfer moves one artifact — a full image or a delta, named by its

@@ -30,8 +30,10 @@ func Retry(p RetryPolicy, retryable func(error) bool, fn func(attempt int) error
 // Because the derivation hashes the ID rather than a positional index, the
 // stream an entity sees is stable across fleet subsets and iteration
 // orders, which is what lets a fault plane assign per-device faults
-// deterministically at any worker count.
-func SeedForID(root, round uint64, id string) uint64 {
+// deterministically at any worker count. An ID written into a byte buffer
+// seeds exactly as the same string does, so a caller that builds one per
+// call can build it on the stack.
+func SeedForID[ID ~string | ~[]byte](root, round uint64, id ID) uint64 {
 	// FNV-1a over the ID, then the splitmix64 avalanche.
 	const (
 		offset64 = 14695981039346656037

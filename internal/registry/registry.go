@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -75,26 +74,29 @@ type ModelVersion struct {
 type Registry struct {
 	mu       sync.RWMutex
 	seq      uint64
-	blobs    map[string][]byte        // model artifacts by version ID
-	models   map[string]*ModelVersion // version ID -> metadata
-	byName   map[string][]string      // logical name -> version IDs in order
-	children map[string][]string      // parent ID -> child IDs
+	blobs    map[string][]byte          // model artifacts by version ID
+	models   map[string]*ModelVersion   // version ID -> metadata
+	byName   map[string][]string        // logical name -> version IDs in order
+	children map[string][]*ModelVersion // parent ID -> children, in Seq order
 
 	// Weight-delta cache with single-flight computation: a rollout wave
 	// asks for the same (from, to) pair from every worker at once, and the
 	// encoding is O(params), so exactly one goroutine computes it while
 	// the rest wait. Results (including deterministic failures like a
 	// topology mismatch) are cached forever; artifacts are immutable.
-	deltaMu   sync.Mutex
-	deltas    map[string]deltaEntry // "from->to" -> result
-	deltaWait map[string]chan struct{}
+	deltaMu sync.Mutex
+	deltas  map[versionPair]*deltaEntry
 	// deltaComputes counts actual encodings (not cache hits) — the
 	// observable the single-flight tests pin down.
 	deltaComputes atomic.Int64
 }
 
-// deltaEntry is one cached Delta result.
+// versionPair keys the delta cache: a lookup builds no string.
+type versionPair struct{ from, to string }
+
+// deltaEntry is one cached Delta result, valid once done is closed.
 type deltaEntry struct {
+	done chan struct{}
 	data []byte
 	err  error
 }
@@ -102,12 +104,11 @@ type deltaEntry struct {
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		blobs:     make(map[string][]byte),
-		models:    make(map[string]*ModelVersion),
-		byName:    make(map[string][]string),
-		children:  make(map[string][]string),
-		deltas:    make(map[string]deltaEntry),
-		deltaWait: make(map[string]chan struct{}),
+		blobs:    make(map[string][]byte),
+		models:   make(map[string]*ModelVersion),
+		byName:   make(map[string][]string),
+		children: make(map[string][]*ModelVersion),
+		deltas:   make(map[versionPair]*deltaEntry),
 	}
 }
 
@@ -121,13 +122,10 @@ func (r *Registry) RegisterModel(name string, net *nn.Network, accuracy float64)
 
 // RegisterVariant stores net as a variant derived from parentID.
 func (r *Registry) RegisterVariant(parentID string, net *nn.Network, scheme quant.Scheme, accuracy float64) (*ModelVersion, error) {
-	r.mu.RLock()
-	_, ok := r.models[parentID]
-	r.mu.RUnlock()
-	if !ok {
+	parent := r.mustGet(parentID)
+	if parent == nil {
 		return nil, fmt.Errorf("registry: unknown parent version %q", parentID)
 	}
-	parent := r.mustGet(parentID)
 	return r.register(parent.Name, parentID, net, scheme, accuracy)
 }
 
@@ -185,7 +183,7 @@ func (r *Registry) register(name, parentID string, net *nn.Network, scheme quant
 	r.models[id] = v
 	r.byName[name] = append(r.byName[name], id)
 	if parentID != "" {
-		r.children[parentID] = append(r.children[parentID], id)
+		r.children[parentID] = append(r.children[parentID], v)
 	}
 	return v, nil
 }
@@ -268,7 +266,7 @@ func (r *Registry) RegisterCompiled(parentID string, m *procvm.Module, accuracy 
 	r.blobs[id] = data
 	r.models[id] = v
 	r.byName[v.Name] = append(r.byName[v.Name], id)
-	r.children[parentID] = append(r.children[parentID], id)
+	r.children[parentID] = append(r.children[parentID], v)
 	return v, nil
 }
 
@@ -290,47 +288,38 @@ func (r *Registry) Bytes(id string) ([]byte, error) {
 // when the two versions do not share a topology — the caller falls back
 // to a full transfer. The returned slice must not be modified.
 func (r *Registry) Delta(fromID, toID string) ([]byte, error) {
-	key := fromID + "->" + toID
-	for {
-		r.deltaMu.Lock()
-		if e, ok := r.deltas[key]; ok {
-			r.deltaMu.Unlock()
-			return e.data, e.err
-		}
-		if ch, ok := r.deltaWait[key]; ok {
-			r.deltaMu.Unlock()
-			<-ch // another goroutine is computing this pair
-			continue
-		}
-		ch := make(chan struct{})
-		r.deltaWait[key] = ch
-		r.deltaMu.Unlock()
-
-		e := r.computeDelta(key, fromID, toID)
-		r.deltaMu.Lock()
+	key := versionPair{fromID, toID}
+	r.deltaMu.Lock()
+	e, cached := r.deltas[key]
+	if !cached {
+		e = &deltaEntry{done: make(chan struct{})}
 		r.deltas[key] = e
-		delete(r.deltaWait, key)
-		r.deltaMu.Unlock()
-		close(ch)
+	}
+	r.deltaMu.Unlock()
+	if cached {
+		<-e.done // the first asker may still be computing it
 		return e.data, e.err
 	}
+	e.data, e.err = r.computeDelta(fromID, toID)
+	close(e.done)
+	return e.data, e.err
 }
 
-func (r *Registry) computeDelta(key, fromID, toID string) deltaEntry {
+func (r *Registry) computeDelta(fromID, toID string) ([]byte, error) {
 	r.deltaComputes.Add(1)
 	from, err := r.Load(fromID)
 	if err != nil {
-		return deltaEntry{err: err}
+		return nil, err
 	}
 	to, err := r.Load(toID)
 	if err != nil {
-		return deltaEntry{err: err}
+		return nil, err
 	}
 	d, err := nn.EncodeDelta(from, to)
 	if err != nil {
-		return deltaEntry{err: fmt.Errorf("registry: delta %s: %w", key, err)}
+		return nil, fmt.Errorf("registry: delta %s->%s: %w", fromID, toID, err)
 	}
-	return deltaEntry{data: d}
+	return d, nil
 }
 
 // Versions returns all versions of a model line in registration order.
@@ -359,17 +348,13 @@ func (r *Registry) Latest(name string) (*ModelVersion, error) {
 	return nil, fmt.Errorf("registry: no base version of %q", name)
 }
 
-// Variants returns the direct children of a version, ordered by sequence.
+// Variants returns the direct children of a version, ordered by sequence:
+// a child is appended under the lock that assigns its Seq. The returned
+// slice must not be modified.
 func (r *Registry) Variants(parentID string) []*ModelVersion {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ids := r.children[parentID]
-	out := make([]*ModelVersion, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, r.models[id])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return slices.Clip(r.children[parentID])
 }
 
 // SetTag attaches free-form metadata to a version.

@@ -230,6 +230,57 @@ func buildTestModule(t *testing.T, name string) *procvm.Module {
 	return m
 }
 
+// TestVariantsInSeqOrder holds Variants to registration order when float
+// and compiled variants of two parents register interleaved: Variants does
+// not sort, because each child is appended under the lock that assigns its
+// Seq. A content-addressed repeat adds no child.
+func TestVariantsInSeqOrder(t *testing.T) {
+	r := New()
+	nets := map[string]*nn.Network{"a": newTestNet(1), "b": newTestNet(2)}
+	a, _ := r.RegisterModel("a", nets["a"], 0.9)
+	b, _ := r.RegisterModel("b", nets["b"], 0.9)
+	want := map[string][]*ModelVersion{}
+	float := func(parent *ModelVersion, s quant.Scheme) {
+		q, err := quant.FakeQuantizeNetwork(nets[parent.Name], s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := r.RegisterVariant(parent.ID, q, s, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[parent.ID] = append(want[parent.ID], v)
+	}
+	compiled := func(parent *ModelVersion, name string) {
+		v, err := r.RegisterCompiled(parent.ID, buildTestModule(t, name), 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[parent.ID] = append(want[parent.ID], v)
+	}
+	float(a, quant.Int8)
+	compiled(b, "b1")
+	float(b, quant.Int4)
+	compiled(a, "a1")
+	float(a, quant.Binary)
+	compiled(b, "b2")
+	float(b, quant.Int8)
+	if _, err := r.RegisterCompiled(a.ID, buildTestModule(t, "a1"), 0.8); err != nil {
+		t.Fatal(err)
+	}
+	for _, parent := range []*ModelVersion{a, b} {
+		got := r.Variants(parent.ID)
+		if len(got) != len(want[parent.ID]) {
+			t.Fatalf("%s: %d variants, want %d", parent.Name, len(got), len(want[parent.ID]))
+		}
+		for i, v := range got {
+			if v != want[parent.ID][i] || (i > 0 && v.Seq <= got[i-1].Seq) {
+				t.Fatalf("%s: variant %d is %s (seq %d), want %s (seq %d)", parent.Name, i, v.ID, v.Seq, want[parent.ID][i].ID, want[parent.ID][i].Seq)
+			}
+		}
+	}
+}
+
 // TestRegisterCompiledLineageAndRoundTrip pins the compiled artifact kind:
 // the module registers as a digest-addressed procvm variant of its float
 // parent, carries the parent's cost metrics, round-trips bit-exactly

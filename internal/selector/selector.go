@@ -2,6 +2,7 @@ package selector
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tinymlops/internal/device"
@@ -61,7 +62,9 @@ type Evaluation struct {
 }
 
 // Decision is the outcome of Select: the chosen variant plus the full
-// evaluation table (which experiment E2 prints).
+// evaluation table. Callers act on Chosen; the table, with each infeasible
+// candidate's Reason, is there to explain a choice, and only this package's
+// tests read it.
 type Decision struct {
 	Chosen      *Evaluation
 	Evaluations []Evaluation
@@ -76,6 +79,10 @@ func Select(dev *device.Device, candidates []*registry.ModelVersion, policy Poli
 	}
 	evals := make([]Evaluation, 0, len(candidates))
 	bw := dev.Net().Bandwidth()
+	// Energy is normalized relative to the most expensive feasible
+	// candidate; latency and download against the absolute budgets.
+	var maxEn float64
+	feasibleCount := 0
 	for _, v := range candidates {
 		ev := Evaluation{Version: v}
 		if reason := feasibility(dev, v, policy); reason != "" {
@@ -93,21 +100,11 @@ func Select(dev *device.Device, candidates []*registry.ModelVersion, policy Poli
 			// with a large but finite stand-in so scoring still orders by size.
 			ev.DownloadTime = time.Duration(v.Metrics.SizeBytes) * time.Millisecond
 		}
-		evals = append(evals, ev)
-	}
-
-	// Energy is normalized relative to the most expensive feasible
-	// candidate; latency and download against the absolute budgets.
-	var maxEn float64
-	feasibleCount := 0
-	for _, ev := range evals {
-		if !ev.Feasible {
-			continue
-		}
 		feasibleCount++
 		if ev.EnergyJoule > maxEn {
 			maxEn = ev.EnergyJoule
 		}
+		evals = append(evals, ev)
 	}
 	if feasibleCount == 0 {
 		return Decision{Evaluations: evals}, fmt.Errorf("selector: no feasible variant for device %s", dev.ID)
@@ -153,33 +150,15 @@ func capAt1(v float64) float64 {
 }
 
 func feasibility(dev *device.Device, v *registry.ModelVersion, policy Policy) string {
-	if len(policy.Kinds) == 0 {
-		if v.Kind != registry.KindNetwork {
-			return fmt.Sprintf("artifact kind %q excluded by policy", v.Kind)
-		}
-	} else {
-		allowed := false
-		for _, k := range policy.Kinds {
-			if v.Kind == k {
-				allowed = true
-				break
-			}
-		}
-		if !allowed {
-			return fmt.Sprintf("artifact kind %q excluded by policy", v.Kind)
-		}
+	// No Kinds admits network artifacts only.
+	if !slices.Contains(policy.Kinds, v.Kind) && (len(policy.Kinds) > 0 || v.Kind != registry.KindNetwork) {
+		return fmt.Sprintf("artifact kind %q excluded by policy", v.Kind)
 	}
-	if len(policy.Schemes) > 0 {
-		allowed := false
-		for _, s := range policy.Schemes {
-			if v.Scheme == s {
-				allowed = true
-				break
-			}
+	if len(policy.Schemes) > 0 && !slices.Contains(policy.Schemes, v.Scheme) {
+		if v.Scheme >= 0 && int(v.Scheme) < len(excluded) {
+			return excluded[v.Scheme]
 		}
-		if !allowed {
-			return fmt.Sprintf("scheme %v excluded by policy", v.Scheme)
-		}
+		return fmt.Sprintf("scheme %v excluded by policy", v.Scheme)
 	}
 	for _, op := range v.OpKinds {
 		if !dev.Caps.SupportsOp(op) {
@@ -191,3 +170,12 @@ func feasibility(dev *device.Device, v *registry.ModelVersion, policy Policy) st
 	}
 	return ""
 }
+
+// excluded is the reason a scheme pin gives for each named scheme, formatted
+// once: an update re-selects on every device of a pinned cohort.
+var excluded = func() (r [quant.Binary + 1]string) {
+	for s := range r {
+		r[s] = fmt.Sprintf("scheme %v excluded by policy", quant.Scheme(s))
+	}
+	return r
+}()

@@ -3,6 +3,7 @@ package swarm
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -74,7 +75,6 @@ type Stats struct {
 
 // TransferStats accounts one completed transfer.
 type TransferStats struct {
-	Key        string
 	TotalBytes int64
 	// FromPeers + FromRegistry + ResumedBytes == TotalBytes: the source
 	// split of this transfer's radio bytes, plus the bytes an earlier
@@ -82,7 +82,6 @@ type TransferStats struct {
 	FromPeers    int64
 	FromRegistry int64
 	ResumedBytes int64
-	Chunks       int
 	// Resumed reports the transfer continued a half-written slot.
 	Resumed bool
 	// Duration is the modeled download+flash time of this incarnation.
@@ -93,15 +92,18 @@ type TransferStats struct {
 // persisted across interrupted attempts. Only the owning device's serial
 // update calls touch it; the swarm map holding it is mutex-guarded.
 type transferState struct {
+	key        string
 	ra         *Reassembler
 	doneChunks int
-	pending    []byte // bytes of the in-flight chunk received so far
-	base       int64  // bytes re-derived from a pre-existing staged slot
-	fromPeers  int64
-	fromReg    int64
-	attempts   int
-	resumed    bool
-	dur        time.Duration
+	// pending counts the in-flight chunk's bytes received so far: they are
+	// the artifact's own, blob[start:start+pending], so none is copied.
+	pending   int64
+	base      int64 // bytes re-derived from a pre-existing staged slot
+	fromPeers int64
+	fromReg   int64
+	attempts  int
+	resumed   bool
+	dur       time.Duration
 }
 
 func (st *transferState) offset(m *Manifest) int64 {
@@ -109,7 +111,7 @@ func (st *transferState) offset(m *Manifest) int64 {
 		return m.TotalBytes
 	}
 	start, _ := m.ChunkSpan(st.doneChunks)
-	return start + int64(len(st.pending))
+	return start + st.pending
 }
 
 // Swarm coordinates peer-to-peer artifact distribution across rollout
@@ -126,11 +128,10 @@ type Swarm struct {
 	mu        sync.Mutex
 	wave      uint64
 	active    map[string][]string            // key -> sorted seeder IDs
-	activeSet map[string]map[string]struct{} // key -> active membership
 	pending   map[string]map[string]struct{} // key -> seeders awaiting promotion
 	manifests map[string]*Manifest
 	blobs     map[string][]byte
-	inflight  map[string]map[string]*transferState // device -> key -> state
+	inflight  map[string]*transferState // device -> its one in-flight fetch
 	stats     Stats
 }
 
@@ -148,11 +149,10 @@ func New(cfg Config) (*Swarm, error) {
 	return &Swarm{
 		cfg:       cfg,
 		active:    make(map[string][]string),
-		activeSet: make(map[string]map[string]struct{}),
 		pending:   make(map[string]map[string]struct{}),
 		manifests: make(map[string]*Manifest),
 		blobs:     make(map[string][]byte),
-		inflight:  make(map[string]map[string]*transferState),
+		inflight:  make(map[string]*transferState),
 	}, nil
 }
 
@@ -170,7 +170,7 @@ func (s *Swarm) Wave() uint64 {
 func (s *Swarm) AddSeeder(key, deviceID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.activeSet[key][deviceID]; ok {
+	if _, ok := slices.BinarySearch(s.active[key], deviceID); ok {
 		return
 	}
 	set := s.pending[key]
@@ -204,20 +204,14 @@ func (s *Swarm) AdvanceWave() {
 		if len(set) == 0 {
 			continue
 		}
-		act := s.activeSet[key]
-		if act == nil {
-			act = make(map[string]struct{})
-			s.activeSet[key] = act
-		}
 		// A new slice, never the old one grown and sorted in place: a
 		// transfer reads the set it picked from after the lock is released.
-		ids := append(make([]string, 0, len(s.active[key])+len(set)), s.active[key]...)
+		old := s.active[key]
+		ids := append(make([]string, 0, len(old)+len(set)), old...)
 		for id := range set {
-			if _, ok := act[id]; ok {
-				continue
+			if _, ok := slices.BinarySearch(old, id); !ok {
+				ids = append(ids, id)
 			}
-			act[id] = struct{}{}
-			ids = append(ids, id)
 		}
 		slices.Sort(ids)
 		s.active[key] = ids
@@ -237,13 +231,7 @@ func (s *Swarm) Stats() Stats {
 func (s *Swarm) InFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, m := range s.inflight {
-		if len(m) > 0 {
-			n++
-		}
-	}
-	return n
+	return len(s.inflight)
 }
 
 // materialize resolves key to its manifest and canonical bytes, caching
@@ -289,8 +277,7 @@ func (s *Swarm) pickSource(fetcherID, key string, chunk, attempt int) (string, *
 	if len(seeders) == 0 || s.cfg.Peer == nil {
 		return "", nil
 	}
-	start := int(engine.SeedForID(s.cfg.Seed, wave,
-		fmt.Sprintf("assign|%s|%s|%d|%d", fetcherID, key, chunk, attempt)) % uint64(len(seeders)))
+	start := int(assignHash(s.cfg.Seed, wave, fetcherID, key, chunk, attempt) % uint64(len(seeders)))
 	tries := maxPeerTries
 	if tries > len(seeders) {
 		tries = len(seeders)
@@ -321,13 +308,24 @@ func (s *Swarm) pickSource(fetcherID, key string, chunk, attempt int) (string, *
 	return "", nil
 }
 
+// assignHash is the draw behind a chunk attempt's source rotation:
+// SeedForID over "assign|<fetcher>|<key>|<chunk>|<attempt>", written into a
+// stack buffer instead of formatted into a string.
+func assignHash(seed, wave uint64, fetcherID, key string, chunk, attempt int) uint64 {
+	var buf [128]byte
+	b := append(append(append(buf[:0], "assign|"...), fetcherID...), '|')
+	b = append(append(b, key...), '|')
+	b = append(strconv.AppendInt(b, int64(chunk), 10), '|')
+	return engine.SeedForID(seed, wave, strconv.AppendInt(b, int64(attempt), 10))
+}
+
 // stateFor returns the device's transfer state for key, synchronized with
 // the device's staging slot — the slot is authoritative, because the
 // device may have crashed, resumed, or switched images since the swarm
 // last saw it. A matching slot with no swarm state is rebuilt by
 // re-reading the staged flash prefix (hash-verifying every completed
-// chunk); a mismatched slot starts fresh. Any state the device holds for
-// other keys is dropped: the single staging slot means at most one
+// chunk); a mismatched slot starts fresh. New state replaces what the
+// device held for another key: the single staging slot means at most one
 // half-written image exists per device.
 func (s *Swarm) stateFor(dev *device.Device, key string, m *Manifest, blob []byte, flashTotal int64) (*transferState, error) {
 	var devOff int64
@@ -336,27 +334,18 @@ func (s *Swarm) stateFor(dev *device.Device, key string, m *Manifest, blob []byt
 		devOff = done
 	}
 	s.mu.Lock()
-	byKey := s.inflight[dev.ID]
-	st := byKey[key]
-	if byKey != nil {
-		for k := range byKey {
-			if k != key {
-				delete(byKey, k)
-			}
-		}
-	}
+	st := s.inflight[dev.ID]
 	s.mu.Unlock()
-	if st != nil && st.offset(m) == devOff {
+	if st != nil && st.key == key && st.offset(m) == devOff {
 		return st, nil
 	}
-	st = &transferState{ra: NewReassembler(m)}
+	st = &transferState{key: key, ra: NewReassembler(m)}
 	if devOff > 0 {
 		// Resume: the staged flash prefix holds exactly blob[:devOff] — those
 		// bytes were delivered (and charged) by an earlier incarnation, so
 		// re-reading them locally is free. Completed chunks re-verify against
 		// the manifest on the way back in.
 		st.base = devOff
-		st.resumed = true
 		for i := 0; i < m.NumChunks(); i++ {
 			cs, ce := m.ChunkSpan(i)
 			if ce > devOff {
@@ -367,19 +356,12 @@ func (s *Swarm) stateFor(dev *device.Device, key string, m *Manifest, blob []byt
 			}
 			st.doneChunks++
 		}
-		cs, _ := m.ChunkSpan(st.doneChunks)
-		if cs < devOff {
-			st.pending = append(st.pending, blob[cs:devOff]...)
+		if cs, _ := m.ChunkSpan(st.doneChunks); cs < devOff {
+			st.pending = devOff - cs
 		}
 	}
 	s.mu.Lock()
-	if s.inflight[dev.ID] == nil {
-		s.inflight[dev.ID] = make(map[string]*transferState)
-	}
-	s.inflight[dev.ID][key] = st
-	if st.resumed {
-		s.stats.Resumed++
-	}
+	s.inflight[dev.ID] = st
 	s.mu.Unlock()
 	return st, nil
 }
@@ -409,8 +391,8 @@ func (s *Swarm) Transfer(dev *device.Device, key string, flashTotal int64) ([]by
 		return nil, nil, err
 	}
 	if st.offset(m) > 0 && !st.resumed {
-		// A fresh call continuing in-memory state from a prior interrupted
-		// incarnation counts as a resume too.
+		// A call continuing a prior interrupted incarnation, from the
+		// device's staged prefix or from in-memory state, is a resume.
 		st.resumed = true
 		s.mu.Lock()
 		s.stats.Resumed++
@@ -443,27 +425,27 @@ func (s *Swarm) Transfer(dev *device.Device, key string, flashTotal int64) ([]by
 		written, dur, ierr := dev.InstallChunk(key, serve, total, flashTotal)
 		st.dur += dur
 		if written > 0 {
-			st.pending = append(st.pending, blob[off:off+written]...)
+			st.pending += written
 			s.charge(st, peer, written)
 		}
 		if ierr != nil {
 			return nil, nil, fmt.Errorf("swarm: transfer %q to %s: %w", key, dev.ID, ierr)
 		}
-		if int64(len(st.pending)) == cend-cstart {
-			if aerr := st.ra.AddChunk(ci, st.pending); aerr != nil {
+		if st.pending == cend-cstart {
+			if aerr := st.ra.AddChunk(ci, blob[cstart:cend]); aerr != nil {
 				// A corrupt chunk never enters the artifact; drop it and let
 				// the caller retry against a different source rotation.
 				s.mu.Lock()
 				s.stats.HashRejects++
 				s.mu.Unlock()
-				st.pending = nil
+				st.pending = 0
 				return nil, nil, fmt.Errorf("swarm: transfer %q to %s: %w", key, dev.ID, aerr)
 			}
 			s.mu.Lock()
 			s.stats.ChunksVerified++
 			s.mu.Unlock()
 			st.doneChunks++
-			st.pending = nil
+			st.pending = 0
 		}
 	}
 
@@ -472,16 +454,15 @@ func (s *Swarm) Transfer(dev *device.Device, key string, flashTotal int64) ([]by
 		return nil, nil, fmt.Errorf("swarm: transfer %q to %s: %w", key, dev.ID, err)
 	}
 	ts := &TransferStats{
-		Key: key, TotalBytes: total,
-		FromPeers: st.fromPeers, FromRegistry: st.fromReg, ResumedBytes: st.base,
-		Chunks: m.NumChunks(), Resumed: st.resumed, Duration: st.dur,
+		TotalBytes: total, FromPeers: st.fromPeers, FromRegistry: st.fromReg,
+		ResumedBytes: st.base, Resumed: st.resumed, Duration: st.dur,
 	}
 	s.mu.Lock()
 	s.stats.Transfers++
 	if st.fromPeers+st.fromReg+st.base != total {
 		s.stats.ConservationViolations++
 	}
-	delete(s.inflight[dev.ID], key)
+	delete(s.inflight, dev.ID)
 	s.mu.Unlock()
 	return data, ts, nil
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"tinymlops/internal/device"
+	"tinymlops/internal/engine"
 	"tinymlops/internal/tensor"
 )
 
@@ -404,6 +406,31 @@ func TestSwarmSharedConcurrentUse(t *testing.T) {
 	}
 	if st.ConservationViolations != 0 || st.HashRejects != 0 {
 		t.Fatalf("ledger %+v", st)
+	}
+}
+
+// TestAssignHashMatchesFormattedKey holds the chunk assignment to the
+// string it was first drawn from: assignHash writes the parts into a byte
+// buffer, and must seed exactly as SeedForID over the formatted key does,
+// or every peer assignment — and every swarm and chaos fingerprint — moves.
+func TestAssignHashMatchesFormattedKey(t *testing.T) {
+	long := strings.Repeat("gateway-", 20) // past the stack buffer
+	for _, c := range []struct {
+		seed, wave     uint64
+		fetcher, key   string
+		chunk, attempt int
+	}{
+		{0, 0, "dev-000", "full:0123456789abcdef", 0, 1},
+		{73, 2, "m4-wearable-0007", "delta:0123456789abcdef>fedcba9876543210", 3, 1},
+		{73, 2, "", "delta:0123456789abcdef>fedcba9876543210", 0, 1},
+		{1 << 63, 17, "phone-0001", "full:fedcba9876543210", 1234, 56789},
+		{5, 1, "npu-board-0003", "delta:aaaaaaaaaaaaaaaa>bbbbbbbbbbbbbbbb", 10, 100},
+		{9, 3, long, "full:0123456789abcdef", 99, 12},
+	} {
+		want := engine.SeedForID(c.seed, c.wave, fmt.Sprintf("assign|%s|%s|%d|%d", c.fetcher, c.key, c.chunk, c.attempt))
+		if got := assignHash(c.seed, c.wave, c.fetcher, c.key, c.chunk, c.attempt); got != want {
+			t.Errorf("assignHash(%d, %d, %q, %q, %d, %d) = %#x, want %#x", c.seed, c.wave, c.fetcher, c.key, c.chunk, c.attempt, got, want)
+		}
 	}
 }
 
