@@ -374,6 +374,23 @@ func TestFederatedUpdateImprovesAndRepublishes(t *testing.T) {
 	}
 }
 
+// An edge-tier setting with no edge tier is refused, not run flat.
+func TestHierFederatedUpdateRefusesEdgeSettingsWithoutAnEdgeTier(t *testing.T) {
+	p, _, _ := fixture(t, 11)
+	rng := tensor.NewRNG(123)
+	train, test := dataset.Blobs(rng, 120, 4, 3, 5).Split(0.8, rng)
+	clients := fed.MakeClients(train, dataset.PartitionDirichlet(rng, train, 3, 1.0), "c")
+	for _, hcfg := range []fed.HierConfig{
+		{SecureAgg: true},
+		{AggFaults: func(int, string) fed.ClientFault { return fed.ClientFault{} }},
+		{Aggregators: -1},
+	} {
+		if _, _, _, err := p.HierFederatedUpdate("clf", clients, test, hcfg, registry.OptimizationSpec{}); err == nil {
+			t.Errorf("aggregators %d, secure %v, faults %v: accepted", hcfg.Aggregators, hcfg.SecureAgg, hcfg.AggFaults != nil)
+		}
+	}
+}
+
 // TestFederatedPublishTags pins the provenance a federated run leaves on the
 // published base: a flat run is tagged federated with its round
 // count, and a two-tier run adds its topology and aggregator count.

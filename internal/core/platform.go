@@ -404,7 +404,12 @@ func (p *Platform) HierFederatedUpdate(name string, clients []*fed.Client, test 
 	if hcfg.Engine == nil {
 		hcfg.Engine = p.eng
 	}
-	co, err := fed.New(global, clients, test.X, test.Y, hcfg)
+	var co *fed.Coordinator
+	if hcfg.Aggregators == 0 && !hcfg.SecureAgg && hcfg.AggFaults == nil {
+		co, err = fed.NewCoordinator(global, clients, test.X, test.Y, hcfg.Config)
+	} else { // which refuses an edge-tier setting with no edge tier
+		co, err = fed.NewHierCoordinator(global, clients, test.X, test.Y, hcfg)
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}

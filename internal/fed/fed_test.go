@@ -485,7 +485,7 @@ func TestCoordinatorValidation(t *testing.T) {
 		"flat secure aggregation": {SecureAgg: true},
 		"flat aggregator faults":  {AggFaults: func(int, string) ClientFault { return ClientFault{} }},
 	} {
-		if _, err := New(net, clients, nil, nil, cfg); err == nil {
+		if _, err := newCoordinator(net, clients, nil, nil, cfg); err == nil {
 			t.Fatalf("%s: constructor accepted it", name)
 		}
 	}

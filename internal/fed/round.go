@@ -55,10 +55,10 @@ type Coordinator struct {
 // HierCoordinator is the name the two-tier callers know the engine by.
 type HierCoordinator = Coordinator
 
-// New builds a coordinator around a global model, with cfg.Aggregators edge
-// aggregators (0 for the flat topology). testX/testY may be nil to skip
-// accuracy tracking.
-func New(global *nn.Network, clients []*Client, testX *tensor.Tensor, testY []int, cfg HierConfig) (*Coordinator, error) {
+// newCoordinator builds a coordinator around a global model, with
+// cfg.Aggregators edge aggregators (0 for the flat topology). testX/testY may
+// be nil to skip accuracy tracking.
+func newCoordinator(global *nn.Network, clients []*Client, testX *tensor.Tensor, testY []int, cfg HierConfig) (*Coordinator, error) {
 	if global == nil {
 		return nil, fmt.Errorf("fed: nil global model")
 	}
@@ -117,7 +117,7 @@ func New(global *nn.Network, clients []*Client, testX *tensor.Tensor, testY []in
 
 // NewCoordinator builds a flat coordinator: no edge tier.
 func NewCoordinator(global *nn.Network, clients []*Client, testX *tensor.Tensor, testY []int, cfg Config) (*Coordinator, error) {
-	return New(global, clients, testX, testY, HierConfig{Config: cfg})
+	return newCoordinator(global, clients, testX, testY, HierConfig{Config: cfg})
 }
 
 // NewHierCoordinator builds a two-tier coordinator; it refuses an empty edge
@@ -126,7 +126,7 @@ func NewHierCoordinator(global *nn.Network, clients []*Client, testX *tensor.Ten
 	if cfg.Aggregators < 1 {
 		return nil, fmt.Errorf("fed: hier: %d aggregators", cfg.Aggregators)
 	}
-	return New(global, clients, testX, testY, cfg)
+	return newCoordinator(global, clients, testX, testY, cfg)
 }
 
 // Round returns how many rounds have completed.

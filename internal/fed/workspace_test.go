@@ -106,7 +106,7 @@ func TestRoundAllocationPins(t *testing.T) {
 			{"plain hierarchical", HierConfig{Config: cfg, Aggregators: 8}, 3.4},
 		} {
 			global, cs := fixture()
-			co, err := New(global, cs, nil, nil, topo.cfg)
+			co, err := newCoordinator(global, cs, nil, nil, topo.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestFleetRoundPins(t *testing.T) {
 			global, cs, test := fixture()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			co, err := New(global, cs, test.X, test.Y, topo.cfg)
+			co, err := newCoordinator(global, cs, test.X, test.Y, topo.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,12 +5,15 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -222,13 +225,16 @@ func TestOptionsAreLiveSurface(t *testing.T) {
 
 // repoFile is one parsed .go file of the repository.
 type repoFile struct {
-	ast *ast.File
+	ast  *ast.File
+	path string // slash-separated, relative to the repository root
+	src  string
 	// pkg keys the file's package: its name under internal/ ("offload"), "."
 	// for the facade, the directory elsewhere. An external test package
 	// (offload_test) shares its directory's key.
 	pkg     string
 	test    bool
 	imports map[string]string // local import name → package key
+	paths   map[string]string // local import name → import path, standard library included
 	reach   map[string]bool   // package keys this file can name a type of
 }
 
@@ -255,10 +261,26 @@ type census struct {
 	results map[string][]string
 }
 
-// parseRepo parses every .go file of the repository — bench/ and tests
-// included — and indexes struct declarations, aliases and import reach.
+// repo is the one census a test binary parses, lazily; no test mutates it.
+var repo struct {
+	once sync.Once
+	c    *census
+	err  error
+}
+
+// parseRepo returns the census of every .go file of the repository — bench/
+// and tests included — with struct declarations, aliases and import reach
+// indexed. The first call parses; every later one shares its result.
 func parseRepo(t *testing.T) *census {
 	t.Helper()
+	repo.once.Do(func() { repo.c, repo.err = parseTree() })
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	return repo.c
+}
+
+func parseTree() (*census, error) {
 	c := &census{
 		fset: token.NewFileSet(), internal: map[string]bool{},
 		structs: map[string]*structDecl{}, alias: map[string]string{},
@@ -277,38 +299,22 @@ func parseRepo(t *testing.T) *census {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		af, err := parser.ParseFile(c.fset, path, nil, parser.SkipObjectResolution)
+		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		f := &repoFile{
-			ast: af, pkg: filepath.ToSlash(filepath.Dir(path)),
-			test: strings.HasSuffix(path, "_test.go"), imports: map[string]string{},
+		f, err := parseFile(c.fset, filepath.ToSlash(path), src)
+		if err != nil {
+			return err
 		}
-		if name, ok := strings.CutPrefix(f.pkg, "internal/"); ok {
-			f.pkg = name
-			c.internal[name] = true
-		}
-		for _, imp := range af.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			key, ok := ".", p == "tinymlops"
-			if !ok {
-				key, ok = strings.CutPrefix(p, "tinymlops/internal/")
-			}
-			if !ok {
-				continue
-			}
-			local := filepath.Base(p)
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			f.imports[local] = key
+		if strings.HasPrefix(f.path, "internal/") {
+			c.internal[f.pkg] = true
 		}
 		c.files = append(c.files, f)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 
 	// Struct names first, then aliases, then fields: an alias names a
@@ -404,7 +410,36 @@ func parseRepo(t *testing.T) *census {
 			closure(f.reach, key)
 		}
 	}
-	return c
+	return c, nil
+}
+
+// parseFile parses the file at rel, its slash-separated path from the
+// repository root, from src, and reads its imports.
+func parseFile(fset *token.FileSet, rel string, src []byte) (*repoFile, error) {
+	af, err := parser.ParseFile(fset, rel, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	f := &repoFile{
+		ast: af, path: rel, src: string(src), pkg: strings.TrimPrefix(path.Dir(rel), "internal/"),
+		test: strings.HasSuffix(rel, "_test.go"), imports: map[string]string{}, paths: map[string]string{},
+	}
+	for _, imp := range af.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		local := path.Base(p)
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		f.paths[local] = p
+		key, ok := ".", p == "tinymlops"
+		if !ok {
+			key, ok = strings.CutPrefix(p, "tinymlops/internal/")
+		}
+		if ok {
+			f.imports[local] = key
+		}
+	}
+	return f, nil
 }
 
 // resolve names the "pkg.Type" a type expression refers to, through the
