@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tinymlops/internal/metering"
 	"tinymlops/internal/nn"
@@ -109,15 +110,20 @@ func (d *Deployment) refreshAttestorLocked() error {
 // d.mu. Settled sequences are swept so the map stays bounded by the
 // unsettled window — but only when an acknowledgment has arrived since
 // the last sweep: past 1 024 unsettled charges a rescan per query finds
-// nothing to delete.
+// nothing to delete. A swept row goes onto freeRows and the next charge
+// quantizes into it, so evidence costs no allocation once the rows of the
+// largest window exist.
 func (d *Deployment) retainLocked(seq uint64, features []float32) {
 	if d.retained == nil {
 		return
 	}
 	if len(d.retained) >= 1024 {
 		if settled := d.Meter.SettledSeq(); settled > d.sweptSeq {
-			for s := range d.retained {
+			for s, rc := range d.retained {
 				if s <= settled {
+					if rc.input != nil {
+						d.freeRows = append(d.freeRows, rc.input)
+					}
 					delete(d.retained, s)
 				}
 			}
@@ -125,8 +131,14 @@ func (d *Deployment) retainLocked(seq uint64, features []float32) {
 		}
 	}
 	rc := retainedCharge{modelID: d.attModelID}
-	if len(features) == d.att.K {
-		rc.input = make([]int8, len(features))
+	if k := d.att.K; len(features) == k {
+		if n := len(d.freeRows); n > 0 {
+			rc.input, d.freeRows = d.freeRows[n-1], d.freeRows[:n-1]
+		}
+		if cap(rc.input) < k { // a row of a narrower version: let it go
+			rc.input = make([]int8, k)
+		}
+		rc.input = rc.input[:k]
 		quant.QuantizeBlock(features, rc.input)
 	}
 	d.retained[seq] = rc
@@ -141,6 +153,9 @@ func (d *Deployment) attest(seq uint64, entryHash [32]byte) (metering.Attestatio
 	if !ok {
 		rc = retainedCharge{modelID: d.attModelID}
 	}
+	// The retained row is recycled once its charge settles, and the
+	// attestation outlives that: it ships a copy taken under the lock.
+	input := slices.Clone(rc.input)
 	pw, curModel := d.att, d.attModelID
 	voucherID := d.Meter.Voucher().ID
 	d.mu.Unlock()
@@ -157,7 +172,6 @@ func (d *Deployment) attest(seq uint64, entryHash [32]byte) (metering.Attestatio
 			return metering.Attestation{}, fmt.Errorf("core: attest against retired version %s: %w", rc.modelID, err)
 		}
 	}
-	input := rc.input
 	if len(input) != pw.K {
 		input = make([]int8, pw.K)
 	}

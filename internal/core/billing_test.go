@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -307,6 +308,9 @@ func TestProvedWeightsSharedAcrossGoroutines(t *testing.T) {
 // Evidence is quantized straight into the retained row. The codes must be
 // the ones the copy → tensor → quant.QuantizeActivations path retained
 // before, edge cases included, and a row of the wrong width retains none.
+// The second pass quantizes into recycled rows a wider and a narrower
+// version left behind: stale codes are overwritten, and a row too narrow
+// for this version is replaced.
 func TestRetainedEvidenceCodes(t *testing.T) {
 	p, _, _ := verifiedFixture(t, 24, 1)
 	dep, err := p.Deploy("phone-00", "clf", DeployConfig{PrepaidQueries: 10})
@@ -329,22 +333,33 @@ func TestRetainedEvidenceCodes(t *testing.T) {
 	}
 	dep.mu.Lock()
 	defer dep.mu.Unlock()
-	for i, row := range rows {
-		seq := uint64(i + 1)
-		dep.retainLocked(seq, row)
-		got := dep.retained[seq]
-		if got.modelID != dep.Version.ID {
-			t.Fatalf("row %d retained under %q, want %q", i, got.modelID, dep.Version.ID)
-		}
-		if len(row) != 4 {
-			if got.input != nil {
-				t.Fatalf("row %d (width %d) retained codes %v, want none", i, len(row), got.input)
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			for i := range rows {
+				stale := make([]int8, 3+5*(i%2))
+				for j := range stale {
+					stale[j] = -99
+				}
+				dep.freeRows = append(dep.freeRows, stale)
 			}
-			continue
 		}
-		want, _ := quant.QuantizeActivations(tensor.FromSlice(append([]float32(nil), row...), 1, len(row)))
-		if !slices.Equal(got.input, want) {
-			t.Fatalf("row %d %v: retained codes %v, old path %v", i, row, got.input, want)
+		for i, row := range rows {
+			seq := uint64(pass*len(rows) + i + 1)
+			dep.retainLocked(seq, row)
+			got := dep.retained[seq]
+			if got.modelID != dep.Version.ID {
+				t.Fatalf("row %d retained under %q, want %q", i, got.modelID, dep.Version.ID)
+			}
+			if len(row) != 4 {
+				if got.input != nil {
+					t.Fatalf("row %d (width %d) retained codes %v, want none", i, len(row), got.input)
+				}
+				continue
+			}
+			want, _ := quant.QuantizeActivations(tensor.FromSlice(append([]float32(nil), row...), 1, len(row)))
+			if !slices.Equal(got.input, want) {
+				t.Fatalf("pass %d row %d %v: retained codes %v, old path %v", pass, i, row, got.input, want)
+			}
 		}
 	}
 }
@@ -352,7 +367,9 @@ func TestRetainedEvidenceCodes(t *testing.T) {
 // Past 1 024 retained charges the evidence map is swept, but only when an
 // acknowledgment has arrived since the last sweep: an unsettled backlog
 // is kept whole (every charge in it may be sampled), a settled one is
-// dropped on the next query, and the next window still proves.
+// dropped on the next query, and the next window still proves. The swept
+// rows are reused by the next window, so a settled report's attestations
+// must not share them: their inputs stay as they were sent.
 func TestEvidenceSweepFollowsSettlement(t *testing.T) {
 	p, ds, _ := verifiedFixture(t, 25, 16)
 	dep, err := p.Deploy("phone-00", "clf", DeployConfig{PrepaidQueries: 5000})
@@ -371,7 +388,7 @@ func TestEvidenceSweepFollowsSettlement(t *testing.T) {
 			}
 		}
 	}
-	settle := func() {
+	settle := func() metering.AttestedReport {
 		t.Helper()
 		rep, err := dep.Meter.BuildAttestedReport()
 		if err != nil {
@@ -382,12 +399,17 @@ func TestEvidenceSweepFollowsSettlement(t *testing.T) {
 			t.Fatalf("settlement receipt %+v", rc)
 		}
 		dep.Meter.Acknowledge(rc.AckSeq)
+		return rep
 	}
 	serve(1100)
 	if got := len(dep.retained); got != 1100 {
 		t.Fatalf("unsettled backlog retains %d charges, want all 1100", got)
 	}
-	settle()
+	sent := settle()
+	inputs := make([][]int8, len(sent.Attestations))
+	for i, a := range sent.Attestations {
+		inputs[i] = slices.Clone(a.Input)
+	}
 	serve(1)
 	if got := len(dep.retained); got != 1 {
 		t.Fatalf("after settlement %d charges retained, want the 1 unsettled", got)
@@ -396,5 +418,112 @@ func TestEvidenceSweepFollowsSettlement(t *testing.T) {
 	if got := len(dep.retained); got != 1101 {
 		t.Fatalf("second backlog retains %d charges, want 1101", got)
 	}
+	for i, a := range sent.Attestations {
+		if !slices.Equal(a.Input, inputs[i]) {
+			t.Fatalf("settled attestation of charge %d: input %v became %v as its row was reused", a.Seq, inputs[i], a.Input)
+		}
+	}
 	settle()
 }
+
+// A deployment serves and settles at once: each settlement's attestations
+// read the evidence rows the serving goroutine retains and recycles, under
+// the deployment's lock (run under -race).
+func TestSettleWhileServing(t *testing.T) {
+	p, ds, _ := verifiedFixture(t, 26, 16)
+	dep, err := p.Deploy("phone-00", "clf", DeployConfig{PrepaidQueries: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() {
+		x := make([]float32, 4)
+		for i := 0; i < 6000; i++ {
+			for f := 0; f < 4; f++ {
+				x[f] = ds.X.At2(i%ds.Len(), f)
+			}
+			if _, err := dep.Infer(x); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for settled := 0; ; settled++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d settlements while serving", settled)
+			return
+		default:
+		}
+		rep, err := dep.Meter.BuildAttestedReport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc := p.Settler.SettleAttested(rep); !rc.OK {
+			t.Fatalf("settlement %d receipt %+v", settled, rc)
+		} else {
+			dep.Meter.Acknowledge(rc.AckSeq)
+		}
+	}
+}
+
+// TestSettlementAllocationPin pins what one settlement of a 2 048-charge
+// window allocates, device and vendor together: metering.MustSettle over
+// a loopback metering.Serve, at GOMAXPROCS 1, after a warm cycle. The
+// count is settleAllocsPerProof for each sampled charge (the device's
+// proof, its copy of the row and its wire bytes; the vendor's decoded
+// attestation and its verification) plus settleAllocs for the window
+// (the report, the frames and the connection). The server's goroutines
+// run beside the call, and up to 6 more of their allocations were seen
+// to land inside it, so the pin is an upper bound with that margin.
+func TestSettlementAllocationPin(t *testing.T) {
+	const window = 2048
+	p, ds, _ := verifiedFixture(t, 25, 16)
+	dep, err := p.Deploy("phone-00", "clf", DeployConfig{PrepaidQueries: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := settlementServer(t, p)
+	x := make([]float32, 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for cycle := 0; cycle < 4; cycle++ {
+		for i := 0; i < window; i++ {
+			for f := 0; f < 4; f++ {
+				x[f] = ds.X.At2(i%ds.Len(), f)
+			}
+			if _, err := dep.Infer(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := metering.MustSettle(srv.Addr(), dep.Meter)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, _ := p.Settler.LastReceipt(dep.Meter.Voucher().ID)
+		if rc.AckSeq != uint64((cycle+1)*window) || rc.ProofsChecked == 0 {
+			t.Fatalf("cycle %d: receipt %+v", cycle, rc)
+		}
+		if cycle == 0 || raceBuild {
+			continue
+		}
+		got := after.Mallocs - before.Mallocs
+		if pin := settleAllocs + settleAllocsPerProof*uint64(rc.ProofsChecked); got > pin+6 {
+			t.Errorf("cycle %d: settling %d charges with %d proofs allocates %d times, pinned at %d + 6", cycle, window, rc.ProofsChecked, got, pin)
+		}
+	}
+}
+
+// settleAllocsPerProof and settleAllocs: see TestSettlementAllocationPin.
+// At the parent of in-place folding and recycled rows a settlement of
+// this fixture allocated about 48 per proof and 81 more.
+const (
+	settleAllocsPerProof = 33
+	settleAllocs         = 80
+)

@@ -58,12 +58,14 @@ type Deployment struct {
 
 	// Verified-billing attestor state (billing.go): the live version's
 	// prepared proved layer (shared per version, see provedWeights), the
-	// per-charge retained evidence, and the settled sequence as of the
-	// last evidence sweep. retained is non-nil iff verified billing is on.
+	// per-charge retained evidence, the settled sequence as of the last
+	// evidence sweep, and the swept rows the next charges reuse. retained
+	// is non-nil iff verified billing is on.
 	att        *verify.PreparedWeights
 	attModelID string
 	retained   map[uint64]retainedCharge
 	sweptSeq   uint64
+	freeRows   [][]int8
 
 	// Reusable serving buffers (guarded by d.mu): the admitted-row feature
 	// slab, per-row bookkeeping, the input tensor header over the slab, the

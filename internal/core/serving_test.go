@@ -171,9 +171,12 @@ func TestFailingQueryInsideForEachIsolatesOneDevice(t *testing.T) {
 // allocates nothing: the meter hashes a charge on its stack, and every
 // procvm run, a compiled model's included, works in a scratch the
 // deployment or the arena keeps. What remains is the result slice
-// InferBatch returns. History: the procvm kind paid 4 allocations per row
-// and each module 4 (normalize) or 1 (argmax) per query while procvm
-// allocated every value it pushed.
+// InferBatch returns. Under verified billing each charge retains its
+// quantized row, in a row an earlier settled charge left behind: the
+// verified shape settles a backlog first, so the pinned calls reuse its
+// rows. History: the procvm kind paid 4 allocations per row and each
+// module 4 (normalize) or 1 (argmax) per query while procvm allocated
+// every value it pushed; a verified-billing Infer allocated its row.
 func TestServingAllocationPins(t *testing.T) {
 	f := newConformanceFixture(t)
 	batch := make([][]float32, 16)
@@ -182,16 +185,43 @@ func TestServingAllocationPins(t *testing.T) {
 	}
 	gen := f.publishGen(t)
 	pre, post := servePipeline(t, f)
+	vf := newConformanceFixtureWith(t, Config{
+		VendorKey: []byte("conformance-key-0123456789abcdef"), Seed: 9, MinCohort: 1,
+		VerifiedBilling: true, AttestationRate: 16,
+	})
+	vgen := vf.publishGen(t)
 	for _, shape := range []struct {
 		name string
+		f    *conformanceFixture
+		gen  *registry.ModelVersion
 		with func(*DeployConfig)
+		// backlog charges are served and settled before the pins, more
+		// than the warm-ups and the pinned calls charge after it.
+		backlog int
 	}{
-		{"bare", nil},
-		{"pipeline", func(c *DeployConfig) { c.Pre, c.Post = pre, post }},
+		{"bare", f, gen, nil, 0},
+		{"pipeline", f, gen, func(c *DeployConfig) { c.Pre, c.Post = pre, post }, 0},
+		{"verified", vf, vgen, nil, 4096},
 	} {
-		deps := deployGen(t, f, gen, 1_000_000, shape.with)
+		deps := deployGen(t, shape.f, shape.gen, 1_000_000, shape.with)
 		for i, v := range conformanceVariants() {
 			dep := deps[i]
+			if shape.backlog > 0 {
+				for q := 0; q < shape.backlog; q++ {
+					if _, err := dep.Infer(batch[q%len(batch)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rep, err := dep.Meter.BuildAttestedReport()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rc := shape.f.p.Settler.SettleAttested(rep)
+				if !rc.OK || rc.ProofsChecked == 0 {
+					t.Fatalf("%s: backlog settlement receipt %+v", v.name, rc)
+				}
+				dep.Meter.Acknowledge(rc.AckSeq)
+			}
 			// Warm the arena, the scratches and the cached headers for both shapes.
 			for w := 0; w < 3; w++ {
 				if _, err := dep.Infer(batch[0]); err != nil {

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -315,7 +316,7 @@ func freivaldsCheck(a []int32, m, k int, b []int32, n int, c []int64, rounds int
 	af, mp, kp := padMatrix(a, m, k)
 	bf, _, np := padMatrix(b, k, n)
 	cf := padResult(c, m, n, mp, np)
-	tr := newTranscript("freivalds")
+	tr := newTranscript(sha256.Sum256([]byte("tinymlops/verify/freivalds")))
 	tr.absorbInt(int(seed))
 	br := make([]Elem, kp)
 	for round := 0; round < rounds; round++ {

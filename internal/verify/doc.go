@@ -36,6 +36,7 @@
 // One kernel, dot, carries every long field inner product: the prover's
 // matrix product and the fold B̃(·, r2) as dot products against the
 // eq(r2, ·) table (no matrix copy). It accumulates in 128 bits and
-// reduces once per 32 terms. The copying foldRows/foldCols remain for the
-// short vectors and as the reference the kernel is tested against.
+// reduces once per 32 terms. Every other fold runs in place, each round
+// writing into the prefix of a buffer the caller owns (fold); a prepared
+// matrix is never written. The copying folds are test references.
 package verify

@@ -16,7 +16,7 @@ import (
 // Prover and verifier share the dot kernel, the eq table and the prepared
 // encoding, so a wrong kernel still round-trips. The tests here pin the
 // new code against things it does not share: proof bytes recorded at the
-// commit before the prepared prover existed, the copying foldCols, and
+// commit before the prepared prover existed, the copying column fold, and
 // math/big.
 
 // proofDigest is SHA-256 over the proof's wire bytes followed by the
@@ -125,17 +125,14 @@ func TestEqTableFoldMatchesFoldCols(t *testing.T) {
 			pw.bf = fullRangeElems(rng, pw.kp*pw.np)
 			c := fullRangeElems(rng, log2(pw.np))
 			before := append([]Elem(nil), pw.bf...)
-			want, err := foldCols(pw.bf, pw.kp, pw.np, c)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := foldColsRef(pw.bf, pw.kp, pw.np, c)
 			got := pw.foldCols(c)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d n=%d: fold length %d, want %d", k, n, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("k=%d n=%d row %d: eq-table fold %d, foldCols %d", k, n, i, got[i], want[i])
+					t.Fatalf("k=%d n=%d row %d: eq-table fold %d, copying fold %d", k, n, i, got[i], want[i])
 				}
 			}
 			for i := range before {
@@ -221,7 +218,7 @@ func TestPreparedProofAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := bytes.Repeat([]byte{7}, 80)
-	const pin = 14
+	const pin = 12
 	got := testing.AllocsPerRun(50, func() {
 		if _, _, _, err := ProveMatMulPrepared(ctx, a, 1, pw); err != nil {
 			t.Fatal(err)
@@ -274,9 +271,9 @@ func TestSettlementAllocationPins(t *testing.T) {
 		want float64
 		op   func()
 	}{
-		{"ProveMatMul", 16, func() { ProveMatMul(a, 1, settleK, w, settleN) }},             //nolint:errcheck
-		{"VerifyMatMul", 40, func() { VerifyMatMul(a, 1, settleK, w, settleN, c, proof) }}, //nolint:errcheck
-		{"VerifyBatch of 16", 618, func() { bv.VerifyBatch(items) }},                       //nolint:errcheck
+		{"ProveMatMul", 14, func() { ProveMatMul(a, 1, settleK, w, settleN) }},             //nolint:errcheck
+		{"VerifyMatMul", 12, func() { VerifyMatMul(a, 1, settleK, w, settleN, c, proof) }}, //nolint:errcheck
+		{"VerifyBatch of 16", 170, func() { bv.VerifyBatch(items) }},                       //nolint:errcheck
 	} {
 		if got := testing.AllocsPerRun(20, pin.op); got != pin.want {
 			t.Errorf("%s allocates %.0f times, pinned at %.0f", pin.name, got, pin.want)

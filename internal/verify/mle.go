@@ -1,7 +1,5 @@
 package verify
 
-import "fmt"
-
 // Multilinear-extension helpers. A matrix with power-of-two dimensions
 // M×K is the table of a function on log₂M + log₂K boolean variables; its
 // multilinear extension Ã is the unique multilinear polynomial agreeing
@@ -40,74 +38,26 @@ func padMatrix(a []int32, m, k int) ([]Elem, int, int) {
 	return out, mp, kp
 }
 
-// foldRows reduces an M×K matrix along its row variables at point
-// r ∈ F^log₂(M), returning the K-vector Ã(r, ·) restricted to column
-// hypercube points. Variables are consumed most-significant-bit first.
-func foldRows(a []Elem, m, k int, r []Elem) ([]Elem, error) {
-	if len(r) != log2(m) {
-		return nil, fmt.Errorf("verify: foldRows got %d challenges for %d rows", len(r), m)
-	}
-	cur := append([]Elem(nil), a...)
-	rows := m
+// fold evaluates a table's multilinear extension along the most
+// significant variables of its index, one challenge each, MSB first, in
+// place: each round folds the upper half of a into the lower, lo + r·(hi −
+// lo), and the remaining prefix is returned. On a row-major M×K matrix
+// log₂M challenges leave Ã(r, ·) in a[:K], and log₂K more leave Ã(r, c) in
+// a[0]. a is the caller's scratch; a prepared matrix is never folded.
+func fold(a []Elem, r ...Elem) []Elem {
 	for _, ri := range r {
-		half := rows / 2
-		next := make([]Elem, half*k)
-		for i := 0; i < half; i++ {
-			for j := 0; j < k; j++ {
-				lo := cur[i*k+j]
-				hi := cur[(i+half)*k+j]
-				// lo + r·(hi − lo)
-				next[i*k+j] = Add(lo, Mul(ri, Sub(hi, lo)))
-			}
+		lo, hi := a[:len(a)/2], a[len(a)/2:]
+		for i := range lo {
+			lo[i] = Add(lo[i], Mul(ri, Sub(hi[i], lo[i])))
 		}
-		cur = next
-		rows = half
+		a = lo
 	}
-	return cur, nil
-}
-
-// foldCols reduces a K×N matrix along its column variables at point
-// c ∈ F^log₂(N), returning the K-vector Ã(·, c).
-func foldCols(a []Elem, k, n int, c []Elem) ([]Elem, error) {
-	if len(c) != log2(n) {
-		return nil, fmt.Errorf("verify: foldCols got %d challenges for %d cols", len(c), n)
-	}
-	cur := append([]Elem(nil), a...)
-	cols := n
-	for _, ci := range c {
-		half := cols / 2
-		next := make([]Elem, k*half)
-		for i := 0; i < k; i++ {
-			for j := 0; j < half; j++ {
-				lo := cur[i*cols+j]
-				hi := cur[i*cols+j+half]
-				next[i*half+j] = Add(lo, Mul(ci, Sub(hi, lo)))
-			}
-		}
-		cur = next
-		cols = half
-	}
-	return cur, nil
-}
-
-// evalMLE evaluates the multilinear extension of an M×K matrix at
-// (r, c) ∈ F^log₂(M) × F^log₂(K) — foldRows then foldCols on the
-// remaining single row.
-func evalMLE(a []Elem, m, k int, r, c []Elem) (Elem, error) {
-	row, err := foldRows(a, m, k, r)
-	if err != nil {
-		return 0, err
-	}
-	point, err := foldCols(row, 1, k, c)
-	if err != nil {
-		return 0, err
-	}
-	return point[0], nil
+	return a
 }
 
 // eqTable returns the 2^len(c) values eq(c, j) = Π_t (j_t·c_t +
 // (1−j_t)(1−c_t)), bit 0 of the challenge order being the most
-// significant bit of j — the order foldCols consumes challenges in. The
+// significant bit of j — the order fold consumes challenges in. The
 // multilinear extension of a row at c is its dot product with this
 // table, which is how a whole matrix is folded without copying it.
 func eqTable(c []Elem) []Elem {

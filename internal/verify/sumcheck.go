@@ -18,10 +18,12 @@ type transcript struct {
 	buf   [24]byte
 }
 
-func newTranscript(label string) *transcript {
-	t := &transcript{h: sha256.New()}
-	t.state = sha256.Sum256([]byte("tinymlops/verify/" + label))
-	return t
+// matmulSeed starts every matrix-product transcript, the prover's and the
+// verifier's.
+var matmulSeed = sha256.Sum256([]byte("tinymlops/verify/matmul"))
+
+func newTranscript(seed [32]byte) *transcript {
+	return &transcript{h: sha256.New(), state: seed}
 }
 
 func (t *transcript) absorbBytes(data []byte) {
@@ -165,7 +167,7 @@ func ProveMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights) ([]i
 	stats := Stats{ProverMuls: int64(mp) * int64(kp) * int64(np), DirectMuls: int64(mp) * int64(kp) * int64(np)}
 	stats.HashedElems = int64(mp)*int64(kp) + int64(mp)*int64(np)
 
-	tr := newTranscript("matmul")
+	tr := newTranscript(matmulSeed)
 	if len(ctx) > 0 {
 		tr.absorbBytes(ctx)
 	}
@@ -180,10 +182,7 @@ func ProveMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights) ([]i
 	r1 := tr.challenges(log2(mp))
 	r2 := tr.challenges(log2(np))
 
-	u, err := foldRows(af, mp, kp, r1) // Ã(r1, ·), length kp
-	if err != nil {
-		return nil, nil, stats, err
-	}
+	u := fold(af, r1...) // Ã(r1, ·), length kp, in af (digested above)
 	v := pw.foldCols(r2) // B̃(·, r2), length kp
 	stats.ProverMuls += int64(mp)*int64(kp) + int64(kp)*int64(np)
 
@@ -207,14 +206,8 @@ func ProveMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights) ([]i
 		proof.Rounds = append(proof.Rounds, rp)
 		tr.absorbRound(rp)
 		rho := tr.challenge()
-		// Fold u and v with the challenge, in place: entry j reads only
-		// itself and entry j+half.
-		for j := 0; j < half; j++ {
-			u[j] = Add(u[j], Mul(rho, Sub(u[j+half], u[j])))
-			v[j] = Add(v[j], Mul(rho, Sub(v[j+half], v[j])))
-		}
+		u, v = fold(u, rho), fold(v, rho)
 		stats.ProverMuls += int64(2 * half)
-		u, v = u[:half], v[:half]
 	}
 	stats.ProofBytes = proof.SizeBytes()
 
@@ -294,7 +287,7 @@ func VerifyMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights, c [
 	stats := Stats{DirectMuls: int64(mp) * int64(kp) * int64(np), ProofBytes: proof.SizeBytes()}
 	stats.HashedElems = int64(mp)*int64(kp) + int64(mp)*int64(np)
 
-	tr := newTranscript("matmul")
+	tr := newTranscript(matmulSeed)
 	if len(ctx) > 0 {
 		tr.absorbBytes(ctx)
 	}
@@ -315,10 +308,9 @@ func VerifyMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights, c [
 	r2 := tr.challenges(log2(np))
 
 	// Claim: C̃(r1, r2) — the verifier evaluates it from the claimed C.
-	claim, err := evalMLE(cf, mp, np, r1, r2)
-	if err != nil {
-		return false, stats, err
-	}
+	// cf and af (digested above) and B̃(·, r2) are this call's own, so
+	// every fold below runs in place in them.
+	claim := fold(fold(cf, r1...), r2...)[0]
 	stats.VerifierMuls += int64(mp)*int64(np) + int64(np)
 
 	rho := make([]Elem, 0, len(proof.Rounds))
@@ -334,16 +326,10 @@ func VerifyMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights, c [
 	}
 	// Final check: claim must equal Ã(r1, ρ)·B̃(ρ, r2), which the
 	// verifier evaluates itself in O(m·k + k·n).
-	ua, err := evalMLE(af, mp, kp, r1, rho)
-	if err != nil {
-		return false, stats, err
-	}
-	vbAt, err := foldCols(pw.foldCols(r2), 1, kp, rho)
-	if err != nil {
-		return false, stats, err
-	}
+	ua := fold(fold(af, r1...), rho...)[0]
+	vbAt := fold(pw.foldCols(r2), rho...)[0]
 	stats.VerifierMuls += int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(kp) + 1
-	return claim == Mul(ua, vbAt[0]), stats, nil
+	return claim == Mul(ua, vbAt), stats, nil
 }
 
 // padResult embeds a claimed m×n product into the mp×np field matrix.
