@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
 	"path"
 	"regexp"
 	"slices"
@@ -98,6 +99,8 @@ var censusRules = []*rule{
 		home: "internal/engine/engine.go", match: func(a at, n ast.Node) bool { return goStmt(a, n) || schedImport(a, n) }, bad: `import _ "sync/atomic"`},
 	{name: "training-forward", fact: "Forward is the training pass and inference runs ForwardBatch; outside nn only the distillation loop trains", scope: []string{""},
 		home: "internal/ipprot/extraction.go", allow: []string{"internal/nn/", "internal/ipprot/extraction.go"}, match: member("Forward"), bad: "var _ = net.Forward(x, true)"},
+	{name: "artifact-name", fact: "what an artifact is called, full:<id> or delta:<from>><to>, is the registry's; it resolves the names it gives", scope: []string{""},
+		home: "internal/registry/registry.go", allow: []string{"internal/registry/", "bench/"}, match: is(func(_ at, l *ast.BasicLit) bool { return artifactName.MatchString(l.Value) }), bad: `var _ = "delta:" + from`},
 	{name: "activation", fact: "the model path's exp and tanh are internal/tensor/nonlinear.go's kernels", scope: []string{"internal/nn/", "internal/procvm/", "internal/quant/"},
 		home: "internal/tensor/nonlinear.go", match: refs("math.Exp", "math.Tanh"), bad: "import \"math\"\nvar _ = math.Exp(1)"},
 }
@@ -105,6 +108,7 @@ var censusRules = []*rule{
 var (
 	opcode        = named(`^Op[A-Z]`)
 	strideDivisor = regexp.MustCompile(`(?i)/ *[a-z_.]*stride$`)
+	artifactName  = regexp.MustCompile(`^"(full|delta):`)
 	wireHelper    = regexp.MustCompile(`^(read|write|put|get)(U32|U64|F32|Str|String|Uvarint)$`)
 	standalone    = regexp.MustCompile(`^(Model|Scheme|Module|ModuleMACs|InFeatures)$`)
 	goStmt        = is(func(at, *ast.GoStmt) bool { return true })
@@ -216,3 +220,31 @@ func TestCensus(t *testing.T) {
 		})
 	}
 }
+
+// TestFuzzSmokeRunsEveryTarget: ci.yml's fuzz-smoke step runs each fuzz
+// target of the repository, in its own package, and names no other.
+func TestFuzzSmokeRunsEveryTarget(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inCI, inTree []string
+	for _, m := range fuzzStep.FindAllStringSubmatch(string(ci), -1) {
+		inCI = append(inCI, m[2]+" "+m[1])
+	}
+	for _, f := range parseRepo(t).files {
+		for _, d := range f.ast.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && f.test && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				inTree = append(inTree, path.Dir(f.path)+" "+fn.Name.Name)
+			}
+		}
+	}
+	slices.Sort(inCI)
+	slices.Sort(inTree)
+	if !slices.Equal(inCI, inTree) {
+		t.Errorf("fuzz-smoke step\n  expected: %d targets\n    %s\n  actual: %d\n    %s", len(inTree), strings.Join(inTree, "\n    "), len(inCI), strings.Join(inCI, "\n    "))
+	}
+}
+
+// fuzzStep matches one run of the fuzz-smoke step: the target, then its package.
+var fuzzStep = regexp.MustCompile(`-fuzz (\w+) -fuzztime \S+ \./(\S+)`)

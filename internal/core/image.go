@@ -83,7 +83,7 @@ func (t *imageTable) install(v *registry.ModelVersion, private bool, decode func
 	if err != nil {
 		return nil, err
 	}
-	img := &image{version: v, key: fullKey(v.ID), model: model, compiled: compiled, run: run}
+	img := &image{version: v, key: registry.FullKey(v.ID), model: model, compiled: compiled, run: run}
 	if !private {
 		if t.entries == nil {
 			t.entries = make(map[string]*image)

@@ -69,9 +69,6 @@ type Platform struct {
 	// images holds what unwatermarked deployments run: one decoded artifact
 	// and one executor per (version, executor kind), shared by pointer.
 	images imageTable
-	// deltas holds how each (from, to) version move ships as a delta,
-	// worked out by the first device to make it.
-	deltas deltaPlans
 
 	// encMu serializes protected-offload provisioning (sealing advances an
 	// enclave-internal monotonic counter); encSess is the lazily provisioned

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"tinymlops/internal/dataset"
 	"tinymlops/internal/device"
@@ -60,43 +59,18 @@ type SwarmOptions struct {
 }
 
 // NewSwarm builds a peer-to-peer distribution swarm over this platform's
-// fleet and registry: artifact keys ("full:<version>" or
-// "delta:<from>><to>") resolve to the registry's canonical bytes as the
-// seed of last resort, and seeder IDs resolve to fleet devices. Pass the
-// result in RolloutConfig.Swarm or UpdateOptions.Swarm.
+// fleet and registry: artifact names resolve to the registry's canonical
+// bytes (Registry.Artifact) as the seed of last resort, and seeder IDs
+// resolve to fleet devices. Pass the result in RolloutConfig.Swarm or
+// UpdateOptions.Swarm.
 func (p *Platform) NewSwarm(opts SwarmOptions) (*swarm.Swarm, error) {
 	return swarm.New(swarm.Config{
-		Source:     swarm.SourceFunc(p.swarmBytes),
+		Source:     p.Registry.Artifact,
 		Peer:       p.Fleet.Get,
 		ChunkBytes: opts.ChunkBytes,
 		Seed:       opts.Seed,
 		PeerDrop:   opts.PeerDrop,
 	})
-}
-
-// fullKey is the swarm artifact key of a version's stored artifact.
-func fullKey(id string) string { return "full:" + id }
-
-// deltaKey is the swarm artifact key of the delta from one version to
-// another.
-func deltaKey(from, to string) string { return "delta:" + from + ">" + to }
-
-// swarmBytes resolves a swarm artifact key to canonical registry bytes:
-// fullKey's is the stored artifact, deltaKey's the cached single-flight
-// delta encoding. These are the exact bytes every seeder of the key holds,
-// which is what content-addressed chunks require.
-func (p *Platform) swarmBytes(key string) ([]byte, error) {
-	if id, ok := strings.CutPrefix(key, "full:"); ok {
-		return p.Registry.Bytes(id)
-	}
-	spec, ok := strings.CutPrefix(key, "delta:")
-	if !ok {
-		return nil, fmt.Errorf("core: unknown artifact key %q", key)
-	}
-	if from, to, ok := strings.Cut(spec, ">"); ok && from != "" && to != "" {
-		return p.Registry.Delta(from, to)
-	}
-	return nil, fmt.Errorf("core: malformed delta key %q", key)
 }
 
 // TransientUpdateError reports whether an update failure is transient: the

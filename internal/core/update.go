@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"tinymlops/internal/dataset"
@@ -138,9 +137,9 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 	// image holds no float weights at all, so a compiled→network update is
 	// always a full ship too.
 	var img *image
-	var delta *deltaPlan
+	var move *registry.Move
 	if !opts.ForceFull && !toCompiled && d.watermark == "" && d.img.model != nil {
-		if img, delta, err = d.tryDeltaLocked(opts.Swarm, chosen, rep); err != nil {
+		if img, move, err = d.tryDeltaLocked(opts.Swarm, chosen, rep); err != nil {
 			return nil, err
 		}
 	}
@@ -158,76 +157,29 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 	// Watermarked copies are perturbed per customer and never seed.
 	if opts.Swarm != nil && d.watermark == "" {
 		if rep.UsedDelta {
-			opts.Swarm.AddSeeder(delta.key, d.DeviceID)
+			opts.Swarm.AddSeeder(move.Key, d.DeviceID)
 		}
 		opts.Swarm.AddSeeder(img.key, d.DeviceID)
 	}
 	return rep, nil
 }
 
-// versionPair names an update's move from one version to another.
-type versionPair struct{ from, to string }
-
-// deltaPlan is how one move ships as a delta, the same for every device
-// that makes it: the swarm artifact key, which is also the install token,
-// the encoded delta and its modelled cost at the target's precision. A nil
-// delta means the move ships the full image: the versions do not share a
-// topology, or the delta would not beat the packed image — a full retrain
-// degrades to a dense delta whose index overhead can exceed what it
-// patches.
-type deltaPlan struct {
-	key   string
-	delta []byte
-	cost  nn.DeltaCost
-}
-
-// deltaPlans is the platform's move → deltaPlan cache: the first device to
-// make a move works its plan out with the mutex held, and every later one
-// reads it.
-type deltaPlans struct {
-	mu    sync.Mutex
-	plans map[versionPair]*deltaPlan
-}
-
-func (t *deltaPlans) plan(reg *registry.Registry, from, to *registry.ModelVersion) (*deltaPlan, error) {
-	k := versionPair{from.ID, to.ID}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if pl, ok := t.plans[k]; ok {
-		return pl, nil
-	}
-	pl := &deltaPlan{key: deltaKey(from.ID, to.ID)}
-	// A registry error means a different topology: the plan is a full ship.
-	if delta, err := reg.Delta(from.ID, to.ID); err == nil {
-		cost, err := nn.CostOfDelta(delta, to.Scheme.Bits())
-		if err != nil {
-			return nil, err
-		}
-		if cost.ShipBytes < to.Metrics.SizeBytes {
-			pl.delta, pl.cost = delta, cost
-		}
-	}
-	if t.plans == nil {
-		t.plans = make(map[versionPair]*deltaPlan)
-	}
-	t.plans[k] = pl
-	return pl, nil
-}
-
-// tryDeltaLocked ships the move's planned delta to the chosen version,
-// filling rep and returning the patched image and the plan. A nil image
-// (with nil error) means the plan is a full transfer. Caller holds d.mu.
-func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersion, rep *UpdateReport) (*image, *deltaPlan, error) {
+// tryDeltaLocked ships the registry's plan of the move to the chosen
+// version, filling rep and returning the patched image and the move. A nil
+// image (with nil error) means the move ships the full image: the versions
+// share no topology, or the delta would not beat the packed image. Caller
+// holds d.mu.
+func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersion, rep *UpdateReport) (*image, *registry.Move, error) {
 	p := d.platform
-	pl, err := p.deltas.plan(p.Registry, d.Version, chosen)
-	if err != nil || pl.delta == nil {
-		return nil, nil, err
+	mv := p.Registry.Plan(d.Version.ID, chosen.ID)
+	if !mv.AsDelta {
+		return nil, nil, nil
 	}
-	// The token names the exact patch (source and target bytes): a crash
-	// mid-flash leaves a recoverable staging slot, and a retried update
-	// that selects the same transition resumes it instead of starting
-	// over. A different transition discards the stale slot.
-	plain, err := p.transfer(sw, d.device, chosen, pl.key, pl.delta, int64(pl.cost.ShipBytes), int64(pl.cost.FlashBytes), rep)
+	// The token names the exact patch: a crash mid-flash leaves a
+	// recoverable staging slot, and a retried update that selects the same
+	// transition resumes it instead of starting over. A different
+	// transition discards the stale slot.
+	plain, err := p.transfer(sw, d.device, chosen, mv.Key, mv.Delta, int64(mv.Cost.ShipBytes), int64(mv.Cost.FlashBytes), rep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -246,8 +198,8 @@ func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersi
 		return nil, nil, err
 	}
 	rep.UsedDelta = true
-	rep.ChangedParams, rep.TotalParams = pl.cost.ChangedParams, pl.cost.TotalParams
-	return img, pl, nil
+	rep.ChangedParams, rep.TotalParams = mv.Cost.ChangedParams, mv.Cost.TotalParams
+	return img, mv, nil
 }
 
 // transfer moves one artifact — a full image or a delta, named by its
@@ -372,11 +324,12 @@ func (d *Deployment) recalibrateLocked(calib *dataset.Dataset) error {
 // shipFull transfers a version's full artifact, of either kind, onto the
 // device and returns the image it installs as — the path shared by Deploy
 // and Update. A direct ship reads the registry blob and moves the variant's
-// packed size; a swarm sources and sizes the bytes itself, so the blob need
-// not even exist any more. The bytes that arrive passed the transfer's own
-// verification (chunk hashes and artifact digest, or the AEAD open), so an
-// unwatermarked device takes the fleet's image of them; a watermarked one
-// decodes its own copy and stamps the customer's mark into it.
+// packed size; a swarm sources and sizes the bytes itself, from its seeders
+// and from the registry as the source of last resort. The bytes that arrive
+// passed the transfer's own verification (chunk hashes and artifact digest,
+// or the AEAD open), so an unwatermarked device takes the fleet's image of
+// them; a watermarked one decodes its own copy and stamps the customer's
+// mark into it.
 func (p *Platform) shipFull(sw *swarm.Swarm, dev *device.Device, v *registry.ModelVersion, watermark string, rep *UpdateReport) (*image, error) {
 	var artifact []byte
 	var size int64
@@ -387,7 +340,7 @@ func (p *Platform) shipFull(sw *swarm.Swarm, dev *device.Device, v *registry.Mod
 		}
 		size = int64(v.Metrics.SizeBytes)
 	}
-	plain, err := p.transfer(sw, dev, v, fullKey(v.ID), artifact, size, size, rep)
+	plain, err := p.transfer(sw, dev, v, registry.FullKey(v.ID), artifact, size, size, rep)
 	if err != nil {
 		return nil, err
 	}

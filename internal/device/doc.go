@@ -11,9 +11,9 @@
 // faithful substitute for physical hardware in this reproduction (see
 // DESIGN.md §1).
 //
-// Every Device method is safe for concurrent use, and Fleet shards its ID
-// index across RWMutex-guarded buckets, because the operational premise of
-// the paper is scale: internal/engine drives thousands of devices per
-// round from a bounded worker pool, and the device layer must not be the
-// serialization point.
+// Every Device and Fleet method is safe for concurrent use, because the
+// operational premise of the paper is scale: internal/engine drives
+// thousands of devices per round from a bounded worker pool. A Fleet is one
+// RWMutex over its ID index and insertion order; a round's lookups take it
+// shared.
 package device

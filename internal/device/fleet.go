@@ -5,93 +5,56 @@ import (
 	"sync"
 )
 
-// fleetShards is the number of ID-hash shards a Fleet spreads its index
-// over. Lookups during a parallel round (one Get per device work item)
-// then contend on 1/fleetShards of the lock traffic a single map would see.
-const fleetShards = 32
-
-// fleetShard is one RWMutex-guarded slice of the ID index.
-type fleetShard struct {
+// Fleet is a collection of simulated devices addressed by ID, kept in
+// insertion order for deterministic iteration. All methods are safe for
+// concurrent use.
+type Fleet struct {
 	mu      sync.RWMutex
 	devices map[string]*Device
-}
-
-// Fleet is a collection of simulated devices addressed by ID. The ID index
-// is sharded so concurrent lookups from a fleet-round worker pool scale;
-// insertion order is kept separately for deterministic iteration. All
-// methods are safe for concurrent use.
-type Fleet struct {
-	shards [fleetShards]fleetShard
-
-	ordMu sync.RWMutex
-	order []*Device
+	order   []*Device
 }
 
 // NewFleet returns an empty fleet.
 func NewFleet() *Fleet {
-	f := &Fleet{}
-	for i := range f.shards {
-		f.shards[i].devices = make(map[string]*Device)
-	}
-	return f
-}
-
-// shardFor hashes an ID (FNV-1a) onto its shard.
-func (f *Fleet) shardFor(id string) *fleetShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return &f.shards[h%fleetShards]
+	return &Fleet{devices: make(map[string]*Device)}
 }
 
 // Add registers a device; it returns an error on duplicate IDs.
 func (f *Fleet) Add(d *Device) error {
-	s := f.shardFor(d.ID)
-	s.mu.Lock()
-	if _, exists := s.devices[d.ID]; exists {
-		s.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, exists := f.devices[d.ID]; exists {
 		return fmt.Errorf("device: duplicate device id %q", d.ID)
 	}
-	s.devices[d.ID] = d
-	s.mu.Unlock()
-
-	f.ordMu.Lock()
+	f.devices[d.ID] = d
 	f.order = append(f.order, d)
-	f.ordMu.Unlock()
 	return nil
 }
 
 // Get returns the device with the given ID.
 func (f *Fleet) Get(id string) (*Device, bool) {
-	s := f.shardFor(id)
-	s.mu.RLock()
-	d, ok := s.devices[id]
-	s.mu.RUnlock()
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	d, ok := f.devices[id]
 	return d, ok
 }
 
 // Size returns the number of devices.
 func (f *Fleet) Size() int {
-	f.ordMu.RLock()
-	defer f.ordMu.RUnlock()
+	f.mu.RLock()
+	defer f.mu.RUnlock()
 	return len(f.order)
 }
 
 // Devices returns the devices in insertion order.
 func (f *Fleet) Devices() []*Device {
-	f.ordMu.RLock()
-	defer f.ordMu.RUnlock()
+	f.mu.RLock()
+	defer f.mu.RUnlock()
 	return append([]*Device(nil), f.order...)
 }
 
-// Tick advances every device's behavioral state by one step, serially.
-// engine.FleetRunner.Tick is the parallel equivalent.
+// Tick advances every device's behavioral state by one step, serially, in
+// insertion order.
 func (f *Fleet) Tick() {
 	for _, d := range f.Devices() {
 		d.Tick()

@@ -10,6 +10,9 @@
 // artifacts a registry must track — one cloud model becomes a matrix of
 // (bit width × sparsity × target) variants whose relationships must be
 // recorded so retraining can trigger regeneration. The lineage DAG is that
-// record; Delta is the transfer-efficient bridge from one generation of the
-// matrix to the next.
+// record; a Move is the transfer-efficient bridge from one generation of
+// the matrix to the next. The registry plans each version move once — its
+// delta, the delta's cost, whether it beats the packed image — and owns the
+// artifact names ("full:<id>", "delta:<from>><to>") that installs and the
+// swarm use, resolving them itself as the source of last resort.
 package registry

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -79,26 +80,41 @@ type Registry struct {
 	byName   map[string][]string        // logical name -> version IDs in order
 	children map[string][]*ModelVersion // parent ID -> children, in Seq order
 
-	// Weight-delta cache with single-flight computation: a rollout wave
-	// asks for the same (from, to) pair from every worker at once, and the
-	// encoding is O(params), so exactly one goroutine computes it while
-	// the rest wait. Results (including deterministic failures like a
-	// topology mismatch) are cached forever; artifacts are immutable.
-	deltaMu sync.Mutex
-	deltas  map[versionPair]*deltaEntry
+	// Version moves, single-flight: a rollout wave asks for the same
+	// (from, to) move from every worker at once, and the encoding is
+	// O(params), so exactly one goroutine plans it while the rest wait.
+	// Plans (including deterministic failures like a topology mismatch) are
+	// cached forever; artifacts are immutable.
+	moveMu sync.Mutex
+	moves  map[versionPair]*Move
 	// deltaComputes counts actual encodings (not cache hits) — the
 	// observable the single-flight tests pin down.
 	deltaComputes atomic.Int64
 }
 
-// versionPair keys the delta cache: a lookup builds no string.
+// versionPair keys the move cache: a lookup builds no string.
 type versionPair struct{ from, to string }
 
-// deltaEntry is one cached Delta result, valid once done is closed.
-type deltaEntry struct {
-	done chan struct{}
-	data []byte
+// Move is how one version move ships, the same for every device that makes
+// it, worked out once by the registry. Its fields are final once Plan
+// returns it.
+type Move struct {
+	// Key names the move's delta artifact, "delta:<from>><to>": the swarm
+	// key and the install token, which names the exact patch (source and
+	// target bytes).
+	Key string
+	// Delta is the encoded weight delta, nil when the versions share no
+	// topology, and Cost its modelled cost at the target's bit width.
+	Delta []byte
+	Cost  nn.DeltaCost
+	// AsDelta reports whether the move ships as its delta: Cost.ShipBytes
+	// beats the target's packed size. A full retrain degrades to a dense
+	// delta whose index overhead can exceed what it patches, and then the
+	// move ships the full image.
+	AsDelta bool
+
 	err  error
+	done chan struct{}
 }
 
 // New returns an empty registry.
@@ -108,7 +124,7 @@ func New() *Registry {
 		models:   make(map[string]*ModelVersion),
 		byName:   make(map[string][]string),
 		children: make(map[string][]*ModelVersion),
-		deltas:   make(map[versionPair]*deltaEntry),
+		moves:    make(map[versionPair]*Move),
 	}
 }
 
@@ -157,18 +173,8 @@ func (r *Registry) register(name, parentID string, net *nn.Network, scheme quant
 		}
 		prevFloats = lc.Info.ActivationFloats
 	}
-	digest := sha256.Sum256(data)
-	id := idFromDigest(digest)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if existing, ok := r.models[id]; ok {
-		// Content-addressed: identical bytes are the same version.
-		return existing, nil
-	}
-	r.seq++
-	v := &ModelVersion{
-		ID: id, Name: name, Seq: r.seq, ParentID: parentID, Scheme: scheme,
+	return r.insert(data, &ModelVersion{
+		Name: name, ParentID: parentID, Scheme: scheme,
 		OpKinds: net.OpKinds(), InputShape: slices.Clone(net.InputShape),
 		Metrics: Metrics{
 			Accuracy:            accuracy,
@@ -176,16 +182,29 @@ func (r *Registry) register(name, parentID string, net *nn.Network, scheme quant
 			MACs:                macs,
 			PeakActivationBytes: peakActBytes,
 		},
-		Tags:   make(map[string]string),
-		Digest: digest,
+	}), nil
+}
+
+// insert stores an artifact under its content address and returns its
+// version: v, numbered and indexed, or the version already holding these
+// bytes — identical bytes are the same version.
+func (r *Registry) insert(data []byte, v *ModelVersion) *ModelVersion {
+	v.Digest = sha256.Sum256(data)
+	v.ID = idFromDigest(v.Digest)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if existing, ok := r.models[v.ID]; ok {
+		return existing
 	}
-	r.blobs[id] = data
-	r.models[id] = v
-	r.byName[name] = append(r.byName[name], id)
-	if parentID != "" {
-		r.children[parentID] = append(r.children[parentID], v)
+	r.seq++
+	v.Seq, v.Tags = r.seq, make(map[string]string)
+	r.blobs[v.ID] = data
+	r.models[v.ID] = v
+	r.byName[v.Name] = append(r.byName[v.Name], v.ID)
+	if v.ParentID != "" {
+		r.children[v.ParentID] = append(r.children[v.ParentID], v)
 	}
-	return v, nil
+	return v
 }
 
 // Get returns the metadata of a version.
@@ -242,17 +261,8 @@ func (r *Registry) RegisterCompiled(parentID string, m *procvm.Module, accuracy 
 		return nil, fmt.Errorf("registry: compiled module: %w", err)
 	}
 	data := m.Encode()
-	digest := sha256.Sum256(data)
-	id := idFromDigest(digest)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if existing, ok := r.models[id]; ok {
-		return existing, nil
-	}
-	r.seq++
-	v := &ModelVersion{
-		ID: id, Kind: KindProcVM, Name: parent.Name, Seq: r.seq, ParentID: parentID,
+	return r.insert(data, &ModelVersion{
+		Kind: KindProcVM, Name: parent.Name, ParentID: parentID,
 		Scheme: quant.Float32, InputShape: parent.InputShape,
 		Metrics: Metrics{
 			Accuracy:            accuracy,
@@ -260,14 +270,7 @@ func (r *Registry) RegisterCompiled(parentID string, m *procvm.Module, accuracy 
 			MACs:                parent.Metrics.MACs,
 			PeakActivationBytes: parent.Metrics.PeakActivationBytes,
 		},
-		Tags:   make(map[string]string),
-		Digest: digest,
-	}
-	r.blobs[id] = data
-	r.models[id] = v
-	r.byName[v.Name] = append(r.byName[v.Name], id)
-	r.children[parentID] = append(r.children[parentID], v)
-	return v, nil
+	}), nil
 }
 
 // Bytes returns the raw artifact (for transfer-size accounting and
@@ -282,44 +285,80 @@ func (r *Registry) Bytes(id string) ([]byte, error) {
 	return data, nil
 }
 
-// Delta returns the encoded weight delta that upgrades fromID's artifact
-// to toID's, computing and caching it on first use (single-flight: a
-// fleet-wide fan-out asking for the same pair computes it once). It fails
-// when the two versions do not share a topology — the caller falls back
-// to a full transfer. The returned slice must not be modified.
-func (r *Registry) Delta(fromID, toID string) ([]byte, error) {
-	key := versionPair{fromID, toID}
-	r.deltaMu.Lock()
-	e, cached := r.deltas[key]
-	if !cached {
-		e = &deltaEntry{done: make(chan struct{})}
-		r.deltas[key] = e
+// FullKey names a version's stored artifact, "full:<id>": the swarm key and
+// the install token of a full ship.
+func FullKey(id string) string { return "full:" + id }
+
+// Artifact resolves an artifact name to the registry's canonical bytes:
+// FullKey's is the stored artifact, a Move's Key its delta. These are the
+// exact bytes every holder of the name seeds, which is what
+// content-addressed chunks require. The returned slice must not be
+// modified.
+func (r *Registry) Artifact(key string) ([]byte, error) {
+	if id, ok := strings.CutPrefix(key, "full:"); ok {
+		return r.Bytes(id)
 	}
-	r.deltaMu.Unlock()
-	if cached {
-		<-e.done // the first asker may still be computing it
-		return e.data, e.err
+	spec, ok := strings.CutPrefix(key, "delta:")
+	if !ok {
+		return nil, fmt.Errorf("registry: unknown artifact key %q", key)
 	}
-	e.data, e.err = r.computeDelta(fromID, toID)
-	close(e.done)
-	return e.data, e.err
+	if from, to, ok := strings.Cut(spec, ">"); ok && from != "" && to != "" {
+		return r.Delta(from, to)
+	}
+	return nil, fmt.Errorf("registry: malformed delta key %q", key)
 }
 
-func (r *Registry) computeDelta(fromID, toID string) ([]byte, error) {
+// Delta returns the encoded weight delta that upgrades fromID's artifact
+// to toID's, from the move's plan. It fails when the two versions do not
+// share a topology — the caller falls back to a full transfer. The
+// returned slice must not be modified.
+func (r *Registry) Delta(fromID, toID string) ([]byte, error) {
+	m := r.Plan(fromID, toID)
+	return m.Delta, m.err
+}
+
+// Plan returns how the move from fromID to toID ships, working it out on
+// first use (single-flight: a fleet-wide fan-out making the same move
+// plans it once).
+func (r *Registry) Plan(fromID, toID string) *Move {
+	key := versionPair{fromID, toID}
+	r.moveMu.Lock()
+	m, cached := r.moves[key]
+	if !cached {
+		m = &Move{done: make(chan struct{})}
+		r.moves[key] = m
+	}
+	r.moveMu.Unlock()
+	if cached {
+		<-m.done // the first asker may still be planning it
+		return m
+	}
+	m.Key = "delta:" + fromID + ">" + toID
+	m.Delta, m.Cost, m.err = r.computeDelta(fromID, toID)
+	m.AsDelta = m.err == nil && m.Cost.ShipBytes < r.mustGet(toID).Metrics.SizeBytes
+	close(m.done)
+	return m
+}
+
+func (r *Registry) computeDelta(fromID, toID string) ([]byte, nn.DeltaCost, error) {
 	r.deltaComputes.Add(1)
 	from, err := r.Load(fromID)
 	if err != nil {
-		return nil, err
+		return nil, nn.DeltaCost{}, err
 	}
 	to, err := r.Load(toID)
 	if err != nil {
-		return nil, err
+		return nil, nn.DeltaCost{}, err
 	}
 	d, err := nn.EncodeDelta(from, to)
-	if err != nil {
-		return nil, fmt.Errorf("registry: delta %s->%s: %w", fromID, toID, err)
+	var cost nn.DeltaCost
+	if err == nil {
+		cost, err = nn.CostOfDelta(d, r.mustGet(toID).Scheme.Bits())
 	}
-	return d, nil
+	if err != nil {
+		return nil, nn.DeltaCost{}, fmt.Errorf("registry: delta %s->%s: %w", fromID, toID, err)
+	}
+	return d, cost, nil
 }
 
 // Versions returns all versions of a model line in registration order.
