@@ -42,9 +42,6 @@ func TestDatasetGenerators(t *testing.T) {
 			t.Fatalf("stream output %v, %d", x, y)
 		}
 	}
-	if !stream.Drifted() {
-		t.Fatal("stream should have passed onset")
-	}
 }
 
 // TestDeviceAndSelectionSurface exercises profiles and policy-constrained

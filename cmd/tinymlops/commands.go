@@ -175,6 +175,43 @@ func cmdImport(w io.Writer, args []string) error {
 	return nil
 }
 
+// demo is the platform simulate and rollout drive: a 4-16-3 MLP trained on
+// blob data for 10 epochs, and the standard fleet, every device on a charger
+// and WiFi, under the CLI's vendor key. rng carries on from the training.
+type demo struct {
+	rng         *tinymlops.RNG
+	train, test *tinymlops.Dataset
+	net         *tinymlops.Network
+	fleet       *tinymlops.Fleet
+	platform    *tinymlops.Platform
+}
+
+func newDemo(perProfile int, seed uint64, workers int) (*demo, error) {
+	d := &demo{rng: tinymlops.NewRNG(seed)}
+	ds := tinymlops.Blobs(d.rng, 1500, 4, 3, 5)
+	d.train, d.test = ds.Split(0.8, d.rng)
+	d.net = tinymlops.NewNetwork([]int{4},
+		tinymlops.Dense(4, 16, d.rng), tinymlops.ReLU(), tinymlops.Dense(16, 3, d.rng))
+	if _, err := tinymlops.Train(d.net, d.train.X, d.train.Y, tinymlops.TrainConfig{
+		Epochs: 10, BatchSize: 32, Optimizer: tinymlops.SGD(0.1).WithMomentum(0.9), RNG: d.rng,
+	}); err != nil {
+		return nil, err
+	}
+	var err error
+	if d.fleet, err = tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: perProfile, Seed: seed}); err != nil {
+		return nil, err
+	}
+	for _, dev := range d.fleet.Devices() {
+		dev.SetBehavior(1, 1, 0)
+	}
+	d.fleet.Tick()
+	d.platform, err = tinymlops.NewPlatform(d.fleet, tinymlops.PlatformConfig{
+		VendorKey: []byte("cli-vendor-key-0123456789abcdef0"), Seed: seed, MinCohort: 1,
+		Workers: workers,
+	})
+	return d, err
+}
+
 func cmdSimulate(w io.Writer, args []string) error {
 	fs := newFlagSet("simulate")
 	perProfile := fs.Int("devices", 1, "devices per hardware profile")
@@ -187,31 +224,11 @@ func cmdSimulate(w io.Writer, args []string) error {
 		*queries = 0
 	}
 
-	rng := tinymlops.NewRNG(*seed)
-	ds := tinymlops.Blobs(rng, 1500, 4, 3, 5)
-	train, test := ds.Split(0.8, rng)
-	net := tinymlops.NewNetwork([]int{4},
-		tinymlops.Dense(4, 16, rng), tinymlops.ReLU(), tinymlops.Dense(16, 3, rng))
-	if _, err := tinymlops.Train(net, train.X, train.Y, tinymlops.TrainConfig{
-		Epochs: 10, BatchSize: 32, Optimizer: tinymlops.SGD(0.1).WithMomentum(0.9), RNG: rng,
-	}); err != nil {
-		return err
-	}
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: *perProfile, Seed: *seed})
+	dm, err := newDemo(*perProfile, *seed, *workers)
 	if err != nil {
 		return err
 	}
-	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
-	}
-	fleet.Tick()
-	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
-		VendorKey: []byte("cli-vendor-key-0123456789abcdef0"), Seed: *seed, MinCohort: 1,
-		Workers: *workers,
-	})
-	if err != nil {
-		return err
-	}
+	train, test, net, fleet, platform := dm.train, dm.test, dm.net, dm.fleet, dm.platform
 	if _, err := platform.Publish("sim", net, test, tinymlops.DefaultOptimizationSpec(test)); err != nil {
 		return err
 	}

@@ -68,7 +68,7 @@ func cmdFed(w io.Writer, args []string) error {
 	}
 
 	ff := tinymlops.NewFaultPlane(tinymlops.ChaosConfig{
-		Seed: *seed ^ 0xfed, PDropout: *dropout, PStraggler: *straggler, StragglerFactor: 8,
+		Seed: *seed ^ 0xfed, PDropout: *dropout, PStraggler: *straggler,
 	}).FedFaults()
 	hc, _, stats, err := platform.HierFederatedUpdate("fed", clientFleet, test, tinymlops.HierFederatedConfig{
 		Config: tinymlops.FederatedConfig{

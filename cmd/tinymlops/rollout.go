@@ -23,32 +23,11 @@ func cmdRollout(w io.Writer, args []string) error {
 	full := fs.Bool("full", false, "force full-artifact transfers (disable weight deltas)")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
-	rng := tinymlops.NewRNG(*seed)
-	ds := tinymlops.Blobs(rng, 1500, 4, 3, 5)
-	train, test := ds.Split(0.8, rng)
-	net := tinymlops.NewNetwork([]int{4},
-		tinymlops.Dense(4, 16, rng), tinymlops.ReLU(), tinymlops.Dense(16, 3, rng))
-	if _, err := tinymlops.Train(net, train.X, train.Y, tinymlops.TrainConfig{
-		Epochs: 10, BatchSize: 32, Optimizer: tinymlops.SGD(0.1).WithMomentum(0.9), RNG: rng,
-	}); err != nil {
-		return err
-	}
-
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: *perProfile, Seed: *seed})
+	dm, err := newDemo(*perProfile, *seed, *workers)
 	if err != nil {
 		return err
 	}
-	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
-	}
-	fleet.Tick()
-	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
-		VendorKey: []byte("cli-vendor-key-0123456789abcdef0"), Seed: *seed, MinCohort: 1,
-		Workers: *workers,
-	})
-	if err != nil {
-		return err
-	}
+	rng, train, test, net, fleet, platform := dm.rng, dm.train, dm.test, dm.net, dm.fleet, dm.platform
 	spec := tinymlops.OptimizationSpec{Evaluate: func(n *tinymlops.Network) float64 {
 		return tinymlops.Evaluate(n, test.X, test.Y)
 	}}

@@ -1,7 +1,18 @@
 package tinymlops
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -27,146 +38,160 @@ var standardMethods = map[string]bool{
 // export only tests reach is deleted with them, or made private where its own
 // package's test keeps it as an oracle.
 //
-// A call x.M of a method resolves through x's declared type where the
-// census's typeOf shows it: a field of that name is not the method, and a
-// method found on the type (or a struct it embeds) is the one named.
-// Elsewhere it counts for every method named M: the rule errs toward keeping.
-// A method whose name an interface of the repository or a standard one
-// declares counts as called. internal/wire/wiretest is test support by
-// design and exempt.
+// Names resolve by type (go/types, see liveExports): a use counts for the
+// one function or method it denotes, however the value it is selected from
+// was obtained, and never for another type's method of the same name. A
+// method also counts as called where an interface of the repository that
+// declares it may call it — a type whose method set holds the method, its
+// own or promoted from an embedded field, implements that interface — or
+// where a standard-library interface may (standardMethods).
+// internal/wire/wiretest is test support by design and exempt.
 func TestExportsAreLiveSurface(t *testing.T) {
 	c := parseRepo(t)
+	live, err := liveExports(c.fset, c.files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dead := deadExports(live); len(dead) > 0 {
+		t.Fatalf("%d of %d exported functions and methods under internal/ are named only by tests; delete them with those tests, or make them private:\n  %s",
+			len(dead), len(live), strings.Join(dead, "\n  "))
+	}
+	t.Logf("exports: %d exported functions and methods under internal/, all named by non-test code or bench/", len(live))
+}
 
-	// declared["quant.Distill"], declared["offload.Replanner.Replans"]: every
-	// exported function and method in scope, with the package it belongs to.
-	declared := map[string]string{}
-	methods := map[string]map[string]bool{} // "pkg.Type" → method names
-	byName := map[string][]string{}         // method name → declared keys
-	viaInterface := map[string]bool{}
-	for name := range standardMethods {
-		viaInterface[name] = true
-	}
-	for _, f := range c.files {
-		if f.test {
-			continue
-		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if it, ok := n.(*ast.InterfaceType); ok {
-				for _, m := range it.Methods.List {
-					for _, id := range m.Names {
-						viaInterface[id.Name] = true
-					}
-				}
-			}
-			return true
-		})
-		if !c.internal[f.pkg] {
-			continue
-		}
-		for _, d := range f.ast.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fn.Recv == nil {
-				if fn.Name.IsExported() {
-					declared[f.pkg+"."+fn.Name.Name] = f.pkg
-				}
-				continue
-			}
-			typ := f.pkg + "." + receiverName(fn.Recv.List[0].Type)
-			if methods[typ] == nil {
-				methods[typ] = map[string]bool{}
-			}
-			methods[typ][fn.Name.Name] = true
-			if fn.Name.IsExported() {
-				key := typ + "." + fn.Name.Name
-				declared[key] = f.pkg
-				byName[fn.Name.Name] = append(byName[fn.Name.Name], key)
-			}
-		}
-	}
+// exportCases are in-memory packages under internal/, each a non-test file
+// and a test file, with the exports the rule must find dead there.
+var exportCases = []struct {
+	name, src, test string
+	dead            []string
+}{
+	{name: "same-name", dead: []string{"mutant.B.Max"}, // a map index is no value typeOf can type
+		src:  "type A struct{}\nfunc (A) Max() int { return 0 }\ntype B struct{}\nfunc (B) Max() int { return 1 }\nvar _ = map[string]A{}[\"a\"].Max()",
+		test: "func f() { _ = B{}.Max() }"},
+	{name: "interface-name", dead: []string{"mutant.T.Apply"}, // T's Apply has Defense's name, not its signature
+		src:  "type Defense interface{ Apply(x int) int }\ntype T struct{}\nfunc (T) Apply(x, y int) int { return x }\ntype U struct{}\nfunc (*U) Apply(x int) int { return x }",
+		test: "func f() { _ = T{}.Apply(1, 2) }"},
+}
 
-	// method finds the type that declares name for a value of type typ, on
-	// the type itself or through the structs it embeds.
-	var method func(typ, name string) string
-	method = func(typ, name string) string {
-		if methods[typ][name] {
-			return typ
-		}
-		if st := c.structs[typ]; st != nil {
-			for _, e := range st.embeds {
-				if owner := method(e, name); owner != "" {
-					return owner
+// TestExportRuleResolvesByType runs the rule over each of exportCases: a
+// method whose name another type's method or an interface shares, and that
+// only a test reaches, is dead.
+func TestExportRuleResolvesByType(t *testing.T) {
+	for _, tc := range exportCases {
+		t.Run(tc.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			var files []*repoFile
+			for name, body := range map[string]string{"internal/mutant/x.go": tc.src, "internal/mutant/x_test.go": tc.test} {
+				f, err := parseFile(fset, name, []byte("package mutant\n"+body))
+				if err != nil {
+					t.Fatal(err)
 				}
+				files = append(files, f)
 			}
-		}
-		return ""
-	}
-
-	live := map[string]bool{}
-	for name, keys := range byName {
-		for _, key := range keys {
-			live[key] = viaInterface[name]
-		}
-	}
-	for _, f := range c.files {
-		use := func(self, key string) {
-			if _, ok := declared[key]; ok && key != self && !(f.test && f.pkg != "bench") {
-				live[key] = true
+			live, err := liveExports(fset, files)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		selected := map[*ast.Ident]bool{}
-		c.walk(f, func(fn *ast.FuncDecl, env scope, n ast.Node) {
-			self := ""
-			if fn != nil {
-				self = f.pkg + "." + fn.Name.Name
-				if fn.Recv != nil {
-					self = f.pkg + "." + receiverName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-				}
-			}
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				selected[n.Name] = true // the declaration, not a use
-			case *ast.SelectorExpr:
-				name := n.Sel.Name
-				selected[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
-					use(self, f.imports[x.Name]+"."+name)
-					return
-				}
-				if typ := c.typeOf(f, env, n.X); typ != "" {
-					if declaring, _, _ := c.field(typ, name); declaring != "" {
-						return // a field of that name, not the method
-					}
-					if owner := method(typ, name); owner != "" {
-						use(self, owner+"."+name)
-						return
-					}
-				}
-				for _, key := range byName[name] {
-					use(self, key)
-				}
-			case *ast.Ident:
-				if !selected[n] {
-					use(self, f.pkg+"."+n.Name)
-				}
+			if dead := deadExports(live); !slices.Equal(dead, tc.dead) {
+				t.Errorf("dead exports\n  expected: %q\n  actual: %q", tc.dead, dead)
 			}
 		})
 	}
+}
 
+// deadExports lists, sorted, the exports live does not keep, but for
+// internal/wire/wiretest's.
+func deadExports(live map[string]bool) []string {
 	var dead []string
-	for key, pkg := range declared {
-		if !live[key] && pkg != "wire/wiretest" {
+	for key, ok := range live {
+		if !ok && !strings.HasPrefix(key, "wire/wiretest.") {
 			dead = append(dead, key)
 		}
 	}
 	sort.Strings(dead)
-	if len(dead) > 0 {
-		t.Fatalf("%d of %d exported functions and methods under internal/ are named only by tests; delete them with those tests, or make them private:\n  %s",
-			len(dead), len(declared), strings.Join(dead, "\n  "))
+	return dead
+}
+
+// liveExports type-checks the program in files and reports, for each exported
+// top-level function and method declared in a non-test file under internal/
+// ("quant.Distill", "offload.Replanner.Replans"), whether it is live: a
+// non-test file or a file of bench/ uses it outside its own body, or it is a
+// method an interface may call.
+func liveExports(fset *token.FileSet, files []*repoFile) (map[string]bool, error) {
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	checked, err := typeCheck(fset, files, info)
+	if err != nil {
+		return nil, err
 	}
-	t.Logf("exports: %d exported functions and methods under internal/, all named by non-test code or bench/", len(declared))
+
+	declared := map[*types.Func]string{}
+	var named []*types.Named
+	var ifaces []*types.Interface
+	for _, f := range checked {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.InterfaceType:
+				if it := info.TypeOf(n).(*types.Interface); it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			case *ast.TypeSpec:
+				if t, ok := info.Defs[n.Name].Type().(*types.Named); ok && !types.IsInterface(t) {
+					named = append(named, t)
+				}
+			}
+			return true
+		})
+		if !strings.HasPrefix(f.path, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+				key := f.pkg + "." + fn.Name.Name
+				if fn.Recv != nil {
+					key = f.pkg + "." + receiverName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+				}
+				declared[info.Defs[fn.Name].(*types.Func)] = key
+			}
+		}
+	}
+
+	live := map[string]bool{}
+	for fn, key := range declared {
+		live[key] = fn.Type().(*types.Signature).Recv() != nil && standardMethods[fn.Name()]
+	}
+	// An interface calls the methods it declares on every type that
+	// implements it, a method promoted from an embedded field included.
+	for _, t := range named {
+		ptr := types.NewPointer(t)
+		for _, it := range ifaces {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for i := range it.NumMethods() {
+				m, _, _ := types.LookupFieldOrMethod(ptr, false, it.Method(i).Pkg(), it.Method(i).Name())
+				if key := declared[m.(*types.Func).Origin()]; key != "" {
+					live[key] = true
+				}
+			}
+		}
+	}
+	for _, f := range checked {
+		for _, d := range f.ast.Decls {
+			var self types.Object
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				self = info.Defs[fn.Name]
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if fn, ok := info.Uses[id].(*types.Func); ok && fn.Origin() != self && declared[fn.Origin()] != "" {
+						live[declared[fn.Origin()]] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return live, nil
 }
 
 // TestPrivateFunctionsAreNotTestCode is the private counterpart of
@@ -244,3 +269,76 @@ func receiverName(e ast.Expr) string {
 	}
 	return ""
 }
+
+// typeCheck type-checks each package of files as the go tool builds it for
+// this platform: the non-test files its build constraints admit, and for
+// bench/ the test files too. The standard library comes from its export
+// data, which one go list run locates. Sizes are go/types' 64-bit default on
+// every platform, as bench/'s constants assume. It returns the files it
+// checked; info holds what their identifiers denote.
+func typeCheck(fset *token.FileSet, files []*repoFile, info *types.Info) ([]*repoFile, error) {
+	ctxt := build.Default
+	pkgs := map[string][]*ast.File{} // import path → files
+	var checked []*repoFile
+	var std []string
+	for _, f := range files {
+		ctxt.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(f.src)), nil }
+		dir, name := path.Split(f.path)
+		ok, err := ctxt.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok && (!f.test || f.pkg == "bench") && !strings.HasSuffix(f.ast.Name.Name, "_test") {
+			p := path.Join("tinymlops", path.Dir(f.path))
+			pkgs[p] = append(pkgs[p], f.ast)
+			checked = append(checked, f)
+			for _, p := range f.paths {
+				if p != "tinymlops" && !strings.HasPrefix(p, "tinymlops/") {
+					std = append(std, p)
+				}
+			}
+		}
+	}
+	export := map[string]string{} // import path → export data file
+	if len(std) > 0 {
+		slices.Sort(std)
+		out, err := exec.Command(filepath.Join(ctxt.GOROOT, "bin", "go"), append([]string{"list", "-deps", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, slices.Compact(std)...)...).Output()
+		if ee, ok := err.(*exec.ExitError); ok {
+			return nil, fmt.Errorf("go list: %v: %s", err, ee.Stderr)
+		} else if err != nil {
+			return nil, err
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			p, file, _ := strings.Cut(line, " ")
+			export[p] = file
+		}
+	}
+	lib := importer.ForCompiler(token.NewFileSet(), "gc", func(p string) (io.ReadCloser, error) { return os.Open(export[p]) })
+	done := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(p string) (*types.Package, error) {
+		if pkgs[p] == nil {
+			return lib.Import(p)
+		}
+		if done[p] == nil {
+			conf := types.Config{Importer: imp}
+			pkg, err := conf.Check(p, fset, pkgs[p], info)
+			if err != nil {
+				return nil, err
+			}
+			done[p] = pkg
+		}
+		return done[p], nil
+	}
+	for p := range pkgs {
+		if _, err := imp(p); err != nil {
+			return nil, err
+		}
+	}
+	return checked, nil
+}
+
+// importerFunc is a types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -142,7 +142,7 @@ func TestFoldBatchNormExactness(t *testing.T) {
 	net := nn.NewNetwork([]int{4},
 		nn.NewDense(4, 8, rng), bn, nn.NewTanh(), nn.NewDense(8, 2, rng))
 	// Train a little so running stats and affine params are non-trivial.
-	x := tensor.Randn(rng, 1, 64, 4).Apply(func(v float32) float32 { return v + 0.5 })
+	x := tensor.Randn(rng, 1, 64, 4).Map(func(v float32) float32 { return v + 0.5 })
 	labels := make([]int, 64)
 	for i := range labels {
 		if x.At2(i, 0) > 0.5 {

@@ -314,10 +314,9 @@ func TestPostprocessLabelMustBeAClassIndex(t *testing.T) {
 	f := newConformanceFixture(t)
 	f.publishGen(t)
 	v := conformanceVariants()[0]
-	deploy := func(b *procvm.Builder) *Deployment {
+	deploy := func(post *procvm.Module) *Deployment {
 		t.Helper()
-		post, err := b.Build()
-		if err != nil {
+		if err := procvm.Validate(post); err != nil {
 			t.Fatal(err)
 		}
 		cfg := v.policy()
@@ -343,7 +342,8 @@ func TestPostprocessLabelMustBeAClassIndex(t *testing.T) {
 		}
 	}
 
-	dep := deploy(procvm.NewBuilder("root-sum").Input().Sum().Sqrt())
+	in, sum, sqrt := byte(procvm.OpInput), byte(procvm.OpSum), byte(procvm.OpSqrt)
+	dep := deploy(&procvm.Module{Name: "root-sum", Code: []byte{in, sum, sqrt}})
 	var failed, served int
 	for r := 0; r < 64; r++ {
 		var sum float64
@@ -363,7 +363,8 @@ func TestPostprocessLabelMustBeAClassIndex(t *testing.T) {
 		t.Fatalf("%d rows failed and %d were served: the fixture no longer exercises both", failed, served)
 	}
 
-	dep = deploy(procvm.NewBuilder("huge").Input().Max().Abs().PushScalar(1 << 31).Add())
+	vmax, abs, push, add := byte(procvm.OpMax), byte(procvm.OpAbs), byte(procvm.OpPushScalar), byte(procvm.OpAdd)
+	dep = deploy(&procvm.Module{Name: "huge", Scalars: []float32{1 << 31}, Code: []byte{in, vmax, abs, push, 0, 0, add}})
 	expect(dep, 0, true, 0)
 }
 

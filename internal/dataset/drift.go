@@ -55,12 +55,6 @@ func NewDriftStream(rng *tensor.RNG, base *Dataset, onset int, kind DriftKind, m
 	return &DriftStream{Base: base, Onset: onset, Kind: kind, Magnitude: magnitude, rng: rng}
 }
 
-// T returns the number of examples emitted so far.
-func (s *DriftStream) T() int { return s.t }
-
-// Drifted reports whether the stream has passed its onset.
-func (s *DriftStream) Drifted() bool { return s.t >= s.Onset }
-
 // Next returns the features and label of the next example.
 func (s *DriftStream) Next() ([]float32, int) {
 	es := s.Base.exampleSize()

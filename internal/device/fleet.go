@@ -61,19 +61,6 @@ func (f *Fleet) Tick() {
 	}
 }
 
-// Eligible returns devices that currently satisfy the federated-client
-// gate of §III-D: on a charger and on WiFi (so training neither drains the
-// battery nor burns metered bandwidth).
-func (f *Fleet) Eligible() []*Device {
-	var out []*Device
-	for _, d := range f.Devices() {
-		if d.Charging() && d.Net() == WiFi {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // FleetSpec configures NewStandardFleet.
 type FleetSpec struct {
 	// CountPerProfile is the number of devices per standard profile.

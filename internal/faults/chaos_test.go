@@ -188,12 +188,11 @@ func TestChaosOffloadPhaseDeterministicSmall(t *testing.T) {
 // counts.
 func TestChaosFedPhaseDeterministicSmall(t *testing.T) {
 	chaos := ChaosConfig{
-		Seed:            3002,
-		PDrop:           0.10,
-		PCrash:          0.15,
-		PDropout:        0.20, // fed-client weather
-		PStraggler:      0.25,
-		StragglerFactor: 8, // past the phase's deadline: stragglers go late
+		Seed:       3002,
+		PDrop:      0.10,
+		PCrash:     0.15,
+		PDropout:   0.20, // fed-client weather
+		PStraggler: 0.25, // 8× slow, past the phase's deadline: stragglers go late
 	}
 	var first *ScenarioResult
 	for _, workers := range []int{1, 4, 16} {

@@ -42,11 +42,9 @@ type ChaosConfig struct {
 	PPeerDrop float64
 
 	// PDropout and PStraggler drive the federated-client faults; a
-	// straggler's modeled round time is multiplied by StragglerFactor
-	// (default 8).
-	PDropout        float64
-	PStraggler      float64
-	StragglerFactor float64
+	// straggler's modeled round time is multiplied by stragglerFactor.
+	PDropout   float64
+	PStraggler float64
 
 	// Billing-fraud faults (the settlement phase's adversaries). Each is
 	// the chance a device tampers with its settlement report in one of
@@ -73,10 +71,9 @@ type FaultProfile struct {
 	// TelemetryLoss drops the round's telemetry uplink in transit.
 	TelemetryLoss bool
 	// Dropout and Straggler are the federated-client faults; a straggler
-	// runs StragglerFactor× slower.
-	Dropout         bool
-	Straggler       bool
-	StragglerFactor float64
+	// runs stragglerFactor× slower.
+	Dropout   bool
+	Straggler bool
 
 	// Billing-fraud faults: the device tampers with its settlement report
 	// (see TamperAttestedReport). Overclaim inflates the tick count with
@@ -92,6 +89,10 @@ type FaultProfile struct {
 func (f FaultProfile) Fraudulent() bool {
 	return f.Overclaim || f.ProofReplay || f.WrongVersionProof
 }
+
+// stragglerFactor is how many times slower a federated straggler's modeled
+// round runs.
+const stragglerFactor = 8
 
 // churnSpan is how many rounds a churned device stays away (the draw
 // round plus the next), modeling leave→rejoin across wave boundaries.
@@ -110,14 +111,8 @@ type Plane struct {
 
 // New returns a fault plane over the given configuration.
 func New(cfg ChaosConfig) *Plane {
-	if cfg.StragglerFactor <= 1 {
-		cfg.StragglerFactor = 8
-	}
 	return &Plane{cfg: cfg, attempts: make(map[string]int)}
 }
-
-// Config returns the plane's configuration.
-func (p *Plane) Config() ChaosConfig { return p.cfg }
 
 // draw returns a uniform [0,1) variate for one fault class of one entity
 // in one round. Each class gets its own derived stream so correlated
@@ -130,7 +125,7 @@ func (p *Plane) draw(class string, round uint64, id string) float64 {
 // plane state is read or written, so any caller at any concurrency sees
 // the same answer.
 func (p *Plane) Profile(round uint64, id string) FaultProfile {
-	f := FaultProfile{StragglerFactor: p.cfg.StragglerFactor}
+	var f FaultProfile
 	for back := uint64(0); back < churnSpan; back++ {
 		if back > round {
 			break
@@ -283,7 +278,7 @@ func (p *Plane) FedFaults() func(round int, clientID string) fed.ClientFault {
 		f := p.Profile(uint64(round), clientID)
 		cf := fed.ClientFault{Dropout: f.Dropout}
 		if f.Straggler {
-			cf.SlowFactor = f.StragglerFactor
+			cf.SlowFactor = stragglerFactor
 		}
 		return cf
 	}

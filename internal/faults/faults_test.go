@@ -184,7 +184,7 @@ func TestArmedInterrupterCrashesDeterministically(t *testing.T) {
 }
 
 func TestFedFaultsAdapter(t *testing.T) {
-	p := New(ChaosConfig{Seed: 17, PDropout: 1, PStraggler: 1, StragglerFactor: 6})
+	p := New(ChaosConfig{Seed: 17, PDropout: 1, PStraggler: 1})
 	ff := p.FedFaults()
 	f := ff(2, "client-3")
 	if !f.Dropout {
@@ -193,6 +193,6 @@ func TestFedFaultsAdapter(t *testing.T) {
 	calm := New(ChaosConfig{Seed: 17, PStraggler: 1})
 	g := calm.FedFaults()(2, "client-3")
 	if g.Dropout || g.SlowFactor != 8 {
-		t.Fatalf("straggler fault = %+v, want SlowFactor 8 (default)", g)
+		t.Fatalf("straggler fault = %+v, want SlowFactor 8", g)
 	}
 }

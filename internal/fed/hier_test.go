@@ -608,8 +608,8 @@ func TestAggregatorSharedRace(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if hc.Round() != goroutines {
-			t.Fatalf("workers=%d: %d rounds ran", workers, hc.Round())
+		if hc.round != goroutines {
+			t.Fatalf("workers=%d: %d rounds ran", workers, hc.round)
 		}
 		digests = append(digests, paramsDigest(hc.Global))
 	}

@@ -129,13 +129,6 @@ func NewHierCoordinator(global *nn.Network, clients []*Client, testX *tensor.Ten
 	return newCoordinator(global, clients, testX, testY, cfg)
 }
 
-// Round returns how many rounds have completed.
-func (co *Coordinator) Round() int {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.round
-}
-
 // unitResult is one unit's round outcome, merged serially by the cloud after
 // the fan-out.
 type unitResult struct {

@@ -81,7 +81,7 @@ func TestReLUGradient(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	net := NewNetwork([]int{6}, NewDense(6, 12, rng), NewReLU(), NewDense(12, 3, rng))
 	// Offset inputs away from the ReLU kink so central differences are valid.
-	x := tensor.Randn(rng, 1, 5, 6).Apply(func(v float32) float32 { return v + 0.3 })
+	x := tensor.Randn(rng, 1, 5, 6).Map(func(v float32) float32 { return v + 0.3 })
 	labels := []int{0, 1, 2, 0, 1}
 	checkGradients(t, net, x, labels, 3e-2)
 }
@@ -93,7 +93,7 @@ func TestConvGradient(t *testing.T) {
 		NewMaxPool2D(2, 2),
 		NewFlatten(),
 		NewDense(3*3*3, 2, rng))
-	x := tensor.Randn(rng, 1, 4, 1, 6, 6).Apply(func(v float32) float32 { return v + 0.2 })
+	x := tensor.Randn(rng, 1, 4, 1, 6, 6).Map(func(v float32) float32 { return v + 0.2 })
 	labels := []int{0, 1, 0, 1}
 	checkGradients(t, net, x, labels, 4e-2)
 }
@@ -454,7 +454,7 @@ func TestBatchNormRunningStatsConverge(t *testing.T) {
 	bn := NewBatchNorm1D(1)
 	// Feed batches with mean 3, std 2.
 	for i := 0; i < 200; i++ {
-		x := tensor.Randn(rng, 2, 64, 1).Apply(func(v float32) float32 { return v + 3 })
+		x := tensor.Randn(rng, 2, 64, 1).Map(func(v float32) float32 { return v + 3 })
 		bn.Forward(x)
 	}
 	if math.Abs(float64(bn.RunMean.Data[0])-3) > 0.3 {

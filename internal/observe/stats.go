@@ -12,22 +12,14 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add folds one observation into the statistics.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+	if w.n == 1 || x > w.max {
+		w.max = x
 	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
@@ -47,9 +39,6 @@ func (w *Welford) Variance() float64 {
 
 // Std returns the population standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest observation (0 before any Add).
-func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest observation (0 before any Add).
 func (w *Welford) Max() float64 { return w.max }

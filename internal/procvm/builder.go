@@ -85,18 +85,6 @@ func (b *Builder) PushVector(v []float32) *Builder {
 	return b.emit(OpPushVector, b.vectorConst(v))
 }
 
-// Add emits an addition.
-func (b *Builder) Add() *Builder { return b.emit(OpAdd) }
-
-// Sub emits a subtraction.
-func (b *Builder) Sub() *Builder { return b.emit(OpSub) }
-
-// Abs takes element-wise absolute value.
-func (b *Builder) Abs() *Builder { return b.emit(OpAbs) }
-
-// Sqrt takes the element-wise square root.
-func (b *Builder) Sqrt() *Builder { return b.emit(OpSqrt) }
-
 // Normalize subtracts mean and divides by std element-wise.
 func (b *Builder) Normalize(mean, std []float32) *Builder {
 	if b.err != nil {
@@ -119,18 +107,6 @@ func (b *Builder) Softmax() *Builder { return b.emit(OpSoftmax) }
 
 // ArgMax reduces the top vector to the index of its maximum.
 func (b *Builder) ArgMax() *Builder { return b.emit(OpArgMax) }
-
-// Max reduces the top vector to its maximum.
-func (b *Builder) Max() *Builder { return b.emit(OpMax) }
-
-// Mean reduces the top vector to its mean.
-func (b *Builder) Mean() *Builder { return b.emit(OpMean) }
-
-// Sum reduces the top vector to its sum.
-func (b *Builder) Sum() *Builder { return b.emit(OpSum) }
-
-// Slice keeps elements [lo, hi) of the top vector.
-func (b *Builder) Slice(lo, hi int) *Builder { return b.emit(OpSlice, lo, hi) }
 
 // ReLU applies the rectifier element-wise.
 func (b *Builder) ReLU() *Builder { return b.emit(OpReLU) }

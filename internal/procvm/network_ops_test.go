@@ -157,7 +157,7 @@ func TestMaxPool2DAgainstReference(t *testing.T) {
 // discards a duplicate.
 func TestSubDivAndStackHelpers(t *testing.T) {
 	m, err := NewBuilder("arith").
-		Input().PushScalar(1).Sub().PushScalar(2).emit(OpDiv).emit(OpDup).emit(OpDrop).Build()
+		Input().PushScalar(1).emit(OpSub).PushScalar(2).emit(OpDiv).emit(OpDup).emit(OpDrop).Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestThresholdAndClamp(t *testing.T) {
 }
 
 func TestArithmeticBroadcast(t *testing.T) {
-	m, err := NewBuilder("a").Input().PushScalar(2).emit(OpMul).PushScalar(1).Add().Build()
+	m, err := NewBuilder("a").Input().PushScalar(2).emit(OpMul).PushScalar(1).emit(OpAdd).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestArithmeticBroadcast(t *testing.T) {
 }
 
 func TestVectorVectorArithmetic(t *testing.T) {
-	m, err := NewBuilder("vv").Input().PushVector([]float32{10, 20, 30}).Add().Build()
+	m, err := NewBuilder("vv").Input().PushVector([]float32{10, 20, 30}).emit(OpAdd).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestVectorVectorArithmetic(t *testing.T) {
 }
 
 func TestMeanPoolAndSlice(t *testing.T) {
-	m, err := NewBuilder("mp").Input().emit(OpMeanPool, 2).Slice(0, 2).Build()
+	m, err := NewBuilder("mp").Input().emit(OpMeanPool, 2).emit(OpSlice, 0, 2).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +130,9 @@ func TestReductions(t *testing.T) {
 		build func(*Builder) *Builder
 		want  float32
 	}{
-		{func(b *Builder) *Builder { return b.Max() }, 9},
-		{func(b *Builder) *Builder { return b.Sum() }, 15},
-		{func(b *Builder) *Builder { return b.Mean() }, 5},
+		{func(b *Builder) *Builder { return b.emit(OpMax) }, 9},
+		{func(b *Builder) *Builder { return b.emit(OpSum) }, 15},
+		{func(b *Builder) *Builder { return b.emit(OpMean) }, 5},
 	} {
 		m, err := c.build(NewBuilder("r").Input()).Build()
 		if err != nil {
@@ -147,7 +147,7 @@ func TestReductions(t *testing.T) {
 
 func TestStackOpsDupSwapDrop(t *testing.T) {
 	// input, dup, sum, swap, mean, add → sum + mean
-	m, err := NewBuilder("s").Input().emit(OpDup).Sum().emit(OpSwap).Mean().Add().Build()
+	m, err := NewBuilder("s").Input().emit(OpDup).emit(OpSum).emit(OpSwap).emit(OpMean).emit(OpAdd).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCapabilityGating(t *testing.T) {
 func TestGasLimitEnforced(t *testing.T) {
 	b := NewBuilder("hog").Input()
 	for i := 0; i < 100; i++ {
-		b = b.PushScalar(1).Add()
+		b = b.PushScalar(1).emit(OpAdd)
 	}
 	m, err := b.Build()
 	if err != nil {
@@ -203,7 +203,7 @@ func TestGasDeterministic(t *testing.T) {
 }
 
 func TestStackUnderflowCaughtByValidation(t *testing.T) {
-	if _, err := NewBuilder("bad").Add().Build(); err == nil {
+	if _, err := NewBuilder("bad").emit(OpAdd).Build(); err == nil {
 		t.Fatal("builder accepted stack underflow")
 	}
 	// Hand-crafted module that bypasses the builder.
@@ -308,7 +308,7 @@ func TestDigestChangesWithContent(t *testing.T) {
 }
 
 func TestUnaryOps(t *testing.T) {
-	m, err := NewBuilder("u").Input().emit(OpNeg).Abs().emit(OpSquare).Sqrt().Build()
+	m, err := NewBuilder("u").Input().emit(OpNeg).emit(OpAbs).emit(OpSquare).emit(OpSqrt).Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,36 +115,36 @@ func successCorpus(t testing.TB) []runCase {
 	}
 	for _, arith := range []struct {
 		name string
-		op   func(*procvm.Builder) *procvm.Builder
-	}{{"add", (*procvm.Builder).Add}, {"sub", (*procvm.Builder).Sub}, {"mul", func(b *procvm.Builder) *procvm.Builder { return b.Emit(procvm.OpMul) }}, {"div", func(b *procvm.Builder) *procvm.Builder { return b.Emit(procvm.OpDiv) }}} {
-		add(arith.name+"/scalar-scalar", arith.op(nb().PushScalar(7).PushScalar(-3)), 0)
-		add(arith.name+"/vector-scalar", arith.op(nb().Input().PushScalar(-3)), 5)
-		add(arith.name+"/scalar-vector", arith.op(nb().PushScalar(7).Input()), 5)
-		add(arith.name+"/vector-vector", arith.op(nb().Input().PushVector([]float32{3, -1, 0.5, 8, -0.25})), 5)
+		op   procvm.OpCode
+	}{{"add", procvm.OpAdd}, {"sub", procvm.OpSub}, {"mul", procvm.OpMul}, {"div", procvm.OpDiv}} {
+		add(arith.name+"/scalar-scalar", nb().PushScalar(7).PushScalar(-3).Emit(arith.op), 0)
+		add(arith.name+"/vector-scalar", nb().Input().PushScalar(-3).Emit(arith.op), 5)
+		add(arith.name+"/scalar-vector", nb().PushScalar(7).Input().Emit(arith.op), 5)
+		add(arith.name+"/vector-vector", nb().Input().PushVector([]float32{3, -1, 0.5, 8, -0.25}).Emit(arith.op), 5)
 	}
-	add("unary/vector", nb().Input().Emit(procvm.OpNeg).Abs().Emit(procvm.OpSquare).Sqrt(), 9)
-	add("unary/scalar", nb().PushScalar(-2.25).Emit(procvm.OpNeg).Abs().Emit(procvm.OpSquare).Sqrt().ReLU().Sigmoid().Tanh(), 0)
+	add("unary/vector", nb().Input().Emit(procvm.OpNeg).Emit(procvm.OpAbs).Emit(procvm.OpSquare).Emit(procvm.OpSqrt), 9)
+	add("unary/scalar", nb().PushScalar(-2.25).Emit(procvm.OpNeg).Emit(procvm.OpAbs).Emit(procvm.OpSquare).Emit(procvm.OpSqrt).ReLU().Sigmoid().Tanh(), 0)
 	add("relu", nb().Input().ReLU(), 9)
 	add("sigmoid", nb().Input().Sigmoid(), 9)
 	add("tanh", nb().Input().Tanh(), 9)
-	add("clamp-threshold/vector", nb().Input().Clamp(-0.5, 0.5).Emit(procvm.OpDup).PushScalar(0).Emit(procvm.OpThreshold).Add(), 9)
+	add("clamp-threshold/vector", nb().Input().Clamp(-0.5, 0.5).Emit(procvm.OpDup).PushScalar(0).Emit(procvm.OpThreshold).Emit(procvm.OpAdd), 9)
 	add("clamp-threshold/scalar", nb().PushScalar(3).Clamp(-1, 1).PushScalar(0.5).Emit(procvm.OpThreshold), 0)
 	add("softmax", nb().Input().Softmax(), 9)
 	add("softmax/empty", nb().Input().Softmax(), 0)
 	add("argmax", nb().Input().ArgMax(), 9)
-	add("max", nb().Input().Max(), 9)
-	add("mean", nb().Input().Mean(), 9)
-	add("sum", nb().Input().Sum(), 9)
-	add("shuffle", nb().Input().Emit(procvm.OpDup).Sum().Emit(procvm.OpSwap).Mean().Add().Emit(procvm.OpDup).Emit(procvm.OpDrop), 6)
+	add("max", nb().Input().Emit(procvm.OpMax), 9)
+	add("mean", nb().Input().Emit(procvm.OpMean), 9)
+	add("sum", nb().Input().Emit(procvm.OpSum), 9)
+	add("shuffle", nb().Input().Emit(procvm.OpDup).Emit(procvm.OpSum).Emit(procvm.OpSwap).Emit(procvm.OpMean).Emit(procvm.OpAdd).Emit(procvm.OpDup).Emit(procvm.OpDrop), 6)
 	deep := nb() // past the 16 slots a new Scratch starts its stack with
 	for i := 0; i < 20; i++ {
 		deep.PushScalar(float32(i) / 4)
 	}
 	for i := 0; i < 19; i++ {
-		deep.Sub()
+		deep.Emit(procvm.OpSub)
 	}
 	add("deep-stack", deep, 0)
-	add("meanpool-slice", nb().Input().Emit(procvm.OpMeanPool, 2).Slice(1, 3), 8)
+	add("meanpool-slice", nb().Input().Emit(procvm.OpMeanPool, 2).Emit(procvm.OpSlice, 1, 3), 8)
 	add("normalize/zero-std", nb().Input().Normalize([]float32{1, 2, 3}, []float32{2, 0, -4}), 3)
 	add("conv-strided", nb().Input().Conv2D(ramp(2*1*3*3), []float32{0.5, -1}, 1, 5, 5, 2, 3, 3, 2, 1).MaxPool2D(2, 3, 3, 2, 1), 25)
 	add("maxpool-overlap", nb().Input().MaxPool2D(2, 5, 5, 3, 2), 50)
@@ -460,18 +460,18 @@ func everyOp(t testing.TB) *procvm.Module {
 		Conv2D(ramp(4), []float32{0.5, -1}, 2, 2, 2, 2, 1, 1, 1, 0).
 		MaxPool2D(2, 2, 2, 1, 1).
 		MatVec(ramp(8*4), []float32{0.25, -0.5, 1, 0}).
-		ReLU().Sigmoid().Tanh().Emit(procvm.OpNeg).Abs().Emit(procvm.OpSquare).Sqrt().
-		Emit(procvm.OpDup).Emit(procvm.OpSwap).Add().
-		PushScalar(0.5).Sub().PushScalar(2).Emit(procvm.OpMul).PushScalar(3).Emit(procvm.OpDiv).
+		ReLU().Sigmoid().Tanh().Emit(procvm.OpNeg).Emit(procvm.OpAbs).Emit(procvm.OpSquare).Emit(procvm.OpSqrt).
+		Emit(procvm.OpDup).Emit(procvm.OpSwap).Emit(procvm.OpAdd).
+		PushScalar(0.5).Emit(procvm.OpSub).PushScalar(2).Emit(procvm.OpMul).PushScalar(3).Emit(procvm.OpDiv).
 		Clamp(-1, 1).
 		Normalize([]float32{0.1, 0.2, 0.3, 0.4}, []float32{1, 0, 2, 0.5}).
-		Emit(procvm.OpDup).PushScalar(0).Emit(procvm.OpThreshold).Add().
+		Emit(procvm.OpDup).PushScalar(0).Emit(procvm.OpThreshold).Emit(procvm.OpAdd).
 		Softmax().
 		Emit(procvm.OpMeanPool, 2).
-		Slice(0, 2).
-		Emit(procvm.OpDup).Max().Emit(procvm.OpDrop).
-		Emit(procvm.OpDup).Mean().Emit(procvm.OpDrop).
-		Emit(procvm.OpDup).Sum().Emit(procvm.OpDrop).
+		Emit(procvm.OpSlice, 0, 2).
+		Emit(procvm.OpDup).Emit(procvm.OpMax).Emit(procvm.OpDrop).
+		Emit(procvm.OpDup).Emit(procvm.OpMean).Emit(procvm.OpDrop).
+		Emit(procvm.OpDup).Emit(procvm.OpSum).Emit(procvm.OpDrop).
 		ArgMax().
 		Emit(procvm.OpHalt))
 }
@@ -523,7 +523,7 @@ func TestScratchKeepsABoundedSlab(t *testing.T) {
 	rt := procvm.NewRuntime(procvm.CapNone)
 	for _, c := range []runCase{
 		{mod: built(t, churn), input: ramp(4)},
-		{mod: built(t, dupDrop.Sum()), input: make([]float32, n)},
+		{mod: built(t, dupDrop.Emit(procvm.OpSum)), input: make([]float32, n)},
 	} {
 		want, err := rt.Run(c.mod, c.input)
 		if err != nil {

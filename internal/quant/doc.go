@@ -33,7 +33,7 @@
 // codes, 1 byte per code at int8 and int4 alike, and widens each
 // example's im2col columns on the right into a QScratch workspace of 2
 // bytes per tap (an odd count rounded up) and output position. So a 4-bit
-// deployment's flash and link see the 4-bit form — SizeBytes and every
+// deployment's flash and link see the 4-bit form — NetworkSizeBytes and every
 // modelled flash and link figure keep the nominal width — but its RAM
 // does not. The serving layer (internal/core) instantiates a QModel for
 // every integer variant on every device, so the variant matrix governs

@@ -42,7 +42,6 @@ type QModel struct {
 // storage keyed by idx: valid until the next call with the same scratch.
 type qStage interface {
 	run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor
-	sizeBytes() int
 	shapes() *geom
 }
 
@@ -133,8 +132,6 @@ func (d *qDense) product(codes []int8, scales []float32, rows int, s *QScratch, 
 	return out
 }
 
-func (d *qDense) sizeBytes() int { return d.w.SizeBytes() + 4*len(d.bias) }
-
 // qConv2D runs a convolution on the integer kernel: each example's
 // activations are quantized with one dynamic scale, unrolled to int8
 // columns by the tensor.Im2col that nn.Conv2D's floats go through (zero
@@ -153,7 +150,6 @@ type qConv2D struct {
 	w       []int8    // [outC, taps] row-major codes
 	wScales []float32 // per output channel
 	bias    []float32
-	scheme  Scheme
 }
 
 func (c *qConv2D) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
@@ -178,11 +174,6 @@ func (c *qConv2D) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
 	return out
 }
 
-func (c *qConv2D) sizeBytes() int {
-	wBits := c.outC * c.taps * c.scheme.Bits()
-	return (wBits+7)/8 + 4*len(c.wScales) + 4*len(c.bias)
-}
-
 // qFloat is a layer that stays in float32 (activation, pooling,
 // normalization with frozen statistics, flatten, dropout): a one-layer view
 // of the network, run through nn's compiled batch program in the stage's
@@ -195,15 +186,6 @@ type qFloat struct {
 
 func (f *qFloat) run(x *tensor.Tensor, s *QScratch, idx int) *tensor.Tensor {
 	return f.net.ForwardBatch(x, slot(&s.progs, idx))
-}
-
-// sizeBytes accounts a float stage's parameters at full precision.
-func (f *qFloat) sizeBytes() int {
-	total := 0
-	for _, p := range f.net.Params() {
-		total += 4 * p.Value.Size()
-	}
-	return total
 }
 
 // quantizeWeight quantizes a dense or convolutional layer's weight w once,
@@ -272,8 +254,7 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 				geom: g, win: win, outC: v.OutC,
 				ex: v.InC * g.in[1] * g.in[2], taps: win.Taps(), spots: g.out[1] * g.out[2],
 				w: transpose(qw.Data, qw.Rows, qw.Cols), wScales: qw.Scales,
-				bias:   append([]float32(nil), v.B.Value.Data...),
-				scheme: scheme,
+				bias: append([]float32(nil), v.B.Value.Data...),
 			})
 		default:
 			sub, err := net.Subnet(i, i+1)
@@ -297,16 +278,6 @@ func NewQModel(net *nn.Network, scheme Scheme) (*QModel, error) {
 // not [n, InputShape...] panics before any stage runs.
 func (m *QModel) ForwardBatch(x *tensor.Tensor, s *QScratch) *tensor.Tensor {
 	return m.ForwardRange(x, s, 0, len(m.stages))
-}
-
-// SizeBytes returns the total weight footprint of the quantized model at
-// the scheme's nominal width (QTensor.SizeBytes), not its resident size.
-func (m *QModel) SizeBytes() int {
-	total := 0
-	for _, s := range m.stages {
-		total += s.sizeBytes()
-	}
-	return total
 }
 
 // QuantizeActivations quantizes a float32 batch to int8 with one dynamic

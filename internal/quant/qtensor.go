@@ -78,7 +78,7 @@ type QTensor struct {
 	// kws-mlp's three dense layers hold 100,864 bytes, against 50,432 as
 	// int8 codes and 25,216 packed as int4 (sensor-mlp 224, 112 and 64),
 	// the price of one kernel that runs four columns' pair products per
-	// instruction. SizeBytes still counts the nominal width.
+	// instruction. NetworkSizeBytes still counts the nominal width.
 	Wide   []int16
 	Scales []float32 // length Cols (per output channel)
 	Scheme Scheme
@@ -230,15 +230,6 @@ func (q *QTensor) Dequantize() *tensor.Tensor {
 		}
 	}
 	return out
-}
-
-// SizeBytes returns the storage footprint at the scheme's nominal bit width
-// (packed), plus the per-channel scales. It is storage-form independent:
-// Rows·Cols codes at the nominal width — the artifact's size, not the
-// resident size of the kernel form (Wide holds 16 bits per code).
-func (q *QTensor) SizeBytes() int {
-	wBits := q.Rows * q.Cols * q.Scheme.Bits()
-	return (wBits+7)/8 + 4*len(q.Scales)
 }
 
 // FakeQuantizeNetwork returns a deep copy of net whose weight matrices —

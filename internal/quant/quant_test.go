@@ -66,19 +66,6 @@ func TestQuantizeCodesWithinRange(t *testing.T) {
 	}
 }
 
-func TestQTensorSizeBytes(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	w := tensor.Randn(rng, 1, 100, 10)
-	q8, _ := QuantizeMatrix(w, Int8)
-	q1, _ := QuantizeMatrix(w, Binary)
-	if q8.SizeBytes() != 1000+40 {
-		t.Fatalf("int8 size = %d, want 1040", q8.SizeBytes())
-	}
-	if q1.SizeBytes() != 125+40 {
-		t.Fatalf("binary size = %d, want 165", q1.SizeBytes())
-	}
-}
-
 func trainBlobModel(t *testing.T, rng *tensor.RNG) (*nn.Network, *tensor.Tensor, []int) {
 	t.Helper()
 	n := 600
@@ -159,17 +146,29 @@ func TestQModelMatchesFakeQuantPredictions(t *testing.T) {
 	}
 }
 
+// TestQTensorSizeBytes: a quantized model's size counts its weights at the
+// scheme's nominal width, packed, plus a float32 scale per output channel
+// and its float32 biases.
+func TestQTensorSizeBytes(t *testing.T) {
+	rng := tensor.NewRNG(4)
+	one := nn.NewNetwork([]int{100}, nn.NewDense(100, 10, rng))
+	if got := NetworkSizeBytes(one, Int8); got != 1000+40+40 {
+		t.Fatalf("int8 size = %d, want 1080", got)
+	}
+	if got := NetworkSizeBytes(one, Binary); got != 125+40+40 {
+		t.Fatalf("binary size = %d, want 205", got)
+	}
+}
+
 func TestQModelSizeShrinksWithBits(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	net := nn.NewNetwork([]int{32}, nn.NewDense(32, 64, rng), nn.NewReLU(), nn.NewDense(64, 10, rng))
-	m8, _ := NewQModel(net, Int8)
-	m4, _ := NewQModel(net, Int4)
-	m1, _ := NewQModel(net, Binary)
-	if !(m8.SizeBytes() > m4.SizeBytes() && m4.SizeBytes() > m1.SizeBytes()) {
-		t.Fatalf("sizes not monotone: %d, %d, %d", m8.SizeBytes(), m4.SizeBytes(), m1.SizeBytes())
+	var sizes []int
+	for _, s := range []Scheme{Float32, Int8, Int4, Binary} {
+		sizes = append(sizes, NetworkSizeBytes(net, s))
 	}
-	if NetworkSizeBytes(net, Float32) <= NetworkSizeBytes(net, Int8) {
-		t.Fatal("float32 network should be larger than int8")
+	if !(sizes[0] > sizes[1] && sizes[1] > sizes[2] && sizes[2] > sizes[3]) {
+		t.Fatalf("sizes not monotone: %v", sizes)
 	}
 }
 

@@ -1,32 +1,15 @@
 package tensor
 
 import (
-	"math"
 	"slices"
 	"testing"
 )
 
 func TestScalarHelpers(t *testing.T) {
-	x := FromSlice([]float32{11, 12, 13}, 3)
-	x.Apply(func(v float32) float32 { return -v })
-	if x.Data[1] != -12 {
-		t.Fatalf("Apply = %v", x.Data)
-	}
+	x := FromSlice([]float32{-11, -12, -13}, 3)
 	y := x.Map(func(v float32) float32 { return v * 2 })
 	if y.Data[0] != -22 || x.Data[0] != -11 {
 		t.Fatalf("Map must not mutate source: %v / %v", y.Data, x.Data)
-	}
-	if s := FromSlice([]float32{3, 3, 3, 3}, 4).Std(); s != 0 {
-		t.Fatalf("Std of constant = %v", s)
-	}
-	std := FromSlice([]float32{1, -1, 1, -1}, 4).Std()
-	if math.Abs(float64(std)-1) > 1e-6 {
-		t.Fatalf("Std = %v, want 1", std)
-	}
-	var empty Tensor
-	empty.Data = nil
-	if (&Tensor{shape: []int{0}, Data: nil}).Mean() != 0 {
-		t.Fatal("Mean of empty should be 0")
 	}
 }
 
@@ -45,8 +28,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 		{"SumRowsInto", func() { a.SumRowsInto(b) }},
 		{"RowSlice", func() { New(2, 2).RowSlice(1, 5) }},
 		{"Subset-negative-dim", func() { New(-1) }},
-		{"Min-empty", func() { FromSlice(nil, 0).Min() }},
-		{"Max-empty", func() { FromSlice(nil, 0).Max() }},
 		{"ArgMax-empty", func() { FromSlice(nil, 0).ArgMax() }},
 		{"SumRowsInto-non2D", func() { New(2).SumRowsInto(New(2)) }},
 	}
@@ -77,14 +58,6 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 	if f := a.Float32(); f < 0 || f >= 1 {
 		t.Fatalf("Float32 out of range: %v", f)
-	}
-	// Exp has mean 1.
-	var sum float64
-	for i := 0; i < 20000; i++ {
-		sum += a.Exp()
-	}
-	if math.Abs(sum/20000-1) > 0.05 {
-		t.Fatalf("Exp mean = %v", sum/20000)
 	}
 }
 
@@ -119,7 +92,7 @@ func TestStringAndRandUniform(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 	u := RandUniform(NewRNG(1), 2, 3, 100)
-	if u.Min() < 2 || u.Max() >= 3 {
-		t.Fatalf("RandUniform out of [2,3): min %v max %v", u.Min(), u.Max())
+	if lo, hi := slices.Min(u.Data), slices.Max(u.Data); lo < 2 || hi >= 3 {
+		t.Fatalf("RandUniform out of [2,3): min %v max %v", lo, hi)
 	}
 }

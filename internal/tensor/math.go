@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // AddInPlace adds b into a element-wise.
@@ -34,14 +33,6 @@ func (t *Tensor) Axpy(alpha float32, x *Tensor) {
 	}
 }
 
-// Apply maps f over every element in place and returns the receiver.
-func (t *Tensor) Apply(f func(float32) float32) *Tensor {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-	return t
-}
-
 // Map returns a new tensor with f applied to every element.
 func (t *Tensor) Map(f func(float32) float32) *Tensor {
 	out := New(t.shape...)
@@ -56,71 +47,6 @@ func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
-}
-
-// Sum returns the sum of all elements (accumulated in float64 for accuracy).
-func (t *Tensor) Sum() float32 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return float32(s)
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float32 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float32(len(t.Data))
-}
-
-// Variance returns the population variance of all elements.
-func (t *Tensor) Variance() float32 {
-	n := len(t.Data)
-	if n == 0 {
-		return 0
-	}
-	m := float64(t.Mean())
-	var s float64
-	for _, v := range t.Data {
-		d := float64(v) - m
-		s += d * d
-	}
-	return float32(s / float64(n))
-}
-
-// Std returns the population standard deviation.
-func (t *Tensor) Std() float32 {
-	return float32(math.Sqrt(float64(t.Variance())))
-}
-
-// Min returns the smallest element; it panics on an empty tensor.
-func (t *Tensor) Min() float32 {
-	if len(t.Data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest element; it panics on an empty tensor.
-func (t *Tensor) Max() float32 {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // ArgMax returns the index of the largest element of a 1D tensor.

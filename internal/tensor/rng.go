@@ -110,16 +110,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Exp returns an exponentially distributed variate with rate 1.
-func (r *RNG) Exp() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Gamma returns a Gamma(alpha, 1) variate using the Marsaglia–Tsang method.
 // It is the building block for Dirichlet non-IID data partitioning.
 func (r *RNG) Gamma(alpha float64) float64 {

@@ -316,7 +316,7 @@ func freivaldsCheck(a []int32, m, k int, b []int32, n int, c []int64, rounds int
 	af, mp, kp := padMatrix(a, m, k)
 	bf, _, np := padMatrix(b, k, n)
 	cf := padResult(c, m, n, mp, np)
-	tr := newTranscript(sha256.Sum256([]byte("tinymlops/verify/freivalds")))
+	tr := &transcript{h: sha256.New(), state: sha256.Sum256([]byte("tinymlops/verify/freivalds"))}
 	tr.absorbInt(int(seed))
 	br := make([]Elem, kp)
 	for round := 0; round < rounds; round++ {

@@ -22,8 +22,29 @@ type transcript struct {
 // verifier's.
 var matmulSeed = sha256.Sum256([]byte("tinymlops/verify/matmul"))
 
-func newTranscript(seed [32]byte) *transcript {
-	return &transcript{h: sha256.New(), state: seed}
+// matmulTranscript opens one matrix-product proof's transcript, the
+// prover's and the verifier's alike: the context (none for an empty one),
+// the padded dimensions, the digests of A, B and C, then the point
+// challenges r1 over C's rows and r2 over its columns. r1 and r2 stay
+// per-proof: they are drawn after the transcript absorbs this proof's own C
+// digest. Sharing them across a class would let a prover pick a false C
+// agreeing with the true product's extension at the known point — the only
+// sound class-level sharing is of the weight encoding (pw).
+func matmulTranscript(ctx []byte, af, cf []Elem, mp, kp int, pw *PreparedWeights) (tr *transcript, r1, r2 []Elem) {
+	tr = &transcript{h: sha256.New(), state: matmulSeed}
+	if len(ctx) > 0 {
+		tr.absorbBytes(ctx)
+	}
+	tr.absorbInt(mp)
+	tr.absorbInt(kp)
+	tr.absorbInt(pw.np)
+	da, dc := digestElems(af), digestElems(cf)
+	tr.absorbBytes(da[:])
+	tr.absorbBytes(pw.db[:])
+	tr.absorbBytes(dc[:])
+	r1 = tr.challenges(log2(mp))
+	r2 = tr.challenges(log2(pw.np))
+	return tr, r1, r2
 }
 
 func (t *transcript) absorbBytes(data []byte) {
@@ -167,21 +188,7 @@ func ProveMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights) ([]i
 	stats := Stats{ProverMuls: int64(mp) * int64(kp) * int64(np), DirectMuls: int64(mp) * int64(kp) * int64(np)}
 	stats.HashedElems = int64(mp)*int64(kp) + int64(mp)*int64(np)
 
-	tr := newTranscript(matmulSeed)
-	if len(ctx) > 0 {
-		tr.absorbBytes(ctx)
-	}
-	tr.absorbInt(mp)
-	tr.absorbInt(kp)
-	tr.absorbInt(np)
-	da, dc := digestElems(af), digestElems(cf)
-	tr.absorbBytes(da[:])
-	tr.absorbBytes(pw.db[:])
-	tr.absorbBytes(dc[:])
-
-	r1 := tr.challenges(log2(mp))
-	r2 := tr.challenges(log2(np))
-
+	tr, r1, r2 := matmulTranscript(ctx, af, cf, mp, kp, pw)
 	u := fold(af, r1...) // Ã(r1, ·), length kp, in af (digested above)
 	v := pw.foldCols(r2) // B̃(·, r2), length kp
 	stats.ProverMuls += int64(mp)*int64(kp) + int64(kp)*int64(np)
@@ -287,25 +294,7 @@ func VerifyMatMulPrepared(ctx []byte, a []int32, m int, pw *PreparedWeights, c [
 	stats := Stats{DirectMuls: int64(mp) * int64(kp) * int64(np), ProofBytes: proof.SizeBytes()}
 	stats.HashedElems = int64(mp)*int64(kp) + int64(mp)*int64(np)
 
-	tr := newTranscript(matmulSeed)
-	if len(ctx) > 0 {
-		tr.absorbBytes(ctx)
-	}
-	tr.absorbInt(mp)
-	tr.absorbInt(kp)
-	tr.absorbInt(np)
-	da, dc := digestElems(af), digestElems(cf)
-	tr.absorbBytes(da[:])
-	tr.absorbBytes(pw.db[:])
-	tr.absorbBytes(dc[:])
-
-	// The point challenges r1, r2 stay per-proof: they are derived after
-	// the transcript absorbs this proof's own C digest. Sharing them
-	// across a class would let a prover pick a false C agreeing with the
-	// true product's extension at the known point — the only sound
-	// class-level sharing is of the weight encoding (pw).
-	r1 := tr.challenges(log2(mp))
-	r2 := tr.challenges(log2(np))
+	tr, r1, r2 := matmulTranscript(ctx, af, cf, mp, kp, pw)
 
 	// Claim: C̃(r1, r2) — the verifier evaluates it from the claimed C.
 	// cf and af (digested above) and B̃(·, r2) are this call's own, so
