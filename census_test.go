@@ -3,13 +3,22 @@ package tinymlops
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path"
+	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,13 +35,12 @@ type rule struct {
 	bad        string // a violating file body, after its package clause
 }
 
-// pred matches a node, seen in its file and its function's scope (census.walk).
+// pred matches a node, seen in its file.
 type pred = func(a at, n ast.Node) bool
 
 type at struct {
-	c   *census
-	f   *repoFile
-	env scope
+	c *census
+	f *repoFile
 }
 
 var censusRules = []*rule{
@@ -79,7 +87,7 @@ var censusRules = []*rule{
 			lit, isLit := n.(*ast.CompositeLit) // a key of the literal, or of one nested in it
 			sel, isSel := n.(*ast.SelectorExpr)
 			return isLit && a.has(lit.Type, named("^SessionConfig$")) && a.has(lit, is(func(_ at, kv *ast.KeyValueExpr) bool { return standalone.MatchString(types.ExprString(kv.Key)) })) ||
-				isSel && standalone.MatchString(sel.Sel.Name) && a.c.typeOf(a.f, a.env, sel.X) == "offload.SessionConfig"
+				isSel && standalone.MatchString(sel.Sel.Name) && strings.TrimPrefix(types.TypeString(a.c.info.TypeOf(sel.X), nil), "*") == "tinymlops/internal/offload.SessionConfig"
 		}},
 	{name: "kernel-choice", fact: "one variant is one function on every device; SupportsBits is the cost model's and the selector's", scope: []string{"internal/core/", "internal/exec/", "internal/offload/", "internal/quant/"},
 		home: "internal/selector/selector.go", match: named("SupportsBits"), bad: "var _ = d.SupportsBits(8)"},
@@ -160,9 +168,10 @@ func (c *census) audit(rows []*rule, files []*repoFile) map[string][]string {
 		live := slices.DeleteFunc(slices.Clone(rows), func(r *rule) bool {
 			return f.test && !r.tests || !slices.ContainsFunc(r.scope, func(s string) bool { return strings.HasPrefix(f.path, s) })
 		})
-		visit := func(_ *ast.FuncDecl, env scope, n ast.Node) {
+		a := at{c, f}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
 			for _, r := range live {
-				if a := (at{c, f, env}); r.match(a, n) {
+				if n != nil && r.match(a, n) {
 					if e, ok := n.(ast.Expr); ok && f.path == r.home {
 						counts[r.name+" "+types.ExprString(e)]++
 					}
@@ -176,9 +185,8 @@ func (c *census) audit(rows []*rule, files []*repoFile) map[string][]string {
 					}
 				}
 			}
-		}
-		visit(nil, nil, f.ast)
-		c.walk(f, visit)
+			return true
+		})
 	}
 	for _, r := range rows {
 		for _, text := range r.once {
@@ -248,3 +256,171 @@ func TestFuzzSmokeRunsEveryTarget(t *testing.T) {
 
 // fuzzStep matches one run of the fuzz-smoke step: the target, then its package.
 var fuzzStep = regexp.MustCompile(`-fuzz (\w+) -fuzztime \S+ \./(\S+)`)
+
+// repoFile is one parsed .go file of the repository.
+type repoFile struct {
+	ast  *ast.File
+	path string // slash-separated, relative to the repository root
+	src  string
+	// pkg keys the file's package: its name under internal/ ("offload"), "."
+	// for the facade, the directory elsewhere. An external test package
+	// (offload_test) shares its directory's key.
+	pkg   string
+	test  bool
+	paths map[string]string // local import name → import path
+}
+
+// census is a parsed and type-checked repository.
+type census struct {
+	fset    *token.FileSet
+	files   []*repoFile // every file, bench/ and tests included
+	checked []*repoFile // the files typeCheck admitted
+	info    *types.Info // what the checked files' identifiers and expressions denote
+}
+
+// repo is the one census a test binary makes, lazily; no test mutates it.
+var repo struct {
+	once sync.Once
+	c    *census
+	err  error
+}
+
+// parseRepo returns the census of every .go file of the repository, bench/
+// and tests included, type-checked as typeCheck says. The first call parses
+// and type-checks; every later one shares its result.
+func parseRepo(t *testing.T) *census {
+	t.Helper()
+	repo.once.Do(func() { repo.c, repo.err = parseTree() })
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	return repo.c
+}
+
+func parseTree() (*census, error) {
+	fset := token.NewFileSet()
+	var files []*repoFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		f, err := parseFile(fset, filepath.ToSlash(path), src)
+		if err == nil {
+			files = append(files, f)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return typeCheck(fset, files)
+}
+
+// parseFile parses the file at rel, its slash-separated path from the
+// repository root, from src, and reads its imports.
+func parseFile(fset *token.FileSet, rel string, src []byte) (*repoFile, error) {
+	af, err := parser.ParseFile(fset, rel, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	f := &repoFile{
+		ast: af, path: rel, src: string(src), pkg: strings.TrimPrefix(path.Dir(rel), "internal/"),
+		test: strings.HasSuffix(rel, "_test.go"), paths: map[string]string{},
+	}
+	for _, imp := range af.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		local := path.Base(p)
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		f.paths[local] = p
+	}
+	return f, nil
+}
+
+// typeCheck type-checks each package of files as the go tool builds it for
+// this platform: the non-test files its build constraints admit, and for
+// bench/ the test files too. The standard library comes from its export
+// data, which one go list run locates. Sizes are go/types' 64-bit default on
+// every platform, as bench/'s constants assume.
+func typeCheck(fset *token.FileSet, files []*repoFile) (*census, error) {
+	c := &census{fset: fset, files: files, info: &types.Info{
+		Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{},
+	}}
+	ctxt := build.Default
+	pkgs := map[string][]*ast.File{} // import path → files
+	var std []string
+	for _, f := range files {
+		ctxt.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(f.src)), nil }
+		dir, name := path.Split(f.path)
+		ok, err := ctxt.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok && (!f.test || f.pkg == "bench") && !strings.HasSuffix(f.ast.Name.Name, "_test") {
+			p := path.Join("tinymlops", path.Dir(f.path))
+			pkgs[p] = append(pkgs[p], f.ast)
+			c.checked = append(c.checked, f)
+			for _, p := range f.paths {
+				if p != "tinymlops" && !strings.HasPrefix(p, "tinymlops/") {
+					std = append(std, p)
+				}
+			}
+		}
+	}
+	export := map[string]string{} // import path → export data file
+	if len(std) > 0 {
+		slices.Sort(std)
+		out, err := exec.Command(filepath.Join(ctxt.GOROOT, "bin", "go"), append([]string{"list", "-deps", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, slices.Compact(std)...)...).Output()
+		if ee, ok := err.(*exec.ExitError); ok {
+			return nil, fmt.Errorf("go list: %v: %s", err, ee.Stderr)
+		} else if err != nil {
+			return nil, err
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			p, file, _ := strings.Cut(line, " ")
+			export[p] = file
+		}
+	}
+	lib := importer.ForCompiler(token.NewFileSet(), "gc", func(p string) (io.ReadCloser, error) { return os.Open(export[p]) })
+	done := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(p string) (*types.Package, error) {
+		if pkgs[p] == nil {
+			return lib.Import(p)
+		}
+		if done[p] == nil {
+			conf := types.Config{Importer: imp}
+			pkg, err := conf.Check(p, fset, pkgs[p], c.info)
+			if err != nil {
+				return nil, err
+			}
+			done[p] = pkg
+		}
+		return done[p], nil
+	}
+	for p := range pkgs {
+		if _, err := imp(p); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// importerFunc is a types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

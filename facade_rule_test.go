@@ -2,12 +2,7 @@ package tinymlops
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,8 +17,8 @@ import (
 // Nothing else decides what is public: to add a name, call it from the CLI,
 // an example program or a godoc example; a name nobody calls fails here.
 func TestFacadeIsLiveSurface(t *testing.T) {
-	fset := token.NewFileSet()
-	decls := facadeDecls(t, fset)
+	c := parseRepo(t)
+	decls := facadeDecls(c.files)
 
 	live := map[string]bool{}
 	var mark func(name string)
@@ -53,43 +48,23 @@ func TestFacadeIsLiveSurface(t *testing.T) {
 		}
 	}
 
-	callers := []string{"example_test.go"}
-	for _, root := range []string{"cmd", "examples"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				callers = append(callers, path)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, path := range callers {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		local := ""
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "tinymlops" {
-				local = "tinymlops"
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-			}
-		}
-		if local == "" {
+	for _, f := range c.files {
+		if f.path != "example_test.go" && (f.test || !strings.HasPrefix(f.path, "cmd/") && !strings.HasPrefix(f.path, "examples/")) {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
-					mark(sel.Sel.Name)
-				}
+		for local, p := range f.paths {
+			if p != "tinymlops" {
+				continue
 			}
-			return true
-		})
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+						mark(sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
 	}
 
 	var dead []string
@@ -106,25 +81,21 @@ func TestFacadeIsLiveSurface(t *testing.T) {
 	t.Logf("facade: %d exported names, all live", len(decls))
 }
 
-// facadeDecls parses this package's non-test files and returns, per exported
-// top-level name, the syntax that makes up its declared signature: a
-// function's type, a type's definition, a var or const's declared type.
-func facadeDecls(t *testing.T, fset *token.FileSet) map[string][]ast.Node {
-	t.Helper()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
+// facadeDecls returns, per exported top-level name of this package's non-test
+// files, the syntax that makes up its declared signature: a function's type,
+// a type's definition, a var or const's declared type.
+func facadeDecls(files []*repoFile) map[string][]ast.Node {
 	decls := map[string][]ast.Node{}
 	add := func(id *ast.Ident, sig ...ast.Node) {
 		if id.IsExported() {
 			decls[id.Name] = sig
 		}
 	}
-	for _, f := range pkgs["tinymlops"].Files {
-		for _, d := range f.Decls {
+	for _, f := range files {
+		if f.pkg != "." || f.test {
+			continue
+		}
+		for _, d := range f.ast.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {

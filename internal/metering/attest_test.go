@@ -118,6 +118,29 @@ func TestAttestedSettlementHonest(t *testing.T) {
 	}
 }
 
+// TestSampledRate: rate 16 picks near a sixteenth of the charges, and a rate
+// of 1 or less picks every one.
+func TestSampledRate(t *testing.T) {
+	head := [32]byte{1, 2, 3}
+	picked := func(rate int) (n int) {
+		for seq := uint64(1); seq <= 4096; seq++ {
+			if Sampled(head, "dev-a", seq, rate) {
+				n++
+			}
+		}
+		return n
+	}
+	// 256 expected; σ ≈ 15.5, so 192..320 is four σ either side.
+	if n := picked(16); n < 192 || n > 320 {
+		t.Errorf("rate 16 over 4096 charges\n  expected: 192..320 picked\n  actual: %d", n)
+	}
+	for _, rate := range []int{1, 0, -2} {
+		if n := picked(rate); n != 4096 {
+			t.Errorf("rate %d over 4096 charges\n  expected: 4096 picked\n  actual: %d", rate, n)
+		}
+	}
+}
+
 func TestAttestedSettlementFraud(t *testing.T) {
 	charge := func(t *testing.T, m *Meter, n int) AttestedReport {
 		t.Helper()

@@ -159,6 +159,12 @@ func parityCases() []parityCase {
 		attestedCase("proof for a charge outside the report", ReasonProofInvalid, func(r *AttestedReport) {
 			r.Attestations[0].Seq = r.Used + 7
 		}),
+		attestedCase("proof for the charge one past the report", ReasonProofInvalid, func(r *AttestedReport) {
+			r.Attestations[0].Seq = r.FromSeq + uint64(len(r.Entries))
+		}),
+		attestedCase("proof for a charge below the report", ReasonProofInvalid, func(r *AttestedReport) {
+			r.Attestations[0].Seq = r.FromSeq - 1
+		}),
 		attestedCase("duplicate proof", ReasonProofInvalid, func(r *AttestedReport) {
 			r.Attestations[len(r.Attestations)-1] = r.Attestations[0]
 		}),
@@ -181,9 +187,17 @@ func parityCases() []parityCase {
 		return []Report{first}
 	})
 	second.want = Receipt{OK: true, AckSeq: 6}
+	quota := plainCase("exactly the quota", "", func(t *testing.T, m *Meter, r *Report) []Report {
+		for m.Remaining() > 0 {
+			m.Charge(88) //nolint:errcheck
+		}
+		*r = m.BuildReport()
+		return nil
+	})
+	quota.want = Receipt{OK: true, AckSeq: 8}
 	attested := attestedCase("honest with proofs", "", func(r *AttestedReport) {})
 	attested.want = Receipt{OK: true, AckSeq: 16}
-	return append(cases, honest, second, attested)
+	return append(cases, honest, second, quota, attested)
 }
 
 // TestSettlementParity sends every case once in process and once over TCP.

@@ -43,8 +43,10 @@ func TestIssueAndVerifyVoucher(t *testing.T) {
 }
 
 func TestIssuerValidation(t *testing.T) {
-	if _, err := NewIssuer([]byte("short")); err == nil {
-		t.Fatal("accepted short key")
+	for n, ok := range map[int]bool{5: false, 15: false, 16: true} {
+		if _, err := NewIssuer(make([]byte, n)); (err == nil) != ok {
+			t.Errorf("NewIssuer with a %d-byte key\n  expected: accepted %v\n  actual: error %v", n, ok, err)
+		}
 	}
 	is := issuer(t)
 	if _, err := is.Issue("", "m", 10); err == nil {

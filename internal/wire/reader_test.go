@@ -23,6 +23,7 @@ var primitives = []struct {
 	{"F32", binary.LittleEndian.AppendUint32(nil, math.Float32bits(-1.5)), func(r *Reader) any { return r.F32() }},
 	{"F32s", []byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x40}, func(r *Reader) any { return len(r.F32s(2)) }},
 	{"Uvarint", binary.AppendUvarint(nil, 1<<40), func(r *Reader) any { return r.Uvarint() }},
+	{"Uvarint zero", []byte{0}, func(r *Reader) any { return r.Uvarint() }},
 	{"Varint", binary.AppendVarint(nil, -(1 << 40)), func(r *Reader) any { return r.Varint() }},
 	{"Bytes", []byte{9, 8, 7}, func(r *Reader) any { return len(r.Bytes(3)) }},
 	{"String", []byte{3, 0, 0, 0, 'a', 'b', 'c'}, func(r *Reader) any { return r.String(3) }},
@@ -32,7 +33,7 @@ var primitives = []struct {
 
 func TestPrimitivesAcceptTheirEncoding(t *testing.T) {
 	want := []any{nil, uint8(0xab), uint32(0x04030201), uint64(0x0807060504030201), float32(-1.5), 2,
-		uint64(1 << 40), int64(-(1 << 40)), 3, "abc", 2, 129}
+		uint64(1 << 40), uint64(0), int64(-(1 << 40)), 3, "abc", 2, 129}
 	for i, p := range primitives {
 		r := NewReader(p.enc)
 		if got := p.read(r); got != want[i] {
