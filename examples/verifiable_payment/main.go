@@ -95,7 +95,7 @@ func run(w io.Writer) error {
 		return err
 	}
 	macs := model.TotalMACs()
-	full := encl.PlanFullEnclave(macs)
+	full := encl.PlanFullEnclave()
 	slalom, err := encl.PlanSlalom(macs, macs/10)
 	if err != nil {
 		return err

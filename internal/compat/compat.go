@@ -1,7 +1,6 @@
 package compat
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -11,8 +10,6 @@ import (
 
 // Report is the deployability verdict of one model version on one target.
 type Report struct {
-	Model  string
-	Target string
 	// Deployable means every operator has a native kernel and the model
 	// fits flash.
 	Deployable bool
@@ -42,11 +39,7 @@ func (r Report) Summary() string {
 
 // Check evaluates a model version against target capabilities.
 func Check(v *registry.ModelVersion, caps device.Capabilities) Report {
-	rep := Report{
-		Model:     fmt.Sprintf("%s@%s/%s", v.Name, v.ID, v.Scheme),
-		Target:    caps.Name,
-		FitsFlash: int64(v.Metrics.SizeBytes) <= caps.FlashBytes,
-	}
+	rep := Report{FitsFlash: int64(v.Metrics.SizeBytes) <= caps.FlashBytes}
 	for _, op := range v.OpKinds {
 		if !caps.SupportsOp(op) {
 			rep.MissingOps = append(rep.MissingOps, op)

@@ -64,8 +64,8 @@ func TestPublishCreatesVariantMatrix(t *testing.T) {
 	if len(versions) != 5 { // base + 4 schemes
 		t.Fatalf("published %d versions", len(versions))
 	}
-	if got := p.Registry.Stats(); got.Bases != 1 || got.Variants != 4 {
-		t.Fatalf("registry stats = %+v", got)
+	if got := p.Registry.Variants(versions[0].ID); versions[0].ParentID != "" || len(got) != 4 {
+		t.Fatalf("base %s has %d variants, want 4", versions[0].ID, len(got))
 	}
 }
 

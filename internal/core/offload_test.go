@@ -101,7 +101,7 @@ func TestPlatformOffloadBitExactAndMetered(t *testing.T) {
 		t.Fatal("no activation bytes ever crossed the uplink")
 	}
 	st := sess.Stats()
-	if st.Split != 10 || st.Queries != 10 {
+	if st.Queries != 10 || st.Fallbacks != 0 {
 		t.Fatalf("session stats %+v", st)
 	}
 	if cs := cloud.Stats(); cs.Served != 10 {

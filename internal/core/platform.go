@@ -17,7 +17,6 @@ import (
 	"tinymlops/internal/quant"
 	"tinymlops/internal/registry"
 	"tinymlops/internal/selector"
-	"tinymlops/internal/tensor"
 	"tinymlops/internal/verify"
 )
 
@@ -25,7 +24,8 @@ import (
 type Config struct {
 	// VendorKey signs vouchers and wraps model encryption keys.
 	VendorKey []byte
-	// Seed drives all platform-side randomness.
+	// Seed is reserved for platform-side randomness; the platform draws
+	// none today (each random draw is seeded by its own config).
 	Seed uint64
 	// MinCohort is the telemetry k-anonymity floor.
 	MinCohort int
@@ -52,7 +52,6 @@ type Platform struct {
 	Aggregator *observe.Aggregator
 
 	vendorKey []byte
-	rng       *tensor.RNG
 	eng       *engine.Engine
 	// arenas holds the per-worker serving scratch: deployments borrow an
 	// arena per inference call, so scratch memory scales with concurrency
@@ -104,7 +103,6 @@ func New(fleet *device.Fleet, cfg Config) (*Platform, error) {
 		Settler:     metering.NewSettler(issuer),
 		Aggregator:  observe.NewAggregator(minCohort),
 		vendorKey:   append([]byte(nil), cfg.VendorKey...),
-		rng:         tensor.NewRNG(cfg.Seed),
 		eng:         engine.New(engine.Config{Workers: cfg.Workers}),
 		arenas:      engine.NewArenaPool(),
 		deployments: make(map[string]*Deployment),

@@ -122,8 +122,8 @@ func TestSwarmUpdateUsesDeltaKey(t *testing.T) {
 	if !rep.UsedDelta {
 		t.Fatal("same-topology swarm update did not ship a delta")
 	}
-	if rep.ShipBytes >= rep.FullBytes {
-		t.Fatalf("delta shipped %d of full %d: no saving", rep.ShipBytes, rep.FullBytes)
+	if full := int64(rep.To.Metrics.SizeBytes); rep.ShipBytes >= full {
+		t.Fatalf("delta shipped %d of full %d: no saving", rep.ShipBytes, full)
 	}
 	// The updated device becomes a seeder for both keys from the next wave
 	// on: a second device's delta and a third's full image come from it
@@ -136,7 +136,7 @@ func TestSwarmUpdateUsesDeltaKey(t *testing.T) {
 		}
 		if got.UsedDelta == full || got.PeerBytes != got.ShipBytes || got.RegistryBytes != 0 {
 			t.Fatalf("full=%v: delta %v, %d peer and %d registry bytes of %d, want all from %s",
-				full, got.UsedDelta, got.PeerBytes, got.RegistryBytes, got.ShipBytes, rep.DeviceID)
+				full, got.UsedDelta, got.PeerBytes, got.RegistryBytes, got.ShipBytes, deps[0].DeviceID)
 		}
 		if !full && got.ShipBytes != rep.ShipBytes {
 			t.Fatalf("second delta shipped %d bytes, the first %d", got.ShipBytes, rep.ShipBytes)

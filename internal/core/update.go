@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"tinymlops/internal/dataset"
 	"tinymlops/internal/device"
@@ -32,19 +31,11 @@ type UpdateOptions struct {
 // UpdateReport accounts one update (or rollback): what moved, how it was
 // shipped, and what a full transfer would have cost.
 type UpdateReport struct {
-	DeviceID string
 	From, To *registry.ModelVersion
 	// UsedDelta reports whether a sparse weight delta was shipped.
 	UsedDelta bool
 	// ShipBytes went over the radio; FlashBytes were rewritten on device.
 	ShipBytes, FlashBytes int64
-	// FullBytes is what a full-artifact transfer ships (To's packed size),
-	// the denominator of the delta saving.
-	FullBytes int64
-	// TransferTime is the modeled download+flash duration.
-	TransferTime time.Duration
-	// ChangedParams/TotalParams summarize delta sparsity (0 for full).
-	ChangedParams, TotalParams int
 	// PeerBytes/RegistryBytes split a swarm transfer's radio bytes by
 	// serving side (both zero on registry-direct transfers).
 	PeerBytes, RegistryBytes int64
@@ -65,7 +56,6 @@ func (d *Deployment) Health() rollout.Health {
 	}
 	if d.Monitor != nil {
 		h.DriftAlarm = d.Monitor.Drifted()
-		h.DriftScore = d.Monitor.MaxScore()
 	}
 	return h
 }
@@ -100,12 +90,7 @@ func (d *Deployment) Update(target *registry.ModelVersion, opts UpdateOptions) (
 		return nil, fmt.Errorf("core: update select for %s: %w", d.DeviceID, err)
 	}
 	chosen := decision.Chosen.Version
-	rep := &UpdateReport{
-		DeviceID:  d.DeviceID,
-		From:      d.Version,
-		To:        chosen,
-		FullBytes: int64(chosen.Metrics.SizeBytes),
-	}
+	rep := &UpdateReport{From: d.Version, To: chosen}
 	if chosen.ID == d.Version.ID {
 		// Content-addressed no-op: the device already runs these bytes, so
 		// nothing ships and the rollback image is untouched — but the
@@ -198,7 +183,6 @@ func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersi
 		return nil, nil, err
 	}
 	rep.UsedDelta = true
-	rep.ChangedParams, rep.TotalParams = mv.Cost.ChangedParams, mv.Cost.TotalParams
 	return img, mv, nil
 }
 
@@ -222,7 +206,7 @@ func (p *Platform) transfer(sw *swarm.Swarm, dev *device.Device, v *registry.Mod
 		if flash == 0 {
 			flash = ts.TotalBytes
 		}
-		rep.ShipBytes, rep.FlashBytes, rep.TransferTime = ts.TotalBytes, flash, ts.Duration
+		rep.ShipBytes, rep.FlashBytes = ts.TotalBytes, flash
 		rep.PeerBytes, rep.RegistryBytes = ts.FromPeers, ts.FromRegistry
 		return data, nil
 	}
@@ -230,11 +214,10 @@ func (p *Platform) transfer(sw *swarm.Swarm, dev *device.Device, v *registry.Mod
 	if err != nil {
 		return nil, err
 	}
-	dur, err := dev.InstallResumable(token, ship, flash)
-	if err != nil {
+	if _, err := dev.InstallResumable(token, ship, flash); err != nil {
 		return nil, fmt.Errorf("core: ship %s to %s: %w", token, dev.ID, err)
 	}
-	rep.ShipBytes, rep.FlashBytes, rep.TransferTime = ship, flash, dur
+	rep.ShipBytes, rep.FlashBytes = ship, flash
 	return ipprot.DecryptModel(p.vendorKey, em)
 }
 
@@ -263,7 +246,7 @@ func (d *Deployment) Rollback() (*UpdateReport, error) {
 	if d.prev == nil {
 		return nil, fmt.Errorf("core: deployment %s has no previous image", d.DeviceID)
 	}
-	rep := &UpdateReport{DeviceID: d.DeviceID, From: d.Version, To: d.prev.version}
+	rep := &UpdateReport{From: d.Version, To: d.prev.version}
 	d.rollWindowLocked()
 	// The image comes back with the executor it ran on: an integer variant
 	// returns to the integer kernels, a compiled image to the VM.

@@ -23,7 +23,7 @@ func TestInstallChunkExactlyOnceAccounting(t *testing.T) {
 	const total, flash = int64(1000), int64(400)
 	var dl int64
 	for dl < total {
-		w, _, err := d.InstallChunk("full:v1", 256, total, flash)
+		w, err := d.InstallChunk("full:v1", 256, total, flash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestInstallChunkExactlyOnceAccounting(t *testing.T) {
 
 func TestInstallChunkPersistsSlotBetweenChunks(t *testing.T) {
 	d := chunkDevice(t, "m4-wearable")
-	if _, _, err := d.InstallChunk("full:v1", 256, 1000, 1000); err != nil {
+	if _, err := d.InstallChunk("full:v1", 256, 1000, 1000); err != nil {
 		t.Fatal(err)
 	}
 	tok, done, dlTotal, flTotal, ok := d.StagingDownload()
@@ -48,7 +48,7 @@ func TestInstallChunkPersistsSlotBetweenChunks(t *testing.T) {
 		t.Fatalf("slot = (%q %d %d %d %v), want healthy partial at 256/1000", tok, done, dlTotal, flTotal, ok)
 	}
 	// A different image discards the stale slot and starts from zero.
-	if _, _, err := d.InstallChunk("full:v2", 256, 2000, 2000); err != nil {
+	if _, err := d.InstallChunk("full:v2", 256, 2000, 2000); err != nil {
 		t.Fatal(err)
 	}
 	if tok, done, _, _, _ := d.StagingDownload(); tok != "full:v2" || done != 256 {
@@ -59,7 +59,7 @@ func TestInstallChunkPersistsSlotBetweenChunks(t *testing.T) {
 func TestInstallChunkCrashResumesFromExactByte(t *testing.T) {
 	d := chunkDevice(t, "m4-wearable")
 	d.SetInstallInterrupter(func(string, int64) float64 { return 0.5 })
-	w, _, err := d.InstallChunk("full:v1", 400, 400, 400)
+	w, err := d.InstallChunk("full:v1", 400, 400, 400)
 	if !errors.Is(err, ErrInstallInterrupted) {
 		t.Fatalf("err = %v, want ErrInstallInterrupted", err)
 	}
@@ -68,7 +68,7 @@ func TestInstallChunkCrashResumesFromExactByte(t *testing.T) {
 	}
 	d.SetInstallInterrupter(nil)
 	// Resume: the remaining 200 bytes finish the image.
-	w, _, err = d.InstallChunk("full:v1", 200, 400, 400)
+	w, err = d.InstallChunk("full:v1", 200, 400, 400)
 	if err != nil || w != 200 {
 		t.Fatalf("resume wrote %d (%v), want 200", w, err)
 	}
@@ -85,7 +85,7 @@ func TestInstallChunkFlashProportionality(t *testing.T) {
 	const total, flash = int64(997), int64(311) // coprime: worst case for rounding
 	var dl int64
 	for dl < total {
-		w, _, err := d.InstallChunk("delta:a>b", 100, total, flash)
+		w, err := d.InstallChunk("delta:a>b", 100, total, flash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestInstallChunkRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := d.InstallChunk(tc.token, tc.span, tc.dlTotal, tc.flTotal); err == nil {
+			if _, err := d.InstallChunk(tc.token, tc.span, tc.dlTotal, tc.flTotal); err == nil {
 				t.Fatal("invalid chunk install accepted")
 			}
 		})
@@ -120,12 +120,12 @@ func TestInstallChunkRejects(t *testing.T) {
 func TestInstallChunkOfflineAndBattery(t *testing.T) {
 	d := chunkDevice(t, "m4-wearable")
 	d.SetNet(Offline)
-	if _, _, err := d.InstallChunk("t", 10, 100, 100); !errors.Is(err, ErrOffline) {
+	if _, err := d.InstallChunk("t", 10, 100, 100); !errors.Is(err, ErrOffline) {
 		t.Fatalf("offline err = %v", err)
 	}
 	d.SetNet(WiFi)
 	d.SetBatteryLevel(0)
-	if _, _, err := d.InstallChunk("t", 10, 100, 100); !errors.Is(err, ErrBatteryDepleted) {
+	if _, err := d.InstallChunk("t", 10, 100, 100); !errors.Is(err, ErrBatteryDepleted) {
 		t.Fatalf("dead battery err = %v", err)
 	}
 }

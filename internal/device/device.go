@@ -48,8 +48,6 @@ func (n NetState) Bandwidth() float64 {
 // reads them as telemetry.
 type Counters struct {
 	Inferences    int64
-	MACs          int64
-	BusyTime      time.Duration
 	EnergyJoule   float64
 	TxBytes       int64
 	RxBytes       int64
@@ -289,8 +287,6 @@ func (d *Device) RunInference(macs int64, bits int) (time.Duration, error) {
 		d.battery -= energy
 	}
 	d.counters.Inferences++
-	d.counters.MACs += macs
-	d.counters.BusyTime += lat
 	d.counters.EnergyJoule += energy
 	return lat, nil
 }
@@ -383,16 +379,17 @@ func (d *Device) InstallResumable(token string, downloadBytes, flashBytes int64)
 // downloaded and flashed exactly once, from whichever source finishes it.
 // Returns the download bytes actually written (the caller charges the
 // serving side for precisely that many).
-func (d *Device) InstallChunk(token string, span, downloadTotal, flashTotal int64) (written int64, dur time.Duration, err error) {
+func (d *Device) InstallChunk(token string, span, downloadTotal, flashTotal int64) (written int64, err error) {
 	if token == "" {
-		return 0, 0, fmt.Errorf("device: install chunk needs a token")
+		return 0, fmt.Errorf("device: install chunk needs a token")
 	}
 	if downloadTotal <= 0 || flashTotal < 0 || span < 0 {
-		return 0, 0, fmt.Errorf("device: install chunk sizes out of range (span %d of %d/%d)", span, downloadTotal, flashTotal)
+		return 0, fmt.Errorf("device: install chunk sizes out of range (span %d of %d/%d)", span, downloadTotal, flashTotal)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.advanceInstallLocked(token, span, downloadTotal, flashTotal)
+	written, _, err = d.advanceInstallLocked(token, span, downloadTotal, flashTotal)
+	return written, err
 }
 
 // advanceInstallLocked is the staging slot's one state machine: resume the

@@ -172,11 +172,11 @@ func TestCountersAccumulate(t *testing.T) {
 	}
 	d.DenyQuery()
 	c := d.Snapshot()
-	if c.Inferences != 10 || c.MACs != 10000 || c.DeniedQueries != 1 {
+	if c.Inferences != 10 || c.DeniedQueries != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
-	if c.EnergyJoule <= 0 || c.BusyTime <= 0 {
-		t.Fatalf("energy/time not accounted: %+v", c)
+	if c.EnergyJoule <= 0 {
+		t.Fatalf("energy not accounted: %+v", c)
 	}
 }
 

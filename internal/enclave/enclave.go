@@ -129,24 +129,17 @@ func VerifyReport(rootKey []byte, r Report) bool {
 	return hmac.Equal(want, r.MAC)
 }
 
-// ExecutionPlan describes how much of a model runs inside the enclave and
-// the resulting latency multiple versus fully-untrusted execution.
+// ExecutionPlan is the cost of a strategy for running part of a model
+// inside the enclave: its latency multiple versus fully-untrusted execution.
 type ExecutionPlan struct {
-	// Mode names the strategy ("untrusted", "full-enclave", "slalom").
-	Mode string
-	// EnclaveMACs of TotalMACs execute in the protected world.
-	EnclaveMACs, TotalMACs int64
 	// LatencyFactor multiplies the untrusted baseline latency.
 	LatencyFactor float64
 }
 
-// PlanFullEnclave returns the cost of running all totalMACs inside the
+// PlanFullEnclave returns the cost of running the whole model inside the
 // enclave (MLCapsule-style guarded execution).
-func (e *Enclave) PlanFullEnclave(totalMACs int64) ExecutionPlan {
-	return ExecutionPlan{
-		Mode: "full-enclave", EnclaveMACs: totalMACs, TotalMACs: totalMACs,
-		LatencyFactor: e.Slowdown,
-	}
+func (e *Enclave) PlanFullEnclave() ExecutionPlan {
+	return ExecutionPlan{LatencyFactor: e.Slowdown}
 }
 
 // PlanSlalom returns the cost of the Slalom partition: only the given
@@ -161,8 +154,5 @@ func (e *Enclave) PlanSlalom(totalMACs, enclaveMACs int64) (ExecutionPlan, error
 	if totalMACs > 0 {
 		frac = float64(enclaveMACs) / float64(totalMACs)
 	}
-	return ExecutionPlan{
-		Mode: "slalom", EnclaveMACs: enclaveMACs, TotalMACs: totalMACs,
-		LatencyFactor: 1 + frac*(e.Slowdown-1),
-	}, nil
+	return ExecutionPlan{LatencyFactor: 1 + frac*(e.Slowdown-1)}, nil
 }

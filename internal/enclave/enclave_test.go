@@ -101,8 +101,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestExecutionPlans(t *testing.T) {
 	e, _ := New("dev-1", root, 2)
-	full := e.PlanFullEnclave(1000)
-	if full.LatencyFactor != 2 || full.EnclaveMACs != 1000 {
+	full := e.PlanFullEnclave()
+	if full.LatencyFactor != 2 {
 		t.Fatalf("full plan = %+v", full)
 	}
 	// Slalom with 10% of MACs in the enclave: factor 1.1 at slowdown 2.

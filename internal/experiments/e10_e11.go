@@ -71,7 +71,7 @@ func RunE10(w io.Writer) error {
 		return err
 	}
 	macs := net.TotalMACs()
-	full := encl.PlanFullEnclave(macs)
+	full := encl.PlanFullEnclave()
 	slalom, err := encl.PlanSlalom(macs, macs/10)
 	if err != nil {
 		return err

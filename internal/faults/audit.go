@@ -43,18 +43,14 @@ type AuditReport struct {
 	// SettlementsChecked counts vouchers whose latest settlement receipt
 	// was inspected; FraudFlagged counts those whose latest settlement
 	// was rejected — the settler's verdict that the device's report could
-	// not be verified. FraudDevices lists them in device-ID order. A
-	// flagged device is attempted fraud caught by the billing plane, not
-	// a platform invariant violation, so it does not affect OK().
+	// not be verified. FraudDevices lists them in device-ID order;
+	// RunScenario fails unless they are exactly the devices whose reports
+	// it tampered. A flagged device is attempted fraud caught by the
+	// billing plane, not a platform invariant violation, so it does not
+	// affect OK().
 	SettlementsChecked int
 	FraudFlagged       int
 	FraudDevices       []string
-	// SwarmChecked reports the swarm ledger was audited; the byte totals
-	// echo the ledger the conservation check ran over.
-	SwarmChecked        bool
-	SwarmDeliveredBytes int64
-	SwarmRegistryBytes  int64
-	SwarmPeerBytes      int64
 	// ViolationCount is the true number of invariant violations found;
 	// Violations lists the first maxViolations of them.
 	ViolationCount int
@@ -286,10 +282,6 @@ func Audit(p *core.Platform, cfg AuditConfig) *AuditReport {
 	// and at terminal convergence no transfer may still be in flight.
 	if cfg.Swarm != nil {
 		st := cfg.Swarm.Stats()
-		rep.SwarmChecked = true
-		rep.SwarmDeliveredBytes = st.DeliveredBytes
-		rep.SwarmRegistryBytes = st.RegistryEgressBytes
-		rep.SwarmPeerBytes = st.PeerBytes
 		if st.RegistryEgressBytes+st.PeerBytes != st.DeliveredBytes {
 			rep.violate("swarm: byte conservation broken: registry %d + peers %d != delivered %d",
 				st.RegistryEgressBytes, st.PeerBytes, st.DeliveredBytes)

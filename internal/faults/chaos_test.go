@@ -97,8 +97,8 @@ func checkChaosRollout(t *testing.T, devices int) string {
 		// float32, watermarked and compiled procvm — and every one of
 		// them, integer and protected variants included, serves split
 		// traffic through the offload phase above.
-		if res.IntServing == 0 || res.FloatServing == 0 {
-			t.Fatalf("workers=%d: serving cohorts int=%d float=%d — want both", workers, res.IntServing, res.FloatServing)
+		if float := res.FleetSize - res.IntServing; res.IntServing == 0 || float == 0 {
+			t.Fatalf("workers=%d: serving cohorts int=%d float=%d — want both", workers, res.IntServing, float)
 		}
 		if res.Int4Serving == 0 {
 			t.Fatalf("workers=%d: int4 cohort produced no packed-int4 deployments", workers)

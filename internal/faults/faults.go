@@ -149,13 +149,10 @@ func (p *Plane) Profile(round uint64, id string) FaultProfile {
 
 // RoundReport counts the faults ApplyRound imposed on a fleet.
 type RoundReport struct {
-	Round         uint64
-	Devices       int
 	Offline       int
 	Churned       int
 	LatencySpikes int
 	BatteryDeaths int
-	TelemetryLoss int
 }
 
 // ApplyRound imposes the round's weather on every device: connectivity
@@ -168,7 +165,7 @@ type RoundReport struct {
 // faults that actually bite; the crash injector arms everywhere — a
 // power glitch mid-flash needs no battery.
 func (p *Plane) ApplyRound(round uint64, devs []*device.Device) RoundReport {
-	rep := RoundReport{Round: round, Devices: len(devs)}
+	var rep RoundReport
 	for _, d := range devs {
 		f := p.Profile(round, d.ID)
 		if d.Caps.WallPowered() {
@@ -192,9 +189,6 @@ func (p *Plane) ApplyRound(round uint64, devs []*device.Device) RoundReport {
 			rep.BatteryDeaths++
 		} else {
 			d.SetBatteryLevel(1)
-		}
-		if f.TelemetryLoss {
-			rep.TelemetryLoss++
 		}
 		p.Arm(d)
 	}

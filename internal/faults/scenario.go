@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"tinymlops/internal/compat"
 	"tinymlops/internal/core"
@@ -91,13 +92,10 @@ type ScenarioResult struct {
 	// derived variants) at the end; the scenario errors if any device
 	// failed to converge.
 	Converged int
-	// IntServing and FloatServing count terminal deployments by executing
-	// scheme: the fleet deploys in three policy cohorts (int8-pinned,
-	// int4-pinned and float-pinned), so a healthy run reports both nonzero
-	// — the mixed float/int serving matrix under one rollout. IntServing
-	// covers every deployment executing on the integer kernels at any
-	// width.
-	IntServing, FloatServing int
+	// IntServing counts terminal deployments executing on the integer
+	// kernels at any width: the fleet deploys integer- and float-pinned
+	// cohorts side by side, the mixed serving matrix under one rollout.
+	IntServing int
 	// Int4Serving counts terminal deployments executing on the int4
 	// variant's integer kernels: the whole int4 cohort, since a variant runs its own kernels
 	// on every device. Hardware without 4-bit MACs pays the emulation
@@ -414,14 +412,11 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		if onV2(d.Version) {
 			res.Converged++
 		}
-		switch d.ExecutionScheme() {
-		case quant.Float32:
-			res.FloatServing++
-		case quant.Int4:
-			res.Int4Serving++
+		if s := d.ExecutionScheme(); s != quant.Float32 {
 			res.IntServing++
-		default:
-			res.IntServing++
+			if s == quant.Int4 {
+				res.Int4Serving++
+			}
 		}
 		if d.Watermarked() {
 			res.Watermarked++
@@ -478,6 +473,17 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		res.Swarm.Stats = sw.Stats()
 	}
 	res.Audit = Audit(p, AuditConfig{Swarm: sw})
+	// The audit's fraud flags must be exactly the tampered devices: every
+	// fraud caught, no honest device flagged.
+	var injected []string
+	for _, vd := range res.Settlement.Verdicts {
+		if vd.Injected {
+			injected = append(injected, vd.DeviceID)
+		}
+	}
+	if !slices.Equal(res.Audit.FraudDevices, injected) {
+		return nil, fmt.Errorf("faults: audit flagged %v, fraud was injected on %v", capIDs(res.Audit.FraudDevices), capIDs(injected))
+	}
 	res.Fingerprint = fingerprint(p, res)
 	return res, nil
 }

@@ -32,8 +32,6 @@ type SettleVerdict struct {
 // proofs, tampering and verdicts all derive from deterministic state, so
 // the report is bit-identical at any worker count.
 type SettlementReport struct {
-	// Round is the weather round whose fraud draws picked the adversaries.
-	Round   uint64
 	Devices int
 	// Settled counts honest devices whose receipt was accepted;
 	// FraudInjected counts devices whose report was actually tampered;
@@ -64,7 +62,7 @@ type SettlementReport struct {
 func runSettlementPhase(p *core.Platform, plane *Plane, round *uint64, res *ScenarioResult) (*SettlementReport, error) {
 	deps := p.Deployments()
 	*round++
-	report := &SettlementReport{Round: *round, Devices: len(deps)}
+	report := &SettlementReport{Devices: len(deps)}
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -283,9 +283,6 @@ type DeltaCost struct {
 	// FlashBytes are rewritten on device: only the changed weights (sparse)
 	// or the whole tensor (dense), at packed precision.
 	FlashBytes int
-	// ChangedParams / TotalParams summarize sparsity for reporting.
-	ChangedParams int
-	TotalParams   int
 }
 
 // CostOfDelta parses an encoded delta and returns its modeled cost at the
@@ -301,15 +298,12 @@ func CostOfDelta(delta []byte, bits int) (DeltaCost, error) {
 	cost := DeltaCost{ShipBytes: 64}
 	err := walkDelta(delta, func(string, int) error { return nil },
 		func(_, total int, mode byte, payload []byte) error {
-			cost.TotalParams += total
 			if mode == deltaDense {
-				cost.ChangedParams += total
 				cost.ShipBytes += packed(total)
 				cost.FlashBytes += packed(total)
 				return nil
 			}
 			nc := len(payload) / 8
-			cost.ChangedParams += nc
 			cost.ShipBytes += 4*nc + packed(nc)
 			cost.FlashBytes += packed(nc)
 			return nil

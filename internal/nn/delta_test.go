@@ -60,11 +60,11 @@ func TestDeltaRoundTripBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cost.ChangedParams != head.W.Value.Size() {
-			t.Fatalf("changed params = %d, head has %d", cost.ChangedParams, head.W.Value.Size())
+		if cost.FlashBytes != 4*head.W.Value.Size() {
+			t.Fatalf("delta flashes %d bytes, the head's %d float32 weights are %d", cost.FlashBytes, head.W.Value.Size(), 4*head.W.Value.Size())
 		}
-		if cost.ShipBytes >= 4*cost.TotalParams {
-			t.Fatalf("sparse delta ships %d bytes, full artifact is %d", cost.ShipBytes, 4*cost.TotalParams)
+		if full := len(marshalOrDie(t, upd)); cost.ShipBytes >= full {
+			t.Fatalf("sparse delta ships %d bytes, full artifact is %d", cost.ShipBytes, full)
 		}
 	})
 
@@ -97,7 +97,7 @@ func TestDeltaRoundTripBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cost.ChangedParams != 0 || cost.ShipBytes > 128 {
+		if cost.FlashBytes != 0 || cost.ShipBytes > 128 {
 			t.Fatalf("identity delta cost = %+v", cost)
 		}
 	})

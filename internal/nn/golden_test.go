@@ -117,7 +117,9 @@ func TestGoldenTMLD1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost.ChangedParams != 3 || cost.TotalParams != base.ParamCount()+16 {
+	// Three int8 weights change: each flashes one byte and ships a 4-byte
+	// index beside it, after the 64-byte header allowance.
+	if cost.FlashBytes != 3 || cost.ShipBytes != 64+3*(4+1) {
 		t.Fatalf("cost of golden.tmld: %+v", cost)
 	}
 	// Both TMLD1 consumers share walkDelta, and must reject alike.

@@ -341,7 +341,7 @@ func TestAggregatorCohortsAndAnonymityFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Devices != 3 || s.Records != 3 || s.Inferences != 250 || s.DriftAlarms != 1 {
+	if s.Devices != 3 || len(agg.Records("m4")) != 3 || s.Inferences != 250 || s.DriftAlarms != 1 {
 		t.Fatalf("summary = %+v", s)
 	}
 	// Weighted mean latency: (100*500 + 100*500? no: records are 100@500,100@500? we

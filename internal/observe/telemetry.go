@@ -134,11 +134,9 @@ func (a *Aggregator) Ingest(cohort string, r Record) {
 type CohortSummary struct {
 	Cohort      string
 	Devices     int
-	Records     int
 	Inferences  uint64
 	Denied      uint64
 	MeanLatency float64 // microseconds
-	EnergyMJ    float64
 	DriftAlarms int
 }
 
@@ -159,14 +157,13 @@ func (a *Aggregator) Summarize(cohort string) (CohortSummary, error) {
 		return CohortSummary{}, fmt.Errorf("observe: cohort %q has %d devices, below anonymity floor %d",
 			cohort, len(devices), a.MinCohort)
 	}
-	s := CohortSummary{Cohort: cohort, Devices: len(devices), Records: len(recs)}
+	s := CohortSummary{Cohort: cohort, Devices: len(devices)}
 	var latSum float64
 	var latN int
 	for i := range recs {
 		r := &recs[i]
 		s.Inferences += uint64(r.Inferences)
 		s.Denied += uint64(r.Denied)
-		s.EnergyMJ += float64(r.EnergyMJ)
 		if r.Inferences > 0 {
 			latSum += float64(r.MeanLatencyUS) * float64(r.Inferences)
 			latN += int(r.Inferences)

@@ -114,9 +114,6 @@ func TestSessionSplitBitExactAtEveryCut(t *testing.T) {
 		if !logitsEqual(res.Logits, want) {
 			t.Fatalf("cut %d: split logits differ from monolithic forward", cut)
 		}
-		if res.Label != want.ArgMaxRows()[0] {
-			t.Fatalf("cut %d: label %d, want %d", cut, res.Label, want.ArgMaxRows()[0])
-		}
 		c := f.dev.Snapshot()
 		if cut == n {
 			if res.Mode != ModeLocal || c.TxBytes != 0 {

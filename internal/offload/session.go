@@ -55,8 +55,6 @@ func (m Mode) String() string {
 
 // Result is one offloaded query's outcome and cost decomposition.
 type Result struct {
-	// Label is the argmax of the output row.
-	Label int
 	// Logits is the model output, bit-identical to the monolithic
 	// forward pass regardless of Mode.
 	Logits []float32
@@ -81,13 +79,7 @@ type Result struct {
 // Stats aggregates a session's execution counters.
 type Stats struct {
 	Queries   int64
-	Split     int64
-	Local     int64
 	Fallbacks int64
-	// Replans counts cut moves; ShedRetries counts extra admission
-	// attempts after an ErrShed.
-	Replans     int64
-	ShedRetries int64
 	// ActivationBytes sums the uplinked boundary activations.
 	ActivationBytes int64
 }
@@ -238,9 +230,6 @@ func (s *Session) exec(x []float32) (Result, error) {
 		return Result{}, fmt.Errorf("offload: input has %d features, model wants %d", len(x), s.features)
 	}
 	plan, moved := s.replan.Observe(s.conditions())
-	if moved {
-		s.stats.Replans++
-	}
 	// The planner works on the cost list; the executor snaps its cut onto
 	// the nearest boundary its codec can cross (all-local when none is).
 	cut := s.ex.SnapCut(plan.Cut)
@@ -287,7 +276,7 @@ func (s *Session) exec(x []float32) (Result, error) {
 	s.stats.ActivationBytes += int64(len(payload))
 
 	var resp Response
-	attempts, err := engine.Retry(engine.RetryPolicy{Attempts: shedAttempts},
+	_, err = engine.Retry(engine.RetryPolicy{Attempts: shedAttempts},
 		func(e error) bool { return errors.Is(e, ErrShed) },
 		func(int) error {
 			r, serr := s.cfg.Cloud.Submit(s.cfg.Tenant, s.cfg.VersionID, cut, payload)
@@ -296,7 +285,6 @@ func (s *Session) exec(x []float32) (Result, error) {
 			}
 			return serr
 		})
-	s.stats.ShedRetries += int64(attempts - 1)
 	if err != nil {
 		// The cloud shed us past the retry budget (or is closed): the
 		// uplink bytes are spent, but the query must still answer.
@@ -317,9 +305,8 @@ func (s *Session) exec(x []float32) (Result, error) {
 	res.Latency = prefixLat + upDur + resp.Latency + dnDur
 	res.ResponseBytes = int64(len(resp.Payload))
 	// The reply decoded into the session's tensor; the caller keeps a copy.
-	res.Logits, res.Label = slices.Clone(out.Data), out.ArgMax()
+	res.Logits = slices.Clone(out.Data)
 	s.stats.Queries++
-	s.stats.Split++
 	return res, nil
 }
 
@@ -362,11 +349,9 @@ func (s *Session) finishLocal(res Result, act *tensor.Tensor, cut int, spent tim
 	res.Mode, res.Latency = mode, spent+lat
 	res.DeviceEnergyJ += dev.Caps.InferenceEnergy(macs)
 	// The output aliases arena scratch; the caller keeps its own copy.
-	res.Logits, res.Label = append([]float32(nil), out.Data...), out.ArgMax()
+	res.Logits = append([]float32(nil), out.Data...)
 	s.stats.Queries++
-	if mode == ModeLocal {
-		s.stats.Local++
-	} else {
+	if mode == ModeFallback {
 		s.stats.Fallbacks++
 	}
 	return res, nil

@@ -81,7 +81,6 @@ type QTensor struct {
 	// instruction. NetworkSizeBytes still counts the nominal width.
 	Wide   []int16
 	Scales []float32 // length Cols (per output channel)
-	Scheme Scheme
 }
 
 // maxCode returns the largest magnitude representable by the scheme.
@@ -125,7 +124,7 @@ func QuantizeMatrix(w *tensor.Tensor, scheme Scheme) (*QTensor, error) {
 	}
 	rows, cols := w.Dim(0), w.Dim(1)
 	q := &QTensor{Rows: rows, Cols: cols, Data: make([]int8, rows*cols),
-		Scales: make([]float32, cols), Scheme: scheme}
+		Scales: make([]float32, cols)}
 	switch scheme {
 	case Int8, Int4:
 		// The matrix is row-major, so both sweeps walk w.Data in storage

@@ -39,7 +39,7 @@ func TestPlanSingleFlight(t *testing.T) {
 		t.Fatalf("Delta = %d B, %v; the plan holds %d B", len(delta), err, len(m.Delta))
 	}
 	target, _ := r.Get(to)
-	if !m.AsDelta || m.Key != "delta:"+from+">"+to || m.Cost.ShipBytes >= target.Metrics.SizeBytes || m.Cost.ChangedParams == 0 {
+	if !m.AsDelta || m.Key != "delta:"+from+">"+to || m.Cost.ShipBytes >= target.Metrics.SizeBytes || m.Cost.FlashBytes == 0 {
 		t.Fatalf("plan = key %q, delta %v, cost %+v against %d B packed", m.Key, m.AsDelta, m.Cost, target.Metrics.SizeBytes)
 	}
 }

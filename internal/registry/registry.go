@@ -48,9 +48,6 @@ type ModelVersion struct {
 	Kind string
 	// Name is the logical model line ("wakeword", "defect-detector").
 	Name string
-	// Seq is the registration sequence number within the registry
-	// (a logical clock; the registry is deterministic and offline).
-	Seq uint64
 	// ParentID is empty for base models, otherwise the version this one
 	// was derived from.
 	ParentID string
@@ -74,11 +71,10 @@ type ModelVersion struct {
 // Registry is an in-memory, concurrency-safe model store.
 type Registry struct {
 	mu       sync.RWMutex
-	seq      uint64
 	blobs    map[string][]byte          // model artifacts by version ID
 	models   map[string]*ModelVersion   // version ID -> metadata
 	byName   map[string][]string        // logical name -> version IDs in order
-	children map[string][]*ModelVersion // parent ID -> children, in Seq order
+	children map[string][]*ModelVersion // parent ID -> children, in registration order
 
 	// Version moves, single-flight: a rollout wave asks for the same
 	// (from, to) move from every worker at once, and the encoding is
@@ -196,8 +192,7 @@ func (r *Registry) insert(data []byte, v *ModelVersion) *ModelVersion {
 	if existing, ok := r.models[v.ID]; ok {
 		return existing
 	}
-	r.seq++
-	v.Seq, v.Tags = r.seq, make(map[string]string)
+	v.Tags = make(map[string]string)
 	r.blobs[v.ID] = data
 	r.models[v.ID] = v
 	r.byName[v.Name] = append(r.byName[v.Name], v.ID)
@@ -387,9 +382,9 @@ func (r *Registry) Latest(name string) (*ModelVersion, error) {
 	return nil, fmt.Errorf("registry: no base version of %q", name)
 }
 
-// Variants returns the direct children of a version, ordered by sequence:
-// a child is appended under the lock that assigns its Seq. The returned
-// slice must not be modified.
+// Variants returns the direct children of a version in registration order:
+// a child is appended under the lock that stores it. The returned slice
+// must not be modified.
 func (r *Registry) Variants(parentID string) []*ModelVersion {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -410,9 +405,7 @@ func (r *Registry) SetTag(id, key, value string) error {
 
 // Stats reports registry contents.
 type Stats struct {
-	Models    int
-	Bases     int
-	Variants  int
+	// BlobBytes sums the stored artifacts.
 	BlobBytes int
 }
 
@@ -420,14 +413,7 @@ type Stats struct {
 func (r *Registry) Stats() Stats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := Stats{Models: len(r.models)}
-	for _, v := range r.models {
-		if v.ParentID == "" {
-			s.Bases++
-		} else {
-			s.Variants++
-		}
-	}
+	var s Stats
 	for _, b := range r.blobs {
 		s.BlobBytes += len(b)
 	}

@@ -45,12 +45,13 @@ func TestContentAddressingDeduplicates(t *testing.T) {
 	r := New()
 	net := newTestNet(1)
 	v1, _ := r.RegisterModel("demo", net, 0.9)
+	stored := r.Stats().BlobBytes
 	v2, _ := r.RegisterModel("demo", net, 0.9)
-	if v1.ID != v2.ID {
-		t.Fatal("identical artifacts got different IDs")
+	if v1.ID != v2.ID || v1 != v2 {
+		t.Fatal("identical artifacts got different versions")
 	}
-	if r.Stats().Models != 1 {
-		t.Fatalf("registry holds %d models, want 1", r.Stats().Models)
+	if got := r.Stats().BlobBytes; got != stored {
+		t.Fatalf("registry holds %d blob bytes after a duplicate, want %d", got, stored)
 	}
 }
 
@@ -188,14 +189,51 @@ func TestGetAndLoadUnknown(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesCorruptArtifact: a stored blob that no longer hashes to
+// its version's digest is refused, whichever bit flipped.
+func TestLoadRefusesCorruptArtifact(t *testing.T) {
+	r := New()
+	v, err := r.RegisterModel("demo", newTestNet(1), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.blobs[v.ID][len(r.blobs[v.ID])/2] ^= 0x10
+	want := "registry: artifact \"" + v.ID + "\" failed integrity check"
+	if _, err := r.Load(v.ID); err == nil || err.Error() != want {
+		t.Fatalf("Load of a flipped blob\n  expected: %s\n  actual: %v", want, err)
+	}
+}
+
+// TestLoadRefusesCompiledModule: a compiled variant's artifact is PVM1
+// bytecode, not a network, so Load names the kind instead of decoding it.
+func TestLoadRefusesCompiledModule(t *testing.T) {
+	r := New()
+	base, err := r.RegisterModel("demo", newTestNet(1), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := r.RegisterCompiled(base.ID, buildTestModule(t, "demo"), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "registry: version \"" + v.ID + "\" is a compiled module, not a network"
+	if _, err := r.Load(v.ID); err == nil || err.Error() != want {
+		t.Fatalf("Load of a compiled version\n  expected: %s\n  actual: %v", want, err)
+	}
+}
+
 func TestStats(t *testing.T) {
 	r := New()
 	v, _ := r.RegisterModel("a", newTestNet(11), 0.9)
 	q, _ := quant.FakeQuantizeNetwork(newTestNet(11), quant.Int8)
 	r.RegisterVariant(v.ID, q, quant.Int8, 0.85) //nolint:errcheck
-	s := r.Stats()
-	if s.Models != 2 || s.Bases != 1 || s.Variants != 1 || s.BlobBytes == 0 {
-		t.Fatalf("stats = %+v", s)
+	vb, _ := r.Bytes(v.ID)
+	var qb []byte
+	if vs := r.Variants(v.ID); len(vs) == 1 {
+		qb, _ = r.Bytes(vs[0].ID)
+	}
+	if s := r.Stats(); len(qb) == 0 || s.BlobBytes != len(vb)+len(qb) {
+		t.Fatalf("stats = %+v, want the %d + %d bytes of one base and one variant", s, len(vb), len(qb))
 	}
 }
 
@@ -232,8 +270,8 @@ func buildTestModule(t *testing.T, name string) *procvm.Module {
 
 // TestVariantsInSeqOrder holds Variants to registration order when float
 // and compiled variants of two parents register interleaved: Variants does
-// not sort, because each child is appended under the lock that assigns its
-// Seq. A content-addressed repeat adds no child.
+// not sort, because each child is appended under the lock that stores it. A
+// content-addressed repeat adds no child.
 func TestVariantsInSeqOrder(t *testing.T) {
 	r := New()
 	nets := map[string]*nn.Network{"a": newTestNet(1), "b": newTestNet(2)}
@@ -274,8 +312,8 @@ func TestVariantsInSeqOrder(t *testing.T) {
 			t.Fatalf("%s: %d variants, want %d", parent.Name, len(got), len(want[parent.ID]))
 		}
 		for i, v := range got {
-			if v != want[parent.ID][i] || (i > 0 && v.Seq <= got[i-1].Seq) {
-				t.Fatalf("%s: variant %d is %s (seq %d), want %s (seq %d)", parent.Name, i, v.ID, v.Seq, want[parent.ID][i].ID, want[parent.ID][i].Seq)
+			if v != want[parent.ID][i] {
+				t.Fatalf("%s: variant %d is %s, want %s", parent.Name, i, v.ID, want[parent.ID][i].ID)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package rollout
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -18,10 +19,8 @@ type Health struct {
 	Errors     uint64
 	// MeanLatencyUS is the modeled mean execution time in microseconds.
 	MeanLatencyUS float64
-	// DriftAlarm reports a latched on-device drift detector; DriftScore is
-	// its current test statistic.
+	// DriftAlarm reports a latched on-device drift detector.
 	DriftAlarm bool
-	DriftScore float64
 }
 
 // Transfer is the accounting of one device's update shipment.
@@ -163,10 +162,9 @@ type DeviceOutcome struct {
 	// device cannot prove it is healthy, so the gate counts it against
 	// the update-failure tolerance instead of assuming zero errors.
 	HealthErr string
-	// RolledBack reports whether the gate failure reverted this device.
-	RolledBack bool
-	// RollbackErr records a failed revert — the operational worst case,
-	// surfaced loudly rather than swallowed.
+	// RollbackErr records a failed or panicking revert of a device the
+	// wave's failure rolled back — the operational worst case. Run returns
+	// an error naming every such device, so it is never swallowed.
 	RollbackErr string
 }
 
@@ -176,7 +174,6 @@ type GateDecision struct {
 	// Reasons lists every threshold that failed, in a fixed order.
 	Reasons []string
 	// Aggregates behind the verdict.
-	Devices        int
 	UpdateFailures int
 	HealthFailures int
 	DriftAlarms    int
@@ -190,8 +187,6 @@ type WaveResult struct {
 	DeviceIDs []string
 	Outcomes  []DeviceOutcome
 	Gate      GateDecision
-	// RolledBack reports whether this wave was reverted.
-	RolledBack bool
 }
 
 // Result is the whole rollout's record.
@@ -259,7 +254,9 @@ func assignWaves(ids []string, waves []Wave, seed uint64) ([][]string, error) {
 // first wave whose gate fails, rolling that wave (and only that wave) back
 // — earlier waves passed their gates on real traffic and keep the update.
 // The returned Result is deterministic for a given (target state, config),
-// whatever the controller's worker count.
+// whatever the controller's worker count. A revert that fails or panics
+// leaves its device on the ungated version: Run then returns the Result
+// with an error naming each such device and its cause.
 func (c *Controller) Run(t Target, cfg Config) (*Result, error) {
 	waves := cfg.Waves
 	if len(waves) == 0 {
@@ -348,10 +345,10 @@ func (c *Controller) Run(t Target, cfg Config) (*Result, error) {
 		// surfaced — they must not keep running an ungated version.
 		if cfg.Bake != nil {
 			if err := cfg.Bake(wave, append([]string(nil), group...)); err != nil {
-				wr.Gate = GateDecision{Devices: len(group), Reasons: []string{fmt.Sprintf("bake failed: %v", err)}}
-				c.rollbackWave(t, group, &wr)
+				wr.Gate = GateDecision{Reasons: []string{fmt.Sprintf("bake failed: %v", err)}}
+				rerr := c.rollbackWave(t, group, &wr)
 				res.Waves = append(res.Waves, wr)
-				return res, fmt.Errorf("rollout: bake %q: %w", wave.Name, err)
+				return res, errors.Join(fmt.Errorf("rollout: bake %q: %w", wave.Name, err), rerr)
 			}
 		}
 
@@ -381,9 +378,9 @@ func (c *Controller) Run(t Target, cfg Config) (*Result, error) {
 
 		if !wr.Gate.Pass {
 			// Roll the failing wave back; earlier waves keep the update.
-			c.rollbackWave(t, group, &wr)
+			rerr := c.rollbackWave(t, group, &wr)
 			res.Waves = append(res.Waves, wr)
-			return res, nil
+			return res, rerr
 		}
 		if cfg.AfterWave != nil {
 			cfg.AfterWave(wave, append([]string(nil), group...))
@@ -396,9 +393,9 @@ func (c *Controller) Run(t Target, cfg Config) (*Result, error) {
 
 // rollbackWave reverts every device the wave actually changed — update
 // failures were never on the new version and no-op updates changed
-// nothing, so neither is touched. A panicking revert is a failed one.
-func (c *Controller) rollbackWave(t Target, group []string, wr *WaveResult) {
-	wr.RolledBack = true
+// nothing, so neither is touched. A panicking revert is a failed one. It
+// returns the failed reverts joined, in wave order; nil when all held.
+func (c *Controller) rollbackWave(t Target, group []string, wr *WaveResult) error {
 	_ = c.eng.ForEach(len(group), func(i int) error {
 		if wr.Outcomes[i].UpdateErr != "" || wr.Outcomes[i].Transfer.Unchanged() {
 			return nil
@@ -410,17 +407,22 @@ func (c *Controller) rollbackWave(t Target, group []string, wr *WaveResult) {
 		}()
 		if rerr := t.Rollback(group[i]); rerr != nil {
 			wr.Outcomes[i].RollbackErr = rerr.Error()
-		} else {
-			wr.Outcomes[i].RolledBack = true
 		}
 		return nil
 	})
+	var errs []error
+	for _, o := range wr.Outcomes {
+		if o.RollbackErr != "" {
+			errs = append(errs, fmt.Errorf("rollout: wave %q: rollback %s: %s", wr.Wave.Name, o.DeviceID, o.RollbackErr))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // judge evaluates one wave's gate from index-aligned outcomes, baselines
 // and post-bake health. Pure and serial: determinism lives here.
 func judge(g Gate, outcomes []DeviceOutcome, baselines, posts []Health) GateDecision {
-	d := GateDecision{Devices: len(outcomes)}
+	var d GateDecision
 	var inf, errs uint64
 	var ratioSum float64
 	var ratioN int

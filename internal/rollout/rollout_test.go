@@ -31,8 +31,8 @@ type fakeTarget struct {
 	// noop marks devices already running v2 (content-addressed no-op).
 	noop map[string]bool
 	// panicHealth and panicRollback mark devices whose post-bake health
-	// read or revert panics.
-	panicHealth, panicRollback map[string]bool
+	// read or revert panics; failRollback those whose revert errors out.
+	panicHealth, panicRollback, failRollback map[string]bool
 }
 
 func newFakeTarget(n int) *fakeTarget {
@@ -46,6 +46,7 @@ func newFakeTarget(n int) *fakeTarget {
 
 		panicHealth:   make(map[string]bool),
 		panicRollback: make(map[string]bool),
+		failRollback:  make(map[string]bool),
 	}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("dev-%03d", i)
@@ -86,7 +87,6 @@ func (t *fakeTarget) Health(id string) (Health, error) {
 	h := Health{Inferences: 100, MeanLatencyUS: 55}
 	if t.driftOn[id] && t.baked[id] {
 		h.DriftAlarm = true
-		h.DriftScore = 12
 	}
 	return h, nil
 }
@@ -97,6 +97,9 @@ func (t *fakeTarget) Rollback(id string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.failRollback[id] {
+		return fmt.Errorf("device %s lost power mid-revert", id)
+	}
 	if t.version[id] != "v2" {
 		return fmt.Errorf("device %s is not on v2", id)
 	}
@@ -172,7 +175,7 @@ func TestGateFailureRollsBackOnlyFailingWave(t *testing.T) {
 	if res.Completed || len(res.Waves) != 2 {
 		t.Fatalf("result = %+v", res)
 	}
-	if !res.Waves[0].Gate.Pass || res.Waves[1].Gate.Pass || !res.Waves[1].RolledBack {
+	if !res.Waves[0].Gate.Pass || res.Waves[1].Gate.Pass {
 		t.Fatalf("gates = %+v / %+v", res.Waves[0].Gate, res.Waves[1].Gate)
 	}
 	if res.Waves[1].Gate.DriftAlarms != len(groups[1]) {
@@ -211,9 +214,12 @@ func TestUpdateFailuresGateAndSkipRollback(t *testing.T) {
 		t.Fatalf("gate = %+v", w.Gate)
 	}
 	for _, o := range w.Outcomes {
-		if o.UpdateErr == "" || o.RolledBack {
+		if o.UpdateErr == "" {
 			t.Fatalf("outcome = %+v", o)
 		}
+	}
+	if len(ft.rollback) != 0 {
+		t.Fatalf("devices whose update failed were rolled back: %v", ft.rollback)
 	}
 }
 
@@ -238,23 +244,23 @@ func TestNoopUpdatesSkipAccountingAndRollback(t *testing.T) {
 	if res.DeltaTransfers != 6 || res.FullTransfers != 0 || res.TotalShipBytes != 6*128 {
 		t.Fatalf("accounting = %d delta / %d full / %d B", res.DeltaTransfers, res.FullTransfers, res.TotalShipBytes)
 	}
-	w := res.Waves[0]
-	if !w.RolledBack {
-		t.Fatal("failing wave not rolled back")
-	}
-	for _, o := range w.Outcomes {
-		if ft.noop[o.DeviceID] {
-			if o.RolledBack || o.RollbackErr != "" {
-				t.Fatalf("no-op device %s touched by rollback: %+v", o.DeviceID, o)
-			}
-		} else if !o.RolledBack {
-			t.Fatalf("updated device %s not rolled back", o.DeviceID)
+	for _, o := range res.Waves[0].Outcomes {
+		if o.RollbackErr != "" {
+			t.Fatalf("device %s: rollback error %q", o.DeviceID, o.RollbackErr)
 		}
+	}
+	if len(ft.rollback) != 6 {
+		t.Fatalf("rolled back %v, want the 6 updated devices", ft.rollback)
 	}
 	state := ft.state()
 	for _, id := range ft.ids[:4] {
 		if state[id] != "v2" {
 			t.Fatalf("no-op device %s reverted to %s", id, state[id])
+		}
+	}
+	for _, id := range ft.ids[4:] {
+		if state[id] != "v1" {
+			t.Fatalf("updated device %s not rolled back: %s", id, state[id])
 		}
 	}
 }
@@ -270,16 +276,16 @@ func TestUnreadableHealthFailsGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := res.Waves[0]
-	if w.Gate.Pass || w.Gate.HealthFailures != 1 || !w.RolledBack {
-		t.Fatalf("gate = %+v rolledBack=%v", w.Gate, w.RolledBack)
+	if w.Gate.Pass || w.Gate.HealthFailures != 1 {
+		t.Fatalf("gate = %+v", w.Gate)
 	}
 	found := false
 	for _, o := range w.Outcomes {
 		if o.DeviceID == ft.ids[3] {
-			found = o.HealthErr != "" && o.RolledBack
+			found = o.HealthErr != ""
 		}
 	}
-	if !found {
+	if !found || ft.state()[ft.ids[3]] != "v1" {
 		t.Fatal("unreadable device's outcome not recorded/rolled back")
 	}
 	// With tolerance, the same wave passes.
@@ -309,8 +315,8 @@ func TestPanickingHealthFailsGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := res.Waves[0]
-	if w.Gate.Pass || w.Gate.HealthFailures != 1 || !w.RolledBack {
-		t.Fatalf("gate = %+v rolledBack=%v", w.Gate, w.RolledBack)
+	if w.Gate.Pass || w.Gate.HealthFailures != 1 || len(ft.rollback) != 4 {
+		t.Fatalf("gate = %+v, rolled back %v", w.Gate, ft.rollback)
 	}
 	for _, o := range w.Outcomes {
 		if panicked := strings.Contains(o.HealthErr, "panicked"); panicked != (o.DeviceID == ft.ids[1]) {
@@ -319,30 +325,37 @@ func TestPanickingHealthFailsGate(t *testing.T) {
 	}
 }
 
-// TestPanickingRollbackIsSurfaced: a revert that panics is a failed revert,
-// recorded on the device's outcome rather than swallowed.
-func TestPanickingRollbackIsSurfaced(t *testing.T) {
+// TestFailedRollbackIsAnError: a revert that errors or panics leaves its
+// device on the ungated version, so Run returns an error naming each such
+// device and its cause, in wave order, beside the Result that records them.
+func TestFailedRollbackIsAnError(t *testing.T) {
 	ft := newFakeTarget(4)
 	for _, id := range ft.ids {
 		ft.driftOn[id] = true // the single wave fails its gate
 	}
+	ft.failRollback[ft.ids[1]] = true
 	ft.panicRollback[ft.ids[2]] = true
 	c := NewController(engine.New(engine.Config{Workers: 4}))
 	res, err := c.Run(ft, Config{Seed: 2, Waves: []Wave{{Name: "all", Fraction: 1}}, Bake: ft.bake})
-	if err != nil {
-		t.Fatal(err)
+	if res == nil || res.Waves[0].Gate.Pass {
+		t.Fatalf("result = %+v", res)
 	}
-	w := res.Waves[0]
-	if w.Gate.Pass || !w.RolledBack {
-		t.Fatalf("gate = %+v rolledBack=%v", w.Gate, w.RolledBack)
+	var want []string
+	for _, id := range res.Waves[0].DeviceIDs {
+		switch id {
+		case ft.ids[1]:
+			want = append(want, `rollout: wave "all": rollback dev-001: device dev-001 lost power mid-revert`)
+		case ft.ids[2]:
+			want = append(want, `rollout: wave "all": rollback dev-002: rollback panicked: slot B image missing`)
+		}
 	}
-	for _, o := range w.Outcomes {
-		if o.DeviceID == ft.ids[2] {
-			if o.RolledBack || !strings.Contains(o.RollbackErr, "rollback panicked: slot B image missing") {
-				t.Fatalf("panicked revert reads as %+v", o)
-			}
-		} else if !o.RolledBack || o.RollbackErr != "" {
-			t.Fatalf("outcome %+v", o)
+	if got := fmt.Sprint(err); got != strings.Join(want, "\n") {
+		t.Fatalf("Run error\n  expected: %q\n  actual: %q", strings.Join(want, "\n"), got)
+	}
+	state := ft.state()
+	for i, id := range ft.ids {
+		if failed := i == 1 || i == 2; (state[id] == "v2") != failed {
+			t.Fatalf("device %s on %s after the wave's revert", id, state[id])
 		}
 	}
 }
@@ -366,7 +379,7 @@ func TestBakeFailureRollsBackWave(t *testing.T) {
 		t.Fatalf("partial result = %+v", res)
 	}
 	w := res.Waves[1]
-	if w.Gate.Pass || !w.RolledBack || !strings.Contains(strings.Join(w.Gate.Reasons, ";"), "bake failed") {
+	if w.Gate.Pass || !strings.Contains(strings.Join(w.Gate.Reasons, ";"), "bake failed") {
 		t.Fatalf("bake-failed wave = %+v", w)
 	}
 	state := ft.state()

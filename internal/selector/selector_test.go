@@ -233,3 +233,51 @@ func TestPolicySchemeAllowlist(t *testing.T) {
 		t.Fatal("selection succeeded with an unsatisfiable scheme allowlist")
 	}
 }
+
+// TestTieGoesToFirstListed: candidates that score the same leave the choice
+// with the one listed first, so the caller's order breaks ties.
+func TestTieGoesToFirstListed(t *testing.T) {
+	_, cands := buildCandidates(t)
+	twin := *cands[3]
+	twin.ID = "twin-of-" + cands[3].ID
+	gw := deviceOf(t, "edge-gateway", 14)
+	dec, err := Select(gw, []*registry.ModelVersion{cands[3], &twin}, DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := dec.Evaluations[0].Score, dec.Evaluations[1].Score; a != b {
+		t.Fatalf("twins score %v and %v: no tie to break", a, b)
+	}
+	if got := dec.Chosen.Version.ID; got != cands[3].ID {
+		t.Fatalf("tie\n  expected: %s (listed first)\n  actual: %s", cands[3].ID, got)
+	}
+}
+
+// TestBatteryAtThresholdIsNotLow: the battery-aware policy weighs energy ×4
+// below 30 % charge, so a device at exactly 0.3 scores as a full one does.
+func TestBatteryAtThresholdIsNotLow(t *testing.T) {
+	_, cands := buildCandidates(t)
+	caps, err := device.ProfileByName("m4-wearable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	score := func(level float64) float64 {
+		d := device.NewDevice("m4-battery", caps, tensor.NewRNG(15))
+		d.SetBatteryLevel(level)
+		if d.Charging() || d.BatteryLevel() != level {
+			t.Fatalf("fixture: battery %v, charging %v, want %v on battery", d.BatteryLevel(), d.Charging(), level)
+		}
+		dec, err := Select(d, cands[4:], DefaultPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec.Chosen.Score
+	}
+	full, at, below := score(1), score(0.3), score(0.29)
+	if at != full {
+		t.Fatalf("score at battery 0.3\n  expected: %v (as at 1.0)\n  actual: %v", full, at)
+	}
+	if below >= full {
+		t.Fatalf("score at battery 0.29 is %v, not below the full battery's %v: the low-battery weight never applied", below, full)
+	}
+}

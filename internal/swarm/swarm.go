@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"tinymlops/internal/device"
 	"tinymlops/internal/engine"
@@ -76,16 +75,11 @@ type Stats struct {
 // TransferStats accounts one completed transfer.
 type TransferStats struct {
 	TotalBytes int64
-	// FromPeers + FromRegistry + ResumedBytes == TotalBytes: the source
-	// split of this transfer's radio bytes, plus the bytes an earlier
-	// interrupted incarnation already staged in flash.
+	// FromPeers and FromRegistry split this transfer's radio bytes by
+	// source; they fall short of TotalBytes by what an earlier interrupted
+	// incarnation already staged in flash.
 	FromPeers    int64
 	FromRegistry int64
-	ResumedBytes int64
-	// Resumed reports the transfer continued a half-written slot.
-	Resumed bool
-	// Duration is the modeled download+flash time of this incarnation.
-	Duration time.Duration
 }
 
 // transferState is one device's in-flight fetch of one artifact,
@@ -103,7 +97,6 @@ type transferState struct {
 	fromReg   int64
 	attempts  int
 	resumed   bool
-	dur       time.Duration
 }
 
 func (st *transferState) offset(m *Manifest) int64 {
@@ -422,8 +415,7 @@ func (s *Swarm) Transfer(dev *device.Device, key string, flashTotal int64) ([]by
 			}
 		}
 
-		written, dur, ierr := dev.InstallChunk(key, serve, total, flashTotal)
-		st.dur += dur
+		written, ierr := dev.InstallChunk(key, serve, total, flashTotal)
 		if written > 0 {
 			st.pending += written
 			s.charge(st, peer, written)
@@ -453,10 +445,7 @@ func (s *Swarm) Transfer(dev *device.Device, key string, flashTotal int64) ([]by
 	if err != nil {
 		return nil, nil, fmt.Errorf("swarm: transfer %q to %s: %w", key, dev.ID, err)
 	}
-	ts := &TransferStats{
-		TotalBytes: total, FromPeers: st.fromPeers, FromRegistry: st.fromReg,
-		ResumedBytes: st.base, Resumed: st.resumed, Duration: st.dur,
-	}
+	ts := &TransferStats{TotalBytes: total, FromPeers: st.fromPeers, FromRegistry: st.fromReg}
 	s.mu.Lock()
 	s.stats.Transfers++
 	if st.fromPeers+st.fromReg+st.base != total {

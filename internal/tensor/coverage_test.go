@@ -28,7 +28,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 		{"SumRowsInto", func() { a.SumRowsInto(b) }},
 		{"RowSlice", func() { New(2, 2).RowSlice(1, 5) }},
 		{"Subset-negative-dim", func() { New(-1) }},
-		{"ArgMax-empty", func() { FromSlice(nil, 0).ArgMax() }},
 		{"SumRowsInto-non2D", func() { New(2).SumRowsInto(New(2)) }},
 	}
 	for _, c := range cases {

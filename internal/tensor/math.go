@@ -49,20 +49,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// ArgMax returns the index of the largest element of a 1D tensor.
-func (t *Tensor) ArgMax() int {
-	if len(t.Data) == 0 {
-		panic("tensor: ArgMax of empty tensor")
-	}
-	best, bi := t.Data[0], 0
-	for i, v := range t.Data[1:] {
-		if v > best {
-			best, bi = v, i+1
-		}
-	}
-	return bi
-}
-
 // ArgMaxRows returns, for a 2D tensor, the column index of the maximum of
 // each row.
 func (t *Tensor) ArgMaxRows() []int {

@@ -84,13 +84,6 @@ func TestInPlaceOps(t *testing.T) {
 	}
 }
 
-func TestReductions(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4}, 4)
-	if x.ArgMax() != 3 {
-		t.Fatalf("ArgMax = %d", x.ArgMax())
-	}
-}
-
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{4, 3, 2, 1}, 2, 2)
