@@ -102,8 +102,8 @@ func TestFleetRolloutPins(t *testing.T) {
 		allocs                  float64
 		registry, peer, shipped int64
 	}{
-		{"registry-direct", false, 50.3, 0, 0, 160 * devices},
-		{"swarm", true, 21.4, 2_784, 171_564, 174_348},
+		{"registry-direct", false, 50.2, 0, 0, 160 * devices},
+		{"swarm", true, 21.3, 2_784, 171_564, 174_348},
 	} {
 		p, v2, cfg := newFleetRollout(t, n, pin.viaSwarm)
 		rollOut(t, p, v2, cfg) // warm-up

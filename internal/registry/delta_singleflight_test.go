@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tinymlops/internal/nn"
-	"tinymlops/internal/tensor"
 )
 
 // deltaFixture registers two same-topology versions and returns their IDs.
@@ -83,21 +82,7 @@ func TestDeltaSingleFlightUnderContention(t *testing.T) {
 func TestDeltaSingleFlightManyPairs(t *testing.T) {
 	r := New()
 	const versions = 6
-	ids := make([]string, versions)
-	base := newTestNet(42)
-	for i := 0; i < versions; i++ {
-		net := base.Clone()
-		head := net.Layers()[2].(*nn.Dense)
-		rng := tensor.NewRNG(uint64(100 + i))
-		for j := range head.W.Value.Data {
-			head.W.Value.Data[j] += 0.01 * rng.Float32()
-		}
-		v, err := r.RegisterModel("mp", net, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = v.ID
-	}
+	ids, _ := registerLine(t, r, versions)
 	type pair struct{ from, to string }
 	var pairs []pair
 	for i := 0; i < versions; i++ {

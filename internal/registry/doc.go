@@ -14,5 +14,7 @@
 // the matrix to the next. The registry plans each version move once — its
 // delta, the delta's cost, whether it beats the packed image — and owns the
 // artifact names ("full:<id>", "delta:<from>><to>") that installs and the
-// swarm use, resolving them itself as the source of last resort.
+// swarm use, resolving them itself as the source of last resort. It keeps
+// each network version decoded beside its bytes, so a plan neither hashes
+// nor decodes an artifact.
 package registry

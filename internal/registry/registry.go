@@ -72,6 +72,7 @@ type ModelVersion struct {
 type Registry struct {
 	mu       sync.RWMutex
 	blobs    map[string][]byte          // model artifacts by version ID
+	nets     map[string]*nn.Network     // network artifacts decoded, by version ID; never handed out
 	models   map[string]*ModelVersion   // version ID -> metadata
 	byName   map[string][]string        // logical name -> version IDs in order
 	children map[string][]*ModelVersion // parent ID -> children, in registration order
@@ -117,6 +118,7 @@ type Move struct {
 func New() *Registry {
 	return &Registry{
 		blobs:    make(map[string][]byte),
+		nets:     make(map[string]*nn.Network),
 		models:   make(map[string]*ModelVersion),
 		byName:   make(map[string][]string),
 		children: make(map[string][]*ModelVersion),
@@ -169,7 +171,8 @@ func (r *Registry) register(name, parentID string, net *nn.Network, scheme quant
 		}
 		prevFloats = lc.Info.ActivationFloats
 	}
-	return r.insert(data, &ModelVersion{
+	// The registry keeps its own copy: a caller may go on training net.
+	return r.insert(data, net.Clone(), &ModelVersion{
 		Name: name, ParentID: parentID, Scheme: scheme,
 		OpKinds: net.OpKinds(), InputShape: slices.Clone(net.InputShape),
 		Metrics: Metrics{
@@ -181,10 +184,11 @@ func (r *Registry) register(name, parentID string, net *nn.Network, scheme quant
 	}), nil
 }
 
-// insert stores an artifact under its content address and returns its
-// version: v, numbered and indexed, or the version already holding these
-// bytes — identical bytes are the same version.
-func (r *Registry) insert(data []byte, v *ModelVersion) *ModelVersion {
+// insert stores an artifact, with the network it encodes (nil for a
+// compiled module), under its content address and returns its version: v,
+// numbered and indexed, or the version already holding these bytes —
+// identical bytes are the same version.
+func (r *Registry) insert(data []byte, net *nn.Network, v *ModelVersion) *ModelVersion {
 	v.Digest = sha256.Sum256(data)
 	v.ID = idFromDigest(v.Digest)
 	r.mu.Lock()
@@ -194,6 +198,7 @@ func (r *Registry) insert(data []byte, v *ModelVersion) *ModelVersion {
 	}
 	v.Tags = make(map[string]string)
 	r.blobs[v.ID] = data
+	r.nets[v.ID] = net
 	r.models[v.ID] = v
 	r.byName[v.Name] = append(r.byName[v.Name], v.ID)
 	if v.ParentID != "" {
@@ -217,14 +222,17 @@ func (r *Registry) Get(id string) (*ModelVersion, error) {
 // a version ID: the version is unknown.
 var ErrArtifactMissing = fmt.Errorf("registry: artifact missing")
 
-// Load deserializes the network stored under a version ID, verifying the
-// artifact digest first (integrity check on the registry's own storage).
-// Compiled-module versions reject: their bytes are not a network, and a
-// caller expecting one must follow ParentID to the float artifact instead.
+// Load returns the network stored under a version ID, as a copy the caller
+// owns. It verifies the artifact digest first (an integrity check on the
+// registry's own storage), then clones the network the registry kept when
+// the version was registered, which the stored bytes encode; nothing is
+// decoded. Compiled-module versions reject: their bytes are not a network,
+// and a caller expecting one must follow ParentID to the float artifact
+// instead.
 func (r *Registry) Load(id string) (*nn.Network, error) {
 	r.mu.RLock()
 	data, ok := r.blobs[id]
-	v := r.models[id]
+	v, net := r.models[id], r.nets[id]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: version %q", ErrArtifactMissing, id)
@@ -235,7 +243,7 @@ func (r *Registry) Load(id string) (*nn.Network, error) {
 	if sha256.Sum256(data) != v.Digest {
 		return nil, fmt.Errorf("registry: artifact %q failed integrity check", id)
 	}
-	return nn.UnmarshalNetwork(data)
+	return net.Clone(), nil
 }
 
 // RegisterCompiled stores a compiled procvm module as a first-class
@@ -256,7 +264,7 @@ func (r *Registry) RegisterCompiled(parentID string, m *procvm.Module, accuracy 
 		return nil, fmt.Errorf("registry: compiled module: %w", err)
 	}
 	data := m.Encode()
-	return r.insert(data, &ModelVersion{
+	return r.insert(data, nil, &ModelVersion{
 		Kind: KindProcVM, Name: parent.Name, ParentID: parentID,
 		Scheme: quant.Float32, InputShape: parent.InputShape,
 		Metrics: Metrics{
@@ -335,15 +343,16 @@ func (r *Registry) Plan(fromID, toID string) *Move {
 	return m
 }
 
+// computeDelta encodes the move between the two kept networks, which
+// EncodeDelta only reads: an artifact is immutable once stored, so a move
+// neither re-hashes nor decodes it.
 func (r *Registry) computeDelta(fromID, toID string) ([]byte, nn.DeltaCost, error) {
 	r.deltaComputes.Add(1)
-	from, err := r.Load(fromID)
-	if err != nil {
-		return nil, nn.DeltaCost{}, err
-	}
-	to, err := r.Load(toID)
-	if err != nil {
-		return nil, nn.DeltaCost{}, err
+	r.mu.RLock()
+	from, to := r.nets[fromID], r.nets[toID]
+	r.mu.RUnlock()
+	if from == nil || to == nil {
+		return nil, nn.DeltaCost{}, fmt.Errorf("registry: delta %s->%s: both versions must be stored networks", fromID, toID)
 	}
 	d, err := nn.EncodeDelta(from, to)
 	var cost nn.DeltaCost

@@ -220,6 +220,12 @@ func TestLoadRefusesCompiledModule(t *testing.T) {
 	if _, err := r.Load(v.ID); err == nil || err.Error() != want {
 		t.Fatalf("Load of a compiled version\n  expected: %s\n  actual: %v", want, err)
 	}
+	// It keeps no network, so no move plans a delta to or from it.
+	for _, m := range []*Move{r.Plan(base.ID, v.ID), r.Plan(v.ID, base.ID)} {
+		if m.err == nil || m.AsDelta {
+			t.Fatalf("move %s: delta %v, %d B, error %v; want a refusal", m.Key, m.AsDelta, len(m.Delta), m.err)
+		}
+	}
 }
 
 func TestStats(t *testing.T) {

@@ -3,6 +3,7 @@ package selector
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"tinymlops/internal/device"
 	"tinymlops/internal/nn"
@@ -279,5 +280,32 @@ func TestBatteryAtThresholdIsNotLow(t *testing.T) {
 	}
 	if below >= full {
 		t.Fatalf("score at battery 0.29 is %v, not below the full battery's %v: the low-battery weight never applied", below, full)
+	}
+}
+
+// TestOfflineDownloadOrdersBySize: with no link, a variant's download time
+// is its size in milliseconds, a finite stand-in, so of two otherwise equal
+// variants the smaller still wins.
+func TestOfflineDownloadOrdersBySize(t *testing.T) {
+	_, cands := buildCandidates(t)
+	smaller := *cands[4]
+	smaller.ID = "smaller-" + cands[4].ID
+	smaller.Metrics.SizeBytes /= 2
+	d := deviceOf(t, "m4-wearable", 16)
+	d.SetNet(device.Offline)
+	if d.Net() != device.Offline {
+		t.Fatalf("fixture: device is %v, want offline", d.Net())
+	}
+	dec, err := Select(d, []*registry.ModelVersion{cands[4], &smaller}, DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range dec.Evaluations {
+		if want := time.Duration(ev.Version.Metrics.SizeBytes) * time.Millisecond; ev.DownloadTime != want {
+			t.Errorf("offline download of %d B\n  expected: %v\n  actual: %v", ev.Version.Metrics.SizeBytes, want, ev.DownloadTime)
+		}
+	}
+	if got := dec.Chosen.Version.ID; got != smaller.ID {
+		t.Fatalf("offline choice\n  expected: %s (%d B)\n  actual: %s", smaller.ID, smaller.Metrics.SizeBytes, got)
 	}
 }
