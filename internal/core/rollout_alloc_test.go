@@ -103,7 +103,7 @@ func TestFleetRolloutPins(t *testing.T) {
 		registry, peer, shipped int64
 	}{
 		{"registry-direct", false, 50.2, 0, 0, 160 * devices},
-		{"swarm", true, 21.3, 2_784, 171_564, 174_348},
+		{"swarm", true, 18.3, 2_784, 171_564, 174_348},
 	} {
 		p, v2, cfg := newFleetRollout(t, n, pin.viaSwarm)
 		rollOut(t, p, v2, cfg) // warm-up
@@ -127,13 +127,15 @@ func TestFleetRolloutPins(t *testing.T) {
 // TestUpdateAllocationPins pins what one warm Deployment.Update allocates on
 // each transport, at GOMAXPROCS 1, device by device. An earlier device has
 // already made the move, so its delta plan, its chunk manifest and the
-// target's image exist, and what is left is the device's own: its report,
-// its selection table and, through a swarm, its transfer's state and
-// stats. The swarm pin is exact on six second-wave devices fed by the
-// canary; the wave's first device is not among them, because it also makes
-// the swarm's pending-seeder sets. Registry-direct updates seal and open the
-// artifact in ipprot (34 of the delta's 36), whose random draws now and then
-// cost one more, so those two pins are upper bounds at the most measured.
+// target's image exist, and what is left is the device's own. Through a
+// swarm that is four: its UpdateReport, the selector's evaluation table,
+// the swarm's transferState and its TransferStats; the swarm hands over
+// its canonical bytes, so none are copied. The swarm pin is exact on six
+// second-wave devices fed by the canary; the wave's first device is not
+// among them, because it also makes the swarm's pending-seeder sets.
+// Registry-direct updates seal and open the artifact in ipprot (34 of the
+// delta's 36), whose random draws now and then cost one more, so those two
+// pins are upper bounds at the most measured.
 func TestUpdateAllocationPins(t *testing.T) {
 	for _, pin := range []struct {
 		name           string
@@ -141,7 +143,7 @@ func TestUpdateAllocationPins(t *testing.T) {
 		allocs         uint64
 		exact          bool
 	}{
-		{"swarm-delta-from-peers", true, false, 7, true},
+		{"swarm-delta-from-peers", true, false, 4, true},
 		{"registry-delta", false, false, 37, false},
 		{"registry-full", false, true, 38, false},
 	} {

@@ -22,7 +22,7 @@ type UpdateOptions struct {
 	// ForceFull disables delta transfer (used to measure the saving).
 	ForceFull bool
 	// Swarm, when non-nil, sources the transfer's bytes peer-to-peer: the
-	// chosen artifact (or its delta) ships as hash-verified chunks from the
+	// chosen artifact (or its delta) ships as hash-checked chunks from the
 	// wave's seeders, with the registry as seeder of last resort, and the
 	// device registers as a pending seeder on success. See internal/swarm.
 	Swarm *swarm.Swarm
@@ -189,9 +189,10 @@ func (d *Deployment) tryDeltaLocked(sw *swarm.Swarm, chosen *registry.ModelVersi
 // transfer moves one artifact — a full image or a delta, named by its
 // content-addressed install token — onto the device and returns the bytes
 // as the device holds them, filling rep's transfer accounting. A swarm
-// delivers hash-verified chunks from the wave's seeders, the registry being
+// delivers hash-checked chunks from the wave's seeders, the registry being
 // seeder of last resort; it moves canonical plaintext (the chunk hashes
-// content-address the real artifact), so no envelope encryption applies.
+// content-address the real artifact), so no envelope encryption applies,
+// and it returns the registry's own bytes, which the caller only reads.
 // Without one, payload streams registry-direct under envelope encryption
 // (§V). Either way an install that crashed mid-flash resumes from its
 // staging slot on retry. ship and flash are the radio and flash-rewrite
@@ -309,10 +310,10 @@ func (d *Deployment) recalibrateLocked(calib *dataset.Dataset) error {
 // and Update. A direct ship reads the registry blob and moves the variant's
 // packed size; a swarm sources and sizes the bytes itself, from its seeders
 // and from the registry as the source of last resort. The bytes that arrive
-// passed the transfer's own verification (chunk hashes and artifact digest,
-// or the AEAD open), so an unwatermarked device takes the fleet's image of
-// them; a watermarked one decodes its own copy and stamps the customer's
-// mark into it.
+// passed the transfer's own verification (every chunk's hash, or the AEAD
+// open), so an unwatermarked device takes the fleet's image of them; a
+// watermarked one decodes its own copy and stamps the customer's mark into
+// it. Decoding copies, so no image aliases the registry's bytes.
 func (p *Platform) shipFull(sw *swarm.Swarm, dev *device.Device, v *registry.ModelVersion, watermark string, rep *UpdateReport) (*image, error) {
 	var artifact []byte
 	var size int64

@@ -1,7 +1,6 @@
 package swarm
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -80,88 +79,5 @@ func TestBuildManifestRejects(t *testing.T) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestReassemblerErrorPaths(t *testing.T) {
-	data := testBlob(1000, 11)
-	m, err := BuildManifest("full:v1", data, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunk := func(i int) []byte { s, e := m.ChunkSpan(i); return data[s:e] }
-
-	cases := []struct {
-		name string
-		run  func(ra *Reassembler) error
-		want error
-	}{
-		{"unknown-chunk-negative", func(ra *Reassembler) error {
-			return ra.AddChunk(-1, chunk(0))
-		}, ErrUnknownChunk},
-		{"unknown-chunk-beyond", func(ra *Reassembler) error {
-			return ra.AddChunk(m.NumChunks(), chunk(0))
-		}, ErrUnknownChunk},
-		{"duplicate-chunk", func(ra *Reassembler) error {
-			if err := ra.AddChunk(0, chunk(0)); err != nil {
-				return err
-			}
-			return ra.AddChunk(0, chunk(0))
-		}, ErrDuplicateChunk},
-		{"wrong-size", func(ra *Reassembler) error {
-			return ra.AddChunk(0, chunk(0)[:100])
-		}, ErrChunkSize},
-		{"corrupt-hash", func(ra *Reassembler) error {
-			bad := append([]byte(nil), chunk(1)...)
-			bad[0] ^= 0x01
-			return ra.AddChunk(1, bad)
-		}, ErrChunkHashMismatch},
-		{"misplaced-chunk", func(ra *Reassembler) error {
-			// Right bytes, wrong position: content addressing catches it.
-			return ra.AddChunk(0, chunk(1))
-		}, ErrChunkHashMismatch},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.run(NewReassembler(m)); !errors.Is(got, tc.want) {
-				t.Fatalf("err = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-func TestReassemblerAssemble(t *testing.T) {
-	data := testBlob(1000, 13)
-	m, err := BuildManifest("full:v1", data, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra := NewReassembler(m)
-	if _, err := ra.Assemble(); !errors.Is(err, ErrIncomplete) {
-		t.Fatalf("empty assemble err = %v, want ErrIncomplete", err)
-	}
-	// Out-of-order arrival is fine; the positions are content-addressed.
-	for _, i := range []int{3, 0, 2} {
-		s, e := m.ChunkSpan(i)
-		if err := ra.AddChunk(i, data[s:e]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ra.missing == 0 {
-		t.Fatal("complete with a chunk missing")
-	}
-	if ra.missing != 1 || ra.have[1] || !ra.have[0] {
-		t.Fatalf("missing = %d, have(1) = %v", ra.missing, ra.have[1])
-	}
-	s, e := m.ChunkSpan(1)
-	if err := ra.AddChunk(1, data[s:e]); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ra.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, data) {
-		t.Fatal("assembled bytes diverge from the artifact")
 	}
 }

@@ -55,8 +55,10 @@ type Stats struct {
 	DeliveredBytes      int64
 	RegistryEgressBytes int64
 	PeerBytes           int64
-	// ChunksVerified counts chunk hashes checked on receipt; HashRejects
-	// counts chunks that failed the check (zero with honest sources).
+	// ChunksVerified counts chunks that passed their hash check when a
+	// transfer completed them (re-checking a resumed staged prefix counts
+	// none); HashRejects counts chunks that failed it (zero with honest
+	// sources).
 	ChunksVerified int64
 	HashRejects    int64
 	// PeerServes / RegistryServes count serve calls by source kind;
@@ -86,25 +88,13 @@ type TransferStats struct {
 // persisted across interrupted attempts. Only the owning device's serial
 // update calls touch it; the swarm map holding it is mutex-guarded.
 type transferState struct {
-	key        string
-	ra         *Reassembler
-	doneChunks int
-	// pending counts the in-flight chunk's bytes received so far: they are
-	// the artifact's own, blob[start:start+pending], so none is copied.
-	pending   int64
+	key       string
+	off       int64 // the device holds blob[:off]
 	base      int64 // bytes re-derived from a pre-existing staged slot
 	fromPeers int64
 	fromReg   int64
 	attempts  int
 	resumed   bool
-}
-
-func (st *transferState) offset(m *Manifest) int64 {
-	if st.doneChunks >= m.NumChunks() {
-		return m.TotalBytes
-	}
-	start, _ := m.ChunkSpan(st.doneChunks)
-	return start + st.pending
 }
 
 // Swarm coordinates peer-to-peer artifact distribution across rollout
@@ -315,11 +305,11 @@ func assignHash(seed, wave uint64, fetcherID, key string, chunk, attempt int) ui
 // stateFor returns the device's transfer state for key, synchronized with
 // the device's staging slot — the slot is authoritative, because the
 // device may have crashed, resumed, or switched images since the swarm
-// last saw it. A matching slot with no swarm state is rebuilt by
-// re-reading the staged flash prefix (hash-verifying every completed
-// chunk); a mismatched slot starts fresh. New state replaces what the
-// device held for another key: the single staging slot means at most one
-// half-written image exists per device.
+// last saw it. A matching slot with no swarm state is rebuilt from the
+// staged flash prefix, hash-checking every chunk it completes; a
+// mismatched slot starts fresh. New state replaces what the device held
+// for another key: the single staging slot means at most one half-written
+// image exists per device.
 func (s *Swarm) stateFor(dev *device.Device, key string, m *Manifest, blob []byte, flashTotal int64) (*transferState, error) {
 	var devOff int64
 	if tok, done, dlTotal, flTotal, ok := dev.StagingDownload(); ok &&
@@ -329,30 +319,19 @@ func (s *Swarm) stateFor(dev *device.Device, key string, m *Manifest, blob []byt
 	s.mu.Lock()
 	st := s.inflight[dev.ID]
 	s.mu.Unlock()
-	if st != nil && st.key == key && st.offset(m) == devOff {
+	if st != nil && st.key == key && st.off == devOff {
 		return st, nil
 	}
-	st = &transferState{key: key, ra: NewReassembler(m)}
-	if devOff > 0 {
-		// Resume: the staged flash prefix holds exactly blob[:devOff] — those
-		// bytes were delivered (and charged) by an earlier incarnation, so
-		// re-reading them locally is free. Completed chunks re-verify against
-		// the manifest on the way back in.
-		st.base = devOff
-		for i := 0; i < m.NumChunks(); i++ {
-			cs, ce := m.ChunkSpan(i)
-			if ce > devOff {
-				break
-			}
-			if err := st.ra.AddChunk(i, blob[cs:ce]); err != nil {
-				return nil, fmt.Errorf("swarm: staged prefix of %s %q: %w", dev.ID, key, err)
-			}
-			st.doneChunks++
-		}
-		if cs, _ := m.ChunkSpan(st.doneChunks); cs < devOff {
-			st.pending = devOff - cs
+	// Resume: the staged flash prefix holds exactly blob[:devOff] — those
+	// bytes were delivered (and charged) by an earlier incarnation, so
+	// re-reading them locally is free. Completed chunks re-verify against
+	// the manifest in place.
+	for i := 0; i < m.ChunkOf(devOff); i++ {
+		if err := m.check(blob, i); err != nil {
+			return nil, fmt.Errorf("swarm: staged prefix of %s %q: %w", dev.ID, key, err)
 		}
 	}
+	st = &transferState{key: key, off: devOff, base: devOff}
 	s.mu.Lock()
 	s.inflight[dev.ID] = st
 	s.mu.Unlock()
@@ -361,12 +340,14 @@ func (s *Swarm) stateFor(dev *device.Device, key string, m *Manifest, blob []byt
 
 // Transfer fetches the artifact named by key onto the device, chunk by
 // chunk, preferring the wave's active seeders and falling back to the
-// registry source. Every chunk is hash-verified on receipt and every
-// delivered byte is charged to exactly one serving side; an interrupted
-// transfer (crash mid-flash, dropped link, dead battery) keeps its state
-// and a retry resumes from the exact byte. flashTotal is the flash work
-// the install represents (0 = the artifact size; deltas flash less than
-// they download). On success it returns the bit-exact artifact bytes.
+// registry source. Every chunk is hash-checked against the manifest once
+// the device holds all of it, and every delivered byte is charged to
+// exactly one serving side; an interrupted transfer (crash mid-flash,
+// dropped link, dead battery) keeps its state and a retry resumes from the
+// exact byte. flashTotal is the flash work the install represents (0 = the
+// artifact size; deltas flash less than they download). On success it
+// returns the swarm's canonical artifact bytes — the slice Source returned,
+// shared by every transfer of key — which the caller must not modify.
 func (s *Swarm) Transfer(dev *device.Device, key string, flashTotal int64) ([]byte, *TransferStats, error) {
 	if dev == nil {
 		return nil, nil, fmt.Errorf("swarm: nil device")
@@ -383,7 +364,7 @@ func (s *Swarm) Transfer(dev *device.Device, key string, flashTotal int64) ([]by
 	if err != nil {
 		return nil, nil, err
 	}
-	if st.offset(m) > 0 && !st.resumed {
+	if st.off > 0 && !st.resumed {
 		// A call continuing a prior interrupted incarnation, from the
 		// device's staged prefix or from in-memory state, is a resume.
 		st.resumed = true
@@ -392,14 +373,10 @@ func (s *Swarm) Transfer(dev *device.Device, key string, flashTotal int64) ([]by
 		s.mu.Unlock()
 	}
 
-	for {
-		off := st.offset(m)
-		if off >= total {
-			break
-		}
-		ci := m.ChunkOf(off)
-		cstart, cend := m.ChunkSpan(ci)
-		span := cend - off
+	for st.off < total {
+		ci := m.ChunkOf(st.off)
+		_, cend := m.ChunkSpan(ci)
+		span := cend - st.off
 		st.attempts++
 
 		peerID, peer := s.pickSource(dev.ID, key, ci, st.attempts)
@@ -417,34 +394,29 @@ func (s *Swarm) Transfer(dev *device.Device, key string, flashTotal int64) ([]by
 
 		written, ierr := dev.InstallChunk(key, serve, total, flashTotal)
 		if written > 0 {
-			st.pending += written
+			st.off += written
 			s.charge(st, peer, written)
 		}
 		if ierr != nil {
 			return nil, nil, fmt.Errorf("swarm: transfer %q to %s: %w", key, dev.ID, ierr)
 		}
-		if st.pending == cend-cstart {
-			if aerr := st.ra.AddChunk(ci, blob[cstart:cend]); aerr != nil {
-				// A corrupt chunk never enters the artifact; drop it and let
-				// the caller retry against a different source rotation.
+		if st.off == cend {
+			if cerr := m.check(blob, ci); cerr != nil {
+				// A corrupt chunk never enters the artifact: the state goes,
+				// so a retry rebuilds it from the device's staged prefix,
+				// which re-checks the chunk in place.
 				s.mu.Lock()
 				s.stats.HashRejects++
+				delete(s.inflight, dev.ID)
 				s.mu.Unlock()
-				st.pending = 0
-				return nil, nil, fmt.Errorf("swarm: transfer %q to %s: %w", key, dev.ID, aerr)
+				return nil, nil, fmt.Errorf("swarm: transfer %q to %s: %w", key, dev.ID, cerr)
 			}
 			s.mu.Lock()
 			s.stats.ChunksVerified++
 			s.mu.Unlock()
-			st.doneChunks++
-			st.pending = 0
 		}
 	}
 
-	data, err := st.ra.Assemble()
-	if err != nil {
-		return nil, nil, fmt.Errorf("swarm: transfer %q to %s: %w", key, dev.ID, err)
-	}
 	ts := &TransferStats{TotalBytes: total, FromPeers: st.fromPeers, FromRegistry: st.fromReg}
 	s.mu.Lock()
 	s.stats.Transfers++
@@ -453,7 +425,7 @@ func (s *Swarm) Transfer(dev *device.Device, key string, flashTotal int64) ([]by
 	}
 	delete(s.inflight, dev.ID)
 	s.mu.Unlock()
-	return data, ts, nil
+	return blob, ts, nil
 }
 
 // charge attributes written bytes to their serving side: the peer's

@@ -284,27 +284,91 @@ func TestTransferErrorPaths(t *testing.T) {
 	}
 }
 
+// TestSwarmSourceCorruptionRejected models a corrupt source: bytes that
+// change after the manifest is cut. The chunk holding the change is
+// rejected on receipt, and the retry re-checks the staged prefix in place,
+// so it is rejected again while the bytes stay corrupt. No call returns
+// bytes until they are restored.
 func TestSwarmSourceCorruptionRejected(t *testing.T) {
-	// A source whose bytes change between manifest build and chunk serving
-	// models a corrupt seeder: the receiver's hash check must reject the
-	// chunk and the artifact must never assemble from mixed bytes.
-	h := newHarness(t, 1)
-	good := testBlob(1024, 8)
-	h.blobs["full:v1"] = good
+	h := newHarness(t, 2)
+	blob := testBlob(1024, 8)
+	h.blobs["full:v1"] = blob
 	s := h.swarm(t, Config{ChunkBytes: 256})
-	m, _, err := s.materialize("full:v1")
-	if err != nil {
+	// dev-000's transfer cuts the manifest from the true bytes.
+	if _, _, err := s.Transfer(h.devs["dev-000"], "full:v1", 0); err != nil {
 		t.Fatal(err)
 	}
-	ra := NewReassembler(m)
-	bad := append([]byte(nil), good[:256]...)
-	bad[17] ^= 0x80
-	if err := ra.AddChunk(0, bad); !errors.Is(err, ErrChunkHashMismatch) {
-		t.Fatalf("corrupt chunk err = %v, want ErrChunkHashMismatch", err)
+	blob[300] ^= 0x80 // chunk 1
+	dev := h.devs["dev-001"]
+	for _, call := range []string{"update", "retry"} {
+		data, _, err := s.Transfer(dev, "full:v1", 0)
+		if !errors.Is(err, ErrChunkHashMismatch) || data != nil {
+			t.Fatalf("%s with corrupt bytes: err = %v and %d bytes, want ErrChunkHashMismatch and none", call, err, len(data))
+		}
 	}
-	// The rejected chunk left no trace: the true bytes still verify.
-	if err := ra.AddChunk(0, good[:256]); err != nil {
-		t.Fatalf("true chunk rejected after corruption attempt: %v", err)
+	if got := s.Stats().HashRejects; got != 1 {
+		t.Fatalf("HashRejects = %d, want 1 (the receipt check; the retry fails re-checking the staged prefix)", got)
+	}
+
+	blob[300] ^= 0x80
+	data, ts, err := s.Transfer(dev, "full:v1", 0)
+	if err != nil {
+		t.Fatalf("retry after the bytes were restored: %v", err)
+	}
+	if !bytes.Equal(data, testBlob(1024, 8)) {
+		t.Fatal("restored transfer returned bytes that diverge from the source's")
+	}
+	if got, want := ts.FromPeers+ts.FromRegistry, int64(512); got != want {
+		t.Fatalf("restored transfer moved %d B, want %d: the verified staged prefix is kept", got, want)
+	}
+	if st := s.Stats(); st.Transfers != 2 || st.ConservationViolations != 0 {
+		t.Fatalf("ledger %+v, want 2 transfers and no conservation violation", st)
+	}
+}
+
+// TestTransferResumeBoundaries stages a device's prefix where a resume must
+// continue from the exact byte — a chunk end, one byte into a chunk, one
+// byte short of the artifact — with no swarm state for it, as after an
+// earlier incarnation of the install, and pins what the resumed transfer
+// returns and counts.
+func TestTransferResumeBoundaries(t *testing.T) {
+	const size, chunk = 1000, 256 // chunks end at 256, 512, 768 and 1000
+	for _, tc := range []struct {
+		name     string
+		staged   int64
+		verified int64
+	}{
+		{"chunk-end", 512, 2},
+		{"one-byte-into-chunk", 513, 2},
+		{"one-byte-short", size - 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, 1)
+			h.blobs["full:v1"] = testBlob(size, 12)
+			s := h.swarm(t, Config{ChunkBytes: chunk, Seed: 7})
+			dev := h.devs["dev-000"]
+			if _, err := dev.InstallChunk("full:v1", tc.staged, size, size); err != nil {
+				t.Fatal(err)
+			}
+			data, ts, err := s.Transfer(dev, "full:v1", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, h.blobs["full:v1"]) {
+				t.Errorf("returned bytes diverge from the source's")
+			}
+			if got := ts.FromPeers + ts.FromRegistry + tc.staged; got != ts.TotalBytes {
+				t.Errorf("peers %d + registry %d + staged %d = %d B, want TotalBytes %d",
+					ts.FromPeers, ts.FromRegistry, tc.staged, got, ts.TotalBytes)
+			}
+			st := s.Stats()
+			if st.ChunksVerified != tc.verified {
+				t.Errorf("ChunksVerified = %d, want %d (the chunks received in this call)", st.ChunksVerified, tc.verified)
+			}
+			if st.Resumed != 1 {
+				t.Errorf("Resumed = %d, want 1", st.Resumed)
+			}
+		})
 	}
 }
 

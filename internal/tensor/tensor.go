@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"tinymlops/internal/wire"
 )
@@ -87,11 +88,10 @@ func (t *Tensor) At2(i, j int) float32 { return t.Data[i*t.shape[1]+j] }
 // Set2 is a fast mutator for 2D tensors.
 func (t *Tensor) Set2(i, j int, v float32) { t.Data[i*t.shape[1]+j] = v }
 
-// Clone returns a deep copy of the tensor.
+// Clone returns a deep copy of the tensor. slices.Clone copies into
+// memory it does not clear first, as New's make would.
 func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
-	copy(c.Data, t.Data)
-	return c
+	return &Tensor{shape: slices.Clone(t.shape), Data: slices.Clone(t.Data)}
 }
 
 // RowSlice returns rows [lo,hi) of a 2D tensor as a shared view.
