@@ -55,14 +55,14 @@ func TestDeviceAndSelectionSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := tinymlops.NewRNG(2)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 2})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("surface-test-key-0123456789abcde"), Seed: 2,
 	})
@@ -91,14 +91,14 @@ func TestDeviceAndSelectionSurface(t *testing.T) {
 // gate types, the rollout record, and Deployment.Health/Rollback.
 func TestRolloutSurface(t *testing.T) {
 	rng := tinymlops.NewRNG(9)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 9})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("surface-test-key-0123456789abcde"), Seed: 9,
 	})
@@ -261,14 +261,14 @@ func TestIntegerServingSurface(t *testing.T) {
 	net := tinymlops.NewNetwork([]int{4}, tinymlops.Dense(4, 8, rng), tinymlops.ReLU(), tinymlops.Dense(8, 2, rng))
 
 	// An int8-pinned deployment on NPU hardware reports int8 execution.
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 51})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("surface-test-key-0123456789abcde"), Seed: 51,
 	})
@@ -309,14 +309,14 @@ func TestIntegerServingSurface(t *testing.T) {
 // stats, the mode constants, and the chaos scenario's offload phase.
 func TestOffloadSurface(t *testing.T) {
 	rng := tinymlops.NewRNG(41)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 41})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("surface-test-key-0123456789abcde"), Seed: 41,
 	})
@@ -406,14 +406,14 @@ func TestVerifiedBillingSurface(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 61})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	p, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("surface-test-key-0123456789abcde"), Seed: 61, MinCohort: 1,
 		VerifiedBilling: true, AttestationRate: 1,
@@ -508,7 +508,7 @@ func TestVerifiedBillingSurface(t *testing.T) {
 // version it published.
 func TestHierFederatedSurface(t *testing.T) {
 	rng := tinymlops.NewRNG(7)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 7})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestHierFederatedSurface(t *testing.T) {
 // egress report, and the byte-conservation fields on the audit.
 func TestSwarmSurface(t *testing.T) {
 	// Platform.NewSwarm is reachable and returns a quiet coordinator.
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 80})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,12 +113,18 @@ var censusRules = []*rule{
 		home: "internal/registry/registry.go", allow: []string{"internal/registry/", "bench/"}, match: is(func(_ at, l *ast.BasicLit) bool { return artifactName.MatchString(l.Value) }), bad: []string{"var from string\nvar _ = \"delta:\" + from"}},
 	{name: "activation", fact: "the model path's exp and tanh are internal/tensor/nonlinear.go's kernels", scope: []string{"internal/nn/", "internal/procvm/", "internal/quant/"},
 		home: "internal/tensor/nonlinear.go", match: refs("math.Exp", "math.Tanh"), bad: []string{"import \"math\"\nvar _ = math.Exp(1)"}},
+	{name: "device-draws", fact: "a device draws no randomness; its weather is set by its caller or the fault plane", scope: []string{"internal/device/"},
+		home: "internal/faults/faults.go", match: is(func(a at, id *ast.Ident) bool {
+			fn, ok := a.c.info.Uses[id].(*types.Func)
+			return ok && rngUse.MatchString(fn.FullName())
+		}), bad: []string{"import \"tinymlops/internal/tensor\"\nvar _ = tensor.NewRNG(1)", "import \"tinymlops/internal/tensor\"\nfunc f(r *tensor.RNG) bool { return r.Float64() < 0.5 }"}},
 }
 
 var (
 	opcode        = named(`^Op[A-Z]`)
 	strideDivisor = regexp.MustCompile(`(?i)/ *[a-z_.]*stride$`)
 	artifactName  = regexp.MustCompile(`^"(full|delta):`)
+	rngUse        = regexp.MustCompile(`^(\(\*tinymlops/internal/tensor\.RNG\)\.|tinymlops/internal/tensor\.NewRNG$)`)
 	wireHelper    = regexp.MustCompile(`^(read|write|put|get)(U32|U64|F32|Str|String|Uvarint)$`)
 	standalone    = regexp.MustCompile(`^(Model|Scheme|Module|ModuleMACs|InFeatures)$`)
 	goStmt        = is(func(at, *ast.GoStmt) bool { return true })

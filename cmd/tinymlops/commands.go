@@ -198,13 +198,13 @@ func newDemo(perProfile int, seed uint64, workers int) (*demo, error) {
 		return nil, err
 	}
 	var err error
-	if d.fleet, err = tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: perProfile, Seed: seed}); err != nil {
+	if d.fleet, err = tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: perProfile}); err != nil {
 		return nil, err
 	}
 	for _, dev := range d.fleet.Devices() {
-		dev.SetBehavior(1, 1, 0)
+		dev.SetNet(tinymlops.WiFi)
+		dev.SetCharging(true)
 	}
-	d.fleet.Tick()
 	d.platform, err = tinymlops.NewPlatform(d.fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("cli-vendor-key-0123456789abcdef0"), Seed: seed, MinCohort: 1,
 		Workers: workers,

@@ -52,7 +52,7 @@ func cmdFed(w io.Writer, args []string) error {
 	// The model line lives in a platform registry: publish the untrained
 	// global, train it through the platform's two-tier federated update, and
 	// the improved global comes back as the line's next rollout candidate.
-	devices, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: *seed})
+	devices, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,7 @@ func cmdOffload(w io.Writer, args []string) error {
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	rng := tinymlops.NewRNG(*seed)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: *perProfile, Seed: *seed})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: *perProfile})
 	if err != nil {
 		return err
 	}

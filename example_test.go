@@ -46,14 +46,14 @@ func ExampleBestSplit() {
 // changes where compute happens, never what it computes.
 func ExamplePlatform_Offload() {
 	rng := tinymlops.NewRNG(2)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 2})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		panic(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0) // on a charger, on WiFi
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("example-vendor-key-0123456789abc"), Seed: 2,
 	})
@@ -109,14 +109,14 @@ func ExamplePlatform_Offload() {
 // engine.
 func ExamplePlatform_integerServing() {
 	rng := tinymlops.NewRNG(7)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 7})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		panic(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("example-vendor-key-0123456789abc"), Seed: 7,
 	})
@@ -168,14 +168,14 @@ func ExamplePlatform_integerServing() {
 // proof sample onto charges the device cannot prove.
 func ExamplePlatform_verifiedSettlement() {
 	rng := tinymlops.NewRNG(11)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 11})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		panic(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("example-vendor-key-0123456789abc"), Seed: 11,
 		VerifiedBilling: true, AttestationRate: 2, // prove every ~2nd charge
@@ -252,7 +252,7 @@ func ExamplePlatform_verifiedSettlement() {
 // then the improved global publishes back as the next rollout candidate.
 func ExamplePlatform_hierarchicalFed() {
 	rng := tinymlops.NewRNG(13)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 13})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -302,14 +302,14 @@ func ExamplePlatform_hierarchicalFed() {
 // delivered byte attributed to exactly one source.
 func ExamplePlatform_swarmRollout() {
 	rng := tinymlops.NewRNG(11)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 4, Seed: 11})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 4})
 	if err != nil {
 		panic(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("example-swarm-key-0123456789abcd"), Seed: 11,
 	})
@@ -400,14 +400,14 @@ func ExamplePlatform_swarmRollout() {
 // bit-identical to the deployment's own reference forward.
 func ExamplePlatform_protectedOffload() {
 	rng := tinymlops.NewRNG(5)
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 5})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		panic(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0) // on a charger, on WiFi
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("example-vendor-key-0123456789abc"), Seed: 5,
 	})

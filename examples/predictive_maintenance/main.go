@@ -41,14 +41,14 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "anomaly detector: test accuracy %.3f\n", tinymlops.Evaluate(model, test.X, test.Y))
 
 	// Platform + fleet of machine-mounted M4 sensors.
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 3, Seed: 3})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 3})
 	if err != nil {
 		return err
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("maintenance-vendor-key-012345678"), Seed: 7, MinCohort: 1,
 	})

@@ -40,14 +40,14 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "trained model: test accuracy %.3f\n", tinymlops.Evaluate(model, test.X, test.Y))
 
 	// 2. Stand up the platform over a 12-device simulated fleet.
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 2, Seed: 7})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 2})
 	if err != nil {
 		return err
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(0.8, 0.9, 0.05) // mostly charged, mostly on WiFi
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("quickstart-vendor-key-0123456789"),
 		Seed:      42, MinCohort: 1,

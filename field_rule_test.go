@@ -16,9 +16,11 @@ var keptFields = map[string]string{
 	"observe.Record.DriftScore":   "priced by observe.UplinkBytes",
 	"observe.Record.MaxLatencyUS": "priced by observe.UplinkBytes",
 	"observe.Record.EnergyMJ":     "priced by observe.UplinkBytes",
-	// The platform draws no randomness of its own, but the frozen bench/
-	// module sets Seed in every core.Config it builds.
-	"core.Config.Seed": "set by the frozen bench/",
+	// Neither the platform nor a device draws randomness of its own, but
+	// the frozen bench/ module sets Seed in every core.Config and
+	// device.FleetSpec it builds.
+	"core.Config.Seed":      "set by the frozen bench/",
+	"device.FleetSpec.Seed": "set by the frozen bench/",
 	// select.golden pins the evaluations a decision carries; they are the
 	// selector's "why", which the fleet's event ledger is to report.
 	"selector.Decision.Evaluations": "pinned by select.golden",

@@ -24,14 +24,14 @@ import (
 func verifiedFixture(t *testing.T, seed uint64, rate int) (*Platform, *dataset.Dataset, []*registry.ModelVersion) {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2, Seed: seed})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(device.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	p, err := New(fleet, Config{
 		VendorKey: vendorKey, Seed: seed, MinCohort: 1,
 		VerifiedBilling: true, AttestationRate: rate,

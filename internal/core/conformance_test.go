@@ -59,7 +59,7 @@ func newConformanceFixture(t *testing.T) *conformanceFixture {
 // platform configuration.
 func newConformanceFixtureWith(t *testing.T, cfg Config) *conformanceFixture {
 	t.Helper()
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2, Seed: 9})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,14 +26,14 @@ var vendorKey = []byte("vendor-master-key-0123456789abcdef")
 func fixture(t *testing.T, seed uint64) (*Platform, *dataset.Dataset, []*registry.ModelVersion) {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2, Seed: seed})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(device.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	p, err := New(fleet, Config{VendorKey: vendorKey, Seed: seed, MinCohort: 1})
 	if err != nil {
 		t.Fatal(err)

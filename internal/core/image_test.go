@@ -80,7 +80,7 @@ func TestWaveBuildsOneImage(t *testing.T) {
 	ids := make([]string, wave+1)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("phone-%02d", i)
-		d := device.NewDevice(ids[i], caps, tensor.NewRNG(uint64(100+i)))
+		d := device.NewDevice(ids[i], caps, nil)
 		d.SetNet(device.WiFi)
 		if err := fleet.Add(d); err != nil {
 			t.Fatal(err)
@@ -291,7 +291,7 @@ func TestFailedInstallsLeaveTheTableAlone(t *testing.T) {
 	}
 	// A transfer to a device outside the fleet cuts the manifest over the
 	// honest bytes.
-	spare := device.NewDevice("spare", deps[1].Device().Caps, tensor.NewRNG(1))
+	spare := device.NewDevice("spare", deps[1].Device().Caps, nil)
 	spare.SetNet(device.WiFi)
 	if _, _, err := sw.Transfer(spare, deltaKey, 0); err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestConcurrentRolloutsOnOnePlatform(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 6; i++ {
-		d := device.NewDevice(fmt.Sprintf("line2-%02d", i), caps, tensor.NewRNG(uint64(300+i)))
+		d := device.NewDevice(fmt.Sprintf("line2-%02d", i), caps, nil)
 		d.SetNet(device.WiFi)
 		if err := f.p.Fleet.Add(d); err != nil {
 			t.Fatal(err)

@@ -46,9 +46,9 @@ func integerFixture(t *testing.T, seed uint64) (*Platform, *dataset.Dataset, []*
 		id   string
 		caps device.Capabilities
 	}{{"npu-00", npuCaps}, {"soft-00", softCaps()}} {
-		d := device.NewDevice(spec.id, spec.caps, tensor.NewRNG(seed+uint64(len(spec.id))))
-		d.SetBehavior(1, 1, 0)
-		d.Tick()
+		d := device.NewDevice(spec.id, spec.caps, nil)
+		d.SetNet(device.WiFi)
+		d.SetCharging(true)
 		if err := fleet.Add(d); err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ import (
 // line and a live deployment, plus a started cloud tier.
 func offloadPlatform(t *testing.T, watermark string) (*Platform, *Deployment, *offload.CloudTier, *dataset.Dataset) {
 	t.Helper()
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1, Seed: 5})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

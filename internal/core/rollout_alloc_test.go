@@ -18,15 +18,15 @@ import (
 // half the fleet, everyone — registry-direct or through a swarm.
 func newFleetRollout(tb testing.TB, n int, viaSwarm bool) (*Platform, *registry.ModelVersion, RolloutConfig) {
 	tb.Helper()
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: (n + 5) / 6, Seed: 70})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: (n + 5) / 6})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	devs := fleet.Devices()
 	for _, d := range devs {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(device.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	p, err := New(fleet, Config{VendorKey: []byte("pin-swarm-key-0123456789abcdef01"), Seed: 70, MinCohort: 1, Workers: 1})
 	if err != nil {
 		tb.Fatal(err)

@@ -35,14 +35,14 @@ func baseOnlySpec(ds *dataset.Dataset) registry.OptimizationSpec {
 func newRolloutFixture(t *testing.T, workers int) *rolloutFixture {
 	t.Helper()
 	rng := tensor.NewRNG(21)
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2, Seed: 21})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(device.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	p, err := New(fleet, Config{VendorKey: vendorKey, Seed: 21, MinCohort: 1, Workers: workers})
 	if err != nil {
 		t.Fatal(err)

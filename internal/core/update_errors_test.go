@@ -465,7 +465,7 @@ func TestRolloutWithFailingDevicesCoversTargetErrors(t *testing.T) {
 // TestPlatformConfigDefaultsAndFedErrors covers the MinCohort floor and
 // the federated-update error path for an unknown model line.
 func TestPlatformConfigDefaultsAndFedErrors(t *testing.T) {
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1, Seed: 2})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

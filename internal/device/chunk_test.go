@@ -3,8 +3,6 @@ package device
 import (
 	"errors"
 	"testing"
-
-	"tinymlops/internal/tensor"
 )
 
 func chunkDevice(t *testing.T, profile string) *Device {
@@ -13,7 +11,7 @@ func chunkDevice(t *testing.T, profile string) *Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDevice("chunk-0", caps, tensor.NewRNG(1))
+	d := NewDevice("chunk-0", caps, nil)
 	d.SetNet(WiFi)
 	return d
 }

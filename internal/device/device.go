@@ -83,49 +83,36 @@ type Device struct {
 	net      NetState
 	counters Counters
 
-	// Behavioral probabilities per simulation tick.
-	pCharge  float64 // probability of being on a charger
-	pWiFi    float64 // probability of WiFi when connected
-	pOffline float64 // probability of having no connectivity
-
 	// staging is the half-written inactive slot, nil when no install is
 	// in flight. interrupt, when set, is consulted once per install
 	// attempt and may crash it partway (see SetInstallInterrupter).
 	staging   *staging
 	interrupt func(token string, remainingFlash int64) float64
-
-	rng *tensor.RNG
 }
 
 // NewDevice returns a device with a full battery, offline, not charging.
-func NewDevice(id string, caps Capabilities, rng *tensor.RNG) *Device {
-	return &Device{
-		ID: id, Caps: caps,
-		battery:  caps.BatteryJoule,
-		net:      Offline,
-		pCharge:  0.3,
-		pWiFi:    0.5,
-		pOffline: 0.2,
-		rng:      rng,
-	}
+// A device draws no randomness: its charger and link are what its caller
+// or the fault plane last set. The unnamed RNG parameter is kept for the
+// benchmark harness's call sites; every other caller passes nil.
+func NewDevice(id string, caps Capabilities, _ *tensor.RNG) *Device {
+	return &Device{ID: id, Caps: caps, battery: caps.BatteryJoule, net: Offline}
 }
 
-// SetBehavior configures the per-tick probabilities of being on a charger,
-// on WiFi (when connected), and offline.
-func (d *Device) SetBehavior(pCharge, pWiFi, pOffline float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pCharge, d.pWiFi, d.pOffline = pCharge, pWiFi, pOffline
-}
-
-// SetNet overrides the connectivity state deterministically — the fault
-// plane owns the weather during a chaos run, where Tick's probabilistic
-// flips would break worker-count reproducibility. Wall-powered devices
-// still report WiFi from Net regardless.
+// SetNet sets the connectivity state. Wall-powered devices still report
+// WiFi from Net regardless.
 func (d *Device) SetNet(n NetState) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.net = n
+}
+
+// SetCharging puts the device on a charger or takes it off one. It moves
+// no charge: the battery changes only by what the device spends and by
+// SetBatteryLevel. Wall-powered devices still report Charging regardless.
+func (d *Device) SetCharging(on bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.charging = on
 }
 
 // SetBatteryLevel sets the battery to the given fraction of capacity,
@@ -212,32 +199,6 @@ func (d *Device) Snapshot() Counters {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.counters
-}
-
-// Tick advances the device's behavioral state by one simulation step:
-// charger and connectivity flip according to the configured probabilities,
-// and a charging battery regains 1% capacity.
-func (d *Device) Tick() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.Caps.WallPowered() {
-		return
-	}
-	d.charging = d.rng.Float64() < d.pCharge
-	switch {
-	case d.rng.Float64() < d.pOffline:
-		d.net = Offline
-	case d.rng.Float64() < d.pWiFi:
-		d.net = WiFi
-	default:
-		d.net = Cellular
-	}
-	if d.charging {
-		d.battery += 0.01 * d.Caps.BatteryJoule
-		if d.battery > d.Caps.BatteryJoule {
-			d.battery = d.Caps.BatteryJoule
-		}
-	}
 }
 
 // ErrModelTooLarge is returned when an artifact exceeds device storage.

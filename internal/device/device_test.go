@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"tinymlops/internal/tensor"
 )
 
 func TestStandardProfilesDistinctAndOrdered(t *testing.T) {
@@ -87,7 +85,7 @@ func TestSupportsBitsAndOps(t *testing.T) {
 
 func TestDeviceBatteryDrainsAndCharges(t *testing.T) {
 	caps, _ := ProfileByName("m0-sensor")
-	d := NewDevice("d0", caps, tensor.NewRNG(1))
+	d := NewDevice("d0", caps, nil)
 	if d.BatteryLevel() != 1 {
 		t.Fatalf("fresh battery level %v", d.BatteryLevel())
 	}
@@ -103,18 +101,16 @@ func TestDeviceBatteryDrainsAndCharges(t *testing.T) {
 	if _, err := d.RunInference(macs*2, 8); !errors.Is(err, ErrBatteryDepleted) {
 		t.Fatalf("expected battery error, got %v", err)
 	}
-	// Charging tick restores charge.
-	d.SetBehavior(1, 1, 0) // always charging, always wifi
-	before := d.BatteryLevel()
-	d.Tick()
-	if d.BatteryLevel() <= before {
-		t.Fatal("charging tick did not restore battery")
+	// A full recharge.
+	d.SetBatteryLevel(1)
+	if lv := d.BatteryLevel(); lv != 1 {
+		t.Fatalf("battery after recharge = %v, want 1", lv)
 	}
 }
 
 func TestWallPoweredDeviceNeverDrains(t *testing.T) {
 	caps, _ := ProfileByName("edge-gateway")
-	d := NewDevice("gw", caps, tensor.NewRNG(2))
+	d := NewDevice("gw", caps, nil)
 	if _, err := d.RunInference(1e12, 32); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +121,7 @@ func TestWallPoweredDeviceNeverDrains(t *testing.T) {
 
 func TestCheckFit(t *testing.T) {
 	caps, _ := ProfileByName("m4-wearable")
-	d := NewDevice("w0", caps, tensor.NewRNG(3))
+	d := NewDevice("w0", caps, nil)
 	if err := d.CheckFit(100<<10, 50<<10); err != nil {
 		t.Fatalf("small model should fit: %v", err)
 	}
@@ -139,13 +135,12 @@ func TestCheckFit(t *testing.T) {
 
 func TestDownloadUploadRequireConnectivity(t *testing.T) {
 	caps, _ := ProfileByName("phone")
-	d := NewDevice("p0", caps, tensor.NewRNG(4))
+	d := NewDevice("p0", caps, nil)
 	// Fresh device is offline.
 	if _, err := d.Download(1000); err == nil {
 		t.Fatal("offline download should fail")
 	}
-	d.SetBehavior(0, 1, 0) // always connected, wifi
-	d.Tick()
+	d.SetNet(WiFi)
 	dur, err := d.Download(1 << 20)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +159,7 @@ func TestDownloadUploadRequireConnectivity(t *testing.T) {
 
 func TestCountersAccumulate(t *testing.T) {
 	caps, _ := ProfileByName("m7-camera")
-	d := NewDevice("c0", caps, tensor.NewRNG(5))
+	d := NewDevice("c0", caps, nil)
 	for i := 0; i < 10; i++ {
 		if _, err := d.RunInference(1000, 8); err != nil {
 			t.Fatal(err)
@@ -182,7 +177,7 @@ func TestCountersAccumulate(t *testing.T) {
 
 func TestDeviceConcurrentSafety(t *testing.T) {
 	caps, _ := ProfileByName("phone")
-	d := NewDevice("p1", caps, tensor.NewRNG(6))
+	d := NewDevice("p1", caps, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -190,8 +185,11 @@ func TestDeviceConcurrentSafety(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				d.RunInference(100, 8) //nolint:errcheck
-				d.Tick()
+				d.SetCharging(j%2 == 0)
+				d.SetNet(NetState(j % 3))
 				d.BatteryLevel()
+				d.Charging()
+				d.Net()
 			}
 		}()
 	}
@@ -204,11 +202,11 @@ func TestDeviceConcurrentSafety(t *testing.T) {
 func TestFleetAddGetAndDuplicate(t *testing.T) {
 	f := NewFleet()
 	caps, _ := ProfileByName("phone")
-	d := NewDevice("a", caps, tensor.NewRNG(7))
+	d := NewDevice("a", caps, nil)
 	if err := f.Add(d); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Add(NewDevice("a", caps, tensor.NewRNG(8))); err == nil {
+	if err := f.Add(NewDevice("a", caps, nil)); err == nil {
 		t.Fatal("duplicate ID accepted")
 	}
 	got, ok := f.Get("a")
@@ -221,39 +219,32 @@ func TestFleetAddGetAndDuplicate(t *testing.T) {
 }
 
 func TestNewStandardFleetDeterministic(t *testing.T) {
-	f1, err := NewStandardFleet(FleetSpec{CountPerProfile: 2, Seed: 42})
+	f1, err := NewStandardFleet(FleetSpec{CountPerProfile: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f1.Size() != 12 {
 		t.Fatalf("fleet size %d, want 12", f1.Size())
 	}
-	f2, _ := NewStandardFleet(FleetSpec{CountPerProfile: 2, Seed: 42})
-	// Same seed → same behavioral trajectories.
-	for i := 0; i < 50; i++ {
-		f1.Tick()
-		f2.Tick()
-	}
-	d1 := f1.Devices()
-	d2 := f2.Devices()
+	f2, _ := NewStandardFleet(FleetSpec{CountPerProfile: 2})
+	// Two fleets of one size are the same devices in the same order.
+	d1, d2 := f1.Devices(), f2.Devices()
 	for i := range d1 {
-		if d1[i].Net() != d2[i].Net() || d1[i].Charging() != d2[i].Charging() {
-			t.Fatalf("fleet not deterministic at device %d", i)
+		if d1[i].ID != d2[i].ID {
+			t.Fatalf("device %d: %s vs %s", i, d1[i].ID, d2[i].ID)
 		}
 	}
 }
 
 func TestFleetEligible(t *testing.T) {
-	f, _ := NewStandardFleet(FleetSpec{CountPerProfile: 3, Seed: 1})
+	f, _ := NewStandardFleet(FleetSpec{CountPerProfile: 3})
 	// Force a subset into the eligible state.
 	for i, d := range f.Devices() {
 		if i%2 == 0 {
-			d.SetBehavior(1, 1, 0)
-		} else {
-			d.SetBehavior(0, 0, 1)
+			d.SetNet(WiFi)
+			d.SetCharging(true)
 		}
 	}
-	f.Tick()
 	for i, d := range f.Devices() {
 		if i%2 == 0 && (!d.Charging() || d.Net() != WiFi) {
 			t.Fatalf("device %s forced onto a charger and WiFi is not eligible", d.ID)
@@ -316,7 +307,7 @@ func TestFleetShardedConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := f.Add(NewDevice(ids[i], caps, tensor.NewRNG(uint64(i)))); err != nil {
+			if err := f.Add(NewDevice(ids[i], caps, nil)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -343,7 +334,7 @@ func TestFleetShardedConcurrentAccess(t *testing.T) {
 			t.Fatalf("device %s lost", id)
 		}
 	}
-	if err := f.Add(NewDevice(ids[0], caps, tensor.NewRNG(1))); err == nil {
+	if err := f.Add(NewDevice(ids[0], caps, nil)); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
 	if len(f.Devices()) != n {
@@ -351,12 +342,34 @@ func TestFleetShardedConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestSetNetAndBatteryOverrides pins the device's weather contract: a fresh
+// device is offline, off the charger and full; SetCharging and SetNet move
+// only the state they name; SetBatteryLevel clamps; and a wall-powered
+// device stays full, charging and on WiFi whatever is set.
 func TestSetNetAndBatteryOverrides(t *testing.T) {
 	caps, _ := ProfileByName("phone")
-	d := NewDevice("p1", caps, tensor.NewRNG(7))
+	d := NewDevice("p1", caps, nil)
+	if d.Net() != Offline || d.Charging() || d.BatteryLevel() != 1 {
+		t.Fatalf("fresh device: net %v charging %v battery %v, want offline false 1",
+			d.Net(), d.Charging(), d.BatteryLevel())
+	}
+	if _, err := d.RunInference(1e9, 8); err != nil {
+		t.Fatal(err)
+	}
+	level, counters := d.BatteryLevel(), d.Snapshot()
+	for _, on := range []bool{true, false, true} {
+		d.SetCharging(on)
+		if d.Charging() != on {
+			t.Fatalf("SetCharging(%v): Charging() = %v", on, d.Charging())
+		}
+	}
 	d.SetNet(WiFi)
 	if d.Net() != WiFi {
 		t.Fatalf("net after SetNet(WiFi) = %v", d.Net())
+	}
+	if d.BatteryLevel() != level || d.Snapshot() != counters {
+		t.Fatalf("setters moved the battery %v -> %v or the counters %+v -> %+v",
+			level, d.BatteryLevel(), counters, d.Snapshot())
 	}
 	d.SetNet(Offline)
 	if _, err := d.Download(10); !errors.Is(err, ErrOffline) {
@@ -370,11 +383,13 @@ func TestSetNetAndBatteryOverrides(t *testing.T) {
 	if d.BatteryLevel() != 1 {
 		t.Fatalf("battery after clamp = %v", d.BatteryLevel())
 	}
-	// Wall-powered devices ignore battery overrides.
-	gw := NewDevice("gw1", mustProfile(t, "edge-gateway"), tensor.NewRNG(8))
+	gw := NewDevice("gw1", mustProfile(t, "edge-gateway"), nil)
 	gw.SetBatteryLevel(0)
-	if gw.BatteryLevel() != 1 {
-		t.Fatal("wall-powered battery must stay full")
+	gw.SetCharging(false)
+	gw.SetNet(Offline)
+	if gw.BatteryLevel() != 1 || !gw.Charging() || gw.Net() != WiFi {
+		t.Fatalf("wall-powered after SetBatteryLevel(0), SetCharging(false), SetNet(Offline): battery %v charging %v net %v, want 1 true wifi",
+			gw.BatteryLevel(), gw.Charging(), gw.Net())
 	}
 }
 
@@ -392,7 +407,7 @@ func mustProfile(t *testing.T, name string) Capabilities {
 // retry programs only the remainder — total flashed bytes across attempts
 // equal exactly the image size, never more.
 func TestInstallInterruptedResumesNotRestarts(t *testing.T) {
-	d := NewDevice("gw2", mustProfile(t, "edge-gateway"), tensor.NewRNG(9))
+	d := NewDevice("gw2", mustProfile(t, "edge-gateway"), nil)
 	size := int64(1 << 20)
 
 	// First attempt crashes at 40% of the flash.
@@ -428,7 +443,7 @@ func TestInstallInterruptedResumesNotRestarts(t *testing.T) {
 }
 
 func TestInstallDifferentTokenDiscardsStaleStaging(t *testing.T) {
-	d := NewDevice("gw3", mustProfile(t, "edge-gateway"), tensor.NewRNG(10))
+	d := NewDevice("gw3", mustProfile(t, "edge-gateway"), nil)
 	d.SetInstallInterrupter(func(string, int64) float64 { return 0.5 })
 	if _, err := d.InstallResumable("img-a", 1000, 1000); !errors.Is(err, ErrInstallInterrupted) {
 		t.Fatalf("want interruption, got %v", err)
@@ -448,7 +463,7 @@ func TestInstallDifferentTokenDiscardsStaleStaging(t *testing.T) {
 }
 
 func TestInstallLegacyPathUnchanged(t *testing.T) {
-	d := NewDevice("gw4", mustProfile(t, "edge-gateway"), tensor.NewRNG(11))
+	d := NewDevice("gw4", mustProfile(t, "edge-gateway"), nil)
 	dur, err := d.Install(4096, 4096)
 	if err != nil || dur <= 0 {
 		t.Fatalf("Install = %v, %v", dur, err)
@@ -472,7 +487,7 @@ func TestInstallLegacyPathUnchanged(t *testing.T) {
 // install — must discard the staged progress, or a later "resume" would
 // complete a slot whose contents were clobbered in between.
 func TestTokenlessInstallInvalidatesStaging(t *testing.T) {
-	d := NewDevice("gw5", mustProfile(t, "edge-gateway"), tensor.NewRNG(12))
+	d := NewDevice("gw5", mustProfile(t, "edge-gateway"), nil)
 	d.SetInstallInterrupter(func(string, int64) float64 { return 0.5 })
 	if _, err := d.InstallResumable("img-x", 1000, 1000); !errors.Is(err, ErrInstallInterrupted) {
 		t.Fatalf("want interruption, got %v", err)
@@ -501,7 +516,7 @@ func TestTokenlessInstallInvalidatesStaging(t *testing.T) {
 // alone, even an untokened one; and an image with nothing to download is
 // all flash.
 func TestInstallEntryEdges(t *testing.T) {
-	d := NewDevice("ph9", mustProfile(t, "phone"), tensor.NewRNG(13))
+	d := NewDevice("ph9", mustProfile(t, "phone"), nil)
 	d.SetNet(WiFi)
 	d.SetInstallInterrupter(func(string, int64) float64 { return 0.5 })
 	if _, err := d.InstallResumable("img-x", 1000, 1000); !errors.Is(err, ErrInstallInterrupted) {

@@ -1,8 +1,13 @@
 // Package device simulates the fragmented edge-hardware landscape of §IV:
 // heterogeneous device classes (Cortex-M-class MCUs, NPU-equipped boards,
 // smartphones, edge servers) with distinct compute throughput per bit
-// width, memory ceilings, energy budgets, battery/charger dynamics and
-// network connectivity.
+// width, memory ceilings, energy budgets, a battery drained by what the
+// device does, and charger and network state.
+//
+// A device draws no randomness. Its charger and link are set, by its
+// caller (SetCharging, SetNet, SetBatteryLevel) or, during a chaos run, by
+// the fault plane's deterministic per-(seed, round, device) weather; a
+// fresh device is offline, not charging and at full battery.
 //
 // The paper's platform decisions — which model variant to push to which
 // device, when to upload telemetry, when a federated client may train,

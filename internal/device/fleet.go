@@ -53,34 +53,27 @@ func (f *Fleet) Devices() []*Device {
 	return append([]*Device(nil), f.order...)
 }
 
-// Tick advances every device's behavioral state by one step, serially, in
-// insertion order.
-func (f *Fleet) Tick() {
-	for _, d := range f.Devices() {
-		d.Tick()
-	}
-}
-
 // FleetSpec configures NewStandardFleet.
 type FleetSpec struct {
 	// CountPerProfile is the number of devices per standard profile.
 	CountPerProfile int
-	// Seed derives each device's behavioral RNG.
+	// Seed is read by nothing: a device draws no randomness. The
+	// benchmark harness still sets it.
 	Seed uint64
 }
 
 // NewStandardFleet builds a heterogeneous fleet with CountPerProfile
-// devices of each standard profile, deterministically from the seed.
+// devices of each standard profile, in profile order: every device fresh
+// (full battery, offline, not charging).
 func NewStandardFleet(spec FleetSpec) (*Fleet, error) {
 	if spec.CountPerProfile < 1 {
 		spec.CountPerProfile = 1
 	}
 	f := NewFleet()
-	root := newSeeder(spec.Seed)
 	for _, p := range StandardProfiles() {
 		for i := 0; i < spec.CountPerProfile; i++ {
 			id := fmt.Sprintf("%s-%02d", p.Name, i)
-			d := NewDevice(id, p, root.next())
+			d := NewDevice(id, p, nil)
 			if err := f.Add(d); err != nil {
 				return nil, err
 			}

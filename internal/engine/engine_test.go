@@ -82,7 +82,7 @@ func TestMapCollectsInIndexOrder(t *testing.T) {
 // into a deterministic fingerprint.
 func roundFingerprint(t *testing.T, workers, rounds int) uint64 {
 	t.Helper()
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 20, Seed: 9})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,6 @@ func roundFingerprint(t *testing.T, workers, rounds int) uint64 {
 		values := make([]uint64, len(devs))
 		failed := make([]bool, len(devs))
 		if err := e.ForEach(len(devs), func(i int) error {
-			devs[i].Tick()
 			rng := tensor.NewRNG(SeedForID(7, uint64(round), devs[i].ID))
 			values[i] = rng.Uint64()
 			lat, err := devs[i].RunInference(1000+int64(rng.Intn(1000)), 8)

@@ -40,14 +40,14 @@ func RunE1(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2, Seed: 1})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2})
 	if err != nil {
 		return err
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(device.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	p, err := core.New(fleet, core.Config{VendorKey: []byte("e1-vendor-key-0123456789abcdef00"), Seed: 1, MinCohort: 1})
 	if err != nil {
 		return err
@@ -184,11 +184,10 @@ func RunE2(w io.Writer) error {
 	fleetAccGlobal, fleetLatGlobal := 0.0, 0.0
 	globalBase := candidates[0] // big fp32 — the "latest and greatest"
 	profiles := device.StandardProfiles()
-	seeder := tensor.NewRNG(11)
 	for _, prof := range profiles {
-		d := device.NewDevice(prof.Name, prof, seeder.Split())
-		d.SetBehavior(1, 1, 0)
-		d.Tick()
+		d := device.NewDevice(prof.Name, prof, nil)
+		d.SetNet(device.WiFi)
+		d.SetCharging(true)
 		dec, err := selector.Select(d, candidates, selector.DefaultPolicy())
 		if err != nil {
 			return err

@@ -110,9 +110,9 @@ func RunE7(w io.Writer) error {
 	fmt.Fprintln(w, "\nworkload brokering (one offer per profile; odd profiles on battery):")
 	var offers []market.Offer
 	for i, tgt := range targets {
-		d := device.NewDevice(tgt.Name, tgt, tensor.NewRNG(uint64(41+i)))
-		d.SetBehavior(float64(1-i%2), 1, 0)
-		d.Tick()
+		d := device.NewDevice(tgt.Name, tgt, nil)
+		d.SetNet(device.WiFi)
+		d.SetCharging(i%2 == 0)
 		offers = append(offers, market.NewOffer(d, 1, 2, procvm.CapNone, 6000))
 	}
 	var jobs []market.Workload

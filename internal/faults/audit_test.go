@@ -26,7 +26,7 @@ func auditFixture(t *testing.T) (*core.Platform, *dataset.Dataset) {
 func markedAuditFixture(t *testing.T, marked string) (*core.Platform, *dataset.Dataset) {
 	t.Helper()
 	rng := tensor.NewRNG(21)
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2, Seed: 21})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestScenarioSmoke(t *testing.T) {
 // install crashed (staged slot, no deployment yet) must not be invisible
 // to the audit.
 func TestAuditFlagsUndeployedPartialInstall(t *testing.T) {
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1, Seed: 44})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,8 +158,9 @@ type RoundReport struct {
 // ApplyRound imposes the round's weather on every device: connectivity
 // (offline / cellular spike / WiFi), battery state (dead this round,
 // recharged otherwise), and the armed mid-flash crash injector. The plane
-// owns connectivity and battery during a chaos run — Tick's probabilistic
-// flips would not reproduce across worker counts. Wall-powered devices
+// owns connectivity and battery during a chaos run; each is a pure
+// function of (seed, round, device), so a round reproduces at any worker
+// count. Wall-powered devices
 // are immune to connectivity, churn and battery faults (the device model
 // forces them online and fully powered), so the report counts only
 // faults that actually bite; the crash injector arms everywhere — a

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tinymlops/internal/device"
-	"tinymlops/internal/tensor"
 )
 
 func testChaos() ChaosConfig {
@@ -98,7 +97,7 @@ func TestChurnSpansTwoRounds(t *testing.T) {
 }
 
 func TestApplyRoundImposesWeather(t *testing.T) {
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 40, Seed: 5})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestArmedInterrupterCrashesDeterministically(t *testing.T) {
 		caps, _ := device.ProfileByName("edge-gateway")
 		var flashed []int64
 		for i := 0; i < 40; i++ {
-			d := device.NewDevice(deviceID(i), caps, tensor.NewRNG(1))
+			d := device.NewDevice(deviceID(i), caps, nil)
 			p.Arm(d)
 			// Retry the same image until it completes.
 			for attempt := 0; attempt < 50; attempt++ {

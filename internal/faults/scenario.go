@@ -166,7 +166,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	perProfile := (cfg.Devices + 5) / 6
 
 	// Fleet and platform.
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: perProfile, Seed: cfg.Seed})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: perProfile})
 	if err != nil {
 		return nil, err
 	}

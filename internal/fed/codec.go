@@ -102,22 +102,18 @@ func (Int8Codec) Decode(payload []byte, n int) ([]float32, error) {
 
 // TernaryCodec is TernGrad-style compression: each coordinate becomes
 // {-1, 0, +1} packed two bits each, scaled by the mean magnitude of the
-// non-zero coordinates — a 16× reduction.
-type TernaryCodec struct {
-	// Threshold (in units of mean |update|) below which a coordinate is
-	// dropped to zero. 0.5 is a reasonable default.
-	Threshold float32
-}
+// non-zero coordinates — a 16× reduction. A coordinate whose magnitude is
+// at most ternaryThreshold × mean |update| drops to zero.
+type TernaryCodec struct{}
+
+// ternaryThreshold is TernaryCodec's zero band, in units of mean |update|.
+const ternaryThreshold = 0.5
 
 // Name implements Codec.
 func (TernaryCodec) Name() string { return "ternary" }
 
 // Encode implements Codec.
-func (c TernaryCodec) Encode(update []float32) ([]byte, error) {
-	th := c.Threshold
-	if th == 0 {
-		th = 0.5
-	}
+func (TernaryCodec) Encode(update []float32) ([]byte, error) {
 	var meanAbs float64
 	for _, v := range update {
 		meanAbs += math.Abs(float64(v))
@@ -125,7 +121,7 @@ func (c TernaryCodec) Encode(update []float32) ([]byte, error) {
 	if len(update) > 0 {
 		meanAbs /= float64(len(update))
 	}
-	cut := float32(meanAbs) * th
+	cut := float32(meanAbs) * ternaryThreshold
 	var scaleSum float64
 	var scaleN int
 	codes := make([]int8, len(update))
@@ -168,7 +164,7 @@ func (c TernaryCodec) Encode(update []float32) ([]byte, error) {
 }
 
 // Decode implements Codec.
-func (c TernaryCodec) Decode(payload []byte, n int) ([]float32, error) {
+func (TernaryCodec) Decode(payload []byte, n int) ([]float32, error) {
 	want := 4 + (n+3)/4
 	if len(payload) != want {
 		return nil, fmt.Errorf("fed: ternary codec payload %dB, want %d for %d params", len(payload), want, n)

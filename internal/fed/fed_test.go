@@ -253,13 +253,11 @@ func TestEligibilityGate(t *testing.T) {
 	// Attach devices: half are never charging.
 	caps, _ := device.ProfileByName("phone")
 	for i, c := range clients {
-		d := device.NewDevice(c.ID, caps, tensor.NewRNG(uint64(100+i)))
+		d := device.NewDevice(c.ID, caps, nil)
 		if i%2 == 0 {
-			d.SetBehavior(1, 1, 0)
-		} else {
-			d.SetBehavior(0, 0, 1)
+			d.SetNet(device.WiFi)
+			d.SetCharging(true)
 		}
-		d.Tick()
 		c.Device = d
 	}
 	co, _ := NewCoordinator(global, clients, test.X, test.Y, Config{
@@ -285,11 +283,9 @@ func TestEligibilityGate(t *testing.T) {
 func TestNoEligibleClientsSkipsRound(t *testing.T) {
 	global, clients, test := fedFixture(t, 10, 14)
 	caps, _ := device.ProfileByName("phone")
-	for i, c := range clients {
-		d := device.NewDevice(c.ID, caps, tensor.NewRNG(uint64(200+i)))
-		d.SetBehavior(0, 0, 1) // never eligible
-		d.Tick()
-		c.Device = d
+	for _, c := range clients {
+		// A fresh device is offline and not charging: never eligible.
+		c.Device = device.NewDevice(c.ID, caps, nil)
 	}
 	co, _ := NewCoordinator(global, clients, test.X, test.Y, Config{Rounds: 1, Seed: 15})
 	s, err := co.RunRound()

@@ -16,13 +16,9 @@ func dev(t *testing.T, profile, id string, charging bool) *device.Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := device.NewDevice(id, caps, tensor.NewRNG(1))
-	if charging {
-		d.SetBehavior(1, 1, 0)
-	} else {
-		d.SetBehavior(0, 1, 0)
-	}
-	d.Tick()
+	d := device.NewDevice(id, caps, nil)
+	d.SetNet(device.WiFi)
+	d.SetCharging(charging)
 	return d
 }
 

@@ -2,12 +2,10 @@ package nn
 
 import "tinymlops/internal/tensor"
 
-// SGD is stochastic gradient descent with optional momentum and decoupled
-// weight decay.
+// SGD is stochastic gradient descent with optional momentum.
 type SGD struct {
-	LR          float32
-	Momentum    float32
-	WeightDecay float32
+	LR       float32
+	Momentum float32
 
 	velocity map[*Param]*tensor.Tensor
 }
@@ -26,9 +24,6 @@ func (s *SGD) Step(params []*Param) {
 		s.velocity = make(map[*Param]*tensor.Tensor)
 	}
 	for _, p := range params {
-		if s.WeightDecay != 0 {
-			p.Value.Scale(1 - float32(s.LR*s.WeightDecay))
-		}
 		if s.Momentum == 0 {
 			p.Value.Axpy(-s.LR, p.grad())
 			continue

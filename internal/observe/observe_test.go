@@ -288,7 +288,7 @@ func TestUplinkBytesPinsTheRecordLayout(t *testing.T) {
 
 func TestBufferStoreAndForward(t *testing.T) {
 	caps, _ := device.ProfileByName("phone")
-	d := device.NewDevice("p0", caps, tensor.NewRNG(6))
+	d := device.NewDevice("p0", caps, nil)
 	buf := NewBuffer()
 	buf.Add(Record{DeviceID: "p0", Inferences: 10})
 	buf.Add(Record{DeviceID: "p0", Inferences: 20})
@@ -301,8 +301,7 @@ func TestBufferStoreAndForward(t *testing.T) {
 		t.Fatalf("pending = %d", len(buf.pending))
 	}
 	// On WiFi: drains and uploads.
-	d.SetBehavior(0, 1, 0)
-	d.Tick()
+	d.SetNet(device.WiFi)
 	recs, n, err = buf.FlushIfWiFi(d)
 	if err != nil {
 		t.Fatal(err)

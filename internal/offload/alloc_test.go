@@ -29,7 +29,7 @@ func pinModel() *nn.Network {
 func pinSession(t *testing.T, cut int, cloud *CloudTier, model *nn.Network, id string) *Session {
 	t.Helper()
 	caps, _ := device.ProfileByName("phone")
-	dev := device.NewDevice(id, caps, tensor.NewRNG(1))
+	dev := device.NewDevice(id, caps, nil)
 	dev.SetNet(device.WiFi)
 	plan := market.SplitPlan{Cut: cut}
 	s, err := NewSession(SessionConfig{

@@ -115,7 +115,7 @@ func runSessionFleet(t *testing.T, workers, nDevices, queries int) []sessionOutc
 	states := make([]*state, nDevices)
 	for i := range states {
 		id := fmt.Sprintf("ph-%02d", i)
-		dev := device.NewDevice(id, caps, tensor.NewRNG(uint64(100+i)))
+		dev := device.NewDevice(id, caps, nil)
 		dev.SetNet(device.WiFi)
 		plan := market.SplitPlan{Cut: 2}
 		// Devices at i%4==3 pin their plan (no replanning): an outage hits

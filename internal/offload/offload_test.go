@@ -30,7 +30,7 @@ func newFixture(t *testing.T, profile string) *fixture {
 		t.Fatal(err)
 	}
 	rng := tensor.NewRNG(11)
-	dev := device.NewDevice(profile+"-0", caps, rng)
+	dev := device.NewDevice(profile+"-0", caps, nil)
 	dev.SetNet(device.WiFi)
 	model := nn.NewNetwork([]int{8},
 		nn.NewDense(8, 32, rng), nn.NewReLU(),

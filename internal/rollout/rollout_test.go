@@ -540,3 +540,81 @@ func TestRetryStopsOnPermanentFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestJudgeThresholdBoundaries puts each gate threshold exactly at its
+// bound, which passes, and one step past it, which fails: update failures
+// and unreadable health (both against MaxUpdateFailures), drift fraction,
+// error rate and latency ratio (1+MaxLatencyIncrease).
+func TestJudgeThresholdBoundaries(t *testing.T) {
+	gate := Gate{MaxDriftFraction: 0.25, MaxErrorRate: 0.25, MaxLatencyIncrease: 0.5, MaxUpdateFailures: 1}
+	// wave is four devices, healthy unless edit says otherwise: 100 µs
+	// before and after, 3 inferences and no errors each.
+	wave := func(edit func(o []DeviceOutcome, post []Health)) ([]DeviceOutcome, []Health, []Health) {
+		outcomes, base, post := make([]DeviceOutcome, 4), make([]Health, 4), make([]Health, 4)
+		for i := range outcomes {
+			outcomes[i].DeviceID = fmt.Sprintf("d%d", i)
+			base[i] = Health{Inferences: 3, MeanLatencyUS: 100}
+			post[i] = Health{Inferences: 3, MeanLatencyUS: 100}
+		}
+		edit(outcomes, post)
+		return outcomes, base, post
+	}
+	cases := []struct {
+		name string
+		edit func(o []DeviceOutcome, post []Health)
+		pass bool
+	}{
+		{"update-failures-at-bound", func(o []DeviceOutcome, _ []Health) { o[0].UpdateErr = "offline" }, true},
+		{"update-failures-past", func(o []DeviceOutcome, _ []Health) { o[0].UpdateErr, o[1].UpdateErr = "offline", "offline" }, false},
+		{"unreadable-health-at-bound", func(o []DeviceOutcome, _ []Health) { o[0].HealthErr = "timeout" }, true},
+		{"unreadable-health-past", func(o []DeviceOutcome, _ []Health) { o[0].HealthErr, o[1].HealthErr = "timeout", "timeout" }, false},
+		{"drift-fraction-at-bound", func(_ []DeviceOutcome, p []Health) { p[0].DriftAlarm = true }, true},
+		{"drift-fraction-past", func(_ []DeviceOutcome, p []Health) { p[0].DriftAlarm, p[1].DriftAlarm = true, true }, false},
+		// 4 errors in 12 inferences + 4 errors is 0.25; a fifth is past it.
+		{"error-rate-at-bound", func(_ []DeviceOutcome, p []Health) { p[0].Errors = 4 }, true},
+		{"error-rate-past", func(_ []DeviceOutcome, p []Health) { p[0].Errors = 5 }, false},
+		{"latency-ratio-at-bound", func(_ []DeviceOutcome, p []Health) {
+			for i := range p {
+				p[i].MeanLatencyUS = 150
+			}
+		}, true},
+		{"latency-ratio-past", func(_ []DeviceOutcome, p []Health) {
+			for i := range p {
+				p[i].MeanLatencyUS = 151
+			}
+		}, false},
+	}
+	for _, c := range cases {
+		outcomes, base, post := wave(c.edit)
+		d := judge(gate, outcomes, base, post)
+		if d.Pass != c.pass {
+			t.Errorf("%s:\n  expected: pass %v\n  actual:   pass %v, reasons %q (update failures %d, health failures %d, drift alarms %d, error rate %v, latency ratio %v)",
+				c.name, c.pass, d.Pass, d.Reasons, d.UpdateFailures, d.HealthFailures, d.DriftAlarms, d.ErrorRate, d.LatencyRatio)
+		}
+	}
+}
+
+// TestAssignWavesEdges: a wave at Fraction 1 is accepted and takes the
+// rest of the fleet, and a wave that rounds to no new device still takes
+// one.
+func TestAssignWavesEdges(t *testing.T) {
+	ids := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
+	for _, c := range []struct {
+		name  string
+		waves []Wave
+		sizes []int
+	}{
+		{"whole-fleet", []Wave{{Name: "all", Fraction: 1}}, []int{10}},
+		// round(0.14 × 10) = 1 is no new device after the canary's one.
+		{"rounds-to-none", []Wave{{Name: "canary", Fraction: 0.1}, {Name: "thin", Fraction: 0.14}, {Name: "fleet", Fraction: 1}}, []int{1, 1, 8}},
+	} {
+		groups, err := assignWaves(ids, c.waves, 3)
+		var sizes []int
+		for _, g := range groups {
+			sizes = append(sizes, len(g))
+		}
+		if err != nil || !reflect.DeepEqual(sizes, c.sizes) {
+			t.Errorf("%s:\n  expected: wave sizes %v, nil error\n  actual:   wave sizes %v, error %v", c.name, c.sizes, sizes, err)
+		}
+	}
+}

@@ -77,7 +77,7 @@ func TestSelectGoldens(t *testing.T) {
 		for _, link := range []device.NetState{device.WiFi, device.Cellular} {
 			for _, battery := range []float64{1, 0.2} {
 				for _, p := range policies {
-					d := device.NewDevice(prof.Name, prof, tensor.NewRNG(11))
+					d := device.NewDevice(prof.Name, prof, nil)
 					d.SetNet(link)
 					d.SetBatteryLevel(battery)
 					row := fmt.Sprintf("%s/%v/%v/%s:", prof.Name, link, battery, p.name)

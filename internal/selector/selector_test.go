@@ -61,21 +61,21 @@ func buildCandidates(t *testing.T) (*registry.Registry, []*registry.ModelVersion
 	return reg, all
 }
 
-func deviceOf(t *testing.T, profile string, seed uint64) *device.Device {
+func deviceOf(t *testing.T, profile string) *device.Device {
 	t.Helper()
 	caps, err := device.ProfileByName(profile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := device.NewDevice(profile+"-t", caps, tensor.NewRNG(seed))
-	d.SetBehavior(1, 1, 0) // charging, wifi
-	d.Tick()
+	d := device.NewDevice(profile+"-t", caps, nil)
+	d.SetNet(device.WiFi)
+	d.SetCharging(true)
 	return d
 }
 
 func TestEdgeServerPicksMostAccurate(t *testing.T) {
 	_, cands := buildCandidates(t)
-	gw := deviceOf(t, "edge-gateway", 1)
+	gw := deviceOf(t, "edge-gateway")
 	dec, err := Select(gw, cands, DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestEdgeServerPicksMostAccurate(t *testing.T) {
 
 func TestConstrainedMCUGetsQuantizedOrSmall(t *testing.T) {
 	_, cands := buildCandidates(t)
-	m0 := deviceOf(t, "m0-sensor", 2)
+	m0 := deviceOf(t, "m0-sensor")
 	dec, err := Select(m0, cands, DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
@@ -121,12 +121,12 @@ func TestOpSupportRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m0 := deviceOf(t, "m0-sensor", 4)
+	m0 := deviceOf(t, "m0-sensor")
 	_, err = Select(m0, []*registry.ModelVersion{v}, DefaultPolicy())
 	if err == nil {
 		t.Fatal("m0 accepted a conv2d model without a conv kernel")
 	}
-	m7 := deviceOf(t, "m7-camera", 5)
+	m7 := deviceOf(t, "m7-camera")
 	if _, err := Select(m7, []*registry.ModelVersion{v}, DefaultPolicy()); err != nil {
 		t.Fatalf("m7 should support conv2d: %v", err)
 	}
@@ -135,13 +135,12 @@ func TestOpSupportRejection(t *testing.T) {
 func TestBatteryAwareSelectionPrefersCheapModel(t *testing.T) {
 	_, cands := buildCandidates(t)
 	caps, _ := device.ProfileByName("m4-wearable")
-	low := device.NewDevice("m4-low", caps, tensor.NewRNG(8))
+	low := device.NewDevice("m4-low", caps, nil)
 	// Drain to ~10% without charging.
 	macs := int64(caps.BatteryJoule * 0.9 / caps.EnergyPerMACJoule)
 	if _, err := low.RunInference(macs, 8); err != nil {
 		t.Fatal(err)
 	}
-	low.SetBehavior(0, 1, 0)
 
 	policy := DefaultPolicy()
 	policy.BatteryAware = true
@@ -149,7 +148,7 @@ func TestBatteryAwareSelectionPrefersCheapModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := deviceOf(t, "m4-wearable", 9)
+	full := deviceOf(t, "m4-wearable")
 	decFull, err := Select(full, cands, policy)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +164,7 @@ func TestBatteryAwareSelectionPrefersCheapModel(t *testing.T) {
 }
 
 func TestSelectErrors(t *testing.T) {
-	gw := deviceOf(t, "edge-gateway", 10)
+	gw := deviceOf(t, "edge-gateway")
 	if _, err := Select(gw, nil, DefaultPolicy()); err == nil {
 		t.Fatal("empty candidate list accepted")
 	}
@@ -175,14 +174,14 @@ func TestSelectErrors(t *testing.T) {
 // fleet: every profile must get a feasible variant, and not all the same one.
 func TestSelectForFleetCoversAllDevices(t *testing.T) {
 	_, cands := buildCandidates(t)
-	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1, Seed: 11})
+	fleet, err := device.NewStandardFleet(device.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(device.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	// Heterogeneity: the fleet should not all run the same variant.
 	distinct := make(map[string]bool)
 	for _, d := range fleet.Devices() {
@@ -199,7 +198,7 @@ func TestSelectForFleetCoversAllDevices(t *testing.T) {
 
 func TestZeroPolicyGetsDefaults(t *testing.T) {
 	_, cands := buildCandidates(t)
-	gw := deviceOf(t, "edge-gateway", 12)
+	gw := deviceOf(t, "edge-gateway")
 	dec, err := Select(gw, cands, Policy{})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +213,7 @@ func TestZeroPolicyGetsDefaults(t *testing.T) {
 // and zero-weight (defaulted) policies.
 func TestPolicySchemeAllowlist(t *testing.T) {
 	_, cands := buildCandidates(t)
-	gw := deviceOf(t, "edge-gateway", 13)
+	gw := deviceOf(t, "edge-gateway")
 	for _, scheme := range []quant.Scheme{quant.Float32, quant.Int8, quant.Binary} {
 		dec, err := Select(gw, cands, Policy{Schemes: []quant.Scheme{scheme}})
 		if err != nil {
@@ -241,7 +240,7 @@ func TestTieGoesToFirstListed(t *testing.T) {
 	_, cands := buildCandidates(t)
 	twin := *cands[3]
 	twin.ID = "twin-of-" + cands[3].ID
-	gw := deviceOf(t, "edge-gateway", 14)
+	gw := deviceOf(t, "edge-gateway")
 	dec, err := Select(gw, []*registry.ModelVersion{cands[3], &twin}, DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +262,7 @@ func TestBatteryAtThresholdIsNotLow(t *testing.T) {
 		t.Fatal(err)
 	}
 	score := func(level float64) float64 {
-		d := device.NewDevice("m4-battery", caps, tensor.NewRNG(15))
+		d := device.NewDevice("m4-battery", caps, nil)
 		d.SetBatteryLevel(level)
 		if d.Charging() || d.BatteryLevel() != level {
 			t.Fatalf("fixture: battery %v, charging %v, want %v on battery", d.BatteryLevel(), d.Charging(), level)
@@ -291,7 +290,7 @@ func TestOfflineDownloadOrdersBySize(t *testing.T) {
 	smaller := *cands[4]
 	smaller.ID = "smaller-" + cands[4].ID
 	smaller.Metrics.SizeBytes /= 2
-	d := deviceOf(t, "m4-wearable", 16)
+	d := deviceOf(t, "m4-wearable")
 	d.SetNet(device.Offline)
 	if d.Net() != device.Offline {
 		t.Fatalf("fixture: device is %v, want offline", d.Net())

@@ -10,7 +10,6 @@ import (
 
 	"tinymlops/internal/device"
 	"tinymlops/internal/engine"
-	"tinymlops/internal/tensor"
 )
 
 // testHarness is a small swarm world: a key->bytes source and a fleet of
@@ -30,7 +29,7 @@ func newHarness(t *testing.T, nDevices int) *testHarness {
 	h := &testHarness{blobs: map[string][]byte{}, devs: map[string]*device.Device{}}
 	for i := 0; i < nDevices; i++ {
 		id := fmt.Sprintf("dev-%03d", i)
-		d := device.NewDevice(id, caps, tensor.NewRNG(uint64(i)))
+		d := device.NewDevice(id, caps, nil)
 		d.SetNet(device.WiFi)
 		h.devs[id] = d
 	}
@@ -115,7 +114,7 @@ func TestTransferPeerOfflineFallsBack(t *testing.T) {
 	// Wall-powered profiles are forced online, so the offline seeder must
 	// be battery-powered for the weather to bite.
 	caps, _ := device.ProfileByName("m4-wearable")
-	seeder := device.NewDevice("bat-seeder", caps, tensor.NewRNG(31))
+	seeder := device.NewDevice("bat-seeder", caps, nil)
 	h.devs["bat-seeder"] = seeder
 	h.blobs["full:v1"] = testBlob(1024, 3)
 	s := h.swarm(t, Config{ChunkBytes: 256, Seed: 7})
@@ -155,7 +154,7 @@ func TestTransferSelfIsNeverAPeer(t *testing.T) {
 func TestTransferResumesInterruptedInstall(t *testing.T) {
 	h := newHarness(t, 1)
 	caps, _ := device.ProfileByName("m4-wearable") // battery-powered: interrupter applies
-	d := device.NewDevice("bat-0", caps, tensor.NewRNG(9))
+	d := device.NewDevice("bat-0", caps, nil)
 	d.SetNet(device.WiFi)
 	h.devs["bat-0"] = d
 	h.blobs["full:v1"] = testBlob(4096, 5)
@@ -259,7 +258,7 @@ func TestTransferErrorPaths(t *testing.T) {
 			h := newHarness(t, 1)
 			h.blobs["full:v1"] = testBlob(512, 1)
 			caps, _ := device.ProfileByName("m4-wearable")
-			d := device.NewDevice("bat-1", caps, tensor.NewRNG(1))
+			d := device.NewDevice("bat-1", caps, nil)
 			d.SetNet(device.Offline)
 			h.devs["bat-1"] = d
 			s := h.swarm(t, Config{ChunkBytes: 256})

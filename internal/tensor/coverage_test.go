@@ -42,10 +42,12 @@ func TestShapeMismatchPanics(t *testing.T) {
 	}
 }
 
+// TestRNGSplitIndependence: generators seeded by consecutive draws of one
+// root run independent streams.
 func TestRNGSplitIndependence(t *testing.T) {
 	root := NewRNG(77)
-	a := root.Split()
-	b := root.Split()
+	a := NewRNG(root.Uint64())
+	b := NewRNG(root.Uint64())
 	same := 0
 	for i := 0; i < 64; i++ {
 		if a.Uint64() == b.Uint64() {

@@ -45,11 +45,6 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Split returns a new generator whose stream is independent of (but
-// deterministically derived from) the receiver's current state. Use it to
-// hand child components their own seeds.
-func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
-
 // Float64 returns a uniform value in [0,1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -228,7 +228,8 @@ const (
 type FleetSpec = device.FleetSpec
 
 // NewStandardFleet builds a heterogeneous fleet with CountPerProfile
-// devices of each of the six standard profiles.
+// devices of each of the six standard profiles, each offline and off the
+// charger until Device.SetNet and Device.SetCharging say otherwise.
 func NewStandardFleet(spec FleetSpec) (*Fleet, error) { return device.NewStandardFleet(spec) }
 
 // StandardProfiles returns the six reference device profiles.

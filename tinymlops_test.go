@@ -26,14 +26,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("model accuracy %v", acc)
 	}
 
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 2})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range fleet.Devices() {
-		d.SetBehavior(1, 1, 0)
+		d.SetNet(tinymlops.WiFi)
+		d.SetCharging(true)
 	}
-	fleet.Tick()
 	platform, err := tinymlops.NewPlatform(fleet, tinymlops.PlatformConfig{
 		VendorKey: []byte("api-test-vendor-key-0123456789ab"), Seed: 3, MinCohort: 1,
 	})
@@ -101,7 +101,7 @@ func TestPublicAPIQuantization(t *testing.T) {
 		t.Fatalf("packed sizes not monotone in bit width: %d, %d, %d", f32, i8, i4)
 	}
 
-	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1, Seed: 4})
+	fleet, err := tinymlops.NewStandardFleet(tinymlops.FleetSpec{CountPerProfile: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
