@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
 	"path"
@@ -368,12 +369,43 @@ func parseFile(fset *token.FileSet, rel string, src []byte) (*repoFile, error) {
 	return f, nil
 }
 
+// stdExports caches each standard package's export data file across
+// typeCheck calls, so a rule case runs go list only for a package the
+// repository does not import.
+var stdExports = struct {
+	sync.Mutex
+	file map[string]string
+}{file: map[string]string{}}
+
+// exportFiles locates, with one go list run, the export data of each package
+// of std that stdExports does not yet hold, and returns a copy of it.
+func exportFiles(goroot string, std []string) (map[string]string, error) {
+	stdExports.Lock()
+	defer stdExports.Unlock()
+	std = slices.DeleteFunc(std, func(p string) bool { _, ok := stdExports.file[p]; return ok })
+	if len(std) > 0 {
+		slices.Sort(std)
+		out, err := exec.Command(filepath.Join(goroot, "bin", "go"), append([]string{"list", "-deps", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, slices.Compact(std)...)...).Output()
+		if ee, ok := err.(*exec.ExitError); ok {
+			return nil, fmt.Errorf("go list: %v: %s", err, ee.Stderr)
+		} else if err != nil {
+			return nil, err
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			p, file, _ := strings.Cut(line, " ")
+			stdExports.file[p] = file
+		}
+	}
+	return maps.Clone(stdExports.file), nil
+}
+
 // typeCheck type-checks each package of files as the go tool builds it for
 // this platform: the non-test files its build constraints admit, and for
 // bench/ the test files too; then example_test.go, as a package of its own
 // outside census.checked. The standard library comes from its export
-// data, which one go list run locates. Sizes are go/types' 64-bit default on
-// every platform, as bench/'s constants assume.
+// data, which go list locates once per package and test binary
+// (stdExports). Sizes are go/types' 64-bit default on every platform, as
+// bench/'s constants assume.
 func typeCheck(fset *token.FileSet, files []*repoFile) (*census, error) {
 	c := &census{fset: fset, files: files, info: newInfo()}
 	ctxt := build.Default
@@ -402,19 +434,9 @@ func typeCheck(fset *token.FileSet, files []*repoFile) (*census, error) {
 			}
 		}
 	}
-	export := map[string]string{} // import path → export data file
-	if len(std) > 0 {
-		slices.Sort(std)
-		out, err := exec.Command(filepath.Join(ctxt.GOROOT, "bin", "go"), append([]string{"list", "-deps", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, slices.Compact(std)...)...).Output()
-		if ee, ok := err.(*exec.ExitError); ok {
-			return nil, fmt.Errorf("go list: %v: %s", err, ee.Stderr)
-		} else if err != nil {
-			return nil, err
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-			p, file, _ := strings.Cut(line, " ")
-			export[p] = file
-		}
+	export, err := exportFiles(ctxt.GOROOT, std) // import path → export data file
+	if err != nil {
+		return nil, err
 	}
 	lib := importer.ForCompiler(token.NewFileSet(), "gc", func(p string) (io.ReadCloser, error) { return os.Open(export[p]) })
 	done := map[string]*types.Package{}

@@ -2,7 +2,9 @@ package tinymlops
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -78,65 +80,242 @@ func TestFieldRuleResolvesByType(t *testing.T) {
 	runCases(t, fieldCases, func(c *census) ([]string, error) { return deadKeys(liveFields(c)), nil })
 }
 
-// liveFields reports, for each exported field of a struct type declared in a
-// non-test file under internal/ ("rollout.DeviceOutcome.RollbackErr"),
-// whether a checked file or the godoc examples read it. Embedded fields are
-// out of scope: they are how a type is composed, and a promoted selection
-// never names them.
-func liveFields(c *census) map[string]bool {
-	fields := map[*types.Var]string{}
-	for _, f := range c.checked {
-		if !strings.HasPrefix(f.path, "internal/") {
-			continue
+// TestFieldsAreSet is the write side of TestFieldsAreLiveSurface. An
+// exported field under internal/ that non-test code, bench/ or a godoc
+// example reads is written by a non-test file or any file of the frozen
+// bench/ module (fieldWrites says what a write is). A field only tests write
+// holds its zero value in every real run, so the branch that reads it is
+// dead there and no test can tell: delete it with that branch, or give it
+// the writer its doc promises. The log names the fields only bench/ writes.
+func TestFieldsAreSet(t *testing.T) {
+	unset, benchOnly := unsetFields(parseRepo(t))
+	if len(unset) > 0 {
+		t.Fatalf("%d exported fields under internal/ are read, but written by nothing but tests; delete each with the branch that reads it, or give it a writer:\n  %s",
+			len(unset), strings.Join(unset, "\n  "))
+	}
+	t.Logf("fields: every read field under internal/ is written by non-test code or bench/; %d only by bench/:\n  %s",
+		len(benchOnly), strings.Join(benchOnly, "\n  "))
+}
+
+// fieldSetCases: each write form counts, and a pass-through writes its field
+// only once its source is written. Every case fails if reads counted as
+// writes.
+var fieldSetCases = []ruleCase{
+	{name: "nested", dead: []string{"mutant.T.Off"}, files: map[string]string{ // as verify.InferenceProof.ProverStats is written
+		"internal/mutant/x.go":      "type T struct{ In, Off U }\ntype U struct{ G int }\nfunc Add(t *T) int { t.In.G += 1; return t.In.G + t.Off.G }",
+		"internal/mutant/x_test.go": "var _ = T{Off: U{}}"}},
+	{name: "positional", dead: []string{"mutant.Q.C"}, files: map[string]string{ // in an elided &P
+		"internal/mutant/x.go":      "type P struct{ A, B int }\ntype Q struct{ C int }\nvar V = []*P{{1, 2}}\nfunc Sum(q Q) int { return V[0].A + V[0].B + q.C }",
+		"internal/mutant/x_test.go": "var _ = Q{C: 1}"}},
+	{name: "address", dead: []string{"mutant.T.H"}, files: map[string]string{
+		"internal/mutant/x.go":      "type T struct{ F, H int }\nfunc Get(t T) int { p := &t.F; *p = 1; return t.F + t.H }",
+		"internal/mutant/x_test.go": "var _ = T{H: 1}"}},
+	{name: "pointer-method", dead: []string{"mutant.T.H"}, files: map[string]string{
+		"internal/mutant/x.go":      "type C struct{ n int }\nfunc (c *C) Inc() { c.n++ }\nfunc (c C) N() int { return c.n }\ntype T struct{ Count C; H int }\nfunc Step(t *T) int { t.Count.Inc(); return t.Count.N() + t.H }",
+		"internal/mutant/x_test.go": "var _ = T{H: 1}"}},
+	{name: "json-decode", dead: []string{"mutant.U.H"}, files: map[string]string{
+		"internal/mutant/x.go":      "import \"encoding/json\"\ntype T struct{ F int }\ntype U struct{ H int }\nfunc Load(b []byte, u U) (int, error) { var t T; err := json.Unmarshal(b, &t); return t.F + u.H, err }",
+		"internal/mutant/x_test.go": "var _ = U{H: 1}"}},
+	{name: "pass-through", dead: []string{"mutant.A.G", "mutant.B.F"}, files: map[string]string{
+		"internal/mutant/x.go":      "type A struct{ G int }\ntype B struct{ F int }\nfunc Pass(a A) B { return B{F: a.G} }\nfunc Use(b B) int { return b.F }",
+		"internal/mutant/x_test.go": "var _ = A{G: 1}"}},
+}
+
+func TestFieldSetRuleResolvesByType(t *testing.T) {
+	runCases(t, fieldSetCases, func(c *census) ([]string, error) {
+		unset, _ := unsetFields(c)
+		return unset, nil
+	})
+}
+
+// unsetFields lists, sorted, the read fields (liveFields) that no write
+// sets, and the read fields only bench/ writes.
+func unsetFields(c *census) (unset, benchOnly []string) {
+	read := liveFields(c)
+	fields, _ := exportedFields(c)
+	writes := fieldWrites(c, fields)
+	set := func(bench bool) map[string]bool {
+		live := map[string]bool{}
+		for _, key := range fields {
+			live[key] = false
 		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if ts, ok := n.(*ast.TypeSpec); ok {
-				if st, ok := c.info.Defs[ts.Name].Type().Underlying().(*types.Struct); ok && !ts.Assign.IsValid() {
-					for i := range st.NumFields() {
-						if v := st.Field(i); v.Exported() && !v.Embedded() {
-							fields[v] = f.pkg + "." + ts.Name.Name + "." + v.Name()
+		settle(live, writes, func(w write) bool { return bench || !w.bench })
+		return live
+	}
+	all, own := set(true), set(false)
+	for key, r := range read {
+		switch {
+		case r && !all[key]:
+			unset = append(unset, key)
+		case r && !own[key]:
+			benchOnly = append(benchOnly, key)
+		}
+	}
+	sort.Strings(unset)
+	sort.Strings(benchOnly)
+	return unset, benchOnly
+}
+
+// A write is one place a checked file — non-test code or bench/ — sets an
+// exported field under internal/.
+type write struct {
+	field  string // the field's key (exportedFields)
+	source string // for a pass-through F: y.G, G's key; "" for any other write
+	bench  bool   // in bench/
+	// defaults marks the declaring package's default-filling code: in one
+	// of its files, a write that is no literal, or a literal inside a
+	// function that returns the literal's struct (DefaultPolicy).
+	defaults bool
+}
+
+// fieldWrites is the one setter walk behind TestOptionsAreLiveSurface and
+// TestFieldsAreSet. A write is a key or a position of a struct literal; the
+// target of =, op=, ++ or --, and every field on its selector chain (x.F.G = v
+// writes F and G); the operand of &; the operand of a pointer method used on
+// a value (x.F.M() writes F); and every field a value passed to a decoding
+// function of encoding/json, encoding/binary or encoding/gob reaches. Names
+// resolve by type, so a write counts for the one field it denotes.
+func fieldWrites(c *census, fields map[*types.Var]string) []write {
+	var writes []write
+	for _, f := range c.checked {
+		own := ""
+		if strings.HasPrefix(f.path, "internal/") {
+			own = f.pkg
+		}
+		add := func(key, source string, filling bool) {
+			if key != "" {
+				writes = append(writes, write{field: key, source: source, bench: f.pkg == "bench",
+					defaults: filling && own != "" && strings.HasPrefix(key, own+".")})
+			}
+		}
+		chain := func(e ast.Expr) {
+			for {
+				switch x := ast.Unparen(e).(type) {
+				case *ast.SelectorExpr:
+					add(c.field(fields, x), "", true)
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, d := range f.ast.Decls {
+			returns := map[*types.TypeName]bool{} // the structs the declaration returns
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				res := c.info.Defs[fn.Name].Type().(*types.Signature).Results()
+				for i := range res.Len() {
+					returns[namedOf(res.At(i).Type())] = true
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					t := c.info.TypeOf(n)
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem() // an elided &T in []*T{{…}}
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					filling := returns[namedOf(t)]
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							add(c.field(fields, kv.Key), c.field(fields, kv.Value), filling)
+						} else {
+							add(fields[st.Field(i).Origin()], c.field(fields, el), filling)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						chain(lhs)
+					}
+				case *ast.IncDecStmt:
+					chain(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						chain(n.X)
+					}
+				case *ast.SelectorExpr:
+					if fn, ok := c.info.Uses[n.Sel].(*types.Func); ok {
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+							_, byPointer := recv.Type().(*types.Pointer)
+							_, onPointer := c.info.TypeOf(n.X).Underlying().(*types.Pointer)
+							if byPointer && !onPointer {
+								chain(n.X)
+							}
+						}
+					}
+				case *ast.CallExpr:
+					if fn, ok := c.named(n.Fun).(*types.Func); ok && decodes(fn) {
+						for _, arg := range n.Args {
+							reach(c.info.TypeOf(arg), fields, map[types.Type]bool{}, func(key string) { add(key, "", true) })
 						}
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
+	return writes
+}
+
+// namedOf is the type name of t, or of what t points to; nil for any other
+// type.
+func namedOf(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
+}
+
+// settle marks set each field of live that one of the writes admit keeps
+// sets, to the least fixed point: direct writes first, then pass-throughs
+// whose source turned out to be set. A source that live does not hold counts
+// as set.
+func settle(live map[string]bool, writes []write, admit func(write) bool) {
+	for changed := true; changed; {
+		changed = false
+		for _, w := range writes {
+			set, tracked := live[w.source]
+			if done, ok := live[w.field]; ok && !done && (!tracked || set) && admit(w) {
+				live[w.field], changed = true, true
+			}
+		}
+	}
+}
+
+// decodes reports whether fn decodes into a value passed to it: a decoding
+// function or method of encoding/json, encoding/binary or encoding/gob.
+func decodes(fn *types.Func) bool {
+	if fn.Pkg() == nil {
+		return false
+	}
+	switch fn.Pkg().Path() {
+	case "encoding/json", "encoding/binary", "encoding/gob":
+		return strings.HasPrefix(fn.Name(), "Unmarshal") || strings.HasPrefix(fn.Name(), "Decode") || fn.Name() == "Read"
+	}
+	return false
+}
+
+// liveFields reports, for each exported field of a struct type declared in a
+// non-test file under internal/ (see exportedFields), whether a checked file
+// or the godoc examples read it.
+func liveFields(c *census) map[string]bool {
+	fields, _ := exportedFields(c)
 	live := map[string]bool{}
 	for _, key := range fields {
 		live[key] = false
 	}
-
-	// reach marks every field a value of type t holds, through pointers,
-	// containers and nested structs.
 	seen := map[types.Type]bool{}
-	var reach func(t types.Type)
-	reach = func(t types.Type) {
-		if seen[t] {
-			return
-		}
-		seen[t] = true
-		switch t := t.(type) {
-		case *types.Named:
-			reach(t.Underlying())
-		case *types.Pointer:
-			reach(t.Elem())
-		case *types.Slice:
-			reach(t.Elem())
-		case *types.Array:
-			reach(t.Elem())
-		case *types.Map:
-			reach(t.Key())
-			reach(t.Elem())
-		case *types.Struct:
-			for i := range t.NumFields() {
-				if key := fields[t.Field(i).Origin()]; key != "" {
-					live[key] = true
-				}
-				reach(t.Field(i).Type())
-			}
-		}
-	}
+	read := func(key string) { live[key] = true }
 
 	files := c.checked
 	if c.example != nil {
@@ -170,7 +349,7 @@ func liveFields(c *census) map[string]bool {
 			case *ast.CallExpr:
 				if fn, ok := c.named(n.Fun).(*types.Func); ok && reflects(fn) {
 					for _, arg := range n.Args {
-						reach(c.info.TypeOf(arg))
+						reach(c.info.TypeOf(arg), fields, seen, read)
 					}
 				}
 			}
@@ -178,14 +357,86 @@ func liveFields(c *census) map[string]bool {
 		})
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !writes[id] {
-				if v, ok := c.info.Uses[id].(*types.Var); ok && v.IsField() && fields[v.Origin()] != "" {
-					live[fields[v.Origin()]] = true
+				if key := c.field(fields, id); key != "" {
+					read(key)
 				}
 			}
 			return true
 		})
 	}
 	return live
+}
+
+// exportedFields keys every exported field of a struct type declared in a
+// non-test file under internal/ ("rollout.DeviceOutcome.RollbackErr"), and
+// every such struct type ("rollout.DeviceOutcome"). Embedded fields are out
+// of scope: they are how a type is composed, and a promoted selection never
+// names them.
+func exportedFields(c *census) (fields map[*types.Var]string, structs map[*types.TypeName]string) {
+	fields, structs = map[*types.Var]string{}, map[*types.TypeName]string{}
+	for _, f := range c.checked {
+		if !strings.HasPrefix(f.path, "internal/") {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && !ts.Assign.IsValid() {
+				obj := c.info.Defs[ts.Name].(*types.TypeName)
+				if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+					structs[obj] = f.pkg + "." + ts.Name.Name
+					for i := range st.NumFields() {
+						if v := st.Field(i); v.Exported() && !v.Embedded() {
+							fields[v] = structs[obj] + "." + v.Name()
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return fields, structs
+}
+
+// field is the key of the field e, an identifier or a selector, denotes; ""
+// for anything else.
+func (c *census) field(fields map[*types.Var]string, e ast.Expr) string {
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		e = sel.Sel
+	}
+	id, _ := e.(*ast.Ident)
+	v, _ := c.info.Uses[id].(*types.Var)
+	if v == nil {
+		return ""
+	}
+	return fields[v.Origin()]
+}
+
+// reach calls mark with every field a value of type t holds, through
+// pointers, containers and nested structs, skipping the types in seen.
+func reach(t types.Type, fields map[*types.Var]string, seen map[types.Type]bool, mark func(key string)) {
+	if seen[t] {
+		return
+	}
+	seen[t] = true
+	switch t := t.(type) {
+	case *types.Named:
+		reach(t.Underlying(), fields, seen, mark)
+	case *types.Pointer:
+		reach(t.Elem(), fields, seen, mark)
+	case *types.Slice:
+		reach(t.Elem(), fields, seen, mark)
+	case *types.Array:
+		reach(t.Elem(), fields, seen, mark)
+	case *types.Map:
+		reach(t.Key(), fields, seen, mark)
+		reach(t.Elem(), fields, seen, mark)
+	case *types.Struct:
+		for i := range t.NumFields() {
+			if key := fields[t.Field(i).Origin()]; key != "" {
+				mark(key)
+			}
+			reach(t.Field(i).Type(), fields, seen, mark)
+		}
+	}
 }
 
 // reflects reports whether fn reads a value passed to it as an interface by

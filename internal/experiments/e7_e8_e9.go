@@ -113,7 +113,7 @@ func RunE7(w io.Writer) error {
 		d := device.NewDevice(tgt.Name, tgt, nil)
 		d.SetNet(device.WiFi)
 		d.SetCharging(i%2 == 0)
-		offers = append(offers, market.NewOffer(d, 1, 2, procvm.CapNone, 6000))
+		offers = append(offers, market.NewOffer(d, 1, 2, 6000))
 	}
 	var jobs []market.Workload
 	for _, v := range []*registry.ModelVersion{mv, bv, cv} {

@@ -5,16 +5,16 @@
 // # Topologies
 //
 // One round engine, Coordinator, runs every topology; flat is a hierarchy
-// with no edge tier. With 0 aggregators (NewCoordinator) eligible clients
+// with no edge tier. With 0 aggregators (NewCoordinator) the clients
 // train locally and upload straight to the cloud, which averages their
 // updates. With N (NewHierCoordinator) the fleet shards into
 // edge-aggregator cohorts (assignment by engine.ShardForID, so the
 // partition is stable at any worker count), each aggregator collects its
 // cohort's updates, masked or plain, and the cloud sums only one
 // varint-encoded partial per aggregator — the fan-in reduction that keeps
-// 100k-client rounds affordable on the vendor uplink. Eligibility, weather,
-// training and the weigh-and-sum are one body; the topology picks the unit
-// of fan-out (a client or a cohort) and the tier each byte is charged to.
+// 100k-client rounds affordable on the vendor uplink. Weather, training and
+// the weigh-and-sum are one body; the topology picks the unit of fan-out (a
+// client or a cohort) and the tier each byte is charged to.
 //
 // # Exact aggregation and masking
 //
@@ -57,7 +57,8 @@
 // tiers take injected weather — client dropouts/stragglers via
 // Config.Faults, aggregator faults via HierConfig.AggFaults — with all
 // stochasticity derived from (seed, round, ID), so rounds reproduce at
-// any worker count. Personalize/PersonalizeCohorts layer local
+// any worker count; a client that sits a round out, off its charger or
+// WiFi (§III-D), is a dropout. Personalize/PersonalizeCohorts layer local
 // fine-tuning (frozen shared layers) on the published global, and
 // PseudoLabel/SemiSupervisedRound cover unlabeled clients.
 package fed

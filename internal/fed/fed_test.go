@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"tinymlops/internal/dataset"
-	"tinymlops/internal/device"
 	"tinymlops/internal/nn"
 	"tinymlops/internal/tensor"
 )
@@ -245,55 +244,6 @@ func TestFedProxHelpsOnPathologicalNonIID(t *testing.T) {
 		if acc := stats[len(stats)-1].TestAccuracy; acc < 0.5 {
 			t.Fatalf("mu=%v accuracy %v < 0.5", mu, acc)
 		}
-	}
-}
-
-func TestEligibilityGate(t *testing.T) {
-	global, clients, test := fedFixture(t, 10, 12)
-	// Attach devices: half are never charging.
-	caps, _ := device.ProfileByName("phone")
-	for i, c := range clients {
-		d := device.NewDevice(c.ID, caps, nil)
-		if i%2 == 0 {
-			d.SetNet(device.WiFi)
-			d.SetCharging(true)
-		}
-		c.Device = d
-	}
-	co, _ := NewCoordinator(global, clients, test.X, test.Y, Config{
-		Rounds: 1, LocalEpochs: 1, LocalBatch: 16, LR: 0.1, Seed: 13,
-	})
-	s, err := co.RunRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Participants != len(clients)/2 {
-		t.Fatalf("participants = %d, want %d", s.Participants, len(clients)/2)
-	}
-	// Upload bytes charged to participating devices.
-	var tx int64
-	for _, c := range clients {
-		tx += c.Device.Snapshot().TxBytes
-	}
-	if tx != s.UplinkBytes {
-		t.Fatalf("device tx %d != uplink %d", tx, s.UplinkBytes)
-	}
-}
-
-func TestNoEligibleClientsSkipsRound(t *testing.T) {
-	global, clients, test := fedFixture(t, 10, 14)
-	caps, _ := device.ProfileByName("phone")
-	for _, c := range clients {
-		// A fresh device is offline and not charging: never eligible.
-		c.Device = device.NewDevice(c.ID, caps, nil)
-	}
-	co, _ := NewCoordinator(global, clients, test.X, test.Y, Config{Rounds: 1, Seed: 15})
-	s, err := co.RunRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Participants != 0 || s.UplinkBytes != 0 {
-		t.Fatalf("skipped round stats = %+v", s)
 	}
 }
 

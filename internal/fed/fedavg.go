@@ -4,27 +4,15 @@ import (
 	"fmt"
 
 	"tinymlops/internal/dataset"
-	"tinymlops/internal/device"
 	"tinymlops/internal/engine"
 )
 
-// Client is one federated participant: a private data shard, optionally
-// tied to a simulated device whose charger/WiFi state gates participation
-// (§III-D: "calculate the model updates when the device is idle or
-// connected to a charger").
+// Client is one federated participant: a private data shard under an ID.
+// §III-D's charger/WiFi gate is not client state: a client that sits a
+// round out is a Config.Faults dropout.
 type Client struct {
 	ID   string
 	Data *dataset.Dataset
-	// Device, when set, gates participation on Charging() && WiFi.
-	Device *device.Device
-}
-
-// Eligible reports whether the client may train this round.
-func (c *Client) Eligible() bool {
-	if c.Device == nil {
-		return true
-	}
-	return c.Device.Charging() && c.Device.Net() == device.WiFi
 }
 
 // Config controls federated optimization.
@@ -52,17 +40,17 @@ type Config struct {
 	// client, which at fleet scale meant thousands of concurrent local
 	// trainings thrashing the scheduler.
 	Engine *engine.Engine
-	// Faults, when non-nil, injects per-round failures into eligible
-	// clients: a Dropout crashes the client before it trains (downlink
-	// spent, nothing comes back), a SlowFactor > 1 marks it a straggler.
-	// The hook is called once per eligible client per round and must be a
-	// pure function of (round, clientID) so results stay worker-count
-	// independent — the fault plane's derivation guarantees this.
+	// Faults, when non-nil, injects per-round failures into clients: a
+	// Dropout crashes the client before it trains (downlink spent, nothing
+	// comes back), a SlowFactor > 1 marks it a straggler. The hook is
+	// called once per client per round and must be a pure function of
+	// (round, clientID) so results stay worker-count independent — the
+	// fault plane's derivation guarantees this.
 	Faults func(round int, clientID string) ClientFault
 	// StragglerDeadline, when > 0, is the SlowFactor beyond which a
 	// straggler's update arrives after the aggregation deadline: the
-	// client trained and uploaded (radio charged), but the server ignores
-	// the late update. 0 waits for everyone.
+	// client trained and uploaded, but the server ignores the late update.
+	// 0 waits for everyone.
 	StragglerDeadline float64
 }
 
@@ -88,7 +76,7 @@ func (cfg *Config) normalize() {
 	}
 }
 
-// ClientFault is one eligible client's injected failure for one round.
+// ClientFault is one client's injected failure for one round.
 type ClientFault struct {
 	// Dropout crashes the client after it receives the global model and
 	// before it returns an update.
@@ -119,12 +107,12 @@ type RoundStats struct {
 	CloudDownlinkBytes int64
 	// TestAccuracy of the averaged global model (if a test set is given).
 	TestAccuracy float64
-	// Participants counts eligible clients, each sent the broadcast.
-	// Dropouts counts participants that crashed before returning an
-	// update; Stragglers counts slow clients, and Late the subset whose
-	// update missed the aggregation deadline (trained and uploaded, but
-	// excluded from the average). Aggregated counts only cover
-	// Participants − Dropouts − Late clients.
+	// Participants counts the clients sent the broadcast, all but those of
+	// dropped aggregators. Dropouts counts participants that crashed before
+	// returning an update; Stragglers counts slow clients, and Late the
+	// subset whose update missed the aggregation deadline (trained and
+	// uploaded, but excluded from the average). Aggregated counts only
+	// cover Participants − Dropouts − Late clients.
 	Dropouts   int
 	Stragglers int
 	Late       int

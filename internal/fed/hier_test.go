@@ -427,6 +427,151 @@ func TestHierDeadlineZeroWaitsForStragglers(t *testing.T) {
 	}
 }
 
+// TestHierEmptyCohortRuns pins runUnit's early return, which an aggregator
+// that engine.ShardForID left with no clients takes: the round runs, every
+// client takes part, the cloud still broadcasts to the empty aggregator but
+// receives a partial only from the others, and the global is bit-identical
+// to a flat round over the same clients and seed.
+func TestHierEmptyCohortRuns(t *testing.T) {
+	const nClients, nAggs = 6, 4
+	cfg := Config{Rounds: 1, LocalEpochs: 1, LocalBatch: 8, LR: 0.1, Seed: 71}
+	global, clients, test := hierFixture(t, nClients, 73)
+	artifact, err := global.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc, err := NewHierCoordinator(global, clients, test.X, test.Y, HierConfig{Config: cfg, Aggregators: nAggs, SecureAgg: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := 0
+	for _, u := range hc.Cohorts {
+		if len(u.Clients) == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatalf("fixture: no cohort of %d clients over %d aggregators is empty", nClients, nAggs)
+	}
+	s, err := hc.RunRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The oracle for the cloud uplink: each non-empty cohort's partial, from
+	// a one-aggregator round over its clients alone.
+	var partials int64
+	for _, u := range hc.Cohorts {
+		if len(u.Clients) == 0 {
+			continue
+		}
+		g, all, tst := hierFixture(t, nClients, 73)
+		var own []*Client
+		for _, c := range all {
+			if slices.ContainsFunc(u.Clients, func(o *Client) bool { return o.ID == c.ID }) {
+				own = append(own, c)
+			}
+		}
+		one, err := NewHierCoordinator(g, own, tst.X, tst.Y, HierConfig{Config: cfg, Aggregators: 1, SecureAgg: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := one.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		partials += ps.CloudUplinkBytes
+	}
+	flatGlobal, flatClients, flatTest := hierFixture(t, nClients, 73)
+	flat, err := NewCoordinator(flatGlobal, flatClients, flatTest.X, flatTest.Y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flat.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name             string
+		expected, actual any
+	}{
+		{"participants", nClients, s.Participants},
+		{"cloud downlink", int64(nAggs * len(artifact)), s.CloudDownlinkBytes},
+		{"cloud uplink", partials, s.CloudUplinkBytes},
+		{"global", paramsDigest(flat.Global), paramsDigest(hc.Global)},
+	} {
+		if row.expected != row.actual {
+			t.Errorf("%d empty of %d cohorts, %s\n  expected: %v\n  actual: %v", empty, nAggs, row.name, row.expected, row.actual)
+		}
+	}
+}
+
+// TestFaultDeadlineBoundaries pins runUnit's straggler comparisons on both
+// tiers, one faulted client or aggregator per row: a SlowFactor of 1 is on
+// time, one equal to the deadline is a straggler that still aggregates, and
+// one a step past it is late (TestHierDeadlineZeroWaitsForStragglers pins a
+// deadline of 0). An update that aggregates leaves the global where a calm
+// round puts it.
+func TestFaultDeadlineBoundaries(t *testing.T) {
+	const deadline = 4.0
+	run := func(client, agg func(int, string) ClientFault) (RoundStats, string) {
+		global, clients, test := hierFixture(t, 8, 75)
+		hc, err := NewHierCoordinator(global, clients, test.X, test.Y, HierConfig{
+			Config: Config{Rounds: 1, LocalEpochs: 1, LocalBatch: 8, LR: 0.1, Seed: 77,
+				Faults: client, StragglerDeadline: deadline},
+			Aggregators: 2, SecureAgg: true, AggFaults: agg, AggStragglerDeadline: deadline,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := hc.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, paramsDigest(hc.Global)
+	}
+	_, calm := run(nil, nil)
+	past := math.Nextafter(deadline, math.Inf(1))
+	for _, row := range []struct {
+		name            string
+		agg             bool // the aggregator tier, not the client tier
+		slow            float64
+		straggler, late bool
+	}{
+		{"client/slow-1", false, 1, false, false},
+		{"client/at-deadline", false, deadline, true, false},
+		{"client/past-deadline", false, past, true, true},
+		{"agg/slow-1", true, 1, false, false},
+		{"agg/at-deadline", true, deadline, true, false},
+		{"agg/past-deadline", true, past, true, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			one := func(id string) func(int, string) ClientFault {
+				return func(_ int, got string) ClientFault {
+					if got == id {
+						return ClientFault{SlowFactor: row.slow}
+					}
+					return ClientFault{}
+				}
+			}
+			var s RoundStats
+			var digest string
+			var stragglers, late int
+			if row.agg {
+				s, digest = run(nil, one("agg-000"))
+				stragglers, late = s.AggStragglers, s.AggLate
+			} else {
+				s, digest = run(one("hc-000"), nil)
+				stragglers, late = s.Stragglers, s.Late
+			}
+			b := map[bool]int{true: 1}
+			if stragglers != b[row.straggler] || late != b[row.late] || (digest == calm) == row.late {
+				t.Errorf("SlowFactor %v, deadline %v\n  expected: stragglers %d, late %d, aggregated %v\n  actual: stragglers %d, late %d, aggregated %v",
+					row.slow, deadline, b[row.straggler], b[row.late], !row.late, stragglers, late, digest == calm)
+			}
+		})
+	}
+}
+
 // TestAggregatorSubmitValidation table-drives the edge accumulator's
 // error paths.
 func TestAggregatorSubmitValidation(t *testing.T) {

@@ -258,10 +258,10 @@ func (co *Coordinator) broadcast(dim int) (int64, error) {
 }
 
 // runUnit runs one unit's share of the round: its aggregator's weather, then
-// its eligible clients' weather, training and uploads, and the weighed sum
-// of the updates that arrive in time — under SecureAgg summed from masked
-// words and cross-checked against reference, the zeroed plain sum the
-// coordinator lends the unit for the round.
+// its clients' weather, training and uploads, and the weighed sum of the
+// updates that arrive in time — under SecureAgg summed from masked words and
+// cross-checked against reference, the zeroed plain sum the coordinator lends
+// the unit for the round.
 func (co *Coordinator) runUnit(u *Cohort, reference []int64, globalFlat []float32, bcast int64) (unitResult, error) {
 	cfg := &co.cfg
 	round := co.round
@@ -280,42 +280,33 @@ func (co *Coordinator) runUnit(u *Cohort, reference []int64, globalFlat []float3
 			res.aggLate = cfg.AggStragglerDeadline > 0 && af.SlowFactor > cfg.AggStragglerDeadline
 		}
 	}
+	if len(u.Clients) == 0 {
+		return res, nil // ShardForID left this aggregator no clients
+	}
+	res.participants, res.down = len(u.Clients), bcast*int64(len(u.Clients))
 
 	ar := co.arenas.Acquire()
 	defer co.arenas.Release(ar)
 	ws := ar.Slot(co, newWorkspace).(*workspace)
 
-	eligible := ws.eligible[:0]
-	for _, c := range u.Clients {
-		if c.Eligible() {
-			eligible = append(eligible, c)
-		}
-	}
-	ws.eligible = eligible
-	if len(eligible) == 0 {
-		return res, nil // no chargers + WiFi this round: sit it out
-	}
-	res.participants = len(eligible)
-	res.down = bcast * int64(len(eligible))
-
-	// The round's pairwise seeds cover every eligible client — agreed at
-	// fan-out time, before anyone knows who will drop.
+	// The round's pairwise seeds cover every client — agreed at fan-out
+	// time, before anyone knows who will drop.
 	var agg *Aggregator
 	var seeds PairwiseSeeds
 	var rows [][]uint64
 	if cfg.SecureAgg {
-		seeds = NewPairwiseSeeds(tensor.NewRNG(engine.SeedForID(cfg.Seed, uint64(round), "pairwise|"+u.ID)), len(eligible))
+		seeds = NewPairwiseSeeds(tensor.NewRNG(engine.SeedForID(cfg.Seed, uint64(round), "pairwise|"+u.ID)), len(u.Clients))
 		var err error
 		if agg, err = NewAggregator(u.ID, seeds, len(globalFlat)); err != nil {
 			return res, err
 		}
-		rows = ws.cohortRows(len(eligible), len(globalFlat))
+		rows = ws.cohortRows(len(u.Clients), len(globalFlat))
 	}
 
 	// reference is the unmasked integer sum the masked path must reproduce
 	// bit for bit (and the whole partial when SecureAgg is off).
 	var refSamples int64
-	for i, c := range eligible {
+	for i, c := range u.Clients {
 		// Client weather, a pure function of (round, ID): a dropout crashes
 		// before training, a late straggler trains and uploads but misses
 		// the deadline.
@@ -354,13 +345,6 @@ func (co *Coordinator) runUnit(u *Cohort, reference []int64, globalFlat []float3
 			wire = int64(n)
 		}
 		res.up += wire
-		// localTrain charged the codec payload to the radio; top up to the
-		// wire when the container is bigger.
-		if extra := wire - int64(up.bytes); c.Device != nil && extra > 0 {
-			if _, err := c.Device.Upload(extra); err != nil {
-				return res, fmt.Errorf("client %s upload: %w", c.ID, err)
-			}
-		}
 		if late {
 			continue // uploaded, but past the deadline: not summed
 		}
@@ -372,7 +356,7 @@ func (co *Coordinator) runUnit(u *Cohort, reference []int64, globalFlat []float3
 		}
 	}
 	if refSamples == 0 {
-		return res, nil // every eligible client dropped or arrived late
+		return res, nil // every client dropped or arrived late
 	}
 
 	partial := reference
@@ -384,7 +368,7 @@ func (co *Coordinator) runUnit(u *Cohort, reference []int64, globalFlat []float3
 			if masked == nil {
 				continue
 			}
-			if err := agg.Submit(i, masked, eligible[i].Data.Len()); err != nil {
+			if err := agg.Submit(i, masked, u.Clients[i].Data.Len()); err != nil {
 				return res, err
 			}
 		}

@@ -33,8 +33,6 @@ type workspace struct {
 	// (nil for a participant the aggregator will not sum), cut from slab.
 	rows [][]uint64
 	slab []uint64
-	// eligible lists the unit's clients that take part in the round.
-	eligible []*Client
 }
 
 func newWorkspace() any { return new(workspace) }
@@ -137,12 +135,6 @@ func localTrain(cfg *Config, ws *workspace, global *nn.Network, globalFlat []flo
 	decoded, err := cfg.Codec.Decode(payload, len(ws.delta))
 	if err != nil {
 		return clientUpdate{}, fmt.Errorf("fed: client %s decode: %w", c.ID, err)
-	}
-	// Charge the uplink to the device radio when one is attached.
-	if c.Device != nil {
-		if _, err := c.Device.Upload(int64(len(payload))); err != nil {
-			return clientUpdate{}, fmt.Errorf("fed: client %s upload: %w", c.ID, err)
-		}
 	}
 	return clientUpdate{delta: decoded, samples: c.Data.Len(), bytes: len(payload)}, nil
 }

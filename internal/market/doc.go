@@ -1,7 +1,7 @@
 // Package market implements the §IV vision of orchestrated edge
 // workloads: devices advertise spare capacity at a price (owners "receive
 // a monetary compensation"), workloads declare requirements (ops, memory,
-// latency, sandbox capabilities) and a broker matches them; and a model
+// latency, price) and a broker matches them; and a model
 // can be split between edge and cloud at the layer granularity that
 // minimizes end-to-end latency for the current network bandwidth (refs
 // [62]–[65]).
@@ -16,5 +16,5 @@
 // fleet (shipping the boundary activation, charging the meter and radio)
 // and re-invokes BestSplit as conditions drift. Match is the companion
 // broker for whole workloads: cheapest-feasible assignment under price,
-// capability, op-support, memory and latency constraints.
+// op-support, memory and latency constraints (no sandbox capabilities).
 package market

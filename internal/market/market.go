@@ -7,7 +7,6 @@ import (
 
 	"tinymlops/internal/device"
 	"tinymlops/internal/nn"
-	"tinymlops/internal/procvm"
 )
 
 // Workload is a unit of ML work seeking a host.
@@ -21,8 +20,6 @@ type Workload struct {
 	RAMBytes   int64
 	// RequiredOps must all have native kernels on the host.
 	RequiredOps []string
-	// RequiredCaps is the sandbox capability set the container needs.
-	RequiredCaps procvm.Capability
 	// MaxLatency bounds per-request latency on the host (0 = unbounded).
 	MaxLatency time.Duration
 	// MaxPricePerGMAC is the requester's price cap (arbitrary currency
@@ -30,13 +27,11 @@ type Workload struct {
 	MaxPricePerGMAC float64
 }
 
-// Offer is a device advertising capacity.
+// Offer is a device selling capacity to plain models, not sandboxed modules.
 type Offer struct {
 	Device *device.Device
 	// PricePerGMAC is the asking price.
 	PricePerGMAC float64
-	// GrantedCaps is the sandbox capability set the owner grants.
-	GrantedCaps procvm.Capability
 	// CapacityMACs is the total MAC budget the owner sells this round.
 	CapacityMACs int64
 }
@@ -44,7 +39,7 @@ type Offer struct {
 // NewOffer derives an ask from the device's marginal energy cost times a
 // margin, with a battery premium: a device not on a charger prices its
 // battery 3× (selling scarce joules), matching the paper's incentive story.
-func NewOffer(d *device.Device, energyPricePerJoule, margin float64, granted procvm.Capability, capacityMACs int64) Offer {
+func NewOffer(d *device.Device, energyPricePerJoule, margin float64, capacityMACs int64) Offer {
 	costPerGMAC := d.Caps.EnergyPerMACJoule * 1e9 * energyPricePerJoule
 	premium := 1.0
 	if !d.Charging() {
@@ -53,7 +48,6 @@ func NewOffer(d *device.Device, energyPricePerJoule, margin float64, granted pro
 	return Offer{
 		Device:       d,
 		PricePerGMAC: costPerGMAC * margin * premium,
-		GrantedCaps:  granted,
 		CapacityMACs: capacityMACs,
 	}
 }
@@ -98,9 +92,6 @@ func Match(workloads []Workload, offers []Offer) ([]Assignment, []string) {
 				continue
 			}
 			if o.PricePerGMAC > w.MaxPricePerGMAC {
-				continue
-			}
-			if !o.GrantedCaps.Has(w.RequiredCaps) {
 				continue
 			}
 			if !opsSupported(o.Device, w.RequiredOps) {

@@ -6,7 +6,6 @@ import (
 
 	"tinymlops/internal/device"
 	"tinymlops/internal/nn"
-	"tinymlops/internal/procvm"
 	"tinymlops/internal/tensor"
 )
 
@@ -23,8 +22,8 @@ func dev(t *testing.T, profile, id string, charging bool) *device.Device {
 }
 
 func TestNewOfferBatteryPremium(t *testing.T) {
-	charged := NewOffer(dev(t, "phone", "p1", true), 1, 2, procvm.CapNone, 1e12)
-	onBattery := NewOffer(dev(t, "phone", "p2", false), 1, 2, procvm.CapNone, 1e12)
+	charged := NewOffer(dev(t, "phone", "p1", true), 1, 2, 1e12)
+	onBattery := NewOffer(dev(t, "phone", "p2", false), 1, 2, 1e12)
 	if onBattery.PricePerGMAC <= charged.PricePerGMAC {
 		t.Fatalf("battery device should ask more: %v vs %v", onBattery.PricePerGMAC, charged.PricePerGMAC)
 	}
@@ -38,8 +37,8 @@ func TestMatchPrefersCheapestFeasible(t *testing.T) {
 	gw := dev(t, "edge-gateway", "gw", true)
 	phone := dev(t, "phone", "ph", true)
 	offers := []Offer{
-		NewOffer(phone, 1, 2, procvm.CapNone, 1e12),
-		NewOffer(gw, 1, 2, procvm.CapNone, 1e12),
+		NewOffer(phone, 1, 2, 1e12),
+		NewOffer(gw, 1, 2, 1e12),
 	}
 	w := Workload{ID: "job", MACs: 1e6, Bits: 8, ModelBytes: 1 << 20, RAMBytes: 1 << 20,
 		RequiredOps: []string{"dense"}, MaxPricePerGMAC: 1e9}
@@ -58,13 +57,12 @@ func TestMatchPrefersCheapestFeasible(t *testing.T) {
 
 func TestMatchRespectsConstraints(t *testing.T) {
 	m0 := dev(t, "m0-sensor", "m0", true)
-	offers := []Offer{NewOffer(m0, 1, 2, procvm.CapSensor, 1e12)}
+	offers := []Offer{NewOffer(m0, 1, 2, 1e12)}
 	cases := []struct {
 		name string
 		w    Workload
 	}{
 		{"ops", Workload{ID: "conv", MACs: 1000, Bits: 8, RequiredOps: []string{"conv2d"}, MaxPricePerGMAC: 1e9}},
-		{"caps", Workload{ID: "net", MACs: 1000, Bits: 8, RequiredCaps: procvm.CapNetwork, MaxPricePerGMAC: 1e9}},
 		{"flash", Workload{ID: "big", MACs: 1000, Bits: 8, ModelBytes: 10 << 20, MaxPricePerGMAC: 1e9}},
 		{"price", Workload{ID: "cheap", MACs: 1000, Bits: 8, MaxPricePerGMAC: 1e-12}},
 		{"latency", Workload{ID: "fast", MACs: 1e9, Bits: 8, MaxLatency: time.Microsecond, MaxPricePerGMAC: 1e9}},
@@ -76,8 +74,7 @@ func TestMatchRespectsConstraints(t *testing.T) {
 		}
 	}
 	// A satisfiable workload places.
-	ok := Workload{ID: "ok", MACs: 1000, Bits: 8, RequiredOps: []string{"dense"},
-		RequiredCaps: procvm.CapSensor, MaxPricePerGMAC: 1e9}
+	ok := Workload{ID: "ok", MACs: 1000, Bits: 8, RequiredOps: []string{"dense"}, MaxPricePerGMAC: 1e9}
 	got, unplaced := Match([]Workload{ok}, offers)
 	if len(got) != 1 || len(unplaced) != 0 {
 		t.Fatalf("feasible workload unplaced: %v / %v", got, unplaced)
@@ -86,13 +83,43 @@ func TestMatchRespectsConstraints(t *testing.T) {
 
 func TestMatchCapacityDepletes(t *testing.T) {
 	gw := dev(t, "edge-gateway", "gw", true)
-	offers := []Offer{NewOffer(gw, 1, 2, procvm.CapNone, 1500)}
+	offers := []Offer{NewOffer(gw, 1, 2, 1500)}
 	w := Workload{MACs: 1000, Bits: 8, MaxPricePerGMAC: 1e9}
 	w1, w2 := w, w
 	w1.ID, w2.ID = "a", "b"
 	got, unplaced := Match([]Workload{w1, w2}, offers)
 	if len(got) != 1 || len(unplaced) != 1 || unplaced[0] != "b" {
 		t.Fatalf("capacity not enforced: %v / %v", got, unplaced)
+	}
+}
+
+// TestMatchPlacesAtEachBound pins Match's inclusive bounds: a workload
+// whose MACs equal the offer's remaining capacity, whose price cap equals
+// the ask, or whose latency bound equals the host's latency places.
+func TestMatchPlacesAtEachBound(t *testing.T) {
+	gw := dev(t, "edge-gateway", "gw", true)
+	offer := NewOffer(gw, 1, 2, 1500)
+	lat := gw.Caps.InferenceLatency(1000, 8)
+	base := Workload{ID: "w", MACs: 1000, Bits: 8, MaxPricePerGMAC: 1e9}
+	for _, c := range []struct {
+		name  string
+		first int64 // MACs an earlier workload takes from the offer
+		edit  func(*Workload)
+	}{
+		{"capacity", 500, func(*Workload) {}},
+		{"price", 0, func(w *Workload) { w.MaxPricePerGMAC = offer.PricePerGMAC }},
+		{"latency", 0, func(w *Workload) { w.MaxLatency = lat }},
+	} {
+		w := base
+		c.edit(&w)
+		jobs := []Workload{w}
+		if c.first > 0 {
+			jobs = []Workload{{ID: "first", MACs: c.first, Bits: 8, MaxPricePerGMAC: 1e9}, w}
+		}
+		got, unplaced := Match(jobs, []Offer{offer})
+		if len(got) != len(jobs) || len(unplaced) != 0 {
+			t.Errorf("%s at its bound\n  expected: %d placed, none unplaced\n  actual: %d placed, unplaced %v", c.name, len(jobs), len(got), unplaced)
+		}
 	}
 }
 
